@@ -1186,16 +1186,7 @@ func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Re
 // adapter over ReduceScatterFlat — one copy in, one copy out;
 // allocation-sensitive callers should use ReduceScatterFlat.
 func (m *Machine) ReduceScatter(in [][][]byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := m.call(opts)
-	fout, err := buffers.New(cfg.group.Size(), 1, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := m.ReduceScatterFlat(fin, fout, opts...)
+	fout, res, err := m.reduceSlices(in, ReduceScatterKind, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1206,21 +1197,36 @@ func (m *Machine) ReduceScatter(in [][][]byte, opts ...CollectiveOption) ([][]by
 	return out, res, nil
 }
 
+// reduceSlices adapts a reduction to the legacy-slice shape: copy the
+// contributions in, resolve the plan (which validates the group), and
+// execute into a fresh slab of the kind's output shape.
+func (m *Machine) reduceSlices(in [][][]byte, kind ReduceKind, opts []CollectiveOption) (*Buffers, *Report, error) {
+	fin, err := buffers.FromMatrix(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	pl, err := m.reducePlan(m.call(opts), kind, fin.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	n, blocks := pl.Group().Size(), 1
+	if kind == AllReduceKind {
+		blocks = n
+	}
+	fout, err := buffers.New(n, blocks, fin.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := pl.Execute(fin, fout)
+	return fout, res, err
+}
+
 // AllReduce is the legacy-slice allreduce: in[i][j] is group rank i's
 // contribution to chunk j; the result satisfies out[i][j] = the
 // combination over p of in[p][j] on every rank i. A convenience adapter
 // over AllReduceFlat.
 func (m *Machine) AllReduce(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := m.call(opts)
-	fout, err := buffers.New(cfg.group.Size(), cfg.group.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := m.AllReduceFlat(fin, fout, opts...)
+	fout, res, err := m.reduceSlices(in, AllReduceKind, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,0 +1,138 @@
+package bruck
+
+import "testing"
+
+// TestNilGroupRejectedEverywhere pins the public boundary for
+// OnGroup(nil): every operation — whichever compiler, dispatcher or
+// adapter it routes through — must return the one error the compile
+// entry produces, never panic. (IndexFlat, ConcatFlat, Index and
+// CompileIndex used to dereference the nil group before validating it.)
+func TestNilGroupRejectedEverywhere(t *testing.T) {
+	const n, b, want = 4, 4, "collective: empty group"
+	topo, err := ParseTopology("2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := NewMachine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := NewMachine(n, WithTopology(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix := indexInput(n, b)
+	vector := matrix[0]
+	idxIn, _ := NewIndexBuffers(n, b)
+	idxOut, _ := NewIndexBuffers(n, b)
+	catIn, _ := NewConcatBuffers(n, b)
+	catOut, _ := NewConcatBuffers(n, b)
+	counts := [][]int{{1, 2, 3, 4}, {4, 3, 2, 1}, {0, 1, 0, 1}, {2, 2, 2, 2}}
+	idxLay, _ := NewIndexLayout(counts)
+	catLay, _ := NewConcatLayout(counts[0])
+	ragIn, _ := NewRaggedBuffers(idxLay)
+	ragOut, _ := NewRaggedBuffers(idxLay.Transpose())
+	catRagIn, _ := NewRaggedBuffers(catLay)
+	catRagLay, _ := catLay.ConcatOut()
+	catRagOut, _ := NewRaggedBuffers(catRagLay)
+	sum := WithKernel(ReduceSum, Int32)
+	g := OnGroup(nil)
+
+	// Each case reports only its error; variants cover the plain, mixed
+	// radix, auto-dispatched and hierarchical routes of every family.
+	type call func(m *Machine, opts ...CollectiveOption) error
+	index := call(func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Index(matrix, o...); return err })
+	indexFlat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexFlat(idxIn, idxOut, o...); return err })
+	concat := call(func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Concat(vector, o...); return err })
+	concatFlat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.ConcatFlat(catIn, idxOut, o...); return err })
+	compileIndex := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileIndex(b, o...); return err })
+	compileConcat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileConcat(b, o...); return err })
+	allReduceFlat := call(func(m *Machine, o ...CollectiveOption) error {
+		_, err := m.AllReduceFlat(idxIn, idxOut, o...)
+		return err
+	})
+	cases := []struct {
+		name string
+		m    *Machine
+		do   call
+		opts []CollectiveOption
+	}{
+		{"Index", flat, index, nil},
+		{"Index/radices", flat, index, []CollectiveOption{WithRadices([]int{2, 2})}},
+		{"Index/hierarchical", tiered, index, []CollectiveOption{Hierarchical()}},
+		{"Index/auto-topology", tiered, index, []CollectiveOption{WithAuto(SP1)}},
+		{"IndexFlat", flat, indexFlat, nil},
+		{"IndexFlat/radices", flat, indexFlat, []CollectiveOption{WithRadices([]int{2, 2})}},
+		{"IndexFlat/hierarchical", tiered, indexFlat, []CollectiveOption{Hierarchical()}},
+		{"IndexAsync", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexAsync(idxIn, idxOut, o...); return err }, nil},
+		{"Concat", flat, concat, nil},
+		{"Concat/hierarchical", tiered, concat, []CollectiveOption{Hierarchical()}},
+		{"ConcatFlat", flat, concatFlat, nil},
+		{"ConcatFlat/auto-topology", tiered, concatFlat, []CollectiveOption{WithAuto(SP1)}},
+		{"ConcatAsync", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.ConcatAsync(catIn, idxOut, o...)
+			return err
+		}, nil},
+		{"CompileIndex", flat, compileIndex, nil},
+		{"CompileIndex/hierarchical", tiered, compileIndex, []CollectiveOption{Hierarchical()}},
+		{"CompileConcat", flat, compileConcat, nil},
+		{"IndexV", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.IndexV(matrix, o...); return err }, nil},
+		{"IndexVFlat", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexVFlat(ragIn, ragOut, o...); return err }, nil},
+		{"IndexVFlat/auto", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexVFlat(ragIn, ragOut, o...); return err }, []CollectiveOption{WithAuto(SP1)}},
+		{"ConcatV", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.ConcatV(vector, o...); return err }, nil},
+		{"ConcatVFlat", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.ConcatVFlat(catRagIn, catRagOut, o...)
+			return err
+		}, nil},
+		{"ConcatVFlat/auto", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.ConcatVFlat(catRagIn, catRagOut, o...)
+			return err
+		}, []CollectiveOption{WithAuto(SP1)}},
+		{"CompileIndexV", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileIndexV(idxLay, o...); return err }, nil},
+		{"CompileConcatV", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileConcatV(catLay, o...); return err }, nil},
+		{"ReduceScatter", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.ReduceScatter(matrix, o...); return err }, []CollectiveOption{sum}},
+		{"ReduceScatterFlat", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.ReduceScatterFlat(idxIn, catOut, o...)
+			return err
+		}, []CollectiveOption{sum}},
+		{"AllReduce", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.AllReduce(matrix, o...); return err }, []CollectiveOption{sum}},
+		{"AllReduceFlat", flat, allReduceFlat, []CollectiveOption{sum}},
+		{"AllReduceFlat/auto", flat, allReduceFlat, []CollectiveOption{sum, WithAuto(SP1)}},
+		{"AllReduceFlat/hierarchical", tiered, allReduceFlat, []CollectiveOption{sum, Hierarchical()}},
+		{"AllReduceFlat/auto-topology", tiered, allReduceFlat, []CollectiveOption{sum, WithAuto(SP1)}},
+		{"AllReduceAsync", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.AllReduceAsync(idxIn, idxOut, o...)
+			return err
+		}, []CollectiveOption{sum}},
+		{"CompileReduce", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.CompileReduce(AllReduceKind, b, o...)
+			return err
+		}, []CollectiveOption{sum}},
+		{"Broadcast", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, _, err := m.Broadcast(0, vector[0], o...)
+			return err
+		}, nil},
+		{"Gather", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Gather(0, vector, o...); return err }, nil},
+		{"Scatter", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Scatter(0, vector, o...); return err }, nil},
+		{"BroadcastInto", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.BroadcastInto(0, vector[0], catOut, o...)
+			return err
+		}, nil},
+		{"GatherInto", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.GatherInto(0, catIn, make([]byte, n*b), o...)
+			return err
+		}, nil},
+		{"ScatterInto", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.ScatterInto(0, make([]byte, n*b), catOut, o...)
+			return err
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.do(tc.m, append(tc.opts, g)...)
+			if err == nil || err.Error() != want {
+				t.Fatalf("error = %v, want %q", err, want)
+			}
+		})
+	}
+}

@@ -1,16 +1,17 @@
 // The vet subcommand statically verifies the golden corpus without
 // executing anything: it recompiles every corpus case and runs
-// Plan.Check over the compiled tables, runs the schedule verifier
-// (internal/analysis/schedcheck) over the committed artifact, and
-// cross-checks the two — the artifact's header must agree with the
-// plan it claims to describe.
+// Plan.Check over its step program — a symbolic delivery proof for all
+// 22 cases, formula-driven, ragged, reducing and hierarchical ones
+// included — runs the schedule verifier (internal/analysis/schedcheck)
+// over the committed artifact, and cross-checks the two — the
+// artifact's header must agree with the plan it claims to describe.
 //
 //	bruckctl vet [-dir d] [-case substr] [-perturb] [-report-json]
 //
 // Where `bruckctl trace verify` proves a live run still matches the
 // committed schedule, vet proves the schedule itself is well-formed:
-// k-port limits, block accounting, complexity recomputation, and the
-// delivery simulation that shows the tables realize the collective.
+// k-port limits, byte accounting, complexity recomputation, and the
+// delivery simulation that shows the program realizes the collective.
 // -perturb is the negative self-test: it structurally perturbs each
 // artifact after parsing and succeeds only if every case is then
 // rejected.
@@ -96,8 +97,8 @@ func vetRun(dir, caseFilter string, perturb, reportJSON bool, out io.Writer) err
 	return nil
 }
 
-// vetCase statically verifies one corpus case: plan tables, committed
-// artifact, and the agreement between them.
+// vetCase statically verifies one corpus case: the plan's program, the
+// committed artifact, and the agreement between them.
 func vetCase(dir string, c golden.Case, perturb bool) ([]string, error) {
 	pl, err := golden.Compile(c)
 	if err != nil {

@@ -49,7 +49,7 @@ func (c *PlanCache) autoHierVerdict(key planCacheKey, topo *costmodel.Topology) 
 	if !ok {
 		return nil, false
 	}
-	if pl.hier != nil && !pl.hier.topo.Equal(topo) {
+	if pl.topo != nil && !pl.topo.Equal(topo) {
 		return nil, false
 	}
 	return pl, true
@@ -64,6 +64,9 @@ func (c *PlanCache) autoHierVerdict(key planCacheKey, topo *costmodel.Topology) 
 func (c *PlanCache) AutoHierIndexPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology) (*Plan, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("collective: topology-aware auto dispatch requires a topology")
+	}
+	if err := checkGroup(e, g); err != nil {
+		return nil, err
 	}
 	verdict := hierKey(e, g, opIndex, blockLen, topo, "autotopo")
 	if pl, ok := c.autoHierVerdict(verdict, topo); ok {
@@ -110,6 +113,9 @@ func (c *PlanCache) AutoHierConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen
 	if topo == nil {
 		return nil, fmt.Errorf("collective: topology-aware auto dispatch requires a topology")
 	}
+	if err := checkGroup(e, g); err != nil {
+		return nil, err
+	}
 	verdict := hierKey(e, g, opConcat, blockLen, topo, "autotopo")
 	if pl, ok := c.autoHierVerdict(verdict, topo); ok {
 		return pl, nil
@@ -146,6 +152,9 @@ func (c *PlanCache) AutoHierConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen
 func (c *PlanCache) AutoHierReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, topo *costmodel.Topology, opt ReduceOptions) (*Plan, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("collective: topology-aware auto dispatch requires a topology")
+	}
+	if err := checkGroup(e, g); err != nil {
+		return nil, err
 	}
 	op := opReduceScatter
 	if kind == AllReduceKind {

@@ -1,27 +1,24 @@
 package collective
 
-// Static plan verification: Plan.Check proves a compiled plan
-// well-formed from its tables alone, without executing it on the
-// engine. Where the golden-trace tooling verifies a live run against a
-// recorded artifact, Check verifies the compiled representation against
-// the algebra it claims to implement:
+// Static plan verification: Plan.Check proves a compiled plan correct
+// from its step program alone, without executing it on the engine. It
+// runs the program of all n ranks symbolically — every byte of every
+// region carries the label of the input bytes it was made from — under
+// the interpreter's rules, and reports:
 //
-//   - every round respects the k-port model (at most k transfers per
-//     processor, distinct non-zero partner offsets, no self-sends);
-//   - every transfer's byte count is accounted for by the blocks or
-//     byte runs it declares;
-//   - C1 and C2 are recomputed from the tables and must equal the
-//     plan's stored predictions (for the table-driven index and
-//     circulant concatenation schedules) or respect the paper's lower
-//     bounds (for formula-driven and reduction schedules);
-//   - a label simulation replays the tables symbolically over all n
-//     ranks and proves delivery: the Bruck index rounds must realize
-//     the full transpose out[j] = in[j][me] at block granularity, and
-//     the circulant doubling/last rounds must fill every processor's
-//     accumulation region byte-for-byte with its successors' blocks.
+//   - k-port violations: more than k (times lanes) sends or receives in
+//     a round, a repeated partner, a self-send;
+//   - misaligned rounds: a send nobody receives, a receive nobody
+//     feeds, sizes that disagree, extents outside their block or
+//     region, phase tags or link classes that disagree within a round;
+//   - delivery violations: any output byte that does not end up holding
+//     exactly what the operation defines (the transposed block, the
+//     concatenated block, the combination of all n contributions);
+//   - C1/C2 that differ from the plan's stored predictions, or fall
+//     below the paper's lower bounds.
 //
-// The simulation costs O(n^2) block moves (bytes only enter as run
-// bounds), so checking a whole corpus is milliseconds — cheap enough
+// Labels are runs of bytes, so the cost is in blocks and extents, not
+// in bytes: checking a whole corpus takes milliseconds — cheap enough
 // for `bruckctl vet` to gate CI on it.
 
 import (
@@ -34,6 +31,267 @@ import (
 // maxCheckViolations bounds a Check report.
 const maxCheckViolations = 20
 
+// lab is a run of n symbolic bytes at off: byte i holds the combination
+// of byte src+i of the input regions of cnt contributing ranks, whose
+// identities sum (hashed) to who.
+type lab struct {
+	off, n, src, cnt int
+	who              uint64
+}
+
+// rankHash spreads rank identities so that sums of distinct rank sets
+// differ (splitmix64).
+func rankHash(r int) uint64 {
+	z := uint64(r+1) * 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// clip returns the runs of the sorted, disjoint list m inside
+// [off, off+n), rebased to start at 0.
+func clip(m []lab, off, n int) []lab {
+	var out []lab
+	for _, l := range m {
+		lo, hi := l.off, l.off+l.n
+		if lo < off {
+			lo = off
+		}
+		if hi > off+n {
+			hi = off + n
+		}
+		if lo < hi {
+			out = append(out, lab{lo - off, hi - lo, l.src + lo - l.off, l.cnt, l.who})
+		}
+	}
+	return out
+}
+
+// put replaces [off, off+n) of m by the runs rs (based at 0).
+func put(m []lab, off, n int, rs []lab) []lab {
+	out := clip(m, 0, off)
+	for _, l := range rs {
+		l.off += off
+		out = append(out, l)
+	}
+	for _, l := range clip(m, off+n, int(^uint(0)>>2)) {
+		l.off += off + n
+		out = append(out, l)
+	}
+	return out
+}
+
+// merge combines two run lists over the same range bytewise; ok is
+// false when they do not cover the same bytes from the same offsets.
+func merge(a, b []lab) (out []lab, ok bool) {
+	for len(a) > 0 && len(b) > 0 {
+		x, y := a[0], b[0]
+		if x.off != y.off || x.src != y.src {
+			return nil, false
+		}
+		n := x.n
+		if y.n < n {
+			n = y.n
+		}
+		out = append(out, lab{x.off, n, x.src, x.cnt + y.cnt, x.who + y.who})
+		if a = a[1:]; x.n > n {
+			a = append([]lab{{x.off + n, x.n - n, x.src + n, x.cnt, x.who}}, a...)
+		}
+		if b = b[1:]; y.n > n {
+			b = append([]lab{{y.off + n, y.n - n, y.src + n, y.cnt, y.who}}, b...)
+		}
+	}
+	return out, len(a) == 0 && len(b) == 0
+}
+
+// simView places one region of a frame in a rank's symbolic memories.
+type simView struct {
+	shape
+	mem, base int
+}
+
+// simFrame is the symbolic counterpart of the interpreter's frame.
+type simFrame struct {
+	pr      *program
+	me      int
+	members []int
+	reg     [maxRegs]simView
+}
+
+func (fr *simFrame) rank(a rel) int {
+	r := a.of(fr.me, fr.pr.n, 0)
+	if fr.members != nil && r >= 0 && r < len(fr.members) {
+		r = fr.members[r]
+	}
+	return r
+}
+
+// simOp is one step of a rank's flattened program: embedded
+// sub-programs are inlined, exchanges carry their global round.
+type simOp struct {
+	s     *step
+	fr    *simFrame
+	round int
+	phase string
+}
+
+// simRank is the symbolic state of one rank.
+type simRank struct {
+	mems [][]lab
+	size []int
+	ops  []simOp
+	pc   int
+}
+
+type sim struct {
+	pl    *Plan
+	n     int
+	ranks []simRank
+	add   func(string, ...any)
+}
+
+// piece is a byte range of one symbolic memory.
+type piece struct{ mem, off, n int }
+
+// pieces resolves an extent list of rank r's frame fr, reporting
+// extents that leave their block or region.
+func (s *sim) pieces(r int, fr *simFrame, exts []extent) []piece {
+	var out []piece
+	for i := range exts {
+		e := &exts[i]
+		v := fr.reg[e.reg]
+		for b := 0; b < int(e.n); b++ {
+			step := b
+			if e.rev {
+				step = -b
+			}
+			j, room := e.at.of(fr.me, fr.pr.n, step), s.ranks[r].size[v.mem]-v.base
+			if j < 0 || (v.lay == nil && (j+1)*v.stride > room) || (v.lay != nil && j >= v.lay.Cols()) {
+				s.add("rank %d: block %d outside region of %d bytes", r, j, room)
+				continue
+			}
+			off, ln := e.bytes(v.shape, fr.me, fr.pr.n, b)
+			if _, bn := v.span(j); ln < 0 || int(e.off)+ln > bn {
+				s.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
+				continue
+			}
+			out = append(out, piece{v.mem, v.base + off, ln})
+		}
+	}
+	return out
+}
+
+// read gathers the labels of pieces as one stream and returns its size.
+func (s *sim) read(r int, ps []piece) ([]lab, int) {
+	var out []lab
+	total := 0
+	for _, p := range ps {
+		for _, l := range clip(s.ranks[r].mems[p.mem], p.off, p.n) {
+			l.off += total
+			out = append(out, l)
+		}
+		total += p.n
+	}
+	return out, total
+}
+
+// write scatters a label stream over pieces, combining when asked.
+func (s *sim) write(r int, ps []piece, stream []lab, combine bool) {
+	pos := 0
+	for _, p := range ps {
+		rs := clip(stream, pos, p.n)
+		if mem := &s.ranks[r].mems[p.mem]; combine {
+			var ok bool
+			if rs, ok = merge(clip(*mem, p.off, p.n), rs); !ok {
+				s.add("delivery: rank %d combines bytes of different origin or extent", r)
+			}
+			*mem = put(*mem, p.off, p.n, rs)
+		} else {
+			*mem = put(*mem, p.off, p.n, rs)
+		}
+		pos += p.n
+	}
+}
+
+// flatten inlines rank r's role of fr.pr from global round t on and
+// returns the round it ends in. Scratch regions become fresh memories.
+func (s *sim) flatten(r int, fr *simFrame, t int, phase string) int {
+	rk := &s.ranks[r]
+	ro := fr.pr.role(fr.me)
+	for i, sc := range ro.scratch {
+		fr.reg[int(regWork)+i] = simView{shape{stride: sc.stride}, len(rk.mems), 0}
+		rk.mems, rk.size = append(rk.mems, nil), append(rk.size, sc.bytes)
+	}
+	for i := range ro.steps {
+		st := &ro.steps[i]
+		ph := phase
+		if ph == "" {
+			ph = st.phase
+		}
+		switch st.kind {
+		case stepExchange:
+			rk.ops = append(rk.ops, simOp{st, fr, t, ph})
+			t++
+		case stepSkip:
+			t += st.n
+		case stepEmbed:
+			sub := &simFrame{pr: st.em.sub, me: st.em.me, members: st.em.members}
+			for reg, exts := range [][]extent{regIn: st.xfers[0].send, regOut: st.xfers[0].recv} {
+				if ps := s.pieces(r, fr, exts); len(ps) > 0 {
+					sub.reg[reg] = simView{shape{stride: sub.pr.bl}, ps[0].mem, ps[0].off}
+				}
+			}
+			t = s.flatten(r, sub, t, ph) + st.n
+		default:
+			rk.ops = append(rk.ops, simOp{st, fr, -1, ph})
+		}
+	}
+	return t
+}
+
+// local runs rank r's local steps up to its next exchange.
+func (s *sim) local(r int) {
+	rk := &s.ranks[r]
+	for ; rk.pc < len(rk.ops) && rk.ops[rk.pc].round < 0; rk.pc++ {
+		op := rk.ops[rk.pc]
+		x := &op.s.xfers[0]
+		dst, src := s.pieces(r, op.fr, x.recv), s.pieces(r, op.fr, x.send)
+		switch op.s.kind {
+		case stepCopy:
+			stream, total := s.read(r, src)
+			for i, avail := 0, total; i < len(dst); i++ { // the streams end together
+				if dst[i].n > avail {
+					dst[i].n = avail
+				}
+				avail -= dst[i].n
+			}
+			s.write(r, dst, stream, x.combine)
+		case stepSpread:
+			for i := range dst {
+				if i < len(src) {
+					if src[i].n < dst[i].n {
+						dst[i].n = src[i].n
+					}
+					stream, _ := s.read(r, []piece{{src[i].mem, src[i].off, dst[i].n}})
+					s.write(r, dst[i:i+1], stream, false)
+				}
+			}
+		case stepRotate:
+			n, bl := op.fr.pr.n, op.fr.pr.bl
+			old, _ := s.read(r, dst)
+			for j := 0; j < n && len(dst) == n; j++ {
+				s.write(r, dst[j:j+1], clip(old, intmath.Mod(j-op.fr.me, n)*bl, bl), false)
+			}
+		}
+	}
+}
+
+// post is a message in flight within one simulated round.
+type post struct {
+	src, bytes int
+	stream     []lab
+}
+
 // Check statically verifies the compiled plan and returns all
 // violations found (capped at maxCheckViolations), or nil for a
 // well-formed plan.
@@ -44,18 +302,13 @@ func (pl *Plan) Check() []string {
 			v = append(v, fmt.Sprintf(format, args...))
 		}
 	}
-	if pl.engine == nil || pl.group == nil {
-		add("plan has no engine or group")
+	if pl.engine == nil || pl.group == nil || pl.prog == nil {
+		add("plan has no engine, group or program")
 		return v
 	}
-	n := pl.group.Size()
-	k := pl.engine.Ports()
-	if n < 1 || k < 1 {
-		add("degenerate configuration n=%d k=%d", n, k)
-		return v
-	}
-	if pl.blockLen < 0 {
-		add("negative block length %d", pl.blockLen)
+	n, k := pl.group.Size(), pl.engine.Ports()
+	if n < 1 || k < 1 || pl.blockLen < 0 {
+		add("degenerate configuration n=%d k=%d blockLen=%d", n, k, pl.blockLen)
 		return v
 	}
 	if pl.c1 < pl.c1lb {
@@ -64,361 +317,208 @@ func (pl *Plan) Check() []string {
 	if pl.c2 < pl.c2lb {
 		add("c2=%d below the paper's lower bound %d", pl.c2, pl.c2lb)
 	}
-	if pl.hier != nil {
-		// Hierarchical plans verify structurally: the contiguous group
-		// tiling, the phase table against its closed forms, and every
-		// flat sub-plan recursively (which runs the per-level transpose
-		// and fill simulations).
-		pl.checkHier(n, k, add)
-		return v
+	s := &sim{pl: pl, n: n, ranks: make([]simRank, n), add: add}
+	c1, c2 := s.start(), 0
+	for t := 0; t < c1; t++ {
+		c2 += s.round(t, k)
 	}
-	switch pl.op {
-	case opIndex:
-		if pl.ialg == IndexBruck {
-			pl.checkIndexRounds(n, k, add)
-			pl.simulateIndex(n, add)
-		} else if pl.layout == nil {
-			// Formula-driven baselines: closed-form complexity.
-			c1 := intmath.CeilDiv(n-1, k)
-			if pl.c1 != c1 || pl.c2 != c1*pl.blockLen {
-				add("%s predicts c1=%d c2=%d, closed form gives c1=%d c2=%d",
-					pl.ialg, pl.c1, pl.c2, c1, c1*pl.blockLen)
-			}
-		}
-	case opConcat:
-		if pl.calg == ConcatCirculant {
-			pl.checkCirculant(n, k, add)
-		} else if pl.layout == nil {
-			var c1, c2 int
-			switch pl.calg {
-			case ConcatFolklore:
-				c1, c2 = FolkloreConcatCost(n, pl.blockLen, k)
-			case ConcatRing:
-				c1, c2 = RingConcatCost(n, pl.blockLen)
-			case ConcatRecursiveDoubling:
-				c1, c2 = RecursiveDoublingConcatCost(n, pl.blockLen)
-			}
-			if pl.c1 != c1 || pl.c2 != c2 {
-				add("%s predicts c1=%d c2=%d, closed form gives c1=%d c2=%d",
-					pl.calg, pl.c1, pl.c2, c1, c2)
-			}
-		}
-	case opReduceScatter, opAllReduce:
-		// Reduction round tables reuse the index machinery; their replay
-		// semantics differ (combine instead of overwrite), so they get the
-		// structural checks but not the transpose simulation. A pipelined
-		// reduce-scatter phase gets the segment-table checks but not the
-		// merged-round accounting: an allreduce plan's totals include the
-		// concatenation phase.
-		if len(pl.rounds) > 0 {
-			pl.checkIndexRoundShape(n, k, add)
-			if pl.segments > 1 {
-				pl.checkSegmentSpans(add)
-			}
-		}
-		if pl.op == opAllReduce && (len(pl.dbl) > 0 || len(pl.last) > 0 || pl.trivial) {
-			pl.checkCirculantShape(n, k, add)
-		}
+	if c1 != pl.c1 {
+		add("c1=%d but the program runs %d rounds", pl.c1, c1)
 	}
+	if c2 != pl.c2 {
+		add("c2=%d but the program's round maxima sum to %d bytes", pl.c2, c2)
+	}
+	s.verify()
 	return v
 }
 
-// checkIndexRoundShape validates the per-round structure of a Bruck
-// round table: k-port limits, offset sanity, block accounting.
-func (pl *Plan) checkIndexRoundShape(n, k int, add func(string, ...any)) {
-	for i, rd := range pl.rounds {
-		if len(rd.xfers) == 0 || len(rd.xfers) > k {
-			add("round %d: %d transfers, want 1..%d (k-port)", i, len(rd.xfers), k)
+// start labels every rank's input region as its own, flattens every
+// rank's role and returns the round the longest one ends in.
+func (s *sim) start() (rounds int) {
+	pl := s.pl
+	inBlocks, outBlocks := pl.blocks()
+	for r := range s.ranks {
+		fr := &simFrame{pr: pl.prog, me: r}
+		fr.reg[regIn] = simView{pl.prog.shapeOf(regIn, r), 0, 0}
+		fr.reg[regOut] = simView{pl.prog.shapeOf(regOut, r), 1, 0}
+		inSize, outSize := inBlocks*pl.blockLen, outBlocks*pl.blockLen
+		if pl.layout != nil {
+			inSize, outSize = pl.layout.RowBytes(r), pl.outLayout.RowBytes(r)
 		}
-		seen := map[int]bool{}
-		for xi, x := range rd.xfers {
-			if x.offset <= 0 || x.offset >= n {
-				add("round %d transfer %d: offset %d outside (0, %d)", i, xi, x.offset, n)
+		s.ranks[r].mems = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
+		s.ranks[r].size = []int{inSize, outSize}
+		if t := s.flatten(r, fr, 0, ""); t > rounds {
+			rounds = t
+		}
+	}
+	return rounds
+}
+
+// exchanging returns rank r's exchange of global round t, after running
+// the local steps before it; nil when the rank sits the round out.
+func (s *sim) exchanging(r, t int) *simOp {
+	s.local(r)
+	if rk := &s.ranks[r]; rk.pc < len(rk.ops) && rk.ops[rk.pc].round == t {
+		return &rk.ops[rk.pc]
+	}
+	return nil
+}
+
+// round simulates global round t under k ports and returns its largest
+// message: first every rank posts its sends, read from the state before
+// the round, then every rank lands its receives.
+func (s *sim) round(t, k int) (roundMax int) {
+	add, n := s.add, s.n
+	inbox := make([][]post, n)
+	phase := ""
+	for r := range s.ranks {
+		op := s.exchanging(r, t)
+		if op == nil {
+			continue
+		}
+		if phase == "" {
+			phase = op.phase
+		} else if op.phase != phase {
+			add("round %d: rank %d runs phase %q while others run %q", t, r, op.phase, phase)
+		}
+		ports := k
+		if op.s.n > 1 {
+			ports *= op.s.n
+		}
+		var to, from []int
+		for i := range op.s.xfers {
+			x := &op.s.xfers[i]
+			if x.to.mode != addrNone {
+				peer := op.fr.rank(x.to)
+				to = append(to, peer)
+				stream, bytes := s.read(r, s.pieces(r, op.fr, x.send))
+				if peer >= 0 && peer < n {
+					inbox[peer] = append(inbox[peer], post{r, bytes, stream})
+				}
+				if bytes > roundMax {
+					roundMax = bytes
+				}
+				s.pl.checkClass(op.phase, r, peer, t, add)
+			}
+			if x.from.mode != addrNone {
+				from = append(from, op.fr.rank(x.from))
+			}
+		}
+		for _, peers := range [][]int{to, from} {
+			if len(peers) > ports {
+				add("round %d: rank %d uses %d ports, k-port allows %d", t, r, len(peers), ports)
+			}
+			for i, p := range peers {
+				if p == r || p < 0 || p >= n {
+					add("round %d: rank %d addresses rank %d (self-send or out of range; k-port)", t, r, p)
+				}
+				for _, q := range peers[:i] {
+					if p == q {
+						add("round %d: rank %d addresses rank %d twice (duplicate partner; k-port)", t, r, p)
+					}
+				}
+			}
+		}
+	}
+	for r := range s.ranks {
+		op := s.exchanging(r, t)
+		if op == nil {
+			continue
+		}
+		s.ranks[r].pc++
+		for i := range op.s.xfers {
+			x := &op.s.xfers[i]
+			if x.from.mode == addrNone {
 				continue
 			}
-			if seen[x.offset] {
-				add("round %d: duplicate offset %d (two messages to one partner in one round)", i, x.offset)
+			src, ps := op.fr.rank(x.from), s.pieces(r, op.fr, x.recv)
+			want := 0
+			for _, p := range ps {
+				want += p.n
 			}
-			seen[x.offset] = true
-			if want := len(x.blocks) * pl.blockLen; x.bytes != want {
-				add("round %d transfer %d: %d blocks of %d account for %d bytes, transfer says %d",
-					i, xi, len(x.blocks), pl.blockLen, want, x.bytes)
-			}
-			for bi, b := range x.blocks {
-				if b < 0 || b >= n {
-					add("round %d transfer %d: block %d outside working region of %d", i, xi, b, n)
+			found := false
+			for j, m := range inbox[r] {
+				if m.src != src {
+					continue
 				}
-				if bi > 0 && b <= x.blocks[bi-1] {
-					add("round %d transfer %d: blocks not ascending: %v", i, xi, x.blocks)
-					break
+				found = true
+				if m.bytes != want {
+					add("delivery: round %d: rank %d sends %d bytes to rank %d, which expects %d bytes", t, src, m.bytes, r, want)
+				} else {
+					s.write(r, ps, m.stream, x.combine)
 				}
+				inbox[r] = append(inbox[r][:j], inbox[r][j+1:]...)
+				break
+			}
+			if !found {
+				add("delivery: round %d: rank %d waits for rank %d, which sends it nothing", t, r, src)
 			}
 		}
 	}
+	for r, left := range inbox {
+		for _, m := range left {
+			add("delivery: round %d: rank %d sends to rank %d, which does not receive it", t, m.src, r)
+		}
+	}
+	return roundMax
 }
 
-// checkIndexRounds adds the index plan's complexity accounting on top
-// of the structural shape: monolithic plans must match the round-table
-// recomputation, pipelined plans the merged-round one.
-func (pl *Plan) checkIndexRounds(n, k int, add func(string, ...any)) {
-	pl.checkIndexRoundShape(n, k, add)
-	if pl.segments > 1 {
-		pl.checkSegmentSpans(add)
-		if c1 := costmodel.PipelinedC1(len(pl.rounds), pl.segments); pl.c1 != c1 {
-			add("c1=%d but the pipeline drains in %d merged rounds", pl.c1, c1)
-		}
-		if c2 := pipelinedC2(pl.rounds, pl.segSpans); pl.c2 != c2 {
-			add("c2=%d but the merged-round maxima sum to %d", pl.c2, c2)
-		}
-		return
-	}
-	if len(pl.rounds) != pl.c1 {
-		add("c1=%d but the round table has %d rounds", pl.c1, len(pl.rounds))
-	}
-	c2 := 0
-	for _, rd := range pl.rounds {
-		roundMax := 0
-		for _, x := range rd.xfers {
-			if x.bytes > roundMax {
-				roundMax = x.bytes
-			}
-		}
-		c2 += roundMax
-	}
-	if c2 != pl.c2 {
-		add("c2=%d but the round maxima sum to %d", pl.c2, c2)
-	}
-}
-
-// checkSegmentSpans verifies a pipelined plan's segment tables: the
-// spans tile the block contiguously, and the segment count stays within
-// the schedule's minimum partner-offset gap, which is what guarantees a
-// merged round never addresses one partner twice (the k-port model's
-// distinctness rule, lifted to merged rounds).
-func (pl *Plan) checkSegmentSpans(add func(string, ...any)) {
-	s := pl.segments
-	if len(pl.segSpans) != s {
-		add("segments=%d but the plan carries %d spans", s, len(pl.segSpans))
-		return
-	}
-	off := 0
-	for i, sp := range pl.segSpans {
-		if sp.Off != off || sp.Len < 1 {
-			add("segment span %d covers [%d, %d), want contiguous nonzero span from %d",
-				i, sp.Off, sp.Off+sp.Len, off)
-			return
-		}
-		off += sp.Len
-	}
-	if off != pl.blockLen {
-		add("segment spans tile %d bytes of a %d-byte block", off, pl.blockLen)
-	}
-	if gap := minOffsetGap(pl.rounds); s > gap {
-		add("segments=%d exceeds the schedule's minimum offset gap %d (a merged round would address one partner twice)", s, gap)
-	}
-}
-
-// simulateIndex replays the Bruck round table symbolically over all n
-// ranks and proves the transpose: starting from each rank's rotated
-// working region (slot s of rank r holds r's input block (r+s) mod n),
-// the rounds must deliver work[(me-j) mod n] = in[j][me] for every
-// (me, j) — which is exactly what Phase 3 reads out.
-func (pl *Plan) simulateIndex(n int, add func(string, ...any)) {
-	type blk struct{ owner, idx int }
-	work := make([][]blk, n)
+// verify checks that every output block holds exactly what the
+// operation defines: block j of rank r comes from rank j's block r
+// (index), from rank j's only block (concat), or from every rank's
+// block j — block r for a reduce-scatter, whose output is chunk r.
+func (s *sim) verify() {
+	pl, n := s.pl, s.n
+	all := uint64(0)
 	for r := 0; r < n; r++ {
-		work[r] = make([]blk, n)
-		for s := 0; s < n; s++ {
-			work[r][s] = blk{owner: r, idx: (r + s) % n}
-		}
+		all += rankHash(r)
 	}
-	for _, rd := range pl.rounds {
-		next := make([][]blk, n)
-		for r := 0; r < n; r++ {
-			next[r] = append([]blk(nil), work[r]...)
-		}
-		for me := 0; me < n; me++ {
-			for _, x := range rd.xfers {
-				if x.offset <= 0 || x.offset >= n {
-					return // shape violation already reported
-				}
-				src := intmath.Mod(me-x.offset, n)
-				for _, j := range x.blocks {
-					if j < 0 || j >= n {
-						return
-					}
-					next[me][j] = work[src][j]
-				}
-			}
-		}
-		work = next
-	}
+	_, outBlocks := pl.blocks()
 	bad := 0
-	for me := 0; me < n && bad < 3; me++ {
-		for j := 0; j < n; j++ {
-			got := work[me][intmath.Mod(me-j, n)]
-			if got != (blk{owner: j, idx: me}) {
-				add("delivery: rank %d output slot %d holds block (%d,%d), want in[%d][%d]",
-					me, j, got.owner, got.idx, j, me)
+	for r := 0; r < n && bad < 3; r++ {
+		s.local(r)
+		out := pl.prog.shapeOf(regOut, r)
+		for j := 0; j < outBlocks && bad < 3; j++ {
+			from, blk, cnt, who := j, r, 1, rankHash(j)
+			switch pl.op {
+			case opConcat:
+				blk = 0
+			case opReduceScatter:
+				from, blk, cnt, who = 0, r, n, all
+			case opAllReduce:
+				from, blk, cnt, who = 0, j, n, all
+			}
+			off, ln := out.span(j)
+			srcOff, _ := pl.prog.shapeOf(regIn, from).span(blk)
+			got := clip(s.ranks[r].mems[1], off, ln)
+			ok := ln == 0 || (len(got) > 0 && got[0].off == 0)
+			for i, l := range got {
+				ok = ok && l.src-l.off == srcOff && l.cnt == cnt && l.who == who
+				if i+1 < len(got) {
+					ok = ok && l.off+l.n == got[i+1].off
+				} else {
+					ok = ok && l.off+l.n == ln
+				}
+			}
+			if !ok {
+				s.add("delivery: rank %d output block %d does not hold its %d bytes of %s", r, j, ln, pl.op)
 				bad++
-				if bad >= 3 {
-					break
-				}
 			}
 		}
 	}
 }
 
-// checkCirculantShape validates the circulant concatenation tables and
-// runs the byte-granular fill simulation; it reports rounds/volume via
-// its return values so pure concat plans can compare them against
-// c1/c2 while allreduce plans (whose totals include the reduction
-// phase) use only the structural part.
-func (pl *Plan) checkCirculantShape(n, k int, add func(string, ...any)) (rounds, volume int) {
-	bl := pl.blockLen
-	if pl.trivial {
-		if n-1 > k {
-			add("trivial all-pairs round needs n-1=%d ports but k=%d", n-1, k)
-		}
-		if len(pl.dbl) != 0 || len(pl.last) != 0 {
-			add("trivial plan carries %d doubling and %d last rounds", len(pl.dbl), len(pl.last))
-		}
-		return 1, bl
-	}
-	if n == 1 {
-		return 0, 0
-	}
-	// valid[q][row] records which bytes of accumulation slot q are
-	// known, identically on every rank (the schedule is translation
-	// invariant); slot 0 is the processor's own block.
-	valid := make([][]bool, n)
-	for q := range valid {
-		valid[q] = make([]bool, bl)
-	}
-	fill(valid[0], 0, bl, true)
-
-	for i, rd := range pl.dbl {
-		if rd.base < 1 || rd.count < 1 {
-			add("doubling round %d: degenerate base=%d count=%d", i, rd.base, rd.count)
-			return 0, 0
-		}
-		seen := map[int]bool{}
-		for t := 1; t <= k; t++ {
-			off := intmath.Mod(t*rd.base, n)
-			if off == 0 || seen[off] {
-				add("doubling round %d: port %d offset %d is a self-send or duplicate", i, t, off)
-			}
-			seen[off] = true
-			hi := t*rd.base + rd.count
-			if hi > n {
-				add("doubling round %d: port %d writes slots [%d, %d) beyond the region of %d", i, t, t*rd.base, hi, n)
-				return 0, 0
-			}
-		}
-		for q := 0; q < rd.count; q++ {
-			if !allTrue(valid[q]) {
-				add("doubling round %d: sends slot %d before it is filled", i, q)
-			}
-		}
-		for t := 1; t <= k; t++ {
-			for q := 0; q < rd.count; q++ {
-				fill(valid[t*rd.base+q], 0, bl, true)
-			}
-		}
-		rounds++
-		volume += rd.count * bl
-	}
-
-	for i, lr := range pl.last {
-		if len(lr.areas) == 0 || len(lr.areas) > k {
-			add("last round %d: %d areas, want 1..%d (k-port)", i, len(lr.areas), k)
-		}
-		// Areas exchange simultaneously: reads see the pre-round state.
-		snapshot := make([][]bool, n)
-		for q := range snapshot {
-			snapshot[q] = append([]bool(nil), valid[q]...)
-		}
-		seen := map[int]bool{}
-		roundMax := 0
-		for ai, area := range lr.areas {
-			if area.offset <= 0 || area.offset >= n {
-				add("last round %d area %d: offset %d outside (0, %d)", i, ai, area.offset, n)
-				continue
-			}
-			if seen[area.offset] {
-				add("last round %d: duplicate offset %d", i, area.offset)
-			}
-			seen[area.offset] = true
-			if area.size > roundMax {
-				roundMax = area.size
-			}
-			total := 0
-			for _, run := range area.runs {
-				qSrc := pl.n1 + run.Col - area.offset
-				qDst := pl.n1 + run.Col
-				if qSrc < 0 || qDst >= n {
-					add("last round %d area %d: run column %d maps slots %d->%d outside [0, %d)", i, ai, run.Col, qSrc, qDst, n)
-					continue
-				}
-				if run.NRows <= 0 || run.Row0 < 0 || run.Row0+run.NRows > bl {
-					add("last round %d area %d: rows [%d, %d) outside block of %d", i, ai, run.Row0, run.Row0+run.NRows, bl)
-					continue
-				}
-				for row := run.Row0; row < run.Row0+run.NRows; row++ {
-					if !snapshot[qSrc][row] {
-						add("last round %d area %d: sends slot %d row %d before it is filled", i, ai, qSrc, row)
-						break
-					}
-				}
-				fill(valid[qDst], run.Row0, run.Row0+run.NRows, true)
-				total += run.NRows
-			}
-			if total != area.size {
-				add("last round %d area %d: runs account for %d bytes, area says %d", i, ai, total, area.size)
-			}
-		}
-		rounds++
-		volume += roundMax
-	}
-
-	missing := 0
-	for q := 0; q < n; q++ {
-		if !allTrue(valid[q]) {
-			missing++
-		}
-	}
-	if missing > 0 {
-		add("delivery: %d of %d accumulation slots never completely filled", missing, n)
-	}
-	return rounds, volume
-}
-
-// checkCirculant adds the concat plan's complexity accounting on top of
-// the structural shape and fill simulation.
-func (pl *Plan) checkCirculant(n, k int, add func(string, ...any)) {
-	rounds, volume := pl.checkCirculantShape(n, k, add)
-	if n == 1 {
+// checkClass enforces the level discipline of a hierarchical plan: a
+// message of an intra phase stays inside a group, one of an inter phase
+// crosses groups.
+func (pl *Plan) checkClass(phase string, src, dst, round int, add func(string, ...any)) {
+	if pl.topo == nil || dst < 0 || dst >= pl.topo.N() {
 		return
 	}
-	if pl.c1 != rounds {
-		add("c1=%d but the tables describe %d rounds", pl.c1, rounds)
-	}
-	if pl.c2 != volume {
-		add("c2=%d but the tables carry %d bytes of round maxima", pl.c2, volume)
-	}
-}
-
-func fill(row []bool, lo, hi int, v bool) {
-	for i := lo; i < hi; i++ {
-		row[i] = v
-	}
-}
-
-func allTrue(row []bool) bool {
-	for _, b := range row {
-		if !b {
-			return false
+	for _, ph := range pl.phases {
+		if ph.Name == phase && costmodel.LinkClass(ph.Class) != pl.topo.LinkClass(src, dst) {
+			add("round %d: phase %q is %v but rank %d -> %d is an %v link", round, phase,
+				costmodel.LinkClass(ph.Class), src, dst, pl.topo.LinkClass(src, dst))
 		}
 	}
-	return true
 }

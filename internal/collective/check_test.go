@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"bruck/internal/blocks"
 	"bruck/internal/buffers"
+	"bruck/internal/costmodel"
 	"bruck/internal/mpsim"
 )
 
@@ -53,21 +55,81 @@ func compileReduceT(kind ReduceKind, opt ReduceOptions) func(*testing.T, *mpsim.
 	}
 }
 
+// compileHierT compiles a hierarchical plan of the given operation on
+// the topology spec.
+func compileHierT(op planOp, spec string) func(*testing.T, *mpsim.Engine, *mpsim.Group, int) *Plan {
+	return func(t *testing.T, e *mpsim.Engine, g *mpsim.Group, b int) *Plan {
+		t.Helper()
+		topo, err := costmodel.ParseTopology(spec)
+		if err != nil {
+			t.Fatalf("ParseTopology(%q): %v", spec, err)
+		}
+		var pl *Plan
+		switch op {
+		case opIndex:
+			pl, err = CompileHierarchicalIndex(e, g, b, topo, HierOptions{})
+		case opConcat:
+			pl, err = CompileHierarchicalConcat(e, g, b, topo, HierOptions{})
+		default:
+			kern, _ := buffers.Kernel(buffers.Sum, buffers.Int32)
+			pl, err = CompileHierarchicalReduce(e, g, AllReduceKind, b, topo, ReduceOptions{Kernel: kern})
+		}
+		if err != nil {
+			t.Fatalf("hierarchical %v compile: %v", op, err)
+		}
+		return pl
+	}
+}
+
+// compileIndexVT compiles a layout plan on a deterministic ragged
+// layout with zero-length blocks.
+func compileIndexVT(opt IndexOptions) func(*testing.T, *mpsim.Engine, *mpsim.Group, int) *Plan {
+	return func(t *testing.T, e *mpsim.Engine, g *mpsim.Group, b int) *Plan {
+		t.Helper()
+		n := g.Size()
+		counts := make([][]int, n)
+		for i := range counts {
+			counts[i] = make([]int, n)
+			for j := range counts[i] {
+				counts[i][j] = (i*3 + j*5) % (b + 1)
+			}
+		}
+		l, err := blocks.Ragged(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := CompileIndexV(e, g, l, opt)
+		if err != nil {
+			t.Fatalf("CompileIndexV: %v", err)
+		}
+		return pl
+	}
+}
+
 func checkConfigs() []checkConfig {
 	return []checkConfig{
 		{"index-bruck-n8-k1-r2", 8, 1, 4, compileIndexT(IndexOptions{Radix: 2})},
 		{"index-bruck-n12-k3", 12, 3, 4, compileIndexT(IndexOptions{})},
 		{"index-bruck-n7-k2", 7, 2, 3, compileIndexT(IndexOptions{})},
+		{"index-nopack-n9-k1-r3", 9, 1, 4, compileIndexT(IndexOptions{Radix: 3, NoPack: true})},
 		{"index-direct-n8-k2", 8, 2, 4, compileIndexT(IndexOptions{Algorithm: IndexDirect})},
 		{"index-xor-n8-k2", 8, 2, 4, compileIndexT(IndexOptions{Algorithm: IndexPairwiseXOR})},
+		{"indexv-bruck-n6-k2", 6, 2, 7, compileIndexVT(IndexOptions{})},
+		{"indexv-direct-n6-k2", 6, 2, 7, compileIndexVT(IndexOptions{Algorithm: IndexDirect})},
 		{"concat-circulant-n11-k2", 11, 2, 5, compileConcatT(ConcatOptions{Algorithm: ConcatCirculant})},
 		{"concat-circulant-n13-k3", 13, 3, 4, compileConcatT(ConcatOptions{Algorithm: ConcatCirculant})},
 		{"concat-trivial-n5-k4", 5, 4, 4, compileConcatT(ConcatOptions{Algorithm: ConcatCirculant})},
 		{"concat-folklore-n6-k2", 6, 2, 4, compileConcatT(ConcatOptions{Algorithm: ConcatFolklore})},
 		{"concat-ring-n6-k1", 6, 1, 4, compileConcatT(ConcatOptions{Algorithm: ConcatRing})},
 		{"concat-recdbl-n8-k1", 8, 1, 4, compileConcatT(ConcatOptions{Algorithm: ConcatRecursiveDoubling})},
+		{"reducescatter-ring-n6-k1", 6, 1, 8, compileReduceT(ReduceScatterKind, ReduceOptions{Algorithm: ReduceRing})},
+		{"reducescatter-halving-n8-k1", 8, 1, 8, compileReduceT(ReduceScatterKind, ReduceOptions{Algorithm: ReduceHalving})},
 		{"reducescatter-bruck-n9-k2-r3", 9, 2, 8, compileReduceT(ReduceScatterKind, ReduceOptions{Algorithm: ReduceBruck, Radix: 3})},
 		{"allreduce-bruck-n6-k2", 6, 2, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceBruck})},
+		{"allreduce-ring-n5-k4", 5, 4, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceRing})},
+		{"hier-index-4-4-3", 11, 2, 4, compileHierT(opIndex, "4,4,3")},
+		{"hier-concat-4-4-3", 11, 1, 4, compileHierT(opConcat, "4,4,3")},
+		{"hier-allreduce-4x4", 16, 2, 4, compileHierT(opAllReduce, "4x4")},
 	}
 }
 
@@ -78,6 +140,19 @@ func compileCheckPlan(t *testing.T, c checkConfig) *Plan {
 		t.Fatalf("mpsim.New: %v", err)
 	}
 	return c.compile(t, e, mpsim.WorldGroup(c.n), c.b)
+}
+
+// exchangeSteps returns the exchange steps of group rank 0's role.
+func exchangeSteps(pl *Plan) []*step { return exchanges(pl.prog, 0) }
+
+// mentions reports whether any violation contains sub.
+func mentions(v []string, sub string) bool {
+	for _, msg := range v {
+		if strings.Contains(msg, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCheckCleanPlans proves every compiled schedule family passes the
@@ -93,12 +168,25 @@ func TestCheckCleanPlans(t *testing.T) {
 	}
 }
 
-// TestCheckPerturbations mutates compiled plan tables the ways a
-// miscompiled schedule would drift and asserts Check rejects each one
-// with a violation naming the break.
+// TestCheckPerturbations mutates compiled programs the ways a
+// miscompiled schedule would drift — a step's peer, an extent, a phase
+// tag, a stored count — and asserts Check rejects each one with a
+// violation naming the break. Every schedule family has at least one
+// negative control whose wrong peer or dropped extent must surface as a
+// delivery violation.
 func TestCheckPerturbations(t *testing.T) {
+	configs := map[string]checkConfig{}
+	for _, c := range checkConfigs() {
+		configs[c.name] = c
+	}
 	bruck := checkConfig{"", 8, 2, 4, compileIndexT(IndexOptions{})}
-	circ := checkConfig{"", 11, 2, 5, compileConcatT(ConcatOptions{Algorithm: ConcatCirculant})}
+	circ := configs["concat-circulant-n11-k2"]
+	first := func(pl *Plan) *xfer { return &exchangeSteps(pl)[0].xfers[0] }
+	wrongPeer := func(pl *Plan) { first(pl).to.c++ }
+	dropExtent := func(pl *Plan) { x := first(pl); x.send = x.send[:len(x.send)-1] }
+	// memberStep returns an exchange step of rank 1, a non-leader member
+	// of the first group of a hierarchical plan.
+	memberStep := func(pl *Plan) *step { return exchanges(pl.prog, 1)[0] }
 	cases := []struct {
 		name    string
 		base    checkConfig
@@ -109,8 +197,10 @@ func TestCheckPerturbations(t *testing.T) {
 			name: "index extra transfer breaks k-port",
 			base: bruck,
 			mutate: func(pl *Plan) {
-				rd := &pl.rounds[0]
-				rd.xfers = append(rd.xfers, indexXfer{offset: 3, bytes: pl.blockLen, blocks: []int{0}}, indexXfer{offset: 5, bytes: pl.blockLen, blocks: []int{1}})
+				rd := exchangeSteps(pl)[0]
+				one := []extent{blocksAt(regWork, fixed(0), 1)}
+				rd.xfers = append(rd.xfers[:len(rd.xfers):len(rd.xfers)],
+					xfer{to: plus(3), from: plus(-3), send: one, recv: one}, xfer{to: plus(5), from: plus(-5), send: one, recv: one})
 			},
 			wantSub: "k-port",
 		},
@@ -118,29 +208,17 @@ func TestCheckPerturbations(t *testing.T) {
 			name: "index dropped block breaks accounting and delivery",
 			base: bruck,
 			mutate: func(pl *Plan) {
-				x := &pl.rounds[0].xfers[0]
-				x.blocks = x.blocks[:len(x.blocks)-1]
+				// Only the send side shrinks: the receiver still expects
+				// the full payload.
+				x := first(pl)
+				x.send = append([]extent(nil), x.send[:len(x.send)-1]...)
 			},
 			wantSub: "bytes",
 		},
 		{
-			name: "index dropped block with fixed bytes breaks delivery",
-			base: bruck,
-			mutate: func(pl *Plan) {
-				x := &pl.rounds[0].xfers[0]
-				x.blocks = x.blocks[:len(x.blocks)-1]
-				x.bytes = len(x.blocks) * pl.blockLen
-				pl.c2 = 0
-				for _, rd := range pl.rounds {
-					m := 0
-					for _, x := range rd.xfers {
-						if x.bytes > m {
-							m = x.bytes
-						}
-					}
-					pl.c2 += m
-				}
-			},
+			name:    "index dropped block with fixed bytes breaks delivery",
+			base:    bruck,
+			mutate:  func(pl *Plan) { x := first(pl); x.send = x.send[:len(x.send)-1]; x.recv = x.send },
 			wantSub: "delivery",
 		},
 		{
@@ -156,26 +234,29 @@ func TestCheckPerturbations(t *testing.T) {
 			wantSub: "lower bound",
 		},
 		{
-			name: "index self-send offset",
-			base: bruck,
-			mutate: func(pl *Plan) {
-				pl.rounds[0].xfers[0].offset = 0
-			},
-			wantSub: "offset",
+			name:    "index self-send offset",
+			base:    bruck,
+			mutate:  func(pl *Plan) { first(pl).to = plus(0) },
+			wantSub: "self-send",
 		},
 		{
 			name: "index duplicate partner offset",
 			base: bruck,
 			mutate: func(pl *Plan) {
-				rd := &pl.rounds[0]
-				rd.xfers = append(rd.xfers, indexXfer{offset: rd.xfers[0].offset, bytes: pl.blockLen, blocks: []int{0}})
+				rd := exchangeSteps(pl)[0]
+				rd.xfers[1].to, rd.xfers[1].from = rd.xfers[0].to, rd.xfers[0].from
 			},
-			wantSub: "duplicate offset",
+			wantSub: "duplicate partner",
 		},
 		{
-			name:    "index dropped round",
-			base:    bruck,
-			mutate:  func(pl *Plan) { pl.rounds = pl.rounds[:len(pl.rounds)-1]; pl.c1-- },
+			name: "index dropped round",
+			base: bruck,
+			mutate: func(pl *Plan) {
+				ro := &pl.prog.roles[0]
+				last := len(ro.steps) - 2 // the final round precedes Phase 3
+				ro.steps = append(ro.steps[:last], ro.steps[last+1:]...)
+				pl.c1--
+			},
 			wantSub: "delivery",
 		},
 		{
@@ -188,7 +269,12 @@ func TestCheckPerturbations(t *testing.T) {
 			name: "concat premature doubling send",
 			base: circ,
 			mutate: func(pl *Plan) {
-				pl.dbl[len(pl.dbl)-1].count++
+				// The last doubling round sends one slot more than it holds.
+				for _, st := range exchangeSteps(pl) {
+					if st.phase == "doubling" {
+						st.xfers[0].send[0].n++
+					}
+				}
 			},
 			wantSub: "",
 		},
@@ -196,20 +282,47 @@ func TestCheckPerturbations(t *testing.T) {
 			name: "concat dropped last round",
 			base: circ,
 			mutate: func(pl *Plan) {
-				pl.last = pl.last[:len(pl.last)-1]
+				ro := &pl.prog.roles[0]
+				last := len(ro.steps) - 2 // the final round precedes the rotation
+				ro.steps = append(ro.steps[:last], ro.steps[last+1:]...)
 				pl.c1--
 			},
-			wantSub: "filled",
+			wantSub: "delivery",
 		},
 		{
 			name: "concat run outside block",
 			base: circ,
 			mutate: func(pl *Plan) {
-				runs := pl.last[0].areas[0].runs
-				runs[0].NRows = pl.blockLen + 1
+				for _, st := range exchangeSteps(pl) {
+					if st.phase == "last" {
+						st.xfers[0].recv[0].len = int32(pl.blockLen + 1)
+					}
+				}
 			},
 			wantSub: "outside block",
 		},
+		// One delivery negative control per remaining family.
+		{"nopack wrong peer", configs["index-nopack-n9-k1-r3"], wrongPeer, "delivery"},
+		{"direct wrong peer", configs["index-direct-n8-k2"], wrongPeer, "delivery"},
+		{"xor wrong peer", configs["index-xor-n8-k2"], wrongPeer, "delivery"},
+		{"indexv direct dropped extent", configs["indexv-direct-n6-k2"], dropExtent, "delivery"},
+		{"trivial dropped extent", configs["concat-trivial-n5-k4"], dropExtent, "delivery"},
+		{"ring dropped extent", configs["concat-ring-n6-k1"], dropExtent, "delivery"},
+		{"folklore wrong peer", configs["concat-folklore-n6-k2"], func(pl *Plan) { exchanges(pl.prog, 1)[0].xfers[0].to.c = 2 }, "delivery"},
+		{"recdbl short run", configs["concat-recdbl-n8-k1"], func(pl *Plan) { exchangeSteps(pl)[2].xfers[0].send[0].n-- }, "delivery"},
+		{"ring-reduce wrong peer", configs["reducescatter-ring-n6-k1"], wrongPeer, "delivery"},
+		{"halving dropped extent", configs["reducescatter-halving-n8-k1"], dropExtent, "delivery"},
+		{"halving overwrites instead of combining", configs["reducescatter-halving-n8-k1"], func(pl *Plan) { first(pl).combine = false }, "delivery"},
+		{"reduce-bruck wrong peer", configs["reducescatter-bruck-n9-k2-r3"], wrongPeer, "delivery"},
+		{"allreduce ring wrong peer", configs["allreduce-ring-n5-k4"], wrongPeer, "delivery"},
+		{"hier index member bypasses the leader", configs["hier-index-4-4-3"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 2 }, "delivery"},
+		{"hier concat dropped extent", configs["hier-concat-4-4-3"], func(pl *Plan) {
+			x := &memberStep(pl).xfers[0]
+			x.recv = x.recv[:len(x.recv)-1]
+		}, "delivery"},
+		{"hier allreduce member bypasses the leader", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 2 }, "delivery"},
+		{"hier allreduce phase tag", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).phase = "broadcast" }, "phase"},
+		{"hier index gather crosses groups", configs["hier-index-4-4-3"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 4 }, "link"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,17 +332,8 @@ func TestCheckPerturbations(t *testing.T) {
 			if len(v) == 0 {
 				t.Fatalf("Check() accepted the perturbed plan")
 			}
-			if tc.wantSub != "" {
-				found := false
-				for _, msg := range v {
-					if strings.Contains(msg, tc.wantSub) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("no violation mentions %q; got:\n  %s", tc.wantSub, strings.Join(v, "\n  "))
-				}
+			if !mentions(v, tc.wantSub) {
+				t.Fatalf("no violation mentions %q; got:\n  %s", tc.wantSub, strings.Join(v, "\n  "))
 			}
 		})
 	}

@@ -3,8 +3,10 @@ package collective
 import (
 	"fmt"
 
+	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/intmath"
+	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
 	"bruck/internal/partition"
 )
@@ -61,46 +63,13 @@ type ConcatOptions struct {
 // blocks must have equal size. out[i][j] = B[j] for every group member
 // i.
 //
-// Concat is a thin adapter over ConcatFlat: it copies the blocks into a
-// flat Buffers, runs the zero-copy path, and copies the result back
-// out. Callers that care about allocation cost should use ConcatFlat
-// directly.
+// Concat is a thin adapter over the flat path: it copies the blocks
+// into a flat Buffers, runs the compiled plan, and copies the result
+// back out. Callers that care about allocation cost should use
+// ConcatFlat directly.
 func Concat(e *mpsim.Engine, g *mpsim.Group, in [][]byte, opt ConcatOptions) ([][][]byte, *Result, error) {
-	if err := checkConcatInput(g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromVector(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := ConcatFlat(e, g, fin, fout, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
-}
-
-// checkConcatInput validates a legacy concat input vector against the
-// group.
-func checkConcatInput(g *mpsim.Group, in [][]byte) error {
-	n := g.Size()
-	if len(in) != n {
-		return fmt.Errorf("collective: concat input has %d blocks, group has %d members", len(in), n)
-	}
-	if n == 0 {
-		return fmt.Errorf("collective: empty group")
-	}
-	blockLen := len(in[0])
-	for i := range in {
-		if len(in[i]) != blockLen {
-			return fmt.Errorf("collective: block B[%d] has %d bytes, want %d", i, len(in[i]), blockLen)
-		}
-	}
-	return nil
+	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileConcat(e, g, b, opt) })
 }
 
 // ConcatFlat is the flat-buffer concatenation: in is a concat-shaped
@@ -116,22 +85,243 @@ func checkConcatInput(g *mpsim.Group, in [][]byte) error {
 // compile once with CompileConcat (or go through a PlanCache, as the
 // public Machine API does) and reuse the Plan.
 func ConcatFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ConcatOptions) (*Result, error) {
-	n := g.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("collective: empty group")
+	return runFlat(in, out, func(b int) (*Plan, error) { return CompileConcat(e, g, b, opt) })
+}
+
+// CompileConcat compiles the concatenation schedule selected by opt for
+// group g on engine e at block size blockLen. For the circulant
+// algorithm this solves the last-round table partition and resolves the
+// per-area communication offsets once.
+func CompileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions) (*Plan, error) {
+	return compileConcat(e, g, blockLen, opt, nil)
+}
+
+// compileConcat is the one concatenation compiler behind the fixed-size
+// and layout entry points; lay, when set, makes the input an n x 1 and
+// the output an n x n layout, and blockLen the padded slot size.
+func compileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions, lay *blocks.Layout) (*Plan, error) {
+	return compile(e, g, opConcat, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
+		if lay != nil {
+			if lay.Rows() != n || lay.Cols() != 1 {
+				return nil, fmt.Errorf("collective: concat layout is %dx%d, group needs %dx1", lay.Rows(), lay.Cols(), n)
+			}
+			outLayout, err := lay.ConcatOut()
+			if err != nil {
+				return nil, err
+			}
+			pl.layout, pl.outLayout = lay, outLayout
+		}
+		var pr *program
+		var err error
+		switch alg := opt.Algorithm; {
+		case alg == ConcatCirculant:
+			pr, err = circulantProgram(n, k, blockLen, opt.LastRound, lay != nil)
+		case alg == ConcatRing:
+			pr = ringProgram(n, k, blockLen)
+		case lay != nil && (alg == ConcatFolklore || alg == ConcatRecursiveDoubling):
+			err = fmt.Errorf("collective: %v has no V variant (ConcatV supports circulant and ring)", alg)
+		case alg == ConcatRecursiveDoubling && !intmath.IsPow(2, n):
+			err = fmt.Errorf("collective: recursive doubling requires a power-of-two group size, got %d", n)
+		case alg == ConcatRecursiveDoubling:
+			pr = recursiveDoublingProgram(n, k, blockLen)
+		case alg == ConcatFolklore:
+			pr = &program{n: n, k: k, bl: blockLen, roles: folkloreRoles(n, k)}
+		default:
+			err = fmt.Errorf("collective: unknown concat algorithm %v", alg)
+		}
+		if err != nil {
+			return nil, err
+		}
+		pr.inLay, pr.outLay = pl.layout, pl.outLayout
+		if lay == nil {
+			pl.c2lb = lowerbound.ConcatVolume(n, blockLen, k)
+		} else {
+			pl.c2lb = lowerbound.ConcatVVolume(lay.CountsVector(), k)
+		}
+		if (lay == nil && blockLen > 0) || (lay != nil && lay.Uniform()) {
+			// The dissemination bound assumes there is data to disseminate;
+			// a zero-byte concatenation compiles without its last rounds and
+			// legitimately finishes in fewer.
+			pl.c1lb = lowerbound.ConcatRounds(n, k)
+		}
+		return pr, nil
+	})
+}
+
+// circulantProgram compiles the circulant concatenation: the single
+// all-pairs round when k >= n-1, which lands every block straight in
+// its output block; otherwise the doubling and last rounds on an
+// accumulation region whose slot q gathers the block of rank me+q. On
+// fixed-size blocks that region is the output itself and one in-place
+// rotation finishes; padded (layout plans) it is a pooled region of
+// slots — the two-phase packing: the unchanged rounds run on the padded
+// slots and the unpack at true lengths performs the final rotation.
+func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*program, error) {
+	b := newBuilder(n+2, n+k, 2*n+4)
+	own := b.ext(blocksAt(regIn, fixed(0), 1))
+	acc, ro := regOut, role{}
+	switch {
+	case k >= n-1:
+		b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), own)
+		b.trivial(n, own)
+		return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}, nil
+	case padded:
+		acc, ro.scratch = regWork, []scratch{{n * bl, bl}}
 	}
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil flat buffer")
-	}
-	if in.Procs() != n || in.Blocks() != 1 {
-		return nil, fmt.Errorf("collective: flat concat input is %dx%d blocks, group needs %dx1",
-			in.Procs(), in.Blocks(), n)
-	}
-	pl, err := CompileConcat(e, g, in.BlockLen(), opt)
-	if err != nil {
+	b.local(stepCopy, b.ext(blocksAt(acc, fixed(0), 1)), own)
+	if err := b.circulant(n, k, bl, acc, policy); err != nil {
 		return nil, err
 	}
-	return pl.Execute(in, out)
+	if padded {
+		b.local(stepSpread, b.ext(blocksAt(regOut, plus(0), n)), b.ext(blocksAt(regWork, fixed(0), n)))
+	} else {
+		b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
+	}
+	ro.steps = b.steps
+	return &program{n: n, k: k, bl: bl, roles: []role{ro}}, nil
+}
+
+// ringProgram compiles the ring baseline: round q forwards the block
+// received in round q-1 to the predecessor and receives the next one
+// from the successor, each straight out of and into its output block.
+func ringProgram(n, k, bl int) *program {
+	b := newBuilder(n, n, 2*n)
+	b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
+	for q := 1; q < n; q++ {
+		b.xfers = append(b.xfers, xfer{to: plus(-1), from: plus(1),
+			send: b.ext(blocksAt(regOut, plus(q-1), 1)), recv: b.ext(blocksAt(regOut, plus(q), 1))})
+		b.exchange("", 0)
+	}
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}
+}
+
+// recursiveDoublingProgram compiles the hypercube exchange for
+// power-of-two n as the doubling phase in xor order: slot q accumulates
+// the block of rank me xor q, so round i sends slots [0, 2^i) to
+// partner me xor 2^i and receives its slots into [2^i, 2^(i+1)).
+func recursiveDoublingProgram(n, k, bl int) *program {
+	b := newBuilder(n, n, 2*n)
+	b.local(stepCopy, b.ext(blocksAt(regWork, fixed(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
+	for bit := 1; bit < n; bit <<= 1 {
+		b.xfers = append(b.xfers, xfer{to: xor(bit), from: xor(bit),
+			send: b.ext(blocksAt(regWork, fixed(0), bit)), recv: b.ext(blocksAt(regWork, fixed(bit), bit))})
+		b.exchange("", 0)
+	}
+	b.local(stepSpread, b.ext(blocksAt(regOut, xor(0), n)), b.ext(blocksAt(regWork, fixed(0), n)))
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: []scratch{{n * bl, bl}}}}}
+}
+
+// trivial appends the single all-pairs round of a concatenation with
+// k >= n-1 ports: own goes to every other rank and rank me+q's block
+// lands straight in output block me+q.
+func (b *builder) trivial(n int, own []extent) {
+	for q := 1; q < n; q++ {
+		b.xfers = append(b.xfers, xfer{to: plus(-q), from: plus(q), send: own, recv: b.ext(blocksAt(regOut, plus(q), 1))})
+	}
+	if n > 1 {
+		b.exchange("trivial", 0)
+	}
+}
+
+// circulant appends the rounds of the circulant concatenation (Section
+// 4) on the n-slot accumulation region acc, whose slot 0 holds the
+// rank's own block and whose slot q gathers the block of rank me+q: the
+// doubling rounds send the first count slots to the k ranks me-t*count
+// and receive the same shapes into slots t*count onward; the
+// byte-granular last rounds move the areas of the solved table
+// partition, each at a distinct communication offset o (a cell of slot
+// n1+col travels from the sender's slot n1+col-o).
+func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) error {
+	if n == 1 {
+		return nil
+	}
+	count := 1
+	for round := 1; round < intmath.CeilLog(k+1, n); round++ {
+		for t := 1; t <= k; t++ {
+			b.xfers = append(b.xfers, xfer{to: plus(-t * count), from: plus(t * count),
+				send: b.ext(blocksAt(acc, fixed(0), count)), recv: b.ext(blocksAt(acc, fixed(t*count), count))})
+		}
+		b.exchange("doubling", 0)
+		count *= k + 1
+	}
+	n1 := count
+	part, err := partition.Solve(bl, n-n1, n1, k, policy)
+	if err != nil {
+		return err
+	}
+	if err := part.Validate(); err != nil {
+		return err
+	}
+	for _, areas := range part.Rounds {
+		offsets, err := assignAreaOffsets(areas, n1)
+		if err != nil {
+			return err
+		}
+		for ai, area := range areas {
+			cells := func(shift int) []extent {
+				lo := len(b.exts)
+				for _, run := range area.Runs {
+					b.exts = append(b.exts, spanAt(acc, fixed(n1+run.Col-shift), run.Row0, run.NRows))
+				}
+				return b.exts[lo:len(b.exts):len(b.exts)]
+			}
+			o := offsets[ai]
+			b.xfers = append(b.xfers, xfer{to: plus(-o), from: plus(o), send: cells(o), recv: cells(0)})
+		}
+		b.exchange("last", 0)
+	}
+	return nil
+}
+
+// folkloreRoles compiles the two-phase folklore algorithm of Section 4:
+// gather the n blocks to rank 0 along a (k+1)-nomial tree, then
+// broadcast the concatenation back along the same tree. A rank's part
+// depends on its place in the tree, so every rank gets its own role;
+// all of them gather straight into the output region.
+func folkloreRoles(n, k int) []role {
+	roles := make([]role, n)
+	d := intmath.CeilLog(k+1, n)
+	for v := range roles {
+		b := newBuilder(2*d+1, 2*d+k, 2*d+k+2)
+		b.local(stepCopy, b.ext(blocksAt(regOut, fixed(v), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
+		held := 1 // blocks [v, v+held) gathered so far
+		for pos := 0; pos < d && n > 1; pos++ {
+			base := intmath.Pow(k+1, pos)
+			switch {
+			case held == 0:
+			case v%((k+1)*base) != 0:
+				// The lowest nonzero digit is at this position: hand the
+				// gathered segment to the parent and go quiet.
+				_, digit := lowestDigitPos(v, k+1)
+				b.xfers = append(b.xfers, xfer{to: fixed(v - digit*base), send: b.ext(blocksAt(regOut, fixed(v), held))})
+				held = 0
+			default:
+				for t := 1; t <= k && v+t*base < n; t++ {
+					child := v + t*base
+					cnt := intmath.Min(base, n-child)
+					b.xfers = append(b.xfers, xfer{from: fixed(child), recv: b.ext(blocksAt(regOut, fixed(child), cnt))})
+					held += cnt
+				}
+			}
+			b.exchange("", 0)
+		}
+		whole := b.ext(blocksAt(regOut, fixed(0), n))
+		for pos := d - 1; pos >= 0 && n > 1; pos-- {
+			base := intmath.Pow(k+1, pos)
+			switch {
+			case v%((k+1)*base) == 0:
+				for t := 1; t <= k && v+t*base < n; t++ {
+					b.xfers = append(b.xfers, xfer{to: fixed(v + t*base), send: whole})
+				}
+			case v%base == 0:
+				_, digit := lowestDigitPos(v, k+1)
+				b.xfers = append(b.xfers, xfer{from: fixed(v - digit*base), recv: whole})
+			}
+			b.exchange("", 0)
+		}
+		roles[v] = role{steps: b.steps}
+	}
+	return roles
 }
 
 // assignAreaOffsets chooses a distinct communication offset for every

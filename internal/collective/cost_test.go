@@ -1,11 +1,13 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
+	"bruck/internal/mpsim"
 	"bruck/internal/partition"
 )
 
@@ -212,6 +214,128 @@ func TestDigitCountMatchesEnumeration(t *testing.T) {
 					}
 				}
 				dist *= r
+			}
+		}
+	}
+}
+
+// TestProgramCounterMatchesClosedForms is the one place the counter of
+// the step program (program.finish, which every plan's Rounds,
+// PredictedC2 and phase table come from) is held against the closed
+// forms of cost.go: for every family, every n = 1..16 and k = 1..3 the
+// family applies to, the compiled plan must count exactly what the
+// formula predicts — and a hierarchical plan's per-class phase totals
+// must equal the formulas of its sub-schedules and star phases.
+func TestProgramCounterMatchesClosedForms(t *testing.T) {
+	const b = 6
+	pow2 := func(n, k int) bool { return intmath.IsPow(2, n) }
+	always := func(n, k int) bool { return true }
+	twos := func(n int) []int { // the all-2 radix vector covering n
+		var r []int
+		for w := 1; w < n; w *= 2 {
+			r = append(r, 2)
+		}
+		return r
+	}
+	radix := func(r, n int) int { return intmath.Max(2, intmath.Min(r, n)) }
+	circ := func(n, bl, k int) (int, int) {
+		c1, c2, err := ConcatCost(n, bl, k, partition.PreferOptimal)
+		if err != nil {
+			t.Fatalf("ConcatCost(%d, %d, %d): %v", n, bl, k, err)
+		}
+		return c1, c2
+	}
+	type compileFunc func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error)
+	index := func(opt func(n, k int) IndexOptions) compileFunc {
+		return func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
+			return CompileIndex(e, g, b, opt(n, k))
+		}
+	}
+	concat := func(alg ConcatAlgorithm) compileFunc {
+		return func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
+			return CompileConcat(e, g, b, ConcatOptions{Algorithm: alg})
+		}
+	}
+	families := []struct {
+		name    string
+		applies func(n, k int) bool
+		compile compileFunc
+		want    func(n, k int) (c1, c2 int)
+	}{
+		{"IndexCost r=2", always, index(func(n, k int) IndexOptions { return IndexOptions{Radix: radix(2, n)} }),
+			func(n, k int) (int, int) { return IndexCost(n, b, 2, k) }},
+		{"IndexCost r=k+1", always, index(func(n, k int) IndexOptions { return IndexOptions{} }),
+			func(n, k int) (int, int) { return IndexCost(n, b, radix(k+1, n), k) }},
+		{"IndexCost r=n", always, index(func(n, k int) IndexOptions { return IndexOptions{Radix: radix(n, n)} }),
+			func(n, k int) (int, int) { return IndexCost(n, b, radix(n, n), k) }},
+		{"SegmentedIndexCost s=3", always, index(func(n, k int) IndexOptions { return IndexOptions{Radix: radix(2, n), Segments: 3} }),
+			func(n, k int) (int, int) { return SegmentedIndexCost(n, b, 2, k, 3) }},
+		{"IndexMixedCost", always,
+			func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
+				return CompileIndexMixed(e, g, b, twos(n))
+			},
+			func(n, k int) (int, int) { return IndexMixedCost(n, b, twos(n), k) }},
+		{"DirectIndexCost", always, index(func(n, k int) IndexOptions { return IndexOptions{Algorithm: IndexDirect} }),
+			func(n, k int) (int, int) { return DirectIndexCost(n, b, k) }},
+		{"DirectIndexCost xor", pow2, index(func(n, k int) IndexOptions { return IndexOptions{Algorithm: IndexPairwiseXOR} }),
+			func(n, k int) (int, int) { return DirectIndexCost(n, b, k) }},
+		{"ConcatCost", always, concat(ConcatCirculant), func(n, k int) (int, int) { return circ(n, b, k) }},
+		{"FolkloreConcatCost", always, concat(ConcatFolklore), func(n, k int) (int, int) { return FolkloreConcatCost(n, b, k) }},
+		{"RingConcatCost", always, concat(ConcatRing), func(n, k int) (int, int) { return RingConcatCost(n, b) }},
+		{"RecursiveDoublingConcatCost", pow2, concat(ConcatRecursiveDoubling),
+			func(n, k int) (int, int) { return RecursiveDoublingConcatCost(n, b) }},
+	}
+	for n := 1; n <= 16; n++ {
+		for k := 1; k <= 3 && k <= intmath.Max(1, n-1); k++ {
+			e := mpsim.MustNew(n, mpsim.Ports(k))
+			g := mpsim.WorldGroup(n)
+			for _, f := range families {
+				if !f.applies(n, k) {
+					continue
+				}
+				pl, err := f.compile(e, g, n, k)
+				if err != nil {
+					t.Fatalf("%s n=%d k=%d: %v", f.name, n, k, err)
+				}
+				if c1, c2 := f.want(n, k); pl.c1 != c1 || pl.c2 != c2 {
+					t.Errorf("%s n=%d k=%d: program counts (%d, %d), closed form (%d, %d)", f.name, n, k, pl.c1, pl.c2, c1, c2)
+				}
+			}
+			// Uniform two-level topologies G x m of this n: the intra and
+			// inter totals are the sub-schedules' closed forms plus the
+			// star phases' ceil((m-1)/k) rounds of one fixed message each.
+			for G := 2; G < n; G++ {
+				if n%G != 0 {
+					continue
+				}
+				m := n / G
+				topo, err := costmodel.ParseTopology(fmt.Sprintf("%dx%d", G, m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fan, cross := intmath.CeilDiv(m-1, k), intmath.CeilDiv(G-1, k)
+				type split struct{ intraC1, intraC2, interC1, interC2 int }
+				check := func(name string, pl *Plan, err error, want split) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s %dx%d k=%d: %v", name, G, m, k, err)
+					}
+					got := split{pl.PredictedClassC1(mpsim.ClassIntra), pl.PredictedClassC2(mpsim.ClassIntra),
+						pl.PredictedClassC1(mpsim.ClassInter), pl.PredictedClassC2(mpsim.ClassInter)}
+					if got != want || pl.c1 != want.intraC1+want.interC1 || pl.c2 != want.intraC2+want.interC2 {
+						t.Errorf("%s %dx%d k=%d: program counts %+v (total %d, %d), closed forms %+v", name, G, m, k, got, pl.c1, pl.c2, want)
+					}
+				}
+				a1, a2 := IndexCost(m, b, radix(k+1, m), k)
+				x1, x2 := IndexCost(G, m*m*b, radix(k+1, G), k)
+				pl, err := CompileHierarchicalIndex(e, g, b, topo, HierOptions{})
+				check("hier index", pl, err, split{a1 + 2*fan, a2 + 2*fan*(n-m)*b, x1, x2})
+				a1, a2 = circ(m, b, k)
+				x1, x2 = circ(G, m*b, k)
+				pl, err = CompileHierarchicalConcat(e, g, b, topo, HierOptions{})
+				check("hier concat", pl, err, split{a1 + fan, a2 + fan*(n-m)*b, x1, x2})
+				pl, err = CompileHierarchicalReduce(e, g, AllReduceKind, b, topo, ReduceOptions{Kernel: func(dst, src []byte) {}})
+				check("hier allreduce", pl, err, split{2 * fan, 2 * fan * n * b, 2 * cross, 2 * cross * n * b})
 			}
 		}
 	}

@@ -33,19 +33,74 @@
 // out — so both layouts execute the identical schedule and produce
 // byte-identical results.
 //
-// # Compiled plans
+// # Compiled plans and the step program
 //
 // The paper's schedules are fixed functions of (n, k, r) — nothing
 // about them depends on the payload — so schedule construction is
-// split from execution. CompileIndex, CompileIndexMixed and
-// CompileConcat build a Plan: the complete round, partner and packing
-// layout (for the circulant concatenation including the solved
-// last-round table partition and its area offsets), plus pool-sizing
-// hints. Plan.Execute replays the schedule with zero recomputation;
-// the one-shot entry points above are thin compile-and-execute
-// wrappers, and PlanCache memoizes plans per (op, group, options,
-// block size) so repeated configurations — the public Machine API
-// routes everything through a cache — compile exactly once.
+// split from execution, and there is exactly one schedule
+// representation and one executor. Every compiler (CompileIndex,
+// CompileIndexMixed, CompileConcat, their V forms, CompileReduce, the
+// hierarchical three) is a small pure function from
+// (n, k, block size | layout, options) to a step program
+// (program.go), and goes through one entry, compile, which validates
+// the (engine, group, block size) triple every operation shares — so
+// every public operation rejects a nil or empty group with the same
+// error. Plan.Execute runs the program through the one interpreter
+// (run.go); the one-shot entry points above are thin
+// compile-and-execute wrappers, and PlanCache memoizes plans per (op,
+// group, options, block size) so repeated configurations — the public
+// Machine API routes everything through a cache — compile exactly
+// once.
+//
+// Step semantics. A program is a list of steps per role:
+//
+//   - an exchange is one k-port round of transfers {to, from, send
+//     extents, recv extents, copy | combine} under a phase tag. All
+//     sends of the step read the state before it, then the engine round
+//     runs, then received bytes land (or combine). A transfer with no
+//     `to` or no `from` is one-sided.
+//   - a local step moves extents to extents on the rank itself: a copy
+//     or combine of byte streams, a spread (block i to block i, cut to
+//     the shorter: the index rotations and the ragged pack/unpack), or
+//     the in-place rotation that finishes a concatenation.
+//   - a skip sits out rounds; an embed runs a sub-program on a
+//     sub-frame of the group (the hierarchical phases) and pads it to
+//     the length of the phase it shares.
+//
+// Addressing modes. A peer or block address is rank-relative: me+c,
+// me-c, me xor c (mod n), or absolute. An extent is a run of blocks of
+// one region with a byte range inside each block; a region is the
+// caller's input, the caller's output or a scratch region, shaped
+// either as equal blocks of one stride or — for the caller regions of
+// a layout plan — as one row of a ragged layout. Because addresses are
+// relative, a translation-invariant family (Bruck, direct, xor,
+// circulant, ring, recursive doubling, every flat reduction) is one
+// role shared by all n ranks; only tree- and leader-structured
+// schedules (folklore, hierarchical) materialise one role per rank.
+//
+// Scratch and pool discipline. A role declares its scratch regions;
+// the interpreter acquires them from the processor-local pool when the
+// role starts and releases them when it ends. A transfer whose extents
+// are one piece of memory travels as a view of it (ExchangeInto:
+// zero-copy out of and into the region); any other transfer is packed
+// into, or staged in, a pool buffer released at the end of the step.
+// Only the segmented plans move payloads by ownership (ExchangeOwned).
+// Buffers cycle sender -> transport -> receiver's pool, whose free
+// list is bounded, so a rank that receives more than it sends cannot
+// hoard them.
+//
+// Derived, not re-derived. program.finish counts rounds (C1), volume
+// (C2), the pool hint and a hierarchical plan's phase table from the
+// program; program.pattern exports the compiled view the golden traces
+// pin (the tagged rounds "bruck", "doubling", "last", "trivial";
+// untagged, formula-driven families export none); Plan.Check
+// (check.go) runs the program of all n ranks on symbolic bytes and
+// proves delivery for every family. The closed forms of cost.go are
+// held against the counter by one table test.
+//
+// Adding a family is one compiler function: build its steps with the
+// builder, return the program from the operation's compile switch, and
+// execution, Check, traces, costs and `bruckctl vet` follow.
 //
 // # Pipelined (segmented) plans
 //
@@ -61,7 +116,8 @@
 // blocks and wins on bandwidth-bound large ones — `bruckctl run
 // -crossover-segments` tabulates the crossover. Within one merged round
 // the live segments' sends share the engine's k ports as lanes of one
-// ExchangeOwned call, and the executor's payload slabs come from the
+// ExchangeOwned call — the pipeline is a transform of the monolithic
+// round steps into merged ones — and the payload slabs come from the
 // engine pool, so the segmented steady state allocates like the
 // monolithic one.
 //
@@ -118,8 +174,8 @@
 //
 // Plan lifecycle rules (immutability, engine affinity and cache-key
 // completeness are statically enforced by the planlife analyzer,
-// internal/analysis/planlife, run via cmd/brucklint; compiled tables
-// are proved well-formed by Plan.Check, run via `bruckctl vet`):
+// internal/analysis/planlife, run via cmd/brucklint; compiled programs
+// are proved correct by Plan.Check, run via `bruckctl vet`):
 //
 //   - A Plan is immutable after compilation and bound to the engine
 //     and group it was compiled for; executing it on another engine is
@@ -159,11 +215,11 @@
 // classic reduction composition allreduce = reduce-scatter + allgather.
 // The reduce-scatter phase has the index operation's data movement plus
 // an elementwise combine, and the allgather phase is the concatenation,
-// so CompileReduce reuses the compiled Bruck-index rounds (ReduceBruck)
-// and the circulant-concatenation rounds (the AllReduce second phase)
-// verbatim; the ring and recursive-halving schedules combine on receive
-// directly. buffers.CombineFunc is the one new ingredient: the executor
-// applies it where a plain collective would copy.
+// so CompileReduce appends the same Bruck round steps (ReduceBruck) and
+// circulant round steps (the AllReduce second phase) the plain
+// operations compile; the ring and recursive-halving schedules combine
+// on receive. buffers.CombineFunc is the one new ingredient: a transfer
+// or local step marked combine applies it where a plain one would copy.
 //
 // Reduction-plan lifecycle rules, in addition to the plan rules above:
 //
@@ -199,10 +255,13 @@
 // for a machine partitioned into node-groups (costmodel.Topology): the
 // paper's flat schedules run concurrently inside each group, one
 // leader-level schedule crosses groups, and gather/scatter fan phases
-// funnel remote data through the leaders. The result is one ordinary
-// Plan — byte-identical output to the flat operation — whose round
-// structure is a strictly ordered sequence of phases, each moving data
-// over exactly one link class. That single-class-per-phase discipline
+// funnel remote data through the leaders. In program terms every rank
+// gets its own role — a composition of embedded flat sub-programs and
+// star phases of one-sided transfers, padded with skips so all ranks
+// share one round counter. The result is one ordinary Plan —
+// byte-identical output to the flat operation — whose round structure
+// is a strictly ordered sequence of phases, each moving data over
+// exactly one link class. That single-class-per-phase discipline
 // is the load-bearing invariant: it makes the per-class (C1, C2) split
 // an exact compile-time fact (Result.Intra/Result.Inter, each carrying
 // its own lower bounds), lets Plan.TimeTopo price each phase at its

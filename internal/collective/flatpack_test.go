@@ -1,11 +1,12 @@
 package collective
 
-// Unit tests for the compiled packing layout of index plans, the
+// Unit tests for the compiled packing layout of index programs, the
 // successor of the packDigit/unpackDigit kernels (the paper's Appendix
-// A pack and unpack): each compiled transfer must carry exactly the
-// blocks SelectDigit/SelectAt enumerate, in increasing id order, with
-// the payload size and partner offset that follow from them.
+// A pack and unpack): each transfer's send extents must address exactly
+// the blocks SelectDigit/SelectAt enumerate, in increasing id order,
+// with the payload size and partner addresses that follow from them.
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,38 @@ import (
 	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
 )
+
+// bruckTable compiles the Bruck program and returns its Phase 2 rounds:
+// the exchange steps, sized by the counter.
+func bruckTable(n, k, b int, radixAt func(int) int, noPack bool) []*step {
+	pr, _ := bruckProgram(n, k, b, radixAt, noPack, 0)
+	pr.finish()
+	return exchanges(pr, 0)
+}
+
+// exchanges returns the exchange steps of one role of a program.
+func exchanges(pr *program, me int) []*step {
+	var out []*step
+	ro := pr.role(me)
+	for i := range ro.steps {
+		if ro.steps[i].kind == stepExchange {
+			out = append(out, &ro.steps[i])
+		}
+	}
+	return out
+}
+
+// xferBlocks expands a transfer's send extents into the working-region
+// block ids it carries.
+func xferBlocks(x xfer) []int {
+	var ids []int
+	for _, e := range x.send {
+		for i := 0; i < int(e.n); i++ {
+			ids = append(ids, int(e.at.c)+i)
+		}
+	}
+	return ids
+}
 
 // TestCompiledRoundsMatchSelectDigit cross-validates the uniform-radix
 // compiled rounds against the blocks package's digit selection for the
@@ -26,7 +59,7 @@ func TestCompiledRoundsMatchSelectDigit(t *testing.T) {
 			r = n
 		}
 		b := int(bRaw)%8 + 1
-		rounds := compileBruckRounds(n, 1, b, func(int) int { return r }, false)
+		rounds := bruckTable(n, 1, b, func(int) int { return r }, false)
 		w := blocks.NumDigits(n, r)
 		dist := 1
 		ri := 0
@@ -38,13 +71,8 @@ func TestCompiledRoundsMatchSelectDigit(t *testing.T) {
 				}
 				x := rounds[ri].xfers[0]
 				ids := blocks.SelectDigit(n, r, pos, z)
-				if x.offset != z*dist || x.bytes != len(ids)*b || len(x.blocks) != len(ids) {
+				if x.to != plus(z*dist) || x.from != plus(-z*dist) || x.bytes != len(ids)*b || !reflect.DeepEqual(xferBlocks(x), ids) {
 					return false
-				}
-				for i, id := range ids {
-					if x.blocks[i] != id {
-						return false
-					}
 				}
 				ri++
 			}
@@ -64,7 +92,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 	for _, tc := range []struct{ n, k, r int }{
 		{16, 2, 4}, {16, 3, 4}, {27, 2, 3}, {10, 3, 10}, {64, 3, 8},
 	} {
-		rounds := compileBruckRounds(tc.n, tc.k, 1, func(int) int { return tc.r }, false)
+		rounds := bruckTable(tc.n, tc.k, 1, func(int) int { return tc.r }, false)
 		total := 0
 		for _, rd := range rounds {
 			if len(rd.xfers) == 0 || len(rd.xfers) > tc.k {
@@ -72,7 +100,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 			}
 			total += len(rd.xfers)
 		}
-		one := compileBruckRounds(tc.n, 1, 1, func(int) int { return tc.r }, false)
+		one := bruckTable(tc.n, 1, 1, func(int) int { return tc.r }, false)
 		if total != len(one) {
 			t.Errorf("n=%d k=%d r=%d: %d transfers, one-port schedule has %d", tc.n, tc.k, tc.r, total, len(one))
 		}
@@ -84,7 +112,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 	n := 24
 	radices := []int{2, 3, 4} // product 24
-	rounds := compileBruckRounds(n, 1, 1, func(i int) int { return radices[i] }, false)
+	rounds := bruckTable(n, 1, 1, func(i int) int { return radices[i] }, false)
 	ri := 0
 	weight := 1
 	for _, r := range radices {
@@ -92,14 +120,9 @@ func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 		for z := 1; z < h; z++ {
 			ids := blocks.SelectAt(n, weight, r, z)
 			x := rounds[ri].xfers[0]
-			if x.offset != z*weight || len(x.blocks) != len(ids) {
-				t.Fatalf("round %d: offset %d blocks %v, want offset %d blocks %v",
-					ri, x.offset, x.blocks, z*weight, ids)
-			}
-			for i, id := range ids {
-				if x.blocks[i] != id {
-					t.Fatalf("round %d: blocks %v, want %v", ri, x.blocks, ids)
-				}
+			if x.to != plus(z*weight) || !reflect.DeepEqual(xferBlocks(x), ids) {
+				t.Fatalf("round %d: to %+v blocks %v, want offset %d blocks %v",
+					ri, x.to, xferBlocks(x), z*weight, ids)
 			}
 			ri++
 		}
@@ -115,14 +138,14 @@ func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 // packed schedule.
 func TestCompiledNoPackRounds(t *testing.T) {
 	n, r, b := 9, 3, 4
-	packed := compileBruckRounds(n, 1, b, func(int) int { return r }, false)
-	unpacked := compileBruckRounds(n, 1, b, func(int) int { return r }, true)
+	packed := bruckTable(n, 1, b, func(int) int { return r }, false)
+	unpacked := bruckTable(n, 1, b, func(int) int { return r }, true)
 	var wantBlocks, gotBlocks int
 	for _, rd := range packed {
-		wantBlocks += len(rd.xfers[0].blocks)
+		wantBlocks += len(xferBlocks(rd.xfers[0]))
 	}
 	for _, rd := range unpacked {
-		if len(rd.xfers) != 1 || len(rd.xfers[0].blocks) != 1 || rd.xfers[0].bytes != b {
+		if len(rd.xfers) != 1 || len(xferBlocks(rd.xfers[0])) != 1 || rd.xfers[0].bytes != b {
 			t.Fatalf("noPack round %+v is not a single-block round", rd)
 		}
 		gotBlocks++

@@ -3,7 +3,11 @@ package collective
 import (
 	"fmt"
 
+	"bruck/internal/blocks"
 	"bruck/internal/buffers"
+	"bruck/internal/costmodel"
+	"bruck/internal/intmath"
+	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
 )
 
@@ -73,23 +77,33 @@ const AutoSegments = -1
 // processor with group rank i); all blocks must have equal size. The
 // returned out satisfies out[i][j] = in[j][i].
 //
-// Index is a thin adapter over IndexFlat: it copies the block matrix
-// into a flat Buffers, runs the zero-copy path, and copies the result
-// back out. Callers that care about allocation cost should use
+// Index is a thin adapter over the flat path: it copies the block
+// matrix into a flat Buffers, runs the compiled plan, and copies the
+// result back out. Callers that care about allocation cost should use
 // IndexFlat directly.
 func Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromMatrix(in)
+	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileIndex(e, g, b, opt) })
+}
+
+// runSlices adapts a plan to the legacy slice shape: fin (and the error
+// of building it) is the caller's blocks copied into a flat slab, plan
+// compiles or fetches the schedule for its block size, and the result
+// is copied back out as an n x n block matrix.
+func runSlices(fin *buffers.Buffers, err error, plan func(blockLen int) (*Plan, error)) ([][][]byte, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
+	pl, err := plan(fin.BlockLen())
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := IndexFlat(e, g, fin, fout, opt)
+	n := pl.group.Size()
+	fout, err := buffers.New(n, n, fin.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := pl.Execute(fin, fout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,70 +125,243 @@ func Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([]
 // through a PlanCache, as the public Machine API does) and reuse the
 // Plan: execution then performs zero schedule recomputation.
 func IndexFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt IndexOptions) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
+	return runFlat(in, out, func(b int) (*Plan, error) { return CompileIndex(e, g, b, opt) })
+}
+
+// runFlat compiles or fetches the plan for the input's block size and
+// executes it once; Execute validates the buffers against the plan.
+func runFlat(in, out *buffers.Buffers, plan func(blockLen int) (*Plan, error)) (*Result, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("collective: nil flat buffer")
 	}
-	pl, err := CompileIndex(e, g, in.BlockLen(), opt)
+	pl, err := plan(in.BlockLen())
 	if err != nil {
 		return nil, err
 	}
 	return pl.Execute(in, out)
 }
 
-// checkFlatShape validates an index-shaped flat in/out pair against the
-// group and engine.
-func checkFlatShape(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, n int) error {
-	if n == 0 {
-		return fmt.Errorf("collective: empty group")
-	}
-	for _, id := range g.IDs() {
-		if id >= e.N() {
-			return fmt.Errorf("collective: group member %d outside engine with %d processors", id, e.N())
-		}
-	}
-	if in == nil || out == nil {
-		return fmt.Errorf("collective: nil flat buffer")
-	}
-	if in.Procs() != n || in.Blocks() != n {
-		return fmt.Errorf("collective: flat input is %dx%d blocks, group needs %dx%d",
-			in.Procs(), in.Blocks(), n, n)
-	}
-	if out.Procs() != n || out.Blocks() != n || out.BlockLen() != in.BlockLen() {
-		return fmt.Errorf("collective: flat output is %dx%d blocks of %d bytes, want %dx%d of %d",
-			out.Procs(), out.Blocks(), out.BlockLen(), n, n, in.BlockLen())
-	}
-	if in == out {
-		return fmt.Errorf("collective: flat output must not alias the input")
-	}
-	return nil
+// CompileIndex compiles the index schedule selected by opt for group g
+// on engine e at block size blockLen. See IndexOptions for the radix
+// and algorithm choices; the compiled plan executes the exact schedule
+// IndexFlat would, with identical Results.
+func CompileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions) (*Plan, error) {
+	return compileIndex(e, g, blockLen, opt, false, nil, nil)
 }
 
-func checkIndexInput(e *mpsim.Engine, g *mpsim.Group, in [][][]byte) error {
-	n := g.Size()
-	if len(in) != n {
-		return fmt.Errorf("collective: index input has %d processors, group has %d", len(in), n)
-	}
-	for _, id := range g.IDs() {
-		if id >= e.N() {
-			return fmt.Errorf("collective: group member %d outside engine with %d processors", id, e.N())
+// CompileIndexMixed compiles the mixed-radix index schedule: subphase i
+// uses radices[i]. Mixed-radix plans are always monolithic: the segment
+// pipeline (IndexOptions.Segments) applies to the uniform schedule
+// only.
+func CompileIndexMixed(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []int) (*Plan, error) {
+	return compileIndex(e, g, blockLen, IndexOptions{}, true, radices, nil)
+}
+
+// compileIndex is the one index compiler behind the fixed-size, mixed-
+// radix and layout entry points. mixed selects the Bruck schedule whose
+// subphase i uses radices[i]; lay, when set, makes the caller regions
+// rows of a layout and blockLen the padded slot size.
+func compileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions, mixed bool, radices []int, lay *blocks.Layout) (*Plan, error) {
+	return compile(e, g, opIndex, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
+		if lay != nil {
+			if lay.Rows() != n || lay.Cols() != n {
+				return nil, fmt.Errorf("collective: index layout is %dx%d, group needs %dx%d", lay.Rows(), lay.Cols(), n, n)
+			}
+			pl.layout, pl.outLayout = lay, lay.Transpose()
 		}
-	}
-	if n == 0 {
-		return fmt.Errorf("collective: empty group")
-	}
-	if len(in[0]) != n {
-		return fmt.Errorf("collective: processor 0 has %d blocks, want n = %d", len(in[0]), n)
-	}
-	blockLen := len(in[0][0])
-	for i := range in {
-		if len(in[i]) != n {
-			return fmt.Errorf("collective: processor %d has %d blocks, want n = %d", i, len(in[i]), n)
+		r := opt.Radix
+		if r == 0 {
+			r = intmath.Min(k+1, n)
 		}
-		for j := range in[i] {
-			if len(in[i][j]) != blockLen {
-				return fmt.Errorf("collective: block B[%d,%d] has %d bytes, want %d", i, j, len(in[i][j]), blockLen)
+		radixAt := func(int) int { return r }
+		segments := 0
+		switch {
+		case mixed:
+			if err := ValidateRadices(n, radices); err != nil {
+				return nil, err
+			}
+			radixAt = func(i int) int { return radices[i] }
+		case opt.Algorithm == IndexBruck && n > 1 && (r < 2 || r > n):
+			return nil, fmt.Errorf("collective: index radix %d out of range [2, %d]", r, n)
+		case opt.Algorithm == IndexPairwiseXOR && !intmath.IsPow(2, n):
+			return nil, fmt.Errorf("collective: pairwise-xor index requires a power-of-two group size, got %d", n)
+		case lay != nil:
+			// Layout plans always run monolithic.
+		case opt.Segments == AutoSegments:
+			segments = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
+		default:
+			segments = opt.Segments
+		}
+		var pr *program
+		switch opt.Algorithm {
+		case IndexBruck:
+			pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, segments)
+		case IndexDirect, IndexPairwiseXOR:
+			// Block B[me, dst] goes straight to dst and B[src, me] lands
+			// straight in the output, ports filled k partners at a time:
+			// nothing is packed or staged.
+			b := newBuilder(n, n, 2*n)
+			peer, back := plus, -1
+			if opt.Algorithm == IndexPairwiseXOR {
+				peer, back = xor, 1 // the xor partner is its own inverse
+			}
+			b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, plus(0), 1)))
+			for z := 1; z < n; z++ {
+				to, from := peer(z), peer(back*z)
+				b.xfers = append(b.xfers, xfer{to: to, from: from,
+					send: b.ext(blocksAt(regIn, to, 1)), recv: b.ext(blocksAt(regOut, from, 1))})
+				if z%k == 0 || z == n-1 {
+					b.exchange("", 0)
+				}
+			}
+			pr = &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps}}}
+		default:
+			return nil, fmt.Errorf("collective: unknown index algorithm %v", opt.Algorithm)
+		}
+		pr.inLay, pr.outLay = pl.layout, pl.outLayout
+		if lay == nil {
+			pl.c2lb = lowerbound.IndexVolume(n, blockLen, k)
+		} else {
+			pl.c2lb = lowerbound.IndexVVolume(lay.CountsMatrix(), k)
+		}
+		if lay == nil || lay.Uniform() {
+			pl.c1lb = lowerbound.IndexRounds(n, k)
+		}
+		if pl.segments > 1 {
+			// A pipelined schedule multiplexes up to `segments` compiled
+			// rounds per port in one merged round, so the one-round-per-port
+			// volume bound scales down by the segment count:
+			// (n-1)*b <= segments * k * sum of per-step maxima.
+			pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+		}
+		return pr, nil
+	})
+}
+
+// bruckProgram compiles the Bruck-family index schedule for n ranks:
+// Phase 1 rotates the input into the working region (slot q holds the
+// block for rank me+q), Phase 2 runs the rounds (see bruckRounds, which
+// also explains segments and the count returned), Phase 3 writes slot q
+// to output block me-q.
+func bruckProgram(n, k, bl int, radixAt func(int) int, noPack bool, segments int) (*program, int) {
+	b := newBuilder(bruckSizes(n, k, radixAt))
+	work := b.ext(blocksAt(regWork, fixed(0), n))
+	b.local(stepSpread, work, b.ext(blocksAt(regIn, plus(0), n)))
+	segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments)
+	b.local(stepSpread, b.ext(extent{reg: regOut, at: plus(0), n: int32(n), rev: true, len: -1}), work)
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: []scratch{{n * bl, bl}}}}}, segments
+}
+
+// bruckSizes bounds the steps, transfers and extents of a Bruck round
+// table, so the builder allocates each slab once.
+func bruckSizes(n, k int, radixAt func(int) int) (steps, xfers, exts int) {
+	steps, xfers, exts = 2, 2, 3
+	for sub, weight := 0, 1; weight < n; sub++ {
+		r := radixAt(sub)
+		h := intmath.Min(r, intmath.CeilDiv(n, weight))
+		steps += intmath.CeilDiv(h-1, k)
+		xfers += h - 1
+		exts += (h - 1) * intmath.CeilDiv(n, weight*r)
+		weight *= r
+	}
+	return steps, xfers, exts
+}
+
+// bruckRounds appends Phase 2 of the Bruck-family index algorithm on
+// the n-slot working region: radixAt(i) is the radix of subphase i (a
+// constant for the uniform algorithm). Each subphase sends, for every
+// digit value z in 1..h-1, the slots whose digit at the subphase's
+// weight equals z — runs of `weight` slots every weight*r — to rank
+// me+z*weight, and receives the same slots from me-z*weight. Packed
+// mode groups k digit values into one round; noPack emits one
+// single-block round per selected slot (the paper's packing ablation).
+//
+// segments > 1 asks for the pipelined form: the blocks split into byte
+// spans and merged round t carries span seg of round t-seg for every
+// live segment, sharing the ports as lanes of one ownership-transfer
+// exchange. The request is clamped to what the table can pipeline — at
+// most one span per block byte, and at most minOffsetGap rounds in
+// flight so no merged round addresses one partner twice — and requests
+// that clamp to 1 (including every noPack or sub-2-round table) stay
+// monolithic. The returned count is 0 for a monolithic table.
+func (b *builder) bruckRounds(n, k, bl int, radixAt func(int) int, noPack bool, segments int) int {
+	first := len(b.steps)
+	for sub, weight := 0, 1; weight < n; sub++ {
+		r := radixAt(sub)
+		h := intmath.Min(r, intmath.CeilDiv(n, weight))
+		for z := 1; z < h; z++ {
+			lo := len(b.exts)
+			for base := z * weight; base < n; base += weight * r {
+				b.exts = append(b.exts, blocksAt(regWork, fixed(base), intmath.Min(weight, n-base)))
+			}
+			slots := b.exts[lo:len(b.exts):len(b.exts)]
+			to, from := plus(z*weight), plus(-z*weight)
+			if !noPack {
+				b.xfers = append(b.xfers, xfer{to: to, from: from, send: slots, recv: slots})
+				if (z-1)%k == k-1 || z == h-1 {
+					b.exchange("bruck", 0)
+				}
+				continue
+			}
+			for _, run := range slots {
+				for j := 0; j < int(run.n); j++ {
+					one := b.ext(blocksAt(regWork, fixed(int(run.at.c)+j), 1))
+					b.xfers = append(b.xfers, xfer{to: to, from: from, send: one, recv: one})
+					b.exchange("bruck", 0)
+				}
+			}
+		}
+		weight *= r
+	}
+	rounds := b.steps[first:]
+	if segments > bl {
+		segments = bl
+	}
+	if gap := minOffsetGap(rounds); segments > gap {
+		segments = gap
+	}
+	if segments <= 1 || noPack || len(rounds) < 2 {
+		return 0
+	}
+	rounds = append([]step(nil), rounds...)
+	b.steps = b.steps[:first]
+	spans := buffers.SplitSpans(bl, segments)
+	for t := 0; t < costmodel.PipelinedC1(len(rounds), segments); t++ {
+		lo, hi := intmath.Max(0, t-len(rounds)+1), intmath.Min(t, segments-1)
+		for seg := lo; seg <= hi; seg++ {
+			for _, x := range rounds[t-seg].xfers {
+				cut := b.ext(x.send...)
+				for i := range cut {
+					cut[i].off, cut[i].len = int32(spans[seg].Off), int32(spans[seg].Len)
+				}
+				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, send: cut, recv: cut})
+			}
+		}
+		b.exchange("bruck", hi-lo+1)
+	}
+	return segments
+}
+
+// minOffsetGap returns the largest window size w such that any w
+// consecutive rounds of the table have pairwise distinct partner
+// offsets — the number of rounds a pipeline may hold in flight in one
+// merged round without addressing a partner twice. For the Bruck
+// tables the offsets z*weight are globally distinct across the whole
+// table (z*weight stays below the subphase's next weight), so this
+// returns len(rounds); it is computed rather than assumed as a
+// defensive clamp.
+func minOffsetGap(rounds []step) int {
+	gap := len(rounds)
+	for i := range rounds {
+		for j := i + 1; j < len(rounds) && j-i < gap; j++ {
+			for _, xi := range rounds[i].xfers {
+				for _, xj := range rounds[j].xfers {
+					if xi.to == xj.to && j-i < gap {
+						gap = j - i
+					}
+				}
 			}
 		}
 	}
-	return nil
+	return gap
 }

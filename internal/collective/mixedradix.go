@@ -56,22 +56,8 @@ func ValidateRadices(n int, radices []int) error {
 // radix. Like Index it is a thin adapter over the flat path
 // (IndexMixedFlat).
 func IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := IndexMixedFlat(e, g, fin, fout, radices)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileIndexMixed(e, g, b, radices) })
 }
 
 // IndexMixedFlat is the flat-buffer mixed-radix index operation; in and
@@ -79,14 +65,7 @@ func IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) (
 // compiles the schedule and executes it once; repeated callers should
 // hold a Plan from CompileIndexMixed instead.
 func IndexMixedFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, radices []int) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
-	}
-	pl, err := CompileIndexMixed(e, g, in.BlockLen(), radices)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return CompileIndexMixed(e, g, b, radices) })
 }
 
 // IndexMixedSchedule returns the per-round largest message size, in

@@ -61,7 +61,8 @@ func TestPipelinedIndexEquivalenceGrid(t *testing.T) {
 							backend, n, k, s, res.C1, res.C2, pl.c1, pl.c2)
 					}
 					if pl.segments > 1 {
-						if want := costmodel.PipelinedC1(len(pl.rounds), pl.segments); res.C1 != want {
+						mono, _ := IndexCost(n, blockLen, 2, k)
+						if want := costmodel.PipelinedC1(mono, pl.segments); res.C1 != want {
 							t.Errorf("%v n=%d k=%d s=%d: c1=%d, want pipelined %d", backend, n, k, s, res.C1, want)
 						}
 					}
@@ -208,16 +209,23 @@ func TestSegmentedPlanCheck(t *testing.T) {
 	if v := pl.Check(); v != nil {
 		t.Fatalf("pipelined plan fails Check: %v", v)
 	}
-	bad := *pl
-	bad.segSpans = append([]buffers.Span(nil), pl.segSpans...)
-	bad.segSpans[1].Len++
-	if v := bad.Check(); len(v) == 0 {
-		t.Error("Check accepted a corrupted span table")
+	// A span that outgrows its neighbour no longer tiles the block: the
+	// merged round moves bytes the receiver does not expect.
+	merged := exchangeSteps(pl)
+	merged[1].xfers[1].send[0].len++
+	if v := pl.Check(); len(v) == 0 {
+		t.Error("Check accepted a corrupted span")
 	}
-	worse := *pl
-	worse.segments = len(worse.rounds) + 3
-	if v := worse.Check(); len(v) == 0 {
-		t.Error("Check accepted a segment count past the offset gap")
+	// Two segments in flight towards one partner break the k-port
+	// distinctness the offset-gap clamp guarantees.
+	pl, err = CompileIndex(e, g, 9, IndexOptions{Algorithm: IndexBruck, Radix: 2, Segments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged = exchangeSteps(pl)
+	merged[1].xfers[1].to, merged[1].xfers[1].from = merged[1].xfers[0].to, merged[1].xfers[0].from
+	if v := pl.Check(); !mentions(v, "duplicate") {
+		t.Errorf("Check accepted two lanes to one partner: %v", v)
 	}
 }
 

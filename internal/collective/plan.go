@@ -6,18 +6,16 @@ import (
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
-	"bruck/internal/intmath"
-	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
 	"bruck/internal/partition"
 )
 
-// A Plan is a compiled collective schedule: the full round, partner and
-// packing layout of one operation on one (engine, group, block size,
-// options) configuration, precomputed once so that repeated executions
-// perform zero schedule recomputation. The paper's schedules are fixed
-// functions of (n, k, r) — nothing about them depends on the payload —
-// which is exactly what makes them compilable.
+// A Plan is a compiled collective schedule: the step program of one
+// operation on one (engine, group, block size, options) configuration,
+// compiled once so that repeated executions perform zero schedule
+// recomputation. The paper's schedules are fixed functions of (n, k, r)
+// — nothing about them depends on the payload — which is exactly what
+// makes them compilable.
 //
 // A Plan is immutable after compilation and remains valid for the
 // lifetime of its engine, across any number of runs and across the
@@ -29,65 +27,43 @@ type Plan struct {
 	engine   *mpsim.Engine
 	group    *mpsim.Group
 	op       planOp
+	alg      string // Algorithm()
 	blockLen int
 
-	// in/out are the buffers bound by Bind for ExecutePlans; Execute
-	// takes explicit buffers and ignores them.
-	in, out *buffers.Buffers
+	// prog is the schedule; everything below it is derived from it at
+	// compile time (program.finish) or is a bound of package lowerbound.
+	prog *program
 
-	// Layout plans (IndexV / ConcatV). layout is the input layout the
-	// plan was compiled for and outLayout the shape of its result; slot
-	// is the padded slot size (layout.Max()) the two-phase packing runs
-	// the fixed-size schedule on. Classic fixed-size plans leave layout
-	// nil. vin/vout are the ragged buffers bound by BindV.
-	layout    *blocks.Layout
-	outLayout *blocks.Layout
-	slot      int
+	// in/out are the buffers bound by Bind for ExecutePlans; Execute
+	// takes explicit buffers and ignores them. vin/vout are the ragged
+	// buffers bound by BindV.
+	in, out   *buffers.Buffers
 	vin, vout *buffers.Ragged
 
-	// Index plans (Bruck family, uniform and mixed radix).
-	ialg   IndexAlgorithm
-	noPack bool
-	rounds []indexRound
+	// Layout plans (IndexV / ConcatV): the input layout the plan was
+	// compiled for and the shape of its result; blockLen is then the
+	// padded slot size (layout.Max()) the fixed-size schedules run on.
+	// Classic fixed-size plans leave both nil.
+	layout    *blocks.Layout
+	outLayout *blocks.Layout
 
-	// Segment-pipelined plans. segments > 1 means every block is split
-	// into that many byte spans (segSpans, the SplitSpans partition of
-	// blockLen) and the compiled rounds replay as a pipeline: merged
-	// step t carries segment s's round t-s for every live segment, so
-	// the schedule drains in len(rounds)+segments-1 merged rounds.
-	// segments == 0 is the monolithic replay. Only packed uniform
-	// Bruck round tables pipeline; everything else stays monolithic.
+	// segments > 1 marks a segment-pipelined plan: every block travels
+	// as that many byte spans, one merged round apart. 0 is monolithic.
 	segments int
-	segSpans []buffers.Span
 
-	// Concat plans — and the concatenation phase of AllReduce plans.
-	calg    ConcatAlgorithm
-	trivial bool // k >= n-1: single all-pairs round
-	n1      int  // (k+1)^(d-1), first block outside the doubling phase
-	dbl     []dblRound
-	last    []lastRound
-
-	// Reduction plans (ReduceScatter / AllReduce). combine is the
-	// kernel the executor applies on receive in place of a plain copy;
-	// ReduceBruck plans reuse rounds above for the index phase, and
-	// AllReduce plans reuse dbl/last/trivial/n1 for the concatenation
-	// phase.
-	ralg    ReduceAlgorithm
+	// combine is the kernel a reduction plan applies where a plain
+	// collective would copy.
 	combine buffers.CombineFunc
 
-	// Hierarchical (two-level) plans. Non-nil hier marks a schedule
-	// compiled by CompileHierarchicalIndex/Concat/Reduce: the flat round
-	// tables above are unused and the phase structure lives in hier (see
-	// hier.go). op, group, blockLen and the c1/c2/bound fields keep their
-	// meanings.
-	hier *hierPlan
+	// topo marks a hierarchical (two-level) plan; phases is its phase
+	// table and the four bounds its per-level lower bounds, carried into
+	// every Result's LevelStats.
+	topo                 *costmodel.Topology
+	phases               []PlanPhase
+	intraC1LB, intraC2LB int
+	interC1LB, interC2LB int
 
-	// poolHint is the largest pool buffer any execution acquires. The
-	// bodies make sure each run's first pool acquisition has this size —
-	// the Bruck working region is exactly hint-sized, and the circulant
-	// body pre-acquires it before its mixed-size last rounds — so the
-	// processor-local pool reaches steady state in one step instead of
-	// thrashing through the pool's bounded scan.
+	// poolHint is the largest pool buffer any execution acquires.
 	poolHint int
 	// c1 is the number of communication rounds the schedule performs.
 	c1 int
@@ -129,63 +105,13 @@ func (o planOp) String() string {
 	}
 }
 
-// indexRound is one k-port round of a compiled Bruck-family index
-// schedule: up to k independent transfers.
-type indexRound struct {
-	xfers []indexXfer
-}
-
-// indexXfer is one message of an index round. The processor with group
-// rank me sends the listed working-region blocks to rank me+offset and
-// receives the same-shaped payload from rank me-offset (mod n) — the
-// schedule is translation invariant, so one compiled transfer serves
-// every group member.
-type indexXfer struct {
-	offset int   // partner offset in group ranks
-	bytes  int   // payload size
-	blocks []int // working-region block ids carried, ascending
-}
-
-// dblRound is one doubling round of the circulant concatenation: the
-// processor sends its first count blocks with offset t*base for
-// t = 1..k and receives the same shapes into blocks t*base onward.
-type dblRound struct {
-	base  int // (k+1)^round
-	count int // blocks held entering the round
-}
-
-// lastRound is one byte-granular last round of the circulant
-// concatenation: the table-partition areas of the round with their
-// communication offsets resolved at compile time.
-type lastRound struct {
-	areas []lastArea
-}
-
-type lastArea struct {
-	offset int // communication offset o; cells travel as block n1+col-o
-	size   int // payload bytes
-	runs   []partition.Run
-}
-
 // Op returns "index" or "concat".
 func (pl *Plan) Op() string { return pl.op.String() }
 
 // Algorithm returns the compiled schedule's algorithm name ("bruck",
 // "direct", "pairwise-xor", "circulant", "ring", "halving",
 // "hierarchical", ...).
-func (pl *Plan) Algorithm() string {
-	if pl.hier != nil {
-		return "hierarchical"
-	}
-	switch pl.op {
-	case opIndex:
-		return pl.ialg.String()
-	case opReduceScatter, opAllReduce:
-		return pl.ralg.String()
-	default:
-		return pl.calg.String()
-	}
-}
+func (pl *Plan) Algorithm() string { return pl.alg }
 
 // Group returns the group the plan was compiled for.
 func (pl *Plan) Group() *mpsim.Group { return pl.group }
@@ -240,9 +166,9 @@ func (pl *Plan) result(m *mpsim.Metrics) *Result {
 	res := resultFrom(m)
 	res.C2LowerBound = pl.c2lb
 	res.C1LowerBound = pl.c1lb
-	if h := pl.hier; h != nil {
-		intra := &LevelStats{C1LowerBound: h.intraC1LB, C2LowerBound: h.intraC2LB}
-		inter := &LevelStats{C1LowerBound: h.interC1LB, C2LowerBound: h.interC2LB}
+	if pl.topo != nil {
+		intra := &LevelStats{C1LowerBound: pl.intraC1LB, C2LowerBound: pl.intraC2LB}
+		inter := &LevelStats{C1LowerBound: pl.interC1LB, C2LowerBound: pl.interC2LB}
 		if m.ClassRoundSizes(mpsim.ClassIntra) != nil {
 			// The engine tags link classes: report the measured split.
 			intra.C1, intra.C2 = m.ClassRounds(mpsim.ClassIntra), m.ClassVolume(mpsim.ClassIntra)
@@ -258,368 +184,26 @@ func (pl *Plan) result(m *mpsim.Metrics) *Result {
 	return res
 }
 
-// CompileIndex compiles the index schedule selected by opt for group g
-// on engine e at block size blockLen. See IndexOptions for the radix
-// and algorithm choices; the compiled plan executes the exact schedule
-// IndexFlat would, with identical Results.
-func CompileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions) (*Plan, error) {
-	n := g.Size()
+// compile is the single entry every compiler goes through: it
+// validates the (engine, group, block size) triple all operations
+// share, lets build lower the schedule into a step program (and set the
+// plan's family-specific fields), and derives the plan's rounds, volume
+// and pool hint from that program.
+func compile(e *mpsim.Engine, g *mpsim.Group, op planOp, alg string, blockLen int, build func(pl *Plan, n, k int) (*program, error)) (*Plan, error) {
 	if err := checkGroup(e, g); err != nil {
 		return nil, err
 	}
 	if blockLen < 0 {
 		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
 	}
-	k := e.Ports()
-	r := opt.Radix
-	if r == 0 {
-		r = intmath.Min(k+1, n)
-	}
-	if opt.Algorithm == IndexBruck && n > 1 && (r < 2 || r > n) {
-		return nil, fmt.Errorf("collective: index radix %d out of range [2, %d]", r, n)
-	}
-	if opt.Algorithm == IndexPairwiseXOR && !intmath.IsPow(2, n) {
-		return nil, fmt.Errorf("collective: pairwise-xor index requires a power-of-two group size, got %d", n)
-	}
-	pl := &Plan{
-		engine:   e,
-		group:    g,
-		op:       opIndex,
-		blockLen: blockLen,
-		ialg:     opt.Algorithm,
-		noPack:   opt.NoPack,
-	}
-	switch opt.Algorithm {
-	case IndexBruck:
-		pl.rounds = compileBruckRounds(n, k, blockLen, func(int) int { return r }, opt.NoPack)
-	case IndexDirect, IndexPairwiseXOR:
-		// Partner arithmetic is the whole schedule; nothing to precompute
-		// beyond the round count.
-	default:
-		return nil, fmt.Errorf("collective: unknown index algorithm %v", opt.Algorithm)
-	}
-	pl.finishIndex(n, k)
-	s := opt.Segments
-	if s == AutoSegments {
-		s = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
-	}
-	pl.finishSegments(s)
-	pl.c2lb = lowerbound.IndexVolume(n, blockLen, k)
-	pl.c1lb = lowerbound.IndexRounds(n, k)
-	if pl.segments > 1 {
-		// A pipelined schedule multiplexes up to `segments` compiled
-		// rounds per port in one merged round, so the one-round-per-port
-		// volume bound scales down by the segment count:
-		// (n-1)*b <= segments * k * sum of per-step maxima.
-		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
-	}
-	return pl, nil
-}
-
-// CompileIndexMixed compiles the mixed-radix index schedule: subphase i
-// uses radices[i]. The compiled plan executes the exact schedule
-// IndexMixedFlat would. Mixed-radix plans are always monolithic: the
-// segment pipeline (IndexOptions.Segments) applies to the uniform
-// schedule only.
-func CompileIndexMixed(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []int) (*Plan, error) {
-	n := g.Size()
-	if err := checkGroup(e, g); err != nil {
-		return nil, err
-	}
-	if blockLen < 0 {
-		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
-	}
-	if err := ValidateRadices(n, radices); err != nil {
-		return nil, err
-	}
-	pl := &Plan{
-		engine:   e,
-		group:    g,
-		op:       opIndex,
-		blockLen: blockLen,
-		ialg:     IndexBruck,
-	}
-	pl.rounds = compileBruckRounds(n, e.Ports(), blockLen, func(i int) int { return radices[i] }, false)
-	pl.finishIndex(n, e.Ports())
-	pl.c2lb = lowerbound.IndexVolume(n, blockLen, e.Ports())
-	pl.c1lb = lowerbound.IndexRounds(n, e.Ports())
-	return pl, nil
-}
-
-// finishIndex derives the round count, predicted data volume and pool
-// hint of a compiled index plan from its representation. For layout
-// plans blockLen is the padded slot size, and the ragged direct/xor
-// volumes are overwritten afterwards from the layout's exact extents.
-func (pl *Plan) finishIndex(n, k int) {
-	switch pl.ialg {
-	case IndexBruck:
-		pl.c1 = len(pl.rounds)
-		hint := n * pl.blockLen // working region
-		for _, rd := range pl.rounds {
-			roundMax := 0
-			for _, x := range rd.xfers {
-				if x.bytes > hint {
-					hint = x.bytes
-				}
-				if x.bytes > roundMax {
-					roundMax = x.bytes
-				}
-			}
-			pl.c2 += roundMax
-		}
-		pl.poolHint = hint
-	case IndexDirect, IndexPairwiseXOR:
-		pl.c1 = intmath.CeilDiv(n-1, k)
-		pl.c2 = pl.c1 * pl.blockLen
-		pl.poolHint = pl.blockLen // transport payloads only
-	}
-}
-
-// finishSegments installs the segment dimension on a compiled index
-// plan: s > 1 splits every block into the SplitSpans partition and
-// replaces the monolithic round count and volume that finishIndex
-// derived with the pipelined measures — C1 = rounds + s - 1 merged
-// rounds, C2 = the sum over merged rounds of the largest in-flight
-// message. The request is clamped to what the schedule can pipeline:
-// at most one span per block byte, and at most minOffsetGap rounds in
-// flight so no merged round addresses one partner twice. Requests that
-// clamp to 1 — including every non-Bruck, noPack, mixed-radix or
-// sub-2-round schedule — leave the plan monolithic.
-func (pl *Plan) finishSegments(s int) {
-	if s <= 1 || pl.ialg != IndexBruck || pl.noPack || len(pl.rounds) < 2 || pl.blockLen < 2 {
-		return
-	}
-	if s > pl.blockLen {
-		s = pl.blockLen
-	}
-	if gap := minOffsetGap(pl.rounds); s > gap {
-		s = gap
-	}
-	if s <= 1 {
-		return
-	}
-	pl.segments = s
-	pl.segSpans = buffers.SplitSpans(pl.blockLen, s)
-	pl.c1 = costmodel.PipelinedC1(len(pl.rounds), s)
-	pl.c2 = pipelinedC2(pl.rounds, pl.segSpans)
-}
-
-// minOffsetGap returns the largest window size w such that any w
-// consecutive rounds of the table have pairwise distinct partner
-// offsets — the number of rounds a pipeline may hold in flight in one
-// merged round without addressing a partner twice. For the Bruck
-// tables the offsets z*weight are globally distinct across the whole
-// table (z*weight stays below the subphase's next weight), so this
-// returns len(rounds); it is computed rather than assumed as a
-// defensive clamp.
-func minOffsetGap(rounds []indexRound) int {
-	gap := len(rounds)
-	for i := range rounds {
-		for j := i + 1; j < len(rounds) && j-i < gap; j++ {
-			for _, xi := range rounds[i].xfers {
-				for _, xj := range rounds[j].xfers {
-					if xi.offset == xj.offset && j-i < gap {
-						gap = j - i
-					}
-				}
-			}
-		}
-	}
-	return gap
-}
-
-// pipelinedC2 walks the merged rounds of a pipelined replay and sums
-// the largest in-flight message of each: merged round t carries, for
-// every live segment seg, the transfers of compiled round t-seg at
-// segment seg's span length. The executor's payload sizes match this
-// walk exactly, so the measured C2 equals it.
-func pipelinedC2(rounds []indexRound, spans []buffers.Span) int {
-	R, s := len(rounds), len(spans)
-	c2 := 0
-	for t := 0; t < R+s-1; t++ {
-		lo, hi := t-R+1, t
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s-1 {
-			hi = s - 1
-		}
-		stepMax := 0
-		for seg := lo; seg <= hi; seg++ {
-			for _, x := range rounds[t-seg].xfers {
-				if b := len(x.blocks) * spans[seg].Len; b > stepMax {
-					stepMax = b
-				}
-			}
-		}
-		c2 += stepMax
-	}
-	return c2
-}
-
-// compileBruckRounds builds the k-port round structure of the
-// Bruck-family index algorithm for group size n: radixAt(i) is the
-// radix of subphase i (a constant function for the uniform algorithm).
-// Each subphase selects, for every digit value z in 1..h-1, the block
-// ids whose digit at the subphase's weight equals z; packed mode groups
-// up to k digit values into one round, noPack mode emits one
-// single-block round per selected block (the paper's packing ablation).
-func compileBruckRounds(n, k, blockLen int, radixAt func(int) int, noPack bool) []indexRound {
-	var rounds []indexRound
-	weight := 1
-	for sub := 0; weight < n; sub++ {
-		r := radixAt(sub)
-		h := intmath.Min(r, intmath.CeilDiv(n, weight))
-		// One pass over the block ids buckets them by digit value.
-		sel := make([][]int, h)
-		for j := 0; j < n; j++ {
-			if z := (j / weight) % r; z >= 1 && z < h {
-				sel[z] = append(sel[z], j)
-			}
-		}
-		if noPack {
-			for z := 1; z < h; z++ {
-				for _, j := range sel[z] {
-					rounds = append(rounds, indexRound{xfers: []indexXfer{{
-						offset: z * weight,
-						bytes:  blockLen,
-						blocks: []int{j},
-					}}})
-				}
-			}
-		} else {
-			for start := 1; start < h; start += k {
-				end := intmath.Min(start+k-1, h-1)
-				rd := indexRound{xfers: make([]indexXfer, 0, end-start+1)}
-				for z := start; z <= end; z++ {
-					rd.xfers = append(rd.xfers, indexXfer{
-						offset: z * weight,
-						bytes:  len(sel[z]) * blockLen,
-						blocks: sel[z],
-					})
-				}
-				rounds = append(rounds, rd)
-			}
-		}
-		weight *= r
-	}
-	return rounds
-}
-
-// CompileConcat compiles the concatenation schedule selected by opt for
-// group g on engine e at block size blockLen. For the circulant
-// algorithm this solves the last-round table partition and resolves the
-// per-area communication offsets once; ConcatFlat re-solves them on
-// every call.
-func CompileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions) (*Plan, error) {
-	n := g.Size()
-	if err := checkGroup(e, g); err != nil {
-		return nil, err
-	}
-	if blockLen < 0 {
-		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
-	}
-	if opt.Algorithm == ConcatRecursiveDoubling && !intmath.IsPow(2, n) {
-		return nil, fmt.Errorf("collective: recursive doubling requires a power-of-two group size, got %d", n)
-	}
-	k := e.Ports()
-	pl := &Plan{
-		engine:   e,
-		group:    g,
-		op:       opConcat,
-		blockLen: blockLen,
-		calg:     opt.Algorithm,
-		poolHint: blockLen,
-	}
-	switch opt.Algorithm {
-	case ConcatCirculant:
-		if err := pl.compileCirculant(n, k, blockLen, opt.LastRound); err != nil {
-			return nil, err
-		}
-	case ConcatFolklore, ConcatRing, ConcatRecursiveDoubling:
-		// The baseline bodies compute their trees and rings on the fly;
-		// there is no per-call schedule solving to amortize. C1 and C2
-		// for reporting and auto dispatch only.
-		switch opt.Algorithm {
-		case ConcatFolklore:
-			if n > 1 {
-				pl.c1, pl.c2 = FolkloreConcatCost(n, blockLen, k)
-			}
-			pl.poolHint = n * blockLen
-		case ConcatRing:
-			pl.c1, pl.c2 = RingConcatCost(n, blockLen)
-		case ConcatRecursiveDoubling:
-			if n > 1 {
-				pl.c1, pl.c2 = RecursiveDoublingConcatCost(n, blockLen)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("collective: unknown concat algorithm %v", opt.Algorithm)
-	}
-	pl.c2lb = lowerbound.ConcatVolume(n, blockLen, k)
-	if blockLen > 0 {
-		// The dissemination bound assumes there is data to disseminate;
-		// a zero-byte concatenation compiles without its last rounds and
-		// legitimately finishes in fewer.
-		pl.c1lb = lowerbound.ConcatRounds(n, k)
-	}
-	return pl, nil
-}
-
-// compileCirculant fills the circulant-concatenation round structure of
-// pl for group size n at block (or padded slot) size blockLen: the
-// doubling rounds, the solved last-round table partition with its area
-// offsets, or the trivial single all-pairs round when k >= n-1. The
-// schedule's rounds and volume are ADDED to pl.c1/pl.c2 and pl.poolHint
-// is raised to the largest last-round area, so AllReduce plans can
-// stack the concatenation phase on top of a compiled reduce-scatter
-// phase; CompileConcat calls it on zeroed counters.
-func (pl *Plan) compileCirculant(n, k, blockLen int, policy partition.Policy) error {
-	if n == 1 {
-		return nil
-	}
-	if k >= n-1 {
-		pl.trivial = true
-		pl.c1++
-		pl.c2 += blockLen
-		return nil
-	}
-	d := intmath.CeilLog(k+1, n)
-	count := 1
-	for round := 0; round < d-1; round++ {
-		pl.dbl = append(pl.dbl, dblRound{base: count, count: count})
-		pl.c2 += count * blockLen
-		count *= k + 1
-	}
-	pl.n1 = count
-	part, err := partition.Solve(blockLen, n-pl.n1, pl.n1, k, policy)
+	pl := &Plan{engine: e, group: g, op: op, alg: alg, blockLen: blockLen}
+	pr, err := build(pl, g.Size(), e.Ports())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := part.Validate(); err != nil {
-		return err
-	}
-	for _, areas := range part.Rounds {
-		offsets, err := assignAreaOffsets(areas, pl.n1)
-		if err != nil {
-			return err
-		}
-		lr := lastRound{areas: make([]lastArea, len(areas))}
-		roundMax := 0
-		for ai, area := range areas {
-			lr.areas[ai] = lastArea{offset: offsets[ai], size: area.Size, runs: area.Runs}
-			if area.Size > pl.poolHint {
-				pl.poolHint = area.Size
-			}
-			if area.Size > roundMax {
-				roundMax = area.Size
-			}
-		}
-		pl.c2 += roundMax
-		pl.last = append(pl.last, lr)
-	}
-	pl.c1 += len(pl.dbl) + len(pl.last)
-	return nil
+	pr.finish()
+	pl.prog, pl.c1, pl.c2, pl.poolHint, pl.phases = pr, pr.c1, pr.c2, pr.hint, pr.phases
+	return pl, nil
 }
 
 // checkGroup validates a group against the engine.
@@ -627,12 +211,26 @@ func checkGroup(e *mpsim.Engine, g *mpsim.Group) error {
 	if g == nil || g.Size() == 0 {
 		return fmt.Errorf("collective: empty group")
 	}
-	for _, id := range g.IDs() {
-		if id >= e.N() {
+	for r := 0; r < g.Size(); r++ {
+		if id := g.ID(r); id >= e.N() {
 			return fmt.Errorf("collective: group member %d outside engine with %d processors", id, e.N())
 		}
 	}
 	return nil
+}
+
+// blocks returns the block counts of the caller's input and output
+// regions: n and n, except a concatenation's one-block input and a
+// reduce-scatter's one-block output.
+func (pl *Plan) blocks() (in, out int) {
+	n := pl.group.Size()
+	switch pl.op {
+	case opConcat:
+		return 1, n
+	case opReduceScatter:
+		return n, 1
+	}
+	return n, n
 }
 
 // checkBuffers validates an (in, out) pair against the plan's shape:
@@ -649,13 +247,7 @@ func (pl *Plan) checkBuffers(in, out *buffers.Buffers) error {
 	if in == out {
 		return fmt.Errorf("collective: flat output must not alias the input")
 	}
-	wantInBlocks, wantOutBlocks := n, n
-	switch pl.op {
-	case opConcat:
-		wantInBlocks = 1
-	case opReduceScatter:
-		wantOutBlocks = 1
-	}
+	wantInBlocks, wantOutBlocks := pl.blocks()
 	if in.Procs() != n || in.Blocks() != wantInBlocks || in.BlockLen() != pl.blockLen {
 		return fmt.Errorf("collective: %s plan input is %dx%d blocks of %d bytes, want %dx%d of %d",
 			pl.op, in.Procs(), in.Blocks(), in.BlockLen(), n, wantInBlocks, pl.blockLen)
@@ -691,13 +283,45 @@ func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	if err := pl.checkBuffers(in, out); err != nil {
 		return nil, err
 	}
-	err := pl.engine.Run(func(p *mpsim.Proc) error {
-		return pl.body(p, in, out)
-	})
-	if err != nil {
+	if err := pl.engine.Run(pl.body(in, out)); err != nil {
 		return nil, err
 	}
 	return pl.result(pl.engine.Metrics()), nil
+}
+
+// body is the per-processor program of one execution on fixed-size
+// buffers.
+func (pl *Plan) body(in, out *buffers.Buffers) func(*mpsim.Proc) error {
+	return func(p *mpsim.Proc) error {
+		me := pl.group.Rank(p.Rank())
+		if me < 0 {
+			return nil
+		}
+		f := newFrame(p, pl, pl.prog, nil, me)
+		f.reg[regIn], f.reg[regOut] = flatRegion(in, me), flatRegion(out, me)
+		return rankErr(me, f.run())
+	}
+}
+
+// rankErr names the group rank a run failed on.
+func rankErr(me int, err error) error {
+	if err != nil {
+		return fmt.Errorf("group rank %d: %w", me, err)
+	}
+	return nil
+}
+
+// vbody is body for a layout plan's ragged buffers.
+func (pl *Plan) vbody(in, out *buffers.Ragged) func(*mpsim.Proc) error {
+	return func(p *mpsim.Proc) error {
+		me := pl.group.Rank(p.Rank())
+		if me < 0 {
+			return nil
+		}
+		f := newFrame(p, pl, pl.prog, nil, me)
+		f.reg[regIn], f.reg[regOut] = raggedRegion(in, me), raggedRegion(out, me)
+		return rankErr(me, f.run())
+	}
 }
 
 // checkRagged validates an (in, out) ragged pair against a layout
@@ -733,10 +357,7 @@ func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	if err := pl.checkRagged(in, out); err != nil {
 		return nil, err
 	}
-	err := pl.engine.Run(func(p *mpsim.Proc) error {
-		return pl.vbody(p, in, out)
-	})
-	if err != nil {
+	if err := pl.engine.Run(pl.vbody(in, out)); err != nil {
 		return nil, err
 	}
 	return pl.result(pl.engine.Metrics()), nil
@@ -787,18 +408,9 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 			}
 			seen[id] = i
 		}
-		pl := pl
-		body := func(p *mpsim.Proc) error {
-			return pl.body(p, pl.in, pl.out)
-		}
+		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(pl.in, pl.out)}
 		if pl.layout != nil {
-			body = func(p *mpsim.Proc) error {
-				return pl.vbody(p, pl.vin, pl.vout)
-			}
-		}
-		progs[i] = mpsim.Program{
-			Members: pl.group.IDs(),
-			Body:    body,
+			progs[i].Body = pl.vbody(pl.vin, pl.vout)
 		}
 	}
 	metrics, err := e.RunPrograms(progs)
@@ -810,337 +422,6 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 		results[i] = plans[i].result(m)
 	}
 	return results, nil
-}
-
-// body dispatches the per-processor program of the plan.
-func (pl *Plan) body(p *mpsim.Proc, in, out *buffers.Buffers) error {
-	me := pl.group.Rank(p.Rank())
-	if me < 0 {
-		return nil
-	}
-	if pl.hier != nil {
-		if err := pl.hierBody(p, in.Proc(me), out.Proc(me)); err != nil {
-			return fmt.Errorf("group rank %d: %w", me, err)
-		}
-		return nil
-	}
-	var err error
-	switch pl.op {
-	case opIndex:
-		switch pl.ialg {
-		case IndexBruck:
-			err = pl.bruckBody(p, in.Proc(me), out.Proc(me))
-		case IndexDirect:
-			err = directIndexFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
-		case IndexPairwiseXOR:
-			err = xorIndexFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
-		}
-	case opConcat:
-		switch pl.calg {
-		case ConcatCirculant:
-			err = pl.circulantBody(p, in.Proc(me), out.Proc(me))
-		case ConcatFolklore:
-			err = folkloreConcatFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
-		case ConcatRing:
-			err = ringConcatFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
-		case ConcatRecursiveDoubling:
-			err = recursiveDoublingConcatFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
-		}
-	case opReduceScatter:
-		err = pl.reduceScatterBody(p, in.Proc(me), out.Proc(me))
-	case opAllReduce:
-		err = pl.allReduceBody(p, in.Proc(me), out.Proc(me))
-	}
-	if err != nil {
-		return fmt.Errorf("group rank %d: %w", me, err)
-	}
-	return nil
-}
-
-// bruckBody is the per-processor program of a compiled Bruck-family
-// index plan (uniform or mixed radix, packed or not): Phase 1 rotates
-// the input into the working region, Phase 2 replays the precomputed
-// rounds, Phase 3 writes the output permutation. All schedule decisions
-// — partners, payload sizes, which blocks travel together — were made
-// at compile time.
-func (pl *Plan) bruckBody(p *mpsim.Proc, in, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	work := p.AcquireBuf(n * bl)
-	defer p.ReleaseBuf(work)
-	cut := me * bl
-	copy(work, in[cut:])
-	copy(work[len(in)-cut:], in[:cut])
-
-	if err := pl.replayBruckRounds(p, work, bl); err != nil {
-		return err
-	}
-
-	for j := 0; j < n; j++ {
-		q := intmath.Mod(me-j, n)
-		copy(out[j*bl:(j+1)*bl], work[q*bl:q*bl+bl])
-	}
-	return nil
-}
-
-// replayBruckRounds runs the compiled Phase 2 rounds on a working
-// region of n slots of bl bytes — shared by the fixed-size body (bl is
-// the block size) and the layout body (bl is the padded slot size of
-// the two-phase packing).
-func (pl *Plan) replayBruckRounds(p *mpsim.Proc, work []byte, bl int) error {
-	if pl.segments > 1 {
-		return pl.replayBruckRoundsPipelined(p, work, bl)
-	}
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	k := p.Ports()
-
-	sends := make([]mpsim.Send, 0, k)
-	froms := make([]int, 0, k)
-	into := make([][]byte, 0, k)
-	for _, rd := range pl.rounds {
-		if pl.noPack {
-			// Single-block round: the block travels as a view of its own
-			// working slot and the reply lands back in the same slot (the
-			// engine copies the payload out before delivery).
-			x := rd.xfers[0]
-			blk := work[x.blocks[0]*bl : (x.blocks[0]+1)*bl]
-			sends = append(sends[:0], mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: blk})
-			froms = append(froms[:0], g.ID(intmath.Mod(me-x.offset, n)))
-			into = append(into[:0], blk)
-			if err := p.ExchangeInto(sends, froms, into); err != nil {
-				return err
-			}
-			continue
-		}
-		sends, froms, into = sends[:0], froms[:0], into[:0]
-		for _, x := range rd.xfers {
-			payload := p.AcquireBuf(x.bytes)
-			off := 0
-			for _, j := range x.blocks {
-				copy(payload[off:off+bl], work[j*bl:])
-				off += bl
-			}
-			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: payload})
-			froms = append(froms, g.ID(intmath.Mod(me-x.offset, n)))
-			into = append(into, p.AcquireBuf(x.bytes))
-		}
-		err := p.ExchangeInto(sends, froms, into)
-		if err == nil {
-			for i, x := range rd.xfers {
-				off := 0
-				for _, j := range x.blocks {
-					copy(work[j*bl:(j+1)*bl], into[i][off:off+bl])
-					off += bl
-				}
-			}
-		}
-		for i := range sends {
-			p.ReleaseBuf(sends[i].Data)
-			p.ReleaseBuf(into[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayBruckRoundsPipelined is the segment-pipelined Phase 2 replay:
-// merged round t moves, for every live segment seg (those with
-// 0 <= t-seg < len(rounds)), the transfers of compiled round t-seg
-// restricted to segment seg's byte span of each block. Payloads travel
-// by ownership transfer in both directions (Proc.ExchangeOwned): the
-// packed send buffer is handed to the transport without the monolithic
-// path's extra engine copy, and the received buffer is unpacked and
-// recycled here — two copies per message instead of four, which is
-// where the pipelined path's large-block throughput win comes from.
-//
-// Within one merged round all partner offsets are distinct
-// (finishSegments clamps the segment count to minOffsetGap), every
-// rank runs the same merged-round count, and all packs precede the
-// exchange while all unpacks follow it — so a round's send and receive
-// of the same working blocks keep the monolithic path's
-// pack-before-unpack order, and distinct segments touch disjoint byte
-// spans. On error the in-flight payloads stay with the transport; the
-// engine's post-run drain recovers them into the pools.
-func (pl *Plan) replayBruckRoundsPipelined(p *mpsim.Proc, work []byte, bl int) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	s := pl.segments
-	R := len(pl.rounds)
-
-	maxX := 0
-	for _, rd := range pl.rounds {
-		if len(rd.xfers) > maxX {
-			maxX = len(rd.xfers)
-		}
-	}
-	sends := make([]mpsim.Send, 0, s*maxX)
-	froms := make([]int, 0, s*maxX)
-	out := make([][]byte, s*maxX)
-
-	for t := 0; t < R+s-1; t++ {
-		lo, hi := t-R+1, t
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s-1 {
-			hi = s - 1
-		}
-		sends, froms = sends[:0], froms[:0]
-		for seg := lo; seg <= hi; seg++ {
-			sp := pl.segSpans[seg]
-			for _, x := range pl.rounds[t-seg].xfers {
-				payload := p.AcquireBuf(len(x.blocks) * sp.Len)
-				off := 0
-				for _, j := range x.blocks {
-					copy(payload[off:off+sp.Len], work[j*bl+sp.Off:])
-					off += sp.Len
-				}
-				sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: payload})
-				froms = append(froms, g.ID(intmath.Mod(me-x.offset, n)))
-			}
-		}
-		if err := p.ExchangeOwned(sends, froms, out[:len(froms)], hi-lo+1); err != nil {
-			return err
-		}
-		i := 0
-		for seg := lo; seg <= hi; seg++ {
-			sp := pl.segSpans[seg]
-			for _, x := range pl.rounds[t-seg].xfers {
-				payload := out[i]
-				i++
-				off := 0
-				for _, j := range x.blocks {
-					copy(work[j*bl+sp.Off:j*bl+sp.Off+sp.Len], payload[off:off+sp.Len])
-					off += sp.Len
-				}
-				p.ReleaseBuf(payload)
-			}
-		}
-	}
-	return nil
-}
-
-// circulantBody is the per-processor program of a compiled circulant
-// concatenation plan: the doubling rounds and the byte-granular last
-// rounds replay precomputed shapes; the table partition and its area
-// offsets were solved at compile time. The output region is the
-// accumulation buffer, as in circulantConcatFlatBody.
-func (pl *Plan) circulantBody(p *mpsim.Proc, myBlock, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	copy(out[:bl], myBlock)
-	if n == 1 {
-		return nil
-	}
-
-	if pl.trivial {
-		sends := make([]mpsim.Send, 0, n-1)
-		froms := make([]int, 0, n-1)
-		into := make([][]byte, 0, n-1)
-		for q := 1; q < n; q++ {
-			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me-q, n)), Data: myBlock})
-			froms = append(froms, g.ID(intmath.Mod(me+q, n)))
-			into = append(into, out[q*bl:(q+1)*bl])
-		}
-		if err := p.ExchangeInto(sends, froms, into); err != nil {
-			return err
-		}
-		buffers.RotateUp(out, n, bl, n-me)
-		return nil
-	}
-
-	if len(pl.last) > 0 && pl.poolHint > 0 {
-		// Pre-size the pool: one hint-sized acquisition up front means
-		// every mixed-size area payload of the last rounds finds a
-		// fitting buffer within the pool's bounded scan.
-		p.ReleaseBuf(p.AcquireBuf(pl.poolHint))
-	}
-
-	if err := pl.replayCirculantRounds(p, out, bl); err != nil {
-		return err
-	}
-
-	buffers.RotateUp(out, n, bl, n-me)
-	return nil
-}
-
-// replayCirculantRounds runs the compiled doubling and last rounds on
-// an accumulation region of n slots of bl bytes in successor order
-// (slot q holds the block of group rank me+q) — shared by the
-// fixed-size body (acc is the output region, bl the block size) and the
-// layout body (acc is a pooled padded working region, bl the slot
-// size).
-func (pl *Plan) replayCirculantRounds(p *mpsim.Proc, acc []byte, bl int) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	k := p.Ports()
-
-	sends := make([]mpsim.Send, 0, k)
-	froms := make([]int, 0, k)
-	into := make([][]byte, 0, k)
-	for _, rd := range pl.dbl {
-		sends, froms, into = sends[:0], froms[:0], into[:0]
-		for t := 1; t <= k; t++ {
-			sends = append(sends, mpsim.Send{
-				To:   g.ID(intmath.Mod(me-t*rd.base, n)),
-				Data: acc[:rd.count*bl],
-			})
-			froms = append(froms, g.ID(intmath.Mod(me+t*rd.base, n)))
-			into = append(into, acc[t*rd.base*bl:(t*rd.base+rd.count)*bl])
-		}
-		if err := p.ExchangeInto(sends, froms, into); err != nil {
-			return err
-		}
-	}
-
-	for _, lr := range pl.last {
-		sends, froms, into = sends[:0], froms[:0], into[:0]
-		for _, area := range lr.areas {
-			payload := p.AcquireBuf(area.size)
-			off := 0
-			for _, run := range area.runs {
-				q := pl.n1 + run.Col - area.offset
-				blk := acc[q*bl : (q+1)*bl]
-				off += copy(payload[off:], blk[run.Row0:run.Row0+run.NRows])
-			}
-			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me-area.offset, n)), Data: payload})
-			froms = append(froms, g.ID(intmath.Mod(me+area.offset, n)))
-			into = append(into, p.AcquireBuf(area.size))
-		}
-		err := p.ExchangeInto(sends, froms, into)
-		if err == nil {
-			for ai, area := range lr.areas {
-				payload := into[ai]
-				off := 0
-				for _, run := range area.runs {
-					q := pl.n1 + run.Col
-					blk := acc[q*bl : (q+1)*bl]
-					copy(blk[run.Row0:run.Row0+run.NRows], payload[off:off+run.NRows])
-					off += run.NRows
-				}
-			}
-		}
-		for i := range sends {
-			p.ReleaseBuf(sends[i].Data)
-			p.ReleaseBuf(into[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // planCacheKey identifies a compiled plan inside a PlanCache. The
@@ -1339,107 +620,36 @@ func (c *PlanCache) ConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, op
 
 // IndexFlat is the cached counterpart of the package-level IndexFlat.
 func (c *PlanCache) IndexFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt IndexOptions) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
-	}
-	pl, err := c.IndexPlan(e, g, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return c.IndexPlan(e, g, b, opt) })
 }
 
 // IndexMixedFlat is the cached counterpart of the package-level
 // IndexMixedFlat.
 func (c *PlanCache) IndexMixedFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, radices []int) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
-	}
-	pl, err := c.IndexMixedPlan(e, g, in.BlockLen(), radices)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return c.IndexMixedPlan(e, g, b, radices) })
 }
 
 // ConcatFlat is the cached counterpart of the package-level ConcatFlat.
 func (c *PlanCache) ConcatFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ConcatOptions) (*Result, error) {
-	n := g.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("collective: empty group")
-	}
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil flat buffer")
-	}
-	if in.Procs() != n || in.Blocks() != 1 {
-		return nil, fmt.Errorf("collective: flat concat input is %dx%d blocks, group needs %dx1",
-			in.Procs(), in.Blocks(), n)
-	}
-	pl, err := c.ConcatPlan(e, g, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return c.ConcatPlan(e, g, b, opt) })
 }
 
 // Index is the cached counterpart of the package-level legacy Index:
 // one copy in, one copy out, compiled schedule in between.
 func (c *PlanCache) Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.IndexFlat(e, g, fin, fout, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return runSlices(fin, err, func(b int) (*Plan, error) { return c.IndexPlan(e, g, b, opt) })
 }
 
 // IndexMixed is the cached counterpart of the package-level legacy
 // IndexMixed.
 func (c *PlanCache) IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.IndexMixedFlat(e, g, fin, fout, radices)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return runSlices(fin, err, func(b int) (*Plan, error) { return c.IndexMixedPlan(e, g, b, radices) })
 }
 
 // Concat is the cached counterpart of the package-level legacy Concat.
 func (c *PlanCache) Concat(e *mpsim.Engine, g *mpsim.Group, in [][]byte, opt ConcatOptions) ([][][]byte, *Result, error) {
-	if err := checkConcatInput(g, in); err != nil {
-		return nil, nil, err
-	}
 	fin, err := buffers.FromVector(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.ConcatFlat(e, g, fin, fout, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return runSlices(fin, err, func(b int) (*Plan, error) { return c.ConcatPlan(e, g, b, opt) })
 }

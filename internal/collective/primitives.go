@@ -37,12 +37,12 @@ func lowestDigitPos(v, base int) (pos, digit int) {
 // Broadcast allocates every member's result slice on each call; the
 // allocation-free path is BroadcastInto.
 func Broadcast(e *mpsim.Engine, g *mpsim.Group, root int, data []byte) ([][]byte, *Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, nil, fmt.Errorf("collective: broadcast root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "broadcast", root)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make([][]byte, n)
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil
@@ -66,14 +66,14 @@ func Broadcast(e *mpsim.Engine, g *mpsim.Group, root int, data []byte) ([][]byte
 // bytes). Beyond pooled transport buffers the operation allocates
 // nothing on a reused engine.
 func BroadcastInto(e *mpsim.Engine, g *mpsim.Group, root int, data []byte, out *buffers.Buffers) (*Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: broadcast root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "broadcast", root)
+	if err != nil {
+		return nil, err
 	}
 	if err := checkOneBlockShape("broadcast", out, n, len(data)); err != nil {
 		return nil, err
 	}
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil
@@ -87,6 +87,18 @@ func BroadcastInto(e *mpsim.Engine, g *mpsim.Group, root int, data []byte, out *
 		return nil, err
 	}
 	return resultFrom(e.Metrics()), nil
+}
+
+// checkRoot validates the group and root of a one-to-all primitive and
+// returns the group size.
+func checkRoot(e *mpsim.Engine, g *mpsim.Group, opName string, root int) (int, error) {
+	if err := checkGroup(e, g); err != nil {
+		return 0, err
+	}
+	if n := g.Size(); root < 0 || root >= n {
+		return 0, fmt.Errorf("collective: %s root %d out of range [0,%d)", opName, root, n)
+	}
+	return g.Size(), nil
 }
 
 // checkOneBlockShape validates an n-member one-block-per-processor flat
@@ -160,9 +172,9 @@ func broadcastBodyInto(p *mpsim.Proc, g *mpsim.Group, root int, data, into []byt
 // returned slice is the gathered blocks in group-rank order; it is
 // non-nil only for the root (mirroring MPI_Gather semantics).
 func Gather(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, nil, fmt.Errorf("collective: gather root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "gather", root)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(in) != n {
 		return nil, nil, fmt.Errorf("collective: gather input has %d blocks, group has %d members", len(in), n)
@@ -175,7 +187,7 @@ func Gather(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *
 	}
 	out := make([][]byte, n)
 	rootDone := false
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil
@@ -212,9 +224,9 @@ func Gather(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *
 // Beyond pooled transport buffers the operation allocates nothing on a
 // reused engine.
 func GatherInto(e *mpsim.Engine, g *mpsim.Group, root int, in *buffers.Buffers, out []byte) (*Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: gather root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "gather", root)
+	if err != nil {
+		return nil, err
 	}
 	if in == nil {
 		return nil, fmt.Errorf("collective: nil flat buffer")
@@ -226,7 +238,7 @@ func GatherInto(e *mpsim.Engine, g *mpsim.Group, root int, in *buffers.Buffers, 
 	if len(out) != n*blockLen {
 		return nil, fmt.Errorf("collective: gather output is %d bytes, want n*b = %d", len(out), n*blockLen)
 	}
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil
@@ -333,9 +345,9 @@ func gatherBody(p *mpsim.Proc, g *mpsim.Group, root int, myBlock []byte, blockLe
 // semantics, but the simulation driver passes it uniformly). The
 // returned slice holds each member's received block.
 func Scatter(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, nil, fmt.Errorf("collective: scatter root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "scatter", root)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(in) != n {
 		return nil, nil, fmt.Errorf("collective: scatter input has %d blocks, group has %d members", len(in), n)
@@ -352,7 +364,7 @@ func Scatter(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, 
 		copy(vbuf[v*blockLen:], in[intmath.Mod(root+v, n)])
 	}
 	out := make([][]byte, n)
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil
@@ -377,9 +389,9 @@ func Scatter(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, 
 // root. Beyond pooled transport buffers the operation allocates nothing
 // on a reused engine.
 func ScatterInto(e *mpsim.Engine, g *mpsim.Group, root int, in []byte, out *buffers.Buffers) (*Result, error) {
-	n := g.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: scatter root %d out of range [0,%d)", root, n)
+	n, err := checkRoot(e, g, "scatter", root)
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
 		return nil, fmt.Errorf("collective: nil flat buffer")
@@ -391,7 +403,7 @@ func ScatterInto(e *mpsim.Engine, g *mpsim.Group, root int, in []byte, out *buff
 	if len(in) != n*blockLen {
 		return nil, fmt.Errorf("collective: scatter input is %d bytes, want n*b = %d", len(in), n*blockLen)
 	}
-	err := e.Run(func(p *mpsim.Proc) error {
+	err = e.Run(func(p *mpsim.Proc) error {
 		me := g.Rank(p.Rank())
 		if me < 0 {
 			return nil

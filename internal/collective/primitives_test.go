@@ -284,7 +284,6 @@ func TestPrimitiveIntoShapeValidation(t *testing.T) {
 // per-Run bookkeeping, identical for both paths).
 func TestPrimitiveIntoAllocs(t *testing.T) {
 	const n, b, runs = 8, 64, 20
-	e := mpsim.MustNew(n)
 	g := mpsim.WorldGroup(n)
 	data := make([]byte, b)
 	out, _ := buffers.New(n, 1, b)
@@ -293,6 +292,15 @@ func TestPrimitiveIntoAllocs(t *testing.T) {
 	legacyIn := make([][]byte, n)
 	for i := range legacyIn {
 		legacyIn[i] = make([]byte, b)
+	}
+	// Every measurement starts from a fresh engine, so both variants of
+	// a primitive see the same pool state: what an earlier measurement
+	// left in the rank-local pools (the broadcast's receivers keep b-byte
+	// buffers the gather's senders would reuse) must not decide the
+	// comparison.
+	allocs := func(op func(e *mpsim.Engine)) float64 {
+		e := mpsim.MustNew(n)
+		return testing.AllocsPerRun(runs, func() { op(e) })
 	}
 	check := func(name string, legacy, into float64) {
 		t.Helper()
@@ -303,34 +311,34 @@ func TestPrimitiveIntoAllocs(t *testing.T) {
 		}
 	}
 	check("broadcast",
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, _, err := Broadcast(e, g, 0, data); err != nil {
 				t.Fatal(err)
 			}
 		}),
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, err := BroadcastInto(e, g, 0, data, out); err != nil {
 				t.Fatal(err)
 			}
 		}))
 	check("gather",
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, _, err := Gather(e, g, 0, legacyIn); err != nil {
 				t.Fatal(err)
 			}
 		}),
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, err := GatherInto(e, g, 0, gin, gout); err != nil {
 				t.Fatal(err)
 			}
 		}))
 	check("scatter",
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, _, err := Scatter(e, g, 0, legacyIn); err != nil {
 				t.Fatal(err)
 			}
 		}),
-		testing.AllocsPerRun(runs, func() {
+		allocs(func(e *mpsim.Engine) {
 			if _, err := ScatterInto(e, g, 0, gout, out); err != nil {
 				t.Fatal(err)
 			}

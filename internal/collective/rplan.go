@@ -123,29 +123,13 @@ type ReduceOptions struct {
 	Segments int
 }
 
-// checkReduce validates the common reduction compile parameters.
-func checkReduce(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ReduceOptions) error {
-	if err := checkGroup(e, g); err != nil {
-		return err
-	}
-	if blockLen < 0 {
-		return fmt.Errorf("collective: negative block size %d", blockLen)
-	}
+// checkKernel validates a reduction's kernel against its block size.
+func checkKernel(blockLen int, opt ReduceOptions) error {
 	if blockLen > 0 && opt.Kernel == nil {
 		return fmt.Errorf("collective: reduction requires a combine kernel (set ReduceOptions.Kernel)")
 	}
 	if opt.ElemSize > 0 && blockLen%opt.ElemSize != 0 {
 		return fmt.Errorf("collective: block size %d is not a multiple of the kernel's %d-byte elements", blockLen, opt.ElemSize)
-	}
-	n := g.Size()
-	if opt.Algorithm == ReduceHalving && !intmath.IsPow(2, n) {
-		return fmt.Errorf("collective: recursive halving requires a power-of-two group size, got %d", n)
-	}
-	if opt.Algorithm == ReduceBruck && n > 1 {
-		r := opt.Radix
-		if r != 0 && (r < 2 || r > n) {
-			return fmt.Errorf("collective: reduce radix %d out of range [2, %d]", r, n)
-		}
 	}
 	return nil
 }
@@ -153,263 +137,132 @@ func checkReduce(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ReduceOption
 // CompileReduce compiles the reduction selected by kind for group g on
 // engine e at block size blockLen: the reduce-scatter schedule chosen
 // by opt.Algorithm, plus — for AllReduceKind — the circulant
-// concatenation of the combined chunks, both replayed inside one engine
-// run per execution. The plan's Execute takes an index-shaped input
-// (block (i, j) = rank i's contribution to chunk j) and a concat-shaped
-// output for ReduceScatterKind or an index-shaped output for
-// AllReduceKind.
+// concatenation of the combined chunks, one program run inside one
+// engine run per execution. The plan's Execute takes an index-shaped
+// input (block (i, j) = rank i's contribution to chunk j) and a
+// concat-shaped output for ReduceScatterKind or an index-shaped output
+// for AllReduceKind.
 func CompileReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) (*Plan, error) {
-	if err := checkReduce(e, g, blockLen, opt); err != nil {
-		return nil, err
-	}
-	n := g.Size()
-	k := e.Ports()
 	op := opReduceScatter
 	if kind == AllReduceKind {
 		op = opAllReduce
 	}
-	pl := &Plan{
-		engine:   e,
-		group:    g,
-		op:       op,
-		blockLen: blockLen,
-		ralg:     opt.Algorithm,
-		combine:  opt.Kernel,
-		poolHint: blockLen,
-	}
-	switch opt.Algorithm {
-	case ReduceRing:
-		if n > 1 {
-			pl.c1 = n - 1
-			pl.c2 = (n - 1) * blockLen
+	return compile(e, g, op, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
+		if err := checkKernel(blockLen, opt); err != nil {
+			return nil, err
 		}
-	case ReduceHalving:
-		if n > 1 {
-			pl.c1 = intmath.CeilLog(2, n)
-			pl.c2 = (n - 1) * blockLen
-			pl.poolHint = n * blockLen // working row
+		pl.combine = opt.Kernel
+		b := newBuilder(2*n+2, n+k, 3*n+4)
+		// The combined chunk me lands in the output's only block, in slot
+		// 0 of the concatenation's accumulation region — or, when the
+		// concatenation is the single all-pairs round, in block me.
+		allPairs := kind == AllReduceKind && n > 1 && k >= n-1
+		chunk := b.ext(blocksAt(regOut, fixed(0), 1))
+		if allPairs {
+			chunk = b.ext(blocksAt(regOut, plus(0), 1))
 		}
-	case ReduceBruck:
+		work, segments, err := b.reduceScatter(n, k, blockLen, opt, chunk)
+		if err != nil {
+			return nil, err
+		}
+		pl.segments = segments
+		switch {
+		case kind != AllReduceKind:
+			pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
+			pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
+		case allPairs:
+			b.trivial(n, chunk)
+		default:
+			if err := b.circulant(n, k, blockLen, regOut, opt.LastRound); err != nil {
+				return nil, err
+			}
+			b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
+		}
+		if kind == AllReduceKind {
+			pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)
+			pl.c1lb = lowerbound.AllReduceRounds(n, k)
+		}
+		if pl.segments > 1 {
+			// A merged pipelined round multiplexes up to segments compiled
+			// rounds over the ports, so the per-round-maximum C2 measure can
+			// dip below the monolithic volume bound by up to that factor; see
+			// the matching scaling in compileIndex.
+			pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+		}
+		return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
+	})
+}
+
+// reduceScatter appends the reduce-scatter schedule selected by opt:
+// the rank's n contribution blocks are its input region, and its
+// combined chunk me ends in the extent chunk. It returns the scratch
+// the schedule works in and the segment count of a pipelined Bruck
+// phase. Every schedule applies its combines in a fixed order, so
+// repeated executions are bit-identical.
+func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent) (work []scratch, segments int, err error) {
+	slot0 := b.ext(blocksAt(regWork, fixed(0), 1))
+	switch {
+	case opt.Algorithm > ReduceBruck:
+		return nil, 0, fmt.Errorf("collective: unknown reduce algorithm %v", opt.Algorithm)
+	case opt.Algorithm == ReduceHalving && !intmath.IsPow(2, n):
+		return nil, 0, fmt.Errorf("collective: recursive halving requires a power-of-two group size, got %d", n)
+	case opt.Algorithm == ReduceBruck:
 		r := opt.Radix
 		if r == 0 {
 			r = intmath.Min(k+1, n)
 		}
-		pl.rounds = compileBruckRounds(n, k, blockLen, func(int) int { return r }, false)
-		pl.ialg = IndexBruck // reuse the index replay and tally machinery
-		pl.finishIndex(n, k)
-		s := opt.Segments
-		if s == AutoSegments {
-			s = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
+		if n > 1 && (r < 2 || r > n) {
+			return nil, 0, fmt.Errorf("collective: reduce radix %d out of range [2, %d]", r, n)
 		}
-		pl.finishSegments(s)
-	default:
-		return nil, fmt.Errorf("collective: unknown reduce algorithm %v", opt.Algorithm)
-	}
-	if kind == AllReduceKind {
-		if err := pl.compileCirculant(n, k, blockLen, opt.LastRound); err != nil {
-			return nil, err
+		segments = opt.Segments
+		if segments == AutoSegments {
+			segments = OptimalSegments(costmodel.SP1, n, bl, r, k)
 		}
-		pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)
-		pl.c1lb = lowerbound.AllReduceRounds(n, k)
-	} else {
-		pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
-		pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
-	}
-	if pl.segments > 1 {
-		// A merged pipelined round multiplexes up to segments compiled
-		// rounds over the ports, so the per-round-maximum C2 measure can
-		// dip below the monolithic volume bound by up to that factor; see
-		// the matching scaling in CompileIndex.
-		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
-	}
-	return pl, nil
-}
-
-// combineInto applies the plan's kernel — dst = dst op src — guarding
-// the zero-length case: kernels are never invoked on empty slabs.
-func (pl *Plan) combineInto(dst, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	pl.combine(dst, src)
-}
-
-// reduceScatterBody dispatches the per-processor reduce-scatter
-// program: in is the rank's n contribution blocks, out its single
-// combined chunk.
-func (pl *Plan) reduceScatterBody(p *mpsim.Proc, in, out []byte) error {
-	switch pl.ralg {
-	case ReduceRing:
-		return pl.ringReduceBody(p, in, out)
-	case ReduceHalving:
-		return pl.halvingReduceBody(p, in, out)
-	case ReduceBruck:
-		return pl.bruckReduceBody(p, in, out)
-	default:
-		return fmt.Errorf("collective: unknown reduce algorithm %v", pl.ralg)
-	}
-}
-
-// ringReduceBody: the partial for chunk c starts at rank c+1 with that
-// rank's own contribution and travels the ring once, each rank
-// combining its contribution as the partial passes; after n-1 rounds
-// the fully combined chunk me arrives at rank me. The round's receive
-// lands in the same pooled buffer the send was copied out of, so the
-// body needs exactly one scratch buffer of one block.
-func (pl *Plan) ringReduceBody(p *mpsim.Proc, in, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	if n == 1 {
-		copy(out, in[me*bl:(me+1)*bl])
-		return nil
-	}
-	succ := g.ID(intmath.Mod(me+1, n))
-	pred := g.ID(intmath.Mod(me-1, n))
-	cur := p.AcquireBuf(bl)
-	defer p.ReleaseBuf(cur)
-	copy(cur, in[intmath.Mod(me-1, n)*bl:])
-	sends := make([]mpsim.Send, 1)
-	froms := []int{pred}
-	into := [][]byte{cur}
-	for t := 1; t < n; t++ {
-		sends[0] = mpsim.Send{To: succ, Data: cur}
-		if err := p.ExchangeInto(sends, froms, into); err != nil {
-			return err
-		}
-		c := intmath.Mod(me-t-1, n)
-		pl.combineInto(cur, in[c*bl:(c+1)*bl])
-	}
-	copy(out, cur)
-	return nil
-}
-
-// halvingReduceBody: recursive vector halving for power-of-two n. The
-// working row starts as the rank's full contribution vector; each round
-// sends the half not containing chunk me to partner me XOR h and
-// combines the partner's partial for the kept half. After log2 n
-// rounds the single remaining chunk is the fully combined chunk me.
-func (pl *Plan) halvingReduceBody(p *mpsim.Proc, in, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	if n == 1 {
-		copy(out, in[me*bl:(me+1)*bl])
-		return nil
-	}
-	work := p.AcquireBuf(n * bl)
-	defer p.ReleaseBuf(work)
-	copy(work, in)
-
-	sends := make([]mpsim.Send, 1)
-	froms := make([]int, 1)
-	into := make([][]byte, 1)
-	lo := 0
-	for size := n; size > 1; size /= 2 {
-		half := size / 2
-		partner := me ^ half
-		keepLo, sendLo := lo, lo+half
-		if me&half != 0 {
-			keepLo, sendLo = lo+half, lo
-			lo += half
-		}
-		rcv := p.AcquireBuf(half * bl)
-		sends[0] = mpsim.Send{To: g.ID(partner), Data: work[sendLo*bl : (sendLo+half)*bl]}
-		froms[0] = g.ID(partner)
-		into[0] = rcv
-		err := p.ExchangeInto(sends, froms, into)
-		if err == nil {
-			pl.combineInto(work[keepLo*bl:(keepLo+half)*bl], rcv)
-		}
-		p.ReleaseBuf(rcv)
-		if err != nil {
-			return err
-		}
-	}
-	copy(out, work[me*bl:(me+1)*bl])
-	return nil
-}
-
-// bruckReduceBody: Phase 1 and Phase 2 are exactly the compiled Bruck
-// index body — rotate the contribution row into the working region and
-// replay the precomputed rounds — and Phase 3 combines instead of
-// permuting: after Phase 2 working slot q holds rank (me-q)'s
-// contribution to chunk me, so the n slots fold into the output chunk
-// with n-1 kernel applications (own contribution first, then sources
-// me-1, me-2, ... — a fixed order, so repeated executions are
-// bit-identical).
-func (pl *Plan) bruckReduceBody(p *mpsim.Proc, in, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	work := p.AcquireBuf(n * bl)
-	defer p.ReleaseBuf(work)
-	cut := me * bl
-	copy(work, in[cut:])
-	copy(work[len(in)-cut:], in[:cut])
-
-	if err := pl.replayBruckRounds(p, work, bl); err != nil {
-		return err
-	}
-
-	copy(out, work[:bl])
-	for q := 1; q < n; q++ {
-		pl.combineInto(out, work[q*bl:(q+1)*bl])
-	}
-	return nil
-}
-
-// allReduceBody composes the phases inside one run: the reduce-scatter
-// schedule leaves the combined chunk me in output slot 0, then the
-// compiled circulant concatenation rounds replay on the output region
-// exactly as in circulantBody, and the final rotation puts chunk j in
-// slot j on every rank.
-func (pl *Plan) allReduceBody(p *mpsim.Proc, in, out []byte) error {
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	bl := pl.blockLen
-
-	if n == 1 {
-		copy(out, in)
-		return nil
-	}
-	if err := pl.reduceScatterBody(p, in, out[:bl]); err != nil {
-		return err
-	}
-
-	if pl.trivial {
-		sends := make([]mpsim.Send, 0, n-1)
-		froms := make([]int, 0, n-1)
-		into := make([][]byte, 0, n-1)
+		// Phases 1 and 2 are the Bruck index's — rotate the contribution
+		// row into the working region and run the rounds — and Phase 3
+		// combines instead of permuting: slot q then holds rank (me-q)'s
+		// contribution to chunk me, so the slots fold into the chunk, own
+		// contribution first, then sources me-1, me-2, ...
+		b.local(stepSpread, b.ext(blocksAt(regWork, fixed(0), n)), b.ext(blocksAt(regIn, plus(0), n)))
+		segments = b.bruckRounds(n, k, bl, func(int) int { return r }, false, segments)
+		b.local(stepCopy, chunk, slot0)
+		lo := len(b.exts)
 		for q := 1; q < n; q++ {
-			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me-q, n)), Data: out[:bl]})
-			froms = append(froms, g.ID(intmath.Mod(me+q, n)))
-			into = append(into, out[q*bl:(q+1)*bl])
+			b.exts = append(b.exts, chunk[0])
 		}
-		if err := p.ExchangeInto(sends, froms, into); err != nil {
-			return err
+		b.combine(b.exts[lo:len(b.exts):len(b.exts)], b.ext(blocksAt(regWork, fixed(1), n-1)))
+		return []scratch{{n * bl, bl}}, segments, nil
+	case n == 1:
+		b.local(stepCopy, chunk, b.ext(blocksAt(regIn, plus(0), 1)))
+		return nil, 0, nil
+	case opt.Algorithm == ReduceRing:
+		// The partial for chunk c starts at rank c+1 with that rank's own
+		// contribution and travels the ring once, each rank combining its
+		// contribution as the partial passes; the round's receive lands
+		// in the one scratch block the send was copied out of.
+		b.local(stepCopy, slot0, b.ext(blocksAt(regIn, plus(-1), 1)))
+		for t := 1; t < n; t++ {
+			b.xfers = append(b.xfers, xfer{to: plus(1), from: plus(-1), send: slot0, recv: slot0})
+			b.exchange("", 0)
+			b.combine(slot0, b.ext(blocksAt(regIn, plus(-t-1), 1)))
 		}
-		buffers.RotateUp(out, n, bl, n-me)
-		return nil
+		b.local(stepCopy, chunk, slot0)
+		return []scratch{{bl, bl}}, 0, nil
+	default:
+		// Recursive vector halving in xor order: slot q of the working
+		// row holds the partial for chunk me xor q, so every round sends
+		// the upper half of what remains to partner me xor half and
+		// combines the partner's upper half into the lower; slot 0 ends
+		// as the fully combined chunk me.
+		b.local(stepSpread, b.ext(blocksAt(regWork, fixed(0), n)), b.ext(blocksAt(regIn, xor(0), n)))
+		for half := n / 2; half >= 1; half /= 2 {
+			b.xfers = append(b.xfers, xfer{to: xor(half), from: xor(half), combine: true,
+				send: b.ext(blocksAt(regWork, fixed(half), half)), recv: b.ext(blocksAt(regWork, fixed(0), half))})
+			b.exchange("", 0)
+		}
+		b.local(stepCopy, chunk, slot0)
+		return []scratch{{n * bl, bl}}, 0, nil
 	}
-
-	if len(pl.last) > 0 && pl.poolHint > 0 {
-		// Pre-size the pool for the mixed-size last-round payloads, as in
-		// circulantBody.
-		p.ReleaseBuf(p.AcquireBuf(pl.poolHint))
-	}
-	if err := pl.replayCirculantRounds(p, out, bl); err != nil {
-		return err
-	}
-	buffers.RotateUp(out, n, bl, n-me)
-	return nil
 }
 
 // reduceKey builds the cache key of a reduction plan configuration.
@@ -473,6 +326,9 @@ func (c *PlanCache) ReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind,
 // kernel, beta, tau), so the steady state of a repeated auto call is a
 // single cache lookup.
 func (c *PlanCache) AutoReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions, p costmodel.Profile) (*Plan, error) {
+	if err := checkGroup(e, g); err != nil {
+		return nil, err
+	}
 	n := g.Size()
 	verdict := reduceKey(e, g, kind, blockLen, opt)
 	// The dispatcher overrides the caller's algorithm, radix and segment
@@ -527,46 +383,14 @@ func (c *PlanCache) AutoReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceK
 	return best, nil
 }
 
-// checkReduceShape validates the flat buffer pair of one reduction
-// call before plan resolution (the plan's own checkBuffers re-validates
-// against the compiled shape).
-func checkReduceShape(g *mpsim.Group, kind ReduceKind, in, out *buffers.Buffers) error {
-	n := g.Size()
-	if n == 0 {
-		return fmt.Errorf("collective: empty group")
-	}
-	if in == nil || out == nil {
-		return fmt.Errorf("collective: nil flat buffer")
-	}
-	if in.Procs() != n || in.Blocks() != n {
-		return fmt.Errorf("collective: %v input is %dx%d blocks, group needs %dx%d",
-			kind, in.Procs(), in.Blocks(), n, n)
-	}
-	return nil
-}
-
 // ReduceScatterFlat compiles the reduce-scatter schedule and executes
 // it once. Repeated callers should hold a Plan from CompileReduce or go
 // through a PlanCache, as the public Machine API does.
 func ReduceScatterFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ReduceOptions) (*Result, error) {
-	if err := checkReduceShape(g, ReduceScatterKind, in, out); err != nil {
-		return nil, err
-	}
-	pl, err := CompileReduce(e, g, ReduceScatterKind, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return CompileReduce(e, g, ReduceScatterKind, b, opt) })
 }
 
 // AllReduceFlat compiles the allreduce schedule and executes it once.
 func AllReduceFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ReduceOptions) (*Result, error) {
-	if err := checkReduceShape(g, AllReduceKind, in, out); err != nil {
-		return nil, err
-	}
-	pl, err := CompileReduce(e, g, AllReduceKind, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return runFlat(in, out, func(b int) (*Plan, error) { return CompileReduce(e, g, AllReduceKind, b, opt) })
 }

@@ -1,0 +1,300 @@
+package collective
+
+// The interpreter: the one executor of every compiled plan. A frame
+// runs one rank's role of the step program on the engine's Proc API.
+//
+// Scratch and pool discipline: a role's scratch regions are acquired
+// from the processor-local pool when the role starts, in declaration
+// order, and released when it ends. A transfer travels as a view of the
+// region it addresses whenever that is one piece of memory; otherwise
+// it is packed into (or staged in) a pool buffer released at the end of
+// the step. Rounds that move payloads by ownership (the segmented
+// plans) always pack, and release what they receive.
+
+import (
+	"sync"
+
+	"bruck/internal/buffers"
+	"bruck/internal/mpsim"
+)
+
+// region is one memory of a running rank.
+type region struct {
+	shape
+	data []byte
+}
+
+// flatRegion is rank me's region of a fixed-size slab.
+func flatRegion(b *buffers.Buffers, me int) region {
+	return region{shape{stride: b.BlockLen()}, b.Proc(me)}
+}
+
+// raggedRegion is rank me's row of a layout slab.
+func raggedRegion(r *buffers.Ragged, me int) region {
+	return region{shape{lay: r.Layout(), row: me}, r.Proc(me)}
+}
+
+// frame is the state of one rank running one program: the top-level
+// plan, or a sub-program embedded in it. Frames are recycled through
+// framePool rather than kept on the stack: rank goroutines start on
+// small stacks, and a few hundred bytes more on the path down to the
+// engine round cost a small collective half its time in stack growth.
+type frame struct {
+	p       *mpsim.Proc
+	pl      *Plan
+	pr      *program
+	members []int // sub-frame: group rank of each frame rank; nil at the top
+	me      int
+	reg     [maxRegs]region
+
+	// The lists one exchange hands the engine; their capacity outlives
+	// the run, so a steady state allocates nothing for them.
+	sends []mpsim.Send
+	froms []int
+	into  [][]byte
+}
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// newFrame takes a frame from the pool for rank me's role of pr.
+func newFrame(p *mpsim.Proc, pl *Plan, pr *program, members []int, me int) *frame {
+	f := framePool.Get().(*frame)
+	f.p, f.pl, f.pr, f.members, f.me = p, pl, pr, members, me
+	if w := pr.width; cap(f.sends) < w {
+		f.sends, f.froms, f.into = make([]mpsim.Send, 0, w), make([]int, 0, w), make([][]byte, 0, w)
+	}
+	return f
+}
+
+// run executes the frame's role and returns the frame to the pool,
+// leaving no reference to the caller's memory behind in it.
+func (f *frame) run() error {
+	ro := f.pr.role(f.me)
+	for i, sc := range ro.scratch {
+		f.reg[int(regWork)+i] = region{shape{stride: sc.stride}, f.p.AcquireBuf(sc.bytes)}
+	}
+	var err error
+	for i := 0; i < len(ro.steps) && err == nil; i++ {
+		switch s := &ro.steps[i]; s.kind {
+		case stepExchange:
+			err = f.exchange(s)
+		case stepSkip:
+			f.p.SkipN(s.n)
+		case stepEmbed:
+			err = f.embed(s)
+		default:
+			f.local(s)
+		}
+	}
+	for i := range ro.scratch {
+		f.p.ReleaseBuf(f.reg[int(regWork)+i].data)
+	}
+	clear(f.sends[:cap(f.sends)])
+	clear(f.into[:cap(f.into)])
+	f.p, f.pl, f.pr, f.members = nil, nil, nil, nil
+	f.reg = [maxRegs]region{}
+	framePool.Put(f)
+	return err
+}
+
+// embed runs an embedded sub-program in a frame of its own — the step's
+// send extents are its input region, the recv extents its output region
+// — then sits out the rest of the phase.
+func (f *frame) embed(s *step) error {
+	sub := newFrame(f.p, f.pl, s.em.sub, s.em.members, s.em.me)
+	sub.reg[regIn] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].send)}
+	sub.reg[regOut] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].recv)}
+	err := sub.run()
+	f.p.SkipN(s.n)
+	return err
+}
+
+// id resolves a peer address to its engine rank.
+func (f *frame) id(a rel) int {
+	r := a.of(f.me, f.pr.n, 0)
+	if f.members != nil {
+		r = f.members[r]
+	}
+	return f.pl.group.ID(r)
+}
+
+// local runs a copy, spread or rotate step.
+func (f *frame) local(s *step) {
+	x := &s.xfers[0]
+	switch s.kind {
+	case stepCopy:
+		f.zip(x.recv, x.send, x.combine)
+	case stepSpread:
+		d, c := &x.recv[0], &x.send[0]
+		dr, cr := &f.reg[d.reg], &f.reg[c.reg]
+		for i := 0; i < int(d.n); i++ {
+			do, dn := d.bytes(dr.shape, f.me, f.pr.n, i)
+			co, cn := c.bytes(cr.shape, f.me, f.pr.n, i)
+			copy(dr.data[do:do+dn], cr.data[co:co+cn])
+		}
+	case stepRotate:
+		r := &f.reg[x.recv[0].reg]
+		buffers.RotateUp(r.data, f.pr.n, r.stride, f.pr.n-f.me)
+	}
+}
+
+// exchange runs one round: gather every send (a view, or a payload
+// packed into a pool buffer) and every receive (a view, or a staging
+// pool buffer), run the engine round, then land what was staged and
+// release the step's pool buffers in the order they were acquired. A
+// round that moves payloads by ownership (s.n > 0) always packs, leaves
+// the receive slots to the engine, and releases what it receives.
+func (f *frame) exchange(s *step) error {
+	f.sends, f.froms, f.into = f.sends[:0], f.froms[:0], f.into[:0]
+	p, owned := f.p, s.n > 0
+	for i := range s.xfers {
+		x := &s.xfers[i]
+		if x.to.mode != addrNone {
+			var data []byte
+			if x.pack || owned {
+				data = p.AcquireBuf(x.bytes)
+				f.pack(data, x.send)
+			} else {
+				data = f.view(x.send)
+			}
+			f.sends = append(f.sends, mpsim.Send{To: f.id(x.to), Data: data})
+		}
+		if x.from.mode != addrNone {
+			f.froms = append(f.froms, f.id(x.from))
+			switch {
+			case owned:
+				f.into = append(f.into, nil)
+			case x.stage:
+				f.into = append(f.into, p.AcquireBuf(x.bytes))
+			default:
+				f.into = append(f.into, f.view(x.recv))
+			}
+		}
+	}
+	var err error
+	if owned {
+		err = p.ExchangeOwned(f.sends, f.froms, f.into, s.n)
+	} else {
+		err = p.ExchangeInto(f.sends, f.froms, f.into)
+	}
+	si, ri := 0, 0
+	for i := range s.xfers {
+		x := &s.xfers[i]
+		if x.to.mode != addrNone {
+			if x.pack && !owned {
+				p.ReleaseBuf(f.sends[si].Data)
+			}
+			si++
+		}
+		if x.from.mode != addrNone {
+			if buf := f.into[ri]; owned || x.stage {
+				if err == nil {
+					f.unpack(x.recv, buf, x.combine)
+				}
+				p.ReleaseBuf(buf)
+			}
+			ri++
+		}
+	}
+	return err
+}
+
+// cursor walks the memory an extent list addresses, one piece at a
+// time.
+type cursor struct {
+	f      *frame
+	ext    []extent
+	i, blk int
+}
+
+// next returns the next piece of the walk.
+func (c *cursor) next() ([]byte, bool) {
+	for c.i < len(c.ext) && c.blk >= int(c.ext[c.i].n) {
+		c.i, c.blk = c.i+1, 0
+	}
+	if c.i == len(c.ext) {
+		return nil, false
+	}
+	p, blocks := c.f.piece(&c.ext[c.i], c.blk)
+	c.blk += blocks
+	return p, true
+}
+
+// piece returns the memory of an extent from its block b on, and the
+// number of blocks that is: a contiguous extent — whole ascending blocks
+// at a fixed place in a flat region — at once, any other block by block.
+func (f *frame) piece(e *extent, b int) ([]byte, int) {
+	r := &f.reg[e.reg]
+	if e.n > 1 && b == 0 && e.contiguous(r.lay == nil) {
+		lo := int(e.at.c) * r.stride
+		return r.data[lo : lo+int(e.n)*r.stride], int(e.n)
+	}
+	off, ln := e.bytes(r.shape, f.me, f.pr.n, b)
+	return r.data[off : off+ln], 1
+}
+
+// view returns the single piece a contiguous extent list addresses.
+func (f *frame) view(ext []extent) []byte {
+	if len(ext) == 0 {
+		return nil
+	}
+	p, _ := f.piece(&ext[0], 0)
+	return p
+}
+
+func (f *frame) pack(buf []byte, ext []extent) {
+	for i := range ext {
+		for b, e := 0, &ext[i]; b < int(e.n); {
+			p, blocks := f.piece(e, b)
+			buf = buf[copy(buf, p):]
+			b += blocks
+		}
+	}
+}
+
+func (f *frame) unpack(ext []extent, buf []byte, combine bool) {
+	for i := range ext {
+		for b, e := 0, &ext[i]; b < int(e.n); {
+			p, blocks := f.piece(e, b)
+			f.land(p, buf[:len(p)], combine)
+			buf = buf[len(p):]
+			b += blocks
+		}
+	}
+}
+
+// land writes src over dst, or combines it in; the kernel never sees an
+// empty slab.
+func (f *frame) land(dst, src []byte, combine bool) {
+	switch {
+	case !combine:
+		copy(dst, src)
+	case len(dst) > 0:
+		f.pl.combine(dst, src)
+	}
+}
+
+// zip moves src to dst as byte streams, piece boundaries on either side
+// notwithstanding, until one of them ends.
+func (f *frame) zip(dst, src []extent, combine bool) {
+	d, s := cursor{f: f, ext: dst}, cursor{f: f, ext: src}
+	var db, sb []byte
+	for ok := true; ; {
+		if len(db) == 0 {
+			if db, ok = d.next(); !ok {
+				return
+			}
+		}
+		if len(sb) == 0 {
+			if sb, ok = s.next(); !ok {
+				return
+			}
+		}
+		n := len(db)
+		if len(sb) < n {
+			n = len(sb)
+		}
+		f.land(db[:n], sb[:n], combine)
+		db, sb = db[n:], sb[n:]
+	}
+}

@@ -8,7 +8,6 @@ package collective
 
 import (
 	"bruck/internal/costmodel"
-	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
 	"bruck/internal/trace"
 )
@@ -37,13 +36,13 @@ func (pl *Plan) Schedule(events []mpsim.Event) *trace.Schedule {
 		C2:        pl.c2,
 		Rounds:    GroupEvents(events),
 	}
-	if h := pl.hier; h != nil {
+	if pl.topo != nil {
 		// Hierarchical schedules export their phase table in place of a
 		// Pattern: the leader-routed phases are not translation
 		// invariant, so there is no single rank-0 view to compile.
-		s.Topology = h.topo.Spec()
-		s.Groups = append([]int(nil), h.sizes...)
-		for _, ph := range pl.Phases() {
+		s.Topology = pl.topo.Spec()
+		s.Groups = append([]int(nil), pl.topo.Groups...)
+		for _, ph := range pl.phases {
 			s.Phases = append(s.Phases, trace.SchedulePhase{
 				Name:   ph.Name,
 				Class:  costmodel.LinkClass(ph.Class).String(),
@@ -55,7 +54,7 @@ func (pl *Plan) Schedule(events []mpsim.Event) *trace.Schedule {
 		}
 		return s
 	}
-	s.Pattern = pl.pattern()
+	s.Pattern = pl.prog.pattern()
 	return s
 }
 
@@ -71,110 +70,4 @@ func GroupEvents(events []mpsim.Event) []trace.ScheduleRound {
 		last.Sends = append(last.Sends, trace.ScheduleSend{Src: ev.Src, Dst: ev.Dst, Bytes: ev.Size})
 	}
 	return rounds
-}
-
-// pattern exports the compiled rank-0 round structure. A reduction plan
-// contributes its Bruck index rounds (ring and halving reductions are
-// formula-driven), and an allreduce plan additionally contributes its
-// concatenation phase, in execution order.
-func (pl *Plan) pattern() []trace.PatternRound {
-	n := pl.group.Size()
-	var out []trace.PatternRound
-
-	// Bruck-family index rounds (index plans, mixed radix, layout index
-	// plans, and the reduce-scatter phase of ReduceBruck). A pipelined
-	// plan exports one pattern round per merged round: segment seg runs
-	// compiled round t-seg in merged round t, so each entry multiplexes
-	// every live segment's transfers at that segment's span length —
-	// exactly the sends the executor issues.
-	if pl.segments > 1 {
-		R, segs := len(pl.rounds), pl.segments
-		for t := 0; t < R+segs-1; t++ {
-			pr := trace.PatternRound{Phase: "bruck"}
-			lo, hi := t-R+1, t
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > segs-1 {
-				hi = segs - 1
-			}
-			for seg := lo; seg <= hi; seg++ {
-				sp := pl.segSpans[seg]
-				for _, x := range pl.rounds[t-seg].xfers {
-					pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
-						Offset: x.offset,
-						Bytes:  len(x.blocks) * sp.Len,
-						Blocks: append([]int(nil), x.blocks...),
-					})
-				}
-			}
-			out = append(out, pr)
-		}
-	} else {
-		for _, rd := range pl.rounds {
-			pr := trace.PatternRound{Phase: "bruck"}
-			for _, x := range rd.xfers {
-				pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
-					Offset: x.offset,
-					Bytes:  x.bytes,
-					Blocks: append([]int(nil), x.blocks...),
-				})
-			}
-			out = append(out, pr)
-		}
-	}
-
-	// Circulant concatenation rounds (concat plans and the allgather
-	// phase of allreduce plans). A transfer's Offset is the destination
-	// offset — rank me sends to me+Offset — so the doubling round's send
-	// to me-t*base appears as offset -t*base mod n.
-	if pl.trivial {
-		pr := trace.PatternRound{Phase: "trivial"}
-		for q := 1; q < n; q++ {
-			pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
-				Offset: intmath.Mod(-q, n),
-				Bytes:  pl.blockLen,
-				Blocks: []int{0},
-			})
-		}
-		out = append(out, pr)
-	}
-	k := pl.engine.Ports()
-	for _, rd := range pl.dbl {
-		pr := trace.PatternRound{Phase: "doubling"}
-		blocks := make([]int, rd.count)
-		for j := range blocks {
-			blocks[j] = j
-		}
-		for t := 1; t <= k; t++ {
-			pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
-				Offset: intmath.Mod(-t*rd.base, n),
-				Bytes:  rd.count * pl.blockLen,
-				Blocks: blocks,
-			})
-		}
-		out = append(out, pr)
-	}
-	for _, lr := range pl.last {
-		pr := trace.PatternRound{Phase: "last"}
-		for _, area := range lr.areas {
-			x := trace.PatternTransfer{
-				Offset: intmath.Mod(-area.offset, n),
-				Bytes:  area.size,
-			}
-			for _, run := range area.runs {
-				// Extents name the receive-side placement: the bytes land in
-				// accumulation slot n1+col at [Row0, Row0+NRows); the sender
-				// gathered them from slot n1+col-offset.
-				x.Extents = append(x.Extents, trace.Extent{
-					Block: pl.n1 + run.Col,
-					Off:   run.Row0,
-					Len:   run.NRows,
-				})
-			}
-			pr.Transfers = append(pr.Transfers, x)
-		}
-		out = append(out, pr)
-	}
-	return out
 }

@@ -178,8 +178,10 @@ func TestUniformVCompilesIdenticalRounds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CompileIndexV(n=%d, k=%d, r=%d): %v", n, k, r, err)
 				}
-				if !reflect.DeepEqual(v.rounds, fixed.rounds) {
-					t.Errorf("n=%d k=%d r=%d: V rounds %+v != fixed rounds %+v", n, k, r, v.rounds, fixed.rounds)
+				// The layout only changes how the caller regions are
+				// addressed: the steps are the fixed-size program's.
+				if !reflect.DeepEqual(v.prog.roles, fixed.prog.roles) {
+					t.Errorf("n=%d k=%d r=%d: V program %+v != fixed program %+v", n, k, r, v.prog.roles, fixed.prog.roles)
 				}
 				if v.c1 != fixed.c1 || v.c2 != fixed.c2 || v.c2lb != fixed.c2lb {
 					t.Errorf("n=%d k=%d r=%d: V (c1=%d c2=%d lb=%d) != fixed (c1=%d c2=%d lb=%d)",
@@ -380,9 +382,9 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	if direct.Time(profile) < best.Time(profile) {
 		t.Errorf("auto chose time %g but direct has %g", best.Time(profile), direct.Time(profile))
 	}
-	if best.ialg != IndexDirect {
+	if best.alg != IndexDirect.String() {
 		t.Errorf("bandwidth-bound profile on heavy skew should pick the direct exchange, got %v (time %g vs direct %g)",
-			best.ialg, best.Time(profile), direct.Time(profile))
+			best.alg, best.Time(profile), direct.Time(profile))
 	}
 
 	// The same layout under a latency-bound profile flips to a
@@ -392,8 +394,8 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.ialg != IndexBruck {
-		t.Errorf("latency-bound profile should pick a Bruck schedule, got %v", best.ialg)
+	if best.alg != IndexBruck.String() {
+		t.Errorf("latency-bound profile should pick a Bruck schedule, got %v", best.alg)
 	}
 	if best.c1 >= direct.c1 {
 		t.Errorf("latency-bound choice has %d rounds, want fewer than direct's %d", best.c1, direct.c1)
@@ -450,7 +452,7 @@ func TestAutoConcatVDispatch(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("n=%d k=%d profile %s: auto chose %v (time %g), model minimum is %v (time %g)",
-						n, k, p.Name, got.calg, got.Time(p), want.calg, want.Time(p))
+						n, k, p.Name, got.alg, got.Time(p), want.alg, want.Time(p))
 				}
 			}
 			// The latency-bound profile must land on the round-optimal
@@ -459,8 +461,8 @@ func TestAutoConcatVDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n > 2 && got.calg != ConcatCirculant {
-				t.Errorf("n=%d k=%d: latency-bound profile should pick the circulant schedule, got %v", n, k, got.calg)
+			if n > 2 && got.alg != ConcatCirculant.String() {
+				t.Errorf("n=%d k=%d: latency-bound profile should pick the circulant schedule, got %v", n, k, got.alg)
 			}
 		}
 	}

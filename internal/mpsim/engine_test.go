@@ -500,6 +500,34 @@ func TestSendOnlyAndRecvOnlyRounds(t *testing.T) {
 	}
 }
 
+// TestReceiveOnlyRankPoolIsBounded: a rank that only ever receives is
+// handed one transport buffer per message and sends none back; over many
+// runs its pool must stay within poolMaxFree instead of hoarding them all
+// (the leak grew the heap ~250 KiB per hierarchical concat before the
+// bound).
+func TestReceiveOnlyRankPoolIsBounded(t *testing.T) {
+	e := MustNew(2)
+	buf := make([]byte, 64)
+	into := [][]byte{make([]byte, 64)}
+	for run := 0; run < 1000; run++ {
+		err := e.Run(func(p *Proc) error {
+			if p.Rank() == 0 {
+				return p.ExchangeInto([]Send{{To: 1, Data: buf}}, nil, nil)
+			}
+			return p.ExchangeInto(nil, []int{0}, into)
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	if got := len(e.pools[1].free); got > poolMaxFree {
+		t.Fatalf("receive-only rank holds %d pool buffers after 1000 runs, bound is %d", got, poolMaxFree)
+	}
+	if got := len(e.pools[1].free); got == 0 {
+		t.Fatalf("receive-only rank holds no pool buffers: the bound must not disable pooling")
+	}
+}
+
 func TestEmptyMessage(t *testing.T) {
 	e := MustNew(2)
 	err := e.Run(func(p *Proc) error {
