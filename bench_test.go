@@ -563,7 +563,7 @@ func BenchmarkIndexPlanReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/compile-per-call", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := collective.IndexFlat(e, g, fin, fout, opt); err != nil {
+				if _, err := compileAndRun(e, g, collective.Spec{Op: collective.OpIndex, Index: opt}, fin, fout); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -611,7 +611,7 @@ func BenchmarkConcatPlanReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/compile-per-call", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := collective.ConcatFlat(e, g, fin, fout, opt); err != nil {
+				if _, err := compileAndRun(e, g, collective.Spec{Op: collective.OpConcat, Concat: opt}, fin, fout); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,13 +49,14 @@ import (
 // any number of consecutive collective operations but is not safe for
 // concurrent use.
 //
-// Every collective call is routed through an internal plan cache keyed
-// by (operation, group, options, block size): the first call with a
-// configuration compiles its schedule, later calls replay the compiled
-// Plan with zero schedule recomputation. CompileIndex and CompileConcat
-// expose the plans directly, and RunPlans executes plans on disjoint
-// groups concurrently. The cache keys groups by pointer, so reuse the
-// *Group value (World, or a stored NewGroup result) to hit it.
+// Every collective call resolves its plan the same way: its options
+// become one collective.Spec and the machine's plan cache is asked for
+// it — the first call with a configuration compiles its schedule, later
+// calls replay the compiled Plan with zero schedule recomputation. The
+// Compile methods expose the plans directly, and RunPlans executes
+// plans on disjoint groups concurrently. The cache keys groups by
+// pointer, so reuse the *Group value (World, or a stored NewGroup
+// result) to hit it.
 type Machine struct {
 	engine *mpsim.Engine
 	world  *Group
@@ -578,45 +579,91 @@ func (m *Machine) call(opts []CollectiveOption) callConfig {
 	return cfg
 }
 
-// topoRouted reports whether a fixed-size call bypasses the flat
-// compilers: Hierarchical() forces the two-level schedule, and
-// WithAuto on a machine with a nontrivial topology runs the
-// flat-vs-hierarchical dispatch.
-func (m *Machine) topoRouted(cfg callConfig) bool {
-	return cfg.hier || (cfg.auto != nil && m.topo != nil && !m.topo.Trivial())
-}
-
-// errNoTopology guards the forced-hierarchical paths.
-func (m *Machine) hierTopo() (*Topology, error) {
-	if m.topo == nil {
-		return nil, fmt.Errorf("bruck: Hierarchical requires a machine created with WithTopology")
+// plan is the one plan-resolution path of the Machine: every collective
+// call folds its options into a Spec — the operation, the block size or
+// layout, and every option verbatim; collective.Spec documents which of
+// them the selected schedule family reads — and fetches the plan from
+// the machine's cache.
+func (m *Machine) plan(op collective.Op, blockLen int, l *Layout, opts []CollectiveOption) (*Plan, error) {
+	cfg := m.call(opts)
+	s := collective.Spec{
+		Op: op, BlockLen: blockLen, Layout: l,
+		Index: cfg.indexOpt, Radices: cfg.radices, Concat: cfg.concatOpt,
+		Hierarchical: cfg.hier, Hier: cfg.hierOpt, Topology: m.topo, Auto: cfg.auto,
 	}
-	return m.topo, nil
-}
-
-// topoIndexPlan resolves a topology-routed index plan: the forced
-// hierarchical schedule, or the auto dispatcher's winner.
-func (m *Machine) topoIndexPlan(cfg callConfig, blockLen int) (*Plan, error) {
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
+	if op == collective.OpReduceScatter || op == collective.OpAllReduce {
+		// The built-in kernel named by WithKernel (with its element size
+		// and cache identity) or the raw WithCombine function.
+		s.Reduce = collective.ReduceOptions{
+			Algorithm: cfg.reduceAlg, Radix: cfg.indexOpt.Radix, Kernel: cfg.combine,
+			LastRound: cfg.concatOpt.LastRound, Segments: cfg.indexOpt.Segments,
 		}
-		return m.plans.HierIndexPlan(m.engine, cfg.group, blockLen, topo, cfg.hierOpt)
+		if cfg.combine == nil && cfg.kernelSet {
+			fn, err := buffers.Kernel(cfg.kernelOp, cfg.kernelTyp)
+			if err != nil {
+				return nil, err
+			}
+			s.Reduce.Kernel, s.Reduce.ElemSize = fn, cfg.kernelTyp.Size()
+			s.Reduce.KernelKey = cfg.kernelOp.String() + "/" + cfg.kernelTyp.String()
+		}
 	}
-	return m.plans.AutoHierIndexPlan(m.engine, cfg.group, blockLen, m.topo)
+	return m.plans.Get(m.engine, cfg.group, s)
 }
 
-// topoConcatPlan is topoIndexPlan for the concatenation.
-func (m *Machine) topoConcatPlan(cfg callConfig, blockLen int) (*Plan, error) {
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
-		}
-		return m.plans.HierConcatPlan(m.engine, cfg.group, blockLen, topo, cfg.hierOpt)
+// slices is the one adapter behind the [][][]byte entry points: the
+// caller's blocks were copied into a flat slab (fin; err is that copy's
+// error), the plan is resolved for the slab's block size or layout, and
+// the schedule runs into a fresh slab of the plan's output shape, which
+// is copied back out.
+func (m *Machine) slices(op collective.Op, fin interface{ ToMatrix() [][][]byte }, err error, opts []CollectiveOption) ([][][]byte, *Report, error) {
+	if err != nil {
+		return nil, nil, err
 	}
-	return m.plans.AutoHierConcatPlan(m.engine, cfg.group, blockLen, m.topo, cfg.concatOpt.LastRound)
+	if vin, ok := fin.(*RaggedBuffers); ok {
+		pl, err := m.plan(op, 0, vin.Layout(), opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		vout, err := buffers.NewRagged(pl.OutLayout())
+		if err != nil {
+			return nil, nil, err
+		}
+		rep, err := pl.ExecuteV(vin, vout)
+		if err != nil {
+			return nil, nil, err
+		}
+		return vout.ToMatrix(), rep, nil
+	}
+	in := fin.(*Buffers)
+	pl, err := m.plan(op, in.BlockLen(), nil, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, blocks := pl.Group().Size(), pl.Group().Size()
+	if op == collective.OpReduceScatter {
+		blocks = 1
+	}
+	out, err := buffers.New(n, blocks, in.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := pl.Execute(in, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.ToMatrix(), rep, nil
+}
+
+// flat resolves the plan of a flat-buffer call and executes it once.
+func (m *Machine) flat(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Report, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("bruck: nil flat buffer")
+	}
+	pl, err := m.plan(op, in.BlockLen(), nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(in, out)
 }
 
 // Index performs all-to-all personalized communication
@@ -629,38 +676,8 @@ func (m *Machine) topoConcatPlan(cfg callConfig, blockLen int) (*Plan, error) {
 // copied back out as fresh slices. Allocation-sensitive callers should
 // use IndexFlat.
 func (m *Machine) Index(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.sliceRun(in, func(blockLen int) (*Plan, error) { return m.topoIndexPlan(cfg, blockLen) }, cfg)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixed(m.engine, cfg.group, in, cfg.radices)
-	}
-	return m.plans.Index(m.engine, cfg.group, in, cfg.indexOpt)
-}
-
-// sliceRun adapts a topology-routed plan to the legacy-slice matrix
-// shape: copy in, execute, copy out — the same adaptation Index and
-// AllReduce perform for flat plans inside the plan cache.
-func (m *Machine) sliceRun(in [][][]byte, plan func(blockLen int) (*Plan, error), cfg callConfig) ([][][]byte, *Report, error) {
 	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := plan(fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	n := cfg.group.Size()
-	fout, err := buffers.New(n, n, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.Execute(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return m.slices(collective.OpIndex, fin, err, opts)
 }
 
 // Concat performs all-to-all broadcast (MPI_Allgather): in[i] is block
@@ -670,28 +687,8 @@ func (m *Machine) sliceRun(in [][][]byte, plan func(blockLen int) (*Plan, error)
 // Concat is a convenience adapter over ConcatFlat; allocation-sensitive
 // callers should use ConcatFlat.
 func (m *Machine) Concat(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		fin, err := buffers.FromVector(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := m.topoConcatPlan(cfg, fin.BlockLen())
-		if err != nil {
-			return nil, nil, err
-		}
-		n := cfg.group.Size()
-		fout, err := buffers.New(n, n, fin.BlockLen())
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := pl.Execute(fin, fout)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fout.ToMatrix(), res, nil
-	}
-	return m.plans.Concat(m.engine, cfg.group, in, cfg.concatOpt)
+	fin, err := buffers.FromVector(in)
+	return m.slices(collective.OpConcat, fin, err, opts)
 }
 
 // Buffers is the flat block store of the zero-copy collective paths:
@@ -732,21 +729,7 @@ func NewConcatBuffers(n, blockLen int) (*Buffers, error) {
 // reused Machine the operation performs no per-block or per-message
 // allocations.
 func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		if in == nil || out == nil {
-			return nil, fmt.Errorf("bruck: nil flat buffer")
-		}
-		pl, err := m.topoIndexPlan(cfg, in.BlockLen())
-		if err != nil {
-			return nil, err
-		}
-		return pl.Execute(in, out)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixedFlat(m.engine, cfg.group, in, out, cfg.radices)
-	}
-	return m.plans.IndexFlat(m.engine, cfg.group, in, out, cfg.indexOpt)
+	return m.flat(collective.OpIndex, in, out, opts)
 }
 
 // ConcatFlat is the zero-copy concatenation: in is a concat-shaped flat
@@ -756,18 +739,7 @@ func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report
 // accumulation memory, so beyond pooled transport buffers the operation
 // allocates nothing on a reused Machine.
 func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		if in == nil || out == nil {
-			return nil, fmt.Errorf("bruck: nil flat buffer")
-		}
-		pl, err := m.topoConcatPlan(cfg, in.BlockLen())
-		if err != nil {
-			return nil, err
-		}
-		return pl.Execute(in, out)
-	}
-	return m.plans.ConcatFlat(m.engine, cfg.group, in, out, cfg.concatOpt)
+	return m.flat(collective.OpConcat, in, out, opts)
 }
 
 // Handle is the completion handle of a non-blocking collective
@@ -813,13 +785,17 @@ func (h *Handle) Report() *Report {
 	return h.rep
 }
 
-// async resolves a plan synchronously (the plan cache is confined to
+// async resolves the plan synchronously (the plan cache is confined to
 // the caller's goroutine), then executes it on a background goroutine
-// and returns immediately. planErr short-circuits: resolution failures
-// are synchronous, execution failures surface on Wait.
-func (m *Machine) async(pl *Plan, planErr error, in, out *Buffers) (*Handle, error) {
-	if planErr != nil {
-		return nil, planErr
+// and returns immediately: resolution failures are synchronous,
+// execution failures surface on Wait.
+func (m *Machine) async(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Handle, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("bruck: nil flat buffer")
+	}
+	pl, err := m.plan(op, in.BlockLen(), nil, opts)
+	if err != nil {
+		return nil, err
 	}
 	if !m.inflight.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
@@ -840,46 +816,19 @@ func (m *Machine) async(pl *Plan, planErr error, in, out *Buffers) (*Handle, err
 // the paper's C1*beta start-up term prices. in and out follow
 // IndexFlat's contract and belong to the operation until Wait.
 func (m *Machine) IndexAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	if m.topoRouted(cfg) {
-		pl, err := m.topoIndexPlan(cfg, in.BlockLen())
-		return m.async(pl, err, in, out)
-	}
-	if cfg.radices != nil {
-		pl, err := m.plans.IndexMixedPlan(m.engine, cfg.group, in.BlockLen(), cfg.radices)
-		return m.async(pl, err, in, out)
-	}
-	pl, err := m.plans.IndexPlan(m.engine, cfg.group, in.BlockLen(), cfg.indexOpt)
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpIndex, in, out, opts)
 }
 
 // ConcatAsync is the non-blocking ConcatFlat; in is concat-shaped and
 // out index-shaped, as there.
 func (m *Machine) ConcatAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	if m.topoRouted(cfg) {
-		pl, err := m.topoConcatPlan(cfg, in.BlockLen())
-		return m.async(pl, err, in, out)
-	}
-	pl, err := m.plans.ConcatPlan(m.engine, cfg.group, in.BlockLen(), cfg.concatOpt)
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpConcat, in, out, opts)
 }
 
 // AllReduceAsync is the non-blocking AllReduceFlat; in and out are both
 // index-shaped, as there.
 func (m *Machine) AllReduceAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(cfg, AllReduceKind, in.BlockLen())
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpAllReduce, in, out, opts)
 }
 
 // Layout describes the block-size structure of a ragged collective: a
@@ -911,27 +860,6 @@ type RaggedBuffers = buffers.Ragged
 // layout.
 func NewRaggedBuffers(l *Layout) (*RaggedBuffers, error) { return buffers.NewRagged(l) }
 
-// indexVPlan resolves the layout plan of one IndexV-family call:
-// auto-dispatched, mixed-radix, or the configured algorithm/radix, all
-// through the plan cache under layout-digest keys.
-func (m *Machine) indexVPlan(cfg callConfig, l *Layout) (*Plan, error) {
-	if cfg.auto != nil {
-		return m.plans.AutoIndexVPlan(m.engine, cfg.group, l, *cfg.auto)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexVMixedPlan(m.engine, cfg.group, l, cfg.radices)
-	}
-	return m.plans.IndexVPlan(m.engine, cfg.group, l, cfg.indexOpt)
-}
-
-// concatVPlan is indexVPlan for the concatenation.
-func (m *Machine) concatVPlan(cfg callConfig, l *Layout) (*Plan, error) {
-	if cfg.auto != nil {
-		return m.plans.AutoConcatVPlan(m.engine, cfg.group, l, *cfg.auto, cfg.concatOpt.LastRound)
-	}
-	return m.plans.ConcatVPlan(m.engine, cfg.group, l, cfg.concatOpt)
-}
-
 // IndexV performs all-to-all personalized communication with
 // variable-size blocks (MPI_Alltoallv): in[i][j] is the block group
 // rank i holds for rank j, and block lengths may differ freely —
@@ -942,24 +870,8 @@ func (m *Machine) concatVPlan(cfg callConfig, l *Layout) (*Plan, error) {
 // IndexV is a convenience adapter over IndexVFlat (one copy in, one
 // copy out); allocation-sensitive callers should use IndexVFlat.
 func (m *Machine) IndexV(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
 	fin, err := buffers.FromRaggedMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := m.indexVPlan(cfg, fin.Layout())
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.NewRagged(pl.OutLayout())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.ExecuteV(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return m.slices(collective.OpIndexV, fin, err, opts)
 }
 
 // ConcatV performs all-to-all broadcast with variable-size
@@ -970,24 +882,8 @@ func (m *Machine) IndexV(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *
 // ConcatV is a convenience adapter over ConcatVFlat; allocation-
 // sensitive callers should use ConcatVFlat.
 func (m *Machine) ConcatV(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
 	fin, err := buffers.FromRaggedVector(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := m.concatVPlan(cfg, fin.Layout())
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.NewRagged(pl.OutLayout())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.ExecuteV(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return m.slices(collective.OpConcatV, fin, err, opts)
 }
 
 // IndexVFlat is the zero-copy ragged index: in is a RaggedBuffers of
@@ -997,11 +893,15 @@ func (m *Machine) ConcatV(in [][]byte, opts ...CollectiveOption) ([][][]byte, *R
 // keys — so repeated layouts compile once, and on a reused Machine the
 // steady state performs no per-block or per-message allocations.
 func (m *Machine) IndexVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
+	return m.flatV(collective.OpIndexV, in, out, opts)
+}
+
+// flatV is flat for the ragged operations.
+func (m *Machine) flatV(op collective.Op, in, out *RaggedBuffers, opts []CollectiveOption) (*Report, error) {
 	if in == nil || out == nil {
 		return nil, fmt.Errorf("bruck: nil ragged buffer")
 	}
-	pl, err := m.indexVPlan(cfg, in.Layout())
+	pl, err := m.plan(op, 0, in.Layout(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1012,15 +912,7 @@ func (m *Machine) IndexVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (
 // RaggedBuffers of the n x 1 contribution layout and out one of its
 // ConcatOut shape (afterwards out.Block(i, j) equals in.Block(j, 0)).
 func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil ragged buffer")
-	}
-	pl, err := m.concatVPlan(cfg, in.Layout())
-	if err != nil {
-		return nil, err
-	}
-	return pl.ExecuteV(in, out)
+	return m.flatV(collective.OpConcatV, in, out, opts)
 }
 
 // CompileIndexV compiles (and caches) the ragged index schedule for the
@@ -1030,14 +922,14 @@ func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) 
 // pair for RunPlans, where ragged and fixed-size plans may run
 // concurrently on disjoint groups.
 func (m *Machine) CompileIndexV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.indexVPlan(m.call(opts), l)
+	return m.plan(collective.OpIndexV, 0, l, opts)
 }
 
 // CompileConcatV compiles (and caches) the ragged concatenation
 // schedule for the layout (circulant on padded slots, or the
 // exact-extent ring via WithConcatAlgorithm/WithAuto).
 func (m *Machine) CompileConcatV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.concatVPlan(m.call(opts), l)
+	return m.plan(collective.OpConcatV, 0, l, opts)
 }
 
 // Plan is a compiled collective schedule: the complete round, partner
@@ -1057,14 +949,7 @@ type Plan = collective.Plan
 // exactly what IndexFlat would — IndexFlat itself is a thin wrapper
 // that compiles through the same cache and executes once.
 func (m *Machine) CompileIndex(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.topoIndexPlan(cfg, blockLen)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixedPlan(m.engine, cfg.group, blockLen, cfg.radices)
-	}
-	return m.plans.IndexPlan(m.engine, cfg.group, blockLen, cfg.indexOpt)
+	return m.plan(collective.OpIndex, blockLen, nil, opts)
 }
 
 // CompileConcat compiles (and caches) the concatenation schedule for
@@ -1074,11 +959,7 @@ func (m *Machine) CompileIndex(blockLen int, opts ...CollectiveOption) (*Plan, e
 // concat-shaped input (NewConcatBuffers) and an index-shaped output
 // (NewIndexBuffers).
 func (m *Machine) CompileConcat(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.topoConcatPlan(cfg, blockLen)
-	}
-	return m.plans.ConcatPlan(m.engine, cfg.group, blockLen, cfg.concatOpt)
+	return m.plan(collective.OpConcat, blockLen, nil, opts)
 }
 
 // RunPlans executes several compiled plans concurrently inside one
@@ -1092,55 +973,6 @@ func (m *Machine) RunPlans(plans []*Plan) ([]*Report, error) {
 	return collective.ExecutePlans(m.engine, plans)
 }
 
-// reduceOptions resolves one reduction call's configuration into the
-// implementation options: the built-in kernel named by WithKernel (with
-// its element size and cache identity) or the raw WithCombine function.
-func (c callConfig) reduceOptions() (collective.ReduceOptions, error) {
-	opt := collective.ReduceOptions{
-		Algorithm: c.reduceAlg,
-		Radix:     c.indexOpt.Radix,
-		LastRound: c.concatOpt.LastRound,
-		Segments:  c.indexOpt.Segments,
-	}
-	switch {
-	case c.combine != nil:
-		opt.Kernel = c.combine
-	case c.kernelSet:
-		fn, err := buffers.Kernel(c.kernelOp, c.kernelTyp)
-		if err != nil {
-			return opt, err
-		}
-		opt.Kernel = fn
-		opt.ElemSize = c.kernelTyp.Size()
-		opt.KernelKey = c.kernelOp.String() + "/" + c.kernelTyp.String()
-	}
-	return opt, nil
-}
-
-// reducePlan resolves the plan of one reduction call: auto-dispatched
-// or the configured algorithm, through the plan cache (user kernels
-// compile fresh, see WithCombine).
-func (m *Machine) reducePlan(cfg callConfig, kind ReduceKind, blockLen int) (*Plan, error) {
-	opt, err := cfg.reduceOptions()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
-		}
-		return m.plans.HierReducePlan(m.engine, cfg.group, kind, blockLen, topo, opt)
-	}
-	if cfg.auto != nil {
-		if m.topo != nil && !m.topo.Trivial() {
-			return m.plans.AutoHierReducePlan(m.engine, cfg.group, kind, blockLen, m.topo, opt)
-		}
-		return m.plans.AutoReducePlan(m.engine, cfg.group, kind, blockLen, opt, *cfg.auto)
-	}
-	return m.plans.ReducePlan(m.engine, cfg.group, kind, blockLen, opt)
-}
-
 // ReduceScatterFlat is the zero-copy reduce-scatter: in is an
 // index-shaped flat buffer (NewIndexBuffers) whose Block(i, j) is group
 // rank i's contribution to chunk j, and out a concat-shaped one
@@ -1151,14 +983,7 @@ func (m *Machine) reducePlan(cfg callConfig, kind ReduceKind, blockLen int) (*Pl
 // copy. ReduceScatterFlat routes through the plan cache exactly like
 // IndexFlat.
 func (m *Machine) ReduceScatterFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(m.call(opts), ReduceScatterKind, in.BlockLen())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return m.flat(collective.OpReduceScatter, in, out, opts)
 }
 
 // AllReduceFlat is the zero-copy allreduce: in and out are both
@@ -1170,14 +995,7 @@ func (m *Machine) ReduceScatterFlat(in, out *Buffers, opts ...CollectiveOption) 
 // followed by the paper's circulant concatenation, inside one simulated
 // run.
 func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(m.call(opts), AllReduceKind, in.BlockLen())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return m.flat(collective.OpAllReduce, in, out, opts)
 }
 
 // ReduceScatter is the legacy-slice reduce-scatter: in[i][j] is group
@@ -1186,39 +1004,16 @@ func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Re
 // adapter over ReduceScatterFlat — one copy in, one copy out;
 // allocation-sensitive callers should use ReduceScatterFlat.
 func (m *Machine) ReduceScatter(in [][][]byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	fout, res, err := m.reduceSlices(in, ReduceScatterKind, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := fout.ToVector()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, res, nil
-}
-
-// reduceSlices adapts a reduction to the legacy-slice shape: copy the
-// contributions in, resolve the plan (which validates the group), and
-// execute into a fresh slab of the kind's output shape.
-func (m *Machine) reduceSlices(in [][][]byte, kind ReduceKind, opts []CollectiveOption) (*Buffers, *Report, error) {
 	fin, err := buffers.FromMatrix(in)
+	mat, rep, err := m.slices(collective.OpReduceScatter, fin, err, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := m.reducePlan(m.call(opts), kind, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
+	out := make([][]byte, len(mat))
+	for i := range mat {
+		out[i] = mat[i][0]
 	}
-	n, blocks := pl.Group().Size(), 1
-	if kind == AllReduceKind {
-		blocks = n
-	}
-	fout, err := buffers.New(n, blocks, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.Execute(fin, fout)
-	return fout, res, err
+	return out, rep, nil
 }
 
 // AllReduce is the legacy-slice allreduce: in[i][j] is group rank i's
@@ -1226,11 +1021,8 @@ func (m *Machine) reduceSlices(in [][][]byte, kind ReduceKind, opts []Collective
 // combination over p of in[p][j] on every rank i. A convenience adapter
 // over AllReduceFlat.
 func (m *Machine) AllReduce(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fout, res, err := m.reduceSlices(in, AllReduceKind, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	fin, err := buffers.FromMatrix(in)
+	return m.slices(collective.OpAllReduce, fin, err, opts)
 }
 
 // CompileReduce compiles (and caches) the reduction selected by kind —
@@ -1242,7 +1034,7 @@ func (m *Machine) AllReduce(in [][][]byte, opts ...CollectiveOption) ([][][]byte
 // With WithAuto the returned plan is the cost-model winner over the
 // candidate reduce-scatter schedules.
 func (m *Machine) CompileReduce(kind ReduceKind, blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	return m.reducePlan(m.call(opts), kind, blockLen)
+	return m.plan(kind.Op(), blockLen, nil, opts)
 }
 
 // Typed element views, re-exported from the buffer layer: encode typed

@@ -47,6 +47,17 @@ func fillConcatInput(in *Buffers, seed int) {
 // TestPlanCacheIdentity: compiling the same configuration twice returns
 // the same *Plan; changing any option, the group, or the block size
 // misses the cache.
+// compileAndRun is the uncached compile-per-call path the plan tests and
+// benchmarks compare against.
+func compileAndRun(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *Buffers) (*Report, error) {
+	s.BlockLen = in.BlockLen()
+	pl, err := collective.Compile(e, g, s)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(in, out)
+}
+
 func TestPlanCacheIdentity(t *testing.T) {
 	m := MustNewMachine(8)
 	g, err := m.NewGroup([]int{1, 3, 5, 7})
@@ -169,7 +180,7 @@ func TestPlanExecuteMatchesFlat(t *testing.T) {
 					if err != nil {
 						t.Fatalf("plan Execute(n=%d, k=%d, %s): %v", n, k, backend, err)
 					}
-					wantRep, err := collective.IndexFlat(e, g, in, want, collective.IndexOptions{})
+					wantRep, err := compileAndRun(e, g, collective.Spec{Op: collective.OpIndex}, in, want)
 					if err != nil {
 						t.Fatalf("IndexFlat(n=%d, k=%d, %s): %v", n, k, backend, err)
 					}
@@ -194,7 +205,7 @@ func TestPlanExecuteMatchesFlat(t *testing.T) {
 				if err != nil {
 					t.Fatalf("concat plan Execute(n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
-				wantRep, err := collective.ConcatFlat(e, g, cin, want, collective.ConcatOptions{})
+				wantRep, err := compileAndRun(e, g, collective.Spec{Op: collective.OpConcat}, cin, want)
 				if err != nil {
 					t.Fatalf("ConcatFlat(n=%d, k=%d, %s): %v", n, k, backend, err)
 				}

@@ -239,3 +239,49 @@ func TestTopologyCriticalPath(t *testing.T) {
 		t.Error("CriticalPathTopoTime without WithTopology must error")
 	}
 }
+
+// TestHierarchicalReduceKeysOnKind: a hierarchical reduce-scatter is
+// rejected with the one pinned error whether or not the hierarchical
+// allreduce of the same shape is already cached. (The cache key used to
+// drop the kind, so the warm call was served the allreduce plan.)
+func TestHierarchicalReduceKeysOnKind(t *testing.T) {
+	const want = "collective: hierarchical reduction supports AllReduceKind only, got reduce-scatter"
+	m := MustNewMachine(16, WithTopology(topo4x4(t)))
+	opts := []CollectiveOption{Hierarchical(), WithKernel(ReduceSum, Int32)}
+	for _, state := range []string{"cold", "warm"} {
+		if _, err := m.CompileReduce(ReduceScatterKind, 64, opts...); err == nil || err.Error() != want {
+			t.Errorf("%s cache: error = %v, want %q", state, err, want)
+		}
+		if _, err := m.CompileReduce(AllReduceKind, 64, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTopologyAutoKeysOnLastRoundPolicy: in the special range the
+// last-round policy changes the flat circulant candidate, so two auto
+// calls differing only in the policy are two verdicts. (The verdict key
+// used to drop the policy, so the second call was served the first
+// call's plan.)
+func TestTopologyAutoKeysOnLastRoundPolicy(t *testing.T) {
+	topo, err := NewTopology([]int{2, 2}, SP1, ScaledProfile(SP1, 1.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNewMachine(4, Ports(2), WithTopology(topo))
+	for _, tc := range []struct {
+		policy CollectiveOption
+		c1, c2 int
+	}{
+		{WithLastRoundPolicy(LastRoundMinRounds), 2, 6},
+		{WithLastRoundPolicy(LastRoundMinVolume), 2, 5},
+	} {
+		pl, err := m.CompileConcat(3, WithAuto(SP1), tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Rounds() != tc.c1 || pl.PredictedC2() != tc.c2 {
+			t.Errorf("(C1, C2) = (%d, %d), want (%d, %d)", pl.Rounds(), pl.PredictedC2(), tc.c1, tc.c2)
+		}
+	}
+}

@@ -144,11 +144,8 @@ func runBaselines(rp *reporter, backend mpsim.Backend, b int) error {
 			collective.ConcatRing, collective.ConcatRecursiveDoubling,
 		} {
 			e := mpsim.MustNew(n, mpsim.WithTransport(backend))
-			in := make([][]byte, n)
-			for i := range in {
-				in[i] = make([]byte, b)
-			}
-			_, res, err := collective.Concat(e, mpsim.WorldGroup(n), in, collective.ConcatOptions{Algorithm: alg})
+			spec := collective.Spec{Op: collective.OpConcat, BlockLen: b, Concat: collective.ConcatOptions{Algorithm: alg}}
+			res, err := runOnce(e, mpsim.WorldGroup(n), spec, true)
 			if err != nil {
 				return err
 			}

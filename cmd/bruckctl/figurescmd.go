@@ -193,7 +193,7 @@ func verifyIndexOnBackend(n, r int, backend mpsim.Backend) error {
 			in.Block(i, j)[0], in.Block(i, j)[1] = byte(i), byte(j)
 		}
 	}
-	if _, err := collective.IndexFlat(e, g, in, out, collective.IndexOptions{Radix: r}); err != nil {
+	if _, err := execOnce(e, g, collective.Spec{Op: collective.OpIndex, Index: collective.IndexOptions{Radix: r}}, in, out); err != nil {
 		return fmt.Errorf("verifying on %s transport: %w", backend, err)
 	}
 	for i := 0; i < n; i++ {
@@ -227,7 +227,7 @@ func verifyConcatOnBackend(n int, backend mpsim.Backend) error {
 	for i := 0; i < n; i++ {
 		in.Block(i, 0)[0] = byte(i)
 	}
-	if _, err := collective.ConcatFlat(e, g, in, out, collective.ConcatOptions{}); err != nil {
+	if _, err := execOnce(e, g, collective.Spec{Op: collective.OpConcat}, in, out); err != nil {
 		return fmt.Errorf("verifying on %s transport: %w", backend, err)
 	}
 	for i := 0; i < n; i++ {

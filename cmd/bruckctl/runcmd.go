@@ -187,29 +187,9 @@ func runOpInto(rp *reporter, p params) error {
 		}
 		opt.Segments = seg
 		if p.repeat > 1 {
-			return runIndexRepeat(rp, p, e, g, opt)
+			return runRepeat(rp, p, e, g, collective.Spec{Op: collective.OpIndex, Index: opt}, opt.Algorithm)
 		}
-		if p.flat {
-			fin, ferr := buffers.New(p.n, p.n, p.b)
-			if ferr != nil {
-				return ferr
-			}
-			fout, ferr := buffers.New(p.n, p.n, p.b)
-			if ferr != nil {
-				return ferr
-			}
-			res, err = collective.IndexFlat(e, g, fin, fout, opt)
-		} else {
-			in := make([][][]byte, p.n)
-			for i := range in {
-				in[i] = make([][]byte, p.n)
-				for j := range in[i] {
-					in[i][j] = make([]byte, p.b)
-				}
-			}
-			_, res, err = collective.Index(e, g, in, opt)
-		}
-		if err != nil {
+		if res, err = runOnce(e, g, collective.Spec{Op: collective.OpIndex, BlockLen: p.b, Index: opt}, p.flat); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "index: n=%d k=%d b=%d alg=%v path=%s transport=%s\n", p.n, p.k, p.b, opt.Algorithm, pathName(p.flat), e.Transport())
@@ -238,26 +218,10 @@ func runOpInto(rp *reporter, p params) error {
 			return fmt.Errorf("unknown concat algorithm %q", p.alg)
 		}
 		if p.repeat > 1 {
-			return runConcatRepeat(rp, p, e, g, opt)
+			return runRepeat(rp, p, e, g, collective.Spec{Op: collective.OpConcat, Concat: opt}, opt.Algorithm)
 		}
-		if p.flat {
-			fin, ferr := buffers.New(p.n, 1, p.b)
-			if ferr != nil {
-				return ferr
-			}
-			fout, ferr := buffers.New(p.n, p.n, p.b)
-			if ferr != nil {
-				return ferr
-			}
-			res, err = collective.ConcatFlat(e, g, fin, fout, opt)
-		} else {
-			in := make([][]byte, p.n)
-			for i := range in {
-				in[i] = make([]byte, p.b)
-			}
-			_, res, err = collective.Concat(e, g, in, opt)
-		}
-		if err != nil {
+		var err error
+		if res, err = runOnce(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: p.b, Concat: opt}, p.flat); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "concat: n=%d k=%d b=%d alg=%v path=%s transport=%s\n", p.n, p.k, p.b, opt.Algorithm, pathName(p.flat), e.Transport())
@@ -293,6 +257,45 @@ func runOpInto(rp *reporter, p params) error {
 	return nil
 }
 
+// runOnce compiles the spec and executes it once on zeroed buffers. The
+// legacy path crosses the [][][]byte shape on the way in and out — one
+// copy each, as the public Index/Concat adapters do.
+func runOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, flat bool) (*collective.Result, error) {
+	n, inBlocks := g.Size(), g.Size()
+	if s.Op == collective.OpConcat {
+		inBlocks = 1
+	}
+	in, err := buffers.New(n, inBlocks, s.BlockLen)
+	if err != nil {
+		return nil, err
+	}
+	out, err := buffers.New(n, n, s.BlockLen)
+	if err != nil {
+		return nil, err
+	}
+	if !flat {
+		if in, err = buffers.FromMatrix(in.ToMatrix()); err != nil {
+			return nil, err
+		}
+	}
+	res, err := execOnce(e, g, s, in, out)
+	if err == nil && !flat {
+		out.ToMatrix()
+	}
+	return res, err
+}
+
+// execOnce compiles the spec at the buffers' block size and executes it
+// once: the compile-per-call path.
+func execOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *buffers.Buffers) (*collective.Result, error) {
+	s.BlockLen = in.BlockLen()
+	pl, err := collective.Compile(e, g, s)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(in, out)
+}
+
 func pathName(flat bool) string {
 	if flat {
 		return "flat"
@@ -300,12 +303,17 @@ func pathName(flat bool) string {
 	return "legacy"
 }
 
-// runIndexRepeat is the plan-reuse study for the index operation: the
-// same configuration executed p.repeat times compiling on every call,
-// then p.repeat times through one precompiled plan, with a byte-level
-// equivalence check between the two result sets.
-func runIndexRepeat(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group, opt collective.IndexOptions) error {
-	fin, err := buffers.New(p.n, p.n, p.b)
+// runRepeat is the plan-reuse study of the index or the concatenation
+// (where compile-per-call includes re-solving the last-round table
+// partition): the same spec executed p.repeat times compiling on every
+// call, then p.repeat times through one precompiled plan, with a
+// byte-level equivalence check between the two result sets.
+func runRepeat(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group, spec collective.Spec, alg fmt.Stringer) error {
+	inBlocks := p.n
+	if spec.Op == collective.OpConcat {
+		inBlocks = 1
+	}
+	fin, err := buffers.New(p.n, inBlocks, p.b)
 	if err != nil {
 		return err
 	}
@@ -318,42 +326,15 @@ func runIndexRepeat(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group, opt
 	if err != nil {
 		return err
 	}
-	plan, err := collective.CompileIndex(e, g, p.b, opt)
+	spec.BlockLen = p.b
+	plan, err := collective.Compile(e, g, spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(rp.text(), "index plan-reuse study: n=%d k=%d b=%d alg=%v transport=%s repeat=%d\n",
-		p.n, p.k, p.b, opt.Algorithm, e.Transport(), p.repeat)
-	return repeatStudy(rp, p, fmt.Sprint(opt.Algorithm), e, plan,
-		func() error { _, err := collective.IndexFlat(e, g, fin, perCallOut, opt); return err },
-		func() error { _, err := plan.Execute(fin, planOut); return err },
-		perCallOut, planOut)
-}
-
-// runConcatRepeat is the plan-reuse study for the concatenation, where
-// compile-per-call includes re-solving the last-round table partition.
-func runConcatRepeat(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group, opt collective.ConcatOptions) error {
-	fin, err := buffers.New(p.n, 1, p.b)
-	if err != nil {
-		return err
-	}
-	fillPattern(fin)
-	perCallOut, err := buffers.New(p.n, p.n, p.b)
-	if err != nil {
-		return err
-	}
-	planOut, err := buffers.New(p.n, p.n, p.b)
-	if err != nil {
-		return err
-	}
-	plan, err := collective.CompileConcat(e, g, p.b, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(rp.text(), "concat plan-reuse study: n=%d k=%d b=%d alg=%v transport=%s repeat=%d\n",
-		p.n, p.k, p.b, opt.Algorithm, e.Transport(), p.repeat)
-	return repeatStudy(rp, p, fmt.Sprint(opt.Algorithm), e, plan,
-		func() error { _, err := collective.ConcatFlat(e, g, fin, perCallOut, opt); return err },
+	fmt.Fprintf(rp.text(), "%s plan-reuse study: n=%d k=%d b=%d alg=%v transport=%s repeat=%d\n",
+		spec.Op, p.n, p.k, p.b, alg, e.Transport(), p.repeat)
+	return repeatStudy(rp, p, alg.String(), e, plan,
+		func() error { _, err := execOnce(e, g, spec, fin, perCallOut); return err },
 		func() error { _, err := plan.Execute(fin, planOut); return err },
 		perCallOut, planOut)
 }
@@ -515,10 +496,13 @@ func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 		kv.Add("zero_length_blocks", zeros)
 		kv.Add("c2_lower_bound", lowerbound.IndexVVolume(counts, p.k))
 
-		defPlan, defErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{})
-		maxPlan, maxErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{Radix: p.n})
-		dirPlan, dirErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{Algorithm: collective.IndexDirect})
-		autoPlan, autoErr := cache.AutoIndexVPlan(e, g, l, costmodel.SP1)
+		spec := collective.Spec{Op: collective.OpIndexV, Layout: l}
+		defPlan, defErr := cache.Get(e, g, spec)
+		spec.Index.Radix = p.n
+		maxPlan, maxErr := cache.Get(e, g, spec)
+		spec.Index = collective.IndexOptions{Algorithm: collective.IndexDirect}
+		dirPlan, dirErr := cache.Get(e, g, spec)
+		autoPlan, autoErr := cache.Get(e, g, collective.Spec{Op: collective.OpIndexV, Layout: l, Auto: &costmodel.SP1})
 		plans := []studyEntry{
 			{"bruck r=k+1", defPlan, defErr},
 			{fmt.Sprintf("bruck r=%d", p.n), maxPlan, maxErr},
@@ -586,9 +570,9 @@ func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 		kv.Add("largest_block", l.Max())
 		kv.Add("c2_lower_bound", lowerbound.ConcatVVolume(counts, p.k))
 
-		circ, cerr := cache.ConcatVPlan(e, g, l, collective.ConcatOptions{})
-		ring, rerr := cache.ConcatVPlan(e, g, l, collective.ConcatOptions{Algorithm: collective.ConcatRing})
-		auto, aerr := cache.AutoConcatVPlan(e, g, l, costmodel.SP1, 0)
+		circ, cerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l})
+		ring, rerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Concat: collective.ConcatOptions{Algorithm: collective.ConcatRing}})
+		auto, aerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Auto: &costmodel.SP1})
 		for _, en := range []studyEntry{
 			{"circulant", circ, cerr},
 			{"ring", ring, rerr},
@@ -870,13 +854,11 @@ func runReduce(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 	}
 	opt.Segments = seg
 
-	cache := collective.NewPlanCache()
-	var plan *collective.Plan
+	spec := collective.Spec{Op: kind.Op(), BlockLen: p.b, Reduce: opt}
 	if auto {
-		plan, err = cache.AutoReducePlan(e, g, kind, p.b, opt, costmodel.SP1)
-	} else {
-		plan, err = collective.CompileReduce(e, g, kind, p.b, opt)
+		spec.Auto = &costmodel.SP1
 	}
+	plan, err := collective.Compile(e, g, spec)
 	if err != nil {
 		return err
 	}

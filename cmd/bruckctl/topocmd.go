@@ -146,7 +146,7 @@ func runTopology(rp *reporter, p params) error {
 			return nil
 		}
 	case "concat":
-		hier, err = collective.CompileHierarchicalConcat(e, g, b, topo, collective.HierOptions{})
+		hier, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
 		if err != nil {
 			return err
 		}

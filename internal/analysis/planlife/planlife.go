@@ -15,12 +15,12 @@
 //     same function. (The runtime rejects this too; the analyzer moves
 //     the error to compile time where the function makes it obvious.)
 //
-//   - cache-key completeness: a function that takes an Options struct
-//     and builds a planCacheKey must read every Options field somewhere
-//     in its body — a field that never flows into the key (or into the
-//     logic deriving it) makes two distinct configurations collide in
-//     the cache. Intentional omissions carry //lint:allow planlife with
-//     the reason.
+//   - cache-key completeness: the function that builds a planKey takes
+//     the Spec it identifies and must read every Spec field, options
+//     structs field by field — a field that never flows into the key
+//     makes two distinct specs collide in the cache. The finding lands
+//     on the field's declaration, where an intentional omission carries
+//     //lint:allow planlife with the reason.
 //
 // It also enforces the async Handle ownership contract of the Machine
 // front door (IndexAsync/ConcatAsync/AllReduceAsync in the root bruck
@@ -43,7 +43,6 @@ package planlife
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"bruck/internal/analysis"
@@ -379,73 +378,73 @@ func checkHandles(pass *analysis.Pass, decl *ast.FuncDecl) {
 	})
 }
 
-// checkCacheKey flags planCacheKey construction that ignores fields of
-// the function's Options parameter.
+// checkCacheKey holds the one function that builds a planKey to the
+// whole Spec: it must take the Spec as a parameter and read every
+// field of it — of a field that is itself a struct of the package, a
+// whole-value read or a read of every field of that. A field that
+// never flows in is reported where it is declared.
 func checkCacheKey(pass *analysis.Pass, decl *ast.FuncDecl) {
-	if decl.Type.Params == nil {
-		return
-	}
-	// Find the Options-typed parameter, if any.
-	var optObj types.Object
-	var optStruct *types.Struct
-	for _, field := range decl.Type.Params.List {
-		for _, name := range field.Names {
-			obj := pass.Info.ObjectOf(name)
-			if obj == nil {
-				continue
-			}
-			named := analysis.NamedOf(obj.Type())
-			if named == nil || !strings.HasSuffix(named.Obj().Name(), "Options") || !analysis.PkgSuffix(named.Obj().Pkg(), "collective") {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			optObj, optStruct = obj, st
-		}
-	}
-	if optObj == nil {
-		return
-	}
-	// Find a planCacheKey composite literal.
 	var keyLit *ast.CompositeLit
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
+		if lit, ok := n.(*ast.CompositeLit); ok && keyLit == nil {
+			if tv, ok := pass.Info.Types[ast.Expr(lit)]; ok && analysis.IsNamedType(tv.Type, "collective", "planKey") {
+				keyLit = lit
+			}
 		}
-		if tv, ok := pass.Info.Types[ast.Expr(lit)]; ok && analysis.IsNamedType(tv.Type, "collective", "planCacheKey") {
-			keyLit = lit
-			return false
-		}
-		return true
+		return keyLit == nil
 	})
 	if keyLit == nil {
 		return
 	}
-	// Every Options field must be read somewhere in the function.
+	var spec types.Object
+	if decl.Type.Params != nil {
+		for _, field := range decl.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := pass.Info.ObjectOf(name); obj != nil && analysis.IsNamedType(obj.Type(), "collective", "Spec") {
+					spec = obj
+				}
+			}
+		}
+	}
+	if spec == nil {
+		pass.Reportf(keyLit.Pos(), "plan cache key built without the Spec it identifies; a planKey is derived from a canonical Spec in one function")
+		return
+	}
+	// used holds the selector paths read off the parameter: "Index",
+	// "Reduce.Kernel". A longer path does not count as a read of its
+	// prefix, so the walk stops at the outermost selector.
 	used := map[string]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pass.Info.ObjectOf(id) == optObj {
-			used[sel.Sel.Name] = true
+		path := sel.Sel.Name
+		x := ast.Unparen(sel.X)
+		if inner, ok := x.(*ast.SelectorExpr); ok {
+			path, x = inner.Sel.Name+"."+path, ast.Unparen(inner.X)
+		}
+		if id, ok := x.(*ast.Ident); ok && pass.Info.ObjectOf(id) == spec {
+			used[path] = true
+			return false
 		}
 		return true
 	})
-	var missing []string
-	for i := 0; i < optStruct.NumFields(); i++ {
-		if name := optStruct.Field(i).Name(); !used[name] {
-			missing = append(missing, name)
+	fields := analysis.NamedOf(spec.Type()).Underlying().(*types.Struct)
+	for i := 0; i < fields.NumFields(); i++ {
+		f := fields.Field(i)
+		if used[f.Name()] {
+			continue
+		}
+		sub, nested := f.Type().Underlying().(*types.Struct)
+		if named := analysis.NamedOf(f.Type()); !nested || named == nil || named.Obj().Pkg() != f.Pkg() {
+			pass.Reportf(f.Pos(), "Spec field %s never flows into the plan cache key; specs differing only there would collide in the plan cache", f.Name())
+			continue
+		}
+		for j := 0; j < sub.NumFields(); j++ {
+			if g := sub.Field(j); !used[f.Name()+"."+g.Name()] {
+				pass.Reportf(g.Pos(), "Spec field %s.%s never flows into the plan cache key; specs differing only there would collide in the plan cache", f.Name(), g.Name())
+			}
 		}
 	}
-	if len(missing) == 0 {
-		return
-	}
-	sort.Strings(missing)
-	pass.Reportf(keyLit.Pos(), "cache key ignores %s field(s) %s; configurations differing only there would collide in the plan cache",
-		analysis.NamedOf(optObj.Type()).Obj().Name(), strings.Join(missing, ", "))
 }

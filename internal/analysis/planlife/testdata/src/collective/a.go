@@ -1,6 +1,6 @@
 // Package collective is a structural fixture for the planlife
 // analyzer: it mirrors the real package's shapes (a Plan type, a
-// planCacheKey, Options structs, ExecutePlans) so the analyzer's
+// Spec with its planKey, Options structs, ExecutePlans) so the analyzer's
 // suffix-based type matching applies without importing unexported
 // internals.
 package collective
@@ -12,13 +12,24 @@ type Plan struct {
 	engine *mpsim.Engine
 }
 
-type planCacheKey struct {
-	alg, radix int
+type planKey struct {
+	op, alg int
+	kernel  string
 }
 
 type FakeOptions struct {
 	Algorithm int
-	Radix     int
+	Radix     int // want "Spec field Opts.Radix never flows into the plan cache key"
+}
+
+type Spec struct {
+	Op      int
+	Opts    FakeOptions
+	Whole   FakeOptions
+	Dropped int // want "Spec field Dropped never flows into the plan cache key"
+	//lint:allow planlife a func is not comparable; Name is its identity in the key
+	Kernel func()
+	Name   string
 }
 
 // CompileFake is compile-pipeline by name: field writes are fine here.
@@ -59,20 +70,17 @@ func rightEngine(e *mpsim.Engine, opt FakeOptions) error {
 	return ExecutePlans(e, []*Plan{pl})
 }
 
-func partialKey(opt FakeOptions) planCacheKey {
-	return planCacheKey{alg: opt.Algorithm} // want "cache key ignores FakeOptions"
-}
-
-func fullKey(opt FakeOptions) planCacheKey {
-	return planCacheKey{alg: opt.Algorithm, radix: opt.Radix}
-}
-
-// derivedKey reads every field even though only a derivation enters the
-// literal; that is complete.
-func derivedKey(opt FakeOptions) planCacheKey {
-	radix := opt.Radix
-	if opt.Algorithm == 0 {
-		radix = 0
+// keyOf is the key function: Op and Name flow in directly, Whole as a
+// value, Opts only through its Algorithm; Dropped and Opts.Radix are
+// the findings, Kernel the documented exception.
+func keyOf(s Spec) planKey {
+	alg := s.Opts.Algorithm
+	if s.Whole == (FakeOptions{}) {
+		alg = 0
 	}
-	return planCacheKey{alg: opt.Algorithm, radix: radix}
+	return planKey{op: s.Op, alg: alg, kernel: s.Name}
+}
+
+func strayKey(alg int) planKey {
+	return planKey{alg: alg} // want "plan cache key built without the Spec it identifies"
 }

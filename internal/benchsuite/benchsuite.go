@@ -196,24 +196,14 @@ func collectivesSuite() []Bench {
 
 	// Legacy block-matrix paths vs the flat zero-copy paths, chan and
 	// slot transports (the BenchmarkIndex/BenchmarkConcat comparison).
-	s = append(s, Bench{area, "index/legacy/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		in := indexInput(suiteN, suiteSize)
-		opt := collective.IndexOptions{Radix: 2}
-		var res *collective.Result
-		return func() error {
-			var err error
-			_, res, err = collective.Index(e, g, in, opt)
-			return err
-		}, modelOf(&res), nil
-	}})
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		backend := backend
-		s = append(s, Bench{area, "index/flat/" + string(backend), func() (func() error, func() (int, int), error) {
+	// Both compile on every call; the legacy arms also copy the block
+	// slices into a flat slab and the result back out, as the public
+	// [][][]byte entry points do.
+	perCall := func(name string, backend mpsim.Backend, legacy bool, spec collective.Spec, fill func() (*buffers.Buffers, error)) Bench {
+		return Bench{area, name, func() (func() error, func() (int, int), error) {
 			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
 			g := mpsim.WorldGroup(suiteN)
-			fin, err := buffers.FromMatrix(indexInput(suiteN, suiteSize))
+			fin, err := fill()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -221,46 +211,42 @@ func collectivesSuite() []Bench {
 			if err != nil {
 				return nil, nil, err
 			}
-			opt := collective.IndexOptions{Radix: 2}
 			var res *collective.Result
 			return func() error {
-				var err error
-				res, err = collective.IndexFlat(e, g, fin, fout, opt)
+				in, out := fin, fout
+				if legacy {
+					if in, err = fill(); err != nil {
+						return err
+					}
+					if out, err = buffers.New(suiteN, suiteN, suiteSize); err != nil {
+						return err
+					}
+				}
+				pl, err := collective.Compile(e, g, spec)
+				if err != nil {
+					return err
+				}
+				if res, err = pl.Execute(in, out); err == nil && legacy {
+					out.ToMatrix()
+				}
 				return err
 			}, modelOf(&res), nil
-		}})
+		}}
 	}
-	s = append(s, Bench{area, "concat/legacy/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		in := concatInput(suiteN, suiteSize)
-		var res *collective.Result
-		return func() error {
-			var err error
-			_, res, err = collective.Concat(e, g, in, collective.ConcatOptions{})
-			return err
-		}, modelOf(&res), nil
-	}})
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		backend := backend
-		s = append(s, Bench{area, "concat/flat/" + string(backend), func() (func() error, func() (int, int), error) {
-			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
-			g := mpsim.WorldGroup(suiteN)
-			fin, err := buffers.FromVector(concatInput(suiteN, suiteSize))
-			if err != nil {
-				return nil, nil, err
-			}
-			fout, err := buffers.New(suiteN, suiteN, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			var res *collective.Result
-			return func() error {
-				var err error
-				res, err = collective.ConcatFlat(e, g, fin, fout, collective.ConcatOptions{})
-				return err
-			}, modelOf(&res), nil
-		}})
+	matrix, vector := indexInput(suiteN, suiteSize), concatInput(suiteN, suiteSize)
+	for _, op := range []struct {
+		name string
+		spec collective.Spec
+		fill func() (*buffers.Buffers, error)
+	}{
+		{"index", collective.Spec{Op: collective.OpIndex, BlockLen: suiteSize, Index: collective.IndexOptions{Radix: 2}},
+			func() (*buffers.Buffers, error) { return buffers.FromMatrix(matrix) }},
+		{"concat", collective.Spec{Op: collective.OpConcat, BlockLen: suiteSize},
+			func() (*buffers.Buffers, error) { return buffers.FromVector(vector) }},
+	} {
+		s = append(s, perCall(op.name+"/legacy/chan", mpsim.BackendChan, true, op.spec, op.fill),
+			perCall(op.name+"/flat/chan", mpsim.BackendChan, false, op.spec, op.fill),
+			perCall(op.name+"/flat/slot", mpsim.BackendSlot, false, op.spec, op.fill))
 	}
 
 	// Plan reuse: precompiled schedule replay vs compile cost
@@ -361,13 +347,11 @@ func collectivesSuite() []Bench {
 		for x, data := 0, vin.Bytes(); x < len(data); x++ {
 			data[x] = byte(x*3 + 1)
 		}
-		cache := collective.NewPlanCache()
-		var pl *collective.Plan
+		spec := collective.Spec{Op: collective.OpIndexV, Layout: l, Index: collective.IndexOptions{Radix: 2}}
 		if auto {
-			pl, err = cache.AutoIndexVPlan(e, g, l, costmodel.SP1)
-		} else {
-			pl, err = cache.IndexVPlan(e, g, l, collective.IndexOptions{Radix: 2})
+			spec.Auto = &costmodel.SP1
 		}
+		pl, err := collective.Compile(e, g, spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -410,7 +394,7 @@ func collectivesSuite() []Bench {
 		for x, data := 0, vin.Bytes(); x < len(data); x++ {
 			data[x] = byte(x*5 + 2)
 		}
-		pl, err := collective.CompileConcatV(e, g, l, collective.ConcatOptions{})
+		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -627,7 +611,7 @@ func hierSuite() []Bench {
 		}
 		var pl *collective.Plan
 		if hier {
-			pl, err = collective.CompileHierarchicalConcat(e, g, suiteSize, topo, collective.HierOptions{})
+			pl, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: suiteSize, Hierarchical: true, Topology: topo})
 		} else {
 			pl, err = collective.CompileConcat(e, g, suiteSize, collective.ConcatOptions{})
 		}
@@ -787,8 +771,7 @@ func reduceSuite() []Bench {
 		s = append(s, Bench{area, "allreduce/auto/" + string(backend), func() (func() error, func() (int, int), error) {
 			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
 			g := mpsim.WorldGroup(suiteN)
-			cache := collective.NewPlanCache()
-			pl, err := cache.AutoReducePlan(e, g, collective.AllReduceKind, suiteSize, baseOpt, costmodel.SP1)
+			pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpAllReduce, BlockLen: suiteSize, Reduce: baseOpt, Auto: &costmodel.SP1})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -481,11 +481,11 @@ func (s *sim) verify() {
 		for j := 0; j < outBlocks && bad < 3; j++ {
 			from, blk, cnt, who := j, r, 1, rankHash(j)
 			switch pl.op {
-			case opConcat:
+			case OpConcat, OpConcatV:
 				blk = 0
-			case opReduceScatter:
+			case OpReduceScatter:
 				from, blk, cnt, who = 0, r, n, all
-			case opAllReduce:
+			case OpAllReduce:
 				from, blk, cnt, who = 0, j, n, all
 			}
 			off, ln := out.span(j)

@@ -57,23 +57,15 @@ func compileReduceT(kind ReduceKind, opt ReduceOptions) func(*testing.T, *mpsim.
 
 // compileHierT compiles a hierarchical plan of the given operation on
 // the topology spec.
-func compileHierT(op planOp, spec string) func(*testing.T, *mpsim.Engine, *mpsim.Group, int) *Plan {
+func compileHierT(op Op, spec string) func(*testing.T, *mpsim.Engine, *mpsim.Group, int) *Plan {
 	return func(t *testing.T, e *mpsim.Engine, g *mpsim.Group, b int) *Plan {
 		t.Helper()
 		topo, err := costmodel.ParseTopology(spec)
 		if err != nil {
 			t.Fatalf("ParseTopology(%q): %v", spec, err)
 		}
-		var pl *Plan
-		switch op {
-		case opIndex:
-			pl, err = CompileHierarchicalIndex(e, g, b, topo, HierOptions{})
-		case opConcat:
-			pl, err = CompileHierarchicalConcat(e, g, b, topo, HierOptions{})
-		default:
-			kern, _ := buffers.Kernel(buffers.Sum, buffers.Int32)
-			pl, err = CompileHierarchicalReduce(e, g, AllReduceKind, b, topo, ReduceOptions{Kernel: kern})
-		}
+		kern, _ := buffers.Kernel(buffers.Sum, buffers.Int32)
+		pl, err := Compile(e, g, Spec{Op: op, BlockLen: b, Hierarchical: true, Topology: topo, Reduce: ReduceOptions{Kernel: kern}})
 		if err != nil {
 			t.Fatalf("hierarchical %v compile: %v", op, err)
 		}
@@ -98,7 +90,7 @@ func compileIndexVT(opt IndexOptions) func(*testing.T, *mpsim.Engine, *mpsim.Gro
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := CompileIndexV(e, g, l, opt)
+		pl, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Index: opt})
 		if err != nil {
 			t.Fatalf("CompileIndexV: %v", err)
 		}
@@ -127,9 +119,9 @@ func checkConfigs() []checkConfig {
 		{"reducescatter-bruck-n9-k2-r3", 9, 2, 8, compileReduceT(ReduceScatterKind, ReduceOptions{Algorithm: ReduceBruck, Radix: 3})},
 		{"allreduce-bruck-n6-k2", 6, 2, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceBruck})},
 		{"allreduce-ring-n5-k4", 5, 4, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceRing})},
-		{"hier-index-4-4-3", 11, 2, 4, compileHierT(opIndex, "4,4,3")},
-		{"hier-concat-4-4-3", 11, 1, 4, compileHierT(opConcat, "4,4,3")},
-		{"hier-allreduce-4x4", 16, 2, 4, compileHierT(opAllReduce, "4x4")},
+		{"hier-index-4-4-3", 11, 2, 4, compileHierT(OpIndex, "4,4,3")},
+		{"hier-concat-4-4-3", 11, 1, 4, compileHierT(OpConcat, "4,4,3")},
+		{"hier-allreduce-4x4", 16, 2, 4, compileHierT(OpAllReduce, "4x4")},
 	}
 }
 

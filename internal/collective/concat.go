@@ -3,11 +3,8 @@ package collective
 import (
 	"fmt"
 
-	"bruck/internal/blocks"
-	"bruck/internal/buffers"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
-	"bruck/internal/mpsim"
 	"bruck/internal/partition"
 )
 
@@ -48,7 +45,7 @@ func (a ConcatAlgorithm) String() string {
 	}
 }
 
-// ConcatOptions configures Concat.
+// ConcatOptions configures the concatenations of a Spec.
 type ConcatOptions struct {
 	// Algorithm selects the schedule; default ConcatCirculant.
 	Algorithm ConcatAlgorithm
@@ -58,94 +55,49 @@ type ConcatOptions struct {
 	LastRound partition.Policy
 }
 
-// Concat performs all-to-all broadcast (concatenation) among group g on
-// engine e. in[i] is block B[i] of the processor with group rank i; all
-// blocks must have equal size. out[i][j] = B[j] for every group member
-// i.
-//
-// Concat is a thin adapter over the flat path: it copies the blocks
-// into a flat Buffers, runs the compiled plan, and copies the result
-// back out. Callers that care about allocation cost should use
-// ConcatFlat directly.
-func Concat(e *mpsim.Engine, g *mpsim.Group, in [][]byte, opt ConcatOptions) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromVector(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileConcat(e, g, b, opt) })
-}
-
-// ConcatFlat is the flat-buffer concatenation: in is a concat-shaped
-// Buffers (n processor regions of one block each, n the group size) and
-// out an index-shaped Buffers (n regions of n blocks). Afterwards
-// out.Block(i, j) equals in.Block(j, 0) for every member i. in and out
-// must be distinct Buffers; out is fully overwritten and doubles as the
-// algorithms' accumulation memory, so the operation needs no O(n*b)
-// scratch beyond pooled per-message transport buffers.
-//
-// ConcatFlat compiles the schedule — including the circulant last-round
-// table partition — and executes it once. Repeated callers should
-// compile once with CompileConcat (or go through a PlanCache, as the
-// public Machine API does) and reuse the Plan.
-func ConcatFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ConcatOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return CompileConcat(e, g, b, opt) })
-}
-
-// CompileConcat compiles the concatenation schedule selected by opt for
-// group g on engine e at block size blockLen. For the circulant
-// algorithm this solves the last-round table partition and resolves the
-// per-area communication offsets once.
-func CompileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions) (*Plan, error) {
-	return compileConcat(e, g, blockLen, opt, nil)
-}
-
 // compileConcat is the one concatenation compiler behind the fixed-size
-// and layout entry points; lay, when set, makes the input an n x 1 and
-// the output an n x n layout, and blockLen the padded slot size.
-func compileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions, lay *blocks.Layout) (*Plan, error) {
-	return compile(e, g, opConcat, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
-		if lay != nil {
-			if lay.Rows() != n || lay.Cols() != 1 {
-				return nil, fmt.Errorf("collective: concat layout is %dx%d, group needs %dx1", lay.Rows(), lay.Cols(), n)
-			}
-			outLayout, err := lay.ConcatOut()
-			if err != nil {
-				return nil, err
-			}
-			pl.layout, pl.outLayout = lay, outLayout
-		}
-		var pr *program
-		var err error
-		switch alg := opt.Algorithm; {
-		case alg == ConcatCirculant:
-			pr, err = circulantProgram(n, k, blockLen, opt.LastRound, lay != nil)
-		case alg == ConcatRing:
-			pr = ringProgram(n, k, blockLen)
-		case lay != nil && (alg == ConcatFolklore || alg == ConcatRecursiveDoubling):
-			err = fmt.Errorf("collective: %v has no V variant (ConcatV supports circulant and ring)", alg)
-		case alg == ConcatRecursiveDoubling && !intmath.IsPow(2, n):
-			err = fmt.Errorf("collective: recursive doubling requires a power-of-two group size, got %d", n)
-		case alg == ConcatRecursiveDoubling:
-			pr = recursiveDoublingProgram(n, k, blockLen)
-		case alg == ConcatFolklore:
-			pr = &program{n: n, k: k, bl: blockLen, roles: folkloreRoles(n, k)}
-		default:
-			err = fmt.Errorf("collective: unknown concat algorithm %v", alg)
-		}
+// and layout specs; s.Layout, when set, makes the input an n x 1 and the
+// output an n x n layout, and the block size the padded slot size: the
+// circulant algorithm runs on padded slots (two-phase packing), its
+// single all-pairs round at k >= n-1 and the ring baseline move exact
+// block sizes. For the circulant algorithm this solves the last-round
+// table partition and resolves the per-area communication offsets once.
+func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
+	lay, blockLen := s.Layout, s.BlockLen
+	if lay != nil {
+		outLayout, err := lay.ConcatOut()
 		if err != nil {
 			return nil, err
 		}
-		pr.inLay, pr.outLay = pl.layout, pl.outLayout
-		if lay == nil {
-			pl.c2lb = lowerbound.ConcatVolume(n, blockLen, k)
-		} else {
-			pl.c2lb = lowerbound.ConcatVVolume(lay.CountsVector(), k)
+		pl.layout, pl.outLayout = lay, outLayout
+	}
+	var pr *program
+	switch s.Concat.Algorithm {
+	case ConcatCirculant:
+		var err error
+		if pr, err = circulantProgram(n, k, blockLen, s.Concat.LastRound, lay != nil); err != nil {
+			return nil, err
 		}
-		if (lay == nil && blockLen > 0) || (lay != nil && lay.Uniform()) {
-			// The dissemination bound assumes there is data to disseminate;
-			// a zero-byte concatenation compiles without its last rounds and
-			// legitimately finishes in fewer.
-			pl.c1lb = lowerbound.ConcatRounds(n, k)
-		}
-		return pr, nil
-	})
+	case ConcatRing:
+		pr = ringProgram(n, k, blockLen)
+	case ConcatRecursiveDoubling:
+		pr = recursiveDoublingProgram(n, k, blockLen)
+	default:
+		pr = &program{n: n, k: k, bl: blockLen, roles: folkloreRoles(n, k)}
+	}
+	pr.inLay, pr.outLay = pl.layout, pl.outLayout
+	if lay == nil {
+		pl.c2lb = lowerbound.ConcatVolume(n, blockLen, k)
+	} else {
+		pl.c2lb = lowerbound.ConcatVVolume(lay.CountsVector(), k)
+	}
+	if (lay == nil && blockLen > 0) || (lay != nil && lay.Uniform()) {
+		// The dissemination bound assumes there is data to disseminate;
+		// a zero-byte concatenation compiles without its last rounds and
+		// legitimately finishes in fewer.
+		pl.c1lb = lowerbound.ConcatRounds(n, k)
+	}
+	return pr, nil
 }
 
 // circulantProgram compiles the circulant concatenation: the single

@@ -49,7 +49,7 @@ func runConcat(t *testing.T, n, blockLen, k int, opt ConcatOptions) *Result {
 	t.Helper()
 	e := mpsim.MustNew(n, mpsim.Ports(k))
 	in := genConcatInput(n, blockLen)
-	out, res, err := Concat(e, mpsim.WorldGroup(n), in, opt)
+	out, res, err := concatSlices(e, mpsim.WorldGroup(n), in, opt)
 	if err != nil {
 		t.Fatalf("Concat(n=%d, b=%d, k=%d, %+v): %v", n, blockLen, k, opt, err)
 	}
@@ -239,7 +239,7 @@ func TestRecursiveDoublingConcat(t *testing.T) {
 
 func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
 	e := mpsim.MustNew(6)
-	_, _, err := Concat(e, mpsim.WorldGroup(6), genConcatInput(6, 2), ConcatOptions{Algorithm: ConcatRecursiveDoubling})
+	_, _, err := concatSlices(e, mpsim.WorldGroup(6), genConcatInput(6, 2), ConcatOptions{Algorithm: ConcatRecursiveDoubling})
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("err = %v, want power-of-two complaint", err)
 	}
@@ -253,7 +253,7 @@ func TestConcatOnSubgroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := genConcatInput(g.Size(), 4)
-	out, res, err := Concat(e, g, in, ConcatOptions{Algorithm: ConcatCirculant})
+	out, res, err := concatSlices(e, g, in, ConcatOptions{Algorithm: ConcatCirculant})
 	if err != nil {
 		t.Fatalf("Concat on subgroup: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestCirculantConcatNonPowerGroupSizes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fres, err := ConcatFlat(e, g, fin, fout, ConcatOptions{Algorithm: ConcatCirculant})
+				fres, err := runFlat(e, g, fin, fout, Spec{Op: OpConcat})
 				if err != nil {
 					t.Fatalf("ConcatFlat on subgroup: %v", err)
 				}
@@ -350,7 +350,7 @@ func TestConcatPropertyRandom(t *testing.T) {
 			in[i] = blk
 		}
 		e := mpsim.MustNew(n, mpsim.Ports(k))
-		out, _, err := Concat(e, mpsim.WorldGroup(n), in, ConcatOptions{Algorithm: ConcatCirculant})
+		out, _, err := concatSlices(e, mpsim.WorldGroup(n), in, ConcatOptions{Algorithm: ConcatCirculant})
 		if err != nil {
 			return false
 		}
@@ -373,15 +373,15 @@ func TestConcatInputValidation(t *testing.T) {
 	e := mpsim.MustNew(4)
 	g := mpsim.WorldGroup(4)
 	good := genConcatInput(4, 3)
-	if _, _, err := Concat(e, g, good[:3], ConcatOptions{}); err == nil {
+	if _, _, err := concatSlices(e, g, good[:3], ConcatOptions{}); err == nil {
 		t.Error("short input accepted")
 	}
 	bad := genConcatInput(4, 3)
 	bad[2] = bad[2][:1]
-	if _, _, err := Concat(e, g, bad, ConcatOptions{}); err == nil {
+	if _, _, err := concatSlices(e, g, bad, ConcatOptions{}); err == nil {
 		t.Error("ragged blocks accepted")
 	}
-	if _, _, err := Concat(e, g, good, ConcatOptions{Algorithm: ConcatAlgorithm(99)}); err == nil {
+	if _, _, err := concatSlices(e, g, good, ConcatOptions{Algorithm: ConcatAlgorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -402,7 +402,7 @@ func TestConcatAlgorithmsAgree(t *testing.T) {
 	var ref [][][]byte
 	for _, alg := range []ConcatAlgorithm{ConcatCirculant, ConcatFolklore, ConcatRing, ConcatRecursiveDoubling} {
 		e := mpsim.MustNew(n)
-		out, _, err := Concat(e, mpsim.WorldGroup(n), in, ConcatOptions{Algorithm: alg})
+		out, _, err := concatSlices(e, mpsim.WorldGroup(n), in, ConcatOptions{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

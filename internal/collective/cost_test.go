@@ -272,7 +272,7 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 			func(n, k int) (int, int) { return SegmentedIndexCost(n, b, 2, k, 3) }},
 		{"IndexMixedCost", always,
 			func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
-				return CompileIndexMixed(e, g, b, twos(n))
+				return Compile(e, g, mixedSpec(b, twos(n)))
 			},
 			func(n, k int) (int, int) { return IndexMixedCost(n, b, twos(n), k) }},
 		{"DirectIndexCost", always, index(func(n, k int) IndexOptions { return IndexOptions{Algorithm: IndexDirect} }),
@@ -332,7 +332,7 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 				check("hier index", pl, err, split{a1 + 2*fan, a2 + 2*fan*(n-m)*b, x1, x2})
 				a1, a2 = circ(m, b, k)
 				x1, x2 = circ(G, m*b, k)
-				pl, err = CompileHierarchicalConcat(e, g, b, topo, HierOptions{})
+				pl, err = Compile(e, g, Spec{Op: OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
 				check("hier concat", pl, err, split{a1 + fan, a2 + fan*(n-m)*b, x1, x2})
 				pl, err = CompileHierarchicalReduce(e, g, AllReduceKind, b, topo, ReduceOptions{Kernel: func(dst, src []byte) {}})
 				check("hier allreduce", pl, err, split{2 * fan, 2 * fan * n * b, 2 * cross, 2 * cross * n * b})

@@ -19,38 +19,72 @@
 // programs: processors in the group execute the schedule, processors
 // outside it idle. Inputs and outputs are indexed by group rank.
 //
-// # Flat and legacy data paths
+// # One Spec, one Get
 //
-// Every operation exists in two layouts. The flat entry points
-// (IndexFlat, IndexMixedFlat, ConcatFlat) work on buffers.Buffers
-// slabs: packing and unpacking write into pool-recycled round buffers,
-// receives land directly in caller-owned memory via
-// mpsim.Proc.ExchangeInto, and the concatenation algorithms accumulate
-// in the output slab itself, finishing with an in-place rotation. On a
-// reused engine a flat operation performs no per-block or per-message
-// allocations. The legacy [][][]byte entry points (Index, IndexMixed,
-// Concat) are thin adapters over the flat paths — one copy in, one copy
-// out — so both layouts execute the identical schedule and produce
-// byte-identical results.
+// The paper's schedules are fixed functions of a small tuple — (n, k,
+// r) plus the block size — and nothing about them depends on the
+// payload, so naming a schedule, compiling it and executing it are
+// three separate things, each with exactly one path (spec.go):
 //
-// # Compiled plans and the step program
+//   - A Spec is the tuple: the operation (Op), the block size or the
+//     blocks.Layout, the operation's options, and the two things that
+//     select a family instead of one algorithm — Hierarchical under a
+//     costmodel.Topology, and the Auto profile. Engine and group are
+//     the other two coordinates of every call.
+//   - Spec.canonicalize is the one place a spec is judged: it makes
+//     every rejection that needs only the spec (empty group, member
+//     outside the engine, negative block size, nil or misshapen layout,
+//     radix and radices ranges, power-of-two algorithms on other group
+//     sizes, algorithms with no layout variant, hierarchical without a
+//     topology or for a reduce-scatter, missing kernel, element-size
+//     mismatch; the text of each is pinned by TestSpecRejections), so
+//     every route to a plan rejects the same input with the same
+//     error, and it zeroes every field the selected family ignores —
+//     radix, NoPack and segments off the Bruck schedules, segments on
+//     layout and mixed-radix plans and a segment count of 1, the
+//     last-round policy where no circulant phase runs, the hier radices
+//     off the hierarchical index, everything a dispatcher or the
+//     two-level compiler overrides — so equal schedules are equal
+//     specs.
+//   - Compile(e, g, spec) lowers a canonical spec: every compiler is a
+//     small pure function to a step program (program.go).
+//   - PlanCache.Get(e, g, spec) is Compile behind a memo. Its key
+//     (planKey) is the comparable projection of the canonical spec,
+//     built in one function (keyOf) and checked field by field against
+//     Spec by the planlife analyzer; layout, topology and radices enter
+//     by 64-bit digest and one confirm step holds them Equal on a hit
+//     (a colliding digest compiles fresh and uncached, never serves the
+//     wrong schedule). A hit allocates nothing. The cache holds at most
+//     256 entries and evicts the least recently used.
+//   - An Auto spec names no single schedule: Get (or Compile)
+//     enumerates its candidates (Spec.candidates), resolves each the
+//     same way, and keeps the arg-min of T = C1*beta + C2*tau — the
+//     Section 3.5 rule — priced by Plan.Time under the caller's profile
+//     on a flat machine and by Plan.TimeTopo under a nontrivial
+//     topology. The verdict is memoized under the auto spec itself, so
+//     the policy, the kind and the kernel are part of its key by
+//     construction and a repeated auto call costs one lookup.
 //
-// The paper's schedules are fixed functions of (n, k, r) — nothing
-// about them depends on the payload — so schedule construction is
-// split from execution, and there is exactly one schedule
-// representation and one executor. Every compiler (CompileIndex,
-// CompileIndexMixed, CompileConcat, their V forms, CompileReduce, the
-// hierarchical three) is a small pure function from
-// (n, k, block size | layout, options) to a step program
-// (program.go), and goes through one entry, compile, which validates
-// the (engine, group, block size) triple every operation shares — so
-// every public operation rejects a nil or empty group with the same
-// error. Plan.Execute runs the program through the one interpreter
-// (run.go); the one-shot entry points above are thin
-// compile-and-execute wrappers, and PlanCache memoizes plans per (op,
-// group, options, block size) so repeated configurations — the public
-// Machine API routes everything through a cache — compile exactly
-// once.
+// The public Machine API turns every call's options into one Spec and
+// calls Get; nothing else hands out plans.
+//
+// # Flat buffers
+//
+// Plans execute on buffers.Buffers slabs (Plan.Execute) or, for layout
+// plans, buffers.Ragged slabs (Plan.ExecuteV): packing and unpacking
+// write into pool-recycled round buffers, receives land directly in
+// caller-owned memory via mpsim.Proc.ExchangeInto, and the
+// concatenation algorithms accumulate in the output slab itself,
+// finishing with an in-place rotation. On a reused engine an execution
+// performs no per-block or per-message allocations. The [][][]byte
+// shape exists only at the public boundary, as one adapter in the root
+// package — one copy in, one copy out around the same plans.
+//
+// # The step program
+//
+// There is exactly one schedule representation and one executor:
+// Plan.Execute runs the compiled program through the one interpreter
+// (run.go).
 //
 // Step semantics. A program is a list of steps per role:
 //
@@ -98,9 +132,11 @@
 // proves delivery for every family. The closed forms of cost.go are
 // held against the counter by one table test.
 //
-// Adding a family is one compiler function: build its steps with the
-// builder, return the program from the operation's compile switch, and
-// execution, Check, traces, costs and `bruckctl vet` follow.
+// Adding a family is one compiler function and one arm of
+// Spec.canonicalize: build its steps with the builder, return the
+// program from the operation's compile switch, say which Spec fields it
+// reads, and caching, execution, Check, traces, costs and `bruckctl
+// vet` follow.
 //
 // # Pipelined (segmented) plans
 //
@@ -136,7 +172,8 @@
 //     and the Report's (C1, C2) differ (SegmentedIndexCost is the
 //     closed form; Plan.Check proves the segment spans tile each
 //     block).
-//   - Segments is part of the plan cache key like every other option.
+//   - Segments is part of the plan cache key like every other option
+//     a schedule reads.
 //
 // # Asynchronous execution (the bruck.Machine front door)
 //
@@ -155,8 +192,8 @@
 // IndexV and ConcatV (vplan.go) generalize both operations to
 // variable block sizes, the MPI_Alltoallv/MPI_Allgatherv shapes. A
 // blocks.Layout carries the per-(src, dst) count and displacement
-// tables; CompileIndexV/CompileIndexVMixed/CompileConcatV compile it
-// into the same Plan machinery. Schedules that forward blocks through
+// tables; a Spec with Op OpIndexV or OpConcatV compiles it into the
+// same Plan machinery. Schedules that forward blocks through
 // intermediate processors (the Bruck family, the circulant
 // concatenation) run unchanged on slots padded to the layout's largest
 // block — two-phase local packing: pack at the source, fixed-size
@@ -167,25 +204,24 @@
 // extents with no padding. A uniform layout — including any all-equal
 // count table, which construction normalizes — compiles to rounds
 // byte-identical to the fixed-size plan's, so uniform V executions are
-// byte- and Report-identical to the flat paths. AutoIndexVPlan and
-// AutoConcatVPlan pick the algorithm and radix per layout by
-// evaluating the linear cost model over the compiled candidates'
-// exact (C1, C2); verdicts are memoized in the cache.
+// byte- and Report-identical to the flat paths. Padding makes the
+// log-round schedules pay C2 proportional to the largest block while
+// the direct schedules pay many rounds but move only true bytes; which
+// side wins depends on the layout's skew and the machine's beta/tau
+// ratio, which is what an Auto layout spec decides per layout from the
+// compiled candidates' exact (C1, C2).
 //
-// Plan lifecycle rules (immutability, engine affinity and cache-key
-// completeness are statically enforced by the planlife analyzer,
-// internal/analysis/planlife, run via cmd/brucklint; compiled programs
-// are proved correct by Plan.Check, run via `bruckctl vet`):
+// Plan lifecycle rules (immutability, engine affinity and the cache
+// key's completeness against Spec are statically enforced by the
+// planlife analyzer, internal/analysis/planlife, run via cmd/brucklint;
+// compiled programs are proved correct by Plan.Check, run via `bruckctl
+// vet`):
 //
 //   - A Plan is immutable after compilation and bound to the engine
 //     and group it was compiled for; executing it on another engine is
 //     rejected.
-//   - Layout plans (CompileIndexV/CompileConcatV) additionally bind to
-//     their input layout; PlanCache keys them by the layout's 64-bit
-//     digest (confirmed with Layout.Equal on every hit — a colliding
-//     digest compiles a fresh uncached plan, never serves the wrong
-//     schedule). Layouts are immutable, so a cached layout plan can
-//     never go stale.
+//   - Layout plans additionally bind to their input layout. Layouts
+//     are immutable, so a cached layout plan can never go stale.
 //   - Layout plans execute through ExecuteV/BindV on buffers.Ragged
 //     slabs of the plan's input layout and its output layout (the
 //     transpose for index, Layout.ConcatOut for concat); handing them
@@ -215,19 +251,20 @@
 // classic reduction composition allreduce = reduce-scatter + allgather.
 // The reduce-scatter phase has the index operation's data movement plus
 // an elementwise combine, and the allgather phase is the concatenation,
-// so CompileReduce appends the same Bruck round steps (ReduceBruck) and
-// circulant round steps (the AllReduce second phase) the plain
-// operations compile; the ring and recursive-halving schedules combine
+// so the reduction compiler appends the same Bruck round steps
+// (ReduceBruck) and circulant round steps (the AllReduce second phase)
+// the plain operations compile; the ring and recursive-halving schedules combine
 // on receive. buffers.CombineFunc is the one new ingredient: a transfer
 // or local step marked combine applies it where a plain one would copy.
 //
 // Reduction-plan lifecycle rules, in addition to the plan rules above:
 //
-//   - The kernel is part of the compiled plan: PlanCache keys built-in
-//     kernels by their (op, type) identity, and configurations with an
-//     anonymous user kernel are compiled fresh on every call and never
-//     cached — the cache cannot tell two functions apart. Callers that
-//     reuse a user kernel should hold the Plan themselves.
+//   - The kernel is part of the compiled plan: the cache key holds a
+//     built-in kernel's (op, type) identity (ReduceOptions.KernelKey),
+//     and specs with an anonymous user kernel are resolved fresh on
+//     every Get and never cached — the cache cannot tell two functions
+//     apart. Callers that reuse a user kernel should hold the Plan
+//     themselves.
 //   - Kernel-safety: a CombineFunc must treat dst and src as
 //     non-overlapping equal-length slices, write only dst, and must not
 //     retain either slice (src is pooled transport memory, recycled
@@ -250,9 +287,9 @@
 //
 // # Hierarchical plans
 //
-// CompileHierarchicalIndex, CompileHierarchicalConcat and
-// CompileHierarchicalReduce (hier.go) compile the two-level schedule
-// for a machine partitioned into node-groups (costmodel.Topology): the
+// A Spec with Hierarchical set compiles (hier.go) the two-level
+// schedule of its operation for a machine partitioned into node-groups
+// (Spec.Topology): the
 // paper's flat schedules run concurrently inside each group, one
 // leader-level schedule crosses groups, and gather/scatter fan phases
 // funnel remote data through the leaders. In program terms every rank
@@ -278,25 +315,21 @@
 //     runs of group ranks, and each group's first rank is its leader.
 //     Treat a Topology as immutable once a plan is compiled from it —
 //     the plan holds it by reference, like plans hold their layouts.
-//   - PlanCache keys hierarchical plans by the topology's 64-bit
-//     digest plus the per-level radices (HierOptions), confirming
-//     every digest hit with Topology.Equal; a colliding digest
-//     compiles a fresh uncached plan, never serves the wrong schedule.
-//     Names do not participate: differently named but
-//     parameter-identical topologies share cache entries.
-//   - The flat-vs-hierarchical auto dispatch (autohier.go,
-//     bruck.WithAuto on a topology machine) prices flat candidates at
-//     Topology.FlatTime — every round pays the slowest class — and
-//     hierarchical candidates phase by phase, memoizing the winning
-//     plan under the same digest-keyed scheme. A memoized flat verdict
-//     is served without an Equal check (a flat plan is correct on any
-//     topology of the group's size); trivial topologies (one group, or
-//     all singleton groups) always dispatch flat.
-//   - Reductions are AllReduceKind only: the composition reduces each
+//   - Topology names do not participate in the cache key: differently
+//     named but parameter-identical topologies share cache entries.
+//   - The flat-vs-hierarchical auto dispatch (an Auto spec under a
+//     nontrivial topology; bruck.WithAuto on a topology machine) prices
+//     flat candidates at Topology.FlatTime — every round pays the
+//     slowest class — and hierarchical candidates phase by phase. The
+//     pricing uses the topology's per-class profiles exclusively; the
+//     single profile the caller hands WithAuto carries no per-link
+//     information and is canonicalized away. Trivial topologies (one
+//     group, or all singleton groups) dispatch as a flat machine.
+//   - Reductions are allreduce only: the composition reduces each
 //     group onto its leader, reduces across leaders, and broadcasts
 //     back out, yielding the full vector everywhere. A hierarchical
 //     reduce-scatter would need a different redistribution phase, so
-//     CompileHierarchicalReduce rejects ReduceScatterKind. The fixed
+//     the spec is rejected — cached allreduce or not. The fixed
 //     fold order matches the flat schedules byte-for-byte only for
 //     exact commutative kernels (the integer kernels); floating-point
 //     kernels may round differently.

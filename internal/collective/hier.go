@@ -84,54 +84,70 @@ type levels struct {
 // start[a]+j) and returns that rank's scratch.
 type roleFunc func(a, j int, b *builder) []scratch
 
+// hierLevels returns the two level sizes radix tuning sees: the
+// largest group (the intra problem size) and the group count (the
+// inter problem size).
+func hierLevels(topo *costmodel.Topology) (maxSize, numGroups int) {
+	for _, m := range topo.Groups {
+		maxSize = intmath.Max(maxSize, m)
+	}
+	return maxSize, topo.NumGroups()
+}
+
 // compileHier is the shared front of the hierarchical compilers: it
-// validates the topology against the group, has plan compile the
-// level's sub-programs and return the role builder, and runs that for
-// every rank. The roles become one program whose declared phases the
-// counter prices per link class.
-func compileHier(e *mpsim.Engine, g *mpsim.Group, op planOp, blockLen int, topo *costmodel.Topology, phases []PlanPhase,
-	plan func(pl *Plan, h *levels) (roleFunc, error)) (*Plan, error) {
-	return compile(e, g, op, "hierarchical", blockLen, func(pl *Plan, n, k int) (*program, error) {
-		if topo == nil {
-			return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
+// validates the topology against the group, has the operation's
+// compiler build the level's sub-programs and return its phases and
+// role builder, and runs that for every rank. The roles become one
+// program whose declared phases the counter prices per link class.
+func compileHier(pl *Plan, n, k int, s Spec) (*program, error) {
+	topo := s.Topology
+	if err := topo.Validate(); err != nil {
+		return nil, err
+	}
+	if topo.N() != n {
+		return nil, fmt.Errorf("collective: topology covers %d processors but the group has %d", topo.N(), n)
+	}
+	pl.topo = topo
+	h := &levels{n: n, k: k, b: s.BlockLen}
+	rank := 0
+	for _, m := range topo.Groups {
+		h.start, h.sizes = append(h.start, rank), append(h.sizes, m)
+		h.maxSize = intmath.Max(h.maxSize, m)
+		run := make([]int, m)
+		for i := range run {
+			run[i] = rank + i
 		}
-		if err := topo.Validate(); err != nil {
-			return nil, err
+		h.members = append(h.members, run)
+		rank += m
+	}
+	h.fan = intmath.CeilDiv(h.maxSize-1, k)
+	h.cross = intmath.CeilDiv(len(h.sizes)-1, k)
+	var phases []PlanPhase
+	var fill roleFunc
+	var err error
+	switch s.Op {
+	case OpIndex:
+		phases, fill = compileHierIndex(pl, h, s.Hier)
+	case OpConcat:
+		phases, fill, err = compileHierConcat(pl, h)
+	default:
+		pl.combine = s.Reduce.Kernel
+		phases, fill = compileHierAllReduce(pl, h)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pr := &program{n: n, k: k, bl: s.BlockLen, roles: make([]role, n), phases: phases}
+	for a, m := range h.sizes {
+		for j := 0; j < m; j++ {
+			b := newBuilder(8+m, m+1, 4*n)
+			work := fill(a, j, &b)
+			pr.roles[h.start[a]+j] = role{steps: b.steps, scratch: work}
 		}
-		if topo.N() != n {
-			return nil, fmt.Errorf("collective: topology covers %d processors but the group has %d", topo.N(), n)
-		}
-		pl.topo = topo
-		h := &levels{n: n, k: k, b: blockLen}
-		rank := 0
-		for _, m := range topo.Groups {
-			h.start, h.sizes = append(h.start, rank), append(h.sizes, m)
-			h.maxSize = intmath.Max(h.maxSize, m)
-			run := make([]int, m)
-			for i := range run {
-				run[i] = rank + i
-			}
-			h.members = append(h.members, run)
-			rank += m
-		}
-		h.fan = intmath.CeilDiv(h.maxSize-1, k)
-		h.cross = intmath.CeilDiv(len(h.sizes)-1, k)
-		fill, err := plan(pl, h)
-		if err != nil {
-			return nil, err
-		}
-		pr := &program{n: n, k: k, bl: blockLen, roles: make([]role, n), phases: phases}
-		for a, m := range h.sizes {
-			for j := 0; j < m; j++ {
-				b := newBuilder(8+m, m+1, 4*n)
-				work := fill(a, j, &b)
-				pr.roles[h.start[a]+j] = role{steps: b.steps, scratch: work}
-			}
-		}
-		pl.intraC1LB = lowerbound.HierIntraRounds(h.sizes, k)
-		pl.interC1LB = lowerbound.HierInterRounds(len(h.sizes), k)
-		return pr, nil
-	})
+	}
+	pl.intraC1LB = lowerbound.HierIntraRounds(h.sizes, k)
+	pl.interC1LB = lowerbound.HierInterRounds(len(h.sizes), k)
+	return pr, nil
 }
 
 // flank addresses the blocks of an n-block region that lie outside
@@ -189,8 +205,7 @@ func (b *builder) star(phase string, rounds, k, m, j int, withSpoke func(i int) 
 	b.skip(rounds - intmath.CeilDiv(m-1, k))
 }
 
-// CompileHierarchicalIndex compiles the two-level index (all-to-all)
-// schedule for group g under topology topo at block size blockLen:
+// compileHierIndex compiles the two-level index (all-to-all) schedule:
 //
 //  1. intra-alltoall — every group runs the flat Bruck index over its
 //     own contiguous run of blocks, all groups concurrently;
@@ -203,71 +218,69 @@ func (b *builder) star(phase string, rounds, k, m, j int, withSpoke func(i int) 
 //     of the received bundles and hands it back.
 //
 // The result is byte-identical to the flat index on the same input.
-func CompileHierarchicalIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
+func compileHierIndex(pl *Plan, h *levels, opt HierOptions) ([]PlanPhase, roleFunc) {
 	phases := []PlanPhase{{Name: "intra-alltoall", Class: mpsim.ClassIntra}, {Name: "gather", Class: mpsim.ClassIntra},
 		{Name: "inter-alltoall", Class: mpsim.ClassInter}, {Name: "scatter", Class: mpsim.ClassIntra}}
-	return compileHier(e, g, opIndex, blockLen, topo, phases, func(pl *Plan, h *levels) (roleFunc, error) {
-		G, bl := len(h.sizes), h.b
-		pl.c2lb, pl.c1lb = lowerbound.IndexVolume(h.n, bl, h.k), lowerbound.IndexRounds(h.n, h.k)
-		pl.intraC2LB = lowerbound.HierIndexIntraVolume(h.sizes, bl, h.k)
-		pl.interC2LB = lowerbound.HierIndexInterVolume(h.sizes, h.n, bl, h.k)
-		// The bundle group a sends to group c holds one block per (member
-		// of a, member of c) pair; padding every bundle to maxSize^2
-		// blocks keeps the leader-level schedule uniform.
-		B := h.maxSize * h.maxSize * bl
-		radix := func(r, n int) func(int) int { return func(int) int { return hierRadix(r, n, h.k) } }
-		intra, intraRounds, _ := subPrograms(h.sizes, func(m int) (*program, error) {
-			sub, _ := bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, 0)
-			return sub, nil
-		})
-		inter, _ := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, 0)
-		inter.finish()
-		return func(a, j int, b *builder) []scratch {
-			m, start := h.sizes[a], h.start[a]
-			run := func(reg regID) []extent { return b.ext(blocksAt(reg, fixed(start), m)) }
-			b.embed("intra-alltoall", intra[m], h.members[a], j, run(regIn), run(regOut), intraRounds)
-			if G == 1 {
-				return nil // no remote data: the funnelling phases are empty
-			}
-			if j > 0 {
-				b.star("gather", h.fan, h.k, m, j, nil, xfer{to: fixed(start), send: h.flank(b, regIn, a)})
-				b.skip(inter.c1)
-				b.star("scatter", h.fan, h.k, m, j, nil, xfer{from: fixed(start), recv: h.flank(b, regOut, a)})
-				return nil
-			}
-			// cells addresses, bundle by bundle, the places of member i of
-			// this group: in the outgoing bundles (regWork) its row's mc
-			// blocks for group c sit together; in the incoming ones
-			// (regWork+1) the block from member i' of group c sits at slot
-			// i'*m+i.
-			cells := func(reg regID, i int) []extent {
-				lo := len(b.exts)
-				for c, mc := range h.sizes {
-					switch {
-					case c == a:
-					case reg == regWork:
-						b.exts = append(b.exts, spanAt(reg, fixed(c), i*mc*bl, mc*bl))
-					default:
-						for src := 0; src < mc; src++ {
-							b.exts = append(b.exts, spanAt(reg, fixed(c), (src*m+i)*bl, bl))
-						}
+	G, bl := len(h.sizes), h.b
+	pl.c2lb, pl.c1lb = lowerbound.IndexVolume(h.n, bl, h.k), lowerbound.IndexRounds(h.n, h.k)
+	pl.intraC2LB = lowerbound.HierIndexIntraVolume(h.sizes, bl, h.k)
+	pl.interC2LB = lowerbound.HierIndexInterVolume(h.sizes, h.n, bl, h.k)
+	// The bundle group a sends to group c holds one block per (member
+	// of a, member of c) pair; padding every bundle to maxSize^2
+	// blocks keeps the leader-level schedule uniform.
+	B := h.maxSize * h.maxSize * bl
+	radix := func(r, n int) func(int) int { return func(int) int { return hierRadix(r, n, h.k) } }
+	intra, intraRounds, _ := subPrograms(h.sizes, func(m int) (*program, error) {
+		sub, _ := bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, 0)
+		return sub, nil
+	})
+	inter, _ := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, 0)
+	inter.finish()
+	return phases, func(a, j int, b *builder) []scratch {
+		m, start := h.sizes[a], h.start[a]
+		run := func(reg regID) []extent { return b.ext(blocksAt(reg, fixed(start), m)) }
+		b.embed("intra-alltoall", intra[m], h.members[a], j, run(regIn), run(regOut), intraRounds)
+		if G == 1 {
+			return nil // no remote data: the funnelling phases are empty
+		}
+		if j > 0 {
+			b.star("gather", h.fan, h.k, m, j, nil, xfer{to: fixed(start), send: h.flank(b, regIn, a)})
+			b.skip(inter.c1)
+			b.star("scatter", h.fan, h.k, m, j, nil, xfer{from: fixed(start), recv: h.flank(b, regOut, a)})
+			return nil
+		}
+		// cells addresses, bundle by bundle, the places of member i of
+		// this group: in the outgoing bundles (regWork) its row's mc
+		// blocks for group c sit together; in the incoming ones
+		// (regWork+1) the block from member i' of group c sits at slot
+		// i'*m+i.
+		cells := func(reg regID, i int) []extent {
+			lo := len(b.exts)
+			for c, mc := range h.sizes {
+				switch {
+				case c == a:
+				case reg == regWork:
+					b.exts = append(b.exts, spanAt(reg, fixed(c), i*mc*bl, mc*bl))
+				default:
+					for src := 0; src < mc; src++ {
+						b.exts = append(b.exts, spanAt(reg, fixed(c), (src*m+i)*bl, bl))
 					}
 				}
-				return b.exts[lo:len(b.exts):len(b.exts)]
 			}
-			b.local(stepCopy, cells(regWork, 0), h.flank(b, regIn, a))
-			b.star("gather", h.fan, h.k, m, 0, func(i int) xfer { return xfer{from: fixed(start + i), recv: cells(regWork, i)} }, xfer{})
-			all := func(reg regID) []extent { return b.ext(blocksAt(reg, fixed(0), G)) }
-			b.embed("inter-alltoall", inter, h.start, a, all(regWork), all(regWork+1), inter.c1)
-			b.local(stepCopy, h.flank(b, regOut, a), cells(regWork+1, 0))
-			b.star("scatter", h.fan, h.k, m, 0, func(i int) xfer { return xfer{to: fixed(start + i), send: cells(regWork+1, i)} }, xfer{})
-			return []scratch{{G * B, B}, {G * B, B}}
-		}, nil
-	})
+			return b.exts[lo:len(b.exts):len(b.exts)]
+		}
+		b.local(stepCopy, cells(regWork, 0), h.flank(b, regIn, a))
+		b.star("gather", h.fan, h.k, m, 0, func(i int) xfer { return xfer{from: fixed(start + i), recv: cells(regWork, i)} }, xfer{})
+		all := func(reg regID) []extent { return b.ext(blocksAt(reg, fixed(0), G)) }
+		b.embed("inter-alltoall", inter, h.start, a, all(regWork), all(regWork+1), inter.c1)
+		b.local(stepCopy, h.flank(b, regOut, a), cells(regWork+1, 0))
+		b.star("scatter", h.fan, h.k, m, 0, func(i int) xfer { return xfer{to: fixed(start + i), send: cells(regWork+1, i)} }, xfer{})
+		return []scratch{{G * B, B}, {G * B, B}}
+	}
 }
 
-// CompileHierarchicalConcat compiles the two-level concatenation
-// (allgather) schedule for group g under topology topo:
+// compileHierConcat compiles the two-level concatenation (allgather)
+// schedule:
 //
 //  1. intra-allgather — every group runs the circulant concatenation
 //     over its contiguous run of the output, all groups concurrently;
@@ -278,64 +291,61 @@ func CompileHierarchicalIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, top
 //     round).
 //
 // The result is byte-identical to the flat concatenation.
-func CompileHierarchicalConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
+func compileHierConcat(pl *Plan, h *levels) ([]PlanPhase, roleFunc, error) {
 	phases := []PlanPhase{{Name: "intra-allgather", Class: mpsim.ClassIntra},
 		{Name: "inter-allgather", Class: mpsim.ClassInter}, {Name: "broadcast", Class: mpsim.ClassIntra}}
-	return compileHier(e, g, opConcat, blockLen, topo, phases, func(pl *Plan, h *levels) (roleFunc, error) {
-		G, bl := len(h.sizes), h.b
-		pl.c2lb = lowerbound.ConcatVolume(h.n, bl, h.k)
-		if bl > 0 {
-			// As in compileConcat: no dissemination bound on zero-byte data.
-			pl.c1lb = lowerbound.ConcatRounds(h.n, h.k)
-		}
-		pl.intraC2LB = lowerbound.HierConcatIntraVolume(h.sizes, bl, h.k)
-		pl.interC2LB = lowerbound.HierConcatInterVolume(h.sizes, h.n, bl, h.k)
-		B := h.maxSize * bl
-		intra, intraRounds, err := subPrograms(h.sizes, func(m int) (*program, error) {
-			return circulantProgram(m, h.k, bl, partition.PreferOptimal, false)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("collective: intra-group schedule: %w", err)
-		}
-		inter, err := circulantProgram(G, h.k, B, partition.PreferOptimal, false)
-		if err != nil {
-			return nil, fmt.Errorf("collective: leader-level schedule: %w", err)
-		}
-		inter.finish()
-		return func(a, j int, b *builder) []scratch {
-			m, start := h.sizes[a], h.start[a]
-			run := b.ext(blocksAt(regOut, fixed(start), m))
-			b.embed("intra-allgather", intra[m], h.members[a], j, b.ext(blocksAt(regIn, fixed(0), 1)), run, intraRounds)
-			if G == 1 {
-				return nil
-			}
-			if j > 0 {
-				b.skip(inter.c1)
-				b.star("broadcast", h.fan, h.k, m, j, nil, xfer{from: fixed(start), recv: h.flank(b, regOut, a)})
-				return nil
-			}
-			// The leader pads its group's run into a bundle, gathers all
-			// bundles, files every other group's run into the output, and
-			// packs the remote blocks once into the row it hands out.
-			b.local(stepCopy, b.ext(spanAt(regWork, fixed(0), 0, m*bl)), run)
-			b.embed("inter-allgather", inter, h.start, a, b.ext(blocksAt(regWork, fixed(0), 1)), b.ext(blocksAt(regWork+1, fixed(0), G)), inter.c1)
-			lo := len(b.exts)
-			for c, mc := range h.sizes {
-				if c != a {
-					b.exts = append(b.exts, spanAt(regWork+1, fixed(c), 0, mc*bl))
-				}
-			}
-			b.local(stepCopy, h.flank(b, regOut, a), b.exts[lo:len(b.exts):len(b.exts)])
-			row := b.ext(blocksAt(regWork+2, fixed(0), 1))
-			b.local(stepCopy, row, h.flank(b, regOut, a))
-			b.star("broadcast", h.fan, h.k, m, 0, func(i int) xfer { return xfer{to: fixed(start + i), send: row} }, xfer{})
-			return []scratch{{B, B}, {G * B, B}, {(h.n - m) * bl, (h.n - m) * bl}}
-		}, nil
+	G, bl := len(h.sizes), h.b
+	pl.c2lb = lowerbound.ConcatVolume(h.n, bl, h.k)
+	if bl > 0 {
+		// As in compileConcat: no dissemination bound on zero-byte data.
+		pl.c1lb = lowerbound.ConcatRounds(h.n, h.k)
+	}
+	pl.intraC2LB = lowerbound.HierConcatIntraVolume(h.sizes, bl, h.k)
+	pl.interC2LB = lowerbound.HierConcatInterVolume(h.sizes, h.n, bl, h.k)
+	B := h.maxSize * bl
+	intra, intraRounds, err := subPrograms(h.sizes, func(m int) (*program, error) {
+		return circulantProgram(m, h.k, bl, partition.PreferOptimal, false)
 	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("collective: intra-group schedule: %w", err)
+	}
+	inter, err := circulantProgram(G, h.k, B, partition.PreferOptimal, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("collective: leader-level schedule: %w", err)
+	}
+	inter.finish()
+	return phases, func(a, j int, b *builder) []scratch {
+		m, start := h.sizes[a], h.start[a]
+		run := b.ext(blocksAt(regOut, fixed(start), m))
+		b.embed("intra-allgather", intra[m], h.members[a], j, b.ext(blocksAt(regIn, fixed(0), 1)), run, intraRounds)
+		if G == 1 {
+			return nil
+		}
+		if j > 0 {
+			b.skip(inter.c1)
+			b.star("broadcast", h.fan, h.k, m, j, nil, xfer{from: fixed(start), recv: h.flank(b, regOut, a)})
+			return nil
+		}
+		// The leader pads its group's run into a bundle, gathers all
+		// bundles, files every other group's run into the output, and
+		// packs the remote blocks once into the row it hands out.
+		b.local(stepCopy, b.ext(spanAt(regWork, fixed(0), 0, m*bl)), run)
+		b.embed("inter-allgather", inter, h.start, a, b.ext(blocksAt(regWork, fixed(0), 1)), b.ext(blocksAt(regWork+1, fixed(0), G)), inter.c1)
+		lo := len(b.exts)
+		for c, mc := range h.sizes {
+			if c != a {
+				b.exts = append(b.exts, spanAt(regWork+1, fixed(c), 0, mc*bl))
+			}
+		}
+		b.local(stepCopy, h.flank(b, regOut, a), b.exts[lo:len(b.exts):len(b.exts)])
+		row := b.ext(blocksAt(regWork+2, fixed(0), 1))
+		b.local(stepCopy, row, h.flank(b, regOut, a))
+		b.star("broadcast", h.fan, h.k, m, 0, func(i int) xfer { return xfer{to: fixed(start + i), send: row} }, xfer{})
+		return []scratch{{B, B}, {G * B, B}, {(h.n - m) * bl, (h.n - m) * bl}}
+	}, nil
 }
 
-// CompileHierarchicalReduce compiles the two-level allreduce for group
-// g under topology topo: a star reduction inside each group (members
+// compileHierAllReduce compiles the two-level allreduce: a star reduction inside each group (members
 // funnel full vectors to the leader, which folds them in ascending
 // member order), a star reduction of the group accumulators onto the
 // first leader, and the two symmetric broadcast phases back out:
@@ -343,46 +353,37 @@ func CompileHierarchicalConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, to
 //  1. reduce          (intra)  2. inter-reduce    (inter)
 //  3. inter-broadcast (inter)  4. broadcast       (intra)
 //
-// Every message is the full n*blockLen vector. Only AllReduceKind has a
+// Every message is the full n*blockLen vector. Only the allreduce has a
 // two-level decomposition here — a hierarchical reduce-scatter would
 // need a different redistribution phase — and the fixed fold order
 // (ascending member, then ascending group) makes the result
 // byte-identical to the flat schedules only for kernels that are exact
 // and commutative on their element type, such as the integer-sum
 // kernels; floating-point kernels may round differently.
-func CompileHierarchicalReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, topo *costmodel.Topology, opt ReduceOptions) (*Plan, error) {
-	if kind != AllReduceKind {
-		return nil, fmt.Errorf("collective: hierarchical reduction supports AllReduceKind only, got %v", kind)
-	}
+func compileHierAllReduce(pl *Plan, h *levels) ([]PlanPhase, roleFunc) {
 	phases := []PlanPhase{{Name: "reduce", Class: mpsim.ClassIntra}, {Name: "inter-reduce", Class: mpsim.ClassInter},
 		{Name: "inter-broadcast", Class: mpsim.ClassInter}, {Name: "broadcast", Class: mpsim.ClassIntra}}
-	return compileHier(e, g, opAllReduce, blockLen, topo, phases, func(pl *Plan, h *levels) (roleFunc, error) {
-		if err := checkKernel(blockLen, opt); err != nil {
-			return nil, err
+	pl.c2lb, pl.c1lb = lowerbound.AllReduceVolume(h.n, h.b, h.k), lowerbound.AllReduceRounds(h.n, h.k)
+	pl.intraC2LB = lowerbound.HierAllReduceIntraVolume(h.sizes, h.n, h.b, h.k)
+	pl.interC2LB = lowerbound.HierAllReduceInterVolume(len(h.sizes), h.n, h.b, h.k)
+	return phases, func(a, j int, b *builder) []scratch {
+		G, m, start := len(h.sizes), h.sizes[a], h.start[a]
+		mine, acc := b.ext(blocksAt(regIn, fixed(0), h.n)), b.ext(blocksAt(regOut, fixed(0), h.n))
+		b.local(stepCopy, acc, mine)
+		b.star("reduce", h.fan, h.k, m, j, func(i int) xfer { return xfer{from: fixed(start + i), recv: acc, combine: true} },
+			xfer{to: fixed(start), send: mine})
+		if j > 0 {
+			b.skip(2 * h.cross)
+		} else {
+			b.star("inter-reduce", h.cross, h.k, G, a, func(c int) xfer { return xfer{from: fixed(h.start[c]), recv: acc, combine: true} },
+				xfer{to: fixed(0), send: acc})
+			b.star("inter-broadcast", h.cross, h.k, G, a, func(c int) xfer { return xfer{to: fixed(h.start[c]), send: acc} },
+				xfer{from: fixed(0), recv: acc})
 		}
-		pl.combine = opt.Kernel
-		pl.c2lb, pl.c1lb = lowerbound.AllReduceVolume(h.n, blockLen, h.k), lowerbound.AllReduceRounds(h.n, h.k)
-		pl.intraC2LB = lowerbound.HierAllReduceIntraVolume(h.sizes, h.n, blockLen, h.k)
-		pl.interC2LB = lowerbound.HierAllReduceInterVolume(len(h.sizes), h.n, blockLen, h.k)
-		return func(a, j int, b *builder) []scratch {
-			G, m, start := len(h.sizes), h.sizes[a], h.start[a]
-			mine, acc := b.ext(blocksAt(regIn, fixed(0), h.n)), b.ext(blocksAt(regOut, fixed(0), h.n))
-			b.local(stepCopy, acc, mine)
-			b.star("reduce", h.fan, h.k, m, j, func(i int) xfer { return xfer{from: fixed(start + i), recv: acc, combine: true} },
-				xfer{to: fixed(start), send: mine})
-			if j > 0 {
-				b.skip(2 * h.cross)
-			} else {
-				b.star("inter-reduce", h.cross, h.k, G, a, func(c int) xfer { return xfer{from: fixed(h.start[c]), recv: acc, combine: true} },
-					xfer{to: fixed(0), send: acc})
-				b.star("inter-broadcast", h.cross, h.k, G, a, func(c int) xfer { return xfer{to: fixed(h.start[c]), send: acc} },
-					xfer{from: fixed(0), recv: acc})
-			}
-			b.star("broadcast", h.fan, h.k, m, j, func(i int) xfer { return xfer{to: fixed(start + i), send: acc} },
-				xfer{from: fixed(start), recv: acc})
-			return nil
-		}, nil
-	})
+		b.star("broadcast", h.fan, h.k, m, j, func(i int) xfer { return xfer{to: fixed(start + i), send: acc} },
+			xfer{from: fixed(start), recv: acc})
+		return nil
+	}
 }
 
 // Hierarchical reports whether the plan is a compiled two-level
@@ -448,75 +449,4 @@ func (pl *Plan) TimeTopo(t *costmodel.Topology) float64 {
 		total += t.ClassProfile(costmodel.LinkClass(ph.Class)).Time(ph.Rounds, ph.C2)
 	}
 	return total
-}
-
-// hierKey builds the cache key of a hierarchical plan: the topology
-// joins the key by digest, confirmed with Topology.Equal on a hit just
-// as layout digests are confirmed with Layout.Equal.
-func hierKey(e *mpsim.Engine, g *mpsim.Group, op planOp, blockLen int, topo *costmodel.Topology, radices string) planCacheKey {
-	return planCacheKey{
-		e: e, g: g, op: op, blockLen: blockLen,
-		radices: radices, topo: topo.Digest(),
-	}
-}
-
-// hierPlanFor resolves one hierarchical cache lookup, mirroring vPlan:
-// a digest hit confirmed by Topology.Equal is served; an unconfirmed
-// hit compiles fresh without caching; a miss compiles and caches.
-func (c *PlanCache) hierPlanFor(key planCacheKey, topo *costmodel.Topology, compile func() (*Plan, error)) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	if pl, ok := c.plans[key]; ok {
-		if pl.topo != nil && pl.topo.Equal(topo) {
-			return pl, nil
-		}
-		return compile()
-	}
-	pl, err := compile()
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// HierIndexPlan returns the cached hierarchical index plan for the
-// configuration, compiling and caching it under the topology's digest
-// on first use.
-func (c *PlanCache) HierIndexPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	key := hierKey(e, g, opIndex, blockLen, topo, fmt.Sprintf("hier:%d:%d", opt.IntraRadix, opt.InterRadix))
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalIndex(e, g, blockLen, topo, opt)
-	})
-}
-
-// HierConcatPlan is HierIndexPlan for the hierarchical concatenation.
-func (c *PlanCache) HierConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	key := hierKey(e, g, opConcat, blockLen, topo, fmt.Sprintf("hier:%d:%d", opt.IntraRadix, opt.InterRadix))
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalConcat(e, g, blockLen, topo, opt)
-	})
-}
-
-// HierReducePlan is HierIndexPlan for the hierarchical allreduce.
-// Configurations with an anonymous kernel (empty KernelKey) compile
-// fresh on every call and are never cached, as with ReducePlan.
-func (c *PlanCache) HierReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, topo *costmodel.Topology, opt ReduceOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	if opt.KernelKey == "" {
-		return CompileHierarchicalReduce(e, g, kind, blockLen, topo, opt)
-	}
-	key := hierKey(e, g, opAllReduce, blockLen, topo, "hier:"+opt.KernelKey)
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalReduce(e, g, kind, blockLen, topo, opt)
-	})
 }

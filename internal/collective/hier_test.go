@@ -140,9 +140,9 @@ func intmath_max(a, b int) int {
 func runHierConcat(t *testing.T, e *mpsim.Engine, n, b int, topo *costmodel.Topology, tag string) {
 	t.Helper()
 	g := mpsim.WorldGroup(n)
-	pl, err := CompileHierarchicalConcat(e, g, b, topo, HierOptions{})
+	pl, err := Compile(e, g, Spec{Op: OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
 	if err != nil {
-		t.Fatalf("%s: CompileHierarchicalConcat: %v", tag, err)
+		t.Fatalf("%s: compile hierarchical concat: %v", tag, err)
 	}
 	if v := pl.Check(); v != nil {
 		t.Fatalf("%s: Check: %v", tag, v)
@@ -318,18 +318,18 @@ func TestHierPlanCacheMemoizes(t *testing.T) {
 	topoA := hierTopo(t, []int{4, 4})
 	topoB := hierTopo(t, []int{4, 4}) // equal value, distinct pointer
 	topoC := hierTopo(t, []int{2, 6})
-	p1, err := c.HierIndexPlan(e, g, b, topoA, HierOptions{})
+	p1, err := c.Get(e, g, Spec{Op: OpIndex, BlockLen: b, Hierarchical: true, Topology: topoA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.HierIndexPlan(e, g, b, topoB, HierOptions{})
+	p2, err := c.Get(e, g, Spec{Op: OpIndex, BlockLen: b, Hierarchical: true, Topology: topoB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Errorf("equal topologies compiled distinct plans: cache missed")
 	}
-	p3, err := c.HierIndexPlan(e, g, b, topoC, HierOptions{})
+	p3, err := c.Get(e, g, Spec{Op: OpIndex, BlockLen: b, Hierarchical: true, Topology: topoC})
 	if err != nil {
 		t.Fatal(err)
 	}

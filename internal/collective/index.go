@@ -3,12 +3,10 @@ package collective
 import (
 	"fmt"
 
-	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
-	"bruck/internal/mpsim"
 )
 
 // IndexAlgorithm selects the schedule used by Index.
@@ -43,7 +41,7 @@ func (a IndexAlgorithm) String() string {
 	}
 }
 
-// IndexOptions configures Index.
+// IndexOptions configures the index operations of a Spec.
 type IndexOptions struct {
 	// Algorithm selects the schedule; default IndexBruck.
 	Algorithm IndexAlgorithm
@@ -66,176 +64,77 @@ type IndexOptions struct {
 	Segments int
 }
 
-// AutoSegments requests cost-model segment selection: CompileIndex
-// (and CompileReduce for the Bruck reduce-scatter phase) picks the
-// segment count minimizing the SP-1 linear-model time over candidate
-// pipelines; see OptimalSegments for explicit per-profile tuning.
+// AutoSegments requests cost-model segment selection: the compiler
+// picks the segment count minimizing the SP-1 linear-model time over
+// candidate pipelines; see OptimalSegments for explicit per-profile
+// tuning.
 const AutoSegments = -1
 
-// Index performs all-to-all personalized communication among the group
-// g on engine e. in[i][j] is data block B[i, j] (the j-th block of the
-// processor with group rank i); all blocks must have equal size. The
-// returned out satisfies out[i][j] = in[j][i].
-//
-// Index is a thin adapter over the flat path: it copies the block
-// matrix into a flat Buffers, runs the compiled plan, and copies the
-// result back out. Callers that care about allocation cost should use
-// IndexFlat directly.
-func Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromMatrix(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileIndex(e, g, b, opt) })
-}
-
-// runSlices adapts a plan to the legacy slice shape: fin (and the error
-// of building it) is the caller's blocks copied into a flat slab, plan
-// compiles or fetches the schedule for its block size, and the result
-// is copied back out as an n x n block matrix.
-func runSlices(fin *buffers.Buffers, err error, plan func(blockLen int) (*Plan, error)) ([][][]byte, *Result, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := plan(fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	n := pl.group.Size()
-	fout, err := buffers.New(n, n, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.Execute(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
-}
-
-// IndexFlat is the flat-buffer index operation: in and out are
-// index-shaped Buffers (n processor regions of n blocks each, where n
-// is the group size); block j of region i is B[i, j]. Afterwards
-// out.Block(i, j) equals in.Block(j, i). in and out must be distinct
-// Buffers; out is fully overwritten.
-//
-// All packing and unpacking happens in caller-owned or pool-recycled
-// flat memory: on a reused engine the operation performs no
-// per-block or per-message allocations.
-//
-// IndexFlat compiles the schedule and executes it once. Callers that
-// repeat a configuration should compile once with CompileIndex (or go
-// through a PlanCache, as the public Machine API does) and reuse the
-// Plan: execution then performs zero schedule recomputation.
-func IndexFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt IndexOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return CompileIndex(e, g, b, opt) })
-}
-
-// runFlat compiles or fetches the plan for the input's block size and
-// executes it once; Execute validates the buffers against the plan.
-func runFlat(in, out *buffers.Buffers, plan func(blockLen int) (*Plan, error)) (*Result, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil flat buffer")
-	}
-	pl, err := plan(in.BlockLen())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
-}
-
-// CompileIndex compiles the index schedule selected by opt for group g
-// on engine e at block size blockLen. See IndexOptions for the radix
-// and algorithm choices; the compiled plan executes the exact schedule
-// IndexFlat would, with identical Results.
-func CompileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions) (*Plan, error) {
-	return compileIndex(e, g, blockLen, opt, false, nil, nil)
-}
-
-// CompileIndexMixed compiles the mixed-radix index schedule: subphase i
-// uses radices[i]. Mixed-radix plans are always monolithic: the segment
-// pipeline (IndexOptions.Segments) applies to the uniform schedule
-// only.
-func CompileIndexMixed(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []int) (*Plan, error) {
-	return compileIndex(e, g, blockLen, IndexOptions{}, true, radices, nil)
-}
-
 // compileIndex is the one index compiler behind the fixed-size, mixed-
-// radix and layout entry points. mixed selects the Bruck schedule whose
-// subphase i uses radices[i]; lay, when set, makes the caller regions
-// rows of a layout and blockLen the padded slot size.
-func compileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions, mixed bool, radices []int, lay *blocks.Layout) (*Plan, error) {
-	return compile(e, g, opIndex, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
-		if lay != nil {
-			if lay.Rows() != n || lay.Cols() != n {
-				return nil, fmt.Errorf("collective: index layout is %dx%d, group needs %dx%d", lay.Rows(), lay.Cols(), n, n)
+// radix and layout specs: a non-nil s.Radices selects the Bruck schedule
+// whose subphase i uses radices[i]; s.Layout, when set, makes the caller
+// regions rows of a layout and the block size the padded slot size. The
+// Bruck family runs its unchanged rounds on slots padded to the layout's
+// largest block (pack at true lengths in, unpack at true lengths out;
+// padding travels but is never read), the direct and pairwise-XOR
+// exchanges move each block at its exact extent, and zero-length blocks
+// still travel as empty messages so every rank walks the same round
+// structure. On a uniform layout the program is identical to the
+// fixed-size one at the same block size.
+func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
+	opt, lay, blockLen := s.Index, s.Layout, s.BlockLen
+	if lay != nil {
+		pl.layout, pl.outLayout = lay, lay.Transpose()
+	}
+	r := defaultRadix(opt.Radix, n, k)
+	radixAt := func(int) int { return r }
+	segments := opt.Segments
+	switch {
+	case s.Radices != nil:
+		radixAt = func(i int) int { return s.Radices[i] }
+	case segments == AutoSegments:
+		segments = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
+	}
+	var pr *program
+	if opt.Algorithm == IndexBruck {
+		pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, segments)
+	} else {
+		// Block B[me, dst] goes straight to dst and B[src, me] lands
+		// straight in the output, ports filled k partners at a time:
+		// nothing is packed or staged.
+		b := newBuilder(n, n, 2*n)
+		peer, back := plus, -1
+		if opt.Algorithm == IndexPairwiseXOR {
+			peer, back = xor, 1 // the xor partner is its own inverse
+		}
+		b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, plus(0), 1)))
+		for z := 1; z < n; z++ {
+			to, from := peer(z), peer(back*z)
+			b.xfers = append(b.xfers, xfer{to: to, from: from,
+				send: b.ext(blocksAt(regIn, to, 1)), recv: b.ext(blocksAt(regOut, from, 1))})
+			if z%k == 0 || z == n-1 {
+				b.exchange("", 0)
 			}
-			pl.layout, pl.outLayout = lay, lay.Transpose()
 		}
-		r := opt.Radix
-		if r == 0 {
-			r = intmath.Min(k+1, n)
-		}
-		radixAt := func(int) int { return r }
-		segments := 0
-		switch {
-		case mixed:
-			if err := ValidateRadices(n, radices); err != nil {
-				return nil, err
-			}
-			radixAt = func(i int) int { return radices[i] }
-		case opt.Algorithm == IndexBruck && n > 1 && (r < 2 || r > n):
-			return nil, fmt.Errorf("collective: index radix %d out of range [2, %d]", r, n)
-		case opt.Algorithm == IndexPairwiseXOR && !intmath.IsPow(2, n):
-			return nil, fmt.Errorf("collective: pairwise-xor index requires a power-of-two group size, got %d", n)
-		case lay != nil:
-			// Layout plans always run monolithic.
-		case opt.Segments == AutoSegments:
-			segments = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
-		default:
-			segments = opt.Segments
-		}
-		var pr *program
-		switch opt.Algorithm {
-		case IndexBruck:
-			pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, segments)
-		case IndexDirect, IndexPairwiseXOR:
-			// Block B[me, dst] goes straight to dst and B[src, me] lands
-			// straight in the output, ports filled k partners at a time:
-			// nothing is packed or staged.
-			b := newBuilder(n, n, 2*n)
-			peer, back := plus, -1
-			if opt.Algorithm == IndexPairwiseXOR {
-				peer, back = xor, 1 // the xor partner is its own inverse
-			}
-			b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, plus(0), 1)))
-			for z := 1; z < n; z++ {
-				to, from := peer(z), peer(back*z)
-				b.xfers = append(b.xfers, xfer{to: to, from: from,
-					send: b.ext(blocksAt(regIn, to, 1)), recv: b.ext(blocksAt(regOut, from, 1))})
-				if z%k == 0 || z == n-1 {
-					b.exchange("", 0)
-				}
-			}
-			pr = &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps}}}
-		default:
-			return nil, fmt.Errorf("collective: unknown index algorithm %v", opt.Algorithm)
-		}
-		pr.inLay, pr.outLay = pl.layout, pl.outLayout
-		if lay == nil {
-			pl.c2lb = lowerbound.IndexVolume(n, blockLen, k)
-		} else {
-			pl.c2lb = lowerbound.IndexVVolume(lay.CountsMatrix(), k)
-		}
-		if lay == nil || lay.Uniform() {
-			pl.c1lb = lowerbound.IndexRounds(n, k)
-		}
-		if pl.segments > 1 {
-			// A pipelined schedule multiplexes up to `segments` compiled
-			// rounds per port in one merged round, so the one-round-per-port
-			// volume bound scales down by the segment count:
-			// (n-1)*b <= segments * k * sum of per-step maxima.
-			pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
-		}
-		return pr, nil
-	})
+		pr = &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps}}}
+	}
+	pr.inLay, pr.outLay = pl.layout, pl.outLayout
+	if lay == nil {
+		pl.c2lb = lowerbound.IndexVolume(n, blockLen, k)
+	} else {
+		pl.c2lb = lowerbound.IndexVVolume(lay.CountsMatrix(), k)
+	}
+	if lay == nil || lay.Uniform() {
+		pl.c1lb = lowerbound.IndexRounds(n, k)
+	}
+	if pl.segments > 1 {
+		// A pipelined schedule multiplexes up to `segments` compiled
+		// rounds per port in one merged round, so the one-round-per-port
+		// volume bound scales down by the segment count:
+		// (n-1)*b <= segments * k * sum of per-step maxima.
+		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+	}
+	return pr, nil
 }
 
 // bruckProgram compiles the Bruck-family index schedule for n ranks:

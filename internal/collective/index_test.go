@@ -52,7 +52,7 @@ func runIndex(t *testing.T, n, blockLen, k int, opt IndexOptions) (*Result, [][]
 	t.Helper()
 	e := mpsim.MustNew(n, mpsim.Ports(k))
 	in := genIndexInput(n, blockLen)
-	out, res, err := Index(e, mpsim.WorldGroup(n), in, opt)
+	out, res, err := indexSlices(e, mpsim.WorldGroup(n), in, opt)
 	if err != nil {
 		t.Fatalf("Index(n=%d, b=%d, k=%d, %+v): %v", n, blockLen, k, opt, err)
 	}
@@ -222,7 +222,7 @@ func TestXORIndex(t *testing.T) {
 
 func TestXORIndexRejectsNonPowerOfTwo(t *testing.T) {
 	e := mpsim.MustNew(6)
-	_, _, err := Index(e, mpsim.WorldGroup(6), genIndexInput(6, 2), IndexOptions{Algorithm: IndexPairwiseXOR})
+	_, _, err := indexSlices(e, mpsim.WorldGroup(6), genIndexInput(6, 2), IndexOptions{Algorithm: IndexPairwiseXOR})
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("err = %v, want power-of-two complaint", err)
 	}
@@ -237,7 +237,7 @@ func TestIndexOnSubgroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := genIndexInput(g.Size(), 4)
-	out, res, err := Index(e, g, in, IndexOptions{Algorithm: IndexBruck, Radix: 2})
+	out, res, err := indexSlices(e, g, in, IndexOptions{Algorithm: IndexBruck, Radix: 2})
 	if err != nil {
 		t.Fatalf("Index on subgroup: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestIndexPropertyRandom(t *testing.T) {
 			}
 		}
 		e := mpsim.MustNew(n, mpsim.Ports(k))
-		out, _, err := Index(e, mpsim.WorldGroup(n), in, IndexOptions{Algorithm: IndexBruck, Radix: r})
+		out, _, err := indexSlices(e, mpsim.WorldGroup(n), in, IndexOptions{Algorithm: IndexBruck, Radix: r})
 		if err != nil {
 			return false
 		}
@@ -318,30 +318,30 @@ func TestIndexInputValidation(t *testing.T) {
 	g := mpsim.WorldGroup(3)
 	good := genIndexInput(3, 2)
 
-	if _, _, err := Index(e, g, good[:2], IndexOptions{}); err == nil {
+	if _, _, err := indexSlices(e, g, good[:2], IndexOptions{}); err == nil {
 		t.Error("short input accepted")
 	}
 	bad := genIndexInput(3, 2)
 	bad[1] = bad[1][:2]
-	if _, _, err := Index(e, g, bad, IndexOptions{}); err == nil {
+	if _, _, err := indexSlices(e, g, bad, IndexOptions{}); err == nil {
 		t.Error("ragged processor accepted")
 	}
 	bad2 := genIndexInput(3, 2)
 	bad2[2][1] = []byte{1}
-	if _, _, err := Index(e, g, bad2, IndexOptions{}); err == nil {
+	if _, _, err := indexSlices(e, g, bad2, IndexOptions{}); err == nil {
 		t.Error("ragged block accepted")
 	}
-	if _, _, err := Index(e, g, good, IndexOptions{Radix: 99}); err == nil {
+	if _, _, err := indexSlices(e, g, good, IndexOptions{Radix: 99}); err == nil {
 		t.Error("radix > n accepted")
 	}
-	if _, _, err := Index(e, g, good, IndexOptions{Radix: 1}); err == nil {
+	if _, _, err := indexSlices(e, g, good, IndexOptions{Radix: 1}); err == nil {
 		t.Error("radix 1 accepted")
 	}
-	if _, _, err := Index(e, g, good, IndexOptions{Algorithm: IndexAlgorithm(99)}); err == nil {
+	if _, _, err := indexSlices(e, g, good, IndexOptions{Algorithm: IndexAlgorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	gBig, _ := mpsim.NewGroup([]int{0, 1, 5}, 0)
-	if _, _, err := Index(e, gBig, good, IndexOptions{}); err == nil {
+	if _, _, err := indexSlices(e, gBig, good, IndexOptions{}); err == nil {
 		t.Error("group member outside engine accepted")
 	}
 }
@@ -350,7 +350,7 @@ func TestIndexInputValidation(t *testing.T) {
 func TestIndexSingleProcessor(t *testing.T) {
 	e := mpsim.MustNew(1)
 	in := genIndexInput(1, 4)
-	out, res, err := Index(e, mpsim.WorldGroup(1), in, IndexOptions{})
+	out, res, err := indexSlices(e, mpsim.WorldGroup(1), in, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +402,11 @@ func TestIndexInvolution(t *testing.T) {
 	e := mpsim.MustNew(n)
 	g := mpsim.WorldGroup(n)
 	in := genIndexInput(n, b)
-	once, _, err := Index(e, g, in, IndexOptions{Radix: 3})
+	once, _, err := indexSlices(e, g, in, IndexOptions{Radix: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, _, err := Index(e, g, once, IndexOptions{Radix: 2})
+	twice, _, err := indexSlices(e, g, once, IndexOptions{Radix: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,8 @@ package collective
 import (
 	"fmt"
 
-	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
-	"bruck/internal/mpsim"
 )
 
 // Mixed-radix index: a generalization of the Section 3 algorithm in
@@ -49,23 +47,6 @@ func ValidateRadices(n int, radices []int) error {
 		return fmt.Errorf("collective: radix product %d < n = %d does not cover all block ids", weight, n)
 	}
 	return nil
-}
-
-// IndexMixed performs the index operation with a mixed-radix schedule.
-// See Index for the data layout; radices selects the per-subphase
-// radix. Like Index it is a thin adapter over the flat path
-// (IndexMixedFlat).
-func IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromMatrix(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return CompileIndexMixed(e, g, b, radices) })
-}
-
-// IndexMixedFlat is the flat-buffer mixed-radix index operation; in and
-// out are index-shaped Buffers as in IndexFlat. Like IndexFlat it
-// compiles the schedule and executes it once; repeated callers should
-// hold a Plan from CompileIndexMixed instead.
-func IndexMixedFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, radices []int) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return CompileIndexMixed(e, g, b, radices) })
 }
 
 // IndexMixedSchedule returns the per-round largest message size, in

@@ -15,7 +15,7 @@ func runMixed(t *testing.T, n, blockLen, k int, radices []int) *Result {
 	t.Helper()
 	e := mpsim.MustNew(n, mpsim.Ports(k))
 	in := genIndexInput(n, blockLen)
-	out, res, err := IndexMixed(e, mpsim.WorldGroup(n), in, radices)
+	out, res, err := indexMixedSlices(e, mpsim.WorldGroup(n), in, radices)
 	if err != nil {
 		t.Fatalf("IndexMixed(n=%d, k=%d, radices=%v): %v", n, k, radices, err)
 	}
@@ -123,7 +123,7 @@ func TestMixedPropertyRandom(t *testing.T) {
 		}
 		in := genIndexInput(n, 3)
 		e := mpsim.MustNew(n)
-		out, _, err := IndexMixed(e, mpsim.WorldGroup(n), in, radices)
+		out, _, err := indexMixedSlices(e, mpsim.WorldGroup(n), in, radices)
 		if err != nil {
 			return false
 		}
@@ -209,10 +209,10 @@ func TestIndexMixedInputValidation(t *testing.T) {
 	e := mpsim.MustNew(4)
 	g := mpsim.WorldGroup(4)
 	in := genIndexInput(4, 2)
-	if _, _, err := IndexMixed(e, g, in, []int{2}); err == nil {
+	if _, _, err := indexMixedSlices(e, g, in, []int{2}); err == nil {
 		t.Error("undersized radix vector accepted")
 	}
-	if _, _, err := IndexMixed(e, g, in[:2], []int{2, 2}); err == nil {
+	if _, _, err := indexMixedSlices(e, g, in[:2], []int{2, 2}); err == nil {
 		t.Error("short input accepted")
 	}
 }

@@ -28,7 +28,7 @@ func runSegmentedIndex(t *testing.T, e *mpsim.Engine, n, blockLen, r, s int) (*R
 		t.Fatalf("CompileIndex(n=%d b=%d r=%d s=%d): %v", n, blockLen, r, s, err)
 	}
 	in := genIndexInput(n, blockLen)
-	out, res, err := Index(e, g, in, opt)
+	out, res, err := indexSlices(e, g, in, opt)
 	if err != nil {
 		t.Fatalf("Index(n=%d b=%d r=%d s=%d): %v", n, blockLen, r, s, err)
 	}
@@ -105,7 +105,7 @@ func TestPipelinedReduceEquivalence(t *testing.T) {
 					ElemSize: 4, KernelKey: "sum/int32", Segments: s}
 				in, _ := buffers.FromMatrix(genIndexInput(tc.n, blockLen))
 				out, _ := buffers.New(tc.n, tc.n, blockLen)
-				if _, err := AllReduceFlat(e, g, in, out, opt); err != nil {
+				if _, err := runFlat(e, g, in, out, Spec{Op: OpAllReduce, Reduce: opt}); err != nil {
 					t.Fatalf("%v n=%d k=%d s=%d: %v", backend, tc.n, tc.k, s, err)
 				}
 				if base == nil {
@@ -278,7 +278,7 @@ func FuzzSegmentBoundaries(f *testing.F) {
 			t.Fatalf("n=%d b=%d s=%d: Check: %v", n, blockLen, s, v)
 		}
 		in := genIndexInput(n, blockLen)
-		out, _, err := Index(e, g, in, opt)
+		out, _, err := indexSlices(e, g, in, opt)
 		if err != nil {
 			t.Fatalf("Index(n=%d b=%d s=%d): %v", n, blockLen, s, err)
 		}

@@ -7,12 +7,10 @@ import (
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/mpsim"
-	"bruck/internal/partition"
 )
 
 // A Plan is a compiled collective schedule: the step program of one
-// operation on one (engine, group, block size, options) configuration,
-// compiled once so that repeated executions perform zero schedule
+// Spec on one (engine, group) pair, compiled once so that repeated executions perform zero schedule
 // recomputation. The paper's schedules are fixed functions of (n, k, r)
 // — nothing about them depends on the payload — which is exactly what
 // makes them compilable.
@@ -26,7 +24,7 @@ import (
 type Plan struct {
 	engine   *mpsim.Engine
 	group    *mpsim.Group
-	op       planOp
+	op       Op
 	alg      string // Algorithm()
 	blockLen int
 
@@ -81,31 +79,7 @@ type Plan struct {
 	c1lb int
 }
 
-type planOp int
-
-const (
-	opIndex planOp = iota
-	opConcat
-	opReduceScatter
-	opAllReduce
-)
-
-func (o planOp) String() string {
-	switch o {
-	case opIndex:
-		return "index"
-	case opConcat:
-		return "concat"
-	case opReduceScatter:
-		return "reduce-scatter"
-	case opAllReduce:
-		return "allreduce"
-	default:
-		return fmt.Sprintf("planOp(%d)", int(o))
-	}
-}
-
-// Op returns "index" or "concat".
+// Op returns "index", "concat", "reduce-scatter" or "allreduce".
 func (pl *Plan) Op() string { return pl.op.String() }
 
 // Algorithm returns the compiled schedule's algorithm name ("bruck",
@@ -152,8 +126,8 @@ func (pl *Plan) Time(p costmodel.Profile) float64 {
 	return p.Time(pl.c1, pl.c2)
 }
 
-// Layout returns the input layout of a layout plan (CompileIndexV /
-// CompileConcatV), or nil for a classic fixed-size plan.
+// Layout returns the input layout of a layout plan (OpIndexV /
+// OpConcatV), or nil for a classic fixed-size plan.
 func (pl *Plan) Layout() *blocks.Layout { return pl.layout }
 
 // OutLayout returns the output layout a layout plan requires (the
@@ -184,20 +158,29 @@ func (pl *Plan) result(m *mpsim.Metrics) *Result {
 	return res
 }
 
-// compile is the single entry every compiler goes through: it
-// validates the (engine, group, block size) triple all operations
-// share, lets build lower the schedule into a step program (and set the
-// plan's family-specific fields), and derives the plan's rounds, volume
-// and pool hint from that program.
-func compile(e *mpsim.Engine, g *mpsim.Group, op planOp, alg string, blockLen int, build func(pl *Plan, n, k int) (*program, error)) (*Plan, error) {
-	if err := checkGroup(e, g); err != nil {
-		return nil, err
+// compile is the single entry to the compilers: it lowers a canonical
+// (validated) spec into a step program — the family's compiler also sets
+// the plan's family-specific fields — and derives the plan's rounds,
+// volume and pool hint from that program.
+func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
+	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
+	n, k := g.Size(), e.Ports()
+	var pr *program
+	var err error
+	switch {
+	case s.Hierarchical:
+		pl.alg = "hierarchical"
+		pr, err = compileHier(pl, n, k, s)
+	case s.Op.reduction():
+		pl.alg = s.Reduce.Algorithm.String()
+		pr, err = compileReduce(pl, n, k, s)
+	case s.Op == OpConcat || s.Op == OpConcatV:
+		pl.alg = s.Concat.Algorithm.String()
+		pr, err = compileConcat(pl, n, k, s)
+	default:
+		pl.alg = s.Index.Algorithm.String()
+		pr, err = compileIndex(pl, n, k, s)
 	}
-	if blockLen < 0 {
-		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
-	}
-	pl := &Plan{engine: e, group: g, op: op, alg: alg, blockLen: blockLen}
-	pr, err := build(pl, g.Size(), e.Ports())
 	if err != nil {
 		return nil, err
 	}
@@ -206,28 +189,15 @@ func compile(e *mpsim.Engine, g *mpsim.Group, op planOp, alg string, blockLen in
 	return pl, nil
 }
 
-// checkGroup validates a group against the engine.
-func checkGroup(e *mpsim.Engine, g *mpsim.Group) error {
-	if g == nil || g.Size() == 0 {
-		return fmt.Errorf("collective: empty group")
-	}
-	for r := 0; r < g.Size(); r++ {
-		if id := g.ID(r); id >= e.N() {
-			return fmt.Errorf("collective: group member %d outside engine with %d processors", id, e.N())
-		}
-	}
-	return nil
-}
-
 // blocks returns the block counts of the caller's input and output
 // regions: n and n, except a concatenation's one-block input and a
 // reduce-scatter's one-block output.
 func (pl *Plan) blocks() (in, out int) {
 	n := pl.group.Size()
 	switch pl.op {
-	case opConcat:
+	case OpConcat, OpConcatV:
 		return 1, n
-	case opReduceScatter:
+	case OpReduceScatter:
 		return n, 1
 	}
 	return n, n
@@ -276,9 +246,7 @@ func (pl *Plan) Bound() (in, out *buffers.Buffers) { return pl.in, pl.out }
 // Execute runs the compiled schedule on its engine with the given
 // buffers: for index plans out.Block(i, j) ends up equal to
 // in.Block(j, i), for concat plans out.Block(i, j) equals
-// in.Block(j, 0). The schedule — and therefore the Result — is
-// byte-identical to the corresponding IndexFlat/ConcatFlat call; only
-// the per-call schedule construction is gone.
+// in.Block(j, 0).
 func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	if err := pl.checkBuffers(in, out); err != nil {
 		return nil, err
@@ -343,7 +311,7 @@ func (pl *Plan) checkRagged(in, out *buffers.Ragged) error {
 	if !out.Layout().Equal(pl.outLayout) {
 		return fmt.Errorf("collective: %s plan output layout does not match the plan's output shape (want %dx%d, the input's %s)",
 			pl.op, pl.outLayout.Rows(), pl.outLayout.Cols(),
-			map[planOp]string{opIndex: "transpose", opConcat: "concatenation"}[pl.op])
+			map[Op]string{OpIndexV: "transpose", OpConcatV: "concatenation"}[pl.op])
 	}
 	return nil
 }
@@ -422,234 +390,4 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 		results[i] = plans[i].result(m)
 	}
 	return results, nil
-}
-
-// planCacheKey identifies a compiled plan inside a PlanCache. The
-// engine is part of the key — a cache may serve several engines
-// without ever handing one engine's plan (and its k-port schedule and
-// transport) to another. Groups key by pointer identity: callers that
-// reuse a *Group (the common case — Machine.World or a stored NewGroup
-// result) hit the cache, distinct pointers with equal members merely
-// recompile.
-// Layout plans key by the layout's 64-bit digest (v distinguishes a
-// layout plan from a fixed-size plan so digests can never collide with
-// block sizes); a digest hit is confirmed against the stored plan's
-// layout with Equal, and a mismatching hit — an astronomically unlikely
-// digest collision — compiles a fresh uncached plan rather than ever
-// serving the wrong schedule.
-// Hierarchical plans key by the topology's digest the same way (topo;
-// zero for flat plans), confirmed by Topology.Equal on a hit.
-type planCacheKey struct {
-	e        *mpsim.Engine
-	g        *mpsim.Group
-	op       planOp
-	ialg     IndexAlgorithm
-	calg     ConcatAlgorithm
-	ralg     ReduceAlgorithm
-	radix    int
-	radices  string
-	noPack   bool
-	segments int // normalized: 0 for monolithic, AutoSegments kept as-is
-	policy   partition.Policy
-	blockLen int
-	kernel   string // kernel identity of a reduction plan
-	v        bool
-	layout   uint64
-	topo     uint64 // topology digest of a hierarchical plan
-}
-
-// normSegments canonicalizes a segment request for cache keying: 0 and
-// 1 both compile to the monolithic schedule, so they share one entry.
-// AutoSegments stays distinct — its resolution depends only on the
-// keyed (n, blockLen, radix, k) configuration, so caching under the
-// sentinel is consistent.
-func normSegments(s int) int {
-	if s == 1 {
-		return 0
-	}
-	return s
-}
-
-// maxCachedPlans bounds a PlanCache. Schedules are cheap to recompile
-// (microseconds), so when callers churn through configurations — e.g.
-// a fresh ephemeral *Group per request, which never hits the
-// pointer-keyed cache — the cache evicts rather than growing without
-// bound and pinning every dead group.
-const maxCachedPlans = 256
-
-// PlanCache memoizes compiled plans per (engine, op, group, options,
-// block size) configuration, holding at most maxCachedPlans entries
-// (an arbitrary entry is evicted beyond that). Like the engines it
-// serves, a PlanCache is not safe for concurrent use.
-type PlanCache struct {
-	plans map[planCacheKey]*Plan
-}
-
-// NewPlanCache returns an empty cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[planCacheKey]*Plan)}
-}
-
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int { return len(c.plans) }
-
-// insert stores a compiled plan, evicting an arbitrary entry first if
-// the cache is full.
-func (c *PlanCache) insert(key planCacheKey, pl *Plan) {
-	if len(c.plans) >= maxCachedPlans {
-		for k := range c.plans {
-			delete(c.plans, k)
-			break
-		}
-	}
-	c.plans[key] = pl
-}
-
-// IndexPlan returns the cached plan for the configuration, compiling
-// and caching it on first use.
-func (c *PlanCache) IndexPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: opt.Algorithm,
-		radix: opt.Radix, noPack: opt.NoPack,
-		segments: normSegments(opt.Segments), blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileIndex(e, g, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// IndexMixedPlan is IndexPlan for mixed-radix schedules.
-func (c *PlanCache) IndexMixedPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []int) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: IndexBruck,
-		radices: fmt.Sprint(radices), blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileIndexMixed(e, g, blockLen, radices)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// vPlan resolves one layout-plan cache lookup: a digest hit confirmed
-// by Layout.Equal is served as-is; an unconfirmed hit — a digest
-// collision between distinct layouts — compiles fresh without touching
-// the cache, so the wrong schedule is never served; a miss compiles
-// and caches.
-func (c *PlanCache) vPlan(key planCacheKey, l *blocks.Layout, compile func() (*Plan, error)) (*Plan, error) {
-	if l == nil {
-		return nil, fmt.Errorf("collective: nil layout")
-	}
-	if pl, ok := c.plans[key]; ok {
-		if pl.layout.Equal(l) {
-			return pl, nil
-		}
-		return compile()
-	}
-	pl, err := compile()
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// IndexVPlan returns the cached layout plan for the configuration,
-// compiling and caching it under the layout's digest on first use.
-func (c *PlanCache) IndexVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt IndexOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: opt.Algorithm,
-		radix: opt.Radix, noPack: opt.NoPack,
-		segments: normSegments(opt.Segments),
-		v:        true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileIndexV(e, g, l, opt) })
-}
-
-// IndexVMixedPlan is IndexVPlan for mixed-radix schedules.
-func (c *PlanCache) IndexVMixedPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, radices []int) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: IndexBruck,
-		radices: fmt.Sprint(radices),
-		v:       true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileIndexVMixed(e, g, l, radices) })
-}
-
-// ConcatVPlan is IndexVPlan for concatenation schedules.
-func (c *PlanCache) ConcatVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt ConcatOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opConcat, calg: opt.Algorithm,
-		policy: opt.LastRound,
-		v:      true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileConcatV(e, g, l, opt) })
-}
-
-// ConcatPlan is IndexPlan for concatenation schedules.
-func (c *PlanCache) ConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opConcat, calg: opt.Algorithm,
-		policy: opt.LastRound, blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileConcat(e, g, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// The cached entry points below mirror the package-level operations but
-// amortize compilation through the cache; the public Machine API routes
-// every call through them, so repeated configurations transparently
-// reuse their plans.
-
-// IndexFlat is the cached counterpart of the package-level IndexFlat.
-func (c *PlanCache) IndexFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt IndexOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return c.IndexPlan(e, g, b, opt) })
-}
-
-// IndexMixedFlat is the cached counterpart of the package-level
-// IndexMixedFlat.
-func (c *PlanCache) IndexMixedFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, radices []int) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return c.IndexMixedPlan(e, g, b, radices) })
-}
-
-// ConcatFlat is the cached counterpart of the package-level ConcatFlat.
-func (c *PlanCache) ConcatFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ConcatOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return c.ConcatPlan(e, g, b, opt) })
-}
-
-// Index is the cached counterpart of the package-level legacy Index:
-// one copy in, one copy out, compiled schedule in between.
-func (c *PlanCache) Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromMatrix(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return c.IndexPlan(e, g, b, opt) })
-}
-
-// IndexMixed is the cached counterpart of the package-level legacy
-// IndexMixed.
-func (c *PlanCache) IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromMatrix(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return c.IndexMixedPlan(e, g, b, radices) })
-}
-
-// Concat is the cached counterpart of the package-level legacy Concat.
-func (c *PlanCache) Concat(e *mpsim.Engine, g *mpsim.Group, in [][]byte, opt ConcatOptions) ([][][]byte, *Result, error) {
-	fin, err := buffers.FromVector(in)
-	return runSlices(fin, err, func(b int) (*Plan, error) { return c.ConcatPlan(e, g, b, opt) })
 }

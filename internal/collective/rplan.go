@@ -42,7 +42,6 @@ import (
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
-	"bruck/internal/mpsim"
 	"bruck/internal/partition"
 )
 
@@ -59,11 +58,14 @@ const (
 	AllReduceKind
 )
 
-func (k ReduceKind) String() string {
+func (k ReduceKind) String() string { return k.Op().String() }
+
+// Op returns the Spec operation of the kind.
+func (k ReduceKind) Op() Op {
 	if k == ReduceScatterKind {
-		return "reduce-scatter"
+		return OpReduceScatter
 	}
-	return "allreduce"
+	return OpAllReduce
 }
 
 // ReduceAlgorithm selects the reduce-scatter schedule (and thereby the
@@ -103,6 +105,7 @@ type ReduceOptions struct {
 	Radix int
 	// Kernel combines a received partial into the local accumulator.
 	// Required whenever blockLen > 0.
+	//lint:allow planlife a func is not comparable: KernelKey is the kernel's identity in the cache key, and an empty KernelKey never caches
 	Kernel buffers.CombineFunc
 	// ElemSize is the kernel's element width for block-size validation;
 	// 0 skips the divisibility check (raw byte kernels).
@@ -123,74 +126,51 @@ type ReduceOptions struct {
 	Segments int
 }
 
-// checkKernel validates a reduction's kernel against its block size.
-func checkKernel(blockLen int, opt ReduceOptions) error {
-	if blockLen > 0 && opt.Kernel == nil {
-		return fmt.Errorf("collective: reduction requires a combine kernel (set ReduceOptions.Kernel)")
+// compileReduce compiles the reduction s.Op at block size s.BlockLen:
+// the reduce-scatter schedule chosen by the algorithm, plus — for
+// OpAllReduce — the circulant concatenation of the combined chunks, one
+// program run inside one engine run per execution. The plan's Execute
+// takes an index-shaped input (block (i, j) = rank i's contribution to
+// chunk j) and a concat-shaped output for the reduce-scatter or an
+// index-shaped output for the allreduce.
+func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
+	opt, blockLen, all := s.Reduce, s.BlockLen, s.Op == OpAllReduce
+	pl.combine = opt.Kernel
+	b := newBuilder(2*n+2, n+k, 3*n+4)
+	// The combined chunk me lands in the output's only block, in slot
+	// 0 of the concatenation's accumulation region — or, when the
+	// concatenation is the single all-pairs round, in block me.
+	allPairs := all && n > 1 && k >= n-1
+	chunk := b.ext(blocksAt(regOut, fixed(0), 1))
+	if allPairs {
+		chunk = b.ext(blocksAt(regOut, plus(0), 1))
 	}
-	if opt.ElemSize > 0 && blockLen%opt.ElemSize != 0 {
-		return fmt.Errorf("collective: block size %d is not a multiple of the kernel's %d-byte elements", blockLen, opt.ElemSize)
-	}
-	return nil
-}
-
-// CompileReduce compiles the reduction selected by kind for group g on
-// engine e at block size blockLen: the reduce-scatter schedule chosen
-// by opt.Algorithm, plus — for AllReduceKind — the circulant
-// concatenation of the combined chunks, one program run inside one
-// engine run per execution. The plan's Execute takes an index-shaped
-// input (block (i, j) = rank i's contribution to chunk j) and a
-// concat-shaped output for ReduceScatterKind or an index-shaped output
-// for AllReduceKind.
-func CompileReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) (*Plan, error) {
-	op := opReduceScatter
-	if kind == AllReduceKind {
-		op = opAllReduce
-	}
-	return compile(e, g, op, opt.Algorithm.String(), blockLen, func(pl *Plan, n, k int) (*program, error) {
-		if err := checkKernel(blockLen, opt); err != nil {
+	work, segments := b.reduceScatter(n, k, blockLen, opt, chunk)
+	pl.segments = segments
+	switch {
+	case !all:
+		pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
+		pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
+	case allPairs:
+		b.trivial(n, chunk)
+	default:
+		if err := b.circulant(n, k, blockLen, regOut, opt.LastRound); err != nil {
 			return nil, err
 		}
-		pl.combine = opt.Kernel
-		b := newBuilder(2*n+2, n+k, 3*n+4)
-		// The combined chunk me lands in the output's only block, in slot
-		// 0 of the concatenation's accumulation region — or, when the
-		// concatenation is the single all-pairs round, in block me.
-		allPairs := kind == AllReduceKind && n > 1 && k >= n-1
-		chunk := b.ext(blocksAt(regOut, fixed(0), 1))
-		if allPairs {
-			chunk = b.ext(blocksAt(regOut, plus(0), 1))
-		}
-		work, segments, err := b.reduceScatter(n, k, blockLen, opt, chunk)
-		if err != nil {
-			return nil, err
-		}
-		pl.segments = segments
-		switch {
-		case kind != AllReduceKind:
-			pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
-			pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
-		case allPairs:
-			b.trivial(n, chunk)
-		default:
-			if err := b.circulant(n, k, blockLen, regOut, opt.LastRound); err != nil {
-				return nil, err
-			}
-			b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
-		}
-		if kind == AllReduceKind {
-			pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)
-			pl.c1lb = lowerbound.AllReduceRounds(n, k)
-		}
-		if pl.segments > 1 {
-			// A merged pipelined round multiplexes up to segments compiled
-			// rounds over the ports, so the per-round-maximum C2 measure can
-			// dip below the monolithic volume bound by up to that factor; see
-			// the matching scaling in compileIndex.
-			pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
-		}
-		return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
-	})
+		b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
+	}
+	if all {
+		pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)
+		pl.c1lb = lowerbound.AllReduceRounds(n, k)
+	}
+	if pl.segments > 1 {
+		// A merged pipelined round multiplexes up to segments compiled
+		// rounds over the ports, so the per-round-maximum C2 measure can
+		// dip below the monolithic volume bound by up to that factor; see
+		// the matching scaling in compileIndex.
+		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+	}
+	return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
 }
 
 // reduceScatter appends the reduce-scatter schedule selected by opt:
@@ -199,21 +179,11 @@ func CompileReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen in
 // the schedule works in and the segment count of a pipelined Bruck
 // phase. Every schedule applies its combines in a fixed order, so
 // repeated executions are bit-identical.
-func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent) (work []scratch, segments int, err error) {
+func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent) (work []scratch, segments int) {
 	slot0 := b.ext(blocksAt(regWork, fixed(0), 1))
 	switch {
-	case opt.Algorithm > ReduceBruck:
-		return nil, 0, fmt.Errorf("collective: unknown reduce algorithm %v", opt.Algorithm)
-	case opt.Algorithm == ReduceHalving && !intmath.IsPow(2, n):
-		return nil, 0, fmt.Errorf("collective: recursive halving requires a power-of-two group size, got %d", n)
 	case opt.Algorithm == ReduceBruck:
-		r := opt.Radix
-		if r == 0 {
-			r = intmath.Min(k+1, n)
-		}
-		if n > 1 && (r < 2 || r > n) {
-			return nil, 0, fmt.Errorf("collective: reduce radix %d out of range [2, %d]", r, n)
-		}
+		r := defaultRadix(opt.Radix, n, k)
 		segments = opt.Segments
 		if segments == AutoSegments {
 			segments = OptimalSegments(costmodel.SP1, n, bl, r, k)
@@ -231,10 +201,10 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 			b.exts = append(b.exts, chunk[0])
 		}
 		b.combine(b.exts[lo:len(b.exts):len(b.exts)], b.ext(blocksAt(regWork, fixed(1), n-1)))
-		return []scratch{{n * bl, bl}}, segments, nil
+		return []scratch{{n * bl, bl}}, segments
 	case n == 1:
 		b.local(stepCopy, chunk, b.ext(blocksAt(regIn, plus(0), 1)))
-		return nil, 0, nil
+		return nil, 0
 	case opt.Algorithm == ReduceRing:
 		// The partial for chunk c starts at rank c+1 with that rank's own
 		// contribution and travels the ring once, each rank combining its
@@ -247,7 +217,7 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 			b.combine(slot0, b.ext(blocksAt(regIn, plus(-t-1), 1)))
 		}
 		b.local(stepCopy, chunk, slot0)
-		return []scratch{{bl, bl}}, 0, nil
+		return []scratch{{bl, bl}}, 0
 	default:
 		// Recursive vector halving in xor order: slot q of the working
 		// row holds the partial for chunk me xor q, so every round sends
@@ -261,136 +231,6 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 			b.exchange("", 0)
 		}
 		b.local(stepCopy, chunk, slot0)
-		return []scratch{{n * bl, bl}}, 0, nil
+		return []scratch{{n * bl, bl}}, 0
 	}
-}
-
-// reduceKey builds the cache key of a reduction plan configuration.
-// Option fields the compiled plan ignores are normalized out — the
-// radix for non-Bruck schedules, the last-round policy when there is no
-// concatenation phase — so equivalent configurations share one cache
-// entry instead of fragmenting the bounded cache with identical plans.
-func reduceKey(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) planCacheKey {
-	op := opReduceScatter
-	if kind == AllReduceKind {
-		op = opAllReduce
-	}
-	radix := opt.Radix
-	if opt.Algorithm != ReduceBruck {
-		radix = 0
-	}
-	segments := opt.Segments
-	if opt.Algorithm != ReduceBruck {
-		segments = 0
-	}
-	policy := opt.LastRound
-	if kind == ReduceScatterKind {
-		policy = 0
-	}
-	//lint:allow planlife Kernel is a func (not comparable) represented by KernelKey; ElemSize only validates block sizes. Empty KernelKey never caches (see ReducePlan).
-	return planCacheKey{
-		e: e, g: g, op: op, ralg: opt.Algorithm, radix: radix,
-		policy: policy, blockLen: blockLen, kernel: opt.KernelKey,
-		segments: normSegments(segments),
-	}
-}
-
-// ReducePlan returns the cached reduction plan for the configuration,
-// compiling and caching it on first use. Configurations with an
-// anonymous user kernel (empty KernelKey) are compiled fresh on every
-// call and never cached — the cache cannot tell two user kernels apart.
-func (c *PlanCache) ReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) (*Plan, error) {
-	if opt.KernelKey == "" {
-		return CompileReduce(e, g, kind, blockLen, opt)
-	}
-	key := reduceKey(e, g, kind, blockLen, opt)
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileReduce(e, g, kind, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// AutoReducePlan compiles candidate reduce-scatter schedules — the
-// ring, recursive halving where the group size allows it, and the Bruck
-// family at the auto dispatcher's radix candidates — and returns the
-// one minimizing the linear-model time C1*Beta + C2*Tau under the
-// profile, the Section 3.5 dispatch rule applied to the reduction
-// composition (for AllReduceKind every candidate carries the identical
-// concatenation phase, so the verdict is decided by the reduce-scatter
-// phase). The verdict is memoized per (engine, group, kind, block size,
-// kernel, beta, tau), so the steady state of a repeated auto call is a
-// single cache lookup.
-func (c *PlanCache) AutoReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions, p costmodel.Profile) (*Plan, error) {
-	if err := checkGroup(e, g); err != nil {
-		return nil, err
-	}
-	n := g.Size()
-	verdict := reduceKey(e, g, kind, blockLen, opt)
-	// The dispatcher overrides the caller's algorithm, radix and segment
-	// count, so the verdict key normalizes them away entirely.
-	verdict.ralg, verdict.radix, verdict.segments = 0, 0, 0
-	verdict.radices = fmt.Sprintf("auto:%g:%g", p.Beta, p.Tau)
-	cacheable := opt.KernelKey != ""
-	if cacheable {
-		if pl, ok := c.plans[verdict]; ok {
-			return pl, nil
-		}
-	}
-	var best *Plan
-	consider := func(o ReduceOptions) error {
-		pl, err := c.ReducePlan(e, g, kind, blockLen, o)
-		if err != nil {
-			return err
-		}
-		if best == nil || pl.Time(p) < best.Time(p) {
-			best = pl
-		}
-		return nil
-	}
-	ring, halving, bruck := opt, opt, opt
-	ring.Algorithm = ReduceRing
-	if err := consider(ring); err != nil {
-		return nil, err
-	}
-	if intmath.IsPow(2, n) && n > 1 {
-		halving.Algorithm = ReduceHalving
-		if err := consider(halving); err != nil {
-			return nil, err
-		}
-	}
-	// The candidates are all monolithic (Segments is forced to 0): a
-	// pipelined plan's merged-round C2 measure can dip below the volume
-	// bound by multiplexing ports, so comparing it against monolithic
-	// candidates under T = C1*Beta + C2*Tau would over-reward it. The
-	// segment axis has its own cost-model dispatch — WithSegments
-	// (AutoSegments) resolves through OptimalSegments at compile time.
-	bruck.Algorithm = ReduceBruck
-	bruck.Segments = 0
-	for _, r := range candidateRadices(p, n, blockLen, e.Ports()) {
-		bruck.Radix = r
-		if err := consider(bruck); err != nil {
-			return nil, err
-		}
-	}
-	if cacheable {
-		c.insert(verdict, best)
-	}
-	return best, nil
-}
-
-// ReduceScatterFlat compiles the reduce-scatter schedule and executes
-// it once. Repeated callers should hold a Plan from CompileReduce or go
-// through a PlanCache, as the public Machine API does.
-func ReduceScatterFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ReduceOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return CompileReduce(e, g, ReduceScatterKind, b, opt) })
-}
-
-// AllReduceFlat compiles the allreduce schedule and executes it once.
-func AllReduceFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ReduceOptions) (*Result, error) {
-	return runFlat(in, out, func(b int) (*Plan, error) { return CompileReduce(e, g, AllReduceKind, b, opt) })
 }

@@ -59,7 +59,7 @@ func TestIndexScheduleTranslationInvariant(t *testing.T) {
 	} {
 		e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k), mpsim.Record(true))
 		in := genIndexInput(tc.n, 3)
-		if _, _, err := Index(e, mpsim.WorldGroup(tc.n), in, IndexOptions{Radix: tc.r}); err != nil {
+		if _, _, err := indexSlices(e, mpsim.WorldGroup(tc.n), in, IndexOptions{Radix: tc.r}); err != nil {
 			t.Fatal(err)
 		}
 		checkTranslationInvariance(t, e.Metrics(), tc.n,
@@ -73,7 +73,7 @@ func TestConcatScheduleTranslationInvariant(t *testing.T) {
 	} {
 		e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k), mpsim.Record(true))
 		in := genConcatInput(tc.n, 4)
-		if _, _, err := Concat(e, mpsim.WorldGroup(tc.n), in, ConcatOptions{}); err != nil {
+		if _, _, err := concatSlices(e, mpsim.WorldGroup(tc.n), in, ConcatOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		checkTranslationInvariance(t, e.Metrics(), tc.n,
@@ -88,7 +88,7 @@ func TestConcatScheduleMatchesSpanningTrees(t *testing.T) {
 	const n, k = 27, 2
 	e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.Record(true))
 	in := genConcatInput(n, 2)
-	if _, _, err := Concat(e, mpsim.WorldGroup(n), in, ConcatOptions{}); err != nil {
+	if _, _, err := concatSlices(e, mpsim.WorldGroup(n), in, ConcatOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// d = 3 rounds; rounds 0 and 1 are the first phase with offsets
@@ -115,7 +115,7 @@ func TestIndexEveryPairCommunicatesDirect(t *testing.T) {
 	const n = 9
 	e := mpsim.MustNew(n, mpsim.Record(true))
 	in := genIndexInput(n, 2)
-	if _, _, err := Index(e, mpsim.WorldGroup(n), in, IndexOptions{Algorithm: IndexDirect}); err != nil {
+	if _, _, err := indexSlices(e, mpsim.WorldGroup(n), in, IndexOptions{Algorithm: IndexDirect}); err != nil {
 		t.Fatal(err)
 	}
 	pairs := make(map[[2]int]int)

@@ -78,7 +78,7 @@ func TestIndexVUniformMatchesFlat(t *testing.T) {
 				for x, data := 0, fin.Bytes(); x < len(data); x++ {
 					data[x] = byte(x*11 + 3)
 				}
-				flatRes, err := IndexFlat(e, g, fin, fout, IndexOptions{})
+				flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpIndex})
 				if err != nil {
 					t.Fatalf("%s: IndexFlat: %v", tag, err)
 				}
@@ -90,7 +90,7 @@ func TestIndexVUniformMatchesFlat(t *testing.T) {
 				vin, _ := buffers.NewRagged(l)
 				vout, _ := buffers.NewRagged(l.Transpose())
 				copy(vin.Bytes(), fin.Bytes())
-				vRes, err := IndexVFlat(e, g, vin, vout, IndexOptions{})
+				vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpIndexV})
 				if err != nil {
 					t.Fatalf("%s: IndexVFlat: %v", tag, err)
 				}
@@ -122,7 +122,7 @@ func TestConcatVUniformMatchesFlat(t *testing.T) {
 				for x, data := 0, fin.Bytes(); x < len(data); x++ {
 					data[x] = byte(x*13 + 5)
 				}
-				flatRes, err := ConcatFlat(e, g, fin, fout, ConcatOptions{})
+				flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpConcat})
 				if err != nil {
 					t.Fatalf("%s: ConcatFlat: %v", tag, err)
 				}
@@ -138,7 +138,7 @@ func TestConcatVUniformMatchesFlat(t *testing.T) {
 				vin, _ := buffers.NewRagged(l)
 				vout, _ := buffers.NewRagged(outL)
 				copy(vin.Bytes(), fin.Bytes())
-				vRes, err := ConcatVFlat(e, g, vin, vout, ConcatOptions{})
+				vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpConcatV})
 				if err != nil {
 					t.Fatalf("%s: ConcatVFlat: %v", tag, err)
 				}
@@ -174,9 +174,9 @@ func TestUniformVCompilesIdenticalRounds(t *testing.T) {
 					t.Fatalf("CompileIndex(n=%d, k=%d, r=%d): %v", n, k, r, err)
 				}
 				l, _ := blocks.Uniform(n, n, 24)
-				v, err := CompileIndexV(e, g, l, IndexOptions{Radix: r})
+				v, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Index: IndexOptions{Radix: r}})
 				if err != nil {
-					t.Fatalf("CompileIndexV(n=%d, k=%d, r=%d): %v", n, k, r, err)
+					t.Fatalf("compile IndexV(n=%d, k=%d, r=%d): %v", n, k, r, err)
 				}
 				// The layout only changes how the caller regions are
 				// addressed: the steps are the fixed-size program's.
@@ -223,7 +223,7 @@ func TestIndexVRaggedMatchesReference(t *testing.T) {
 					g := mpsim.WorldGroup(n)
 					tag := fmt.Sprintf("%v n=%d k=%d alg=%v r=%d nopack=%v", backend, n, k, opt.Algorithm, opt.Radix, opt.NoPack)
 
-					pl, err := CompileIndexV(e, g, l, opt)
+					pl, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Index: opt})
 					if err != nil {
 						t.Fatalf("%s: compile: %v", tag, err)
 					}
@@ -262,7 +262,7 @@ func TestIndexVMixedRadixRagged(t *testing.T) {
 	}
 	e := mpsim.MustNew(n, mpsim.Ports(2))
 	g := mpsim.WorldGroup(n)
-	pl, err := CompileIndexVMixed(e, g, l, []int{3, 2, 2})
+	pl, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Radices: []int{3, 2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestConcatVRaggedMatchesReference(t *testing.T) {
 					g := mpsim.WorldGroup(n)
 					tag := fmt.Sprintf("%v n=%d k=%d alg=%v", backend, n, k, opt.Algorithm)
 
-					pl, err := CompileConcatV(e, g, l, opt)
+					pl, err := Compile(e, g, Spec{Op: OpConcatV, Layout: l, Concat: opt})
 					if err != nil {
 						t.Fatalf("%s: compile: %v", tag, err)
 					}
@@ -362,12 +362,12 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	}
 
 	profile := costmodel.LowLatency // bandwidth-bound: volume decides
-	best, err := cache.AutoIndexVPlan(e, g, l, profile)
+	best, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l, Auto: &profile})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range candidateRadices(profile, n, l.Max(), e.Ports()) {
-		pl, err := cache.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexBruck, Radix: r})
+		pl, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l, Index: IndexOptions{Algorithm: IndexBruck, Radix: r}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 			t.Errorf("auto chose time %g but bruck r=%d has %g", best.Time(profile), r, pl.Time(profile))
 		}
 	}
-	direct, err := cache.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexDirect})
+	direct, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l, Index: IndexOptions{Algorithm: IndexDirect}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	// The same layout under a latency-bound profile flips to a
 	// log-round schedule.
 	latency := costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}
-	best, err = cache.AutoIndexVPlan(e, g, l, latency)
+	best, err = cache.Get(e, g, Spec{Op: OpIndexV, Layout: l, Auto: &latency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,16 +433,17 @@ func TestAutoConcatVDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			circ, err := cache.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatCirculant})
+			circ, err := cache.Get(e, g, Spec{Op: OpConcatV, Layout: l, Concat: ConcatOptions{Algorithm: ConcatCirculant}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ring, err := cache.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatRing})
+			ring, err := cache.Get(e, g, Spec{Op: OpConcatV, Layout: l, Concat: ConcatOptions{Algorithm: ConcatRing}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range profiles {
-				got, err := cache.AutoConcatVPlan(e, g, l, p, 0)
+				p := p
+				got, err := cache.Get(e, g, Spec{Op: OpConcatV, Layout: l, Auto: &p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -457,7 +458,7 @@ func TestAutoConcatVDispatch(t *testing.T) {
 			}
 			// The latency-bound profile must land on the round-optimal
 			// circulant schedule.
-			got, err := cache.AutoConcatVPlan(e, g, l, costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}, 0)
+			got, err := cache.Get(e, g, Spec{Op: OpConcatV, Layout: l, Auto: &costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,18 +483,18 @@ func TestIndexVPlanCacheLayoutKeys(t *testing.T) {
 	c2 := genRaggedCounts(n, 13)
 	l2, _ := blocks.Ragged(c2)
 
-	p1, err := cache.IndexVPlan(e, g, l1, IndexOptions{})
+	p1, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l1, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1b, err := cache.IndexVPlan(e, g, l1b, IndexOptions{})
+	p1b, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l1b, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p1b {
 		t.Errorf("equal layouts should share a cached plan")
 	}
-	p2, err := cache.IndexVPlan(e, g, l2, IndexOptions{})
+	p2, err := cache.Get(e, g, Spec{Op: OpIndexV, Layout: l2, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +530,7 @@ func TestConcatVRejectsBaselinesWithoutVVariant(t *testing.T) {
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	l, _ := blocks.RaggedVector(counts)
 	for _, alg := range []ConcatAlgorithm{ConcatFolklore, ConcatRecursiveDoubling} {
-		if _, err := CompileConcatV(e, g, l, ConcatOptions{Algorithm: alg}); err == nil {
+		if _, err := Compile(e, g, Spec{Op: OpConcatV, Layout: l, Concat: ConcatOptions{Algorithm: alg}}); err == nil {
 			t.Errorf("CompileConcatV accepted %v", alg)
 		}
 	}
@@ -565,7 +566,7 @@ func TestExecutePlansMixedUniformRagged(t *testing.T) {
 
 		counts := []int{0, 7, 3, 12, 5}
 		l, _ := blocks.RaggedVector(counts)
-		rag, err := CompileConcatV(e, gB, l, ConcatOptions{})
+		rag, err := Compile(e, gB, Spec{Op: OpConcatV, Layout: l})
 		if err != nil {
 			t.Fatal(err)
 		}

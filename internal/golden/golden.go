@@ -260,6 +260,19 @@ func Compile(c Case) (*collective.Plan, error) {
 	return pl, nil
 }
 
+// compile compiles a fixed-size spec of the case: the two-level schedule
+// under the case's topology when it names one.
+func (c Case) compile(e *mpsim.Engine, g *mpsim.Group, s collective.Spec) (*collective.Plan, error) {
+	if c.Topology != "" {
+		topo, err := costmodel.ParseTopology(c.Topology)
+		if err != nil {
+			return nil, err
+		}
+		s.Hierarchical, s.Topology = true, topo
+	}
+	return collective.Compile(e, g, s)
+}
+
 // fill writes the (proc, block, byte)-identifying pattern the reference
 // checks recompute.
 func fill(blk []byte, i, j int) {
@@ -308,7 +321,7 @@ func (c Case) setupIndex(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, fun
 		if err != nil {
 			return nil, nil, err
 		}
-		pl, err := collective.CompileIndexV(e, g, l, opt)
+		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpIndexV, Layout: l, Index: opt})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -339,18 +352,11 @@ func (c Case) setupIndex(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, fun
 			return nil
 		}, nil
 	}
-	var pl *collective.Plan
-	switch {
-	case c.Topology != "":
-		var topo *costmodel.Topology
-		if topo, err = costmodel.ParseTopology(c.Topology); err == nil {
-			pl, err = collective.CompileHierarchicalIndex(e, g, c.B, topo, collective.HierOptions{})
-		}
-	case c.Alg == "mixed":
-		pl, err = collective.CompileIndexMixed(e, g, c.B, c.Radices)
-	default:
-		pl, err = collective.CompileIndex(e, g, c.B, opt)
+	spec := collective.Spec{Op: collective.OpIndex, BlockLen: c.B, Index: opt}
+	if c.Alg == "mixed" {
+		spec.Radices = append([]int{}, c.Radices...)
 	}
+	pl, err := c.compile(e, g, spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,7 +421,7 @@ func (c Case) setupConcat(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, fu
 		if err != nil {
 			return nil, nil, err
 		}
-		pl, err := collective.CompileConcatV(e, g, l, opt)
+		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Concat: opt})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -448,15 +454,7 @@ func (c Case) setupConcat(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, fu
 			return nil
 		}, nil
 	}
-	var pl *collective.Plan
-	if c.Topology != "" {
-		var topo *costmodel.Topology
-		if topo, err = costmodel.ParseTopology(c.Topology); err == nil {
-			pl, err = collective.CompileHierarchicalConcat(e, g, c.B, topo, collective.HierOptions{})
-		}
-	} else {
-		pl, err = collective.CompileConcat(e, g, c.B, opt)
-	}
+	pl, err := c.compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: c.B, Concat: opt})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -542,15 +540,7 @@ func (c Case) setupReduce(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, fu
 		kind = collective.AllReduceKind
 		outBlocks = c.N
 	}
-	var pl *collective.Plan
-	if c.Topology != "" {
-		var topo *costmodel.Topology
-		if topo, err = costmodel.ParseTopology(c.Topology); err == nil {
-			pl, err = collective.CompileHierarchicalReduce(e, g, kind, c.B, topo, opt)
-		}
-	} else {
-		pl, err = collective.CompileReduce(e, g, kind, c.B, opt)
-	}
+	pl, err := c.compile(e, g, collective.Spec{Op: kind.Op(), BlockLen: c.B, Reduce: opt})
 	if err != nil {
 		return nil, nil, err
 	}

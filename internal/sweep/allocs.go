@@ -24,13 +24,6 @@ import (
 // processors, block size b, radix r and k ports, on a warmed-up engine
 // using transport backend tr.
 func IndexAllocs(tr mpsim.Backend, n, b, r, k, runs int) (legacy, flat, planned float64, err error) {
-	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	g := mpsim.WorldGroup(n)
-	opt := collective.IndexOptions{Radix: r}
-
 	in := make([][][]byte, n)
 	for i := range in {
 		in[i] = make([][]byte, n)
@@ -42,53 +35,12 @@ func IndexAllocs(tr mpsim.Backend, n, b, r, k, runs int) (legacy, flat, planned 
 			in[i][j] = blk
 		}
 	}
-	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	fout, err := buffers.New(n, n, b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	plan, err := collective.CompileIndex(e, g, b, opt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-
-	var opErr error
-	legacy = testing.AllocsPerRun(runs, func() {
-		if _, _, err := collective.Index(e, g, in, opt); err != nil {
-			opErr = err
-		}
-	})
-	flat = testing.AllocsPerRun(runs, func() {
-		if _, err := collective.IndexFlat(e, g, fin, fout, opt); err != nil {
-			opErr = err
-		}
-	})
-	planned = testing.AllocsPerRun(runs, func() {
-		if _, err := plan.Execute(fin, fout); err != nil {
-			opErr = err
-		}
-	})
-	if opErr != nil {
-		return 0, 0, 0, fmt.Errorf("sweep: index alloc study: %w", opErr)
-	}
-	return legacy, flat, planned, nil
+	spec := collective.Spec{Op: collective.OpIndex, BlockLen: b, Index: collective.IndexOptions{Radix: r}}
+	return allocStudy("index", tr, n, k, runs, spec, func() (*buffers.Buffers, error) { return buffers.FromMatrix(in) })
 }
 
-// ConcatAllocs measures the average allocations per operation of the
-// legacy, flat and compiled-plan concatenation paths for n processors,
-// block size b and k ports, on a warmed-up engine using transport
-// backend tr.
+// ConcatAllocs is IndexAllocs for the concatenation.
 func ConcatAllocs(tr mpsim.Backend, n, b, k, runs int) (legacy, flat, planned float64, err error) {
-	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	g := mpsim.WorldGroup(n)
-	opt := collective.ConcatOptions{}
-
 	in := make([][]byte, n)
 	for i := range in {
 		in[i] = make([]byte, b)
@@ -96,37 +48,62 @@ func ConcatAllocs(tr mpsim.Backend, n, b, k, runs int) (legacy, flat, planned fl
 			in[i][x] = byte(i + x)
 		}
 	}
-	fin, err := buffers.FromVector(in)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	fout, err := buffers.New(n, n, b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	plan, err := collective.CompileConcat(e, g, b, opt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
+	spec := collective.Spec{Op: collective.OpConcat, BlockLen: b}
+	return allocStudy("concat", tr, n, k, runs, spec, func() (*buffers.Buffers, error) { return buffers.FromVector(in) })
+}
 
+// allocStudy measures the three paths of one spec; copyIn is the legacy
+// path's conversion of the caller's block slices into a flat slab.
+func allocStudy(op string, tr mpsim.Backend, n, k, runs int, spec collective.Spec, copyIn func() (*buffers.Buffers, error)) (legacy, flat, planned float64, err error) {
+	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	g := mpsim.WorldGroup(n)
+	fin, err := copyIn()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	fout, err := buffers.New(n, n, spec.BlockLen)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	plan, err := collective.Compile(e, g, spec)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	var opErr error
+	perCall := func(in, out *buffers.Buffers) {
+		pl, err := collective.Compile(e, g, spec)
+		if err == nil {
+			_, err = pl.Execute(in, out)
+		}
+		if err != nil {
+			opErr = err
+		}
+	}
 	legacy = testing.AllocsPerRun(runs, func() {
-		if _, _, err := collective.Concat(e, g, in, opt); err != nil {
+		in, err := copyIn()
+		if err != nil {
 			opErr = err
+			return
 		}
-	})
-	flat = testing.AllocsPerRun(runs, func() {
-		if _, err := collective.ConcatFlat(e, g, fin, fout, opt); err != nil {
+		out, err := buffers.New(n, n, spec.BlockLen)
+		if err != nil {
 			opErr = err
+			return
 		}
+		perCall(in, out)
+		out.ToMatrix()
 	})
+	flat = testing.AllocsPerRun(runs, func() { perCall(fin, fout) })
 	planned = testing.AllocsPerRun(runs, func() {
 		if _, err := plan.Execute(fin, fout); err != nil {
 			opErr = err
 		}
 	})
 	if opErr != nil {
-		return 0, 0, 0, fmt.Errorf("sweep: concat alloc study: %w", opErr)
+		return 0, 0, 0, fmt.Errorf("sweep: %s alloc study: %w", op, opErr)
 	}
 	return legacy, flat, planned, nil
 }

@@ -24,7 +24,6 @@ import (
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
-	"bruck/internal/partition"
 )
 
 // Point is one configuration of a series: the index algorithm with
@@ -88,15 +87,7 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = []byte{byte(i ^ j)}
-		}
-	}
-	opt := collective.IndexOptions{Algorithm: collective.IndexBruck, Radix: r}
-	_, res, err := collective.Index(e, mpsim.WorldGroup(n), in, opt)
+	res, err := runOnce(e, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: measuring n=%d r=%d k=%d: %w", n, r, k, err)
 	}
@@ -104,6 +95,28 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	h.cache[key] = res.RoundSizes
 	h.mu.Unlock()
 	return res.RoundSizes, nil
+}
+
+// runOnce compiles the spec on all of e's processors and executes it
+// once on zeroed buffers (no schedule depends on the payload).
+func runOnce(e *mpsim.Engine, s collective.Spec) (*collective.Result, error) {
+	n, inBlocks := e.N(), e.N()
+	if s.Op == collective.OpConcat {
+		inBlocks = 1
+	}
+	pl, err := collective.Compile(e, mpsim.WorldGroup(n), s)
+	if err != nil {
+		return nil, err
+	}
+	in, err := buffers.New(n, inBlocks, s.BlockLen)
+	if err != nil {
+		return nil, err
+	}
+	out, err := buffers.New(n, n, s.BlockLen)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(in, out)
 }
 
 // point evaluates one configuration at block size b.
@@ -412,17 +425,7 @@ func ConcatBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, erro
 			if err != nil {
 				return nil, err
 			}
-			in := make([][]byte, n)
-			for i := range in {
-				in[i] = make([]byte, b)
-				for x := range in[i] {
-					in[i][x] = byte(i + x)
-				}
-			}
-			_, res, err := collective.Concat(e, mpsim.WorldGroup(n), in, collective.ConcatOptions{
-				Algorithm: collective.ConcatCirculant,
-				LastRound: partition.PreferOptimal,
-			})
+			res, err := runOnce(e, collective.Spec{Op: collective.OpConcat, BlockLen: b})
 			if err != nil {
 				return nil, fmt.Errorf("sweep: concat n=%d k=%d: %w", n, k, err)
 			}

@@ -108,7 +108,7 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 					if err != nil {
 						return nil, err
 					}
-					hier, err = collective.CompileHierarchicalConcat(e, g, b, topo, collective.HierOptions{})
+					hier, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
 				default:
 					return nil, fmt.Errorf("sweep: topology crossover supports index and concat, got %q", op)
 				}

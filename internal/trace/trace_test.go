@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bruck/internal/buffers"
 	"bruck/internal/collective"
 	"bruck/internal/mpsim"
 	. "bruck/internal/trace"
@@ -105,23 +106,26 @@ func TestTraceMatchesRealIndex(t *testing.T) {
 	// And the byte-level algorithm agrees on one configuration, with
 	// blocks encoding their labels.
 	const n, r = 5, 2
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = []byte{byte(i), byte(j)}
+	in, _ := buffers.New(n, n, 2)
+	out, _ := buffers.New(n, n, 2)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			copy(in.Block(i, j), []byte{byte(i), byte(j)})
 		}
 	}
 	e := mpsim.MustNew(n)
-	out, _, err := collective.Index(e, mpsim.WorldGroup(n), in, collective.IndexOptions{Radix: r})
+	pl, err := collective.Compile(e, mpsim.WorldGroup(n), collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Execute(in, out); err != nil {
 		t.Fatal(err)
 	}
 	tr, _ := TraceIndex(n, r)
 	final := tr.Final()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want := Label{Proc: int(out[i][j][0]), Block: int(out[i][j][1])}
+			want := Label{Proc: int(out.Block(i, j)[0]), Block: int(out.Block(i, j)[1])}
 			if final.Cells[i][j] != want {
 				t.Errorf("trace[%d][%d] = %v, byte-level algorithm has %v", i, j, final.Cells[i][j], want)
 			}
