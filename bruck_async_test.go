@@ -9,6 +9,7 @@ package bruck
 // fresh transport exactly like a blocking one.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -245,5 +246,66 @@ func TestAsyncSurvivesFencedRun(t *testing.T) {
 	}
 	if !out2.Equal(out1) {
 		t.Fatal("post-fence async execution produced different bytes")
+	}
+}
+
+// TestOverlappingRunsAreRejected: a blocking call made while an
+// asynchronous operation was in flight used to run on the same engine
+// concurrently — a data race on its pools, transport and counters that
+// -race reports at any timing. The engine now admits one run at a time:
+// whichever of the two reaches it second gets the pinned error, the
+// other completes correctly, and the machine stays usable.
+func TestOverlappingRunsAreRejected(t *testing.T) {
+	const n, b = 16, 64 << 10
+	const want = "mpsim: a run is already in flight on this engine (runs must not overlap)"
+	m := MustNewMachine(n)
+	in := NewBuffersOrDie(t, n, n, b)
+	fillIndexInput(in, 5)
+	ref := NewBuffersOrDie(t, n, n, b)
+	if _, err := m.IndexFlat(in, ref); err != nil {
+		t.Fatal(err)
+	}
+	data := in.Block(3, 4)
+	for _, blocking := range []struct {
+		name string
+		call func() (ok bool, err error)
+	}{
+		{"IndexFlat", func() (bool, error) {
+			out := NewBuffersOrDie(t, n, n, b)
+			_, err := m.IndexFlat(in, out)
+			return out.Equal(ref), err
+		}},
+		{"BroadcastInto", func() (bool, error) {
+			out := NewBuffersOrDie(t, n, 1, b)
+			_, err := m.BroadcastInto(2, data, out)
+			ok := true
+			for i := 0; i < n; i++ {
+				ok = ok && bytes.Equal(out.Block(i, 0), data)
+			}
+			return ok, err
+		}},
+	} {
+		asyncOut := NewBuffersOrDie(t, n, n, b)
+		h, err := m.IndexAsync(in, asyncOut)
+		if err != nil {
+			t.Fatalf("%s: IndexAsync: %v", blocking.name, err)
+		}
+		ok, syncErr := blocking.call()
+		_, asyncErr := h.Wait()
+		switch {
+		case syncErr != nil && asyncErr != nil:
+			t.Fatalf("%s: both overlapping runs failed: %v / %v", blocking.name, syncErr, asyncErr)
+		case syncErr != nil && syncErr.Error() != want:
+			t.Fatalf("%s: blocking call failed with %q, want %q", blocking.name, syncErr, want)
+		case asyncErr != nil && asyncErr.Error() != want:
+			t.Fatalf("%s: async operation failed with %q, want %q", blocking.name, asyncErr, want)
+		case syncErr == nil && !ok:
+			t.Errorf("%s: the admitted blocking call delivered wrong bytes", blocking.name)
+		case asyncErr == nil && !asyncOut.Equal(ref):
+			t.Errorf("%s: the admitted async operation delivered wrong bytes", blocking.name)
+		}
+		if ok, err := blocking.call(); err != nil || !ok {
+			t.Fatalf("%s: machine unusable after an overlap: ok=%v err=%v", blocking.name, ok, err)
+		}
 	}
 }

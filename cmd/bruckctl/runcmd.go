@@ -238,6 +238,7 @@ func runOpInto(rp *reporter, p params) error {
 		return fmt.Errorf("unknown operation %q", p.op)
 	}
 
+	fmt.Fprintf(w, "  verified against the direct reference\n")
 	fmt.Fprintf(w, "  total traffic = %d bytes in %d messages\n", res.TotalBytes, res.Messages)
 	fmt.Fprintf(w, "  model time (SP-1 linear):    %v\n", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
 	fmt.Fprintf(w, "  model time (SP-1 extended):  %v\n", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
@@ -247,6 +248,7 @@ func runOpInto(rp *reporter, p params) error {
 	kv.Add("c2", res.C2)
 	kv.Add("total_bytes", res.TotalBytes)
 	kv.Add("messages", res.Messages)
+	kv.Add("verified_direct_reference", true)
 	kv.Add("model_sp1_linear", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
 	kv.Add("model_sp1_extended", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
 	if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
@@ -257,9 +259,10 @@ func runOpInto(rp *reporter, p params) error {
 	return nil
 }
 
-// runOnce compiles the spec and executes it once on zeroed buffers. The
-// legacy path crosses the [][][]byte shape on the way in and out — one
-// copy each, as the public Index/Concat adapters do.
+// runOnce compiles the spec, executes it once on the study pattern and
+// checks every output block against the direct reference. The legacy
+// path crosses the [][][]byte shape on the way in and out — one copy
+// each, as the public Index/Concat adapters do.
 func runOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, flat bool) (*collective.Result, error) {
 	n, inBlocks := g.Size(), g.Size()
 	if s.Op == collective.OpConcat {
@@ -273,16 +276,28 @@ func runOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, flat bool) (*co
 	if err != nil {
 		return nil, err
 	}
+	fillPattern(in)
 	if !flat {
 		if in, err = buffers.FromMatrix(in.ToMatrix()); err != nil {
 			return nil, err
 		}
 	}
 	res, err := execOnce(e, g, s, in, out)
-	if err == nil && !flat {
+	if err != nil {
+		return nil, err
+	}
+	if !flat {
 		out.ToMatrix()
 	}
-	return res, err
+	// out[i][j] = in[j][i] for the index, in[j] (the only block) for concat.
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !bytes.Equal(out.Block(i, j), in.Block(j, i%inBlocks)) {
+				return nil, fmt.Errorf("%v: out[%d][%d] differs from the direct reference", s.Op, i, j)
+			}
+		}
+	}
+	return res, nil
 }
 
 // execOnce compiles the spec at the buffers' block size and executes it

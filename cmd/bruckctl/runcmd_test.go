@@ -11,7 +11,7 @@ func TestRunIndexDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"index: n=8", "C1 = 3 rounds", "lower bound 3", "model time"} {
+	for _, want := range []string{"index: n=8", "C1 = 3 rounds", "lower bound 3", "verified against the direct reference", "model time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
@@ -40,6 +40,9 @@ func TestRunConcatOptimal(t *testing.T) {
 	if !strings.Contains(out, "C2 = 512 bytes    (lower bound 512)") {
 		t.Errorf("concat not volume-optimal:\n%s", out)
 	}
+	if !strings.Contains(out, "verified against the direct reference") {
+		t.Errorf("concat output not verified:\n%s", out)
+	}
 }
 
 func TestRunAlgorithmVariants(t *testing.T) {
@@ -53,6 +56,9 @@ func TestRunAlgorithmVariants(t *testing.T) {
 		var sb strings.Builder
 		if err := runOp(&sb, p); err != nil {
 			t.Errorf("%+v: %v", p, err)
+		}
+		if !strings.Contains(sb.String(), "verified against the direct reference") {
+			t.Errorf("%+v: output not verified:\n%s", p, sb.String())
 		}
 	}
 }

@@ -336,8 +336,8 @@ func (pl *Plan) Check() []string {
 // rank's role and returns the round the longest one ends in.
 func (s *sim) start() (rounds int) {
 	pl := s.pl
-	inBlocks, outBlocks := pl.blocks()
 	for r := range s.ranks {
+		inBlocks, outBlocks := pl.blocks(r)
 		fr := &simFrame{pr: pl.prog, me: r}
 		fr.reg[regIn] = simView{pl.prog.shapeOf(regIn, r), 0, 0}
 		fr.reg[regOut] = simView{pl.prog.shapeOf(regOut, r), 1, 0}
@@ -465,28 +465,38 @@ func (s *sim) round(t, k int) (roundMax int) {
 
 // verify checks that every output block holds exactly what the
 // operation defines: block j of rank r comes from rank j's block r
-// (index), from rank j's only block (concat), or from every rank's
-// block j — block r for a reduce-scatter, whose output is chunk r.
+// (index), from rank j's only block (concat, and gather, whose only
+// output is the root's), from every rank's block j — block r for a
+// reduce-scatter, whose output is chunk r — or from the root: its only
+// block (broadcast) or its block r (scatter).
 func (s *sim) verify() {
 	pl, n := s.pl, s.n
 	all := uint64(0)
 	for r := 0; r < n; r++ {
 		all += rankHash(r)
 	}
-	_, outBlocks := pl.blocks()
 	bad := 0
 	for r := 0; r < n && bad < 3; r++ {
 		s.local(r)
 		out := pl.prog.shapeOf(regOut, r)
+		_, outBlocks := pl.blocks(r)
 		for j := 0; j < outBlocks && bad < 3; j++ {
-			from, blk, cnt, who := j, r, 1, rankHash(j)
+			from, blk, cnt := j, r, 1
 			switch pl.op {
-			case OpConcat, OpConcatV:
+			case OpConcat, OpConcatV, OpGather:
 				blk = 0
 			case OpReduceScatter:
-				from, blk, cnt, who = 0, r, n, all
+				from, cnt = 0, n
 			case OpAllReduce:
-				from, blk, cnt, who = 0, j, n, all
+				from, blk, cnt = 0, j, n
+			case OpBroadcast:
+				from, blk = pl.root, 0
+			case OpScatter:
+				from = pl.root
+			}
+			who := rankHash(from)
+			if cnt == n {
+				who = all
 			}
 			off, ln := out.span(j)
 			srcOff, _ := pl.prog.shapeOf(regIn, from).span(blk)

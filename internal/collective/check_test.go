@@ -98,6 +98,18 @@ func compileIndexVT(opt IndexOptions) func(*testing.T, *mpsim.Engine, *mpsim.Gro
 	}
 }
 
+// compileRootedT compiles a one-to-all primitive rooted at rank 3.
+func compileRootedT(op Op) func(*testing.T, *mpsim.Engine, *mpsim.Group, int) *Plan {
+	return func(t *testing.T, e *mpsim.Engine, g *mpsim.Group, b int) *Plan {
+		t.Helper()
+		pl, err := Compile(e, g, Spec{Op: op, BlockLen: b, Root: 3})
+		if err != nil {
+			t.Fatalf("Compile(%v): %v", op, err)
+		}
+		return pl
+	}
+}
+
 func checkConfigs() []checkConfig {
 	return []checkConfig{
 		{"index-bruck-n8-k1-r2", 8, 1, 4, compileIndexT(IndexOptions{Radix: 2})},
@@ -119,6 +131,9 @@ func checkConfigs() []checkConfig {
 		{"reducescatter-bruck-n9-k2-r3", 9, 2, 8, compileReduceT(ReduceScatterKind, ReduceOptions{Algorithm: ReduceBruck, Radix: 3})},
 		{"allreduce-bruck-n6-k2", 6, 2, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceBruck})},
 		{"allreduce-ring-n5-k4", 5, 4, 8, compileReduceT(AllReduceKind, ReduceOptions{Algorithm: ReduceRing})},
+		{"broadcast-n7-k2-root3", 7, 2, 4, compileRootedT(OpBroadcast)},
+		{"gather-n7-k2-root3", 7, 2, 4, compileRootedT(OpGather)},
+		{"scatter-n7-k2-root3", 7, 2, 4, compileRootedT(OpScatter)},
 		{"hier-index-4-4-3", 11, 2, 4, compileHierT(OpIndex, "4,4,3")},
 		{"hier-concat-4-4-3", 11, 1, 4, compileHierT(OpConcat, "4,4,3")},
 		{"hier-allreduce-4x4", 16, 2, 4, compileHierT(OpAllReduce, "4x4")},
@@ -301,6 +316,9 @@ func TestCheckPerturbations(t *testing.T) {
 		{"trivial dropped extent", configs["concat-trivial-n5-k4"], dropExtent, "delivery"},
 		{"ring dropped extent", configs["concat-ring-n6-k1"], dropExtent, "delivery"},
 		{"folklore wrong peer", configs["concat-folklore-n6-k2"], func(pl *Plan) { exchanges(pl.prog, 1)[0].xfers[0].to.c = 2 }, "delivery"},
+		// Rank 4 is virtual rank 1 of the tree rooted at 3, a child of the
+		// root: re-point it at rank 5.
+		{"gather child re-pointed", configs["gather-n7-k2-root3"], func(pl *Plan) { exchanges(pl.prog, 4)[0].xfers[0].to.c = 5 }, "delivery"},
 		{"recdbl short run", configs["concat-recdbl-n8-k1"], func(pl *Plan) { exchangeSteps(pl)[2].xfers[0].send[0].n-- }, "delivery"},
 		{"ring-reduce wrong peer", configs["reducescatter-ring-n6-k1"], wrongPeer, "delivery"},
 		{"halving dropped extent", configs["reducescatter-halving-n8-k1"], dropExtent, "delivery"},

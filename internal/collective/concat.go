@@ -83,7 +83,7 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 	case ConcatRecursiveDoubling:
 		pr = recursiveDoublingProgram(n, k, blockLen)
 	default:
-		pr = &program{n: n, k: k, bl: blockLen, roles: folkloreRoles(n, k)}
+		pr = folkloreProgram(n, k, blockLen)
 	}
 	pr.inLay, pr.outLay = pl.layout, pl.outLayout
 	if lay == nil {
@@ -223,57 +223,6 @@ func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) er
 		b.exchange("last", 0)
 	}
 	return nil
-}
-
-// folkloreRoles compiles the two-phase folklore algorithm of Section 4:
-// gather the n blocks to rank 0 along a (k+1)-nomial tree, then
-// broadcast the concatenation back along the same tree. A rank's part
-// depends on its place in the tree, so every rank gets its own role;
-// all of them gather straight into the output region.
-func folkloreRoles(n, k int) []role {
-	roles := make([]role, n)
-	d := intmath.CeilLog(k+1, n)
-	for v := range roles {
-		b := newBuilder(2*d+1, 2*d+k, 2*d+k+2)
-		b.local(stepCopy, b.ext(blocksAt(regOut, fixed(v), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
-		held := 1 // blocks [v, v+held) gathered so far
-		for pos := 0; pos < d && n > 1; pos++ {
-			base := intmath.Pow(k+1, pos)
-			switch {
-			case held == 0:
-			case v%((k+1)*base) != 0:
-				// The lowest nonzero digit is at this position: hand the
-				// gathered segment to the parent and go quiet.
-				_, digit := lowestDigitPos(v, k+1)
-				b.xfers = append(b.xfers, xfer{to: fixed(v - digit*base), send: b.ext(blocksAt(regOut, fixed(v), held))})
-				held = 0
-			default:
-				for t := 1; t <= k && v+t*base < n; t++ {
-					child := v + t*base
-					cnt := intmath.Min(base, n-child)
-					b.xfers = append(b.xfers, xfer{from: fixed(child), recv: b.ext(blocksAt(regOut, fixed(child), cnt))})
-					held += cnt
-				}
-			}
-			b.exchange("", 0)
-		}
-		whole := b.ext(blocksAt(regOut, fixed(0), n))
-		for pos := d - 1; pos >= 0 && n > 1; pos-- {
-			base := intmath.Pow(k+1, pos)
-			switch {
-			case v%((k+1)*base) == 0:
-				for t := 1; t <= k && v+t*base < n; t++ {
-					b.xfers = append(b.xfers, xfer{to: fixed(v + t*base), send: whole})
-				}
-			case v%base == 0:
-				_, digit := lowestDigitPos(v, k+1)
-				b.xfers = append(b.xfers, xfer{from: fixed(v - digit*base), recv: whole})
-			}
-			b.exchange("", 0)
-		}
-		roles[v] = role{steps: b.steps}
-	}
-	return roles
 }
 
 // assignAreaOffsets chooses a distinct communication offset for every

@@ -111,37 +111,38 @@ func ConcatCost(n, b, k int, policy partition.Policy) (c1, c2 int, err error) {
 	return c1 + len(plan.Rounds), c2 + plan.C2(), nil
 }
 
-// FolkloreConcatCost returns (C1, C2) of the gather+broadcast folklore
-// algorithm. Gather round pos moves min((k+1)^pos, n - (k+1)^pos)
-// blocks at most... the per-round maximum is (k+1)^pos blocks capped by
-// the largest surviving subtree; every broadcast round moves the full
-// n*b concatenation. (The paper quotes 2b(n-1) for this baseline's
-// total per-node traffic; under the round-max C2 measure the broadcast
-// phase costs ceil(log_{k+1} n)*n*b.)
-func FolkloreConcatCost(n, b, k int) (c1, c2 int) {
+// TreeGatherCost returns (C1, C2) of one traversal of the (k+1)-nomial
+// tree that moves whole subtrees of b-byte blocks over every edge: the
+// gather, and the scatter that reverses it. The round of position pos
+// moves the subtrees of the ranks t*(k+1)^pos, t = 1..k, the largest
+// being rank (k+1)^pos's min((k+1)^pos, n - (k+1)^pos) blocks.
+func TreeGatherCost(n, b, k int) (c1, c2 int) {
+	for base := 1; base < n; base *= k + 1 {
+		c1++
+		c2 += intmath.Min(base, n-base) * b
+	}
+	return c1, c2
+}
+
+// TreeBroadcastCost returns (C1, C2) of one traversal of the tree that
+// moves the same b bytes over every edge.
+func TreeBroadcastCost(n, b, k int) (c1, c2 int) {
 	if n <= 1 {
 		return 0, 0
 	}
-	d := intmath.CeilLog(k+1, n)
-	c1 = 2 * d
-	for pos := 0; pos < d; pos++ {
-		base := intmath.Pow(k+1, pos)
-		// Largest segment sent in gather round pos: a sender at virtual
-		// rank v (digit at pos nonzero) holds min(base, n-v) blocks;
-		// the maximum over senders is min(base, n - smallest such v).
-		maxSeg := 0
-		for t := 1; t <= k; t++ {
-			v := t * base
-			if v < n {
-				if s := intmath.Min(base, n-v); s > maxSeg {
-					maxSeg = s
-				}
-			}
-		}
-		c2 += maxSeg * b
-	}
-	c2 += d * n * b // broadcast phase
-	return c1, c2
+	c1 = intmath.CeilLog(k+1, n)
+	return c1, c1 * b
+}
+
+// FolkloreConcatCost returns (C1, C2) of the gather+broadcast folklore
+// algorithm: a gather of b-byte blocks, then a broadcast of the full
+// n*b concatenation. (The paper quotes 2b(n-1) for this baseline's total
+// per-node traffic; under the round-max C2 measure the broadcast phase
+// costs ceil(log_{k+1} n)*n*b.)
+func FolkloreConcatCost(n, b, k int) (c1, c2 int) {
+	g1, g2 := TreeGatherCost(n, b, k)
+	b1, b2 := TreeBroadcastCost(n, n*b, k)
+	return g1 + b1, g2 + b2
 }
 
 // RingConcatCost returns (C1, C2) of the ring baseline.

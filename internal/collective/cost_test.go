@@ -256,6 +256,11 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 			return CompileConcat(e, g, b, ConcatOptions{Algorithm: alg})
 		}
 	}
+	rooted := func(op Op) compileFunc { // rooted off rank 0, so blocks wrap around the rank order
+		return func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
+			return Compile(e, g, Spec{Op: op, BlockLen: b, Root: n / 2})
+		}
+	}
 	families := []struct {
 		name    string
 		applies func(n, k int) bool
@@ -281,6 +286,9 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 			func(n, k int) (int, int) { return DirectIndexCost(n, b, k) }},
 		{"ConcatCost", always, concat(ConcatCirculant), func(n, k int) (int, int) { return circ(n, b, k) }},
 		{"FolkloreConcatCost", always, concat(ConcatFolklore), func(n, k int) (int, int) { return FolkloreConcatCost(n, b, k) }},
+		{"TreeGatherCost gather", always, rooted(OpGather), func(n, k int) (int, int) { return TreeGatherCost(n, b, k) }},
+		{"TreeGatherCost scatter", always, rooted(OpScatter), func(n, k int) (int, int) { return TreeGatherCost(n, b, k) }},
+		{"TreeBroadcastCost", always, rooted(OpBroadcast), func(n, k int) (int, int) { return TreeBroadcastCost(n, b, k) }},
 		{"RingConcatCost", always, concat(ConcatRing), func(n, k int) (int, int) { return RingConcatCost(n, b) }},
 		{"RecursiveDoublingConcatCost", pow2, concat(ConcatRecursiveDoubling),
 			func(n, k int) (int, int) { return RecursiveDoublingConcatCost(n, b) }},

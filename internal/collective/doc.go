@@ -12,8 +12,8 @@
 //     last round, plus the folklore gather+broadcast, ring and
 //     recursive-doubling baselines.
 //
-//   - The one-to-all primitives (binomial broadcast, gather, scatter)
-//     the baselines are built from.
+//   - The one-to-all primitives (broadcast, gather, scatter) on the
+//     (k+1)-nomial tree the folklore baseline runs up and down.
 //
 // All operations take an mpsim.Engine and an mpsim.Group and run as SPMD
 // programs: processors in the group execute the schedule, processors
@@ -30,11 +30,14 @@
 //     blocks.Layout, the operation's options, and the two things that
 //     select a family instead of one algorithm — Hierarchical under a
 //     costmodel.Topology, and the Auto profile. Engine and group are
-//     the other two coordinates of every call.
+//     the other two coordinates of every call. The one-to-all
+//     primitives (OpBroadcast, OpGather, OpScatter) read the block size
+//     and Root, the root argument of the public methods, and no option.
 //   - Spec.canonicalize is the one place a spec is judged: it makes
 //     every rejection that needs only the spec (empty group, member
 //     outside the engine, negative block size, nil or misshapen layout,
-//     radix and radices ranges, power-of-two algorithms on other group
+//     a root outside the group, radix and radices ranges,
+//     power-of-two algorithms on other group
 //     sizes, algorithms with no layout variant, hierarchical without a
 //     topology or for a reduce-scatter, missing kernel, element-size
 //     mismatch; the text of each is pinned by TestSpecRejections), so
@@ -44,7 +47,8 @@
 //     layout and mixed-radix plans and a segment count of 1, the
 //     last-round policy where no circulant phase runs, the hier radices
 //     off the hierarchical index, everything a dispatcher or the
-//     two-level compiler overrides — so equal schedules are equal
+//     two-level compiler overrides, every option on a one-to-all
+//     primitive and the root off one — so equal schedules are equal
 //     specs.
 //   - Compile(e, g, spec) lowers a canonical spec: every compiler is a
 //     small pure function to a step program (program.go).
@@ -70,21 +74,27 @@
 //
 // # Flat buffers
 //
-// Plans execute on buffers.Buffers slabs (Plan.Execute) or, for layout
-// plans, buffers.Ragged slabs (Plan.ExecuteV): packing and unpacking
+// Plans execute on buffers.Buffers slabs (Plan.Execute), layout plans
+// on buffers.Ragged slabs (Plan.ExecuteV), the one-to-all primitives on
+// a slab of one block per rank and the slice that is the root's side
+// (Plan.ExecuteRooted): packing and unpacking
 // write into pool-recycled round buffers, receives land directly in
 // caller-owned memory via mpsim.Proc.ExchangeInto, and the
 // concatenation algorithms accumulate in the output slab itself,
 // finishing with an in-place rotation. On a reused engine an execution
-// performs no per-block or per-message allocations. The [][][]byte
-// shape exists only at the public boundary, as one adapter in the root
-// package — one copy in, one copy out around the same plans.
+// performs no per-block or per-message allocations — except on the
+// one-to-all primitives: a one-directional tree drains its senders'
+// pools into its receivers', whose free lists are bounded, so senders
+// allocate transport buffers anew (0.5-2.1 MB per call at n = 16,
+// b = 64 KiB). The [][][]byte and [][]byte shapes exist only at the
+// public boundary, as two adapters in the root package — one copy in,
+// one copy out around the same plans.
 //
 // # The step program
 //
 // There is exactly one schedule representation and one executor:
-// Plan.Execute runs the compiled program through the one interpreter
-// (run.go).
+// every Execute form binds a rank's two caller regions (Plan.body) and
+// runs the compiled program through the one interpreter (run.go).
 //
 // Step semantics. A program is a list of steps per role:
 //
@@ -110,7 +120,17 @@
 // relative, a translation-invariant family (Bruck, direct, xor,
 // circulant, ring, recursive doubling, every flat reduction) is one
 // role shared by all n ranks; only tree- and leader-structured
-// schedules (folklore, hierarchical) materialise one role per rank.
+// schedules (folklore, the one-to-all primitives, hierarchical)
+// materialise one role per rank.
+//
+// The tree. One function (builder.tree, tree.go) emits a rank's rounds
+// of the (k+1)-nomial tree rooted at any group rank, in either
+// direction. It has four users: the gather, scatter and broadcast
+// compilers, and the folklore concatenation, a gather then a broadcast
+// at root 0. Peers and blocks are addressed in group-rank order, so the
+// root's side — a region only the root's frame has — is used in place
+// and nothing is reordered; a non-root keeps its subtree's blocks in
+// pooled scratch.
 //
 // Scratch and pool discipline. A role declares its scratch regions;
 // the interpreter acquires them from the processor-local pool when the
@@ -243,7 +263,9 @@
 //     plans, and plans of a different engine are rejected up front.
 //   - Like the engine itself, plans and caches are not safe for
 //     concurrent use from multiple goroutines; the concurrency model
-//     is disjoint groups inside one run, not concurrent Executes.
+//     is disjoint groups inside one run, not concurrent Executes:
+//     mpsim.Engine.RunPrograms, which every execution reaches, rejects
+//     a run that starts while another is in flight.
 //
 // # Reduction plans
 //

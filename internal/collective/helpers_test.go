@@ -65,3 +65,78 @@ func mixedSpec(blockLen int, radices []int) Spec {
 	}
 	return Spec{Op: OpIndex, BlockLen: blockLen, Radices: radices}
 }
+
+// runRooted compiles a one-to-all primitive uncached and runs it once.
+func runRooted(e *mpsim.Engine, g *mpsim.Group, op Op, root, blockLen int, ranks *buffers.Buffers, at []byte) (*Result, error) {
+	pl, err := Compile(e, g, Spec{Op: op, BlockLen: blockLen, Root: root})
+	if err != nil {
+		return nil, err
+	}
+	return pl.ExecuteRooted(ranks, at)
+}
+
+func broadcastInto(e *mpsim.Engine, g *mpsim.Group, root int, data []byte, out *buffers.Buffers) (*Result, error) {
+	return runRooted(e, g, OpBroadcast, root, len(data), out, data)
+}
+
+func gatherInto(e *mpsim.Engine, g *mpsim.Group, root int, in *buffers.Buffers, out []byte) (*Result, error) {
+	if in == nil {
+		return runRooted(e, g, OpGather, root, 0, nil, out)
+	}
+	return runRooted(e, g, OpGather, root, in.BlockLen(), in, out)
+}
+
+func scatterInto(e *mpsim.Engine, g *mpsim.Group, root int, in []byte, out *buffers.Buffers) (*Result, error) {
+	if out == nil {
+		return runRooted(e, g, OpScatter, root, 0, nil, in)
+	}
+	return runRooted(e, g, OpScatter, root, out.BlockLen(), out, in)
+}
+
+// rootedSlices is the [][]byte form of the one-to-all primitives: in is
+// the caller's blocks copied into a slab (nil for a broadcast of data),
+// and the result is copied out of a fresh slab of one block per rank.
+func rootedSlices(e *mpsim.Engine, g *mpsim.Group, op Op, root int, in *buffers.Buffers, data []byte) ([][]byte, *Result, error) {
+	blockLen := len(data)
+	if in != nil {
+		blockLen = in.BlockLen()
+	}
+	out, err := buffers.New(g.Size(), 1, blockLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	var res *Result
+	switch op {
+	case OpBroadcast:
+		res, err = runRooted(e, g, op, root, blockLen, out, data)
+	case OpGather:
+		res, err = runRooted(e, g, op, root, blockLen, in, out.Bytes())
+	default:
+		res, err = runRooted(e, g, op, root, blockLen, out, in.Bytes())
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	vec, err := out.ToVector()
+	return vec, res, err
+}
+
+func broadcastSlices(e *mpsim.Engine, g *mpsim.Group, root int, data []byte) ([][]byte, *Result, error) {
+	return rootedSlices(e, g, OpBroadcast, root, nil, data)
+}
+
+func gatherSlices(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *Result, error) {
+	fin, err := buffers.FromVector(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rootedSlices(e, g, OpGather, root, fin, nil)
+}
+
+func scatterSlices(e *mpsim.Engine, g *mpsim.Group, root int, in [][]byte) ([][]byte, *Result, error) {
+	fin, err := buffers.FromVector(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rootedSlices(e, g, OpScatter, root, fin, nil)
+}

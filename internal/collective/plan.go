@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"runtime"
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
@@ -27,6 +28,7 @@ type Plan struct {
 	op       Op
 	alg      string // Algorithm()
 	blockLen int
+	root     int // one-to-all primitives: the group rank of the root
 
 	// prog is the schedule; everything below it is derived from it at
 	// compile time (program.finish) or is a bound of package lowerbound.
@@ -79,12 +81,13 @@ type Plan struct {
 	c1lb int
 }
 
-// Op returns "index", "concat", "reduce-scatter" or "allreduce".
+// Op returns "index", "concat", "reduce-scatter", "allreduce",
+// "broadcast", "gather" or "scatter".
 func (pl *Plan) Op() string { return pl.op.String() }
 
 // Algorithm returns the compiled schedule's algorithm name ("bruck",
 // "direct", "pairwise-xor", "circulant", "ring", "halving",
-// "hierarchical", ...).
+// "hierarchical", "tree", ...).
 func (pl *Plan) Algorithm() string { return pl.alg }
 
 // Group returns the group the plan was compiled for.
@@ -168,6 +171,9 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	var pr *program
 	var err error
 	switch {
+	case s.Op.rooted():
+		pl.alg = "tree"
+		pr = compileRooted(pl, n, k, s)
 	case s.Hierarchical:
 		pl.alg = "hierarchical"
 		pr, err = compileHier(pl, n, k, s)
@@ -190,43 +196,58 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 }
 
 // blocks returns the block counts of the caller's input and output
-// regions: n and n, except a concatenation's one-block input and a
-// reduce-scatter's one-block output.
-func (pl *Plan) blocks() (in, out int) {
-	n := pl.group.Size()
+// regions on group rank me: n and n, except a concatenation's one-block
+// input, a reduce-scatter's one-block output, and the one-to-all
+// primitives' one block per rank against the root's n (data: 1).
+func (pl *Plan) blocks(me int) (in, out int) {
+	n, atRoot := pl.group.Size(), 0
+	if me == pl.root {
+		atRoot = 1
+	}
 	switch pl.op {
 	case OpConcat, OpConcatV:
 		return 1, n
 	case OpReduceScatter:
 		return n, 1
+	case OpBroadcast:
+		return atRoot, 1
+	case OpGather:
+		return 1, atRoot * n
+	case OpScatter:
+		return atRoot * n, 1
 	}
 	return n, n
+}
+
+// checkFlat validates one flat buffer against the plan: n processor
+// regions of the given number of blocks of the plan's block size.
+func (pl *Plan) checkFlat(what string, b *buffers.Buffers, blocks int) error {
+	if n := pl.group.Size(); b.Procs() != n || b.Blocks() != blocks || b.BlockLen() != pl.blockLen {
+		return fmt.Errorf("collective: %s %s is %dx%d blocks of %d bytes, want %dx%d of %d",
+			pl.op, what, b.Procs(), b.Blocks(), b.BlockLen(), n, blocks, pl.blockLen)
+	}
+	return nil
 }
 
 // checkBuffers validates an (in, out) pair against the plan's shape:
 // index plans need two index-shaped buffers, concat plans a
 // concat-shaped input and an index-shaped output.
 func (pl *Plan) checkBuffers(in, out *buffers.Buffers) error {
-	n := pl.group.Size()
-	if pl.layout != nil {
+	switch {
+	case pl.layout != nil:
 		return fmt.Errorf("collective: %s layout plan takes ragged buffers (use ExecuteV/BindV)", pl.op)
-	}
-	if in == nil || out == nil {
+	case pl.op.rooted():
+		return fmt.Errorf("collective: %s plan takes one flat buffer and the root's slice (use ExecuteRooted)", pl.op)
+	case in == nil || out == nil:
 		return fmt.Errorf("collective: nil flat buffer")
-	}
-	if in == out {
+	case in == out:
 		return fmt.Errorf("collective: flat output must not alias the input")
 	}
-	wantInBlocks, wantOutBlocks := pl.blocks()
-	if in.Procs() != n || in.Blocks() != wantInBlocks || in.BlockLen() != pl.blockLen {
-		return fmt.Errorf("collective: %s plan input is %dx%d blocks of %d bytes, want %dx%d of %d",
-			pl.op, in.Procs(), in.Blocks(), in.BlockLen(), n, wantInBlocks, pl.blockLen)
+	wantIn, wantOut := pl.blocks(0)
+	if err := pl.checkFlat("plan input", in, wantIn); err != nil {
+		return err
 	}
-	if out.Procs() != n || out.Blocks() != wantOutBlocks || out.BlockLen() != pl.blockLen {
-		return fmt.Errorf("collective: %s plan output is %dx%d blocks of %d bytes, want %dx%d of %d",
-			pl.op, out.Procs(), out.Blocks(), out.BlockLen(), n, wantOutBlocks, pl.blockLen)
-	}
-	return nil
+	return pl.checkFlat("plan output", out, wantOut)
 }
 
 // Bind validates and attaches an (in, out) buffer pair to the plan for
@@ -251,23 +272,56 @@ func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	if err := pl.checkBuffers(in, out); err != nil {
 		return nil, err
 	}
-	if err := pl.engine.Run(pl.body(in, out)); err != nil {
-		return nil, err
-	}
-	return pl.result(pl.engine.Metrics()), nil
+	return pl.run(in, out)
 }
 
-// body is the per-processor program of one execution on fixed-size
-// buffers.
-func (pl *Plan) body(in, out *buffers.Buffers) func(*mpsim.Proc) error {
+// run executes the plan alone on its engine. The result is built from
+// the metrics the run returns: once it is over, Engine.Metrics may
+// already be another caller's.
+func (pl *Plan) run(in, out slab) (*Result, error) {
+	ms, err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(in, out)}})
+	if err != nil {
+		return nil, err
+	}
+	return pl.result(ms[0]), nil
+}
+
+// slab is one caller side of an execution: Proc(me) is group rank me's
+// memory, whose shape the plan knows. Flat and ragged buffers are slabs.
+type slab interface{ Proc(me int) []byte }
+
+// rootOnly is the side of a one-to-all primitive only the root has.
+type rootOnly struct {
+	root int
+	data []byte
+}
+
+func (r rootOnly) Proc(me int) []byte {
+	if me == r.root {
+		return r.data
+	}
+	return nil
+}
+
+// body is the per-processor program of one execution: bind the rank's
+// input and output regions, run its role. Its frame lies under the whole
+// interpreter on every rank goroutine's stack, whose growth is most of a
+// small collective's time (see frame): the spacer keeps it at the 256
+// bytes it had binding two concrete slabs. At the 192 it has without,
+// index-small measured 7% fewer ops/s in four of four paired 20 s runs.
+func (pl *Plan) body(in, out slab) func(*mpsim.Proc) error {
 	return func(p *mpsim.Proc) error {
 		me := pl.group.Rank(p.Rank())
 		if me < 0 {
 			return nil
 		}
 		f := newFrame(p, pl, pl.prog, nil, me)
-		f.reg[regIn], f.reg[regOut] = flatRegion(in, me), flatRegion(out, me)
-		return rankErr(me, f.run())
+		f.reg[regIn] = region{pl.prog.shapeOf(regIn, me), in.Proc(me)}
+		f.reg[regOut] = region{pl.prog.shapeOf(regOut, me), out.Proc(me)}
+		var spacer [64]byte
+		err := rankErr(me, f.run())
+		runtime.KeepAlive(&spacer)
+		return err
 	}
 }
 
@@ -279,17 +333,33 @@ func rankErr(me int, err error) error {
 	return nil
 }
 
-// vbody is body for a layout plan's ragged buffers.
-func (pl *Plan) vbody(in, out *buffers.Ragged) func(*mpsim.Proc) error {
-	return func(p *mpsim.Proc) error {
-		me := pl.group.Rank(p.Rank())
-		if me < 0 {
-			return nil
-		}
-		f := newFrame(p, pl, pl.prog, nil, me)
-		f.reg[regIn], f.reg[regOut] = raggedRegion(in, me), raggedRegion(out, me)
-		return rankErr(me, f.run())
+// ExecuteRooted runs a compiled one-to-all primitive. ranks holds one
+// block per group rank: the broadcast's and the scatter's output, the
+// gather's input. root is the side only the root has and no other rank
+// touches: the broadcast's data, or the n blocks in group-rank order a
+// gather delivers and a scatter distributes.
+func (pl *Plan) ExecuteRooted(ranks *buffers.Buffers, root []byte) (*Result, error) {
+	switch {
+	case !pl.op.rooted():
+		return nil, fmt.Errorf("collective: %s plan is not a one-to-all primitive (use Execute)", pl.op)
+	case ranks == nil:
+		return nil, fmt.Errorf("collective: nil flat buffer")
 	}
+	if err := pl.checkFlat("buffer", ranks, 1); err != nil {
+		return nil, err
+	}
+	switch want := pl.group.Size() * pl.blockLen; {
+	case pl.op == OpBroadcast && len(root) != pl.blockLen:
+		return nil, fmt.Errorf("collective: broadcast data is %d bytes, want %d", len(root), pl.blockLen)
+	case pl.op == OpGather && len(root) != want:
+		return nil, fmt.Errorf("collective: gather output is %d bytes, want n*b = %d", len(root), want)
+	case pl.op == OpScatter && len(root) != want:
+		return nil, fmt.Errorf("collective: scatter input is %d bytes, want n*b = %d", len(root), want)
+	}
+	if pl.op == OpGather {
+		return pl.run(ranks, rootOnly{pl.root, root})
+	}
+	return pl.run(rootOnly{pl.root, root}, ranks)
 }
 
 // checkRagged validates an (in, out) ragged pair against a layout
@@ -325,10 +395,7 @@ func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	if err := pl.checkRagged(in, out); err != nil {
 		return nil, err
 	}
-	if err := pl.engine.Run(pl.vbody(in, out)); err != nil {
-		return nil, err
-	}
-	return pl.result(pl.engine.Metrics()), nil
+	return pl.run(in, out)
 }
 
 // BindV validates and attaches a ragged (in, out) pair to a layout plan
@@ -378,7 +445,7 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 		}
 		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(pl.in, pl.out)}
 		if pl.layout != nil {
-			progs[i].Body = pl.vbody(pl.vin, pl.vout)
+			progs[i].Body = pl.body(pl.vin, pl.vout)
 		}
 	}
 	metrics, err := e.RunPrograms(progs)

@@ -8,8 +8,8 @@ package collective
 // A program is a list of steps per role. A translation-invariant
 // family has one role shared by all n ranks, because peers and block
 // addresses are rank-relative; only tree- and leader-structured
-// schedules (the folklore baseline, the hierarchical plans) materialise
-// one role per rank.
+// schedules (the folklore baseline, the one-to-all primitives, the
+// hierarchical plans) materialise one role per rank.
 
 import (
 	"bruck/internal/blocks"

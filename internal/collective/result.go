@@ -25,17 +25,15 @@ type Result struct {
 	// layout: the largest number of bytes any processor must push or
 	// pull through its k ports (package lowerbound — Propositions
 	// 2.2/2.4 for uniform layouts, their non-uniform generalization for
-	// ragged ones). Populated by every plan-routed collective (Index,
-	// Concat, their Flat and V variants, the reductions, RunPlans); zero
-	// for the one-to-all primitives.
+	// ragged ones). For the one-to-all primitives it is what the root (of
+	// a gather or scatter) or a receiver (of a broadcast) moves.
 	C2LowerBound int
 	// C1LowerBound is the round-count (dissemination) lower bound
 	// ceil(log_{k+1} n) of the operation (package lowerbound,
 	// Propositions 2.1/2.3 and their reduction counterparts). Populated
-	// by the fixed-size plan-routed collectives and by layout plans on
-	// uniform layouts; zero for ragged layouts — where a zero-count row
-	// can void the dissemination argument — and for the one-to-all
-	// primitives.
+	// by the fixed-size collectives, the one-to-all primitives and layout
+	// plans on uniform layouts; zero for ragged layouts, where a
+	// zero-count row can void the dissemination argument.
 	C1LowerBound int
 	// Intra and Inter split the run's C1/C2 by link class for
 	// hierarchical plans, with the per-level Section 2 bounds (package

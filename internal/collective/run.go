@@ -24,16 +24,6 @@ type region struct {
 	data []byte
 }
 
-// flatRegion is rank me's region of a fixed-size slab.
-func flatRegion(b *buffers.Buffers, me int) region {
-	return region{shape{stride: b.BlockLen()}, b.Proc(me)}
-}
-
-// raggedRegion is rank me's row of a layout slab.
-func raggedRegion(r *buffers.Ragged, me int) region {
-	return region{shape{lay: r.Layout(), row: me}, r.Proc(me)}
-}
-
 // frame is the state of one rank running one program: the top-level
 // plan, or a sub-program embedded in it. Frames are recycled through
 // framePool rather than kept on the stack: rank goroutines start on

@@ -23,25 +23,27 @@ const (
 	// blocks.Layout (MPI_Alltoallv / MPI_Allgatherv).
 	OpIndexV
 	OpConcatV
+	// OpBroadcast, OpGather and OpScatter are the one-to-all primitives
+	// (MPI_Bcast / MPI_Gather / MPI_Scatter) rooted at Spec.Root.
+	OpBroadcast
+	OpGather
+	OpScatter
 )
 
+// opNames is indexed by Op; the layout operations print as the
+// operation they generalize.
+var opNames = [...]string{"index", "concat", "reduce-scatter", "allreduce", "index", "concat", "broadcast", "gather", "scatter"}
+
 func (o Op) String() string {
-	switch o {
-	case OpIndex, OpIndexV:
-		return "index"
-	case OpConcat, OpConcatV:
-		return "concat"
-	case OpReduceScatter:
-		return "reduce-scatter"
-	case OpAllReduce:
-		return "allreduce"
-	default:
+	if o < 0 || int(o) >= len(opNames) {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
+	return opNames[o]
 }
 
 func (o Op) layout() bool    { return o == OpIndexV || o == OpConcatV }
 func (o Op) reduction() bool { return o == OpReduceScatter || o == OpAllReduce }
+func (o Op) rooted() bool    { return o >= OpBroadcast && o <= OpScatter }
 
 // A Spec names one compiled schedule on an (engine, group) pair: the
 // paper's schedules are fixed functions of a small tuple, and this is
@@ -50,7 +52,8 @@ func (o Op) reduction() bool { return o == OpReduceScatter || o == OpAllReduce }
 //
 // Only the fields the selected schedule family reads matter; the rest
 // are ignored (and canonicalized away, so equal schedules share one
-// cache entry). The family is selected in this order: a layout
+// cache entry). The family is selected in this order: a one-to-all
+// primitive reads BlockLen and Root and nothing else; a layout
 // operation ignores Hierarchical and Topology; Hierarchical forces the
 // two-level schedule and ignores Auto; Auto dispatches by cost model —
 // priced by the topology's per-class profiles under a nontrivial
@@ -63,6 +66,8 @@ type Spec struct {
 	// Layout is the block table of OpIndexV (n x n) or OpConcatV (n x 1).
 	BlockLen int
 	Layout   *blocks.Layout
+	// Root is the group rank the one-to-all primitives are rooted at.
+	Root int
 	// Index and Radices configure the index operations; a non-nil
 	// Radices selects the mixed-radix schedule and overrides Index.
 	Index   IndexOptions
@@ -94,7 +99,7 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 	}
 	n, k := g.Size(), e.Ports()
 	switch {
-	case s.Op < OpIndex || s.Op > OpConcatV:
+	case s.Op < OpIndex || s.Op > OpScatter:
 		return fmt.Errorf("collective: unknown operation %v", s.Op)
 	case s.Op.layout() && s.Layout == nil:
 		return fmt.Errorf("collective: nil layout")
@@ -109,9 +114,16 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 		s.BlockLen, s.Hierarchical, s.Topology = s.Layout.Max(), false, nil
 	case s.BlockLen < 0:
 		return fmt.Errorf("collective: negative block size %d", s.BlockLen)
+	case s.Op.rooted():
+		if s.Root < 0 || s.Root >= n {
+			return fmt.Errorf("collective: %v root %d out of range [0,%d)", s.Op, s.Root, n)
+		}
+		*s = Spec{Op: s.Op, BlockLen: s.BlockLen, Root: s.Root}
+		return nil
 	default:
 		s.Layout = nil
 	}
+	s.Root = 0
 	switch {
 	case s.Hierarchical && s.Topology == nil:
 		return fmt.Errorf("collective: hierarchical schedule requires a topology (a machine created with WithTopology)")
@@ -242,7 +254,7 @@ type planKey struct {
 	e                     *mpsim.Engine
 	g                     *mpsim.Group
 	op                    Op
-	blockLen              int
+	blockLen, root        int
 	layout, topo, radices uint64
 	index                 IndexOptions
 	concat                ConcatOptions
@@ -260,7 +272,7 @@ type planKey struct {
 // keyOf is the one place a planKey is built.
 func keyOf(e *mpsim.Engine, g *mpsim.Group, s *Spec) planKey {
 	key := planKey{
-		e: e, g: g, op: s.Op, blockLen: s.BlockLen, index: s.Index, concat: s.Concat,
+		e: e, g: g, op: s.Op, blockLen: s.BlockLen, root: s.Root, index: s.Index, concat: s.Concat,
 		ralg: s.Reduce.Algorithm, rradix: s.Reduce.Radix, rsegments: s.Reduce.Segments,
 		rpolicy: s.Reduce.LastRound, kernel: s.Reduce.KernelKey, elemSize: s.Reduce.ElemSize,
 		hier: s.Hierarchical, hierOpt: s.Hier, auto: s.Auto != nil,

@@ -24,7 +24,9 @@ func shouldBeError(err error, want string) string {
 }
 
 // TestSpecRejections pins the exact text of every rejection a Spec can
-// draw, through Compile and through a cache alike.
+// draw, through Compile and through a cache alike — and, for the
+// one-to-all primitives, of every rejection their buffers can draw from
+// the plan the spec compiles to (run).
 func TestSpecRejections(t *testing.T) {
 	const n = 6 // not a power of two
 	e := mpsim.MustNew(n)
@@ -38,6 +40,17 @@ func TestSpecRejections(t *testing.T) {
 	topo, _ := costmodel.ParseTopology("3x2")
 	sum, _ := buffers.Kernel(buffers.Sum, buffers.Int32)
 	int32s := ReduceOptions{Kernel: sum, ElemSize: 4, KernelKey: "sum/int32"}
+	flat := func(procs, blocks, blockLen int) *buffers.Buffers {
+		b, err := buffers.New(procs, blocks, blockLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	rooted := func(op Op) Spec { return Spec{Op: op, BlockLen: 4, Root: 2} }
+	run := func(ranks *buffers.Buffers, rootLen int) func(*Plan) error {
+		return func(pl *Plan) error { _, err := pl.ExecuteRooted(ranks, make([]byte, rootLen)); return err }
+	}
 	cases := []struct {
 		name string
 		g    *mpsim.Group
@@ -45,6 +58,9 @@ func TestSpecRejections(t *testing.T) {
 		want string
 	}{
 		{"nil group", nil, Spec{}, "collective: empty group"},
+		{"broadcast root out of range", world, Spec{Op: OpBroadcast, Root: 6}, "collective: broadcast root 6 out of range [0,6)"},
+		{"gather root negative", world, Spec{Op: OpGather, Root: -1}, "collective: gather root -1 out of range [0,6)"},
+		{"scatter root out of range", world, Spec{Op: OpScatter, Root: 9}, "collective: scatter root 9 out of range [0,6)"},
 		{"empty group", &mpsim.Group{}, Spec{}, "collective: empty group"},
 		{"member outside the engine", outside, Spec{}, "collective: group member 7 outside engine with 6 processors"},
 		{"unknown operation", world, Spec{Op: 9}, "collective: unknown operation Op(9)"},
@@ -93,6 +109,39 @@ func TestSpecRejections(t *testing.T) {
 			_, err = cache.Get(e, tc.g, tc.spec)
 			if msg := shouldBeError(err, tc.want); msg != "" {
 				t.Errorf("Get: %s", msg)
+			}
+		})
+	}
+	executions := []struct {
+		name string
+		spec Spec
+		run  func(*Plan) error
+		want string
+	}{
+		{"rooted nil buffer", rooted(OpBroadcast), run(nil, 4), "collective: nil flat buffer"},
+		{"broadcast buffer of another block size", rooted(OpBroadcast), run(flat(n, 1, 5), 4),
+			"collective: broadcast buffer is 6x1 blocks of 5 bytes, want 6x1 of 4"},
+		{"gather buffer of another group size", rooted(OpGather), run(flat(n+1, 1, 4), n*4),
+			"collective: gather buffer is 7x1 blocks of 4 bytes, want 6x1 of 4"},
+		{"scatter buffer of two blocks", rooted(OpScatter), run(flat(n, 2, 4), n*4),
+			"collective: scatter buffer is 6x2 blocks of 4 bytes, want 6x1 of 4"},
+		{"gather output short", rooted(OpGather), run(flat(n, 1, 4), n*4-1), "collective: gather output is 23 bytes, want n*b = 24"},
+		{"scatter input long", rooted(OpScatter), run(flat(n, 1, 4), n*4+1), "collective: scatter input is 25 bytes, want n*b = 24"},
+		{"broadcast data of another size", rooted(OpBroadcast), run(flat(n, 1, 4), 3), "collective: broadcast data is 3 bytes, want 4"},
+		{"rooted plan through Execute", rooted(OpGather),
+			func(pl *Plan) error { _, err := pl.Execute(flat(n, 1, 4), flat(n, n, 4)); return err },
+			"collective: gather plan takes one flat buffer and the root's slice (use ExecuteRooted)"},
+		{"index plan through ExecuteRooted", Spec{BlockLen: 4}, run(flat(n, 1, 4), 4),
+			"collective: index plan is not a one-to-all primitive (use Execute)"},
+	}
+	for _, tc := range executions {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, err := Compile(e, world, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := shouldBeError(tc.run(pl), tc.want); msg != "" {
+				t.Error(msg)
 			}
 		})
 	}
@@ -164,6 +213,12 @@ func TestCanonicalSpecsShareOneEntry(t *testing.T) {
 				Concat: ConcatOptions{Algorithm: ConcatRing}, Reduce: int32s}},
 		{"auto on a flat fixed-size index",
 			Spec{}, Spec{Auto: &costmodel.SP1, Topology: mustTopology(t, "1x8")}},
+		{"a root on anything but a one-to-all primitive",
+			Spec{Op: OpConcat}, Spec{Op: OpConcat, Root: 5}},
+		{"everything but the block size and the root on a one-to-all primitive",
+			Spec{Op: OpScatter, BlockLen: 4, Root: 5},
+			Spec{Op: OpScatter, BlockLen: 4, Root: 5, Layout: l, Index: IndexOptions{Radix: 4}, Radices: []int{2, 4}, Concat: ConcatOptions{Algorithm: ConcatRing},
+				Reduce: int32s, Hierarchical: true, Hier: HierOptions{IntraRadix: 2}, Topology: topo, Auto: &costmodel.SP1}},
 	}
 	for _, tc := range pairs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,7 +280,7 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 
 // TestGetHitAllocatesNothing: the steady state of every resolution
 // route — fixed, mixed-radix, layout, hierarchical, memoized auto
-// verdict — is one allocation-free lookup.
+// verdict, rooted — is one allocation-free lookup.
 func TestGetHitAllocatesNothing(t *testing.T) {
 	const n = 16
 	e := mpsim.MustNew(n)
@@ -256,6 +311,9 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 		{"auto layout verdict", Spec{Op: OpIndexV, Layout: l, Auto: &costmodel.SP1}},
 		{"auto reduce verdict", Spec{Op: OpAllReduce, BlockLen: 64, Reduce: int32s, Auto: &costmodel.SP1}},
 		{"auto topology verdict", Spec{Op: OpConcat, BlockLen: 64, Topology: topo, Auto: &costmodel.SP1}},
+		{"broadcast", Spec{Op: OpBroadcast, BlockLen: 64, Root: 3}},
+		{"gather", Spec{Op: OpGather, BlockLen: 64, Root: 3}},
+		{"scatter", Spec{Op: OpScatter, BlockLen: 64, Root: 3}},
 	}
 	c := NewPlanCache()
 	for _, tc := range specs {

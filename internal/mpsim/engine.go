@@ -23,8 +23,9 @@ const (
 // Engine simulates an n-processor fully connected multiport
 // message-passing system. Create one with New, then execute SPMD
 // programs with Run. An Engine may be reused for several consecutive
-// runs — including after a failed or deadlocked run, see Run — but it
-// is not safe for concurrent Runs.
+// runs — including after a failed or deadlocked run, see Run — but not
+// for concurrent ones: a run started while another is in flight is
+// rejected.
 type Engine struct {
 	n        int
 	k        int
@@ -72,6 +73,9 @@ type Engine struct {
 	// goroutines decrement that one), so zombies of a fenced run cannot
 	// corrupt a later run's count.
 	live *atomic.Int64
+
+	// running is set for the length of a run, which owns everything above.
+	running atomic.Bool
 
 	metrics *Metrics
 
@@ -273,11 +277,16 @@ type Program struct {
 // multi-program run it returns nil — use the returned slice instead.
 // Error and deadlock recovery behave as in Run: the whole run shares
 // one watchdog, and a deadlock anywhere fences the transport for every
-// program of the run.
+// program of the run. A call made while another run is in flight is
+// rejected without touching it.
 func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("mpsim: RunPrograms with no programs")
 	}
+	if !e.running.CompareAndSwap(false, true) {
+		return nil, fmt.Errorf("mpsim: a run is already in flight on this engine (runs must not overlap)")
+	}
+	defer e.running.Store(false)
 	owner := make([]int, e.n) // rank -> program index, -1 for idle
 	for i := range owner {
 		owner[i] = -1

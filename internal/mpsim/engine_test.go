@@ -360,6 +360,35 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
+// TestOverlappingRunRejected: a run started while another is in flight
+// is rejected with the pinned error and leaves the first untouched; the
+// engine admits the next run once the first has returned.
+func TestOverlappingRunRejected(t *testing.T) {
+	e := MustNew(2)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	first := make(chan error)
+	go func() {
+		first <- e.Run(func(p *Proc) error {
+			entered <- struct{}{}
+			<-release
+			_, err := p.SendRecv(1-p.Rank(), []byte{byte(p.Rank())}, 1-p.Rank())
+			return err
+		})
+	}()
+	<-entered
+	err := e.Run(func(p *Proc) error { return nil })
+	if want := "mpsim: a run is already in flight on this engine (runs must not overlap)"; err == nil || err.Error() != want {
+		t.Errorf("overlapping Run = %v, want %q", err, want)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("the run in flight failed: %v", err)
+	}
+	if err := e.Run(func(p *Proc) error { return nil }); err != nil {
+		t.Fatalf("Run after the overlap: %v", err)
+	}
+}
+
 func TestProcPanicIsReported(t *testing.T) {
 	e := MustNew(2, Watchdog(2*time.Second))
 	err := e.Run(func(p *Proc) error {
