@@ -68,6 +68,9 @@ func runBench(w io.Writer, p benchParams) error {
 		}
 		areas = []string{p.area}
 	}
+	if err := os.MkdirAll(p.out, 0o755); err != nil {
+		return err
+	}
 	measured := 0
 	for _, area := range areas {
 		s := benchsnap.New(area)

@@ -80,9 +80,10 @@ func TestBenchWritesSchemaValidSnapshots(t *testing.T) {
 }
 
 // TestBenchFilters: -area and -case narrow the suite; impossible
-// filters are hard errors, not silent empty snapshots.
+// filters are hard errors, not silent empty snapshots. The -out
+// directory need not exist: bench creates it before it measures.
 func TestBenchFilters(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "fresh", "nested")
 	var sb strings.Builder
 	if err := runBench(&sb, benchParams{short: true, out: dir, area: "reduce", caseFilter: "allreduce/auto/chan"}); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@
 // thin adapters built from exactly these converters.
 //
 // RotateUp performs the cyclic block rotations of the paper's Phase 1 /
-// Phase 3 in place by triple reversal, so the flat paths need no
-// rotation scratch buffer.
+// Phase 3 in place by triple reversal. The compiled programs address
+// blocks rank-relatively instead; only the benchmark's probe calls it.
 package buffers
 
 import (

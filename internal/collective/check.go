@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"bruck/internal/costmodel"
-	"bruck/internal/intmath"
 )
 
 // maxCheckViolations bounds a Check report.
@@ -275,12 +274,6 @@ func (s *sim) local(r int) {
 					stream, _ := s.read(r, []piece{{src[i].mem, src[i].off, dst[i].n}})
 					s.write(r, dst[i:i+1], stream, false)
 				}
-			}
-		case stepRotate:
-			n, bl := op.fr.pr.n, op.fr.pr.bl
-			old, _ := s.read(r, dst)
-			for j := 0; j < n && len(dst) == n; j++ {
-				s.write(r, dst[j:j+1], clip(old, intmath.Mod(j-op.fr.me, n)*bl, bl), false)
 			}
 		}
 	}

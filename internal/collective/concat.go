@@ -104,30 +104,25 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 // all-pairs round when k >= n-1, which lands every block straight in
 // its output block; otherwise the doubling and last rounds on an
 // accumulation region whose slot q gathers the block of rank me+q. On
-// fixed-size blocks that region is the output itself and one in-place
-// rotation finishes; padded (layout plans) it is a pooled region of
-// slots — the two-phase packing: the unchanged rounds run on the padded
-// slots and the unpack at true lengths performs the final rotation.
+// fixed-size blocks that region is the output itself, slot q being its
+// block me+q, so the rounds finish it; padded (layout plans) it is a
+// pooled region of slots — the two-phase packing: the same rounds run on
+// padded slots and the unpack at true lengths puts them in rank order.
 func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*program, error) {
 	b := newBuilder(n+2, n+k, 2*n+4)
 	own := b.ext(blocksAt(regIn, fixed(0), 1))
-	acc, ro := regOut, role{}
-	switch {
-	case k >= n-1:
-		b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), own)
-		b.trivial(n, own)
-		return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}, nil
-	case padded:
-		acc, ro.scratch = regWork, []scratch{{n * bl, bl}}
+	acc, slot0, ro := regOut, plus(0), role{}
+	if padded && k < n-1 {
+		acc, slot0, ro.scratch = regWork, fixed(0), []scratch{{n * bl, bl}}
 	}
-	b.local(stepCopy, b.ext(blocksAt(acc, fixed(0), 1)), own)
-	if err := b.circulant(n, k, bl, acc, policy); err != nil {
+	b.local(stepCopy, b.ext(blocksAt(acc, slot0, 1)), own)
+	if k >= n-1 {
+		b.trivial(n, own)
+	} else if err := b.circulant(n, k, bl, acc, policy); err != nil {
 		return nil, err
 	}
-	if padded {
+	if acc == regWork {
 		b.local(stepSpread, b.ext(blocksAt(regOut, plus(0), n)), b.ext(blocksAt(regWork, fixed(0), n)))
-	} else {
-		b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
 	}
 	ro.steps = b.steps
 	return &program{n: n, k: k, bl: bl, roles: []role{ro}}, nil
@@ -187,11 +182,14 @@ func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) er
 	if n == 1 {
 		return nil
 	}
-	count := 1
+	slot, count := fixed, 1
+	if acc == regOut {
+		slot = plus // slot q of the output is its block me+q: nothing is left to rotate
+	}
 	for round := 1; round < intmath.CeilLog(k+1, n); round++ {
 		for t := 1; t <= k; t++ {
 			b.xfers = append(b.xfers, xfer{to: plus(-t * count), from: plus(t * count),
-				send: b.ext(blocksAt(acc, fixed(0), count)), recv: b.ext(blocksAt(acc, fixed(t*count), count))})
+				send: b.ext(blocksAt(acc, slot(0), count)), recv: b.ext(blocksAt(acc, slot(t*count), count))})
 		}
 		b.exchange("doubling", 0)
 		count *= k + 1
@@ -213,7 +211,7 @@ func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) er
 			cells := func(shift int) []extent {
 				lo := len(b.exts)
 				for _, run := range area.Runs {
-					b.exts = append(b.exts, spanAt(acc, fixed(n1+run.Col-shift), run.Row0, run.NRows))
+					b.exts = append(b.exts, spanAt(acc, slot(n1+run.Col-shift), run.Row0, run.NRows))
 				}
 				return b.exts[lo:len(b.exts):len(b.exts)]
 			}

@@ -77,11 +77,11 @@
 // Plans execute on buffers.Buffers slabs (Plan.Execute), layout plans
 // on buffers.Ragged slabs (Plan.ExecuteV), the one-to-all primitives on
 // a slab of one block per rank and the slice that is the root's side
-// (Plan.ExecuteRooted): packing and unpacking
-// write into pool-recycled round buffers, receives land directly in
-// caller-owned memory via mpsim.Proc.ExchangeInto, and the
-// concatenation algorithms accumulate in the output slab itself,
-// finishing with an in-place rotation. On a reused engine an execution
+// (Plan.ExecuteRooted): a payload is packed into a pool-recycled
+// buffer, handed over and landed in caller-owned memory by its
+// receiver, and the concatenation algorithms accumulate in the output
+// slab itself, each slot addressed as the block it ends up as, so
+// nothing is rotated afterwards. On a reused engine an execution
 // performs no per-block or per-message allocations — except on the
 // one-to-all primitives: a one-directional tree drains its senders'
 // pools into its receivers', whose free lists are bounded, so senders
@@ -104,9 +104,8 @@
 //     runs, then received bytes land (or combine). A transfer with no
 //     `to` or no `from` is one-sided.
 //   - a local step moves extents to extents on the rank itself: a copy
-//     or combine of byte streams, a spread (block i to block i, cut to
-//     the shorter: the index rotations and the ragged pack/unpack), or
-//     the in-place rotation that finishes a concatenation.
+//     or combine of byte streams, or a spread (block i to block i, cut
+//     to the shorter: the index rotations and the ragged pack/unpack).
 //   - a skip sits out rounds; an embed runs a sub-program on a
 //     sub-frame of the group (the hierarchical phases) and pads it to
 //     the length of the phase it shares.
@@ -134,14 +133,15 @@
 //
 // Scratch and pool discipline. A role declares its scratch regions;
 // the interpreter acquires them from the processor-local pool when the
-// role starts and releases them when it ends. A transfer whose extents
-// are one piece of memory travels as a view of it (ExchangeInto:
-// zero-copy out of and into the region); any other transfer is packed
-// into, or staged in, a pool buffer released at the end of the step.
-// Only the segmented plans move payloads by ownership (ExchangeOwned).
-// Buffers cycle sender -> transport -> receiver's pool, whose free
-// list is bounded, so a rank that receives more than it sends cannot
-// hoard them.
+// role starts and releases them when it ends. Every payload takes one
+// path, pack -> own -> land (frame.exchange, the only caller of
+// mpsim.Proc.ExchangeOwned): the sender packs the send extents into
+// one buffer of its pool, of exactly their size on this rank (a layout
+// family sends true block lengths), and hands it over for good; the
+// receiver checks that the payload is exactly the bytes its recv
+// extents address (else an error naming rank and peer, before a byte is
+// written), lands it — copy or combine — and releases it to its own
+// pool, whose free list is bounded, so a receive-heavy rank cannot hoard.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the pool hint and a hierarchical plan's phase table from the

@@ -114,6 +114,21 @@ func (e *extent) bytes(s shape, me, n, i int) (off, ln int) {
 	return bo + int(e.off), int(e.len)
 }
 
+// size returns the bytes the extent addresses in a region of shape s,
+// for rank me of n.
+func (e *extent) size(s shape, me, n int) int {
+	if s.lay == nil {
+		_, ln := e.bytes(s, 0, 1, 0)
+		return ln * int(e.n)
+	}
+	total := 0
+	for b := 0; b < int(e.n); b++ {
+		_, ln := e.bytes(s, me, n, b)
+		total += ln
+	}
+	return total
+}
+
 // contiguous reports whether the extent is one piece of memory: a
 // single block, or whole ascending blocks at a fixed place in a flat
 // region.
@@ -127,7 +142,6 @@ const (
 	stepExchange stepKind = iota // one k-port round of transfers
 	stepCopy                     // recv <- send as byte streams (combined in when the transfer says so)
 	stepSpread                   // block i of recv <- block i of send, cut to the shorter
-	stepRotate                   // turn recv's slots (slot q = rank me+q) into rank order, in place
 	stepSkip                     // sit out n rounds
 	stepEmbed                    // run a sub-program on a sub-frame, then sit out n rounds
 )
@@ -141,7 +155,7 @@ type step struct {
 	kind  stepKind
 	phase string // trace/phase tag; "" exports nothing
 	xfers []xfer
-	n     int    // exchange: lanes — when > 0 payloads move by ownership and n compiled rounds share the ports; skip, embed: rounds to sit out
+	n     int    // exchange: lanes — the compiled rounds sharing the ports, 0 meaning one; skip, embed: rounds to sit out
 	em    *embed // embed only
 }
 
@@ -160,12 +174,7 @@ type xfer struct {
 	to, from   rel
 	send, recv []extent
 	combine    bool // received bytes combine into recv instead of overwriting
-	bytes      int  // payload size; on layout extents the largest over ranks
-
-	// Staging, fixed by finish: a send of several pieces is packed into
-	// a pool buffer, a receive that is combined or lands in several
-	// pieces is staged in one; anything else travels as a view.
-	pack, stage bool
+	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
 }
 
 type scratch struct{ bytes, stride int }
@@ -209,25 +218,9 @@ func (pr *program) shapeOf(reg regID, me int) shape {
 func (pr *program) measure(exts []extent, me int) int {
 	total := 0
 	for i := range exts {
-		e := &exts[i]
-		s := pr.shapeOf(e.reg, me)
-		if s.lay == nil {
-			_, ln := e.bytes(s, 0, 1, 0)
-			total += ln * int(e.n)
-			continue
-		}
-		for b := 0; b < int(e.n); b++ {
-			_, ln := e.bytes(s, me, pr.n, b)
-			total += ln
-		}
+		total += exts[i].size(pr.shapeOf(exts[i].reg, me), me, pr.n)
 	}
 	return total
-}
-
-// onePiece reports whether the extents address at most one piece of
-// memory, so a transfer can use them as a view.
-func (pr *program) onePiece(exts []extent, me int) bool {
-	return len(exts) == 0 || (len(exts) == 1 && exts[0].contiguous(pr.shapeOf(exts[0].reg, me).lay == nil))
 }
 
 // tally is the counter's state: the largest message and the phase of
@@ -257,8 +250,7 @@ func (ts *tally) note(t, bytes int, phase string) {
 }
 
 // walk counts rank me's role from global round t on and returns the
-// round it ends in. It is also where each transfer's size and staging
-// are fixed.
+// round it ends in. It is also where each transfer's size is fixed.
 func (pr *program) walk(me, t int, phase string, ts *tally) int {
 	ro := pr.role(me)
 	for _, sc := range ro.scratch {
@@ -290,8 +282,6 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 				if x.to.mode != addrNone {
 					ts.note(t, b, ph)
 				}
-				x.pack = !pr.onePiece(x.send, me)
-				x.stage = x.combine || !pr.onePiece(x.recv, me)
 			}
 			t++
 		case stepSkip:
@@ -407,7 +397,7 @@ func (b *builder) ext(es ...extent) []extent {
 	return b.exts[lo:len(b.exts):len(b.exts)]
 }
 
-// local appends a copy, spread or rotate step moving src to dst.
+// local appends a copy or spread step moving src to dst.
 func (b *builder) local(kind stepKind, dst, src []extent) {
 	b.xfers = append(b.xfers, xfer{send: src, recv: dst})
 	b.exchange("", 0)

@@ -137,12 +137,11 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 	opt, blockLen, all := s.Reduce, s.BlockLen, s.Op == OpAllReduce
 	pl.combine = opt.Kernel
 	b := newBuilder(2*n+2, n+k, 3*n+4)
-	// The combined chunk me lands in the output's only block, in slot
-	// 0 of the concatenation's accumulation region — or, when the
-	// concatenation is the single all-pairs round, in block me.
-	allPairs := all && n > 1 && k >= n-1
+	// The combined chunk me lands in the reduce-scatter's only output
+	// block, or in block me of the allreduce's: slot 0 of the
+	// concatenation's accumulation region.
 	chunk := b.ext(blocksAt(regOut, fixed(0), 1))
-	if allPairs {
+	if all {
 		chunk = b.ext(blocksAt(regOut, plus(0), 1))
 	}
 	work, segments := b.reduceScatter(n, k, blockLen, opt, chunk)
@@ -151,13 +150,12 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 	case !all:
 		pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
 		pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
-	case allPairs:
+	case k >= n-1:
 		b.trivial(n, chunk)
 	default:
 		if err := b.circulant(n, k, blockLen, regOut, opt.LastRound); err != nil {
 			return nil, err
 		}
-		b.local(stepRotate, b.ext(blocksAt(regOut, fixed(0), n)), nil)
 	}
 	if all {
 		pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)

@@ -5,16 +5,16 @@ package collective
 //
 // Scratch and pool discipline: a role's scratch regions are acquired
 // from the processor-local pool when the role starts, in declaration
-// order, and released when it ends. A transfer travels as a view of the
-// region it addresses whenever that is one piece of memory; otherwise
-// it is packed into (or staged in) a pool buffer released at the end of
-// the step. Rounds that move payloads by ownership (the segmented
-// plans) always pack, and release what they receive.
+// order, and released when it ends. Every payload takes one path, pack
+// -> own -> land (exchange): packed into a buffer of the sender's pool,
+// handed over for good (mpsim.Proc.ExchangeOwned), landed — copy or
+// combine — by the receiver and released to the receiver's pool: two
+// copies per byte per hop, and no region is ever lent to the engine.
 
 import (
+	"fmt"
 	"sync"
 
-	"bruck/internal/buffers"
 	"bruck/internal/mpsim"
 )
 
@@ -41,7 +41,7 @@ type frame struct {
 	// the run, so a steady state allocates nothing for them.
 	sends []mpsim.Send
 	froms []int
-	into  [][]byte
+	recvd [][]byte
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -51,7 +51,7 @@ func newFrame(p *mpsim.Proc, pl *Plan, pr *program, members []int, me int) *fram
 	f := framePool.Get().(*frame)
 	f.p, f.pl, f.pr, f.members, f.me = p, pl, pr, members, me
 	if w := pr.width; cap(f.sends) < w {
-		f.sends, f.froms, f.into = make([]mpsim.Send, 0, w), make([]int, 0, w), make([][]byte, 0, w)
+		f.sends, f.froms, f.recvd = make([]mpsim.Send, 0, w), make([]int, 0, w), make([][]byte, 0, w)
 	}
 	return f
 }
@@ -80,7 +80,7 @@ func (f *frame) run() error {
 		f.p.ReleaseBuf(f.reg[int(regWork)+i].data)
 	}
 	clear(f.sends[:cap(f.sends)])
-	clear(f.into[:cap(f.into)])
+	clear(f.recvd[:cap(f.recvd)])
 	f.p, f.pl, f.pr, f.members = nil, nil, nil, nil
 	f.reg = [maxRegs]region{}
 	framePool.Put(f)
@@ -108,81 +108,49 @@ func (f *frame) id(a rel) int {
 	return f.pl.group.ID(r)
 }
 
-// local runs a copy, spread or rotate step.
+// local runs a copy or spread step.
 func (f *frame) local(s *step) {
 	x := &s.xfers[0]
-	switch s.kind {
-	case stepCopy:
+	if s.kind == stepCopy {
 		f.zip(x.recv, x.send, x.combine)
-	case stepSpread:
-		d, c := &x.recv[0], &x.send[0]
-		dr, cr := &f.reg[d.reg], &f.reg[c.reg]
-		for i := 0; i < int(d.n); i++ {
-			do, dn := d.bytes(dr.shape, f.me, f.pr.n, i)
-			co, cn := c.bytes(cr.shape, f.me, f.pr.n, i)
-			copy(dr.data[do:do+dn], cr.data[co:co+cn])
-		}
-	case stepRotate:
-		r := &f.reg[x.recv[0].reg]
-		buffers.RotateUp(r.data, f.pr.n, r.stride, f.pr.n-f.me)
+		return
+	}
+	d, c := &x.recv[0], &x.send[0]
+	dr, cr := &f.reg[d.reg], &f.reg[c.reg]
+	for i := 0; i < int(d.n); i++ {
+		do, dn := d.bytes(dr.shape, f.me, f.pr.n, i)
+		co, cn := c.bytes(cr.shape, f.me, f.pr.n, i)
+		copy(dr.data[do:do+dn], cr.data[co:co+cn])
 	}
 }
 
-// exchange runs one round: gather every send (a view, or a payload
-// packed into a pool buffer) and every receive (a view, or a staging
-// pool buffer), run the engine round, then land what was staged and
-// release the step's pool buffers in the order they were acquired. A
-// round that moves payloads by ownership (s.n > 0) always packs, leaves
-// the receive slots to the engine, and releases what it receives.
+// exchange runs one round, the one way a payload crosses from this
+// rank's regions to a peer's: pack each send's extents into a pool
+// buffer of exactly their size and hand it over; then land each received
+// payload in its recv extents and release it to this rank's pool.
 func (f *frame) exchange(s *step) error {
-	f.sends, f.froms, f.into = f.sends[:0], f.froms[:0], f.into[:0]
-	p, owned := f.p, s.n > 0
+	f.sends, f.froms, f.recvd = f.sends[:0], f.froms[:0], f.recvd[:0]
+	p := f.p
 	for i := range s.xfers {
 		x := &s.xfers[i]
 		if x.to.mode != addrNone {
-			var data []byte
-			if x.pack || owned {
-				data = p.AcquireBuf(x.bytes)
-				f.pack(data, x.send)
-			} else {
-				data = f.view(x.send)
-			}
+			data := p.AcquireBuf(f.size(x.send))
+			f.pack(data, x.send)
 			f.sends = append(f.sends, mpsim.Send{To: f.id(x.to), Data: data})
 		}
 		if x.from.mode != addrNone {
 			f.froms = append(f.froms, f.id(x.from))
-			switch {
-			case owned:
-				f.into = append(f.into, nil)
-			case x.stage:
-				f.into = append(f.into, p.AcquireBuf(x.bytes))
-			default:
-				f.into = append(f.into, f.view(x.recv))
-			}
+			f.recvd = append(f.recvd, nil)
 		}
 	}
-	var err error
-	if owned {
-		err = p.ExchangeOwned(f.sends, f.froms, f.into, s.n)
-	} else {
-		err = p.ExchangeInto(f.sends, f.froms, f.into)
-	}
-	si, ri := 0, 0
+	err := p.ExchangeOwned(f.sends, f.froms, f.recvd, s.n)
+	ri := 0
 	for i := range s.xfers {
-		x := &s.xfers[i]
-		if x.to.mode != addrNone {
-			if x.pack && !owned {
-				p.ReleaseBuf(f.sends[si].Data)
+		if x := &s.xfers[i]; x.from.mode != addrNone {
+			if err == nil {
+				err = f.unpack(x.recv, f.recvd[ri], f.froms[ri], x.combine)
 			}
-			si++
-		}
-		if x.from.mode != addrNone {
-			if buf := f.into[ri]; owned || x.stage {
-				if err == nil {
-					f.unpack(x.recv, buf, x.combine)
-				}
-				p.ReleaseBuf(buf)
-			}
+			p.ReleaseBuf(f.recvd[ri])
 			ri++
 		}
 	}
@@ -223,13 +191,23 @@ func (f *frame) piece(e *extent, b int) ([]byte, int) {
 	return r.data[off : off+ln], 1
 }
 
-// view returns the single piece a contiguous extent list addresses.
+// view returns the single piece an embed step's extent list addresses.
 func (f *frame) view(ext []extent) []byte {
 	if len(ext) == 0 {
 		return nil
 	}
 	p, _ := f.piece(&ext[0], 0)
 	return p
+}
+
+// size returns the bytes the extents address on this rank (xfer.bytes is
+// the largest over ranks).
+func (f *frame) size(ext []extent) int {
+	n := 0
+	for i := range ext {
+		n += ext[i].size(f.reg[ext[i].reg].shape, f.me, f.pr.n)
+	}
+	return n
 }
 
 func (f *frame) pack(buf []byte, ext []extent) {
@@ -242,7 +220,13 @@ func (f *frame) pack(buf []byte, ext []extent) {
 	}
 }
 
-func (f *frame) unpack(ext []extent, buf []byte, combine bool) {
+// unpack lands the payload received from processor src in the extents,
+// piece by piece, after checking that it is exactly the bytes they
+// address.
+func (f *frame) unpack(ext []extent, buf []byte, src int, combine bool) error {
+	if want := f.size(ext); len(buf) != want {
+		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes", len(buf), src, want)
+	}
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
 			p, blocks := f.piece(e, b)
@@ -251,6 +235,7 @@ func (f *frame) unpack(ext []extent, buf []byte, combine bool) {
 			b += blocks
 		}
 	}
+	return nil
 }
 
 // land writes src over dst, or combines it in; the kernel never sees an

@@ -57,16 +57,16 @@
 // # Buffer ownership
 //
 // Message payloads travel in buffers drawn from processor-local free
-// lists that persist across runs: a sender copies its payload into a
-// pooled buffer, and a receiver that consumes the message with
-// Proc.ExchangeInto copies it into the caller's destination and
-// recycles the buffer into its own pool (safe because the transport's
-// delivery orders the reuse after the sender's last write). A reused
-// Engine therefore reaches a steady state with no per-message
-// allocations on the ExchangeInto path; Proc.AcquireBuf scans a bounded
-// number of free-list entries so mixed-size rounds (the circulant
-// last round) reach that steady state too. The classic Exchange
-// instead transfers buffer ownership to the caller. Proc.AcquireBuf
+// lists that persist across runs. The collective interpreter uses
+// Proc.ExchangeOwned only: a sender packs its payload into a buffer
+// from its pool and the buffer itself travels; the receiver lands its
+// bytes and recycles it into its own pool (safe because the
+// transport's delivery orders the reuse after the sender's last
+// write). Proc.ExchangeInto, for hand-written bodies, copies each send
+// into a pooled buffer and each receive out of one; Exchange hands what
+// it receives to the caller. Either way a reused Engine reaches a steady
+// state with no per-message allocations; Proc.AcquireBuf scans a few
+// free-list entries so mixed-size rounds do too. Proc.AcquireBuf
 // and Proc.ReleaseBuf expose the same pools to algorithm bodies for
 // round scratch space. Each pool is owned by one processor goroutine;
 // the engine goroutine touches pools only between runs. The
