@@ -68,31 +68,13 @@ func reportModel(b *testing.B, rep *Report) {
 	b.ReportMetric(rep.Time(costmodel.SP1)*1e6, "SP1-model-us")
 }
 
-// BenchmarkIndex compares the legacy block-matrix index API with the
-// flat zero-copy API on identical schedules, and the channel transport
-// with the shared-memory slot transport on the flat path. Run with
-// -benchmem: the flat path must show at least 50% fewer allocs/op (the
-// acceptance bound locked in by TestFlatIndexAllocs; measured
-// reductions are larger, see README.md); the slot transport's win is
-// ns/op, not allocations.
+// BenchmarkIndex measures the flat zero-copy index API on the channel
+// transport and on the shared-memory slot transport, whose win is
+// ns/op, not allocations. (That the flat path allocates at most half of
+// what the [][][]byte adapter does is pinned by TestFlatIndexAllocs and
+// measured by benchmark/'s allocs_per_op.)
 func BenchmarkIndex(b *testing.B) {
 	const n, size, r = 16, 128, 2
-	b.Run("legacy", func(b *testing.B) {
-		m := MustNewMachine(n)
-		in := benchIndexInput(n, size)
-		var rep *Report
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, rep, err = m.Index(in, WithRadix(r))
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportModel(b, rep)
-	})
 	for _, backend := range []Backend{BackendChan, BackendSlot} {
 		b.Run("flat-"+string(backend), func(b *testing.B) {
 			m := MustNewMachine(n, WithTransport(backend))
@@ -162,27 +144,10 @@ func BenchmarkIndexPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkConcat compares the legacy block-matrix concatenation API
-// with the flat zero-copy API on identical schedules (see
-// BenchmarkIndex).
+// BenchmarkConcat is BenchmarkIndex for the concatenation (allocation
+// bound: TestFlatConcatAllocs).
 func BenchmarkConcat(b *testing.B) {
 	const n, size = 16, 128
-	b.Run("legacy", func(b *testing.B) {
-		m := MustNewMachine(n)
-		in := benchConcatInput(n, size)
-		var rep *Report
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, rep, err = m.Concat(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportModel(b, rep)
-	})
 	for _, backend := range []Backend{BackendChan, BackendSlot} {
 		b.Run("flat-"+string(backend), func(b *testing.B) {
 			m := MustNewMachine(n, WithTransport(backend))

@@ -590,18 +590,15 @@ func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error
 	if s.Op == collective.OpReduceScatter || s.Op == collective.OpAllReduce {
 		// The built-in kernel named by WithKernel (with its element size
 		// and cache identity) or the raw WithCombine function.
-		s.Reduce = collective.ReduceOptions{
-			Algorithm: cfg.reduceAlg, Radix: cfg.indexOpt.Radix, Kernel: cfg.combine,
-			LastRound: cfg.concatOpt.LastRound, Segments: cfg.indexOpt.Segments,
-		}
+		s.Reduce = collective.ReduceOptions{Kernel: cfg.combine}
 		if cfg.combine == nil && cfg.kernelSet {
-			fn, err := buffers.Kernel(cfg.kernelOp, cfg.kernelTyp)
-			if err != nil {
+			var err error
+			if s.Reduce, err = collective.KernelOptions(cfg.kernelOp, cfg.kernelTyp); err != nil {
 				return nil, err
 			}
-			s.Reduce.Kernel, s.Reduce.ElemSize = fn, cfg.kernelTyp.Size()
-			s.Reduce.KernelKey = cfg.kernelOp.String() + "/" + cfg.kernelTyp.String()
 		}
+		s.Reduce.Algorithm, s.Reduce.Radix, s.Reduce.Segments = cfg.reduceAlg, cfg.indexOpt.Radix, cfg.indexOpt.Segments
+		s.Reduce.LastRound = cfg.concatOpt.LastRound
 	}
 	return m.plans.Get(m.engine, cfg.group, s)
 }
@@ -635,11 +632,7 @@ func (m *Machine) slices(op collective.Op, fin interface{ ToMatrix() [][][]byte 
 	if err != nil {
 		return nil, nil, err
 	}
-	n, blocks := pl.Group().Size(), pl.Group().Size()
-	if op == collective.OpReduceScatter {
-		blocks = 1
-	}
-	out, err := buffers.New(n, blocks, in.BlockLen())
+	out, err := buffers.New(pl.Group().Size(), pl.OutBlocks(), in.BlockLen())
 	if err != nil {
 		return nil, nil, err
 	}

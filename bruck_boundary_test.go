@@ -136,3 +136,81 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 		})
 	}
 }
+
+// TestFacadeErrorTexts pins the text of every error the facade itself
+// returns (the "bruck: ..." ones; what package collective rejects is
+// pinned by its TestSpecRejections): call, exact text.
+func TestFacadeErrorTexts(t *testing.T) {
+	const n, b = 4, 4
+	topo, err := ParseTopology("2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := MustNewMachine(n, RecordEvents())
+	tiered := MustNewMachine(n, WithTopology(topo))
+	in, _ := NewIndexBuffers(n, b)
+	out, _ := NewIndexBuffers(n, b)
+	// ran has completed one operation without recording events; split
+	// has last run two plans at once, which leaves no single schedule.
+	ran := MustNewMachine(n, WithTopology(topo))
+	if _, err := ran.IndexFlat(in, out); err != nil {
+		t.Fatal(err)
+	}
+	split := MustNewMachine(n, WithTopology(topo), RecordEvents())
+	var halves []*Plan
+	for _, ids := range [][]int{{0, 1}, {2, 3}} {
+		g, err := split.NewGroup(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := split.CompileIndex(b, OnGroup(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, _ := NewIndexBuffers(2, b)
+		pout, _ := NewIndexBuffers(2, b)
+		if err := pl.Bind(pin, pout); err != nil {
+			t.Fatal(err)
+		}
+		halves = append(halves, pl)
+	}
+	if _, err := split.RunPlans(halves); err != nil {
+		t.Fatal(err)
+	}
+	busy := MustNewMachine(n)
+	busy.inflight.Store(true)
+
+	critical := func(m *Machine) func() error {
+		return func() error { _, err := m.CriticalPathTime(SP1); return err }
+	}
+	criticalTopo := func(m *Machine) func() error {
+		return func() error { _, err := m.CriticalPathTopoTime(); return err }
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"NewMachine/topology size", func() error { _, err := NewMachine(6, WithTopology(topo)); return err },
+			"bruck: topology covers 4 processors, machine has 6"},
+		{"CriticalPathTime/no operation", critical(fresh), "bruck: CriticalPathTime before any operation"},
+		{"CriticalPathTime/no events", critical(ran), "bruck: CriticalPathTime requires a machine created with RecordEvents"},
+		{"CriticalPathTime/after RunPlans", critical(split),
+			"bruck: CriticalPathTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)"},
+		{"CriticalPathTopoTime/flat machine", criticalTopo(fresh), "bruck: CriticalPathTopoTime requires a machine created with WithTopology"},
+		{"CriticalPathTopoTime/no operation", criticalTopo(tiered), "bruck: CriticalPathTopoTime before any operation"},
+		{"CriticalPathTopoTime/no events", criticalTopo(ran), "bruck: CriticalPathTopoTime requires a machine created with RecordEvents"},
+		{"CriticalPathTopoTime/after RunPlans", criticalTopo(split),
+			"bruck: CriticalPathTopoTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)"},
+		{"IndexFlat/nil", func() error { _, err := fresh.IndexFlat(nil, out); return err }, "bruck: nil flat buffer"},
+		{"IndexAsync/nil", func() error { _, err := fresh.IndexAsync(in, nil); return err }, "bruck: nil flat buffer"},
+		{"BroadcastInto/nil", func() error { _, err := fresh.BroadcastInto(0, make([]byte, b), nil); return err }, "bruck: nil flat buffer"},
+		{"IndexVFlat/nil", func() error { _, err := fresh.IndexVFlat(nil, nil); return err }, "bruck: nil ragged buffer"},
+		{"IndexAsync/in flight", func() error { _, err := busy.IndexAsync(in, out); return err },
+			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+	} {
+		if err := c.call(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}

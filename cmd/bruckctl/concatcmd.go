@@ -6,8 +6,6 @@
 //	bruckctl concat -bounds            # achieved vs Section 2 lower bounds
 //	bruckctl concat -optimality        # Theorem 4.3 across the special range
 //	bruckctl concat -baselines         # circulant vs folklore/ring/recdbl
-//	bruckctl concat -allocs            # legacy vs flat-buffer allocations
-//	bruckctl concat -allocs -transport slot   # ... on the slot transport
 package main
 
 import (
@@ -27,7 +25,6 @@ type concatParams struct {
 	bounds     bool
 	optimality bool
 	baselines  bool
-	allocs     bool
 	b          int
 	transport  string
 	reportJSON bool
@@ -39,7 +36,6 @@ func newConcatCmd() *command {
 	fs.BoolVar(&p.bounds, "bounds", false, "print achieved C1/C2 vs lower bounds for both operations")
 	fs.BoolVar(&p.optimality, "optimality", false, "sweep the special range and show the last-round policies")
 	fs.BoolVar(&p.baselines, "baselines", false, "compare the circulant algorithm with the baselines")
-	fs.BoolVar(&p.allocs, "allocs", false, "compare legacy vs flat-buffer allocations per operation")
 	fs.IntVar(&p.b, cli.FlagBytes, 4, "block size in bytes")
 	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend: chan or slot")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
@@ -66,10 +62,8 @@ func runConcatStudy(w io.Writer, p concatParams) error {
 		err = runOptimality(rp, p.b)
 	case p.baselines:
 		err = runBaselines(rp, backend, p.b)
-	case p.allocs:
-		err = runConcatAllocs(rp, backend, p.b)
 	default:
-		return fmt.Errorf("pick one of -bounds, -optimality, -baselines or -allocs")
+		return fmt.Errorf("pick one of -bounds, -optimality or -baselines")
 	}
 	if err != nil {
 		return err
@@ -145,7 +139,7 @@ func runBaselines(rp *reporter, backend mpsim.Backend, b int) error {
 		} {
 			e := mpsim.MustNew(n, mpsim.WithTransport(backend))
 			spec := collective.Spec{Op: collective.OpConcat, BlockLen: b, Concat: collective.ConcatOptions{Algorithm: alg}}
-			res, err := runOnce(e, mpsim.WorldGroup(n), spec, true)
+			_, res, err := exercise(e, spec, collective.Labels)
 			if err != nil {
 				return err
 			}
@@ -154,24 +148,6 @@ func runBaselines(rp *reporter, backend mpsim.Backend, b int) error {
 			t.AddRow(fmt.Sprint(n), fmt.Sprint(alg), fmt.Sprint(res.C1), fmt.Sprint(res.C2),
 				fmt.Sprint(lowerbound.ConcatRounds(n, 1)), fmt.Sprint(lowerbound.ConcatVolume(n, b, 1)))
 		}
-	}
-	rp.add(t)
-	return nil
-}
-
-func runConcatAllocs(rp *reporter, backend mpsim.Backend, b int) error {
-	w := rp.text()
-	fmt.Fprintf(w, "concat allocations per operation, legacy (block matrix) vs flat (zero-copy) vs compiled plan, b = %d, transport = %s\n\n", b, backend)
-	fmt.Fprintf(w, "%5s %3s %14s %14s %14s %12s\n", "n", "k", "legacy", "flat", "plan", "reduction")
-	t := &cli.Table{Name: "concat-allocs", Columns: []string{"n", "k", "legacy", "flat", "plan", "reduction_pct"}}
-	for _, tc := range []struct{ n, k int }{{16, 1}, {32, 1}, {64, 1}, {64, 3}} {
-		legacy, flat, planned, err := sweep.ConcatAllocs(backend, tc.n, b, tc.k, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%5d %3d %14.0f %14.0f %14.0f %11.0f%%\n", tc.n, tc.k, legacy, flat, planned, 100*(1-planned/legacy))
-		t.AddRow(fmt.Sprint(tc.n), fmt.Sprint(tc.k), fmt.Sprintf("%.0f", legacy), fmt.Sprintf("%.0f", flat),
-			fmt.Sprintf("%.0f", planned), fmt.Sprintf("%.0f", 100*(1-planned/legacy)))
 	}
 	rp.add(t)
 	return nil

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"bruck/internal/buffers"
 	"bruck/internal/circulant"
 	"bruck/internal/cli"
 	"bruck/internal/collective"
@@ -119,7 +118,7 @@ func renderFig(w io.Writer, fig, n, r int, backend mpsim.Backend) error {
 			return err
 		}
 		fmt.Fprint(w, tr)
-		if err := verifyIndexOnBackend(n, n, backend); err != nil {
+		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: n}}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
@@ -130,7 +129,7 @@ func renderFig(w io.Writer, fig, n, r int, backend mpsim.Backend) error {
 			return err
 		}
 		fmt.Fprint(w, tr)
-		if err := verifyIndexOnBackend(n, r, backend); err != nil {
+		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
@@ -159,7 +158,7 @@ func renderFig(w io.Writer, fig, n, r int, backend mpsim.Backend) error {
 			return err
 		}
 		fmt.Fprint(w, tr)
-		if err := verifyConcatOnBackend(n, backend); err != nil {
+		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpConcat, BlockLen: 1}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
@@ -169,74 +168,16 @@ func renderFig(w io.Writer, fig, n, r int, backend mpsim.Backend) error {
 	return nil
 }
 
-// verifyIndexOnBackend runs the radix-r index schedule the figure
-// depicts on the real simulator with the selected transport, checking
-// the defining permutation out[i][j] = in[j][i] byte for byte. Blocks
-// encode their (processor, block) label, mirroring the figures' "ij"
-// notation.
-func verifyIndexOnBackend(n, r int, backend mpsim.Backend) error {
+// verifyOnBackend runs the schedule the figure depicts on the real
+// simulator with the selected transport, through the oracle: every
+// output block against the operation's definition.
+func verifyOnBackend(n int, backend mpsim.Backend, s collective.Spec) error {
 	e, err := mpsim.New(n, mpsim.WithTransport(backend))
 	if err != nil {
 		return err
 	}
-	g := mpsim.WorldGroup(n)
-	in, err := buffers.New(n, n, 2)
-	if err != nil {
-		return err
-	}
-	out, err := buffers.New(n, n, 2)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			in.Block(i, j)[0], in.Block(i, j)[1] = byte(i), byte(j)
-		}
-	}
-	if _, err := execOnce(e, g, collective.Spec{Op: collective.OpIndex, Index: collective.IndexOptions{Radix: r}}, in, out); err != nil {
+	if _, _, err := exercise(e, s, collective.Labels); err != nil {
 		return fmt.Errorf("verifying on %s transport: %w", backend, err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if blk := out.Block(i, j); blk[0] != byte(j) || blk[1] != byte(i) {
-				return fmt.Errorf("verification on %s transport: processor %d slot %d holds %d%d, want %d%d",
-					backend, i, j, blk[0], blk[1], j, i)
-			}
-		}
-	}
-	return nil
-}
-
-// verifyConcatOnBackend runs the one-port circulant concatenation on
-// the real simulator with the selected transport and checks the
-// defining result out[i][j] = B[j].
-func verifyConcatOnBackend(n int, backend mpsim.Backend) error {
-	e, err := mpsim.New(n, mpsim.WithTransport(backend))
-	if err != nil {
-		return err
-	}
-	g := mpsim.WorldGroup(n)
-	in, err := buffers.New(n, 1, 1)
-	if err != nil {
-		return err
-	}
-	out, err := buffers.New(n, n, 1)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		in.Block(i, 0)[0] = byte(i)
-	}
-	if _, err := execOnce(e, g, collective.Spec{Op: collective.OpConcat}, in, out); err != nil {
-		return fmt.Errorf("verifying on %s transport: %w", backend, err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if out.Block(i, j)[0] != byte(j) {
-				return fmt.Errorf("verification on %s transport: processor %d slot %d holds %d, want %d",
-					backend, i, j, out.Block(i, j)[0], j)
-			}
-		}
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 func TestCanonicalFlagVocabulary(t *testing.T) {
 	want := map[string][]string{
 		"run": {"alg", "b", "chaos-inner", "chaos-seed", "crossover-segments", "crossover-topology",
-			"flat", "k", "kernel", "n", "op", "r", "radix", "ragged", "repeat", "report-json",
+			"k", "kernel", "n", "op", "r", "radix", "ragged", "repeat", "report-json",
 			"segments", "stragglers", "topology", "transport"},
-		"index":   {"allocs", "csv", "fig", "k", "n", "report-json", "transport", "tune"},
-		"concat":  {"allocs", "b", "baselines", "bounds", "optimality", "report-json", "transport"},
+		"index":   {"csv", "fig", "k", "n", "report-json", "transport", "tune"},
+		"concat":  {"b", "baselines", "bounds", "optimality", "report-json", "transport"},
 		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
 		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "perturb", "report-json",
 			"stragglers", "transport"},

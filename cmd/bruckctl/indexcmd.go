@@ -6,8 +6,6 @@
 //	bruckctl index -fig 5        # r=2 vs r=n vs tuned radix, with crossover
 //	bruckctl index -fig 6        # time vs radix for several message sizes
 //	bruckctl index -tune         # optimal radix per message size
-//	bruckctl index -allocs       # legacy vs flat-buffer allocations per op
-//	bruckctl index -allocs -transport slot   # ... on the slot transport
 //
 // Schedules are measured on the simulator (per-round message sizes of
 // the real algorithm); times are evaluated under the linear model
@@ -30,7 +28,6 @@ import (
 type indexParams struct {
 	fig        int
 	tune       bool
-	allocs     bool
 	n          int
 	k          int
 	csv        bool
@@ -43,13 +40,12 @@ func newIndexCmd() *command {
 	var p indexParams
 	fs.IntVar(&p.fig, cli.FlagFig, 0, "figure to regenerate (4, 5, 6)")
 	fs.BoolVar(&p.tune, "tune", false, "print the optimal radix per message size")
-	fs.BoolVar(&p.allocs, "allocs", false, "compare legacy vs flat-buffer allocations per operation")
 	fs.IntVar(&p.n, cli.FlagN, 64, "number of processors")
 	fs.IntVar(&p.k, cli.FlagPorts, 1, "ports per processor (figures use the one-port model)")
 	fs.BoolVar(&p.csv, cli.FlagCSV, false, "emit CSV instead of an aligned table")
 	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend: chan or slot")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
-	c := &command{name: "index", summary: "Section 3.5 index study: figures 4-6, radix tuning, allocations", fs: fs}
+	c := &command{name: "index", summary: "Section 3.5 index study: figures 4-6, radix tuning", fs: fs}
 	c.exec = func(args []string, w io.Writer) error {
 		if err := fs.Parse(args); err != nil {
 			return err
@@ -81,10 +77,8 @@ func runIndexStudy(w io.Writer, p indexParams) error {
 		return fmt.Errorf("unknown index figure %d (have 4, 5, 6)", p.fig)
 	case p.tune:
 		err = runTune(rp, p.n, p.k)
-	case p.allocs:
-		err = runIndexAllocs(rp, backend, p.n, p.k)
 	default:
-		return fmt.Errorf("pick one of -fig 4|5|6, -tune or -allocs")
+		return fmt.Errorf("pick one of -fig 4|5|6 or -tune")
 	}
 	if err != nil {
 		return err
@@ -181,26 +175,6 @@ func runTune(rp *reporter, n, k int) error {
 		c1, c2 := collective.IndexMixedCost(n, b, mixed, k)
 		fmt.Fprintf(w, "%10d %12d %12d %16v %10d %12d\n", b, rAll, rP2, mixed, c1, c2)
 		t.AddRow(fmt.Sprint(b), fmt.Sprint(rAll), fmt.Sprint(rP2), fmt.Sprint(mixed), fmt.Sprint(c1), fmt.Sprint(c2))
-	}
-	rp.add(t)
-	return nil
-}
-
-func runIndexAllocs(rp *reporter, backend mpsim.Backend, n, k int) error {
-	w := rp.text()
-	fmt.Fprintf(w, "index allocations per operation, legacy (block matrix) vs flat (zero-copy) vs compiled plan, n = %d, k = %d, transport = %s\n\n", n, k, backend)
-	fmt.Fprintf(w, "%6s %8s %14s %14s %14s %12s\n", "r", "bytes", "legacy", "flat", "plan", "reduction")
-	t := &cli.Table{Name: "index-allocs", Columns: []string{"r", "bytes", "legacy", "flat", "plan", "reduction_pct"}}
-	for _, r := range []int{2, 8, n} {
-		for _, b := range []int{16, 128, 1024} {
-			legacy, flat, planned, err := sweep.IndexAllocs(backend, n, b, r, k, 10)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%6d %8d %14.0f %14.0f %14.0f %11.0f%%\n", r, b, legacy, flat, planned, 100*(1-planned/legacy))
-			t.AddRow(fmt.Sprint(r), fmt.Sprint(b), fmt.Sprintf("%.0f", legacy), fmt.Sprintf("%.0f", flat),
-				fmt.Sprintf("%.0f", planned), fmt.Sprintf("%.0f", 100*(1-planned/legacy)))
-		}
 	}
 	rp.add(t)
 	return nil

@@ -3,7 +3,7 @@
 // (internal/cli) and one table/CSV/JSON renderer.
 //
 //	bruckctl run     -op index -n 64 -b 128 -radix 8      # one collective, measured
-//	bruckctl index   -fig 4|5|6 | -tune | -allocs         # Section 3.5 index figures
+//	bruckctl index   -fig 4|5|6 | -tune                   # Section 3.5 index figures
 //	bruckctl concat  -bounds | -optimality | -baselines   # Sections 2/4 concat tables
 //	bruckctl figures -fig 1|2|3|7|8|9 | -table 1 | -all   # structural figures, byte-verified
 //	bruckctl trace   record|verify [-perturb]             # golden schedule corpus

@@ -56,6 +56,7 @@ func TestReportJSONWellFormed(t *testing.T) {
 		{"index", "-tune", "-n", "8", "-report-json"},
 		{"concat", "-baselines", "-report-json"},
 		{"figures", "-fig", "3", "-report-json"},
+		{"trace", "verify", "-dir", "../../internal/golden/testdata/golden", "-report-json"},
 	} {
 		var sb strings.Builder
 		if err := dispatch(args, &sb); err != nil {

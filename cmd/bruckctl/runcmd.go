@@ -5,7 +5,6 @@
 //	bruckctl run -op index  -n 64 -b 128 -radix 8 -k 1
 //	bruckctl run -op concat -n 17 -b 64 -k 2
 //	bruckctl run -op index  -n 64 -b 128 -radix auto      # tuned radix
-//	bruckctl run -op index  -n 64 -b 128 -flat            # zero-copy flat-buffer path
 //	bruckctl run -op index  -n 64 -b 128 -transport slot  # shared-memory slot transport
 //	bruckctl run -op index  -n 64 -b 128 -transport chaos -chaos-seed 7 -stragglers 0,3
 //	bruckctl run -op index  -n 64 -b 128 -repeat 100      # plan-reuse study
@@ -14,32 +13,27 @@
 //	bruckctl run -op index  -n 16 -k 1 -crossover-segments # segmented-vs-monolithic sweep
 //	bruckctl run -op reducescatter -n 16 -b 64 -kernel sum:float32
 //	bruckctl run -op allreduce -n 16 -b 64 -alg auto      # cost-model reduce dispatch
+//	bruckctl run -op broadcast -n 9 -k 2                  # one-to-all primitives, root 0
 //
-// The reduction operations (-op reducescatter / allreduce) combine
-// blocks with the kernel named by -kernel (op:type) where the plain
-// collectives copy them; -alg selects the reduce-scatter schedule
-// (ring, halving, bruck, or auto for the cost-model verdict), and the
-// result is verified against a locally computed serial reduce.
+// Every mode builds its Spec one way (params.spec: names through
+// collective.ParseSpec, the kernel through buffers.ParseKernel) and
+// runs it through the oracle (collective.Exercise), which compares
+// every output block with the operation's definition. The reduction
+// operations (-op reducescatter / allreduce) combine blocks with the
+// kernel named by -kernel (op:type) where the plain collectives copy
+// them; -alg selects the schedule (for a reduction: ring, halving,
+// bruck, or auto for the cost-model verdict).
 //
-// With -repeat N (N > 1) the command runs the operation N times twice
-// over on flat buffers — once compiling the schedule on every call and
-// once executing a single precompiled plan — verifies both produce the
-// same bytes, and reports the wall-clock per operation of each mode.
-//
-// With -ragged s (s > 0) the command builds a Zipf-ish skewed layout —
-// block sizes fall off as b / rank^s, with the smallest rounding to
-// zero-length blocks — runs every ragged-capable schedule (padded
-// Bruck, exact-extent direct/ring, and the cost-model auto dispatch) on
-// it, verifies each result byte-for-byte against a locally computed
-// direct reference exchange, and tabulates C1, C2, the non-uniform
-// lower bound and the model times.
+// The studies are modes (runModes), each selected by its flag and
+// declaring the flags it reads: a flag set for a mode that does not
+// read it is an error, not ignored.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,7 +43,6 @@ import (
 	"bruck/internal/cli"
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
-	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
 	"bruck/internal/sweep"
 )
@@ -62,7 +55,6 @@ type params struct {
 	b          int
 	radix      string
 	alg        string
-	flat       bool
 	transport  string
 	chaosInner string
 	chaosSeed  uint64
@@ -77,24 +69,31 @@ type params struct {
 	reportJSON bool
 }
 
+// The defaults of the flags a mode may not read; their zero values
+// count as unset too (tests build params directly).
+const (
+	defaultN      = 16
+	defaultB      = 64
+	defaultKernel = "sum:int32"
+)
+
 func newRunCmd() *command {
 	fs := newFlagSet("run")
 	var p params
-	fs.StringVar(&p.op, "op", "index", "operation: index, concat, reducescatter or allreduce")
-	fs.IntVar(&p.n, cli.FlagN, 16, "number of processors")
+	fs.StringVar(&p.op, "op", "index", "operation: index, concat, reducescatter, allreduce, broadcast, gather or scatter")
+	fs.IntVar(&p.n, cli.FlagN, defaultN, "number of processors")
 	fs.IntVar(&p.k, cli.FlagPorts, 1, "ports per processor")
-	fs.IntVar(&p.b, cli.FlagBytes, 64, "block size in bytes")
-	fs.StringVar(&p.radix, cli.FlagRadix, "", "index radix (2..n), empty for k+1, or 'auto' for model-tuned")
+	fs.IntVar(&p.b, cli.FlagBytes, defaultB, "block size in bytes")
+	fs.StringVar(&p.radix, cli.FlagRadix, "", "Bruck radix of the index and the reductions (2..n), empty for k+1, or 'auto' for the model-tuned index radix")
 	fs.StringVar(&p.radix, cli.FlagRadixAlias, "", "alias for -radix")
 	fs.StringVar(&p.alg, "alg", "", "algorithm override (index: bruck|direct|xor; concat: circulant|folklore|ring|recdbl; reducescatter/allreduce: ring|halving|bruck|auto)")
-	fs.BoolVar(&p.flat, "flat", false, "run the zero-copy flat-buffer path (IndexFlat/ConcatFlat)")
 	tf := cli.RegisterTransportFlags(fs)
-	fs.IntVar(&p.repeat, "repeat", 1, "run the operation N times and compare compile-per-call vs plan reuse")
-	fs.Float64Var(&p.ragged, "ragged", 0, "run a skewed-size ragged study with Zipf exponent <skew> (block sizes ~ b/rank^skew)")
-	fs.StringVar(&p.kernel, "kernel", "sum:int32", "reduction kernel as op:type (sum|min|max : int32|int64|float32|float64)")
+	fs.IntVar(&p.repeat, "repeat", 1, "run the index or the concatenation N times and compare compile-per-call vs plan reuse")
+	fs.Float64Var(&p.ragged, "ragged", 0, "run a skewed-size ragged study of the index or the concatenation with Zipf exponent <skew> (block sizes ~ b/rank^skew)")
+	fs.StringVar(&p.kernel, "kernel", defaultKernel, "reduction kernel as op:type (sum|min|max : int32|int64|float32|float64)")
 	fs.StringVar(&p.segments, "segments", "", "pipeline the packed Bruck schedule over <s> segments (2..), 'auto' for the model-tuned count, empty for monolithic")
 	fs.BoolVar(&p.crossover, "crossover-segments", false, "sweep block sizes and report where the segmented index schedule overtakes the monolithic one")
-	fs.StringVar(&p.topology, "topology", "", "two-level topology spec <groups>x<size>[:beta,tau/beta,tau] — run the hierarchical schedule on it (the spec defines the machine size; -n is ignored)")
+	fs.StringVar(&p.topology, "topology", "", "two-level topology spec <groups>x<size>[:beta,tau/beta,tau] — run the hierarchical schedule on the machine it describes")
 	fs.BoolVar(&p.topoCross, "crossover-topology", false, "sweep (n, b, inter/intra ratio) and tabulate flat vs hierarchical modeled times")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "run", summary: "run one collective and report schedule measures vs bounds", fs: fs}
@@ -116,17 +115,80 @@ func runOp(w io.Writer, p params) error {
 	return rp.flush()
 }
 
+// runMode is one study of the run subcommand: the flag that selects it
+// (none: one plain run), what it is and the operations it supports, for
+// its error messages, and the optional flags it reads.
+type runMode struct {
+	flag, what, ops, reads string
+	run                    func(rp *reporter, p params) error
+}
+
+// runModes is in precedence order; the last row applies when no other
+// does.
+var runModes = []runMode{
+	{"crossover-segments", "the segment crossover study", "index", "n b radix segments transport", runSegmentCrossover},
+	{"crossover-topology", "the topology crossover study", "index concat", "", runTopoCrossover},
+	{"topology", "the hierarchical schedule", "index concat allreduce", "b kernel transport", runTopology},
+	{"ragged", "the ragged study", "index concat", "n b transport", runRagged},
+	{"repeat", "the plan-reuse study", "index concat", "n b radix alg segments transport", runRepeat},
+	{"", "", "", "n b radix alg segments kernel transport", runPlain},
+}
+
+// flagState is one optional flag and whether it is set to a value other
+// than its default.
+type flagState struct {
+	name string
+	set  bool
+}
+
+// optional lists the flags some mode does not read. (-op, -k and
+// -report-json are read by every mode; the chaos flags go with
+// -transport.)
+func (p *params) optional() []flagState {
+	return []flagState{
+		{"n", p.n != 0 && p.n != defaultN},
+		{"b", p.b != 0 && p.b != defaultB},
+		{"radix", p.radix != ""},
+		{"alg", p.alg != ""},
+		{"segments", p.segments != ""},
+		{"kernel", p.kernel != "" && p.kernel != defaultKernel},
+		{"transport", p.transport != "" && p.transport != "chan"},
+		{"repeat", p.repeat > 1},
+		{"ragged", p.ragged > 0},
+		{"topology", p.topology != ""},
+		{"crossover-segments", p.crossover},
+		{"crossover-topology", p.topoCross},
+	}
+}
+
+// runOpInto selects the mode and runs it, after rejecting an operation
+// the mode does not support and any flag it would silently ignore.
 func runOpInto(rp *reporter, p params) error {
-	w := rp.text()
-	if p.crossover {
-		return runSegmentCrossover(rp, p)
+	named, err := collective.ParseSpec(p.op, "")
+	if err != nil {
+		return err
 	}
-	if p.topoCross {
-		return runTopoCrossover(rp, p)
+	flags := p.optional()
+	m, where := &runModes[len(runModes)-1], "-op "+p.op
+	for i := len(runModes) - 2; i >= 0; i-- {
+		if slices.Contains(flags, flagState{runModes[i].flag, true}) {
+			m, where = &runModes[i], "-"+runModes[i].flag
+		}
 	}
-	if p.topology != "" {
-		return runTopology(rp, p)
+	if m.ops != "" && !slices.Contains(strings.Fields(m.ops), named.Op.String()) {
+		return fmt.Errorf("%s does not apply to -op %s: %s supports -op %s", where, p.op, m.what, strings.ReplaceAll(m.ops, " ", "|"))
 	}
+	for _, f := range flags {
+		if f.set && f.name != m.flag && !slices.Contains(strings.Fields(m.reads), f.name) {
+			return fmt.Errorf("-%s does not apply to %s", f.name, where)
+		}
+	}
+	return m.run(rp, p)
+}
+
+// engine builds the recording n-processor engine the transport flags
+// describe.
+func (p *params) engine(n int, extra ...mpsim.Option) (*mpsim.Engine, error) {
 	tfl := cli.TransportFlags{Transport: p.transport, ChaosInner: p.chaosInner, ChaosSeed: p.chaosSeed, Stragglers: p.stragglers}
 	if tfl.Transport == "" {
 		tfl.Transport = "chan"
@@ -136,186 +198,159 @@ func runOpInto(rp *reporter, p params) error {
 	}
 	topts, err := tfl.EngineOptions()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	eopts := append([]mpsim.Option{mpsim.Ports(p.k), mpsim.Record(true)}, topts...)
-	e, err := mpsim.New(p.n, eopts...)
+	return mpsim.New(n, append(append([]mpsim.Option{mpsim.Ports(p.k), mpsim.Record(true)}, extra...), topts...)...)
+}
+
+// spec is the one path from the flags to a Spec on n processors: the
+// names through collective.ParseSpec, the numeric flags, the kernel
+// through buffers.ParseKernel. fill is the input that suits it: block
+// labels, or for a reduction the kernel type's small integers, whose
+// combination does not depend on the order.
+func (p *params) spec(n int) (s collective.Spec, fill func(blk []byte, rank, block int), err error) {
+	alg, auto := p.alg, p.alg == "auto"
+	if auto {
+		alg = ""
+	}
+	if s, err = collective.ParseSpec(p.op, alg); err != nil {
+		return s, nil, err
+	}
+	reduction := s.Op == collective.OpReduceScatter || s.Op == collective.OpAllReduce
+	index := s.Op == collective.OpIndex
+	for _, f := range []struct {
+		name      string
+		set, read bool
+	}{
+		{"radix", p.radix != "", index || reduction},
+		{"segments", p.segments != "", index || reduction},
+		{"kernel", p.kernel != "" && p.kernel != defaultKernel, reduction},
+		{"alg auto", auto, reduction},
+	} {
+		if f.set && !f.read {
+			return s, nil, fmt.Errorf("-%s does not apply to -op %s", f.name, p.op)
+		}
+	}
+	s.BlockLen, fill = p.b, collective.Labels
+	if reduction {
+		kernel := p.kernel
+		if kernel == "" {
+			kernel = defaultKernel
+		}
+		rop, typ, err := buffers.ParseKernel(kernel)
+		if err != nil {
+			return s, nil, err
+		}
+		ralg := s.Reduce.Algorithm
+		if s.Reduce, err = collective.KernelOptions(rop, typ); err != nil {
+			return s, nil, err
+		}
+		s.Reduce.Algorithm, fill = ralg, typ.Fill
+	}
+	if auto {
+		s.Auto = &costmodel.SP1
+	}
+	switch {
+	case p.radix == "":
+	case p.radix == "auto" && index:
+		s.Index.Radix = collective.OptimalRadix(costmodel.SP1, n, p.b, p.k, false)
+	default:
+		if s.Index.Radix, err = strconv.Atoi(p.radix); err != nil {
+			return s, nil, fmt.Errorf("bad radix %q: %v", p.radix, err)
+		}
+	}
+	if s.Index.Segments, err = parseSegments(p.segments); err != nil {
+		return s, nil, err
+	}
+	s.Reduce.Radix, s.Reduce.Segments = s.Index.Radix, s.Index.Segments
+	return s, fill, nil
+}
+
+// exercise compiles the spec on all of e's processors and runs it once
+// through the oracle.
+func exercise(e *mpsim.Engine, s collective.Spec, fill func(blk []byte, rank, block int)) (*collective.Plan, *collective.Result, error) {
+	pl, err := collective.Compile(e, mpsim.WorldGroup(e.N()), s)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := collective.Exercise(pl, fill)
+	return pl, res, err
+}
+
+// runPlain runs the operation once and reports its measures against the
+// plan's lower bounds.
+func runPlain(rp *reporter, p params) error {
+	w := rp.text()
+	e, err := p.engine(p.n)
 	if err != nil {
 		return err
 	}
-	g := mpsim.WorldGroup(p.n)
-
-	if p.ragged > 0 {
-		return runRagged(rp, p, e, g)
+	spec, fill, err := p.spec(p.n)
+	if err != nil {
+		return err
 	}
-
-	kv := cli.KV("run")
+	reduction := spec.Reduce.Kernel != nil
+	kv, head := cli.KV("run"), ""
+	if reduction {
+		kv, head = cli.KV("reduce"), " kernel="+p.kernel
+	}
 	kv.Add("op", p.op)
 	kv.Add("n", p.n)
 	kv.Add("k", p.k)
 	kv.Add("b", p.b)
-	var res *collective.Result
-	switch p.op {
-	case "index":
-		opt := collective.IndexOptions{}
-		switch p.alg {
-		case "", "bruck":
-			opt.Algorithm = collective.IndexBruck
-		case "direct":
-			opt.Algorithm = collective.IndexDirect
-		case "xor":
-			opt.Algorithm = collective.IndexPairwiseXOR
-		default:
-			return fmt.Errorf("unknown index algorithm %q", p.alg)
-		}
-		switch p.radix {
-		case "":
-		case "auto":
-			opt.Radix = collective.OptimalRadix(costmodel.SP1, p.n, p.b, p.k, false)
-			fmt.Fprintf(w, "tuned radix: %d\n", opt.Radix)
-			kv.Add("tuned_radix", opt.Radix)
-		default:
-			r, err := strconv.Atoi(p.radix)
-			if err != nil {
-				return fmt.Errorf("bad radix %q: %v", p.radix, err)
-			}
-			opt.Radix = r
-		}
-		seg, err := parseSegments(p.segments)
-		if err != nil {
-			return err
-		}
-		opt.Segments = seg
-		if p.repeat > 1 {
-			return runRepeat(rp, p, e, g, collective.Spec{Op: collective.OpIndex, Index: opt}, opt.Algorithm)
-		}
-		if res, err = runOnce(e, g, collective.Spec{Op: collective.OpIndex, BlockLen: p.b, Index: opt}, p.flat); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "index: n=%d k=%d b=%d alg=%v path=%s transport=%s\n", p.n, p.k, p.b, opt.Algorithm, pathName(p.flat), e.Transport())
-		if p.segments != "" {
-			fmt.Fprintf(w, "  segments requested: %s\n", p.segments)
-			kv.Add("segments", p.segments)
-		}
-		fmt.Fprintf(w, "  C1 = %d rounds   (lower bound %d)\n", res.C1, lowerbound.IndexRounds(p.n, p.k))
-		fmt.Fprintf(w, "  C2 = %d bytes    (lower bound %d)\n", res.C2, lowerbound.IndexVolume(p.n, p.b, p.k))
-		kv.Add("alg", opt.Algorithm)
-		kv.Add("c1_lower_bound", lowerbound.IndexRounds(p.n, p.k))
-		kv.Add("c2_lower_bound", lowerbound.IndexVolume(p.n, p.b, p.k))
-
-	case "concat":
-		opt := collective.ConcatOptions{}
-		switch p.alg {
-		case "", "circulant":
-			opt.Algorithm = collective.ConcatCirculant
-		case "folklore":
-			opt.Algorithm = collective.ConcatFolklore
-		case "ring":
-			opt.Algorithm = collective.ConcatRing
-		case "recdbl":
-			opt.Algorithm = collective.ConcatRecursiveDoubling
-		default:
-			return fmt.Errorf("unknown concat algorithm %q", p.alg)
-		}
-		if p.repeat > 1 {
-			return runRepeat(rp, p, e, g, collective.Spec{Op: collective.OpConcat, Concat: opt}, opt.Algorithm)
-		}
-		var err error
-		if res, err = runOnce(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: p.b, Concat: opt}, p.flat); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "concat: n=%d k=%d b=%d alg=%v path=%s transport=%s\n", p.n, p.k, p.b, opt.Algorithm, pathName(p.flat), e.Transport())
-		fmt.Fprintf(w, "  C1 = %d rounds   (lower bound %d)\n", res.C1, lowerbound.ConcatRounds(p.n, p.k))
-		fmt.Fprintf(w, "  C2 = %d bytes    (lower bound %d)\n", res.C2, lowerbound.ConcatVolume(p.n, p.b, p.k))
-		kv.Add("alg", opt.Algorithm)
-		kv.Add("c1_lower_bound", lowerbound.ConcatRounds(p.n, p.k))
-		kv.Add("c2_lower_bound", lowerbound.ConcatVolume(p.n, p.b, p.k))
-
-	case "reducescatter", "allreduce":
-		return runReduce(rp, p, e, g)
-
-	default:
-		return fmt.Errorf("unknown operation %q", p.op)
+	if p.radix == "auto" {
+		fmt.Fprintf(w, "tuned radix: %d\n", spec.Index.Radix)
+		kv.Add("tuned_radix", spec.Index.Radix)
 	}
-
-	fmt.Fprintf(w, "  verified against the direct reference\n")
+	pl, res, err := exercise(e, spec, fill)
+	if err != nil {
+		return err
+	}
+	if spec.Auto != nil {
+		fmt.Fprintf(w, "auto dispatch picked: %s\n", pl.Algorithm())
+	}
+	fmt.Fprintf(w, "%s: n=%d k=%d b=%d alg=%s%s transport=%s\n", p.op, p.n, p.k, p.b, pl.Algorithm(), head, e.Transport())
+	if p.segments != "" && !reduction {
+		fmt.Fprintf(w, "  segments requested: %s\n", p.segments)
+		kv.Add("segments", p.segments)
+	}
+	fmt.Fprintf(w, "  C1 = %d rounds   (lower bound %d)\n", res.C1, res.C1LowerBound)
+	fmt.Fprintf(w, "  C2 = %d bytes    (lower bound %d)\n", res.C2, res.C2LowerBound)
+	if !reduction {
+		fmt.Fprintf(w, "  verified against the direct reference\n")
+	}
 	fmt.Fprintf(w, "  total traffic = %d bytes in %d messages\n", res.TotalBytes, res.Messages)
-	fmt.Fprintf(w, "  model time (SP-1 linear):    %v\n", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
-	fmt.Fprintf(w, "  model time (SP-1 extended):  %v\n", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
-	kv.Add("path", pathName(p.flat))
+	linear, extended := costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)), costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2))
+	fmt.Fprintf(w, "  model time (SP-1 linear):    %v\n", linear)
+	fmt.Fprintf(w, "  model time (SP-1 extended):  %v\n", extended)
+	kv.Add("alg", pl.Algorithm())
+	if spec.Auto != nil {
+		kv.Add("auto_pick", pl.Algorithm())
+	}
+	if reduction {
+		kv.Add("kernel", p.kernel)
+	}
 	kv.Add("transport", e.Transport())
 	kv.Add("c1", res.C1)
+	kv.Add("c1_lower_bound", res.C1LowerBound)
 	kv.Add("c2", res.C2)
+	kv.Add("c2_lower_bound", res.C2LowerBound)
 	kv.Add("total_bytes", res.TotalBytes)
 	kv.Add("messages", res.Messages)
-	kv.Add("verified_direct_reference", true)
-	kv.Add("model_sp1_linear", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
-	kv.Add("model_sp1_extended", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
-	if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
-		fmt.Fprintf(w, "  critical path (SP-1 linear): %v\n", costmodel.Duration(cp))
-		kv.Add("critical_path_sp1", costmodel.Duration(cp))
+	if reduction {
+		fmt.Fprintln(w, "  result byte-identical to the serial reference reduce: ok")
+		kv.Add("verified_serial_reference", true)
+	} else {
+		kv.Add("verified_direct_reference", true)
+		kv.Add("model_sp1_linear", linear)
+		kv.Add("model_sp1_extended", extended)
+		if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
+			fmt.Fprintf(w, "  critical path (SP-1 linear): %v\n", costmodel.Duration(cp))
+			kv.Add("critical_path_sp1", costmodel.Duration(cp))
+		}
 	}
 	rp.add(kv)
 	return nil
-}
-
-// runOnce compiles the spec, executes it once on the study pattern and
-// checks every output block against the direct reference. The legacy
-// path crosses the [][][]byte shape on the way in and out — one copy
-// each, as the public Index/Concat adapters do.
-func runOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, flat bool) (*collective.Result, error) {
-	n, inBlocks := g.Size(), g.Size()
-	if s.Op == collective.OpConcat {
-		inBlocks = 1
-	}
-	in, err := buffers.New(n, inBlocks, s.BlockLen)
-	if err != nil {
-		return nil, err
-	}
-	out, err := buffers.New(n, n, s.BlockLen)
-	if err != nil {
-		return nil, err
-	}
-	fillPattern(in)
-	if !flat {
-		if in, err = buffers.FromMatrix(in.ToMatrix()); err != nil {
-			return nil, err
-		}
-	}
-	res, err := execOnce(e, g, s, in, out)
-	if err != nil {
-		return nil, err
-	}
-	if !flat {
-		out.ToMatrix()
-	}
-	// out[i][j] = in[j][i] for the index, in[j] (the only block) for concat.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(out.Block(i, j), in.Block(j, i%inBlocks)) {
-				return nil, fmt.Errorf("%v: out[%d][%d] differs from the direct reference", s.Op, i, j)
-			}
-		}
-	}
-	return res, nil
-}
-
-// execOnce compiles the spec at the buffers' block size and executes it
-// once: the compile-per-call path.
-func execOnce(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *buffers.Buffers) (*collective.Result, error) {
-	s.BlockLen = in.BlockLen()
-	pl, err := collective.Compile(e, g, s)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
-}
-
-func pathName(flat bool) string {
-	if flat {
-		return "flat"
-	}
-	return "legacy"
 }
 
 // runRepeat is the plan-reuse study of the index or the concatenation
@@ -323,77 +358,71 @@ func pathName(flat bool) string {
 // partition): the same spec executed p.repeat times compiling on every
 // call, then p.repeat times through one precompiled plan, with a
 // byte-level equivalence check between the two result sets.
-func runRepeat(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group, spec collective.Spec, alg fmt.Stringer) error {
-	inBlocks := p.n
-	if spec.Op == collective.OpConcat {
-		inBlocks = 1
-	}
-	fin, err := buffers.New(p.n, inBlocks, p.b)
+func runRepeat(rp *reporter, p params) error {
+	w := rp.text()
+	e, err := p.engine(p.n)
 	if err != nil {
 		return err
 	}
-	fillPattern(fin)
-	perCallOut, err := buffers.New(p.n, p.n, p.b)
+	g := mpsim.WorldGroup(p.n)
+	spec, fill, err := p.spec(p.n)
 	if err != nil {
 		return err
 	}
-	planOut, err := buffers.New(p.n, p.n, p.b)
-	if err != nil {
-		return err
-	}
-	spec.BlockLen = p.b
 	plan, err := collective.Compile(e, g, spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(rp.text(), "%s plan-reuse study: n=%d k=%d b=%d alg=%v transport=%s repeat=%d\n",
-		spec.Op, p.n, p.k, p.b, alg, e.Transport(), p.repeat)
-	return repeatStudy(rp, p, alg.String(), e, plan,
-		func() error { _, err := execOnce(e, g, spec, fin, perCallOut); return err },
-		func() error { _, err := plan.Execute(fin, planOut); return err },
-		perCallOut, planOut)
-}
-
-// repeatStudy times the two execution modes, checks byte equivalence,
-// and prints the comparison.
-func repeatStudy(rp *reporter, p params, alg string, e *mpsim.Engine, plan *collective.Plan,
-	perCall, planned func() error, perCallOut, planOut *buffers.Buffers) error {
-	w := rp.text()
+	var mems [2]*collective.Memory // compile-per-call, plan-reuse
+	for i := range mems {
+		if mems[i], err = plan.Alloc(); err != nil {
+			return err
+		}
+		plan.Fill(mems[i], fill)
+	}
+	modes := [2]func() error{
+		func() error {
+			pl, err := collective.Compile(e, g, spec)
+			if err == nil {
+				_, err = pl.Run(mems[0])
+			}
+			return err
+		},
+		func() error { _, err := plan.Run(mems[1]); return err },
+	}
+	fmt.Fprintf(w, "%s plan-reuse study: n=%d k=%d b=%d alg=%s transport=%s repeat=%d\n",
+		spec.Op, p.n, p.k, p.b, plan.Algorithm(), e.Transport(), p.repeat)
 	// Warm both paths once so transport pools reach steady state before
 	// the timed loops.
-	if err := perCall(); err != nil {
-		return err
-	}
-	if err := planned(); err != nil {
-		return err
-	}
-
-	//lint:allow detrand wall-clock latency is the quantity being reported, not part of any snapshot
-	start := time.Now()
-	for i := 0; i < p.repeat; i++ {
-		if err := perCall(); err != nil {
+	for _, run := range modes {
+		if err := run(); err != nil {
 			return err
 		}
 	}
-	perCallAvg := time.Since(start) / time.Duration(p.repeat)
-
-	//lint:allow detrand wall-clock latency is the quantity being reported, not part of any snapshot
-	start = time.Now()
-	for i := 0; i < p.repeat; i++ {
-		if err := planned(); err != nil {
-			return err
+	var avg [2]time.Duration
+	for i, run := range modes {
+		//lint:allow detrand wall-clock latency is the quantity being reported, not part of any snapshot
+		start := time.Now()
+		for it := 0; it < p.repeat; it++ {
+			if err := run(); err != nil {
+				return err
+			}
 		}
+		avg[i] = time.Since(start) / time.Duration(p.repeat)
 	}
-	planAvg := time.Since(start) / time.Duration(p.repeat)
-
+	_, perCallOut := mems[0].Flat()
+	_, planOut := mems[1].Flat()
 	if !perCallOut.Equal(planOut) {
 		return fmt.Errorf("plan execution diverged from compile-per-call results")
 	}
+	if err := plan.Verify(mems[1]); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "  schedule: %d rounds, largest pooled buffer %d bytes\n", plan.Rounds(), plan.MaxMessageBytes())
-	fmt.Fprintf(w, "  compile-per-call: %v/op\n", perCallAvg)
-	fmt.Fprintf(w, "  plan-reuse:       %v/op\n", planAvg)
-	if planAvg > 0 {
-		fmt.Fprintf(w, "  speedup:          %.2fx\n", float64(perCallAvg)/float64(planAvg))
+	fmt.Fprintf(w, "  compile-per-call: %v/op\n", avg[0])
+	fmt.Fprintf(w, "  plan-reuse:       %v/op\n", avg[1])
+	if avg[1] > 0 {
+		fmt.Fprintf(w, "  speedup:          %.2fx\n", float64(avg[0])/float64(avg[1]))
 	}
 	fmt.Fprintln(w, "  results byte-identical across modes: ok")
 
@@ -402,25 +431,19 @@ func repeatStudy(rp *reporter, p params, alg string, e *mpsim.Engine, plan *coll
 	kv.Add("n", p.n)
 	kv.Add("k", p.k)
 	kv.Add("b", p.b)
-	kv.Add("alg", alg)
+	kv.Add("alg", plan.Algorithm())
 	kv.Add("transport", e.Transport())
 	kv.Add("repeat", p.repeat)
 	kv.Add("rounds", plan.Rounds())
 	kv.Add("max_message_bytes", plan.MaxMessageBytes())
-	kv.Add("compile_per_call_ns", perCallAvg.Nanoseconds())
-	kv.Add("plan_reuse_ns", planAvg.Nanoseconds())
-	if planAvg > 0 {
-		kv.Add("speedup", fmt.Sprintf("%.2f", float64(perCallAvg)/float64(planAvg)))
+	kv.Add("compile_per_call_ns", avg[0].Nanoseconds())
+	kv.Add("plan_reuse_ns", avg[1].Nanoseconds())
+	if avg[1] > 0 {
+		kv.Add("speedup", fmt.Sprintf("%.2f", float64(avg[0])/float64(avg[1])))
 	}
 	kv.Add("byte_identical", true)
 	rp.add(kv)
 	return nil
-}
-
-// fillPattern writes the deterministic study pattern into a flat
-// buffer.
-func fillPattern(b *buffers.Buffers) {
-	fillPatternBytes(b.Bytes())
 }
 
 // zipfCounts returns the Zipf-ish skewed block-size table of the
@@ -449,20 +472,56 @@ func zipfVector(n, b int, skew float64) []int {
 	return counts
 }
 
-// studyEntry is one candidate schedule of the ragged study.
-type studyEntry struct {
-	name string
-	plan *collective.Plan
-	err  error
-}
-
 // runRagged is the skewed-size study: every ragged-capable schedule of
-// the chosen operation runs on the same Zipf-ish layout, each result is
-// verified byte-for-byte against a locally computed reference, and the
-// schedules' measures and model times are tabulated.
-func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
+// the chosen operation (padded Bruck, exact-extent direct/ring, and the
+// cost-model auto dispatch) runs through the oracle on the same Zipf-ish
+// layout — block sizes fall off as b / rank^s, the smallest rounding to
+// zero-length blocks — and the schedules' C1, C2, non-uniform lower
+// bound and model times are tabulated.
+func runRagged(rp *reporter, p params) error {
 	w := rp.text()
-	cache := collective.NewPlanCache()
+	e, err := p.engine(p.n)
+	if err != nil {
+		return err
+	}
+	g := mpsim.WorldGroup(p.n)
+	spec, err := collective.ParseSpec(p.op, "")
+	if err != nil {
+		return err
+	}
+	// The candidate schedules; the cost-model dispatch goes last.
+	names := []string{"bruck r=k+1", fmt.Sprintf("bruck r=%d", p.n), "direct", "auto (SP-1)"}
+	specs := make([]collective.Spec, 4)
+	zeros, reference := -1, "direct reference exchange"
+	if spec.Op == collective.OpIndex {
+		counts := zipfCounts(p.n, p.b, p.ragged)
+		if spec.Layout, err = blocks.Ragged(counts); err != nil {
+			return err
+		}
+		spec.Op = collective.OpIndexV
+		specs[0], specs[1], specs[2], specs[3] = spec, spec, spec, spec
+		specs[1].Index.Radix = p.n
+		specs[2].Index.Algorithm = collective.IndexDirect
+		zeros = 0
+		for i := range counts {
+			for _, c := range counts[i] {
+				if c == 0 {
+					zeros++
+				}
+			}
+		}
+	} else {
+		if spec.Layout, err = blocks.RaggedVector(zipfVector(p.n, p.b, p.ragged)); err != nil {
+			return err
+		}
+		spec.Op, reference = collective.OpConcatV, "reference concatenation"
+		names, specs = []string{"circulant", "ring", "auto (SP-1)"}, specs[:3]
+		specs[0], specs[1], specs[2] = spec, spec, spec
+		specs[1].Concat.Algorithm = collective.ConcatRing
+	}
+	l := spec.Layout
+	specs[len(specs)-1].Auto = &costmodel.SP1
+
 	kv := cli.KV("ragged-study")
 	kv.Add("op", p.op)
 	kv.Add("n", p.n)
@@ -471,158 +530,39 @@ func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 	kv.Add("skew", fmt.Sprintf("%.2f", p.ragged))
 	kv.Add("transport", e.Transport())
 	sched := &cli.Table{Name: "schedules", Columns: []string{"schedule", "c1", "c2", "model_sp1"}}
-	switch p.op {
-	case "index":
-		counts := zipfCounts(p.n, p.b, p.ragged)
-		l, err := blocks.Ragged(counts)
+	cache := collective.NewPlanCache()
+	var pl *collective.Plan
+	for i, s := range specs {
+		if pl, err = cache.Get(e, g, s); err != nil {
+			return fmt.Errorf("%s: %v", names[i], err)
+		}
+		if i == 0 {
+			fmt.Fprintf(w, "ragged %s study: n=%d k=%d b=%d skew=%.2f transport=%s\n", p.op, p.n, p.k, p.b, p.ragged, e.Transport())
+			fmt.Fprintf(w, "  layout: %d payload bytes, largest block %d,", l.Total(), l.Max())
+			kv.Add("payload_bytes", l.Total())
+			kv.Add("largest_block", l.Max())
+			if zeros >= 0 {
+				fmt.Fprintf(w, " zero-length blocks %d,", zeros)
+				kv.Add("zero_length_blocks", zeros)
+			}
+			fmt.Fprintf(w, " C2 lower bound %d\n", pl.C2LowerBound())
+			kv.Add("c2_lower_bound", pl.C2LowerBound())
+		}
+		res, err := collective.Exercise(pl, collective.Labels)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %v", names[i], err)
 		}
-		vin, err := buffers.NewRagged(l)
-		if err != nil {
-			return err
-		}
-		fillPatternBytes(vin.Bytes())
-		// The direct per-pair reference exchange, computed locally:
-		// out.Block(i, j) = in.Block(j, i).
-		ref, err := buffers.NewRagged(l.Transpose())
-		if err != nil {
-			return err
-		}
-		for i := 0; i < p.n; i++ {
-			for j := 0; j < p.n; j++ {
-				copy(ref.Block(i, j), vin.Block(j, i))
-			}
-		}
-		zeros := 0
-		for i := range counts {
-			for j := range counts[i] {
-				if counts[i][j] == 0 {
-					zeros++
-				}
-			}
-		}
-		fmt.Fprintf(w, "ragged index study: n=%d k=%d b=%d skew=%.2f transport=%s\n",
-			p.n, p.k, p.b, p.ragged, e.Transport())
-		fmt.Fprintf(w, "  layout: %d payload bytes, largest block %d, zero-length blocks %d, C2 lower bound %d\n",
-			l.Total(), l.Max(), zeros, lowerbound.IndexVVolume(counts, p.k))
-		kv.Add("payload_bytes", l.Total())
-		kv.Add("largest_block", l.Max())
-		kv.Add("zero_length_blocks", zeros)
-		kv.Add("c2_lower_bound", lowerbound.IndexVVolume(counts, p.k))
-
-		spec := collective.Spec{Op: collective.OpIndexV, Layout: l}
-		defPlan, defErr := cache.Get(e, g, spec)
-		spec.Index.Radix = p.n
-		maxPlan, maxErr := cache.Get(e, g, spec)
-		spec.Index = collective.IndexOptions{Algorithm: collective.IndexDirect}
-		dirPlan, dirErr := cache.Get(e, g, spec)
-		autoPlan, autoErr := cache.Get(e, g, collective.Spec{Op: collective.OpIndexV, Layout: l, Auto: &costmodel.SP1})
-		plans := []studyEntry{
-			{"bruck r=k+1", defPlan, defErr},
-			{fmt.Sprintf("bruck r=%d", p.n), maxPlan, maxErr},
-			{"direct", dirPlan, dirErr},
-			{"auto (SP-1)", autoPlan, autoErr},
-		}
-
-		for _, entry := range plans {
-			if entry.err != nil {
-				return fmt.Errorf("%s: %v", entry.name, entry.err)
-			}
-			vout, err := buffers.NewRagged(l.Transpose())
-			if err != nil {
-				return err
-			}
-			res, err := entry.plan.ExecuteV(vin, vout)
-			if err != nil {
-				return fmt.Errorf("%s: %v", entry.name, err)
-			}
-			if !vout.Equal(ref) {
-				return fmt.Errorf("%s: result diverges from the direct reference exchange", entry.name)
-			}
-			fmt.Fprintf(w, "  %-12s C1=%4d  C2=%8d  model(SP-1)=%v\n",
-				entry.name, res.C1, res.C2, costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
-			sched.AddRow(entry.name, fmt.Sprint(res.C1), fmt.Sprint(res.C2),
-				fmt.Sprint(costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2))))
-		}
-		fmt.Fprintf(w, "  auto dispatch picked: %s (%d rounds)\n", autoPlan.Algorithm(), autoPlan.Rounds())
-		fmt.Fprintln(w, "  all results byte-identical to the direct reference exchange: ok")
-		kv.Add("auto_pick", autoPlan.Algorithm())
-		kv.Add("byte_identical", true)
-		rp.add(kv)
-		rp.add(sched)
-		return nil
-
-	case "concat":
-		counts := zipfVector(p.n, p.b, p.ragged)
-		l, err := blocks.RaggedVector(counts)
-		if err != nil {
-			return err
-		}
-		vin, err := buffers.NewRagged(l)
-		if err != nil {
-			return err
-		}
-		fillPatternBytes(vin.Bytes())
-		outL, err := l.ConcatOut()
-		if err != nil {
-			return err
-		}
-		ref, err := buffers.NewRagged(outL)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < p.n; i++ {
-			for j := 0; j < p.n; j++ {
-				copy(ref.Block(i, j), vin.Block(j, 0))
-			}
-		}
-		fmt.Fprintf(w, "ragged concat study: n=%d k=%d b=%d skew=%.2f transport=%s\n",
-			p.n, p.k, p.b, p.ragged, e.Transport())
-		fmt.Fprintf(w, "  layout: %d payload bytes, largest block %d, C2 lower bound %d\n",
-			l.Total(), l.Max(), lowerbound.ConcatVVolume(counts, p.k))
-		kv.Add("payload_bytes", l.Total())
-		kv.Add("largest_block", l.Max())
-		kv.Add("c2_lower_bound", lowerbound.ConcatVVolume(counts, p.k))
-
-		circ, cerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l})
-		ring, rerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Concat: collective.ConcatOptions{Algorithm: collective.ConcatRing}})
-		auto, aerr := cache.Get(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Auto: &costmodel.SP1})
-		for _, en := range []studyEntry{
-			{"circulant", circ, cerr},
-			{"ring", ring, rerr},
-			{"auto (SP-1)", auto, aerr},
-		} {
-			if en.err != nil {
-				return fmt.Errorf("%s: %v", en.name, en.err)
-			}
-			vout, err := buffers.NewRagged(outL)
-			if err != nil {
-				return err
-			}
-			res, err := en.plan.ExecuteV(vin, vout)
-			if err != nil {
-				return fmt.Errorf("%s: %v", en.name, err)
-			}
-			if !vout.Equal(ref) {
-				return fmt.Errorf("%s: result diverges from the reference concatenation", en.name)
-			}
-			fmt.Fprintf(w, "  %-12s C1=%4d  C2=%8d  model(SP-1)=%v\n",
-				en.name, res.C1, res.C2, costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
-			sched.AddRow(en.name, fmt.Sprint(res.C1), fmt.Sprint(res.C2),
-				fmt.Sprint(costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2))))
-		}
-		fmt.Fprintf(w, "  auto dispatch picked: %s (%d rounds)\n", auto.Algorithm(), auto.Rounds())
-		fmt.Fprintln(w, "  all results byte-identical to the reference concatenation: ok")
-		kv.Add("auto_pick", auto.Algorithm())
-		kv.Add("byte_identical", true)
-		rp.add(kv)
-		rp.add(sched)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown operation %q", p.op)
+		model := costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2))
+		fmt.Fprintf(w, "  %-12s C1=%4d  C2=%8d  model(SP-1)=%v\n", names[i], res.C1, res.C2, model)
+		sched.AddRow(names[i], fmt.Sprint(res.C1), fmt.Sprint(res.C2), fmt.Sprint(model))
 	}
+	fmt.Fprintf(w, "  auto dispatch picked: %s (%d rounds)\n", pl.Algorithm(), pl.Rounds())
+	fmt.Fprintf(w, "  all results byte-identical to the %s: ok\n", reference)
+	kv.Add("auto_pick", pl.Algorithm())
+	kv.Add("byte_identical", true)
+	rp.add(kv)
+	rp.add(sched)
+	return nil
 }
 
 // parseSegments parses the -segments flag: empty means monolithic,
@@ -652,9 +592,6 @@ func parseSegments(s string) (int, error) {
 // crossover block size.
 func runSegmentCrossover(rp *reporter, p params) error {
 	w := rp.text()
-	if p.op != "index" {
-		return fmt.Errorf("-crossover-segments studies the index collective, got -op %s", p.op)
-	}
 	r := p.k + 1
 	switch p.radix {
 	case "":
@@ -758,204 +695,5 @@ func runSegmentCrossover(rp *reporter, p params) error {
 	rp.add(kv)
 	rp.add(st)
 	rp.add(sweep.SeriesReport("segment-model-times", []sweep.Series{mono, seg}, "b"))
-	return nil
-}
-
-// fillPatternBytes writes the deterministic study pattern into a slab.
-func fillPatternBytes(data []byte) {
-	for i := range data {
-		data[i] = byte(i*11 + 5)
-	}
-}
-
-// parseKernel parses the -kernel flag's op:type form.
-func parseKernel(s string) (buffers.ReduceOp, buffers.DataType, error) {
-	op, typ, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad kernel %q, want op:type (e.g. sum:float32)", s)
-	}
-	var rop buffers.ReduceOp
-	switch op {
-	case "sum":
-		rop = buffers.Sum
-	case "min":
-		rop = buffers.Min
-	case "max":
-		rop = buffers.Max
-	default:
-		return 0, 0, fmt.Errorf("unknown reduce op %q", op)
-	}
-	var rtyp buffers.DataType
-	switch typ {
-	case "int32":
-		rtyp = buffers.Int32
-	case "int64":
-		rtyp = buffers.Int64
-	case "float32":
-		rtyp = buffers.Float32
-	case "float64":
-		rtyp = buffers.Float64
-	default:
-		return 0, 0, fmt.Errorf("unknown element type %q", typ)
-	}
-	return rop, rtyp, nil
-}
-
-// fillElements writes deterministic small integer-valued elements of
-// the given type — exactly representable in every type, so the
-// simulated reduction is bit-checkable against the serial reference
-// regardless of combine order.
-func fillElements(data []byte, typ buffers.DataType, seed int) {
-	for e := 0; e < len(data)/typ.Size(); e++ {
-		v := (seed+e*7)%16 - 8
-		switch typ {
-		case buffers.Int32:
-			buffers.PutInt32s(data[e*4:], []int32{int32(v)})
-		case buffers.Int64:
-			buffers.PutInt64s(data[e*8:], []int64{int64(v)})
-		case buffers.Float32:
-			buffers.PutFloat32s(data[e*4:], []float32{float32(v)})
-		case buffers.Float64:
-			buffers.PutFloat64s(data[e*8:], []float64{float64(v)})
-		}
-	}
-}
-
-// runReduce runs a reduction collective, verifies it against the
-// locally computed serial reduce, and reports the schedule against the
-// reduction lower bounds.
-func runReduce(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
-	w := rp.text()
-	rop, rtyp, err := parseKernel(p.kernel)
-	if err != nil {
-		return err
-	}
-	fn, err := buffers.Kernel(rop, rtyp)
-	if err != nil {
-		return err
-	}
-	kind := collective.ReduceScatterKind
-	if p.op == "allreduce" {
-		kind = collective.AllReduceKind
-	}
-	opt := collective.ReduceOptions{
-		Kernel:    fn,
-		ElemSize:  rtyp.Size(),
-		KernelKey: rop.String() + "/" + rtyp.String(),
-	}
-	auto := false
-	switch p.alg {
-	case "", "ring":
-		opt.Algorithm = collective.ReduceRing
-	case "halving":
-		opt.Algorithm = collective.ReduceHalving
-	case "bruck":
-		opt.Algorithm = collective.ReduceBruck
-		if p.radix != "" {
-			r, err := strconv.Atoi(p.radix)
-			if err != nil {
-				return fmt.Errorf("bad radix %q: %v", p.radix, err)
-			}
-			opt.Radix = r
-		}
-	case "auto":
-		auto = true
-	default:
-		return fmt.Errorf("unknown reduce algorithm %q", p.alg)
-	}
-	seg, err := parseSegments(p.segments)
-	if err != nil {
-		return err
-	}
-	opt.Segments = seg
-
-	spec := collective.Spec{Op: kind.Op(), BlockLen: p.b, Reduce: opt}
-	if auto {
-		spec.Auto = &costmodel.SP1
-	}
-	plan, err := collective.Compile(e, g, spec)
-	if err != nil {
-		return err
-	}
-
-	in, err := buffers.New(p.n, p.n, p.b)
-	if err != nil {
-		return err
-	}
-	fillElements(in.Bytes(), rtyp, 5)
-	outBlocks := 1
-	if kind == collective.AllReduceKind {
-		outBlocks = p.n
-	}
-	out, err := buffers.New(p.n, outBlocks, p.b)
-	if err != nil {
-		return err
-	}
-	res, err := plan.Execute(in, out)
-	if err != nil {
-		return err
-	}
-
-	// Serial reference: chunk j combined in rank order.
-	for j := 0; j < p.n; j++ {
-		want := append([]byte(nil), in.Block(0, j)...)
-		for q := 1; q < p.n; q++ {
-			if p.b > 0 {
-				fn(want, in.Block(q, j))
-			}
-		}
-		rows := []int{j}
-		if kind == collective.AllReduceKind {
-			rows = make([]int, p.n)
-			for i := range rows {
-				rows[i] = i
-			}
-		}
-		for _, i := range rows {
-			blk := out.Block(i, 0)
-			if kind == collective.AllReduceKind {
-				blk = out.Block(i, j)
-			}
-			if !bytes.Equal(blk, want) {
-				return fmt.Errorf("chunk %d on rank %d diverges from the serial reduce", j, i)
-			}
-		}
-	}
-
-	if auto {
-		fmt.Fprintf(w, "auto dispatch picked: %s\n", plan.Algorithm())
-	}
-	c1lb, c2lb := lowerbound.ReduceScatterRounds(p.n, p.k), lowerbound.ReduceScatterVolume(p.n, p.b, p.k)
-	if kind == collective.AllReduceKind {
-		c1lb, c2lb = lowerbound.AllReduceRounds(p.n, p.k), lowerbound.AllReduceVolume(p.n, p.b, p.k)
-	}
-	fmt.Fprintf(w, "%s: n=%d k=%d b=%d alg=%s kernel=%s transport=%s\n",
-		p.op, p.n, p.k, p.b, plan.Algorithm(), p.kernel, e.Transport())
-	fmt.Fprintf(w, "  C1 = %d rounds   (lower bound %d)\n", res.C1, c1lb)
-	fmt.Fprintf(w, "  C2 = %d bytes    (lower bound %d)\n", res.C2, c2lb)
-	fmt.Fprintf(w, "  total traffic = %d bytes in %d messages\n", res.TotalBytes, res.Messages)
-	fmt.Fprintf(w, "  model time (SP-1 linear):    %v\n", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
-	fmt.Fprintf(w, "  model time (SP-1 extended):  %v\n", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
-	fmt.Fprintln(w, "  result byte-identical to the serial reference reduce: ok")
-
-	kv := cli.KV("reduce")
-	kv.Add("op", p.op)
-	kv.Add("n", p.n)
-	kv.Add("k", p.k)
-	kv.Add("b", p.b)
-	kv.Add("alg", plan.Algorithm())
-	if auto {
-		kv.Add("auto_pick", plan.Algorithm())
-	}
-	kv.Add("kernel", p.kernel)
-	kv.Add("transport", e.Transport())
-	kv.Add("c1", res.C1)
-	kv.Add("c1_lower_bound", c1lb)
-	kv.Add("c2", res.C2)
-	kv.Add("c2_lower_bound", c2lb)
-	kv.Add("total_bytes", res.TotalBytes)
-	kv.Add("messages", res.Messages)
-	kv.Add("verified_serial_reference", true)
-	rp.add(kv)
 	return nil
 }

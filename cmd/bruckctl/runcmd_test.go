@@ -52,6 +52,7 @@ func TestRunAlgorithmVariants(t *testing.T) {
 		{op: "concat", n: 8, k: 1, b: 8, alg: "folklore"},
 		{op: "concat", n: 8, k: 1, b: 8, alg: "ring"},
 		{op: "concat", n: 8, k: 1, b: 8, alg: "recdbl"},
+		{op: "index", n: 16, k: 1, b: 4096, segments: "4", transport: "slot"},
 	} {
 		var sb strings.Builder
 		if err := runOp(&sb, p); err != nil {
@@ -88,7 +89,6 @@ func TestRunErrors(t *testing.T) {
 func TestRunSlotTransport(t *testing.T) {
 	for _, p := range []params{
 		{op: "index", n: 8, k: 1, b: 16, transport: "slot"},
-		{op: "index", n: 8, k: 1, b: 16, transport: "slot", flat: true},
 		{op: "concat", n: 9, k: 2, b: 16, transport: "slot"},
 	} {
 		var sb strings.Builder
@@ -179,6 +179,7 @@ func TestRunReduceOps(t *testing.T) {
 		{op: "reducescatter", n: 9, k: 2, b: 16, alg: "bruck", radix: "3", kernel: "max:int64", transport: "slot"},
 		{op: "allreduce", n: 8, k: 1, b: 16, kernel: "sum:float32"},
 		{op: "allreduce", n: 12, k: 2, b: 24, alg: "auto", kernel: "sum:int32", transport: "slot"},
+		{op: "allreduce", n: 8, k: 1, b: 256, alg: "bruck", radix: "2", segments: "auto", kernel: "sum:int32"},
 	} {
 		var sb strings.Builder
 		if err := runOp(&sb, p); err != nil {
@@ -217,5 +218,51 @@ func TestRunReduceErrors(t *testing.T) {
 	}
 	if err := runOp(&sb, params{op: "reducescatter", n: 4, k: 1, b: 10, kernel: "sum:int64"}); err == nil {
 		t.Error("block size not divisible by element size accepted")
+	}
+}
+
+// TestRunRootedOps: the one-to-all primitives run through the same
+// path as every other operation, at root 0, and report the tree's
+// round count against its lower bound.
+func TestRunRootedOps(t *testing.T) {
+	for _, op := range []string{"broadcast", "gather", "scatter"} {
+		var sb strings.Builder
+		if err := runOp(&sb, params{op: op, n: 9, k: 2, b: 64}); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		for _, want := range []string{op + ": n=9 k=2 b=64 alg=tree", "C1 = 2 rounds   (lower bound 2)", "verified against the direct reference"} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("%s: output lacks %q:\n%s", op, want, sb.String())
+			}
+		}
+	}
+}
+
+// TestRunRejectsFlagsTheModeIgnores: a flag the selected mode does not
+// read, or an operation it does not support, is an error naming both —
+// each of these ran (or was mislabelled "unknown operation") before the
+// mode table.
+func TestRunRejectsFlagsTheModeIgnores(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-op", "allreduce", "-repeat", "3"},
+			"-repeat does not apply to -op allreduce: the plan-reuse study supports -op index|concat"},
+		{[]string{"-ragged", "1.2", "-repeat", "3"}, "-repeat does not apply to -ragged"},
+		{[]string{"-topology", "4x4", "-alg", "direct"}, "-alg does not apply to -topology"},
+		{[]string{"-topology", "4x4", "-repeat", "5"}, "-repeat does not apply to -topology"},
+		{[]string{"-op", "reducescatter", "-ragged", "1"},
+			"-ragged does not apply to -op reducescatter: the ragged study supports -op index|concat"},
+		{[]string{"-op", "concat", "-radix", "4"}, "-radix does not apply to -op concat"},
+		{[]string{"-op", "index", "-kernel", "max:int64"}, "-kernel does not apply to -op index"},
+		{[]string{"-op", "index", "-alg", "auto"}, "-alg auto does not apply to -op index"},
+		{[]string{"-op", "index", "-n", "8", "-topology", "4x4"}, "-n does not apply to -topology"},
+	} {
+		var sb strings.Builder
+		err := dispatch(append([]string{"run"}, c.args...), &sb)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("run %v: error %v, want %q", c.args, err, c.want)
+		}
 	}
 }

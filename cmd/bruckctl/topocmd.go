@@ -12,10 +12,8 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 
-	"bruck/internal/buffers"
 	"bruck/internal/cli"
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
@@ -23,63 +21,38 @@ import (
 	"bruck/internal/sweep"
 )
 
-// topoFlatBest compiles the best flat arm of one operation under the
-// topology clock: the Bruck index over the power-of-two radices plus
+// topoFlatBest compiles the best flat arm of the spec's operation under
+// the topology clock: the Bruck index over the power-of-two radices plus
 // k+1 and n for the index, the circulant schedule for the
-// concatenation, and the ring/halving/Bruck trio for the allreduce.
-func topoFlatBest(e *mpsim.Engine, g *mpsim.Group, op string, b int, topo *costmodel.Topology, ropt collective.ReduceOptions) (*collective.Plan, error) {
-	n, k := g.Size(), e.Ports()
+// concatenation, and ring against Bruck for the allreduce.
+func topoFlatBest(e *mpsim.Engine, s collective.Spec, topo *costmodel.Topology) (*collective.Plan, error) {
+	arms := []collective.Spec{s}
+	switch s.Op {
+	case collective.OpIndex:
+		arms = nil
+		for _, r := range sweep.RadixArms(e.N(), e.Ports()) {
+			s.Index.Radix = r
+			arms = append(arms, s)
+		}
+	case collective.OpAllReduce:
+		s.Reduce.Algorithm = collective.ReduceBruck
+		arms = append(arms, s)
+	}
 	var best *collective.Plan
-	consider := func(pl *collective.Plan, err error) error {
+	for _, arm := range arms {
+		pl, err := collective.Compile(e, mpsim.WorldGroup(e.N()), arm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if best == nil || pl.TimeTopo(topo) < best.TimeTopo(topo) {
 			best = pl
 		}
-		return nil
-	}
-	switch op {
-	case "index":
-		arms := append(sweep.PowersOfTwoUpTo(n), k+1, n)
-		seen := map[int]bool{}
-		for _, r := range arms {
-			if r < 2 {
-				r = 2
-			}
-			if r > n || seen[r] {
-				continue
-			}
-			seen[r] = true
-			err := consider(collective.CompileIndex(e, g, b, collective.IndexOptions{
-				Algorithm: collective.IndexBruck, Radix: r,
-			}))
-			if err != nil {
-				return nil, err
-			}
-		}
-	case "concat":
-		if err := consider(collective.CompileConcat(e, g, b, collective.ConcatOptions{
-			Algorithm: collective.ConcatCirculant,
-		})); err != nil {
-			return nil, err
-		}
-	case "allreduce":
-		for _, alg := range []collective.ReduceAlgorithm{collective.ReduceRing, collective.ReduceBruck} {
-			o := ropt
-			o.Algorithm = alg
-			if err := consider(collective.CompileReduce(e, g, collective.AllReduceKind, b, o)); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("-topology supports index, concat and allreduce, got -op %s", op)
 	}
 	return best, nil
 }
 
 // runTopology executes one collective hierarchically on the machine
-// the -topology spec describes, verifies the result, and reports the
+// the -topology spec describes, through the oracle, and reports the
 // per-phase and per-level schedule against the best flat arm.
 func runTopology(rp *reporter, p params) error {
 	w := rp.text()
@@ -88,117 +61,21 @@ func runTopology(rp *reporter, p params) error {
 		return err
 	}
 	n, k, b := topo.N(), p.k, p.b
-	tfl := cli.TransportFlags{Transport: p.transport, ChaosInner: p.chaosInner, ChaosSeed: p.chaosSeed, Stragglers: p.stragglers}
-	if tfl.Transport == "" {
-		tfl.Transport = "chan"
-	}
-	if tfl.ChaosInner == "" {
-		tfl.ChaosInner = "chan"
-	}
-	topts, err := tfl.EngineOptions()
+	e, err := p.engine(n, mpsim.WithTopology(topo.GroupAssignment()))
 	if err != nil {
 		return err
 	}
-	eopts := append([]mpsim.Option{mpsim.Ports(k), mpsim.Record(true),
-		mpsim.WithTopology(topo.GroupAssignment())}, topts...)
-	e, err := mpsim.New(n, eopts...)
+	flatSpec, fill, err := p.spec(n)
 	if err != nil {
 		return err
 	}
-	g := mpsim.WorldGroup(n)
-
-	ropt := collective.ReduceOptions{}
-	var rtyp buffers.DataType
-	if p.op == "allreduce" {
-		var rop buffers.ReduceOp
-		var kerr error
-		rop, rtyp, kerr = parseKernel(p.kernel)
-		if kerr != nil {
-			return kerr
-		}
-		fn, kerr := buffers.Kernel(rop, rtyp)
-		if kerr != nil {
-			return kerr
-		}
-		ropt = collective.ReduceOptions{Kernel: fn, ElemSize: rtyp.Size(), KernelKey: rop.String() + "/" + rtyp.String()}
-	}
-
-	var hier *collective.Plan
-	var in, out *buffers.Buffers
-	verify := func(*buffers.Buffers) error { return nil }
-	switch p.op {
-	case "index":
-		hier, err = collective.CompileHierarchicalIndex(e, g, b, topo, collective.HierOptions{})
-		if err != nil {
-			return err
-		}
-		in, _ = buffers.New(n, n, b)
-		out, _ = buffers.New(n, n, b)
-		fillPatternBytes(in.Bytes())
-		verify = func(out *buffers.Buffers) error {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if !bytes.Equal(out.Block(i, j), in.Block(j, i)) {
-						return fmt.Errorf("verify: out[%d][%d] != in[%d][%d]", i, j, j, i)
-					}
-				}
-			}
-			return nil
-		}
-	case "concat":
-		hier, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
-		if err != nil {
-			return err
-		}
-		in, _ = buffers.New(n, 1, b)
-		out, _ = buffers.New(n, n, b)
-		fillPatternBytes(in.Bytes())
-		verify = func(out *buffers.Buffers) error {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if !bytes.Equal(out.Block(i, j), in.Block(j, 0)) {
-						return fmt.Errorf("verify: out[%d][%d] != in[%d]", i, j, j)
-					}
-				}
-			}
-			return nil
-		}
-	case "allreduce":
-		hier, err = collective.CompileHierarchicalReduce(e, g, collective.AllReduceKind, b, topo, ropt)
-		if err != nil {
-			return err
-		}
-		in, _ = buffers.New(n, n, b)
-		out, _ = buffers.New(n, n, b)
-		fillElements(in.Bytes(), rtyp, 5)
-		verify = func(out *buffers.Buffers) error {
-			for j := 0; j < n; j++ {
-				want := make([]byte, b)
-				copy(want, in.Block(0, j))
-				for q := 1; q < n; q++ {
-					ropt.Kernel(want, in.Block(q, j))
-				}
-				for i := 0; i < n; i++ {
-					if !bytes.Equal(out.Block(i, j), want) {
-						return fmt.Errorf("verify: rank %d chunk %d mismatch", i, j)
-					}
-				}
-			}
-			return nil
-		}
-	default:
-		return fmt.Errorf("-topology supports index, concat and allreduce, got -op %s", p.op)
-	}
-
-	res, err := hier.Execute(in, out)
+	spec := flatSpec
+	spec.Hierarchical, spec.Topology = true, topo
+	hier, res, err := exercise(e, spec, fill)
 	if err != nil {
 		return err
 	}
-	if err := verify(out); err != nil {
-		return err
-	}
-
-	flat, err := topoFlatBest(e, g, p.op, b, topo, ropt)
+	flat, err := topoFlatBest(e, flatSpec, topo)
 	if err != nil {
 		return err
 	}
@@ -266,9 +143,6 @@ func runTopology(rp *reporter, p params) error {
 func runTopoCrossover(rp *reporter, p params) error {
 	w := rp.text()
 	op := p.op
-	if op != "index" && op != "concat" {
-		return fmt.Errorf("-crossover-topology studies index and concat, got -op %s", op)
-	}
 	ns := []int{8, 16, 32, 64}
 	sizes := []int{1, 16, 256, 4096}
 	ratios := []float64{2, 5, 10, 20}

@@ -4,11 +4,12 @@
 // from a plain binary (no `go test` harness) so CI can snapshot them as
 // BENCH_<area>.json trajectories.
 //
-// Each Bench couples an operation closure with the analytic cost-model
-// counts (C1 rounds, C2 bytes) of its last run, so a snapshot case
-// carries both the measured timings and the deterministic model output
-// the measurements are supposed to track. The suite deliberately
-// mirrors the shapes of the in-repo `go test -bench` suite
+// The suite is a table: each Bench is a collective.Spec on a machine
+// shape plus the mode that says what one operation is, and one Setup
+// serves every row, taking its memory from the oracle's allocator
+// (collective.Plan.Alloc). A snapshot case carries the measured timings
+// and the deterministic C1/C2 counts of the last run. The suite
+// deliberately mirrors the shapes of the in-repo `go test -bench` suite
 // (bench_test.go) at n=16, b=128: same schedules, same steady states.
 //
 // Package bruck itself is off-limits here: bench_test.go is an
@@ -31,14 +32,98 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// Bench is one suite entry: Setup builds the steady state and returns
-// the operation to time plus a model callback reporting the C1/C2
-// counts of the operation's last run (nil when the case has no
-// schedule, e.g. compile-only).
+// mode says what one timed operation of a Bench is.
+type mode int
+
+const (
+	planReuse      mode = iota // execute one precompiled plan
+	compilePerCall             // compile the spec, then execute, on every call
+	compileOnly                // compile the spec, execute nothing
+	concurrent                 // one engine run hosting the plan on each half of the machine
+)
+
+// Bench is one suite entry: the spec runs on n processors over the
+// transport the name ends in.
 type Bench struct {
-	Area  string
-	Name  string
-	Setup func() (op func() error, model func() (c1, c2 int), err error)
+	Area, Name string
+	n          int
+	backend    mpsim.Backend
+	spec       collective.Spec
+	mode       mode
+}
+
+// Setup builds the steady state and returns the operation to time plus
+// a model callback reporting the C1/C2 counts of the operation's last
+// run (of the compiled plan, for compile-only).
+func (bn Bench) Setup() (op func() error, model func() (c1, c2 int), err error) {
+	opts := []mpsim.Option{mpsim.WithTransport(bn.backend)}
+	if t := bn.spec.Topology; t != nil {
+		opts = append(opts, mpsim.WithTopology(t.GroupAssignment()))
+	}
+	e, err := mpsim.New(bn.n, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	groups := []*mpsim.Group{mpsim.WorldGroup(bn.n)}
+	if bn.mode == concurrent {
+		ids := groups[0].IDs()
+		lo, err := mpsim.NewGroup(ids[:bn.n/2], bn.n)
+		if err != nil {
+			return nil, nil, err
+		}
+		hi, err := mpsim.NewGroup(ids[bn.n/2:], bn.n)
+		if err != nil {
+			return nil, nil, err
+		}
+		groups = []*mpsim.Group{lo, hi}
+	}
+	fill := collective.Labels
+	if bn.spec.Reduce.Kernel != nil {
+		fill = buffers.Float32.Fill
+	}
+	plans := make([]*collective.Plan, len(groups))
+	var mem *collective.Memory
+	for i, g := range groups {
+		if plans[i], err = collective.Compile(e, g, bn.spec); err != nil {
+			return nil, nil, err
+		}
+		if mem, err = plans[i].Alloc(); err != nil {
+			return nil, nil, err
+		}
+		plans[i].Fill(mem, fill)
+		if bn.mode == concurrent {
+			if err = plans[i].Bind(mem.Flat()); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	pl, results := plans[0], make([]*collective.Result, 1)
+	switch bn.mode {
+	case compileOnly:
+		op = func() (err error) { pl, err = collective.Compile(e, groups[0], bn.spec); return err }
+		return op, func() (int, int) { return pl.Rounds(), pl.PredictedC2() }, nil
+	case compilePerCall:
+		op = func() error {
+			pl, err := collective.Compile(e, groups[0], bn.spec)
+			if err == nil {
+				results[0], err = pl.Run(mem)
+			}
+			return err
+		}
+	case concurrent:
+		op = func() (err error) { results, err = collective.ExecutePlans(e, plans); return err }
+	default:
+		op = func() (err error) { results[0], err = pl.Run(mem); return err }
+	}
+	return op, func() (c1, c2 int) {
+		for _, r := range results {
+			if r != nil {
+				c1 = max(c1, r.C1) // groups run concurrently: rounds overlap
+				c2 += r.C2         // volume adds up
+			}
+		}
+		return c1, c2
+	}, nil
 }
 
 // Options tunes Measure. Zero values mean "one iteration, no time
@@ -138,660 +223,120 @@ func ByArea(area string) []Bench {
 }
 
 // The suite's common shape: 16 processors, 128-byte blocks, matching
-// bench_test.go's BenchmarkIndex/Concat/ReduceScatter configuration.
+// bench_test.go's BenchmarkIndex/Concat/ReduceScatter configuration;
+// the pipeline area runs the same machine at a bandwidth-bound 64 KiB.
 const (
 	suiteN    = 16
 	suiteSize = 128
+	pipeSize  = 64 << 10
 )
 
-func indexInput(n, blockLen int) [][][]byte {
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			blk := make([]byte, blockLen)
-			for x := range blk {
-				blk[x] = byte(i + j + x)
-			}
-			in[i][j] = blk
-		}
+// must unwraps the suite's own constants: a layout, topology or kernel
+// below can only fail if this file is wrong.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	return in
-}
-
-func concatInput(n, blockLen int) [][]byte {
-	in := make([][]byte, n)
-	for i := range in {
-		in[i] = make([]byte, blockLen)
-		for x := range in[i] {
-			in[i][x] = byte(i + x)
-		}
-	}
-	return in
-}
-
-// modelOf adapts a shared *Result slot into a model callback.
-func modelOf(res **collective.Result) func() (int, int) {
-	return func() (int, int) {
-		if *res == nil {
-			return 0, 0
-		}
-		return (*res).C1, (*res).C2
-	}
+	return v
 }
 
 // Suite returns the full curated suite.
 func Suite() []Bench {
 	var s []Bench
-	s = append(s, collectivesSuite()...)
-	s = append(s, reduceSuite()...)
-	s = append(s, pipelineSuite()...)
-	s = append(s, hierSuite()...)
-	return s
-}
-
-func collectivesSuite() []Bench {
-	const area = "collectives"
-	var s []Bench
-
-	// Legacy block-matrix paths vs the flat zero-copy paths, chan and
-	// slot transports (the BenchmarkIndex/BenchmarkConcat comparison).
-	// Both compile on every call; the legacy arms also copy the block
-	// slices into a flat slab and the result back out, as the public
-	// [][][]byte entry points do.
-	perCall := func(name string, backend mpsim.Backend, legacy bool, spec collective.Spec, fill func() (*buffers.Buffers, error)) Bench {
-		return Bench{area, name, func() (func() error, func() (int, int), error) {
-			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
-			g := mpsim.WorldGroup(suiteN)
-			fin, err := fill()
-			if err != nil {
-				return nil, nil, err
-			}
-			fout, err := buffers.New(suiteN, suiteN, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			var res *collective.Result
-			return func() error {
-				in, out := fin, fout
-				if legacy {
-					if in, err = fill(); err != nil {
-						return err
-					}
-					if out, err = buffers.New(suiteN, suiteN, suiteSize); err != nil {
-						return err
-					}
-				}
-				pl, err := collective.Compile(e, g, spec)
-				if err != nil {
-					return err
-				}
-				if res, err = pl.Execute(in, out); err == nil && legacy {
-					out.ToMatrix()
-				}
-				return err
-			}, modelOf(&res), nil
-		}}
+	add := func(area, name string, backend mpsim.Backend, m mode, spec collective.Spec) {
+		s = append(s, Bench{area, name + "/" + string(backend), suiteN, backend, spec, m})
 	}
-	matrix, vector := indexInput(suiteN, suiteSize), concatInput(suiteN, suiteSize)
-	for _, op := range []struct {
-		name string
-		spec collective.Spec
-		fill func() (*buffers.Buffers, error)
-	}{
-		{"index", collective.Spec{Op: collective.OpIndex, BlockLen: suiteSize, Index: collective.IndexOptions{Radix: 2}},
-			func() (*buffers.Buffers, error) { return buffers.FromMatrix(matrix) }},
-		{"concat", collective.Spec{Op: collective.OpConcat, BlockLen: suiteSize},
-			func() (*buffers.Buffers, error) { return buffers.FromVector(vector) }},
-	} {
-		s = append(s, perCall(op.name+"/legacy/chan", mpsim.BackendChan, true, op.spec, op.fill),
-			perCall(op.name+"/flat/chan", mpsim.BackendChan, false, op.spec, op.fill),
-			perCall(op.name+"/flat/slot", mpsim.BackendSlot, false, op.spec, op.fill))
+	index := collective.Spec{Op: collective.OpIndex, BlockLen: suiteSize, Index: collective.IndexOptions{Radix: 2}}
+	concat := collective.Spec{Op: collective.OpConcat, BlockLen: suiteSize}
+	sum := must(collective.KernelOptions(buffers.Sum, buffers.Float32))
+	reduce := func(op collective.Op, alg collective.ReduceAlgorithm, radix int) collective.Spec {
+		o := sum
+		o.Algorithm, o.Radix = alg, radix
+		return collective.Spec{Op: op, BlockLen: suiteSize, Reduce: o}
 	}
+	const chanT, slotT = mpsim.BackendChan, mpsim.BackendSlot
 
-	// Plan reuse: precompiled schedule replay vs compile cost
-	// (BenchmarkIndexPlanReuse / BenchmarkConcatPlanReuse steady states).
-	s = append(s, Bench{area, "index/plan-reuse/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		fin, err := buffers.FromMatrix(indexInput(suiteN, suiteSize))
-		if err != nil {
-			return nil, nil, err
-		}
-		fout, err := buffers.New(suiteN, suiteN, suiteSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := collective.CompileIndex(e, g, suiteSize, collective.IndexOptions{Radix: 2})
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.Execute(fin, fout)
-			return err
-		}, modelOf(&res), nil
-	}})
-	s = append(s, Bench{area, "index/compile-only/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		opt := collective.IndexOptions{Radix: 2}
-		var pl *collective.Plan
-		return func() error {
-				var err error
-				pl, err = collective.CompileIndex(e, g, suiteSize, opt)
-				return err
-			}, func() (int, int) {
-				if pl == nil {
-					return 0, 0
-				}
-				return pl.Rounds(), pl.PredictedC2()
-			}, nil
-	}})
-	s = append(s, Bench{area, "concat/plan-reuse/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		fin, err := buffers.FromVector(concatInput(suiteN, suiteSize))
-		if err != nil {
-			return nil, nil, err
-		}
-		fout, err := buffers.New(suiteN, suiteN, suiteSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := collective.CompileConcat(e, g, suiteSize, collective.ConcatOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.Execute(fin, fout)
-			return err
-		}, modelOf(&res), nil
-	}})
+	// collectives: the flat paths compiling on every call, on both
+	// transports (BenchmarkIndex/BenchmarkConcat); precompiled schedule
+	// replay against the compile cost alone (BenchmarkIndexPlanReuse /
+	// BenchmarkConcatPlanReuse steady states).
+	for _, op := range []collective.Spec{index, concat} {
+		add("collectives", op.Op.String()+"/flat", chanT, compilePerCall, op)
+		add("collectives", op.Op.String()+"/flat", slotT, compilePerCall, op)
+	}
+	add("collectives", "index/plan-reuse", chanT, planReuse, index)
+	add("collectives", "index/compile-only", chanT, compileOnly, index)
+	add("collectives", "concat/plan-reuse", chanT, planReuse, concat)
 
 	// Ragged V-layouts: the skewed count table of BenchmarkIndexV on the
 	// padded Bruck schedule and under cost-model auto dispatch, plus the
-	// circulant concatenation on a skewed contribution vector. Plans come
-	// from a cache, so the steady state is schedule replay.
-	raggedIndexLayout := func() (*blocks.Layout, error) {
-		counts := make([][]int, suiteN)
-		for i := range counts {
-			counts[i] = make([]int, suiteN)
-			for j := range counts[i] {
-				counts[i][j] = 1 + (i*7+j*3)%suiteSize
-				if (i*suiteN+j)%6 == 0 {
-					counts[i][j] = 0
-				}
+	// circulant concatenation on a skewed contribution vector.
+	counts, vector := make([][]int, suiteN), make([]int, suiteN)
+	for i := range counts {
+		counts[i] = make([]int, suiteN)
+		for j := range counts[i] {
+			counts[i][j] = 1 + (i*7+j*3)%suiteSize
+			if (i*suiteN+j)%6 == 0 {
+				counts[i][j] = 0
 			}
 		}
-		return blocks.Ragged(counts)
+		vector[i] = (i * 29) % suiteSize
 	}
-	vSetup := func(auto bool) (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		l, err := raggedIndexLayout()
-		if err != nil {
-			return nil, nil, err
-		}
-		vin, err := buffers.NewRagged(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		vout, err := buffers.NewRagged(l.Transpose())
-		if err != nil {
-			return nil, nil, err
-		}
-		for x, data := 0, vin.Bytes(); x < len(data); x++ {
-			data[x] = byte(x*3 + 1)
-		}
-		spec := collective.Spec{Op: collective.OpIndexV, Layout: l, Index: collective.IndexOptions{Radix: 2}}
-		if auto {
-			spec.Auto = &costmodel.SP1
-		}
-		pl, err := collective.Compile(e, g, spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.ExecuteV(vin, vout)
-			return err
-		}, modelOf(&res), nil
-	}
-	s = append(s, Bench{area, "indexv/ragged-bruck/chan", func() (func() error, func() (int, int), error) {
-		return vSetup(false)
-	}})
-	s = append(s, Bench{area, "indexv/ragged-auto/chan", func() (func() error, func() (int, int), error) {
-		return vSetup(true)
-	}})
-	s = append(s, Bench{area, "concatv/ragged-circulant/chan", func() (func() error, func() (int, int), error) {
-		e := mpsim.MustNew(suiteN)
-		g := mpsim.WorldGroup(suiteN)
-		counts := make([][]int, suiteN)
-		for i := range counts {
-			counts[i] = []int{(i * 29) % suiteSize}
-		}
-		l, err := blocks.Ragged(counts)
-		if err != nil {
-			return nil, nil, err
-		}
-		outL, err := l.ConcatOut()
-		if err != nil {
-			return nil, nil, err
-		}
-		vin, err := buffers.NewRagged(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		vout, err := buffers.NewRagged(outL)
-		if err != nil {
-			return nil, nil, err
-		}
-		for x, data := 0, vin.Bytes(); x < len(data); x++ {
-			data[x] = byte(x*5 + 2)
-		}
-		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l})
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.ExecuteV(vin, vout)
-			return err
-		}, modelOf(&res), nil
-	}})
+	indexV := collective.Spec{Op: collective.OpIndexV, Layout: must(blocks.Ragged(counts)), Index: index.Index}
+	add("collectives", "indexv/ragged-bruck", chanT, planReuse, indexV)
+	indexV.Auto = &costmodel.SP1
+	add("collectives", "indexv/ragged-auto", chanT, planReuse, indexV)
+	add("collectives", "concatv/ragged-circulant", chanT, planReuse,
+		collective.Spec{Op: collective.OpConcatV, Layout: must(blocks.RaggedVector(vector))})
 
 	// Concurrent disjoint groups: one engine run hosting two bound plans
 	// (BenchmarkRunPlansDisjoint's concurrent arm).
-	s = append(s, Bench{area, "runplans/concurrent-2x8/slot", func() (func() error, func() (int, int), error) {
-		const per, size = 8, 64
-		e := mpsim.MustNew(2*per, mpsim.WithTransport(mpsim.BackendSlot))
-		lo := make([]int, per)
-		hi := make([]int, per)
-		for i := 0; i < per; i++ {
-			lo[i], hi[i] = i, per+i
-		}
-		gLo, err := mpsim.NewGroup(lo, 2*per)
-		if err != nil {
-			return nil, nil, err
-		}
-		gHi, err := mpsim.NewGroup(hi, 2*per)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt := collective.IndexOptions{Radix: 2}
-		plLo, err := collective.CompileIndex(e, gLo, size, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		plHi, err := collective.CompileIndex(e, gHi, size, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, pl := range []*collective.Plan{plLo, plHi} {
-			in, err := buffers.FromMatrix(indexInput(per, size))
-			if err != nil {
-				return nil, nil, err
-			}
-			out, err := buffers.New(per, per, size)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := pl.Bind(in, out); err != nil {
-				return nil, nil, err
-			}
-		}
-		plans := []*collective.Plan{plLo, plHi}
-		var results []*collective.Result
-		return func() error {
-				var err error
-				results, err = collective.ExecutePlans(e, plans)
-				return err
-			}, func() (int, int) {
-				c1, c2 := 0, 0
-				for _, r := range results {
-					if r.C1 > c1 {
-						c1 = r.C1 // groups run concurrently: rounds overlap
-					}
-					c2 += r.C2 // volume adds up
-				}
-				return c1, c2
-			}, nil
-	}})
+	halves := index
+	halves.BlockLen = 64
+	add("collectives", "runplans/concurrent-2x8", slotT, concurrent, halves)
 
-	return s
-}
+	// reduce: the three reduce-scatter schedules of
+	// BenchmarkReduceScatter, and the cost-model dispatched all-reduce on
+	// both transports (BenchmarkAllReduce).
+	add("reduce", "reducescatter/ring", chanT, planReuse, reduce(collective.OpReduceScatter, collective.ReduceRing, 0))
+	add("reduce", "reducescatter/halving", chanT, planReuse, reduce(collective.OpReduceScatter, collective.ReduceHalving, 0))
+	add("reduce", "reducescatter/bruck-r2", chanT, planReuse, reduce(collective.OpReduceScatter, collective.ReduceBruck, 2))
+	auto := reduce(collective.OpAllReduce, collective.ReduceRing, 0)
+	auto.Auto = &costmodel.SP1
+	add("reduce", "allreduce/auto", chanT, planReuse, auto)
+	add("reduce", "allreduce/auto", slotT, planReuse, auto)
 
-// pipelineSuite measures segment pipelining against the monolithic
-// schedules it is supposed to beat: plan-reused index and allreduce at
-// a bandwidth-bound 64 KiB block size, monolithic vs 4 segments, on
-// both plain transports. The pipelined arms also use the owned-payload
-// exchange, so the ns/op gap is the headline number `bruckctl bench
-// -area pipeline` snapshots and the compare gate tracks.
-func pipelineSuite() []Bench {
-	const (
-		area      = "pipeline"
-		pipeN     = 16
-		pipeSize  = 64 << 10
-		pipeSegs  = 4
-		pipeRadix = 2
-	)
-	var s []Bench
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		backend := backend
+	// pipeline: segment pipelining against the monolithic schedules it is
+	// supposed to beat — index and allreduce at 64 KiB blocks, monolithic
+	// vs 4 segments, on both plain transports. The ns/op gap is the
+	// headline number `bruckctl bench -area pipeline` snapshots.
+	for _, backend := range []mpsim.Backend{chanT, slotT} {
 		for _, arm := range []struct {
 			name string
 			segs int
-		}{{"mono", 0}, {"s4", pipeSegs}} {
-			arm := arm
-			s = append(s, Bench{area, "index/" + arm.name + "/" + string(backend), func() (func() error, func() (int, int), error) {
-				e := mpsim.MustNew(pipeN, mpsim.WithTransport(backend))
-				g := mpsim.WorldGroup(pipeN)
-				opt := collective.IndexOptions{Radix: pipeRadix, Segments: arm.segs}
-				pl, err := collective.CompileIndex(e, g, pipeSize, opt)
-				if err != nil {
-					return nil, nil, err
-				}
-				fin, err := buffers.FromMatrix(indexInput(pipeN, pipeSize))
-				if err != nil {
-					return nil, nil, err
-				}
-				fout, err := buffers.New(pipeN, pipeN, pipeSize)
-				if err != nil {
-					return nil, nil, err
-				}
-				var res *collective.Result
-				return func() error {
-					var err error
-					res, err = pl.Execute(fin, fout)
-					return err
-				}, modelOf(&res), nil
-			}})
-			s = append(s, Bench{area, "allreduce/" + arm.name + "/" + string(backend), func() (func() error, func() (int, int), error) {
-				e := mpsim.MustNew(pipeN, mpsim.WithTransport(backend))
-				g := mpsim.WorldGroup(pipeN)
-				kernel, err := buffers.Kernel(buffers.Sum, buffers.Float32)
-				if err != nil {
-					return nil, nil, err
-				}
-				opt := collective.ReduceOptions{
-					Kernel: kernel, ElemSize: buffers.Float32.Size(), KernelKey: "sum/float32",
-					Algorithm: collective.ReduceBruck, Radix: pipeRadix, Segments: arm.segs,
-				}
-				pl, err := collective.CompileReduce(e, g, collective.AllReduceKind, pipeSize, opt)
-				if err != nil {
-					return nil, nil, err
-				}
-				in, err := buffers.FromMatrix(indexInput(pipeN, pipeSize))
-				if err != nil {
-					return nil, nil, err
-				}
-				out, err := buffers.New(pipeN, pipeN, pipeSize)
-				if err != nil {
-					return nil, nil, err
-				}
-				var res *collective.Result
-				return func() error {
-					var err error
-					res, err = pl.Execute(in, out)
-					return err
-				}, modelOf(&res), nil
-			}})
+		}{{"mono", 0}, {"s4", 4}} {
+			big, bigSum := index, reduce(collective.OpAllReduce, collective.ReduceBruck, 2)
+			big.BlockLen, bigSum.BlockLen = pipeSize, pipeSize
+			big.Index.Segments, bigSum.Reduce.Segments = arm.segs, arm.segs
+			add("pipeline", "index/"+arm.name, backend, planReuse, big)
+			add("pipeline", "allreduce/"+arm.name, backend, planReuse, bigSum)
 		}
 	}
-	return s
-}
 
-// hierSuite pits the two-level hierarchical compositions against their
-// flat counterparts on a 4x4 topology whose inter-group links are ten
-// times slower than the intra ones (the paper's Section 2 cost model,
-// per link class). Both arms run plan-reused on the channel transport
-// with the engine tagging messages by link class, so the snapshot's
-// C1/C2 counts carry each schedule's round/volume trade and the
-// wall-clock numbers track the simulator cost of the extra phases.
-func hierSuite() []Bench {
-	const area = "hier"
-	topoOf := func() (*costmodel.Topology, error) {
-		intra := costmodel.SP1
-		return costmodel.NewTopology([]int{4, 4, 4, 4}, intra, costmodel.Scaled(intra, costmodel.DefaultInterRatio))
-	}
-	engineOf := func(topo *costmodel.Topology) (*mpsim.Engine, *mpsim.Group, error) {
-		e, err := mpsim.New(suiteN, mpsim.WithTopology(topo.GroupAssignment()))
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, mpsim.WorldGroup(suiteN), nil
-	}
-	indexSetup := func(hier bool) (func() error, func() (int, int), error) {
-		topo, err := topoOf()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, g, err := engineOf(topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		var pl *collective.Plan
-		if hier {
-			pl, err = collective.CompileHierarchicalIndex(e, g, suiteSize, topo, collective.HierOptions{})
-		} else {
-			pl, err = collective.CompileIndex(e, g, suiteSize, collective.IndexOptions{Radix: 2})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		fin, err := buffers.FromMatrix(indexInput(suiteN, suiteSize))
-		if err != nil {
-			return nil, nil, err
-		}
-		fout, err := buffers.New(suiteN, suiteN, suiteSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.Execute(fin, fout)
-			return err
-		}, modelOf(&res), nil
-	}
-	concatSetup := func(hier bool) (func() error, func() (int, int), error) {
-		topo, err := topoOf()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, g, err := engineOf(topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		var pl *collective.Plan
-		if hier {
-			pl, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: suiteSize, Hierarchical: true, Topology: topo})
-		} else {
-			pl, err = collective.CompileConcat(e, g, suiteSize, collective.ConcatOptions{})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		fin, err := buffers.FromVector(concatInput(suiteN, suiteSize))
-		if err != nil {
-			return nil, nil, err
-		}
-		fout, err := buffers.New(suiteN, suiteN, suiteSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.Execute(fin, fout)
-			return err
-		}, modelOf(&res), nil
-	}
-	reduceSetup := func(hier bool) (func() error, func() (int, int), error) {
-		topo, err := topoOf()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, g, err := engineOf(topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		kernel, err := buffers.Kernel(buffers.Sum, buffers.Float32)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt := collective.ReduceOptions{
-			Kernel: kernel, ElemSize: buffers.Float32.Size(), KernelKey: "sum/float32",
-		}
-		var pl *collective.Plan
-		if hier {
-			pl, err = collective.CompileHierarchicalReduce(e, g, collective.AllReduceKind, suiteSize, topo, opt)
-		} else {
-			opt.Algorithm = collective.ReduceBruck
-			opt.Radix = 2
-			pl, err = collective.CompileReduce(e, g, collective.AllReduceKind, suiteSize, opt)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		in, err := buffers.FromMatrix(indexInput(suiteN, suiteSize))
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := buffers.New(suiteN, suiteN, suiteSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		var res *collective.Result
-		return func() error {
-			var err error
-			res, err = pl.Execute(in, out)
-			return err
-		}, modelOf(&res), nil
-	}
-	var s []Bench
+	// hier: the two-level compositions against their flat counterparts on
+	// a 4x4 topology whose inter-group links are ten times slower than
+	// the intra ones. Both arms run on an engine tagging messages by link
+	// class, so the C1/C2 counts carry each schedule's round/volume trade
+	// and the wall-clock numbers the simulator cost of the extra phases.
+	topo := must(costmodel.NewTopology([]int{4, 4, 4, 4}, costmodel.SP1, costmodel.Scaled(costmodel.SP1, costmodel.DefaultInterRatio)))
 	for _, arm := range []struct {
 		name string
 		hier bool
 	}{{"flat-10to1", false}, {"hier-10to1", true}} {
-		arm := arm
-		s = append(s, Bench{area, "index/" + arm.name + "/chan", func() (func() error, func() (int, int), error) {
-			return indexSetup(arm.hier)
-		}})
-		s = append(s, Bench{area, "concat/" + arm.name + "/chan", func() (func() error, func() (int, int), error) {
-			return concatSetup(arm.hier)
-		}})
-		s = append(s, Bench{area, "allreduce/" + arm.name + "/chan", func() (func() error, func() (int, int), error) {
-			return reduceSetup(arm.hier)
-		}})
-	}
-	return s
-}
-
-func reduceSuite() []Bench {
-	const area = "reduce"
-	kernel, err := buffers.Kernel(buffers.Sum, buffers.Float32)
-	if err != nil {
-		panic(err) // built-in kernel; cannot fail
-	}
-	baseOpt := collective.ReduceOptions{
-		Kernel:    kernel,
-		ElemSize:  buffers.Float32.Size(),
-		KernelKey: "sum/float32",
-	}
-	fill := func(in *buffers.Buffers, seed int) {
-		vals := make([]float32, suiteSize/4)
-		for i := 0; i < suiteN; i++ {
-			for j := 0; j < suiteN; j++ {
-				for x := range vals {
-					vals[x] = float32((i*31+j*7+x+seed)%97) / 3
-				}
-				buffers.PutFloat32s(in.Block(i, j), vals)
-			}
+		for _, op := range []collective.Spec{index, concat, reduce(collective.OpAllReduce, collective.ReduceBruck, 2)} {
+			op.Hierarchical, op.Topology = arm.hier, topo
+			add("hier", op.Op.String()+"/"+arm.name, chanT, planReuse, op)
 		}
 	}
-	var s []Bench
-
-	// The three reduce-scatter schedules of BenchmarkReduceScatter, plan
-	// reused, on the channel transport.
-	for _, alg := range []struct {
-		name string
-		opt  func(collective.ReduceOptions) collective.ReduceOptions
-	}{
-		{"ring", func(o collective.ReduceOptions) collective.ReduceOptions {
-			o.Algorithm = collective.ReduceRing
-			return o
-		}},
-		{"halving", func(o collective.ReduceOptions) collective.ReduceOptions {
-			o.Algorithm = collective.ReduceHalving
-			return o
-		}},
-		{"bruck-r2", func(o collective.ReduceOptions) collective.ReduceOptions {
-			o.Algorithm = collective.ReduceBruck
-			o.Radix = 2
-			return o
-		}},
-	} {
-		alg := alg
-		s = append(s, Bench{area, "reducescatter/" + alg.name + "/chan", func() (func() error, func() (int, int), error) {
-			e := mpsim.MustNew(suiteN)
-			g := mpsim.WorldGroup(suiteN)
-			pl, err := collective.CompileReduce(e, g, collective.ReduceScatterKind, suiteSize, alg.opt(baseOpt))
-			if err != nil {
-				return nil, nil, err
-			}
-			in, err := buffers.New(suiteN, suiteN, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			fill(in, 9)
-			out, err := buffers.New(suiteN, 1, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			var res *collective.Result
-			return func() error {
-				var err error
-				res, err = pl.Execute(in, out)
-				return err
-			}, modelOf(&res), nil
-		}})
-	}
-
-	// Cost-model dispatched all-reduce on both transports
-	// (BenchmarkAllReduce).
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		backend := backend
-		s = append(s, Bench{area, "allreduce/auto/" + string(backend), func() (func() error, func() (int, int), error) {
-			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
-			g := mpsim.WorldGroup(suiteN)
-			pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpAllReduce, BlockLen: suiteSize, Reduce: baseOpt, Auto: &costmodel.SP1})
-			if err != nil {
-				return nil, nil, err
-			}
-			in, err := buffers.New(suiteN, suiteN, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			fill(in, 3)
-			out, err := buffers.New(suiteN, suiteN, suiteSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			var res *collective.Result
-			return func() error {
-				var err error
-				res, err = pl.Execute(in, out)
-				return err
-			}, modelOf(&res), nil
-		}})
-	}
-
 	return s
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // DataType names a fixed-width element type of a built-in reduction
@@ -89,6 +90,50 @@ func (op ReduceOp) String() string {
 		return "max"
 	default:
 		return fmt.Sprintf("ReduceOp(%d)", int(op))
+	}
+}
+
+// ParseKernel parses a kernel name of the form op:type, e.g.
+// "sum:float32": the inverse of the two String methods.
+func ParseKernel(s string) (ReduceOp, DataType, error) {
+	opName, typName, ok := strings.Cut(s, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("buffers: bad kernel %q, want op:type (e.g. sum:float32)", s)
+	}
+	op, typ := Sum, Int32
+	for op <= Max && op.String() != opName {
+		op++
+	}
+	for typ <= Float64 && typ.String() != typName {
+		typ++
+	}
+	switch {
+	case op > Max:
+		return 0, 0, fmt.Errorf("buffers: unknown reduce op %q", opName)
+	case typ > Float64:
+		return 0, 0, fmt.Errorf("buffers: unknown element type %q", typName)
+	}
+	return op, typ, nil
+}
+
+// Fill writes deterministic small integer-valued elements of type t
+// into blk, seeded by the block's (rank, block) position. They are
+// exactly representable in every type and so are their sums, which
+// makes a reduction over them bit-identical whatever the combine order:
+// a serial fold is an exact reference for any schedule.
+func (t DataType) Fill(blk []byte, rank, block int) {
+	for e := 0; e < len(blk)/t.Size(); e++ {
+		v := (rank*5+block*3+e*7)%16 - 8
+		switch t {
+		case Int32:
+			PutInt32s(blk[e*4:], []int32{int32(v)})
+		case Int64:
+			PutInt64s(blk[e*8:], []int64{int64(v)})
+		case Float32:
+			PutFloat32s(blk[e*4:], []float32{float32(v)})
+		case Float64:
+			PutFloat64s(blk[e*8:], []float64{float64(v)})
+		}
 	}
 }
 

@@ -151,3 +151,54 @@ func TestReduceStrings(t *testing.T) {
 		t.Error("type strings wrong")
 	}
 }
+
+// TestParseKernelRoundTrip: ParseKernel inverts the two String methods
+// for every built-in pair and names what it cannot parse.
+func TestParseKernelRoundTrip(t *testing.T) {
+	for op := Sum; op <= Max; op++ {
+		for typ := Int32; typ <= Float64; typ++ {
+			gotOp, gotTyp, err := ParseKernel(op.String() + ":" + typ.String())
+			if err != nil || gotOp != op || gotTyp != typ {
+				t.Errorf("ParseKernel(%v:%v) = %v, %v, %v", op, typ, gotOp, gotTyp, err)
+			}
+		}
+	}
+	for in, want := range map[string]string{
+		"sum":       `buffers: bad kernel "sum", want op:type (e.g. sum:float32)`,
+		"avg:int32": `buffers: unknown reduce op "avg"`,
+		"sum:int13": `buffers: unknown element type "int13"`,
+	} {
+		if _, _, err := ParseKernel(in); err == nil || err.Error() != want {
+			t.Errorf("ParseKernel(%q) error %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestFillIsOrderIndependentUnderEveryKernel: the element fill's values
+// combine to the same bits in any order, which is what lets a serial
+// fold serve as the reference of every reduction schedule.
+func TestFillIsOrderIndependentUnderEveryKernel(t *testing.T) {
+	const ranks, size = 16, 64
+	for op := Sum; op <= Max; op++ {
+		for typ := Int32; typ <= Float64; typ++ {
+			kernel, err := Kernel(op, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold := func(order func(i int) int) []byte {
+				acc, blk := make([]byte, size), make([]byte, size)
+				typ.Fill(acc, order(0), 3)
+				for i := 1; i < ranks; i++ {
+					typ.Fill(blk, order(i), 3)
+					kernel(acc, blk)
+				}
+				return acc
+			}
+			up := fold(func(i int) int { return i })
+			down := fold(func(i int) int { return ranks - 1 - i })
+			if !bytes.Equal(up, down) {
+				t.Errorf("%v over %v: fold order changes the result", op, typ)
+			}
+		}
+	}
+}

@@ -330,14 +330,10 @@ func (pl *Plan) Check() []string {
 func (s *sim) start() (rounds int) {
 	pl := s.pl
 	for r := range s.ranks {
-		inBlocks, outBlocks := pl.blocks(r)
 		fr := &simFrame{pr: pl.prog, me: r}
 		fr.reg[regIn] = simView{pl.prog.shapeOf(regIn, r), 0, 0}
 		fr.reg[regOut] = simView{pl.prog.shapeOf(regOut, r), 1, 0}
-		inSize, outSize := inBlocks*pl.blockLen, outBlocks*pl.blockLen
-		if pl.layout != nil {
-			inSize, outSize = pl.layout.RowBytes(r), pl.outLayout.RowBytes(r)
-		}
+		inSize, outSize := pl.sizes(r)
 		s.ranks[r].mems = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
 		s.ranks[r].size = []int{inSize, outSize}
 		if t := s.flatten(r, fr, 0, ""); t > rounds {
@@ -457,11 +453,7 @@ func (s *sim) round(t, k int) (roundMax int) {
 }
 
 // verify checks that every output block holds exactly what the
-// operation defines: block j of rank r comes from rank j's block r
-// (index), from rank j's only block (concat, and gather, whose only
-// output is the root's), from every rank's block j — block r for a
-// reduce-scatter, whose output is chunk r — or from the root: its only
-// block (broadcast) or its block r (scatter).
+// operation defines (Plan.goal).
 func (s *sim) verify() {
 	pl, n := s.pl, s.n
 	all := uint64(0)
@@ -472,21 +464,8 @@ func (s *sim) verify() {
 	for r := 0; r < n && bad < 3; r++ {
 		s.local(r)
 		out := pl.prog.shapeOf(regOut, r)
-		_, outBlocks := pl.blocks(r)
-		for j := 0; j < outBlocks && bad < 3; j++ {
-			from, blk, cnt := j, r, 1
-			switch pl.op {
-			case OpConcat, OpConcatV, OpGather:
-				blk = 0
-			case OpReduceScatter:
-				from, cnt = 0, n
-			case OpAllReduce:
-				from, blk, cnt = 0, j, n
-			case OpBroadcast:
-				from, blk = pl.root, 0
-			case OpScatter:
-				from = pl.root
-			}
+		for j := 0; j < pl.blocks(regOut, r) && bad < 3; j++ {
+			from, blk, cnt := pl.goal(r, j)
 			who := rankHash(from)
 			if cnt == n {
 				who = all

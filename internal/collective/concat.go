@@ -30,20 +30,9 @@ const (
 	ConcatRecursiveDoubling
 )
 
-func (a ConcatAlgorithm) String() string {
-	switch a {
-	case ConcatCirculant:
-		return "circulant"
-	case ConcatFolklore:
-		return "folklore"
-	case ConcatRing:
-		return "ring"
-	case ConcatRecursiveDoubling:
-		return "recursive-doubling"
-	default:
-		return fmt.Sprintf("ConcatAlgorithm(%d)", int(a))
-	}
-}
+var concatAlgNames = []string{"circulant", "folklore", "ring", "recursive-doubling"}
+
+func (a ConcatAlgorithm) String() string { return nameOf("ConcatAlgorithm", concatAlgNames, int(a)) }
 
 // ConcatOptions configures the concatenations of a Spec.
 type ConcatOptions struct {

@@ -50,6 +50,9 @@
 //     two-level compiler overrides, every option on a one-to-all
 //     primitive and the root off one — so equal schedules are equal
 //     specs.
+//   - ParseSpec(op, alg) is the inverse of the name tables the String
+//     methods print from: the one place a tool's operation and
+//     algorithm names become a Spec.
 //   - Compile(e, g, spec) lowers a canonical spec: every compiler is a
 //     small pure function to a step program (program.go).
 //   - PlanCache.Get(e, g, spec) is Compile behind a memo. Its key
@@ -149,7 +152,11 @@
 // pin (the tagged rounds "bruck", "doubling", "last", "trivial";
 // untagged, formula-driven families export none); Plan.Check
 // (check.go) runs the program of all n ranks on symbolic bytes and
-// proves delivery for every family. The closed forms of cost.go are
+// proves delivery for every family against Plan.goal, the one statement
+// of what each operation computes. The oracle (oracle.go: Alloc, Fill,
+// Run, Verify — Exercise in a row) holds the bytes of a real run
+// against the same definition, on memory of the plan's own shape; it
+// is how every tool runs a collective. The closed forms of cost.go are
 // held against the counter by one table test.
 //
 // Adding a family is one compiler function and one arm of
@@ -282,7 +289,8 @@
 // Reduction-plan lifecycle rules, in addition to the plan rules above:
 //
 //   - The kernel is part of the compiled plan: the cache key holds a
-//     built-in kernel's (op, type) identity (ReduceOptions.KernelKey),
+//     built-in kernel's (op, type) identity (ReduceOptions.KernelKey,
+//     spelled by KernelOptions and nowhere else),
 //     and specs with an anonymous user kernel are resolved fresh on
 //     every Get and never cached — the cache cannot tell two functions
 //     apart. Callers that reuse a user kernel should hold the Plan

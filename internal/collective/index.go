@@ -1,8 +1,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
@@ -28,18 +26,9 @@ const (
 	IndexPairwiseXOR
 )
 
-func (a IndexAlgorithm) String() string {
-	switch a {
-	case IndexBruck:
-		return "bruck"
-	case IndexDirect:
-		return "direct"
-	case IndexPairwiseXOR:
-		return "pairwise-xor"
-	default:
-		return fmt.Sprintf("IndexAlgorithm(%d)", int(a))
-	}
-}
+var indexAlgNames = []string{"bruck", "direct", "pairwise-xor"}
+
+func (a IndexAlgorithm) String() string { return nameOf("IndexAlgorithm", indexAlgNames, int(a)) }
 
 // IndexOptions configures the index operations of a Spec.
 type IndexOptions struct {

@@ -138,6 +138,9 @@ func (pl *Plan) Layout() *blocks.Layout { return pl.layout }
 // nil for a classic plan.
 func (pl *Plan) OutLayout() *blocks.Layout { return pl.outLayout }
 
+// OutBlocks returns the block count of the root's output region.
+func (pl *Plan) OutBlocks() int { return pl.blocks(regOut, pl.root) }
+
 // result builds the Result of one execution of this plan.
 func (pl *Plan) result(m *mpsim.Metrics) *Result {
 	res := resultFrom(m)
@@ -195,28 +198,18 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	return pl, nil
 }
 
-// blocks returns the block counts of the caller's input and output
-// regions on group rank me: n and n, except a concatenation's one-block
-// input, a reduce-scatter's one-block output, and the one-to-all
-// primitives' one block per rank against the root's n (data: 1).
-func (pl *Plan) blocks(me int) (in, out int) {
+// blocks returns the block count of the caller's input (reg regIn) or
+// output (regOut) region on group rank me: a one-to-all primitive has
+// one block per rank against the root's n (data: 1).
+func (pl *Plan) blocks(reg regID, me int) int {
 	n, atRoot := pl.group.Size(), 0
 	if me == pl.root {
 		atRoot = 1
 	}
-	switch pl.op {
-	case OpConcat, OpConcatV:
-		return 1, n
-	case OpReduceScatter:
-		return n, 1
-	case OpBroadcast:
-		return atRoot, 1
-	case OpGather:
-		return 1, atRoot * n
-	case OpScatter:
-		return atRoot * n, 1
-	}
-	return n, n
+	return [...][2]int{
+		OpIndex: {n, n}, OpConcat: {1, n}, OpReduceScatter: {n, 1}, OpAllReduce: {n, n}, OpIndexV: {n, n}, OpConcatV: {1, n},
+		OpBroadcast: {atRoot, 1}, OpGather: {1, atRoot * n}, OpScatter: {atRoot * n, 1},
+	}[pl.op][reg]
 }
 
 // checkFlat validates one flat buffer against the plan: n processor
@@ -243,11 +236,10 @@ func (pl *Plan) checkBuffers(in, out *buffers.Buffers) error {
 	case in == out:
 		return fmt.Errorf("collective: flat output must not alias the input")
 	}
-	wantIn, wantOut := pl.blocks(0)
-	if err := pl.checkFlat("plan input", in, wantIn); err != nil {
+	if err := pl.checkFlat("plan input", in, pl.blocks(regIn, 0)); err != nil {
 		return err
 	}
-	return pl.checkFlat("plan output", out, wantOut)
+	return pl.checkFlat("plan output", out, pl.blocks(regOut, 0))
 }
 
 // Bind validates and attaches an (in, out) buffer pair to the plan for

@@ -36,8 +36,6 @@ package collective
 // allgather) to any of the three, inside the same engine run.
 
 import (
-	"fmt"
-
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
@@ -83,18 +81,9 @@ const (
 	ReduceBruck
 )
 
-func (a ReduceAlgorithm) String() string {
-	switch a {
-	case ReduceRing:
-		return "ring"
-	case ReduceHalving:
-		return "halving"
-	case ReduceBruck:
-		return "bruck"
-	default:
-		return fmt.Sprintf("ReduceAlgorithm(%d)", int(a))
-	}
-}
+var reduceAlgNames = []string{"ring", "halving", "bruck"}
+
+func (a ReduceAlgorithm) String() string { return nameOf("ReduceAlgorithm", reduceAlgNames, int(a)) }
 
 // ReduceOptions configures a reduction compile.
 type ReduceOptions struct {
@@ -124,6 +113,17 @@ type ReduceOptions struct {
 	// cost model pick. Ignored by the ring and halving schedules and by
 	// the concatenation phase of AllReduce, which always run monolithic.
 	Segments int
+}
+
+// KernelOptions returns the ReduceOptions naming a built-in kernel: the
+// function, its element size and its plan-cache identity. Nothing else
+// spells that triple: a wrong key is a cache collision.
+func KernelOptions(op buffers.ReduceOp, t buffers.DataType) (ReduceOptions, error) {
+	fn, err := buffers.Kernel(op, t)
+	if err != nil {
+		return ReduceOptions{}, err
+	}
+	return ReduceOptions{Kernel: fn, ElemSize: t.Size(), KernelKey: op.String() + "/" + t.String()}, nil
 }
 
 // compileReduce compiles the reduction s.Op at block size s.BlockLen:

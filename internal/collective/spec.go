@@ -34,11 +34,58 @@ const (
 // operation they generalize.
 var opNames = [...]string{"index", "concat", "reduce-scatter", "allreduce", "index", "concat", "broadcast", "gather", "scatter"}
 
-func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
-		return fmt.Sprintf("Op(%d)", int(o))
+func (o Op) String() string { return nameOf("Op", opNames[:], int(o)) }
+
+// nameOf is the String method of the four name tables.
+func nameOf(typ string, names []string, v int) string {
+	if v < 0 || v >= len(names) {
+		return fmt.Sprintf("%s(%d)", typ, v)
 	}
-	return opNames[o]
+	return names[v]
+}
+
+// aliases are the spellings the tools accept beside the printed ones.
+var aliases = map[string]string{
+	"reducescatter": "reduce-scatter", "xor": "pairwise-xor", "recdbl": "recursive-doubling", "hier": "hierarchical",
+}
+
+// ParseSpec is the inverse of the name tables: the Spec naming
+// operation op (a layout operation is its fixed-size namesake plus a
+// Layout) and algorithm alg — "" for the default, a name the operation's
+// algorithm type prints, or what Plan.Algorithm prints without one:
+// "hierarchical" sets Hierarchical, a rooted operation's is "tree".
+func ParseSpec(op, alg string) (Spec, error) {
+	if a, ok := aliases[op]; ok {
+		op = a
+	}
+	if a, ok := aliases[alg]; ok {
+		alg = a
+	}
+	s := Spec{Op: Op(slices.Index(opNames[:], op))}
+	if s.Op < 0 {
+		return Spec{}, fmt.Errorf("collective: unknown operation %q", op)
+	}
+	a := 0
+	switch {
+	case alg == "":
+	case alg == "hierarchical":
+		s.Hierarchical = true
+	case s.Op.rooted():
+		a = slices.Index([]string{"tree"}, alg)
+	case s.Op.reduction():
+		a = slices.Index(reduceAlgNames, alg)
+		s.Reduce.Algorithm = ReduceAlgorithm(a)
+	case s.Op == OpConcat:
+		a = slices.Index(concatAlgNames, alg)
+		s.Concat.Algorithm = ConcatAlgorithm(a)
+	default:
+		a = slices.Index(indexAlgNames, alg)
+		s.Index.Algorithm = IndexAlgorithm(a)
+	}
+	if a < 0 {
+		return Spec{}, fmt.Errorf("collective: unknown %v algorithm %q", s.Op, alg)
+	}
+	return s, nil
 }
 
 func (o Op) layout() bool    { return o == OpIndexV || o == OpConcatV }

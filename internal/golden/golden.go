@@ -8,14 +8,14 @@
 // `go test ./internal/golden -update` (or `cmd/trace record`) and
 // review the diff.
 //
-// Every capture also self-verifies the collective's result bytes
-// against an independently computed reference, so a golden run proves
-// byte-correctness and structural stability in one pass — under any
-// transport backend, since traces are transport-independent.
+// Every capture runs through the oracle (collective.Exercise), which
+// compares every output block with the operation's definition, so a
+// golden run proves byte-correctness and structural stability in one
+// pass — under any transport backend, since traces are
+// transport-independent. A Case becomes a plan in one step, Case.spec.
 package golden
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,13 +35,10 @@ type Case struct {
 	// Name is the artifact's base name (Name + ".json" under the golden
 	// directory).
 	Name string
-	// Op is "index", "concat", "reduce-scatter" or "allreduce".
-	Op string
-	// Alg selects the schedule family within the operation:
-	// index: "bruck", "mixed", "direct", "xor";
-	// concat: "circulant", "folklore", "ring", "recdbl";
-	// reductions: "ring", "halving", "bruck".
-	Alg string
+	// Op and Alg are names collective.ParseSpec accepts: the operation,
+	// and the schedule family within it ("" for the default), plus
+	// "mixed" for the Bruck index under Radices.
+	Op, Alg string
 	// N, K, B: group size, ports, block size in bytes.
 	N, K, B int
 	// Radix is the Bruck radix (0 selects the default k+1).
@@ -56,10 +53,12 @@ type Case struct {
 	// 0 is monolithic.
 	Segments int
 	// Topology is the two-level topology spec ("4x4", "4,4,3") of a
-	// hierarchical case: the case compiles the CompileHierarchical*
-	// composition on that node-group structure (Alg is "hier", and N
-	// must equal the spec's processor count). Empty for flat cases.
+	// hierarchical case: the case compiles the two-level composition on
+	// that node-group structure (Alg is "hier", and N must equal the
+	// spec's processor count). Empty for flat cases.
 	Topology string
+	// Root is the group rank a one-to-all primitive is rooted at.
+	Root int
 }
 
 // Corpus returns the committed golden corpus: one representative case
@@ -196,35 +195,16 @@ func PerturbPhase(s *trace.Schedule) bool {
 
 // Capture compiles the case's plan on a fresh engine (created with the
 // given extra options — e.g. mpsim.WithTransport or mpsim.WithChaos —
-// on top of Ports(c.K) and Record(true)), executes it once on
-// deterministic input, byte-verifies the result against an
-// independently computed reference, and returns the canonical trace of
-// the run.
+// on top of Ports(c.K) and Record(true)), runs it once through the
+// oracle (collective.Exercise: deterministic input, every output block
+// compared with the operation's definition), and returns the canonical
+// trace of the run.
 func Capture(c Case, opts ...mpsim.Option) (*trace.Schedule, error) {
-	e, err := mpsim.New(c.N, append([]mpsim.Option{mpsim.Ports(c.K), mpsim.Record(true)}, opts...)...)
+	e, pl, err := c.compile(append([]mpsim.Option{mpsim.Record(true)}, opts...)...)
 	if err != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
+		return nil, err
 	}
-	g := mpsim.WorldGroup(c.N)
-	var (
-		pl   *collective.Plan
-		run  func(pl *collective.Plan) error
-		cerr error
-	)
-	switch c.Op {
-	case "index":
-		pl, run, cerr = c.setupIndex(e, g)
-	case "concat":
-		pl, run, cerr = c.setupConcat(e, g)
-	case "reduce-scatter", "allreduce":
-		pl, run, cerr = c.setupReduce(e, g)
-	default:
-		return nil, fmt.Errorf("golden: case %s: unknown op %q", c.Name, c.Op)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, cerr)
-	}
-	if err := run(pl); err != nil {
+	if _, err := collective.Exercise(pl, collective.Labels); err != nil {
 		return nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
 	}
 	return pl.Schedule(e.Metrics().Events()), nil
@@ -235,67 +215,72 @@ func Capture(c Case, opts ...mpsim.Option) (*trace.Schedule, error) {
 // `bruckctl vet`), which proves the compiled tables well-formed from
 // their structure alone.
 func Compile(c Case) (*collective.Plan, error) {
-	e, err := mpsim.New(c.N, mpsim.Ports(c.K))
+	_, pl, err := c.compile()
+	return pl, err
+}
+
+func (c Case) compile(opts ...mpsim.Option) (*mpsim.Engine, *collective.Plan, error) {
+	fail := func(err error) (*mpsim.Engine, *collective.Plan, error) {
+		return nil, nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
+	}
+	e, err := mpsim.New(c.N, append([]mpsim.Option{mpsim.Ports(c.K)}, opts...)...)
 	if err != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
+		return fail(err)
 	}
-	g := mpsim.WorldGroup(c.N)
-	var (
-		pl   *collective.Plan
-		cerr error
-	)
-	switch c.Op {
-	case "index":
-		pl, _, cerr = c.setupIndex(e, g)
-	case "concat":
-		pl, _, cerr = c.setupConcat(e, g)
-	case "reduce-scatter", "allreduce":
-		pl, _, cerr = c.setupReduce(e, g)
-	default:
-		return nil, fmt.Errorf("golden: case %s: unknown op %q", c.Name, c.Op)
+	s, err := c.spec()
+	if err != nil {
+		return fail(err)
 	}
-	if cerr != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, cerr)
+	pl, err := collective.Compile(e, mpsim.WorldGroup(c.N), s)
+	if err != nil {
+		return fail(err)
 	}
-	return pl, nil
+	return e, pl, nil
 }
 
-// compile compiles a fixed-size spec of the case: the two-level schedule
-// under the case's topology when it names one.
-func (c Case) compile(e *mpsim.Engine, g *mpsim.Group, s collective.Spec) (*collective.Plan, error) {
+// spec is the one translation of a case into the Spec it compiles. The
+// names go through collective.ParseSpec ("mixed" is the Bruck index
+// under Radices), reductions use the sum:int32 kernel — a wrap-around
+// sum, so the oracle's serial fold is exact on any bytes — and a
+// topology makes the case hierarchical.
+func (c Case) spec() (collective.Spec, error) {
+	alg, mixed := c.Alg, c.Alg == "mixed"
+	if mixed {
+		alg = "bruck"
+	}
+	s, err := collective.ParseSpec(c.Op, alg)
+	if err != nil {
+		return s, err
+	}
+	if s.BlockLen, s.Root = c.B, c.Root; mixed {
+		s.Radices = c.Radices
+	}
+	s.Index.Radix, s.Index.Segments = c.Radix, c.Segments
+	kernel, err := collective.KernelOptions(buffers.Sum, buffers.Int32)
+	if err != nil {
+		return s, err
+	}
+	kernel.Algorithm, kernel.Radix, kernel.Segments = s.Reduce.Algorithm, c.Radix, c.Segments
+	s.Reduce = kernel
 	if c.Topology != "" {
-		topo, err := costmodel.ParseTopology(c.Topology)
-		if err != nil {
-			return nil, err
+		if s.Topology, err = costmodel.ParseTopology(c.Topology); err != nil {
+			return s, err
 		}
-		s.Hierarchical, s.Topology = true, topo
+		s.Hierarchical = true
 	}
-	return collective.Compile(e, g, s)
-}
-
-// fill writes the (proc, block, byte)-identifying pattern the reference
-// checks recompute.
-func fill(blk []byte, i, j int) {
-	for x := range blk {
-		blk[x] = byte(i*131 + j*31 + x*7)
-	}
-}
-
-func (c Case) indexOptions() (collective.IndexOptions, error) {
-	switch c.Alg {
-	case "hier":
-		if c.Topology == "" {
-			return collective.IndexOptions{}, fmt.Errorf("alg %q requires a topology spec", c.Alg)
+	switch {
+	case c.Ragged && s.Op == collective.OpIndex:
+		s.Op = collective.OpIndexV
+		s.Layout, err = blocks.Ragged(c.raggedCounts())
+	case c.Ragged && s.Op == collective.OpConcat:
+		s.Op = collective.OpConcatV
+		counts := make([]int, c.N)
+		for i := range counts {
+			counts[i] = (i*7 + 3) % (c.B + 1)
 		}
-		return collective.IndexOptions{}, nil
-	case "bruck", "mixed":
-		return collective.IndexOptions{Radix: c.Radix, Segments: c.Segments}, nil
-	case "direct":
-		return collective.IndexOptions{Algorithm: collective.IndexDirect}, nil
-	case "xor":
-		return collective.IndexOptions{Algorithm: collective.IndexPairwiseXOR}, nil
+		s.Layout, err = blocks.RaggedVector(counts)
 	}
-	return collective.IndexOptions{}, fmt.Errorf("unknown index algorithm %q", c.Alg)
+	return s, err
 }
 
 // raggedCounts derives the case's deterministic skewed count table:
@@ -309,283 +294,4 @@ func (c Case) raggedCounts() [][]int {
 		}
 	}
 	return counts
-}
-
-func (c Case) setupIndex(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, func(*collective.Plan) error, error) {
-	opt, err := c.indexOptions()
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.Ragged {
-		l, err := blocks.Ragged(c.raggedCounts())
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpIndexV, Layout: l, Index: opt})
-		if err != nil {
-			return nil, nil, err
-		}
-		return pl, func(pl *collective.Plan) error {
-			in, err := buffers.NewRagged(l)
-			if err != nil {
-				return err
-			}
-			out, err := buffers.NewRagged(l.Transpose())
-			if err != nil {
-				return err
-			}
-			for i := 0; i < c.N; i++ {
-				for j := 0; j < c.N; j++ {
-					fill(in.Block(i, j), i, j)
-				}
-			}
-			if _, err := pl.ExecuteV(in, out); err != nil {
-				return err
-			}
-			for i := 0; i < c.N; i++ {
-				for j := 0; j < c.N; j++ {
-					if !bytesEqual(out.Block(i, j), in.Block(j, i)) {
-						return fmt.Errorf("indexv result: out.Block(%d,%d) != in.Block(%d,%d)", i, j, j, i)
-					}
-				}
-			}
-			return nil
-		}, nil
-	}
-	spec := collective.Spec{Op: collective.OpIndex, BlockLen: c.B, Index: opt}
-	if c.Alg == "mixed" {
-		spec.Radices = append([]int{}, c.Radices...)
-	}
-	pl, err := c.compile(e, g, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, func(pl *collective.Plan) error {
-		in, err := buffers.New(c.N, c.N, c.B)
-		if err != nil {
-			return err
-		}
-		out, err := buffers.New(c.N, c.N, c.B)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			for j := 0; j < c.N; j++ {
-				fill(in.Block(i, j), i, j)
-			}
-		}
-		if _, err := pl.Execute(in, out); err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			for j := 0; j < c.N; j++ {
-				if !bytesEqual(out.Block(i, j), in.Block(j, i)) {
-					return fmt.Errorf("index result: out.Block(%d,%d) != in.Block(%d,%d)", i, j, j, i)
-				}
-			}
-		}
-		return nil
-	}, nil
-}
-
-func (c Case) concatOptions() (collective.ConcatOptions, error) {
-	switch c.Alg {
-	case "hier":
-		if c.Topology == "" {
-			return collective.ConcatOptions{}, fmt.Errorf("alg %q requires a topology spec", c.Alg)
-		}
-		return collective.ConcatOptions{}, nil
-	case "circulant":
-		return collective.ConcatOptions{}, nil
-	case "folklore":
-		return collective.ConcatOptions{Algorithm: collective.ConcatFolklore}, nil
-	case "ring":
-		return collective.ConcatOptions{Algorithm: collective.ConcatRing}, nil
-	case "recdbl":
-		return collective.ConcatOptions{Algorithm: collective.ConcatRecursiveDoubling}, nil
-	}
-	return collective.ConcatOptions{}, fmt.Errorf("unknown concat algorithm %q", c.Alg)
-}
-
-func (c Case) setupConcat(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, func(*collective.Plan) error, error) {
-	opt, err := c.concatOptions()
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.Ragged {
-		counts := make([]int, c.N)
-		for i := range counts {
-			counts[i] = (i*7 + 3) % (c.B + 1)
-		}
-		l, err := blocks.RaggedVector(counts)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := collective.Compile(e, g, collective.Spec{Op: collective.OpConcatV, Layout: l, Concat: opt})
-		if err != nil {
-			return nil, nil, err
-		}
-		return pl, func(pl *collective.Plan) error {
-			in, err := buffers.NewRagged(l)
-			if err != nil {
-				return err
-			}
-			outL, err := l.ConcatOut()
-			if err != nil {
-				return err
-			}
-			out, err := buffers.NewRagged(outL)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < c.N; i++ {
-				fill(in.Block(i, 0), i, 0)
-			}
-			if _, err := pl.ExecuteV(in, out); err != nil {
-				return err
-			}
-			for i := 0; i < c.N; i++ {
-				for j := 0; j < c.N; j++ {
-					if !bytesEqual(out.Block(i, j), in.Block(j, 0)) {
-						return fmt.Errorf("concatv result: out.Block(%d,%d) != in.Block(%d,0)", i, j, j)
-					}
-				}
-			}
-			return nil
-		}, nil
-	}
-	pl, err := c.compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: c.B, Concat: opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, func(pl *collective.Plan) error {
-		in, err := buffers.New(c.N, 1, c.B)
-		if err != nil {
-			return err
-		}
-		out, err := buffers.New(c.N, c.N, c.B)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			fill(in.Block(i, 0), i, 0)
-		}
-		if _, err := pl.Execute(in, out); err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			for j := 0; j < c.N; j++ {
-				if !bytesEqual(out.Block(i, j), in.Block(j, 0)) {
-					return fmt.Errorf("concat result: out.Block(%d,%d) != in.Block(%d,0)", i, j, j)
-				}
-			}
-		}
-		return nil
-	}, nil
-}
-
-func (c Case) reduceOptions() (collective.ReduceOptions, error) {
-	kern, err := buffers.Kernel(buffers.Sum, buffers.Int32)
-	if err != nil {
-		return collective.ReduceOptions{}, err
-	}
-	opt := collective.ReduceOptions{
-		Kernel: kern, ElemSize: 4, KernelKey: "sum/int32", Radix: c.Radix,
-		Segments: c.Segments,
-	}
-	switch c.Alg {
-	case "hier":
-		if c.Topology == "" {
-			return collective.ReduceOptions{}, fmt.Errorf("alg %q requires a topology spec", c.Alg)
-		}
-	case "ring":
-		opt.Algorithm = collective.ReduceRing
-	case "halving":
-		opt.Algorithm = collective.ReduceHalving
-	case "bruck":
-		opt.Algorithm = collective.ReduceBruck
-	default:
-		return collective.ReduceOptions{}, fmt.Errorf("unknown reduce algorithm %q", c.Alg)
-	}
-	return opt, nil
-}
-
-// expectedChunk computes the int32 wrap-around sum of every rank's
-// contribution to chunk j — the reference a reduction capture verifies
-// against.
-func (c Case) expectedChunk(j int) []byte {
-	sums := make([]int32, c.B/4)
-	blk := make([]byte, c.B)
-	for i := 0; i < c.N; i++ {
-		fill(blk, i, j)
-		for e := range sums {
-			sums[e] += int32(binary.LittleEndian.Uint32(blk[e*4:]))
-		}
-	}
-	out := make([]byte, c.B)
-	for e, v := range sums {
-		binary.LittleEndian.PutUint32(out[e*4:], uint32(v))
-	}
-	return out
-}
-
-func (c Case) setupReduce(e *mpsim.Engine, g *mpsim.Group) (*collective.Plan, func(*collective.Plan) error, error) {
-	opt, err := c.reduceOptions()
-	if err != nil {
-		return nil, nil, err
-	}
-	kind := collective.ReduceScatterKind
-	outBlocks := 1
-	if c.Op == "allreduce" {
-		kind = collective.AllReduceKind
-		outBlocks = c.N
-	}
-	pl, err := c.compile(e, g, collective.Spec{Op: kind.Op(), BlockLen: c.B, Reduce: opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, func(pl *collective.Plan) error {
-		in, err := buffers.New(c.N, c.N, c.B)
-		if err != nil {
-			return err
-		}
-		out, err := buffers.New(c.N, outBlocks, c.B)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			for j := 0; j < c.N; j++ {
-				fill(in.Block(i, j), i, j)
-			}
-		}
-		if _, err := pl.Execute(in, out); err != nil {
-			return err
-		}
-		for i := 0; i < c.N; i++ {
-			if outBlocks == 1 {
-				if !bytesEqual(out.Block(i, 0), c.expectedChunk(i)) {
-					return fmt.Errorf("reduce-scatter result: rank %d chunk mismatch", i)
-				}
-				continue
-			}
-			for j := 0; j < c.N; j++ {
-				if !bytesEqual(out.Block(i, j), c.expectedChunk(j)) {
-					return fmt.Errorf("allreduce result: rank %d chunk %d mismatch", i, j)
-				}
-			}
-		}
-		return nil
-	}, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,8 +3,10 @@ package golden
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
+	"bruck/internal/collective"
 	"bruck/internal/mpsim"
 	"bruck/internal/trace"
 )
@@ -172,6 +174,47 @@ func FuzzChaosSchedule(f *testing.F) {
 		}
 		if d := trace.Diff(chaotic, plain); len(d) != 0 {
 			t.Fatalf("%s: chaos trace diverges from chan trace (cfg %+v):\n  %v", c.Name, cfg, d)
+		}
+	})
+}
+
+// FuzzCase is the differential target over the whole Case space: a case
+// that compiles must pass the symbolic proof and the byte oracle with
+// the measured C1/C2 equal to the compiled ones; a case that does not
+// must have been rejected by name parsing, the topology parser, the
+// engine or Spec.canonicalize — never by a panic or a failed check.
+func FuzzCase(f *testing.F) {
+	seeds := Corpus()
+	for _, op := range []string{"broadcast", "gather", "scatter"} {
+		seeds = append(seeds, Case{Op: op, Alg: "tree", N: 7, K: 2, B: 4, Root: 3})
+	}
+	for _, c := range seeds {
+		f.Add(c.Op, c.Alg, c.N, c.K, c.B, c.Radix, c.Segments, c.Ragged, c.Topology, c.Root)
+	}
+	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int) {
+		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 9,
+			Ragged: ragged, Topology: topology, Root: root}
+		if c.N < 0 || c.B < 0 || len(topology) > 16 {
+			t.Skip("outside the drawn ranges")
+		}
+		_, pl, err := c.compile()
+		if err != nil {
+			for _, origin := range []string{"collective: ", "costmodel: ", "mpsim: "} {
+				if strings.HasPrefix(err.Error(), "golden: case fuzz: "+origin) {
+					return
+				}
+			}
+			t.Fatalf("%+v: rejected outside the validators: %v", c, err)
+		}
+		if v := pl.Check(); v != nil {
+			t.Fatalf("%+v: Check: %v", c, v)
+		}
+		res, err := collective.Exercise(pl, collective.Labels)
+		if err != nil {
+			t.Fatalf("%+v: Exercise: %v", c, err)
+		}
+		if res.C1 != pl.Rounds() || res.C2 != pl.PredictedC2() {
+			t.Fatalf("%+v: measured C1=%d C2=%d, compiled %d and %d", c, res.C1, res.C2, pl.Rounds(), pl.PredictedC2())
 		}
 	})
 }

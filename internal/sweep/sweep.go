@@ -87,7 +87,7 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOnce(e, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
+	res, err := measure(e, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: measuring n=%d r=%d k=%d: %w", n, r, k, err)
 	}
@@ -97,26 +97,14 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	return res.RoundSizes, nil
 }
 
-// runOnce compiles the spec on all of e's processors and executes it
-// once on zeroed buffers (no schedule depends on the payload).
-func runOnce(e *mpsim.Engine, s collective.Spec) (*collective.Result, error) {
-	n, inBlocks := e.N(), e.N()
-	if s.Op == collective.OpConcat {
-		inBlocks = 1
-	}
-	pl, err := collective.Compile(e, mpsim.WorldGroup(n), s)
+// measure compiles the spec on all of e's processors and runs it once
+// through the oracle.
+func measure(e *mpsim.Engine, s collective.Spec) (*collective.Result, error) {
+	pl, err := collective.Compile(e, mpsim.WorldGroup(e.N()), s)
 	if err != nil {
 		return nil, err
 	}
-	in, err := buffers.New(n, inBlocks, s.BlockLen)
-	if err != nil {
-		return nil, err
-	}
-	out, err := buffers.New(n, n, s.BlockLen)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return collective.Exercise(pl, collective.Labels)
 }
 
 // point evaluates one configuration at block size b.
@@ -425,7 +413,7 @@ func ConcatBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, erro
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOnce(e, collective.Spec{Op: collective.OpConcat, BlockLen: b})
+			res, err := measure(e, collective.Spec{Op: collective.OpConcat, BlockLen: b})
 			if err != nil {
 				return nil, fmt.Errorf("sweep: concat n=%d k=%d: %w", n, k, err)
 			}

@@ -265,25 +265,6 @@ func TestBestRadixPerSizeRagged(t *testing.T) {
 	}
 }
 
-// TestAllocsPlannedColumn: the compiled-plan path never allocates more
-// than the flat path, which never allocates more than the legacy path.
-func TestAllocsPlannedColumn(t *testing.T) {
-	legacy, flat, planned, err := IndexAllocs(mpsim.BackendChan, 16, 64, 2, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(planned <= flat && flat <= legacy) {
-		t.Errorf("alloc ordering violated: legacy %.0f, flat %.0f, planned %.0f", legacy, flat, planned)
-	}
-	clegacy, cflat, cplanned, err := ConcatAllocs(mpsim.BackendChan, 16, 64, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(cplanned <= cflat && cflat <= clegacy) {
-		t.Errorf("concat alloc ordering violated: legacy %.0f, flat %.0f, planned %.0f", clegacy, cflat, cplanned)
-	}
-}
-
 // TestSegmentedPointMatchesClosedForm: the harness's pipelined point,
 // built from measured unit schedules, must agree exactly with the
 // closed-form collective.SegmentedIndexCost at every clamp edge —

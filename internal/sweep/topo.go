@@ -12,10 +12,12 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
+	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
 )
 
@@ -68,6 +70,10 @@ func BalancedGroups(n int) []int {
 // arm of the index is the best Bruck radix under the topology clock;
 // the concatenation's flat arm is the circulant schedule.
 func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, intra costmodel.Profile) ([]TopoRow, error) {
+	named, err := collective.ParseSpec(op, "")
+	if err != nil || (named.Op != collective.OpIndex && named.Op != collective.OpConcat) {
+		return nil, fmt.Errorf("sweep: topology crossover supports index and concat, got %q", op)
+	}
 	var rows []TopoRow
 	for _, n := range ns {
 		if n < 2 || k > n-1 {
@@ -86,32 +92,27 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 			}
 			for _, b := range sizes {
 				row := TopoRow{Op: op, N: n, K: k, B: b, Shape: topo.Spec(), Ratio: ratio}
-				var flat, hier *collective.Plan
-				switch op {
-				case "index":
-					for _, r := range radixArms(n, k) {
-						pl, err := collective.CompileIndex(e, g, b, collective.IndexOptions{
-							Algorithm: collective.IndexBruck, Radix: r,
-						})
-						if err != nil {
-							return nil, err
-						}
-						if flat == nil || pl.TimeTopo(topo) < flat.TimeTopo(topo) {
-							flat, row.FlatR = pl, r
-						}
-					}
-					hier, err = collective.CompileHierarchicalIndex(e, g, b, topo, collective.HierOptions{})
-				case "concat":
-					flat, err = collective.CompileConcat(e, g, b, collective.ConcatOptions{
-						Algorithm: collective.ConcatCirculant,
-					})
+				spec := named
+				spec.BlockLen = b
+				// The flat arm: the concatenation's is the circulant schedule,
+				// the index's the best Bruck radix under the topology clock.
+				arms := []int{0}
+				if spec.Op == collective.OpIndex {
+					arms = RadixArms(n, k)
+				}
+				var flat *collective.Plan
+				for _, r := range arms {
+					spec.Index.Radix = r
+					pl, err := collective.Compile(e, g, spec)
 					if err != nil {
 						return nil, err
 					}
-					hier, err = collective.Compile(e, g, collective.Spec{Op: collective.OpConcat, BlockLen: b, Hierarchical: true, Topology: topo})
-				default:
-					return nil, fmt.Errorf("sweep: topology crossover supports index and concat, got %q", op)
+					if flat == nil || pl.TimeTopo(topo) < flat.TimeTopo(topo) {
+						flat, row.FlatR = pl, r
+					}
 				}
+				spec.Index.Radix, spec.Hierarchical, spec.Topology = 0, true, topo
+				hier, err := collective.Compile(e, g, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -126,26 +127,12 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 	return rows, nil
 }
 
-// radixArms is the flat arm's radix candidate set: round-minimal,
-// volume-minimal and the powers of two between.
-func radixArms(n, k int) []int {
-	arms := append([]int{}, PowersOfTwoUpTo(n)...)
-	arms = append(arms, k+1, n)
+// RadixArms is the flat index arm's radix candidate set: the powers of
+// two, the round-minimal k+1 and the volume-minimal n.
+func RadixArms(n, k int) []int {
 	var out []int
-	for _, r := range arms {
-		if r < 2 {
-			r = 2
-		}
-		if r > n {
-			r = n
-		}
-		dup := false
-		for _, prev := range out {
-			if prev == r {
-				dup = true
-			}
-		}
-		if !dup {
+	for _, r := range append(PowersOfTwoUpTo(n), k+1, n) {
+		if r = intmath.Min(intmath.Max(r, 2), n); !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
