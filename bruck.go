@@ -404,11 +404,11 @@ const AutoSegments = collective.AutoSegments
 // splits into s byte spans that stream through the round structure one
 // merged round apart, so round r of segment i overlaps round r+1 of
 // segment i-1 and the schedule drains in rounds + s - 1 merged rounds.
-// Pipelining trades extra rounds for smaller per-round messages and an
-// ownership-transfer execution path with half the copies per message,
-// which wins on bandwidth-bound configurations (large blocks); the
-// crossover against the monolithic schedule is where `bruckctl run
-// -crossover-segments` and the cost model (SegmentedIndexCost) point.
+// Pipelining trades extra rounds for smaller per-round messages, a win
+// in model time on large blocks: `bruckctl run -crossover-segments` and
+// the cost model (SegmentedIndexCost) say from where. It copies no less
+// — every payload of either schedule moves pack -> own -> land — and no
+// wall-clock win is claimed for it.
 //
 // s = 0 or 1 runs the monolithic schedule; AutoSegments picks by cost
 // model. Only the packed uniform Bruck schedules pipeline — baselines,

@@ -11,6 +11,7 @@ package bruck
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,6 +202,45 @@ func TestAsyncErrorsSurfaceOnWait(t *testing.T) {
 	}
 	if _, err := h2.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAsyncRankFailureIsPrompt: a failure on one rank of an async
+// collective — a user combine that panics the first time it runs —
+// surfaces on Wait as that rank's error at once. The peers, blocked on
+// the dead rank, used to hold Wait until the 30 s watchdog, which then
+// reported a deadlock in place of the panic. The machine stays usable.
+func TestAsyncRankFailureIsPrompt(t *testing.T) {
+	const n, b = 8, 16
+	m := MustNewMachine(n)
+	in, out := NewBuffersOrDie(t, n, n, b), NewBuffersOrDie(t, n, n, b)
+	fillIndexInput(in, 3)
+	var once atomic.Bool
+	sum := func(dst, src []byte) {
+		if once.CompareAndSwap(false, true) {
+			panic("bad kernel")
+		}
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
+	start := time.Now()
+	h, err := m.AllReduceAsync(in, out, WithCombine(sum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Wait()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Wait returned after %v", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") || strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("Wait error = %v, want the rank's panic alone", err)
+	}
+	if h, err = m.AllReduceAsync(in, out, WithCombine(sum)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Errorf("async operation after the failure: %v", err)
 	}
 }
 

@@ -5,7 +5,7 @@ package bruck
 // over the flat paths, so these tests pin down two properties the
 // refactor promised: (1) both layouts produce byte-identical results
 // and identical schedules, and (2) the flat path allocates at most half
-// of what the legacy path does (in practice far less; see README.md).
+// of what the legacy path does.
 
 import (
 	"bytes"
@@ -15,6 +15,32 @@ import (
 	"bruck/internal/buffers"
 	"bruck/internal/intmath"
 )
+
+func benchIndexInput(n, blockLen int) [][][]byte {
+	in := make([][][]byte, n)
+	for i := range in {
+		in[i] = make([][]byte, n)
+		for j := range in[i] {
+			blk := make([]byte, blockLen)
+			for x := range blk {
+				blk[x] = byte(i + j + x)
+			}
+			in[i][j] = blk
+		}
+	}
+	return in
+}
+
+func benchConcatInput(n, blockLen int) [][]byte {
+	in := make([][]byte, n)
+	for i := range in {
+		in[i] = make([]byte, blockLen)
+		for x := range in[i] {
+			in[i][x] = byte(i + x)
+		}
+	}
+	return in
+}
 
 // flatIndexInput builds the flat twin of benchIndexInput(n, blockLen).
 func flatIndexInput(t testing.TB, n, blockLen int) *Buffers {

@@ -14,16 +14,14 @@ import (
 func TestCanonicalFlagVocabulary(t *testing.T) {
 	want := map[string][]string{
 		"run": {"alg", "b", "chaos-inner", "chaos-seed", "crossover-segments", "crossover-topology",
-			"k", "kernel", "n", "op", "r", "radix", "ragged", "repeat", "report-json",
+			"k", "kernel", "n", "op", "r", "radix", "ragged", "report-json",
 			"segments", "stragglers", "topology", "transport"},
 		"index":   {"csv", "fig", "k", "n", "report-json", "transport", "tune"},
 		"concat":  {"b", "baselines", "bounds", "optimality", "report-json", "transport"},
 		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
 		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "perturb", "report-json",
 			"stragglers", "transport"},
-		"vet":     {"case", "dir", "perturb", "report-json"},
-		"bench":   {"area", "case", "out", "report-json", "short"},
-		"compare": {"alloc-threshold", "bytes-threshold", "ns-threshold", "report-json", "selftest"},
+		"vet": {"case", "dir", "perturb", "report-json"},
 	}
 	cmds := newCommands()
 	if len(cmds) != len(want) {

@@ -8,8 +8,6 @@
 //	bruckctl figures -fig 1|2|3|7|8|9 | -table 1 | -all   # structural figures, byte-verified
 //	bruckctl trace   record|verify [-perturb]             # golden schedule corpus
 //	bruckctl vet     [-perturb]                           # static plan/artifact verification
-//	bruckctl bench   [-short] [-out dir]                  # perf snapshot -> BENCH_<area>.json
-//	bruckctl compare old.json new.json                    # regression gate between snapshots
 //
 // Every subcommand accepts -report-json for a machine-readable report
 // built from the same values as the text output.
@@ -50,8 +48,6 @@ func newCommands() []*command {
 		newFiguresCmd(),
 		newTraceCmd(),
 		newVetCmd(),
-		newBenchCmd(),
-		newCompareCmd(),
 	}
 }
 

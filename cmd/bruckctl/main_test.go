@@ -24,8 +24,10 @@ func TestDispatchHelpAndErrors(t *testing.T) {
 	if err := dispatch([]string{"frobnicate"}, &sb); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
-	if err := dispatch([]string{"run", "-no-such-flag"}, &sb); err == nil {
-		t.Error("unknown flag accepted")
+	for _, args := range [][]string{{"run", "-no-such-flag"}, {"run", "-repeat", "2"}, {"bench"}, {"compare"}} {
+		if err := dispatch(args, &sb); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
@@ -51,7 +53,6 @@ func TestReportJSONWellFormed(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "-op", "index", "-n", "8", "-b", "16", "-report-json"},
 		{"run", "-op", "allreduce", "-n", "8", "-b", "16", "-alg", "auto", "-report-json"},
-		{"run", "-op", "index", "-n", "8", "-b", "16", "-repeat", "2", "-report-json"},
 		{"run", "-op", "index", "-n", "8", "-b", "16", "-ragged", "1.2", "-report-json"},
 		{"index", "-tune", "-n", "8", "-report-json"},
 		{"concat", "-baselines", "-report-json"},

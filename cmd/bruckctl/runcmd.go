@@ -7,7 +7,6 @@
 //	bruckctl run -op index  -n 64 -b 128 -radix auto      # tuned radix
 //	bruckctl run -op index  -n 64 -b 128 -transport slot  # shared-memory slot transport
 //	bruckctl run -op index  -n 64 -b 128 -transport chaos -chaos-seed 7 -stragglers 0,3
-//	bruckctl run -op index  -n 64 -b 128 -repeat 100      # plan-reuse study
 //	bruckctl run -op index  -n 32 -b 256 -ragged 1.2      # skewed-size ragged study
 //	bruckctl run -op index  -n 16 -b 65536 -segments 4    # segment-pipelined schedule
 //	bruckctl run -op index  -n 16 -k 1 -crossover-segments # segmented-vs-monolithic sweep
@@ -36,7 +35,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
@@ -59,7 +57,6 @@ type params struct {
 	chaosInner string
 	chaosSeed  uint64
 	stragglers string
-	repeat     int
 	ragged     float64
 	kernel     string
 	segments   string
@@ -88,7 +85,6 @@ func newRunCmd() *command {
 	fs.StringVar(&p.radix, cli.FlagRadixAlias, "", "alias for -radix")
 	fs.StringVar(&p.alg, "alg", "", "algorithm override (index: bruck|direct|xor; concat: circulant|folklore|ring|recdbl; reducescatter/allreduce: ring|halving|bruck|auto)")
 	tf := cli.RegisterTransportFlags(fs)
-	fs.IntVar(&p.repeat, "repeat", 1, "run the index or the concatenation N times and compare compile-per-call vs plan reuse")
 	fs.Float64Var(&p.ragged, "ragged", 0, "run a skewed-size ragged study of the index or the concatenation with Zipf exponent <skew> (block sizes ~ b/rank^skew)")
 	fs.StringVar(&p.kernel, "kernel", defaultKernel, "reduction kernel as op:type (sum|min|max : int32|int64|float32|float64)")
 	fs.StringVar(&p.segments, "segments", "", "pipeline the packed Bruck schedule over <s> segments (2..), 'auto' for the model-tuned count, empty for monolithic")
@@ -130,7 +126,6 @@ var runModes = []runMode{
 	{"crossover-topology", "the topology crossover study", "index concat", "", runTopoCrossover},
 	{"topology", "the hierarchical schedule", "index concat allreduce", "b kernel transport", runTopology},
 	{"ragged", "the ragged study", "index concat", "n b transport", runRagged},
-	{"repeat", "the plan-reuse study", "index concat", "n b radix alg segments transport", runRepeat},
 	{"", "", "", "n b radix alg segments kernel transport", runPlain},
 }
 
@@ -153,7 +148,6 @@ func (p *params) optional() []flagState {
 		{"segments", p.segments != ""},
 		{"kernel", p.kernel != "" && p.kernel != defaultKernel},
 		{"transport", p.transport != "" && p.transport != "chan"},
-		{"repeat", p.repeat > 1},
 		{"ragged", p.ragged > 0},
 		{"topology", p.topology != ""},
 		{"crossover-segments", p.crossover},
@@ -353,99 +347,6 @@ func runPlain(rp *reporter, p params) error {
 	return nil
 }
 
-// runRepeat is the plan-reuse study of the index or the concatenation
-// (where compile-per-call includes re-solving the last-round table
-// partition): the same spec executed p.repeat times compiling on every
-// call, then p.repeat times through one precompiled plan, with a
-// byte-level equivalence check between the two result sets.
-func runRepeat(rp *reporter, p params) error {
-	w := rp.text()
-	e, err := p.engine(p.n)
-	if err != nil {
-		return err
-	}
-	g := mpsim.WorldGroup(p.n)
-	spec, fill, err := p.spec(p.n)
-	if err != nil {
-		return err
-	}
-	plan, err := collective.Compile(e, g, spec)
-	if err != nil {
-		return err
-	}
-	var mems [2]*collective.Memory // compile-per-call, plan-reuse
-	for i := range mems {
-		if mems[i], err = plan.Alloc(); err != nil {
-			return err
-		}
-		plan.Fill(mems[i], fill)
-	}
-	modes := [2]func() error{
-		func() error {
-			pl, err := collective.Compile(e, g, spec)
-			if err == nil {
-				_, err = pl.Run(mems[0])
-			}
-			return err
-		},
-		func() error { _, err := plan.Run(mems[1]); return err },
-	}
-	fmt.Fprintf(w, "%s plan-reuse study: n=%d k=%d b=%d alg=%s transport=%s repeat=%d\n",
-		spec.Op, p.n, p.k, p.b, plan.Algorithm(), e.Transport(), p.repeat)
-	// Warm both paths once so transport pools reach steady state before
-	// the timed loops.
-	for _, run := range modes {
-		if err := run(); err != nil {
-			return err
-		}
-	}
-	var avg [2]time.Duration
-	for i, run := range modes {
-		//lint:allow detrand wall-clock latency is the quantity being reported, not part of any snapshot
-		start := time.Now()
-		for it := 0; it < p.repeat; it++ {
-			if err := run(); err != nil {
-				return err
-			}
-		}
-		avg[i] = time.Since(start) / time.Duration(p.repeat)
-	}
-	_, perCallOut := mems[0].Flat()
-	_, planOut := mems[1].Flat()
-	if !perCallOut.Equal(planOut) {
-		return fmt.Errorf("plan execution diverged from compile-per-call results")
-	}
-	if err := plan.Verify(mems[1]); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  schedule: %d rounds, largest pooled buffer %d bytes\n", plan.Rounds(), plan.MaxMessageBytes())
-	fmt.Fprintf(w, "  compile-per-call: %v/op\n", avg[0])
-	fmt.Fprintf(w, "  plan-reuse:       %v/op\n", avg[1])
-	if avg[1] > 0 {
-		fmt.Fprintf(w, "  speedup:          %.2fx\n", float64(avg[0])/float64(avg[1]))
-	}
-	fmt.Fprintln(w, "  results byte-identical across modes: ok")
-
-	kv := cli.KV("plan-reuse-study")
-	kv.Add("op", p.op)
-	kv.Add("n", p.n)
-	kv.Add("k", p.k)
-	kv.Add("b", p.b)
-	kv.Add("alg", plan.Algorithm())
-	kv.Add("transport", e.Transport())
-	kv.Add("repeat", p.repeat)
-	kv.Add("rounds", plan.Rounds())
-	kv.Add("max_message_bytes", plan.MaxMessageBytes())
-	kv.Add("compile_per_call_ns", avg[0].Nanoseconds())
-	kv.Add("plan_reuse_ns", avg[1].Nanoseconds())
-	if avg[1] > 0 {
-		kv.Add("speedup", fmt.Sprintf("%.2f", float64(avg[0])/float64(avg[1])))
-	}
-	kv.Add("byte_identical", true)
-	rp.add(kv)
-	return nil
-}
-
 // zipfCounts returns the Zipf-ish skewed block-size table of the
 // ragged study: block (i, j) gets round(b / m^skew) bytes with
 // m = ((i+j) mod n) + 1, so every processor sends a mix of large and
@@ -587,9 +488,9 @@ func parseSegments(s string) (int, error) {
 // pipelining trades S-1 extra merged rounds (latency) for smaller
 // per-round messages (bandwidth), so the segmented index schedule loses
 // on small blocks and overtakes the monolithic one past some block
-// size. The study sweeps block sizes through the sweep harness's
-// measured round structure, tabulates both model times, and reports the
-// crossover block size.
+// size. The study sweeps block sizes, reads each compiled plan's rounds
+// and volume through the sweep harness, tabulates both model times, and
+// reports the crossover block size.
 func runSegmentCrossover(rp *reporter, p params) error {
 	w := rp.text()
 	r := p.k + 1

@@ -6,14 +6,23 @@ import (
 )
 
 func TestRunIndexDefault(t *testing.T) {
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "index", n: 8, k: 1, b: 16}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"index: n=8", "C1 = 3 rounds", "lower bound 3", "verified against the direct reference", "model time"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+	for _, c := range []struct {
+		p    params
+		want []string
+	}{
+		{params{op: "index", n: 8, k: 1, b: 16},
+			[]string{"index: n=8", "C1 = 3 rounds", "lower bound 3", "verified against the direct reference", "model time"}},
+		{params{op: "index", n: 16, k: 1, crossover: true},
+			[]string{"segment crossover study: n=16 k=1 r=2 segments=segmented(auto)", "crossover: segmented schedule wins from b = 32 bytes"}},
+	} {
+		var sb strings.Builder
+		if err := runOp(&sb, c.p); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("%+v: output lacks %q:\n%s", c.p, want, sb.String())
+			}
 		}
 	}
 }
@@ -97,32 +106,6 @@ func TestRunSlotTransport(t *testing.T) {
 		}
 		if !strings.Contains(sb.String(), "transport=slot") {
 			t.Errorf("%+v: output lacks transport=slot:\n%s", p, sb.String())
-		}
-	}
-}
-
-// TestRunRepeatMode: the plan-reuse study runs both modes, verifies
-// byte-equivalence and prints the comparison, for both operations and
-// both transports.
-func TestRunRepeatMode(t *testing.T) {
-	for _, p := range []params{
-		{op: "index", n: 8, k: 1, b: 16, repeat: 3},
-		{op: "index", n: 9, k: 2, b: 8, radix: "3", repeat: 3, transport: "slot"},
-		{op: "concat", n: 8, k: 1, b: 16, repeat: 3},
-		{op: "concat", n: 17, k: 2, b: 12, repeat: 3, transport: "slot"},
-	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		out := sb.String()
-		for _, want := range []string{
-			"plan-reuse study", "compile-per-call:", "plan-reuse:",
-			"results byte-identical across modes: ok",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%+v: output lacks %q:\n%s", p, want, out)
-			}
 		}
 	}
 }
@@ -247,11 +230,10 @@ func TestRunRejectsFlagsTheModeIgnores(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-op", "allreduce", "-repeat", "3"},
-			"-repeat does not apply to -op allreduce: the plan-reuse study supports -op index|concat"},
-		{[]string{"-ragged", "1.2", "-repeat", "3"}, "-repeat does not apply to -ragged"},
+		{[]string{"-ragged", "1.2", "-kernel", "max:int64"}, "-kernel does not apply to -ragged"},
+		{[]string{"-ragged", "1.2", "-segments", "4"}, "-segments does not apply to -ragged"},
 		{[]string{"-topology", "4x4", "-alg", "direct"}, "-alg does not apply to -topology"},
-		{[]string{"-topology", "4x4", "-repeat", "5"}, "-repeat does not apply to -topology"},
+		{[]string{"-topology", "4x4", "-segments", "4"}, "-segments does not apply to -topology"},
 		{[]string{"-op", "reducescatter", "-ragged", "1"},
 			"-ragged does not apply to -op reducescatter: the ragged study supports -op index|concat"},
 		{[]string{"-op", "concat", "-radix", "4"}, "-radix does not apply to -op concat"},

@@ -1,11 +1,11 @@
 // Package detrand implements the determinism analyzer: compiled plans,
-// canonical traces and benchmark snapshots must be pure functions of
-// their inputs (the record/verify tooling pins them byte-for-byte), so
+// canonical traces and reports must be pure functions of their inputs
+// (the record/verify tooling pins the traces byte-for-byte), so
 // nondeterminism sources are flagged wherever they could feed one:
 //
-//   - time.Now calls (wall-clock nondeterminism). Sites that measure
-//     latency for reporting only carry a //lint:allow detrand directive
-//     with the reason.
+//   - time.Now calls (wall-clock nondeterminism). The sites that exist
+//     to measure time — benchmark/ and the serving demo, a set CI pins —
+//     carry a //lint:allow detrand directive with the reason.
 //   - The global math/rand source (rand.Intn, rand.Shuffle, ...). A
 //     seeded local generator (rand.New(rand.NewSource(seed))) — or the
 //     repo's splitmix64 convention — is always available instead.

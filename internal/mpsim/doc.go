@@ -93,17 +93,27 @@
 //
 // Every Run gets a generation number, stamped on each Proc and each
 // message; receivers reject messages from another generation. A run
-// that fails with all processors exited may leave undelivered messages
-// in the transport; the next Run drains them first, recycling their
-// payload buffers into the destination pools. A run that the watchdog
-// declares deadlocked still has processors blocked in sends or
-// receives, so the engine fences it instead: the transport is
-// abandoned — waking every blocked processor with an error so the
-// zombies exit rather than leak — and the next Run proceeds on a fresh
-// transport and fresh pools. Zombies keep references only to the
-// orphaned instances, so they can neither race with later runs nor
-// leak stale messages into them, at the cost of losing the pools' warm
-// steady state on that (already exceptional) path.
+// whose processors all returned may leave undelivered messages in the
+// transport; the next Run drains them first, recycling their payload
+// buffers into the destination pools.
+//
+// A processor that returns an error or panics abandons the run's
+// transport at once: peers blocked on a message it will never send wake
+// with an error and exit, so the run ends in the time the failure took,
+// not at the watchdog. The run returns the errors of the processors
+// that failed by themselves — what the woken peers report is dropped —
+// and the next Run proceeds on a fresh transport with the same pools
+// (every goroutine has returned). One program's failure ends every
+// program of a RunPrograms call: they share the transport.
+//
+// A run that the watchdog declares deadlocked still has processors
+// blocked in sends or receives, so the engine fences it: the transport
+// is abandoned the same way, so the zombies exit rather than leak, and
+// the next Run proceeds on a fresh transport and fresh pools. Zombies
+// keep references only to the orphaned instances, so they can neither
+// race with later runs nor leak stale messages into them, at the cost
+// of losing the pools' warm steady state on that (already exceptional)
+// path.
 //
 // # Chaos lifecycle rules
 //
@@ -124,6 +134,6 @@
 //     well as inner-transport waits, so a watchdog fence wakes
 //     processors asleep in a pause exactly like ones blocked in a
 //     mailbox. Drain delegates to the inner transport — the wrapper
-//     itself never holds a message — and a post-deadlock fence
+//     itself never holds a message — and a failed or fenced run
 //     installs a fresh wrapper, resetting ChaosStats.
 package mpsim

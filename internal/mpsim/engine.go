@@ -43,10 +43,9 @@ type Engine struct {
 	// restriction.
 	groupOf []int
 
-	// tr carries messages between processors. After a deadlocked run the
-	// engine abandons the instance to the stuck goroutines and installs
-	// a fresh one, so a transport is only ever shared by the goroutines
-	// of a single run.
+	// tr carries messages between processors. A failed run abandons the
+	// instance, to wake its blocked goroutines, and the engine installs a
+	// fresh one.
 	tr Transport
 
 	// pools[rank] is the rank-local free list of payload buffers. Each
@@ -224,8 +223,8 @@ func (e *Engine) Transport() Backend { return e.backend }
 
 // ChaosStats returns the chaos transport's cumulative injected-delay
 // statistics and true, or a zero value and false when the engine does
-// not use the chaos backend. Only call between runs; a deadlock fence
-// installs a fresh transport and resets the stats.
+// not use the chaos backend. Only call between runs; a failed or
+// deadlocked run installs a fresh transport and resets the stats.
 func (e *Engine) ChaosStats() (ChaosStats, bool) {
 	if ct, ok := e.tr.(*chaosTransport); ok {
 		return ct.Stats(), true
@@ -238,13 +237,10 @@ func (e *Engine) ChaosStats() (ChaosStats, bool) {
 // or a deadlock error naming the stuck processors if the watchdog fires.
 // The recorded Metrics for the run are available from Metrics afterwards.
 //
-// An Engine remains usable after any failed run. Residue messages of a
-// run that returned an error are drained (their buffers recycled into
-// the pools) before the next run starts. A deadlocked run is fenced
-// instead: its transport and buffer pools are abandoned to the stuck
-// goroutines — which the abandoned transport wakes with an error so
-// they can exit — and the next run proceeds on fresh ones, losing only
-// the pools' warm steady state.
+// An Engine remains usable after any failed run: a processor's error or
+// panic ends the run at once, without its peers' consequent errors, and
+// a deadlocked run is fenced; either way the next run proceeds on a
+// fresh transport (see "Run lifecycle" in the package documentation).
 func (e *Engine) Run(body func(p *Proc) error) error {
 	_, err := e.RunPrograms([]Program{{Body: body}})
 	return err
@@ -276,9 +272,9 @@ type Program struct {
 // one program Metrics returns that program's metrics; after a
 // multi-program run it returns nil — use the returned slice instead.
 // Error and deadlock recovery behave as in Run: the whole run shares
-// one watchdog, and a deadlock anywhere fences the transport for every
-// program of the run. A call made while another run is in flight is
-// rejected without touching it.
+// one transport and one watchdog, so a failure or a deadlock anywhere
+// ends every program of the run. A call made while another run is in
+// flight is rejected without touching it.
 func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("mpsim: RunPrograms with no programs")
@@ -328,14 +324,7 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 	for i := range metrics {
 		metrics[i] = newMetrics(e.n)
 		metrics[i].record = e.record
-		if g := e.groupOf; g != nil {
-			metrics[i].classOf = func(src, dst int) int {
-				if g[src] == g[dst] {
-					return ClassIntra
-				}
-				return ClassInter
-			}
-		}
+		metrics[i].groupOf = e.groupOf
 	}
 	if len(progs) == 1 {
 		e.metrics = metrics[0]
@@ -371,6 +360,11 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 				if r := recover(); r != nil {
 					errs[rank] = fmt.Errorf("mpsim: processor %d panicked: %v", rank, r)
 				}
+				if errs[rank] != nil {
+					// Peers waiting on this rank would sit until the watchdog:
+					// wake them now.
+					p.tr.Abandon()
+				}
 				p.metrics.setFinish(rank, p.Round())
 				p.done.Store(true)
 				live.Add(-1)
@@ -399,8 +393,17 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		<-doneCh
 	}
 
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	if errors.Join(errs...) != nil {
+		// The failing ranks abandoned the transport; every goroutine has
+		// returned, so the pools stay. What woken peers report is not a
+		// cause, and one remains: the first rank to abandon had its own.
+		e.tr = e.newTransport()
+		for i, err := range errs {
+			if errors.Is(err, errAbandoned) {
+				errs[i] = nil
+			}
+		}
+		return nil, errors.Join(errs...)
 	}
 	if e.validate {
 		for pi, m := range metrics {
@@ -434,13 +437,18 @@ func (e *Engine) ProgramsInLastRun() int { return e.lastPrograms }
 // orphaned instances, so no lock is needed anywhere on this path.
 func (e *Engine) fence() {
 	e.tr.Abandon()
+	e.tr = e.newTransport()
+	e.pools = newPools(e.n)
+}
+
+// newTransport builds a fresh instance of the engine's backend.
+func (e *Engine) newTransport() Transport {
 	tr, err := newTransport(e.backend, e.n, e.chaos)
 	if err != nil {
 		// The backend was validated in New; a failure here is impossible.
 		panic(err)
 	}
-	e.tr = tr
-	e.pools = newPools(e.n)
+	return tr
 }
 
 // deadlockError reports which processors had not finished when the

@@ -2,6 +2,7 @@ package mpsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -400,6 +401,53 @@ func TestProcPanicIsReported(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want panic report", err)
 	}
+}
+
+// TestRankFailureIsPrompt: a rank that returns an error or panics ends
+// the run at once, under the default 30 s watchdog — its peers, blocked
+// on a message it will never send, used to sit until the watchdog fired
+// and the run reported a deadlock in place of the rank's error. The
+// engine runs a clean ring shift afterwards.
+func TestRankFailureIsPrompt(t *testing.T) {
+	boom := errors.New("boom")
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		const n = 4
+		e := MustNew(n, WithTransport(b))
+		for _, fail := range []struct {
+			name string
+			rank func() error
+			ok   func(err error) bool
+		}{
+			{"error", func() error { return boom }, func(err error) bool { return errors.Is(err, boom) }},
+			{"panic", func() error { panic("boom") }, func(err error) bool { return strings.Contains(err.Error(), "panicked") }},
+		} {
+			start := time.Now()
+			err := e.Run(func(p *Proc) error {
+				if p.Rank() == 0 {
+					return fail.rank()
+				}
+				_, err := p.Exchange(nil, []int{0})
+				return err
+			})
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("%s: the run took %v", fail.name, took)
+			}
+			if err == nil || !fail.ok(err) || strings.Contains(err.Error(), "deadlock") {
+				t.Errorf("%s: err = %v, want the rank's own failure alone", fail.name, err)
+			}
+			err = e.Run(func(p *Proc) error {
+				me := p.Rank()
+				in, err := p.SendRecv((me+1)%n, []byte{byte(me)}, (me-1+n)%n)
+				if err == nil && !bytes.Equal(in, []byte{byte((me - 1 + n) % n)}) {
+					err = fmt.Errorf("p%d got %v", me, in)
+				}
+				return err
+			})
+			if err != nil {
+				t.Errorf("ring shift after the %s: %v", fail.name, err)
+			}
+		}
+	})
 }
 
 func TestMetricsC2PerRoundMax(t *testing.T) {

@@ -18,19 +18,17 @@ import (
 type Metrics struct {
 	mu sync.Mutex
 
-	// roundMax[i] is the largest message, in bytes, sent in round i.
-	roundMax []int
-	// roundSends[i] is the number of messages sent in round i.
-	roundSends []int
+	// rounds[i] is the largest message, in bytes, and the number of
+	// messages sent in round i.
+	rounds []roundRecord
 
-	// classOf classifies the link of one send (ClassIntra/ClassInter);
-	// nil on engines without a topology, where every send is intra.
-	classOf func(src, dst int) int
-	// classRoundMax[c][i] and classRoundSends[c][i] are roundMax and
-	// roundSends restricted to sends of link class c. Allocated lazily,
-	// only when the engine has a topology.
-	classRoundMax   [NumLinkClasses][]int
-	classRoundSends [NumLinkClasses][]int
+	// groupOf is the engine's rank-to-group table (WithTopology): a send
+	// between two groups is ClassInter. Nil on engines without a
+	// topology, where every send is ClassIntra.
+	groupOf []int
+	// classRounds[i][c] is rounds[i] restricted to sends of link class c.
+	// Grown with rounds, only when the engine has a topology.
+	classRounds [][NumLinkClasses]roundRecord
 
 	totalBytes   int64 // sum of all message sizes over all sends
 	messageCount int64 // total number of messages sent
@@ -47,6 +45,14 @@ type Metrics struct {
 	events []Event // populated only when record is set
 }
 
+// roundRecord is the largest message and the message count of one round.
+type roundRecord struct{ max, sends int }
+
+func (r *roundRecord) add(size int) {
+	r.max = max(r.max, size)
+	r.sends++
+}
+
 func newMetrics(n int) *Metrics {
 	return &Metrics{
 		perProcBytesIn:  make([]int, n),
@@ -58,30 +64,22 @@ func newMetrics(n int) *Metrics {
 func (m *Metrics) recordSend(rank, dst, round, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.roundMax) <= round {
-		m.roundMax = append(m.roundMax, 0)
-		m.roundSends = append(m.roundSends, 0)
+	for len(m.rounds) <= round {
+		m.rounds = append(m.rounds, roundRecord{})
+		if m.groupOf != nil {
+			m.classRounds = append(m.classRounds, [NumLinkClasses]roundRecord{})
+		}
 	}
-	if size > m.roundMax[round] {
-		m.roundMax[round] = size
-	}
-	m.roundSends[round]++
+	m.rounds[round].add(size)
 	m.totalBytes += int64(size)
 	m.messageCount++
 	m.perProcBytesOut[rank] += size
 	class := ClassIntra
-	if m.classOf != nil {
-		class = m.classOf(rank, dst)
-		for c := range m.classRoundMax {
-			for len(m.classRoundMax[c]) <= round {
-				m.classRoundMax[c] = append(m.classRoundMax[c], 0)
-				m.classRoundSends[c] = append(m.classRoundSends[c], 0)
-			}
+	if g := m.groupOf; g != nil {
+		if g[rank] != g[dst] {
+			class = ClassInter
 		}
-		if size > m.classRoundMax[class][round] {
-			m.classRoundMax[class][round] = size
-		}
-		m.classRoundSends[class][round]++
+		m.classRounds[round][class].add(size)
 	}
 	if m.record {
 		m.events = append(m.events, Event{Round: round, Src: rank, Dst: dst, Size: size, Class: class})
@@ -106,8 +104,8 @@ func (m *Metrics) Rounds() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c1 := 0
-	for _, sends := range m.roundSends {
-		if sends > 0 {
+	for _, r := range m.rounds {
+		if r.sends > 0 {
 			c1++
 		}
 	}
@@ -121,8 +119,8 @@ func (m *Metrics) DataVolume() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c2 := 0
-	for _, max := range m.roundMax {
-		c2 += max
+	for _, r := range m.rounds {
+		c2 += r.max
 	}
 	return c2
 }
@@ -132,8 +130,10 @@ func (m *Metrics) DataVolume() int {
 func (m *Metrics) RoundSizes() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]int, len(m.roundMax))
-	copy(out, m.roundMax)
+	out := make([]int, len(m.rounds))
+	for i, r := range m.rounds {
+		out[i] = r.max
+	}
 	return out
 }
 
@@ -183,6 +183,20 @@ func (m *Metrics) MaxBytesIntoAnyProc() int {
 	return max
 }
 
+// classRecord returns round i's record restricted to one link class.
+// Without a topology every send is ClassIntra, so that class reads the
+// round's one record and any other reads none.
+func (m *Metrics) classRecord(i, class int) roundRecord {
+	switch {
+	case class < 0 || class >= NumLinkClasses:
+	case m.groupOf != nil:
+		return m.classRounds[i][class]
+	case class == ClassIntra:
+		return m.rounds[i]
+	}
+	return roundRecord{}
+}
+
 // ClassRounds returns the number of rounds in which at least one
 // message of the given link class was sent — the per-class split of
 // C1 on an engine with a topology. Without a topology every send is
@@ -191,24 +205,9 @@ func (m *Metrics) MaxBytesIntoAnyProc() int {
 func (m *Metrics) ClassRounds(class int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.classOf == nil {
-		if class == ClassIntra {
-			c1 := 0
-			for _, sends := range m.roundSends {
-				if sends > 0 {
-					c1++
-				}
-			}
-			return c1
-		}
-		return 0
-	}
-	if class < 0 || class >= NumLinkClasses {
-		return 0
-	}
 	c1 := 0
-	for _, sends := range m.classRoundSends[class] {
-		if sends > 0 {
+	for i := range m.rounds {
+		if m.classRecord(i, class).sends > 0 {
 			c1++
 		}
 	}
@@ -223,22 +222,9 @@ func (m *Metrics) ClassRounds(class int) int {
 func (m *Metrics) ClassVolume(class int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.classOf == nil {
-		if class == ClassIntra {
-			c2 := 0
-			for _, max := range m.roundMax {
-				c2 += max
-			}
-			return c2
-		}
-		return 0
-	}
-	if class < 0 || class >= NumLinkClasses {
-		return 0
-	}
 	c2 := 0
-	for _, max := range m.classRoundMax[class] {
-		c2 += max
+	for i := range m.rounds {
+		c2 += m.classRecord(i, class).max
 	}
 	return c2
 }
@@ -249,11 +235,13 @@ func (m *Metrics) ClassVolume(class int) int {
 func (m *Metrics) ClassRoundSizes(class int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.classOf == nil || class < 0 || class >= NumLinkClasses {
+	if m.groupOf == nil || class < 0 || class >= NumLinkClasses {
 		return nil
 	}
-	out := make([]int, len(m.classRoundMax[class]))
-	copy(out, m.classRoundMax[class])
+	out := make([]int, len(m.classRounds))
+	for i := range m.classRounds {
+		out[i] = m.classRounds[i][class].max
+	}
 	return out
 }
 

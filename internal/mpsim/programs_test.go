@@ -1,6 +1,7 @@
 package mpsim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -143,6 +144,37 @@ func TestRunProgramsDeadlockFencesAll(t *testing.T) {
 	if c1 := ms[0].Rounds(); c1 != 1 {
 		t.Errorf("C1 after fence = %d, want 1", c1)
 	}
+}
+
+// TestRunProgramsFailureEndsAll: a rank error in one program ends the
+// whole run at once — the programs share the transport — with that
+// error and not the blocked program's wake-up, under the default 30 s
+// watchdog.
+func TestRunProgramsFailureEndsAll(t *testing.T) {
+	boom := errors.New("boom")
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		e := MustNew(4, WithTransport(b))
+		start := time.Now()
+		_, err := e.RunPrograms([]Program{
+			{Members: []int{0, 1}, Body: func(p *Proc) error { return boom }},
+			{Members: []int{2}, Body: func(p *Proc) error {
+				_, err := p.Exchange(nil, []int{3}) // rank 3 idles: never satisfied
+				return err
+			}},
+		})
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("the run took %v", took)
+		}
+		if !errors.Is(err, boom) || strings.Contains(err.Error(), "abandoned") {
+			t.Errorf("err = %v, want boom alone", err)
+		}
+		if _, err := e.RunPrograms([]Program{{Members: []int{2, 3}, Body: func(p *Proc) error {
+			_, err := p.SendRecv(5-p.Rank(), []byte{1}, 5-p.Rank())
+			return err
+		}}}); err != nil {
+			t.Errorf("RunPrograms after the failure: %v", err)
+		}
+	})
 }
 
 // TestRunProgramsPerProgramUniformity: a misaligned schedule inside one

@@ -50,16 +50,18 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // errAbandoned is returned by transport operations that were fenced out:
-// the engine abandoned this transport instance after a deadlocked run,
-// and the blocked processor belongs to that dead run.
-var errAbandoned = errors.New("mpsim: run abandoned after deadlock")
+// this transport instance was abandoned when a processor of its run
+// failed or the run deadlocked, and the blocked processor belongs to
+// that dead run.
+var errAbandoned = errors.New("mpsim: run abandoned")
 
 // A Transport moves payload-carrying messages between the processors of
 // one engine. Exactly one goroutine (processor src's) calls Send for a
 // given (src, dst) pair and exactly one (processor dst's) calls Recv for
 // it, so implementations only need single-writer single-reader ordering
-// per pair. Drain and Abandon are called by the engine goroutine between
-// runs; Drain is never concurrent with Send or Recv, Abandon may be.
+// per pair. Drain is called by the engine goroutine between runs, never
+// concurrently with Send or Recv; Abandon may be called during one, by
+// the engine or by a failing processor.
 type Transport interface {
 	// Backend returns the identifier of this implementation.
 	Backend() Backend
@@ -83,10 +85,11 @@ type Transport interface {
 	Drain(recycle func(dst int, data []byte))
 
 	// Abandon permanently wakes all current and future blocked Sends and
-	// Recvs with errAbandoned. The engine abandons a transport when a
-	// watchdog deadlock leaves processor goroutines blocked in it: the
-	// zombies wake, fail, and exit, while the next run proceeds on a
-	// fresh transport. Abandon is idempotent.
+	// Recvs with errAbandoned. A transport is abandoned when a failed
+	// processor or a watchdog deadlock leaves processor goroutines
+	// blocked in it: they wake, fail, and exit, while the next run
+	// proceeds on a fresh transport. Abandon is idempotent and safe to
+	// call from several goroutines.
 	Abandon()
 }
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"bruck/internal/buffers"
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
@@ -63,15 +62,6 @@ func NewHarness(p costmodel.Profile) *Harness {
 	return &Harness{Profile: p, cache: make(map[[3]int][]int)}
 }
 
-// backend resolves the harness's transport choice, defaulting to the
-// channel backend.
-func (h *Harness) backend() mpsim.Backend {
-	if h.Backend == "" {
-		return mpsim.BackendChan
-	}
-	return h.Backend
-}
-
 // schedule returns the per-round message sizes, in blocks, of the
 // radix-r index algorithm, measured by running it once on the engine
 // with 1-byte blocks.
@@ -83,11 +73,7 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	if ok {
 		return cached, nil
 	}
-	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(h.backend()))
-	if err != nil {
-		return nil, err
-	}
-	res, err := measure(e, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
+	res, err := measure(h.Backend, n, k, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: measuring n=%d r=%d k=%d: %w", n, r, k, err)
 	}
@@ -97,14 +83,32 @@ func (h *Harness) schedule(n, r, k int) ([]int, error) {
 	return res.RoundSizes, nil
 }
 
-// measure compiles the spec on all of e's processors and runs it once
-// through the oracle.
-func measure(e *mpsim.Engine, s collective.Spec) (*collective.Result, error) {
-	pl, err := collective.Compile(e, mpsim.WorldGroup(e.N()), s)
+// compile builds the spec's plan for all n processors of a k-port
+// engine on transport tr, the channel backend when empty.
+func compile(tr mpsim.Backend, n, k int, s collective.Spec) (*collective.Plan, error) {
+	if tr == "" {
+		tr = mpsim.BackendChan
+	}
+	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
+	if err != nil {
+		return nil, err
+	}
+	return collective.Compile(e, mpsim.WorldGroup(n), s)
+}
+
+// measure compiles the spec and runs it once through the oracle.
+func measure(tr mpsim.Backend, n, k int, s collective.Spec) (*collective.Result, error) {
+	pl, err := compile(tr, n, k, s)
 	if err != nil {
 		return nil, err
 	}
 	return collective.Exercise(pl, collective.Labels)
+}
+
+// at is the point of one configuration at block size b given its
+// schedule measures.
+func (h *Harness) at(n, r, k, b, c1, c2 int) Point {
+	return Point{N: n, K: k, R: r, BlockLen: b, C1: c1, C2: c2, Seconds: h.Profile.Time(c1, c2)}
 }
 
 // point evaluates one configuration at block size b.
@@ -117,61 +121,20 @@ func (h *Harness) point(n, r, k, b int) (Point, error) {
 	for _, blocks := range sched {
 		c2 += blocks * b
 	}
-	c1 := len(sched)
-	return Point{
-		N: n, K: k, R: r, BlockLen: b,
-		C1: c1, C2: c2,
-		Seconds: h.Profile.Time(c1, c2),
-	}, nil
+	return h.at(n, r, k, b, len(sched), c2), nil
 }
 
 // SegmentedPoint evaluates one segment-pipelined configuration at block
-// size b split into s spans: the spans stream through the measured
-// round structure one merged round apart, so C1 = rounds + s - 1 and C2
-// sums the per-merged-round maxima (a merged round multiplexes up to s
-// compiled rounds over the ports). The segment count clamps exactly as
-// the plan compiler does — to the block size and the round count — and
-// a request that clamps to 1 degenerates to the monolithic point, so
-// this is the same prediction collective.SegmentedIndexCost makes, but
-// built from the harness's measured unit schedules.
+// size b split into s spans: the round count and predicted volume of
+// the plan the compiler builds for it, which clamps s and degenerates
+// to the monolithic schedule as collective.SegmentedIndexCost does.
 func (h *Harness) SegmentedPoint(n, r, k, b, s int) (Point, error) {
-	sched, err := h.schedule(n, r, k)
+	pl, err := compile(h.Backend, n, k, collective.Spec{Op: collective.OpIndex, BlockLen: b,
+		Index: collective.IndexOptions{Radix: r, Segments: s}})
 	if err != nil {
-		return Point{}, err
+		return Point{}, fmt.Errorf("sweep: compiling n=%d r=%d k=%d b=%d s=%d: %w", n, r, k, b, s, err)
 	}
-	if s > b {
-		s = b
-	}
-	if s > len(sched) {
-		s = len(sched)
-	}
-	if s <= 1 || len(sched) < 2 || b < 2 {
-		return h.point(n, r, k, b)
-	}
-	spans := buffers.SplitSpans(b, s)
-	c1 := len(sched) + s - 1
-	c2 := 0
-	for t := 0; t < c1; t++ {
-		lo, hi := t-len(sched)+1, t
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s-1 {
-			hi = s - 1
-		}
-		stepMax := 0
-		for seg := lo; seg <= hi; seg++ {
-			if m := sched[t-seg] * spans[seg].Len; m > stepMax {
-				stepMax = m
-			}
-		}
-		c2 += stepMax
-	}
-	return Point{
-		N: n, K: k, R: r, BlockLen: b,
-		C1: c1, C2: c2,
-		Seconds: h.Profile.Time(c1, c2),
-	}, nil
+	return h.at(n, r, k, b, pl.Rounds(), pl.PredictedC2()), nil
 }
 
 // Fig4 regenerates Figure 4: the index algorithm's time as a function
@@ -400,20 +363,13 @@ type BoundsRow struct {
 // given n and k values at block size b on transport backend tr and
 // reports achieved-vs-bound.
 func ConcatBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, error) {
-	if tr == "" {
-		tr = mpsim.BackendChan
-	}
 	var rows []BoundsRow
 	for _, n := range ns {
 		for _, k := range ks {
 			if k > intmath.Max(1, n-1) {
 				continue
 			}
-			e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
-			if err != nil {
-				return nil, err
-			}
-			res, err := measure(e, collective.Spec{Op: collective.OpConcat, BlockLen: b})
+			res, err := measure(tr, n, k, collective.Spec{Op: collective.OpConcat, BlockLen: b})
 			if err != nil {
 				return nil, fmt.Errorf("sweep: concat n=%d k=%d: %w", n, k, err)
 			}
