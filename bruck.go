@@ -66,10 +66,8 @@ type Machine struct {
 	// licenses Hierarchical() schedules, and turns WithAuto into the
 	// flat-vs-hierarchical dispatch.
 	topo *costmodel.Topology
-	// inflight marks a pending asynchronous operation (IndexAsync and
-	// friends): a second Async call before the first Handle's Wait is
-	// rejected. A blocking call is rejected by the engine instead: of two
-	// overlapping operations the one that reaches it second fails.
+	// inflight marks the one operation the machine is running, blocking
+	// or asynchronous (see exclusive).
 	inflight atomic.Bool
 }
 
@@ -621,7 +619,7 @@ func (m *Machine) slices(op collective.Op, fin interface{ ToMatrix() [][][]byte 
 		if err != nil {
 			return nil, nil, err
 		}
-		rep, err := pl.ExecuteV(vin, vout)
+		rep, err := exclusive(m, func() (*Report, error) { return pl.ExecuteV(vin, vout) })
 		if err != nil {
 			return nil, nil, err
 		}
@@ -636,11 +634,25 @@ func (m *Machine) slices(op collective.Op, fin interface{ ToMatrix() [][][]byte 
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := pl.Execute(in, out)
+	rep, err := exclusive(m, func() (*Report, error) { return pl.Execute(in, out) })
 	if err != nil {
 		return nil, nil, err
 	}
 	return out.ToMatrix(), rep, nil
+}
+
+var errInFlight = fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
+
+// exclusive runs one operation as the machine's only one, decided at
+// submission: a call made while an asynchronous operation is pending
+// fails at once and the accepted one completes. (The engine's own
+// overlap check remains for Plans executed directly.)
+func exclusive[T any](m *Machine, run func() (T, error)) (res T, err error) {
+	if !m.inflight.CompareAndSwap(false, true) {
+		return res, errInFlight
+	}
+	defer m.inflight.Store(false)
+	return run()
 }
 
 // flat resolves the plan of a flat-buffer call and executes it once.
@@ -652,7 +664,7 @@ func (m *Machine) flat(op collective.Op, in, out *Buffers, opts []CollectiveOpti
 	if err != nil {
 		return nil, err
 	}
-	return pl.Execute(in, out)
+	return exclusive(m, func() (*Report, error) { return pl.Execute(in, out) })
 }
 
 // Index performs all-to-all personalized communication
@@ -735,10 +747,10 @@ func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Repor
 // (IndexAsync, ConcatAsync, AllReduceAsync). Exactly one operation may
 // be in flight per Machine; the operation owns its input and output
 // buffers until Wait (or a true Test) — touching them earlier races
-// with the running schedule, and of two operations overlapping on the
-// Machine the engine fails the one that reaches it second. Execution
-// errors — including the engine's deadlock-watchdog fencing, identical
-// to the blocking path's — surface on Wait.
+// with the running schedule, and any operation submitted to the Machine
+// before then, blocking or asynchronous, fails at once while this one
+// completes. Execution errors — including the engine's deadlock-watchdog
+// fencing, identical to the blocking path's — surface on Wait.
 type Handle struct {
 	done chan struct{}
 	rep  *Report
@@ -776,9 +788,9 @@ func (h *Handle) Report() *Report {
 }
 
 // async resolves the plan synchronously (the plan cache is confined to
-// the caller's goroutine), then executes it on a background goroutine
-// and returns immediately: resolution failures are synchronous,
-// execution failures surface on Wait.
+// the caller's goroutine), claims the machine (see exclusive) until the
+// operation completes and runs it on a background goroutine: resolution
+// and in-flight failures are synchronous, execution failures surface on Wait.
 func (m *Machine) async(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Handle, error) {
 	if in == nil || out == nil {
 		return nil, fmt.Errorf("bruck: nil flat buffer")
@@ -788,7 +800,7 @@ func (m *Machine) async(op collective.Op, in, out *Buffers, opts []CollectiveOpt
 		return nil, err
 	}
 	if !m.inflight.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
+		return nil, errInFlight
 	}
 	h := &Handle{done: make(chan struct{})}
 	go func() {
@@ -895,7 +907,7 @@ func (m *Machine) flatV(op collective.Op, in, out *RaggedBuffers, opts []Collect
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteV(in, out)
+	return exclusive(m, func() (*Report, error) { return pl.ExecuteV(in, out) })
 }
 
 // ConcatVFlat is the zero-copy ragged concatenation: in is a
@@ -960,7 +972,7 @@ func (m *Machine) CompileConcat(blockLen int, opts ...CollectiveOption) (*Plan, 
 // metrics); the k-port constraint is still enforced per processor.
 // Results are byte-identical to executing the plans sequentially.
 func (m *Machine) RunPlans(plans []*Plan) ([]*Report, error) {
-	return collective.ExecutePlans(m.engine, plans)
+	return exclusive(m, func() ([]*Report, error) { return collective.ExecutePlans(m.engine, plans) })
 }
 
 // ReduceScatterFlat is the zero-copy reduce-scatter: in is an
@@ -1071,7 +1083,7 @@ func (m *Machine) rooted(op collective.Op, root int, ranks *Buffers, at []byte, 
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteRooted(ranks, at)
+	return exclusive(m, func() (*Report, error) { return pl.ExecuteRooted(ranks, at) })
 }
 
 // vector is the one adapter behind the [][]byte primitives: the caller's
@@ -1094,7 +1106,7 @@ func (m *Machine) vector(op collective.Op, root int, in [][]byte, opts []Collect
 	if op == collective.OpGather {
 		ranks, at = fin, res.Bytes()
 	}
-	rep, err := pl.ExecuteRooted(ranks, at)
+	rep, err := exclusive(m, func() (*Report, error) { return pl.ExecuteRooted(ranks, at) })
 	if err != nil {
 		return nil, nil, err
 	}

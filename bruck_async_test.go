@@ -290,14 +290,14 @@ func TestAsyncSurvivesFencedRun(t *testing.T) {
 }
 
 // TestOverlappingRunsAreRejected: a blocking call made while an
-// asynchronous operation was in flight used to run on the same engine
-// concurrently — a data race on its pools, transport and counters that
-// -race reports at any timing. The engine now admits one run at a time:
-// whichever of the two reaches it second gets the pinned error, the
-// other completes correctly, and the machine stays usable.
+// asynchronous operation is in flight used to race it to the engine — the
+// later call could win and the accepted operation fail on Wait. The
+// machine now decides at submission: the blocking call fails at once with
+// the facade's text, the accepted operation completes with the right
+// bytes, and the machine is usable afterwards.
 func TestOverlappingRunsAreRejected(t *testing.T) {
 	const n, b = 16, 64 << 10
-	const want = "mpsim: a run is already in flight on this engine (runs must not overlap)"
+	const want = "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"
 	m := MustNewMachine(n)
 	in := NewBuffersOrDie(t, n, n, b)
 	fillIndexInput(in, 5)
@@ -330,19 +330,14 @@ func TestOverlappingRunsAreRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: IndexAsync: %v", blocking.name, err)
 		}
-		ok, syncErr := blocking.call()
-		_, asyncErr := h.Wait()
-		switch {
-		case syncErr != nil && asyncErr != nil:
-			t.Fatalf("%s: both overlapping runs failed: %v / %v", blocking.name, syncErr, asyncErr)
-		case syncErr != nil && syncErr.Error() != want:
-			t.Fatalf("%s: blocking call failed with %q, want %q", blocking.name, syncErr, want)
-		case asyncErr != nil && asyncErr.Error() != want:
-			t.Fatalf("%s: async operation failed with %q, want %q", blocking.name, asyncErr, want)
-		case syncErr == nil && !ok:
-			t.Errorf("%s: the admitted blocking call delivered wrong bytes", blocking.name)
-		case asyncErr == nil && !asyncOut.Equal(ref):
-			t.Errorf("%s: the admitted async operation delivered wrong bytes", blocking.name)
+		if _, syncErr := blocking.call(); syncErr == nil || syncErr.Error() != want {
+			t.Fatalf("%s: blocking call during an async operation: error %v, want %q", blocking.name, syncErr, want)
+		}
+		if _, asyncErr := h.Wait(); asyncErr != nil {
+			t.Fatalf("%s: the accepted async operation failed: %v", blocking.name, asyncErr)
+		}
+		if !asyncOut.Equal(ref) {
+			t.Errorf("%s: the accepted async operation delivered wrong bytes", blocking.name)
 		}
 		if ok, err := blocking.call(); err != nil || !ok {
 			t.Fatalf("%s: machine unusable after an overlap: ok=%v err=%v", blocking.name, ok, err)

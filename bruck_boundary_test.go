@@ -208,6 +208,10 @@ func TestFacadeErrorTexts(t *testing.T) {
 		{"IndexVFlat/nil", func() error { _, err := fresh.IndexVFlat(nil, nil); return err }, "bruck: nil ragged buffer"},
 		{"IndexAsync/in flight", func() error { _, err := busy.IndexAsync(in, out); return err },
 			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"IndexFlat/in flight", func() error { _, err := busy.IndexFlat(in, out); return err },
+			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"RunPlans/in flight", func() error { _, err := busy.RunPlans(nil); return err },
+			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
 	} {
 		if err := c.call(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)

@@ -1,65 +1,52 @@
 package main
 
 import (
-	"strings"
+	"slices"
 	"testing"
-
-	"bruck/internal/mpsim"
 )
 
 func TestRunBoundsAllOptimal(t *testing.T) {
-	var sb strings.Builder
-	if err := runBounds(textReporter(&sb), mpsim.BackendChan, 4); err != nil {
+	tables, err := runBounds(4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "concatenation: achieved vs lower bounds") {
-		t.Error("missing concatenation section")
-	}
-	if !strings.Contains(out, "index: achieved vs lower bounds") {
-		t.Error("missing index section")
-	}
 	// Every concat row at b=4 must be optimal in both measures.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "concat") && strings.Contains(line, "false") {
-			t.Errorf("non-optimal concat row: %s", line)
-		}
+	concat := find(t, tables, "concat-bounds")
+	if slices.Contains(column(t, concat, "c1_optimal"), "false") || slices.Contains(column(t, concat, "c2_optimal"), "false") {
+		t.Errorf("non-optimal concat row: %v", concat.Rows)
+	}
+	if len(concat.Rows) == 0 || len(find(t, tables, "index-bounds").Rows) == 0 {
+		t.Error("empty bounds table")
 	}
 }
 
 func TestRunOptimalitySpecialRange(t *testing.T) {
-	var sb strings.Builder
-	if err := runOptimality(textReporter(&sb), 4); err != nil {
+	tables, err := runOptimality(4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "special range sweep") {
-		t.Error("missing header")
-	}
-	// n=63, k=3, b=4 is a genuine failure point and must appear with
-	// "false" (no optimal single-round partition).
+	// n=63, k=3, b=4 is a genuine failure point: no optimal single-round
+	// partition.
 	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "63") && strings.Contains(line, "false") {
+	for _, row := range find(t, tables, "special-range").Rows {
+		if row[0] == "63" && row[1] == "3" && row[2] == "false" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("n=63 failure point missing from sweep:\n%s", out)
+		t.Error("n=63 failure point missing from sweep")
 	}
 }
 
 func TestRunBaselines(t *testing.T) {
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		var sb strings.Builder
-		if err := runBaselines(textReporter(&sb), backend, 4); err != nil {
-			t.Fatal(err)
-		}
-		out := sb.String()
-		for _, want := range []string{"circulant", "folklore", "ring", "recursive-doubling", "transport = " + string(backend)} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s output lacks %q", backend, want)
-			}
+	tables, err := runBaselines(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := column(t, find(t, tables, "concat-baselines"), "algorithm")
+	for _, want := range []string{"circulant", "folklore", "ring", "recursive-doubling"} {
+		if !slices.Contains(algs, want) {
+			t.Errorf("baselines lack %q", want)
 		}
 	}
 }

@@ -1,8 +1,10 @@
-// The figures subcommand renders the structural figures and tables of
-// the paper as text (the old cmd/figures): the processor-memory
-// configurations of Figures 1, 2 and 3 (index operation), the spanning
-// trees of Figures 7 and 8 (concatenation), the concatenation trace of
-// Figure 9, and the table-partitioning example of Table 1.
+// The figures subcommand draws the structural figures and tables of
+// the paper as tables (the old cmd/figures): the processor-memory
+// configurations of Figures 1, 2 and 3 (index operation; one table per
+// snapshot, columns are processors, rows memory slots), the spanning
+// trees of Figures 7 and 8 (concatenation; one edge per row), the
+// concatenation trace of Figure 9, and the table-partitioning example
+// of Table 1 (the grid and its areas).
 //
 //	bruckctl figures -fig 1|2|3|7|8|9 [-n N] [-radix R]
 //	bruckctl figures -fig 9 -transport slot   # verify the trace on the slot backend
@@ -12,7 +14,7 @@
 // The -transport flag matches the other subcommands: figures 2, 3 and
 // 9 depict algorithm executions, and their label traces are
 // cross-checked against a byte-level run of the real schedule on the
-// selected simulator backend before rendering.
+// selected simulator backend (the figure's verified_transport row).
 package main
 
 import (
@@ -64,108 +66,90 @@ func runFiguresStudy(w io.Writer, p figuresParams) error {
 	if err != nil {
 		return err
 	}
-	rp := newReporter(w, p.reportJSON)
-	figKV := func(fig int) {
-		kv := cli.KV(fmt.Sprintf("figure-%d", fig))
-		kv.Add("n", p.n)
-		if fig == 3 {
-			kv.Add("radix", p.r)
-		}
-		if fig == 2 || fig == 3 || fig == 9 {
-			kv.Add("verified_transport", backend)
-		}
-		rp.add(kv)
-	}
+	rp := reporter{w, false, p.reportJSON}
 	switch {
 	case p.all:
+		var all []*cli.Table
 		for _, f := range []int{1, 2, 3, 7, 8, 9} {
-			if err := renderFig(rp.text(), f, p.n, p.r, backend); err != nil {
+			tables, err := figTables(f, p.n, p.r, backend)
+			if err != nil {
 				return err
 			}
-			figKV(f)
+			all = append(all, tables...)
 		}
-		if err := renderTable1(rp.text()); err != nil {
-			return err
-		}
-		rp.add(cli.KV("table-1"))
+		tables, err := table1Tables()
+		return rp.flush(append(all, tables...), err)
 	case p.table == 1:
-		if err := renderTable1(rp.text()); err != nil {
-			return err
-		}
-		rp.add(cli.KV("table-1"))
+		return rp.flush(table1Tables())
 	case p.table != 0:
 		return fmt.Errorf("unknown table %d (have 1)", p.table)
 	case p.fig == 0:
 		return fmt.Errorf("pick one of -fig 1|2|3|7|8|9, -table 1 or -all")
-	default:
-		if err := renderFig(rp.text(), p.fig, p.n, p.r, backend); err != nil {
-			return err
-		}
-		figKV(p.fig)
 	}
-	return rp.flush()
+	return rp.flush(figTables(p.fig, p.n, p.r, backend))
 }
 
-func renderFig(w io.Writer, fig, n, r int, backend mpsim.Backend) error {
+// figTables draws one figure: a key/value table of its parameters, then
+// its snapshots or edges.
+func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
+	name := fmt.Sprintf("figure-%d", fig)
+	kv := cli.KV(name)
+	kv.Add("n", n)
+	tables := []*cli.Table{kv}
+	// snapshots appends one table per step of a trace, after verifying the
+	// schedule it depicts on the real simulator.
+	snapshots := func(steps []trace.Step, s collective.Spec) ([]*cli.Table, error) {
+		if err := verifyOnBackend(n, backend, s); err != nil {
+			return nil, err
+		}
+		kv.Add("verified_transport", backend)
+		for _, st := range steps {
+			tables = append(tables, st.Config.Table(name+" "+st.Caption))
+		}
+		return tables, nil
+	}
 	switch fig {
 	case 1:
-		fmt.Fprintf(w, "=== Figure 1: memory-processor configurations before and after an index operation on %d processors ===\n\n", n)
-		fmt.Fprintf(w, "before:\n%s\nafter:\n%s\n", trace.InitialIndex(n), trace.FinalIndex(n))
-	case 2:
-		fmt.Fprintf(w, "=== Figure 2: the three phases of the index operation on %d processors (r = n) ===\n\n", n)
-		tr, err := trace.TraceIndex(n, n)
-		if err != nil {
-			return err
+		return append(tables, trace.InitialIndex(n).Table(name+" before"), trace.FinalIndex(n).Table(name+" after")), nil
+	case 2, 3:
+		if fig == 2 {
+			r = n // the three phases at r = n
+		} else {
+			kv.Add("radix", r)
 		}
-		fmt.Fprint(w, tr)
-		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: n}}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
-	case 3:
-		fmt.Fprintf(w, "=== Figure 3: the index algorithm with r = %d on %d processors (optimal C1) ===\n\n", r, n)
 		tr, err := trace.TraceIndex(n, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprint(w, tr)
-		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
+		return snapshots(tr.Steps, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}})
 	case 7, 8:
-		root := fig - 7 // figure 7 is T0, figure 8 is T1
-		fmt.Fprintf(w, "=== Figure %d: constructing the spanning tree rooted at node %d for n = 9 and k = 2 ===\n\n", fig, root)
-		t0, err := circulant.BuildFullTree(9, 2, 0, circulant.Positive)
+		// Figure 7 is T0, figure 8 is T1: T0 with 1 added to every node
+		// label, mod 9.
+		const treeN, treeK = 9, 2
+		root := fig - 7
+		t0, err := circulant.BuildFullTree(treeN, treeK, 0, circulant.Positive)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		kv.Add("tree_n", treeN)
+		kv.Add("tree_k", treeK)
+		kv.Add("root", root)
+		edges := &cli.Table{Name: name + "-edges", Columns: []string{"round", "parent", "child", "offset"}}
 		t := t0.Translate(root)
 		for round := 0; round < t.Rounds(); round++ {
-			fmt.Fprintf(w, "round %d edges:\n", round)
 			for _, e := range t.RoundEdges(round) {
-				fmt.Fprintf(w, "  %d -> %d  (offset %d)\n", e.Parent, e.Child, intmath.Mod(e.Child-e.Parent, 9))
+				edges.AddRow(fmt.Sprint(round), fmt.Sprint(e.Parent), fmt.Sprint(e.Child), fmt.Sprint(intmath.Mod(e.Child-e.Parent, treeN)))
 			}
 		}
-		if root > 0 {
-			fmt.Fprintf(w, "\n(T%d is T0 with %d added to every node label, mod 9.)\n", root, root)
-		}
-		fmt.Fprintln(w)
+		return append(tables, edges), nil
 	case 9:
-		fmt.Fprintf(w, "=== Figure 9: the one-port concatenation algorithm with %d processors ===\n\n", n)
 		tr, err := trace.TraceConcat(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprint(w, tr)
-		if err := verifyOnBackend(n, backend, collective.Spec{Op: collective.OpConcat, BlockLen: 1}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(schedule verified byte-level on the %s transport)\n\n", backend)
-	default:
-		return fmt.Errorf("unknown figure %d (have 1, 2, 3, 7, 8, 9)", fig)
+		return snapshots(tr.Steps, collective.Spec{Op: collective.OpConcat, BlockLen: 1})
 	}
-	return nil
+	return nil, fmt.Errorf("unknown figure %d (have 1, 2, 3, 7, 8, 9)", fig)
 }
 
 // verifyOnBackend runs the schedule the figure depicts on the real
@@ -182,48 +166,39 @@ func verifyOnBackend(n int, backend mpsim.Backend, s collective.Spec) error {
 	return nil
 }
 
-func renderTable1(w io.Writer) error {
-	fmt.Fprintln(w, "=== Table 1: table partitioning for n1 = 3, n2 = 7, b = 3 bytes, k = 3 ports ===")
-	fmt.Fprintln(w)
+// table1Tables draws Table 1, the table partitioning for n1 = 3, n2 = 7,
+// b = 3 bytes, k = 3 ports: the grid (rows are bytes, columns the n2 yet
+// unspanned nodes, cells the area number) and the areas.
+func table1Tables() ([]*cli.Table, error) {
 	const b, n2, n1, k = 3, 7, 3, 3
 	plan, err := partition.Solve(b, n2, n1, k, partition.PreferOptimal)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Render the table grid: rows are bytes, columns are the n2 yet
-	// unspanned nodes; cells show the area number.
-	cell := make([][]int, b)
-	for row := range cell {
-		cell[row] = make([]int, n2)
+	kv := cli.KV("table-1")
+	kv.Add("n1", n1)
+	kv.Add("n2", n2)
+	kv.Add("b", b)
+	kv.Add("k", k)
+	grid := &cli.Table{Name: "table-1-grid", Columns: []string{"byte"}, Rows: make([][]string, b)}
+	for c := 0; c < n2; c++ {
+		grid.Columns = append(grid.Columns, fmt.Sprintf("p%d", n1+c))
 	}
-	for _, areas := range plan.Rounds {
-		for ai, area := range areas {
+	for row := range grid.Rows {
+		grid.Rows[row] = make([]string, 1+n2)
+		grid.Rows[row][0] = fmt.Sprint(row)
+	}
+	areas := &cli.Table{Name: "table-1-areas", Columns: []string{"area", "entries", "left", "right", "span", "offset"}}
+	for _, round := range plan.Rounds {
+		for ai, area := range round {
+			label := fmt.Sprintf("A%d", ai+1)
 			for _, run := range area.Runs {
 				for row := run.Row0; row < run.Row0+run.NRows; row++ {
-					cell[row][run.Col] = ai + 1
+					grid.Rows[row][1+run.Col] = label
 				}
 			}
+			areas.AddRow(label, fmt.Sprint(area.Size), fmt.Sprint(area.Left), fmt.Sprint(area.Right()), fmt.Sprint(area.Span()), fmt.Sprint(n1+area.Left))
 		}
 	}
-	fmt.Fprintf(w, "        ")
-	for c := 0; c < n2; c++ {
-		fmt.Fprintf(w, " p%-3d", n1+c)
-	}
-	fmt.Fprintln(w)
-	for row := 0; row < b; row++ {
-		fmt.Fprintf(w, "byte %d: ", row)
-		for c := 0; c < n2; c++ {
-			fmt.Fprintf(w, " A%-3d", cell[row][c])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w)
-	for _, areas := range plan.Rounds {
-		for ai, area := range areas {
-			fmt.Fprintf(w, "area A%d: %d entries, columns %d-%d (span %d), offset %d\n",
-				ai+1, area.Size, area.Left, area.Right(), area.Span(), n1+area.Left)
-		}
-	}
-	fmt.Fprintln(w)
-	return nil
+	return []*cli.Table{kv, grid, areas}, nil
 }

@@ -1,75 +1,91 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"bruck/internal/cli"
 	"bruck/internal/mpsim"
 )
 
-func render(t *testing.T, fig, n, r int) string {
+func render(t *testing.T, fig int, backend mpsim.Backend) []*cli.Table {
 	t.Helper()
-	return renderOn(t, fig, n, r, mpsim.BackendChan)
-}
-
-func renderOn(t *testing.T, fig, n, r int, backend mpsim.Backend) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := renderFig(&sb, fig, n, r, backend); err != nil {
-		t.Fatalf("renderFig(%d, %d, %d, %s): %v", fig, n, r, backend, err)
+	tables, err := figTables(fig, 5, 2, backend)
+	if err != nil {
+		t.Fatalf("figTables(%d, 5, 2, %s): %v", fig, backend, err)
 	}
-	return sb.String()
+	return tables
 }
 
 func TestRenderFig1(t *testing.T) {
-	out := render(t, 1, 5, 2)
-	for _, want := range []string{"Figure 1", "before:", "after:", "p4", "44"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure 1 output lacks %q", want)
-		}
+	tables := render(t, 1, mpsim.BackendChan)
+	before, after := find(t, tables, "figure-1 before"), find(t, tables, "figure-1 after")
+	if got := strings.Join(column(t, before, "p4"), " "); got != "40 41 42 43 44" {
+		t.Errorf("before: p4 holds %q", got)
+	}
+	if got := strings.Join(column(t, after, "p4"), " "); got != "04 14 24 34 44" {
+		t.Errorf("after: p4 holds %q", got)
 	}
 }
 
 func TestRenderFig2And3(t *testing.T) {
-	out2 := render(t, 2, 5, 2)
-	if !strings.Contains(out2, "after Phase 3") {
-		t.Error("figure 2 output lacks Phase 3 snapshot")
+	// The figure itself used to be missing from the JSON report.
+	fig2 := render(t, 2, mpsim.BackendChan)
+	if got := strings.Join(column(t, find(t, fig2, "figure-2 after Phase 3 (local rearrangement)"), "p1"), " "); got != "01 11 21 31 41" {
+		t.Errorf("figure 2 ends with p1 holding %q", got)
 	}
-	out3 := render(t, 3, 5, 2)
-	for _, want := range []string{"r = 2", "rotate 1 right", "rotate 2 right", "rotate 4 right"} {
-		if !strings.Contains(out3, want) {
-			t.Errorf("figure 3 output lacks %q", want)
-		}
+	fig3 := render(t, 3, mpsim.BackendChan)
+	if got := value(t, fig3, "figure-3", "radix"); got != "2" {
+		t.Errorf("figure 3 radix = %q", got)
+	}
+	for _, step := range []string{"0, step 1 (rotate 1 right)", "1, step 1 (rotate 2 right)", "2, step 1 (rotate 4 right)"} {
+		find(t, fig3, "figure-3 after subphase "+step)
 	}
 }
 
 func TestRenderFig7And8(t *testing.T) {
-	out7 := render(t, 7, 5, 2)
-	for _, want := range []string{"rooted at node 0", "0 -> 1", "0 -> 2", "1 -> 4", "2 -> 8", "offset 6"} {
-		if !strings.Contains(out7, want) {
-			t.Errorf("figure 7 output lacks %q", want)
+	edges := func(tables []*cli.Table, name string) []string {
+		var out []string
+		for _, row := range find(t, tables, name).Rows {
+			out = append(out, row[1]+" -> "+row[2]+" offset "+row[3])
+		}
+		return out
+	}
+	fig7 := render(t, 7, mpsim.BackendChan)
+	if got := value(t, fig7, "figure-7", "root"); got != "0" {
+		t.Errorf("figure 7 root = %q", got)
+	}
+	for _, want := range []string{"0 -> 1 offset 1", "0 -> 2 offset 2", "1 -> 4 offset 3", "2 -> 8 offset 6"} {
+		if !slices.Contains(edges(fig7, "figure-7-edges"), want) {
+			t.Errorf("figure 7 lacks edge %q", want)
 		}
 	}
-	out8 := render(t, 8, 5, 2)
-	for _, want := range []string{"rooted at node 1", "1 -> 2", "3 -> 0", "added to every node label"} {
-		if !strings.Contains(out8, want) {
-			t.Errorf("figure 8 output lacks %q", want)
+	fig8 := render(t, 8, mpsim.BackendChan)
+	if got := value(t, fig8, "figure-8", "root"); got != "1" {
+		t.Errorf("figure 8 root = %q", got)
+	}
+	for _, want := range []string{"1 -> 2 offset 1", "3 -> 0 offset 6"} {
+		if !slices.Contains(edges(fig8, "figure-8-edges"), want) {
+			t.Errorf("figure 8 lacks edge %q", want)
 		}
 	}
 }
 
 func TestRenderFig9(t *testing.T) {
-	out := render(t, 9, 5, 2)
-	for _, want := range []string{"Figure 9", "after round 0", "after last round", "rank order"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure 9 output lacks %q", want)
-		}
+	tables := render(t, 9, mpsim.BackendChan)
+	for _, want := range []string{
+		"figure-9 after round 0 (receive 1 blocks from rank+1)", "figure-9 after last round (receive 1 blocks from rank+4)",
+	} {
+		find(t, tables, want)
+	}
+	if got := strings.Join(column(t, find(t, tables, "figure-9 after final local shift (rank order)"), "p3"), " "); got != "00 10 20 30 40" {
+		t.Errorf("figure 9 ends with p3 holding %q", got)
 	}
 }
 
 func TestRenderUnknownFigure(t *testing.T) {
-	var sb strings.Builder
-	if err := renderFig(&sb, 42, 5, 2, mpsim.BackendChan); err == nil {
+	if _, err := figTables(42, 5, 2, mpsim.BackendChan); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
@@ -80,41 +96,41 @@ func TestRenderUnknownFigure(t *testing.T) {
 func TestTransportFlagParity(t *testing.T) {
 	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
 		for _, fig := range []int{2, 3, 9} {
-			out := renderOn(t, fig, 5, 2, backend)
-			want := "verified byte-level on the " + string(backend) + " transport"
-			if !strings.Contains(out, want) {
-				t.Errorf("figure %d on %s lacks %q", fig, backend, want)
+			tables := render(t, fig, backend)
+			if got := value(t, tables, tables[0].Name, "verified_transport"); got != string(backend) {
+				t.Errorf("figure %d on %s: verified_transport = %q", fig, backend, got)
 			}
 		}
 		// Structural figures accept the flag without claiming verification.
-		if out := renderOn(t, 7, 5, 2, backend); strings.Contains(out, "verified byte-level") {
-			t.Errorf("figure 7 claims byte-level verification but renders pure structure")
+		for _, row := range render(t, 7, backend)[0].Rows {
+			if row[0] == "verified_transport" {
+				t.Errorf("figure 7 claims byte-level verification but draws pure structure")
+			}
 		}
 	}
 	if _, err := mpsim.ParseBackend("bogus"); err == nil {
 		t.Error("ParseBackend accepted an unknown transport")
 	}
 	// An unknown backend smuggled past the flag parser still fails.
-	var sb strings.Builder
-	if err := renderFig(&sb, 9, 5, 2, mpsim.Backend("bogus")); err == nil {
-		t.Error("renderFig verified on an unknown transport")
+	if _, err := figTables(9, 5, 2, mpsim.Backend("bogus")); err == nil {
+		t.Error("figTables verified on an unknown transport")
 	}
 }
 
 func TestRenderTable1(t *testing.T) {
-	var sb strings.Builder
-	if err := renderTable1(&sb); err != nil {
+	tables, err := table1Tables()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"Table 1", "p3", "p9",
-		"area A1: 7 entries, columns 0-2 (span 3), offset 3",
-		"area A2: 7 entries, columns 2-4 (span 3), offset 5",
-		"area A3: 7 entries, columns 4-6 (span 3), offset 7",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 1 output lacks %q:\n%s", want, out)
-		}
+	if got := strings.Join(find(t, tables, "table-1-grid").Columns, " "); got != "byte p3 p4 p5 p6 p7 p8 p9" {
+		t.Errorf("grid columns = %q", got)
+	}
+	// area, entries, left-right columns, span, offset.
+	var areas []string
+	for _, row := range find(t, tables, "table-1-areas").Rows {
+		areas = append(areas, strings.Join(row, " "))
+	}
+	if want := []string{"A1 7 0 2 3 3", "A2 7 2 4 3 5", "A3 7 4 6 3 7"}; !slices.Equal(areas, want) {
+		t.Errorf("areas = %q, want %q", areas, want)
 	}
 }

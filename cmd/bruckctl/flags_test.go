@@ -16,8 +16,8 @@ func TestCanonicalFlagVocabulary(t *testing.T) {
 		"run": {"alg", "b", "chaos-inner", "chaos-seed", "crossover-segments", "crossover-topology",
 			"k", "kernel", "n", "op", "r", "radix", "ragged", "report-json",
 			"segments", "stragglers", "topology", "transport"},
-		"index":   {"csv", "fig", "k", "n", "report-json", "transport", "tune"},
-		"concat":  {"b", "baselines", "bounds", "optimality", "report-json", "transport"},
+		"index":   {"csv", "fig", "k", "n", "report-json", "tune"},
+		"concat":  {"b", "baselines", "bounds", "optimality", "report-json"},
 		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
 		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "perturb", "report-json",
 			"stragglers", "transport"},

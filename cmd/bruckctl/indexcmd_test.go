@@ -9,89 +9,71 @@ import (
 	"bruck/internal/sweep"
 )
 
-// textReporter wraps a builder as a text-mode reporter, so the study
-// functions' historic text output can be pinned directly.
-func textReporter(sb *strings.Builder) *reporter {
-	return newReporter(sb, false)
-}
-
 func TestRunFig4(t *testing.T) {
-	h := sweep.NewHarness(costmodel.SP1)
-	var sb strings.Builder
-	if err := runFig4(textReporter(&sb), h, 16, false); err != nil {
+	tables, err := runFig4(sweep.NewHarness(costmodel.SP1), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"Figure 4", "r=2", "r=16", "best radix per size"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q", want)
-		}
+	if got := strings.Join(find(t, tables, "fig4").Columns, ","); got != "bytes,r=2,r=4,r=8,r=16" {
+		t.Errorf("fig4 columns = %q", got)
+	}
+	if got := value(t, tables, "fig4-summary", "best_radix_per_size"); !strings.HasPrefix(got, "[2 ") || !strings.HasSuffix(got, " 16]") {
+		t.Errorf("best radix per size = %q, want 2 at the small end and 16 at the large", got)
 	}
 }
 
+// TestRunFig4CSV: -csv is CSV — a table-name line, a header and records,
+// and nothing else.
 func TestRunFig4CSV(t *testing.T) {
-	h := sweep.NewHarness(costmodel.SP1)
 	var sb strings.Builder
-	if err := runFig4(textReporter(&sb), h, 8, true); err != nil {
+	if err := runIndexStudy(&sb, indexParams{fig: 4, n: 8, csv: true}); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	var header string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "bytes,") {
-			header = l
-		}
-	}
-	if header != "bytes,r=2,r=4,r=8" {
-		t.Errorf("CSV header = %q", header)
+	lines := strings.Split(sb.String(), "\n")
+	if lines[0] != "fig4:" || lines[1] != "bytes,r=2,r=4,r=8" || !strings.HasPrefix(lines[2], "2,") {
+		t.Errorf("CSV starts %q", lines[:3])
 	}
 }
 
 func TestRunFig5ReportsCrossoverInPaperRange(t *testing.T) {
-	h := sweep.NewHarness(costmodel.SP1)
-	var sb strings.Builder
-	if err := runFig5(textReporter(&sb), h, 64, false); err != nil {
+	tables, err := runFig5(sweep.NewHarness(costmodel.SP1), 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	idx := strings.Index(out, "break-even point of r=2 vs r=n: ")
-	if idx < 0 {
-		t.Fatalf("no crossover line:\n%s", out)
-	}
-	rest := out[idx+len("break-even point of r=2 vs r=n: "):]
-	numEnd := strings.IndexByte(rest, ' ')
-	cross, err := strconv.Atoi(rest[:numEnd])
+	cross, err := strconv.Atoi(value(t, tables, "fig5-summary", "crossover_bytes"))
 	if err != nil {
-		t.Fatalf("bad crossover %q: %v", rest[:numEnd], err)
+		t.Fatal(err)
 	}
 	if cross < 100 || cross > 200 {
 		t.Errorf("crossover %d outside the paper's 100-200 byte window", cross)
 	}
+	// One row set for every format: each of the 1024 sizes.
+	if got := len(find(t, tables, "fig5").Rows); got != 1024 {
+		t.Errorf("fig5 has %d rows, want 1024", got)
+	}
 }
 
 func TestRunFig6(t *testing.T) {
-	h := sweep.NewHarness(costmodel.SP1)
-	var sb strings.Builder
-	if err := runFig6(textReporter(&sb), h, 16, false); err != nil {
+	tables, err := runFig6(sweep.NewHarness(costmodel.SP1), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"Figure 6", "radix", "32 bytes", "128 bytes"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q", want)
-		}
+	fig6 := find(t, tables, "fig6")
+	if got := strings.Join(fig6.Columns, ","); got != "radix,32 bytes,64 bytes,128 bytes" || len(fig6.Rows) != 15 {
+		t.Errorf("fig6 columns %q, %d rows", got, len(fig6.Rows))
 	}
 }
 
 func TestRunTune(t *testing.T) {
-	var sb strings.Builder
-	if err := runTune(textReporter(&sb), 16, 1); err != nil {
+	tables, err := runTune(16, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"optimal radix", "mixed vector", "8192"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q", want)
-		}
+	tune := find(t, tables, "tune")
+	if sizes := column(t, tune, "bytes"); len(sizes) != 14 || sizes[13] != "8192" {
+		t.Errorf("tune sizes = %v", sizes)
+	}
+	if mixed := column(t, tune, "mixed_vector"); mixed[0] != "[2 2 2 2]" {
+		t.Errorf("mixed vector at 1 byte = %q, want the round-minimal [2 2 2 2]", mixed[0])
 	}
 }

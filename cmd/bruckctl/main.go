@@ -9,8 +9,9 @@
 //	bruckctl trace   record|verify [-perturb]             # golden schedule corpus
 //	bruckctl vet     [-perturb]                           # static plan/artifact verification
 //
-// Every subcommand accepts -report-json for a machine-readable report
-// built from the same values as the text output.
+// A study returns tables and report.go prints them: as text by default,
+// as CSV under index -csv, as one JSON document under -report-json,
+// which every subcommand accepts.
 package main
 
 import (

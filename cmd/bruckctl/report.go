@@ -6,43 +6,28 @@ import (
 	"bruck/internal/cli"
 )
 
-// reporter routes one subcommand invocation's output: the historic
-// free-form text goes to text() (silenced under -report-json), and the
-// same values accumulate as cli tables that flush as one JSON document
-// when -report-json is set. Both forms are fed from the same computed
-// values, so they cannot drift.
+// reporter is the one output path of every subcommand. A study computes
+// tables — key/value tables for single results — and nothing else;
+// flush prints that list through cli.RenderTables in the format the
+// flags select (text by default, -csv on index, -report-json
+// everywhere), so the three forms carry the same cells by construction.
 type reporter struct {
-	w      io.Writer
-	json   bool
-	tables []*cli.Table
+	w               io.Writer
+	csv, reportJSON bool
 }
 
-func newReporter(w io.Writer, json bool) *reporter {
-	return &reporter{w: w, json: json}
-}
-
-// text returns the writer for the historic text output: the real
-// writer normally, a discard sink under -report-json.
-func (r *reporter) text() io.Writer {
-	if r.json {
-		return io.Discard
+// flush renders the tables a study returned, then returns the study's
+// error: a verdict (vet, trace verify) arrives with the table holding
+// its FAIL rows, which print before the command exits non-zero.
+func (r reporter) flush(tables []*cli.Table, err error) error {
+	format, ferr := cli.PickFormat(r.csv, r.reportJSON)
+	if ferr != nil {
+		return ferr
 	}
-	return r.w
-}
-
-// add queues a table for the JSON report. Cheap no-op collection in
-// text mode is deliberate: paths build their tables unconditionally so
-// both forms come from identical values.
-func (r *reporter) add(t *cli.Table) {
-	r.tables = append(r.tables, t)
-}
-
-// flush emits the queued tables as one JSON document under
-// -report-json; in text mode it does nothing (the text already went to
-// the writer).
-func (r *reporter) flush() error {
-	if !r.json || len(r.tables) == 0 {
-		return nil
+	if len(tables) > 0 {
+		if rerr := cli.RenderTables(r.w, format, tables...); rerr != nil {
+			return rerr
+		}
 	}
-	return cli.RenderTables(r.w, cli.FormatJSON, r.tables...)
+	return err
 }

@@ -104,11 +104,7 @@ func newRunCmd() *command {
 }
 
 func runOp(w io.Writer, p params) error {
-	rp := newReporter(w, p.reportJSON)
-	if err := runOpInto(rp, p); err != nil {
-		return err
-	}
-	return rp.flush()
+	return reporter{w, false, p.reportJSON}.flush(runTables(p))
 }
 
 // runMode is one study of the run subcommand: the flag that selects it
@@ -116,13 +112,13 @@ func runOp(w io.Writer, p params) error {
 // its error messages, and the optional flags it reads.
 type runMode struct {
 	flag, what, ops, reads string
-	run                    func(rp *reporter, p params) error
+	run                    func(p params) ([]*cli.Table, error)
 }
 
 // runModes is in precedence order; the last row applies when no other
 // does.
 var runModes = []runMode{
-	{"crossover-segments", "the segment crossover study", "index", "n b radix segments transport", runSegmentCrossover},
+	{"crossover-segments", "the segment crossover study", "index", "n b radix segments", runSegmentCrossover},
 	{"crossover-topology", "the topology crossover study", "index concat", "", runTopoCrossover},
 	{"topology", "the hierarchical schedule", "index concat allreduce", "b kernel transport", runTopology},
 	{"ragged", "the ragged study", "index concat", "n b transport", runRagged},
@@ -155,12 +151,12 @@ func (p *params) optional() []flagState {
 	}
 }
 
-// runOpInto selects the mode and runs it, after rejecting an operation
+// runTables selects the mode and runs it, after rejecting an operation
 // the mode does not support and any flag it would silently ignore.
-func runOpInto(rp *reporter, p params) error {
+func runTables(p params) ([]*cli.Table, error) {
 	named, err := collective.ParseSpec(p.op, "")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	flags := p.optional()
 	m, where := &runModes[len(runModes)-1], "-op "+p.op
@@ -170,14 +166,14 @@ func runOpInto(rp *reporter, p params) error {
 		}
 	}
 	if m.ops != "" && !slices.Contains(strings.Fields(m.ops), named.Op.String()) {
-		return fmt.Errorf("%s does not apply to -op %s: %s supports -op %s", where, p.op, m.what, strings.ReplaceAll(m.ops, " ", "|"))
+		return nil, fmt.Errorf("%s does not apply to -op %s: %s supports -op %s", where, p.op, m.what, strings.ReplaceAll(m.ops, " ", "|"))
 	}
 	for _, f := range flags {
 		if f.set && f.name != m.flag && !slices.Contains(strings.Fields(m.reads), f.name) {
-			return fmt.Errorf("-%s does not apply to %s", f.name, where)
+			return nil, fmt.Errorf("-%s does not apply to %s", f.name, where)
 		}
 	}
-	return m.run(rp, p)
+	return m.run(p)
 }
 
 // engine builds the recording n-processor engine the transport flags
@@ -273,50 +269,34 @@ func exercise(e *mpsim.Engine, s collective.Spec, fill func(blk []byte, rank, bl
 
 // runPlain runs the operation once and reports its measures against the
 // plan's lower bounds.
-func runPlain(rp *reporter, p params) error {
-	w := rp.text()
+func runPlain(p params) ([]*cli.Table, error) {
 	e, err := p.engine(p.n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spec, fill, err := p.spec(p.n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	reduction := spec.Reduce.Kernel != nil
-	kv, head := cli.KV("run"), ""
+	kv := cli.KV("run")
 	if reduction {
-		kv, head = cli.KV("reduce"), " kernel="+p.kernel
+		kv = cli.KV("reduce")
 	}
 	kv.Add("op", p.op)
 	kv.Add("n", p.n)
 	kv.Add("k", p.k)
 	kv.Add("b", p.b)
 	if p.radix == "auto" {
-		fmt.Fprintf(w, "tuned radix: %d\n", spec.Index.Radix)
 		kv.Add("tuned_radix", spec.Index.Radix)
 	}
 	pl, res, err := exercise(e, spec, fill)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if spec.Auto != nil {
-		fmt.Fprintf(w, "auto dispatch picked: %s\n", pl.Algorithm())
-	}
-	fmt.Fprintf(w, "%s: n=%d k=%d b=%d alg=%s%s transport=%s\n", p.op, p.n, p.k, p.b, pl.Algorithm(), head, e.Transport())
-	if p.segments != "" && !reduction {
-		fmt.Fprintf(w, "  segments requested: %s\n", p.segments)
+	if p.segments != "" {
 		kv.Add("segments", p.segments)
 	}
-	fmt.Fprintf(w, "  C1 = %d rounds   (lower bound %d)\n", res.C1, res.C1LowerBound)
-	fmt.Fprintf(w, "  C2 = %d bytes    (lower bound %d)\n", res.C2, res.C2LowerBound)
-	if !reduction {
-		fmt.Fprintf(w, "  verified against the direct reference\n")
-	}
-	fmt.Fprintf(w, "  total traffic = %d bytes in %d messages\n", res.TotalBytes, res.Messages)
-	linear, extended := costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)), costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2))
-	fmt.Fprintf(w, "  model time (SP-1 linear):    %v\n", linear)
-	fmt.Fprintf(w, "  model time (SP-1 extended):  %v\n", extended)
 	kv.Add("alg", pl.Algorithm())
 	if spec.Auto != nil {
 		kv.Add("auto_pick", pl.Algorithm())
@@ -332,19 +312,16 @@ func runPlain(rp *reporter, p params) error {
 	kv.Add("total_bytes", res.TotalBytes)
 	kv.Add("messages", res.Messages)
 	if reduction {
-		fmt.Fprintln(w, "  result byte-identical to the serial reference reduce: ok")
 		kv.Add("verified_serial_reference", true)
 	} else {
 		kv.Add("verified_direct_reference", true)
-		kv.Add("model_sp1_linear", linear)
-		kv.Add("model_sp1_extended", extended)
-		if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
-			fmt.Fprintf(w, "  critical path (SP-1 linear): %v\n", costmodel.Duration(cp))
-			kv.Add("critical_path_sp1", costmodel.Duration(cp))
-		}
 	}
-	rp.add(kv)
-	return nil
+	kv.Add("model_sp1_linear", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
+	kv.Add("model_sp1_extended", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
+	if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
+		kv.Add("critical_path_sp1", costmodel.Duration(cp))
+	}
+	return []*cli.Table{kv}, nil
 }
 
 // zipfCounts returns the Zipf-ish skewed block-size table of the
@@ -379,25 +356,31 @@ func zipfVector(n, b int, skew float64) []int {
 // layout — block sizes fall off as b / rank^s, the smallest rounding to
 // zero-length blocks — and the schedules' C1, C2, non-uniform lower
 // bound and model times are tabulated.
-func runRagged(rp *reporter, p params) error {
-	w := rp.text()
+func runRagged(p params) ([]*cli.Table, error) {
 	e, err := p.engine(p.n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	g := mpsim.WorldGroup(p.n)
 	spec, err := collective.ParseSpec(p.op, "")
 	if err != nil {
-		return err
+		return nil, err
 	}
+	kv := cli.KV("ragged-study")
+	kv.Add("op", p.op)
+	kv.Add("n", p.n)
+	kv.Add("k", p.k)
+	kv.Add("b", p.b)
+	kv.Add("skew", fmt.Sprintf("%.2f", p.ragged))
+	kv.Add("transport", e.Transport())
 	// The candidate schedules; the cost-model dispatch goes last.
 	names := []string{"bruck r=k+1", fmt.Sprintf("bruck r=%d", p.n), "direct", "auto (SP-1)"}
 	specs := make([]collective.Spec, 4)
-	zeros, reference := -1, "direct reference exchange"
+	zeros := -1
 	if spec.Op == collective.OpIndex {
 		counts := zipfCounts(p.n, p.b, p.ragged)
 		if spec.Layout, err = blocks.Ragged(counts); err != nil {
-			return err
+			return nil, err
 		}
 		spec.Op = collective.OpIndexV
 		specs[0], specs[1], specs[2], specs[3] = spec, spec, spec, spec
@@ -413,57 +396,40 @@ func runRagged(rp *reporter, p params) error {
 		}
 	} else {
 		if spec.Layout, err = blocks.RaggedVector(zipfVector(p.n, p.b, p.ragged)); err != nil {
-			return err
+			return nil, err
 		}
-		spec.Op, reference = collective.OpConcatV, "reference concatenation"
+		spec.Op = collective.OpConcatV
 		names, specs = []string{"circulant", "ring", "auto (SP-1)"}, specs[:3]
 		specs[0], specs[1], specs[2] = spec, spec, spec
 		specs[1].Concat.Algorithm = collective.ConcatRing
 	}
-	l := spec.Layout
 	specs[len(specs)-1].Auto = &costmodel.SP1
+	kv.Add("payload_bytes", spec.Layout.Total())
+	kv.Add("largest_block", spec.Layout.Max())
+	if zeros >= 0 {
+		kv.Add("zero_length_blocks", zeros)
+	}
 
-	kv := cli.KV("ragged-study")
-	kv.Add("op", p.op)
-	kv.Add("n", p.n)
-	kv.Add("k", p.k)
-	kv.Add("b", p.b)
-	kv.Add("skew", fmt.Sprintf("%.2f", p.ragged))
-	kv.Add("transport", e.Transport())
 	sched := &cli.Table{Name: "schedules", Columns: []string{"schedule", "c1", "c2", "model_sp1"}}
 	cache := collective.NewPlanCache()
 	var pl *collective.Plan
 	for i, s := range specs {
 		if pl, err = cache.Get(e, g, s); err != nil {
-			return fmt.Errorf("%s: %v", names[i], err)
+			return nil, fmt.Errorf("%s: %v", names[i], err)
 		}
 		if i == 0 {
-			fmt.Fprintf(w, "ragged %s study: n=%d k=%d b=%d skew=%.2f transport=%s\n", p.op, p.n, p.k, p.b, p.ragged, e.Transport())
-			fmt.Fprintf(w, "  layout: %d payload bytes, largest block %d,", l.Total(), l.Max())
-			kv.Add("payload_bytes", l.Total())
-			kv.Add("largest_block", l.Max())
-			if zeros >= 0 {
-				fmt.Fprintf(w, " zero-length blocks %d,", zeros)
-				kv.Add("zero_length_blocks", zeros)
-			}
-			fmt.Fprintf(w, " C2 lower bound %d\n", pl.C2LowerBound())
 			kv.Add("c2_lower_bound", pl.C2LowerBound())
 		}
 		res, err := collective.Exercise(pl, collective.Labels)
 		if err != nil {
-			return fmt.Errorf("%s: %v", names[i], err)
+			return nil, fmt.Errorf("%s: %v", names[i], err)
 		}
 		model := costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2))
-		fmt.Fprintf(w, "  %-12s C1=%4d  C2=%8d  model(SP-1)=%v\n", names[i], res.C1, res.C2, model)
 		sched.AddRow(names[i], fmt.Sprint(res.C1), fmt.Sprint(res.C2), fmt.Sprint(model))
 	}
-	fmt.Fprintf(w, "  auto dispatch picked: %s (%d rounds)\n", pl.Algorithm(), pl.Rounds())
-	fmt.Fprintf(w, "  all results byte-identical to the %s: ok\n", reference)
 	kv.Add("auto_pick", pl.Algorithm())
 	kv.Add("byte_identical", true)
-	rp.add(kv)
-	rp.add(sched)
-	return nil
+	return []*cli.Table{kv, sched}, nil
 }
 
 // parseSegments parses the -segments flag: empty means monolithic,
@@ -491,48 +457,30 @@ func parseSegments(s string) (int, error) {
 // size. The study sweeps block sizes, reads each compiled plan's rounds
 // and volume through the sweep harness, tabulates both model times, and
 // reports the crossover block size.
-func runSegmentCrossover(rp *reporter, p params) error {
-	w := rp.text()
+func runSegmentCrossover(p params) ([]*cli.Table, error) {
 	r := p.k + 1
 	switch p.radix {
 	case "":
 	case "auto":
-		return fmt.Errorf("-crossover-segments needs a fixed radix: 'auto' would change the round structure per block size")
+		return nil, fmt.Errorf("-crossover-segments needs a fixed radix: 'auto' would change the round structure per block size")
 	default:
 		v, err := strconv.Atoi(p.radix)
 		if err != nil {
-			return fmt.Errorf("bad radix %q: %v", p.radix, err)
+			return nil, fmt.Errorf("bad radix %q: %v", p.radix, err)
 		}
 		r = v
 	}
 	autoSeg := p.segments == "" || p.segments == "auto"
-	fixed := 0
+	fixed, segName := 0, "segmented(auto)"
 	if !autoSeg {
 		v, err := strconv.Atoi(p.segments)
 		if err != nil || v < 2 {
-			return fmt.Errorf("bad segments %q: the crossover study wants a count >= 2 or 'auto'", p.segments)
+			return nil, fmt.Errorf("bad segments %q: the crossover study wants a count >= 2 or 'auto'", p.segments)
 		}
-		fixed = v
+		fixed, segName = v, fmt.Sprintf("segmented(s=%d)", v)
 	}
 	h := sweep.NewHarness(costmodel.SP1)
-	tr := p.transport
-	switch tr {
-	case "", "chan":
-		tr = "chan"
-	case "slot":
-		h.Backend = mpsim.BackendSlot
-	default:
-		return fmt.Errorf("-crossover-segments supports the chan and slot transports, got %q", p.transport)
-	}
-
-	maxB := 64 << 10
-	if p.b > maxB {
-		maxB = p.b
-	}
-	segName := "segmented(auto)"
-	if !autoSeg {
-		segName = fmt.Sprintf("segmented(s=%d)", fixed)
-	}
+	maxB := max(64<<10, p.b)
 	mono := sweep.Series{Name: "monolithic"}
 	seg := sweep.Series{Name: segName}
 	st := &cli.Table{Name: "segment-crossover", Columns: []string{
@@ -544,7 +492,7 @@ func runSegmentCrossover(rp *reporter, p params) error {
 	for b := 2; b <= maxB; b *= 2 {
 		mp, err := h.SegmentedPoint(p.n, r, p.k, b, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s := fixed
 		if autoSeg {
@@ -552,7 +500,7 @@ func runSegmentCrossover(rp *reporter, p params) error {
 		}
 		sp, err := h.SegmentedPoint(p.n, r, p.k, b, s)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Under auto the model falls back to s = 1 while pipelining
 		// loses, so "first size with s > 1 and a strict win" marks the
@@ -572,20 +520,13 @@ func runSegmentCrossover(rp *reporter, p params) error {
 	if !autoSeg {
 		x, err := sweep.Crossover(mono, seg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		crossover = x
 	}
 
-	fmt.Fprintf(w, "segment crossover study: n=%d k=%d r=%d segments=%s transport=%s (SP-1 linear model)\n",
-		p.n, p.k, r, segName, tr)
-	fmt.Fprint(w, sweep.RenderSeries([]sweep.Series{mono, seg}))
-	if crossover >= 0 {
-		fmt.Fprintf(w, "crossover: segmented schedule wins from b = %d bytes\n", crossover)
-	} else {
-		fmt.Fprintf(w, "crossover: segmented schedule never overtakes the monolithic one up to b = %d\n", maxB)
-	}
-
+	// crossover_b is the block size the segmented schedule wins from, -1
+	// when it never overtakes the monolithic one up to max_b.
 	kv := cli.KV("segment-crossover")
 	kv.Add("n", p.n)
 	kv.Add("k", p.k)
@@ -593,8 +534,5 @@ func runSegmentCrossover(rp *reporter, p params) error {
 	kv.Add("segments", segName)
 	kv.Add("max_b", maxB)
 	kv.Add("crossover_b", crossover)
-	rp.add(kv)
-	rp.add(st)
-	rp.add(sweep.SeriesReport("segment-model-times", []sweep.Series{mono, seg}, "b"))
-	return nil
+	return []*cli.Table{kv, st, sweep.SeriesReport("segment-model-times", []sweep.Series{mono, seg}, "b")}, nil
 }

@@ -3,54 +3,53 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"bruck/internal/cli"
 )
 
+// runOK runs one study and returns its tables.
+func runOK(t *testing.T, p params) []*cli.Table {
+	t.Helper()
+	tables, err := runTables(p)
+	if err != nil {
+		t.Fatalf("%+v: %v", p, err)
+	}
+	return tables
+}
+
 func TestRunIndexDefault(t *testing.T) {
-	for _, c := range []struct {
-		p    params
-		want []string
-	}{
-		{params{op: "index", n: 8, k: 1, b: 16},
-			[]string{"index: n=8", "C1 = 3 rounds", "lower bound 3", "verified against the direct reference", "model time"}},
-		{params{op: "index", n: 16, k: 1, crossover: true},
-			[]string{"segment crossover study: n=16 k=1 r=2 segments=segmented(auto)", "crossover: segmented schedule wins from b = 32 bytes"}},
+	tables := runOK(t, params{op: "index", n: 8, k: 1, b: 16})
+	for key, want := range map[string]string{
+		"op": "index", "n": "8", "c1": "3", "c1_lower_bound": "3", "verified_direct_reference": "true",
+		"model_sp1_linear": "109.588µs",
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, c.p); err != nil {
-			t.Fatal(err)
+		if got := value(t, tables, "run", key); got != want {
+			t.Errorf("run %s = %q, want %q", key, got, want)
 		}
-		for _, want := range c.want {
-			if !strings.Contains(sb.String(), want) {
-				t.Errorf("%+v: output lacks %q:\n%s", c.p, want, sb.String())
-			}
+	}
+	tables = runOK(t, params{op: "index", n: 16, k: 1, crossover: true})
+	for key, want := range map[string]string{"n": "16", "k": "1", "radix": "2", "segments": "segmented(auto)", "crossover_b": "32"} {
+		if got := value(t, tables, "segment-crossover", key); got != want {
+			t.Errorf("segment-crossover %s = %q, want %q", key, got, want)
 		}
 	}
 }
 
 func TestRunIndexAutoRadix(t *testing.T) {
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "index", n: 16, k: 1, b: 4096, radix: "auto"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "tuned radix:") {
-		t.Errorf("missing tuned radix line:\n%s", sb.String())
+	tables := runOK(t, params{op: "index", n: 16, k: 1, b: 4096, radix: "auto"})
+	if got := value(t, tables, "run", "tuned_radix"); got == "" || got == "2" {
+		t.Errorf("tuned_radix = %q, want a large radix at b = 4096", got)
 	}
 }
 
 func TestRunConcatOptimal(t *testing.T) {
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "concat", n: 17, k: 2, b: 64}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "C1 = 3 rounds   (lower bound 3)") {
-		t.Errorf("concat not round-optimal:\n%s", out)
-	}
-	if !strings.Contains(out, "C2 = 512 bytes    (lower bound 512)") {
-		t.Errorf("concat not volume-optimal:\n%s", out)
-	}
-	if !strings.Contains(out, "verified against the direct reference") {
-		t.Errorf("concat output not verified:\n%s", out)
+	tables := runOK(t, params{op: "concat", n: 17, k: 2, b: 64})
+	for key, want := range map[string]string{
+		"c1": "3", "c1_lower_bound": "3", "c2": "512", "c2_lower_bound": "512", "verified_direct_reference": "true",
+	} {
+		if got := value(t, tables, "run", key); got != want {
+			t.Errorf("concat %s = %q, want %q", key, got, want)
+		}
 	}
 }
 
@@ -63,12 +62,8 @@ func TestRunAlgorithmVariants(t *testing.T) {
 		{op: "concat", n: 8, k: 1, b: 8, alg: "recdbl"},
 		{op: "index", n: 16, k: 1, b: 4096, segments: "4", transport: "slot"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Errorf("%+v: %v", p, err)
-		}
-		if !strings.Contains(sb.String(), "verified against the direct reference") {
-			t.Errorf("%+v: output not verified:\n%s", p, sb.String())
+		if got := value(t, runOK(t, p), "run", "verified_direct_reference"); got != "true" {
+			t.Errorf("%+v: output not verified", p)
 		}
 	}
 }
@@ -100,12 +95,8 @@ func TestRunSlotTransport(t *testing.T) {
 		{op: "index", n: 8, k: 1, b: 16, transport: "slot"},
 		{op: "concat", n: 9, k: 2, b: 16, transport: "slot"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		if !strings.Contains(sb.String(), "transport=slot") {
-			t.Errorf("%+v: output lacks transport=slot:\n%s", p, sb.String())
+		if got := value(t, runOK(t, p), "run", "transport"); got != "slot" {
+			t.Errorf("%+v: transport = %q, want slot", p, got)
 		}
 	}
 }
@@ -120,18 +111,13 @@ func TestRunRaggedStudy(t *testing.T) {
 		{op: "concat", n: 11, k: 1, b: 40, ragged: 1.5},
 		{op: "concat", n: 8, k: 3, b: 24, ragged: 0.7, transport: "slot"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
+		tables := runOK(t, p)
+		if value(t, tables, "ragged-study", "c2_lower_bound") == "" || value(t, tables, "ragged-study", "byte_identical") != "true" {
+			t.Errorf("%+v: study lacks its bound or did not verify", p)
 		}
-		out := sb.String()
-		for _, want := range []string{
-			"ragged " + p.op + " study", "C2 lower bound",
-			"auto dispatch picked:", "byte-identical",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%+v: output lacks %q:\n%s", p, want, out)
-			}
+		names := column(t, find(t, tables, "schedules"), "schedule")
+		if last := names[len(names)-1]; last != "auto (SP-1)" || value(t, tables, "ragged-study", "auto_pick") == "" {
+			t.Errorf("%+v: schedules %v lack the auto dispatch", p, names)
 		}
 	}
 }
@@ -139,16 +125,12 @@ func TestRunRaggedStudy(t *testing.T) {
 // TestRunRaggedHeavySkewZeroBlocks: a steep skew produces zero-length
 // blocks and the study must still verify.
 func TestRunRaggedHeavySkewZeroBlocks(t *testing.T) {
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "index", n: 16, k: 1, b: 8, ragged: 3.0}); err != nil {
-		t.Fatal(err)
+	tables := runOK(t, params{op: "index", n: 16, k: 1, b: 8, ragged: 3.0})
+	if got := value(t, tables, "ragged-study", "zero_length_blocks"); got == "" || got == "0" {
+		t.Errorf("steep skew should produce zero-length blocks, got %q", got)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "zero-length blocks") || strings.Contains(out, "zero-length blocks 0,") {
-		t.Errorf("steep skew should produce zero-length blocks:\n%s", out)
-	}
-	if !strings.Contains(out, "byte-identical") {
-		t.Errorf("study did not verify:\n%s", out)
+	if value(t, tables, "ragged-study", "byte_identical") != "true" {
+		t.Error("study did not verify")
 	}
 }
 
@@ -164,23 +146,20 @@ func TestRunReduceOps(t *testing.T) {
 		{op: "allreduce", n: 12, k: 2, b: 24, alg: "auto", kernel: "sum:int32", transport: "slot"},
 		{op: "allreduce", n: 8, k: 1, b: 256, alg: "bruck", radix: "2", segments: "auto", kernel: "sum:int32"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		out := sb.String()
-		for _, want := range []string{p.op + ":", "lower bound", "serial reference reduce: ok"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%+v: output lacks %q:\n%s", p, want, out)
+		tables := runOK(t, p)
+		for key, want := range map[string]string{"op": p.op, "kernel": p.kernel, "verified_serial_reference": "true"} {
+			if got := value(t, tables, "reduce", key); got != want {
+				t.Errorf("%+v: %s = %q, want %q", p, key, got, want)
 			}
 		}
+		// The model times used to be missing from a reduction's JSON.
+		if value(t, tables, "reduce", "c1_lower_bound") == "" || value(t, tables, "reduce", "model_sp1_linear") == "" {
+			t.Errorf("%+v: report lacks the bound or the model time", p)
+		}
 	}
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "allreduce", n: 8, k: 1, b: 16, alg: "auto", kernel: "sum:int32"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "auto dispatch picked:") {
-		t.Errorf("auto run lacks the dispatch line:\n%s", sb.String())
+	tables := runOK(t, params{op: "allreduce", n: 8, k: 1, b: 16, alg: "auto", kernel: "sum:int32"})
+	if pick := value(t, tables, "reduce", "auto_pick"); pick == "" || pick != value(t, tables, "reduce", "alg") {
+		t.Errorf("auto run lacks the dispatch's pick: %q", pick)
 	}
 }
 
@@ -209,13 +188,12 @@ func TestRunReduceErrors(t *testing.T) {
 // round count against its lower bound.
 func TestRunRootedOps(t *testing.T) {
 	for _, op := range []string{"broadcast", "gather", "scatter"} {
-		var sb strings.Builder
-		if err := runOp(&sb, params{op: op, n: 9, k: 2, b: 64}); err != nil {
-			t.Fatalf("%s: %v", op, err)
-		}
-		for _, want := range []string{op + ": n=9 k=2 b=64 alg=tree", "C1 = 2 rounds   (lower bound 2)", "verified against the direct reference"} {
-			if !strings.Contains(sb.String(), want) {
-				t.Errorf("%s: output lacks %q:\n%s", op, want, sb.String())
+		tables := runOK(t, params{op: op, n: 9, k: 2, b: 64})
+		for key, want := range map[string]string{
+			"op": op, "n": "9", "k": "2", "b": "64", "alg": "tree", "c1": "2", "c1_lower_bound": "2", "verified_direct_reference": "true",
+		} {
+			if got := value(t, tables, "run", key); got != want {
+				t.Errorf("%s: %s = %q, want %q", op, key, got, want)
 			}
 		}
 	}

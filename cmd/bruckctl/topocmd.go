@@ -54,30 +54,29 @@ func topoFlatBest(e *mpsim.Engine, s collective.Spec, topo *costmodel.Topology) 
 // runTopology executes one collective hierarchically on the machine
 // the -topology spec describes, through the oracle, and reports the
 // per-phase and per-level schedule against the best flat arm.
-func runTopology(rp *reporter, p params) error {
-	w := rp.text()
+func runTopology(p params) ([]*cli.Table, error) {
 	topo, err := costmodel.ParseTopology(p.topology)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n, k, b := topo.N(), p.k, p.b
+	n := topo.N()
 	e, err := p.engine(n, mpsim.WithTopology(topo.GroupAssignment()))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	flatSpec, fill, err := p.spec(n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spec := flatSpec
 	spec.Hierarchical, spec.Topology = true, topo
 	hier, res, err := exercise(e, spec, fill)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	flat, err := topoFlatBest(e, flatSpec, topo)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hierSec, flatSec := hier.TimeTopo(topo), flat.TimeTopo(topo)
 	winner := "flat"
@@ -85,36 +84,14 @@ func runTopology(rp *reporter, p params) error {
 		winner = "hier"
 	}
 
-	fmt.Fprintf(w, "hierarchical %s: n=%d k=%d b=%d topology=%s transport=%s\n",
-		p.op, n, k, b, topo.Spec(), e.Transport())
-	fmt.Fprintf(w, "  intra profile: %s   inter profile: %s\n", topo.Intra.Name, topo.Inter.Name)
-	fmt.Fprintf(w, "  phases (name class first rounds c2):\n")
-	pt := &cli.Table{Name: "topology-phases", Columns: []string{"name", "class", "first", "rounds", "c2"}}
-	for _, ph := range hier.Phases() {
-		class := costmodel.LinkClass(ph.Class).String()
-		fmt.Fprintf(w, "    %-16s %-5s %4d %6d %8d\n", ph.Name, class, ph.First, ph.Rounds, ph.C2)
-		pt.AddRow(ph.Name, class, fmt.Sprint(ph.First), fmt.Sprint(ph.Rounds), fmt.Sprint(ph.C2))
-	}
-	fmt.Fprintf(w, "  total:  C1 = %d rounds, C2 = %d bytes\n", res.C1, res.C2)
-	if res.Intra != nil && res.Inter != nil {
-		fmt.Fprintf(w, "  intra:  C1 = %d (bound %d), C2 = %d (bound %d)\n",
-			res.Intra.C1, res.Intra.C1LowerBound, res.Intra.C2, res.Intra.C2LowerBound)
-		fmt.Fprintf(w, "  inter:  C1 = %d (bound %d), C2 = %d (bound %d)\n",
-			res.Inter.C1, res.Inter.C1LowerBound, res.Inter.C2, res.Inter.C2LowerBound)
-	}
-	fmt.Fprintf(w, "  model time hier (topology clock): %v\n", costmodel.Duration(hierSec))
-	fmt.Fprintf(w, "  model time best flat [%s]:        %v\n", flat.Algorithm(), costmodel.Duration(flatSec))
-	fmt.Fprintf(w, "  winner: %s\n", winner)
-	if cp, err := costmodel.CriticalPathTopo(topo, n, e.Metrics().Events()); err == nil {
-		fmt.Fprintf(w, "  critical path (topology clock):   %v\n", costmodel.Duration(cp))
-	}
-
 	kv := cli.KV("topology-run")
 	kv.Add("op", p.op)
 	kv.Add("n", n)
-	kv.Add("k", k)
-	kv.Add("b", b)
+	kv.Add("k", p.k)
+	kv.Add("b", p.b)
 	kv.Add("topology", topo.Spec())
+	kv.Add("intra_profile", topo.Intra.Name)
+	kv.Add("inter_profile", topo.Inter.Name)
 	kv.Add("transport", e.Transport())
 	kv.Add("c1", res.C1)
 	kv.Add("c2", res.C2)
@@ -132,51 +109,25 @@ func runTopology(rp *reporter, p params) error {
 	kv.Add("model_flat_best", costmodel.Duration(flatSec))
 	kv.Add("flat_alg", flat.Algorithm())
 	kv.Add("winner", winner)
-	rp.add(kv)
-	rp.add(pt)
-	return nil
+	if cp, err := costmodel.CriticalPathTopo(topo, n, e.Metrics().Events()); err == nil {
+		kv.Add("critical_path_topology", costmodel.Duration(cp))
+	}
+	pt := &cli.Table{Name: "topology-phases", Columns: []string{"name", "class", "first", "rounds", "c2"}}
+	for _, ph := range hier.Phases() {
+		pt.AddRow(ph.Name, costmodel.LinkClass(ph.Class).String(), fmt.Sprint(ph.First), fmt.Sprint(ph.Rounds), fmt.Sprint(ph.C2))
+	}
+	return []*cli.Table{kv, pt}, nil
 }
 
 // runTopoCrossover sweeps the flat-vs-hierarchical decision across
-// machine sizes, block sizes and inter/intra cost ratios and reports
-// where each shape wins, plus the per-(n, ratio) crossover block size.
-func runTopoCrossover(rp *reporter, p params) error {
-	w := rp.text()
-	op := p.op
-	ns := []int{8, 16, 32, 64}
-	sizes := []int{1, 16, 256, 4096}
-	ratios := []float64{2, 5, 10, 20}
-	rows, err := sweep.TopoCrossoverTable(op, ns, sizes, ratios, p.k, costmodel.SP1)
+// machine sizes, block sizes and inter/intra cost ratios (balanced
+// sqrt(n) groups, SP-1 intra links, modeled under the topology clock)
+// and reports where each shape wins, plus the per-(n, ratio) crossover
+// block size.
+func runTopoCrossover(p params) ([]*cli.Table, error) {
+	rows, err := sweep.TopoCrossoverTable(p.op, []int{8, 16, 32, 64}, []int{1, 16, 256, 4096}, []float64{2, 5, 10, 20}, p.k, costmodel.SP1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "topology crossover study: op=%s k=%d groups=balanced(sqrt) intra=SP-1 (modeled, topology clock)\n", op, p.k)
-	fmt.Fprint(w, sweep.RenderTopoRows(rows))
-	st := &cli.Table{Name: "topology-crossover", Columns: []string{
-		"op", "n", "k", "b", "shape", "ratio", "flat_c1", "flat_c2", "flat_r", "hier_c1", "hier_c2", "flat_us", "hier_us", "winner",
-	}}
-	for _, r := range rows {
-		winner := "flat"
-		if r.HierWins {
-			winner = "hier"
-		}
-		st.AddRow(r.Op, fmt.Sprint(r.N), fmt.Sprint(r.K), fmt.Sprint(r.B), r.Shape,
-			fmt.Sprintf("%g", r.Ratio), fmt.Sprint(r.FlatC1), fmt.Sprint(r.FlatC2),
-			fmt.Sprint(r.FlatR), fmt.Sprint(r.HierC1), fmt.Sprint(r.HierC2),
-			fmt.Sprintf("%.1f", r.FlatSec*1e6), fmt.Sprintf("%.1f", r.HierSec*1e6), winner)
-	}
-	ct := &cli.Table{Name: "topology-crossover-summary", Columns: []string{"n", "ratio", "flat_from_b"}}
-	for _, c := range sweep.TopoCrossovers(rows) {
-		if c.FlatFromB < 0 {
-			fmt.Fprintf(w, "n=%-3d ratio=%-3g hierarchical wins across the whole sweep\n", c.N, c.Ratio)
-		} else if c.FlatFromB == sizes[0] {
-			fmt.Fprintf(w, "n=%-3d ratio=%-3g flat wins from b = %d (the smallest swept size)\n", c.N, c.Ratio, c.FlatFromB)
-		} else {
-			fmt.Fprintf(w, "n=%-3d ratio=%-3g hierarchical wins below b = %d, flat from there\n", c.N, c.Ratio, c.FlatFromB)
-		}
-		ct.AddRow(fmt.Sprint(c.N), fmt.Sprintf("%g", c.Ratio), fmt.Sprint(c.FlatFromB))
-	}
-	rp.add(st)
-	rp.add(ct)
-	return nil
+	return sweep.TopoReport(rows), nil
 }

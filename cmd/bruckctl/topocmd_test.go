@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"bruck/internal/cli"
 )
 
 // TestRunTopology: the -topology path executes and verifies the
-// hierarchical schedule of each supported operation and prints the
+// hierarchical schedule of each supported operation and reports the
 // per-phase and per-level breakdown.
 func TestRunTopology(t *testing.T) {
 	for _, p := range []params{
@@ -16,18 +18,17 @@ func TestRunTopology(t *testing.T) {
 		{op: "concat", k: 1, b: 8, topology: "4,4,3"},
 		{op: "allreduce", k: 1, b: 16, topology: "4x4", kernel: "sum:int32"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		out := sb.String()
-		for _, want := range []string{
-			"hierarchical " + p.op + ":", "phases", "intra:", "inter:",
-			"model time hier", "winner:", "critical path",
+		tables := runOK(t, p)
+		// The profile names and the critical path used to be text-only.
+		for _, key := range []string{
+			"intra_c1", "inter_c1", "model_hier", "winner", "intra_profile", "inter_profile", "critical_path_topology",
 		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%+v: output lacks %q:\n%s", p, want, out)
+			if value(t, tables, "topology-run", key) == "" {
+				t.Errorf("%+v: %s is empty", p, key)
 			}
+		}
+		if len(find(t, tables, "topology-phases").Rows) < 3 {
+			t.Errorf("%+v: fewer than 3 phases", p)
 		}
 	}
 }
@@ -35,13 +36,9 @@ func TestRunTopology(t *testing.T) {
 // TestRunTopologyCustomProfiles: an explicit per-class profile pair in
 // the spec reaches the run.
 func TestRunTopologyCustomProfiles(t *testing.T) {
-	var sb strings.Builder
-	p := params{op: "concat", k: 1, b: 4, topology: "2x4:29e-6,0.117e-6/29e-5,0.117e-5"}
-	if err := runOp(&sb, p); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "hierarchical concat: n=8") {
-		t.Errorf("spec should size the machine at 8:\n%s", sb.String())
+	tables := runOK(t, params{op: "concat", k: 1, b: 4, topology: "2x4:29e-6,0.117e-6/29e-5,0.117e-5"})
+	if got := value(t, tables, "topology-run", "n"); got != "8" {
+		t.Errorf("spec should size the machine at 8, got n = %q", got)
 	}
 }
 
@@ -52,12 +49,8 @@ func TestRunTopologyTransports(t *testing.T) {
 		{op: "index", k: 1, b: 8, topology: "4x2", transport: "slot"},
 		{op: "index", k: 1, b: 8, topology: "4x2", transport: "chaos", chaosSeed: 7, stragglers: "2,3"},
 	} {
-		var sb strings.Builder
-		if err := runOp(&sb, p); err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		if !strings.Contains(sb.String(), "transport="+p.transport) {
-			t.Errorf("%+v: output lacks transport line:\n%s", p, sb.String())
+		if got := value(t, runOK(t, p), "topology-run", "transport"); got != p.transport {
+			t.Errorf("%+v: transport = %q", p, got)
 		}
 	}
 }
@@ -69,22 +62,12 @@ func TestRunTopologyJSON(t *testing.T) {
 	if err := runOp(&sb, params{op: "index", k: 1, b: 8, topology: "4x4", reportJSON: true}); err != nil {
 		t.Fatal(err)
 	}
-	var sections []struct {
-		Name string     `json:"name"`
-		Rows [][]string `json:"rows"`
-	}
+	var sections []*cli.Table
 	if err := json.Unmarshal([]byte(sb.String()), &sections); err != nil {
 		t.Fatalf("-report-json output is not JSON: %v\n%s", err, sb.String())
 	}
-	got := map[string]int{}
-	for _, s := range sections {
-		got[s.Name] = len(s.Rows)
-	}
-	if got["topology-run"] == 0 {
-		t.Errorf("missing topology-run section: %v", got)
-	}
-	if got["topology-phases"] < 3 {
-		t.Errorf("expected at least 3 phase rows, got %d", got["topology-phases"])
+	if len(find(t, sections, "topology-run").Rows) == 0 || len(find(t, sections, "topology-phases").Rows) < 3 {
+		t.Errorf("topology-run or its phase rows missing:\n%s", sb.String())
 	}
 }
 
@@ -105,49 +88,22 @@ func TestRunTopologyErrors(t *testing.T) {
 	}
 }
 
-// TestRunTopoCrossover: the sweep renders the study table and one
-// summary line per (n, ratio) pair, and the JSON mode carries both
-// sections.
+// TestRunTopoCrossover: the sweep tabulates the study and one summary
+// row per (n, ratio) pair.
 func TestRunTopoCrossover(t *testing.T) {
-	var sb strings.Builder
-	if err := runOp(&sb, params{op: "index", k: 1, topoCross: true}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"topology crossover study", "winner", "ratio=10", "n=16"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
-		}
-	}
+	tables := runOK(t, params{op: "index", k: 1, topoCross: true})
 	// The headline claim of the study: at a 10:1 ratio and n=16 the
 	// hierarchical schedule wins the latency-bound end of the sweep.
 	hierWon := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, " 16 ") && strings.Contains(line, "    10 ") &&
-			strings.HasSuffix(strings.TrimRight(line, " "), "hier") {
+	for _, row := range find(t, tables, "topology-crossover").Rows {
+		if row[1] == "16" && row[5] == "10" && row[len(row)-1] == "hier" {
 			hierWon = true
 		}
 	}
 	if !hierWon {
-		t.Errorf("no hierarchical win at n=16 ratio=10:\n%s", out)
+		t.Error("no hierarchical win at n=16 ratio=10")
 	}
-
-	var jb strings.Builder
-	if err := runOp(&jb, params{op: "concat", k: 1, topoCross: true, reportJSON: true}); err != nil {
-		t.Fatal(err)
-	}
-	var sections []struct {
-		Name string     `json:"name"`
-		Rows [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(jb.String()), &sections); err != nil {
-		t.Fatalf("-report-json output is not JSON: %v", err)
-	}
-	names := map[string]bool{}
-	for _, s := range sections {
-		names[s.Name] = true
-	}
-	if !names["topology-crossover"] || !names["topology-crossover-summary"] {
-		t.Errorf("missing crossover sections, got %v", names)
+	if got := len(find(t, tables, "topology-crossover-summary").Rows); got != 16 {
+		t.Errorf("summary has %d rows, want one per (n, ratio) = 16", got)
 	}
 }

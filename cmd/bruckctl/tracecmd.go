@@ -34,9 +34,7 @@ func newTraceCmd() *command {
 	fs := newFlagSet("trace")
 	registerTraceFlags(fs)
 	c := &command{name: "trace", summary: "record/verify the golden schedule corpus", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		return traceRun(args, w)
-	}
+	c.exec = traceRun
 	return c
 }
 
@@ -73,80 +71,80 @@ func traceRun(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rp := newReporter(out, *f.reportJSON)
-	w := rp.text()
-
-	cases := make([]golden.Case, 0, 16)
-	for _, c := range golden.Corpus() {
-		if strings.Contains(c.Name, *f.caseFilter) {
-			cases = append(cases, c)
-		}
-	}
-	if len(cases) == 0 {
-		return fmt.Errorf("no cases match -case %q", *f.caseFilter)
-	}
-
-	report := &cli.Table{Name: "trace-" + mode, Columns: []string{"case", "status", "detail"}}
+	rp := reporter{out, false, *f.reportJSON}
 	switch mode {
 	case "record":
-		for _, c := range cases {
+		return rp.flush(corpusTable("trace-record", *f.caseFilter, func(c golden.Case) (string, string, error) {
 			s, err := golden.Capture(c, opts...)
 			if err != nil {
-				return err
+				return "", "", err
 			}
 			if err := golden.Write(*f.dir, c, s); err != nil {
-				return err
+				return "", "", err
 			}
-			fmt.Fprintf(w, "recorded %s (%d rounds)\n", golden.Path(*f.dir, c), s.C1)
-			report.AddRow(c.Name, "recorded", fmt.Sprintf("%d rounds", s.C1))
-		}
-		rp.add(report)
-		return rp.flush()
+			return "recorded", fmt.Sprintf("%s (%d rounds)", golden.Path(*f.dir, c), s.C1), nil
+		}))
 	case "verify":
-		failed := 0
-		for _, c := range cases {
+		return rp.flush(corpusTable("trace-verify", *f.caseFilter, func(c golden.Case) (string, string, error) {
 			s, err := golden.Capture(c, opts...)
 			if err != nil {
-				return err
+				return "", "", err
 			}
 			if *f.perturb {
 				golden.Perturb(s)
 			}
 			diffs, err := golden.Verify(*f.dir, c, s)
-			if err != nil {
-				return err
-			}
-			switch {
-			case *f.perturb && len(diffs) == 0:
-				failed++
-				fmt.Fprintf(w, "FAIL %s: perturbed schedule passed verification\n", c.Name)
-				report.AddRow(c.Name, "FAIL", "perturbed schedule passed verification")
-			case *f.perturb:
-				fmt.Fprintf(w, "ok   %s: perturbation detected (%d diffs)\n", c.Name, len(diffs))
-				report.AddRow(c.Name, "ok", fmt.Sprintf("perturbation detected (%d diffs)", len(diffs)))
-			case len(diffs) != 0:
-				failed++
-				fmt.Fprintf(w, "FAIL %s:\n", c.Name)
-				for _, d := range diffs {
-					fmt.Fprintf(w, "  %s\n", d)
-				}
-				report.AddRow(c.Name, "FAIL", strings.Join(diffs, "; "))
-			default:
-				fmt.Fprintf(w, "ok   %s\n", c.Name)
-				report.AddRow(c.Name, "ok", "")
-			}
-		}
-		rp.add(report)
-		if err := rp.flush(); err != nil {
-			return err
-		}
-		if failed > 0 {
-			return fmt.Errorf("%d of %d cases failed", failed, len(cases))
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown trace mode %q (want record or verify)", mode)
+			status, detail := verdict(*f.perturb, diffs, "schedule passed verification", "diffs")
+			return status, detail, err
+		}))
 	}
+	return fmt.Errorf("unknown trace mode %q (want record or verify)", mode)
+}
+
+// corpusTable tabulates case/status/detail over the corpus cases whose
+// name contains filter, one row per case from row, and owns the exit:
+// an error of row's at once, and after the last row "N of M cases
+// failed" when some status is FAIL — returned with the table, so the
+// FAIL rows print first.
+func corpusTable(name, filter string, row func(c golden.Case) (status, detail string, err error)) ([]*cli.Table, error) {
+	t := &cli.Table{Name: name, Columns: []string{"case", "status", "detail"}}
+	failed := 0
+	for _, c := range golden.Corpus() {
+		if !strings.Contains(c.Name, filter) {
+			continue
+		}
+		status, detail, err := row(c)
+		if err != nil {
+			return nil, err
+		}
+		if status == "FAIL" {
+			failed++
+		}
+		t.AddRow(c.Name, status, detail)
+	}
+	switch {
+	case len(t.Rows) == 0:
+		return nil, fmt.Errorf("no cases match -case %q", filter)
+	case failed > 0:
+		return []*cli.Table{t}, fmt.Errorf("%d of %d cases failed", failed, len(t.Rows))
+	}
+	return []*cli.Table{t}, nil
+}
+
+// verdict is one case's status and detail from its findings (diffs or
+// violations): none is a pass, unless the case was perturbed — the
+// negative self-test, which passes only when the perturbation was found.
+// passed names the failure of a perturbed case, unit the findings.
+func verdict(perturb bool, findings []string, passed, unit string) (status, detail string) {
+	switch {
+	case perturb && len(findings) == 0:
+		return "FAIL", "perturbed " + passed
+	case perturb:
+		return "ok", fmt.Sprintf("perturbation detected (%d %s)", len(findings), unit)
+	case len(findings) != 0:
+		return "FAIL", strings.Join(findings, "; ")
+	}
+	return "ok", ""
 }
 
 // defaultTraceDir locates the committed corpus: golden.Dir is relative

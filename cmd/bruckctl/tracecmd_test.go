@@ -15,7 +15,8 @@ func TestRecordVerifyRoundTrip(t *testing.T) {
 	if err := traceRun([]string{"record", "-dir", dir}, &out); err != nil {
 		t.Fatalf("record: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "recorded") {
+	// Each row names the artifact it wrote.
+	if !strings.Contains(out.String(), "recorded") || !strings.Contains(out.String(), dir) {
 		t.Fatalf("record printed nothing useful:\n%s", out.String())
 	}
 

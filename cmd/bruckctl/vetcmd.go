@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"bruck/internal/analysis/schedcheck"
 	"bruck/internal/cli"
@@ -47,54 +46,11 @@ func newVetCmd() *command {
 }
 
 func vetRun(dir, caseFilter string, perturb, reportJSON bool, out io.Writer) error {
-	rp := newReporter(out, reportJSON)
-	w := rp.text()
-	report := &cli.Table{Name: "vet", Columns: []string{"case", "status", "detail"}}
-
-	cases := make([]golden.Case, 0, 16)
-	for _, c := range golden.Corpus() {
-		if strings.Contains(c.Name, caseFilter) {
-			cases = append(cases, c)
-		}
-	}
-	if len(cases) == 0 {
-		return fmt.Errorf("no cases match -case %q", caseFilter)
-	}
-
-	failed := 0
-	for _, c := range cases {
+	return reporter{out, false, reportJSON}.flush(corpusTable("vet", caseFilter, func(c golden.Case) (string, string, error) {
 		violations, err := vetCase(dir, c, perturb)
-		if err != nil {
-			return err
-		}
-		switch {
-		case perturb && len(violations) == 0:
-			failed++
-			fmt.Fprintf(w, "FAIL %s: perturbed artifact passed static verification\n", c.Name)
-			report.AddRow(c.Name, "FAIL", "perturbed artifact passed static verification")
-		case perturb:
-			fmt.Fprintf(w, "ok   %s: perturbation detected (%d violations)\n", c.Name, len(violations))
-			report.AddRow(c.Name, "ok", fmt.Sprintf("perturbation detected (%d violations)", len(violations)))
-		case len(violations) != 0:
-			failed++
-			fmt.Fprintf(w, "FAIL %s:\n", c.Name)
-			for _, v := range violations {
-				fmt.Fprintf(w, "  %s\n", v)
-			}
-			report.AddRow(c.Name, "FAIL", strings.Join(violations, "; "))
-		default:
-			fmt.Fprintf(w, "ok   %s\n", c.Name)
-			report.AddRow(c.Name, "ok", "")
-		}
-	}
-	rp.add(report)
-	if err := rp.flush(); err != nil {
-		return err
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d cases failed", failed, len(cases))
-	}
-	return nil
+		status, detail := verdict(perturb, violations, "artifact passed static verification", "violations")
+		return status, detail, err
+	}))
 }
 
 // vetCase statically verifies one corpus case: the plan's program, the

@@ -1,9 +1,9 @@
 // Package cli is the shared plumbing of the bruckctl subcommands:
 // canonical flag vocabulary, transport/chaos flag parsing with engine
-// option construction, and a single result renderer covering aligned
-// text tables, CSV and JSON. Every subcommand builds its results as
-// Table values and routes them through one renderer, so the three
-// output forms can never drift apart.
+// option construction, and the one result renderer. Every study returns
+// its results as Table values and RenderTables prints them as aligned
+// text, CSV or JSON: renderText and renderCSV are the only code that
+// formats a row, so the three forms carry the same cells.
 package cli
 
 import (
@@ -47,6 +47,8 @@ type Table struct {
 	Name    string     `json:"name"`
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
+
+	kv bool // a KV table: its text form is one "key: value" line per row
 }
 
 // AddRow appends one row. The cell count must match the column count;
@@ -58,7 +60,7 @@ func (t *Table) AddRow(cells ...string) {
 // KV returns a two-column key/value table, the shape used for
 // single-result summaries.
 func KV(name string) *Table {
-	return &Table{Name: name, Columns: []string{"key", "value"}}
+	return &Table{Name: name, Columns: []string{"key", "value"}, kv: true}
 }
 
 // Add appends a key/value pair to a KV table.
@@ -76,8 +78,17 @@ func (t *Table) validate() error {
 	return nil
 }
 
-// renderText writes the aligned text form.
+// renderText writes the text form: "key: value" lines for a KV table,
+// otherwise the header and the rows right-aligned in columns.
 func (t *Table) renderText(w io.Writer) error {
+	if t.kv {
+		for _, r := range t.Rows {
+			if _, err := fmt.Fprintf(w, "%s: %s\n", r[0], r[1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)

@@ -99,29 +99,29 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 78, 4, 4096},
-		{"concat/flat", concat, compilePerCall, 86, 4, 1920},
-		{"index/plan-reuse", index, planReuse, 70, 4, 4096},
+		{"index/flat", index, compilePerCall, 76, 4, 4096},
+		{"concat/flat", concat, compilePerCall, 84, 4, 1920},
+		{"index/plan-reuse", index, planReuse, 68, 4, 4096},
 		{"index/compile-only", index, compileOnly, 8, 4, 4096},
-		{"concat/plan-reuse", concat, planReuse, 70, 4, 1920},
-		{"indexv/ragged-bruck", indexV, planReuse, 70, 4, 4096},
-		{"indexv/ragged-auto", indexVAuto, planReuse, 71, 6, 3072},
-		{"concatv/ragged-circulant", concatV, planReuse, 70, 4, 1815},
-		{"runplans/concurrent-2x8", halves, concurrent, 89, 3, 1536},
-		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 72, 15, 1920},
-		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 70, 4, 1920},
-		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 70, 4, 4096},
-		{"allreduce/auto", auto, planReuse, 71, 8, 3840},
-		{"index/mono", sized(index, 0), planReuse, 70, 4, 2097152},
-		{"index/s4", sized(index, 4), planReuse, 71, 7, 917504},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 71, 8, 3080192},
-		{"allreduce/s4", sized(allreduce, 4), planReuse, 72, 11, 1900544},
-		{"index/flat-4x4", on(index, false), planReuse, 73, 4, 4096},
-		{"concat/flat-4x4", on(concat, false), planReuse, 73, 4, 1920},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 75, 8, 6016},
-		{"index/hier-4x4", on(index, true), planReuse, 80, 10, 17920},
-		{"concat/hier-4x4", on(concat, true), planReuse, 90, 7, 6528},
-		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 80, 12, 24576},
+		{"concat/plan-reuse", concat, planReuse, 68, 4, 1920},
+		{"indexv/ragged-bruck", indexV, planReuse, 68, 4, 4096},
+		{"indexv/ragged-auto", indexVAuto, planReuse, 69, 6, 3072},
+		{"concatv/ragged-circulant", concatV, planReuse, 68, 4, 1815},
+		{"runplans/concurrent-2x8", halves, concurrent, 85, 3, 1536},
+		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 70, 15, 1920},
+		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 68, 4, 1920},
+		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 68, 4, 4096},
+		{"allreduce/auto", auto, planReuse, 69, 8, 3840},
+		{"index/mono", sized(index, 0), planReuse, 68, 4, 2097152},
+		{"index/s4", sized(index, 4), planReuse, 69, 7, 917504},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 69, 8, 3080192},
+		{"allreduce/s4", sized(allreduce, 4), planReuse, 70, 11, 1900544},
+		{"index/flat-4x4", on(index, false), planReuse, 71, 4, 4096},
+		{"concat/flat-4x4", on(concat, false), planReuse, 71, 4, 1920},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 73, 8, 6016},
+		{"index/hier-4x4", on(index, true), planReuse, 78, 10, 17920},
+		{"concat/hier-4x4", on(concat, true), planReuse, 88, 7, 6528},
+		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 78, 12, 24576},
 	}
 }
 

@@ -80,7 +80,7 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 	} else {
 		pl.c2lb = lowerbound.ConcatVVolume(lay.CountsVector(), k)
 	}
-	if (lay == nil && blockLen > 0) || (lay != nil && lay.Uniform()) {
+	if blockLen > 0 && (lay == nil || lay.Uniform()) {
 		// The dissemination bound assumes there is data to disseminate;
 		// a zero-byte concatenation compiles without its last rounds and
 		// legitimately finishes in fewer.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
@@ -391,6 +392,22 @@ func TestConcatZeroLengthBlocks(t *testing.T) {
 	res := runConcat(t, 6, 0, 1, ConcatOptions{Algorithm: ConcatCirculant})
 	if res.C2 != 0 {
 		t.Errorf("C2 = %d for empty blocks", res.C2)
+	}
+	// An all-zero layout is uniform, but like b = 0 it has nothing to
+	// disseminate: no round bound, a clean Check, verified bytes.
+	for _, n := range []int{5, 17} {
+		lay := must(blocks.RaggedVector(make([]int, n)))
+		pl := must(Compile(mpsim.MustNew(n), mpsim.WorldGroup(n), Spec{Op: OpConcatV, Layout: lay}))
+		if v := pl.Check(); len(v) != 0 {
+			t.Errorf("n=%d zero layout: Check: %v", n, v)
+		}
+		res, err := Exercise(pl, Labels)
+		if err != nil {
+			t.Fatalf("n=%d zero layout: %v", n, err)
+		}
+		if res.C1LowerBound != 0 || res.C1 > lowerbound.ConcatRounds(n, 1) {
+			t.Errorf("n=%d zero layout: C1 = %d, C1LowerBound = %d, want no bound", n, res.C1, res.C1LowerBound)
+		}
 	}
 }
 

@@ -155,8 +155,10 @@
 // proves delivery for every family against Plan.goal, the one statement
 // of what each operation computes. The oracle (oracle.go: Alloc, Fill,
 // Run, Verify — Exercise in a row) holds the bytes of a real run
-// against the same definition, on memory of the plan's own shape; it
-// is how every tool runs a collective. The closed forms of cost.go are
+// against the same definition, on memory of the plan's own shape, and
+// the run's C1/C2 against the compiled ones; it is how every tool runs
+// a collective, and why a tool that only wants the measures reads
+// Rounds and PredictedC2. The closed forms of cost.go are
 // held against the counter by one table test.
 //
 // Adding a family is one compiler function and one arm of
@@ -272,7 +274,8 @@
 //     concurrent use from multiple goroutines; the concurrency model
 //     is disjoint groups inside one run, not concurrent Executes:
 //     mpsim.Engine.RunPrograms, which every execution reaches, rejects
-//     a run that starts while another is in flight.
+//     a run that starts while another is in flight (bruck.Machine
+//     decides it earlier, at submission).
 //
 // # Reduction plans
 //

@@ -146,7 +146,9 @@ func (pl *Plan) Verify(m *Memory) error {
 }
 
 // Exercise runs the plan once on freshly allocated, filled memory and
-// verifies the outcome.
+// verifies the outcome: every output block, and the measured C1 and C2
+// against the compiled ones — which is what lets a study read a plan's
+// Rounds and PredictedC2 where it used to run the schedule to count.
 func Exercise(pl *Plan, fill func(blk []byte, rank, block int)) (*Result, error) {
 	m, err := pl.Alloc()
 	if err != nil {
@@ -156,6 +158,9 @@ func Exercise(pl *Plan, fill func(blk []byte, rank, block int)) (*Result, error)
 	res, err := pl.Run(m)
 	if err != nil {
 		return nil, err
+	}
+	if res.C1 != pl.Rounds() || res.C2 != pl.PredictedC2() {
+		return nil, fmt.Errorf("%v: measured C1=%d C2=%d, compiled C1=%d C2=%d", pl.op, res.C1, res.C2, pl.Rounds(), pl.PredictedC2())
 	}
 	return res, pl.Verify(m)
 }

@@ -106,6 +106,17 @@ func TestExerciseCatchesAShiftedSlot(t *testing.T) {
 	}
 }
 
+// TestExerciseCatchesAStaleCount is the negative control of measured =
+// compiled: a plan whose stored C2 is off by one fails, naming both pairs.
+func TestExerciseCatchesAStaleCount(t *testing.T) {
+	pl := must(Compile(mpsim.MustNew(8), mpsim.WorldGroup(8), Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}}))
+	pl.c2++
+	_, err := Exercise(pl, Labels)
+	if want := "index: measured C1=3 C2=48, compiled C1=3 C2=49"; err == nil || err.Error() != want {
+		t.Fatalf("Exercise = %v, want %q", err, want)
+	}
+}
+
 // TestMemoryOfAnotherShapeIsRejected: a plan runs on memory of its own
 // shape only.
 func TestMemoryOfAnotherShapeIsRejected(t *testing.T) {

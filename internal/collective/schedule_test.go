@@ -100,9 +100,9 @@ func TestConcatScheduleMatchesSpanningTrees(t *testing.T) {
 		for t := 1; t <= k; t++ {
 			want[intmath.Mod(-t*base, n)] = true
 		}
-		for _, ev := range e.Metrics().RoundEvents(round) {
+		for _, ev := range e.Metrics().Events() {
 			off := intmath.Mod(ev.Dst-ev.Src, n)
-			if !want[off] {
+			if ev.Round == round && !want[off] {
 				t.Errorf("round %d uses offset %d, want one of -S_%d = %v", round, off, round, want)
 			}
 		}

@@ -179,8 +179,8 @@ func FuzzChaosSchedule(f *testing.F) {
 }
 
 // FuzzCase is the differential target over the whole Case space: a case
-// that compiles must pass the symbolic proof and the byte oracle with
-// the measured C1/C2 equal to the compiled ones; a case that does not
+// that compiles must pass the symbolic proof and the byte oracle (which
+// also holds the measured C1/C2 to the compiled ones); a case that does not
 // must have been rejected by name parsing, the topology parser, the
 // engine or Spec.canonicalize — never by a panic or a failed check.
 func FuzzCase(f *testing.F) {
@@ -191,6 +191,8 @@ func FuzzCase(f *testing.F) {
 	for _, c := range seeds {
 		f.Add(c.Op, c.Alg, c.N, c.K, c.B, c.Radix, c.Segments, c.Ragged, c.Topology, c.Root)
 	}
+	// Found by this target: an all-zero ragged concat undercuts the round bound.
+	f.Add("concat", "", 42, 1, 0, 0, 0, true, "", 0)
 	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int) {
 		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 9,
 			Ragged: ragged, Topology: topology, Root: root}
@@ -209,12 +211,8 @@ func FuzzCase(f *testing.F) {
 		if v := pl.Check(); v != nil {
 			t.Fatalf("%+v: Check: %v", c, v)
 		}
-		res, err := collective.Exercise(pl, collective.Labels)
-		if err != nil {
+		if _, err := collective.Exercise(pl, collective.Labels); err != nil {
 			t.Fatalf("%+v: Exercise: %v", c, err)
-		}
-		if res.C1 != pl.Rounds() || res.C2 != pl.PredictedC2() {
-			t.Fatalf("%+v: measured C1=%d C2=%d, compiled %d and %d", c, res.C1, res.C2, pl.Rounds(), pl.PredictedC2())
 		}
 	})
 }

@@ -485,37 +485,6 @@ func TestMetricsC2PerRoundMax(t *testing.T) {
 	}
 }
 
-func TestMetricsPerProcByteCounts(t *testing.T) {
-	const n = 4
-	e := MustNew(n)
-	err := e.Run(func(p *Proc) error {
-		me := p.Rank()
-		out := make([]byte, me+1) // rank i sends i+1 bytes
-		_, err := p.SendRecv((me+1)%n, out, (me-1+n)%n)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	m := e.Metrics()
-	for i := 0; i < n; i++ {
-		wantOut := i + 1
-		wantIn := (i-1+n)%n + 1
-		if got := m.BytesOutOf(i); got != wantOut {
-			t.Errorf("BytesOutOf(%d) = %d, want %d", i, got, wantOut)
-		}
-		if got := m.BytesInto(i); got != wantIn {
-			t.Errorf("BytesInto(%d) = %d, want %d", i, got, wantIn)
-		}
-	}
-	if got := m.MaxBytesIntoAnyProc(); got != n {
-		t.Errorf("MaxBytesIntoAnyProc = %d, want %d", got, n)
-	}
-	if got := m.TotalBytes(); got != int64(n*(n+1)/2) {
-		t.Errorf("TotalBytes = %d, want %d", got, n*(n+1)/2)
-	}
-}
-
 // TestSkippedRoundsDoNotCount: rounds where nobody sends are not part
 // of C1.
 func TestSkippedRoundsDoNotCount(t *testing.T) {

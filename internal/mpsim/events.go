@@ -1,10 +1,6 @@
 package mpsim
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Link classes of a two-level topology (WithTopology). Engines without
 // a topology tag every event ClassIntra.
@@ -77,64 +73,5 @@ func MergeEvents(ms ...*Metrics) []Event {
 		}
 		return out[i].Dst < out[j].Dst
 	})
-	return out
-}
-
-// RoundEvents returns the recorded messages of one round, sorted by
-// (src, dst).
-func (m *Metrics) RoundEvents(round int) []Event {
-	var out []Event
-	for _, ev := range m.Events() {
-		if ev.Round == round {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Timeline renders the recorded schedule round by round, one line per
-// message, in the form "p3 -> p5: 128B". Useful for debugging
-// schedules and for the figure tooling.
-func (m *Metrics) Timeline() string {
-	events := m.Events()
-	if len(events) == 0 {
-		return "(no recorded events)\n"
-	}
-	var sb strings.Builder
-	cur := -1
-	for _, ev := range events {
-		if ev.Round != cur {
-			cur = ev.Round
-			fmt.Fprintf(&sb, "round %d:\n", cur)
-		}
-		fmt.Fprintf(&sb, "  p%d -> p%d: %dB\n", ev.Src, ev.Dst, ev.Size)
-	}
-	return sb.String()
-}
-
-// PortViolations scans the recorded events for rounds in which a
-// processor sent or received more than k messages. With validation on
-// this is always empty; it exists for analyzing runs executed with
-// Validate(false).
-func (m *Metrics) PortViolations(k int) []string {
-	type key struct{ round, proc int }
-	sends := make(map[key]int)
-	recvs := make(map[key]int)
-	for _, ev := range m.Events() {
-		sends[key{ev.Round, ev.Src}]++
-		recvs[key{ev.Round, ev.Dst}]++
-	}
-	var out []string
-	for kk, c := range sends {
-		if c > k {
-			out = append(out, fmt.Sprintf("p%d sent %d messages in round %d (k=%d)", kk.proc, c, kk.round, k))
-		}
-	}
-	for kk, c := range recvs {
-		if c > k {
-			out = append(out, fmt.Sprintf("p%d received %d messages in round %d (k=%d)", kk.proc, c, kk.round, k))
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -33,12 +33,6 @@ type Metrics struct {
 	totalBytes   int64 // sum of all message sizes over all sends
 	messageCount int64 // total number of messages sent
 
-	// perProcBytesIn[p] is the number of bytes received by processor p
-	// over all of its ports; the per-port lower bounds in the paper
-	// divide this by k.
-	perProcBytesIn  []int
-	perProcBytesOut []int
-
 	finishRound []int // final round counter of each processor
 
 	record bool    // collect per-message events
@@ -54,11 +48,7 @@ func (r *roundRecord) add(size int) {
 }
 
 func newMetrics(n int) *Metrics {
-	return &Metrics{
-		perProcBytesIn:  make([]int, n),
-		perProcBytesOut: make([]int, n),
-		finishRound:     make([]int, n),
-	}
+	return &Metrics{finishRound: make([]int, n)}
 }
 
 func (m *Metrics) recordSend(rank, dst, round, size int) {
@@ -73,7 +63,6 @@ func (m *Metrics) recordSend(rank, dst, round, size int) {
 	m.rounds[round].add(size)
 	m.totalBytes += int64(size)
 	m.messageCount++
-	m.perProcBytesOut[rank] += size
 	class := ClassIntra
 	if g := m.groupOf; g != nil {
 		if g[rank] != g[dst] {
@@ -84,12 +73,6 @@ func (m *Metrics) recordSend(rank, dst, round, size int) {
 	if m.record {
 		m.events = append(m.events, Event{Round: round, Src: rank, Dst: dst, Size: size, Class: class})
 	}
-}
-
-func (m *Metrics) recordRecv(rank, round, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.perProcBytesIn[rank] += size
 }
 
 func (m *Metrics) setFinish(rank, round int) {
@@ -150,37 +133,6 @@ func (m *Metrics) Messages() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.messageCount
-}
-
-// BytesInto returns the number of bytes received by processor rank over
-// the whole run.
-func (m *Metrics) BytesInto(rank int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perProcBytesIn[rank]
-}
-
-// BytesOutOf returns the number of bytes sent by processor rank over the
-// whole run.
-func (m *Metrics) BytesOutOf(rank int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perProcBytesOut[rank]
-}
-
-// MaxBytesIntoAnyProc returns the largest per-processor receive volume;
-// divided by k this is the per-port volume bounded below by b(n-1)/k in
-// Propositions 2.2 and 2.4.
-func (m *Metrics) MaxBytesIntoAnyProc() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	max := 0
-	for _, v := range m.perProcBytesIn {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // classRecord returns round i's record restricted to one link class.

@@ -174,7 +174,6 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			return fmt.Errorf("mpsim: p%d round %d: received message sent by p%d in round %d (misaligned schedule)",
 				p.rank, round, src, msg.round)
 		}
-		p.metrics.recordRecv(p.rank, round, len(msg.data))
 		if into != nil {
 			if len(msg.data) != len(into[i]) {
 				return fmt.Errorf("mpsim: p%d round %d: received %d bytes from p%d into a %d-byte buffer",

@@ -2,21 +2,19 @@
 // evaluation artifacts: the measured-time figures of Section 3.5
 // (Figures 4, 5 and 6) and the optimality tables of Sections 2 and 4.
 //
-// Schedules are *measured*: each (n, r, k) configuration is executed
-// once on the mpsim engine with unit blocks, recording the true
-// per-round message sizes; both complexity measures scale linearly in
-// the block size b, so times for any b follow from the unit-block
-// schedule under the linear model T = C1*beta + C2*tau. The tests in
-// package collective separately verify that measured schedules equal
-// the closed forms.
+// Schedule measures are read from the compiled plan (Plan.Rounds,
+// Plan.PredictedC2): the oracle, collective.Exercise, asserts measured =
+// compiled wherever a schedule runs, so nothing here executes one to
+// count. Both measures scale linearly in the block size b, so times for
+// any b follow from the unit-block plan under the linear model
+// T = C1*beta + C2*tau. The studies return their results as cli tables
+// (tables.go); rendering is the CLI's.
 package sweep
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
@@ -42,67 +40,44 @@ type Series struct {
 	Points []Point
 }
 
-// Harness measures index schedules on the simulator and caches them.
+// Harness evaluates index schedules under a machine profile and caches
+// their unit-block measures.
 type Harness struct {
 	Profile costmodel.Profile
 
-	// Backend selects the simulator transport the measurement engines
-	// use; the zero value means mpsim.BackendChan. The measured
-	// schedules — and therefore every figure — are identical across
-	// backends; the choice only affects the harness's own wall-clock.
-	Backend mpsim.Backend
-
-	mu    sync.Mutex
-	cache map[[3]int][]int // (n, r, k) -> per-round sizes in blocks
+	cache map[[3]int][2]int // (n, r, k) -> C1 and C2 at 1-byte blocks
 }
 
 // NewHarness returns a harness evaluating times under the given machine
 // profile.
 func NewHarness(p costmodel.Profile) *Harness {
-	return &Harness{Profile: p, cache: make(map[[3]int][]int)}
+	return &Harness{Profile: p, cache: make(map[[3]int][2]int)}
 }
 
-// schedule returns the per-round message sizes, in blocks, of the
-// radix-r index algorithm, measured by running it once on the engine
-// with 1-byte blocks.
-func (h *Harness) schedule(n, r, k int) ([]int, error) {
+// schedule returns the rounds and the volume, in blocks, of the radix-r
+// index algorithm: those of its plan compiled for 1-byte blocks.
+func (h *Harness) schedule(n, r, k int) (c1, blocks int, err error) {
 	key := [3]int{n, r, k}
-	h.mu.Lock()
-	cached, ok := h.cache[key]
-	h.mu.Unlock()
-	if ok {
-		return cached, nil
+	if c, ok := h.cache[key]; ok {
+		return c[0], c[1], nil
 	}
-	res, err := measure(h.Backend, n, k, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
+	pl, err := compile(n, k, collective.Spec{Op: collective.OpIndex, BlockLen: 1, Index: collective.IndexOptions{Radix: r}})
 	if err != nil {
-		return nil, fmt.Errorf("sweep: measuring n=%d r=%d k=%d: %w", n, r, k, err)
+		return 0, 0, fmt.Errorf("sweep: compiling n=%d r=%d k=%d: %w", n, r, k, err)
 	}
-	h.mu.Lock()
-	h.cache[key] = res.RoundSizes
-	h.mu.Unlock()
-	return res.RoundSizes, nil
+	c1, blocks = pl.Rounds(), pl.PredictedC2()
+	h.cache[key] = [2]int{c1, blocks}
+	return c1, blocks, nil
 }
 
 // compile builds the spec's plan for all n processors of a k-port
-// engine on transport tr, the channel backend when empty.
-func compile(tr mpsim.Backend, n, k int, s collective.Spec) (*collective.Plan, error) {
-	if tr == "" {
-		tr = mpsim.BackendChan
-	}
-	e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(tr))
+// engine.
+func compile(n, k int, s collective.Spec) (*collective.Plan, error) {
+	e, err := mpsim.New(n, mpsim.Ports(k))
 	if err != nil {
 		return nil, err
 	}
 	return collective.Compile(e, mpsim.WorldGroup(n), s)
-}
-
-// measure compiles the spec and runs it once through the oracle.
-func measure(tr mpsim.Backend, n, k int, s collective.Spec) (*collective.Result, error) {
-	pl, err := compile(tr, n, k, s)
-	if err != nil {
-		return nil, err
-	}
-	return collective.Exercise(pl, collective.Labels)
 }
 
 // at is the point of one configuration at block size b given its
@@ -113,15 +88,11 @@ func (h *Harness) at(n, r, k, b, c1, c2 int) Point {
 
 // point evaluates one configuration at block size b.
 func (h *Harness) point(n, r, k, b int) (Point, error) {
-	sched, err := h.schedule(n, r, k)
+	c1, blocks, err := h.schedule(n, r, k)
 	if err != nil {
 		return Point{}, err
 	}
-	c2 := 0
-	for _, blocks := range sched {
-		c2 += blocks * b
-	}
-	return h.at(n, r, k, b, len(sched), c2), nil
+	return h.at(n, r, k, b, c1, blocks*b), nil
 }
 
 // SegmentedPoint evaluates one segment-pipelined configuration at block
@@ -129,7 +100,7 @@ func (h *Harness) point(n, r, k, b int) (Point, error) {
 // the plan the compiler builds for it, which clamps s and degenerates
 // to the monolithic schedule as collective.SegmentedIndexCost does.
 func (h *Harness) SegmentedPoint(n, r, k, b, s int) (Point, error) {
-	pl, err := compile(h.Backend, n, k, collective.Spec{Op: collective.OpIndex, BlockLen: b,
+	pl, err := compile(n, k, collective.Spec{Op: collective.OpIndex, BlockLen: b,
 		Index: collective.IndexOptions{Radix: r, Segments: s}})
 	if err != nil {
 		return Point{}, fmt.Errorf("sweep: compiling n=%d r=%d k=%d b=%d s=%d: %w", n, r, k, b, s, err)
@@ -273,81 +244,6 @@ func PowersOfTwoUpTo(n int) []int {
 	return out
 }
 
-// RenderSeries formats series as an aligned text table: one row per
-// block size, one column per series, times in microseconds.
-func RenderSeries(series []Series) string {
-	if len(series) == 0 {
-		return "(no data)\n"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%12s", "bytes")
-	for _, s := range series {
-		fmt.Fprintf(&sb, " %14s", s.Name)
-	}
-	sb.WriteByte('\n')
-	for i := range series[0].Points {
-		fmt.Fprintf(&sb, "%12d", series[0].Points[i].BlockLen)
-		for _, s := range series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&sb, " %12.1fus", s.Points[i].Seconds*1e6)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// RenderSeriesByR formats Fig-6-style series: one row per radix.
-func RenderSeriesByR(series []Series) string {
-	if len(series) == 0 {
-		return "(no data)\n"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%8s", "radix")
-	for _, s := range series {
-		fmt.Fprintf(&sb, " %14s", s.Name)
-	}
-	sb.WriteByte('\n')
-	for i := range series[0].Points {
-		fmt.Fprintf(&sb, "%8d", series[0].Points[i].R)
-		for _, s := range series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&sb, " %12.1fus", s.Points[i].Seconds*1e6)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// CSV renders series as comma-separated values with a header, suitable
-// for external plotting.
-func CSV(series []Series, xAxis string) string {
-	var sb strings.Builder
-	sb.WriteString(xAxis)
-	for _, s := range series {
-		fmt.Fprintf(&sb, ",%s", strings.ReplaceAll(s.Name, ",", ";"))
-	}
-	sb.WriteByte('\n')
-	if len(series) == 0 {
-		return sb.String()
-	}
-	for i := range series[0].Points {
-		x := series[0].Points[i].BlockLen
-		if xAxis == "radix" {
-			x = series[0].Points[i].R
-		}
-		fmt.Fprintf(&sb, "%d", x)
-		for _, s := range series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&sb, ",%.9g", s.Points[i].Seconds)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // BoundsRow compares one configuration's achieved measures with the
 // Section 2 lower bounds.
 type BoundsRow struct {
@@ -359,23 +255,22 @@ type BoundsRow struct {
 	C2Optimal  bool
 }
 
-// ConcatBoundsTable measures the circulant concatenation across the
-// given n and k values at block size b on transport backend tr and
-// reports achieved-vs-bound.
-func ConcatBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, error) {
+// ConcatBoundsTable compiles the circulant concatenation across the
+// given n and k values at block size b and reports achieved-vs-bound.
+func ConcatBoundsTable(ns, ks []int, b int) ([]BoundsRow, error) {
 	var rows []BoundsRow
 	for _, n := range ns {
 		for _, k := range ks {
 			if k > intmath.Max(1, n-1) {
 				continue
 			}
-			res, err := measure(tr, n, k, collective.Spec{Op: collective.OpConcat, BlockLen: b})
+			pl, err := compile(n, k, collective.Spec{Op: collective.OpConcat, BlockLen: b})
 			if err != nil {
 				return nil, fmt.Errorf("sweep: concat n=%d k=%d: %w", n, k, err)
 			}
 			row := BoundsRow{
 				Op: "concat", N: n, K: k, B: b,
-				C1: res.C1, C2: res.C2,
+				C1: pl.Rounds(), C2: pl.PredictedC2(),
 				C1LB: lowerbound.ConcatRounds(n, k),
 				C2LB: lowerbound.ConcatVolume(n, b, k),
 			}
@@ -387,13 +282,11 @@ func ConcatBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, erro
 	return rows, nil
 }
 
-// IndexBoundsTable measures the Bruck index with round-minimal radix
-// (k+1) and volume-minimal radix (n) across configurations, on
-// transport backend tr.
-func IndexBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, error) {
+// IndexBoundsTable compiles the Bruck index with round-minimal radix
+// (k+1) and volume-minimal radix (n) across configurations.
+func IndexBoundsTable(ns, ks []int, b int) ([]BoundsRow, error) {
 	var rows []BoundsRow
 	h := NewHarness(costmodel.SP1)
-	h.Backend = tr
 	for _, n := range ns {
 		for _, k := range ks {
 			if k > intmath.Max(1, n-1) || n < 2 {
@@ -419,8 +312,8 @@ func IndexBoundsTable(tr mpsim.Backend, ns, ks []int, b int) ([]BoundsRow, error
 	return rows, nil
 }
 
-// sortedBounds returns the rows in the presentation order shared by
-// the text and machine-readable renderings: by n, then k, stable.
+// sortedBounds returns the rows in presentation order: by n, then k,
+// stable.
 func sortedBounds(rows []BoundsRow) []BoundsRow {
 	sorted := append([]BoundsRow(nil), rows...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -430,16 +323,4 @@ func sortedBounds(rows []BoundsRow) []BoundsRow {
 		return sorted[i].K < sorted[j].K
 	})
 	return sorted
-}
-
-// RenderBounds formats a bounds table.
-func RenderBounds(rows []BoundsRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-14s %5s %3s %5s %8s %8s %8s %8s %6s %6s\n",
-		"operation", "n", "k", "b", "C1", "C1-LB", "C2", "C2-LB", "C1opt", "C2opt")
-	for _, r := range sortedBounds(rows) {
-		fmt.Fprintf(&sb, "%-14s %5d %3d %5d %8d %8d %8d %8d %6v %6v\n",
-			r.Op, r.N, r.K, r.B, r.C1, r.C1LB, r.C2, r.C2LB, r.C1Optimal, r.C2Optimal)
-	}
-	return sb.String()
 }

@@ -6,7 +6,6 @@ import (
 
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
-	"bruck/internal/mpsim"
 )
 
 // TestFig4Shape: with SP-1 parameters and n = 64, the smallest radix is
@@ -114,25 +113,22 @@ func TestScheduleMatchesClosedForm(t *testing.T) {
 	}
 }
 
-// TestScheduleCache: the second request for the same configuration does
-// not re-run the engine (same slice returned).
+// TestScheduleCache: the second request for the same configuration
+// answers from the cache, with the same measures.
 func TestScheduleCache(t *testing.T) {
 	h := NewHarness(costmodel.SP1)
-	a, err := h.schedule(8, 2, 1)
+	c1, blocks, err := h.schedule(8, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.schedule(8, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] != &b[0] {
-		t.Error("schedule was re-measured instead of cached")
+	h.cache[[3]int{8, 2, 1}] = [2]int{c1, blocks + 1} // a recompile would not see this
+	if again, got, err := h.schedule(8, 2, 1); err != nil || again != c1 || got != blocks+1 {
+		t.Errorf("schedule = (%d, %d, %v), want the cached (%d, %d)", again, got, err, c1, blocks+1)
 	}
 }
 
 func TestConcatBoundsTableOptimal(t *testing.T) {
-	rows, err := ConcatBoundsTable(mpsim.BackendChan, []int{4, 5, 8, 9, 16, 17, 27, 32}, []int{1, 2}, 4)
+	rows, err := ConcatBoundsTable([]int{4, 5, 8, 9, 16, 17, 27, 32}, []int{1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +144,7 @@ func TestConcatBoundsTableOptimal(t *testing.T) {
 }
 
 func TestIndexBoundsTable(t *testing.T) {
-	rows, err := IndexBoundsTable(mpsim.BackendSlot, []int{8, 9, 16}, []int{1, 2}, 4)
+	rows, err := IndexBoundsTable([]int{8, 9, 16}, []int{1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,43 +162,36 @@ func TestIndexBoundsTable(t *testing.T) {
 	}
 }
 
-func TestRenderers(t *testing.T) {
+// TestReports: the studies' tables carry one column per series (or
+// measure) and one row per point, in every shape the CLI renders.
+func TestReports(t *testing.T) {
 	h := NewHarness(costmodel.SP1)
 	series, err := h.Fig4(8, []int{2, 8}, []int{16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := RenderSeries(series)
-	for _, want := range []string{"bytes", "r=2", "r=8", "16", "64"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("RenderSeries lacks %q:\n%s", want, table)
-		}
+	tb := SeriesReport("fig4", series, "bytes")
+	if got := strings.Join(tb.Columns, ","); got != "bytes,r=2,r=8" || len(tb.Rows) != 2 || tb.Rows[1][0] != "64" {
+		t.Errorf("SeriesReport by bytes: columns %q, rows %v", got, tb.Rows)
 	}
 	fig6, err := h.Fig6(8, []int{32}, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byR := RenderSeriesByR(fig6)
-	if !strings.Contains(byR, "radix") || !strings.Contains(byR, "32 bytes") {
-		t.Errorf("RenderSeriesByR:\n%s", byR)
+	tb = SeriesReport("fig6", fig6, "radix")
+	if got := strings.Join(tb.Columns, ","); got != "radix,32 bytes" || len(tb.Rows) != 3 || tb.Rows[2][0] != "8" {
+		t.Errorf("SeriesReport by radix: columns %q, rows %v", got, tb.Rows)
 	}
-	csv := CSV(series, "bytes")
-	if !strings.HasPrefix(csv, "bytes,r=2,r=8\n") {
-		t.Errorf("CSV header wrong:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Errorf("CSV has %d lines, want 3", lines)
-	}
-	rows, err := ConcatBoundsTable(mpsim.BackendChan, []int{4, 8}, []int{1}, 2)
+	rows, err := ConcatBoundsTable([]int{8, 4}, []int{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := RenderBounds(rows)
-	if !strings.Contains(bounds, "concat") || !strings.Contains(bounds, "C1-LB") {
-		t.Errorf("RenderBounds:\n%s", bounds)
+	tb = BoundsReport("concat-bounds", rows)
+	if len(tb.Rows) != 2 || tb.Rows[0][0] != "concat" || tb.Rows[0][1] != "4" || tb.Columns[5] != "c1_lb" {
+		t.Errorf("BoundsReport: columns %v, rows %v", tb.Columns, tb.Rows)
 	}
-	if RenderSeries(nil) == "" || RenderSeriesByR(nil) == "" {
-		t.Error("renderers must handle empty input")
+	if tb = SeriesReport("none", nil, "bytes"); len(tb.Columns) != 1 || len(tb.Rows) != 0 {
+		t.Errorf("SeriesReport of no series: %+v", tb)
 	}
 }
 

@@ -13,7 +13,6 @@ package sweep
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
@@ -166,26 +165,4 @@ func TopoCrossovers(rows []TopoRow) []TopoCrossover {
 		}
 	}
 	return out
-}
-
-// RenderTopoRows formats the crossover study as an aligned table.
-func RenderTopoRows(rows []TopoRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-7s %5s %3s %7s %-8s %6s %-18s %-18s %12s %12s %7s\n",
-		"op", "n", "k", "b", "shape", "ratio", "flat(C1,C2,r)", "hier(C1,C2)", "flat_us", "hier_us", "winner")
-	for _, r := range rows {
-		winner := "flat"
-		if r.HierWins {
-			winner = "hier"
-		}
-		flat := fmt.Sprintf("(%d,%d,r=%d)", r.FlatC1, r.FlatC2, r.FlatR)
-		if r.FlatR == 0 {
-			flat = fmt.Sprintf("(%d,%d)", r.FlatC1, r.FlatC2)
-		}
-		fmt.Fprintf(&sb, "%-7s %5d %3d %7d %-8s %6g %-18s %-18s %12.1f %12.1f %7s\n",
-			r.Op, r.N, r.K, r.B, r.Shape, r.Ratio, flat,
-			fmt.Sprintf("(%d,%d)", r.HierC1, r.HierC2),
-			r.FlatSec*1e6, r.HierSec*1e6, winner)
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 
 	"bruck/internal/intmath"
 )
@@ -84,14 +83,4 @@ func (tr *ConcatTrace) capture(caption string, cfg *Config) {
 // Final returns the last captured configuration.
 func (tr *ConcatTrace) Final() *Config {
 	return tr.Steps[len(tr.Steps)-1].Config
-}
-
-// String renders the whole trace.
-func (tr *ConcatTrace) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "concatenation operation, n = %d processors, one port\n\n", tr.N)
-	for _, s := range tr.Steps {
-		fmt.Fprintf(&sb, "%s:\n%s\n", s.Caption, s.Config)
-	}
-	return sb.String()
 }

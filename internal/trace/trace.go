@@ -1,5 +1,5 @@
-// Package trace renders the processor-memory configuration figures of
-// the paper (Figures 1, 2, 3 and 9) as text. It simulates the index and
+// Package trace draws the processor-memory configuration figures of
+// the paper (Figures 1, 2, 3 and 9) as tables. It simulates the index and
 // concatenation algorithms at label granularity: each data block is
 // represented by the label "ij" (block j of processor i) instead of
 // payload bytes, exactly as the figures draw them.
@@ -11,9 +11,9 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 
 	"bruck/internal/blocks"
+	"bruck/internal/cli"
 	"bruck/internal/intmath"
 )
 
@@ -106,28 +106,21 @@ func (c *Config) Equal(o *Config) bool {
 	return true
 }
 
-// String renders the configuration as the paper draws it: one column
-// per processor, one row per memory slot.
-func (c *Config) String() string {
-	var sb strings.Builder
-	n := len(c.Cells)
-	if n == 0 {
-		return "(empty)\n"
+// Table returns the configuration as the paper draws it: one column per
+// processor, one row per memory slot.
+func (c *Config) Table(name string) *cli.Table {
+	t := &cli.Table{Name: name, Columns: []string{"slot"}}
+	for i := range c.Cells {
+		t.Columns = append(t.Columns, fmt.Sprintf("p%d", i))
 	}
-	slots := len(c.Cells[0])
-	sb.WriteString("     ")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, " p%-3d", i)
-	}
-	sb.WriteByte('\n')
-	for j := 0; j < slots; j++ {
-		fmt.Fprintf(&sb, "%3d: ", j)
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(&sb, " %-4s", c.Cells[i][j])
+	for j := 0; len(c.Cells) > 0 && j < len(c.Cells[0]); j++ {
+		row := []string{fmt.Sprint(j)}
+		for i := range c.Cells {
+			row = append(row, c.Cells[i][j].String())
 		}
-		sb.WriteByte('\n')
+		t.AddRow(row...)
 	}
-	return sb.String()
+	return t
 }
 
 // Step is one captured snapshot with a caption.
@@ -206,16 +199,6 @@ func (tr *IndexTrace) capture(caption string, cfg *Config) {
 // Final returns the last captured configuration.
 func (tr *IndexTrace) Final() *Config {
 	return tr.Steps[len(tr.Steps)-1].Config
-}
-
-// String renders the whole trace.
-func (tr *IndexTrace) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "index operation, n = %d processors, radix r = %d\n\n", tr.N, tr.R)
-	for _, s := range tr.Steps {
-		fmt.Fprintf(&sb, "%s:\n%s\n", s.Caption, s.Config)
-	}
-	return sb.String()
 }
 
 // rotateUp rotates labels steps positions upward cyclically.

@@ -61,7 +61,7 @@ func TestFig2PhasesN5R5(t *testing.T) {
 		}
 	}
 	if !tr.Final().Equal(FinalIndex(5)) {
-		t.Errorf("final trace configuration is not the index result:\n%s", tr.Final())
+		t.Errorf("final trace configuration is not the index result:\n%v", tr.Final().Cells)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestFig3Radix2N5(t *testing.T) {
 		t.Fatalf("trace has %d snapshots, want 6", got)
 	}
 	if !tr.Final().Equal(FinalIndex(5)) {
-		t.Errorf("final configuration wrong:\n%s", tr.Final())
+		t.Errorf("final configuration wrong:\n%v", tr.Final().Cells)
 	}
 	// The three communication captions name rotations by 1, 2, 4.
 	for i, wantDist := range []string{"rotate 1 right", "rotate 2 right", "rotate 4 right"} {
@@ -208,16 +208,18 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
+// TestConfigString: a configuration's text is its table — one column
+// per processor, one row per memory slot.
 func TestConfigString(t *testing.T) {
-	c := InitialIndex(3)
-	s := c.String()
-	for _, want := range []string{"p0", "p1", "p2", "00", "12", "21"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendering lacks %q:\n%s", want, s)
-		}
+	tb := InitialIndex(3).Table("initial")
+	if got := strings.Join(tb.Columns, " "); got != "slot p0 p1 p2" {
+		t.Errorf("columns = %q", got)
 	}
-	if NewConfig(0, 0).String() == "" {
-		t.Error("empty config renders empty string")
+	if len(tb.Rows) != 3 || strings.Join(tb.Rows[2], " ") != "2 02 12 22" {
+		t.Errorf("rows = %v", tb.Rows)
+	}
+	if empty := NewConfig(0, 0).Table("empty"); len(empty.Rows) != 0 || len(empty.Columns) != 1 {
+		t.Errorf("empty config: %+v", empty)
 	}
 }
 
