@@ -11,9 +11,9 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// The budget ledger: the exact allocation count and C1/C2 of one
-// operation of every shape the repo makes a cost claim about, on 16
-// processors. TestBudget asserts all three with equality, so a higher
+// The budget ledger: the exact allocation count, C1/C2 and bytes moved
+// of one operation of every shape the repo makes a cost claim about, on
+// 16 processors. TestBudget asserts all four with equality, so a higher
 // count fails as a regression and a lower one fails until its row is
 // tightened — the rows only ever move down. Wall-clock is not here:
 // benchmark/ is the only code that times a collective.
@@ -37,6 +37,7 @@ type budgetRow struct {
 	mode   budgetMode
 	allocs int // per operation, steady state
 	c1, c2 int // of the operation's last run (of the compiled plan, for compileOnly)
+	moved  int // bytes the busiest rank copies per operation: see moved
 }
 
 // must unwraps the ledger's own constants: a layout, topology or kernel
@@ -99,35 +100,69 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 76, 4, 4096},
-		{"concat/flat", concat, compilePerCall, 84, 4, 1920},
-		{"index/plan-reuse", index, planReuse, 68, 4, 4096},
-		{"index/compile-only", index, compileOnly, 8, 4, 4096},
-		{"concat/plan-reuse", concat, planReuse, 68, 4, 1920},
-		{"indexv/ragged-bruck", indexV, planReuse, 68, 4, 4096},
-		{"indexv/ragged-auto", indexVAuto, planReuse, 69, 6, 3072},
-		{"concatv/ragged-circulant", concatV, planReuse, 68, 4, 1815},
-		{"runplans/concurrent-2x8", halves, concurrent, 85, 3, 1536},
-		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 70, 15, 1920},
-		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 68, 4, 1920},
-		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 68, 4, 4096},
-		{"allreduce/auto", auto, planReuse, 69, 8, 3840},
-		{"index/mono", sized(index, 0), planReuse, 68, 4, 2097152},
-		{"index/s4", sized(index, 4), planReuse, 69, 7, 917504},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 69, 8, 3080192},
-		{"allreduce/s4", sized(allreduce, 4), planReuse, 70, 11, 1900544},
-		{"index/flat-4x4", on(index, false), planReuse, 71, 4, 4096},
-		{"concat/flat-4x4", on(concat, false), planReuse, 71, 4, 1920},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 73, 8, 6016},
-		{"index/hier-4x4", on(index, true), planReuse, 78, 10, 17920},
-		{"concat/hier-4x4", on(concat, true), planReuse, 88, 7, 6528},
-		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 78, 12, 24576},
+		{"index/flat", index, compilePerCall, 76, 4, 4096, 8320},
+		{"concat/flat", concat, compilePerCall, 84, 4, 1920, 3968},
+		{"index/plan-reuse", index, planReuse, 68, 4, 4096, 8320},
+		{"index/compile-only", index, compileOnly, 8, 4, 4096, 8320},
+		{"concat/plan-reuse", concat, planReuse, 68, 4, 1920, 3968},
+		{"indexv/ragged-bruck", indexV, planReuse, 68, 4, 4096, 10730},
+		{"indexv/ragged-auto", indexVAuto, planReuse, 69, 6, 3072, 8682},
+		{"concatv/ragged-circulant", concatV, planReuse, 68, 4, 1815, 4671},
+		{"runplans/concurrent-2x8", halves, concurrent, 85, 3, 1536, 1600},
+		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 70, 15, 1920, 6016},
+		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 68, 4, 1920, 6016},
+		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 68, 4, 4096, 10240},
+		{"allreduce/auto", auto, planReuse, 69, 8, 3840, 9856},
+		{"index/mono", sized(index, 0), planReuse, 68, 4, 2097152, 4259840},
+		{"index/s4", sized(index, 4), planReuse, 69, 7, 917504, 4259840},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 69, 8, 3080192, 7208960},
+		{"allreduce/s4", sized(allreduce, 4), planReuse, 70, 11, 1900544, 7208960},
+		{"index/flat-4x4", on(index, false), planReuse, 71, 4, 4096, 8320},
+		{"concat/flat-4x4", on(concat, false), planReuse, 71, 4, 1920, 3968},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 73, 8, 6016, 14080},
+		{"index/hier-4x4", on(index, true), planReuse, 78, 10, 17920, 31872},
+		{"concat/hier-4x4", on(concat, true), planReuse, 88, 7, 6528, 12672},
+		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 78, 12, 24576, 26624},
 	}
 }
 
+// moved returns the bytes rank me copies in one run of the program — its
+// local steps, and every exchange's packs and lands — by the walk that
+// fixes C1/C2 (program.walk): the copies a data-path change removes show
+// here exactly, whatever the clock says.
+func (pr *program) moved(me int) (bytes int) {
+	ro := pr.role(me)
+	for i := range ro.steps {
+		switch s := &ro.steps[i]; s.kind {
+		case stepExchange:
+			for _, x := range s.xfers {
+				if x.to.mode != addrNone {
+					bytes += pr.measure(x.send, me)
+				}
+				if x.from.mode != addrNone {
+					bytes += pr.measure(x.recv, me)
+				}
+			}
+		case stepCopy:
+			bytes += min(pr.measure(s.xfers[0].send, me), pr.measure(s.xfers[0].recv, me))
+		case stepSpread:
+			d, c := s.xfers[0].recv[0], s.xfers[0].send[0]
+			for b := 0; b < int(d.n); b++ {
+				_, dn := d.bytes(pr.shapeOf(d.reg, me), me, pr.n, b)
+				_, cn := c.bytes(pr.shapeOf(c.reg, me), me, pr.n, b)
+				bytes += min(dn, cn)
+			}
+		case stepEmbed:
+			bytes += s.em.sub.moved(s.em.me)
+		}
+	}
+	return bytes
+}
+
 // setup builds the row's steady state on one transport: the operation
-// and a model callback reporting the C1/C2 of its last run.
-func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func() (c1, c2 int), err error) {
+// and a model callback reporting the C1/C2 of its last run and the bytes
+// its busiest rank moved.
+func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func() (c1, c2, moved int), err error) {
 	opts := []mpsim.Option{mpsim.WithTransport(backend)}
 	if t := row.spec.Topology; t != nil {
 		opts = append(opts, mpsim.WithTopology(t.GroupAssignment()))
@@ -162,14 +197,19 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 		}
 	}
 	pl, results := plans[0], make([]*Result, 1)
+	moved := func() (most int) {
+		for me := 0; me < pl.prog.n; me++ {
+			most = max(most, pl.prog.moved(me))
+		}
+		return most
+	}
 	switch row.mode {
 	case compileOnly:
 		op = func() (err error) { pl, err = Compile(e, groups[0], row.spec); return err }
-		return op, func() (int, int) { return pl.Rounds(), pl.PredictedC2() }, nil
+		return op, func() (int, int, int) { return pl.Rounds(), pl.PredictedC2(), moved() }, nil
 	case compilePerCall:
-		op = func() error {
-			pl, err := Compile(e, groups[0], row.spec)
-			if err == nil {
+		op = func() (err error) {
+			if pl, err = Compile(e, groups[0], row.spec); err == nil {
 				results[0], err = pl.Run(mem)
 			}
 			return err
@@ -179,22 +219,22 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 	default:
 		op = func() (err error) { results[0], err = pl.Run(mem); return err }
 	}
-	return op, func() (c1, c2 int) {
+	return op, func() (c1, c2, _ int) {
 		for _, r := range results {
 			c1 = max(c1, r.C1) // groups run concurrently: rounds overlap
 			c2 += r.C2         // volume adds up
 		}
-		return c1, c2
+		return c1, c2, moved()
 	}, nil
 }
 
 // compare returns one line per number of the row that differs from the
 // measured one, naming the row, the metric and both values.
-func (row budgetRow) compare(allocs, c1, c2 int) (diffs []string) {
+func (row budgetRow) compare(allocs, c1, c2, moved int) (diffs []string) {
 	for _, m := range []struct {
 		metric      string
 		got, budget int
-	}{{"allocs", allocs, row.allocs}, {"C1", c1, row.c1}, {"C2", c2, row.c2}} {
+	}{{"allocs", allocs, row.allocs}, {"C1", c1, row.c1}, {"C2", c2, row.c2}, {"moved", moved, row.moved}} {
 		switch {
 		case m.got > m.budget:
 			diffs = append(diffs, fmt.Sprintf("%s: %s = %d over its budget of %d: a regression", row.name, m.metric, m.got, m.budget))
@@ -237,8 +277,8 @@ func TestBudget(t *testing.T) {
 				if !raceDetector {
 					allocs = int(testing.AllocsPerRun(runs, run))
 				}
-				c1, c2 := model()
-				for _, d := range row.compare(allocs, c1, c2) {
+				c1, c2, moved := model()
+				for _, d := range row.compare(allocs, c1, c2, moved) {
 					t.Error(d)
 				}
 			})
@@ -247,18 +287,24 @@ func TestBudget(t *testing.T) {
 }
 
 // TestBudgetCompare is the negative control: against a row one under in
-// allocations and one over in volume, the comparator reports each with
-// the pinned text, and an exact measurement nothing.
+// allocations, one over in volume and off either way in bytes moved, the
+// comparator reports each with the pinned text, and an exact measurement
+// nothing.
 func TestBudgetCompare(t *testing.T) {
-	row := budgetRow{name: "op/shape", allocs: 70, c1: 4, c2: 4096}
-	if d := row.compare(70, 4, 4096); d != nil {
+	row := budgetRow{name: "op/shape", allocs: 70, c1: 4, c2: 4096, moved: 8320}
+	if d := row.compare(70, 4, 4096, 8320); d != nil {
 		t.Errorf("exact measurement reported %q", d)
 	}
 	want := []string{
 		"op/shape: allocs = 71 over its budget of 70: a regression",
 		"op/shape: C2 = 4095 under its budget of 4096: the budget is stale, tighten the row to 4095",
+		"op/shape: moved = 12288 over its budget of 8320: a regression",
 	}
-	if d := row.compare(71, 4, 4095); !slices.Equal(d, want) {
+	if d := row.compare(71, 4, 4095, 12288); !slices.Equal(d, want) {
+		t.Errorf("got %q, want %q", d, want)
+	}
+	want = []string{"op/shape: moved = 8192 under its budget of 8320: the budget is stale, tighten the row to 8192"}
+	if d := row.compare(70, 4, 4096, 8192); !slices.Equal(d, want) {
 		t.Errorf("got %q, want %q", d, want)
 	}
 }
@@ -283,9 +329,10 @@ func BenchmarkBudget(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				c1, c2 := model()
+				c1, c2, moved := model()
 				b.ReportMetric(float64(c1), "C1")
 				b.ReportMetric(float64(c2), "C2/bytes")
+				b.ReportMetric(float64(moved), "moved/bytes")
 			})
 		}
 	}

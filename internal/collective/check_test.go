@@ -260,11 +260,22 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				ro := &pl.prog.roles[0]
-				last := len(ro.steps) - 2 // the final round precedes Phase 3
-				ro.steps = append(ro.steps[:last], ro.steps[last+1:]...)
+				ro.steps = ro.steps[:len(ro.steps)-1] // the final round is the last step
 				pl.c1--
 			},
 			wantSub: "delivery",
+		},
+		{
+			name: "index last receive left in scratch",
+			base: bruck,
+			mutate: func(pl *Plan) {
+				// Slots 3..5 of the final round belong in output blocks
+				// me-3..me-5; scratch is released with them still in it.
+				steps := exchangeSteps(pl)
+				x := &steps[len(steps)-1].xfers[0]
+				x.recv = []extent{slots(regWork, 3, 3)}
+			},
+			wantSub: "rank 0 output block 3 does not hold its 4 bytes",
 		},
 		{
 			name:    "concat wrong c1",

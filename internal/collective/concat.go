@@ -132,19 +132,18 @@ func ringProgram(n, k, bl int) *program {
 }
 
 // recursiveDoublingProgram compiles the hypercube exchange for
-// power-of-two n as the doubling phase in xor order: slot q accumulates
-// the block of rank me xor q, so round i sends slots [0, 2^i) to
-// partner me xor 2^i and receives its slots into [2^i, 2^(i+1)).
+// power-of-two n as the doubling phase in xor order, accumulated in the
+// output like the circulant's: block me xor q is slot q, so round i sends
+// slots [0, 2^i) to partner me xor 2^i and receives its [2^i, 2^(i+1)).
 func recursiveDoublingProgram(n, k, bl int) *program {
 	b := newBuilder(n, n, 2*n)
-	b.local(stepCopy, b.ext(blocksAt(regWork, fixed(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
+	b.local(stepCopy, b.ext(blocksAt(regOut, xor(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
 	for bit := 1; bit < n; bit <<= 1 {
 		b.xfers = append(b.xfers, xfer{to: xor(bit), from: xor(bit),
-			send: b.ext(blocksAt(regWork, fixed(0), bit)), recv: b.ext(blocksAt(regWork, fixed(bit), bit))})
+			send: b.ext(blocksAt(regOut, xor(0), bit)), recv: b.ext(blocksAt(regOut, xor(bit), bit))})
 		b.exchange("", 0)
 	}
-	b.local(stepSpread, b.ext(blocksAt(regOut, xor(0), n)), b.ext(blocksAt(regWork, fixed(0), n)))
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: []scratch{{n * bl, bl}}}}}
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}
 }
 
 // trivial appends the single all-pairs round of a concatenation with

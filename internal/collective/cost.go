@@ -82,14 +82,8 @@ func IndexCostEnvelope(n, b, r, k int) (c1, c2 int) {
 }
 
 // DirectIndexCost returns (C1, C2) of the direct-exchange index: one
-// block per port per round.
-func DirectIndexCost(n, b, k int) (c1, c2 int) {
-	if n <= 1 {
-		return 0, 0
-	}
-	c1 = intmath.CeilDiv(n-1, k)
-	return c1, c1 * b
-}
+// block per port per round, the r = n member of the Bruck family.
+func DirectIndexCost(n, b, k int) (c1, c2 int) { return IndexCost(n, b, n, k) }
 
 // ConcatCost returns the closed-form (C1, C2) of the circulant
 // concatenation algorithm under the given last-round policy.
@@ -153,14 +147,9 @@ func RingConcatCost(n, b int) (c1, c2 int) {
 	return n - 1, (n - 1) * b
 }
 
-// RecursiveDoublingConcatCost returns (C1, C2) of the hypercube
-// exchange for power-of-two n.
-func RecursiveDoublingConcatCost(n, b int) (c1, c2 int) {
-	if n <= 1 {
-		return 0, 0
-	}
-	return intmath.CeilLog(2, n), (n - 1) * b
-}
+// RecursiveDoublingConcatCost returns (C1, C2) of the hypercube exchange
+// for power-of-two n: round i moves the binomial gather's 2^i blocks.
+func RecursiveDoublingConcatCost(n, b int) (c1, c2 int) { return TreeGatherCost(n, b, 1) }
 
 // SegmentedIndexCost returns the closed-form (C1, C2) of the radix-r
 // Bruck index algorithm pipelined over s segments: each b-byte block is

@@ -82,16 +82,17 @@
 // a slab of one block per rank and the slice that is the root's side
 // (Plan.ExecuteRooted): a payload is packed into a pool-recycled
 // buffer, handed over and landed in caller-owned memory by its
-// receiver, and the concatenation algorithms accumulate in the output
-// slab itself, each slot addressed as the block it ends up as, so
-// nothing is rotated afterwards. On a reused engine an execution
-// performs no per-block or per-message allocations — except on the
-// one-to-all primitives: a one-directional tree drains its senders'
-// pools into its receivers', whose free lists are bounded, so senders
-// allocate transport buffers anew (0.5-2.1 MB per call at n = 16,
-// b = 64 KiB). The [][][]byte and [][]byte shapes exist only at the
-// public boundary, as two adapters in the root package — one copy in,
-// one copy out around the same plans.
+// receiver, and nothing is rotated: the concatenations accumulate in
+// the output slab, each slot addressed as the block it ends up as, and
+// an index slot's first send packs from the input, its last receive
+// lands in the output. On a reused engine an execution performs no
+// per-block or per-message allocations — except on the one-to-all
+// primitives: a one-directional tree drains its senders' pools into its
+// receivers', whose free lists are bounded, so senders allocate
+// transport buffers anew (0.5-2.1 MB per call at n = 16, b = 64 KiB).
+// The [][][]byte and [][]byte shapes exist only at the public boundary,
+// as two adapters in the root package — one copy in, one copy out around
+// the same plans.
 //
 // # The step program
 //
@@ -108,7 +109,7 @@
 //     `to` or no `from` is one-sided.
 //   - a local step moves extents to extents on the rank itself: a copy
 //     or combine of byte streams, or a spread (block i to block i, cut
-//     to the shorter: the index rotations and the ragged pack/unpack).
+//     to the shorter: the pack and unpack of a padded layout plan).
 //   - a skip sits out rounds; an embed runs a sub-program on a
 //     sub-frame of the group (the hierarchical phases) and pads it to
 //     the length of the phase it shares.

@@ -62,14 +62,12 @@ const AutoSegments = -1
 // compileIndex is the one index compiler behind the fixed-size, mixed-
 // radix and layout specs: a non-nil s.Radices selects the Bruck schedule
 // whose subphase i uses radices[i]; s.Layout, when set, makes the caller
-// regions rows of a layout and the block size the padded slot size. The
-// Bruck family runs its unchanged rounds on slots padded to the layout's
-// largest block (pack at true lengths in, unpack at true lengths out;
-// padding travels but is never read), the direct and pairwise-XOR
-// exchanges move each block at its exact extent, and zero-length blocks
-// still travel as empty messages so every rank walks the same round
-// structure. On a uniform layout the program is identical to the
-// fixed-size one at the same block size.
+// regions rows of a layout and the block size the padded slot size. On
+// unequal blocks the Bruck family runs padded (bruckProgram; padding
+// travels but is never read), the direct and pairwise-XOR exchanges move
+// each block at its exact extent, and zero-length blocks still travel as
+// empty messages so every rank walks the same rounds. On a uniform
+// layout the program is the fixed-size one at that block size.
 func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	opt, lay, blockLen := s.Index, s.Layout, s.BlockLen
 	if lay != nil {
@@ -77,20 +75,15 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	r := defaultRadix(opt.Radix, n, k)
 	radixAt := func(int) int { return r }
-	segments := opt.Segments
-	switch {
-	case s.Radices != nil:
+	if s.Radices != nil {
 		radixAt = func(i int) int { return s.Radices[i] }
-	case segments == AutoSegments:
-		segments = OptimalSegments(costmodel.SP1, n, blockLen, r, k)
 	}
 	var pr *program
 	if opt.Algorithm == IndexBruck {
-		pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, segments)
+		pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, opt.Segments, lay != nil && !lay.Uniform())
 	} else {
 		// Block B[me, dst] goes straight to dst and B[src, me] lands
-		// straight in the output, ports filled k partners at a time:
-		// nothing is packed or staged.
+		// straight in the output, ports filled k partners at a time.
 		b := newBuilder(n, n, 2*n)
 		peer, back := plus, -1
 		if opt.Algorithm == IndexPairwiseXOR {
@@ -126,130 +119,154 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	return pr, nil
 }
 
-// bruckProgram compiles the Bruck-family index schedule for n ranks:
-// Phase 1 rotates the input into the working region (slot q holds the
-// block for rank me+q), Phase 2 runs the rounds (see bruckRounds, which
-// also explains segments and the count returned), Phase 3 writes slot q
-// to output block me-q.
-func bruckProgram(n, k, bl int, radixAt func(int) int, noPack bool, segments int) (*program, int) {
-	b := newBuilder(bruckSizes(n, k, radixAt))
-	work := b.ext(blocksAt(regWork, fixed(0), n))
-	b.local(stepSpread, work, b.ext(blocksAt(regIn, plus(0), n)))
-	segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments)
-	b.local(stepSpread, b.ext(extent{reg: regOut, at: plus(0), n: int32(n), rev: true, len: -1}), work)
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: []scratch{{n * bl, bl}}}}}, segments
+// bruckProgram compiles the Bruck-family index schedule for n ranks. The
+// paper's rotate-up, rounds and permute phases are one: slot q of the
+// rotated order is input block me+q until its first send and output
+// block me-q after its last receive, bruckRounds addresses it there, and
+// the only local step is slot 0's, which never travels. Scratch holds
+// slots between hops, so only a table with a second subphase has any:
+// the r = n member is IndexDirect's transfers. padded (a layout plan of
+// unequal blocks) runs the rounds on scratch slots packed at true lengths
+// and unpacked in rank order: two-phase packing, not a rotation.
+func bruckProgram(n, k, bl int, radixAt func(int) int, noPack bool, segments int, padded bool) (*program, int) {
+	b := newBuilder(bruckSizes(n, k, radixAt, padded))
+	var work []scratch
+	if padded || (n > 1 && radixAt(0) < n) {
+		work = []scratch{{n * bl, bl}}
+	}
+	if padded {
+		all := b.ext(slots(regWork, 0, n))
+		b.local(stepSpread, all, b.ext(slots(regIn, 0, n)))
+		segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments, regWork, regWork)
+		b.local(stepSpread, b.ext(slots(regOut, 0, n)), all)
+	} else {
+		b.local(stepCopy, b.ext(slots(regOut, 0, 1)), b.ext(slots(regIn, 0, 1)))
+		segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments, regIn, regOut)
+	}
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: work}}}, segments
 }
 
-// bruckSizes bounds the steps, transfers and extents of a Bruck round
-// table, so the builder allocates each slab once.
-func bruckSizes(n, k int, radixAt func(int) int) (steps, xfers, exts int) {
-	steps, xfers, exts = 2, 2, 3
+// slots addresses slots [q, q+cnt) of the rotated order as region reg
+// keeps them: input blocks me+q up, output blocks me-q down, scratch q up.
+func slots(reg regID, q, cnt int) extent {
+	switch reg {
+	case regIn:
+		return blocksAt(regIn, plus(q), cnt)
+	case regOut:
+		return extent{reg: regOut, at: plus(-q), n: int32(cnt), rev: true, len: -1}
+	}
+	return blocksAt(reg, fixed(q), cnt)
+}
+
+// bruckSizes sizes the slabs of a packed Bruck program exactly, so the
+// builder allocates each once. Every slot but 0 heads one run, at its
+// lowest non-zero digit, so a table has n-1 runs: recv lists each, send
+// its head and, past subphase 0, the rest of it.
+func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, exts int) {
+	steps, xfers, exts = 1, 1, 2*n
+	if padded {
+		steps, xfers, exts = 2, 2, 2*n+1
+	}
+	if n > 1 {
+		exts += intmath.CeilDiv(n, radixAt(0)) - 1
+	}
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
 		steps += intmath.CeilDiv(h-1, k)
 		xfers += h - 1
-		exts += (h - 1) * intmath.CeilDiv(n, weight*r)
 		weight *= r
 	}
 	return steps, xfers, exts
 }
 
-// bruckRounds appends Phase 2 of the Bruck-family index algorithm on
-// the n-slot working region: radixAt(i) is the radix of subphase i (a
-// constant for the uniform algorithm). Each subphase sends, for every
-// digit value z in 1..h-1, the slots whose digit at the subphase's
+// bruckRounds appends the rounds of the Bruck-family index algorithm on
+// the n slots of the rotated order: radixAt(i) is the radix of subphase
+// i (a constant for the uniform algorithm). Each subphase sends, for
+// every digit value z in 1..h-1, the slots whose digit at the subphase's
 // weight equals z — runs of `weight` slots every weight*r — to rank
-// me+z*weight, and receives the same slots from me-z*weight. Packed
-// mode groups k digit values into one round; noPack emits one
-// single-block round per selected slot (the paper's packing ablation).
+// me+z*weight, and receives the same slots from me-z*weight. A slot
+// travels exactly where its digit is non-zero, so the head of a run
+// (lower digits zero) is still in region in, the first run of a transfer
+// (higher digits zero) lands for good in region out, and the rest sit in
+// scratch. Packed mode groups k digit values into one round; noPack
+// emits one single-block round per slot (the paper's packing ablation).
 //
 // segments > 1 asks for the pipelined form: the blocks split into byte
 // spans and merged round t carries span seg of round t-seg for every
-// live segment, sharing the ports as lanes of one ownership-transfer
-// exchange. The request is clamped to what the table can pipeline — at
-// most one span per block byte, and at most minOffsetGap rounds in
-// flight so no merged round addresses one partner twice — and requests
-// that clamp to 1 (including every noPack or sub-2-round table) stay
-// monolithic. The returned count is 0 for a monolithic table.
-func (b *builder) bruckRounds(n, k, bl int, radixAt func(int) int, noPack bool, segments int) int {
+// live segment, sharing the ports as lanes of one exchange. The request
+// (AutoSegments: the SP-1 cost model's pick) is clamped to one span per
+// block byte and one round per segment, and stays monolithic (returning
+// 0) when that leaves 1 or under noPack; the offsets z*weight are
+// distinct across the table (each stays below the next weight), so no
+// merged round addresses a partner twice.
+func (b *builder) bruckRounds(n, k, bl int, radixAt func(int) int, noPack bool, segments int, in, out regID) int {
 	first := len(b.steps)
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
+		grain := weight // slots an extent may span: a whole run, or one under noPack
+		if noPack {
+			grain = 1
+		}
 		for z := 1; z < h; z++ {
-			lo := len(b.exts)
-			for base := z * weight; base < n; base += weight * r {
-				b.exts = append(b.exts, blocksAt(regWork, fixed(base), intmath.Min(weight, n-base)))
+			list := func(recv bool) []extent {
+				lo := len(b.exts)
+				for base := z * weight; base < n; base += weight * r {
+					for q := base; q < intmath.Min(base+weight, n); q += grain {
+						switch cnt := intmath.Min(grain, n-q); {
+						case recv && base < weight*r:
+							b.ext(slots(out, q, cnt))
+						case !recv && q == base:
+							b.ext(slots(in, q, 1), slots(regWork, q+1, cnt-1))
+						default:
+							b.ext(slots(regWork, q, cnt))
+						}
+					}
+				}
+				return b.exts[lo:len(b.exts):len(b.exts)]
 			}
-			slots := b.exts[lo:len(b.exts):len(b.exts)]
+			send, recv := list(false), list(true)
 			to, from := plus(z*weight), plus(-z*weight)
 			if !noPack {
-				b.xfers = append(b.xfers, xfer{to: to, from: from, send: slots, recv: slots})
+				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send, recv: recv})
 				if (z-1)%k == k-1 || z == h-1 {
 					b.exchange("bruck", 0)
 				}
 				continue
 			}
-			for _, run := range slots {
-				for j := 0; j < int(run.n); j++ {
-					one := b.ext(blocksAt(regWork, fixed(int(run.at.c)+j), 1))
-					b.xfers = append(b.xfers, xfer{to: to, from: from, send: one, recv: one})
-					b.exchange("bruck", 0)
-				}
+			for i := range send {
+				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send[i : i+1], recv: recv[i : i+1]})
+				b.exchange("bruck", 0)
 			}
 		}
 		weight *= r
 	}
 	rounds := b.steps[first:]
-	if segments > bl {
-		segments = bl
+	if segments == AutoSegments && len(rounds) > 0 {
+		segments = OptimalSegments(costmodel.SP1, n, bl, radixAt(0), k)
 	}
-	if gap := minOffsetGap(rounds); segments > gap {
-		segments = gap
-	}
-	if segments <= 1 || noPack || len(rounds) < 2 {
+	if segments = intmath.Min(segments, intmath.Min(bl, len(rounds))); segments <= 1 || noPack {
 		return 0
 	}
 	rounds = append([]step(nil), rounds...)
 	b.steps = b.steps[:first]
 	spans := buffers.SplitSpans(bl, segments)
+	cut := func(es []extent, span buffers.Span) []extent {
+		es = b.ext(es...)
+		for i := range es {
+			es[i].off, es[i].len = int32(span.Off), int32(span.Len)
+		}
+		return es
+	}
 	for t := 0; t < costmodel.PipelinedC1(len(rounds), segments); t++ {
 		lo, hi := intmath.Max(0, t-len(rounds)+1), intmath.Min(t, segments-1)
 		for seg := lo; seg <= hi; seg++ {
 			for _, x := range rounds[t-seg].xfers {
-				cut := b.ext(x.send...)
-				for i := range cut {
-					cut[i].off, cut[i].len = int32(spans[seg].Off), int32(spans[seg].Len)
-				}
-				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, send: cut, recv: cut})
+				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, send: cut(x.send, spans[seg]), recv: cut(x.recv, spans[seg])})
 			}
 		}
 		b.exchange("bruck", hi-lo+1)
 	}
 	return segments
-}
-
-// minOffsetGap returns the largest window size w such that any w
-// consecutive rounds of the table have pairwise distinct partner
-// offsets — the number of rounds a pipeline may hold in flight in one
-// merged round without addressing a partner twice. For the Bruck
-// tables the offsets z*weight are globally distinct across the whole
-// table (z*weight stays below the subphase's next weight), so this
-// returns len(rounds); it is computed rather than assumed as a
-// defensive clamp.
-func minOffsetGap(rounds []step) int {
-	gap := len(rounds)
-	for i := range rounds {
-		for j := i + 1; j < len(rounds) && j-i < gap; j++ {
-			for _, xi := range rounds[i].xfers {
-				for _, xj := range rounds[j].xfers {
-					if xi.to == xj.to && j-i < gap {
-						gap = j - i
-					}
-				}
-			}
-		}
-	}
-	return gap
 }

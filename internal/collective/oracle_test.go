@@ -98,7 +98,7 @@ func TestExerciseCatchesAShiftedSlot(t *testing.T) {
 	steps := exchangeSteps(pl)
 	x := &steps[len(steps)-1].xfers[0]
 	shifted := x.recv[len(x.recv)-1]
-	shifted.at.c--
+	shifted.at.c++ // the run descends from output block me-4
 	x.recv = []extent{shifted}
 	_, err = Exercise(pl, Labels)
 	if want := "index: rank 0 output block 1 differs from the operation's definition"; err == nil || err.Error() != want {

@@ -37,7 +37,6 @@ package collective
 
 import (
 	"bruck/internal/buffers"
-	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 	"bruck/internal/partition"
@@ -182,18 +181,13 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 	switch {
 	case opt.Algorithm == ReduceBruck:
 		r := defaultRadix(opt.Radix, n, k)
-		segments = opt.Segments
-		if segments == AutoSegments {
-			segments = OptimalSegments(costmodel.SP1, n, bl, r, k)
-		}
-		// Phases 1 and 2 are the Bruck index's — rotate the contribution
-		// row into the working region and run the rounds — and Phase 3
+		// The rounds are the Bruck index's, first sends straight from the
+		// contribution row, but every receive stays in scratch and Phase 3
 		// combines instead of permuting: slot q then holds rank (me-q)'s
-		// contribution to chunk me, so the slots fold into the chunk, own
-		// contribution first, then sources me-1, me-2, ...
-		b.local(stepSpread, b.ext(blocksAt(regWork, fixed(0), n)), b.ext(blocksAt(regIn, plus(0), n)))
-		segments = b.bruckRounds(n, k, bl, func(int) int { return r }, false, segments)
-		b.local(stepCopy, chunk, slot0)
+		// contribution to chunk me, so the slots fold into the chunk: the
+		// rank's own contribution first, then sources me-1, me-2, ...
+		segments = b.bruckRounds(n, k, bl, func(int) int { return r }, false, opt.Segments, regIn, regWork)
+		b.local(stepCopy, chunk, b.ext(slots(regIn, 0, 1)))
 		lo := len(b.exts)
 		for q := 1; q < n; q++ {
 			b.exts = append(b.exts, chunk[0])
