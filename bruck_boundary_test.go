@@ -138,8 +138,9 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 }
 
 // TestFacadeErrorTexts pins the text of every error the facade itself
-// returns (the "bruck: ..." ones; what package collective rejects is
-// pinned by its TestSpecRejections): call, exact text.
+// returns (the "bruck: ..." ones; what package collective rejects in a
+// Spec is pinned by its TestSpecRejections) and of the five rejections
+// a plan list can draw from RunPlans: call, exact text.
 func TestFacadeErrorTexts(t *testing.T) {
 	const n, b = 4, 4
 	topo, err := ParseTopology("2x2")
@@ -179,6 +180,19 @@ func TestFacadeErrorTexts(t *testing.T) {
 	}
 	busy := MustNewMachine(n)
 	busy.inflight.Store(true)
+	// Two plans nobody bound, on the machine nothing has run on.
+	unbound, err := fresh.CompileIndex(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, _ := NewConcatLayout([]int{1, 2, 3, 4})
+	unboundV, err := fresh.CompileConcatV(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPlans := func(m *Machine, plans ...*Plan) func() error {
+		return func() error { _, err := m.RunPlans(plans); return err }
+	}
 
 	critical := func(m *Machine) func() error {
 		return func() error { _, err := m.CriticalPathTime(SP1); return err }
@@ -210,8 +224,14 @@ func TestFacadeErrorTexts(t *testing.T) {
 			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
 		{"IndexFlat/in flight", func() error { _, err := busy.IndexFlat(in, out); return err },
 			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
-		{"RunPlans/in flight", func() error { _, err := busy.RunPlans(nil); return err },
-			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"RunPlans/in flight", runPlans(busy), "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"RunPlans/empty", runPlans(fresh), "collective: no plans to execute"},
+		{"RunPlans/nil plan", runPlans(split, halves[0], nil), "collective: plan 1 is nil"},
+		{"RunPlans/another machine's plan", runPlans(fresh, halves...), "collective: plan 0 was compiled for a different engine"},
+		{"RunPlans/unbound", runPlans(fresh, unbound), "collective: plan 0 has no bound buffers (call Bind)"},
+		{"RunPlans/unbound layout plan", runPlans(fresh, unboundV), "collective: layout plan 0 has no bound ragged buffers (call BindV)"},
+		{"RunPlans/overlapping groups", runPlans(split, halves[0], halves[1], halves[0]),
+			"collective: plans 0 and 2 share processor 0; groups must be disjoint"},
 	} {
 		if err := c.call(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)

@@ -1,6 +1,6 @@
 // The trace subcommand records and verifies the golden schedule-trace
 // corpus (internal/golden): canonical JSON artifacts of every
-// representative collective schedule (the old cmd/trace).
+// representative collective schedule.
 //
 //	bruckctl trace record  [-dir d] [-case substr] [-transport b]
 //	bruckctl trace verify  [-dir d] [-case substr] [-transport b] [-chaos-seed s] [-chaos-inner b] [-stragglers 0,3] [-perturb]

@@ -104,7 +104,6 @@ func run(w io.Writer) error {
 
 	// The request loop: refresh every tenant's payload, run all plans in
 	// one concurrent pass, verify the results.
-	//lint:allow detrand wall-clock timing is demo output only; nothing downstream snapshots it
 	start := time.Now()
 	var reports []*bruck.Report
 	for wave := 0; wave < waves; wave++ {

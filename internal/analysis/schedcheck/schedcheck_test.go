@@ -3,6 +3,7 @@ package schedcheck_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,5 +243,31 @@ func TestHierarchicalLevelDiscipline(t *testing.T) {
 				t.Fatalf("no violation mentions %q; got:\n  %s", tc.wantSub, strings.Join(v, "\n  "))
 			}
 		})
+	}
+}
+
+// TestMissingSendsReportedInOffsetOrder: the sends a round's pattern
+// predicts and the trace lacks are collected from a map, and every
+// Verify lists them by offset all the same.
+func TestMissingSendsReportedInOffsetOrder(t *testing.T) {
+	s := loadGolden(t, golden.Case{Name: "index-bruck-n12-k3"})
+	for i := 0; i < 3; i++ {
+		s.Rounds[0].Sends[i].Bytes++ // p0's sends at offsets 1, 2 and 3
+	}
+	want := []string{
+		"pattern[0]: 1 missing send(s) of offset 1, 12B",
+		"pattern[0]: 1 missing send(s) of offset 2, 12B",
+		"pattern[0]: 1 missing send(s) of offset 3, 12B",
+	}
+	for run := 0; run < 16; run++ {
+		var got []string
+		for _, msg := range schedcheck.Verify(s) {
+			if strings.Contains(msg, "missing send") {
+				got = append(got, msg)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("missing sends reported as\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
 	}
 }

@@ -10,9 +10,8 @@ package buffers
 // blocks.
 //
 // Kernel-safety rules (see also package collective's plan lifecycle
-// documentation; statically enforced on the built-in kernels and any
-// in-repo CombineFunc literal by the kernelsafe analyzer,
-// internal/analysis/kernelsafe, run via cmd/brucklint):
+// documentation; TestBuiltinKernelsContract holds the twelve built-in
+// kernels to them):
 //
 //   - A CombineFunc must treat dst and src as non-overlapping slices of
 //     equal length, write only dst, and must not retain either slice —

@@ -202,3 +202,39 @@ func TestFillIsOrderIndependentUnderEveryKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinKernelsContract holds each of the twelve built-in kernels
+// to the CombineFunc rules at the top of reduce.go: a call leaves src
+// as it found it, allocates nothing, and keeps nothing that changes the
+// next call — src is a pooled transport buffer, recycled after each.
+func TestBuiltinKernelsContract(t *testing.T) {
+	const size = 64
+	for op := Sum; op <= Max; op++ {
+		for typ := Int32; typ <= Float64; typ++ {
+			kernel, err := Kernel(op, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, src := make([]byte, size), make([]byte, size)
+			typ.Fill(dst, 1, 0)
+			typ.Fill(src, 2, 0)
+			before := bytes.Clone(src)
+			if allocs := testing.AllocsPerRun(10, func() { kernel(dst, src) }); allocs != 0 {
+				t.Errorf("%v over %v allocates %v times a call, want 0", op, typ, allocs)
+			}
+			if !bytes.Equal(src, before) {
+				t.Errorf("%v over %v writes src", op, typ)
+			}
+			fresh, _ := Kernel(op, typ)
+			typ.Fill(src, 3, 1) // recycled
+			got := make([]byte, size)
+			typ.Fill(got, 4, 1)
+			want := bytes.Clone(got)
+			kernel(got, src)
+			fresh(want, src)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v over %v: a kernel called before combines differently from a new one", op, typ)
+			}
+		}
+	}
+}

@@ -276,3 +276,26 @@ func sameEdgeSet(a, b []Edge) bool {
 	sort.Slice(bs, func(i, j int) bool { return less(bs[i], bs[j]) })
 	return reflect.DeepEqual(as, bs)
 }
+
+// TestTreeOrderIsDeterministic: a tree is built through a map, and
+// neither its edge list nor its node list shows the map's order —
+// every build of one tree lists the same edges in the same order, and
+// Nodes is sorted.
+func TestTreeOrderIsDeterministic(t *testing.T) {
+	first, err := BuildFullTree(64, 3, 5, Positive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		again, err := BuildFullTree(64, 3, 5, Positive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Edges, first.Edges) {
+			t.Fatal("two builds of one tree list their edges in different orders")
+		}
+		if !sort.IntsAreSorted(again.Nodes()) {
+			t.Fatalf("Nodes() = %v is not sorted", again.Nodes())
+		}
+	}
+}

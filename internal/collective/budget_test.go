@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -159,15 +160,29 @@ func (pr *program) moved(me int) (bytes int) {
 	return bytes
 }
 
-// setup builds the row's steady state on one transport: the operation
-// and a model callback reporting the C1/C2 of its last run and the bytes
-// its busiest rank moved.
-func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func() (c1, c2, moved int), err error) {
+// engine returns the row's machine on one transport.
+func (row budgetRow) engine(backend mpsim.Backend) (*mpsim.Engine, error) {
 	opts := []mpsim.Option{mpsim.WithTransport(backend)}
 	if t := row.spec.Topology; t != nil {
 		opts = append(opts, mpsim.WithTopology(t.GroupAssignment()))
 	}
-	e, err := mpsim.New(budgetN, opts...)
+	return mpsim.New(budgetN, opts...)
+}
+
+// fill returns the row's input: labels, or elements the row's kernel
+// combines exactly.
+func (row budgetRow) fill() func(blk []byte, rank, block int) {
+	if row.spec.Reduce.Kernel != nil {
+		return buffers.Float32.Fill
+	}
+	return Labels
+}
+
+// setup builds the row's steady state on one transport: the operation
+// and a model callback reporting the C1/C2 of its last run and the bytes
+// its busiest rank moved.
+func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func() (c1, c2, moved int), err error) {
+	e, err := row.engine(backend)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,10 +190,6 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 	if row.mode == concurrent {
 		ids := groups[0].IDs()
 		groups = []*mpsim.Group{must(mpsim.NewGroup(ids[:budgetN/2], budgetN)), must(mpsim.NewGroup(ids[budgetN/2:], budgetN))}
-	}
-	fill := Labels
-	if row.spec.Reduce.Kernel != nil {
-		fill = buffers.Float32.Fill
 	}
 	plans := make([]*Plan, len(groups))
 	var mem *Memory
@@ -189,7 +200,7 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 		if mem, err = plans[i].Alloc(); err != nil {
 			return nil, nil, err
 		}
-		plans[i].Fill(mem, fill)
+		plans[i].Fill(mem, row.fill())
 		if row.mode == concurrent {
 			if err = plans[i].Bind(mem.Flat()); err != nil {
 				return nil, nil, err
@@ -283,6 +294,70 @@ func TestBudget(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPlanImmutableAfterCompile: a compiled plan is plain data that
+// nothing writes again. Every ledger row is compiled twice, from specs
+// built apart so that not even a layout is shared: the two programs are
+// equal (compiling is deterministic), and after one of them has run
+// twice, been bound, run bound and been served from a cache hit, it
+// still equals the twin nothing touched and still passes Check.
+func TestPlanImmutableAfterCompile(t *testing.T) {
+	twins := budgetRows()
+	for i, row := range budgetRows() {
+		t.Run(row.name, func(t *testing.T) {
+			e, err := row.engine(mpsim.BackendChan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, c := mpsim.WorldGroup(budgetN), NewPlanCache()
+			pl, err := c.Get(e, g, row.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := Compile(e, g, twins[i].spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(when string) {
+				t.Helper()
+				if !reflect.DeepEqual(pl.prog, twin.prog) || pl.c1 != twin.c1 || pl.c2 != twin.c2 || !reflect.DeepEqual(pl.phases, twin.phases) {
+					t.Fatalf("%s the plan's program, C1, C2 or phases differ from its untouched twin's", when)
+				}
+			}
+			same("freshly compiled,")
+			mem, err := pl.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Fill(mem, row.fill())
+			for run := 0; run < 2 && err == nil; run++ {
+				_, err = pl.Run(mem)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch in := mem.side[regIn].(type) {
+			case *buffers.Buffers:
+				err = pl.Bind(in, mem.side[regOut].(*buffers.Buffers))
+			case *buffers.Ragged:
+				err = pl.BindV(in, mem.side[regOut].(*buffers.Ragged))
+			}
+			if err == nil {
+				_, err = ExecutePlans(e, []*Plan{pl})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit, err := c.Get(e, g, row.spec); hit != pl || err != nil {
+				t.Fatalf("a second Get returned another plan (%v)", err)
+			}
+			same("after two runs, a bind, a bound run and a cache hit")
+			if violations := pl.Check(); violations != nil {
+				t.Errorf("Check after execution: %q", violations)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,7 @@
 //   - PlanCache.Get(e, g, spec) is Compile behind a memo. Its key
 //     (planKey) is the comparable projection of the canonical spec,
 //     built in one function (keyOf) and checked field by field against
-//     Spec by the planlife analyzer; layout, topology and radices enter
+//     Spec by TestKeyOfCoversEverySpecField; layout, topology and radices enter
 //     by 64-bit digest and one confirm step holds them Equal on a hit
 //     (a colliding digest compiles fresh and uncached, never serves the
 //     wrong schedule). A hit allocates nothing. The cache holds at most
@@ -214,8 +214,8 @@
 // running operation. The handle rules — one operation in flight per
 // Machine, the operation owns its input and output buffers until Wait
 // (or a true Test), execution errors including watchdog fencing surface
-// on Wait — are documented on bruck.Handle and statically enforced by
-// the planlife analyzer (discarded handles, resubmission before Wait).
+// on Wait — are documented on bruck.Handle; a submission before Wait is
+// rejected at once (the root package's TestFacadeErrorTexts).
 //
 // # Ragged layouts
 //
@@ -241,11 +241,10 @@
 // ratio, which is what an Auto layout spec decides per layout from the
 // compiled candidates' exact (C1, C2).
 //
-// Plan lifecycle rules (immutability, engine affinity and the cache
-// key's completeness against Spec are statically enforced by the
-// planlife analyzer, internal/analysis/planlife, run via cmd/brucklint;
-// compiled programs are proved correct by Plan.Check, run via `bruckctl
-// vet`):
+// Plan lifecycle rules (held by TestPlanImmutableAfterCompile, the
+// exact rejections of the root package's TestFacadeErrorTexts and
+// TestKeyOfCoversEverySpecField; compiled programs are proved correct
+// by Plan.Check, run via `bruckctl vet`):
 //
 //   - A Plan is immutable after compilation and bound to the engine
 //     and group it was compiled for; executing it on another engine is

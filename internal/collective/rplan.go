@@ -92,8 +92,9 @@ type ReduceOptions struct {
 	// k+1). Ignored by the other algorithms.
 	Radix int
 	// Kernel combines a received partial into the local accumulator.
-	// Required whenever blockLen > 0.
-	//lint:allow planlife a func is not comparable: KernelKey is the kernel's identity in the cache key, and an empty KernelKey never caches
+	// Required whenever blockLen > 0. A func is not comparable: KernelKey
+	// is the kernel's identity in the cache key, and an empty KernelKey
+	// never caches.
 	Kernel buffers.CombineFunc
 	// ElemSize is the kernel's element width for block-size validation;
 	// 0 skips the divisibility check (raw byte kernels).

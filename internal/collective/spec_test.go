@@ -2,6 +2,8 @@ package collective
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bruck/internal/blocks"
@@ -329,5 +331,73 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: a Get hit allocates %v times, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestKeyOfCoversEverySpecField: the cache key is complete. Every leaf
+// field of a Spec — the fields of this package's option structs included —
+// is set, alone, to two non-zero values; each must key apart from the
+// zero Spec, from the other value and from every other field's, or two
+// schedules would share a cache entry. It reads the fields by
+// reflection, so a field added to Spec or its options and forgotten in
+// keyOf fails here. The one field with no place in a comparable key is
+// the waiver row.
+func TestKeyOfCoversEverySpecField(t *testing.T) {
+	const n = 4
+	waivers := map[string]string{
+		"Reduce.Kernel": "a func is not comparable; KernelKey is its identity",
+	}
+	// What a field that is not a number, a bool or a string is set to.
+	values := map[reflect.Type][2]any{
+		reflect.TypeOf((*blocks.Layout)(nil)):      {must(blocks.Uniform(n, n, 4)), must(blocks.Uniform(n, n, 8))},
+		reflect.TypeOf((*costmodel.Topology)(nil)): {mustTopology(t, "2x2"), mustTopology(t, "1x4")},
+		reflect.TypeOf((*costmodel.Profile)(nil)):  {&costmodel.Profile{Beta: 1, Tau: 1}, &costmodel.Profile{Beta: 1, Tau: 2}},
+		reflect.TypeOf([]int(nil)):                 {[]int{2, 2}, []int{4}},
+	}
+	e, g := mpsim.MustNew(n), mpsim.WorldGroup(n)
+	var s Spec
+	seen := map[planKey]string{keyOf(e, g, &s): "the zero Spec"}
+	waived := 0
+	var walk func(path string, f reflect.Value)
+	walk = func(path string, f reflect.Value) {
+		if f.Kind() == reflect.Struct && f.Type().PkgPath() == reflect.TypeOf(s).PkgPath() {
+			for i := 0; i < f.NumField(); i++ {
+				walk(strings.TrimPrefix(path+"."+f.Type().Field(i).Name, "."), f.Field(i))
+			}
+			return
+		}
+		if why, ok := waivers[path]; ok {
+			t.Logf("Spec.%s is not in the key: %s", path, why)
+			waived++
+			return
+		}
+		var vals []any
+		switch f.Kind() {
+		case reflect.Int:
+			vals = []any{1, 2}
+		case reflect.Bool:
+			vals = []any{true}
+		case reflect.String:
+			vals = []any{"x", "y"}
+		default:
+			two, ok := values[f.Type()]
+			if !ok {
+				t.Fatalf("Spec.%s: no non-zero values for a %v; add them to the table", path, f.Type())
+			}
+			vals = two[:]
+		}
+		for _, v := range vals {
+			f.Set(reflect.ValueOf(v).Convert(f.Type()))
+			key, what := keyOf(e, g, &s), fmt.Sprintf("Spec.%s = %v", path, v)
+			if prev, dup := seen[key]; dup {
+				t.Errorf("%s keys like %s: keyOf does not tell them apart", what, prev)
+			}
+			seen[key] = what
+		}
+		f.SetZero()
+	}
+	walk("", reflect.ValueOf(&s).Elem())
+	if waived != len(waivers) {
+		t.Errorf("%d of the %d waivers name a field Spec no longer has", len(waivers)-waived, len(waivers))
 	}
 }

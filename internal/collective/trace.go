@@ -3,8 +3,8 @@ package collective
 // Canonical trace export: every compiled Plan — index, concat,
 // reduction, fixed-size or layout — can emit the trace.Schedule of one
 // execution, pairing the engine's recorded event stream with the plan's
-// compiled pattern. The golden tooling (internal/golden, cmd/trace)
-// snapshots and verifies these artifacts.
+// compiled pattern. The golden tooling (internal/golden, `bruckctl
+// trace`) snapshots and verifies these artifacts.
 
 import (
 	"bruck/internal/costmodel"

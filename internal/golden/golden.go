@@ -1,11 +1,11 @@
 // Package golden maintains the golden schedule-trace corpus: one
 // canonical trace artifact (internal/trace.Schedule) per representative
 // schedule family, committed under testdata/golden/ and verified
-// against live runs by the package tests, the chaos fuzzer and the
-// cmd/trace CLI. A golden mismatch means the schedule's structure —
+// against live runs by the package tests, the chaos fuzzer and
+// `bruckctl trace`. A golden mismatch means the schedule's structure —
 // rounds, partners, message sizes, block placement — drifted from what
 // was reviewed and committed; regenerate deliberately with
-// `go test ./internal/golden -update` (or `cmd/trace record`) and
+// `go test ./internal/golden -update` (or `bruckctl trace record`) and
 // review the diff.
 //
 // Every capture runs through the oracle (collective.Exercise), which
@@ -135,7 +135,7 @@ func Write(dir string, c Case, s *trace.Schedule) error {
 func Verify(dir string, c Case, live *trace.Schedule) ([]string, error) {
 	data, err := os.ReadFile(Path(dir, c))
 	if err != nil {
-		return nil, fmt.Errorf("golden: no artifact for case %s (run with -update or `cmd/trace record`): %w", c.Name, err)
+		return nil, fmt.Errorf("golden: no artifact for case %s (run with -update or `bruckctl trace record`): %w", c.Name, err)
 	}
 	want, err := trace.ParseSchedule(data)
 	if err != nil {

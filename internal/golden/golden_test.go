@@ -83,6 +83,16 @@ func TestPerturbedScheduleFailsVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyMissingArtifact: a case with no committed artifact fails
+// naming the commands that record one.
+func TestVerifyMissingArtifact(t *testing.T) {
+	dir, c := t.TempDir(), Corpus()[0]
+	want := fmt.Sprintf("golden: no artifact for case %s (run with -update or `bruckctl trace record`): open %s: no such file or directory", c.Name, Path(dir, c))
+	if _, err := Verify(dir, c, nil); err == nil || err.Error() != want {
+		t.Errorf("error message did not match\nexpected: %s\n  actual: %v", want, err)
+	}
+}
+
 // TestCaptureDeterministic: two captures of one case produce
 // byte-identical canonical artifacts (the property that makes goldens
 // possible at all).

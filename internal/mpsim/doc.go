@@ -69,10 +69,10 @@
 // free-list entries so mixed-size rounds do too. Proc.AcquireBuf
 // and Proc.ReleaseBuf expose the same pools to algorithm bodies for
 // round scratch space. Each pool is owned by one processor goroutine;
-// the engine goroutine touches pools only between runs. The
-// acquire/release contract — one release per acquire, no use after
-// release, no escape — is statically enforced by the bufown analyzer
-// (internal/analysis/bufown, run via cmd/brucklint).
+// the engine goroutine touches pools only between runs. One release
+// per acquire, no use after release, no escape: the collective
+// interpreter, the one caller outside this package, is held to it by
+// TestBudget's exact allocation counts, its oracle and the race job.
 //
 // # Partitioned runs
 //

@@ -4,8 +4,8 @@ package trace
 // compiled collective schedule does — which processor sends how many
 // bytes to which partner in which round, and (for table-driven
 // schedules) which blocks and byte extents each message carries. The
-// golden-trace tooling (internal/golden, cmd/trace) snapshots these
-// artifacts and diffs live runs against them, so any structural drift
+// golden-trace tooling (internal/golden, `bruckctl trace`) snapshots
+// these artifacts and diffs live runs against them, so any structural drift
 // in a schedule — an extra round, a changed partner, a resized message
 // — fails loudly instead of slipping through as a silent performance or
 // correctness regression.
@@ -35,10 +35,10 @@ import (
 // Schedule is the canonical trace of one collective schedule, the unit
 // the golden tooling records and verifies. Field order is the canonical
 // JSON order. Committed artifacts are statically verified by
-// internal/analysis/schedcheck (run via `bruckctl vet`), and the
-// determinism of the code paths that produce them — no wall-clock, no
-// global randomness, no map-order leaks — by the detrand analyzer
-// (internal/analysis/detrand, run via cmd/brucklint).
+// internal/analysis/schedcheck (run via `bruckctl vet`); the code that
+// produces them is held deterministic — no wall clock, no global
+// randomness, no map-order leaks — by the byte-identical goldens
+// (internal/golden) and CI's `one clock` step.
 type Schedule struct {
 	// Op is the collective operation: "index", "concat",
 	// "reduce-scatter" or "allreduce".
