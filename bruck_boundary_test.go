@@ -139,8 +139,9 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 
 // TestFacadeErrorTexts pins the text of every error the facade itself
 // returns (the "bruck: ..." ones; what package collective rejects in a
-// Spec is pinned by its TestSpecRejections) and of the five rejections
-// a plan list can draw from RunPlans: call, exact text.
+// Spec is pinned by its TestSpecRejections), of the five rejections a
+// plan list can draw from RunPlans and of the five a reduction call can
+// draw by the way it names its kernel: call, exact text.
 func TestFacadeErrorTexts(t *testing.T) {
 	const n, b = 4, 4
 	topo, err := ParseTopology("2x2")
@@ -194,6 +195,17 @@ func TestFacadeErrorTexts(t *testing.T) {
 		return func() error { _, err := m.RunPlans(plans); return err }
 	}
 
+	// A reduction names its kernel with WithKernel or WithCombine; an
+	// operation or element type outside the table is an error, not an
+	// index panic.
+	six, _ := NewIndexBuffers(n, 6)
+	allReduce := func(in *Buffers, opts ...CollectiveOption) func() error {
+		return func() error {
+			out, _ := NewIndexBuffers(n, in.BlockLen())
+			_, err := fresh.AllReduceFlat(in, out, opts...)
+			return err
+		}
+	}
 	critical := func(m *Machine) func() error {
 		return func() error { _, err := m.CriticalPathTime(SP1); return err }
 	}
@@ -225,6 +237,12 @@ func TestFacadeErrorTexts(t *testing.T) {
 		{"IndexFlat/in flight", func() error { _, err := busy.IndexFlat(in, out); return err },
 			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
 		{"RunPlans/in flight", runPlans(busy), "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"AllReduceFlat/no kernel", allReduce(in), "collective: reduction requires a combine kernel (pass WithKernel or WithCombine)"},
+		{"AllReduceFlat/unknown op", allReduce(in, WithKernel(ReduceOp(9), Float32)), "buffers: no kernel for ReduceOp(9) over float32"},
+		{"AllReduceFlat/unknown type", allReduce(in, WithKernel(ReduceSum, DataType(9))), "buffers: no kernel for sum over DataType(9)"},
+		{"AllReduceFlat/negative op", allReduce(in, WithKernel(ReduceOp(-1), Float32)), "buffers: no kernel for ReduceOp(-1) over float32"},
+		{"AllReduceFlat/split element", allReduce(six, WithKernel(ReduceSum, Float32)),
+			"collective: block size 6 is not a multiple of the kernel's 4-byte elements"},
 		{"RunPlans/empty", runPlans(fresh), "collective: no plans to execute"},
 		{"RunPlans/nil plan", runPlans(split, halves[0], nil), "collective: plan 1 is nil"},
 		{"RunPlans/another machine's plan", runPlans(fresh, halves...), "collective: plan 0 was compiled for a different engine"},

@@ -4,10 +4,11 @@ package buffers
 // collectives (ReduceScatter, AllReduce). A collective moves bytes; a
 // reduction additionally combines them, so the plan executor applies a
 // CombineFunc where a plain collective would copy. The built-in kernels
-// cover sum/min/max over the four fixed-width element types, decoding
-// and re-encoding little-endian so results are identical on every host;
-// arbitrary user reductions plug in as a raw CombineFunc over whole
-// blocks.
+// cover sum/min/max over the four fixed-width element types, encoded
+// little-endian: a kernel reduces aligned slabs on a little-endian host
+// in place as native elements and any other slab a byte at a time, with
+// identical results on every host; arbitrary user reductions plug in as
+// a raw CombineFunc over whole blocks.
 //
 // Kernel-safety rules (see also package collective's plan lifecycle
 // documentation; TestBuiltinKernelsContract holds the twelve built-in
@@ -28,8 +29,8 @@ package buffers
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
+	"unsafe"
 )
 
 // DataType names a fixed-width element type of a built-in reduction
@@ -125,13 +126,13 @@ func (t DataType) Fill(blk []byte, rank, block int) {
 		v := (rank*5+block*3+e*7)%16 - 8
 		switch t {
 		case Int32:
-			PutInt32s(blk[e*4:], []int32{int32(v)})
+			store(blk[e*4:], int32(v))
 		case Int64:
-			PutInt64s(blk[e*8:], []int64{int64(v)})
+			store(blk[e*8:], int64(v))
 		case Float32:
-			PutFloat32s(blk[e*4:], []float32{float32(v)})
+			store(blk[e*4:], float32(v))
 		case Float64:
-			PutFloat64s(blk[e*8:], []float64{float64(v)})
+			store(blk[e*8:], float64(v))
 		}
 	}
 }
@@ -141,89 +142,114 @@ func (t DataType) Fill(blk []byte, rank, block int) {
 // never overlap; implementations must not retain either slice.
 type CombineFunc func(dst, src []byte)
 
-// Kernel returns the built-in CombineFunc for one (op, type) pair. The
-// slabs handed to the kernel must hold whole elements (length divisible
-// by t.Size()); the reduction entry points validate that at compile
-// time.
+// Kernel returns the built-in CombineFunc for one (op, type) pair: one
+// of twelve package-level function values, the same one on every call.
+// The slabs handed to the kernel must hold whole elements (length
+// divisible by t.Size()): the reduction entry points validate that.
 func Kernel(op ReduceOp, t DataType) (CombineFunc, error) {
-	switch t {
-	case Int32:
-		switch op {
-		case Sum:
-			return combineInt32(func(a, b int32) int32 { return a + b }), nil
-		case Min:
-			return combineInt32(func(a, b int32) int32 { return min(a, b) }), nil
-		case Max:
-			return combineInt32(func(a, b int32) int32 { return max(a, b) }), nil
-		}
-	case Int64:
-		switch op {
-		case Sum:
-			return combineInt64(func(a, b int64) int64 { return a + b }), nil
-		case Min:
-			return combineInt64(func(a, b int64) int64 { return min(a, b) }), nil
-		case Max:
-			return combineInt64(func(a, b int64) int64 { return max(a, b) }), nil
-		}
-	case Float32:
-		switch op {
-		case Sum:
-			return combineFloat32(func(a, b float32) float32 { return a + b }), nil
-		case Min:
-			return combineFloat32(func(a, b float32) float32 { return min(a, b) }), nil
-		case Max:
-			return combineFloat32(func(a, b float32) float32 { return max(a, b) }), nil
-		}
-	case Float64:
-		switch op {
-		case Sum:
-			return combineFloat64(func(a, b float64) float64 { return a + b }), nil
-		case Min:
-			return combineFloat64(func(a, b float64) float64 { return min(a, b) }), nil
-		case Max:
-			return combineFloat64(func(a, b float64) float64 { return max(a, b) }), nil
-		}
+	if op < Sum || op > Max || t < Int32 || t > Float64 {
+		return nil, fmt.Errorf("buffers: no kernel for %v over %v", op, t)
 	}
-	return nil, fmt.Errorf("buffers: no kernel for %v over %v", op, t)
+	return kernels[op][t], nil
 }
 
-func combineInt32(f func(a, b int32) int32) CombineFunc {
-	return func(dst, src []byte) {
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := int32(binary.LittleEndian.Uint32(dst[i:]))
-			b := int32(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], uint32(f(a, b)))
-		}
+var kernels = [3][4]CombineFunc{
+	Sum: {combineSum[int32], combineSum[int64], combineSum[float32], combineSum[float64]},
+	Min: {combineMin[int32], combineMin[int64], combineMin[float32], combineMin[float64]},
+	Max: {combineMax[int32], combineMax[int64], combineMax[float32], combineMax[float64]},
+}
+
+type element interface {
+	int32 | int64 | float32 | float64
+}
+
+// The three loop bodies, one instantiation per element type. min and max
+// are the built-ins: over floats a NaN propagates and -0 < +0, which a
+// comparison and an assignment would not give.
+
+func combineSum[T element](dst, src []byte) {
+	d, s, ok := views[T](dst, src)
+	if !ok {
+		bytewise[T](dst, src, Sum)
+		return
+	}
+	for i, v := range s[:len(d)] {
+		d[i] += v
 	}
 }
 
-func combineInt64(f func(a, b int64) int64) CombineFunc {
-	return func(dst, src []byte) {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst[i:]))
-			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
-		}
+func combineMin[T element](dst, src []byte) {
+	d, s, ok := views[T](dst, src)
+	if !ok {
+		bytewise[T](dst, src, Min)
+		return
+	}
+	for i, v := range s[:len(d)] {
+		d[i] = min(d[i], v)
 	}
 }
 
-func combineFloat32(f func(a, b float32) float32) CombineFunc {
-	return func(dst, src []byte) {
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(f(a, b)))
-		}
+func combineMax[T element](dst, src []byte) {
+	d, s, ok := views[T](dst, src)
+	if !ok {
+		bytewise[T](dst, src, Max)
+		return
+	}
+	for i, v := range s[:len(d)] {
+		d[i] = max(d[i], v)
 	}
 }
 
-func combineFloat64(f func(a, b float64) float64) CombineFunc {
-	return func(dst, src []byte) {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
+// littleEndian: the host's memory layout of an element is the wire's.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// views returns the whole elements of dst and of src as T in place, or
+// ok false where memory is not the wire layout: on a big-endian host, or
+// when either slab is not aligned to the element.
+func views[T element](dst, src []byte) (d, s []T, ok bool) {
+	size := unsafe.Sizeof(*new(T))
+	dp, sp := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src))
+	if !littleEndian || (uintptr(dp)|uintptr(sp))%size != 0 {
+		return nil, nil, false
+	}
+	return unsafe.Slice((*T)(dp), len(dst)/int(size)), unsafe.Slice((*T)(sp), len(src)/int(size)), true
+}
+
+// bytewise is the path of the slabs views declines: every element is
+// loaded and stored a byte at a time in the wire layout, so the result
+// is the native loop's bit for bit on any host at any address.
+func bytewise[T element](dst, src []byte, op ReduceOp) {
+	size := int(unsafe.Sizeof(*new(T)))
+	for i := 0; i+size <= len(dst); i += size {
+		a, b := load[T](dst[i:]), load[T](src[i:])
+		switch op {
+		case Sum:
+			a += b
+		case Min:
+			a = min(a, b)
+		case Max:
+			a = max(a, b)
 		}
+		store(dst[i:], a)
+	}
+}
+
+// load and store move one little-endian element between a slab and a
+// value, through the unsigned integer of its width.
+func load[T element](b []byte) (v T) {
+	if unsafe.Sizeof(v) == 4 {
+		*(*uint32)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint32(b)
+	} else {
+		*(*uint64)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint64(b)
+	}
+	return v
+}
+
+func store[T element](b []byte, v T) {
+	if unsafe.Sizeof(v) == 4 {
+		binary.LittleEndian.PutUint32(b, *(*uint32)(unsafe.Pointer(&v)))
+	} else {
+		binary.LittleEndian.PutUint64(b, *(*uint64)(unsafe.Pointer(&v)))
 	}
 }
 
@@ -233,66 +259,40 @@ func combineFloat64(f func(a, b float64) float64) CombineFunc {
 // exactly len(vals) elements; the decoding variants copy (a slab is
 // transport memory, not a place to alias).
 
-// PutInt32s encodes vals into dst.
-func PutInt32s(dst []byte, vals []int32) {
+func put[T element](dst []byte, vals []T) {
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
+		store(dst[i*int(unsafe.Sizeof(v)):], v)
 	}
 }
+
+func get[T element](src []byte) []T {
+	out := make([]T, len(src)/int(unsafe.Sizeof(*new(T))))
+	for i := range out {
+		out[i] = load[T](src[i*int(unsafe.Sizeof(out[i])):])
+	}
+	return out
+}
+
+// PutInt32s encodes vals into dst.
+func PutInt32s(dst []byte, vals []int32) { put(dst, vals) }
 
 // Int32s decodes src as int32 elements.
-func Int32s(src []byte) []int32 {
-	out := make([]int32, len(src)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(src[i*4:]))
-	}
-	return out
-}
+func Int32s(src []byte) []int32 { return get[int32](src) }
 
 // PutInt64s encodes vals into dst.
-func PutInt64s(dst []byte, vals []int64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
-	}
-}
+func PutInt64s(dst []byte, vals []int64) { put(dst, vals) }
 
 // Int64s decodes src as int64 elements.
-func Int64s(src []byte) []int64 {
-	out := make([]int64, len(src)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	return out
-}
+func Int64s(src []byte) []int64 { return get[int64](src) }
 
 // PutFloat32s encodes vals into dst.
-func PutFloat32s(dst []byte, vals []float32) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
-	}
-}
+func PutFloat32s(dst []byte, vals []float32) { put(dst, vals) }
 
 // Float32s decodes src as float32 elements.
-func Float32s(src []byte) []float32 {
-	out := make([]float32, len(src)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
-	}
-	return out
-}
+func Float32s(src []byte) []float32 { return get[float32](src) }
 
 // PutFloat64s encodes vals into dst.
-func PutFloat64s(dst []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
-}
+func PutFloat64s(dst []byte, vals []float64) { put(dst, vals) }
 
 // Float64s decodes src as float64 elements.
-func Float64s(src []byte) []float64 {
-	out := make([]float64, len(src)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	return out
-}
+func Float64s(src []byte) []float64 { return get[float64](src) }

@@ -2,7 +2,9 @@ package buffers
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -205,8 +207,10 @@ func TestFillIsOrderIndependentUnderEveryKernel(t *testing.T) {
 
 // TestBuiltinKernelsContract holds each of the twelve built-in kernels
 // to the CombineFunc rules at the top of reduce.go: a call leaves src
-// as it found it, allocates nothing, and keeps nothing that changes the
-// next call — src is a pooled transport buffer, recycled after each.
+// as it found it and allocates nothing — src is a pooled transport
+// buffer, recycled after each. That it keeps nothing which changes the
+// next call is TestBuiltinKernelsDifferential's: a kernel is one static
+// function, and every call there follows calls on other slabs.
 func TestBuiltinKernelsContract(t *testing.T) {
 	const size = 64
 	for op := Sum; op <= Max; op++ {
@@ -225,15 +229,81 @@ func TestBuiltinKernelsContract(t *testing.T) {
 			if !bytes.Equal(src, before) {
 				t.Errorf("%v over %v writes src", op, typ)
 			}
+			// Kernel hands out one static function per pair: asking again
+			// builds nothing and returns the function it returned before.
 			fresh, _ := Kernel(op, typ)
-			typ.Fill(src, 3, 1) // recycled
-			got := make([]byte, size)
-			typ.Fill(got, 4, 1)
-			want := bytes.Clone(got)
-			kernel(got, src)
-			fresh(want, src)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%v over %v: a kernel called before combines differently from a new one", op, typ)
+			if reflect.ValueOf(fresh).Pointer() != reflect.ValueOf(kernel).Pointer() {
+				t.Errorf("%v over %v: two Kernel calls return different functions", op, typ)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { fresh, _ = Kernel(op, typ) }); allocs != 0 {
+				t.Errorf("Kernel(%v, %v) allocates %v times a call, want 0", op, typ, allocs)
+			}
+		}
+	}
+}
+
+// TestBuiltinKernelsDifferential runs the twelve kernels down both of
+// their paths against one reference. Slabs of 0 to 67 elements start at
+// an aligned address or one byte past it, dst and src independently: on
+// a little-endian host the aligned pair takes the native loop and the
+// other three the byte-wise one (asserted through views, so neither path
+// can go unexecuted), and both must produce, bit for bit, the fold of
+// the decoded elements (get and put are all that Int32s, PutInt32s and
+// friends are) under the language's own +, min and max. The eight
+// special values meet in all 64 pairs: integer sums wrap, and over floats
+// a NaN on either side propagates and -0 orders below +0 — a min or max
+// written as a comparison and an assignment fails here.
+func TestBuiltinKernelsDifferential(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for op := Sum; op <= Max; op++ {
+		differential(t, op, Int32, []int32{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, 1 << 30, -(1 << 30)})
+		differential(t, op, Int64, []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, 1 << 62, -(1 << 62)})
+		differential(t, op, Float32, []float32{0, float32(negZero), float32(nan), float32(inf), float32(-inf), 1.5, -2.25, math.MaxFloat32})
+		differential(t, op, Float64, []float64{0, negZero, nan, inf, -inf, 1.5, -2.25, math.MaxFloat64})
+	}
+}
+
+func differential[T element](t *testing.T, op ReduceOp, typ DataType, specials []T) {
+	kernel, err := Kernel(op, typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, m := typ.Size(), len(specials)
+	for n := 0; n <= 67; n++ {
+		a, b := make([]T, n), make([]T, n)
+		for i := range a {
+			a[i], b[i] = specials[i%m], specials[i/m%m]
+		}
+		want := make([]byte, n*size)
+		fold := make([]T, n)
+		for i := range fold {
+			switch op {
+			case Sum:
+				fold[i] = a[i] + b[i]
+			case Min:
+				fold[i] = min(a[i], b[i])
+			case Max:
+				fold[i] = max(a[i], b[i])
+			}
+		}
+		put(want, fold)
+		for _, at := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			tag := fmt.Sprintf("%v over %v, %d elements, dst at +%d, src at +%d", op, typ, n, at[0], at[1])
+			// A 16-byte-or-larger allocation is at least 8-byte aligned.
+			dst, src := make([]byte, n*size+16)[at[0]:][:n*size], make([]byte, n*size+16)[at[1]:][:n*size]
+			put(dst, a)
+			put(src, b)
+			if _, _, native := views[T](dst, src); native != (littleEndian && at == [2]int{0, 0}) {
+				t.Fatalf("%s: native views taken = %v", tag, native)
+			}
+			before := bytes.Clone(src)
+			kernel(dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s:\n got %v\nwant %v", tag, get[T](dst), fold)
+			}
+			if !bytes.Equal(src, before) {
+				t.Errorf("%s: the kernel writes src", tag)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ package collective
 //     a round, a repeated partner, a self-send;
 //   - misaligned rounds: a send nobody receives, a receive nobody
 //     feeds, sizes that disagree, extents outside their block or
-//     region, phase tags or link classes that disagree within a round;
+//     region, phase tags, link classes or a swap flag that disagree;
 //   - delivery violations: any output byte that does not end up holding
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions);
@@ -377,6 +377,9 @@ func (s *sim) round(t, k int) (roundMax int) {
 		var to, from []int
 		for i := range op.s.xfers {
 			x := &op.s.xfers[i]
+			if derived := op.fr.pr.role(op.fr.me).swaps(op.s, x); x.swap != derived {
+				add("round %d: rank %d: transfer has swap = %v, its extents say %v (one whole scratch region sent and received)", t, r, x.swap, derived)
+			}
 			if x.to.mode != addrNone {
 				peer := op.fr.rank(x.to)
 				to = append(to, peer)

@@ -335,6 +335,16 @@ func TestCheckPerturbations(t *testing.T) {
 		{"halving dropped extent", configs["reducescatter-halving-n8-k1"], dropExtent, "delivery"},
 		{"halving overwrites instead of combining", configs["reducescatter-halving-n8-k1"], func(pl *Plan) { first(pl).combine = false }, "delivery"},
 		{"reduce-bruck wrong peer", configs["reducescatter-bruck-n9-k2-r3"], wrongPeer, "delivery"},
+		// A swap hands the whole region to the engine: flagged on a transfer
+		// that sends half a region and combines, it would give away the
+		// half that stays; cleared on a ring round, the flag is only stale.
+		{"halving transfer flagged as a swap", configs["reducescatter-halving-n8-k1"], func(pl *Plan) { first(pl).swap = true }, "swap = true, its extents say false"},
+		{"ring swap flag cleared", configs["reducescatter-ring-n6-k1"], func(pl *Plan) { first(pl).swap = false }, "swap = false, its extents say true"},
+		{"ring swap of part of the region", configs["reducescatter-ring-n6-k1"], func(pl *Plan) {
+			x := first(pl)
+			x.send = []extent{spanAt(regWork, fixed(0), 0, 4)}
+			x.recv = x.send
+		}, "swap = true, its extents say false"},
 		{"allreduce ring wrong peer", configs["allreduce-ring-n5-k4"], wrongPeer, "delivery"},
 		{"hier index member bypasses the leader", configs["hier-index-4-4-3"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 2 }, "delivery"},
 		{"hier concat dropped extent", configs["hier-concat-4-4-3"], func(pl *Plan) {

@@ -146,6 +146,8 @@
 // extents address (else an error naming rank and peer, before a byte is
 // written), lands it — copy or combine — and releases it to its own
 // pool, whose free list is bounded, so a receive-heavy rank cannot hoard.
+// The one exception, a transfer that sends and overwrites one whole scratch
+// region (role.swaps), copies nothing: the buffers themselves change hands.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the pool hint and a hierarchical plan's phase table from the

@@ -194,7 +194,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 }
 
 // TestKernelOptionsKeysAreDistinct: the cache identity of a built-in
-// kernel names its (op, type) pair and no other's.
+// kernel names its (op, type) pair and no other's, and naming a kernel
+// builds nothing — the facade does it on every WithKernel call.
 func TestKernelOptionsKeysAreDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for op := buffers.Sum; op <= buffers.Max; op++ {
@@ -204,6 +205,9 @@ func TestKernelOptionsKeysAreDistinct(t *testing.T) {
 				t.Errorf("KernelOptions(%v, %v) = %+v, %v", op, typ, o, err)
 			}
 			seen[o.KernelKey] = true
+			if allocs := testing.AllocsPerRun(10, func() { o, err = KernelOptions(op, typ) }); allocs != 0 {
+				t.Errorf("KernelOptions(%v, %v) allocates %v times a call, want 0", op, typ, allocs)
+			}
 		}
 	}
 	if _, err := KernelOptions(buffers.Max+1, buffers.Int32); err == nil {

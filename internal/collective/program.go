@@ -174,6 +174,7 @@ type xfer struct {
 	to, from   rel
 	send, recv []extent
 	combine    bool // received bytes combine into recv instead of overwriting
+	swap       bool // role.swaps of it, fixed by finish: the region's buffer itself travels
 	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
 }
 
@@ -182,6 +183,19 @@ type scratch struct{ bytes, stride int }
 type role struct {
 	steps   []step
 	scratch []scratch
+}
+
+// swaps reports whether x, the only transfer of its exchange, sends and
+// receives the same whole scratch region of the role without combine:
+// then the buffers can change hands and nothing is copied (run.go).
+func (ro *role) swaps(s *step, x *xfer) bool {
+	if len(s.xfers) != 1 || x.to.mode == addrNone || x.from.mode == addrNone || x.combine ||
+		len(x.send) != 1 || len(x.recv) != 1 || x.send[0] != x.recv[0] {
+		return false
+	}
+	e, w := x.send[0], int(x.send[0].reg)-int(regWork)
+	return w >= 0 && w < len(ro.scratch) && e.at == fixed(0) && !e.rev && e.off == 0 && e.len < 0 &&
+		int(e.n)*ro.scratch[w].stride == ro.scratch[w].bytes
 }
 
 // program is a compiled schedule for n ranks with k ports on blocks of
@@ -250,7 +264,7 @@ func (ts *tally) note(t, bytes int, phase string) {
 }
 
 // walk counts rank me's role from global round t on and returns the
-// round it ends in. It is also where each transfer's size is fixed.
+// round it ends in. It also fixes each transfer's size and swap flag.
 func (pr *program) walk(me, t int, phase string, ts *tally) int {
 	ro := pr.role(me)
 	for _, sc := range ro.scratch {
@@ -279,6 +293,7 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 				if b > x.bytes {
 					x.bytes = b
 				}
+				x.swap = ro.swaps(s, x)
 				if x.to.mode != addrNone {
 					ts.note(t, b, ph)
 				}

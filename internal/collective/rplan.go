@@ -116,14 +116,20 @@ type ReduceOptions struct {
 }
 
 // KernelOptions returns the ReduceOptions naming a built-in kernel: the
-// function, its element size and its plan-cache identity. Nothing else
-// spells that triple: a wrong key is a cache collision.
+// function, its element size and its plan-cache identity, all static.
+// Nothing else spells that triple: a wrong key is a cache collision.
 func KernelOptions(op buffers.ReduceOp, t buffers.DataType) (ReduceOptions, error) {
 	fn, err := buffers.Kernel(op, t)
 	if err != nil {
 		return ReduceOptions{}, err
 	}
-	return ReduceOptions{Kernel: fn, ElemSize: t.Size(), KernelKey: op.String() + "/" + t.String()}, nil
+	return ReduceOptions{Kernel: fn, ElemSize: t.Size(), KernelKey: kernelKeys[op][t]}, nil
+}
+
+var kernelKeys = [3][4]string{
+	{"sum/int32", "sum/int64", "sum/float32", "sum/float64"},
+	{"min/int32", "min/int64", "min/float32", "min/float64"},
+	{"max/int32", "max/int64", "max/float32", "max/float64"},
 }
 
 // compileReduce compiles the reduction s.Op at block size s.BlockLen:

@@ -9,7 +9,10 @@ package collective
 // -> own -> land (exchange): packed into a buffer of the sender's pool,
 // handed over for good (mpsim.Proc.ExchangeOwned), landed — copy or
 // combine — by the receiver and released to the receiver's pool: two
-// copies per byte per hop, and no region is ever lent to the engine.
+// copies per byte per hop. The one exception is a swap (role.swaps): its
+// payload is the scratch region's own buffer and the payload it receives
+// becomes the region, no copy either way. After a failed round the region
+// holds no buffer: the one it gave away may already sit in a peer's pool.
 
 import (
 	"fmt"
@@ -134,8 +137,14 @@ func (f *frame) exchange(s *step) error {
 	for i := range s.xfers {
 		x := &s.xfers[i]
 		if x.to.mode != addrNone {
-			data := p.AcquireBuf(f.size(x.send))
-			f.pack(data, x.send)
+			var data []byte
+			if x.swap {
+				r := &f.reg[x.send[0].reg]
+				data, r.data = r.data, nil
+			} else {
+				data = p.AcquireBuf(f.size(x.send))
+				f.pack(data, x.send)
+			}
 			f.sends = append(f.sends, mpsim.Send{To: f.id(x.to), Data: data})
 		}
 		if x.from.mode != addrNone {
@@ -148,7 +157,7 @@ func (f *frame) exchange(s *step) error {
 	for i := range s.xfers {
 		if x := &s.xfers[i]; x.from.mode != addrNone {
 			if err == nil {
-				err = f.unpack(x.recv, f.recvd[ri], f.froms[ri], x.combine)
+				err = f.unpack(x, ri)
 			}
 			p.ReleaseBuf(f.recvd[ri])
 			ri++
@@ -220,17 +229,22 @@ func (f *frame) pack(buf []byte, ext []extent) {
 	}
 }
 
-// unpack lands the payload received from processor src in the extents,
-// piece by piece, after checking that it is exactly the bytes they
-// address.
-func (f *frame) unpack(ext []extent, buf []byte, src int, combine bool) error {
+// unpack lands the round's ri-th received payload in the transfer's recv
+// extents, piece by piece — a swap moves it out of the received list to
+// be their region — after checking that it is exactly the bytes they address.
+func (f *frame) unpack(x *xfer, ri int) error {
+	ext, buf := x.recv, f.recvd[ri]
 	if want := f.size(ext); len(buf) != want {
-		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes", len(buf), src, want)
+		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes", len(buf), f.froms[ri], want)
+	}
+	if x.swap {
+		f.reg[ext[0].reg].data, f.recvd[ri] = buf, nil
+		return nil
 	}
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
 			p, blocks := f.piece(e, b)
-			f.land(p, buf[:len(p)], combine)
+			f.land(p, buf[:len(p)], x.combine)
 			buf = buf[len(p):]
 			b += blocks
 		}

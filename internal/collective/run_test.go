@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bruck/internal/blocks"
@@ -159,6 +160,47 @@ func TestExactExtentFamiliesSendExactSizes(t *testing.T) {
 						t.Errorf("%s: round %d p%d -> p%d is %d bytes, its block is %d", tag, ev.Round, ev.Src, ev.Dst, ev.Size, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRingSwapAfterAFailedRound: a ring round gives its region's buffer
+// away and adopts the one it receives, so a rank that dies mid-ring has
+// buffers of its own in its peers' hands and theirs in its own. A user
+// kernel panics once, on one rank, a few rounds into a ring AllReduce;
+// the run reports that panic, and the same engine then runs the plan a
+// hundred times correctly on every transport. Were a buffer left in two
+// pools, two ranks would sooner or later reduce in the same memory: a
+// wrong block here, and a data race under -race.
+func TestRingSwapAfterAFailedRound(t *testing.T) {
+	const n, blockLen, runs = 8, 64, 100
+	sum := must(buffers.Kernel(buffers.Sum, buffers.Int32))
+	for _, transport := range []mpsim.Option{
+		mpsim.WithTransport(mpsim.BackendChan), mpsim.WithTransport(mpsim.BackendSlot), mpsim.WithChaos(mpsim.ChaosConfig{Seed: 5}),
+	} {
+		e := mpsim.MustNew(n, transport)
+		var countdown atomic.Int32
+		kernel := func(dst, src []byte) {
+			if countdown.Add(-1) == 0 {
+				panic("bad kernel")
+			}
+			sum(dst, src)
+		}
+		pl, err := Compile(e, mpsim.WorldGroup(n), Spec{Op: OpAllReduce, BlockLen: blockLen, Reduce: ReduceOptions{Kernel: kernel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x := exchangeSteps(pl)[0].xfers[0]; !x.swap {
+			t.Fatalf("%v: the ring's rounds are not swaps", e.Transport())
+		}
+		countdown.Store(3 * n) // the ring combines n*(n-1) times
+		if _, err := Exercise(pl, buffers.Int32.Fill); err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") {
+			t.Fatalf("%v: error %v, want the kernel's panic", e.Transport(), err)
+		}
+		for run := 0; run < runs; run++ {
+			if _, err := Exercise(pl, buffers.Int32.Fill); err != nil {
+				t.Fatalf("%v: run %d after the failure: %v", e.Transport(), run, err)
 			}
 		}
 	}

@@ -238,7 +238,7 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 		s.Index, s.Radices, s.Concat = IndexOptions{}, nil, ConcatOptions{}
 		o := &s.Reduce
 		if s.BlockLen > 0 && o.Kernel == nil {
-			return fmt.Errorf("collective: reduction requires a combine kernel (set ReduceOptions.Kernel)")
+			return fmt.Errorf("collective: reduction requires a combine kernel (pass WithKernel or WithCombine)")
 		}
 		if o.ElemSize > 0 && s.BlockLen%o.ElemSize != 0 {
 			return fmt.Errorf("collective: block size %d is not a multiple of the kernel's %d-byte elements", s.BlockLen, o.ElemSize)

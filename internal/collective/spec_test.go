@@ -92,7 +92,7 @@ func TestSpecRejections(t *testing.T) {
 			"collective: hierarchical reduction supports AllReduceKind only, got reduce-scatter"},
 		{"topology of another size", world, Spec{Hierarchical: true, Topology: mustTopology(t, "2x2")},
 			"collective: topology covers 4 processors but the group has 6"},
-		{"missing kernel", world, Spec{Op: OpAllReduce, BlockLen: 4}, "collective: reduction requires a combine kernel (set ReduceOptions.Kernel)"},
+		{"missing kernel", world, Spec{Op: OpAllReduce, BlockLen: 4}, "collective: reduction requires a combine kernel (pass WithKernel or WithCombine)"},
 		{"block size not a multiple of the element size", world, Spec{Op: OpReduceScatter, BlockLen: 6, Reduce: int32s},
 			"collective: block size 6 is not a multiple of the kernel's 4-byte elements"},
 		{"unknown reduce algorithm", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: 3}}, "collective: unknown reduce algorithm ReduceAlgorithm(3)"},
