@@ -1162,14 +1162,15 @@ func (m *Machine) ScatterInto(root int, in []byte, out *Buffers, opts ...Collect
 // OptimalRadix returns the radix minimizing the linear-model time of
 // the Bruck index algorithm for n processors, block size b bytes and k
 // ports under the given machine profile. With powerOfTwoOnly it mirrors
-// the paper's Section 3.5 tuning over power-of-two radices.
+// the paper's Section 3.5 tuning over power-of-two radices. It panics
+// when k < 1 and n > 2.
 func OptimalRadix(p Profile, n, b, k int, powerOfTwoOnly bool) int {
 	return collective.OptimalRadix(p, n, b, k, powerOfTwoOnly)
 }
 
 // PredictIndex returns the closed-form (C1, C2) of the radix-r Bruck
 // index algorithm for n processors, block size b and k ports, in
-// rounds and bytes.
+// rounds and bytes. It panics when k < 1.
 func PredictIndex(n, b, r, k int) (c1, c2 int) {
 	return collective.IndexCost(n, b, r, k)
 }
@@ -1177,13 +1178,13 @@ func PredictIndex(n, b, r, k int) (c1, c2 int) {
 // OptimalRadixSchedule returns the mixed-radix vector minimizing the
 // linear-model time of the index operation, found by dynamic
 // programming; it is never worse than the best uniform radix. Use it
-// with WithRadices.
+// with WithRadices. It panics when k < 1.
 func OptimalRadixSchedule(p Profile, n, b, k int) []int {
 	return collective.OptimalRadixSchedule(p, n, b, k)
 }
 
 // PredictIndexMixed returns the closed-form (C1, C2) of the
-// mixed-radix index algorithm.
+// mixed-radix index algorithm. It panics when k < 1.
 func PredictIndexMixed(n, b int, radices []int, k int) (c1, c2 int) {
 	return collective.IndexMixedCost(n, b, radices, k)
 }

@@ -215,6 +215,30 @@ func TestOptimalRadixEndpoints(t *testing.T) {
 	}
 }
 
+// TestModelPanicsOnZeroPorts: the closed forms advance k digits a round,
+// so k < 1 would never end; each public entry point panics at once
+// with the model function's out-of-domain text.
+func TestModelPanicsOnZeroPorts(t *testing.T) {
+	for _, c := range []struct {
+		call func()
+		want string
+	}{
+		{func() { PredictIndex(64, 8, 2, 0) }, "collective: IndexSchedule(64, 2, 0) out of domain: k < 1"},
+		{func() { OptimalRadix(SP1, 64, 8, 0, false) }, "collective: IndexSchedule(64, 2, 0) out of domain: k < 1"},
+		{func() { OptimalRadixSchedule(SP1, 64, 8, -1) }, "collective: OptimalRadixSchedule(64, 8, -1) out of domain: k < 1"},
+		{func() { PredictIndexMixed(64, 8, []int{4, 4, 4}, 0) }, "collective: IndexMixedSchedule(64, [4 4 4], 0) out of domain: k < 1"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.call()
+		}()
+	}
+}
+
 func TestNewMachineErrors(t *testing.T) {
 	if _, err := NewMachine(0); err == nil {
 		t.Error("NewMachine(0) accepted")

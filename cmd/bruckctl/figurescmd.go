@@ -68,6 +68,8 @@ func runFiguresStudy(w io.Writer, p figuresParams) error {
 	}
 	rp := reporter{w, false, p.reportJSON}
 	switch {
+	case p.n < 1:
+		return fmt.Errorf("bad -n %d: want a processor count >= 1", p.n)
 	case p.all:
 		var all []*cli.Table
 		for _, f := range []int{1, 2, 3, 7, 8, 9} {

@@ -84,6 +84,24 @@ func TestRenderFig9(t *testing.T) {
 	}
 }
 
+// TestFiguresRejectsBadSizes: -n below 1 fails before any figure is
+// drawn (it used to panic in a make or print empty tables).
+func TestFiguresRejectsBadSizes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "1", "-n", "-1"}, "bad -n -1: want a processor count >= 1"},
+		{[]string{"-fig", "1", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
+		{[]string{"-all", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
+	} {
+		var sb strings.Builder
+		if err := dispatch(append([]string{"figures"}, c.args...), &sb); err == nil || err.Error() != c.want {
+			t.Errorf("figures %v: error %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
 func TestRenderUnknownFigure(t *testing.T) {
 	if _, err := figTables(42, 5, 2, mpsim.BackendChan); err == nil {
 		t.Error("unknown figure accepted")

@@ -21,7 +21,7 @@ func TestCanonicalFlagVocabulary(t *testing.T) {
 		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
 		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "perturb", "report-json",
 			"stragglers", "transport"},
-		"vet": {"case", "dir", "perturb", "report-json"},
+		"vet": {"case", "report-json"},
 	}
 	cmds := newCommands()
 	if len(cmds) != len(want) {

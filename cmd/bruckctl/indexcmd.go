@@ -54,6 +54,10 @@ func newIndexCmd() *command {
 func runIndexStudy(w io.Writer, p indexParams) error {
 	rp, h := reporter{w, p.csv, p.reportJSON}, sweep.NewHarness(costmodel.SP1)
 	switch {
+	case p.n < 1:
+		return fmt.Errorf("bad -n %d: want a processor count >= 1", p.n)
+	case p.k < 1:
+		return fmt.Errorf("bad -k %d: want a port count >= 1", p.k)
 	case p.fig == 4:
 		return rp.flush(runFig4(h, p.n))
 	case p.fig == 5:

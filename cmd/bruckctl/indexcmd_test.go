@@ -26,7 +26,7 @@ func TestRunFig4(t *testing.T) {
 // and nothing else.
 func TestRunFig4CSV(t *testing.T) {
 	var sb strings.Builder
-	if err := runIndexStudy(&sb, indexParams{fig: 4, n: 8, csv: true}); err != nil {
+	if err := runIndexStudy(&sb, indexParams{fig: 4, n: 8, k: 1, csv: true}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(sb.String(), "\n")
@@ -61,6 +61,26 @@ func TestRunFig6(t *testing.T) {
 	fig6 := find(t, tables, "fig6")
 	if got := strings.Join(fig6.Columns, ","); got != "radix,32 bytes,64 bytes,128 bytes" || len(fig6.Rows) != 15 {
 		t.Errorf("fig6 columns %q, %d rows", got, len(fig6.Rows))
+	}
+}
+
+// TestIndexRejectsBadSizes: -n and -k below 1 fail before any study
+// runs (they used to panic in a make, loop forever in the model, or
+// print an empty table).
+func TestIndexRejectsBadSizes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "6", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
+		{[]string{"-fig", "4", "-n", "-1"}, "bad -n -1: want a processor count >= 1"},
+		{[]string{"-tune", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
+		{[]string{"-tune", "-k", "0"}, "bad -k 0: want a port count >= 1"},
+	} {
+		var sb strings.Builder
+		if err := dispatch(append([]string{"index"}, c.args...), &sb); err == nil || err.Error() != c.want {
+			t.Errorf("index %v: error %v, want %q", c.args, err, c.want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 //	bruckctl concat  -bounds | -optimality | -baselines   # Sections 2/4 concat tables
 //	bruckctl figures -fig 1|2|3|7|8|9 | -table 1 | -all   # structural figures, byte-verified
 //	bruckctl trace   record|verify [-perturb]             # golden schedule corpus
-//	bruckctl vet     [-perturb]                           # static plan/artifact verification
+//	bruckctl vet     [-case substr]                       # static plan verification (Plan.Check)
 //
 // A study returns tables and report.go prints them: as text by default,
 // as CSV under index -csv, as one JSON document under -report-json,

@@ -95,8 +95,7 @@ func TestReportFormatsAgree(t *testing.T) {
 		{"figures", "-fig", "9", "-n", "6", "-transport", "slot"},
 		{"trace", "verify", "-dir", dir},
 		{"trace", "verify", "-dir", dir, "-perturb"},
-		{"vet", "-dir", dir},
-		{"vet", "-dir", dir, "-perturb", "-case", "index"},
+		{"vet"},
 	} {
 		render := func(flag ...string) string {
 			var sb strings.Builder

@@ -94,7 +94,7 @@ func traceRun(args []string, out io.Writer) error {
 				golden.Perturb(s)
 			}
 			diffs, err := golden.Verify(*f.dir, c, s)
-			status, detail := verdict(*f.perturb, diffs, "schedule passed verification", "diffs")
+			status, detail := verdict(*f.perturb, diffs)
 			return status, detail, err
 		}))
 	}
@@ -134,13 +134,12 @@ func corpusTable(name, filter string, row func(c golden.Case) (status, detail st
 // verdict is one case's status and detail from its findings (diffs or
 // violations): none is a pass, unless the case was perturbed — the
 // negative self-test, which passes only when the perturbation was found.
-// passed names the failure of a perturbed case, unit the findings.
-func verdict(perturb bool, findings []string, passed, unit string) (status, detail string) {
+func verdict(perturb bool, findings []string) (status, detail string) {
 	switch {
 	case perturb && len(findings) == 0:
-		return "FAIL", "perturbed " + passed
+		return "FAIL", "perturbed schedule passed verification"
 	case perturb:
-		return "ok", fmt.Sprintf("perturbation detected (%d %s)", len(findings), unit)
+		return "ok", fmt.Sprintf("perturbation detected (%d diffs)", len(findings))
 	case len(findings) != 0:
 		return "FAIL", strings.Join(findings, "; ")
 	}

@@ -7,34 +7,22 @@ import (
 	"testing"
 )
 
-// vetGoldenDir locates the committed corpus from this package's
-// directory (tests run with the package dir as working directory).
-const vetGoldenDir = "../../internal/golden/testdata/golden"
-
-// TestVetGoldenCorpus: the committed corpus must pass static
-// verification, and -perturb must turn every pass into a rejection.
+// TestVetGoldenCorpus: every corpus plan passes static verification.
+// The negative controls are TestCheckPerturbations' rows.
 func TestVetGoldenCorpus(t *testing.T) {
 	var out bytes.Buffer
-	if err := vetRun(vetGoldenDir, "", false, false, &out); err != nil {
+	if err := vetRun("", false, &out); err != nil {
 		t.Fatalf("vet: %v\n%s", err, out.String())
 	}
-	if strings.Contains(out.String(), "FAIL") {
-		t.Fatalf("vet reported failures:\n%s", out.String())
-	}
-
-	out.Reset()
-	if err := vetRun(vetGoldenDir, "", true, false, &out); err != nil {
-		t.Errorf("vet -perturb: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "perturbation detected") {
-		t.Errorf("vet -perturb did not report detections:\n%s", out.String())
+	if got := strings.Count(out.String(), " ok"); got != 22 {
+		t.Fatalf("vet printed %d ok rows, want 22:\n%s", got, out.String())
 	}
 }
 
 // TestVetReportJSON: the JSON report parses and covers every case.
 func TestVetReportJSON(t *testing.T) {
 	var out bytes.Buffer
-	if err := vetRun(vetGoldenDir, "index-bruck", false, true, &out); err != nil {
+	if err := vetRun("index-bruck", true, &out); err != nil {
 		t.Fatalf("vet -report-json: %v\n%s", err, out.String())
 	}
 	var tables []struct {
@@ -54,13 +42,10 @@ func TestVetReportJSON(t *testing.T) {
 	}
 }
 
-// TestVetBadInputs covers the error paths.
+// TestVetBadInputs covers the error path.
 func TestVetBadInputs(t *testing.T) {
 	var out bytes.Buffer
-	if err := vetRun(vetGoldenDir, "no-such-case", false, false, &out); err == nil {
-		t.Error("vet with an unmatched -case filter succeeded")
-	}
-	if err := vetRun(t.TempDir(), "", false, false, &out); err == nil {
-		t.Error("vet against an empty artifact dir succeeded")
+	if err := vetRun("no-such-case", false, &out); err == nil || err.Error() != `no cases match -case "no-such-case"` {
+		t.Errorf("vet with an unmatched -case filter: %v", err)
 	}
 }

@@ -15,7 +15,8 @@ package collective
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions);
 //   - C1/C2 that differ from the plan's stored predictions, or fall
-//     below the paper's lower bounds.
+//     below the paper's lower bounds, and a phase table that does not
+//     tile the rounds or misstates a phase's C2.
 //
 // Labels are runs of bytes, so the cost is in blocks and extents, not
 // in bytes: checking a whole corpus takes milliseconds — cheap enough
@@ -312,8 +313,10 @@ func (pl *Plan) Check() []string {
 	}
 	s := &sim{pl: pl, n: n, ranks: make([]simRank, n), add: add}
 	c1, c2 := s.start(), 0
+	maxes, tags := make([]int, c1), make([]string, c1)
 	for t := 0; t < c1; t++ {
-		c2 += s.round(t, k)
+		maxes[t], tags[t] = s.round(t, k)
+		c2 += maxes[t]
 	}
 	if c1 != pl.c1 {
 		add("c1=%d but the program runs %d rounds", pl.c1, c1)
@@ -322,6 +325,24 @@ func (pl *Plan) Check() []string {
 		add("c2=%d but the program's round maxima sum to %d bytes", pl.c2, c2)
 	}
 	s.verify()
+	// finish derived the phase table assuming each phase is one run of
+	// rounds tagged with its name; re-derive it from the rounds that ran.
+	first := 0
+	for _, ph := range pl.phases {
+		want := PlanPhase{Name: ph.Name, Class: ph.Class, First: first}
+		for t := first; t < c1 && tags[t] == ph.Name; t++ {
+			want.Rounds++
+			want.C2 += maxes[t]
+		}
+		if ph != want {
+			add("phase %q is rounds [%d, %d) with c2=%d, its tagged rounds are [%d, %d) with c2=%d (phases tile the rounds in order)",
+				ph.Name, ph.First, ph.First+ph.Rounds, ph.C2, want.First, want.First+want.Rounds, want.C2)
+		}
+		first += want.Rounds
+	}
+	if pl.phases != nil && first != c1 {
+		add("phases tile %d rounds, the program runs %d", first, c1)
+	}
 	return v
 }
 
@@ -354,12 +375,11 @@ func (s *sim) exchanging(r, t int) *simOp {
 }
 
 // round simulates global round t under k ports and returns its largest
-// message: first every rank posts its sends, read from the state before
-// the round, then every rank lands its receives.
-func (s *sim) round(t, k int) (roundMax int) {
+// message and its phase tag: first every rank posts its sends, read
+// from the state before the round, then every rank lands its receives.
+func (s *sim) round(t, k int) (roundMax int, phase string) {
 	add, n := s.add, s.n
 	inbox := make([][]post, n)
-	phase := ""
 	for r := range s.ranks {
 		op := s.exchanging(r, t)
 		if op == nil {
@@ -452,7 +472,7 @@ func (s *sim) round(t, k int) (roundMax int) {
 			add("delivery: round %d: rank %d sends to rank %d, which does not receive it", t, m.src, r)
 		}
 	}
-	return roundMax
+	return roundMax, phase
 }
 
 // verify checks that every output block holds exactly what the

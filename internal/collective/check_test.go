@@ -354,6 +354,18 @@ func TestCheckPerturbations(t *testing.T) {
 		{"hier allreduce member bypasses the leader", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 2 }, "delivery"},
 		{"hier allreduce phase tag", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).phase = "broadcast" }, "phase"},
 		{"hier index gather crosses groups", configs["hier-index-4-4-3"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 4 }, "link"},
+		// Rank 4 leads group 1 (ranks 4..7): its inter-reduce send to rank
+		// 0 re-pointed at its own member 5.
+		{"hier allreduce leader send stays inside its group", configs["hier-allreduce-4x4"], func(pl *Plan) {
+			for _, st := range exchanges(pl.prog, 4) {
+				if st.phase == "inter-reduce" {
+					st.xfers[0].to.c = 5
+				}
+			}
+		}, "link"},
+		// The phase table finish derives, re-read against the rounds.
+		{"hier index phase table gap", configs["hier-index-4-4-3"], func(pl *Plan) { pl.phases[1].First++ }, "tile"},
+		{"hier allreduce phase c2 drift", configs["hier-allreduce-4x4"], func(pl *Plan) { pl.phases[0].C2++ }, "c2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
@@ -27,10 +29,22 @@ func digitCount(n, r, z, dist int) int {
 	return full + rem
 }
 
+// roundBlocks returns the blocks a round moves on its busiest port: the
+// largest digitCount among the k digits from start on, below h.
+func roundBlocks(n, r, dist, start, k, h int) (most int) {
+	for z := start; z < start+k && z < h; z++ {
+		most = max(most, digitCount(n, r, z, dist))
+	}
+	return most
+}
+
 // IndexSchedule returns the per-round largest message size, in blocks,
 // of the radix-r Bruck index algorithm among n processors with k ports.
-// len(result) is C1 and b * sum(result) is C2.
+// len(result) is C1 and b * sum(result) is C2. It panics when k < 1.
 func IndexSchedule(n, r, k int) []int {
+	if k < 1 {
+		panic(fmt.Sprintf("collective: IndexSchedule(%d, %d, %d) out of domain: k < 1", n, r, k))
+	}
 	if n <= 1 {
 		return nil
 	}
@@ -43,14 +57,7 @@ func IndexSchedule(n, r, k int) []int {
 			h = intmath.CeilDiv(n, dist)
 		}
 		for start := 1; start < h; start += k {
-			end := intmath.Min(start+k-1, h-1)
-			maxBlocks := 0
-			for z := start; z <= end; z++ {
-				if c := digitCount(n, r, z, dist); c > maxBlocks {
-					maxBlocks = c
-				}
-			}
-			rounds = append(rounds, maxBlocks)
+			rounds = append(rounds, roundBlocks(n, r, dist, start, k, h))
 		}
 		dist *= r
 	}

@@ -337,9 +337,9 @@
 // is the load-bearing invariant: it makes the per-class (C1, C2) split
 // an exact compile-time fact (Result.Intra/Result.Inter, each carrying
 // its own lower bounds), lets Plan.TimeTopo price each phase at its
-// class profile, and gives trace.Schedule a phase table that
-// schedcheck can verify statically (phases tile the rounds, per-phase
-// C2 sums to the header, intra phases never cross groups, inter
+// class profile, and gives trace.Schedule a phase table that Plan.Check
+// proves against the program (phases tile the rounds, per-phase C2
+// sums the rounds' maxima, intra phases never cross groups, inter
 // phases never stay inside one).
 //
 // Hierarchical-plan lifecycle rules, in addition to the plan rules

@@ -51,8 +51,11 @@ func ValidateRadices(n int, radices []int) error {
 
 // IndexMixedSchedule returns the per-round largest message size, in
 // blocks, of the mixed-radix index algorithm — the closed form the
-// simulator-measured schedule must match.
+// simulator-measured schedule must match. It panics when k < 1.
 func IndexMixedSchedule(n int, radices []int, k int) []int {
+	if k < 1 {
+		panic(fmt.Sprintf("collective: IndexMixedSchedule(%d, %v, %d) out of domain: k < 1", n, radices, k))
+	}
 	if n <= 1 {
 		return nil
 	}
@@ -64,14 +67,7 @@ func IndexMixedSchedule(n int, radices []int, k int) []int {
 		}
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
 		for start := 1; start < h; start += k {
-			end := intmath.Min(start+k-1, h-1)
-			maxBlocks := 0
-			for z := start; z <= end; z++ {
-				if c := digitCount(n, r, z, weight); c > maxBlocks {
-					maxBlocks = c
-				}
-			}
-			rounds = append(rounds, maxBlocks)
+			rounds = append(rounds, roundBlocks(n, r, weight, start, k, h))
 		}
 		weight *= r
 	}
@@ -93,8 +89,11 @@ func IndexMixedCost(n, b int, radices []int, k int) (c1, c2 int) {
 // to build all digit positions of weight below w, and a subphase of
 // radix r at weight w costs its rounds and volume under the profile.
 // The result is at least as good as every uniform radix (each uniform
-// vector is a point in the search space).
+// vector is a point in the search space). It panics when k < 1.
 func OptimalRadixSchedule(p costmodel.Profile, n, b, k int) []int {
+	if k < 1 {
+		panic(fmt.Sprintf("collective: OptimalRadixSchedule(%d, %d, %d) out of domain: k < 1", n, b, k))
+	}
 	if n <= 1 {
 		return nil
 	}
@@ -119,14 +118,7 @@ func OptimalRadixSchedule(p costmodel.Profile, n, b, k int) []int {
 			h := intmath.Min(r, intmath.CeilDiv(n, w))
 			cost := s.cost
 			for start := 1; start < h; start += k {
-				end := intmath.Min(start+k-1, h-1)
-				maxBlocks := 0
-				for z := start; z <= end; z++ {
-					if c := digitCount(n, r, z, w); c > maxBlocks {
-						maxBlocks = c
-					}
-				}
-				cost += p.Time(1, maxBlocks*b)
+				cost += p.Time(1, roundBlocks(n, r, w, start, k, h)*b)
 			}
 			nw := w * r
 			if nw >= n {

@@ -17,9 +17,9 @@
 // two-level clustered machines: named node-groups with one (beta,
 // tau) profile per link class (intra-group vs inter-group) and an
 // optional per-pair override table, under which a round is priced by
-// the slowest link it crosses (Topology.EventTime,
-// Topology.LevelTime) and the per-processor-clock accounting prices
-// each message by its own link (CriticalPathTopo). A Topology with
+// the slowest link it crosses (Topology.LevelTime) and the
+// per-processor-clock accounting prices each message by its own link
+// (CriticalPathTopo). A Topology with
 // one group — or with Intra == Inter — degenerates exactly to the
 // scalar model.
 package costmodel

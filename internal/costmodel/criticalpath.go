@@ -37,11 +37,10 @@ import (
 //
 // Events must come from runs recorded with mpsim.Record(true); n is
 // the processor count of the engine. The stream may arrive in any
-// order: events are grouped by round value before the walk, so streams
-// merged from several programs of one mpsim.RunPrograms pass (for
-// example via mpsim.MergeEvents), or recorded in interleaved
-// per-processor order, are accounted exactly like a round-sorted
-// stream. (Grouping by contiguity instead would split a revisited
+// order: events are grouped by round value before the walk, so the
+// streams of several programs of one mpsim.RunPrograms pass appended
+// one after the other, or events recorded in interleaved per-processor
+// order, are accounted exactly like a round-sorted stream. (Grouping by contiguity instead would split a revisited
 // round number into several batches and mis-sequence the per-processor
 // clocks within it.) Same-numbered rounds of disjoint-group programs
 // may safely share a batch — the accounting couples processors only
@@ -72,33 +71,6 @@ func CriticalPathTopo(t *Topology, n int, events []mpsim.Event) (float64, error)
 	return criticalPath(n, events, func(src, dst, size int) float64 {
 		return t.LinkProfile(src, dst).MessageTime(size)
 	})
-}
-
-// EventTime prices a recorded schedule under the topology with the
-// paper's round-synchronous accounting generalized per link: every
-// round costs the maximum over its messages of the message's
-// link-profile cost beta_c + m*tau_c — the round is priced by the
-// slowest link it crosses. For a flat profile (Intra == Inter, no
-// overrides) this equals Profile.Time(C1, C2) of the recorded
-// schedule.
-func (t *Topology) EventTime(events []mpsim.Event) float64 {
-	sorted := append([]mpsim.Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Round < sorted[j].Round })
-	total := 0.0
-	i := 0
-	for i < len(sorted) {
-		round := sorted[i].Round
-		cost := 0.0
-		for i < len(sorted) && sorted[i].Round == round {
-			ev := sorted[i]
-			if c := t.LinkProfile(ev.Src, ev.Dst).MessageTime(ev.Size); c > cost {
-				cost = c
-			}
-			i++
-		}
-		total += cost
-	}
-	return total
 }
 
 // criticalPath is the shared per-processor-clock walk: price is the

@@ -141,9 +141,10 @@ func TestCriticalPathInterleavedPrograms(t *testing.T) {
 }
 
 // TestCriticalPathMergedRunPrograms drives a real two-program
-// RunPrograms pass with recording on, merges the per-program streams
-// with MergeEvents, and checks the merged accounting equals the
-// worst per-program accounting — disjoint-group programs never couple.
+// RunPrograms pass with recording on, appends the per-program streams
+// (CriticalPath groups by round itself), and checks the merged
+// accounting equals the worst per-program accounting — disjoint-group
+// programs never couple.
 func TestCriticalPathMergedRunPrograms(t *testing.T) {
 	const n = 6
 	e := mpsim.MustNew(n, mpsim.Record(true))
@@ -174,7 +175,7 @@ func TestCriticalPathMergedRunPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := CriticalPath(SP1, n, mpsim.MergeEvents(metrics...))
+	merged, err := CriticalPath(SP1, n, append(metrics[0].Events(), metrics[1].Events()...))
 	if err != nil {
 		t.Fatal(err)
 	}

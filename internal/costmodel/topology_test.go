@@ -302,25 +302,6 @@ func TestTopologyDigestAndEqual(t *testing.T) {
 	}
 }
 
-func TestTopologyEventTime(t *testing.T) {
-	topo := mustTopo(t, "2x2")
-	events := []mpsim.Event{
-		{Round: 0, Src: 0, Dst: 1, Size: 8},  // intra
-		{Round: 0, Src: 2, Dst: 3, Size: 8},  // intra
-		{Round: 1, Src: 1, Dst: 2, Size: 16}, // inter
-	}
-	want := topo.Intra.MessageTime(8) + topo.Inter.MessageTime(16)
-	if got := topo.EventTime(events); math.Abs(got-want) > 1e-18 {
-		t.Fatalf("EventTime = %g, want %g", got, want)
-	}
-	// A flat topology (Intra == Inter) degenerates to Profile.Time of
-	// the recorded schedule: C1 rounds, C2 = sum of round maxima.
-	flat := &Topology{Groups: []int{2, 2}, Intra: SP1, Inter: SP1}
-	if got, want := flat.EventTime(events), SP1.Time(2, 8+16); math.Abs(got-want) > 1e-18 {
-		t.Fatalf("flat EventTime = %g, want %g", got, want)
-	}
-}
-
 func TestTopologyCriticalPath(t *testing.T) {
 	topo := mustTopo(t, "2x2")
 	events := []mpsim.Event{

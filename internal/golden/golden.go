@@ -97,7 +97,7 @@ func Corpus() []Case {
 		{Name: "allreduce-bruck-n8-k1-r2-s2", Op: "allreduce", Alg: "bruck", N: 8, K: 1, B: 8, Radix: 2, Segments: 2},
 		// Hierarchical (two-level) compositions: intra phases, a
 		// leader-routed inter phase and the redistribution, with the phase
-		// table and link-class discipline verified by schedcheck.
+		// table and link-class discipline proved by Plan.Check.
 		{Name: "hier-index-4x4", Op: "index", Alg: "hier", N: 16, K: 1, B: 4, Topology: "4x4"},
 		{Name: "hier-concat-4-4-3", Op: "concat", Alg: "hier", N: 11, K: 1, B: 4, Topology: "4,4,3"},
 		{Name: "hier-allreduce-4x4", Op: "allreduce", Alg: "hier", N: 16, K: 1, B: 8, Topology: "4x4"},
@@ -145,13 +145,10 @@ func Verify(dir string, c Case, live *trace.Schedule) ([]string, error) {
 }
 
 // Perturb structurally mutates a schedule — the drift a verify run must
-// catch. Used by the negative tests and `bruckctl trace verify -perturb`.
-// Hierarchical schedules are perturbed across the level dimension
-// (PerturbPhase); flat ones via a message-size bump.
+// catch: one message a byte larger and C2 with it, flat and hierarchical
+// schedules alike. Used by the negative tests and
+// `bruckctl trace verify -perturb`.
 func Perturb(s *trace.Schedule) {
-	if PerturbPhase(s) {
-		return
-	}
 	s.C2++
 	for i := range s.Rounds {
 		if len(s.Rounds[i].Sends) > 0 {
@@ -161,36 +158,6 @@ func Perturb(s *trace.Schedule) {
 	}
 	// A schedule with no messages (n = 1) still drifts via its meta.
 	s.C1++
-}
-
-// PerturbPhase moves one inter-group transfer of a hierarchical
-// schedule into an intra-group phase — the cross-level drift the
-// verifiers must catch: the trace diff sees the displaced sends, and
-// schedcheck's link-class discipline sees a cross-group message inside
-// an intra phase. Returns false when the schedule has no phase table
-// or no message to displace, leaving it untouched.
-func PerturbPhase(s *trace.Schedule) bool {
-	if len(s.Phases) == 0 {
-		return false
-	}
-	interIdx, intraIdx := -1, -1
-	for _, ph := range s.Phases {
-		for r := ph.First; r < ph.First+ph.Rounds && r < len(s.Rounds); r++ {
-			if ph.Class == "inter" && interIdx < 0 && len(s.Rounds[r].Sends) > 0 {
-				interIdx = r
-			}
-			if ph.Class == "intra" && intraIdx < 0 {
-				intraIdx = r
-			}
-		}
-	}
-	if interIdx < 0 || intraIdx < 0 {
-		return false
-	}
-	snd := s.Rounds[interIdx].Sends[0]
-	s.Rounds[interIdx].Sends = append([]trace.ScheduleSend(nil), s.Rounds[interIdx].Sends[1:]...)
-	s.Rounds[intraIdx].Sends = append(s.Rounds[intraIdx].Sends, snd)
-	return true
 }
 
 // Capture compiles the case's plan on a fresh engine (created with the

@@ -47,31 +47,3 @@ func (m *Metrics) Events() []Event {
 	})
 	return out
 }
-
-// MergeEvents merges the recorded event streams of several Metrics —
-// typically the per-program metrics of one RunPrograms pass — into a
-// single stream sorted by (round, src, dst). Programs record rounds
-// independently, so the merged stream interleaves same-numbered rounds
-// of different programs; consumers that group by round (for example
-// costmodel.CriticalPath) handle that, and disjoint-group programs
-// never couple within a round. Nil metrics are skipped; the result is
-// nil when no events were recorded.
-func MergeEvents(ms ...*Metrics) []Event {
-	var out []Event
-	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		out = append(out, m.Events()...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}

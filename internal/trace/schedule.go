@@ -34,10 +34,10 @@ import (
 
 // Schedule is the canonical trace of one collective schedule, the unit
 // the golden tooling records and verifies. Field order is the canonical
-// JSON order. Committed artifacts are statically verified by
-// internal/analysis/schedcheck (run via `bruckctl vet`); the code that
-// produces them is held deterministic — no wall clock, no global
-// randomness, no map-order leaks — by the byte-identical goldens
+// JSON order. A committed artifact must equal a live capture, and the
+// program that produced it is proved by Plan.Check (`bruckctl vet`);
+// the code that produces them is held deterministic — no wall clock, no
+// global randomness, no map-order leaks — by the byte-identical goldens
 // (internal/golden) and CI's `one clock` step.
 type Schedule struct {
 	// Op is the collective operation: "index", "concat",
