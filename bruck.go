@@ -3,37 +3,29 @@
 // Bruck, Ho, Kipnis, Upfal and Weathersby (SPAA 1994; IEEE TPDS 8(11),
 // 1997).
 //
-// It provides the two all-to-all collective operations of the paper on
-// a simulated multiport fully connected message-passing machine:
+// It runs the paper's two all-to-all operations — Index (MPI_Alltoall:
+// the radix-r Bruck family, direct-exchange and pairwise-XOR baselines)
+// and Concat (MPI_Allgather: the circulant-graph algorithm, folklore,
+// ring and recursive-doubling baselines) — the reductions built from
+// them and the one-to-all primitives on a simulated multiport fully
+// connected machine: one goroutine per processor, the k-port constraint
+// enforced per round, C1 (rounds) and C2 (sum over rounds of the
+// largest message) recorded from the actual schedule and priced by
+// Report.Time under a profile such as SP1.
 //
-//   - Index — all-to-all personalized communication (MPI_Alltoall),
-//     via the radix-r "Bruck algorithm" family with its C1/C2
-//     trade-off, plus direct-exchange and pairwise-XOR baselines;
-//   - Concat — all-to-all broadcast (MPI_Allgather), via the optimal
-//     circulant-graph algorithm with its table-partitioned last round,
-//     plus folklore, ring and recursive-doubling baselines;
+// Every operation is one of three verbs on a Machine: Run executes it,
+// Start executes it in the background, Compile returns its Plan.
 //
-// together with one-to-all primitives (Broadcast, Gather, Scatter),
-// machine cost models (the paper's linear model with the measured IBM
-// SP-1 parameters), closed-form complexity predictions, lower bounds,
-// and radix auto-tuning.
-//
-// # Quick start
-//
-//	m, _ := bruck.NewMachine(8)                    // 8 processors, 1 port
-//	in := ...                                      // in[i][j] = block B[i,j]
-//	out, rep, err := m.Index(in, bruck.WithRadix(2))
-//	// out[i][j] == in[j][i]; rep.C1, rep.C2 are the paper's measures
-//
-// The machine is a simulation: one goroutine per processor, channels
-// for messages, with the k-port constraint enforced per communication
-// round. Complexity measures C1 (rounds) and C2 (sum over rounds of the
-// largest message) are recorded from the actual schedule; Report.Time
-// evaluates them under a machine profile such as bruck.SP1.
+//	m, _ := bruck.NewMachine(8)              // 8 processors, 1 port
+//	in, _ := bruck.NewIndexBuffers(8, 16)    // in.Block(i, j) = block B[i,j]
+//	out, _ := bruck.NewIndexBuffers(8, 16)
+//	rep, err := m.Run(bruck.Index, in, out, bruck.WithRadix(2))
+//	// out.Block(i, j) == in.Block(j, i); rep.C1, rep.C2 are the paper's measures
 package bruck
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"bruck/internal/blocks"
@@ -45,29 +37,21 @@ import (
 )
 
 // Machine is a simulated n-processor multiport fully connected
-// message-passing system. Create one with NewMachine; a Machine may run
-// any number of consecutive collective operations but is not safe for
-// concurrent use.
-//
-// Every collective call resolves its plan the same way: its options
-// become one collective.Spec and the machine's plan cache is asked for
-// it — the first call with a configuration compiles its schedule, later
-// calls replay the compiled Plan with zero schedule recomputation. The
-// Compile methods expose the plans directly, and RunPlans executes
-// plans on disjoint groups concurrently. The cache keys groups by
-// pointer, so reuse the *Group value (World, or a stored NewGroup
-// result) to hit it.
+// message-passing system. It runs any number of consecutive operations
+// but is not safe for concurrent use. Every verb turns its options into
+// one collective.Spec and asks the machine's plan cache for it: the
+// first call with a configuration compiles its schedule, later calls
+// replay the Plan. The cache keys groups by pointer, so reuse the
+// *Group value (World, or a stored NewGroup result) to hit it.
 type Machine struct {
 	engine *mpsim.Engine
 	world  *Group
 	plans  *collective.PlanCache
 	// topo is the machine's two-level topology (WithTopology), nil on a
-	// flat machine. It tags every simulated message with its link class,
-	// licenses Hierarchical() schedules, and turns WithAuto into the
-	// flat-vs-hierarchical dispatch.
+	// flat machine.
 	topo *costmodel.Topology
 	// inflight marks the one operation the machine is running, blocking
-	// or asynchronous (see exclusive).
+	// or asynchronous (see claim).
 	inflight atomic.Bool
 }
 
@@ -91,17 +75,13 @@ type Backend = mpsim.Backend
 
 const (
 	// BackendChan (default) delivers messages over per-pair buffered Go
-	// channels. Blocked processors park for free; best for debugging and
-	// for machines much wider than the host.
+	// channels; blocked processors park for free.
 	BackendChan = mpsim.BackendChan
 	// BackendSlot delivers messages through lock-free shared-memory slot
-	// rings, the fast backend for throughput work on machines that fit
-	// the host's cores.
+	// rings, the fast backend on machines that fit the host's cores.
 	BackendSlot = mpsim.BackendSlot
-	// BackendChaos wraps chan or slot with seeded adversarial timing —
-	// per-link latency jitter, cross-link reordering and straggler
-	// processors — for proving schedules byte-correct under timing
-	// perturbation. Configure it with WithChaos.
+	// BackendChaos wraps chan or slot with seeded adversarial timing
+	// (jitter, reordering, stragglers); configure it with WithChaos.
 	BackendChaos = mpsim.BackendChaos
 )
 
@@ -141,11 +121,9 @@ func WithTransport(b Backend) MachineOption {
 	return func(c *machineConfig) { c.backend = b }
 }
 
-// WithChaos selects the chaos transport with the given configuration:
-// the machine runs on cfg.Inner (chan or slot) with seeded adversarial
-// timing injected on every link. Operation results — and their Reports'
-// C1/C2 — are byte-identical to the plain backends'; only wall-clock
-// timing changes.
+// WithChaos selects the chaos transport: the machine runs on cfg.Inner
+// with seeded adversarial timing on every link. Results and Reports are
+// byte-identical to the plain backends'.
 func WithChaos(cfg ChaosConfig) MachineOption {
 	return func(c *machineConfig) {
 		c.backend = BackendChaos
@@ -181,47 +159,44 @@ func NewMachine(n int, opts ...MachineOption) (*Machine, error) {
 }
 
 // CriticalPathTime evaluates the most recent operation's schedule under
-// the linear model with per-processor clocks (the LogP-flavored
-// accounting the paper contrasts with T = C1*beta + C2*tau in Section
-// 1.2). It requires a machine created with RecordEvents and at least
-// one completed operation. For the paper's symmetric schedules it
-// equals Report.Time; for skewed schedules (e.g. the folklore
-// baseline) it is smaller.
+// the linear model with per-processor clocks (the accounting Section
+// 1.2 contrasts with T = C1*beta + C2*tau) on a machine created with
+// RecordEvents. It equals Report.Time on the paper's symmetric
+// schedules and is smaller on skewed ones such as folklore.
 func (m *Machine) CriticalPathTime(p Profile) (float64, error) {
-	metrics := m.engine.Metrics()
-	if metrics == nil {
-		if m.engine.ProgramsInLastRun() > 1 {
-			return 0, fmt.Errorf("bruck: CriticalPathTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)")
-		}
-		return 0, fmt.Errorf("bruck: CriticalPathTime before any operation")
-	}
-	events := metrics.Events()
-	if events == nil {
-		return 0, fmt.Errorf("bruck: CriticalPathTime requires a machine created with RecordEvents")
+	events, err := m.events("CriticalPathTime")
+	if err != nil {
+		return 0, err
 	}
 	return costmodel.CriticalPath(p, m.engine.N(), events)
 }
 
-// CriticalPathTopoTime is CriticalPathTime under the machine's
-// topology: each message is priced by its own link's profile — the
-// pair override if one exists, otherwise the link class — so a
-// hierarchical schedule's intra phases run on the fast clock. It
-// requires a machine created with WithTopology and RecordEvents and at
-// least one completed operation.
+// events returns the most recent operation's message log for the
+// critical-path method named.
+func (m *Machine) events(method string) ([]mpsim.Event, error) {
+	metrics := m.engine.Metrics()
+	switch {
+	case metrics == nil && m.engine.ProgramsInLastRun() > 1:
+		return nil, fmt.Errorf("bruck: %s is unavailable after RunPlans (per-plan schedules; use the returned Reports)", method)
+	case metrics == nil:
+		return nil, fmt.Errorf("bruck: %s before any operation", method)
+	}
+	if events := metrics.Events(); events != nil {
+		return events, nil
+	}
+	return nil, fmt.Errorf("bruck: %s requires a machine created with RecordEvents", method)
+}
+
+// CriticalPathTopoTime is CriticalPathTime with each message priced by
+// its own link's profile under the machine's topology (WithTopology),
+// so a hierarchical schedule's intra phases run on the fast clock.
 func (m *Machine) CriticalPathTopoTime() (float64, error) {
 	if m.topo == nil {
 		return 0, fmt.Errorf("bruck: CriticalPathTopoTime requires a machine created with WithTopology")
 	}
-	metrics := m.engine.Metrics()
-	if metrics == nil {
-		if m.engine.ProgramsInLastRun() > 1 {
-			return 0, fmt.Errorf("bruck: CriticalPathTopoTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)")
-		}
-		return 0, fmt.Errorf("bruck: CriticalPathTopoTime before any operation")
-	}
-	events := metrics.Events()
-	if events == nil {
-		return 0, fmt.Errorf("bruck: CriticalPathTopoTime requires a machine created with RecordEvents")
+	events, err := m.events("CriticalPathTopoTime")
+	if err != nil {
+		return 0, err
 	}
 	return costmodel.CriticalPathTopo(m.topo, m.engine.N(), events)
 }
@@ -238,9 +213,8 @@ func (m *Machine) Transport() Backend { return m.engine.Transport() }
 // Topology returns the machine's topology, nil for a flat machine.
 func (m *Machine) Topology() *Topology { return m.topo }
 
-// Group names an ordered subset of processors, like an MPI group; all
-// collective operations accept one via OnGroup. Group ranks are the
-// positions in the id list.
+// Group names an ordered subset of processors, like an MPI group, for
+// OnGroup; group ranks are the positions in the id list.
 type Group = mpsim.Group
 
 // NewGroup creates a group from distinct processor ids of this machine.
@@ -264,10 +238,9 @@ type Profile = costmodel.Profile
 // paper (start-up ~29us, ~8.5 Mbytes/s point-to-point bandwidth).
 var SP1 = costmodel.SP1
 
-// Topology describes a two-level machine: named groups of processors
-// ("nodes", "racks") with a fast intra-group profile, a slower
-// inter-group profile, and optional per-pair overrides. Attach one to
-// a machine with WithTopology.
+// Topology describes a two-level machine: groups of processors with an
+// intra-group profile, an inter-group profile and optional per-pair
+// overrides. Attach one with WithTopology.
 type Topology = costmodel.Topology
 
 // NewTopology builds a validated two-level topology: groups[i]
@@ -277,11 +250,9 @@ func NewTopology(groups []int, intra, inter Profile) (*Topology, error) {
 	return costmodel.NewTopology(groups, intra, inter)
 }
 
-// ParseTopology parses the command-line topology syntax
-// "<groups>x<size>[:beta,tau/beta,tau]" or
-// "<size1>,<size2>,...[:beta,tau/beta,tau]"; without explicit
-// profiles the intra profile defaults to SP1 and the inter profile to
-// SP1 scaled by DefaultInterRatio.
+// ParseTopology parses "<groups>x<size>" or "<size1>,<size2>,...",
+// optionally followed by ":beta,tau/beta,tau"; the profiles default to
+// SP1 intra and SP1 scaled by DefaultInterRatio inter.
 func ParseTopology(s string) (*Topology, error) { return costmodel.ParseTopology(s) }
 
 // ScaledProfile returns p with both parameters scaled by f — the
@@ -292,15 +263,46 @@ func ScaledProfile(p Profile, f float64) Profile { return costmodel.Scaled(p, f)
 // assumes when the spec names no profiles.
 const DefaultInterRatio = costmodel.DefaultInterRatio
 
-// WithTopology attaches a two-level topology to the machine. The
-// topology must cover exactly the machine's n processors. Every
-// simulated message is then tagged with its link class — Reports on
-// hierarchical plans split C1/C2 per level (Report.Intra/Inter) — and
-// the machine accepts Hierarchical() schedules; WithAuto on the
-// fixed-size operations becomes the flat-vs-hierarchical dispatch.
+// WithTopology attaches a two-level topology covering exactly the
+// machine's n processors: messages are tagged with their link class,
+// Hierarchical() schedules are accepted, and WithAuto on the fixed-size
+// operations becomes the flat-vs-hierarchical dispatch.
 func WithTopology(t *Topology) MachineOption {
 	return func(c *machineConfig) { c.topo = t }
 }
+
+// Op names a collective operation, the first argument of every verb.
+type Op = collective.Op
+
+// The seven operations move blocks between two Buffers of the shapes
+// named (n x b: n processor regions of b blocks; the 1 x b side of a
+// rooted primitive is its Root's). Index and Concat also run on two
+// RaggedBuffers (MPI_Alltoallv / MPI_Allgatherv), out laid out by the
+// input Layout's Transpose or ConcatOut.
+const (
+	// Index is all-to-all personalized communication: in and out are
+	// n x n, and afterwards out.Block(i, j) = in.Block(j, i).
+	Index = collective.OpIndex
+	// Concat is all-to-all broadcast: in is n x 1 and out n x n, and
+	// afterwards out.Block(i, j) = in.Block(j, 0).
+	Concat = collective.OpConcat
+	// ReduceScatter combines under WithKernel or WithCombine: in is
+	// n x n, in.Block(i, j) being rank i's part of chunk j, and out n x 1,
+	// out.Block(j, 0) being chunk j combined over every rank.
+	ReduceScatter = collective.OpReduceScatter
+	// AllReduce is ReduceScatter followed by Concat in one run: in and
+	// out are n x n, and out.Block(i, j) is chunk j combined, on every i.
+	AllReduce = collective.OpAllReduce
+	// Broadcast sends the root's block, in (1 x 1), to out.Block(j, 0)
+	// of out (n x 1) on every member j.
+	Broadcast = collective.OpBroadcast
+	// Gather collects in.Block(j, 0) of in (n x 1) into out.Block(0, j)
+	// of the root's out (1 x n).
+	Gather = collective.OpGather
+	// Scatter sends in.Block(0, j) of the root's in (1 x n) to
+	// out.Block(j, 0) of out (n x 1).
+	Scatter = collective.OpScatter
+)
 
 // Common algorithm identifiers, re-exported from the implementation
 // package for use with the option setters.
@@ -345,6 +347,7 @@ type CollectiveOption func(*callConfig)
 
 type callConfig struct {
 	group     *Group
+	root      int
 	indexOpt  collective.IndexOptions
 	radices   []int
 	concatOpt collective.ConcatOptions
@@ -365,6 +368,12 @@ func OnGroup(g *Group) CollectiveOption {
 	return func(c *callConfig) { c.group = g }
 }
 
+// Root names the group rank a Broadcast, Gather or Scatter is rooted
+// at (default 0). The other operations ignore it.
+func Root(r int) CollectiveOption {
+	return func(c *callConfig) { c.root = r }
+}
+
 // WithRadix sets the radix r of the Bruck index algorithm
 // (2 <= r <= n). Smaller radices minimize rounds (r = k+1 is
 // round-optimal), larger radices minimize data volume (r = n is
@@ -378,7 +387,7 @@ func WithRadix(r int) CollectiveOption {
 // least 2 and the product must reach n. OptimalRadixSchedule computes
 // the model-optimal vector. Overrides WithRadix and WithIndexAlgorithm.
 func WithRadices(radices []int) CollectiveOption {
-	return func(c *callConfig) { c.radices = append([]int(nil), radices...) }
+	return func(c *callConfig) { c.radices = slices.Clone(radices) }
 }
 
 // WithIndexAlgorithm selects the index schedule (IndexBruck,
@@ -400,19 +409,13 @@ const AutoSegments = collective.AutoSegments
 // WithSegments pipelines the Bruck index schedule — and the ReduceBruck
 // reduce-scatter phase of the reductions — over s segments: each block
 // splits into s byte spans that stream through the round structure one
-// merged round apart, so round r of segment i overlaps round r+1 of
-// segment i-1 and the schedule drains in rounds + s - 1 merged rounds.
-// Pipelining trades extra rounds for smaller per-round messages, a win
-// in model time on large blocks: `bruckctl run -crossover-segments` and
-// the cost model (SegmentedIndexCost) say from where. It copies no less
-// — every payload of either schedule moves pack -> own -> land — and no
-// wall-clock win is claimed for it.
-//
-// s = 0 or 1 runs the monolithic schedule; AutoSegments picks by cost
-// model. Only the packed uniform Bruck schedules pipeline — baselines,
-// the noPack ablation, mixed-radix, layout (V) plans and the circulant
-// concatenation always run monolithic, and the compiler clamps s to the
-// block size and the round count.
+// merged round apart, draining in rounds + s - 1 merged rounds. That
+// trades extra rounds for smaller per-round messages, a model-time win
+// on large blocks (`bruckctl run -crossover-segments` says from where).
+// s = 0 or 1 runs the monolithic schedule, AutoSegments picks by cost
+// model, any other negative s is an error. Only the packed uniform
+// Bruck schedules pipeline; everything else runs monolithic, and the
+// compiler clamps s to the block size and the round count.
 func WithSegments(s int) CollectiveOption {
 	return func(c *callConfig) { c.indexOpt.Segments = s }
 }
@@ -431,56 +434,38 @@ func WithLastRoundPolicy(p partition.Policy) CollectiveOption {
 	return func(c *callConfig) { c.concatOpt.LastRound = p }
 }
 
-// WithAuto makes the ragged-layout operations (IndexV, ConcatV and
-// their Flat/Compile variants) and the reductions (ReduceScatter,
-// AllReduce and their Flat/Compile variants) pick the algorithm — and,
-// where applicable, the radix — by evaluating the linear cost model
-// T = C1*Beta + C2*Tau over the compiled candidate plans: for the index
-// the Bruck family at several radices (on padded slots) against the
-// padding-free direct exchange, for the concatenation the padded
-// circulant schedule against the exact-extent ring, and for the
-// reductions the ring against recursive halving (power-of-two groups)
-// and the Bruck index schedule at the candidate radices. It overrides
-// WithRadix/WithIndexAlgorithm/WithConcatAlgorithm/WithReduceAlgorithm
-// on those operations and is ignored by the fixed-size index and
-// concatenation (tune those with OptimalRadix).
-// On a machine created with WithTopology (nontrivial), WithAuto
-// additionally governs the fixed-size Index, Concat and AllReduce: the
-// dispatch compiles flat and hierarchical candidates, prices each with
-// the topology's per-class profiles (flat schedules pay the
-// inter-group profile on every round; hierarchical ones pay each
-// phase's class), and runs the winner. The verdict is memoized under
-// the topology's digest, so repeated auto calls cost one cache lookup.
+// WithAuto makes the ragged Index and Concat and the reductions pick
+// the algorithm — and the radix — with the fewest T = C1*Beta + C2*Tau
+// under p (which must pass Profile.Validate) among compiled candidates:
+// padded Bruck at several radices against the direct exchange, padded
+// circulant against the exact ring, and ring, halving and Bruck for the
+// reductions. It overrides the algorithm options there and is ignored
+// by the fixed-size Index and Concat (tune those with OptimalRadix),
+// except on a machine with a nontrivial topology: there it also governs
+// the fixed-size Index, Concat and AllReduce, pricing flat and
+// hierarchical candidates with the topology's per-class profiles. The
+// verdict is memoized, so a repeated auto call costs one cache lookup.
 func WithAuto(p Profile) CollectiveOption {
 	return func(c *callConfig) { prof := p; c.auto = &prof }
 }
 
-// Hierarchical selects the two-level schedule for the fixed-size
-// Index, Concat and AllReduce on a machine created with WithTopology:
-// concurrent intra-group phases, an inter-group phase over the group
-// leaders, and redistribution fan phases, compiled as one Plan whose
-// Report splits C1/C2 per link class (Report.Intra/Inter). The
-// reductions support AllReduce only; the ragged (V) operations, the
-// one-to-all primitives and mixed-radix calls ignore it.
+// Hierarchical selects the two-level schedule of the fixed-size Index,
+// Concat and AllReduce on a machine created with WithTopology —
+// intra-group phases, a leader phase and fan phases in one Plan whose
+// Report splits C1/C2 per link class (Report.Intra/Inter). ReduceScatter
+// rejects it; ragged, rooted and mixed-radix calls ignore it.
 func Hierarchical() CollectiveOption {
 	return func(c *callConfig) { c.hier = true }
 }
 
-// WithHierRadices sets the per-level Bruck radices of a hierarchical
-// index schedule: intra for the in-group all-to-alls, inter for the
-// leader exchange. 0 picks the round-minimal k+1 at that level.
-// Ignored by flat schedules and by the hierarchical concatenation and
-// allreduce, which have no radix axis.
+// WithHierRadices sets the Bruck radices of a hierarchical Index: intra
+// for the in-group all-to-alls, inter for the leader exchange (0 picks
+// k+1). Every other schedule ignores it.
 func WithHierRadices(intra, inter int) CollectiveOption {
 	return func(c *callConfig) {
 		c.hierOpt = collective.HierOptions{IntraRadix: intra, InterRadix: inter}
 	}
 }
-
-// Reduction kernels: a reduction collective combines blocks where a
-// plain collective copies them. WithKernel selects a built-in
-// elementwise kernel; WithCombine plugs in an arbitrary user reduction
-// over whole blocks.
 
 // ReduceOp names a built-in elementwise reduction (ReduceSum,
 // ReduceMin, ReduceMax).
@@ -493,8 +478,8 @@ const (
 )
 
 // DataType names the element type of a built-in reduction kernel
-// (Int32, Int64, Float32, Float64), encoded little-endian. The typed
-// view helpers (PutFloat32s and friends) produce exactly this layout.
+// (Int32, Int64, Float32, Float64), encoded little-endian. Put and Get
+// produce and read exactly this layout.
 type DataType = buffers.DataType
 
 const (
@@ -504,14 +489,12 @@ const (
 	Float64 = buffers.Float64
 )
 
-// CombineFunc combines src into dst elementwise: dst = dst op src. The
-// slices have equal length and never overlap; the function must not
-// retain them (src is pooled transport memory). It is never invoked on
-// empty slabs. For results independent of the schedule the reduction
-// must be associative and commutative; each compiled plan applies its
-// combines in a fixed order, so repeated executions of one plan are
-// bit-identical, but different algorithms associate differently — which
-// floating-point summation notices at the last ulp.
+// CombineFunc combines src into dst elementwise: dst = dst op src, on
+// equal-length, non-overlapping, non-empty slices it must not retain
+// (src is pooled transport memory). Schedule-independent results need
+// an associative, commutative reduction: each plan combines in a fixed
+// order, but different algorithms associate differently, which
+// floating-point sums notice at the last ulp.
 type CombineFunc = buffers.CombineFunc
 
 // ReduceAlgorithm selects the reduce-scatter schedule (and thereby the
@@ -519,31 +502,19 @@ type CombineFunc = buffers.CombineFunc
 type ReduceAlgorithm = collective.ReduceAlgorithm
 
 const (
-	// ReduceRing (default) passes each chunk's partial once around the
-	// ring: n-1 rounds, (n-1)*b volume, any group size.
+	// ReduceRing (default): n-1 rounds, (n-1)*b volume, any group size.
 	ReduceRing = collective.ReduceRing
 	// ReduceHalving is recursive vector halving: log2 n rounds, (n-1)*b
 	// volume, power-of-two group sizes.
 	ReduceHalving = collective.ReduceHalving
-	// ReduceBruck runs the radix-r Bruck index schedule and combines at
-	// the destination: C1/C2 are the index algorithm's, so WithRadix
-	// dials the paper's trade-off for reductions too.
+	// ReduceBruck combines on the radix-r Bruck index schedule, so
+	// WithRadix dials the paper's C1/C2 trade-off for reductions too.
 	ReduceBruck = collective.ReduceBruck
 )
 
-// ReduceKind selects the operation CompileReduce compiles:
-// ReduceScatterKind or AllReduceKind.
-type ReduceKind = collective.ReduceKind
-
-const (
-	ReduceScatterKind = collective.ReduceScatterKind
-	AllReduceKind     = collective.AllReduceKind
-)
-
-// WithKernel selects the built-in elementwise reduction kernel for a
-// reduction collective: op over elements of type t. The block size must
-// be a multiple of the element size. Required (or WithCombine) on every
-// reduction call with a nonzero block size.
+// WithKernel selects the built-in reduction kernel op over elements of
+// type t, whose size must divide the block size. A reduction with
+// nonzero blocks needs it or WithCombine.
 func WithKernel(op ReduceOp, t DataType) CollectiveOption {
 	return func(c *callConfig) {
 		c.kernelOp, c.kernelTyp, c.kernelSet = op, t, true
@@ -553,8 +524,8 @@ func WithKernel(op ReduceOp, t DataType) CollectiveOption {
 
 // WithCombine plugs a user reduction into a reduction collective.
 // Plans compiled for a user kernel are not cached — the plan cache
-// cannot tell two functions apart — so hold the Plan from CompileReduce
-// when calling repeatedly. See CombineFunc for the safety rules.
+// cannot tell two functions apart — so hold the Plan from Compile when
+// calling repeatedly. See CombineFunc for the safety rules.
 func WithCombine(fn CombineFunc) CollectiveOption {
 	return func(c *callConfig) {
 		c.combine = fn
@@ -569,21 +540,24 @@ func WithReduceAlgorithm(a ReduceAlgorithm) CollectiveOption {
 	return func(c *callConfig) { c.reduceAlg = a }
 }
 
-func (m *Machine) call(opts []CollectiveOption) callConfig {
+// Put encodes vals into dst little-endian, the layout the built-in
+// kernels reduce over; dst must hold exactly len(vals) elements.
+func Put[T int32 | int64 | float32 | float64](dst []byte, vals []T) { buffers.Put(dst, vals) }
+
+// Get decodes src as little-endian elements of type T, into a fresh
+// slice.
+func Get[T int32 | int64 | float32 | float64](src []byte) []T { return buffers.Get[T](src) }
+
+// plan is the one plan-resolution path of the Machine: a verb names its
+// operation and block size or layout in s, plan folds every option in
+// verbatim — collective.Spec documents which of them the selected
+// schedule family reads — and fetches the plan from the machine's cache.
+func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error) {
 	cfg := callConfig{group: m.world}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return cfg
-}
-
-// plan is the one plan-resolution path of the Machine: a call names its
-// operation and block size, layout or root in s, plan folds every option
-// in verbatim — collective.Spec documents which of them the selected
-// schedule family reads — and fetches the plan from the machine's cache.
-func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error) {
-	cfg := m.call(opts)
-	s.Index, s.Radices, s.Concat = cfg.indexOpt, cfg.radices, cfg.concatOpt
+	s.Root, s.Index, s.Radices, s.Concat = cfg.root, cfg.indexOpt, cfg.radices, cfg.concatOpt
 	s.Hierarchical, s.Hier, s.Topology, s.Auto = cfg.hier, cfg.hierOpt, m.topo, cfg.auto
 	if s.Op == collective.OpReduceScatter || s.Op == collective.OpAllReduce {
 		// The built-in kernel named by WithKernel (with its element size
@@ -601,156 +575,136 @@ func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error
 	return m.plans.Get(m.engine, cfg.group, s)
 }
 
-// slices is the one adapter behind the [][][]byte entry points: the
-// caller's blocks were copied into a flat slab (fin; err is that copy's
-// error), the plan is resolved for the slab's block size or layout, and
-// the schedule runs into a fresh slab of the plan's output shape, which
-// is copied back out.
-func (m *Machine) slices(op collective.Op, fin interface{ ToMatrix() [][][]byte }, err error, opts []CollectiveOption) ([][][]byte, *Report, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	if vin, ok := fin.(*RaggedBuffers); ok {
-		pl, err := m.plan(collective.Spec{Op: op, Layout: vin.Layout()}, opts)
-		if err != nil {
-			return nil, nil, err
+var (
+	errInFlight  = fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
+	errNilFlat   = fmt.Errorf("bruck: nil flat buffer")
+	errNilRagged = fmt.Errorf("bruck: nil ragged buffer")
+)
+
+// spec names the schedule op runs on one side of a call: a Buffers'
+// block size, or a RaggedBuffers' layout, which selects the ragged form.
+func spec(op Op, d any) (collective.Spec, error) {
+	switch d := d.(type) {
+	case *Buffers:
+		if d != nil {
+			return collective.Spec{Op: op, BlockLen: d.BlockLen()}, nil
 		}
-		vout, err := buffers.NewRagged(pl.OutLayout())
-		if err != nil {
-			return nil, nil, err
+	case *RaggedBuffers:
+		switch {
+		case d == nil:
+			return collective.Spec{}, errNilRagged
+		case op == Index:
+			return collective.Spec{Op: collective.OpIndexV, Layout: d.Layout()}, nil
+		case op == Concat:
+			return collective.Spec{Op: collective.OpConcatV, Layout: d.Layout()}, nil
 		}
-		rep, err := exclusive(m, func() (*Report, error) { return pl.ExecuteV(vin, vout) })
-		if err != nil {
-			return nil, nil, err
-		}
-		return vout.ToMatrix(), rep, nil
+		return collective.Spec{}, fmt.Errorf("bruck: %v takes Buffers (only Index and Concat have a ragged form)", op)
+	case nil:
+	default:
+		return collective.Spec{}, fmt.Errorf("bruck: %T is neither a *Buffers nor a *RaggedBuffers", d)
 	}
-	in := fin.(*Buffers)
-	pl, err := m.plan(collective.Spec{Op: op, BlockLen: in.BlockLen()}, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := buffers.New(pl.Group().Size(), pl.OutBlocks(), in.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := exclusive(m, func() (*Report, error) { return pl.Execute(in, out) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.ToMatrix(), rep, nil
+	return collective.Spec{}, errNilFlat
 }
 
-var errInFlight = fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
-
-// exclusive runs one operation as the machine's only one, decided at
-// submission: a call made while an asynchronous operation is pending
-// fails at once and the accepted one completes. (The engine's own
-// overlap check remains for Plans executed directly.)
-func exclusive[T any](m *Machine, run func() (T, error)) (res T, err error) {
+// claim makes a call the machine's one operation, decided at
+// submission: a call made while an asynchronous one is pending fails at
+// once, before it resolves a plan. The claimer releases it when its run
+// ends. (Plans executed directly meet the engine's own check.)
+func (m *Machine) claim() error {
 	if !m.inflight.CompareAndSwap(false, true) {
-		return res, errInFlight
+		return errInFlight
 	}
-	defer m.inflight.Store(false)
-	return run()
+	return nil
 }
 
-// flat resolves the plan of a flat-buffer call and executes it once.
-func (m *Machine) flat(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
+// begin claims the machine for a Run or a Start and resolves the plan
+// of its (in, out) pair, releasing the claim again on failure.
+func (m *Machine) begin(op Op, in, out any, opts []CollectiveOption) (*Plan, error) {
+	if err := m.claim(); err != nil {
+		return nil, err
 	}
-	pl, err := m.plan(collective.Spec{Op: op, BlockLen: in.BlockLen()}, opts)
+	s, err := spec(op, in)
+	var o collective.Spec
+	if err == nil {
+		o, err = spec(op, out)
+	}
+	if err == nil && (s.Layout == nil) != (o.Layout == nil) {
+		err = fmt.Errorf("bruck: %v takes two Buffers or two RaggedBuffers, not one of each", op)
+	}
+	var pl *Plan
+	if err == nil {
+		pl, err = m.plan(s, opts)
+	}
+	if err != nil {
+		m.inflight.Store(false)
+	}
+	return pl, err
+}
+
+// execute runs a resolved plan on a call's two sides; a one-to-all
+// primitive hands its root's side over as bytes.
+func execute(op Op, pl *Plan, in, out any) (*Report, error) {
+	if vin, ok := in.(*RaggedBuffers); ok {
+		return pl.ExecuteV(vin, out.(*RaggedBuffers))
+	}
+	fin, fout := in.(*Buffers), out.(*Buffers)
+	switch op {
+	case Broadcast, Scatter:
+		return pl.ExecuteRooted(fout, fin.Bytes())
+	case Gather:
+		return pl.ExecuteRooted(fin, fout.Bytes())
+	}
+	return pl.Execute(fin, fout)
+}
+
+// Run executes op once from in to out, two distinct Buffers or
+// RaggedBuffers shaped as Op describes, and returns its Report. All
+// copies work in caller-owned or pool-recycled memory: on a reused
+// Machine a run allocates nothing per block or message.
+func (m *Machine) Run(op Op, in, out any, opts ...CollectiveOption) (*Report, error) {
+	pl, err := m.begin(op, in, out, opts)
 	if err != nil {
 		return nil, err
 	}
-	return exclusive(m, func() (*Report, error) { return pl.Execute(in, out) })
+	defer m.inflight.Store(false)
+	return execute(op, pl, in, out)
 }
 
-// Index performs all-to-all personalized communication
-// (MPI_Alltoall): in[i][j] is block B[i,j], the block processor i holds
-// for processor j; the result satisfies out[i][j] = in[j][i]. All
-// blocks must have the same size.
-//
-// Index is a convenience adapter over IndexFlat: the block matrix is
-// copied into a flat buffer, the zero-copy path runs, and the result is
-// copied back out as fresh slices. Allocation-sensitive callers should
-// use IndexFlat.
-func (m *Machine) Index(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromMatrix(in)
-	return m.slices(collective.OpIndex, fin, err, opts)
+// Start is the non-blocking Run: it resolves the plan, starts the run
+// on a background goroutine and returns its Handle, so the caller can
+// overlap computation with the communication. Plan and in-flight errors
+// return from Start, execution errors from Handle.Wait.
+func (m *Machine) Start(op Op, in, out any, opts ...CollectiveOption) (*Handle, error) {
+	pl, err := m.begin(op, in, out, opts)
+	if err != nil {
+		return nil, err
+	}
+	h := &Handle{done: make(chan struct{})}
+	go func() {
+		h.rep, h.err = execute(op, pl, in, out)
+		m.inflight.Store(false)
+		close(h.done)
+	}()
+	return h, nil
 }
 
-// Concat performs all-to-all broadcast (MPI_Allgather): in[i] is block
-// B[i]; afterwards every processor holds the full concatenation,
-// out[i][j] = in[j]. All blocks must have the same size.
-//
-// Concat is a convenience adapter over ConcatFlat; allocation-sensitive
-// callers should use ConcatFlat.
-func (m *Machine) Concat(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromVector(in)
-	return m.slices(collective.OpConcat, fin, err, opts)
+// Compile returns (and caches) the plan Run would execute for op on
+// in, of which it reads only the block size or layout. Plan.Execute
+// (ExecuteV when ragged, ExecuteRooted when rooted) runs it on Run's
+// shapes, and Bind (BindV) attaches such a pair for RunPlans.
+func (m *Machine) Compile(op Op, in any, opts ...CollectiveOption) (*Plan, error) {
+	s, err := spec(op, in)
+	if err != nil {
+		return nil, err
+	}
+	return m.plan(s, opts)
 }
 
-// Buffers is the flat block store of the zero-copy collective paths:
-// one contiguous byte slab holding, for each of n processors, a fixed
-// number of fixed-size blocks. Proc and Block return in-place views,
-// never copies. See NewIndexBuffers and NewConcatBuffers for the shapes
-// the flat operations expect.
-type Buffers = buffers.Buffers
-
-// NewBuffers creates an all-zero flat buffer for procs processors with
-// blocks blocks of blockLen bytes each.
-func NewBuffers(procs, blocks, blockLen int) (*Buffers, error) {
-	return buffers.New(procs, blocks, blockLen)
-}
-
-// NewIndexBuffers creates an index-shaped flat buffer (n processors
-// with n blocks of blockLen bytes each), the layout IndexFlat expects
-// for both its input and its output: block j of processor region i is
-// B[i, j].
-func NewIndexBuffers(n, blockLen int) (*Buffers, error) {
-	return buffers.New(n, n, blockLen)
-}
-
-// NewConcatBuffers creates a concat-shaped flat input buffer (n
-// processors with one block of blockLen bytes each), the layout
-// ConcatFlat expects for its input; its output is index-shaped
-// (NewIndexBuffers).
-func NewConcatBuffers(n, blockLen int) (*Buffers, error) {
-	return buffers.New(n, 1, blockLen)
-}
-
-// IndexFlat is the zero-copy index operation: in and out are
-// index-shaped flat buffers (NewIndexBuffers) for the group size n;
-// afterwards out.Block(i, j) equals in.Block(j, i). in and out must be
-// distinct; out is fully overwritten. The schedule — and therefore the
-// Report — is identical to Index's, but packing, unpacking and receives
-// all work in caller-owned or pool-recycled contiguous memory: on a
-// reused Machine the operation performs no per-block or per-message
-// allocations.
-func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flat(collective.OpIndex, in, out, opts)
-}
-
-// ConcatFlat is the zero-copy concatenation: in is a concat-shaped flat
-// buffer (NewConcatBuffers) and out an index-shaped one
-// (NewIndexBuffers); afterwards out.Block(i, j) equals in.Block(j, 0)
-// for every member i. The output slab doubles as the algorithm's
-// accumulation memory, so beyond pooled transport buffers the operation
-// allocates nothing on a reused Machine.
-func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flat(collective.OpConcat, in, out, opts)
-}
-
-// Handle is the completion handle of a non-blocking collective
-// (IndexAsync, ConcatAsync, AllReduceAsync). Exactly one operation may
-// be in flight per Machine; the operation owns its input and output
-// buffers until Wait (or a true Test) — touching them earlier races
-// with the running schedule, and any operation submitted to the Machine
-// before then, blocking or asynchronous, fails at once while this one
-// completes. Execution errors — including the engine's deadlock-watchdog
-// fencing, identical to the blocking path's — surface on Wait.
+// Handle is the completion handle of an operation Start began. The
+// operation owns its buffers until Wait (or a true Test): touching them
+// earlier races with the running schedule, and any operation submitted
+// to the Machine before then fails at once. Execution errors, watchdog
+// fencing included, surface on Wait.
 type Handle struct {
 	done chan struct{}
 	rep  *Report
@@ -758,9 +712,8 @@ type Handle struct {
 }
 
 // Wait blocks until the operation completes and returns its Report and
-// error. Wait is idempotent: every call returns the same pair, and the
-// first return re-licenses the Machine (and the buffers) for the next
-// operation.
+// error. Every call returns the same pair; the first return frees the
+// Machine and the buffers.
 func (h *Handle) Wait() (*Report, error) {
 	<-h.done
 	return h.rep, h.err
@@ -787,58 +740,43 @@ func (h *Handle) Report() *Report {
 	return h.rep
 }
 
-// async resolves the plan synchronously (the plan cache is confined to
-// the caller's goroutine), claims the machine (see exclusive) until the
-// operation completes and runs it on a background goroutine: resolution
-// and in-flight failures are synchronous, execution failures surface on Wait.
-func (m *Machine) async(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Handle, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.plan(collective.Spec{Op: op, BlockLen: in.BlockLen()}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if !m.inflight.CompareAndSwap(false, true) {
-		return nil, errInFlight
-	}
-	h := &Handle{done: make(chan struct{})}
-	go func() {
-		h.rep, h.err = pl.Execute(in, out)
-		m.inflight.Store(false)
-		close(h.done)
-	}()
-	return h, nil
+// Buffers is the block store of the fixed-size operations: one slab of
+// n processor regions of equal blocks, Proc and Block returning
+// in-place views; Op names the shapes each operation takes.
+type Buffers = buffers.Buffers
+
+// NewBuffers creates an all-zero flat buffer for procs processors with
+// blocks blocks of blockLen bytes each.
+func NewBuffers(procs, blocks, blockLen int) (*Buffers, error) {
+	return buffers.New(procs, blocks, blockLen)
 }
 
-// IndexAsync is the non-blocking IndexFlat: it compiles (or fetches)
-// the plan synchronously, starts the exchange on a background
-// goroutine, and returns a Handle immediately, so the caller can
-// overlap independent computation with the communication — the overlap
-// the paper's C1*beta start-up term prices. in and out follow
-// IndexFlat's contract and belong to the operation until Wait.
-func (m *Machine) IndexAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	return m.async(collective.OpIndex, in, out, opts)
-}
+// NewIndexBuffers creates an n x n Buffers (see Op).
+func NewIndexBuffers(n, blockLen int) (*Buffers, error) { return buffers.New(n, n, blockLen) }
 
-// ConcatAsync is the non-blocking ConcatFlat; in is concat-shaped and
-// out index-shaped, as there.
-func (m *Machine) ConcatAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	return m.async(collective.OpConcat, in, out, opts)
-}
+// NewConcatBuffers creates an n x 1 Buffers (see Op).
+func NewConcatBuffers(n, blockLen int) (*Buffers, error) { return buffers.New(n, 1, blockLen) }
 
-// AllReduceAsync is the non-blocking AllReduceFlat; in and out are both
-// index-shaped, as there.
-func (m *Machine) AllReduceAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	return m.async(collective.OpAllReduce, in, out, opts)
-}
+// FromMatrix copies a block matrix — in[i][j] is block j of processor
+// i, every block of one length — into a fresh Buffers; its ToMatrix
+// copies one back out.
+func FromMatrix(in [][][]byte) (*Buffers, error) { return buffers.FromMatrix(in) }
 
-// Layout describes the block-size structure of a ragged collective: a
-// table of per-(src, dst) byte counts for IndexV (MPI_Alltoallv's
-// counts) or per-source counts for ConcatV (MPI_Allgatherv's). Uniform
-// layouts — including ragged-constructed tables whose entries are all
-// equal — compile to exactly the schedules of the fixed-size
-// operations. See NewIndexLayout and NewConcatLayout.
+// FromVector copies one equal-length block per processor into a fresh
+// n x 1 Buffers; its ToVector copies one back out.
+func FromVector(in [][]byte) (*Buffers, error) { return buffers.FromVector(in) }
+
+// FromRaggedMatrix is FromMatrix for blocks of any lengths, zero
+// included: the RaggedBuffers' layout is derived from the lengths.
+func FromRaggedMatrix(in [][][]byte) (*RaggedBuffers, error) { return buffers.FromRaggedMatrix(in) }
+
+// FromRaggedVector is FromVector for blocks of any lengths.
+func FromRaggedVector(in [][]byte) (*RaggedBuffers, error) { return buffers.FromRaggedVector(in) }
+
+// Layout is the block-size table of a ragged operation: per-(src, dst)
+// byte counts for Index (MPI_Alltoallv's), per-source counts for Concat
+// (MPI_Allgatherv's). A uniform layout compiles to exactly the
+// fixed-size operation's schedule.
 type Layout = blocks.Layout
 
 // NewIndexLayout builds an index layout from counts[i][j] = the number
@@ -850,349 +788,46 @@ func NewIndexLayout(counts [][]int) (*Layout, error) { return blocks.Ragged(coun
 // rank i's contribution in bytes.
 func NewConcatLayout(counts []int) (*Layout, error) { return blocks.RaggedVector(counts) }
 
-// RaggedBuffers is the flat block store of the ragged collective paths:
-// one contiguous slab whose block boundaries follow a Layout instead of
-// a fixed stride. Block and Proc return in-place views, never copies.
-// IndexVFlat takes a slab of the plan's layout and one of its
-// transpose; ConcatVFlat takes the n x 1 input layout and its n x n
-// ConcatOut shape.
+// RaggedBuffers is Buffers with block boundaries set by a Layout.
 type RaggedBuffers = buffers.Ragged
 
 // NewRaggedBuffers creates an all-zero ragged slab shaped by the
 // layout.
 func NewRaggedBuffers(l *Layout) (*RaggedBuffers, error) { return buffers.NewRagged(l) }
 
-// IndexV performs all-to-all personalized communication with
-// variable-size blocks (MPI_Alltoallv): in[i][j] is the block group
-// rank i holds for rank j, and block lengths may differ freely —
-// including zero. The layout is derived from the lengths themselves;
-// the result satisfies out[i][j] = in[j][i]. On equal-length input
-// IndexV is byte- and Report-identical to Index.
-//
-// IndexV is a convenience adapter over IndexVFlat (one copy in, one
-// copy out); allocation-sensitive callers should use IndexVFlat.
-func (m *Machine) IndexV(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromRaggedMatrix(in)
-	return m.slices(collective.OpIndexV, fin, err, opts)
-}
-
-// ConcatV performs all-to-all broadcast with variable-size
-// contributions (MPI_Allgatherv): in[i] is group rank i's block, of any
-// length; afterwards out[i][j] = in[j] for every member i. On
-// equal-length input ConcatV is byte- and Report-identical to Concat.
-//
-// ConcatV is a convenience adapter over ConcatVFlat; allocation-
-// sensitive callers should use ConcatVFlat.
-func (m *Machine) ConcatV(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromRaggedVector(in)
-	return m.slices(collective.OpConcatV, fin, err, opts)
-}
-
-// IndexVFlat is the zero-copy ragged index: in is a RaggedBuffers of
-// the call's n x n layout and out one of its transpose (afterwards
-// out.Block(i, j) equals in.Block(j, i) at its true length). Like
-// IndexFlat it routes through the plan cache — here under layout-digest
-// keys — so repeated layouts compile once, and on a reused Machine the
-// steady state performs no per-block or per-message allocations.
-func (m *Machine) IndexVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flatV(collective.OpIndexV, in, out, opts)
-}
-
-// flatV is flat for the ragged operations.
-func (m *Machine) flatV(op collective.Op, in, out *RaggedBuffers, opts []CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil ragged buffer")
-	}
-	pl, err := m.plan(collective.Spec{Op: op, Layout: in.Layout()}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return exclusive(m, func() (*Report, error) { return pl.ExecuteV(in, out) })
-}
-
-// ConcatVFlat is the zero-copy ragged concatenation: in is a
-// RaggedBuffers of the n x 1 contribution layout and out one of its
-// ConcatOut shape (afterwards out.Block(i, j) equals in.Block(j, 0)).
-func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flatV(collective.OpConcatV, in, out, opts)
-}
-
-// CompileIndexV compiles (and caches) the ragged index schedule for the
-// layout. With WithAuto the returned plan is the cost-model winner over
-// the candidate algorithms and radices. The plan's ExecuteV takes a
-// slab of the layout and one of its transpose; BindV attaches such a
-// pair for RunPlans, where ragged and fixed-size plans may run
-// concurrently on disjoint groups.
-func (m *Machine) CompileIndexV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.plan(collective.Spec{Op: collective.OpIndexV, Layout: l}, opts)
-}
-
-// CompileConcatV compiles (and caches) the ragged concatenation
-// schedule for the layout (circulant on padded slots, or the
-// exact-extent ring via WithConcatAlgorithm/WithAuto).
-func (m *Machine) CompileConcatV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.plan(collective.Spec{Op: collective.OpConcatV, Layout: l}, opts)
-}
-
-// Plan is a compiled collective schedule: the complete round, partner
-// and packing layout of one operation on one (group, block size,
-// options) configuration, precomputed so repeated executions perform no
-// schedule work at all — the paper's schedules are fixed functions of
-// (n, k, r), so one compilation serves every invocation. Obtain plans
-// from CompileIndex/CompileConcat, run one with Plan.Execute, or run
-// several disjoint-group plans concurrently with RunPlans. A Plan
-// remains valid for the lifetime of its Machine, including across
-// recovery from a deadlocked run.
+// Plan is a compiled collective schedule — rounds, partners and packing
+// of one operation on one (group, block size, options) configuration —
+// so repeated executions do no schedule work: the paper's schedules are
+// fixed functions of (n, k, r). A Plan stays valid for the lifetime of
+// its Machine, across recovery from a deadlocked run too.
 type Plan = collective.Plan
 
-// CompileIndex compiles (and caches) the index schedule for the given
-// block size and options. The returned plan's Execute takes
-// index-shaped input and output buffers (NewIndexBuffers) and produces
-// exactly what IndexFlat would — IndexFlat itself is a thin wrapper
-// that compiles through the same cache and executes once.
-func (m *Machine) CompileIndex(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	return m.plan(collective.Spec{Op: collective.OpIndex, BlockLen: blockLen}, opts)
-}
-
-// CompileConcat compiles (and caches) the concatenation schedule for
-// the given block size and options — including the circulant
-// algorithm's last-round table partition, the expensive part of
-// per-call schedule construction. The returned plan's Execute takes a
-// concat-shaped input (NewConcatBuffers) and an index-shaped output
-// (NewIndexBuffers).
-func (m *Machine) CompileConcat(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	return m.plan(collective.Spec{Op: collective.OpConcat, BlockLen: blockLen}, opts)
-}
-
-// RunPlans executes several compiled plans concurrently inside one
-// engine run. The plans must belong to this machine, their groups must
-// be pairwise disjoint, and each must carry buffers attached with
-// Plan.Bind (BindV for layout plans). Fixed-size, ragged and reduction
-// plans may share a pass. Every plan keeps its own Report (per-group
-// metrics); the k-port constraint is still enforced per processor.
-// Results are byte-identical to executing the plans sequentially.
+// RunPlans executes several compiled plans of this machine, on pairwise
+// disjoint groups and each with buffers attached by Plan.Bind (BindV
+// for ragged plans), concurrently inside one engine run. Every plan
+// keeps its own Report; results are byte-identical to executing the
+// plans one after another.
 func (m *Machine) RunPlans(plans []*Plan) ([]*Report, error) {
-	return exclusive(m, func() ([]*Report, error) { return collective.ExecutePlans(m.engine, plans) })
-}
-
-// ReduceScatterFlat is the zero-copy reduce-scatter: in is an
-// index-shaped flat buffer (NewIndexBuffers) whose Block(i, j) is group
-// rank i's contribution to chunk j, and out a concat-shaped one
-// (NewConcatBuffers); afterwards out.Block(i, 0) is the elementwise
-// combination over j of in.Block(j, i) under the kernel selected with
-// WithKernel or WithCombine. The data movement is the index
-// operation's; the combine is applied on receive in place of the plain
-// copy. ReduceScatterFlat routes through the plan cache exactly like
-// IndexFlat.
-func (m *Machine) ReduceScatterFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flat(collective.OpReduceScatter, in, out, opts)
-}
-
-// AllReduceFlat is the zero-copy allreduce: in and out are both
-// index-shaped (NewIndexBuffers), in.Block(i, j) is rank i's
-// contribution to chunk j, and afterwards out.Block(i, j) is the
-// combination over p of in.Block(p, j) — identical on every rank. The
-// schedule is the classic composition reduce-scatter + allgather: the
-// reduce-scatter phase selected by WithReduceAlgorithm (or WithAuto)
-// followed by the paper's circulant concatenation, inside one simulated
-// run.
-func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.flat(collective.OpAllReduce, in, out, opts)
-}
-
-// ReduceScatter is the legacy-slice reduce-scatter: in[i][j] is group
-// rank i's contribution to chunk j (all blocks equal-size), and the
-// result's element i is rank i's fully combined chunk i. A convenience
-// adapter over ReduceScatterFlat — one copy in, one copy out;
-// allocation-sensitive callers should use ReduceScatterFlat.
-func (m *Machine) ReduceScatter(in [][][]byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	fin, err := buffers.FromMatrix(in)
-	mat, rep, err := m.slices(collective.OpReduceScatter, fin, err, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]byte, len(mat))
-	for i := range mat {
-		out[i] = mat[i][0]
-	}
-	return out, rep, nil
-}
-
-// AllReduce is the legacy-slice allreduce: in[i][j] is group rank i's
-// contribution to chunk j; the result satisfies out[i][j] = the
-// combination over p of in[p][j] on every rank i. A convenience adapter
-// over AllReduceFlat.
-func (m *Machine) AllReduce(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	fin, err := buffers.FromMatrix(in)
-	return m.slices(collective.OpAllReduce, fin, err, opts)
-}
-
-// CompileReduce compiles (and caches) the reduction selected by kind —
-// ReduceScatterKind or AllReduceKind — for the given block size and
-// options. The returned plan's Execute takes an index-shaped input and
-// a concat-shaped (reduce-scatter) or index-shaped (allreduce) output;
-// Bind attaches such a pair for RunPlans, where reduction plans run
-// concurrently with index, concat and layout plans on disjoint groups.
-// With WithAuto the returned plan is the cost-model winner over the
-// candidate reduce-scatter schedules.
-func (m *Machine) CompileReduce(kind ReduceKind, blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	return m.plan(collective.Spec{Op: kind.Op(), BlockLen: blockLen}, opts)
-}
-
-// Typed element views, re-exported from the buffer layer: encode typed
-// vectors into the little-endian byte layout the built-in kernels
-// reduce over, and decode slabs back. The Put variants require dst to
-// hold exactly len(vals) elements.
-
-// PutInt32s encodes vals into dst little-endian.
-func PutInt32s(dst []byte, vals []int32) { buffers.PutInt32s(dst, vals) }
-
-// Int32s decodes src as little-endian int32 elements.
-func Int32s(src []byte) []int32 { return buffers.Int32s(src) }
-
-// PutInt64s encodes vals into dst little-endian.
-func PutInt64s(dst []byte, vals []int64) { buffers.PutInt64s(dst, vals) }
-
-// Int64s decodes src as little-endian int64 elements.
-func Int64s(src []byte) []int64 { return buffers.Int64s(src) }
-
-// PutFloat32s encodes vals into dst little-endian.
-func PutFloat32s(dst []byte, vals []float32) { buffers.PutFloat32s(dst, vals) }
-
-// Float32s decodes src as little-endian float32 elements.
-func Float32s(src []byte) []float32 { return buffers.Float32s(src) }
-
-// PutFloat64s encodes vals into dst little-endian.
-func PutFloat64s(dst []byte, vals []float64) { buffers.PutFloat64s(dst, vals) }
-
-// Float64s decodes src as little-endian float64 elements.
-func Float64s(src []byte) []float64 { return buffers.Float64s(src) }
-
-// rooted resolves the plan of a one-to-all primitive and executes it once:
-// ranks is the one-block-per-member side, at the side only the root has
-// (a broadcast's data, which sets the block size ranks must match).
-func (m *Machine) rooted(op collective.Op, root int, ranks *Buffers, at []byte, opts []CollectiveOption) (*Report, error) {
-	if ranks == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	blockLen := ranks.BlockLen()
-	if op == collective.OpBroadcast {
-		blockLen = len(at)
-	}
-	pl, err := m.plan(collective.Spec{Op: op, BlockLen: blockLen, Root: root}, opts)
-	if err != nil {
+	if err := m.claim(); err != nil {
 		return nil, err
 	}
-	return exclusive(m, func() (*Report, error) { return pl.ExecuteRooted(ranks, at) })
-}
-
-// vector is the one adapter behind the [][]byte primitives: the caller's
-// blocks (a broadcast's one) are copied into a slab, and the plan runs
-// around a fresh slab of one block per member, which is copied back out.
-func (m *Machine) vector(op collective.Op, root int, in [][]byte, opts []CollectiveOption) ([][]byte, *Report, error) {
-	fin, err := buffers.FromVector(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := m.plan(collective.Spec{Op: op, BlockLen: fin.BlockLen(), Root: root}, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := buffers.New(pl.Group().Size(), 1, fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	ranks, at := res, fin.Bytes()
-	if op == collective.OpGather {
-		ranks, at = fin, res.Bytes()
-	}
-	rep, err := exclusive(m, func() (*Report, error) { return pl.ExecuteRooted(ranks, at) })
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := res.ToVector()
-	return out, rep, err
-}
-
-// Broadcast sends root's data to every group member; the result holds
-// each member's copy. A copy-out adapter over BroadcastInto.
-func (m *Machine) Broadcast(root int, data []byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	return m.vector(collective.OpBroadcast, root, [][]byte{data}, opts)
-}
-
-// Gather collects one equal-size block from every group member at
-// root, in group-rank order. A copy-in/copy-out adapter over GatherInto.
-func (m *Machine) Gather(root int, in [][]byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	return m.vector(collective.OpGather, root, in, opts)
-}
-
-// Scatter distributes root's per-member blocks: member j receives
-// in[j]. A copy-in/copy-out adapter over ScatterInto.
-func (m *Machine) Scatter(root int, in [][]byte, opts ...CollectiveOption) ([][]byte, *Report, error) {
-	return m.vector(collective.OpScatter, root, in, opts)
-}
-
-// BroadcastInto is the caller-owned-memory broadcast: root's data lands
-// in out.Block(i, 0) of a concat-shaped Buffers (NewConcatBuffers with
-// blockLen = len(data)); no per-member result slices are allocated. The
-// three Into primitives are cached plans on one (k+1)-nomial tree. Such
-// a one-directional tree drains the senders' buffer pools into the
-// receivers' capped ones, so on a reused Machine they still allocate
-// transport buffers: 0.5-2.1 MB/op measured at n = 16, 64 KiB blocks.
-func (m *Machine) BroadcastInto(root int, data []byte, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.rooted(collective.OpBroadcast, root, out, data, opts)
-}
-
-// GatherInto is the caller-owned-memory gather: each member's block is
-// in.Block(me, 0) of a concat-shaped Buffers, and the concatenation
-// lands at the root, in group-rank order, in the caller's out slice of
-// n*blockLen bytes. Non-roots never touch out.
-func (m *Machine) GatherInto(root int, in *Buffers, out []byte, opts ...CollectiveOption) (*Report, error) {
-	return m.rooted(collective.OpGather, root, in, out, opts)
-}
-
-// ScatterInto is the caller-owned-memory scatter: in is the root's
-// per-member blocks as one n*blockLen slice in group-rank order, and
-// member j's block lands in out.Block(j, 0) of a concat-shaped
-// Buffers. in is only read at the root.
-func (m *Machine) ScatterInto(root int, in []byte, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	return m.rooted(collective.OpScatter, root, out, in, opts)
+	defer m.inflight.Store(false)
+	return collective.ExecutePlans(m.engine, plans)
 }
 
 // OptimalRadix returns the radix minimizing the linear-model time of
-// the Bruck index algorithm for n processors, block size b bytes and k
-// ports under the given machine profile. With powerOfTwoOnly it mirrors
-// the paper's Section 3.5 tuning over power-of-two radices. It panics
-// when k < 1 and n > 2.
+// the Bruck index for n processors, b-byte blocks and k ports under p;
+// powerOfTwoOnly mirrors Section 3.5's tuning. It panics when k < 1 and
+// n > 2.
 func OptimalRadix(p Profile, n, b, k int, powerOfTwoOnly bool) int {
 	return collective.OptimalRadix(p, n, b, k, powerOfTwoOnly)
 }
 
-// PredictIndex returns the closed-form (C1, C2) of the radix-r Bruck
-// index algorithm for n processors, block size b and k ports, in
-// rounds and bytes. It panics when k < 1.
-func PredictIndex(n, b, r, k int) (c1, c2 int) {
-	return collective.IndexCost(n, b, r, k)
-}
-
-// OptimalRadixSchedule returns the mixed-radix vector minimizing the
-// linear-model time of the index operation, found by dynamic
-// programming; it is never worse than the best uniform radix. Use it
-// with WithRadices. It panics when k < 1.
+// OptimalRadixSchedule returns the mixed-radix vector (for WithRadices)
+// minimizing the index's linear-model time, by dynamic programming:
+// never worse than the best uniform radix. It panics when k < 1.
 func OptimalRadixSchedule(p Profile, n, b, k int) []int {
 	return collective.OptimalRadixSchedule(p, n, b, k)
-}
-
-// PredictIndexMixed returns the closed-form (C1, C2) of the
-// mixed-radix index algorithm. It panics when k < 1.
-func PredictIndexMixed(n, b int, radices []int, k int) (c1, c2 int) {
-	return collective.IndexMixedCost(n, b, radices, k)
-}
-
-// PredictConcat returns the closed-form (C1, C2) of the circulant
-// concatenation under the default last-round policy.
-func PredictConcat(n, b, k int) (c1, c2 int, err error) {
-	return collective.ConcatCost(n, b, k, partition.PreferOptimal)
 }
 
 // MustNewMachine is NewMachine for known-good parameters; it panics on
@@ -1203,4 +838,61 @@ func MustNewMachine(n int, opts ...MachineOption) *Machine {
 		panic(fmt.Sprintf("bruck: %v", err))
 	}
 	return m
+}
+
+// The seven methods below exist only because the frozen benchmark/
+// package calls them. Delete them in a benchmark-only PR.
+
+// Index is Run(Index) on a block matrix; delete in a benchmark-only PR.
+func (m *Machine) Index(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
+	fin, err := FromMatrix(in)
+	return m.matrix(Index, fin, err, opts)
+}
+
+// Concat is Run(Concat) on a block vector; delete in a benchmark-only PR.
+func (m *Machine) Concat(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
+	fin, err := FromVector(in)
+	return m.matrix(Concat, fin, err, opts)
+}
+
+// matrix runs op from a slab copied in from a block matrix into a fresh
+// n x n one, and copies that out.
+func (m *Machine) matrix(op Op, in *Buffers, err error, opts []CollectiveOption) ([][][]byte, *Report, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := NewIndexBuffers(in.Procs(), in.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := m.Run(op, in, out, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.ToMatrix(), rep, nil
+}
+
+// IndexFlat is Run(Index); delete in a benchmark-only PR.
+func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
+	return m.Run(Index, in, out, opts...)
+}
+
+// ConcatFlat is Run(Concat); delete in a benchmark-only PR.
+func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
+	return m.Run(Concat, in, out, opts...)
+}
+
+// IndexVFlat is Run(Index) on ragged slabs; delete in a benchmark-only PR.
+func (m *Machine) IndexVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
+	return m.Run(Index, in, out, opts...)
+}
+
+// ConcatVFlat is Run(Concat) on ragged slabs; delete in a benchmark-only PR.
+func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
+	return m.Run(Concat, in, out, opts...)
+}
+
+// AllReduceFlat is Run(AllReduce); delete in a benchmark-only PR.
+func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
+	return m.Run(AllReduce, in, out, opts...)
 }

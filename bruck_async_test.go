@@ -1,12 +1,11 @@
 package bruck
 
-// Tests for the non-blocking front door: IndexAsync / ConcatAsync /
-// AllReduceAsync must produce byte-identical results to their blocking
-// counterparts on every transport (including chaos with stragglers),
+// Tests for the non-blocking verb: Start must produce byte-identical
+// results to Run on every transport (including chaos with stragglers),
 // the Handle lifecycle (Wait/Test/Report, error delivery, idempotent
-// Wait) must hold, a second async submission while one is in flight is
-// rejected, and an async operation after a watchdog fence runs on the
-// fresh transport exactly like a blocking one.
+// Wait) must hold, a second submission while one is in flight is
+// rejected, and an asynchronous operation after a watchdog fence runs
+// on the fresh transport exactly like a blocking one.
 
 import (
 	"bytes"
@@ -32,33 +31,35 @@ func asyncMachines(t *testing.T, n, k int) map[string]*Machine {
 	}
 }
 
-// TestIndexAsyncMatchesBlocking: for each transport, IndexAsync (both
+// mustStart runs op through Start and Wait and returns the Handle.
+func mustStart(t *testing.T, m *Machine, op Op, in, out any, opts ...CollectiveOption) *Handle {
+	t.Helper()
+	h, err := m.Start(op, in, out, opts...)
+	if err != nil {
+		t.Fatalf("Start(%v): %v", op, err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatalf("Wait(%v): %v", op, err)
+	}
+	return h
+}
+
+// TestIndexAsyncMatchesBlocking: for each transport, Start(Index) (both
 // monolithic and segmented) produces the same bytes and the same
-// (C1, C2) report as the blocking IndexFlat.
+// (C1, C2) report as Run.
 func TestIndexAsyncMatchesBlocking(t *testing.T) {
 	const n, k, b = 8, 2, 9
 	for name, m := range asyncMachines(t, n, k) {
-		in := NewBuffersOrDie(t, n, n, b)
-		fillIndexInput(in, 3)
-		want := NewBuffersOrDie(t, n, n, b)
-		wantRep, err := m.IndexFlat(in, want, WithRadix(2))
-		if err != nil {
-			t.Fatalf("%s: blocking IndexFlat: %v", name, err)
-		}
+		in, want := input(t, n, n, b, 3), mustBuffers(t, n, n, b)
+		wantRep := mustRun(t, m, Index, in, want, WithRadix(2))
 		for _, opts := range [][]CollectiveOption{
 			{WithRadix(2)},
 			{WithRadix(2), WithSegments(4)},
 			{WithRadix(2), WithSegments(AutoSegments)},
 		} {
-			out := NewBuffersOrDie(t, n, n, b)
-			h, err := m.IndexAsync(in, out, opts...)
-			if err != nil {
-				t.Fatalf("%s: IndexAsync: %v", name, err)
-			}
-			rep, err := h.Wait()
-			if err != nil {
-				t.Fatalf("%s: Wait: %v", name, err)
-			}
+			out := mustBuffers(t, n, n, b)
+			h := mustStart(t, m, Index, in, out, opts...)
+			rep, _ := h.Wait()
 			if !out.Equal(want) {
 				t.Errorf("%s: async output differs from blocking", name)
 			}
@@ -79,32 +80,24 @@ func TestIndexAsyncMatchesBlocking(t *testing.T) {
 	}
 }
 
-// TestConcatAsyncMatchesBlocking mirrors the index test for the concat
-// front door (one block per processor in, n blocks out).
+// TestConcatAsyncMatchesBlocking mirrors the index test for the
+// concatenation, and for its ragged form.
 func TestConcatAsyncMatchesBlocking(t *testing.T) {
 	const n, k, b = 7, 1, 6
 	for name, m := range asyncMachines(t, n, k) {
-		in := NewBuffersOrDie(t, n, 1, b)
-		for i := 0; i < n; i++ {
-			for x := 0; x < b; x++ {
-				in.Block(i, 0)[x] = byte(5 + i*31 + x)
-			}
-		}
-		want := NewBuffersOrDie(t, n, n, b)
-		if _, err := m.ConcatFlat(in, want); err != nil {
-			t.Fatalf("%s: blocking ConcatFlat: %v", name, err)
-		}
-		out := NewBuffersOrDie(t, n, n, b)
-		h, err := m.ConcatAsync(in, out)
-		if err != nil {
-			t.Fatalf("%s: ConcatAsync: %v", name, err)
-		}
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("%s: Wait: %v", name, err)
-		}
+		in, want, out := input(t, n, 1, b, 5), mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+		mustRun(t, m, Concat, in, want)
+		mustStart(t, m, Concat, in, out)
 		if !out.Equal(want) {
 			t.Errorf("%s: async concat differs from blocking", name)
 		}
+		rin, err := FromRaggedVector([][]byte{{1}, {2, 3}, nil, {4}, {5, 6, 7}, {8}, {9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rout := raggedOut(t, Concat, rin)
+		mustStart(t, m, Concat, rin, rout)
+		checkConcat(t, n, rin, rout)
 	}
 }
 
@@ -113,22 +106,12 @@ func TestConcatAsyncMatchesBlocking(t *testing.T) {
 func TestAllReduceAsyncMatchesBlocking(t *testing.T) {
 	const n, k, b = 8, 1, 12
 	for name, m := range asyncMachines(t, n, k) {
-		in := NewBuffersOrDie(t, n, n, b)
-		fillIndexInput(in, 9)
-		want := NewBuffersOrDie(t, n, n, b)
+		in, want := input(t, n, n, b, 9), mustBuffers(t, n, n, b)
 		base := []CollectiveOption{WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceBruck), WithRadix(2)}
-		if _, err := m.AllReduceFlat(in, want, base...); err != nil {
-			t.Fatalf("%s: blocking AllReduceFlat: %v", name, err)
-		}
+		mustRun(t, m, AllReduce, in, want, base...)
 		for _, segs := range []int{0, 4} {
-			out := NewBuffersOrDie(t, n, n, b)
-			h, err := m.AllReduceAsync(in, out, append(base[:3:3], WithSegments(segs))...)
-			if err != nil {
-				t.Fatalf("%s s=%d: AllReduceAsync: %v", name, segs, err)
-			}
-			if _, err := h.Wait(); err != nil {
-				t.Fatalf("%s s=%d: Wait: %v", name, segs, err)
-			}
+			out := mustBuffers(t, n, n, b)
+			mustStart(t, m, AllReduce, in, out, append(base[:3:3], WithSegments(segs))...)
 			if !out.Equal(want) {
 				t.Errorf("%s s=%d: async allreduce differs from blocking", name, segs)
 			}
@@ -137,38 +120,27 @@ func TestAllReduceAsyncMatchesBlocking(t *testing.T) {
 }
 
 // TestAsyncInflightRejected: while an async operation is pending the
-// machine rejects a second submission instead of racing two collectives
-// over one engine.
+// machine rejects a second submission, before resolving its plan,
+// instead of racing two collectives over one engine.
 func TestAsyncInflightRejected(t *testing.T) {
 	const n, b = 4, 4
 	m := MustNewMachine(n)
-	in := NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(in, 1)
-	out := NewBuffersOrDie(t, n, n, b)
+	in, out := input(t, n, n, b, 1), mustBuffers(t, n, n, b)
 	// Force the pending state deterministically rather than racing a
 	// real operation.
 	m.inflight.Store(true)
-	if _, err := m.IndexAsync(in, out); err == nil {
-		t.Fatal("IndexAsync accepted a submission while one is in flight")
+	if _, err := m.Start(Index, in, out); err == nil {
+		t.Fatal("Start accepted a submission while one is in flight")
 	} else if !strings.Contains(err.Error(), "in flight") {
 		t.Fatalf("rejection error %q does not name the in-flight operation", err)
 	}
+	if got := m.plans.Len(); got != 0 {
+		t.Errorf("the rejected submission compiled %d plans", got)
+	}
 	m.inflight.Store(false)
-	h, err := m.IndexAsync(in, out)
-	if err != nil {
-		t.Fatalf("IndexAsync after clearing: %v", err)
-	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	mustStart(t, m, Index, in, out)
 	// The guard resets on completion: the next submission is accepted.
-	h2, err := m.IndexAsync(in, out)
-	if err != nil {
-		t.Fatalf("IndexAsync after Wait: %v", err)
-	}
-	if _, err := h2.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	mustStart(t, m, Index, in, out)
 }
 
 // TestAsyncErrorsSurfaceOnWait: plan-resolution errors fail the
@@ -178,13 +150,11 @@ func TestAsyncInflightRejected(t *testing.T) {
 func TestAsyncErrorsSurfaceOnWait(t *testing.T) {
 	const n, b = 4, 4
 	m := MustNewMachine(n)
-	in := NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(in, 2)
-	if _, err := m.IndexAsync(nil, NewBuffersOrDie(t, n, n, b)); err == nil {
-		t.Fatal("IndexAsync accepted a nil input")
+	in := input(t, n, n, b, 2)
+	if _, err := m.Start(Index, nil, mustBuffers(t, n, n, b)); err == nil {
+		t.Fatal("Start accepted a nil input")
 	}
-	bad := NewBuffersOrDie(t, n, n, b+1)
-	h, err := m.IndexAsync(in, bad)
+	h, err := m.Start(Index, in, mustBuffers(t, n, n, b+1))
 	if err != nil {
 		t.Fatalf("submission rejected a shape error that belongs to Wait: %v", err)
 	}
@@ -195,14 +165,7 @@ func TestAsyncErrorsSurfaceOnWait(t *testing.T) {
 	if rep != nil || h.Report() != nil {
 		t.Error("failed operation still produced a report")
 	}
-	out := NewBuffersOrDie(t, n, n, b)
-	h2, err := m.IndexAsync(in, out)
-	if err != nil {
-		t.Fatalf("machine unusable after failed async op: %v", err)
-	}
-	if _, err := h2.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	mustStart(t, m, Index, in, mustBuffers(t, n, n, b))
 }
 
 // TestAsyncRankFailureIsPrompt: a failure on one rank of an async
@@ -213,8 +176,7 @@ func TestAsyncErrorsSurfaceOnWait(t *testing.T) {
 func TestAsyncRankFailureIsPrompt(t *testing.T) {
 	const n, b = 8, 16
 	m := MustNewMachine(n)
-	in, out := NewBuffersOrDie(t, n, n, b), NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(in, 3)
+	in, out := input(t, n, n, b, 3), mustBuffers(t, n, n, b)
 	var once atomic.Bool
 	sum := func(dst, src []byte) {
 		if once.CompareAndSwap(false, true) {
@@ -225,7 +187,7 @@ func TestAsyncRankFailureIsPrompt(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	h, err := m.AllReduceAsync(in, out, WithCombine(sum))
+	h, err := m.Start(AllReduce, in, out, WithCombine(sum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +198,7 @@ func TestAsyncRankFailureIsPrompt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") || strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("Wait error = %v, want the rank's panic alone", err)
 	}
-	if h, err = m.AllReduceAsync(in, out, WithCombine(sum)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Wait(); err != nil {
-		t.Errorf("async operation after the failure: %v", err)
-	}
+	mustStart(t, m, AllReduce, in, out, WithCombine(sum))
 }
 
 // TestAsyncSurvivesFencedRun: a watchdog-fenced deadlock between two
@@ -253,19 +210,11 @@ func TestAsyncSurvivesFencedRun(t *testing.T) {
 	const n, b = 4, 8
 	e := mpsim.MustNew(n, mpsim.Watchdog(200*time.Millisecond))
 	m := &Machine{engine: e, world: mpsim.WorldGroup(n), plans: collective.NewPlanCache()}
-	in := NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(in, 7)
-	out1 := NewBuffersOrDie(t, n, n, b)
-	h, err := m.IndexAsync(in, out1, WithSegments(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	in, out1 := input(t, n, n, b, 7), mustBuffers(t, n, n, b)
+	mustStart(t, m, Index, in, out1, WithSegments(2))
 	// Deadlock the engine directly: rank 0 waits for a message nobody
 	// sends, the watchdog fences the run.
-	err = e.Run(func(p *mpsim.Proc) error {
+	err := e.Run(func(p *mpsim.Proc) error {
 		if p.Rank() == 0 {
 			_, err := p.Exchange(nil, []int{1})
 			return err
@@ -276,14 +225,8 @@ func TestAsyncSurvivesFencedRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("deadlock run unexpectedly succeeded")
 	}
-	out2 := NewBuffersOrDie(t, n, n, b)
-	h2, err := m.IndexAsync(in, out2, WithSegments(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h2.Wait(); err != nil {
-		t.Fatalf("async execute after fence: %v", err)
-	}
+	out2 := mustBuffers(t, n, n, b)
+	mustStart(t, m, Index, in, out2, WithSegments(2))
 	if !out2.Equal(out1) {
 		t.Fatal("post-fence async execution produced different bytes")
 	}
@@ -299,36 +242,32 @@ func TestOverlappingRunsAreRejected(t *testing.T) {
 	const n, b = 16, 64 << 10
 	const want = "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"
 	m := MustNewMachine(n)
-	in := NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(in, 5)
-	ref := NewBuffersOrDie(t, n, n, b)
-	if _, err := m.IndexFlat(in, ref); err != nil {
-		t.Fatal(err)
-	}
-	data := in.Block(3, 4)
+	in, ref := input(t, n, n, b, 5), mustBuffers(t, n, n, b)
+	mustRun(t, m, Index, in, ref)
+	data := input(t, 1, 1, b, 4)
 	for _, blocking := range []struct {
 		name string
 		call func() (ok bool, err error)
 	}{
 		{"IndexFlat", func() (bool, error) {
-			out := NewBuffersOrDie(t, n, n, b)
-			_, err := m.IndexFlat(in, out)
+			out := mustBuffers(t, n, n, b)
+			_, err := m.Run(Index, in, out)
 			return out.Equal(ref), err
 		}},
 		{"BroadcastInto", func() (bool, error) {
-			out := NewBuffersOrDie(t, n, 1, b)
-			_, err := m.BroadcastInto(2, data, out)
+			out := mustBuffers(t, n, 1, b)
+			_, err := m.Run(Broadcast, data, out, Root(2))
 			ok := true
 			for i := 0; i < n; i++ {
-				ok = ok && bytes.Equal(out.Block(i, 0), data)
+				ok = ok && bytes.Equal(out.Block(i, 0), data.Bytes())
 			}
 			return ok, err
 		}},
 	} {
-		asyncOut := NewBuffersOrDie(t, n, n, b)
-		h, err := m.IndexAsync(in, asyncOut)
+		asyncOut := mustBuffers(t, n, n, b)
+		h, err := m.Start(Index, in, asyncOut)
 		if err != nil {
-			t.Fatalf("%s: IndexAsync: %v", blocking.name, err)
+			t.Fatalf("%s: Start: %v", blocking.name, err)
 		}
 		if _, syncErr := blocking.call(); syncErr == nil || syncErr.Error() != want {
 			t.Fatalf("%s: blocking call during an async operation: error %v, want %q", blocking.name, syncErr, want)

@@ -2,59 +2,37 @@ package bruck
 
 // Cross-backend equivalence: the paper's schedules are transport-
 // agnostic, so the channel and slot transports must produce byte-
-// identical IndexFlat/ConcatFlat results and identical (C1, C2) on
+// identical Index/Concat results and identical (C1, C2) on
 // every shape. This is the acceptance test of the transport
 // abstraction.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"bruck/internal/intmath"
 )
 
-// runIndexFlatOn executes IndexFlat on a fresh machine with the given
-// backend and returns the output buffer and report.
-func runIndexFlatOn(t *testing.T, backend Backend, n, k, blockLen int, opts ...CollectiveOption) (*Buffers, *Report) {
+// compareBackends runs op from in on a fresh chan and a fresh slot
+// machine and requires identical bytes and (C1, C2).
+func compareBackends(t *testing.T, k int, op Op, in *Buffers, opts ...CollectiveOption) {
 	t.Helper()
-	m := MustNewMachine(n, Ports(k), WithTransport(backend))
-	if m.Transport() != backend {
-		t.Fatalf("Transport() = %q, want %q", m.Transport(), backend)
-	}
-	fin := flatIndexInput(t, n, blockLen)
-	fout := mustIndexBuffers(t, n, blockLen)
-	rep, err := m.IndexFlat(fin, fout, opts...)
-	if err != nil {
-		t.Fatalf("IndexFlat on %s: %v", backend, err)
-	}
-	return fout, rep
-}
-
-func runConcatFlatOn(t *testing.T, backend Backend, n, k, blockLen int, opts ...CollectiveOption) (*Buffers, *Report) {
-	t.Helper()
-	m := MustNewMachine(n, Ports(k), WithTransport(backend))
-	fin := flatConcatInput(t, n, blockLen)
-	fout := mustIndexBuffers(t, n, blockLen)
-	rep, err := m.ConcatFlat(fin, fout, opts...)
-	if err != nil {
-		t.Fatalf("ConcatFlat on %s: %v", backend, err)
-	}
-	return fout, rep
-}
-
-func compareBackends(t *testing.T, n int, chanOut, slotOut *Buffers, chanRep, slotRep *Report) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(chanOut.Block(i, j), slotOut.Block(i, j)) {
-				t.Fatalf("out[%d][%d]: chan %v, slot %v", i, j, chanOut.Block(i, j), slotOut.Block(i, j))
-			}
+	n, b := in.Procs(), in.BlockLen()
+	var outs [2]*Buffers
+	var reps [2]*Report
+	for i, backend := range []Backend{BackendChan, BackendSlot} {
+		m := MustNewMachine(n, Ports(k), WithTransport(backend))
+		if m.Transport() != backend {
+			t.Fatalf("Transport() = %q, want %q", m.Transport(), backend)
 		}
+		outs[i] = mustBuffers(t, n, n, b)
+		reps[i] = mustRun(t, m, op, in, outs[i], opts...)
 	}
-	if chanRep.C1 != slotRep.C1 || chanRep.C2 != slotRep.C2 {
-		t.Fatalf("schedule differs: chan (C1=%d, C2=%d), slot (C1=%d, C2=%d)",
-			chanRep.C1, chanRep.C2, slotRep.C1, slotRep.C2)
+	if !outs[0].Equal(outs[1]) {
+		t.Fatalf("%v: chan and slot outputs differ", op)
+	}
+	if reps[0].C1 != reps[1].C1 || reps[0].C2 != reps[1].C2 {
+		t.Fatalf("schedule differs: chan (C1=%d, C2=%d), slot (C1=%d, C2=%d)", reps[0].C1, reps[0].C2, reps[1].C1, reps[1].C2)
 	}
 }
 
@@ -72,10 +50,9 @@ func TestBackendEquivalenceIndexFlat(t *testing.T) {
 				if n >= 2 {
 					optSets = append(optSets, []CollectiveOption{WithRadix(2)}, []CollectiveOption{WithRadix(n)})
 				}
+				in := input(t, n, n, blockLen, 0)
 				for _, opts := range optSets {
-					chanOut, chanRep := runIndexFlatOn(t, BackendChan, n, k, blockLen, opts...)
-					slotOut, slotRep := runIndexFlatOn(t, BackendSlot, n, k, blockLen, opts...)
-					compareBackends(t, n, chanOut, slotOut, chanRep, slotRep)
+					compareBackends(t, k, Index, in, opts...)
 				}
 			})
 		}
@@ -93,50 +70,27 @@ func TestBackendEquivalenceConcatFlat(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(t *testing.T) {
+				in := input(t, n, 1, blockLen, 0)
 				for _, opts := range [][]CollectiveOption{
 					nil,
 					{WithLastRoundPolicy(LastRoundMinRounds)},
 					{WithLastRoundPolicy(LastRoundMinVolume)},
 				} {
-					chanOut, chanRep := runConcatFlatOn(t, BackendChan, n, k, blockLen, opts...)
-					slotOut, slotRep := runConcatFlatOn(t, BackendSlot, n, k, blockLen, opts...)
-					compareBackends(t, n, chanOut, slotOut, chanRep, slotRep)
+					compareBackends(t, k, Concat, in, opts...)
 				}
 			})
 		}
 	}
 }
 
-// TestSlotBackendReusedMachine runs many consecutive flat operations of
+// TestSlotBackendReusedMachine runs many consecutive operations of
 // varying shapes on one slot-backend machine: pool reuse, drain and the
 // per-pair slot rings all get exercised across run boundaries.
 func TestSlotBackendReusedMachine(t *testing.T) {
 	const n = 9
 	m := MustNewMachine(n, Ports(2), WithTransport(BackendSlot))
 	for _, blockLen := range []int{32, 1, 128, 8} {
-		fin := flatIndexInput(t, n, blockLen)
-		fout := mustIndexBuffers(t, n, blockLen)
-		if _, err := m.IndexFlat(fin, fout, WithRadix(3)); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !bytes.Equal(fout.Block(i, j), fin.Block(j, i)) {
-					t.Fatalf("blockLen %d: out[%d][%d] != in[%d][%d]", blockLen, i, j, j, i)
-				}
-			}
-		}
-		cin := flatConcatInput(t, n, blockLen)
-		cout := mustIndexBuffers(t, n, blockLen)
-		if _, err := m.ConcatFlat(cin, cout); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !bytes.Equal(cout.Block(i, j), cin.Block(j, 0)) {
-					t.Fatalf("blockLen %d: concat out[%d][%d] != in[%d]", blockLen, i, j, j)
-				}
-			}
-		}
+		checkRun(t, m, Index, input(t, n, n, blockLen, 0), WithRadix(3))
+		checkRun(t, m, Concat, input(t, n, 1, blockLen, 0))
 	}
 }

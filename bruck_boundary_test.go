@@ -3,54 +3,51 @@ package bruck
 import "testing"
 
 // TestNilGroupRejectedEverywhere pins the public boundary for
-// OnGroup(nil): every operation — whichever compiler, dispatcher or
-// adapter it routes through — must return the one error the compile
-// entry produces, never panic. (IndexFlat, ConcatFlat, Index and
+// OnGroup(nil): every call — whichever verb, operation, buffer kind,
+// compiler or dispatcher it routes through — must return the one error
+// the compile entry produces, never panic. (Index, IndexFlat and
 // CompileIndex used to dereference the nil group before validating it.)
+// A row keeps the name of the call shape it had before the verbs.
 func TestNilGroupRejectedEverywhere(t *testing.T) {
 	const n, b, want = 4, 4, "collective: empty group"
 	topo, err := ParseTopology("2x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := NewMachine(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered, err := NewMachine(n, WithTopology(topo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix := indexInput(n, b)
-	vector := matrix[0]
-	idxIn, _ := NewIndexBuffers(n, b)
-	idxOut, _ := NewIndexBuffers(n, b)
-	catIn, _ := NewConcatBuffers(n, b)
-	catOut, _ := NewConcatBuffers(n, b)
+	flat, tiered := MustNewMachine(n), MustNewMachine(n, WithTopology(topo))
+	matrix := input(t, n, n, b, 0).ToMatrix()
+	idxIn, idxOut := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+	catIn, catOut := mustBuffers(t, n, 1, b), mustBuffers(t, n, 1, b)
+	data, atRoot := mustBuffers(t, 1, 1, b), mustBuffers(t, 1, n, b)
 	counts := [][]int{{1, 2, 3, 4}, {4, 3, 2, 1}, {0, 1, 0, 1}, {2, 2, 2, 2}}
 	idxLay, _ := NewIndexLayout(counts)
 	catLay, _ := NewConcatLayout(counts[0])
 	ragIn, _ := NewRaggedBuffers(idxLay)
-	ragOut, _ := NewRaggedBuffers(idxLay.Transpose())
 	catRagIn, _ := NewRaggedBuffers(catLay)
-	catRagLay, _ := catLay.ConcatOut()
-	catRagOut, _ := NewRaggedBuffers(catRagLay)
+	ragOut, catRagOut := raggedOut(t, Index, ragIn), raggedOut(t, Concat, catRagIn)
 	sum := WithKernel(ReduceSum, Int32)
-	g := OnGroup(nil)
 
 	// Each case reports only its error; variants cover the plain, mixed
 	// radix, auto-dispatched and hierarchical routes of every family.
 	type call func(m *Machine, opts ...CollectiveOption) error
+	run := func(op Op, in, out any) call {
+		return func(m *Machine, o ...CollectiveOption) error { _, err := m.Run(op, in, out, o...); return err }
+	}
+	start := func(op Op, in, out any) call {
+		return func(m *Machine, o ...CollectiveOption) error {
+			h, err := m.Start(op, in, out, o...)
+			if err == nil {
+				_, err = h.Wait()
+			}
+			return err
+		}
+	}
+	compile := func(op Op, in any) call {
+		return func(m *Machine, o ...CollectiveOption) error { _, err := m.Compile(op, in, o...); return err }
+	}
 	index := call(func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Index(matrix, o...); return err })
-	indexFlat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexFlat(idxIn, idxOut, o...); return err })
-	concat := call(func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Concat(vector, o...); return err })
-	concatFlat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.ConcatFlat(catIn, idxOut, o...); return err })
-	compileIndex := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileIndex(b, o...); return err })
-	compileConcat := call(func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileConcat(b, o...); return err })
-	allReduceFlat := call(func(m *Machine, o ...CollectiveOption) error {
-		_, err := m.AllReduceFlat(idxIn, idxOut, o...)
-		return err
-	})
+	concat := call(func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Concat(matrix[0], o...); return err })
+	radices := WithRadices([]int{2, 2})
 	cases := []struct {
 		name string
 		m    *Machine
@@ -58,78 +55,51 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 		opts []CollectiveOption
 	}{
 		{"Index", flat, index, nil},
-		{"Index/radices", flat, index, []CollectiveOption{WithRadices([]int{2, 2})}},
+		{"Index/radices", flat, index, []CollectiveOption{radices}},
 		{"Index/hierarchical", tiered, index, []CollectiveOption{Hierarchical()}},
 		{"Index/auto-topology", tiered, index, []CollectiveOption{WithAuto(SP1)}},
-		{"IndexFlat", flat, indexFlat, nil},
-		{"IndexFlat/radices", flat, indexFlat, []CollectiveOption{WithRadices([]int{2, 2})}},
-		{"IndexFlat/hierarchical", tiered, indexFlat, []CollectiveOption{Hierarchical()}},
-		{"IndexAsync", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexAsync(idxIn, idxOut, o...); return err }, nil},
+		{"IndexFlat", flat, run(Index, idxIn, idxOut), nil},
+		{"IndexFlat/radices", flat, run(Index, idxIn, idxOut), []CollectiveOption{radices}},
+		{"IndexFlat/hierarchical", tiered, run(Index, idxIn, idxOut), []CollectiveOption{Hierarchical()}},
+		{"IndexAsync", flat, start(Index, idxIn, idxOut), nil},
 		{"Concat", flat, concat, nil},
 		{"Concat/hierarchical", tiered, concat, []CollectiveOption{Hierarchical()}},
-		{"ConcatFlat", flat, concatFlat, nil},
-		{"ConcatFlat/auto-topology", tiered, concatFlat, []CollectiveOption{WithAuto(SP1)}},
-		{"ConcatAsync", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.ConcatAsync(catIn, idxOut, o...)
-			return err
-		}, nil},
-		{"CompileIndex", flat, compileIndex, nil},
-		{"CompileIndex/hierarchical", tiered, compileIndex, []CollectiveOption{Hierarchical()}},
-		{"CompileConcat", flat, compileConcat, nil},
-		{"IndexV", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.IndexV(matrix, o...); return err }, nil},
-		{"IndexVFlat", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexVFlat(ragIn, ragOut, o...); return err }, nil},
-		{"IndexVFlat/auto", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.IndexVFlat(ragIn, ragOut, o...); return err }, []CollectiveOption{WithAuto(SP1)}},
-		{"ConcatV", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.ConcatV(vector, o...); return err }, nil},
-		{"ConcatVFlat", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.ConcatVFlat(catRagIn, catRagOut, o...)
-			return err
-		}, nil},
-		{"ConcatVFlat/auto", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.ConcatVFlat(catRagIn, catRagOut, o...)
-			return err
-		}, []CollectiveOption{WithAuto(SP1)}},
-		{"CompileIndexV", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileIndexV(idxLay, o...); return err }, nil},
-		{"CompileConcatV", flat, func(m *Machine, o ...CollectiveOption) error { _, err := m.CompileConcatV(catLay, o...); return err }, nil},
-		{"ReduceScatter", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.ReduceScatter(matrix, o...); return err }, []CollectiveOption{sum}},
-		{"ReduceScatterFlat", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.ReduceScatterFlat(idxIn, catOut, o...)
+		{"ConcatFlat", flat, run(Concat, catIn, idxOut), nil},
+		{"ConcatFlat/auto-topology", tiered, run(Concat, catIn, idxOut), []CollectiveOption{WithAuto(SP1)}},
+		{"ConcatAsync", flat, start(Concat, catIn, idxOut), nil},
+		{"CompileIndex", flat, compile(Index, idxIn), nil},
+		{"CompileIndex/hierarchical", tiered, compile(Index, idxIn), []CollectiveOption{Hierarchical()}},
+		{"CompileConcat", flat, compile(Concat, catIn), nil},
+		{"IndexV", flat, start(Index, ragIn, ragOut), nil},
+		{"IndexVFlat", flat, run(Index, ragIn, ragOut), nil},
+		{"IndexVFlat/auto", flat, run(Index, ragIn, ragOut), []CollectiveOption{WithAuto(SP1)}},
+		{"ConcatV", flat, start(Concat, catRagIn, catRagOut), nil},
+		{"ConcatVFlat", flat, run(Concat, catRagIn, catRagOut), nil},
+		{"ConcatVFlat/auto", flat, run(Concat, catRagIn, catRagOut), []CollectiveOption{WithAuto(SP1)}},
+		{"CompileIndexV", flat, compile(Index, ragIn), nil},
+		{"CompileConcatV", flat, compile(Concat, catRagIn), nil},
+		{"ReduceScatter", flat, start(ReduceScatter, idxIn, catOut), []CollectiveOption{sum}},
+		{"ReduceScatterFlat", flat, run(ReduceScatter, idxIn, catOut), []CollectiveOption{sum}},
+		{"AllReduce", flat, func(m *Machine, o ...CollectiveOption) error {
+			_, err := m.AllReduceFlat(idxIn, idxOut, o...)
 			return err
 		}, []CollectiveOption{sum}},
-		{"AllReduce", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.AllReduce(matrix, o...); return err }, []CollectiveOption{sum}},
-		{"AllReduceFlat", flat, allReduceFlat, []CollectiveOption{sum}},
-		{"AllReduceFlat/auto", flat, allReduceFlat, []CollectiveOption{sum, WithAuto(SP1)}},
-		{"AllReduceFlat/hierarchical", tiered, allReduceFlat, []CollectiveOption{sum, Hierarchical()}},
-		{"AllReduceFlat/auto-topology", tiered, allReduceFlat, []CollectiveOption{sum, WithAuto(SP1)}},
-		{"AllReduceAsync", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.AllReduceAsync(idxIn, idxOut, o...)
-			return err
-		}, []CollectiveOption{sum}},
-		{"CompileReduce", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.CompileReduce(AllReduceKind, b, o...)
-			return err
-		}, []CollectiveOption{sum}},
-		{"Broadcast", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, _, err := m.Broadcast(0, vector[0], o...)
-			return err
-		}, nil},
-		{"Gather", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Gather(0, vector, o...); return err }, nil},
-		{"Scatter", flat, func(m *Machine, o ...CollectiveOption) error { _, _, err := m.Scatter(0, vector, o...); return err }, nil},
-		{"BroadcastInto", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.BroadcastInto(0, vector[0], catOut, o...)
-			return err
-		}, nil},
-		{"GatherInto", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.GatherInto(0, catIn, make([]byte, n*b), o...)
-			return err
-		}, nil},
-		{"ScatterInto", flat, func(m *Machine, o ...CollectiveOption) error {
-			_, err := m.ScatterInto(0, make([]byte, n*b), catOut, o...)
-			return err
-		}, nil},
+		{"AllReduceFlat", flat, run(AllReduce, idxIn, idxOut), []CollectiveOption{sum}},
+		{"AllReduceFlat/auto", flat, run(AllReduce, idxIn, idxOut), []CollectiveOption{sum, WithAuto(SP1)}},
+		{"AllReduceFlat/hierarchical", tiered, run(AllReduce, idxIn, idxOut), []CollectiveOption{sum, Hierarchical()}},
+		{"AllReduceFlat/auto-topology", tiered, run(AllReduce, idxIn, idxOut), []CollectiveOption{sum, WithAuto(SP1)}},
+		{"AllReduceAsync", flat, start(AllReduce, idxIn, idxOut), []CollectiveOption{sum}},
+		{"CompileReduce", flat, compile(AllReduce, idxIn), []CollectiveOption{sum}},
+		{"Broadcast", flat, start(Broadcast, data, catOut), nil},
+		{"Gather", flat, start(Gather, catIn, atRoot), nil},
+		{"Scatter", flat, start(Scatter, atRoot, catOut), nil},
+		{"BroadcastInto", flat, run(Broadcast, data, catOut), nil},
+		{"GatherInto", flat, run(Gather, catIn, atRoot), nil},
+		{"ScatterInto", flat, run(Scatter, atRoot, catOut), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.do(tc.m, append(tc.opts, g)...)
+			err := tc.do(tc.m, append(tc.opts, OnGroup(nil))...)
 			if err == nil || err.Error() != want {
 				t.Fatalf("error = %v, want %q", err, want)
 			}
@@ -144,20 +114,18 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 // draw by the way it names its kernel: call, exact text.
 func TestFacadeErrorTexts(t *testing.T) {
 	const n, b = 4, 4
+	const inFlight = "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"
 	topo, err := ParseTopology("2x2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := MustNewMachine(n, RecordEvents())
 	tiered := MustNewMachine(n, WithTopology(topo))
-	in, _ := NewIndexBuffers(n, b)
-	out, _ := NewIndexBuffers(n, b)
+	in, out := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
 	// ran has completed one operation without recording events; split
 	// has last run two plans at once, which leaves no single schedule.
 	ran := MustNewMachine(n, WithTopology(topo))
-	if _, err := ran.IndexFlat(in, out); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, ran, Index, in, out)
 	split := MustNewMachine(n, WithTopology(topo), RecordEvents())
 	var halves []*Plan
 	for _, ids := range [][]int{{0, 1}, {2, 3}} {
@@ -165,13 +133,11 @@ func TestFacadeErrorTexts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := split.CompileIndex(b, OnGroup(g))
+		pl, err := split.Compile(Index, in, OnGroup(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pin, _ := NewIndexBuffers(2, b)
-		pout, _ := NewIndexBuffers(2, b)
-		if err := pl.Bind(pin, pout); err != nil {
+		if err := pl.Bind(mustBuffers(t, 2, 2, b), mustBuffers(t, 2, 2, b)); err != nil {
 			t.Fatal(err)
 		}
 		halves = append(halves, pl)
@@ -182,29 +148,29 @@ func TestFacadeErrorTexts(t *testing.T) {
 	busy := MustNewMachine(n)
 	busy.inflight.Store(true)
 	// Two plans nobody bound, on the machine nothing has run on.
-	unbound, err := fresh.CompileIndex(b)
+	unbound, err := fresh.Compile(Index, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout, _ := NewConcatLayout([]int{1, 2, 3, 4})
-	unboundV, err := fresh.CompileConcatV(layout)
+	ragged, _ := NewRaggedBuffers(layout)
+	unboundV, err := fresh.Compile(Concat, ragged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runPlans := func(m *Machine, plans ...*Plan) func() error {
 		return func() error { _, err := m.RunPlans(plans); return err }
 	}
+	run := func(m *Machine, op Op, in, out any, opts ...CollectiveOption) func() error {
+		return func() error { _, err := m.Run(op, in, out, opts...); return err }
+	}
 
 	// A reduction names its kernel with WithKernel or WithCombine; an
 	// operation or element type outside the table is an error, not an
 	// index panic.
-	six, _ := NewIndexBuffers(n, 6)
+	six := mustBuffers(t, n, n, 6)
 	allReduce := func(in *Buffers, opts ...CollectiveOption) func() error {
-		return func() error {
-			out, _ := NewIndexBuffers(n, in.BlockLen())
-			_, err := fresh.AllReduceFlat(in, out, opts...)
-			return err
-		}
+		return run(fresh, AllReduce, in, mustBuffers(t, n, n, in.BlockLen()), opts...)
 	}
 	critical := func(m *Machine) func() error {
 		return func() error { _, err := m.CriticalPathTime(SP1); return err }
@@ -228,15 +194,19 @@ func TestFacadeErrorTexts(t *testing.T) {
 		{"CriticalPathTopoTime/no events", criticalTopo(ran), "bruck: CriticalPathTopoTime requires a machine created with RecordEvents"},
 		{"CriticalPathTopoTime/after RunPlans", criticalTopo(split),
 			"bruck: CriticalPathTopoTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)"},
-		{"IndexFlat/nil", func() error { _, err := fresh.IndexFlat(nil, out); return err }, "bruck: nil flat buffer"},
-		{"IndexAsync/nil", func() error { _, err := fresh.IndexAsync(in, nil); return err }, "bruck: nil flat buffer"},
-		{"BroadcastInto/nil", func() error { _, err := fresh.BroadcastInto(0, make([]byte, b), nil); return err }, "bruck: nil flat buffer"},
-		{"IndexVFlat/nil", func() error { _, err := fresh.IndexVFlat(nil, nil); return err }, "bruck: nil ragged buffer"},
-		{"IndexAsync/in flight", func() error { _, err := busy.IndexAsync(in, out); return err },
-			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
-		{"IndexFlat/in flight", func() error { _, err := busy.IndexFlat(in, out); return err },
-			"bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
-		{"RunPlans/in flight", runPlans(busy), "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"},
+		{"IndexFlat/nil", run(fresh, Index, (*Buffers)(nil), out), "bruck: nil flat buffer"},
+		{"IndexAsync/nil", func() error { _, err := fresh.Start(Index, in, (*Buffers)(nil)); return err }, "bruck: nil flat buffer"},
+		{"BroadcastInto/nil", run(fresh, Broadcast, mustBuffers(t, 1, 1, b), (*Buffers)(nil)), "bruck: nil flat buffer"},
+		{"IndexVFlat/nil", run(fresh, Index, (*RaggedBuffers)(nil), (*RaggedBuffers)(nil)), "bruck: nil ragged buffer"},
+		{"Run/untyped nil", run(fresh, Index, nil, out), "bruck: nil flat buffer"},
+		{"Run/one of each", run(fresh, Concat, in, raggedOut(t, Concat, ragged)), "bruck: concat takes two Buffers or two RaggedBuffers, not one of each"},
+		{"Run/foreign type", run(fresh, Index, make([]byte, b), out), "bruck: []uint8 is neither a *Buffers nor a *RaggedBuffers"},
+		{"Compile/ragged reduction", func() error { _, err := fresh.Compile(AllReduce, ragged); return err },
+			"bruck: allreduce takes Buffers (only Index and Concat have a ragged form)"},
+		{"WithRadices/empty", run(fresh, Index, in, out, WithRadices([]int{})), "collective: empty radix vector for n = 4"},
+		{"IndexAsync/in flight", func() error { _, err := busy.Start(Index, in, out); return err }, inFlight},
+		{"IndexFlat/in flight", run(busy, Index, in, out), inFlight},
+		{"RunPlans/in flight", runPlans(busy), inFlight},
 		{"AllReduceFlat/no kernel", allReduce(in), "collective: reduction requires a combine kernel (pass WithKernel or WithCombine)"},
 		{"AllReduceFlat/unknown op", allReduce(in, WithKernel(ReduceOp(9), Float32)), "buffers: no kernel for ReduceOp(9) over float32"},
 		{"AllReduceFlat/unknown type", allReduce(in, WithKernel(ReduceSum, DataType(9))), "buffers: no kernel for sum over DataType(9)"},

@@ -31,7 +31,7 @@ func chaosSweepConfigs(n int) []ChaosConfig {
 	}
 }
 
-// raggedIndexInput builds a deterministic skewed n x n ragged matrix.
+// chaosRaggedInput builds a deterministic skewed n x n ragged matrix.
 func chaosRaggedInput(n, maxLen int) [][][]byte {
 	in := make([][][]byte, n)
 	for i := range in {
@@ -48,73 +48,44 @@ func chaosRaggedInput(n, maxLen int) [][][]byte {
 }
 
 // chaosOps enumerates the five schedule families of the sweep. Each
-// returns the operation's output as a block matrix plus its Report,
-// executed on a fresh machine with the given options.
+// runs on the machine it is given and returns the output as a block
+// matrix plus its Report.
 var chaosOps = []struct {
 	name string
-	run  func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report)
+	run  func(t *testing.T, m *Machine) ([][][]byte, *Report)
 }{
-	{"IndexFlat", func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report) {
-		m := MustNewMachine(n, append([]MachineOption{Ports(k)}, mopts...)...)
-		fin := flatIndexInput(t, n, 3)
-		fout := mustIndexBuffers(t, n, 3)
-		rep, err := m.IndexFlat(fin, fout)
-		if err != nil {
-			t.Fatalf("IndexFlat: %v", err)
-		}
-		return fout.ToMatrix(), rep
+	{"IndexFlat", func(t *testing.T, m *Machine) ([][][]byte, *Report) {
+		n := m.N()
+		out := mustBuffers(t, n, n, 3)
+		rep := mustRun(t, m, Index, input(t, n, n, 3, 0), out)
+		return out.ToMatrix(), rep
 	}},
-	{"ConcatFlat", func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report) {
-		m := MustNewMachine(n, append([]MachineOption{Ports(k)}, mopts...)...)
-		fin := flatConcatInput(t, n, 3)
-		fout := mustIndexBuffers(t, n, 3)
-		rep, err := m.ConcatFlat(fin, fout)
-		if err != nil {
-			t.Fatalf("ConcatFlat: %v", err)
-		}
-		return fout.ToMatrix(), rep
+	{"ConcatFlat", func(t *testing.T, m *Machine) ([][][]byte, *Report) {
+		n := m.N()
+		out := mustBuffers(t, n, n, 3)
+		rep := mustRun(t, m, Concat, input(t, n, 1, 3, 0), out)
+		return out.ToMatrix(), rep
 	}},
-	{"IndexV", func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report) {
-		m := MustNewMachine(n, append([]MachineOption{Ports(k)}, mopts...)...)
-		out, rep, err := m.IndexV(chaosRaggedInput(n, 4))
-		if err != nil {
-			t.Fatalf("IndexV: %v", err)
-		}
-		return out, rep
+	{"IndexV", func(t *testing.T, m *Machine) ([][][]byte, *Report) {
+		_, out, rep := mustRagged(t, m, Index, chaosRaggedInput(m.N(), 4))
+		return out.ToMatrix(), rep
 	}},
-	{"ConcatV", func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report) {
-		m := MustNewMachine(n, append([]MachineOption{Ports(k)}, mopts...)...)
-		in := make([][]byte, n)
+	{"ConcatV", func(t *testing.T, m *Machine) ([][][]byte, *Report) {
+		in := make([][]byte, m.N())
 		for i := range in {
 			in[i] = make([]byte, (i*5+3)%7)
 			for x := range in[i] {
 				in[i][x] = byte(i*131 + x*7)
 			}
 		}
-		out, rep, err := m.ConcatV(in)
-		if err != nil {
-			t.Fatalf("ConcatV: %v", err)
-		}
-		return out, rep
+		_, out, rep := mustRagged(t, m, Concat, [][][]byte{in})
+		return out.ToMatrix(), rep
 	}},
-	{"AllReduce", func(t *testing.T, n, k int, mopts []MachineOption) ([][][]byte, *Report) {
-		m := MustNewMachine(n, append([]MachineOption{Ports(k)}, mopts...)...)
-		in := make([][][]byte, n)
-		for i := range in {
-			in[i] = make([][]byte, n)
-			for j := range in[i] {
-				blk := make([]byte, 4)
-				for x := range blk {
-					blk[x] = byte(i*131 + j*31 + x*7)
-				}
-				in[i][j] = blk
-			}
-		}
-		out, rep, err := m.AllReduce(in, WithKernel(ReduceSum, Int32))
-		if err != nil {
-			t.Fatalf("AllReduce: %v", err)
-		}
-		return out, rep
+	{"AllReduce", func(t *testing.T, m *Machine) ([][][]byte, *Report) {
+		n := m.N()
+		out := mustBuffers(t, n, n, 4)
+		rep := mustRun(t, m, AllReduce, input(t, n, n, 4, 0), out, WithKernel(ReduceSum, Int32))
+		return out.ToMatrix(), rep
 	}},
 }
 
@@ -131,9 +102,9 @@ func TestChaosEquivalenceSweep(t *testing.T) {
 						continue
 					}
 					t.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(t *testing.T) {
-						base, baseRep := op.run(t, n, k, nil)
+						base, baseRep := op.run(t, MustNewMachine(n, Ports(k)))
 						for _, cfg := range chaosSweepConfigs(n) {
-							got, gotRep := op.run(t, n, k, []MachineOption{WithChaos(cfg)})
+							got, gotRep := op.run(t, MustNewMachine(n, Ports(k), WithChaos(cfg)))
 							if gotRep.C1 != baseRep.C1 || gotRep.C2 != baseRep.C2 {
 								t.Fatalf("chaos(%s): (C1=%d, C2=%d), chan (C1=%d, C2=%d)",
 									cfg.Inner, gotRep.C1, gotRep.C2, baseRep.C1, baseRep.C2)
@@ -170,16 +141,11 @@ func TestChaosMachineBasics(t *testing.T) {
 	if m.Transport() != BackendChaos {
 		t.Fatalf("Transport() = %q", m.Transport())
 	}
-	fin := flatIndexInput(t, 6, 3)
-	want := mustIndexBuffers(t, 6, 3)
-	if _, err := m.IndexFlat(fin, want); err != nil {
-		t.Fatalf("IndexFlat: %v", err)
-	}
+	in, want := input(t, 6, 6, 3, 0), mustBuffers(t, 6, 6, 3)
+	mustRun(t, m, Index, in, want)
 	for rep := 0; rep < 3; rep++ {
-		out := mustIndexBuffers(t, 6, 3)
-		if _, err := m.IndexFlat(fin, out); err != nil {
-			t.Fatalf("IndexFlat rep %d: %v", rep, err)
-		}
+		out := mustBuffers(t, 6, 6, 3)
+		mustRun(t, m, Index, in, out)
 		if !out.Equal(want) {
 			t.Fatalf("rep %d: repeated chaos execution changed the result", rep)
 		}

@@ -7,50 +7,27 @@ package bruck
 // monolithic one — the flat-allocs acceptance bound of the pipeline
 // work.
 
-import (
-	"testing"
-
-	"bruck/internal/buffers"
-)
+import "testing"
 
 // TestMachineSegmentedIndexMatchesMonolithic drives WithSegments
-// through the Machine front door on every transport and checks the
-// segmented output against the monolithic one.
+// through Run on every transport and checks the segmented output
+// against the monolithic one.
 func TestMachineSegmentedIndexMatchesMonolithic(t *testing.T) {
 	const n, k, b = 12, 2, 9
 	for name, m := range asyncMachines(t, n, k) {
-		in := NewBuffersOrDie(t, n, n, b)
-		fillIndexInput(in, 4)
-		want := NewBuffersOrDie(t, n, n, b)
-		if _, err := m.IndexFlat(in, want, WithRadix(2)); err != nil {
-			t.Fatalf("%s: monolithic: %v", name, err)
-		}
+		in, want := input(t, n, n, b, 4), mustBuffers(t, n, n, b)
+		mono := mustRun(t, m, Index, in, want, WithRadix(2))
 		for _, s := range []int{2, 4, 7, AutoSegments} {
-			out := NewBuffersOrDie(t, n, n, b)
-			rep, err := m.IndexFlat(in, out, WithRadix(2), WithSegments(s))
-			if err != nil {
-				t.Fatalf("%s s=%d: %v", name, s, err)
-			}
+			out := mustBuffers(t, n, n, b)
+			rep := mustRun(t, m, Index, in, out, WithRadix(2), WithSegments(s))
 			if !out.Equal(want) {
 				t.Errorf("%s s=%d: segmented output differs", name, s)
 			}
-			if rep.C2 > 0 && s == 4 && rep.C2 >= wantC2(t, m, in) {
-				t.Errorf("%s s=%d: pipelined C2 = %d did not drop below monolithic %d",
-					name, s, rep.C2, wantC2(t, m, in))
+			if s == 4 && rep.C2 >= mono.C2 {
+				t.Errorf("%s s=%d: pipelined C2 = %d did not drop below monolithic %d", name, s, rep.C2, mono.C2)
 			}
 		}
 	}
-}
-
-// wantC2 reports the monolithic index C2 for the machine's shape.
-func wantC2(t *testing.T, m *Machine, in *Buffers) int {
-	t.Helper()
-	out := NewBuffersOrDie(t, in.Procs(), in.Blocks(), in.BlockLen())
-	rep, err := m.IndexFlat(in, out, WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.C2
 }
 
 // TestWithSegmentsInertWhereUnsupported: the option must be a no-op —
@@ -59,43 +36,25 @@ func wantC2(t *testing.T, m *Machine, in *Buffers) int {
 func TestWithSegmentsInertWhereUnsupported(t *testing.T) {
 	const n, b = 8, 8
 	m := MustNewMachine(n)
-	cin := NewBuffersOrDie(t, n, 1, b)
-	for i := 0; i < n; i++ {
-		for x := 0; x < b; x++ {
-			cin.Block(i, 0)[x] = byte(i*13 + x)
+	for _, c := range []struct {
+		name string
+		op   Op
+		in   *Buffers
+		opts []CollectiveOption
+	}{
+		{"concat", Concat, input(t, n, 1, b, 0), nil},
+		{"direct index", Index, input(t, n, n, b, 6), []CollectiveOption{WithIndexAlgorithm(IndexDirect)}},
+		{"ring allreduce", AllReduce, input(t, n, n, b, 6), []CollectiveOption{WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceRing)}},
+	} {
+		want, got := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+		mustRun(t, m, c.op, c.in, want, c.opts...)
+		if _, err := m.Run(c.op, c.in, got, append(c.opts, WithSegments(4))...); err != nil {
+			t.Fatalf("%s with WithSegments: %v", c.name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("WithSegments changed the %s output", c.name)
 		}
 	}
-	want := NewBuffersOrDie(t, n, n, b)
-	if _, err := m.ConcatFlat(cin, want); err != nil {
-		t.Fatal(err)
-	}
-	got := NewBuffersOrDie(t, n, n, b)
-	if _, err := m.ConcatFlat(cin, got, WithSegments(4)); err != nil {
-		t.Fatalf("concat with WithSegments: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Error("WithSegments changed concat output")
-	}
-
-	iin := NewBuffersOrDie(t, n, n, b)
-	fillIndexInput(iin, 6)
-	iwant := NewBuffersOrDie(t, n, n, b)
-	if _, err := m.IndexFlat(iin, iwant, WithIndexAlgorithm(IndexDirect)); err != nil {
-		t.Fatal(err)
-	}
-	iout := NewBuffersOrDie(t, n, n, b)
-	rep, err := m.IndexFlat(iin, iout, WithIndexAlgorithm(IndexDirect), WithSegments(4))
-	if err != nil {
-		t.Fatalf("direct index with WithSegments: %v", err)
-	}
-	if !iout.Equal(iwant) {
-		t.Error("WithSegments changed direct-index output")
-	}
-	if _, err := m.ReduceScatterFlat(iin, NewBuffersOrDie(t, n, 1, b),
-		WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceRing), WithSegments(4)); err != nil {
-		t.Fatalf("ring reduce-scatter with WithSegments: %v", err)
-	}
-	_ = rep
 }
 
 // TestPipelinedIndexAllocsFlat pins the pooled-slab property: the
@@ -105,20 +64,16 @@ func TestWithSegmentsInertWhereUnsupported(t *testing.T) {
 func TestPipelinedIndexAllocsFlat(t *testing.T) {
 	const n, blockLen, runs = 16, 4096, 10
 	m := MustNewMachine(n)
-	fin, err := buffers.FromMatrix(benchIndexInput(n, blockLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fout := NewBuffersOrDie(t, n, n, blockLen)
+	in, out := input(t, n, n, blockLen, 0), mustBuffers(t, n, n, blockLen)
 	var opErr error
 	run := func(opts ...CollectiveOption) float64 {
 		opts = append(opts, WithRadix(2))
 		// Warm the plan cache so compilation stays out of the counts.
-		if _, err := m.IndexFlat(fin, fout, opts...); err != nil {
+		if _, err := m.Run(Index, in, out, opts...); err != nil {
 			opErr = err
 		}
 		return testing.AllocsPerRun(runs, func() {
-			if _, err := m.IndexFlat(fin, fout, opts...); err != nil {
+			if _, err := m.Run(Index, in, out, opts...); err != nil {
 				opErr = err
 			}
 		})

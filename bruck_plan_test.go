@@ -1,13 +1,11 @@
 package bruck
 
 // Tests for the compiled-plan API: cache identity across option
-// changes, byte-equivalence of Plan.Execute and RunPlans with the
-// direct flat paths on both transports, and per-plan reports from
+// changes, byte-equivalence of Plan.Execute and RunPlans with Run and
+// with compiling per call on both transports, and per-plan reports from
 // concurrent disjoint-group execution.
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -17,38 +15,8 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// fillIndexInput writes a distinctive byte pattern into an index-shaped
-// buffer, parameterized by seed so different machines get different
-// data.
-func fillIndexInput(in *Buffers, seed int) {
-	n := in.Procs()
-	b := in.BlockLen()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			blk := in.Block(i, j)
-			for x := 0; x < b; x++ {
-				blk[x] = byte(seed + i*31 + j*7 + x)
-			}
-		}
-	}
-}
-
-func fillConcatInput(in *Buffers, seed int) {
-	n := in.Procs()
-	b := in.BlockLen()
-	for i := 0; i < n; i++ {
-		blk := in.Block(i, 0)
-		for x := 0; x < b; x++ {
-			blk[x] = byte(seed + i*13 + x)
-		}
-	}
-}
-
-// TestPlanCacheIdentity: compiling the same configuration twice returns
-// the same *Plan; changing any option, the group, or the block size
-// misses the cache.
-// compileAndRun is the uncached compile-per-call path the plan tests and
-// benchmarks compare against.
+// compileAndRun is the uncached compile-per-call path the plan tests
+// compare against.
 func compileAndRun(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *Buffers) (*Report, error) {
 	s.BlockLen = in.BlockLen()
 	pl, err := collective.Compile(e, g, s)
@@ -58,22 +26,28 @@ func compileAndRun(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *
 	return pl.Execute(in, out)
 }
 
+// mustCompile is Machine.Compile that fails the test on error.
+func mustCompile(t testing.TB, m *Machine, op Op, in any, opts ...CollectiveOption) *Plan {
+	t.Helper()
+	pl, err := m.Compile(op, in, opts...)
+	if err != nil {
+		t.Fatalf("Compile(%v): %v", op, err)
+	}
+	return pl
+}
+
+// TestPlanCacheIdentity: compiling the same configuration twice returns
+// the same *Plan; changing any option, the group, or the block size
+// misses the cache.
 func TestPlanCacheIdentity(t *testing.T) {
 	m := MustNewMachine(8)
 	g, err := m.NewGroup([]int{1, 3, 5, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	base, err := m.CompileIndex(16, WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := m.CompileIndex(16, WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != same {
+	b16, b32, c16 := mustBuffers(t, 8, 8, 16), mustBuffers(t, 8, 8, 32), mustBuffers(t, 8, 1, 16)
+	base := mustCompile(t, m, Index, b16, WithRadix(2))
+	if same := mustCompile(t, m, Index, b16, WithRadix(2)); base != same {
 		t.Error("identical index configurations compiled to distinct plans (cache miss)")
 	}
 	for name, opts := range map[string][]CollectiveOption{
@@ -81,76 +55,50 @@ func TestPlanCacheIdentity(t *testing.T) {
 		"algorithm": {WithIndexAlgorithm(IndexDirect)},
 		"no-pack":   {WithRadix(2), WithoutPacking()},
 		"group":     {WithRadix(2), OnGroup(g)},
+		"mixed":     {WithRadices([]int{2, 2, 2})},
 	} {
-		other, err := m.CompileIndex(16, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if other == base {
+		if other := mustCompile(t, m, Index, b16, opts...); other == base {
 			t.Errorf("%s change hit the cache", name)
 		}
 	}
-	if other, err := m.CompileIndex(32, WithRadix(2)); err != nil || other == base {
-		t.Errorf("block-size change hit the cache (err %v)", err)
-	}
-	if mixed, err := m.CompileIndex(16, WithRadices([]int{2, 2, 2})); err != nil || mixed == base {
-		t.Errorf("mixed-radix schedule hit the uniform cache entry (err %v)", err)
+	if other := mustCompile(t, m, Index, b32, WithRadix(2)); other == base {
+		t.Error("block-size change hit the cache")
 	}
 
-	cbase, err := m.CompileConcat(16)
-	if err != nil {
-		t.Fatal(err)
+	cbase := mustCompile(t, m, Concat, c16)
+	if csame := mustCompile(t, m, Concat, c16); csame != cbase {
+		t.Error("identical concat configurations compiled to distinct plans")
 	}
-	if csame, err := m.CompileConcat(16); err != nil || csame != cbase {
-		t.Errorf("identical concat configurations compiled to distinct plans (err %v)", err)
+	if cpol := mustCompile(t, m, Concat, c16, WithLastRoundPolicy(LastRoundMinVolume)); cpol == cbase {
+		t.Error("last-round policy change hit the cache")
 	}
-	if cpol, err := m.CompileConcat(16, WithLastRoundPolicy(LastRoundMinVolume)); err != nil || cpol == cbase {
-		t.Errorf("last-round policy change hit the cache (err %v)", err)
-	}
-	if calg, err := m.CompileConcat(16, WithConcatAlgorithm(ConcatRing)); err != nil || calg == cbase {
-		t.Errorf("concat algorithm change hit the cache (err %v)", err)
+	if calg := mustCompile(t, m, Concat, c16, WithConcatAlgorithm(ConcatRing)); calg == cbase {
+		t.Error("concat algorithm change hit the cache")
 	}
 }
 
-// TestFlatEntryPointsHitPlanCache: IndexFlat and ConcatFlat route
-// through the same cache CompileIndex/CompileConcat populate — the
-// "thin wrapper" property.
+// TestFlatEntryPointsHitPlanCache: Run routes through the same cache
+// Compile populates — the "thin wrapper" property.
 func TestFlatEntryPointsHitPlanCache(t *testing.T) {
 	const n, b = 8, 8
 	m := MustNewMachine(n)
-	in, _ := NewIndexBuffers(n, b)
-	out, _ := NewIndexBuffers(n, b)
-	fillIndexInput(in, 1)
-	if _, err := m.IndexFlat(in, out, WithRadix(2)); err != nil {
-		t.Fatal(err)
-	}
-	cin, _ := NewConcatBuffers(n, b)
-	cout, _ := NewIndexBuffers(n, b)
-	fillConcatInput(cin, 2)
-	if _, err := m.ConcatFlat(cin, cout); err != nil {
-		t.Fatal(err)
-	}
+	in, out := input(t, n, n, b, 1), mustBuffers(t, n, n, b)
+	cin, cout := input(t, n, 1, b, 2), mustBuffers(t, n, n, b)
+	mustRun(t, m, Index, in, out, WithRadix(2))
+	mustRun(t, m, Concat, cin, cout)
 	cached := m.plans.Len()
 	// Repeats of the same configurations must not add cache entries.
-	if _, err := m.IndexFlat(in, out, WithRadix(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ConcatFlat(cin, cout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CompileIndex(b, WithRadix(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CompileConcat(b); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m, Index, in, out, WithRadix(2))
+	mustRun(t, m, Concat, cin, cout)
+	mustCompile(t, m, Index, in, WithRadix(2))
+	mustCompile(t, m, Concat, cin)
 	if got := m.plans.Len(); got != cached {
 		t.Errorf("repeated calls grew the plan cache from %d to %d entries", cached, got)
 	}
 }
 
 // TestPlanExecuteMatchesFlat: a reused plan produces byte-identical
-// results and identical reports to the direct flat path, on both
+// results and identical reports to compiling per call, on both
 // transports, across the full (n, k) sweep.
 func TestPlanExecuteMatchesFlat(t *testing.T) {
 	const b = 3
@@ -165,56 +113,30 @@ func TestPlanExecuteMatchesFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g := mpsim.WorldGroup(n)
-
-				in, _ := NewIndexBuffers(n, b)
-				fillIndexInput(in, n*int(k))
-				pl, err := m.CompileIndex(b)
-				if err != nil {
-					t.Fatalf("CompileIndex(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				for rep := 0; rep < 2; rep++ { // reuse matters: run twice
-					got, _ := NewIndexBuffers(n, b)
-					want, _ := NewIndexBuffers(n, b)
-					gotRep, err := pl.Execute(in, got)
-					if err != nil {
-						t.Fatalf("plan Execute(n=%d, k=%d, %s): %v", n, k, backend, err)
+				for _, c := range []struct {
+					op   Op
+					in   *Buffers
+					runs int // reuse matters: run the index twice
+				}{
+					{Index, input(t, n, n, b, n*k), 2},
+					{Concat, input(t, n, 1, b, n+k), 1},
+				} {
+					pl := mustCompile(t, m, c.op, c.in)
+					for r := 0; r < c.runs; r++ {
+						got, want := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+						gotRep, err := pl.Execute(c.in, got)
+						if err != nil {
+							t.Fatalf("%v plan Execute(n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
+						}
+						wantRep, err := compileAndRun(e, mpsim.WorldGroup(n), collective.Spec{Op: c.op}, c.in, want)
+						if err != nil {
+							t.Fatalf("%v compile per call (n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
+						}
+						if !got.Equal(want) || gotRep.C1 != wantRep.C1 || gotRep.C2 != wantRep.C2 {
+							t.Fatalf("%v n=%d k=%d %s: plan (%d, %d) differs from compiling per call (%d, %d)",
+								c.op, n, k, backend, gotRep.C1, gotRep.C2, wantRep.C1, wantRep.C2)
+						}
 					}
-					wantRep, err := compileAndRun(e, g, collective.Spec{Op: collective.OpIndex}, in, want)
-					if err != nil {
-						t.Fatalf("IndexFlat(n=%d, k=%d, %s): %v", n, k, backend, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("index n=%d k=%d %s: plan result differs from flat path", n, k, backend)
-					}
-					if gotRep.C1 != wantRep.C1 || gotRep.C2 != wantRep.C2 {
-						t.Fatalf("index n=%d k=%d %s: plan report (%d, %d) != flat report (%d, %d)",
-							n, k, backend, gotRep.C1, gotRep.C2, wantRep.C1, wantRep.C2)
-					}
-				}
-
-				cin, _ := NewConcatBuffers(n, b)
-				fillConcatInput(cin, n+int(k))
-				cpl, err := m.CompileConcat(b)
-				if err != nil {
-					t.Fatalf("CompileConcat(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				got, _ := NewIndexBuffers(n, b)
-				want, _ := NewIndexBuffers(n, b)
-				gotRep, err := cpl.Execute(cin, got)
-				if err != nil {
-					t.Fatalf("concat plan Execute(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				wantRep, err := compileAndRun(e, g, collective.Spec{Op: collective.OpConcat}, cin, want)
-				if err != nil {
-					t.Fatalf("ConcatFlat(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("concat n=%d k=%d %s: plan result differs from flat path", n, k, backend)
-				}
-				if gotRep.C1 != wantRep.C1 || gotRep.C2 != wantRep.C2 {
-					t.Fatalf("concat n=%d k=%d %s: plan report (%d, %d) != flat report (%d, %d)",
-						n, k, backend, gotRep.C1, gotRep.C2, wantRep.C1, wantRep.C2)
 				}
 			}
 		}
@@ -235,8 +157,7 @@ func TestRunPlansMatchesSequential(t *testing.T) {
 					continue
 				}
 				m := MustNewMachine(total, Ports(k), WithTransport(backend))
-				lo := make([]int, n)
-				hi := make([]int, n)
+				lo, hi := make([]int, n), make([]int, n)
 				for i := 0; i < n; i++ {
 					lo[i], hi[i] = i, n+i
 				}
@@ -248,36 +169,23 @@ func TestRunPlansMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				ipl, err := m.CompileIndex(b, OnGroup(gLo))
-				if err != nil {
-					t.Fatalf("CompileIndex(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				cpl, err := m.CompileConcat(b, OnGroup(gHi))
-				if err != nil {
-					t.Fatalf("CompileConcat(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-
-				iin, _ := NewIndexBuffers(n, b)
-				fillIndexInput(iin, 3*n+k)
-				cin, _ := NewConcatBuffers(n, b)
-				fillConcatInput(cin, 5*n+k)
+				iin, cin := input(t, n, n, b, 3*n+k), input(t, n, 1, b, 5*n+k)
+				ipl := mustCompile(t, m, Index, iin, OnGroup(gLo))
+				cpl := mustCompile(t, m, Concat, cin, OnGroup(gHi))
 
 				// Sequential reference.
-				iWant, _ := NewIndexBuffers(n, b)
+				iWant, cWant := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
 				iRepWant, err := ipl.Execute(iin, iWant)
 				if err != nil {
 					t.Fatalf("sequential index (n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
-				cWant, _ := NewIndexBuffers(n, b)
 				cRepWant, err := cpl.Execute(cin, cWant)
 				if err != nil {
 					t.Fatalf("sequential concat (n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
 
 				// Concurrent run.
-				iGot, _ := NewIndexBuffers(n, b)
-				cGot, _ := NewIndexBuffers(n, b)
+				iGot, cGot := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
 				if err := ipl.Bind(iin, iGot); err != nil {
 					t.Fatal(err)
 				}
@@ -291,19 +199,12 @@ func TestRunPlansMatchesSequential(t *testing.T) {
 				if len(reps) != 2 {
 					t.Fatalf("RunPlans returned %d reports, want 2", len(reps))
 				}
-				if !iGot.Equal(iWant) {
-					t.Fatalf("n=%d k=%d %s: concurrent index bytes differ from sequential", n, k, backend)
+				if !iGot.Equal(iWant) || !cGot.Equal(cWant) {
+					t.Fatalf("n=%d k=%d %s: concurrent bytes differ from sequential", n, k, backend)
 				}
-				if !cGot.Equal(cWant) {
-					t.Fatalf("n=%d k=%d %s: concurrent concat bytes differ from sequential", n, k, backend)
-				}
-				if reps[0].C1 != iRepWant.C1 || reps[0].C2 != iRepWant.C2 {
-					t.Fatalf("n=%d k=%d %s: concurrent index report (%d, %d) != sequential (%d, %d)",
-						n, k, backend, reps[0].C1, reps[0].C2, iRepWant.C1, iRepWant.C2)
-				}
-				if reps[1].C1 != cRepWant.C1 || reps[1].C2 != cRepWant.C2 {
-					t.Fatalf("n=%d k=%d %s: concurrent concat report (%d, %d) != sequential (%d, %d)",
-						n, k, backend, reps[1].C1, reps[1].C2, cRepWant.C1, cRepWant.C2)
+				if reps[0].C1 != iRepWant.C1 || reps[0].C2 != iRepWant.C2 || reps[1].C1 != cRepWant.C1 || reps[1].C2 != cRepWant.C2 {
+					t.Fatalf("n=%d k=%d %s: concurrent reports %+v differ from sequential (%+v, %+v)",
+						n, k, backend, reps, iRepWant, cRepWant)
 				}
 			}
 		}
@@ -319,13 +220,9 @@ func TestRunPlansValidation(t *testing.T) {
 	var plans []*Plan
 	for _, ids := range [][]int{{0, 1, 2, 3}, {3, 4, 5, 6}, {4, 5, 6, 7}} { // the second overlaps both
 		g, _ := m.NewGroup(ids)
-		pl, err := m.CompileIndex(b, OnGroup(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, _ := NewIndexBuffers(len(ids), b)
-		out, _ := NewIndexBuffers(len(ids), b)
-		if err := pl.Bind(in, out); err != nil {
+		in := mustBuffers(t, len(ids), len(ids), b)
+		pl := mustCompile(t, m, Index, in, OnGroup(g))
+		if err := pl.Bind(in, mustBuffers(t, len(ids), len(ids), b)); err != nil {
 			t.Fatal(err)
 		}
 		plans = append(plans, pl)
@@ -341,13 +238,8 @@ func TestRunPlansValidation(t *testing.T) {
 func TestPlanExecuteShapeValidation(t *testing.T) {
 	const n, b = 6, 4
 	m := MustNewMachine(n)
-	pl, err := m.CompileIndex(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, _ := NewIndexBuffers(n, b)
-	wrongN, _ := NewIndexBuffers(n+1, b)
-	wrongB, _ := NewIndexBuffers(n, b+1)
+	good, wrongN, wrongB := mustBuffers(t, n, n, b), mustBuffers(t, n+1, n+1, b), mustBuffers(t, n, n, b+1)
+	pl := mustCompile(t, m, Index, good)
 	if _, err := pl.Execute(good, good); err == nil {
 		t.Error("plan executed with aliased buffers")
 	}
@@ -366,7 +258,8 @@ func TestPlanExecuteShapeValidation(t *testing.T) {
 }
 
 // TestPlanMixedAndAblationsMatchFlat: compiled mixed-radix, no-pack,
-// direct and xor plans replay their flat counterparts exactly.
+// direct and xor plans produce the index permutation, and a second
+// execution reproduces the first.
 func TestPlanMixedAndAblationsMatchFlat(t *testing.T) {
 	const n, b = 16, 4
 	for _, tc := range []struct {
@@ -380,32 +273,19 @@ func TestPlanMixedAndAblationsMatchFlat(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := MustNewMachine(n)
-			in, _ := NewIndexBuffers(n, b)
-			fillIndexInput(in, 11)
-			pl, err := m.CompileIndex(b, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := NewIndexBuffers(n, b)
-			rep, err := pl.Execute(in, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The result must be the index permutation.
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if !bytes.Equal(got.Block(i, j), in.Block(j, i)) {
-						t.Fatalf("out[%d][%d] != in[%d][%d]", i, j, j, i)
-					}
+			in := input(t, n, n, b, 11)
+			pl := mustCompile(t, m, Index, in, tc.opts...)
+			var outs [2]*Buffers
+			var reps [2]*Report
+			for i := range outs {
+				outs[i] = mustBuffers(t, n, n, b)
+				var err error
+				if reps[i], err = pl.Execute(in, outs[i]); err != nil {
+					t.Fatal(err)
 				}
 			}
-			// And a second execution must reproduce it with the same report.
-			got2, _ := NewIndexBuffers(n, b)
-			rep2, err := pl.Execute(in, got2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got2.Equal(got) || rep2.C1 != rep.C1 || rep2.C2 != rep.C2 {
+			checkIndex(t, n, in, outs[0])
+			if !outs[1].Equal(outs[0]) || reps[1].C1 != reps[0].C1 || reps[1].C2 != reps[0].C2 {
 				t.Error("second plan execution diverged from the first")
 			}
 		})
@@ -418,8 +298,7 @@ func TestRunPlansManyGroups(t *testing.T) {
 	const groups, per, b = 4, 4, 8
 	m := MustNewMachine(groups * per)
 	plans := make([]*Plan, groups)
-	ins := make([]*Buffers, groups)
-	outs := make([]*Buffers, groups)
+	ins, outs := make([]*Buffers, groups), make([]*Buffers, groups)
 	for gi := 0; gi < groups; gi++ {
 		ids := make([]int, per)
 		for i := range ids {
@@ -429,31 +308,19 @@ func TestRunPlansManyGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := m.CompileIndex(b, OnGroup(g), WithRadix(2))
-		if err != nil {
+		ins[gi], outs[gi] = input(t, per, per, b, 100+gi), mustBuffers(t, per, per, b)
+		plans[gi] = mustCompile(t, m, Index, ins[gi], OnGroup(g), WithRadix(2))
+		if err := plans[gi].Bind(ins[gi], outs[gi]); err != nil {
 			t.Fatal(err)
 		}
-		ins[gi], _ = NewIndexBuffers(per, b)
-		outs[gi], _ = NewIndexBuffers(per, b)
-		fillIndexInput(ins[gi], 100+gi)
-		if err := pl.Bind(ins[gi], outs[gi]); err != nil {
-			t.Fatal(err)
-		}
-		plans[gi] = pl
 	}
 	reps, err := m.RunPlans(plans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, c2 := PredictIndex(per, b, 2, 1)
+	c1, c2 := collective.IndexCost(per, b, 2, 1)
 	for gi := 0; gi < groups; gi++ {
-		for i := 0; i < per; i++ {
-			for j := 0; j < per; j++ {
-				if !bytes.Equal(outs[gi].Block(i, j), ins[gi].Block(j, i)) {
-					t.Fatalf("group %d: out[%d][%d] wrong", gi, i, j)
-				}
-			}
-		}
+		checkIndex(t, per, ins[gi], outs[gi])
 		if reps[gi].C1 != c1 || reps[gi].C2 != c2 {
 			t.Errorf("group %d report (%d, %d), want (%d, %d)", gi, reps[gi].C1, reps[gi].C2, c1, c2)
 		}
@@ -477,20 +344,11 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := mpsim.WorldGroup(n)
-	pl, err := collective.CompileIndex(e, g, b, collective.IndexOptions{})
+	pl, err := collective.Compile(e, mpsim.WorldGroup(n), collective.Spec{Op: collective.OpIndex, BlockLen: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _ := buffers.New(n, n, b)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for x := 0; x < b; x++ {
-				in.Block(i, j)[x] = byte(i*59 + j*17 + x)
-			}
-		}
-	}
-	out1, _ := buffers.New(n, n, b)
+	in, out1 := input(t, n, n, b, 0), mustBuffers(t, n, n, b)
 	if _, err := pl.Execute(in, out1); err != nil {
 		t.Fatalf("%s: first execute: %v", backend, err)
 	}
@@ -516,47 +374,63 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 	}
 }
 
-// TestLegacyEntryPointsStillCorrect spot-checks that the cache-routed
-// legacy Index/Concat produce the defining permutations (the broad
-// sweeps live in internal/collective; this guards the Machine wiring).
+// TestLegacyEntryPointsStillCorrect spot-checks the seven methods the
+// benchmark still calls: each is Run under its old name and must
+// produce the defining result, twice (the second call hits the plan
+// cache).
 func TestLegacyEntryPointsStillCorrect(t *testing.T) {
-	const n = 7
+	const n, b = 7, 4
 	m := MustNewMachine(n)
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = []byte(fmt.Sprintf("B%d.%d", i, j))
-		}
+	in, cin, kernel := input(t, n, n, b, 0), input(t, n, 1, b, 0), WithKernel(ReduceMax, Int32)
+	rin, err := FromRaggedMatrix(raggedIndexInput(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for rep := 0; rep < 2; rep++ { // second call exercises the cache hit
-		out, _, err := m.Index(in, WithRadix(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !bytes.Equal(out[i][j], in[j][i]) {
-					t.Fatalf("rep %d: out[%d][%d] = %q", rep, i, j, out[i][j])
-				}
-			}
-		}
+	crin, err := FromRaggedVector(raggedIndexInput(n)[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	cin := make([][]byte, n)
-	for i := range cin {
-		cin[i] = []byte(fmt.Sprintf("C%d", i))
+	vector, err := cin.ToVector()
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := mustBuffers(t, n, n, b)
+	mustRun(t, m, AllReduce, in, want, kernel)
+	errOf := func(_ *Report, err error) error { return err }
 	for rep := 0; rep < 2; rep++ {
-		out, _, err := m.Concat(cin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !bytes.Equal(out[i][j], cin[j]) {
-					t.Fatalf("rep %d: concat out[%d][%d] = %q", rep, i, j, out[i][j])
-				}
+		idx, cat, red := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+		rout, crout := raggedOut(t, Index, rin), raggedOut(t, Concat, crin)
+		matIdx, _, errIdx := m.Index(in.ToMatrix(), WithRadix(2))
+		matCat, _, errCat := m.Concat(vector)
+		for _, c := range []struct {
+			name string
+			err  error
+		}{
+			{"Index", errIdx},
+			{"Concat", errCat},
+			{"IndexFlat", errOf(m.IndexFlat(in, idx))},
+			{"ConcatFlat", errOf(m.ConcatFlat(cin, cat))},
+			{"IndexVFlat", errOf(m.IndexVFlat(rin, rout))},
+			{"ConcatVFlat", errOf(m.ConcatVFlat(crin, crout))},
+			{"AllReduceFlat", errOf(m.AllReduceFlat(in, red, kernel))},
+		} {
+			if c.err != nil {
+				t.Fatalf("%s: %v", c.name, c.err)
 			}
+		}
+		checkIndex(t, n, in, blockMatrix(matIdx))
+		checkConcat(t, n, cin, blockMatrix(matCat))
+		checkIndex(t, n, in, idx)
+		checkConcat(t, n, cin, cat)
+		checkIndex(t, n, rin, rout)
+		checkConcat(t, n, crin, crout)
+		if !red.Equal(want) {
+			t.Fatal("AllReduceFlat differs from Run(AllReduce)")
 		}
 	}
 }
+
+// blockMatrix views a block matrix for checkIndex and checkConcat.
+type blockMatrix [][][]byte
+
+func (bm blockMatrix) Block(i, j int) []byte { return bm[i][j] }

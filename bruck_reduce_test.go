@@ -45,13 +45,13 @@ func fillReduceInput(in *Buffers, typ DataType, seed int) {
 		v := (seed+e*7)%16 - 8
 		switch typ {
 		case Int32:
-			buffers.PutInt32s(data[e*4:], []int32{int32(v)})
+			Put(data[e*4:], []int32{int32(v)})
 		case Int64:
-			buffers.PutInt64s(data[e*8:], []int64{int64(v)})
+			Put(data[e*8:], []int64{int64(v)})
 		case Float32:
-			buffers.PutFloat32s(data[e*4:], []float32{float32(v)})
+			Put(data[e*4:], []float32{float32(v)})
 		case Float64:
-			buffers.PutFloat64s(data[e*8:], []float64{float64(v)})
+			Put(data[e*8:], []float64{float64(v)})
 		}
 	}
 }
@@ -89,16 +89,9 @@ func TestAllReduceEquivalence(t *testing.T) {
 				}
 				m := MustNewMachine(n, Ports(k), WithTransport(backend))
 				for _, ker := range allKernels {
-					in, err := NewIndexBuffers(n, reduceTestBlockLen)
-					if err != nil {
-						t.Fatal(err)
-					}
+					in, out := mustBuffers(t, n, n, reduceTestBlockLen), mustBuffers(t, n, n, reduceTestBlockLen)
 					fillReduceInput(in, ker.typ, n*31+k*7)
-					out, err := NewIndexBuffers(n, reduceTestBlockLen)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := m.AllReduceFlat(in, out, WithKernel(ker.op, ker.typ))
+					rep, err := m.Run(AllReduce, in, out, WithKernel(ker.op, ker.typ))
 					if err != nil {
 						t.Fatalf("%v n=%d k=%d %v/%v: %v", backend, n, k, ker.op, ker.typ, err)
 					}
@@ -157,10 +150,7 @@ func TestReduceScatterAlgorithmsMatchReference(t *testing.T) {
 						opts []CollectiveOption
 					}{"halving", []CollectiveOption{WithReduceAlgorithm(ReduceHalving)}})
 				}
-				in, err := NewIndexBuffers(n, reduceTestBlockLen)
-				if err != nil {
-					t.Fatal(err)
-				}
+				in := mustBuffers(t, n, n, reduceTestBlockLen)
 				fillReduceInput(in, Int32, n*13+k)
 				want := make([][]byte, n)
 				for j := 0; j < n; j++ {
@@ -170,12 +160,9 @@ func TestReduceScatterAlgorithmsMatchReference(t *testing.T) {
 					if n == 1 && alg.name == "bruck r=2" {
 						continue // radix 2 > n is rejected for n = 1
 					}
-					out, err := NewConcatBuffers(n, reduceTestBlockLen)
-					if err != nil {
-						t.Fatal(err)
-					}
+					out := mustBuffers(t, n, 1, reduceTestBlockLen)
 					opts := append([]CollectiveOption{WithKernel(ReduceSum, Int32)}, alg.opts...)
-					rep, err := m.ReduceScatterFlat(in, out, opts...)
+					rep, err := m.Run(ReduceScatter, in, out, opts...)
 					if err != nil {
 						t.Fatalf("%v n=%d k=%d %s: %v", backend, n, k, alg.name, err)
 					}
@@ -185,17 +172,12 @@ func TestReduceScatterAlgorithmsMatchReference(t *testing.T) {
 								backend, n, k, alg.name, i, out.Block(i, 0), want[i])
 						}
 					}
-					pl, err := m.CompileReduce(ReduceScatterKind, reduceTestBlockLen, alg.opts...)
-					_ = pl
-					if err == nil {
-						// CompileReduce without a kernel must fail; with one it
-						// must predict the measured schedule exactly.
-						t.Fatalf("%v n=%d k=%d %s: CompileReduce without kernel accepted", backend, n, k, alg.name)
+					// Compile without a kernel must fail; with one it must
+					// predict the measured schedule exactly.
+					if _, err := m.Compile(ReduceScatter, in, alg.opts...); err == nil {
+						t.Fatalf("%v n=%d k=%d %s: Compile without kernel accepted", backend, n, k, alg.name)
 					}
-					pl, err = m.CompileReduce(ReduceScatterKind, reduceTestBlockLen, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
+					pl := mustCompile(t, m, ReduceScatter, in, opts...)
 					if rep.C1 != pl.Rounds() || rep.C2 != pl.PredictedC2() {
 						t.Errorf("%v n=%d k=%d %s: measured (C1, C2) = (%d, %d), compiled predicts (%d, %d)",
 							backend, n, k, alg.name, rep.C1, rep.C2, pl.Rounds(), pl.PredictedC2())
@@ -209,40 +191,17 @@ func TestReduceScatterAlgorithmsMatchReference(t *testing.T) {
 	}
 }
 
-// TestAllReduceLegacyMatchesFlat pins the legacy-slice wrappers to the
-// flat path, and the reduce-scatter + allgather composition to its
-// parts: every output row equals the reduce-scatter result gathered
-// everywhere.
+// TestAllReduceLegacyMatchesFlat pins the reduce-scatter + allgather
+// composition to its parts: every output row of AllReduce equals the
+// ReduceScatter result gathered everywhere.
 func TestAllReduceLegacyMatchesFlat(t *testing.T) {
 	const n, bl = 6, 8
 	m := MustNewMachine(n, Ports(2))
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = make([]byte, bl)
-			fill := &Buffers{}
-			_ = fill
-			for e := 0; e < bl/4; e++ {
-				buffers.PutInt32s(in[i][j][e*4:], []int32{int32((i*n+j+e)%16 - 8)})
-			}
-		}
-	}
-	chunks, rsRep, err := m.ReduceScatter(in, WithKernel(ReduceSum, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, arRep, err := m.AllReduce(in, WithKernel(ReduceSum, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(full[i][j], chunks[j]) {
-				t.Fatalf("allreduce[%d][%d] = %v, reduce-scatter chunk %d = %v", i, j, full[i][j], j, chunks[j])
-			}
-		}
-	}
+	in, chunks, full := mustBuffers(t, n, n, bl), mustBuffers(t, n, 1, bl), mustBuffers(t, n, n, bl)
+	fillReduceInput(in, Int32, 5)
+	rsRep := mustRun(t, m, ReduceScatter, in, chunks, WithKernel(ReduceSum, Int32))
+	arRep := mustRun(t, m, AllReduce, in, full, WithKernel(ReduceSum, Int32))
+	checkConcat(t, n, chunks, full)
 	if arRep.C1 <= rsRep.C1 {
 		t.Errorf("allreduce C1 = %d should exceed reduce-scatter C1 = %d (it appends the concatenation)", arRep.C1, rsRep.C1)
 	}
@@ -257,15 +216,8 @@ func TestReduceZeroBlockLen(t *testing.T) {
 		calls := 0
 		counting := func(dst, src []byte) { calls++ }
 		m := MustNewMachine(4, Ports(2))
-		in, err := NewIndexBuffers(4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := NewIndexBuffers(4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := m.AllReduceFlat(in, out, WithReduceAlgorithm(alg), WithCombine(counting))
+		in := mustBuffers(t, 4, 4, 0)
+		rep, err := m.Run(AllReduce, in, mustBuffers(t, 4, 4, 0), WithReduceAlgorithm(alg), WithCombine(counting))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -279,19 +231,10 @@ func TestReduceZeroBlockLen(t *testing.T) {
 			t.Errorf("%v: round structure collapsed for zero-length blocks", alg)
 		}
 		// Without any kernel at all, a zero block size is still fine.
-		if _, err := m.ReduceScatterFlat(in, NewBuffersOrDie(t, 4, 1, 0), WithReduceAlgorithm(alg)); err != nil {
+		if _, err := m.Run(ReduceScatter, in, mustBuffers(t, 4, 1, 0), WithReduceAlgorithm(alg)); err != nil {
 			t.Errorf("%v: kernel-less zero-length reduce-scatter failed: %v", alg, err)
 		}
 	}
-}
-
-func NewBuffersOrDie(t *testing.T, procs, blocks, blockLen int) *Buffers {
-	t.Helper()
-	b, err := NewBuffers(procs, blocks, blockLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestRunPlansMixesReductions drives an index plan, a concat plan and
@@ -312,60 +255,28 @@ func TestRunPlansMixesReductions(t *testing.T) {
 		}
 		groups[gi] = g
 	}
-
-	idxIn := NewBuffersOrDie(t, per, per, bl)
-	idxOut := NewBuffersOrDie(t, per, per, bl)
-	catIn := NewBuffersOrDie(t, per, 1, bl)
-	catOut := NewBuffersOrDie(t, per, per, bl)
-	redIn := NewBuffersOrDie(t, per, per, bl)
-	redOut := NewBuffersOrDie(t, per, per, bl)
-	for i, b := range []*Buffers{idxIn, catIn} {
-		data := b.Bytes()
-		for x := range data {
-			data[x] = byte(x*7 + i)
+	idxIn, catIn, redIn := input(t, per, per, bl, 0), input(t, per, 1, bl, 1), mustBuffers(t, per, per, bl)
+	idxOut, catOut, redOut := mustBuffers(t, per, per, bl), mustBuffers(t, per, per, bl), mustBuffers(t, per, per, bl)
+	fillReduceInput(redIn, Int64, 3)
+	plans := []*Plan{
+		mustCompile(t, m, Index, idxIn, OnGroup(groups[0])),
+		mustCompile(t, m, Concat, catIn, OnGroup(groups[1])),
+		mustCompile(t, m, AllReduce, redIn, OnGroup(groups[2]), WithKernel(ReduceMax, Int64)),
+	}
+	for i, io := range [][2]*Buffers{{idxIn, idxOut}, {catIn, catOut}, {redIn, redOut}} {
+		if err := plans[i].Bind(io[0], io[1]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	fillReduceInput(redIn, Int64, 3)
-
-	idxPlan, err := m.CompileIndex(bl, OnGroup(groups[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	catPlan, err := m.CompileConcat(bl, OnGroup(groups[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	redPlan, err := m.CompileReduce(AllReduceKind, bl, OnGroup(groups[2]), WithKernel(ReduceMax, Int64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idxPlan.Bind(idxIn, idxOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := catPlan.Bind(catIn, catOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := redPlan.Bind(redIn, redOut); err != nil {
-		t.Fatal(err)
-	}
-
-	reports, err := m.RunPlans([]*Plan{idxPlan, catPlan, redPlan})
+	reports, err := m.RunPlans(plans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 3 {
 		t.Fatalf("got %d reports", len(reports))
 	}
-	for i := 0; i < per; i++ {
-		for j := 0; j < per; j++ {
-			if !bytes.Equal(idxOut.Block(i, j), idxIn.Block(j, i)) {
-				t.Fatalf("index out[%d][%d] wrong", i, j)
-			}
-			if !bytes.Equal(catOut.Block(i, j), catIn.Block(j, 0)) {
-				t.Fatalf("concat out[%d][%d] wrong", i, j)
-			}
-		}
-	}
+	checkIndex(t, per, idxIn, idxOut)
+	checkConcat(t, per, catIn, catOut)
 	fn, err := buffers.Kernel(buffers.Max, buffers.Int64)
 	if err != nil {
 		t.Fatal(err)
@@ -389,23 +300,16 @@ func TestRunPlansMixesReductions(t *testing.T) {
 func TestAutoReduceDispatch(t *testing.T) {
 	const n, bl = 16, 64
 	m := MustNewMachine(n)
-	kernel := WithKernel(ReduceSum, Float64)
+	in, kernel := mustBuffers(t, n, n, bl), WithKernel(ReduceSum, Float64)
 
-	auto, err := m.CompileReduce(ReduceScatterKind, bl, kernel, WithAuto(costmodel.HighLatency))
-	if err != nil {
-		t.Fatal(err)
-	}
-	candidates := [][]CollectiveOption{
+	auto := mustCompile(t, m, ReduceScatter, in, kernel, WithAuto(costmodel.HighLatency))
+	for _, copts := range [][]CollectiveOption{
 		{kernel, WithReduceAlgorithm(ReduceRing)},
 		{kernel, WithReduceAlgorithm(ReduceHalving)},
 		{kernel, WithReduceAlgorithm(ReduceBruck), WithRadix(2)},
 		{kernel, WithReduceAlgorithm(ReduceBruck), WithRadix(n)},
-	}
-	for _, copts := range candidates {
-		pl, err := m.CompileReduce(ReduceScatterKind, bl, copts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	} {
+		pl := mustCompile(t, m, ReduceScatter, in, copts...)
 		if auto.Time(costmodel.HighLatency) > pl.Time(costmodel.HighLatency)+1e-15 {
 			t.Errorf("auto picked %s (%g), worse than %s (%g)",
 				auto.Algorithm(), auto.Time(costmodel.HighLatency), pl.Algorithm(), pl.Time(costmodel.HighLatency))
@@ -414,19 +318,12 @@ func TestAutoReduceDispatch(t *testing.T) {
 	if auto.Algorithm() == "ring" {
 		t.Errorf("latency-bound profile picked the %d-round ring", n-1)
 	}
-	again, err := m.CompileReduce(ReduceScatterKind, bl, kernel, WithAuto(costmodel.HighLatency))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != auto {
+	if again := mustCompile(t, m, ReduceScatter, in, kernel, WithAuto(costmodel.HighLatency)); again != auto {
 		t.Error("auto verdict was not memoized")
 	}
 
 	// A bandwidth-bound profile prefers a volume-optimal schedule.
-	cheap, err := m.CompileReduce(ReduceScatterKind, bl, kernel, WithAuto(costmodel.LowLatency))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cheap := mustCompile(t, m, ReduceScatter, in, kernel, WithAuto(costmodel.LowLatency))
 	if got := cheap.PredictedC2(); got != (n-1)*bl {
 		t.Errorf("bandwidth-bound verdict %s has C2 = %d, want the volume-optimal %d", cheap.Algorithm(), got, (n-1)*bl)
 	}
@@ -437,88 +334,53 @@ func TestAutoReduceDispatch(t *testing.T) {
 func TestReducePlanCacheIdentity(t *testing.T) {
 	const n, bl = 8, 16
 	m := MustNewMachine(n)
-	a, err := m.CompileReduce(AllReduceKind, bl, WithKernel(ReduceSum, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.CompileReduce(AllReduceKind, bl, WithKernel(ReduceSum, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	in, sum := mustBuffers(t, n, n, bl), WithKernel(ReduceSum, Int32)
+	a := mustCompile(t, m, AllReduce, in, sum)
+	if b := mustCompile(t, m, AllReduce, in, sum); a != b {
 		t.Error("identical built-in kernel configurations compiled twice")
 	}
-	c, err := m.CompileReduce(AllReduceKind, bl, WithKernel(ReduceMin, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
+	if c := mustCompile(t, m, AllReduce, in, WithKernel(ReduceMin, Int32)); c == a {
 		t.Error("different kernels shared one plan")
 	}
 	// Option fields the plan ignores are normalized out of the key: a
 	// radix on the ring schedule, a last-round policy on reduce-scatter.
-	ringA, err := m.CompileReduce(ReduceScatterKind, bl, WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceRing))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringB, err := m.CompileReduce(ReduceScatterKind, bl, WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceRing),
-		WithRadix(5), WithLastRoundPolicy(LastRoundMinVolume))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ringA := mustCompile(t, m, ReduceScatter, in, sum, WithReduceAlgorithm(ReduceRing))
+	ringB := mustCompile(t, m, ReduceScatter, in, sum, WithReduceAlgorithm(ReduceRing), WithRadix(5), WithLastRoundPolicy(LastRoundMinVolume))
 	if ringA != ringB {
 		t.Error("ignored option fields fragmented the reduce-plan cache")
 	}
 	user := func(dst, src []byte) {}
-	d, err := m.CompileReduce(AllReduceKind, bl, WithCombine(user))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := m.CompileReduce(AllReduceKind, bl, WithCombine(user))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == e {
+	if d, e := mustCompile(t, m, AllReduce, in, WithCombine(user)), mustCompile(t, m, AllReduce, in, WithCombine(user)); d == e {
 		t.Error("user-kernel plans must not be cached")
 	}
 }
 
 // TestReduceValidation exercises the compile- and execute-time error
-// paths of the reduction entry points.
+// paths of the reductions.
 func TestReduceValidation(t *testing.T) {
 	const n, bl = 6, 16
 	m := MustNewMachine(n)
-	in := NewBuffersOrDie(t, n, n, bl)
-	outRS := NewBuffersOrDie(t, n, 1, bl)
-	outAR := NewBuffersOrDie(t, n, n, bl)
-
-	if _, err := m.ReduceScatterFlat(in, outRS); err == nil {
-		t.Error("reduce without a kernel accepted")
+	in, outRS, outAR := mustBuffers(t, n, n, bl), mustBuffers(t, n, 1, bl), mustBuffers(t, n, n, bl)
+	sum := WithKernel(ReduceSum, Int32)
+	for _, c := range []struct {
+		name    string
+		op      Op
+		in, out *Buffers
+		opts    []CollectiveOption
+	}{
+		{"reduce without a kernel", ReduceScatter, in, outRS, nil},
+		{"halving on a non-power-of-two group", ReduceScatter, in, outRS, []CollectiveOption{WithKernel(ReduceSum, Float64), WithReduceAlgorithm(ReduceHalving)}},
+		{"block size not divisible by the element size", ReduceScatter, mustBuffers(t, n, n, 10), mustBuffers(t, n, 1, 10), []CollectiveOption{WithKernel(ReduceSum, Float64)}},
+		{"index-shaped output for reduce-scatter", ReduceScatter, in, outAR, []CollectiveOption{sum}},
+		{"concat-shaped output for allreduce", AllReduce, in, outRS, []CollectiveOption{sum}},
+		{"nil output", ReduceScatter, in, nil, []CollectiveOption{sum}},
+		{"radix above n", ReduceScatter, in, outRS, []CollectiveOption{sum, WithReduceAlgorithm(ReduceBruck), WithRadix(n + 1)}},
+	} {
+		if _, err := m.Run(c.op, c.in, c.out, c.opts...); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := m.ReduceScatterFlat(in, outRS, WithKernel(ReduceSum, Float64), WithReduceAlgorithm(ReduceHalving)); err == nil {
-		t.Error("halving on a non-power-of-two group accepted")
-	}
-	odd := NewBuffersOrDie(t, n, n, 10)
-	oddOut := NewBuffersOrDie(t, n, 1, 10)
-	if _, err := m.ReduceScatterFlat(odd, oddOut, WithKernel(ReduceSum, Float64)); err == nil {
-		t.Error("block size not divisible by the element size accepted")
-	}
-	if _, err := m.ReduceScatterFlat(in, outAR, WithKernel(ReduceSum, Int32)); err == nil {
-		t.Error("index-shaped output accepted for reduce-scatter")
-	}
-	if _, err := m.AllReduceFlat(in, outRS, WithKernel(ReduceSum, Int32)); err == nil {
-		t.Error("concat-shaped output accepted for allreduce")
-	}
-	if _, err := m.ReduceScatterFlat(in, nil, WithKernel(ReduceSum, Int32)); err == nil {
-		t.Error("nil output accepted")
-	}
-	if _, err := m.CompileReduce(ReduceScatterKind, bl, WithKernel(ReduceSum, Int32), WithReduceAlgorithm(ReduceBruck), WithRadix(n+1)); err == nil {
-		t.Error("radix above n accepted")
-	}
-	pl, err := m.CompileReduce(ReduceScatterKind, bl, WithKernel(ReduceSum, Int32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, m, ReduceScatter, in, sum)
 	if err := pl.Bind(in, outAR); err == nil {
 		t.Error("Bind accepted an index-shaped output on a reduce-scatter plan")
 	}
@@ -536,12 +398,9 @@ func TestReduceOnGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewBuffersOrDie(t, per, per, bl)
+	in, out := mustBuffers(t, per, per, bl), mustBuffers(t, per, 1, bl)
 	fillReduceInput(in, Float32, 11)
-	out := NewBuffersOrDie(t, per, 1, bl)
-	if _, err := m.ReduceScatterFlat(in, out, OnGroup(g), WithKernel(ReduceMin, Float32)); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m, ReduceScatter, in, out, OnGroup(g), WithKernel(ReduceMin, Float32))
 	fn, err := buffers.Kernel(buffers.Min, buffers.Float32)
 	if err != nil {
 		t.Fatal(err)
@@ -562,27 +421,21 @@ func TestReduceReportsAgainstBounds(t *testing.T) {
 				continue
 			}
 			m := MustNewMachine(n, Ports(k))
-			for _, kind := range []ReduceKind{ReduceScatterKind, AllReduceKind} {
-				pl, err := m.CompileReduce(kind, reduceTestBlockLen, WithKernel(ReduceSum, Int32))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var c1lb, c2lb int
-				if kind == ReduceScatterKind {
-					c1lb = lowerbound.ReduceScatterRounds(n, k)
-					c2lb = lowerbound.ReduceScatterVolume(n, reduceTestBlockLen, k)
-				} else {
-					c1lb = lowerbound.AllReduceRounds(n, k)
-					c2lb = lowerbound.AllReduceVolume(n, reduceTestBlockLen, k)
+			in := mustBuffers(t, n, n, reduceTestBlockLen)
+			for _, op := range []Op{ReduceScatter, AllReduce} {
+				pl := mustCompile(t, m, op, in, WithKernel(ReduceSum, Int32))
+				c1lb, c2lb := lowerbound.AllReduceRounds(n, k), lowerbound.AllReduceVolume(n, reduceTestBlockLen, k)
+				if op == ReduceScatter {
+					c1lb, c2lb = lowerbound.ReduceScatterRounds(n, k), lowerbound.ReduceScatterVolume(n, reduceTestBlockLen, k)
 				}
 				if pl.Rounds() < c1lb {
-					t.Errorf("%v n=%d k=%d: C1 = %d below bound %d", kind, n, k, pl.Rounds(), c1lb)
+					t.Errorf("%v n=%d k=%d: C1 = %d below bound %d", op, n, k, pl.Rounds(), c1lb)
 				}
 				if pl.PredictedC2() < c2lb {
-					t.Errorf("%v n=%d k=%d: C2 = %d below bound %d", kind, n, k, pl.PredictedC2(), c2lb)
+					t.Errorf("%v n=%d k=%d: C2 = %d below bound %d", op, n, k, pl.PredictedC2(), c2lb)
 				}
 				if pl.C2LowerBound() != c2lb {
-					t.Errorf("%v n=%d k=%d: plan carries bound %d, want %d", kind, n, k, pl.C2LowerBound(), c2lb)
+					t.Errorf("%v n=%d k=%d: plan carries bound %d, want %d", op, n, k, pl.C2LowerBound(), c2lb)
 				}
 			}
 		}
@@ -592,25 +445,22 @@ func TestReduceReportsAgainstBounds(t *testing.T) {
 // TestReduceAlgorithmNames pins the reporting surface.
 func TestReduceAlgorithmNames(t *testing.T) {
 	m := MustNewMachine(8)
+	in := mustBuffers(t, 8, 8, 8)
 	for _, tc := range []struct {
-		kind ReduceKind
+		op   Op
 		alg  ReduceAlgorithm
-		op   string
 		name string
 	}{
-		{ReduceScatterKind, ReduceRing, "reduce-scatter", "ring"},
-		{ReduceScatterKind, ReduceHalving, "reduce-scatter", "halving"},
-		{AllReduceKind, ReduceBruck, "allreduce", "bruck"},
+		{ReduceScatter, ReduceRing, "ring"},
+		{ReduceScatter, ReduceHalving, "halving"},
+		{AllReduce, ReduceBruck, "bruck"},
 	} {
-		pl, err := m.CompileReduce(tc.kind, 8, WithKernel(ReduceSum, Int32), WithReduceAlgorithm(tc.alg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pl.Op() != tc.op || pl.Algorithm() != tc.name {
-			t.Errorf("plan reports (%s, %s), want (%s, %s)", pl.Op(), pl.Algorithm(), tc.op, tc.name)
+		pl := mustCompile(t, m, tc.op, in, WithKernel(ReduceSum, Int32), WithReduceAlgorithm(tc.alg))
+		if pl.Op() != tc.op.String() || pl.Algorithm() != tc.name {
+			t.Errorf("plan reports (%s, %s), want (%v, %s)", pl.Op(), pl.Algorithm(), tc.op, tc.name)
 		}
 	}
-	if s := fmt.Sprint(ReduceScatterKind, AllReduceKind); s != "reduce-scatter allreduce" {
-		t.Errorf("kind strings: %q", s)
+	if s := fmt.Sprint(ReduceScatter, AllReduce); s != "reduce-scatter allreduce" {
+		t.Errorf("op strings: %q", s)
 	}
 }

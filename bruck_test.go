@@ -4,38 +4,80 @@ import (
 	"bytes"
 	"testing"
 
+	"bruck/internal/collective"
 	"bruck/internal/lowerbound"
+	"bruck/internal/partition"
 )
 
-func indexInput(n, b int) [][][]byte {
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			blk := make([]byte, b)
-			for x := range blk {
-				blk[x] = byte(i*59 + j*17 + x)
+// mustBuffers is NewBuffers that fails the test on error.
+func mustBuffers(t testing.TB, procs, blocks, blockLen int) *Buffers {
+	t.Helper()
+	b, err := NewBuffers(procs, blocks, blockLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// fill writes a pattern, distinct per block and per seed, into b.
+func fill(b *Buffers, seed int) *Buffers {
+	for i := 0; i < b.Procs(); i++ {
+		for j := 0; j < b.Blocks(); j++ {
+			for x, blk := 0, b.Block(i, j); x < len(blk); x++ {
+				blk[x] = byte(seed + i*31 + j*7 + x)
 			}
-			in[i][j] = blk
 		}
 	}
-	return in
+	return b
+}
+
+// input is a filled procs x blocks Buffers.
+func input(t testing.TB, procs, blocks, blockLen, seed int) *Buffers {
+	t.Helper()
+	return fill(mustBuffers(t, procs, blocks, blockLen), seed)
+}
+
+// mustRun is Machine.Run that fails the test on error.
+func mustRun(t testing.TB, m *Machine, op Op, in, out any, opts ...CollectiveOption) *Report {
+	t.Helper()
+	rep, err := m.Run(op, in, out, opts...)
+	if err != nil {
+		t.Fatalf("Run(%v): %v", op, err)
+	}
+	return rep
+}
+
+type blocker interface{ Block(i, j int) []byte }
+
+// checkIndex fails unless out.Block(i, j) = in.Block(j, i) on n ranks.
+func checkIndex(t testing.TB, n int, in, out blocker) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !bytes.Equal(out.Block(i, j), in.Block(j, i)) {
+				t.Fatalf("out[%d][%d] = %v, want in[%d][%d] = %v", i, j, out.Block(i, j), j, i, in.Block(j, i))
+			}
+		}
+	}
+}
+
+// checkConcat fails unless out.Block(i, j) = in.Block(j, 0) on n ranks.
+func checkConcat(t testing.TB, n int, in, out blocker) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !bytes.Equal(out.Block(i, j), in.Block(j, 0)) {
+				t.Fatalf("out[%d][%d] = %v, want in[%d] = %v", i, j, out.Block(i, j), j, in.Block(j, 0))
+			}
+		}
+	}
 }
 
 func TestMachineIndexDefault(t *testing.T) {
 	m := MustNewMachine(8)
-	in := indexInput(8, 16)
-	out, rep, err := m.Index(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				t.Fatalf("out[%d][%d] != in[%d][%d]", i, j, j, i)
-			}
-		}
-	}
+	in, out := input(t, 8, 8, 16, 0), mustBuffers(t, 8, 8, 16)
+	rep := mustRun(t, m, Index, in, out)
+	checkIndex(t, 8, in, out)
 	if rep.C1 != 3 { // default radix k+1 = 2 on 8 processors
 		t.Errorf("C1 = %d, want 3", rep.C1)
 	}
@@ -43,15 +85,9 @@ func TestMachineIndexDefault(t *testing.T) {
 
 func TestMachineIndexRadixTradeoff(t *testing.T) {
 	m := MustNewMachine(16)
-	in := indexInput(16, 8)
-	_, fast, err := m.Index(in, WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, lean, err := m.Index(in, WithRadix(16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, out := input(t, 16, 16, 8, 0), mustBuffers(t, 16, 16, 8)
+	fast := mustRun(t, m, Index, in, out, WithRadix(2))
+	lean := mustRun(t, m, Index, in, out, WithRadix(16))
 	if !(fast.C1 < lean.C1) {
 		t.Errorf("r=2 C1 = %d should beat r=n C1 = %d", fast.C1, lean.C1)
 	}
@@ -66,21 +102,9 @@ func TestMachineIndexRadixTradeoff(t *testing.T) {
 
 func TestMachineConcat(t *testing.T) {
 	m := MustNewMachine(9, Ports(2))
-	in := make([][]byte, 9)
-	for i := range in {
-		in[i] = []byte{byte(i), byte(i * i)}
-	}
-	out, rep, err := m.Concat(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		for j := range out[i] {
-			if !bytes.Equal(out[i][j], in[j]) {
-				t.Fatalf("out[%d][%d] wrong", i, j)
-			}
-		}
-	}
+	in, out := input(t, 9, 1, 2, 0), mustBuffers(t, 9, 9, 2)
+	rep := mustRun(t, m, Concat, in, out)
+	checkConcat(t, 9, in, out)
 	if want := lowerbound.ConcatRounds(9, 2); rep.C1 != want {
 		t.Errorf("C1 = %d, want optimal %d", rep.C1, want)
 	}
@@ -95,66 +119,42 @@ func TestMachineSubgroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := indexInput(4, 4)
-	out, _, err := m.Index(in, OnGroup(g), WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				t.Fatalf("subgroup out[%d][%d] wrong", i, j)
-			}
-		}
-	}
+	in, out := input(t, 4, 4, 4, 0), mustBuffers(t, 4, 4, 4)
+	mustRun(t, m, Index, in, out, OnGroup(g), WithRadix(2))
+	checkIndex(t, 4, in, out)
 }
 
+// TestMachinePrimitives: each one-to-all primitive takes its root's
+// side as a one-processor Buffers and the members' side as n x 1.
 func TestMachinePrimitives(t *testing.T) {
-	m := MustNewMachine(7, Ports(2))
-	data := []byte("hello collective world")
-	got, rep, err := m.Broadcast(3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], data) {
-			t.Fatalf("member %d got %q", i, got[i])
+	const n, b = 7, 22
+	m := MustNewMachine(n, Ports(2))
+	data := input(t, 1, 1, b, 5)
+	members := mustBuffers(t, n, 1, b)
+	rep := mustRun(t, m, Broadcast, data, members, Root(3))
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(members.Block(i, 0), data.Block(0, 0)) {
+			t.Fatalf("member %d got %v", i, members.Block(i, 0))
 		}
 	}
-	if want := lowerbound.ConcatRounds(7, 2); rep.C1 != want {
+	if want := lowerbound.ConcatRounds(n, 2); rep.C1 != want {
 		t.Errorf("broadcast C1 = %d, want %d", rep.C1, want)
 	}
 
-	blocks := make([][]byte, 7)
-	for i := range blocks {
-		blocks[i] = []byte{byte(i), byte(100 + i)}
-	}
-	gathered, _, err := m.Gather(0, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range gathered {
-		if !bytes.Equal(gathered[i], blocks[i]) {
-			t.Fatalf("gathered[%d] wrong", i)
-		}
-	}
-	scattered, _, err := m.Scatter(2, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scattered {
-		if !bytes.Equal(scattered[i], blocks[i]) {
-			t.Fatalf("scattered[%d] wrong", i)
+	blocks, atRoot := input(t, n, 1, b, 9), mustBuffers(t, 1, n, b)
+	mustRun(t, m, Gather, blocks, atRoot)
+	scattered := mustBuffers(t, n, 1, b)
+	mustRun(t, m, Scatter, atRoot, scattered, Root(2))
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(atRoot.Block(0, i), blocks.Block(i, 0)) || !bytes.Equal(scattered.Block(i, 0), blocks.Block(i, 0)) {
+			t.Fatalf("block %d: gathered %v, scattered %v, want %v", i, atRoot.Block(0, i), scattered.Block(i, 0), blocks.Block(i, 0))
 		}
 	}
 }
 
 func TestMachineConcatBaselines(t *testing.T) {
 	m := MustNewMachine(8)
-	in := make([][]byte, 8)
-	for i := range in {
-		in[i] = []byte{byte(i)}
-	}
+	in := input(t, 8, 1, 1, 0)
 	for _, alg := range []struct {
 		name string
 		opt  CollectiveOption
@@ -163,40 +163,23 @@ func TestMachineConcatBaselines(t *testing.T) {
 		{"ring", WithConcatAlgorithm(ConcatRing)},
 		{"recdbl", WithConcatAlgorithm(ConcatRecursiveDoubling)},
 	} {
-		out, _, err := m.Concat(in, alg.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", alg.name, err)
-		}
-		for i := range out {
-			for j := range out[i] {
-				if !bytes.Equal(out[i][j], in[j]) {
-					t.Fatalf("%s: out[%d][%d] wrong", alg.name, i, j)
-				}
-			}
-		}
+		out := mustBuffers(t, 8, 8, 1)
+		mustRun(t, m, Concat, in, out, alg.opt)
+		checkConcat(t, 8, in, out)
 	}
 }
 
+// TestPredictMatchesReport: the measured (C1, C2) equal the closed forms
+// of Sections 3 and 4.
 func TestPredictMatchesReport(t *testing.T) {
 	const n, b, r, k = 16, 8, 4, 2
 	m := MustNewMachine(n, Ports(k))
-	_, rep, err := m.Index(indexInput(n, b), WithRadix(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, c2 := PredictIndex(n, b, r, k)
-	if rep.C1 != c1 || rep.C2 != c2 {
+	rep := mustRun(t, m, Index, input(t, n, n, b, 0), mustBuffers(t, n, n, b), WithRadix(r))
+	if c1, c2 := collective.IndexCost(n, b, r, k); rep.C1 != c1 || rep.C2 != c2 {
 		t.Errorf("report (%d, %d), prediction (%d, %d)", rep.C1, rep.C2, c1, c2)
 	}
-	cin := make([][]byte, n)
-	for i := range cin {
-		cin[i] = make([]byte, b)
-	}
-	_, crep, err := m.Concat(cin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc1, cc2, err := PredictConcat(n, b, k)
+	crep := mustRun(t, m, Concat, mustBuffers(t, n, 1, b), mustBuffers(t, n, n, b))
+	cc1, cc2, err := collective.ConcatCost(n, b, k, partition.PreferOptimal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,17 +199,17 @@ func TestOptimalRadixEndpoints(t *testing.T) {
 }
 
 // TestModelPanicsOnZeroPorts: the closed forms advance k digits a round,
-// so k < 1 would never end; each public entry point panics at once
-// with the model function's out-of-domain text.
+// so k < 1 would never end; each entry point panics at once with the
+// model function's out-of-domain text.
 func TestModelPanicsOnZeroPorts(t *testing.T) {
 	for _, c := range []struct {
 		call func()
 		want string
 	}{
-		{func() { PredictIndex(64, 8, 2, 0) }, "collective: IndexSchedule(64, 2, 0) out of domain: k < 1"},
+		{func() { collective.IndexCost(64, 8, 2, 0) }, "collective: IndexSchedule(64, 2, 0) out of domain: k < 1"},
 		{func() { OptimalRadix(SP1, 64, 8, 0, false) }, "collective: IndexSchedule(64, 2, 0) out of domain: k < 1"},
 		{func() { OptimalRadixSchedule(SP1, 64, 8, -1) }, "collective: OptimalRadixSchedule(64, 8, -1) out of domain: k < 1"},
-		{func() { PredictIndexMixed(64, 8, []int{4, 4, 4}, 0) }, "collective: IndexMixedSchedule(64, [4 4 4], 0) out of domain: k < 1"},
+		{func() { collective.IndexMixedCost(64, 8, []int{4, 4, 4}, 0) }, "collective: IndexMixedSchedule(64, [4 4 4], 0) out of domain: k < 1"},
 	} {
 		func() {
 			defer func() {
@@ -257,26 +240,16 @@ func TestNewMachineErrors(t *testing.T) {
 func TestMachineIndexMixedRadices(t *testing.T) {
 	const n, b = 30, 64
 	m := MustNewMachine(n)
-	in := indexInput(n, b)
+	in, out := input(t, n, n, b, 0), mustBuffers(t, n, n, b)
 	radices := OptimalRadixSchedule(SP1, n, b, 1)
-	out, rep, err := m.Index(in, WithRadices(radices))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				t.Fatalf("mixed out[%d][%d] wrong", i, j)
-			}
-		}
-	}
-	c1, c2 := PredictIndexMixed(n, b, radices, 1)
-	if rep.C1 != c1 || rep.C2 != c2 {
+	rep := mustRun(t, m, Index, in, out, WithRadices(radices))
+	checkIndex(t, n, in, out)
+	if c1, c2 := collective.IndexMixedCost(n, b, radices, 1); rep.C1 != c1 || rep.C2 != c2 {
 		t.Errorf("report (%d, %d), prediction (%d, %d)", rep.C1, rep.C2, c1, c2)
 	}
 	// Never worse than the best uniform radix under the model.
 	rBest := OptimalRadix(SP1, n, b, 1, false)
-	uc1, uc2 := PredictIndex(n, b, rBest, 1)
+	uc1, uc2 := collective.IndexCost(n, b, rBest, 1)
 	if rep.Time(SP1) > SP1.Time(uc1, uc2)+1e-12 {
 		t.Errorf("mixed schedule (%v) worse than uniform r=%d", radices, rBest)
 	}
@@ -287,10 +260,7 @@ func TestCriticalPathTime(t *testing.T) {
 	// Symmetric schedule (Bruck index): critical path equals the
 	// linear-model report time.
 	m := MustNewMachine(n, RecordEvents())
-	_, rep, err := m.Index(indexInput(n, b), WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, m, Index, input(t, n, n, b, 0), mustBuffers(t, n, n, b), WithRadix(2))
 	cp, err := m.CriticalPathTime(SP1)
 	if err != nil {
 		t.Fatal(err)
@@ -305,14 +275,7 @@ func TestCriticalPathTime(t *testing.T) {
 	// estimate. (For powers of two the folklore tree is perfectly
 	// balanced and the two estimates agree.)
 	m11 := MustNewMachine(11, RecordEvents())
-	in := make([][]byte, 11)
-	for i := range in {
-		in[i] = make([]byte, b)
-	}
-	_, crep, err := m11.Concat(in, WithConcatAlgorithm(ConcatFolklore))
-	if err != nil {
-		t.Fatal(err)
-	}
+	crep := mustRun(t, m11, Concat, mustBuffers(t, 11, 1, b), mustBuffers(t, 11, 11, b), WithConcatAlgorithm(ConcatFolklore))
 	cp, err = m11.CriticalPathTime(SP1)
 	if err != nil {
 		t.Fatal(err)
@@ -326,9 +289,7 @@ func TestCriticalPathTime(t *testing.T) {
 	if _, err := m2.CriticalPathTime(SP1); err == nil {
 		t.Error("CriticalPathTime before any operation accepted")
 	}
-	if _, _, err := m2.Concat(make([][]byte, 4)); err != nil {
-		t.Errorf("zero-length blocks should be legal: %v", err)
-	}
+	mustRun(t, m2, Concat, mustBuffers(t, 4, 1, 0), mustBuffers(t, 4, 4, 0)) // zero-length blocks are legal
 	if _, err := m2.CriticalPathTime(SP1); err == nil {
 		t.Error("CriticalPathTime without RecordEvents accepted")
 	}
@@ -336,22 +297,10 @@ func TestCriticalPathTime(t *testing.T) {
 
 func TestWithoutPackingAblation(t *testing.T) {
 	m := MustNewMachine(8)
-	in := indexInput(8, 4)
-	_, packed, err := m.Index(in, WithRadix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, unpacked, err := m.Index(in, WithRadix(2), WithoutPacking())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				t.Fatalf("unpacked out[%d][%d] wrong", i, j)
-			}
-		}
-	}
+	in, out := input(t, 8, 8, 4, 0), mustBuffers(t, 8, 8, 4)
+	packed := mustRun(t, m, Index, in, out, WithRadix(2))
+	unpacked := mustRun(t, m, Index, in, out, WithRadix(2), WithoutPacking())
+	checkIndex(t, 8, in, out)
 	if unpacked.C1 <= packed.C1 {
 		t.Errorf("packing ablation should cost rounds: %d vs %d", unpacked.C1, packed.C1)
 	}

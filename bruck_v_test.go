@@ -1,7 +1,6 @@
 package bruck
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,7 +8,7 @@ import (
 	"bruck/internal/lowerbound"
 )
 
-// raggedIndexInput builds an n x n legacy block matrix with skewed,
+// raggedIndexInput builds an n x n block matrix with skewed,
 // zero-including block lengths and identifying contents.
 func raggedIndexInput(n int) [][][]byte {
 	in := make([][][]byte, n)
@@ -30,73 +29,80 @@ func raggedIndexInput(n int) [][][]byte {
 	return in
 }
 
-// TestIndexVUniformIdenticalToIndex is the public half of the uniform
-// equivalence acceptance: equal-length legacy input through IndexV must
-// produce the same bytes and the same Report as Index, on both
-// transports, across the (n, k) acceptance grid.
-func TestIndexVUniformIdenticalToIndex(t *testing.T) {
-	const blockLen = 8
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for n := 1; n <= 16; n++ {
-			for k := 1; k <= 3 && (k == 1 || k <= n-1); k++ {
-				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				in := make([][][]byte, n)
-				for i := range in {
-					in[i] = make([][]byte, n)
-					for j := range in[i] {
-						blk := make([]byte, blockLen)
-						for x := range blk {
-							blk[x] = byte(i*37 + j*11 + x)
-						}
-						in[i][j] = blk
-					}
-				}
-				out1, rep1, err := m.Index(in)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: Index: %v", backend, n, k, err)
-				}
-				out2, rep2, err := m.IndexV(in)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: IndexV: %v", backend, n, k, err)
-				}
-				if !reflect.DeepEqual(out1, out2) {
-					t.Fatalf("%v n=%d k=%d: IndexV bytes differ from Index", backend, n, k)
-				}
-				if !reflect.DeepEqual(rep1, rep2) {
-					t.Fatalf("%v n=%d k=%d: IndexV report %+v differs from Index report %+v", backend, n, k, rep2, rep1)
-				}
-			}
+// raggedOut is a zero slab of the output layout of the ragged Index
+// (the transpose) or Concat (the concatenation) on in.
+func raggedOut(t testing.TB, op Op, in *RaggedBuffers) *RaggedBuffers {
+	t.Helper()
+	l := in.Layout().Transpose()
+	if op == Concat {
+		var err error
+		if l, err = in.Layout().ConcatOut(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	out, err := NewRaggedBuffers(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// mustRagged runs the ragged form of op on a copy of the block matrix
+// (or, for Concat, the vector in[0]) and returns the input and output
+// slabs.
+func mustRagged(t testing.TB, m *Machine, op Op, in [][][]byte, opts ...CollectiveOption) (rin, rout *RaggedBuffers, rep *Report) {
+	t.Helper()
+	var err error
+	if op == Concat {
+		rin, err = FromRaggedVector(in[0])
+	} else {
+		rin, err = FromRaggedMatrix(in)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rout = raggedOut(t, op, rin)
+	return rin, rout, mustRun(t, m, op, rin, rout, opts...)
+}
+
+// TestIndexVUniformIdenticalToIndex is the public half of the uniform
+// equivalence acceptance: an equal-length block matrix run as ragged
+// slabs must produce the same bytes and the same Report as on Buffers,
+// on both transports, across the (n, k) acceptance grid.
+func TestIndexVUniformIdenticalToIndex(t *testing.T) {
+	testUniformRaggedIdentical(t, Index, 8)
 }
 
 // TestConcatVUniformIdenticalToConcat is the concatenation side.
 func TestConcatVUniformIdenticalToConcat(t *testing.T) {
-	const blockLen = 6
+	testUniformRaggedIdentical(t, Concat, 6)
+}
+
+func testUniformRaggedIdentical(t *testing.T, op Op, blockLen int) {
 	for _, backend := range []Backend{BackendChan, BackendSlot} {
 		for n := 1; n <= 16; n++ {
 			for k := 1; k <= 3 && (k == 1 || k <= n-1); k++ {
 				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				in := make([][]byte, n)
-				for i := range in {
-					in[i] = make([]byte, blockLen)
-					for x := range in[i] {
-						in[i][x] = byte(i*53 + x*3)
+				blocks := n
+				if op == Concat {
+					blocks = 1
+				}
+				in, out := input(t, n, blocks, blockLen, n), mustBuffers(t, n, n, blockLen)
+				rep1 := mustRun(t, m, op, in, out)
+				mat := in.ToMatrix()
+				if op == Concat {
+					vec, err := in.ToVector()
+					if err != nil {
+						t.Fatal(err)
 					}
+					mat = [][][]byte{vec}
 				}
-				out1, rep1, err := m.Concat(in)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: Concat: %v", backend, n, k, err)
-				}
-				out2, rep2, err := m.ConcatV(in)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: ConcatV: %v", backend, n, k, err)
-				}
-				if !reflect.DeepEqual(out1, out2) {
-					t.Fatalf("%v n=%d k=%d: ConcatV bytes differ from Concat", backend, n, k)
+				_, rout, rep2 := mustRagged(t, m, op, mat)
+				if !reflect.DeepEqual(out.ToMatrix(), rout.ToMatrix()) {
+					t.Fatalf("%v n=%d k=%d: ragged %v bytes differ from the fixed-size ones", backend, n, k, op)
 				}
 				if !reflect.DeepEqual(rep1, rep2) {
-					t.Fatalf("%v n=%d k=%d: ConcatV report %+v differs from Concat report %+v", backend, n, k, rep2, rep1)
+					t.Fatalf("%v n=%d k=%d: ragged %v report %+v differs from the fixed-size %+v", backend, n, k, op, rep2, rep1)
 				}
 			}
 		}
@@ -104,8 +110,8 @@ func TestConcatVUniformIdenticalToConcat(t *testing.T) {
 }
 
 // TestIndexVRagged drives the public ragged path — default, fixed
-// radix, mixed radices, auto dispatch — against the defining
-// permutation, with zero-length blocks in the mix.
+// radix, direct, auto dispatch — against the defining permutation, with
+// zero-length blocks in the mix.
 func TestIndexVRagged(t *testing.T) {
 	for _, backend := range []Backend{BackendChan, BackendSlot} {
 		for _, n := range []int{2, 8, 13} {
@@ -120,17 +126,8 @@ func TestIndexVRagged(t *testing.T) {
 				{"auto", []CollectiveOption{WithAuto(SP1)}},
 			} {
 				m := MustNewMachine(n, WithTransport(backend))
-				out, rep, err := m.IndexV(in, tc.opts...)
-				if err != nil {
-					t.Fatalf("%v n=%d %s: %v", backend, n, tc.name, err)
-				}
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						if !bytes.Equal(out[i][j], in[j][i]) {
-							t.Fatalf("%v n=%d %s: out[%d][%d] != in[%d][%d]", backend, n, tc.name, i, j, j, i)
-						}
-					}
-				}
+				rin, rout, rep := mustRagged(t, m, Index, in, tc.opts...)
+				checkIndex(t, n, rin, rout)
 				counts := make([][]int, n)
 				for i := range counts {
 					counts[i] = make([]int, n)
@@ -149,22 +146,11 @@ func TestIndexVRagged(t *testing.T) {
 	}
 }
 
-// TestIndexVMixedRadices exercises WithRadices through the V path.
+// TestIndexVMixedRadices exercises WithRadices through the ragged path.
 func TestIndexVMixedRadices(t *testing.T) {
 	const n = 12
-	m := MustNewMachine(n)
-	in := raggedIndexInput(n)
-	out, _, err := m.IndexV(in, WithRadices([]int{2, 3, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				t.Fatalf("out[%d][%d] != in[%d][%d]", i, j, j, i)
-			}
-		}
-	}
+	rin, rout, _ := mustRagged(t, MustNewMachine(n), Index, raggedIndexInput(n), WithRadices([]int{2, 3, 2}))
+	checkIndex(t, n, rin, rout)
 }
 
 // TestConcatVRagged drives the public ragged concatenation, including
@@ -174,8 +160,7 @@ func TestConcatVRagged(t *testing.T) {
 		for _, n := range []int{2, 9, 16} {
 			in := make([][]byte, n)
 			for i := range in {
-				ln := (i * 5) % 23
-				in[i] = make([]byte, ln)
+				in[i] = make([]byte, (i*5)%23)
 				for x := range in[i] {
 					in[i][x] = byte(i*61 + x*13)
 				}
@@ -189,17 +174,8 @@ func TestConcatVRagged(t *testing.T) {
 				{"auto", []CollectiveOption{WithAuto(SP1)}},
 			} {
 				m := MustNewMachine(n, WithTransport(backend))
-				out, rep, err := m.ConcatV(in, tc.opts...)
-				if err != nil {
-					t.Fatalf("%v n=%d %s: %v", backend, n, tc.name, err)
-				}
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						if !bytes.Equal(out[i][j], in[j]) {
-							t.Fatalf("%v n=%d %s: out[%d][%d] != in[%d]", backend, n, tc.name, i, j, j)
-						}
-					}
-				}
+				rin, rout, rep := mustRagged(t, m, Concat, [][][]byte{in}, tc.opts...)
+				checkConcat(t, n, rin, rout)
 				counts := make([]int, n)
 				for i := range counts {
 					counts[i] = len(in[i])
@@ -212,21 +188,15 @@ func TestConcatVRagged(t *testing.T) {
 	}
 }
 
-// TestIndexVFlatOnGroup runs the zero-copy ragged path on a strict
-// subgroup of the machine.
+// TestIndexVFlatOnGroup runs the ragged index on a strict subgroup of
+// the machine.
 func TestIndexVFlatOnGroup(t *testing.T) {
 	m := MustNewMachine(9)
 	g, err := m.NewGroup([]int{1, 3, 4, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := [][]int{
-		{2, 0, 7, 1},
-		{3, 5, 0, 2},
-		{0, 1, 4, 6},
-		{8, 2, 3, 0},
-	}
-	l, err := NewIndexLayout(counts)
+	l, err := NewIndexLayout([][]int{{2, 0, 7, 1}, {3, 5, 0, 2}, {0, 1, 4, 6}, {8, 2, 3, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,24 +204,12 @@ func TestIndexVFlatOnGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := NewRaggedBuffers(l.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := in.Bytes()
-	for x := range data {
+	for x, data := 0, in.Bytes(); x < len(data); x++ {
 		data[x] = byte(x*17 + 1)
 	}
-	if _, err := m.IndexVFlat(in, out, OnGroup(g)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if !bytes.Equal(out.Block(i, j), in.Block(j, i)) {
-				t.Fatalf("out.Block(%d,%d) != in.Block(%d,%d)", i, j, j, i)
-			}
-		}
-	}
+	out := raggedOut(t, Index, in)
+	mustRun(t, m, Index, in, out, OnGroup(g))
+	checkIndex(t, 4, in, out)
 }
 
 // TestRunPlansMixedUniformAndRagged is the serving scenario at API
@@ -267,25 +225,13 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	uni, err := m.CompileIndex(16, OnGroup(gU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	uin, _ := NewIndexBuffers(4, 16)
-	uout, _ := NewIndexBuffers(4, 16)
-	for x, data := 0, uin.Bytes(); x < len(data); x++ {
-		data[x] = byte(x*5 + 2)
-	}
+	uin, uout := input(t, 4, 4, 16, 2), mustBuffers(t, 4, 4, 16)
+	uni := mustCompile(t, m, Index, uin, OnGroup(gU))
 	if err := uni.Bind(uin, uout); err != nil {
 		t.Fatal(err)
 	}
-
-	l, err := NewConcatLayout([]int{12, 0, 5, 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rag, err := m.CompileConcatV(l, OnGroup(gR))
+	counts := []int{12, 0, 5, 33}
+	l, err := NewConcatLayout(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +239,17 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for x, data := 0, rin.Bytes(); x < len(data); x++ {
+		data[x] = byte(x*9 + 4)
+	}
+	rag := mustCompile(t, m, Concat, rin, OnGroup(gR))
 	rout, err := NewRaggedBuffers(rag.OutLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for x, data := 0, rin.Bytes(); x < len(data); x++ {
-		data[x] = byte(x*9 + 4)
-	}
 	if err := rag.BindV(rin, rout); err != nil {
 		t.Fatal(err)
 	}
-
 	reports, err := m.RunPlans([]*Plan{uni, rag})
 	if err != nil {
 		t.Fatal(err)
@@ -311,17 +257,9 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	if len(reports) != 2 {
 		t.Fatalf("got %d reports, want 2", len(reports))
 	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if !bytes.Equal(uout.Block(i, j), uin.Block(j, i)) {
-				t.Fatalf("uniform plan: out.Block(%d,%d) wrong", i, j)
-			}
-			if !bytes.Equal(rout.Block(i, j), rin.Block(j, 0)) {
-				t.Fatalf("ragged plan: out.Block(%d,%d) wrong", i, j)
-			}
-		}
-	}
-	if reports[1].C2LowerBound != lowerbound.ConcatVVolume([]int{12, 0, 5, 33}, 1) {
+	checkIndex(t, 4, uin, uout)
+	checkConcat(t, 4, rin, rout)
+	if reports[1].C2LowerBound != lowerbound.ConcatVVolume(counts, 1) {
 		t.Errorf("ragged report lower bound %d wrong", reports[1].C2LowerBound)
 	}
 }
@@ -329,66 +267,62 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 // TestIndexVShapeErrors pins the user-facing validation.
 func TestIndexVShapeErrors(t *testing.T) {
 	m := MustNewMachine(4)
-	if _, _, err := m.IndexV([][][]byte{{{1}}, {{1}}}); err == nil {
-		t.Error("IndexV accepted a 2x1 matrix on a 4-processor world")
+	small, err := FromRaggedMatrix([][][]byte{{{1}}, {{1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.IndexVFlat(nil, nil); err == nil {
-		t.Error("IndexVFlat accepted nil buffers")
+	if _, err := m.Run(Index, small, raggedOut(t, Index, small)); err == nil {
+		t.Error("Run accepted a 2x1 ragged matrix on a 4-processor world")
+	}
+	if _, err := m.Run(Index, (*RaggedBuffers)(nil), (*RaggedBuffers)(nil)); err == nil {
+		t.Error("Run accepted nil ragged buffers")
 	}
 	l, _ := NewIndexLayout([][]int{{1, 2}, {3, 4}})
 	in, _ := NewRaggedBuffers(l)
 	badOut, _ := NewRaggedBuffers(l) // not the transpose
 	g, _ := m.NewGroup([]int{0, 1})
-	if _, err := m.IndexVFlat(in, badOut, OnGroup(g)); err == nil {
-		t.Error("IndexVFlat accepted a non-transposed output layout")
+	if _, err := m.Run(Index, in, badOut, OnGroup(g)); err == nil {
+		t.Error("Run accepted a non-transposed output layout")
 	}
-	if _, _, err := m.ConcatV([][]byte{{1}, {2, 3}}, WithConcatAlgorithm(ConcatFolklore)); err == nil {
-		t.Error("ConcatV accepted the folklore baseline on a ragged layout")
+	vec, _ := FromRaggedVector([][]byte{{1}, {2, 3}})
+	if _, err := m.Run(Concat, vec, raggedOut(t, Concat, vec), OnGroup(g), WithConcatAlgorithm(ConcatFolklore)); err == nil {
+		t.Error("Run accepted the folklore baseline on a ragged layout")
 	}
 }
 
 // TestIndexVFlatSteadyStateAllocs pins the uniform fast path to its
-// pre-refactor allocation numbers (measured 125 allocs/op for IndexFlat
-// and 124 for ConcatFlat at this configuration before the Layout
+// pre-refactor allocation numbers (measured 125 allocs/op for the index
+// and 124 for the concatenation at this configuration before the Layout
 // refactor; small headroom absorbs scheduler jitter) and bounds the
 // ragged steady state relative to the uniform one.
 func TestIndexVFlatSteadyStateAllocs(t *testing.T) {
 	const n, blockLen, runs = 16, 128, 10
 	m := MustNewMachine(n)
-
-	fin, _ := NewIndexBuffers(n, blockLen)
-	fout, _ := NewIndexBuffers(n, blockLen)
 	var opErr error
-	m.IndexFlat(fin, fout, WithRadix(2)) // warm pools and plan cache
-	flat := testing.AllocsPerRun(runs, func() {
-		if _, err := m.IndexFlat(fin, fout, WithRadix(2)); err != nil {
-			opErr = err
+	// steady warms the pools and the plan cache, then counts.
+	steady := func(op Op, in, out any, opts ...CollectiveOption) float64 {
+		m.Run(op, in, out, opts...)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := m.Run(op, in, out, opts...); err != nil {
+				opErr = err
+			}
+		})
+		if opErr != nil {
+			t.Fatal(opErr)
 		}
-	})
-	if opErr != nil {
-		t.Fatal(opErr)
+		return allocs
 	}
+	radix2 := WithRadix(2)
+	flat := steady(Index, mustBuffers(t, n, n, blockLen), mustBuffers(t, n, n, blockLen), radix2)
 	if flat > 130 {
-		t.Errorf("uniform IndexFlat fast path allocates %.0f/op, pre-refactor pin is 125 (+ headroom 130)", flat)
+		t.Errorf("uniform index fast path allocates %.0f/op, pre-refactor pin is 125 (+ headroom 130)", flat)
 	}
-
-	cin, _ := NewConcatBuffers(n, blockLen)
-	cout, _ := NewIndexBuffers(n, blockLen)
-	m.ConcatFlat(cin, cout)
-	cflat := testing.AllocsPerRun(runs, func() {
-		if _, err := m.ConcatFlat(cin, cout); err != nil {
-			opErr = err
-		}
-	})
-	if opErr != nil {
-		t.Fatal(opErr)
-	}
-	if cflat > 129 {
-		t.Errorf("uniform ConcatFlat fast path allocates %.0f/op, pre-refactor pin is 124 (+ headroom 129)", cflat)
+	if cflat := steady(Concat, mustBuffers(t, n, 1, blockLen), mustBuffers(t, n, n, blockLen)); cflat > 129 {
+		t.Errorf("uniform concat fast path allocates %.0f/op, pre-refactor pin is 124 (+ headroom 129)", cflat)
 	}
 
 	// The ragged steady state reuses the same pooled machinery; allow a
-	// 25%% margin over the uniform path for the layout bookkeeping.
+	// 25% margin over the uniform path for the layout bookkeeping.
 	counts := make([][]int, n)
 	for i := range counts {
 		counts[i] = make([]int, n)
@@ -401,24 +335,14 @@ func TestIndexVFlatSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	vin, _ := NewRaggedBuffers(l)
-	vout, _ := NewRaggedBuffers(l.Transpose())
-	m.IndexVFlat(vin, vout, WithRadix(2))
-	ragged := testing.AllocsPerRun(runs, func() {
-		if _, err := m.IndexVFlat(vin, vout, WithRadix(2)); err != nil {
-			opErr = err
-		}
-	})
-	if opErr != nil {
-		t.Fatal(opErr)
-	}
-	if ragged > flat*5/4+5 {
-		t.Errorf("ragged IndexVFlat steady state allocates %.0f/op, uniform is %.0f/op; want within 25%%", ragged, flat)
+	if ragged := steady(Index, vin, raggedOut(t, Index, vin), radix2); ragged > flat*5/4+5 {
+		t.Errorf("ragged index steady state allocates %.0f/op, uniform is %.0f/op; want within 25%%", ragged, flat)
 	}
 }
 
 // TestIndexVPlanReuseAcrossCalls checks the layout-digest cache: two
 // calls with equal layouts must not recompile (observable through the
-// plan pointer identity of CompileIndexV).
+// plan pointer identity of Compile).
 func TestIndexVPlanReuseAcrossCalls(t *testing.T) {
 	m := MustNewMachine(6)
 	counts := [][]int{
@@ -429,23 +353,22 @@ func TestIndexVPlanReuseAcrossCalls(t *testing.T) {
 		{2, 4, 6, 8, 10, 12},
 		{1, 3, 5, 7, 9, 11},
 	}
-	l1, _ := NewIndexLayout(counts)
-	l2, _ := NewIndexLayout(counts)
-	p1, err := m.CompileIndexV(l1)
-	if err != nil {
-		t.Fatal(err)
+	var plans [2]*Plan
+	for i := range plans {
+		l, _ := NewIndexLayout(counts)
+		in, err := NewRaggedBuffers(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = mustCompile(t, m, Index, in)
 	}
-	p2, err := m.CompileIndexV(l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	if plans[0] != plans[1] {
 		t.Error("equal layouts recompiled instead of hitting the cache")
 	}
-	if p1.Layout() == nil || p1.OutLayout() == nil {
+	if plans[0].Layout() == nil || plans[0].OutLayout() == nil {
 		t.Error("layout plan does not expose its layouts")
 	}
-	if fmt.Sprint(p1.Op()) != "index" {
-		t.Errorf("plan op %q, want index", p1.Op())
+	if fmt.Sprint(plans[0].Op()) != "index" {
+		t.Errorf("plan op %q, want index", plans[0].Op())
 	}
 }

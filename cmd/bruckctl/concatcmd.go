@@ -38,10 +38,7 @@ func newConcatCmd() *command {
 	fs.IntVar(&p.b, cli.FlagBytes, 4, "block size in bytes")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "concat", summary: "Sections 2/4 concat study: bounds, special range, baselines", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
+	c.exec = func(_ []string, w io.Writer) error {
 		return runConcatStudy(w, p)
 	}
 	return c

@@ -52,10 +52,7 @@ func newFiguresCmd() *command {
 	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend for trace verification: chan or slot")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "figures", summary: "structural figures 1-3/7-9 and Table 1, byte-verified", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
+	c.exec = func(_ []string, w io.Writer) error {
 		return runFiguresStudy(w, p)
 	}
 	return c

@@ -42,10 +42,7 @@ func newIndexCmd() *command {
 	fs.BoolVar(&p.csv, cli.FlagCSV, false, "emit CSV instead of an aligned table")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "index", summary: "Section 3.5 index study: figures 4-6, radix tuning", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
+	c.exec = func(_ []string, w io.Writer) error {
 		return runIndexStudy(w, p)
 	}
 	return c

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,7 +25,8 @@ import (
 
 // command is one bruckctl subcommand: its flag set (registered up
 // front, so the canonical-vocabulary test can audit it without running
-// anything) and its entry point.
+// anything) and its entry point, which dispatch calls with the
+// arguments left after parsing the flags.
 type command struct {
 	name    string
 	summary string
@@ -63,9 +65,20 @@ func dispatch(args []string, w io.Writer) error {
 		return nil
 	}
 	for _, c := range newCommands() {
-		if c.name == name {
-			return c.exec(args[1:], w)
+		if c.name != name {
+			continue
 		}
+		err := c.fs.Parse(args[1:])
+		if err == nil {
+			err = c.exec(c.fs.Args(), w)
+		}
+		if errors.Is(err, flag.ErrHelp) { // -h: the flags, which the flag set itself prints to io.Discard
+			fmt.Fprintf(w, "usage of bruckctl %s:\n", name)
+			c.fs.SetOutput(w)
+			c.fs.PrintDefaults()
+			return nil
+		}
+		return err
 	}
 	return usageError(w)
 }

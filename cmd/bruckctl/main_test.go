@@ -31,6 +31,19 @@ func TestDispatchHelpAndErrors(t *testing.T) {
 	}
 }
 
+// TestDispatchSubcommandHelp: -h on a subcommand prints its flags and
+// succeeds, as the usage text promises. (It used to print nothing and
+// fail with "flag: help requested", the flag set's output discarded.)
+func TestDispatchSubcommandHelp(t *testing.T) {
+	var sb strings.Builder
+	if err := dispatch([]string{"run", "-h"}, &sb); err != nil {
+		t.Fatalf("run -h: %v", err)
+	}
+	if !strings.Contains(sb.String(), "-op") {
+		t.Errorf("run -h does not name -op:\n%s", sb.String())
+	}
+}
+
 // TestDispatchRunTextMatchesDirectCall: the dispatcher is a thin shell
 // over the same run functions the tests pin, with no extra output.
 func TestDispatchRunTextMatchesDirectCall(t *testing.T) {

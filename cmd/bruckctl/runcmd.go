@@ -93,10 +93,7 @@ func newRunCmd() *command {
 	fs.BoolVar(&p.topoCross, "crossover-topology", false, "sweep (n, b, inter/intra ratio) and tabulate flat vs hierarchical modeled times")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "run", summary: "run one collective and report schedule measures vs bounds", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
+	c.exec = func(_ []string, w io.Writer) error {
 		p.transport, p.chaosInner, p.chaosSeed, p.stragglers = tf.Transport, tf.ChaosInner, tf.ChaosSeed, tf.Stragglers
 		return runOp(w, p)
 	}

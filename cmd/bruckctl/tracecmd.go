@@ -28,13 +28,12 @@ import (
 )
 
 func newTraceCmd() *command {
-	// The flag set registered here is the verify set (the superset);
-	// traceRun builds its own identical set per mode so the positional
-	// mode word can precede the flags.
+	// The mode word comes first: dispatch parses the flags before it, run
+	// those after it, into the same set.
 	fs := newFlagSet("trace")
-	registerTraceFlags(fs)
+	f := registerTraceFlags(fs)
 	c := &command{name: "trace", summary: "record/verify the golden schedule corpus", fs: fs}
-	c.exec = traceRun
+	c.exec = func(args []string, w io.Writer) error { return f.run(fs, args, w) }
 	return c
 }
 
@@ -57,13 +56,13 @@ func registerTraceFlags(fs *flag.FlagSet) traceFlags {
 	return f
 }
 
-func traceRun(args []string, out io.Writer) error {
+// run records or verifies the corpus; args are the mode word and the
+// flags after it.
+func (f traceFlags) run(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: bruckctl trace <record|verify> [flags]")
 	}
 	mode := args[0]
-	fs := newFlagSet("trace " + mode)
-	f := registerTraceFlags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
+
+// traceRun is one trace invocation on a fresh command: args are the
+// mode word and its flags.
+func traceRun(args []string, out io.Writer) error { return newTraceCmd().exec(args, out) }
 
 // TestRecordVerifyRoundTrip: record into a temp dir, then verify
 // against it on chan, slot and chaos — all must pass, and -perturb must

@@ -26,10 +26,7 @@ func newVetCmd() *command {
 	caseFilter := fs.String(cli.FlagCase, "", "only cases whose name contains this substring")
 	reportJSON := fs.Bool(cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "vet", summary: "statically verify the corpus's compiled plans", fs: fs}
-	c.exec = func(args []string, w io.Writer) error {
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
+	c.exec = func(_ []string, w io.Writer) error {
 		return vetRun(*caseFilter, *reportJSON, w)
 	}
 	return c

@@ -2,53 +2,94 @@ package bruck_test
 
 import (
 	"fmt"
+	"strings"
 
 	"bruck"
 )
 
-// The index operation exchanges block B[i,j] with B[j,i]: after the
-// call, processor i holds the j-th block of every other processor.
-func ExampleMachine_Index() {
+// Run executes one operation. The index exchanges block B[i,j] with
+// B[j,i]: afterwards processor i holds the i-th block of every
+// processor.
+func ExampleMachine_Run() {
 	const n = 4
 	m := bruck.MustNewMachine(n)
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = []byte(fmt.Sprintf("B[%d,%d]", i, j))
+	blocks := make([][][]byte, n)
+	for i := range blocks {
+		blocks[i] = make([][]byte, n)
+		for j := range blocks[i] {
+			blocks[i][j] = []byte(fmt.Sprintf("B[%d,%d] ", i, j))
 		}
 	}
-	out, rep, err := m.Index(in, bruck.WithRadix(2))
+	in, err := bruck.FromMatrix(blocks)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("processor 2 holds:", string(out[2][0]), string(out[2][1]), string(out[2][2]), string(out[2][3]))
+	out, err := bruck.NewIndexBuffers(n, in.BlockLen())
+	if err != nil {
+		panic(err)
+	}
+	rep, err := m.Run(bruck.Index, in, out, bruck.WithRadix(2))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("processor 2 holds:", strings.TrimSpace(string(out.Proc(2))))
 	fmt.Println("rounds:", rep.C1)
 	// Output:
 	// processor 2 holds: B[0,2] B[1,2] B[2,2] B[3,2]
 	// rounds: 2
 }
 
-// The concatenation operation makes every processor hold the
-// concatenation B[0] B[1] ... B[n-1].
-func ExampleMachine_Concat() {
+// Start runs an operation in the background; the caller computes until
+// it needs the result, and in and out belong to the operation until
+// Wait. The concatenation makes every processor hold B[0] B[1] ...
+// B[n-1].
+func ExampleMachine_Start() {
 	const n = 5
 	m := bruck.MustNewMachine(n)
-	in := make([][]byte, n)
-	for i := range in {
-		in[i] = []byte{byte('a' + i)}
-	}
-	out, rep, err := m.Concat(in)
+	in, err := bruck.NewConcatBuffers(n, 1)
 	if err != nil {
 		panic(err)
 	}
-	var held []byte
-	for _, blk := range out[3] {
-		held = append(held, blk...)
+	for i := 0; i < n; i++ {
+		in.Block(i, 0)[0] = byte('a' + i)
 	}
-	fmt.Printf("processor 3 holds %q after %d rounds\n", held, rep.C1)
+	out, err := bruck.NewIndexBuffers(n, 1)
+	if err != nil {
+		panic(err)
+	}
+	h, err := m.Start(bruck.Concat, in, out)
+	if err != nil {
+		panic(err)
+	}
+	// ... independent work overlaps the exchange here ...
+	rep, err := h.Wait()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("processor 3 holds %q after %d rounds\n", out.Proc(3), rep.C1)
 	// Output:
 	// processor 3 holds "abcde" after 3 rounds
+}
+
+// Compile returns the plan Run would execute, without running it: its
+// rounds and volume are the paper's C1 and C2, here the r = 2 and r = n
+// special cases of Section 3.3.
+func ExampleMachine_Compile() {
+	m := bruck.MustNewMachine(64)
+	in, err := bruck.NewIndexBuffers(64, 1)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range []int{2, 64} {
+		plan, err := m.Compile(bruck.Index, in, bruck.WithRadix(r))
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("r=%d: C1=%d rounds, C2=%d blocks\n", r, plan.Rounds(), plan.PredictedC2())
+	}
+	// Output:
+	// r=2: C1=6 rounds, C2=192 blocks
+	// r=64: C1=63 rounds, C2=63 blocks
 }
 
 // OptimalRadix picks the radix the linear model prefers: small radices
@@ -64,26 +105,21 @@ func ExampleOptimalRadix() {
 	// 4096-byte blocks: 64
 }
 
-// PredictIndex gives the closed-form complexity of the radix-r index
-// algorithm: the r = 2 and r = n special cases of Section 3.3.
-func ExamplePredictIndex() {
-	c1, c2 := bruck.PredictIndex(64, 1, 2, 1)
-	fmt.Printf("r=2:  C1=%d rounds, C2=%d blocks\n", c1, c2)
-	c1, c2 = bruck.PredictIndex(64, 1, 64, 1)
-	fmt.Printf("r=64: C1=%d rounds, C2=%d blocks\n", c1, c2)
-	// Output:
-	// r=2:  C1=6 rounds, C2=192 blocks
-	// r=64: C1=63 rounds, C2=63 blocks
-}
-
 // A mixed-radix schedule can beat every uniform radix at intermediate
 // message sizes; OptimalRadixSchedule finds the model optimum by
 // dynamic programming.
 func ExampleOptimalRadixSchedule() {
 	radices := bruck.OptimalRadixSchedule(bruck.SP1, 64, 4, 1)
-	c1, c2 := bruck.PredictIndexMixed(64, 4, radices, 1)
+	in, err := bruck.NewIndexBuffers(64, 4)
+	if err != nil {
+		panic(err)
+	}
+	plan, err := bruck.MustNewMachine(64).Compile(bruck.Index, in, bruck.WithRadices(radices))
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("vector:", radices)
-	fmt.Println("C1:", c1, "C2:", c2)
+	fmt.Println("C1:", plan.Rounds(), "C2:", plan.PredictedC2())
 	// Output:
 	// vector: [2 2 2 2 2 2]
 	// C1: 6 C2: 768

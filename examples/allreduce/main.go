@@ -73,15 +73,15 @@ func run(w io.Writer) error {
 		} else {
 			opts = append(opts, bruck.WithReduceAlgorithm(bruck.ReduceBruck), bruck.WithRadix(2))
 		}
-		plan, err := m.CompileReduce(bruck.AllReduceKind, blockLen, opts...)
-		if err != nil {
-			return err
-		}
 		in, err := bruck.NewIndexBuffers(workers, blockLen)
 		if err != nil {
 			return err
 		}
 		out, err := bruck.NewIndexBuffers(workers, blockLen)
+		if err != nil {
+			return err
+		}
+		plan, err := m.Compile(bruck.AllReduce, in, opts...)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func run(w io.Writer) error {
 				tn.gradient[wkr] = g
 				// Worker wkr's chunk j of its local gradient vector.
 				for j := 0; j < tn.workers; j++ {
-					bruck.PutFloat32s(tn.in.Block(wkr, j), g[j*dim:(j+1)*dim])
+					bruck.Put(tn.in.Block(wkr, j), g[j*dim:(j+1)*dim])
 				}
 			}
 		}
@@ -148,18 +148,18 @@ func verifyAverage(tn *tenant) error {
 	for wkr := 0; wkr < nw; wkr++ {
 		for j := 0; j < nw; j++ {
 			blk := tn.out.Block(wkr, j)
-			got := bruck.Float32s(blk)
+			got := bruck.Get[float32](blk)
 			for e, v := range got {
 				if v != want[j*dim+e] {
 					return fmt.Errorf("worker %d chunk %d element %d: got %g, want %g", wkr, j, e, v, want[j*dim+e])
 				}
 				got[e] = v / float32(nw)
 			}
-			bruck.PutFloat32s(blk, got)
+			bruck.Put(blk, got)
 		}
 	}
 	// Spot-check that the slab really holds averages now.
-	avg0 := bruck.Float32s(tn.out.Block(0, 0))[0]
+	avg0 := bruck.Get[float32](tn.out.Block(0, 0))[0]
 	if avg0 != want[0]/float32(nw) {
 		return fmt.Errorf("averaging did not land in the output slab: %g != %g", avg0, want[0]/float32(nw))
 	}

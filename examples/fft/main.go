@@ -13,7 +13,7 @@
 //  4. transpose       — index operation (communication),
 //  5. local n-point FFTs over the original column index.
 //
-// Both transposes go through the non-blocking IndexAsync front door,
+// Both transposes go through the non-blocking Start(bruck.Index, ...),
 // and the local work that does not depend on the exchanged data runs
 // while the network works — the twiddle table (a pure function of
 // indices) overlaps transpose 1, and the direct-DFT reference spectrum
@@ -162,7 +162,7 @@ func transposeAsync(m *bruck.Machine, local [][]complex128) (func() ([][]complex
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.IndexAsync(in, out, bruck.WithRadix(2))
+	h, err := m.Start(bruck.Index, in, out, bruck.WithRadix(2))
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@
 // ALL of B — so the processors run a concatenation on their row blocks
 // of B, then multiply.
 //
-// The broadcast goes through the non-blocking ConcatAsync front door:
+// The broadcast goes through the non-blocking Start(bruck.Concat, ...):
 // while the allgather is in flight every processor multiplies against
 // the row block of B it already owns (the partial product over its own
 // t-range needs no communication), and after Wait it folds in the
@@ -74,7 +74,7 @@ func run(w io.Writer) error {
 	}
 
 	m := bruck.MustNewMachine(n, bruck.Ports(2)) // a 2-port machine
-	h, err := m.ConcatAsync(in, out)
+	h, err := m.Start(bruck.Concat, in, out)
 	if err != nil {
 		return err
 	}

@@ -18,90 +18,79 @@ func main() {
 	}
 }
 
-// run executes both collectives, their flat-buffer twin and the
-// byte-level verifications, writing the narrative to w; the in-process
-// test drives it directly.
+// run executes both collectives and their byte-level verifications,
+// writing the narrative to w; the in-process test drives it directly.
 func run(w io.Writer) error {
 	const n = 8
 	m := bruck.MustNewMachine(n) // one-port model
 
 	// --- Index (all-to-all personalized communication) ---------------
 	// Processor i starts with blocks B[i,0..n-1]; afterwards processor
-	// i holds B[0,i], ..., B[n-1,i].
-	in := make([][][]byte, n)
-	for i := range in {
-		in[i] = make([][]byte, n)
-		for j := range in[i] {
-			in[i][j] = []byte(fmt.Sprintf("B[%d,%d]", i, j))
+	// i holds B[0,i], ..., B[n-1,i]. The block matrix is copied into one
+	// contiguous slab, which the schedule then works on in place.
+	blocks := make([][][]byte, n)
+	for i := range blocks {
+		blocks[i] = make([][]byte, n)
+		for j := range blocks[i] {
+			blocks[i][j] = []byte(fmt.Sprintf("B[%d,%d]", i, j))
 		}
 	}
-	out, rep, err := m.Index(in, bruck.WithRadix(2))
+	in, err := bruck.FromMatrix(blocks)
+	if err != nil {
+		return err
+	}
+	out, err := bruck.NewIndexBuffers(n, in.BlockLen())
+	if err != nil {
+		return err
+	}
+	rep, err := m.Run(bruck.Index, in, out, bruck.WithRadix(2))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "index with r=2 (round-optimal):", rep)
-	fmt.Fprintf(w, "  processor 3 now holds: %s %s ... %s\n", out[3][0], out[3][1], out[3][n-1])
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(out[i][j], in[j][i]) {
-				return fmt.Errorf("verification failed at out[%d][%d]", i, j)
-			}
-		}
-	}
+	fmt.Fprintf(w, "  processor 3 now holds: %s %s ... %s\n", out.Block(3, 0), out.Block(3, 1), out.Block(3, n-1))
 
-	// The same operation tuned for volume instead of rounds:
-	_, repN, err := m.Index(in, bruck.WithRadix(n))
+	// The same operation tuned for volume instead of rounds, verified on
+	// the result copied back out as slices:
+	repN, err := m.Run(bruck.Index, in, out, bruck.WithRadix(n))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "index with r=n (volume-optimal):", repN)
 	fmt.Fprintf(w, "  model times on the SP-1 profile: r=2 %.1fus, r=n %.1fus\n",
 		rep.Time(bruck.SP1)*1e6, repN.Time(bruck.SP1)*1e6)
-
-	// --- Concatenation (all-to-all broadcast) -------------------------
-	blocksIn := make([][]byte, n)
-	for i := range blocksIn {
-		blocksIn[i] = []byte(fmt.Sprintf("B[%d]", i))
-	}
-	all, crep, err := m.Concat(blocksIn)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "concatenation (circulant):", crep)
-	fmt.Fprintf(w, "  processor 5 now holds: %s %s ... %s\n", all[5][0], all[5][1], all[5][n-1])
-	for i := range all {
-		for j := range all[i] {
-			if !bytes.Equal(all[i][j], blocksIn[j]) {
-				return fmt.Errorf("verification failed at all[%d][%d]", i, j)
+	res := out.ToMatrix()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !bytes.Equal(res[i][j], blocks[j][i]) {
+				return fmt.Errorf("verification failed at out[%d][%d]", i, j)
 			}
 		}
 	}
 
-	// --- The same index, zero-copy --------------------------------------
-	// The flat API runs the identical schedule on contiguous buffers:
-	// no per-block allocations, results read through in-place views.
-	fin, err := bruck.NewIndexBuffers(n, len(in[0][0]))
+	// --- Concatenation (all-to-all broadcast) -------------------------
+	contributions := make([][]byte, n)
+	for i := range contributions {
+		contributions[i] = []byte(fmt.Sprintf("B[%d]", i))
+	}
+	cin, err := bruck.FromVector(contributions)
 	if err != nil {
 		return err
 	}
-	fout, err := bruck.NewIndexBuffers(n, len(in[0][0]))
+	all, err := bruck.NewIndexBuffers(n, cin.BlockLen())
 	if err != nil {
 		return err
 	}
+	crep, err := m.Run(bruck.Concat, cin, all)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "concatenation (circulant):", crep)
+	fmt.Fprintf(w, "  processor 5 now holds: %s %s ... %s\n", all.Block(5, 0), all.Block(5, 1), all.Block(5, n-1))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			copy(fin.Block(i, j), in[i][j])
-		}
-	}
-	frep, err := m.IndexFlat(fin, fout, bruck.WithRadix(2))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "index with r=2 (flat zero-copy):", frep)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !bytes.Equal(fout.Block(i, j), out[i][j]) {
-				return fmt.Errorf("flat/legacy mismatch at out[%d][%d]", i, j)
+			if !bytes.Equal(all.Block(i, j), contributions[j]) {
+				return fmt.Errorf("verification failed at all[%d][%d]", i, j)
 			}
 		}
 	}

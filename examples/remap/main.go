@@ -45,34 +45,30 @@ func run(w io.Writer) error {
 
 	// Block layout: processor i owns rows [i*rowsPer, (i+1)*rowsPer).
 	// In the cyclic layout, row t belongs to processor t mod n at local
-	// row slot t / n. Block B[i][j] therefore carries all rows of
+	// row slot t / n. Block (i, j) therefore carries all rows of
 	// processor i whose destination is processor j, in increasing row
-	// order.
-	in := make([][][]byte, n)
-	for i := 0; i < n; i++ {
-		in[i] = make([][]byte, n)
-		for j := 0; j < n; j++ {
-			var blk []byte
-			for t := i * rowsPer; t < (i+1)*rowsPer; t++ {
-				if t%n != j {
-					continue
-				}
-				row := make([]byte, stride*4)
-				for e := 0; e < stride; e++ {
-					binary.LittleEndian.PutUint32(row[e*4:], data[t*stride+e])
-				}
-				blk = append(blk, row...)
-			}
-			in[i][j] = blk
+	// order. With rows = n*n that is exactly rowsPer/n = 1 row for every
+	// destination, so blocks are equal-size as the index operation
+	// requires.
+	in, err := bruck.NewIndexBuffers(n, rowsPer/n*stride*4)
+	if err != nil {
+		return err
+	}
+	out, err := bruck.NewIndexBuffers(n, in.BlockLen())
+	if err != nil {
+		return err
+	}
+	for t := 0; t < rows; t++ {
+		// Row t is the ((t mod rowsPer) / n)-th row its owner sends to t mod n.
+		blk := in.Block(t/rowsPer, t%n)[(t%rowsPer)/n*stride*4:]
+		for e := 0; e < stride; e++ {
+			binary.LittleEndian.PutUint32(blk[e*4:], data[t*stride+e])
 		}
 	}
-	// With rows = n*n, every processor sends exactly rowsPer/n = 1 row
-	// to every destination, so blocks are equal-size as the index
-	// operation requires.
 
 	m := bruck.MustNewMachine(n)
 	r := bruck.OptimalRadix(bruck.SP1, n, stride*4, 1, true)
-	out, rep, err := m.Index(in, bruck.WithRadix(r))
+	rep, err := m.Run(bruck.Index, in, out, bruck.WithRadix(r))
 	if err != nil {
 		return err
 	}
@@ -80,13 +76,13 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  tuned power-of-two radix: %d, schedule: %s\n", r, rep)
 
 	// Verify: processor j's cyclic rows are t = j, j+n, j+2n, ...;
-	// out[j][i] carries the rows that came from processor i, i.e. the
+	// out.Block(j, i) carries the rows that came from processor i, i.e. the
 	// t in that list with t/rowsPer == i, ordered increasingly.
 	for j := 0; j < n; j++ {
 		for slot := 0; slot < rowsPer; slot++ {
 			t := j + slot*n
 			src := t / rowsPer
-			// Position of row t within block out[j][src]: among rows
+			// Position of row t within block (j, src): among rows
 			// owned by src destined to j, ordered by t.
 			pos := 0
 			for tt := src * rowsPer; tt < t; tt++ {
@@ -94,7 +90,7 @@ func run(w io.Writer) error {
 					pos++
 				}
 			}
-			blk := out[j][src]
+			blk := out.Block(j, src)
 			for e := 0; e < stride; e++ {
 				got := binary.LittleEndian.Uint32(blk[(pos*stride+e)*4:])
 				if got != data[t*stride+e] {

@@ -65,14 +65,13 @@ func run(w io.Writer) error {
 		}
 		var plan *bruck.Plan
 		if tenant < 2 {
-			plan, err = m.CompileIndex(blockLen, bruck.OnGroup(g), bruck.WithRadix(2))
-			if err != nil {
-				return err
-			}
 			if uniIns[tenant], err = bruck.NewIndexBuffers(perGroup, blockLen); err != nil {
 				return err
 			}
 			if uniOuts[tenant], err = bruck.NewIndexBuffers(perGroup, blockLen); err != nil {
+				return err
+			}
+			if plan, err = m.Compile(bruck.Index, uniIns[tenant], bruck.OnGroup(g), bruck.WithRadix(2)); err != nil {
 				return err
 			}
 			if err := plan.Bind(uniIns[tenant], uniOuts[tenant]); err != nil {
@@ -83,11 +82,10 @@ func run(w io.Writer) error {
 			if lerr != nil {
 				return lerr
 			}
-			plan, err = m.CompileConcatV(layout, bruck.OnGroup(g), bruck.WithAuto(bruck.SP1))
-			if err != nil {
+			if ragIn, err = bruck.NewRaggedBuffers(layout); err != nil {
 				return err
 			}
-			if ragIn, err = bruck.NewRaggedBuffers(layout); err != nil {
+			if plan, err = m.Compile(bruck.Concat, ragIn, bruck.OnGroup(g), bruck.WithAuto(bruck.SP1)); err != nil {
 				return err
 			}
 			if ragOut, err = bruck.NewRaggedBuffers(plan.OutLayout()); err != nil {

@@ -43,46 +43,46 @@ func run(w io.Writer) error {
 		}
 	}
 
-	// Build the index input: B[i][j] is the tile of processor i destined
-	// for processor j: rows of i, columns [j*rowsPer, (j+1)*rowsPer).
-	in := make([][][]byte, n)
+	// Build the index input: block (i, j) is the tile of processor i for
+	// processor j: rows of i, columns [j*rowsPer, (j+1)*rowsPer).
+	tileLen := rowsPer * rowsPer * 8
+	in, err := bruck.NewIndexBuffers(n, tileLen)
+	if err != nil {
+		return err
+	}
+	out, err := bruck.NewIndexBuffers(n, tileLen)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < n; i++ {
-		in[i] = make([][]byte, n)
 		for j := 0; j < n; j++ {
-			tile := make([]byte, rowsPer*rowsPer*8)
-			idx := 0
 			for r := 0; r < rowsPer; r++ {
 				for c := 0; c < rowsPer; c++ {
 					v := a[i*rowsPer+r][j*rowsPer+c]
-					binary.LittleEndian.PutUint64(tile[idx:], math.Float64bits(v))
-					idx += 8
+					binary.LittleEndian.PutUint64(in.Block(i, j)[(r*rowsPer+c)*8:], math.Float64bits(v))
 				}
 			}
-			in[i][j] = tile
 		}
 	}
 
 	m := bruck.MustNewMachine(n)
-	out, rep, err := m.Index(in, bruck.WithRadix(bruck.OptimalRadix(bruck.SP1, n, rowsPer*rowsPer*8, 1, false)))
+	rep, err := m.Run(bruck.Index, in, out, bruck.WithRadix(bruck.OptimalRadix(bruck.SP1, n, tileLen, 1, false)))
 	if err != nil {
 		return err
 	}
 
-	// Reassemble: processor i now holds out[i][j] = tile from processor
-	// j, which contains a[j*rowsPer+r][i*rowsPer+c]. Transposing each
-	// received tile locally yields rows of the transposed matrix.
+	// Reassemble: block (i, j) now holds the tile from processor j, which
+	// contains a[j*rowsPer+r][i*rowsPer+c]. Transposing each received tile
+	// locally yields rows of the transposed matrix.
 	var at [N][N]float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			tile := out[i][j]
-			idx := 0
 			for r := 0; r < rowsPer; r++ {
 				for c := 0; c < rowsPer; c++ {
-					v := math.Float64frombits(binary.LittleEndian.Uint64(tile[idx:]))
+					v := math.Float64frombits(binary.LittleEndian.Uint64(out.Block(i, j)[(r*rowsPer+c)*8:]))
 					// v = a[j*rowsPer+r][i*rowsPer+c]; it belongs at
 					// at[i*rowsPer+c][j*rowsPer+r].
 					at[i*rowsPer+c][j*rowsPer+r] = v
-					idx += 8
 				}
 			}
 		}

@@ -1,10 +1,7 @@
-// Package buffers provides the flat, contiguous data layout used by the
-// zero-copy collective paths (IndexFlat, ConcatFlat and the mixed-radix
-// variant).
+// Package buffers provides the flat, contiguous data layout every
+// collective runs on.
 //
-// The legacy API moves data as [][][]byte block matrices: one slice per
-// block, allocated on every pack, unpack, send and receive. A Buffers
-// value instead holds all blocks of all processors in a single []byte
+// A Buffers value holds all blocks of all processors in a single []byte
 // slab: processor i owns one contiguous region of blocks*blockLen
 // bytes, and block j of processor i is the sub-slice
 //
@@ -13,9 +10,8 @@
 // Proc and Block return views into the slab — never copies — so the
 // collective algorithms can pack from and unpack into caller-owned
 // memory with zero per-block allocations. The FromMatrix/ToMatrix and
-// FromVector/ToVector converters bridge to the legacy layout at the API
-// boundary (one copy each way); the legacy Index/Concat entry points are
-// thin adapters built from exactly these converters.
+// FromVector/ToVector converters bridge to [][][]byte block matrices at
+// the API boundary, one copy each way.
 //
 // RotateUp performs the cyclic block rotations of the paper's Phase 1 /
 // Phase 3 in place by triple reversal. The compiled programs address

@@ -253,46 +253,21 @@ func store[T element](b []byte, v T) {
 	}
 }
 
-// Typed element views: encode a typed vector into a byte slab and view
-// a slab back as typed elements, in the little-endian layout the
-// built-in kernels reduce over. The Put variants require dst to hold
-// exactly len(vals) elements; the decoding variants copy (a slab is
-// transport memory, not a place to alias).
-
-func put[T element](dst []byte, vals []T) {
+// Put encodes a typed vector into a byte slab in the little-endian
+// layout the built-in kernels reduce over; dst must hold exactly
+// len(vals) elements.
+func Put[T element](dst []byte, vals []T) {
 	for i, v := range vals {
 		store(dst[i*int(unsafe.Sizeof(v)):], v)
 	}
 }
 
-func get[T element](src []byte) []T {
+// Get decodes a slab as typed elements into a fresh slice (a slab is
+// transport memory, not a place to alias).
+func Get[T element](src []byte) []T {
 	out := make([]T, len(src)/int(unsafe.Sizeof(*new(T))))
 	for i := range out {
 		out[i] = load[T](src[i*int(unsafe.Sizeof(out[i])):])
 	}
 	return out
 }
-
-// PutInt32s encodes vals into dst.
-func PutInt32s(dst []byte, vals []int32) { put(dst, vals) }
-
-// Int32s decodes src as int32 elements.
-func Int32s(src []byte) []int32 { return get[int32](src) }
-
-// PutInt64s encodes vals into dst.
-func PutInt64s(dst []byte, vals []int64) { put(dst, vals) }
-
-// Int64s decodes src as int64 elements.
-func Int64s(src []byte) []int64 { return get[int64](src) }
-
-// PutFloat32s encodes vals into dst.
-func PutFloat32s(dst []byte, vals []float32) { put(dst, vals) }
-
-// Float32s decodes src as float32 elements.
-func Float32s(src []byte) []float32 { return get[float32](src) }
-
-// PutFloat64s encodes vals into dst.
-func PutFloat64s(dst []byte, vals []float64) { put(dst, vals) }
-
-// Float64s decodes src as float64 elements.
-func Float64s(src []byte) []float64 { return get[float64](src) }

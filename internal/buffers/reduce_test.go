@@ -11,8 +11,8 @@ import (
 func TestKernelInt32(t *testing.T) {
 	dst := make([]byte, 12)
 	src := make([]byte, 12)
-	PutInt32s(dst, []int32{5, -3, 7})
-	PutInt32s(src, []int32{2, -4, 9})
+	Put(dst, []int32{5, -3, 7})
+	Put(src, []int32{2, -4, 9})
 	for _, tc := range []struct {
 		op   ReduceOp
 		want []int32
@@ -27,7 +27,7 @@ func TestKernelInt32(t *testing.T) {
 			t.Fatal(err)
 		}
 		fn(d, src)
-		got := Int32s(d)
+		got := Get[int32](d)
 		for i := range tc.want {
 			if got[i] != tc.want[i] {
 				t.Errorf("%v int32: element %d = %d, want %d", tc.op, i, got[i], tc.want[i])
@@ -48,13 +48,13 @@ func TestKernelAllTypesRoundTrip(t *testing.T) {
 			for i, x := range v {
 				switch typ {
 				case Int32:
-					PutInt32s(b[i*4:], []int32{int32(x)})
+					Put(b[i*4:], []int32{int32(x)})
 				case Int64:
-					PutInt64s(b[i*8:], []int64{int64(x)})
+					Put(b[i*8:], []int64{int64(x)})
 				case Float32:
-					PutFloat32s(b[i*4:], []float32{float32(x)})
+					Put(b[i*4:], []float32{float32(x)})
 				case Float64:
-					PutFloat64s(b[i*8:], []float64{float64(x)})
+					Put(b[i*8:], []float64{float64(x)})
 				}
 			}
 		}
@@ -84,10 +84,10 @@ func TestKernelFloatSpecials(t *testing.T) {
 	}
 	dst := make([]byte, 16)
 	src := make([]byte, 16)
-	PutFloat64s(dst, []float64{math.Inf(-1), 1.5})
-	PutFloat64s(src, []float64{2.25, math.Inf(1)})
+	Put(dst, []float64{math.Inf(-1), 1.5})
+	Put(src, []float64{2.25, math.Inf(1)})
 	fn(dst, src)
-	got := Float64s(dst)
+	got := Get[float64](dst)
 	if got[0] != 2.25 || !math.IsInf(got[1], 1) {
 		t.Errorf("float64 max with infinities: %v", got)
 	}
@@ -121,26 +121,26 @@ func TestKernelUnknown(t *testing.T) {
 func TestTypedViewsRoundTrip(t *testing.T) {
 	i32 := []int32{1, -2, 1 << 30}
 	b := make([]byte, 12)
-	PutInt32s(b, i32)
-	if got := Int32s(b); got[0] != 1 || got[1] != -2 || got[2] != 1<<30 {
+	Put(b, i32)
+	if got := Get[int32](b); got[0] != 1 || got[1] != -2 || got[2] != 1<<30 {
 		t.Errorf("int32 round trip: %v", got)
 	}
 	i64 := []int64{-1 << 40, 7}
 	b = make([]byte, 16)
-	PutInt64s(b, i64)
-	if got := Int64s(b); got[0] != -1<<40 || got[1] != 7 {
+	Put(b, i64)
+	if got := Get[int64](b); got[0] != -1<<40 || got[1] != 7 {
 		t.Errorf("int64 round trip: %v", got)
 	}
 	f32 := []float32{1.5, -0.25}
 	b = make([]byte, 8)
-	PutFloat32s(b, f32)
-	if got := Float32s(b); got[0] != 1.5 || got[1] != -0.25 {
+	Put(b, f32)
+	if got := Get[float32](b); got[0] != 1.5 || got[1] != -0.25 {
 		t.Errorf("float32 round trip: %v", got)
 	}
 	f64 := []float64{math.Pi}
 	b = make([]byte, 8)
-	PutFloat64s(b, f64)
-	if got := Float64s(b); got[0] != math.Pi {
+	Put(b, f64)
+	if got := Get[float64](b); got[0] != math.Pi {
 		t.Errorf("float64 round trip: %v", got)
 	}
 }
@@ -248,8 +248,8 @@ func TestBuiltinKernelsContract(t *testing.T) {
 // a little-endian host the aligned pair takes the native loop and the
 // other three the byte-wise one (asserted through views, so neither path
 // can go unexecuted), and both must produce, bit for bit, the fold of
-// the decoded elements (get and put are all that Int32s, PutInt32s and
-// friends are) under the language's own +, min and max. The eight
+// the decoded elements (Get and Put) under the language's own +, min
+// and max. The eight
 // special values meet in all 64 pairs: integer sums wrap, and over floats
 // a NaN on either side propagates and -0 orders below +0 — a min or max
 // written as a comparison and an assignment fails here.
@@ -287,20 +287,20 @@ func differential[T element](t *testing.T, op ReduceOp, typ DataType, specials [
 				fold[i] = max(a[i], b[i])
 			}
 		}
-		put(want, fold)
+		Put(want, fold)
 		for _, at := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
 			tag := fmt.Sprintf("%v over %v, %d elements, dst at +%d, src at +%d", op, typ, n, at[0], at[1])
 			// A 16-byte-or-larger allocation is at least 8-byte aligned.
 			dst, src := make([]byte, n*size+16)[at[0]:][:n*size], make([]byte, n*size+16)[at[1]:][:n*size]
-			put(dst, a)
-			put(src, b)
+			Put(dst, a)
+			Put(src, b)
 			if _, _, native := views[T](dst, src); native != (littleEndian && at == [2]int{0, 0}) {
 				t.Fatalf("%s: native views taken = %v", tag, native)
 			}
 			before := bytes.Clone(src)
 			kernel(dst, src)
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s:\n got %v\nwant %v", tag, get[T](dst), fold)
+				t.Fatalf("%s:\n got %v\nwant %v", tag, Get[T](dst), fold)
 			}
 			if !bytes.Equal(src, before) {
 				t.Errorf("%s: the kernel writes src", tag)

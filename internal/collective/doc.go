@@ -209,15 +209,13 @@
 //
 // # Asynchronous execution (the bruck.Machine front door)
 //
-// The root package's IndexAsync, ConcatAsync and AllReduceAsync wrap
-// these plans in a non-blocking submission: the plan resolves (or
-// compiles) synchronously, the execution runs on a background
-// goroutine, and the returned bruck.Handle is the only view of the
-// running operation. The handle rules — one operation in flight per
-// Machine, the operation owns its input and output buffers until Wait
-// (or a true Test), execution errors including watchdog fencing surface
-// on Wait — are documented on bruck.Handle; a submission before Wait is
-// rejected at once (the root package's TestFacadeErrorTexts).
+// The root package's Machine.Start wraps these plans in a non-blocking
+// submission: the plan resolves (or compiles) synchronously, the
+// execution runs on a background goroutine, and the returned
+// bruck.Handle is the only view of the running operation. Its rules —
+// one operation in flight per Machine, which owns its buffers until
+// Wait, execution errors surfacing on Wait — are documented on
+// bruck.Handle; a submission before Wait is rejected at once.
 //
 // # Ragged layouts
 //

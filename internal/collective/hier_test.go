@@ -228,7 +228,7 @@ func runHierAllReduce(t *testing.T, e *mpsim.Engine, n int, topo *costmodel.Topo
 				want[j][x] += vals[x]
 			}
 			blk := make([]byte, b)
-			buffers.PutInt32s(blk, vals)
+			buffers.Put(blk, vals)
 			in[i][j] = blk
 		}
 	}
@@ -248,7 +248,7 @@ func runHierAllReduce(t *testing.T, e *mpsim.Engine, n int, topo *costmodel.Topo
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			wantBlk := make([]byte, b)
-			buffers.PutInt32s(wantBlk, want[j])
+			buffers.Put(wantBlk, want[j])
 			if !bytes.Equal(out[i][j], wantBlk) {
 				t.Fatalf("%s: out[%d][%d] is not the elementwise sum", tag, i, j)
 			}

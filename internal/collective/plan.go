@@ -138,9 +138,6 @@ func (pl *Plan) Layout() *blocks.Layout { return pl.layout }
 // nil for a classic plan.
 func (pl *Plan) OutLayout() *blocks.Layout { return pl.outLayout }
 
-// OutBlocks returns the block count of the root's output region.
-func (pl *Plan) OutBlocks() int { return pl.blocks(regOut, pl.root) }
-
 // result builds the Result of one execution of this plan.
 func (pl *Plan) result(m *mpsim.Metrics) *Result {
 	res := resultFrom(m)
@@ -252,9 +249,6 @@ func (pl *Plan) Bind(in, out *buffers.Buffers) error {
 	pl.in, pl.out = in, out
 	return nil
 }
-
-// Bound returns the buffers attached by Bind, or nils.
-func (pl *Plan) Bound() (in, out *buffers.Buffers) { return pl.in, pl.out }
 
 // Execute runs the compiled schedule on its engine with the given
 // buffers: for index plans out.Block(i, j) ends up equal to
@@ -405,9 +399,6 @@ func (pl *Plan) BindV(in, out *buffers.Ragged) error {
 	pl.vin, pl.vout = in, out
 	return nil
 }
-
-// BoundV returns the ragged buffers attached by BindV, or nils.
-func (pl *Plan) BoundV() (in, out *buffers.Ragged) { return pl.vin, pl.vout }
 
 // ExecutePlans runs several compiled plans concurrently inside one
 // engine run. The plans must all belong to engine e, have pairwise

@@ -55,8 +55,6 @@ const (
 	AllReduceKind
 )
 
-func (k ReduceKind) String() string { return k.Op().String() }
-
 // Op returns the Spec operation of the kind.
 func (k ReduceKind) Op() Op {
 	if k == ReduceScatterKind {

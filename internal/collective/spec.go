@@ -171,6 +171,11 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 		s.Layout = nil
 	}
 	s.Root = 0
+	if s.Auto != nil { // checked before a topology auto drops it for topoPriced
+		if err := s.Auto.Validate(); err != nil {
+			return fmt.Errorf("collective: auto dispatch: %w", err)
+		}
+	}
 	switch {
 	case s.Hierarchical && s.Topology == nil:
 		return fmt.Errorf("collective: hierarchical schedule requires a topology (a machine created with WithTopology)")
@@ -197,6 +202,8 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 		s.Concat, s.Reduce = ConcatOptions{}, ReduceOptions{}
 		o := &s.Index
 		switch {
+		case o.Segments < AutoSegments:
+			return fmt.Errorf("collective: segment count %d out of range (0 or 1 is monolithic, AutoSegments is -1)", o.Segments)
 		case !single:
 			*o, s.Radices = IndexOptions{}, nil
 		case s.Radices != nil:
@@ -247,6 +254,8 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 			o.LastRound = 0 // no concatenation phase
 		}
 		switch {
+		case o.Segments < AutoSegments:
+			return fmt.Errorf("collective: segment count %d out of range (0 or 1 is monolithic, AutoSegments is -1)", o.Segments)
 		case !single:
 			o.Algorithm, o.Radix, o.Segments = ReduceRing, 0, 0
 		case o.Algorithm == ReduceBruck:

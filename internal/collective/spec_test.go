@@ -42,6 +42,7 @@ func TestSpecRejections(t *testing.T) {
 	topo, _ := costmodel.ParseTopology("3x2")
 	sum, _ := buffers.Kernel(buffers.Sum, buffers.Int32)
 	int32s := ReduceOptions{Kernel: sum, ElemSize: 4, KernelKey: "sum/int32"}
+	negated := costmodel.Profile{Name: "negated", Beta: -1, Tau: -2}
 	flat := func(procs, blocks, blockLen int) *buffers.Buffers {
 		b, err := buffers.New(procs, blocks, blockLen)
 		if err != nil {
@@ -100,6 +101,14 @@ func TestSpecRejections(t *testing.T) {
 			"collective: recursive halving requires a power-of-two group size, got 6"},
 		{"reduce radix out of range", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: ReduceBruck, Radix: 9}},
 			"collective: reduce radix 9 out of range [2, 6]"},
+		{"negative segments", world, Spec{Index: IndexOptions{Segments: -5}},
+			"collective: segment count -5 out of range (0 or 1 is monolithic, AutoSegments is -1)"},
+		{"negative reduce segments", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: ReduceBruck, Segments: -7}},
+			"collective: segment count -7 out of range (0 or 1 is monolithic, AutoSegments is -1)"},
+		{"invalid auto profile", world, Spec{Op: OpAllReduce, BlockLen: 4, Reduce: int32s, Auto: &negated},
+			`collective: auto dispatch: costmodel: profile "negated" has negative parameters (beta=-1, tau=-2)`},
+		{"invalid auto profile under a topology", world, Spec{Op: OpConcat, BlockLen: 4, Topology: topo, Auto: &negated},
+			`collective: auto dispatch: costmodel: profile "negated" has negative parameters (beta=-1, tau=-2)`},
 	}
 	cache := NewPlanCache()
 	for _, tc := range cases {
