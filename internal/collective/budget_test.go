@@ -104,30 +104,30 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 76, 4, 4096, 8320},
-		{"concat/flat", concat, compilePerCall, 84, 4, 1920, 3968},
-		{"index/plan-reuse", index, planReuse, 68, 4, 4096, 8320},
+		{"index/flat", index, compilePerCall, 14, 4, 4096, 8320},
+		{"concat/flat", concat, compilePerCall, 22, 4, 1920, 3968},
+		{"index/plan-reuse", index, planReuse, 6, 4, 4096, 8320},
 		{"index/compile-only", index, compileOnly, 8, 4, 4096, 8320},
-		{"concat/plan-reuse", concat, planReuse, 68, 4, 1920, 3968},
-		{"indexv/ragged-bruck", indexV, planReuse, 68, 4, 4096, 10730},
-		{"indexv/ragged-auto", indexVAuto, planReuse, 69, 6, 3072, 8682},
-		{"concatv/ragged-circulant", concatV, planReuse, 68, 4, 1815, 4671},
-		{"runplans/concurrent-2x8", halves, concurrent, 85, 3, 1536, 1600},
-		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 70, 15, 1920, 2176},
-		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 68, 4, 1920, 6016},
-		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 68, 4, 4096, 10240},
-		{"allreduce/auto", auto, planReuse, 69, 8, 3840, 9856},
-		{"allreduce/ring-16k", ring16k, planReuse, 71, 19, 491520, 770048},
-		{"index/mono", sized(index, 0), planReuse, 68, 4, 2097152, 4259840},
-		{"index/s4", sized(index, 4), planReuse, 69, 7, 917504, 4259840},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 69, 8, 3080192, 7208960},
-		{"allreduce/s4", sized(allreduce, 4), planReuse, 70, 11, 1900544, 7208960},
-		{"index/flat-4x4", on(index, false), planReuse, 71, 4, 4096, 8320},
-		{"concat/flat-4x4", on(concat, false), planReuse, 71, 4, 1920, 3968},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 73, 8, 6016, 14080},
-		{"index/hier-4x4", on(index, true), planReuse, 78, 10, 17920, 31872},
-		{"concat/hier-4x4", on(concat, true), planReuse, 88, 7, 6528, 12672},
-		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 78, 12, 24576, 26624},
+		{"concat/plan-reuse", concat, planReuse, 6, 4, 1920, 3968},
+		{"indexv/ragged-bruck", indexV, planReuse, 6, 4, 4096, 10730},
+		{"indexv/ragged-auto", indexVAuto, planReuse, 6, 6, 3072, 8682},
+		{"concatv/ragged-circulant", concatV, planReuse, 6, 4, 1815, 4671},
+		{"runplans/concurrent-2x8", halves, concurrent, 20, 3, 1536, 1600},
+		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 6, 15, 1920, 2176},
+		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 6, 4, 1920, 6016},
+		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 6, 4, 4096, 10240},
+		{"allreduce/auto", auto, planReuse, 6, 8, 3840, 9856},
+		{"allreduce/ring-16k", ring16k, planReuse, 6, 19, 491520, 770048},
+		{"index/mono", sized(index, 0), planReuse, 6, 4, 2097152, 4259840},
+		{"index/s4", sized(index, 4), planReuse, 6, 7, 917504, 4259840},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 6, 8, 3080192, 7208960},
+		{"allreduce/s4", sized(allreduce, 4), planReuse, 6, 11, 1900544, 7208960},
+		{"index/flat-4x4", on(index, false), planReuse, 7, 4, 4096, 8320},
+		{"concat/flat-4x4", on(concat, false), planReuse, 7, 4, 1920, 3968},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 7, 8, 6016, 14080},
+		{"index/hier-4x4", on(index, true), planReuse, 10, 10, 17920, 31872},
+		{"concat/hier-4x4", on(concat, true), planReuse, 22, 7, 6528, 12672},
+		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 10, 12, 24576, 26624},
 	}
 }
 

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"runtime"
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
@@ -300,21 +299,8 @@ func (pl *Plan) body(in, out slab) func(*mpsim.Proc) error {
 		f := newFrame(p, pl, pl.prog, nil, me)
 		f.reg[regIn] = region{pl.prog.shapeOf(regIn, me), in.Proc(me)}
 		f.reg[regOut] = region{pl.prog.shapeOf(regOut, me), out.Proc(me)}
-		prestack()
 		return rankErr(me, f.run())
 	}
-}
-
-// prestack grows the rank goroutine's 2 KiB starting stack to the 4 KiB
-// the path down to the engine round needs, here in a leaf three frames
-// deep: left to the first round it happens under twice the frames, and
-// runtime.newstack measured 21% of an n=16 b=128 index's CPU, not 7.5%.
-// It adds no depth: the next growth, to 8 KiB, is under 1 KiB further.
-//
-//go:noinline
-func prestack() {
-	var pad [1024]byte
-	runtime.KeepAlive(&pad)
 }
 
 // rankErr names the group rank a run failed on.

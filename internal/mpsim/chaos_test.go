@@ -133,6 +133,7 @@ func TestChaosSlotInnerDeadlockReuseFenced(t *testing.T) {
 	e := MustNew(n,
 		WithChaos(ChaosConfig{Inner: BackendSlot, Seed: 3, Stragglers: []int{2}}),
 		Watchdog(100*time.Millisecond))
+	stuck := e.cur
 	err := e.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
 			return nil
@@ -143,7 +144,6 @@ func TestChaosSlotInnerDeadlockReuseFenced(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
-	stuck := e.live
 
 	for rep := 0; rep < 3; rep++ {
 		err := e.Run(func(p *Proc) error {
@@ -167,9 +167,9 @@ func TestChaosSlotInnerDeadlockReuseFenced(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for stuck.Load() != 0 {
+	for stuck.live.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d zombie goroutines still alive after fence", stuck.Load())
+			t.Fatalf("%d zombie goroutines still alive after fence", stuck.live.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -185,6 +185,7 @@ func TestChaosAbandonWakesSleepers(t *testing.T) {
 		WithChaos(ChaosConfig{Seed: 9, MaxDelay: time.Hour}),
 		Watchdog(100*time.Millisecond))
 	start := time.Now()
+	stuck := e.cur
 	err := e.Run(func(p *Proc) error {
 		me := p.Rank()
 		_, err := p.SendRecv(1-me, []byte{byte(me)}, 1-me)
@@ -196,11 +197,10 @@ func TestChaosAbandonWakesSleepers(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("watchdog took %v to return", elapsed)
 	}
-	stuck := e.live
 	deadline := time.Now().Add(5 * time.Second)
-	for stuck.Load() != 0 {
+	for stuck.live.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sleepers still alive after fence: Abandon did not interrupt the pause", stuck.Load())
+			t.Fatalf("%d sleepers still alive after fence: Abandon did not interrupt the pause", stuck.live.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -10,10 +10,11 @@
 // processors and simultaneously receive up to k messages from k other
 // processors.
 //
-// The simulator runs one goroutine per processor. Algorithms are written
-// in SPMD style: Engine.Run invokes the same body on every Proc, and the
-// i-th communication call issued by a processor belongs to communication
-// round i. The engine enforces the k-port constraint per round, checks
+// The simulator runs each processor on a worker goroutine of its own,
+// started on the first run that claims the rank and parked between runs.
+// Algorithms are written in SPMD style: Engine.Run invokes the same body
+// on every Proc, and the i-th communication call issued by a processor
+// belongs to communication round i. The engine enforces the k-port constraint per round, checks
 // that matching sends and receives agree on the round number (when
 // validation is enabled), and records the two complexity measures used
 // throughout the paper:
@@ -68,7 +69,7 @@
 // state with no per-message allocations; Proc.AcquireBuf scans a few
 // free-list entries so mixed-size rounds do too. Proc.AcquireBuf
 // and Proc.ReleaseBuf expose the same pools to algorithm bodies for
-// round scratch space. Each pool is owned by one processor goroutine;
+// round scratch space. Each pool is owned by one processor's worker;
 // the engine goroutine touches pools only between runs. One release
 // per acquire, no use after release, no escape: the collective
 // interpreter, the one caller outside this package, is held to it by
@@ -78,7 +79,7 @@
 //
 // Engine.RunPrograms executes several independent SPMD programs in one
 // run: each Program names its member ranks and its body, member sets
-// must be pairwise disjoint, unclaimed ranks spawn no goroutine, and
+// must be pairwise disjoint, unclaimed ranks' workers stay parked, and
 // every program records into its own Metrics (returned in program
 // order). The k-port constraint remains per processor; the
 // round-uniformity check applies per program, so programs with
@@ -91,29 +92,38 @@
 //
 // # Run lifecycle
 //
+// A run hands each claimed rank's worker its Proc, reset from the
+// engine's one reusable run descriptor, and waits for the last body to
+// return. Each Proc records its sends into a metrics shard of its own,
+// without a lock; when every body has returned, the shards of each
+// program merge into that program's Metrics, which nothing writes again.
+//
 // Every Run gets a generation number, stamped on each Proc and each
 // message; receivers reject messages from another generation. A run
 // whose processors all returned may leave undelivered messages in the
-// transport; the next Run drains them first, recycling their payload
-// buffers into the destination pools.
+// transport — it sent more than it received — and the next Run drains
+// them first, recycling their payload buffers into the destination
+// pools. A run that left none skips the drain.
 //
 // A processor that returns an error or panics abandons the run's
 // transport at once: peers blocked on a message it will never send wake
 // with an error and exit, so the run ends in the time the failure took,
 // not at the watchdog. The run returns the errors of the processors
 // that failed by themselves — what the woken peers report is dropped —
-// and the next Run proceeds on a fresh transport with the same pools
-// (every goroutine has returned). One program's failure ends every
+// and the next Run proceeds on a fresh transport with the same workers
+// and pools (every body has returned). One program's failure ends every
 // program of a RunPrograms call: they share the transport.
 //
 // A run that the watchdog declares deadlocked still has processors
 // blocked in sends or receives, so the engine fences it: the transport
 // is abandoned the same way, so the zombies exit rather than leak, and
-// the next Run proceeds on a fresh transport and fresh pools. Zombies
-// keep references only to the orphaned instances, so they can neither
-// race with later runs nor leak stale messages into them, at the cost
-// of losing the pools' warm steady state on that (already exceptional)
-// path.
+// the next Run proceeds on a fresh transport, fresh pools, fresh workers
+// and a fresh run descriptor. Zombies keep references only to the
+// orphaned instances, so they can neither race with later runs nor leak
+// stale messages into them, at the cost of losing the pools' warm steady
+// state on that (already exceptional) path; each fenced worker exits
+// when its body returns. The workers outlive runs but not the Engine:
+// once its handle is unreachable, a finalizer stops them.
 //
 // # Chaos lifecycle rules
 //

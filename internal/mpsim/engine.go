@@ -3,8 +3,8 @@ package mpsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -26,7 +26,14 @@ const (
 // runs — including after a failed or deadlocked run, see Run — but not
 // for concurrent ones: a run started while another is in flight is
 // rejected.
-type Engine struct {
+//
+// Engine is a handle on the engine's state. Each rank's body runs on a
+// parked worker goroutine that outlives the run; nothing a worker or a
+// Proc reaches points back to the handle, so once the caller drops it a
+// finalizer stops the workers.
+type Engine struct{ *engine }
+
+type engine struct {
 	n        int
 	k        int
 	validate bool
@@ -48,16 +55,31 @@ type Engine struct {
 	// fresh one.
 	tr Transport
 
+	// residue is set when the last run left messages in tr (it sent more
+	// than it received): the next run drains them into the pools first.
+	residue bool
+
 	// pools[rank] is the rank-local free list of payload buffers. Each
-	// pool is touched only by the goroutine running processor rank (one
-	// Run at a time, one goroutine per rank), so no lock is needed.
-	// Senders draw payload buffers from their own pool; receivers that
-	// consume a message through ExchangeInto return the payload to their
-	// own pool. The pools persist across Runs — they are replaced, like
-	// the transport, only when a deadlocked run may still be touching
-	// them — so a reused Engine reaches a steady state with no
+	// pool is touched only by rank's worker while a run is in flight and
+	// by the engine goroutine between runs, so no lock is needed. Senders
+	// draw payload buffers from their own pool; receivers return consumed
+	// payloads to theirs. The pools persist across runs — they are
+	// replaced, like the transport, only when a deadlocked run may still
+	// be touching them — so a reused Engine reaches a steady state with no
 	// per-message allocations.
 	pools []*bufPool
+
+	// workers[rank] is the job channel of rank's parked worker, nil until
+	// a run claims the rank. A fence closes them all: each fenced worker
+	// exits when its body returns, and later runs start fresh ones.
+	workers []chan *Proc
+
+	// cur is the reusable run descriptor. A fence replaces it, so zombies
+	// of the fenced run finish on their own orphaned copy.
+	cur *run
+
+	// timer is the watchdog, created on the first run and reset by each.
+	timer *time.Timer
 
 	// gen counts Runs. Every Proc and every message carries the
 	// generation of the Run that created it, and receivers reject
@@ -65,13 +87,6 @@ type Engine struct {
 	// replacement of transport and pools this fences zombie goroutines
 	// of an abandoned run out of all later runs.
 	gen uint64
-
-	// live counts the not-yet-returned processor goroutines of the most
-	// recent run; nonzero after Run only when a watchdog deadlock
-	// abandoned them. Each Run allocates its own counter (and its
-	// goroutines decrement that one), so zombies of a fenced run cannot
-	// corrupt a later run's count.
-	live *atomic.Int64
 
 	// running is set for the length of a run, which owns everything above.
 	running atomic.Bool
@@ -82,6 +97,27 @@ type Engine struct {
 	// Metrics is nil after a multi-program run, and this lets callers
 	// distinguish that case from "never ran".
 	lastPrograms int
+}
+
+// run is the state of one engine run, reused by the next unless a fence
+// orphans it.
+type run struct {
+	procs []Proc  // procs[rank]; a rank no program claims has prog -1
+	errs  []error // errs[rank] is the error rank's body returned
+	// live counts the bodies not yet returned; the worker that brings it
+	// to zero signals done.
+	live atomic.Int64
+	done chan struct{}
+}
+
+func newRun(e *engine) *run {
+	r := &run{procs: make([]Proc, e.n), errs: make([]error, e.n), done: make(chan struct{}, 1)}
+	for i := range r.procs {
+		p := &r.procs[i]
+		p.engine, p.run, p.rank = e, r, i
+		p.shard.groupOf, p.shard.record = e.groupOf, e.record
+	}
+	return r
 }
 
 // message is one payload in flight from src to dst: the communication
@@ -166,13 +202,13 @@ func New(n int, opts ...Option) (*Engine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mpsim: processor count n = %d, want n >= 1", n)
 	}
-	e := &Engine{
+	e := &Engine{&engine{
 		n:        n,
 		k:        DefaultPorts,
 		validate: true,
 		watchdog: DefaultWatchdog,
 		backend:  BackendChan,
-	}
+	}}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -199,6 +235,9 @@ func New(n int, opts ...Option) (*Engine, error) {
 	}
 	e.tr = tr
 	e.pools = newPools(n)
+	e.workers = make([]chan *Proc, n)
+	e.cur = newRun(e.engine)
+	runtime.SetFinalizer(e, func(e *Engine) { e.stop() })
 	return e, nil
 }
 
@@ -283,9 +322,9 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		return nil, fmt.Errorf("mpsim: a run is already in flight on this engine (runs must not overlap)")
 	}
 	defer e.running.Store(false)
-	owner := make([]int, e.n) // rank -> program index, -1 for idle
-	for i := range owner {
-		owner[i] = -1
+	r := e.cur
+	for i := range r.procs {
+		r.procs[i].prog = -1
 	}
 	spawn := 0
 	for pi := range progs {
@@ -296,8 +335,8 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 			if len(progs) > 1 {
 				return nil, fmt.Errorf("mpsim: program %d claims all ranks (nil Members) in a %d-program run", pi, len(progs))
 			}
-			for r := range owner {
-				owner[r] = pi
+			for i := range r.procs {
+				r.procs[i].prog = pi
 			}
 			spawn = e.n
 			continue
@@ -305,110 +344,83 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		if len(progs[pi].Members) == 0 {
 			return nil, fmt.Errorf("mpsim: program %d has no members", pi)
 		}
-		for _, r := range progs[pi].Members {
-			if r < 0 || r >= e.n {
-				return nil, fmt.Errorf("mpsim: program %d member %d out of range [0,%d)", pi, r, e.n)
+		for _, rank := range progs[pi].Members {
+			if rank < 0 || rank >= e.n {
+				return nil, fmt.Errorf("mpsim: program %d member %d out of range [0,%d)", pi, rank, e.n)
 			}
-			if owner[r] != -1 {
-				return nil, fmt.Errorf("mpsim: rank %d belongs to programs %d and %d; programs must be disjoint", r, owner[r], pi)
+			if prev := r.procs[rank].prog; prev != -1 {
+				return nil, fmt.Errorf("mpsim: rank %d belongs to programs %d and %d; programs must be disjoint", rank, prev, pi)
 			}
-			owner[r] = pi
+			r.procs[rank].prog = pi
 			spawn++
 		}
 	}
 
-	e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
-
+	if e.residue {
+		e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
+	}
 	e.gen++
-	metrics := make([]*Metrics, len(progs))
-	for i := range metrics {
-		metrics[i] = newMetrics(e.n)
-		metrics[i].record = e.record
-		metrics[i].groupOf = e.groupOf
-	}
-	if len(progs) == 1 {
-		e.metrics = metrics[0]
-	} else {
-		e.metrics = nil
-	}
 	e.lastPrograms = len(progs)
-	live := new(atomic.Int64)
-	live.Store(int64(spawn))
-	e.live = live
-
-	procs := make([]*Proc, e.n)
-	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	wg.Add(spawn)
-	for i := 0; i < e.n; i++ {
-		pi := owner[i]
-		if pi == -1 {
+	r.live.Store(int64(spawn))
+	for i := range r.procs {
+		p := &r.procs[i]
+		if p.prog == -1 {
 			continue
 		}
-		p := &Proc{
-			engine:  e,
-			tr:      e.tr,
-			pool:    e.pools[i],
-			metrics: metrics[pi],
-			gen:     e.gen,
-			rank:    i,
+		p.tr, p.pool, p.gen, p.body = e.tr, e.pools[i], e.gen, progs[p.prog].Body
+		p.round.Store(0)
+		p.done.Store(false)
+		p.recvs = 0
+		p.shard.reset()
+		if e.workers[i] == nil {
+			e.workers[i] = make(chan *Proc, 1)
+			go work(e.workers[i])
 		}
-		procs[i] = p
-		go func(rank int, p *Proc, body func(p *Proc) error) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[rank] = fmt.Errorf("mpsim: processor %d panicked: %v", rank, r)
-				}
-				if errs[rank] != nil {
-					// Peers waiting on this rank would sit until the watchdog:
-					// wake them now.
-					p.tr.Abandon()
-				}
-				p.metrics.setFinish(rank, p.Round())
-				p.done.Store(true)
-				live.Add(-1)
-			}()
-			errs[rank] = body(p)
-		}(i, p, progs[pi].Body)
+		e.workers[i] <- p
 	}
 
-	doneCh := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(doneCh)
-	}()
-
 	if e.watchdog > 0 {
-		timer := time.NewTimer(e.watchdog)
-		defer timer.Stop()
+		if e.timer == nil {
+			e.timer = time.NewTimer(e.watchdog)
+		} else {
+			e.timer.Reset(e.watchdog)
+		}
 		select {
-		case <-doneCh:
-		case <-timer.C:
-			err := e.deadlockError(procs)
+		case <-r.done:
+			// go.mod's 1.22 timer semantics: a timer that fired as the run
+			// ended has a value waiting, which the next run must not see.
+			if !e.timer.Stop() {
+				<-e.timer.C
+			}
+		case <-e.timer.C:
+			err := e.deadlockError(r)
 			e.fence()
 			return nil, err
 		}
 	} else {
-		<-doneCh
+		<-r.done
 	}
 
-	if errors.Join(errs...) != nil {
-		// The failing ranks abandoned the transport; every goroutine has
-		// returned, so the pools stay. What woken peers report is not a
-		// cause, and one remains: the first rank to abandon had its own.
+	metrics := e.collect(r, len(progs))
+	if errors.Join(r.errs...) != nil {
+		// The failing ranks abandoned the transport; every worker has
+		// returned, so the workers and pools stay. What woken peers report
+		// is not a cause, and one remains: the first rank to abandon had
+		// its own.
 		e.tr = e.newTransport()
-		for i, err := range errs {
+		for i, err := range r.errs {
 			if errors.Is(err, errAbandoned) {
-				errs[i] = nil
+				r.errs[i] = nil
 			}
 		}
-		return nil, errors.Join(errs...)
+		err := errors.Join(r.errs...)
+		clear(r.errs)
+		return nil, err
 	}
 	if e.validate {
-		for pi, m := range metrics {
-			if err := m.uniformityError(); err != nil {
-				if len(metrics) > 1 {
+		for pi := range progs {
+			if err := r.uniformityError(pi); err != nil {
+				if len(progs) > 1 {
 					return nil, fmt.Errorf("mpsim: program %d: %w", pi, err)
 				}
 				return nil, err
@@ -418,10 +430,95 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 	return metrics, nil
 }
 
+// work is a rank's worker: it runs each Proc it is handed, then parks
+// on jobs again until the engine closes it. It reaches the engine only
+// through the Procs, never the Engine handle, so a parked worker does
+// not keep an unreachable Engine from its finalizer.
+func work(jobs <-chan *Proc) {
+	for p := range jobs {
+		p.exec()
+	}
+}
+
+// exec runs p's body for its run. A panic becomes the rank's error, and
+// an error abandons the transport at once: peers waiting on this rank
+// would otherwise sit until the watchdog. The last body to return
+// signals the run done.
+func (p *Proc) exec() {
+	r := p.run
+	defer func() {
+		if v := recover(); v != nil {
+			r.errs[p.rank] = fmt.Errorf("mpsim: processor %d panicked: %v", p.rank, v)
+		}
+		if r.errs[p.rank] != nil {
+			p.tr.Abandon()
+		}
+		// The body may reach the Engine handle (a plan does): holding it
+		// past the run would keep the handle from its finalizer.
+		p.body = nil
+		p.done.Store(true)
+		if r.live.Add(-1) == 0 {
+			r.done <- struct{}{}
+		}
+	}()
+	r.errs[p.rank] = p.body(p)
+}
+
+// collect merges the shards of a run whose bodies have all returned into
+// one Metrics per program, and notes whether the run left messages in
+// the transport.
+func (e *Engine) collect(r *run, programs int) []*Metrics {
+	metrics := make([]*Metrics, programs)
+	var sent, received int64
+	for i := range r.procs {
+		p := &r.procs[i]
+		if p.prog == -1 {
+			continue
+		}
+		if metrics[p.prog] == nil {
+			metrics[p.prog] = &Metrics{groupOf: e.groupOf}
+		}
+		metrics[p.prog].merge(&p.shard)
+		sent += p.shard.messageCount
+		received += p.recvs
+	}
+	e.residue = sent != received
+	e.metrics = nil
+	if programs == 1 {
+		e.metrics = metrics[0]
+	}
+	return metrics
+}
+
+// uniformityError reports an error if the participating processors of
+// one program finished on different round counters, which indicates a
+// misaligned SPMD schedule (a missing Skip). Processors that never
+// advanced their round counter did not take part in the operation (for
+// example processors outside the Group of a collective) and are exempt.
+func (r *run) uniformityError(prog int) error {
+	first, firstRank := -1, -1
+	for i := range r.procs {
+		p := &r.procs[i]
+		round := p.Round()
+		if p.prog != prog || round == 0 {
+			continue
+		}
+		if first == -1 {
+			first, firstRank = round, p.rank
+			continue
+		}
+		if round != first {
+			return fmt.Errorf("mpsim: misaligned schedule: p%d finished at round %d but p%d finished at round %d",
+				firstRank, first, p.rank, round)
+		}
+	}
+	return nil
+}
+
 // Metrics returns the metrics recorded by the most recent Run (or
-// single-program RunPrograms), or nil if Run has not been called or the
-// most recent run executed multiple programs — per-program metrics are
-// returned by RunPrograms itself.
+// single-program RunPrograms), or nil if Run has not been called, the
+// most recent run deadlocked or it executed multiple programs —
+// per-program metrics are returned by RunPrograms itself.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // ProgramsInLastRun returns how many programs the most recent run
@@ -430,15 +527,30 @@ func (e *Engine) ProgramsInLastRun() int { return e.lastPrograms }
 
 // fence isolates the engine from the goroutines of a deadlocked run.
 // Abandoning the transport wakes every processor blocked in a send or
-// receive with an error so it can exit; replacing the transport and the
-// buffer pools guarantees that even a processor that ignores the error
-// (or is still executing body code) only ever touches structures no
-// future run shares. The zombies' Procs keep their references to the
-// orphaned instances, so no lock is needed anywhere on this path.
+// receive with an error so it can exit; replacing the transport, the
+// buffer pools, the workers and the run descriptor guarantees that even a
+// processor that ignores the error (or is still executing body code) only
+// ever touches structures no future run shares. The zombies' Procs keep
+// their references to the orphaned instances, so no lock is needed
+// anywhere on this path.
 func (e *Engine) fence() {
 	e.tr.Abandon()
 	e.tr = e.newTransport()
 	e.pools = newPools(e.n)
+	e.stop()
+	e.cur = newRun(e.engine)
+	e.metrics = nil
+}
+
+// stop closes every worker's job channel: a parked worker exits at once,
+// one still running a body when the body returns.
+func (e *engine) stop() {
+	for i, w := range e.workers {
+		if w != nil {
+			close(w)
+			e.workers[i] = nil
+		}
+	}
 }
 
 // newTransport builds a fresh instance of the engine's backend.
@@ -454,13 +566,10 @@ func (e *Engine) newTransport() Transport {
 // deadlockError reports which processors had not finished when the
 // watchdog fired, with their current round, to make schedule bugs (a
 // missing Skip, mismatched partners) diagnosable.
-func (e *Engine) deadlockError(procs []*Proc) error {
+func (e *Engine) deadlockError(r *run) error {
 	var stuck []string
-	for _, p := range procs {
-		if p == nil {
-			continue // rank sat the run out (no program claimed it)
-		}
-		if !p.done.Load() {
+	for i := range r.procs {
+		if p := &r.procs[i]; p.prog != -1 && !p.done.Load() {
 			stuck = append(stuck, fmt.Sprintf("p%d(round %d)", p.rank, p.Round()))
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -407,7 +409,8 @@ func TestProcPanicIsReported(t *testing.T) {
 // the run at once, under the default 30 s watchdog — its peers, blocked
 // on a message it will never send, used to sit until the watchdog fired
 // and the run reported a deadlock in place of the rank's error. The
-// engine runs a clean ring shift afterwards.
+// engine runs a clean ring shift afterwards on the same workers: the
+// failing rank's worker survives its body's error or panic.
 func TestRankFailureIsPrompt(t *testing.T) {
 	boom := errors.New("boom")
 	forEachBackend(t, func(t *testing.T, b Backend) {
@@ -435,6 +438,7 @@ func TestRankFailureIsPrompt(t *testing.T) {
 			if err == nil || !fail.ok(err) || strings.Contains(err.Error(), "deadlock") {
 				t.Errorf("%s: err = %v, want the rank's own failure alone", fail.name, err)
 			}
+			workers := slices.Clone(e.workers)
 			err = e.Run(func(p *Proc) error {
 				me := p.Rank()
 				in, err := p.SendRecv((me+1)%n, []byte{byte(me)}, (me-1+n)%n)
@@ -446,8 +450,52 @@ func TestRankFailureIsPrompt(t *testing.T) {
 			if err != nil {
 				t.Errorf("ring shift after the %s: %v", fail.name, err)
 			}
+			if !slices.Equal(e.workers, workers) {
+				t.Errorf("the %s replaced the engine's workers", fail.name)
+			}
 		}
 	})
+}
+
+// settledGoroutines returns the goroutine count once collections have
+// stopped finalizing engines earlier tests dropped: it changed in none of
+// the last five polls.
+func settledGoroutines() int {
+	n, steady := runtime.NumGoroutine(), 0
+	for steady < 5 {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, steady = m, 0
+		} else {
+			steady++
+		}
+	}
+	return n
+}
+
+// TestUnreachableEngineStopsWorkers: the parked workers of an Engine
+// nothing references any more exit once the collector finalizes it,
+// also when the last run's body referenced the Engine, as a plan's does.
+func TestUnreachableEngineStopsWorkers(t *testing.T) {
+	const n = 8
+	base := settledGoroutines()
+	func() {
+		e := MustNew(n)
+		if err := e.Run(func(p *Proc) error { _ = e.N(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.NumGoroutine(); got < base+n {
+			t.Fatalf("%d goroutines after a run, want the %d before and %d parked workers", got, base, n)
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after the engine became unreachable, want %d", runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestMetricsC2PerRoundMax(t *testing.T) {

@@ -33,8 +33,6 @@ func Record(on bool) Option {
 // Events returns the recorded messages of the run sorted by (round,
 // src, dst), or nil if recording was not enabled.
 func (m *Metrics) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := append([]Event(nil), m.events...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Round != out[j].Round {

@@ -1,10 +1,5 @@
 package mpsim
 
-import (
-	"fmt"
-	"sync"
-)
-
 // Metrics records the communication activity of one Engine.Run and
 // exposes the paper's two complexity measures:
 //
@@ -13,11 +8,11 @@ import (
 //   - C2 (DataVolume): the sum over rounds of the largest message (over
 //     all ports of all processors) sent in that round.
 //
-// Metrics is safe for concurrent use by the processor goroutines during
-// a run and read-only afterwards.
+// Each Proc records its own sends into a shard of its own, so recording
+// takes no lock; the engine merges the shards into the run's Metrics
+// once every processor has returned, and the Metrics is read-only from
+// then on.
 type Metrics struct {
-	mu sync.Mutex
-
 	// rounds[i] is the largest message, in bytes, and the number of
 	// messages sent in round i.
 	rounds []roundRecord
@@ -33,8 +28,6 @@ type Metrics struct {
 	totalBytes   int64 // sum of all message sizes over all sends
 	messageCount int64 // total number of messages sent
 
-	finishRound []int // final round counter of each processor
-
 	record bool    // collect per-message events
 	events []Event // populated only when record is set
 }
@@ -47,13 +40,13 @@ func (r *roundRecord) add(size int) {
 	r.sends++
 }
 
-func newMetrics(n int) *Metrics {
-	return &Metrics{finishRound: make([]int, n)}
+func (r *roundRecord) merge(o roundRecord) {
+	r.max = max(r.max, o.max)
+	r.sends += o.sends
 }
 
+// recordSend logs one send of a run into m, a Proc's shard.
 func (m *Metrics) recordSend(rank, dst, round, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(m.rounds) <= round {
 		m.rounds = append(m.rounds, roundRecord{})
 		if m.groupOf != nil {
@@ -75,17 +68,37 @@ func (m *Metrics) recordSend(rank, dst, round, size int) {
 	}
 }
 
-func (m *Metrics) setFinish(rank, round int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finishRound[rank] = round
+// reset empties a shard for the next run, keeping its capacity.
+func (m *Metrics) reset() {
+	m.rounds, m.classRounds, m.events = m.rounds[:0], m.classRounds[:0], m.events[:0]
+	m.totalBytes, m.messageCount = 0, 0
+}
+
+// merge adds shard s to m: per round the larger of the two largest
+// messages and the sum of the sends, per link class likewise.
+func (m *Metrics) merge(s *Metrics) {
+	if grow := len(s.rounds) - len(m.rounds); grow > 0 {
+		m.rounds = append(m.rounds, make([]roundRecord, grow)...)
+		if m.groupOf != nil {
+			m.classRounds = append(m.classRounds, make([][NumLinkClasses]roundRecord, grow)...)
+		}
+	}
+	for i, r := range s.rounds {
+		m.rounds[i].merge(r)
+	}
+	for i, rs := range s.classRounds {
+		for c, r := range rs {
+			m.classRounds[i][c].merge(r)
+		}
+	}
+	m.totalBytes += s.totalBytes
+	m.messageCount += s.messageCount
+	m.events = append(m.events, s.events...)
 }
 
 // Rounds returns C1: the number of rounds in which at least one message
 // was sent. Rounds skipped by every processor do not count.
 func (m *Metrics) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c1 := 0
 	for _, r := range m.rounds {
 		if r.sends > 0 {
@@ -99,8 +112,6 @@ func (m *Metrics) Rounds() int {
 // in that round, in bytes (the paper's "amount of data transferred in a
 // sequence").
 func (m *Metrics) DataVolume() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c2 := 0
 	for _, r := range m.rounds {
 		c2 += r.max
@@ -111,8 +122,6 @@ func (m *Metrics) DataVolume() int {
 // RoundSizes returns a copy of the per-round largest message sizes, in
 // bytes, indexed by round.
 func (m *Metrics) RoundSizes() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]int, len(m.rounds))
 	for i, r := range m.rounds {
 		out[i] = r.max
@@ -122,18 +131,10 @@ func (m *Metrics) RoundSizes() []int {
 
 // TotalBytes returns the total number of payload bytes sent over all
 // messages of the run (the "total transmissions" quantity of Thm 2.7).
-func (m *Metrics) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalBytes
-}
+func (m *Metrics) TotalBytes() int64 { return m.totalBytes }
 
 // Messages returns the total number of point-to-point messages sent.
-func (m *Metrics) Messages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.messageCount
-}
+func (m *Metrics) Messages() int64 { return m.messageCount }
 
 // classRecord returns round i's record restricted to one link class.
 // Without a topology every send is ClassIntra, so that class reads the
@@ -155,8 +156,6 @@ func (m *Metrics) classRecord(i, class int) roundRecord {
 // ClassIntra, so ClassRounds(ClassIntra) equals Rounds() and
 // ClassRounds(ClassInter) is 0.
 func (m *Metrics) ClassRounds(class int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c1 := 0
 	for i := range m.rounds {
 		if m.classRecord(i, class).sends > 0 {
@@ -172,8 +171,6 @@ func (m *Metrics) ClassRounds(class int) int {
 // exactly when no round mixes link classes, which holds for the
 // hierarchical schedules (each phase is single-class).
 func (m *Metrics) ClassVolume(class int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c2 := 0
 	for i := range m.rounds {
 		c2 += m.classRecord(i, class).max
@@ -185,8 +182,6 @@ func (m *Metrics) ClassVolume(class int) int {
 // sizes of one link class, indexed by round; nil on engines without a
 // topology.
 func (m *Metrics) ClassRoundSizes(class int) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.groupOf == nil || class < 0 || class >= NumLinkClasses {
 		return nil
 	}
@@ -195,30 +190,4 @@ func (m *Metrics) ClassRoundSizes(class int) []int {
 		out[i] = m.classRounds[i][class].max
 	}
 	return out
-}
-
-// uniformityError reports an error if participating processors finished
-// on different round counters, which indicates a misaligned SPMD
-// schedule (a missing Skip). Processors that never advanced their round
-// counter did not take part in the operation (for example processors
-// outside the Group of a collective) and are exempt. Called by the
-// engine when validation is on.
-func (m *Metrics) uniformityError() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	first, firstRank := -1, -1
-	for rank, r := range m.finishRound {
-		if r == 0 {
-			continue
-		}
-		if first == -1 {
-			first, firstRank = r, rank
-			continue
-		}
-		if r != first {
-			return fmt.Errorf("mpsim: misaligned schedule: p%d finished at round %d but p%d finished at round %d",
-				firstRank, first, rank, r)
-		}
-	}
-	return nil
 }

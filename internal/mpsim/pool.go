@@ -23,9 +23,9 @@ const poolScanDepth = 4
 const poolMaxFree = 16
 
 // bufPool is a rank-local free list of payload buffers. It is owned by
-// the goroutine running that rank (one Run at a time, one goroutine per
-// rank — and the engine replaces the pools wholesale when a deadlocked
-// run may still be touching them), so no lock is needed.
+// that rank's worker (one Run at a time, one worker per rank — and the
+// engine replaces the pools wholesale when a deadlocked run may still be
+// touching them), so no lock is needed.
 type bufPool struct {
 	free [][]byte
 }

@@ -11,21 +11,26 @@ import (
 // not be shared. (The round counter and completion flag are atomic only
 // so the engine's deadlock watchdog can inspect a stuck processor.)
 //
-// A Proc holds direct references to the transport, buffer pool and
-// metrics of the Run that created it, plus that Run's generation. The
-// engine replaces the transport and pools after a deadlocked run, so a
-// zombie processor of an abandoned run keeps operating on its own
+// A Proc holds direct references to the transport, buffer pool and run
+// descriptor of the Run that handed it to its worker, plus that Run's
+// generation. The engine replaces all three after a deadlocked run, so
+// a zombie processor of an abandoned run keeps operating on its own
 // orphaned instances and can never race with — or leak a stale message
 // into — a later run.
 type Proc struct {
-	engine  *Engine
-	tr      Transport // the transport of the Run that created this Proc
-	pool    *bufPool  // this rank's buffer pool of that Run
-	metrics *Metrics  // the metrics of that Run
-	gen     uint64    // that Run's generation; stamped on every message
-	rank    int
-	round   atomic.Int64
-	done    atomic.Bool
+	engine *engine
+	run    *run              // the descriptor of the Run this Proc belongs to
+	body   func(*Proc) error // that Run's program for this rank
+	prog   int               // index of that program, -1 if the rank sits the Run out
+	tr     Transport         // the transport of that Run
+	pool   *bufPool          // this rank's buffer pool of that Run
+	gen    uint64            // that Run's generation; stamped on every message
+	rank   int
+	round  atomic.Int64
+	done   atomic.Bool
+
+	shard Metrics // this rank's sends in that Run, merged into its Metrics at join
+	recvs int64   // messages this rank received in that Run
 }
 
 // Rank returns the processor id, 0 <= rank < n.
@@ -148,7 +153,7 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			payload = p.AcquireBuf(len(s.Data))
 			copy(payload, s.Data)
 		}
-		p.metrics.recordSend(p.rank, s.To, round, len(payload))
+		p.shard.recordSend(p.rank, s.To, round, len(payload))
 		if err := p.tr.Send(p.rank, s.To, message{round: round, gen: p.gen, data: payload}); err != nil {
 			return fmt.Errorf("mpsim: p%d round %d: send to p%d: %w", p.rank, round, s.To, err)
 		}
@@ -162,6 +167,7 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 		if err != nil {
 			return fmt.Errorf("mpsim: p%d round %d: receive from p%d: %w", p.rank, round, src, err)
 		}
+		p.recvs++
 		if msg.gen != p.gen {
 			// Unreachable when the engine's fencing works: messages of an
 			// abandoned run live in an orphaned transport and residue of a

@@ -82,8 +82,8 @@ func TestRunProgramsValidation(t *testing.T) {
 	}
 }
 
-// TestRunProgramsIdleRanks leaves ranks unclaimed: they spawn no
-// goroutine and the run still completes and validates.
+// TestRunProgramsIdleRanks leaves ranks unclaimed: they run no body and
+// the run still completes and validates.
 func TestRunProgramsIdleRanks(t *testing.T) {
 	e := MustNew(6, Watchdog(5*time.Second))
 	ms, err := e.RunPrograms([]Program{{

@@ -60,7 +60,8 @@ var errAbandoned = errors.New("mpsim: run abandoned")
 // given (src, dst) pair and exactly one (processor dst's) calls Recv for
 // it, so implementations only need single-writer single-reader ordering
 // per pair. Drain is called by the engine goroutine between runs, never
-// concurrently with Send or Recv; Abandon may be called during one, by
+// concurrently with Send or Recv (the engine calls it only after a run
+// that left messages behind); Abandon may be called during one, by
 // the engine or by a failing processor.
 type Transport interface {
 	// Backend returns the identifier of this implementation.
@@ -143,7 +144,15 @@ func newChanTransport(n int) *chanTransport {
 
 func (t *chanTransport) Backend() Backend { return BackendChan }
 
+// Send and Recv try the mailbox alone first, which skips locking both
+// channels of the two-case select: in a round-aligned schedule most find
+// room or a message waiting. Only one that must block waits on abandoned.
 func (t *chanTransport) Send(src, dst int, m message) error {
+	select {
+	case t.mailbox[dst][src] <- m:
+		return nil
+	default:
+	}
 	select {
 	case t.mailbox[dst][src] <- m:
 		return nil
@@ -156,6 +165,11 @@ func (t *chanTransport) Recv(dst, src int) (message, error) {
 	select {
 	case m := <-t.mailbox[dst][src]:
 		return m, nil
+	default:
+	}
+	select {
+	case m := <-t.mailbox[dst][src]:
+		return m, nil
 	case <-t.abandoned:
 		return message{}, errAbandoned
 	}
@@ -163,16 +177,10 @@ func (t *chanTransport) Recv(dst, src int) (message, error) {
 
 func (t *chanTransport) Drain(recycle func(dst int, data []byte)) {
 	for dst := range t.mailbox {
-		for src := range t.mailbox[dst] {
-			for {
-				select {
-				case m := <-t.mailbox[dst][src]:
-					recycle(dst, m.data)
-				default:
-					goto next
-				}
+		for _, mailbox := range t.mailbox[dst] {
+			for len(mailbox) > 0 { // nothing sends while the engine drains
+				recycle(dst, (<-mailbox).data)
 			}
-		next:
 		}
 	}
 }

@@ -8,7 +8,9 @@ package mpsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -170,11 +172,12 @@ func TestDeadlockReuseFenced(t *testing.T) {
 			},
 		}
 		for round, deadlock := range deadlocks {
+			stuck := e.cur // the descriptor the fence orphans
+			workers := slices.Clone(e.workers)
 			err := e.Run(deadlock)
 			if err == nil || !strings.Contains(err.Error(), "deadlock") {
 				t.Fatalf("deadlock run %d: err = %v, want deadlock", round, err)
 			}
-			stuck := e.live // the abandoned run's goroutine counter
 
 			// Immediate reuse: an all-neighbors exchange with checked
 			// payloads. Stale messages (from the zombie sends above) or a
@@ -201,12 +204,19 @@ func TestDeadlockReuseFenced(t *testing.T) {
 				}
 			}
 
+			// The runs after the fence started workers of their own.
+			for i, w := range e.workers {
+				if w == nil || w == workers[i] {
+					t.Fatalf("deadlock run %d: rank %d ran the reuse on the fenced run's worker", round, i)
+				}
+			}
+
 			// The abandoned transport must wake the zombies so they exit
 			// rather than leak for the life of the process.
 			deadline := time.Now().Add(5 * time.Second)
-			for stuck.Load() != 0 {
+			for stuck.live.Load() != 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("deadlock run %d: %d zombie goroutines still alive after fence", round, stuck.Load())
+					t.Fatalf("deadlock run %d: %d zombie goroutines still alive after fence", round, stuck.live.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -260,11 +270,14 @@ func TestReuseAfterValidationError(t *testing.T) {
 
 // TestDrainRecyclesResidue: undelivered payload buffers of a previous
 // run must return to the destination's pool at the next Run, not leak.
+// That Run leaves the residue's pair alone, so only the run after it
+// would receive a message the drain missed.
 func TestDrainRecyclesResidue(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		e := MustNew(2, WithTransport(b), Watchdog(5*time.Second))
-		// p0 sends one 64-byte message p1 never receives; p1 skips to
-		// stay round-aligned, so the run *succeeds* with residue.
+		const n = 3
+		e := MustNew(n, WithTransport(b), Watchdog(5*time.Second))
+		// p0 sends one 64-byte message p1 never receives; the others skip
+		// to stay round-aligned, so the run *succeeds* with residue.
 		err := e.Run(func(p *Proc) error {
 			if p.Rank() == 0 {
 				_, err := p.Exchange([]Send{{To: 1, Data: make([]byte, 64)}}, nil)
@@ -279,15 +292,59 @@ func TestDrainRecyclesResidue(t *testing.T) {
 		if got := len(e.pools[1].free); got != 0 {
 			t.Fatalf("p1 pool has %d buffers before drain, want 0", got)
 		}
-		if err := e.Run(func(p *Proc) error { return nil }); err != nil {
-			t.Fatalf("trivial run: %v", err)
+		// The clean run: p0 and p2 swap a byte while p1 sits out.
+		err = e.Run(func(p *Proc) error {
+			if p.Rank() == 1 {
+				return nil
+			}
+			other := 2 - p.Rank()
+			in, err := p.SendRecv(other, []byte{byte(p.Rank())}, other)
+			if err == nil && !bytes.Equal(in, []byte{byte(other)}) {
+				err = fmt.Errorf("p%d got %v", p.Rank(), in)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("clean run: %v", err)
 		}
 		free := e.pools[1].free
 		if len(free) != 1 || cap(free[0]) < 64 {
-			t.Fatalf("p1 pool after drain = %d buffers (cap %v), want the recycled 64-byte payload",
+			t.Fatalf("p1 pool after the clean run = %d buffers (cap %v), want the recycled 64-byte payload",
 				len(free), caps(free))
 		}
+		// The check run: a ring in which p1 receives from p0.
+		err = e.Run(func(p *Proc) error {
+			me := p.Rank()
+			in, err := p.SendRecv((me+1)%n, []byte{byte(me)}, (me-1+n)%n)
+			if err == nil && !bytes.Equal(in, []byte{byte((me - 1 + n) % n)}) {
+				err = fmt.Errorf("p%d got %v", me, in)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("check run: %v", err)
+		}
 	})
+}
+
+// TestChanAbandonedFailsBlockingOps: the chan transport tries a send or
+// receive without waiting first, and once abandoned it still fails one
+// that would block — a send to a full mailbox, a receive from an empty
+// one — with errAbandoned.
+func TestChanAbandonedFailsBlockingOps(t *testing.T) {
+	tr := newChanTransport(2)
+	for i := 0; i < mailboxDepth; i++ {
+		if err := tr.Send(0, 1, message{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Abandon()
+	if err := tr.Send(0, 1, message{}); !errors.Is(err, errAbandoned) {
+		t.Errorf("Send to a full mailbox = %v, want errAbandoned", err)
+	}
+	if _, err := tr.Recv(0, 1); !errors.Is(err, errAbandoned) {
+		t.Errorf("Recv from an empty mailbox = %v, want errAbandoned", err)
+	}
 }
 
 func caps(bufs [][]byte) []int {
