@@ -1,20 +1,20 @@
 // The figures subcommand draws the structural figures and tables of
-// the paper as tables (the old cmd/figures): the processor-memory
-// configurations of Figures 1, 2 and 3 (index operation; one table per
-// snapshot, columns are processors, rows memory slots), the spanning
-// trees of Figures 7 and 8 (concatenation; one edge per row), the
-// concatenation trace of Figure 9, and the table-partitioning example
-// of Table 1 (the grid and its areas).
+// the paper as tables: the processor-memory configurations of Figures
+// 1, 2, 3 (index) and 9 (concatenation), the spanning trees of Figures
+// 7 and 8 (concatenation; one edge per row) and the table-partitioning
+// example of Table 1 (the grid and its areas).
 //
 //	bruckctl figures -fig 1|2|3|7|8|9 [-n N] [-radix R]
-//	bruckctl figures -fig 9 -transport slot   # verify the trace on the slot backend
+//	bruckctl figures -fig 9 -transport slot   # run the plan on the slot backend
 //	bruckctl figures -table 1
 //	bruckctl figures -all
 //
-// The -transport flag matches the other subcommands: figures 2, 3 and
-// 9 depict algorithm executions, and their label traces are
-// cross-checked against a byte-level run of the real schedule on the
-// selected simulator backend (the figure's verified_transport row).
+// A configuration figure is drawn from the compiled plan itself:
+// Plan.Snapshots walks its step program (the walk Plan.Check proves it
+// with) and draws every rank's in, scratch and out regions before round
+// 0 and after each round, one table per snapshot, columns processors,
+// rows blocks. The plan also runs once on the selected -transport
+// through the oracle (the figure's verified_transport row).
 package main
 
 import (
@@ -49,7 +49,7 @@ func newFiguresCmd() *command {
 	fs.IntVar(&p.n, cli.FlagN, 5, "number of processors for figures 1-3 and 9")
 	fs.IntVar(&p.r, cli.FlagRadix, 2, "radix for figure 3")
 	fs.IntVar(&p.r, cli.FlagRadixAlias, 2, "alias for -radix")
-	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend for trace verification: chan or slot")
+	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend the figure's plan runs on: chan or slot")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "figures", summary: "structural figures 1-3/7-9 and Table 1, byte-verified", fs: fs}
 	c.exec = func(_ []string, w io.Writer) error {
@@ -95,32 +95,56 @@ func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
 	kv := cli.KV(name)
 	kv.Add("n", n)
 	tables := []*cli.Table{kv}
-	// snapshots appends one table per step of a trace, after verifying the
-	// schedule it depicts on the real simulator.
-	snapshots := func(steps []trace.Step, s collective.Spec) ([]*cli.Table, error) {
-		if err := verifyOnBackend(n, backend, s); err != nil {
+	// snapshots compiles the plan the figure depicts, runs it on the
+	// selected transport and returns the configurations it passes through.
+	snapshots := func(s collective.Spec) ([]trace.Step, error) {
+		e, err := mpsim.New(n, mpsim.WithTransport(backend))
+		if err != nil {
+			return nil, err
+		}
+		pl, err := collective.Compile(e, mpsim.WorldGroup(n), s)
+		if err != nil {
+			return nil, err
+		}
+		if err := verifyOnBackend(pl, backend); err != nil {
 			return nil, err
 		}
 		kv.Add("verified_transport", backend)
+		return pl.Snapshots()
+	}
+	draw := func(steps []trace.Step, err error) ([]*cli.Table, error) {
+		if err != nil {
+			return nil, err
+		}
 		for _, st := range steps {
 			tables = append(tables, st.Config.Table(name+" "+st.Caption))
 		}
 		return tables, nil
 	}
+	index := collective.Spec{Op: collective.OpIndex, BlockLen: 2}
 	switch fig {
 	case 1:
-		return append(tables, trace.InitialIndex(n).Table(name+" before"), trace.FinalIndex(n).Table(name+" after")), nil
-	case 2, 3:
-		if fig == 2 {
-			r = n // the three phases at r = n
-		} else {
-			kv.Add("radix", r)
-		}
-		tr, err := trace.TraceIndex(n, r)
+		// The input regions before the first round, the output regions
+		// after the last: the first and last n rows of the index plan.
+		steps, err := snapshots(index)
 		if err != nil {
 			return nil, err
 		}
-		return snapshots(tr.Steps, collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}})
+		first, last := steps[0].Config.Cells, steps[len(steps)-1].Config.Cells
+		before, after := &trace.Config{}, &trace.Config{}
+		for i := range first {
+			before.Cells = append(before.Cells, first[i][:n])
+			after.Cells = append(after.Cells, last[i][len(last[i])-n:])
+		}
+		return append(tables, before.Table(name+" before"), after.Table(name+" after")), nil
+	case 2, 3:
+		if fig == 2 {
+			r = n // the index at r = n
+		} else {
+			kv.Add("radix", r)
+		}
+		index.Index.Radix = r
+		return draw(snapshots(index))
 	case 7, 8:
 		// Figure 7 is T0, figure 8 is T1: T0 with 1 added to every node
 		// label, mod 9.
@@ -142,24 +166,16 @@ func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
 		}
 		return append(tables, edges), nil
 	case 9:
-		tr, err := trace.TraceConcat(n)
-		if err != nil {
-			return nil, err
-		}
-		return snapshots(tr.Steps, collective.Spec{Op: collective.OpConcat, BlockLen: 1})
+		return draw(snapshots(collective.Spec{Op: collective.OpConcat, BlockLen: 1}))
 	}
 	return nil, fmt.Errorf("unknown figure %d (have 1, 2, 3, 7, 8, 9)", fig)
 }
 
-// verifyOnBackend runs the schedule the figure depicts on the real
-// simulator with the selected transport, through the oracle: every
-// output block against the operation's definition.
-func verifyOnBackend(n int, backend mpsim.Backend, s collective.Spec) error {
-	e, err := mpsim.New(n, mpsim.WithTransport(backend))
-	if err != nil {
-		return err
-	}
-	if _, _, err := exercise(e, s, collective.Labels); err != nil {
+// verifyOnBackend runs the plan the figure depicts once on its engine,
+// built with the selected transport, through the oracle: every output
+// block against the operation's definition.
+func verifyOnBackend(pl *collective.Plan, backend mpsim.Backend) error {
+	if _, err := collective.Exercise(pl, collective.Labels); err != nil {
 		return fmt.Errorf("verifying on %s transport: %w", backend, err)
 	}
 	return nil

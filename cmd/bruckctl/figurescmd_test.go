@@ -29,18 +29,26 @@ func TestRenderFig1(t *testing.T) {
 	}
 }
 
+// TestRenderFig2And3: figures 2 and 3 are the index plan's rounds —
+// no rotation phases; the output rows of the last snapshot are the
+// transpose.
 func TestRenderFig2And3(t *testing.T) {
 	// The figure itself used to be missing from the JSON report.
 	fig2 := render(t, 2, mpsim.BackendChan)
-	if got := strings.Join(column(t, find(t, fig2, "figure-2 after Phase 3 (local rearrangement)"), "p1"), " "); got != "01 11 21 31 41" {
+	if got := strings.Join(column(t, find(t, fig2, "figure-2 after round 3 (in 0-4, out 5-9)"), "p1"), " "); got != "10 11 12 13 14 01 11 21 31 41" {
 		t.Errorf("figure 2 ends with p1 holding %q", got)
 	}
 	fig3 := render(t, 3, mpsim.BackendChan)
 	if got := value(t, fig3, "figure-3", "radix"); got != "2" {
 		t.Errorf("figure 3 radix = %q", got)
 	}
-	for _, step := range []string{"0, step 1 (rotate 1 right)", "1, step 1 (rotate 2 right)", "2, step 1 (rotate 4 right)"} {
-		find(t, fig3, "figure-3 after subphase "+step)
+	// Round 0 lands p0's block 1 in p1's output and parks p0's block 3,
+	// bound for p3 in two hops, in p1's scratch.
+	for _, step := range []string{"before round 0", "after round 0", "after round 1", "after round 2"} {
+		find(t, fig3, "figure-3 "+step+" (in 0-4, scratch 5-9, out 10-14)")
+	}
+	if got := strings.Join(column(t, find(t, fig3, "figure-3 after round 0 (in 0-4, scratch 5-9, out 10-14)"), "p1")[5:], " "); got != "-- -- -- 03 -- 01 11 -- -- --" {
+		t.Errorf("figure 3 after round 0: p1 scratch and out hold %q", got)
 	}
 }
 
@@ -74,13 +82,37 @@ func TestRenderFig7And8(t *testing.T) {
 
 func TestRenderFig9(t *testing.T) {
 	tables := render(t, 9, mpsim.BackendChan)
-	for _, want := range []string{
-		"figure-9 after round 0 (receive 1 blocks from rank+1)", "figure-9 after last round (receive 1 blocks from rank+4)",
-	} {
-		find(t, tables, want)
+	// The doubling rounds gather into the output in rank order: after
+	// round 0 p3 holds its own block and p4's.
+	if got := strings.Join(column(t, find(t, tables, "figure-9 after round 0 (in 0-0, out 1-5)"), "p3"), " "); got != "30 -- -- -- 30 40" {
+		t.Errorf("figure 9 after round 0: p3 holds %q", got)
 	}
-	if got := strings.Join(column(t, find(t, tables, "figure-9 after final local shift (rank order)"), "p3"), " "); got != "00 10 20 30 40" {
+	if got := strings.Join(column(t, find(t, tables, "figure-9 after round 2 (in 0-0, out 1-5)"), "p3"), " "); got != "30 00 10 20 30 40" {
 		t.Errorf("figure 9 ends with p3 holding %q", got)
+	}
+}
+
+// TestFig1LabelsDistinct: from n = 11 a label has two-digit indices;
+// every cell of the transposed configuration still reads differently.
+// n = 12 is the first size where the bare "ij" form collides: block
+// (1, 10) and block (11, 0) both printed "110".
+func TestFig1LabelsDistinct(t *testing.T) {
+	const n = 12
+	tables, err := figTables(1, n, 2, mpsim.BackendChan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, row := range find(t, tables, "figure-1 after").Rows {
+		for _, cell := range row[1:] {
+			if seen[cell] {
+				t.Errorf("cell %q appears twice", cell)
+			}
+			seen[cell] = true
+		}
+	}
+	if len(seen) != n*n {
+		t.Errorf("%d distinct cells, want %d", len(seen), n*n)
 	}
 }
 
@@ -94,6 +126,9 @@ func TestFiguresRejectsBadSizes(t *testing.T) {
 		{[]string{"-fig", "1", "-n", "-1"}, "bad -n -1: want a processor count >= 1"},
 		{[]string{"-fig", "1", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
 		{[]string{"-all", "-n", "0"}, "bad -n 0: want a processor count >= 1"},
+		// A radix fails where every plan's does: Spec validation.
+		{[]string{"-fig", "3", "-radix", "1"}, "collective: index radix 1 out of range [2, 5]"},
+		{[]string{"-fig", "3", "-radix", "9", "-n", "5"}, "collective: index radix 9 out of range [2, 5]"},
 	} {
 		var sb strings.Builder
 		if err := dispatch(append([]string{"figures"}, c.args...), &sb); err == nil || err.Error() != c.want {

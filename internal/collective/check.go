@@ -24,8 +24,11 @@ package collective
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"bruck/internal/costmodel"
+	"bruck/internal/trace"
 )
 
 // maxCheckViolations bounds a Check report.
@@ -200,15 +203,14 @@ func (s *sim) write(r int, ps []piece, stream []lab, combine bool) {
 	pos := 0
 	for _, p := range ps {
 		rs := clip(stream, pos, p.n)
-		if mem := &s.ranks[r].mems[p.mem]; combine {
+		mem := &s.ranks[r].mems[p.mem]
+		if combine {
 			var ok bool
 			if rs, ok = merge(clip(*mem, p.off, p.n), rs); !ok {
 				s.add("delivery: rank %d combines bytes of different origin or extent", r)
 			}
-			*mem = put(*mem, p.off, p.n, rs)
-		} else {
-			*mem = put(*mem, p.off, p.n, rs)
 		}
+		*mem = put(*mem, p.off, p.n, rs)
 		pos += p.n
 	}
 }
@@ -344,6 +346,83 @@ func (pl *Plan) Check() []string {
 		add("phases tile %d rounds, the program runs %d", first, c1)
 	}
 	return v
+}
+
+// Snapshots draws the paper's processor-memory figures from the walk
+// Check proves the plan with: every rank's in, scratch and out regions,
+// one row per block, before round 0 and after each round (and the local
+// steps that follow it, so the last is the operation's result).
+func (pl *Plan) Snapshots() ([]trace.Step, error) {
+	if v := pl.Check(); len(v) > 0 {
+		return nil, fmt.Errorf("collective: %s plan fails Check: %s", pl.op, strings.Join(v, "; "))
+	}
+	s := &sim{pl: pl, n: pl.group.Size(), ranks: make([]simRank, pl.group.Size()), add: func(string, ...any) {}}
+	c1 := s.start()
+	steps := []trace.Step{s.snapshot("before round 0")}
+	for t := 0; t < c1; t++ {
+		s.round(t, pl.engine.Ports())
+		steps = append(steps, s.snapshot(fmt.Sprintf("after round %d", t)))
+	}
+	return steps, nil
+}
+
+// snapshot runs every rank's local steps up to its next exchange and
+// draws its regions, each as deep as its most blocks on any rank.
+func (s *sim) snapshot(caption string) trace.Step {
+	pl, n := s.pl, s.n
+	owner, nscratch := make(map[uint64]int, n), 0
+	for r := 0; r < n; r++ {
+		owner[rankHash(r)] = r
+		nscratch = max(nscratch, len(pl.prog.role(r).scratch))
+	}
+	cells, depth, names := make([][][]trace.Label, n), make([]int, nscratch+2), make([]string, nscratch+2)
+	for r := range cells {
+		s.local(r)
+		cells[r] = make([][]trace.Label, len(depth))
+		draw := func(g int, name string, sh shape, mem, blocks int) {
+			for j := 0; j < blocks; j++ {
+				off, ln := sh.span(j)
+				cells[r][g] = append(cells[r][g], s.cell(clip(s.ranks[r].mems[mem], off, ln), ln, owner))
+			}
+			depth[g], names[g] = max(depth[g], blocks), name
+		}
+		draw(0, "in", pl.prog.shapeOf(regIn, r), 0, pl.blocks(regIn, r))
+		for i, sc := range pl.prog.role(r).scratch {
+			draw(1+i, "scratch", shape{stride: sc.stride}, 2+i, sc.bytes/max(sc.stride, 1))
+		}
+		draw(len(depth)-1, "out", pl.prog.shapeOf(regOut, r), 1, pl.blocks(regOut, r))
+	}
+	cfg, rows := trace.NewConfig(n, 0), []string{}
+	for g, d := range depth {
+		at := len(cfg.Cells[0])
+		for r := range cells {
+			for len(cells[r][g]) < d {
+				cells[r][g] = append(cells[r][g], trace.Empty)
+			}
+			cfg.Cells[r] = append(cfg.Cells[r], cells[r][g]...)
+		}
+		if d > 0 {
+			rows = append(rows, fmt.Sprintf("%s %d-%d", names[g], at, at+d-1))
+		}
+	}
+	return trace.Step{Caption: caption + " (" + strings.Join(rows, ", ") + ")", Config: cfg}
+}
+
+// cell draws ln bytes holding the runs got: one whole input block of one
+// rank is its label, nothing trace.Empty, anything else trace.Mixed.
+func (s *sim) cell(got []lab, ln int, owner map[uint64]int) trace.Label {
+	if len(got) == 0 {
+		return trace.Empty
+	}
+	l := got[0]
+	if from, ok := owner[l.who]; ok && len(got) == 1 && l.off == 0 && l.n == ln && l.cnt == 1 {
+		in, blocks := s.pl.prog.shapeOf(regIn, from), s.pl.blocks(regIn, from)
+		j := sort.Search(blocks, func(j int) bool { off, n := in.span(j); return off+n > l.src })
+		if off, n := in.span(j); off == l.src && n == ln {
+			return trace.Label{Proc: from, Block: j}
+		}
+	}
+	return trace.Mixed
 }
 
 // start labels every rank's input region as its own, flattens every

@@ -163,13 +163,16 @@ func mentions(v []string, sub string) bool {
 }
 
 // TestCheckCleanPlans proves every compiled schedule family passes the
-// static verifier untouched.
+// static verifier untouched, and draws its snapshots.
 func TestCheckCleanPlans(t *testing.T) {
 	for _, c := range checkConfigs() {
 		t.Run(c.name, func(t *testing.T) {
 			pl := compileCheckPlan(t, c)
 			if v := pl.Check(); len(v) != 0 {
 				t.Fatalf("Check() on a clean plan reported:\n  %s", strings.Join(v, "\n  "))
+			}
+			if _, err := pl.Snapshots(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -377,6 +380,9 @@ func TestCheckPerturbations(t *testing.T) {
 			}
 			if !mentions(v, tc.wantSub) {
 				t.Fatalf("no violation mentions %q; got:\n  %s", tc.wantSub, strings.Join(v, "\n  "))
+			}
+			if _, err := pl.Snapshots(); err == nil {
+				t.Fatalf("Snapshots() drew the perturbed plan")
 			}
 		})
 	}

@@ -1,217 +1,176 @@
 // Package trace_test is an external test package (rather than the usual
-// in-package one) because the cross-validation tests import package
-// collective, which itself imports trace for the canonical schedule
-// model — in-package tests would form an import cycle. Everything the
-// tests touch is exported, so the dot import keeps the test bodies
-// unchanged.
+// in-package one) because the figure tests draw their configurations
+// with package collective, which itself imports trace — in-package tests
+// would form an import cycle.
 package trace_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"bruck/internal/buffers"
 	"bruck/internal/collective"
 	"bruck/internal/mpsim"
 	. "bruck/internal/trace"
 )
 
-// TestFig1Configurations pins the initial and final configurations of
-// Figure 1 for n = 5.
-func TestFig1Configurations(t *testing.T) {
-	initial := InitialIndex(5)
-	final := FinalIndex(5)
-	// Column p2 initially holds 20 21 22 23 24.
-	for j := 0; j < 5; j++ {
-		if got := initial.Cells[2][j]; got != (Label{Proc: 2, Block: j}) {
-			t.Errorf("initial p2 slot %d = %v", j, got)
-		}
-	}
-	// Column p2 finally holds 02 12 22 32 42.
-	for j := 0; j < 5; j++ {
-		if got := final.Cells[2][j]; got != (Label{Proc: j, Block: 2}) {
-			t.Errorf("final p2 slot %d = %v", j, got)
-		}
-	}
-	if initial.Equal(final) {
-		t.Error("initial and final configurations must differ")
-	}
-}
-
-// TestFig2PhasesN5R5: the r = n trace of Figure 2 (n = 5): Phase 1,
-// then 4 communication steps, then Phase 3 reaching the transpose.
-func TestFig2PhasesN5R5(t *testing.T) {
-	tr, err := TraceIndex(5, 5)
+// snapshots draws the configurations of the plan s compiles on n ranks.
+func snapshots(t *testing.T, n int, s collective.Spec) []Step {
+	t.Helper()
+	pl, err := collective.Compile(mpsim.MustNew(n), mpsim.WorldGroup(n), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshots: initial, phase1, 4 steps (subphase 0, z=1..4), phase3.
-	if got := len(tr.Steps); got != 7 {
-		t.Fatalf("trace has %d snapshots, want 7", got)
+	steps, err := pl.Snapshots()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// After Phase 1, processor i's slot j holds block (j+i) mod 5 of
-	// processor i (upward rotation by i).
-	p1 := tr.Steps[1].Config
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			want := Label{Proc: i, Block: (j + i) % 5}
-			if got := p1.Cells[i][j]; got != want {
-				t.Errorf("after Phase 1: p%d slot %d = %v, want %v", i, j, got, want)
+	return steps
+}
+
+// index is the figures' index plan at radix r.
+func index(r int) collective.Spec {
+	return collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}}
+}
+
+// rows returns processor p's cells of a configuration as text.
+func rows(c *Config, p int) string {
+	var cells []string
+	for _, l := range c.Cells[p] {
+		cells = append(cells, l.String())
+	}
+	return strings.Join(cells, " ")
+}
+
+// TestFig1Configurations pins the initial and final configurations of
+// Figure 1 for n = 5: p2's input rows before round 0, its output rows
+// after the last round.
+func TestFig1Configurations(t *testing.T) {
+	steps := snapshots(t, 5, index(2))
+	if got := rows(steps[0].Config, 2)[:14]; got != "20 21 22 23 24" {
+		t.Errorf("initial p2 input = %q", got)
+	}
+	last := steps[len(steps)-1].Config
+	if got := rows(last, 2); !strings.HasSuffix(got, "02 12 22 32 42") {
+		t.Errorf("final p2 = %q, want its output to end 02 12 22 32 42", got)
+	}
+}
+
+// TestFig2PhasesN5R5: the r = n index of Figure 2 (n = 5) is n-1
+// rounds straight from the input to the output, with no scratch.
+func TestFig2PhasesN5R5(t *testing.T) {
+	steps := snapshots(t, 5, index(5))
+	if got := len(steps); got != 5 {
+		t.Fatalf("%d snapshots, want 5", got)
+	}
+	for i, st := range steps {
+		if !strings.HasSuffix(st.Caption, "(in 0-4, out 5-9)") {
+			t.Errorf("snapshot %d caption %q has a scratch region", i, st.Caption)
+		}
+	}
+	// Round z delivers block i+z+1 of rank i: after round 0 p1 holds
+	// its own block and p0's.
+	if got := rows(steps[1].Config, 1)[15:]; got != "01 11 -- -- --" {
+		t.Errorf("after round 0, p1 output = %q", got)
+	}
+}
+
+// TestFig3Radix2N5: the r = 2 index of Figure 3 (n = 5) runs one round
+// per digit (distances 1, 2, 4) through one scratch region.
+func TestFig3Radix2N5(t *testing.T) {
+	steps := snapshots(t, 5, index(2))
+	if got := len(steps); got != 4 {
+		t.Fatalf("%d snapshots, want 4", got)
+	}
+	for i, want := range []string{"before round 0", "after round 0", "after round 1", "after round 2"} {
+		if got := steps[i].Caption; got != want+" (in 0-4, scratch 5-9, out 10-14)" {
+			t.Errorf("snapshot %d caption %q", i, got)
+		}
+	}
+	if got := rows(steps[3].Config, 4)[30:]; got != "04 14 24 34 44" {
+		t.Errorf("final p4 output = %q", got)
+	}
+}
+
+// TestFig9ConcatN5: the one-port concatenation of Figure 9 gathers into
+// the output in d = 3 rounds (1, 2, then the last block).
+func TestFig9ConcatN5(t *testing.T) {
+	steps := snapshots(t, 5, collective.Spec{Op: collective.OpConcat, BlockLen: 1})
+	want := []string{
+		"00 00 -- -- -- --",
+		"00 00 10 -- -- --",
+		"00 00 10 20 30 --",
+		"00 00 10 20 30 40",
+	}
+	if len(steps) != len(want) {
+		t.Fatalf("%d snapshots, want %d", len(steps), len(want))
+	}
+	for i, st := range steps {
+		if got := rows(st.Config, 0); got != want[i] {
+			t.Errorf("%s: p0 = %q, want %q", st.Caption, got, want[i])
+		}
+	}
+}
+
+// matchesDefinition asserts the figures' walk draws C1+1 configurations
+// of the plan s compiles on n ranks, and that the output rows of the last
+// one hold def(i, j) in slot j of rank i.
+func matchesDefinition(t *testing.T, n int, s collective.Spec, def func(i, j int) Label) {
+	t.Helper()
+	pl, err := collective.Compile(mpsim.MustNew(n), mpsim.WorldGroup(n), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := pl.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != pl.Rounds()+1 {
+		t.Fatalf("%d snapshots of %d rounds", len(steps), pl.Rounds())
+	}
+	last := steps[len(steps)-1].Config
+	for i, col := range last.Cells {
+		for j, got := range col[len(col)-n:] {
+			if got != def(i, j) {
+				t.Fatalf("rank %d output slot %d holds %v, want %v", i, j, got, def(i, j))
 			}
 		}
 	}
-	if !tr.Final().Equal(FinalIndex(5)) {
-		t.Errorf("final trace configuration is not the index result:\n%v", tr.Final().Cells)
-	}
 }
 
-// TestFig3Radix2N5: the r = 2 trace of Figure 3 (n = 5): subphases for
-// digits 1, 2, 4 with one step each, 3 communication steps total.
-func TestFig3Radix2N5(t *testing.T) {
-	tr, err := TraceIndex(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshots: initial, phase1, 3 steps (w = 3 subphases, 1 step
-	// each), phase3 = 6.
-	if got := len(tr.Steps); got != 6 {
-		t.Fatalf("trace has %d snapshots, want 6", got)
-	}
-	if !tr.Final().Equal(FinalIndex(5)) {
-		t.Errorf("final configuration wrong:\n%v", tr.Final().Cells)
-	}
-	// The three communication captions name rotations by 1, 2, 4.
-	for i, wantDist := range []string{"rotate 1 right", "rotate 2 right", "rotate 4 right"} {
-		if !strings.Contains(tr.Steps[2+i].Caption, wantDist) {
-			t.Errorf("step %d caption %q does not mention %q", i, tr.Steps[2+i].Caption, wantDist)
-		}
-	}
-}
-
-// TestTraceMatchesRealIndex: the label simulator's final configuration
-// equals the transpose for every (n, r), cross-checking it against the
-// byte-level algorithm.
+// TestTraceMatchesRealIndex: for n in 1..12 and every radix, the drawn
+// index ends with block i of rank j in slot j of rank i.
 func TestTraceMatchesRealIndex(t *testing.T) {
 	for n := 1; n <= 12; n++ {
-		for r := 2; r <= n; r++ {
-			tr, err := TraceIndex(n, r)
-			if err != nil {
-				t.Fatalf("n=%d r=%d: %v", n, r, err)
-			}
-			if !tr.Final().Equal(FinalIndex(n)) {
-				t.Errorf("n=%d r=%d: trace does not reach the index result", n, r)
-			}
-		}
-	}
-	// And the byte-level algorithm agrees on one configuration, with
-	// blocks encoding their labels.
-	const n, r = 5, 2
-	in, _ := buffers.New(n, n, 2)
-	out, _ := buffers.New(n, n, 2)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			copy(in.Block(i, j), []byte{byte(i), byte(j)})
-		}
-	}
-	e := mpsim.MustNew(n)
-	pl, err := collective.Compile(e, mpsim.WorldGroup(n), collective.Spec{Op: collective.OpIndex, BlockLen: 2, Index: collective.IndexOptions{Radix: r}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Execute(in, out); err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := TraceIndex(n, r)
-	final := tr.Final()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := Label{Proc: int(out.Block(i, j)[0]), Block: int(out.Block(i, j)[1])}
-			if final.Cells[i][j] != want {
-				t.Errorf("trace[%d][%d] = %v, byte-level algorithm has %v", i, j, final.Cells[i][j], want)
-			}
+		for r := 2; r <= max(n, 2); r++ {
+			t.Run(fmt.Sprintf("n%d-r%d", n, r), func(t *testing.T) {
+				matchesDefinition(t, n, index(r), func(i, j int) Label { return Label{Proc: j, Block: i} })
+			})
 		}
 	}
 }
 
-// TestFig9ConcatN5: the one-port concatenation trace of Figure 9.
-func TestFig9ConcatN5(t *testing.T) {
-	tr, err := TraceConcat(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d = 3: initial, 2 doubling rounds, last round, final shift = 5.
-	if got := len(tr.Steps); got != 5 {
-		t.Fatalf("trace has %d snapshots, want 5", got)
-	}
-	// After round 0, processor 0 holds blocks 0, 1.
-	r0 := tr.Steps[1].Config
-	if r0.Cells[0][0] != (Label{0, 0}) || r0.Cells[0][1] != (Label{1, 0}) {
-		t.Errorf("after round 0, p0 = %v %v", r0.Cells[0][0], r0.Cells[0][1])
-	}
-	// After round 1, processor 0 holds blocks 0..3.
-	r1 := tr.Steps[2].Config
-	for q := 0; q < 4; q++ {
-		if r1.Cells[0][q] != (Label{q, 0}) {
-			t.Errorf("after round 1, p0 slot %d = %v", q, r1.Cells[0][q])
-		}
-	}
-	// After the last round everyone has all 5 (in successor order);
-	// p3's buffer starts with its own block.
-	r2 := tr.Steps[3].Config
-	for q := 0; q < 5; q++ {
-		if r2.Cells[3][q] != (Label{(3 + q) % 5, 0}) {
-			t.Errorf("after last round, p3 slot %d = %v", q, r2.Cells[3][q])
-		}
-	}
-	// Final: rank order on every processor.
-	final := tr.Final()
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if final.Cells[i][j] != (Label{j, 0}) {
-				t.Errorf("final p%d slot %d = %v, want %d0", i, j, final.Cells[i][j], j)
-			}
-		}
-	}
-}
-
-// TestTraceConcatAllSizes: every processor ends with all blocks in rank
-// order for 1 <= n <= 16.
+// TestTraceConcatAllSizes: for n in 1..12 the drawn concatenation ends
+// with every rank holding the blocks in rank order.
 func TestTraceConcatAllSizes(t *testing.T) {
-	for n := 1; n <= 16; n++ {
-		tr, err := TraceConcat(n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		final := tr.Final()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if final.Cells[i][j] != (Label{j, 0}) {
-					t.Errorf("n=%d: final p%d slot %d = %v", n, i, j, final.Cells[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestTraceErrors(t *testing.T) {
-	if _, err := TraceIndex(0, 2); err == nil {
-		t.Error("TraceIndex(0, 2) accepted")
-	}
-	if _, err := TraceIndex(5, 1); err == nil {
-		t.Error("radix 1 accepted")
-	}
-	if _, err := TraceIndex(5, 6); err == nil {
-		t.Error("radix > n accepted")
-	}
-	if _, err := TraceConcat(0); err == nil {
-		t.Error("TraceConcat(0) accepted")
+	for n := 1; n <= 12; n++ {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			matchesDefinition(t, n, collective.Spec{Op: collective.OpConcat, BlockLen: 1},
+				func(_, j int) Label { return Label{Proc: j, Block: 0} })
+		})
 	}
 }
 
 // TestConfigString: a configuration's text is its table — one column
 // per processor, one row per memory slot.
 func TestConfigString(t *testing.T) {
-	tb := InitialIndex(3).Table("initial")
+	c := NewConfig(3, 3)
+	for i := range c.Cells {
+		for j := range c.Cells[i] {
+			c.Cells[i][j] = Label{Proc: i, Block: j}
+		}
+	}
+	tb := c.Table("initial")
 	if got := strings.Join(tb.Columns, " "); got != "slot p0 p1 p2" {
 		t.Errorf("columns = %q", got)
 	}
@@ -224,10 +183,18 @@ func TestConfigString(t *testing.T) {
 }
 
 func TestLabelString(t *testing.T) {
-	if (Label{1, 4}).String() != "14" {
-		t.Errorf("Label{1,4} = %q", Label{1, 4}.String())
-	}
-	if Empty.String() != "--" {
-		t.Errorf("Empty = %q", Empty.String())
+	for _, c := range []struct {
+		l    Label
+		want string
+	}{
+		{Label{1, 4}, "14"},
+		{Label{1, 10}, "1.10"},
+		{Label{11, 0}, "11.0"},
+		{Empty, "--"},
+		{Mixed, "**"},
+	} {
+		if got := c.l.String(); got != c.want {
+			t.Errorf("%+v = %q, want %q", c.l, got, c.want)
+		}
 	}
 }
