@@ -11,7 +11,10 @@
 // connected machine: one goroutine per processor, the k-port constraint
 // enforced per round, C1 (rounds) and C2 (sum over rounds of the
 // largest message) recorded from the actual schedule and priced by
-// Report.Time under a profile such as SP1.
+// Report.Time under a profile such as SP1. A compiled Plan also prices
+// itself with per-processor clocks (Plan.CriticalPath, CriticalPathTopo),
+// on the walk Plan.Check proves it with: one walk over the program, two
+// domains, symbolic byte labels and virtual time.
 //
 // Every operation is one of three verbs on a Machine: Run executes it,
 // Start executes it in the background, Compile returns its Plan.
@@ -61,7 +64,6 @@ type MachineOption func(*machineConfig)
 type machineConfig struct {
 	ports    int
 	validate bool
-	record   bool
 	backend  Backend
 	chaos    ChaosConfig
 	topo     *costmodel.Topology
@@ -108,12 +110,6 @@ func Validate(on bool) MachineOption {
 	return func(c *machineConfig) { c.validate = on }
 }
 
-// RecordEvents makes the machine log every message of each operation
-// (round, endpoints, size), enabling CriticalPathTime. Off by default.
-func RecordEvents() MachineOption {
-	return func(c *machineConfig) { c.record = true }
-}
-
 // WithTransport selects the simulator's message transport backend:
 // BackendChan (default), BackendSlot, or BackendChaos with its zero
 // configuration (use WithChaos to configure it).
@@ -137,8 +133,7 @@ func NewMachine(n int, opts ...MachineOption) (*Machine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	eopts := []mpsim.Option{mpsim.Ports(cfg.ports), mpsim.Validate(cfg.validate),
-		mpsim.Record(cfg.record), mpsim.WithTransport(cfg.backend)}
+	eopts := []mpsim.Option{mpsim.Ports(cfg.ports), mpsim.Validate(cfg.validate), mpsim.WithTransport(cfg.backend)}
 	if cfg.backend == BackendChaos {
 		eopts = append(eopts, mpsim.WithChaos(cfg.chaos))
 	}
@@ -156,49 +151,6 @@ func NewMachine(n int, opts ...MachineOption) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{engine: e, world: mpsim.WorldGroup(n), plans: collective.NewPlanCache(), topo: cfg.topo}, nil
-}
-
-// CriticalPathTime evaluates the most recent operation's schedule under
-// the linear model with per-processor clocks (the accounting Section
-// 1.2 contrasts with T = C1*beta + C2*tau) on a machine created with
-// RecordEvents. It equals Report.Time on the paper's symmetric
-// schedules and is smaller on skewed ones such as folklore.
-func (m *Machine) CriticalPathTime(p Profile) (float64, error) {
-	events, err := m.events("CriticalPathTime")
-	if err != nil {
-		return 0, err
-	}
-	return costmodel.CriticalPath(p, m.engine.N(), events)
-}
-
-// events returns the most recent operation's message log for the
-// critical-path method named.
-func (m *Machine) events(method string) ([]mpsim.Event, error) {
-	metrics := m.engine.Metrics()
-	switch {
-	case metrics == nil && m.engine.ProgramsInLastRun() > 1:
-		return nil, fmt.Errorf("bruck: %s is unavailable after RunPlans (per-plan schedules; use the returned Reports)", method)
-	case metrics == nil:
-		return nil, fmt.Errorf("bruck: %s before any operation", method)
-	}
-	if events := metrics.Events(); events != nil {
-		return events, nil
-	}
-	return nil, fmt.Errorf("bruck: %s requires a machine created with RecordEvents", method)
-}
-
-// CriticalPathTopoTime is CriticalPathTime with each message priced by
-// its own link's profile under the machine's topology (WithTopology),
-// so a hierarchical schedule's intra phases run on the fast clock.
-func (m *Machine) CriticalPathTopoTime() (float64, error) {
-	if m.topo == nil {
-		return 0, fmt.Errorf("bruck: CriticalPathTopoTime requires a machine created with WithTopology")
-	}
-	events, err := m.events("CriticalPathTopoTime")
-	if err != nil {
-		return 0, err
-	}
-	return costmodel.CriticalPathTopo(m.topo, m.engine.N(), events)
 }
 
 // N returns the number of processors.
@@ -239,8 +191,8 @@ type Profile = costmodel.Profile
 var SP1 = costmodel.SP1
 
 // Topology describes a two-level machine: groups of processors with an
-// intra-group profile, an inter-group profile and optional per-pair
-// overrides. Attach one with WithTopology.
+// intra-group profile and an inter-group profile. Attach one with
+// WithTopology.
 type Topology = costmodel.Topology
 
 // NewTopology builds a validated two-level topology: groups[i]

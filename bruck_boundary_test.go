@@ -110,8 +110,9 @@ func TestNilGroupRejectedEverywhere(t *testing.T) {
 // TestFacadeErrorTexts pins the text of every error the facade itself
 // returns (the "bruck: ..." ones; what package collective rejects in a
 // Spec is pinned by its TestSpecRejections), of the five rejections a
-// plan list can draw from RunPlans and of the five a reduction call can
-// draw by the way it names its kernel: call, exact text.
+// plan list can draw from RunPlans, of the five a reduction call can
+// draw by the way it names its kernel and of the two topologies
+// Plan.CriticalPathTopo cannot price a plan under: call, exact text.
 func TestFacadeErrorTexts(t *testing.T) {
 	const n, b = 4, 4
 	const inFlight = "bruck: an asynchronous operation is already in flight (Wait on its Handle first)"
@@ -119,14 +120,10 @@ func TestFacadeErrorTexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := MustNewMachine(n, RecordEvents())
-	tiered := MustNewMachine(n, WithTopology(topo))
+	fresh := MustNewMachine(n)
 	in, out := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-	// ran has completed one operation without recording events; split
-	// has last run two plans at once, which leaves no single schedule.
-	ran := MustNewMachine(n, WithTopology(topo))
-	mustRun(t, ran, Index, in, out)
-	split := MustNewMachine(n, WithTopology(topo), RecordEvents())
+	// split has run two plans at once.
+	split := MustNewMachine(n, WithTopology(topo))
 	var halves []*Plan
 	for _, ids := range [][]int{{0, 1}, {2, 3}} {
 		g, err := split.NewGroup(ids)
@@ -172,11 +169,12 @@ func TestFacadeErrorTexts(t *testing.T) {
 	allReduce := func(in *Buffers, opts ...CollectiveOption) func() error {
 		return run(fresh, AllReduce, in, mustBuffers(t, n, n, in.BlockLen()), opts...)
 	}
-	critical := func(m *Machine) func() error {
-		return func() error { _, err := m.CriticalPathTime(SP1); return err }
+	critical := func(topo *Topology) func() error {
+		return func() error { _, err := unbound.CriticalPathTopo(topo); return err }
 	}
-	criticalTopo := func(m *Machine) func() error {
-		return func() error { _, err := m.CriticalPathTopoTime(); return err }
+	wide, err := ParseTopology("2x3")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string
@@ -185,15 +183,9 @@ func TestFacadeErrorTexts(t *testing.T) {
 	}{
 		{"NewMachine/topology size", func() error { _, err := NewMachine(6, WithTopology(topo)); return err },
 			"bruck: topology covers 4 processors, machine has 6"},
-		{"CriticalPathTime/no operation", critical(fresh), "bruck: CriticalPathTime before any operation"},
-		{"CriticalPathTime/no events", critical(ran), "bruck: CriticalPathTime requires a machine created with RecordEvents"},
-		{"CriticalPathTime/after RunPlans", critical(split),
-			"bruck: CriticalPathTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)"},
-		{"CriticalPathTopoTime/flat machine", criticalTopo(fresh), "bruck: CriticalPathTopoTime requires a machine created with WithTopology"},
-		{"CriticalPathTopoTime/no operation", criticalTopo(tiered), "bruck: CriticalPathTopoTime before any operation"},
-		{"CriticalPathTopoTime/no events", criticalTopo(ran), "bruck: CriticalPathTopoTime requires a machine created with RecordEvents"},
-		{"CriticalPathTopoTime/after RunPlans", criticalTopo(split),
-			"bruck: CriticalPathTopoTime is unavailable after RunPlans (per-plan schedules; use the returned Reports)"},
+		{"Plan.CriticalPathTopo/nil topology", critical(nil), "costmodel: nil topology"},
+		{"Plan.CriticalPathTopo/another machine's topology", critical(wide),
+			"collective: topology covers 6 processors, the plan's machine has 4"},
 		{"IndexFlat/nil", run(fresh, Index, (*Buffers)(nil), out), "bruck: nil flat buffer"},
 		{"IndexAsync/nil", func() error { _, err := fresh.Start(Index, in, (*Buffers)(nil)); return err }, "bruck: nil flat buffer"},
 		{"BroadcastInto/nil", run(fresh, Broadcast, mustBuffers(t, 1, 1, b), (*Buffers)(nil)), "bruck: nil flat buffer"},

@@ -257,16 +257,14 @@ func TestMachineIndexMixedRadices(t *testing.T) {
 
 func TestCriticalPathTime(t *testing.T) {
 	const n, b = 16, 32
-	// Symmetric schedule (Bruck index): critical path equals the
-	// linear-model report time.
-	m := MustNewMachine(n, RecordEvents())
-	rep := mustRun(t, m, Index, input(t, n, n, b, 0), mustBuffers(t, n, n, b), WithRadix(2))
-	cp, err := m.CriticalPathTime(SP1)
+	// Symmetric schedule (Bruck index): the critical path equals the
+	// linear-model time.
+	pl, err := MustNewMachine(n).Compile(Index, mustBuffers(t, n, n, b), WithRadix(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := cp - rep.Time(SP1); diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("index critical path %g != linear %g", cp, rep.Time(SP1))
+	if cp := pl.CriticalPath(SP1); cp-pl.Time(SP1) > 1e-12 || cp-pl.Time(SP1) < -1e-12 {
+		t.Errorf("index critical path %g != linear %g", cp, pl.Time(SP1))
 	}
 
 	// Skewed schedule: the folklore gather on a NON-power-of-two size
@@ -274,24 +272,20 @@ func TestCriticalPathTime(t *testing.T) {
 	// the critical path is strictly cheaper than the round-max linear
 	// estimate. (For powers of two the folklore tree is perfectly
 	// balanced and the two estimates agree.)
-	m11 := MustNewMachine(11, RecordEvents())
-	crep := mustRun(t, m11, Concat, mustBuffers(t, 11, 1, b), mustBuffers(t, 11, 11, b), WithConcatAlgorithm(ConcatFolklore))
-	cp, err = m11.CriticalPathTime(SP1)
+	pl, err = MustNewMachine(11).Compile(Concat, mustBuffers(t, 11, 1, b), WithConcatAlgorithm(ConcatFolklore))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp >= crep.Time(SP1) {
-		t.Errorf("folklore critical path %g should be below linear %g", cp, crep.Time(SP1))
+	if cp := pl.CriticalPath(SP1); cp >= pl.Time(SP1) {
+		t.Errorf("folklore critical path %g should be below linear %g", cp, pl.Time(SP1))
 	}
-
-	// Error paths.
-	m2 := MustNewMachine(4)
-	if _, err := m2.CriticalPathTime(SP1); err == nil {
-		t.Error("CriticalPathTime before any operation accepted")
+	// Zero-length blocks are legal: only start-ups are charged.
+	pl, err = MustNewMachine(4).Compile(Concat, mustBuffers(t, 4, 1, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustRun(t, m2, Concat, mustBuffers(t, 4, 1, 0), mustBuffers(t, 4, 4, 0)) // zero-length blocks are legal
-	if _, err := m2.CriticalPathTime(SP1); err == nil {
-		t.Error("CriticalPathTime without RecordEvents accepted")
+	if cp := pl.CriticalPath(SP1); cp-pl.Time(SP1) > 1e-12 || cp-pl.Time(SP1) < -1e-12 {
+		t.Errorf("zero-length concat critical path %g != linear %g", cp, pl.Time(SP1))
 	}
 }
 

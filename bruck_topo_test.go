@@ -159,28 +159,22 @@ func TestTopologyValidation(t *testing.T) {
 
 func TestTopologyCriticalPath(t *testing.T) {
 	topo := topo4x4(t)
-	m := MustNewMachine(16, WithTopology(topo), RecordEvents())
-	mustRun(t, m, Index, input(t, 16, 16, 4, 0), mustBuffers(t, 16, 16, 4), Hierarchical())
-	ct, err := m.CriticalPathTopoTime()
+	m := MustNewMachine(16, WithTopology(topo))
+	pl, err := m.Compile(Index, mustBuffers(t, 16, 16, 4), Hierarchical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := pl.CriticalPathTopo(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ct <= 0 {
 		t.Fatal("topology critical path must be positive")
 	}
-	// Pricing the same events with every link at the inter profile must
-	// not be cheaper: the topology clock runs the intra phases faster.
-	flat, err := m.CriticalPathTime(ScaledProfile(SP1, DefaultInterRatio))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct > flat {
+	// Pricing every link at the inter profile must not be cheaper: the
+	// topology clock runs the intra phases faster.
+	if flat := pl.CriticalPath(ScaledProfile(SP1, DefaultInterRatio)); ct > flat {
 		t.Errorf("topology critical path %g should not exceed all-inter pricing %g", ct, flat)
-	}
-
-	flatOnly := MustNewMachine(16)
-	if _, err := flatOnly.CriticalPathTopoTime(); err == nil {
-		t.Error("CriticalPathTopoTime without WithTopology must error")
 	}
 }
 

@@ -173,8 +173,7 @@ func runTables(p params) ([]*cli.Table, error) {
 	return m.run(p)
 }
 
-// engine builds the recording n-processor engine the transport flags
-// describe.
+// engine builds the n-processor engine the transport flags describe.
 func (p *params) engine(n int, extra ...mpsim.Option) (*mpsim.Engine, error) {
 	tfl := cli.TransportFlags{Transport: p.transport, ChaosInner: p.chaosInner, ChaosSeed: p.chaosSeed, Stragglers: p.stragglers}
 	if tfl.Transport == "" {
@@ -187,7 +186,7 @@ func (p *params) engine(n int, extra ...mpsim.Option) (*mpsim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mpsim.New(n, append(append([]mpsim.Option{mpsim.Ports(p.k), mpsim.Record(true)}, extra...), topts...)...)
+	return mpsim.New(n, append(append([]mpsim.Option{mpsim.Ports(p.k)}, extra...), topts...)...)
 }
 
 // spec is the one path from the flags to a Spec on n processors: the
@@ -315,9 +314,7 @@ func runPlain(p params) ([]*cli.Table, error) {
 	}
 	kv.Add("model_sp1_linear", costmodel.Duration(costmodel.SP1.Time(res.C1, res.C2)))
 	kv.Add("model_sp1_extended", costmodel.Duration(costmodel.SP1Measured.Time(res.C1, res.C2)))
-	if cp, err := costmodel.CriticalPath(costmodel.SP1, p.n, e.Metrics().Events()); err == nil {
-		kv.Add("critical_path_sp1", costmodel.Duration(cp))
-	}
+	kv.Add("critical_path_sp1", costmodel.Duration(pl.CriticalPath(costmodel.SP1)))
 	return []*cli.Table{kv}, nil
 }
 

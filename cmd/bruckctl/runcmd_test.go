@@ -21,7 +21,7 @@ func TestRunIndexDefault(t *testing.T) {
 	tables := runOK(t, params{op: "index", n: 8, k: 1, b: 16})
 	for key, want := range map[string]string{
 		"op": "index", "n": "8", "c1": "3", "c1_lower_bound": "3", "verified_direct_reference": "true",
-		"model_sp1_linear": "109.588µs",
+		"model_sp1_linear": "109.588µs", "critical_path_sp1": "109.588µs",
 	} {
 		if got := value(t, tables, "run", key); got != want {
 			t.Errorf("run %s = %q, want %q", key, got, want)
@@ -49,6 +49,14 @@ func TestRunConcatOptimal(t *testing.T) {
 	} {
 		if got := value(t, tables, "run", key); got != want {
 			t.Errorf("concat %s = %q, want %q", key, got, want)
+		}
+	}
+	// The folklore gather's truncated subtrees at n = 7 run ahead of the
+	// root: its critical path is under the linear model.
+	tables = runOK(t, params{op: "concat", alg: "folklore", n: 7, k: 1, b: 64})
+	for key, want := range map[string]string{"model_sp1_linear": "377.294µs", "critical_path_sp1": "333.235µs"} {
+		if got := value(t, tables, "run", key); got != want {
+			t.Errorf("folklore %s = %q, want %q", key, got, want)
 		}
 	}
 }

@@ -109,9 +109,11 @@ func runTopology(p params) ([]*cli.Table, error) {
 	kv.Add("model_flat_best", costmodel.Duration(flatSec))
 	kv.Add("flat_alg", flat.Algorithm())
 	kv.Add("winner", winner)
-	if cp, err := costmodel.CriticalPathTopo(topo, n, e.Metrics().Events()); err == nil {
-		kv.Add("critical_path_topology", costmodel.Duration(cp))
+	cp, err := hier.CriticalPathTopo(topo)
+	if err != nil {
+		return nil, err
 	}
+	kv.Add("critical_path_topology", costmodel.Duration(cp))
 	pt := &cli.Table{Name: "topology-phases", Columns: []string{"name", "class", "first", "rounds", "c2"}}
 	for _, ph := range hier.Phases() {
 		pt.AddRow(ph.Name, costmodel.LinkClass(ph.Class).String(), fmt.Sprint(ph.First), fmt.Sprint(ph.Rounds), fmt.Sprint(ph.C2))

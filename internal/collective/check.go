@@ -21,9 +21,15 @@ package collective
 // Labels are runs of bytes, so the cost is in blocks and extents, not
 // in bytes: checking a whole corpus takes milliseconds — cheap enough
 // for `bruckctl vet` to gate CI on it.
+//
+// The same walk carries a second domain, virtual time: under a price per
+// message every rank keeps a clock, which Plan.CriticalPath and
+// CriticalPathTopo read. Plan.Snapshots draws the labels after each
+// round as the paper's figures.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,37 +57,45 @@ func rankHash(r int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// clip returns the runs of the sorted, disjoint list m inside
-// [off, off+n), rebased to start at 0.
+// after returns the index of the first run of the sorted, disjoint list
+// m that ends after off.
+func after(m []lab, off int) int {
+	return sort.Search(len(m), func(i int) bool { return m[i].off+m[i].n > off })
+}
+
+// clip returns the runs of m inside [off, off+n), rebased to start at 0.
 func clip(m []lab, off, n int) []lab {
 	var out []lab
-	for _, l := range m {
-		lo, hi := l.off, l.off+l.n
-		if lo < off {
-			lo = off
-		}
-		if hi > off+n {
-			hi = off + n
-		}
-		if lo < hi {
-			out = append(out, lab{lo - off, hi - lo, l.src + lo - l.off, l.cnt, l.who})
-		}
+	for i := after(m, off); i < len(m) && m[i].off < off+n; i++ {
+		l := m[i]
+		lo, hi := max(l.off, off), min(l.off+l.n, off+n)
+		out = append(out, lab{lo - off, hi - lo, l.src + lo - l.off, l.cnt, l.who})
 	}
 	return out
 }
 
-// put replaces [off, off+n) of m by the runs rs (based at 0).
+// put replaces [off, off+n) of m by the runs rs (based at 0), in place:
+// the runs it overlaps give way to the part of the first before off, rs,
+// and the part of the last after off+n.
 func put(m []lab, off, n int, rs []lab) []lab {
-	out := clip(m, 0, off)
+	i, j := after(m, off), after(m, off+n)
+	repl := make([]lab, 0, len(rs)+2)
+	if i < len(m) && m[i].off < off {
+		head := m[i]
+		head.n = off - head.off
+		repl = append(repl, head)
+	}
 	for _, l := range rs {
 		l.off += off
-		out = append(out, l)
+		repl = append(repl, l)
 	}
-	for _, l := range clip(m, off+n, int(^uint(0)>>2)) {
-		l.off += off + n
-		out = append(out, l)
+	if j < len(m) && m[j].off < off+n {
+		tail, cut := m[j], off+n-m[j].off
+		tail.off, tail.n, tail.src = off+n, tail.n-cut, tail.src+cut
+		repl = append(repl, tail)
+		j++
 	}
-	return out
+	return slices.Replace(m, i, j, repl...)
 }
 
 // merge combines two run lists over the same range bytewise; ok is
@@ -138,19 +152,50 @@ type simOp struct {
 	phase string
 }
 
-// simRank is the symbolic state of one rank.
+// simRank is the symbolic state of one rank; clock is its virtual time.
 type simRank struct {
-	mems [][]lab
-	size []int
-	ops  []simOp
-	pc   int
+	mems  [][]lab
+	size  []int
+	ops   []simOp
+	pc    int
+	clock float64
 }
 
 type sim struct {
-	pl    *Plan
-	n     int
-	ranks []simRank
-	add   func(string, ...any)
+	pl     *Plan
+	n      int
+	ranks  []simRank
+	rounds int
+	add    func(string, ...any)
+	// price is the time of one message of bytes bytes from processor src
+	// to processor dst.
+	price func(src, dst, bytes int) float64
+}
+
+// newSim starts a walk of pl's program (sim.start) that reports
+// violations to add and charges the clocks by price; a nil add drops
+// violations, a nil price leaves every clock at zero.
+func newSim(pl *Plan, add func(string, ...any), price func(src, dst, bytes int) float64) *sim {
+	if add == nil {
+		add = func(string, ...any) {}
+	}
+	if price == nil {
+		price = func(int, int, int) float64 { return 0 }
+	}
+	s := &sim{pl: pl, n: pl.group.Size(), ranks: make([]simRank, pl.group.Size()), add: add, price: price}
+	s.rounds = s.start()
+	return s
+}
+
+// run simulates every round under the engine's k ports and hands each
+// round's largest message and phase tag to each (nil: nobody).
+func (s *sim) run(each func(t, roundMax int, phase string)) {
+	for t := 0; t < s.rounds; t++ {
+		roundMax, phase := s.round(t, s.pl.engine.Ports())
+		if each != nil {
+			each(t, roundMax, phase)
+		}
+	}
 }
 
 // piece is a byte range of one symbolic memory.
@@ -282,10 +327,12 @@ func (s *sim) local(r int) {
 	}
 }
 
-// post is a message in flight within one simulated round.
+// post is a message in flight within one simulated round, arriving at
+// virtual time at.
 type post struct {
 	src, bytes int
 	stream     []lab
+	at         float64
 }
 
 // Check statically verifies the compiled plan and returns all
@@ -313,13 +360,13 @@ func (pl *Plan) Check() []string {
 	if pl.c2 < pl.c2lb {
 		add("c2=%d below the paper's lower bound %d", pl.c2, pl.c2lb)
 	}
-	s := &sim{pl: pl, n: n, ranks: make([]simRank, n), add: add}
-	c1, c2 := s.start(), 0
+	s := newSim(pl, add, nil)
+	c1, c2 := s.rounds, 0
 	maxes, tags := make([]int, c1), make([]string, c1)
-	for t := 0; t < c1; t++ {
-		maxes[t], tags[t] = s.round(t, k)
-		c2 += maxes[t]
-	}
+	s.run(func(t, roundMax int, phase string) {
+		maxes[t], tags[t] = roundMax, phase
+		c2 += roundMax
+	})
 	if c1 != pl.c1 {
 		add("c1=%d but the program runs %d rounds", pl.c1, c1)
 	}
@@ -356,14 +403,51 @@ func (pl *Plan) Snapshots() ([]trace.Step, error) {
 	if v := pl.Check(); len(v) > 0 {
 		return nil, fmt.Errorf("collective: %s plan fails Check: %s", pl.op, strings.Join(v, "; "))
 	}
-	s := &sim{pl: pl, n: pl.group.Size(), ranks: make([]simRank, pl.group.Size()), add: func(string, ...any) {}}
-	c1 := s.start()
+	s := newSim(pl, nil, nil)
 	steps := []trace.Step{s.snapshot("before round 0")}
-	for t := 0; t < c1; t++ {
-		s.round(t, pl.engine.Ports())
+	s.run(func(t, _ int, _ string) {
 		steps = append(steps, s.snapshot(fmt.Sprintf("after round %d", t)))
-	}
+	})
 	return steps, nil
+}
+
+// CriticalPath prices one execution under p with per-processor clocks,
+// the accounting Section 1.2 contrasts with Time's C1*Beta + C2*Tau, on
+// the walk Check proves the plan with. In a round a sender pays
+// MessageTime of its largest send (its ports run in parallel), a message
+// arrives at its sender's round start plus its own MessageTime, and a
+// rank leaves the round at the later of the two; the result is the
+// latest clock. It equals Time on the paper's symmetric schedules and is
+// below it on skewed ones such as folklore.
+func (pl *Plan) CriticalPath(p costmodel.Profile) float64 {
+	return pl.criticalPath(func(_, _, bytes int) float64 { return p.MessageTime(bytes) })
+}
+
+// CriticalPathTopo is CriticalPath with each message priced by the
+// profile of its link's class under t, which must cover the plan's
+// machine: a hierarchical plan's intra phases run on the fast clock.
+func (pl *Plan) CriticalPathTopo(t *costmodel.Topology) (float64, error) {
+	if err := t.Validate(); err != nil {
+		return 0, err
+	}
+	if t.N() != pl.engine.N() {
+		return 0, fmt.Errorf("collective: topology covers %d processors, the plan's machine has %d", t.N(), pl.engine.N())
+	}
+	return pl.criticalPath(func(src, dst, bytes int) float64 {
+		return t.ClassProfile(t.LinkClass(src, dst)).MessageTime(bytes)
+	}), nil
+}
+
+// criticalPath walks the plan with clocks charged by price and returns
+// the latest.
+func (pl *Plan) criticalPath(price func(src, dst, bytes int) float64) float64 {
+	s := newSim(pl, nil, price)
+	s.run(nil)
+	latest := 0.0
+	for _, rk := range s.ranks {
+		latest = max(latest, rk.clock)
+	}
+	return latest
 }
 
 // snapshot runs every rank's local steps up to its next exchange and
@@ -456,6 +540,8 @@ func (s *sim) exchanging(r, t int) *simOp {
 // round simulates global round t under k ports and returns its largest
 // message and its phase tag: first every rank posts its sends, read
 // from the state before the round, then every rank lands its receives.
+// A rank's clock leaves the round at the later of its costliest send
+// and its last arrival, each timed from the sender's round start.
 func (s *sim) round(t, k int) (roundMax int, phase string) {
 	add, n := s.add, s.n
 	inbox := make([][]post, n)
@@ -474,6 +560,7 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 			ports *= op.s.n
 		}
 		var to, from []int
+		sent := s.ranks[r].clock
 		for i := range op.s.xfers {
 			x := &op.s.xfers[i]
 			if derived := op.fr.pr.role(op.fr.me).swaps(op.s, x); x.swap != derived {
@@ -484,7 +571,9 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 				to = append(to, peer)
 				stream, bytes := s.read(r, s.pieces(r, op.fr, x.send))
 				if peer >= 0 && peer < n {
-					inbox[peer] = append(inbox[peer], post{r, bytes, stream})
+					m := post{r, bytes, stream, s.ranks[r].clock + s.price(s.pl.group.ID(r), s.pl.group.ID(peer), bytes)}
+					inbox[peer] = append(inbox[peer], m)
+					sent = max(sent, m.at)
 				}
 				if bytes > roundMax {
 					roundMax = bytes
@@ -495,6 +584,7 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 				from = append(from, op.fr.rank(x.from))
 			}
 		}
+		s.ranks[r].clock = sent // only now: every send leaves at the round's start
 		for _, peers := range [][]int{to, from} {
 			if len(peers) > ports {
 				add("round %d: rank %d uses %d ports, k-port allows %d", t, r, len(peers), ports)
@@ -533,6 +623,7 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 					continue
 				}
 				found = true
+				s.ranks[r].clock = max(s.ranks[r].clock, m.at)
 				if m.bytes != want {
 					add("delivery: round %d: rank %d sends %d bytes to rank %d, which expects %d bytes", t, src, m.bytes, r, want)
 				} else {

@@ -156,7 +156,11 @@
 // untagged, formula-driven families export none); Plan.Check
 // (check.go) runs the program of all n ranks on symbolic bytes and
 // proves delivery for every family against Plan.goal, the one statement
-// of what each operation computes. The oracle (oracle.go: Alloc, Fill,
+// of what each operation computes. That one walk carries two domains:
+// the byte labels (Check's proof, and the paper's figures drawn by
+// Plan.Snapshots) and per-rank virtual clocks (Plan.CriticalPath and
+// CriticalPathTopo: each message priced on its link, the k ports in
+// parallel). The oracle (oracle.go: Alloc, Fill,
 // Run, Verify — Exercise in a row) holds the bytes of a real run
 // against the same definition, on memory of the plan's own shape, and
 // the run's C1/C2 against the compiled ones; it is how every tool runs

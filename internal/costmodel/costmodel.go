@@ -15,13 +15,15 @@
 // The scalar model assumes every link costs the same — the paper's
 // fully connected uniform machine. Topology generalizes it to
 // two-level clustered machines: named node-groups with one (beta,
-// tau) profile per link class (intra-group vs inter-group) and an
-// optional per-pair override table, under which a round is priced by
-// the slowest link it crosses (Topology.LevelTime) and the
-// per-processor-clock accounting prices each message by its own link
-// (CriticalPathTopo). A Topology with
-// one group — or with Intra == Inter — degenerates exactly to the
-// scalar model.
+// tau) profile per link class (intra-group vs inter-group), under
+// which a round is priced by the slowest link it crosses
+// (Topology.LevelTime). A Topology with one group — or with
+// Intra == Inter — degenerates exactly to the scalar model.
+//
+// The package prices counts, not programs: the per-processor-clock
+// accounting, which charges each message on its own link, is a walk
+// over a compiled plan's program (collective.Plan.CriticalPath and
+// CriticalPathTopo), the same walk that proves the plan's delivery.
 package costmodel
 
 import (

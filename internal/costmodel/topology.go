@@ -9,8 +9,7 @@ package costmodel
 // order of magnitude cheaper than links between nodes. Topology keeps
 // the linear model per link but splits the machine into named
 // node-groups with one profile per link class (intra-group vs
-// inter-group), plus an optional per-pair override table for
-// heterogeneous machines. A communication round is priced by the
+// inter-group). A communication round is priced by the
 // slowest link it crosses, so a schedule that confines most rounds to
 // intra-group links — the hierarchical schedules of package collective
 // — beats a flat schedule whose every round pays the inter-group
@@ -20,7 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -51,27 +50,17 @@ func (c LinkClass) String() string {
 	}
 }
 
-// Override prices one directed processor pair with its own profile,
-// the heterogeneous escape hatch of the two-class model (for example
-// one slow uplink in an otherwise uniform machine).
-type Override struct {
-	Src, Dst int
-	Profile  Profile
-}
-
 // Topology describes a two-level machine: Groups[i] is the size of
 // node-group i, and ranks are assigned to groups in contiguous runs
 // (ranks 0..Groups[0]-1 form group 0, and so on). Links inside a group
-// are priced by Intra, links between groups by Inter, and individual
-// directed pairs may be overridden. The zero group list is invalid;
-// use Validate before trusting a hand-built value, or build through
-// NewTopology/ParseTopology which validate for you.
+// are priced by Intra, links between groups by Inter. The zero group
+// list is invalid; use Validate before trusting a hand-built value, or
+// build through NewTopology/ParseTopology which validate for you.
 type Topology struct {
-	Name      string
-	Groups    []int
-	Intra     Profile
-	Inter     Profile
-	Overrides []Override
+	Name   string
+	Groups []int
+	Intra  Profile
+	Inter  Profile
 }
 
 // NewTopology builds and validates a topology from explicit group
@@ -84,22 +73,8 @@ func NewTopology(groups []int, intra, inter Profile) (*Topology, error) {
 	return t, nil
 }
 
-// Uniform builds a validated topology of `groups` node-groups of
-// `size` processors each.
-func Uniform(groups, size int, intra, inter Profile) (*Topology, error) {
-	if groups < 1 || size < 1 {
-		return nil, fmt.Errorf("costmodel: uniform topology %dx%d needs positive dimensions", groups, size)
-	}
-	sizes := make([]int, groups)
-	for i := range sizes {
-		sizes[i] = size
-	}
-	return NewTopology(sizes, intra, inter)
-}
-
 // Validate reports whether the topology is well-formed: at least one
-// group, every group non-empty, both class profiles meaningful, and
-// every override a distinct in-range directed pair.
+// group, every group non-empty and both class profiles meaningful.
 func (t *Topology) Validate() error {
 	if t == nil {
 		return fmt.Errorf("costmodel: nil topology")
@@ -117,24 +92,6 @@ func (t *Topology) Validate() error {
 	}
 	if err := t.Inter.Validate(); err != nil {
 		return fmt.Errorf("costmodel: inter profile: %w", err)
-	}
-	n := t.N()
-	seen := make(map[[2]int]bool, len(t.Overrides))
-	for _, o := range t.Overrides {
-		if o.Src < 0 || o.Src >= n || o.Dst < 0 || o.Dst >= n {
-			return fmt.Errorf("costmodel: override (%d -> %d) outside machine of %d processors", o.Src, o.Dst, n)
-		}
-		if o.Src == o.Dst {
-			return fmt.Errorf("costmodel: override (%d -> %d) is a self-link", o.Src, o.Dst)
-		}
-		if err := o.Profile.Validate(); err != nil {
-			return fmt.Errorf("costmodel: override (%d -> %d): %w", o.Src, o.Dst, err)
-		}
-		key := [2]int{o.Src, o.Dst}
-		if seen[key] {
-			return fmt.Errorf("costmodel: duplicate override (%d -> %d)", o.Src, o.Dst)
-		}
-		seen[key] = true
 	}
 	return nil
 }
@@ -178,41 +135,6 @@ func (t *Topology) GroupAssignment() []int {
 	return out
 }
 
-// Leader returns the designated leader rank of a group — its first
-// (lowest) rank.
-func (t *Topology) Leader(group int) int {
-	if group < 0 || group >= len(t.Groups) {
-		return -1
-	}
-	rank := 0
-	for g := 0; g < group; g++ {
-		rank += t.Groups[g]
-	}
-	return rank
-}
-
-// Leaders returns every group's leader rank in group order.
-func (t *Topology) Leaders() []int {
-	out := make([]int, len(t.Groups))
-	for g := range t.Groups {
-		out[g] = t.Leader(g)
-	}
-	return out
-}
-
-// Members returns the ranks of a group in order.
-func (t *Topology) Members(group int) []int {
-	if group < 0 || group >= len(t.Groups) {
-		return nil
-	}
-	first := t.Leader(group)
-	out := make([]int, t.Groups[group])
-	for i := range out {
-		out[i] = first + i
-	}
-	return out
-}
-
 // Trivial reports whether the topology collapses to a flat machine:
 // a single group (everything intra) or single-member groups only
 // (everything inter). Hierarchical schedules degenerate to flat ones
@@ -235,18 +157,6 @@ func (t *Topology) ClassProfile(c LinkClass) Profile {
 		return t.Inter
 	}
 	return t.Intra
-}
-
-// LinkProfile returns the profile pricing the directed link
-// src -> dst: the pair's override if one exists, otherwise the
-// profile of the pair's link class.
-func (t *Topology) LinkProfile(src, dst int) Profile {
-	for _, o := range t.Overrides {
-		if o.Src == src && o.Dst == dst {
-			return o.Profile
-		}
-	}
-	return t.ClassProfile(t.LinkClass(src, dst))
 }
 
 // LevelTime prices a hierarchical schedule's per-class measures under
@@ -293,10 +203,9 @@ func (t *Topology) Spec() string {
 }
 
 // Digest returns a 64-bit FNV-1a fingerprint of the topology — group
-// shape, both class profiles and the override table (order-
-// independent) — the key under which auto-dispatch verdicts and plans
-// are memoized. Like the layout digest, a hit must be confirmed with
-// Equal before trusting it.
+// shape and both class profiles — the key under which auto-dispatch
+// verdicts and plans are memoized. Like the layout digest, a hit must
+// be confirmed with Equal before trusting it.
 func (t *Topology) Digest() uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
@@ -315,61 +224,20 @@ func (t *Topology) Digest() uint64 {
 	writeFloat(t.Intra.Tau)
 	writeFloat(t.Inter.Beta)
 	writeFloat(t.Inter.Tau)
-	ov := append([]Override(nil), t.Overrides...)
-	sort.Slice(ov, func(i, j int) bool {
-		if ov[i].Src != ov[j].Src {
-			return ov[i].Src < ov[j].Src
-		}
-		return ov[i].Dst < ov[j].Dst
-	})
-	for _, o := range ov {
-		writeInt(o.Src)
-		writeInt(o.Dst)
-		writeFloat(o.Profile.Beta)
-		writeFloat(o.Profile.Tau)
-	}
 	return h.Sum64()
 }
 
 // Equal reports whether two topologies price every link identically:
-// same group shape, class parameters and override table. Names do not
-// participate — two differently named but parameter-identical
-// topologies rank every schedule the same way.
+// same group shape and class parameters. Names do not participate — two
+// differently named but parameter-identical topologies rank every
+// schedule the same way.
 func (t *Topology) Equal(o *Topology) bool {
 	if t == nil || o == nil {
 		return t == o
 	}
-	if len(t.Groups) != len(o.Groups) || len(t.Overrides) != len(o.Overrides) {
-		return false
-	}
-	for i, m := range t.Groups {
-		if o.Groups[i] != m {
-			return false
-		}
-	}
-	if t.Intra.Beta != o.Intra.Beta || t.Intra.Tau != o.Intra.Tau ||
-		t.Inter.Beta != o.Inter.Beta || t.Inter.Tau != o.Inter.Tau {
-		return false
-	}
-	a := append([]Override(nil), t.Overrides...)
-	b := append([]Override(nil), o.Overrides...)
-	less := func(s []Override) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].Src != s[j].Src {
-				return s[i].Src < s[j].Src
-			}
-			return s[i].Dst < s[j].Dst
-		}
-	}
-	sort.Slice(a, less(a))
-	sort.Slice(b, less(b))
-	for i := range a {
-		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst ||
-			a[i].Profile.Beta != b[i].Profile.Beta || a[i].Profile.Tau != b[i].Profile.Tau {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(t.Groups, o.Groups) &&
+		t.Intra.Beta == o.Intra.Beta && t.Intra.Tau == o.Intra.Tau &&
+		t.Inter.Beta == o.Inter.Beta && t.Inter.Tau == o.Inter.Tau
 }
 
 // Scaled returns p with both parameters multiplied by f, the standard

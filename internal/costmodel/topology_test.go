@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"bruck/internal/mpsim"
 )
 
 func mustTopo(t *testing.T, spec string) *Topology {
@@ -48,23 +46,6 @@ func TestTopologyShapeAccessors(t *testing.T) {
 			t.Fatalf("GroupAssignment[%d] = %d, want %d", r, g, wantGroup[r])
 		}
 	}
-	leaders := topo.Leaders()
-	if len(leaders) != 3 || leaders[0] != 0 || leaders[1] != 4 || leaders[2] != 8 {
-		t.Fatalf("Leaders = %v, want [0 4 8]", leaders)
-	}
-	if got := topo.Leader(-1); got != -1 {
-		t.Fatalf("Leader(-1) = %d, want -1", got)
-	}
-	if got := topo.Leader(3); got != -1 {
-		t.Fatalf("Leader(3) = %d, want -1", got)
-	}
-	members := topo.Members(2)
-	if len(members) != 3 || members[0] != 8 || members[2] != 10 {
-		t.Fatalf("Members(2) = %v, want [8 9 10]", members)
-	}
-	if topo.Members(5) != nil {
-		t.Fatal("Members(5) should be nil")
-	}
 }
 
 func TestTopologyValidate(t *testing.T) {
@@ -79,14 +60,6 @@ func TestTopologyValidate(t *testing.T) {
 		{"empty group", Topology{Groups: []int{2, 0}, Intra: intra, Inter: inter}, "empty groups"},
 		{"bad intra", Topology{Groups: []int{2}, Intra: Profile{Beta: -1}, Inter: inter}, "intra profile"},
 		{"bad inter", Topology{Groups: []int{2}, Intra: intra, Inter: Profile{}}, "inter profile"},
-		{"override out of range", Topology{Groups: []int{2, 2}, Intra: intra, Inter: inter,
-			Overrides: []Override{{Src: 0, Dst: 9, Profile: intra}}}, "outside"},
-		{"override self-link", Topology{Groups: []int{2, 2}, Intra: intra, Inter: inter,
-			Overrides: []Override{{Src: 1, Dst: 1, Profile: intra}}}, "self-link"},
-		{"override degenerate profile", Topology{Groups: []int{2, 2}, Intra: intra, Inter: inter,
-			Overrides: []Override{{Src: 0, Dst: 1}}}, "degenerate"},
-		{"override duplicate", Topology{Groups: []int{2, 2}, Intra: intra, Inter: inter,
-			Overrides: []Override{{Src: 0, Dst: 1, Profile: intra}, {Src: 0, Dst: 1, Profile: inter}}}, "duplicate"},
 	}
 	for _, c := range cases {
 		err := c.topo.Validate()
@@ -106,12 +79,6 @@ func TestTopologyValidate(t *testing.T) {
 	}
 	if _, err := NewTopology([]int{3, -1}, intra, inter); err == nil {
 		t.Error("NewTopology accepted a negative group")
-	}
-	if _, err := Uniform(0, 4, intra, inter); err == nil {
-		t.Error("Uniform accepted zero groups")
-	}
-	if u, err := Uniform(4, 4, intra, inter); err != nil || u.N() != 16 {
-		t.Errorf("Uniform(4,4) = %v, %v", u, err)
 	}
 }
 
@@ -207,21 +174,6 @@ func TestTopologyLinkClassAndProfiles(t *testing.T) {
 	if got := topo.ClassProfile(LinkInter); got.Beta != topo.Inter.Beta {
 		t.Fatal("ClassProfile(inter) != Inter")
 	}
-	// Per-pair overrides win over the class profile, direction matters.
-	slow := Profile{Name: "slow uplink", Beta: 1e-3, Tau: 1e-6}
-	topo.Overrides = []Override{{Src: 3, Dst: 4, Profile: slow}}
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := topo.LinkProfile(3, 4); got.Beta != slow.Beta {
-		t.Fatal("override not applied")
-	}
-	if got := topo.LinkProfile(4, 3); got.Beta != topo.Inter.Beta {
-		t.Fatal("override applied to the reverse direction")
-	}
-	if got := topo.LinkProfile(0, 1); got.Beta != topo.Intra.Beta {
-		t.Fatal("intra pair not priced by Intra")
-	}
 }
 
 func TestTopologyLevelAndFlatTime(t *testing.T) {
@@ -273,7 +225,6 @@ func TestTopologyDigestAndEqual(t *testing.T) {
 		func(t *Topology) { t.Groups = []int{8, 8} },
 		func(t *Topology) { t.Intra.Tau *= 2 },
 		func(t *Topology) { t.Inter.Beta *= 2 },
-		func(t *Topology) { t.Overrides = []Override{{Src: 0, Dst: 5, Profile: SP1}} },
 	} {
 		m := mustTopo(t, "4x4")
 		mutate(m)
@@ -284,62 +235,11 @@ func TestTopologyDigestAndEqual(t *testing.T) {
 			t.Fatalf("mutated topology %+v collides on Digest", m)
 		}
 	}
-	// Override order is canonicalized.
-	o1 := Override{Src: 0, Dst: 5, Profile: SP1}
-	o2 := Override{Src: 1, Dst: 6, Profile: SP1}
-	x, y := mustTopo(t, "4x4"), mustTopo(t, "4x4")
-	x.Overrides = []Override{o1, o2}
-	y.Overrides = []Override{o2, o1}
-	if !x.Equal(y) || x.Digest() != y.Digest() {
-		t.Fatal("override order must not affect Equal or Digest")
-	}
 	var nilTopo *Topology
 	if nilTopo.Equal(a) || a.Equal(nilTopo) {
 		t.Fatal("nil compares equal to non-nil")
 	}
 	if !nilTopo.Equal(nil) {
 		t.Fatal("nil must equal nil")
-	}
-}
-
-func TestTopologyCriticalPath(t *testing.T) {
-	topo := mustTopo(t, "2x2")
-	events := []mpsim.Event{
-		{Round: 0, Src: 0, Dst: 1, Size: 8},
-		{Round: 1, Src: 1, Dst: 2, Size: 8},
-	}
-	got, err := CriticalPathTopo(topo, 4, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank 2's arrival chains behind rank 1's intra receive: one intra
-	// hop then one inter hop.
-	want := topo.Intra.MessageTime(8) + topo.Inter.MessageTime(8)
-	if math.Abs(got-want) > 1e-18 {
-		t.Fatalf("CriticalPathTopo = %g, want %g", got, want)
-	}
-	// Flat degeneration: Intra == Inter matches CriticalPath.
-	flat := &Topology{Groups: []int{2, 2}, Intra: SP1, Inter: SP1}
-	ft, err := CriticalPathTopo(flat, 4, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := CriticalPath(SP1, 4, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ft-cp) > 1e-18 {
-		t.Fatalf("flat CriticalPathTopo %g != CriticalPath %g", ft, cp)
-	}
-	// Error paths: nil topology, invalid topology, machine-size mismatch.
-	if _, err := CriticalPathTopo(nil, 4, events); err == nil {
-		t.Error("nil topology accepted")
-	}
-	bad := &Topology{Groups: []int{0}, Intra: SP1, Inter: SP1}
-	if _, err := CriticalPathTopo(bad, 0, nil); err == nil {
-		t.Error("invalid topology accepted")
-	}
-	if _, err := CriticalPathTopo(topo, 5, events); err == nil {
-		t.Error("topology/machine size mismatch accepted")
 	}
 }

@@ -92,11 +92,6 @@ type engine struct {
 	running atomic.Bool
 
 	metrics *Metrics
-
-	// lastPrograms is how many programs the most recent run executed;
-	// Metrics is nil after a multi-program run, and this lets callers
-	// distinguish that case from "never ran".
-	lastPrograms int
 }
 
 // run is the state of one engine run, reused by the next unless a fence
@@ -360,7 +355,6 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
 	}
 	e.gen++
-	e.lastPrograms = len(progs)
 	r.live.Store(int64(spawn))
 	for i := range r.procs {
 		p := &r.procs[i]
@@ -520,10 +514,6 @@ func (r *run) uniformityError(prog int) error {
 // most recent run deadlocked or it executed multiple programs —
 // per-program metrics are returned by RunPrograms itself.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
-
-// ProgramsInLastRun returns how many programs the most recent run
-// executed (1 for plain Run), or 0 if the engine has never run.
-func (e *Engine) ProgramsInLastRun() int { return e.lastPrograms }
 
 // fence isolates the engine from the goroutines of a deadlocked run.
 // Abandoning the transport wakes every processor blocked in a send or
