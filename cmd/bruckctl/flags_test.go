@@ -19,7 +19,7 @@ func TestCanonicalFlagVocabulary(t *testing.T) {
 		"index":   {"csv", "fig", "k", "n", "report-json", "tune"},
 		"concat":  {"b", "baselines", "bounds", "optimality", "report-json"},
 		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
-		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "perturb", "report-json",
+		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "report-json",
 			"stragglers", "transport"},
 		"vet": {"case", "report-json"},
 	}

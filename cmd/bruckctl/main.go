@@ -6,7 +6,7 @@
 //	bruckctl index   -fig 4|5|6 | -tune                   # Section 3.5 index figures
 //	bruckctl concat  -bounds | -optimality | -baselines   # Sections 2/4 concat tables
 //	bruckctl figures -fig 1|2|3|7|8|9 | -table 1 | -all   # structural figures, byte-verified
-//	bruckctl trace   record|verify [-perturb]             # golden schedule corpus
+//	bruckctl trace   record|verify                        # golden program corpus
 //	bruckctl vet     [-case substr]                       # static plan verification (Plan.Check)
 //
 // A study returns tables and report.go prints them: as text by default,

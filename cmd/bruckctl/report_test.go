@@ -94,7 +94,6 @@ func TestReportFormatsAgree(t *testing.T) {
 		{"figures", "-all"},
 		{"figures", "-fig", "9", "-n", "6", "-transport", "slot"},
 		{"trace", "verify", "-dir", dir},
-		{"trace", "verify", "-dir", dir, "-perturb"},
 		{"vet"},
 	} {
 		render := func(flag ...string) string {

@@ -1,18 +1,16 @@
-// The trace subcommand records and verifies the golden schedule-trace
-// corpus (internal/golden): canonical JSON artifacts of every
-// representative collective schedule.
+// The trace subcommand records and verifies the golden corpus
+// (internal/golden): the program listing of every representative
+// collective schedule.
 //
 //	bruckctl trace record  [-dir d] [-case substr] [-transport b]
-//	bruckctl trace verify  [-dir d] [-case substr] [-transport b] [-chaos-seed s] [-chaos-inner b] [-stragglers 0,3] [-perturb]
+//	bruckctl trace verify  [-dir d] [-case substr] [-transport b] [-chaos-seed s] [-chaos-inner b] [-stragglers 0,3]
 //
-// record captures each case live and (re)writes its artifact; verify
-// captures each case live and diffs it against the committed artifact,
-// exiting nonzero on any structural drift. Traces are
-// transport-independent, so verify under -transport chaos proves the
-// committed schedules survive adversarial timing. -perturb is the
-// negative self-test: it structurally perturbs every live schedule and
-// succeeds only if every case then FAILS verification — proving the
-// diff actually detects drift.
+// Both run each case live and require the run to send exactly the
+// messages its program predicts; record then (re)writes the case's
+// listing, verify compares it with the committed one and names the
+// first lines that differ, exiting nonzero on any drift. Under
+// -transport chaos, verify proves the committed programs survive
+// adversarial timing.
 package main
 
 import (
@@ -42,7 +40,6 @@ type traceFlags struct {
 	dir        *string
 	caseFilter *string
 	tf         *cli.TransportFlags
-	perturb    *bool
 	reportJSON *bool
 }
 
@@ -51,7 +48,6 @@ func registerTraceFlags(fs *flag.FlagSet) traceFlags {
 	f.dir = fs.String("dir", defaultTraceDir(), "golden artifact directory")
 	f.caseFilter = fs.String(cli.FlagCase, "", "only cases whose name contains this substring")
 	f.tf = cli.RegisterTransportFlags(fs)
-	f.perturb = fs.Bool("perturb", false, "verify only: perturb each live schedule and require verification to fail")
 	f.reportJSON = fs.Bool(cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	return f
 }
@@ -74,26 +70,23 @@ func (f traceFlags) run(fs *flag.FlagSet, args []string, out io.Writer) error {
 	switch mode {
 	case "record":
 		return rp.flush(corpusTable("trace-record", *f.caseFilter, func(c golden.Case) (string, string, error) {
-			s, err := golden.Capture(c, opts...)
+			listing, err := golden.Capture(c, opts...)
 			if err != nil {
 				return "", "", err
 			}
-			if err := golden.Write(*f.dir, c, s); err != nil {
+			if err := golden.Write(*f.dir, c, listing); err != nil {
 				return "", "", err
 			}
-			return "recorded", fmt.Sprintf("%s (%d rounds)", golden.Path(*f.dir, c), s.C1), nil
+			return "recorded", fmt.Sprintf("%s (%d lines)", golden.Path(*f.dir, c), strings.Count(listing, "\n")), nil
 		}))
 	case "verify":
 		return rp.flush(corpusTable("trace-verify", *f.caseFilter, func(c golden.Case) (string, string, error) {
-			s, err := golden.Capture(c, opts...)
+			listing, err := golden.Capture(c, opts...)
 			if err != nil {
 				return "", "", err
 			}
-			if *f.perturb {
-				golden.Perturb(s)
-			}
-			diffs, err := golden.Verify(*f.dir, c, s)
-			status, detail := verdict(*f.perturb, diffs)
+			diffs, err := golden.Verify(*f.dir, c, listing)
+			status, detail := verdict(diffs)
 			return status, detail, err
 		}))
 	}
@@ -131,15 +124,9 @@ func corpusTable(name, filter string, row func(c golden.Case) (status, detail st
 }
 
 // verdict is one case's status and detail from its findings (diffs or
-// violations): none is a pass, unless the case was perturbed — the
-// negative self-test, which passes only when the perturbation was found.
-func verdict(perturb bool, findings []string) (status, detail string) {
-	switch {
-	case perturb && len(findings) == 0:
-		return "FAIL", "perturbed schedule passed verification"
-	case perturb:
-		return "ok", fmt.Sprintf("perturbation detected (%d diffs)", len(findings))
-	case len(findings) != 0:
+// violations): none is a pass.
+func verdict(findings []string) (status, detail string) {
+	if len(findings) != 0 {
 		return "FAIL", strings.Join(findings, "; ")
 	}
 	return "ok", ""

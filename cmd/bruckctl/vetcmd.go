@@ -6,11 +6,12 @@
 //
 //	bruckctl vet [-case substr] [-report-json]
 //
-// Where `bruckctl trace verify` proves a live run still matches the
-// committed schedule, vet proves the schedule itself is well-formed:
-// k-port limits, round alignment, C1/C2 and the phase table recomputed
-// from the program, and the delivery simulation that shows the program
-// realizes the collective. Its negative controls are the rows of
+// Where `bruckctl trace verify` proves a live run sends exactly the
+// messages of the program, and the program still matches its committed
+// listing, vet proves the program itself is well-formed: k-port limits,
+// round alignment, C1/C2 and the phase table recomputed from the
+// program, and the delivery simulation that shows the program realizes
+// the collective. Its negative controls are the rows of
 // TestCheckPerturbations.
 package main
 
@@ -38,7 +39,7 @@ func vetRun(caseFilter string, reportJSON bool, out io.Writer) error {
 		if err != nil {
 			return "", "", err
 		}
-		status, detail := verdict(false, pl.Check())
+		status, detail := verdict(pl.Check())
 		return status, detail, nil
 	}))
 }

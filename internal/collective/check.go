@@ -25,15 +25,17 @@ package collective
 // The same walk carries a second domain, virtual time: under a price per
 // message every rank keeps a clock, which Plan.CriticalPath and
 // CriticalPathTopo read. Plan.Snapshots draws the labels after each
-// round as the paper's figures.
+// round as the paper's figures, and Plan.Messages lists what is sent.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
 	"bruck/internal/costmodel"
+	"bruck/internal/mpsim"
 	"bruck/internal/trace"
 )
 
@@ -448,6 +450,27 @@ func (pl *Plan) criticalPath(price func(src, dst, bytes int) float64) float64 {
 		latest = max(latest, rk.clock)
 	}
 	return latest
+}
+
+// Messages returns every message one execution sends as the engine
+// records it (mpsim.Record): round, source and destination processor,
+// size, and link class under the engine's topology, sorted by round,
+// source and destination — read off the walk Check proves the plan
+// with, so a live run records exactly these.
+func (pl *Plan) Messages() []mpsim.Event {
+	var msgs []mpsim.Event
+	t, groupOf := 0, pl.engine.GroupAssignment()
+	s := newSim(pl, nil, func(src, dst, bytes int) float64 {
+		ev := mpsim.Event{Round: t, Src: src, Dst: dst, Size: bytes}
+		if groupOf != nil && groupOf[src] != groupOf[dst] {
+			ev.Class = mpsim.ClassInter
+		}
+		msgs = append(msgs, ev)
+		return 0
+	})
+	s.run(func(round, _ int, _ string) { t = round + 1 })
+	slices.SortFunc(msgs, func(a, b mpsim.Event) int { return cmp.Or(a.Round-b.Round, a.Src-b.Src, a.Dst-b.Dst) })
+	return msgs
 }
 
 // snapshot runs every rank's local steps up to its next exchange and

@@ -151,9 +151,8 @@
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the pool hint and a hierarchical plan's phase table from the
-// program; program.pattern exports the compiled view the golden traces
-// pin (the tagged rounds "bruck", "doubling", "last", "trivial";
-// untagged, formula-driven families export none); Plan.Check
+// program; Plan.Listing prints the program as the text the golden
+// corpus pins, and Plan.Messages the messages a run sends; Plan.Check
 // (check.go) runs the program of all n ranks on symbolic bytes and
 // proves delivery for every family against Plan.goal, the one statement
 // of what each operation computes. That one walk carries two domains:
@@ -171,7 +170,7 @@
 // Adding a family is one compiler function and one arm of
 // Spec.canonicalize: build its steps with the builder, return the
 // program from the operation's compile switch, say which Spec fields it
-// reads, and caching, execution, Check, traces, costs and `bruckctl
+// reads, and caching, execution, Check, the listing, costs and `bruckctl
 // vet` follow.
 //
 // # Pipelined (segmented) plans
@@ -339,7 +338,7 @@
 // is the load-bearing invariant: it makes the per-class (C1, C2) split
 // an exact compile-time fact (Result.Intra/Result.Inter, each carrying
 // its own lower bounds), lets Plan.TimeTopo price each phase at its
-// class profile, and gives trace.Schedule a phase table that Plan.Check
+// class profile, and gives the listing a phase table that Plan.Check
 // proves against the program (phases tile the rounds, per-phase C2
 // sums the rounds' maxima, intra phases never cross groups, inter
 // phases never stay inside one).

@@ -3,7 +3,7 @@ package collective
 // The step program: the one representation every schedule family
 // compiles to and everything else is derived from. The interpreter
 // (run.go) executes it on the engine, Plan.Check (check.go) simulates
-// it symbolically, and finish and pattern below count and export it.
+// it symbolically, finish below counts it and Listing prints it.
 //
 // A program is a list of steps per role. A translation-invariant
 // family has one role shared by all n ranks, because peers and block
@@ -12,8 +12,11 @@ package collective
 // hierarchical plans) materialise one role per rank.
 
 import (
+	"fmt"
+	"strings"
+
 	"bruck/internal/blocks"
-	"bruck/internal/trace"
+	"bruck/internal/costmodel"
 )
 
 type addrMode uint8
@@ -153,7 +156,7 @@ const (
 // extents.
 type step struct {
 	kind  stepKind
-	phase string // trace/phase tag; "" exports nothing
+	phase string // the round's name in the listing, a hierarchical plan's phase; "" for none
 	xfers []xfer
 	n     int    // exchange: lanes — the compiled rounds sharing the ports, 0 meaning one; skip, embed: rounds to sit out
 	em    *embed // embed only
@@ -350,42 +353,89 @@ func (pr *program) finish() {
 	}
 }
 
-// pattern exports the tagged exchange steps of a shared-role program as
-// group rank 0 runs them: the compiled view the golden traces pin. A
-// transfer's Offset is its destination offset; its blocks are the send
-// extents' block ids, except in the byte-granular "last" rounds, whose
-// extents name the receive-side placement. Untagged steps — the
-// formula-driven families — and per-rank roles export nothing.
-func (pr *program) pattern() []trace.PatternRound {
-	if len(pr.roles) != 1 {
-		return nil
+// Listing renders the compiled program as deterministic text, the
+// artifact the golden corpus pins. A header gives the plan's shape and
+// measures (and the layout digest of a ragged plan, the topology and
+// phase table of a hierarchical one); then each role, shared ("*") or
+// per rank, with its scratch regions ({bytes stride}), one line per step
+// and one per transfer under it, in the program's rank-relative
+// notation; an embedded sub-program is listed under its step.
+func (pl *Plan) Listing() string {
+	w := &strings.Builder{}
+	fmt.Fprintf(w, "%s %s n=%d k=%d blockLen=%d segments=%d c1=%d c2=%d\n",
+		pl.op, pl.alg, pl.group.Size(), pl.engine.Ports(), pl.blockLen, pl.segments, pl.c1, pl.c2)
+	if pl.layout != nil {
+		fmt.Fprintf(w, "layout %016x\n", pl.layout.Digest())
 	}
-	var out []trace.PatternRound
-	for i := range pr.roles[0].steps {
-		s := &pr.roles[0].steps[i]
-		if s.kind != stepExchange || s.phase == "" {
-			continue
+	if pl.topo != nil {
+		fmt.Fprintf(w, "topology %s\n", pl.topo.Spec())
+	}
+	for _, ph := range pl.phases {
+		fmt.Fprintf(w, "phase %s %v first=%d rounds=%d c2=%d\n", ph.Name, costmodel.LinkClass(ph.Class), ph.First, ph.Rounds, ph.C2)
+	}
+	pl.prog.list(w, "")
+	return w.String()
+}
+
+// list writes the program's roles at indent ind (see Listing).
+func (pr *program) list(w *strings.Builder, ind string) {
+	for r, ro := range pr.roles {
+		who := fmt.Sprint(r)
+		if len(pr.roles) == 1 {
+			who = "*"
 		}
-		round := trace.PatternRound{Phase: s.phase}
-		for j := range s.xfers {
-			x := &s.xfers[j]
-			tr := trace.PatternTransfer{Offset: x.to.of(0, pr.n, 0), Bytes: x.bytes}
-			if s.phase == "last" {
-				for _, e := range x.recv {
-					tr.Extents = append(tr.Extents, trace.Extent{Block: int(e.at.c), Off: int(e.off), Len: int(e.len)})
-				}
-			} else {
-				for _, e := range x.send {
-					for b := 0; b < int(e.n); b++ {
-						tr.Blocks = append(tr.Blocks, int(e.at.c)+b)
-					}
-				}
+		fmt.Fprintf(w, "%srole %s scratch %v\n", ind, who, ro.scratch)
+		for i, s := range ro.steps {
+			fmt.Fprintf(w, "%s  %d %s %q", ind, i, [...]string{"exchange", "copy", "spread", "skip", "embed"}[s.kind], s.phase)
+			switch s.kind {
+			case stepExchange:
+				fmt.Fprintf(w, " lanes=%d", max(s.n, 1))
+			case stepSkip, stepEmbed:
+				fmt.Fprintf(w, " skip=%d", s.n)
 			}
-			round.Transfers = append(round.Transfers, tr)
+			if s.em != nil {
+				fmt.Fprintf(w, " me=%d members=%v", s.em.me, s.em.members)
+			}
+			for _, x := range s.xfers {
+				fmt.Fprintf(w, "\n%s    to %v from %v send %s recv %s bytes=%d%s%s", ind, x.to, x.from, extents(x.send), extents(x.recv),
+					x.bytes, map[bool]string{true: " combine"}[x.combine], map[bool]string{true: " swap"}[x.swap])
+			}
+			w.WriteString("\n")
+			if s.em != nil {
+				fmt.Fprintf(w, "%s    program n=%d k=%d blockLen=%d c1=%d c2=%d\n", ind, s.em.sub.n, s.em.sub.k, s.em.sub.bl, s.em.sub.c1, s.em.sub.c2)
+				s.em.sub.list(w, ind+"    ")
+			}
 		}
-		out = append(out, round)
 	}
-	return out
+}
+
+// String writes the address as the program reads it: c, +c (a negative c
+// is -c), ^c, or "-" for no peer.
+func (a rel) String() string {
+	if a.mode == addrNone {
+		return "-"
+	}
+	return fmt.Sprintf([...]string{addrAbs: "%d", addrAdd: "%+d", addrXor: "^%d"}[a.mode], a.c)
+}
+
+// extents writes an extent list: region@address*blocks, then the byte
+// range inside each block ([off:] runs to its end, the whole block
+// shows none) and "rev" for a descending run; "-" when empty.
+func extents(es []extent) string {
+	parts := []string{"-"}
+	for i, e := range es {
+		p := fmt.Sprintf("%s@%v*%d", [...]string{"in", "out", "w0", "w1", "w2"}[e.reg], e.at, e.n)
+		if e.len >= 0 {
+			p += fmt.Sprintf("[%d:%d]", e.off, e.off+e.len)
+		} else if e.off > 0 {
+			p += fmt.Sprintf("[%d:]", e.off)
+		}
+		if e.rev {
+			p += "rev"
+		}
+		parts = append(parts[:i], p)
+	}
+	return strings.Join(parts, ",")
 }
 
 // builder slab-allocates the steps, transfers and extents of one role.

@@ -2,8 +2,8 @@ package costmodel_test
 
 // The event-stream reference of the per-processor-clock accounting:
 // collective.Plan.CriticalPath walks a plan's program, and this walks the
-// messages a run of it recorded (mpsim.Record). The two must agree on
-// every golden case.
+// messages a run of it sends (Plan.Messages, which golden.Capture holds
+// to a recorded run). The two must agree on every golden case.
 
 import (
 	"fmt"
@@ -299,16 +299,10 @@ func TestPlanCriticalPathMatchesEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, err := golden.Capture(c)
-		if err != nil {
+		if _, err := golden.Capture(c); err != nil { // a recorded run sends exactly pl.Messages()
 			t.Fatal(err)
 		}
-		var events []mpsim.Event
-		for _, r := range live.Rounds {
-			for _, s := range r.Sends {
-				events = append(events, mpsim.Event{Round: r.Round, Src: s.Src, Dst: s.Dst, Size: s.Bytes})
-			}
-		}
+		events := pl.Messages()
 		want, err := criticalPath(c.N, events, flat(costmodel.SP1))
 		if err != nil {
 			t.Fatal(err)

@@ -1,39 +1,37 @@
-// Package golden maintains the golden schedule-trace corpus: one
-// canonical trace artifact (internal/trace.Schedule) per representative
-// schedule family, committed under testdata/golden/ and verified
-// against live runs by the package tests, the chaos fuzzer and
-// `bruckctl trace`. A golden mismatch means the schedule's structure —
-// rounds, partners, message sizes, block placement — drifted from what
-// was reviewed and committed; regenerate deliberately with
-// `go test ./internal/golden -update` (or `bruckctl trace record`) and
-// review the diff.
+// Package golden maintains the golden corpus: one representative case
+// per schedule family, whose compiled program's listing
+// (collective.Plan.Listing) is committed under testdata/golden/ and
+// verified by the package tests, the chaos fuzzer and `bruckctl trace`.
+// A mismatch means the program — rounds, partners, extents, message
+// sizes — drifted from what was reviewed and committed; regenerate
+// deliberately with `go test ./internal/golden -update` (or
+// `bruckctl trace record`) and review the diff.
 //
-// Every capture runs through the oracle (collective.Exercise), which
-// compares every output block with the operation's definition, so a
-// golden run proves byte-correctness and structural stability in one
-// pass — under any transport backend, since traces are
-// transport-independent. A Case becomes a plan in one step, Case.spec.
+// Every capture runs the plan through the oracle (collective.Exercise),
+// which compares every output block with the operation's definition,
+// and requires the run to send exactly the messages the program
+// predicts (Plan.Messages) — under any transport backend. A Case
+// becomes a plan in one step, Case.spec.
 package golden
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
 	"bruck/internal/mpsim"
-	"bruck/internal/trace"
 )
 
-// Case describes one golden-trace configuration: a collective
+// Case describes one golden-corpus configuration: a collective
 // operation, schedule family and machine shape small enough to capture
 // in milliseconds but rich enough to exercise the family's structure.
 type Case struct {
-	// Name is the artifact's base name (Name + ".json" under the golden
-	// directory).
+	// Name is the artifact's base name (Path adds ".txt").
 	Name string
 	// Op and Alg are names collective.ParseSpec accepts: the operation,
 	// and the schedule family within it ("" for the default), plus
@@ -110,71 +108,73 @@ const Dir = "testdata/golden"
 
 // Path returns the artifact path of a case under dir.
 func Path(dir string, c Case) string {
-	return filepath.Join(dir, c.Name+".json")
+	return filepath.Join(dir, c.Name+".txt")
 }
 
-// Write records the schedule as the case's golden artifact under dir,
-// creating the directory as needed.
-func Write(dir string, c Case, s *trace.Schedule) error {
-	data, err := s.Canonical()
-	if err != nil {
-		return err
-	}
+// Write records a program listing as the case's golden artifact under
+// dir, creating the directory as needed.
+func Write(dir string, c Case, listing string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("golden: %w", err)
 	}
-	if err := os.WriteFile(Path(dir, c), data, 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, c), []byte(listing), 0o644); err != nil {
 		return fmt.Errorf("golden: %w", err)
 	}
 	return nil
 }
 
-// Verify diffs a live schedule against the case's committed artifact
-// under dir. It returns the structural differences (nil when the trace
-// matches) or an error when the artifact is missing or unparseable.
-func Verify(dir string, c Case, live *trace.Schedule) ([]string, error) {
+// Verify compares a live program listing with the case's committed
+// artifact under dir: nil when they are byte-equal, else the first five
+// differing lines; an error when the artifact is missing.
+func Verify(dir string, c Case, listing string) ([]string, error) {
 	data, err := os.ReadFile(Path(dir, c))
 	if err != nil {
 		return nil, fmt.Errorf("golden: no artifact for case %s (run with -update or `bruckctl trace record`): %w", c.Name, err)
 	}
-	want, err := trace.ParseSchedule(data)
-	if err != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
-	}
-	return trace.Diff(live, want), nil
-}
-
-// Perturb structurally mutates a schedule — the drift a verify run must
-// catch: one message a byte larger and C2 with it, flat and hierarchical
-// schedules alike. Used by the negative tests and
-// `bruckctl trace verify -perturb`.
-func Perturb(s *trace.Schedule) {
-	s.C2++
-	for i := range s.Rounds {
-		if len(s.Rounds[i].Sends) > 0 {
-			s.Rounds[i].Sends[0].Bytes++
-			return
+	got, want := strings.SplitAfter(listing, "\n"), strings.SplitAfter(string(data), "\n")
+	n := max(len(got), len(want)) // the shorter one reads as empty lines past its end
+	got, want = append(got, make([]string, n-len(got))...), append(want, make([]string, n-len(want))...)
+	var d []string
+	for i := 0; i < n && len(d) < 5; i++ {
+		if got[i] != want[i] {
+			d = append(d, fmt.Sprintf("line %d: got %q, want %q", i+1, got[i], want[i]))
 		}
 	}
-	// A schedule with no messages (n = 1) still drifts via its meta.
-	s.C1++
+	return d, nil
 }
 
-// Capture compiles the case's plan on a fresh engine (created with the
-// given extra options — e.g. mpsim.WithTransport or mpsim.WithChaos —
-// on top of Ports(c.K) and Record(true)), runs it once through the
-// oracle (collective.Exercise: deterministic input, every output block
-// compared with the operation's definition), and returns the canonical
-// trace of the run.
-func Capture(c Case, opts ...mpsim.Option) (*trace.Schedule, error) {
+// Capture compiles the case's plan on a fresh engine (with the given
+// options — e.g. mpsim.WithTransport or mpsim.WithChaos — on top of
+// Ports(c.K) and Record(true)), runs it once through the oracle
+// (collective.Exercise), requires the run to have sent exactly the
+// messages the program predicts (Plan.Messages), and returns the
+// program's listing.
+func Capture(c Case, opts ...mpsim.Option) (string, error) {
 	e, pl, err := c.compile(append([]mpsim.Option{mpsim.Record(true)}, opts...)...)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if _, err := collective.Exercise(pl, collective.Labels); err != nil {
-		return nil, fmt.Errorf("golden: case %s: %w", c.Name, err)
+		return "", fmt.Errorf("golden: case %s: %w", c.Name, err)
 	}
-	return pl.Schedule(e.Metrics().Events()), nil
+	if err := sameMessages(e.Metrics().Events(), pl.Messages()); err != nil {
+		return "", fmt.Errorf("golden: case %s: %w", c.Name, err)
+	}
+	return pl.Listing(), nil
+}
+
+// sameMessages reports the first message a recorded run and the program
+// disagree on.
+func sameMessages(got, want []mpsim.Event) error {
+	for i := 0; i < len(got) || i < len(want); i++ {
+		switch {
+		case i == len(got) || i == len(want):
+			return fmt.Errorf("the run sent %d messages, the program %d", len(got), len(want))
+		case got[i] != want[i]:
+			return fmt.Errorf("message %d: the run sent %+v, the program %+v", i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 // Compile compiles the case's plan on a fresh engine without executing

@@ -1,10 +1,9 @@
-// Package trace holds what the paper's figures and the golden schedule
-// corpus are made of. The processor-memory configurations of Figures 1,
-// 2, 3 and 9 are Configs of block Labels ("ij": block j of processor
-// i), one Step per round; collective.Plan.Snapshots draws them from the
-// symbolic walk Plan.Check proves a plan with, so a figure shows the
-// program the engine runs. The canonical schedule traces are in
-// schedule.go.
+// Package trace holds what the paper's figures are made of. The
+// processor-memory configurations of Figures 1, 2, 3 and 9 are Configs
+// of block Labels ("ij": block j of processor i), one Step per round;
+// collective.Plan.Snapshots draws them from the symbolic walk
+// Plan.Check proves a plan with, so a figure shows the program the
+// engine runs.
 package trace
 
 import (
