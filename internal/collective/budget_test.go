@@ -104,67 +104,31 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 14, 4, 4096, 8320},
-		{"concat/flat", concat, compilePerCall, 22, 4, 1920, 3968},
-		{"index/plan-reuse", index, planReuse, 6, 4, 4096, 8320},
+		{"index/flat", index, compilePerCall, 10, 4, 4096, 8320},
+		{"concat/flat", concat, compilePerCall, 18, 4, 1920, 3968},
+		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 8320},
 		{"index/compile-only", index, compileOnly, 8, 4, 4096, 8320},
-		{"concat/plan-reuse", concat, planReuse, 6, 4, 1920, 3968},
-		{"indexv/ragged-bruck", indexV, planReuse, 6, 4, 4096, 10730},
-		{"indexv/ragged-auto", indexVAuto, planReuse, 6, 6, 3072, 8682},
-		{"concatv/ragged-circulant", concatV, planReuse, 6, 4, 1815, 4671},
+		{"concat/plan-reuse", concat, planReuse, 2, 4, 1920, 3968},
+		{"indexv/ragged-bruck", indexV, planReuse, 2, 4, 4096, 10730},
+		{"indexv/ragged-auto", indexVAuto, planReuse, 2, 6, 3072, 8682},
+		{"concatv/ragged-circulant", concatV, planReuse, 2, 4, 1815, 4671},
 		{"runplans/concurrent-2x8", halves, concurrent, 20, 3, 1536, 1600},
-		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 6, 15, 1920, 2176},
-		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 6, 4, 1920, 6016},
-		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 6, 4, 4096, 10240},
-		{"allreduce/auto", auto, planReuse, 6, 8, 3840, 9856},
+		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 2, 15, 1920, 2176},
+		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 2, 4, 1920, 6016},
+		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 2, 4, 4096, 10240},
+		{"allreduce/auto", auto, planReuse, 2, 8, 3840, 9856},
 		{"allreduce/ring-16k", ring16k, planReuse, 6, 19, 491520, 770048},
 		{"index/mono", sized(index, 0), planReuse, 6, 4, 2097152, 4259840},
 		{"index/s4", sized(index, 4), planReuse, 6, 7, 917504, 4259840},
 		{"allreduce/mono", sized(allreduce, 0), planReuse, 6, 8, 3080192, 7208960},
 		{"allreduce/s4", sized(allreduce, 4), planReuse, 6, 11, 1900544, 7208960},
-		{"index/flat-4x4", on(index, false), planReuse, 7, 4, 4096, 8320},
-		{"concat/flat-4x4", on(concat, false), planReuse, 7, 4, 1920, 3968},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 7, 8, 6016, 14080},
-		{"index/hier-4x4", on(index, true), planReuse, 10, 10, 17920, 31872},
-		{"concat/hier-4x4", on(concat, true), planReuse, 22, 7, 6528, 12672},
-		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 10, 12, 24576, 26624},
+		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 8320},
+		{"concat/flat-4x4", on(concat, false), planReuse, 2, 4, 1920, 3968},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 14080},
+		{"index/hier-4x4", on(index, true), planReuse, 5, 10, 17920, 31872},
+		{"concat/hier-4x4", on(concat, true), planReuse, 5, 7, 6528, 12672},
+		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 5, 12, 24576, 26624},
 	}
-}
-
-// moved returns the bytes rank me copies in one run of the program — its
-// local steps, and every exchange's packs and lands — by the walk that
-// fixes C1/C2 (program.walk): the copies a data-path change removes show
-// here exactly, whatever the clock says.
-func (pr *program) moved(me int) (bytes int) {
-	ro := pr.role(me)
-	for i := range ro.steps {
-		switch s := &ro.steps[i]; s.kind {
-		case stepExchange:
-			for _, x := range s.xfers {
-				if x.swap {
-					continue // the region's buffer travels: nothing is packed, nothing landed
-				}
-				if x.to.mode != addrNone {
-					bytes += pr.measure(x.send, me)
-				}
-				if x.from.mode != addrNone {
-					bytes += pr.measure(x.recv, me)
-				}
-			}
-		case stepCopy:
-			bytes += min(pr.measure(s.xfers[0].send, me), pr.measure(s.xfers[0].recv, me))
-		case stepSpread:
-			d, c := s.xfers[0].recv[0], s.xfers[0].send[0]
-			for b := 0; b < int(d.n); b++ {
-				_, dn := d.bytes(pr.shapeOf(d.reg, me), me, pr.n, b)
-				_, cn := c.bytes(pr.shapeOf(c.reg, me), me, pr.n, b)
-				bytes += min(dn, cn)
-			}
-		case stepEmbed:
-			bytes += s.em.sub.moved(s.em.me)
-		}
-	}
-	return bytes
 }
 
 // engine returns the row's machine on one transport.
@@ -307,9 +271,10 @@ func TestBudget(t *testing.T) {
 // TestPlanImmutableAfterCompile: a compiled plan is plain data that
 // nothing writes again. Every ledger row is compiled twice, from specs
 // built apart so that not even a layout is shared: the two programs are
-// equal (compiling is deterministic), and after one of them has run
-// twice, been bound, run bound and been served from a cache hit, it
-// still equals the twin nothing touched and still passes Check.
+// equal (compiling is deterministic), and after one of them has run on
+// each driver and on the one Run picks, been bound, run bound and been
+// served from a cache hit, it still equals the twin nothing touched and
+// still passes Check.
 func TestPlanImmutableAfterCompile(t *testing.T) {
 	twins := budgetRows()
 	for i, row := range budgetRows() {
@@ -339,10 +304,12 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl.Fill(mem, row.fill())
-			for run := 0; run < 2 && err == nil; run++ {
-				_, err = pl.Run(mem)
+			for _, run := range []func(in, out slab) (*Result, error){pl.runRounds, pl.runEngine} {
+				if _, err = run(mem.side[regIn], mem.side[regOut]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err != nil {
+			if _, err = pl.Run(mem); err != nil {
 				t.Fatal(err)
 			}
 			switch in := mem.side[regIn].(type) {
@@ -360,7 +327,7 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 			if hit, err := c.Get(e, g, row.spec); hit != pl || err != nil {
 				t.Fatalf("a second Get returned another plan (%v)", err)
 			}
-			same("after two runs, a bind, a bound run and a cache hit")
+			same("after a run on each driver, a Run, a bind, a bound run and a cache hit")
 			if violations := pl.Check(); violations != nil {
 				t.Errorf("Check after execution: %q", violations)
 			}

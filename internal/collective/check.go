@@ -610,15 +610,15 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 		s.ranks[r].clock = sent // only now: every send leaves at the round's start
 		for _, peers := range [][]int{to, from} {
 			if len(peers) > ports {
-				add("round %d: rank %d uses %d ports, k-port allows %d", t, r, len(peers), ports)
+				add(errPorts, t, r, len(peers), ports)
 			}
 			for i, p := range peers {
 				if p == r || p < 0 || p >= n {
-					add("round %d: rank %d addresses rank %d (self-send or out of range; k-port)", t, r, p)
+					add(errAddress, t, r, p)
 				}
 				for _, q := range peers[:i] {
 					if p == q {
-						add("round %d: rank %d addresses rank %d twice (duplicate partner; k-port)", t, r, p)
+						add(errTwice, t, r, p)
 					}
 				}
 			}
@@ -656,13 +656,13 @@ func (s *sim) round(t, k int) (roundMax int, phase string) {
 				break
 			}
 			if !found {
-				add("delivery: round %d: rank %d waits for rank %d, which sends it nothing", t, r, src)
+				add(errUnfed, t, r, src)
 			}
 		}
 	}
 	for r, left := range inbox {
 		for _, m := range left {
-			add("delivery: round %d: rank %d sends to rank %d, which does not receive it", t, m.src, r)
+			add(errUnreceived, t, m.src, r)
 		}
 	}
 	return roundMax, phase

@@ -370,6 +370,29 @@ func TestCheckPerturbations(t *testing.T) {
 		{"hier index phase table gap", configs["hier-index-4-4-3"], func(pl *Plan) { pl.phases[1].First++ }, "tile"},
 		{"hier allreduce phase c2 drift", configs["hier-allreduce-4x4"], func(pl *Plan) { pl.phases[0].C2++ }, "c2"},
 	}
+	// Every family, one more: a receive re-pointed at a rank that sends
+	// this one nothing. No round-synchronous driver could wait for it
+	// forever, because Check rejects it.
+	repoint := func(pl *Plan) {
+		for r := 0; r < pl.group.Size(); r++ {
+			for _, st := range exchanges(pl.prog, r) {
+				for i := range st.xfers {
+					if x := &st.xfers[i]; x.from.mode != addrNone {
+						x.from.c++
+						return
+					}
+				}
+			}
+		}
+	}
+	for _, c := range checkConfigs() {
+		cases = append(cases, struct {
+			name    string
+			base    checkConfig
+			mutate  func(pl *Plan)
+			wantSub string
+		}{c.name + " re-pointed receive", c, repoint, "waits for rank"})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := compileCheckPlan(t, tc.base)

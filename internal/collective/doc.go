@@ -87,7 +87,7 @@
 // an index slot's first send packs from the input, its last receive
 // lands in the output. On a reused engine an execution performs no
 // per-block or per-message allocations — except on the one-to-all
-// primitives: a one-directional tree drains its senders' pools into its
+// primitives on the engine driver: a one-directional tree drains its senders' pools into its
 // receivers', whose free lists are bounded, so senders allocate
 // transport buffers anew (0.5-2.1 MB per call at n = 16, b = 64 KiB).
 // The [][][]byte and [][]byte shapes exist only at the public boundary,
@@ -96,9 +96,32 @@
 //
 // # The step program
 //
-// There is exactly one schedule representation and one executor:
-// every Execute form binds a rank's two caller regions (Plan.body) and
-// runs the compiled program through the one interpreter (run.go).
+// There is exactly one schedule representation and one interpreter
+// (run.go): every Execute form binds each rank's two caller regions and
+// steps the rank through its role with one step loop (cursor.next), an
+// embedded sub-program as a sub-frame, a skip as a round offset. Two
+// drivers run that loop. The round-major driver (rounds.go) runs every
+// rank's role on the caller's goroutine, round by round: each rank posts
+// its sends and lands its receives as soon as its senders have posted,
+// and it counts every message into the Result as it goes. The engine
+// driver (frame.run) runs each rank's role on the rank's mpsim worker,
+// one ExchangeOwned per exchange, and builds the Result from the
+// engine's Metrics. Plan.run picks the round-major driver for a plan
+// that copies at most roundMajorBytes per execution (program.finish
+// sums program.moved over the ranks) on a plain engine — chan or slot,
+// no recording (mpsim.Engine.Plain) — and the engine driver otherwise:
+// larger plans, whose copies two cores share, chaos and recording
+// engines, and ExecutePlans. Both drivers land the same bytes and count
+// the same Result (TestDriversAgree).
+//
+// Deadlock freedom. A plan Check accepts cannot wait forever in a
+// round-synchronous driver: Check's walk (sim.round) matches every
+// receive of a round to a send of that round and every send to a
+// receive, so every rank that takes part in a round finishes it. The
+// round-major driver is one, and reports a program that breaks the
+// matching in the round it breaks it ("waits for rank ...", "does not
+// receive it"); only the engine driver, whose ranks block on their
+// transport, needs its watchdog for a program Check would reject.
 //
 // Step semantics. A program is a list of steps per role:
 //
@@ -136,16 +159,17 @@
 // pooled scratch.
 //
 // Scratch and pool discipline. A role declares its scratch regions;
-// the interpreter acquires them from the processor-local pool when the
-// role starts and releases them when it ends. Every payload takes one
-// path, pack -> own -> land (frame.exchange, the only caller of
-// mpsim.Proc.ExchangeOwned): the sender packs the send extents into
-// one buffer of its pool, of exactly their size on this rank (a layout
-// family sends true block lengths), and hands it over for good; the
-// receiver checks that the payload is exactly the bytes its recv
-// extents address (else an error naming rank and peer, before a byte is
-// written), lands it — copy or combine — and releases it to its own
-// pool, whose free list is bounded, so a receive-heavy rank cannot hoard.
+// the interpreter acquires them from the frame's pool — the rank's
+// processor-local pool under the engine, the driver's free list
+// round-major — when the role starts and releases them when it ends.
+// Every payload takes one path, pack -> own -> land (frame.outgoing,
+// frame.unpack): the sender packs the send extents into one buffer of
+// its pool, of exactly their size on this rank (a layout family sends
+// true block lengths), and hands it over for good; the receiver checks
+// that the payload is exactly the bytes its recv extents address (else
+// an error naming rank, peer and round, before a byte is written), lands
+// it — copy or combine — and releases it to its own pool; an engine
+// pool's free list is bounded, so a receive-heavy rank cannot hoard.
 // The one exception, a transfer that sends and overwrites one whole scratch
 // region (role.swaps), copies nothing: the buffers themselves change hands.
 //
@@ -276,9 +300,14 @@
 //   - Like the engine itself, plans and caches are not safe for
 //     concurrent use from multiple goroutines; the concurrency model
 //     is disjoint groups inside one run, not concurrent Executes:
-//     mpsim.Engine.RunPrograms, which every execution reaches, rejects
-//     a run that starts while another is in flight (bruck.Machine
-//     decides it earlier, at submission).
+//     every execution claims its engine — mpsim.Engine.RunPrograms on
+//     the engine driver, mpsim.Engine.Inline round-major — and the
+//     claim rejects a run that starts while another is in flight
+//     (bruck.Machine decides it earlier, at submission).
+//   - A plan keeps no execution state: both drivers keep theirs on the
+//     engine — the round-major driver's frames and free list through
+//     mpsim.Engine.Inline, the engine driver's pools and workers in
+//     mpsim — so one cached plan serves every caller.
 //
 // # Reduction plans
 //

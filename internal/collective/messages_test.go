@@ -13,17 +13,19 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// TestMessagesMatchEvents holds the program walk to the engine: for
-// every schedule family at n 1..12 and k 1..3, one run through the
-// oracle records exactly the messages Plan.Messages predicts — round,
-// endpoints, size and link class — on chan, slot and chaos(slot) with
-// stragglers. Hierarchical plans run on an engine that tags link
-// classes.
-func TestMessagesMatchEvents(t *testing.T) {
-	kernel, err := KernelOptions(buffers.Sum, buffers.Int32)
-	if err != nil {
-		t.Fatal(err)
-	}
+// family is one schedule family of the driver-level tests, as a spec for
+// each group size n.
+type family struct {
+	name string
+	pow2 bool // the family needs a power-of-two n
+	spec func(n int) Spec
+}
+
+// families lists every schedule family — ragged ones with zero-length
+// blocks and zero rows, segmented, hierarchical (on groups of three) and
+// rooted ones included.
+func families() []family {
+	kernel := must(KernelOptions(buffers.Sum, buffers.Int32))
 	reduce := func(op Op, alg ReduceAlgorithm, segments int) func(int) Spec {
 		return func(int) Spec {
 			o := kernel
@@ -50,11 +52,7 @@ func TestMessagesMatchEvents(t *testing.T) {
 	rooted := func(op Op) func(int) Spec {
 		return func(n int) Spec { return Spec{Op: op, BlockLen: 4, Root: n - 1} }
 	}
-	families := []struct {
-		name string
-		pow2 bool // the family needs a power-of-two n
-		spec func(n int) Spec
-	}{
+	return []family{
 		{"bruck", false, index(IndexOptions{})},
 		{"bruck-r2", false, index(IndexOptions{Radix: 2})},
 		{"mixed", false, func(n int) Spec {
@@ -84,6 +82,19 @@ func TestMessagesMatchEvents(t *testing.T) {
 			l, _ := blocks.Ragged(counts)
 			return Spec{Op: OpIndexV, Layout: l}
 		}},
+		{"indexv-zero-rows", false, func(n int) Spec {
+			counts := make([][]int, n)
+			for i := range counts {
+				counts[i] = make([]int, n)
+				for j := range counts[i] {
+					if i%3 != 1 {
+						counts[i][j] = 1 + (i+2*j)%5
+					}
+				}
+			}
+			l, _ := blocks.Ragged(counts)
+			return Spec{Op: OpIndexV, Layout: l}
+		}},
 		{"concatv", false, func(n int) Spec {
 			counts := make([]int, n)
 			for i := range counts {
@@ -103,12 +114,21 @@ func TestMessagesMatchEvents(t *testing.T) {
 		{"gather", false, rooted(OpGather)},
 		{"scatter", false, rooted(OpScatter)},
 	}
+}
+
+// TestMessagesMatchEvents holds the program walk to the engine: for
+// every schedule family at n 1..12 and k 1..3, one run through the
+// oracle records exactly the messages Plan.Messages predicts — round,
+// endpoints, size and link class — on chan, slot and chaos(slot) with
+// stragglers. Hierarchical plans run on an engine that tags link
+// classes.
+func TestMessagesMatchEvents(t *testing.T) {
 	transports := []mpsim.Option{
 		mpsim.WithTransport(mpsim.BackendChan),
 		mpsim.WithTransport(mpsim.BackendSlot),
 		mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendSlot, Seed: 3, Stragglers: []int{0}}),
 	}
-	for _, f := range families {
+	for _, f := range families() {
 		t.Run(f.name, func(t *testing.T) {
 			for n := 1; n <= 12; n++ {
 				if f.pow2 && !intmath.IsPow(2, n) {

@@ -137,21 +137,35 @@ func (pl *Plan) Layout() *blocks.Layout { return pl.layout }
 // nil for a classic plan.
 func (pl *Plan) OutLayout() *blocks.Layout { return pl.outLayout }
 
-// result builds the Result of one execution of this plan.
+// result builds the Result of one engine execution of this plan from
+// the metrics it recorded.
 func (pl *Plan) result(m *mpsim.Metrics) *Result {
-	res := resultFrom(m)
+	res := &Result{C1: m.Rounds(), C2: m.DataVolume(), RoundSizes: m.RoundSizes(), TotalBytes: m.TotalBytes(), Messages: m.Messages()}
+	if pl.topo == nil || m.ClassRoundSizes(mpsim.ClassIntra) == nil {
+		return pl.complete(res, nil)
+	}
+	var levels [mpsim.NumLinkClasses]LevelStats
+	for c := range levels {
+		levels[c].C1, levels[c].C2 = m.ClassRounds(c), m.ClassVolume(c)
+	}
+	return pl.complete(res, &levels)
+}
+
+// complete adds the plan's bounds to the Result an execution counted and,
+// for a hierarchical plan, the per-level split: levels as counted on an
+// engine that tags link classes, or without one (levels nil) the
+// compiled per-phase split, which the phase-ordered schedule realizes
+// exactly.
+func (pl *Plan) complete(res *Result, levels *[mpsim.NumLinkClasses]LevelStats) *Result {
 	res.C2LowerBound = pl.c2lb
 	res.C1LowerBound = pl.c1lb
 	if pl.topo != nil {
 		intra := &LevelStats{C1LowerBound: pl.intraC1LB, C2LowerBound: pl.intraC2LB}
 		inter := &LevelStats{C1LowerBound: pl.interC1LB, C2LowerBound: pl.interC2LB}
-		if m.ClassRoundSizes(mpsim.ClassIntra) != nil {
-			// The engine tags link classes: report the measured split.
-			intra.C1, intra.C2 = m.ClassRounds(mpsim.ClassIntra), m.ClassVolume(mpsim.ClassIntra)
-			inter.C1, inter.C2 = m.ClassRounds(mpsim.ClassInter), m.ClassVolume(mpsim.ClassInter)
+		if levels != nil {
+			intra.C1, intra.C2 = levels[mpsim.ClassIntra].C1, levels[mpsim.ClassIntra].C2
+			inter.C1, inter.C2 = levels[mpsim.ClassInter].C1, levels[mpsim.ClassInter].C2
 		} else {
-			// Flat engine: fall back to the compiled per-phase split,
-			// which the phase-ordered schedule realizes exactly.
 			intra.C1, intra.C2 = pl.PredictedClassC1(mpsim.ClassIntra), pl.PredictedClassC2(mpsim.ClassIntra)
 			inter.C1, inter.C2 = pl.PredictedClassC1(mpsim.ClassInter), pl.PredictedClassC2(mpsim.ClassInter)
 		}
@@ -260,10 +274,38 @@ func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	return pl.run(in, out)
 }
 
-// run executes the plan alone on its engine. The result is built from
-// the metrics the run returns: once it is over, Engine.Metrics may
-// already be another caller's.
+// roundMajorBytes is the most bytes a plan may copy per execution — the
+// sum over its ranks of program.moved — and still run on the round-major
+// driver. One goroutine then copies every rank's bytes, which wins while
+// the engine's fixed cost dominates and loses once two cores copying in
+// parallel do. BenchmarkDrivers sweeps the index at n = 16 over block
+// sizes on both drivers. On a 2-vCPU host at one P the round-major
+// driver never loses; at two Ps it still wins at b = 4 KiB (4.3 MB
+// copied) and loses from b = 16 KiB (17 MB) on. The bound keeps a margin
+// under that crossover.
+const roundMajorBytes = 2 << 20
+
+// roundMajor reports whether Plan.run executes the plan on the
+// round-major driver: a plan that copies at most roundMajorBytes on an
+// engine whose runs are plain (mpsim.Engine.Plain), so that nothing —
+// recorded events, injected delays — would tell the drivers apart.
+func (pl *Plan) roundMajor() bool {
+	return pl.prog.copied <= roundMajorBytes && pl.engine.Plain()
+}
+
+// run executes the plan alone on its engine, round-major where
+// roundMajor says so.
 func (pl *Plan) run(in, out slab) (*Result, error) {
+	if pl.roundMajor() {
+		return pl.runRounds(in, out)
+	}
+	return pl.runEngine(in, out)
+}
+
+// runEngine executes the plan alone on the engine driver. The result is
+// built from the metrics the run returns: once it is over,
+// Engine.Metrics may already be another caller's.
+func (pl *Plan) runEngine(in, out slab) (*Result, error) {
 	ms, err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(in, out)}})
 	if err != nil {
 		return nil, err
@@ -296,10 +338,13 @@ func (pl *Plan) body(in, out slab) func(*mpsim.Proc) error {
 		if me < 0 {
 			return nil
 		}
-		f := newFrame(p, pl, pl.prog, nil, me)
+		f := framePool.Get().(*frame).start(p, pl, pl.prog, nil, me)
+		f.p = p
 		f.reg[regIn] = region{pl.prog.shapeOf(regIn, me), in.Proc(me)}
 		f.reg[regOut] = region{pl.prog.shapeOf(regOut, me), out.Proc(me)}
-		return rankErr(me, f.run())
+		err := f.run()
+		framePool.Put(f)
+		return rankErr(me, err)
 	}
 }
 

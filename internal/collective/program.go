@@ -121,7 +121,10 @@ func (e *extent) bytes(s shape, me, n, i int) (off, ln int) {
 // for rank me of n.
 func (e *extent) size(s shape, me, n int) int {
 	if s.lay == nil {
-		_, ln := e.bytes(s, 0, 1, 0)
+		ln := int(e.len)
+		if ln < 0 {
+			ln = s.stride - int(e.off)
+		}
 		return ln * int(e.n)
 	}
 	total := 0
@@ -210,6 +213,7 @@ type program struct {
 	phases        []PlanPhase    // hierarchical plans: the declared phase order
 
 	c1, c2, hint, width int
+	copied              int // bytes all ranks together copy per run: the sum of moved
 }
 
 func (pr *program) role(me int) *role {
@@ -313,10 +317,11 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 
 // finish derives what a plan reports from the program itself: rounds
 // (C1), volume (C2: the sum over rounds of the round's largest
-// message), the largest pool acquisition, the widest round, and the
-// per-phase split of a hierarchical schedule. A shared role on flat
-// regions sizes every rank alike, so one walk counts it; per-rank roles
-// and layout extents are walked rank by rank.
+// message), the largest pool acquisition, the widest round, the bytes
+// all ranks copy per run, and the per-phase split of a hierarchical
+// schedule. A shared role on flat regions sizes every rank alike, so one
+// walk counts it; per-rank roles and layout extents are walked rank by
+// rank.
 func (pr *program) finish() {
 	ranks := 1
 	if len(pr.roles) > 1 || pr.inLay != nil {
@@ -331,6 +336,11 @@ func (pr *program) finish() {
 			pr.c1 = t
 		}
 	}
+	pr.copied = 0
+	for me := 0; me < ranks; me++ {
+		pr.copied += pr.moved(me)
+	}
+	pr.copied *= pr.n / ranks
 	pr.hint = ts.hint
 	if pr.hint < pr.bl {
 		pr.hint = pr.bl
@@ -351,6 +361,42 @@ func (pr *program) finish() {
 		}
 		first += ph.Rounds
 	}
+}
+
+// moved returns the bytes rank me copies in one run of the program — its
+// local steps, and every exchange's packs and lands — walked from the
+// program like C1/C2: the copies a data-path change removes show here
+// exactly, whatever the clock says.
+func (pr *program) moved(me int) (bytes int) {
+	ro := pr.role(me)
+	for i := range ro.steps {
+		switch s := &ro.steps[i]; s.kind {
+		case stepExchange:
+			for _, x := range s.xfers {
+				if x.swap {
+					continue // the region's buffer travels: nothing is packed, nothing landed
+				}
+				if x.to.mode != addrNone {
+					bytes += pr.measure(x.send, me)
+				}
+				if x.from.mode != addrNone {
+					bytes += pr.measure(x.recv, me)
+				}
+			}
+		case stepCopy:
+			bytes += min(pr.measure(s.xfers[0].send, me), pr.measure(s.xfers[0].recv, me))
+		case stepSpread:
+			d, c := s.xfers[0].recv[0], s.xfers[0].send[0]
+			for b := 0; b < int(d.n); b++ {
+				_, dn := d.bytes(pr.shapeOf(d.reg, me), me, pr.n, b)
+				_, cn := c.bytes(pr.shapeOf(c.reg, me), me, pr.n, b)
+				bytes += min(dn, cn)
+			}
+		case stepEmbed:
+			bytes += s.em.sub.moved(s.em.me)
+		}
+	}
+	return bytes
 }
 
 // Listing renders the compiled program as deterministic text, the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bruck/internal/costmodel"
-	"bruck/internal/mpsim"
 )
 
 // Result summarizes the communication schedule an operation executed,
@@ -58,16 +57,6 @@ type LevelStats struct {
 // LevelTime prices one level's share under a link-class profile.
 func (l *LevelStats) LevelTime(p costmodel.Profile) float64 {
 	return p.Time(l.C1, l.C2)
-}
-
-func resultFrom(m *mpsim.Metrics) *Result {
-	return &Result{
-		C1:         m.Rounds(),
-		C2:         m.DataVolume(),
-		RoundSizes: m.RoundSizes(),
-		TotalBytes: m.TotalBytes(),
-		Messages:   m.Messages(),
-	}
 }
 
 // Time returns the linear-model estimate of the schedule under the

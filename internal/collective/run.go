@@ -1,18 +1,22 @@
 package collective
 
-// The interpreter: the one executor of every compiled plan. A frame
-// runs one rank's role of the step program on the engine's Proc API.
+// The interpreter: one step loop over the compiled program, cursor.next,
+// and two drivers of it. The engine driver (frame.run) runs each rank's
+// role on the rank's mpsim worker, one ExchangeOwned per exchange; the
+// round-major driver (rounds.go) runs every rank's role on the caller's
+// goroutine, round by round. Plan.run picks one (plan.go).
 //
-// Scratch and pool discipline: a role's scratch regions are acquired
-// from the processor-local pool when the role starts, in declaration
-// order, and released when it ends. Every payload takes one path, pack
-// -> own -> land (exchange): packed into a buffer of the sender's pool,
-// handed over for good (mpsim.Proc.ExchangeOwned), landed — copy or
-// combine — by the receiver and released to the receiver's pool: two
-// copies per byte per hop. The one exception is a swap (role.swaps): its
-// payload is the scratch region's own buffer and the payload it receives
-// becomes the region, no copy either way. After a failed round the region
-// holds no buffer: the one it gave away may already sit in a peer's pool.
+// Scratch and pool discipline: a frame's scratch regions are acquired
+// from its pool — the rank's processor-local pool under the engine, the
+// driver's free list round-major — when the frame starts, in
+// declaration order, and released when it ends. Every payload takes one
+// path, pack -> own -> land: packed into a pool buffer, handed over for
+// good, landed — copy or combine — by the receiver and released to the
+// receiver's pool: two copies per byte per hop. The one exception is a
+// swap (role.swaps): its payload is the scratch region's own buffer and
+// the payload it receives becomes the region, no copy either way. After
+// a failed round the region holds no buffer: the one it gave away may
+// already sit in a peer's pool.
 
 import (
 	"fmt"
@@ -27,21 +31,32 @@ type region struct {
 	data []byte
 }
 
+// pool is where a frame's buffers come from and go back to: the
+// engine's Proc, or the round-major driver.
+type pool interface {
+	AcquireBuf(n int) []byte
+	ReleaseBuf(b []byte)
+}
+
 // frame is the state of one rank running one program: the top-level
-// plan, or a sub-program embedded in it. Frames are recycled through
-// framePool rather than kept on the stack: rank goroutines start on
-// small stacks, and a few hundred bytes more on the path down to the
-// engine round cost a small collective half its time in stack growth.
+// plan, or a sub-program embedded in it. The round-major driver keeps a
+// top frame per rank; every other frame is recycled through framePool
+// rather than kept on the stack: rank goroutines start on small stacks,
+// and a few hundred bytes more on the path down to the engine round
+// cost a small collective half its time in stack growth.
 type frame struct {
-	p       *mpsim.Proc
+	pool    pool
+	p       *mpsim.Proc // the engine driver's; nil round-major
 	pl      *Plan
 	pr      *program
-	members []int // sub-frame: group rank of each frame rank; nil at the top
+	members []int  // sub-frame: group rank of each frame rank; nil at the top
+	up      *frame // sub-frame: the frame it is embedded in; nil at the top
 	me      int
+	at      int // the next step of the role
 	reg     [maxRegs]region
 
-	// The lists one exchange hands the engine; their capacity outlives
-	// the run, so a steady state allocates nothing for them.
+	// The lists one engine exchange hands the Proc; their capacity
+	// outlives the run, so a steady state allocates nothing for them.
 	sends []mpsim.Send
 	froms []int
 	recvd [][]byte
@@ -49,67 +64,130 @@ type frame struct {
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
-// newFrame takes a frame from the pool for rank me's role of pr.
-func newFrame(p *mpsim.Proc, pl *Plan, pr *program, members []int, me int) *frame {
-	f := framePool.Get().(*frame)
-	f.p, f.pl, f.pr, f.members, f.me = p, pl, pr, members, me
-	if w := pr.width; cap(f.sends) < w {
-		f.sends, f.froms, f.recvd = make([]mpsim.Send, 0, w), make([]int, 0, w), make([][]byte, 0, w)
+// start readies the frame for rank me's role of pr and acquires the
+// role's scratch regions from pool.
+func (f *frame) start(pool pool, pl *Plan, pr *program, members []int, me int) *frame {
+	f.pool, f.pl, f.pr, f.members, f.me = pool, pl, pr, members, me
+	for i, sc := range pr.role(me).scratch {
+		f.reg[int(regWork)+i] = region{shape{stride: sc.stride}, pool.AcquireBuf(sc.bytes)}
 	}
 	return f
 }
 
-// run executes the frame's role and returns the frame to the pool,
-// leaving no reference to the caller's memory behind in it.
-func (f *frame) run() error {
-	ro := f.pr.role(f.me)
-	for i, sc := range ro.scratch {
-		f.reg[int(regWork)+i] = region{shape{stride: sc.stride}, f.p.AcquireBuf(sc.bytes)}
-	}
-	var err error
-	for i := 0; i < len(ro.steps) && err == nil; i++ {
-		switch s := &ro.steps[i]; s.kind {
-		case stepExchange:
-			err = f.exchange(s)
-		case stepSkip:
-			f.p.SkipN(s.n)
-		case stepEmbed:
-			err = f.embed(s)
-		default:
-			f.local(s)
-		}
-	}
-	for i := range ro.scratch {
-		f.p.ReleaseBuf(f.reg[int(regWork)+i].data)
+// end releases the frame's scratch, leaving no reference to the plan or
+// the caller's memory behind in it.
+func (f *frame) end() {
+	for i := range f.pr.role(f.me).scratch {
+		f.pool.ReleaseBuf(f.reg[int(regWork)+i].data)
 	}
 	clear(f.sends[:cap(f.sends)])
 	clear(f.recvd[:cap(f.recvd)])
-	f.p, f.pl, f.pr, f.members = nil, nil, nil, nil
+	f.pool, f.p, f.pl, f.pr, f.members, f.up, f.at = nil, nil, nil, nil, nil, nil, 0
 	f.reg = [maxRegs]region{}
-	framePool.Put(f)
+}
+
+// cursor is one rank's place in its role: the innermost running frame —
+// an embedded sub-program runs in a sub-frame whose up chain leads back
+// to the role's top frame — and the global round of the rank's next
+// exchange.
+type cursor struct {
+	f     *frame
+	round int
+}
+
+// next runs the rank's local steps up to its next exchange and returns
+// it, to run in frame c.f; the caller runs it and counts its round. A
+// skip, and the padding after an embedded sub-program, only move the
+// round. At the end of the role the step is nil.
+func (c *cursor) next() *step {
+	f := c.f
+	for {
+		steps := f.pr.role(f.me).steps
+		if f.at == len(steps) {
+			up := f.up
+			if up == nil {
+				return nil
+			}
+			c.round += up.pr.role(up.me).steps[up.at].n
+			up.at++
+			f.end()
+			framePool.Put(f)
+			f, c.f = up, up
+			continue
+		}
+		s := &steps[f.at]
+		switch s.kind {
+		case stepExchange:
+			f.at++
+			return s
+		case stepSkip:
+			c.round += s.n
+			f.at++
+		case stepEmbed:
+			f = f.embed(s)
+			c.f = f
+		default:
+			f.local(s)
+			f.at++
+		}
+	}
+}
+
+// close ends every frame of the cursor, the innermost first, and
+// returns the sub-frames to framePool; the top frame is its driver's.
+func (c *cursor) close() {
+	for f := c.f; f != nil; {
+		up := f.up
+		f.end()
+		if up != nil {
+			framePool.Put(f)
+		}
+		f = up
+	}
+	c.f = nil
+}
+
+// run is the engine driver: it executes the frame's role on the frame's
+// Proc, then ends the frame.
+func (f *frame) run() error {
+	c, p, told := cursor{f: f}, f.p, 0
+	var err error
+	for err == nil {
+		s := c.next()
+		p.SkipN(c.round - told)
+		if s == nil {
+			break
+		}
+		err = c.f.exchange(s, c.round)
+		c.round++
+		told = c.round
+	}
+	c.close()
 	return err
 }
 
-// embed runs an embedded sub-program in a frame of its own — the step's
-// send extents are its input region, the recv extents its output region
-// — then sits out the rest of the phase.
-func (f *frame) embed(s *step) error {
-	sub := newFrame(f.p, f.pl, s.em.sub, s.em.members, s.em.me)
+// embed starts the frame of an embedded sub-program — the step's send
+// extents are its input region, the recv extents its output region; the
+// rest of the phase is sat out when it ends (cursor.next).
+func (f *frame) embed(s *step) *frame {
+	sub := framePool.Get().(*frame).start(f.pool, f.pl, s.em.sub, s.em.members, s.em.me)
+	sub.p, sub.up = f.p, f
 	sub.reg[regIn] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].send)}
 	sub.reg[regOut] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].recv)}
-	err := sub.run()
-	f.p.SkipN(s.n)
-	return err
+	return sub
 }
 
-// id resolves a peer address to its engine rank.
-func (f *frame) id(a rel) int {
+// rank resolves a peer address to its group rank.
+func (f *frame) rank(a rel) int {
 	r := a.of(f.me, f.pr.n, 0)
 	if f.members != nil {
 		r = f.members[r]
 	}
-	return f.pl.group.ID(r)
+	return r
 }
+
+// id resolves a peer address to its engine rank.
+func (f *frame) id(a rel) int { return f.pl.group.ID(f.rank(a)) }
 
 // local runs a copy or spread step.
 func (f *frame) local(s *step) {
@@ -127,25 +205,18 @@ func (f *frame) local(s *step) {
 	}
 }
 
-// exchange runs one round, the one way a payload crosses from this
-// rank's regions to a peer's: pack each send's extents into a pool
-// buffer of exactly their size and hand it over; then land each received
-// payload in its recv extents and release it to this rank's pool.
-func (f *frame) exchange(s *step) error {
+// exchange runs one engine round: pack each send's extents (outgoing)
+// and hand them over; then land each received payload (unpack).
+func (f *frame) exchange(s *step, round int) error {
+	if w := f.pr.width; cap(f.sends) < w {
+		f.sends, f.froms, f.recvd = make([]mpsim.Send, 0, w), make([]int, 0, w), make([][]byte, 0, w)
+	}
 	f.sends, f.froms, f.recvd = f.sends[:0], f.froms[:0], f.recvd[:0]
 	p := f.p
 	for i := range s.xfers {
 		x := &s.xfers[i]
 		if x.to.mode != addrNone {
-			var data []byte
-			if x.swap {
-				r := &f.reg[x.send[0].reg]
-				data, r.data = r.data, nil
-			} else {
-				data = p.AcquireBuf(f.size(x.send))
-				f.pack(data, x.send)
-			}
-			f.sends = append(f.sends, mpsim.Send{To: f.id(x.to), Data: data})
+			f.sends = append(f.sends, mpsim.Send{To: f.id(x.to), Data: f.outgoing(x)})
 		}
 		if x.from.mode != addrNone {
 			f.froms = append(f.froms, f.id(x.from))
@@ -157,25 +228,42 @@ func (f *frame) exchange(s *step) error {
 	for i := range s.xfers {
 		if x := &s.xfers[i]; x.from.mode != addrNone {
 			if err == nil {
-				err = f.unpack(x, ri)
+				err = f.unpack(x, f.recvd[ri], round)
+			} else {
+				p.ReleaseBuf(f.recvd[ri])
 			}
-			p.ReleaseBuf(f.recvd[ri])
+			f.recvd[ri] = nil
 			ri++
 		}
 	}
 	return err
 }
 
-// cursor walks the memory an extent list addresses, one piece at a
+// outgoing is the payload of a send, the one way bytes leave a rank's
+// regions: its extents packed into a pool buffer of exactly their size,
+// or — a swap — the scratch region's own buffer.
+func (f *frame) outgoing(x *xfer) []byte {
+	if x.swap {
+		r := &f.reg[x.send[0].reg]
+		data := r.data
+		r.data = nil
+		return data
+	}
+	data := f.pool.AcquireBuf(f.size(x.send))
+	f.pack(data, x.send)
+	return data
+}
+
+// reader walks the memory an extent list addresses, one piece at a
 // time.
-type cursor struct {
+type reader struct {
 	f      *frame
 	ext    []extent
 	i, blk int
 }
 
 // next returns the next piece of the walk.
-func (c *cursor) next() ([]byte, bool) {
+func (c *reader) next() ([]byte, bool) {
 	for c.i < len(c.ext) && c.blk >= int(c.ext[c.i].n) {
 		c.i, c.blk = c.i+1, 0
 	}
@@ -229,18 +317,21 @@ func (f *frame) pack(buf []byte, ext []extent) {
 	}
 }
 
-// unpack lands the round's ri-th received payload in the transfer's recv
-// extents, piece by piece — a swap moves it out of the received list to
-// be their region — after checking that it is exactly the bytes they address.
-func (f *frame) unpack(x *xfer, ri int) error {
-	ext, buf := x.recv, f.recvd[ri]
+// unpack lands a payload received in round in the transfer's recv
+// extents, piece by piece, and releases it to the frame's pool — a swap
+// keeps it as their region — after checking that it is exactly the bytes
+// they address.
+func (f *frame) unpack(x *xfer, buf []byte, round int) error {
+	ext := x.recv
 	if want := f.size(ext); len(buf) != want {
-		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes", len(buf), f.froms[ri], want)
+		f.pool.ReleaseBuf(buf)
+		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes in round %d", len(buf), f.id(x.from), want, round)
 	}
 	if x.swap {
-		f.reg[ext[0].reg].data, f.recvd[ri] = buf, nil
+		f.reg[ext[0].reg].data = buf
 		return nil
 	}
+	src := buf
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
 			p, blocks := f.piece(e, b)
@@ -249,6 +340,7 @@ func (f *frame) unpack(x *xfer, ri int) error {
 			b += blocks
 		}
 	}
+	f.pool.ReleaseBuf(src)
 	return nil
 }
 
@@ -266,7 +358,7 @@ func (f *frame) land(dst, src []byte, combine bool) {
 // zip moves src to dst as byte streams, piece boundaries on either side
 // notwithstanding, until one of them ends.
 func (f *frame) zip(dst, src []extent, combine bool) {
-	d, s := cursor{f: f, ext: dst}, cursor{f: f, ext: src}
+	d, s := reader{f: f, ext: dst}, reader{f: f, ext: src}
 	var db, sb []byte
 	for ok := true; ; {
 		if len(db) == 0 {

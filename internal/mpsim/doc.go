@@ -94,7 +94,11 @@
 //
 // A run hands each claimed rank's worker its Proc, reset from the
 // engine's one reusable run descriptor, and waits for the last body to
-// return. Each Proc records its sends into a metrics shard of its own,
+// return. Engine.Inline is the other way to hold the engine: its
+// function runs on the caller's goroutine under the same in-flight
+// claim, touching no transport, pool or worker — package collective
+// runs small plans round-major through it — and a chan or slot
+// transport is built only by the first run that needs one. Each Proc records its sends into a metrics shard of its own,
 // without a lock; when every body has returned, the shards of each
 // program merge into that program's Metrics, which nothing writes again.
 //

@@ -52,7 +52,8 @@ type engine struct {
 
 	// tr carries messages between processors. A failed run abandons the
 	// instance, to wake its blocked goroutines, and the engine installs a
-	// fresh one.
+	// fresh one. A chan or slot transport is built by the first run: an
+	// engine whose schedules all run Inline never pays for its n*n pairs.
 	tr Transport
 
 	// residue is set when the last run left messages in tr (it sent more
@@ -87,6 +88,9 @@ type engine struct {
 	// replacement of transport and pools this fences zombie goroutines
 	// of an abandoned run out of all later runs.
 	gen uint64
+
+	// inline is what Inline's callers keep on the engine between calls.
+	inline any
 
 	// running is set for the length of a run, which owns everything above.
 	running atomic.Bool
@@ -224,11 +228,13 @@ func New(n int, opts ...Option) (*Engine, error) {
 			}
 		}
 	}
-	tr, err := newTransport(e.backend, n, e.chaos)
-	if err != nil {
-		return nil, err
+	if e.backend != BackendChan && e.backend != BackendSlot {
+		tr, err := newTransport(e.backend, n, e.chaos)
+		if err != nil {
+			return nil, err
+		}
+		e.tr = tr
 	}
-	e.tr = tr
 	e.pools = newPools(n)
 	e.workers = make([]chan *Proc, n)
 	e.cur = newRun(e.engine)
@@ -254,6 +260,38 @@ func (e *Engine) Ports() int { return e.k }
 
 // Transport returns the backend the engine was created with.
 func (e *Engine) Transport() Backend { return e.backend }
+
+// Plain reports whether the engine's runs are plain ones: a chan or slot
+// transport and no event recording, so nothing about a run is observable
+// beyond its outcome and its Metrics.
+func (e *Engine) Plain() bool {
+	return (e.backend == BackendChan || e.backend == BackendSlot) && !e.record
+}
+
+// Validating reports whether the engine validates schedules (Validate).
+func (e *Engine) Validating() bool { return e.validate }
+
+// errOverlap rejects a run, or an Inline call, made while another is in
+// flight.
+var errOverlap = errors.New("mpsim: a run is already in flight on this engine (runs must not overlap)")
+
+// Inline runs fn on the caller's goroutine in place of a run: it holds
+// the engine's run claim while fn runs, so a call made during a run is
+// rejected exactly as an overlapping run is, and a run or Inline call
+// made during fn is too. fn touches no transport, pool or worker of the
+// engine, and counts its own messages: Metrics reports nil afterwards.
+// state points at a value the engine keeps for its Inline callers from
+// one call to the next, as it keeps its pools from run to run; the claim
+// orders the calls, so it needs no lock. Like the pools, it must not
+// reach the Engine handle between calls.
+func (e *Engine) Inline(fn func(state *any) error) error {
+	if !e.running.CompareAndSwap(false, true) {
+		return errOverlap
+	}
+	defer e.running.Store(false)
+	e.metrics = nil
+	return fn(&e.inline)
+}
 
 // ChaosStats returns the chaos transport's cumulative injected-delay
 // statistics and true, or a zero value and false when the engine does
@@ -314,7 +352,7 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		return nil, fmt.Errorf("mpsim: RunPrograms with no programs")
 	}
 	if !e.running.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("mpsim: a run is already in flight on this engine (runs must not overlap)")
+		return nil, errOverlap
 	}
 	defer e.running.Store(false)
 	r := e.cur
@@ -351,6 +389,9 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		}
 	}
 
+	if e.tr == nil {
+		e.tr = e.newTransport()
+	}
 	if e.residue {
 		e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
 	}
@@ -512,7 +553,8 @@ func (r *run) uniformityError(prog int) error {
 // Metrics returns the metrics recorded by the most recent Run (or
 // single-program RunPrograms), or nil if Run has not been called, the
 // most recent run deadlocked or it executed multiple programs —
-// per-program metrics are returned by RunPrograms itself.
+// per-program metrics are returned by RunPrograms itself — or an Inline
+// call came after it.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // fence isolates the engine from the goroutines of a deadlocked run.

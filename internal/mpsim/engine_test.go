@@ -392,6 +392,90 @@ func TestOverlappingRunRejected(t *testing.T) {
 	}
 }
 
+// TestInlineHoldsTheClaim: a function run Inline holds the engine's
+// claim — a run it starts is rejected with the overlap text — an Inline
+// call during a run is rejected the same way, the function's error is
+// Inline's, the state it keeps is the next call's, and Metrics reports
+// nil afterwards. A chan or slot engine
+// builds its transport only for its first run.
+func TestInlineHoldsTheClaim(t *testing.T) {
+	const want = "mpsim: a run is already in flight on this engine (runs must not overlap)"
+	e := MustNew(2)
+	if err := e.Run(func(p *Proc) error { return nil }); err != nil || e.Metrics() == nil {
+		t.Fatalf("Run: %v, metrics %v", err, e.Metrics())
+	}
+	var inner error
+	if err := e.Inline(func(state *any) error {
+		*state = 7
+		inner = e.Run(func(p *Proc) error { return nil })
+		return errors.New("fn's own")
+	}); err == nil || err.Error() != "fn's own" {
+		t.Errorf("Inline returned %v, want fn's error", err)
+	}
+	if err := e.Inline(func(state *any) error {
+		if *state != 7 {
+			return fmt.Errorf("state %v, want the 7 the last call kept", *state)
+		}
+		return nil
+	}); err != nil {
+		t.Error(err)
+	}
+	if inner == nil || inner.Error() != want {
+		t.Errorf("a run inside Inline: %v, want %q", inner, want)
+	}
+	if e.Metrics() != nil {
+		t.Error("Metrics after Inline reports the run before it")
+	}
+	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		done <- e.Run(func(p *Proc) error {
+			if p.Rank() == 0 {
+				close(entered)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-entered
+	if err := e.Inline(func(*any) error { return nil }); err == nil || err.Error() != want {
+		t.Errorf("Inline during a run: %v, want %q", err, want)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := MustNew(3, WithTransport(BackendSlot))
+	if fresh.Inline(func(*any) error { return nil }) != nil || fresh.tr != nil {
+		t.Errorf("a slot engine built its transport before its first run")
+	}
+	if fresh.Run(func(p *Proc) error { return nil }) != nil || fresh.tr == nil {
+		t.Errorf("the first run found no transport")
+	}
+}
+
+// TestPlainEngines: only chan and slot engines without recording are
+// plain.
+func TestPlainEngines(t *testing.T) {
+	for _, c := range []struct {
+		opts  []Option
+		plain bool
+	}{
+		{nil, true},
+		{[]Option{WithTransport(BackendSlot), Validate(false)}, true},
+		{[]Option{WithChaos(ChaosConfig{Seed: 1})}, false},
+		{[]Option{Record(true)}, false},
+	} {
+		e := MustNew(4, c.opts...)
+		if e.Plain() != c.plain {
+			t.Errorf("%v engine (recording %v): Plain() = %v", e.Transport(), e.record, e.Plain())
+		}
+		if e.Validating() != e.validate {
+			t.Errorf("Validating() = %v", e.Validating())
+		}
+	}
+}
+
 func TestProcPanicIsReported(t *testing.T) {
 	e := MustNew(2, Watchdog(2*time.Second))
 	err := e.Run(func(p *Proc) error {
@@ -476,13 +560,17 @@ func settledGoroutines() int {
 
 // TestUnreachableEngineStopsWorkers: the parked workers of an Engine
 // nothing references any more exit once the collector finalizes it,
-// also when the last run's body referenced the Engine, as a plan's does.
+// also when the last run's body referenced the Engine, as a plan's does,
+// and after an Inline call.
 func TestUnreachableEngineStopsWorkers(t *testing.T) {
 	const n = 8
 	base := settledGoroutines()
 	func() {
 		e := MustNew(n)
 		if err := e.Run(func(p *Proc) error { _ = e.N(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Inline(func(state *any) error { *state = e.N(); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if got := runtime.NumGoroutine(); got < base+n {
