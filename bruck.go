@@ -593,22 +593,6 @@ func (m *Machine) begin(op Op, in, out any, opts []CollectiveOption) (*Plan, err
 	return pl, err
 }
 
-// execute runs a resolved plan on a call's two sides; a one-to-all
-// primitive hands its root's side over as bytes.
-func execute(op Op, pl *Plan, in, out any) (*Report, error) {
-	if vin, ok := in.(*RaggedBuffers); ok {
-		return pl.ExecuteV(vin, out.(*RaggedBuffers))
-	}
-	fin, fout := in.(*Buffers), out.(*Buffers)
-	switch op {
-	case Broadcast, Scatter:
-		return pl.ExecuteRooted(fout, fin.Bytes())
-	case Gather:
-		return pl.ExecuteRooted(fin, fout.Bytes())
-	}
-	return pl.Execute(fin, fout)
-}
-
 // Run executes op once from in to out, two distinct Buffers or
 // RaggedBuffers shaped as Op describes, and returns its Report. All
 // copies work in caller-owned or pool-recycled memory: on a reused
@@ -619,7 +603,7 @@ func (m *Machine) Run(op Op, in, out any, opts ...CollectiveOption) (*Report, er
 		return nil, err
 	}
 	defer m.inflight.Store(false)
-	return execute(op, pl, in, out)
+	return pl.Run(pl.Memory(in, out))
 }
 
 // Start is the non-blocking Run: it resolves the plan, starts the run
@@ -633,7 +617,7 @@ func (m *Machine) Start(op Op, in, out any, opts ...CollectiveOption) (*Handle, 
 	}
 	h := &Handle{done: make(chan struct{})}
 	go func() {
-		h.rep, h.err = execute(op, pl, in, out)
+		h.rep, h.err = pl.Run(pl.Memory(in, out))
 		m.inflight.Store(false)
 		close(h.done)
 	}()
@@ -641,9 +625,10 @@ func (m *Machine) Start(op Op, in, out any, opts ...CollectiveOption) (*Handle, 
 }
 
 // Compile returns (and caches) the plan Run would execute for op on
-// in, of which it reads only the block size or layout. Plan.Execute
-// (ExecuteV when ragged, ExecuteRooted when rooted) runs it on Run's
-// shapes, and Bind (BindV) attaches such a pair for RunPlans.
+// in, of which it reads only the block size or layout. The Plan is the
+// cache's, shared by every caller who compiles the same configuration,
+// and holds no buffers: RunPlans runs it on the sides each PlanRun
+// names, as Run takes them.
 func (m *Machine) Compile(op Op, in any, opts ...CollectiveOption) (*Plan, error) {
 	s, err := spec(op, in)
 	if err != nil {
@@ -754,17 +739,30 @@ func NewRaggedBuffers(l *Layout) (*RaggedBuffers, error) { return buffers.NewRag
 // its Machine, across recovery from a deadlocked run too.
 type Plan = collective.Plan
 
+// PlanRun is one plan of a RunPlans call and the two sides it runs on,
+// typed and shaped as Run takes them for the plan's operation.
+type PlanRun struct {
+	Plan    *Plan
+	In, Out any
+}
+
 // RunPlans executes several compiled plans of this machine, on pairwise
-// disjoint groups and each with buffers attached by Plan.Bind (BindV
-// for ragged plans), concurrently inside one engine run. Every plan
-// keeps its own Report; results are byte-identical to executing the
-// plans one after another.
-func (m *Machine) RunPlans(plans []*Plan) ([]*Report, error) {
+// disjoint groups and each on its own sides, concurrently inside one
+// engine run. Every plan keeps its own Report; results are
+// byte-identical to running the plans one after another.
+func (m *Machine) RunPlans(runs []PlanRun) ([]*Report, error) {
 	if err := m.claim(); err != nil {
 		return nil, err
 	}
 	defer m.inflight.Store(false)
-	return collective.ExecutePlans(m.engine, plans)
+	jobs := make([]collective.Job, len(runs))
+	for i, r := range runs {
+		jobs[i].Plan = r.Plan
+		if r.Plan != nil {
+			jobs[i].Mem = r.Plan.Memory(r.In, r.Out)
+		}
+	}
+	return collective.ExecutePlans(m.engine, jobs)
 }
 
 // OptimalRadix returns the radix minimizing the linear-model time of

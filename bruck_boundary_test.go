@@ -124,7 +124,7 @@ func TestFacadeErrorTexts(t *testing.T) {
 	in, out := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
 	// split has run two plans at once.
 	split := MustNewMachine(n, WithTopology(topo))
-	var halves []*Plan
+	var halves []PlanRun
 	for _, ids := range [][]int{{0, 1}, {2, 3}} {
 		g, err := split.NewGroup(ids)
 		if err != nil {
@@ -134,29 +134,22 @@ func TestFacadeErrorTexts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pl.Bind(mustBuffers(t, 2, 2, b), mustBuffers(t, 2, 2, b)); err != nil {
-			t.Fatal(err)
-		}
-		halves = append(halves, pl)
+		halves = append(halves, PlanRun{pl, mustBuffers(t, 2, 2, b), mustBuffers(t, 2, 2, b)})
 	}
 	if _, err := split.RunPlans(halves); err != nil {
 		t.Fatal(err)
 	}
 	busy := MustNewMachine(n)
 	busy.inflight.Store(true)
-	// Two plans nobody bound, on the machine nothing has run on.
-	unbound, err := fresh.Compile(Index, in)
+	// A plan of the machine nothing has run on.
+	plan, err := fresh.Compile(Index, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout, _ := NewConcatLayout([]int{1, 2, 3, 4})
 	ragged, _ := NewRaggedBuffers(layout)
-	unboundV, err := fresh.Compile(Concat, ragged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPlans := func(m *Machine, plans ...*Plan) func() error {
-		return func() error { _, err := m.RunPlans(plans); return err }
+	runPlans := func(m *Machine, runs ...PlanRun) func() error {
+		return func() error { _, err := m.RunPlans(runs); return err }
 	}
 	run := func(m *Machine, op Op, in, out any, opts ...CollectiveOption) func() error {
 		return func() error { _, err := m.Run(op, in, out, opts...); return err }
@@ -170,7 +163,7 @@ func TestFacadeErrorTexts(t *testing.T) {
 		return run(fresh, AllReduce, in, mustBuffers(t, n, n, in.BlockLen()), opts...)
 	}
 	critical := func(topo *Topology) func() error {
-		return func() error { _, err := unbound.CriticalPathTopo(topo); return err }
+		return func() error { _, err := plan.CriticalPathTopo(topo); return err }
 	}
 	wide, err := ParseTopology("2x3")
 	if err != nil {
@@ -206,10 +199,10 @@ func TestFacadeErrorTexts(t *testing.T) {
 		{"AllReduceFlat/split element", allReduce(six, WithKernel(ReduceSum, Float32)),
 			"collective: block size 6 is not a multiple of the kernel's 4-byte elements"},
 		{"RunPlans/empty", runPlans(fresh), "collective: no plans to execute"},
-		{"RunPlans/nil plan", runPlans(split, halves[0], nil), "collective: plan 1 is nil"},
+		{"RunPlans/nil plan", runPlans(split, halves[0], PlanRun{nil, in, out}), "collective: plan 1 is nil"},
 		{"RunPlans/another machine's plan", runPlans(fresh, halves...), "collective: plan 0 was compiled for a different engine"},
-		{"RunPlans/unbound", runPlans(fresh, unbound), "collective: plan 0 has no bound buffers (call Bind)"},
-		{"RunPlans/unbound layout plan", runPlans(fresh, unboundV), "collective: layout plan 0 has no bound ragged buffers (call BindV)"},
+		{"RunPlans/mis-shaped buffers", runPlans(fresh, PlanRun{plan, in, mustBuffers(t, n, 1, b)}),
+			"collective: index plan output is 4x1 blocks of 4 bytes, want 4x4 of 4 (plan 0)"},
 		{"RunPlans/overlapping groups", runPlans(split, halves[0], halves[1], halves[0]),
 			"collective: plans 0 and 2 share processor 0; groups must be disjoint"},
 	} {

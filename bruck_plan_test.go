@@ -1,7 +1,7 @@
 package bruck
 
 // Tests for the compiled-plan API: cache identity across option
-// changes, byte-equivalence of Plan.Execute and RunPlans with Run and
+// changes, byte-equivalence of Plan.Run and RunPlans with Run and
 // with compiling per call on both transports, and per-plan reports from
 // concurrent disjoint-group execution.
 
@@ -23,7 +23,7 @@ func compileAndRun(e *mpsim.Engine, g *mpsim.Group, s collective.Spec, in, out *
 	if err != nil {
 		return nil, err
 	}
-	return pl.Execute(in, out)
+	return pl.Run(pl.Memory(in, out))
 }
 
 // mustCompile is Machine.Compile that fails the test on error.
@@ -124,9 +124,9 @@ func TestPlanExecuteMatchesFlat(t *testing.T) {
 					pl := mustCompile(t, m, c.op, c.in)
 					for r := 0; r < c.runs; r++ {
 						got, want := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-						gotRep, err := pl.Execute(c.in, got)
+						gotRep, err := pl.Run(pl.Memory(c.in, got))
 						if err != nil {
-							t.Fatalf("%v plan Execute(n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
+							t.Fatalf("%v plan Run(n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
 						}
 						wantRep, err := compileAndRun(e, mpsim.WorldGroup(n), collective.Spec{Op: c.op}, c.in, want)
 						if err != nil {
@@ -175,24 +175,18 @@ func TestRunPlansMatchesSequential(t *testing.T) {
 
 				// Sequential reference.
 				iWant, cWant := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-				iRepWant, err := ipl.Execute(iin, iWant)
+				iRepWant, err := ipl.Run(ipl.Memory(iin, iWant))
 				if err != nil {
 					t.Fatalf("sequential index (n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
-				cRepWant, err := cpl.Execute(cin, cWant)
+				cRepWant, err := cpl.Run(cpl.Memory(cin, cWant))
 				if err != nil {
 					t.Fatalf("sequential concat (n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
 
 				// Concurrent run.
 				iGot, cGot := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-				if err := ipl.Bind(iin, iGot); err != nil {
-					t.Fatal(err)
-				}
-				if err := cpl.Bind(cin, cGot); err != nil {
-					t.Fatal(err)
-				}
-				reps, err := m.RunPlans([]*Plan{ipl, cpl})
+				reps, err := m.RunPlans([]PlanRun{{ipl, iin, iGot}, {cpl, cin, cGot}})
 				if err != nil {
 					t.Fatalf("RunPlans(n=%d, k=%d, %s): %v", n, k, backend, err)
 				}
@@ -211,49 +205,64 @@ func TestRunPlansMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSharedPlanRunsEachCallersBuffers: two callers who compile one
+// configuration share the cache's Plan, and each RunPlans call runs it
+// on that call's own buffers — caller A's output is A's input
+// transposed, B's is B's, whichever caller prepared its run last.
+func TestSharedPlanRunsEachCallersBuffers(t *testing.T) {
+	const n, b = 4, 8
+	m := MustNewMachine(n)
+	inA, inB := input(t, n, n, b, 1), input(t, n, n, b, 2)
+	outA, outB := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+	plA, plB := mustCompile(t, m, Index, inA), mustCompile(t, m, Index, inB)
+	if plA != plB {
+		t.Fatal("two compiles of one configuration returned different plans")
+	}
+	runA, runB := []PlanRun{{plA, inA, outA}}, []PlanRun{{plB, inB, outB}}
+	for _, runs := range [][]PlanRun{runA, runB} {
+		if _, err := m.RunPlans(runs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkIndex(t, n, inA, outA)
+	checkIndex(t, n, inB, outB)
+}
+
 // TestRunPlansValidation: a rejected plan list (the texts are rows of
 // TestFacadeErrorTexts) leaves the machine free, and the valid disjoint
 // pair runs next.
 func TestRunPlansValidation(t *testing.T) {
 	const n, b = 8, 4
 	m := MustNewMachine(n)
-	var plans []*Plan
+	var runs []PlanRun
 	for _, ids := range [][]int{{0, 1, 2, 3}, {3, 4, 5, 6}, {4, 5, 6, 7}} { // the second overlaps both
 		g, _ := m.NewGroup(ids)
 		in := mustBuffers(t, len(ids), len(ids), b)
-		pl := mustCompile(t, m, Index, in, OnGroup(g))
-		if err := pl.Bind(in, mustBuffers(t, len(ids), len(ids), b)); err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, pl)
+		runs = append(runs, PlanRun{mustCompile(t, m, Index, in, OnGroup(g)), in, mustBuffers(t, len(ids), len(ids), b)})
 	}
-	m.RunPlans(plans[:2]) // rejected: the groups share processor 3
-	if _, err := m.RunPlans([]*Plan{plans[0], plans[2]}); err != nil {
+	m.RunPlans(runs[:2]) // rejected: the groups share processor 3
+	if _, err := m.RunPlans([]PlanRun{runs[0], runs[2]}); err != nil {
 		t.Errorf("RunPlans on disjoint groups failed: %v", err)
 	}
 }
 
-// TestPlanExecuteShapeValidation: executing with wrong-shaped buffers
-// fails before any communication.
+// TestPlanExecuteShapeValidation: executing with wrong-shaped buffers,
+// alone or through RunPlans, fails before any communication.
 func TestPlanExecuteShapeValidation(t *testing.T) {
 	const n, b = 6, 4
 	m := MustNewMachine(n)
 	good, wrongN, wrongB := mustBuffers(t, n, n, b), mustBuffers(t, n+1, n+1, b), mustBuffers(t, n, n, b+1)
 	pl := mustCompile(t, m, Index, good)
-	if _, err := pl.Execute(good, good); err == nil {
-		t.Error("plan executed with aliased buffers")
-	}
-	if _, err := pl.Execute(nil, good); err == nil {
-		t.Error("plan executed with nil input")
-	}
-	if _, err := pl.Execute(wrongN, good); err == nil {
-		t.Error("plan executed with wrong processor count")
-	}
-	if _, err := pl.Execute(good, wrongB); err == nil {
-		t.Error("plan executed with wrong block size")
-	}
-	if err := pl.Bind(wrongN, good); err == nil {
-		t.Error("Bind accepted a wrong-shaped buffer")
+	for _, c := range []struct {
+		what    string
+		in, out any
+	}{{"aliased buffers", good, good}, {"nil input", nil, good}, {"wrong processor count", wrongN, good}, {"wrong block size", good, wrongB}} {
+		if _, err := pl.Run(pl.Memory(c.in, c.out)); err == nil {
+			t.Errorf("plan executed with %s", c.what)
+		}
+		if _, err := m.RunPlans([]PlanRun{{pl, c.in, c.out}}); err == nil {
+			t.Errorf("RunPlans executed a plan with %s", c.what)
+		}
 	}
 }
 
@@ -280,7 +289,7 @@ func TestPlanMixedAndAblationsMatchFlat(t *testing.T) {
 			for i := range outs {
 				outs[i] = mustBuffers(t, n, n, b)
 				var err error
-				if reps[i], err = pl.Execute(in, outs[i]); err != nil {
+				if reps[i], err = pl.Run(pl.Memory(in, outs[i])); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -297,7 +306,7 @@ func TestPlanMixedAndAblationsMatchFlat(t *testing.T) {
 func TestRunPlansManyGroups(t *testing.T) {
 	const groups, per, b = 4, 4, 8
 	m := MustNewMachine(groups * per)
-	plans := make([]*Plan, groups)
+	runs := make([]PlanRun, groups)
 	ins, outs := make([]*Buffers, groups), make([]*Buffers, groups)
 	for gi := 0; gi < groups; gi++ {
 		ids := make([]int, per)
@@ -309,12 +318,9 @@ func TestRunPlansManyGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins[gi], outs[gi] = input(t, per, per, b, 100+gi), mustBuffers(t, per, per, b)
-		plans[gi] = mustCompile(t, m, Index, ins[gi], OnGroup(g), WithRadix(2))
-		if err := plans[gi].Bind(ins[gi], outs[gi]); err != nil {
-			t.Fatal(err)
-		}
+		runs[gi] = PlanRun{mustCompile(t, m, Index, ins[gi], OnGroup(g), WithRadix(2)), ins[gi], outs[gi]}
 	}
-	reps, err := m.RunPlans(plans)
+	reps, err := m.RunPlans(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +355,7 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 		t.Fatal(err)
 	}
 	in, out1 := input(t, n, n, b, 0), mustBuffers(t, n, n, b)
-	if _, err := pl.Execute(in, out1); err != nil {
+	if _, err := pl.Run(pl.Memory(in, out1)); err != nil {
 		t.Fatalf("%s: first execute: %v", backend, err)
 	}
 	// Deadlock: rank 0 waits for a message nobody sends.
@@ -366,7 +372,7 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 	}
 	// The plan must keep working on the fenced engine's fresh transport.
 	out2, _ := buffers.New(n, n, b)
-	if _, err := pl.Execute(in, out2); err != nil {
+	if _, err := pl.Run(pl.Memory(in, out2)); err != nil {
 		t.Fatalf("%s: execute after fence: %v", backend, err)
 	}
 	if !out2.Equal(out1) {

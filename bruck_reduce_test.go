@@ -258,17 +258,11 @@ func TestRunPlansMixesReductions(t *testing.T) {
 	idxIn, catIn, redIn := input(t, per, per, bl, 0), input(t, per, 1, bl, 1), mustBuffers(t, per, per, bl)
 	idxOut, catOut, redOut := mustBuffers(t, per, per, bl), mustBuffers(t, per, per, bl), mustBuffers(t, per, per, bl)
 	fillReduceInput(redIn, Int64, 3)
-	plans := []*Plan{
-		mustCompile(t, m, Index, idxIn, OnGroup(groups[0])),
-		mustCompile(t, m, Concat, catIn, OnGroup(groups[1])),
-		mustCompile(t, m, AllReduce, redIn, OnGroup(groups[2]), WithKernel(ReduceMax, Int64)),
-	}
-	for i, io := range [][2]*Buffers{{idxIn, idxOut}, {catIn, catOut}, {redIn, redOut}} {
-		if err := plans[i].Bind(io[0], io[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reports, err := m.RunPlans(plans)
+	reports, err := m.RunPlans([]PlanRun{
+		{mustCompile(t, m, Index, idxIn, OnGroup(groups[0])), idxIn, idxOut},
+		{mustCompile(t, m, Concat, catIn, OnGroup(groups[1])), catIn, catOut},
+		{mustCompile(t, m, AllReduce, redIn, OnGroup(groups[2]), WithKernel(ReduceMax, Int64)), redIn, redOut},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +375,11 @@ func TestReduceValidation(t *testing.T) {
 		}
 	}
 	pl := mustCompile(t, m, ReduceScatter, in, sum)
-	if err := pl.Bind(in, outAR); err == nil {
-		t.Error("Bind accepted an index-shaped output on a reduce-scatter plan")
+	if _, err := m.RunPlans([]PlanRun{{pl, in, outAR}}); err == nil {
+		t.Error("RunPlans accepted an index-shaped output on a reduce-scatter plan")
 	}
-	if err := pl.Bind(in, outRS); err != nil {
-		t.Errorf("Bind rejected the correct shapes: %v", err)
+	if _, err := m.RunPlans([]PlanRun{{pl, in, outRS}}); err != nil {
+		t.Errorf("RunPlans rejected the correct shapes: %v", err)
 	}
 }
 

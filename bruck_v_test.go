@@ -213,8 +213,8 @@ func TestIndexVFlatOnGroup(t *testing.T) {
 }
 
 // TestRunPlansMixedUniformAndRagged is the serving scenario at API
-// level: a fixed-size index plan and a ragged concat plan bound to
-// disjoint groups execute in one RunPlans pass.
+// level: a fixed-size index plan and a ragged concat plan on disjoint
+// groups execute in one RunPlans pass, each on its own buffers.
 func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	m := MustNewMachine(8)
 	gU, err := m.NewGroup([]int{0, 1, 2, 3})
@@ -227,9 +227,6 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	}
 	uin, uout := input(t, 4, 4, 16, 2), mustBuffers(t, 4, 4, 16)
 	uni := mustCompile(t, m, Index, uin, OnGroup(gU))
-	if err := uni.Bind(uin, uout); err != nil {
-		t.Fatal(err)
-	}
 	counts := []int{12, 0, 5, 33}
 	l, err := NewConcatLayout(counts)
 	if err != nil {
@@ -247,10 +244,7 @@ func TestRunPlansMixedUniformAndRagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rag.BindV(rin, rout); err != nil {
-		t.Fatal(err)
-	}
-	reports, err := m.RunPlans([]*Plan{uni, rag})
+	reports, err := m.RunPlans([]PlanRun{{uni, uin, uout}, {rag, rin, rout}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@
 // ONCE into a Plan — tenant 0 with the cost-model auto dispatcher over
 // the candidate reduce-scatter schedules, tenant 1 pinned to the Bruck
 // index schedule at radix 2 — and every training step executes both
-// plans concurrently in a single engine pass with RunPlans. Workers
+// plans concurrently in a single engine pass with RunPlans, each on its
+// job's standing buffers. Workers
 // then divide the summed gradient by the group size locally, which
 // turns the sum into the average. Every step is verified against a
 // serially computed reference.
@@ -52,7 +53,7 @@ func run(w io.Writer) error {
 	m := bruck.MustNewMachine(nProcs, bruck.Ports(2))
 	sizes := []int{8, 4}
 	tenants := make([]*tenant, len(sizes))
-	plans := make([]*bruck.Plan, len(sizes))
+	runs := make([]bruck.PlanRun, len(sizes))
 	base := 0
 	for ti, workers := range sizes {
 		ids := make([]int, workers)
@@ -85,12 +86,9 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := plan.Bind(in, out); err != nil {
-			return err
-		}
 		tenants[ti] = &tenant{workers: workers, plan: plan, in: in, out: out,
 			gradient: make([][]float32, workers)}
-		plans[ti] = plan
+		runs[ti] = bruck.PlanRun{Plan: plan, In: in, Out: out}
 		fmt.Fprintf(w, "tenant %d: %d workers, %s plan (%s), %d rounds, C2 %dB (lower bound %dB)\n",
 			ti, workers, plan.Op(), plan.Algorithm(), plan.Rounds(), plan.PredictedC2(), plan.C2LowerBound())
 	}
@@ -114,7 +112,7 @@ func run(w io.Writer) error {
 			}
 		}
 		var err error
-		reports, err = m.RunPlans(plans)
+		reports, err = m.RunPlans(runs)
 		if err != nil {
 			return err
 		}

@@ -7,8 +7,8 @@
 // into a Plan (the schedule is a fixed function of (n, k, r) — or, for
 // ragged layouts, of the layout — so no per-request schedule work
 // remains), and every request wave executes all three plans
-// concurrently in a single engine pass with RunPlans — per-tenant
-// reports included. Tenants 0 and 1 serve uniform all-to-all
+// concurrently in a single engine pass with RunPlans, each on its
+// tenant's standing buffers — per-tenant reports included. Tenants 0 and 1 serve uniform all-to-all
 // personalized traffic (index); tenant 2 serves all-to-all broadcast
 // with a ragged per-member payload layout (ConcatV, the
 // MPI_Allgatherv shape), demonstrating fixed-size and ragged plans
@@ -50,7 +50,7 @@ func main() {
 func run(w io.Writer) error {
 	m := bruck.MustNewMachine(tenants * perGroup)
 
-	plans := make([]*bruck.Plan, tenants)
+	runs := make([]bruck.PlanRun, tenants)
 	uniIns := make([]*bruck.Buffers, tenants)
 	uniOuts := make([]*bruck.Buffers, tenants)
 	var ragIn, ragOut *bruck.RaggedBuffers
@@ -74,9 +74,7 @@ func run(w io.Writer) error {
 			if plan, err = m.Compile(bruck.Index, uniIns[tenant], bruck.OnGroup(g), bruck.WithRadix(2)); err != nil {
 				return err
 			}
-			if err := plan.Bind(uniIns[tenant], uniOuts[tenant]); err != nil {
-				return err
-			}
+			runs[tenant] = bruck.PlanRun{Plan: plan, In: uniIns[tenant], Out: uniOuts[tenant]}
 		} else {
 			layout, lerr := bruck.NewConcatLayout(raggedCounts)
 			if lerr != nil {
@@ -91,11 +89,8 @@ func run(w io.Writer) error {
 			if ragOut, err = bruck.NewRaggedBuffers(plan.OutLayout()); err != nil {
 				return err
 			}
-			if err := plan.BindV(ragIn, ragOut); err != nil {
-				return err
-			}
+			runs[tenant] = bruck.PlanRun{Plan: plan, In: ragIn, Out: ragOut}
 		}
-		plans[tenant] = plan
 		fmt.Fprintf(w, "tenant %d: %s plan (%s) on processors %v, %d rounds\n",
 			tenant, plan.Op(), plan.Algorithm(), ids, plan.Rounds())
 	}
@@ -116,7 +111,7 @@ func run(w io.Writer) error {
 			ragData[x] = byte(wave*17 + x*3)
 		}
 		var err error
-		reports, err = m.RunPlans(plans)
+		reports, err = m.RunPlans(runs)
 		if err != nil {
 			return err
 		}

@@ -162,23 +162,17 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 		ids := groups[0].IDs()
 		groups = []*mpsim.Group{must(mpsim.NewGroup(ids[:budgetN/2], budgetN)), must(mpsim.NewGroup(ids[budgetN/2:], budgetN))}
 	}
-	plans := make([]*Plan, len(groups))
-	var mem *Memory
+	jobs := make([]Job, len(groups))
 	for i, g := range groups {
-		if plans[i], err = Compile(e, g, row.spec); err != nil {
+		if jobs[i].Plan, err = Compile(e, g, row.spec); err != nil {
 			return nil, nil, err
 		}
-		if mem, err = plans[i].Alloc(); err != nil {
+		if jobs[i].Mem, err = jobs[i].Plan.Alloc(); err != nil {
 			return nil, nil, err
 		}
-		plans[i].Fill(mem, row.fill())
-		if row.mode == concurrent {
-			if err = plans[i].Bind(mem.Flat()); err != nil {
-				return nil, nil, err
-			}
-		}
+		jobs[i].Plan.Fill(jobs[i].Mem, row.fill())
 	}
-	pl, results := plans[0], make([]*Result, 1)
+	pl, mem, results := jobs[0].Plan, jobs[0].Mem, make([]*Result, 1)
 	moved := func() (most int) {
 		for me := 0; me < pl.prog.n; me++ {
 			most = max(most, pl.prog.moved(me))
@@ -197,7 +191,7 @@ func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func()
 			return err
 		}
 	case concurrent:
-		op = func() (err error) { results, err = ExecutePlans(e, plans); return err }
+		op = func() (err error) { results, err = ExecutePlans(e, jobs); return err }
 	default:
 		op = func() (err error) { results[0], err = pl.Run(mem); return err }
 	}
@@ -270,13 +264,23 @@ func TestBudget(t *testing.T) {
 
 // TestPlanImmutableAfterCompile: a compiled plan is plain data that
 // nothing writes again. Every ledger row is compiled twice, from specs
-// built apart so that not even a layout is shared: the two programs are
-// equal (compiling is deterministic), and after one of them has run on
-// each driver and on the one Run picks, been bound, run bound and been
-// served from a cache hit, it still equals the twin nothing touched and
-// still passes Check.
+// built apart so that not even a layout is shared: the two plans are
+// equal field by field (compiling is deterministic), and after one of
+// them has run on each driver, through Run and through ExecutePlans, and
+// been served from a cache hit, it still equals the twin nothing
+// touched, still holds the engine, group and kernel it was compiled
+// with, and still passes Check.
 func TestPlanImmutableAfterCompile(t *testing.T) {
 	twins := budgetRows()
+	code := func(f buffers.CombineFunc) uintptr { return reflect.ValueOf(f).Pointer() }
+	// data is the plan without the fields compared by identity: DeepEqual
+	// follows the engine into its run state and never equals two non-nil
+	// funcs.
+	data := func(pl *Plan) Plan {
+		d := *pl
+		d.engine, d.group, d.combine = nil, nil, nil
+		return d
+	}
 	for i, row := range budgetRows() {
 		t.Run(row.name, func(t *testing.T) {
 			e, err := row.engine(mpsim.BackendChan)
@@ -292,10 +296,14 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			kernel := code(pl.combine)
 			same := func(when string) {
 				t.Helper()
-				if !reflect.DeepEqual(pl.prog, twin.prog) || pl.c1 != twin.c1 || pl.c2 != twin.c2 || !reflect.DeepEqual(pl.phases, twin.phases) {
-					t.Fatalf("%s the plan's program, C1, C2 or phases differ from its untouched twin's", when)
+				if pl.engine != e || pl.group != g || code(pl.combine) != kernel {
+					t.Fatalf("%s the plan's engine, group or kernel is not the one it was compiled with", when)
+				}
+				if !reflect.DeepEqual(data(pl), data(twin)) {
+					t.Fatalf("%s the plan differs from its untouched twin", when)
 				}
 			}
 			same("freshly compiled,")
@@ -304,30 +312,20 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl.Fill(mem, row.fill())
-			for _, run := range []func(in, out slab) (*Result, error){pl.runRounds, pl.runEngine} {
-				if _, err = run(mem.side[regIn], mem.side[regOut]); err != nil {
+			for _, run := range []func(Memory) (*Result, error){pl.runRounds, pl.runEngine, pl.Run} {
+				if _, err = run(mem); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err = pl.Run(mem); err != nil {
+			same("after a run on each driver and a Run,")
+			if _, err = ExecutePlans(e, []Job{{pl, mem}}); err != nil {
 				t.Fatal(err)
 			}
-			switch in := mem.side[regIn].(type) {
-			case *buffers.Buffers:
-				err = pl.Bind(in, mem.side[regOut].(*buffers.Buffers))
-			case *buffers.Ragged:
-				err = pl.BindV(in, mem.side[regOut].(*buffers.Ragged))
-			}
-			if err == nil {
-				_, err = ExecutePlans(e, []*Plan{pl})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			same("after ExecutePlans,")
 			if hit, err := c.Get(e, g, row.spec); hit != pl || err != nil {
 				t.Fatalf("a second Get returned another plan (%v)", err)
 			}
-			same("after a run on each driver, a Run, a bind, a bound run and a cache hit")
+			same("after a cache hit,")
 			if violations := pl.Check(); violations != nil {
 				t.Errorf("Check after execution: %q", violations)
 			}

@@ -77,10 +77,13 @@
 //
 // # Flat buffers
 //
-// Plans execute on buffers.Buffers slabs (Plan.Execute), layout plans
-// on buffers.Ragged slabs (Plan.ExecuteV), the one-to-all primitives on
-// a slab of one block per rank and the slice that is the root's side
-// (Plan.ExecuteRooted): a payload is packed into a pool-recycled
+// Caller bytes reach a plan one way: a Memory (oracle.go), the input and
+// output side of every rank for one execution, built by Plan.Memory or
+// Plan.Alloc and run by Plan.Run or ExecutePlans. A side is a
+// buffers.Buffers slab, under a layout a buffers.Ragged slab, and on a
+// one-to-all primitive the root's side is the root's bytes alone; one
+// check (Plan.fits) holds every side to the plan's shape. A payload is
+// packed into a pool-recycled
 // buffer, handed over and landed in caller-owned memory by its
 // receiver, and nothing is rotated: the concatenations accumulate in
 // the output slab, each slot addressed as the block it ends up as, and
@@ -97,7 +100,7 @@
 // # The step program
 //
 // There is exactly one schedule representation and one interpreter
-// (run.go): every Execute form binds each rank's two caller regions and
+// (run.go): every execution binds each rank's two regions of its Memory and
 // steps the rank through its role with one step loop (cursor.next), an
 // embedded sub-program as a sub-frame, a skip as a round offset. Two
 // drivers run that loop. The round-major driver (rounds.go) runs every
@@ -278,28 +281,28 @@
 //     rejected.
 //   - Layout plans additionally bind to their input layout. Layouts
 //     are immutable, so a cached layout plan can never go stale.
-//   - Layout plans execute through ExecuteV/BindV on buffers.Ragged
-//     slabs of the plan's input layout and its output layout (the
-//     transpose for index, Layout.ConcatOut for concat); handing them
-//     fixed-size Buffers — or a fixed-size plan ragged slabs — is
-//     rejected. ExecutePlans accepts any mix of Bind-ed fixed-size and
-//     BindV-ed layout plans on disjoint groups.
+//   - Layout plans run on Memory of buffers.Ragged slabs of the plan's
+//     input layout and its output layout (the transpose for index,
+//     Layout.ConcatOut for concat); handing them fixed-size Buffers —
+//     or a fixed-size plan ragged slabs — is rejected. ExecutePlans
+//     accepts any mix of fixed-size and layout plans on disjoint groups.
 //   - A Plan holds no reference to any transport generation: each
 //     execution runs through the engine's current transport and pools,
 //     so plans remain valid across the engine's post-deadlock fencing
 //     (the run that deadlocked fails; the plan's next execution simply
 //     uses the fresh transport).
-//   - Buffers are per-execution state, not plan state: Execute takes
-//     them explicitly, and Bind attaches a pair only as the standing
-//     target for ExecutePlans. Rebinding retargets the plan; the
-//     schedule never changes.
+//   - Buffers are per-execution state, never plan state: every
+//     execution names its Memory — Run takes one, ExecutePlans one per
+//     Job — and a Plan has no field that could hold one, so a cached
+//     plan shared by two callers runs each caller's own bytes.
 //   - ExecutePlans runs several plans with pairwise disjoint groups
 //     concurrently inside one engine run (one mpsim.Program per plan),
-//     with per-plan metrics. Plans of overlapping groups, unbound
-//     plans, and plans of a different engine are rejected up front.
+//     with per-plan metrics. Plans of overlapping groups, memory that
+//     does not fit its plan, and plans of a different engine are
+//     rejected up front.
 //   - Like the engine itself, plans and caches are not safe for
 //     concurrent use from multiple goroutines; the concurrency model
-//     is disjoint groups inside one run, not concurrent Executes:
+//     is disjoint groups inside one run, not concurrent Runs:
 //     every execution claims its engine — mpsim.Engine.RunPrograms on
 //     the engine driver, mpsim.Engine.Inline round-major — and the
 //     claim rejects a run that starts while another is in flight
@@ -346,8 +349,8 @@
 //     floating-point summation satisfies only up to the last ulp.
 //   - Shapes: reduce plans take an index-shaped input (block (i, j) is
 //     rank i's contribution to chunk j) and a concat-shaped
-//     (reduce-scatter) or index-shaped (allreduce) output. Bind
-//     enforces this, and ExecutePlans runs reduction plans alongside
+//     (reduce-scatter) or index-shaped (allreduce) output. Run and
+//     ExecutePlans enforce this, and ExecutePlans runs reduction plans alongside
 //     index, concat and layout plans on disjoint groups.
 //
 // # Hierarchical plans

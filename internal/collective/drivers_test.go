@@ -58,12 +58,12 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 	if err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
-	var mem [2]*Memory
+	var mem [2]Memory
 	var res [2]*Result
-	for i, run := range []func(in, out slab) (*Result, error){pl.runEngine, pl.runRounds} {
+	for i, run := range []func(Memory) (*Result, error){pl.runEngine, pl.runRounds} {
 		mem[i] = must(pl.Alloc())
 		pl.Fill(mem[i], Labels)
-		if res[i], err = run(mem[i].side[regIn], mem[i].side[regOut]); err != nil {
+		if res[i], err = run(mem[i]); err != nil {
 			t.Fatalf("%s: driver %d: %v", where, i, err)
 		}
 	}
@@ -132,12 +132,12 @@ func TestDriversRejectFaults(t *testing.T) {
 		c.mutate(mutant)
 		for _, d := range []struct {
 			name string
-			run  func(pl *Plan, in, out slab) (*Result, error)
+			run  func(*Plan, Memory) (*Result, error)
 			want string
 		}{{"round-major", (*Plan).runRounds, c.rounds}, {"engine", (*Plan).runEngine, c.engine}} {
 			mem := must(mutant.Alloc())
 			mutant.Fill(mem, Labels)
-			_, err := d.run(mutant, mem.side[regIn], mem.side[regOut])
+			_, err := d.run(mutant, mem)
 			switch {
 			case d.want == "" && err != nil:
 				t.Errorf("%s, %s driver: %v", c.name, d.name, err)
@@ -146,7 +146,7 @@ func TestDriversRejectFaults(t *testing.T) {
 			}
 			mem = must(clean.Alloc())
 			clean.Fill(mem, Labels)
-			if _, err := d.run(clean, mem.side[regIn], mem.side[regOut]); err != nil {
+			if _, err := d.run(clean, mem); err != nil {
 				t.Fatalf("%s, %s driver: the clean plan after the mutant: %v", c.name, d.name, err)
 			}
 			if err := clean.Verify(mem); err != nil {
@@ -172,7 +172,7 @@ func TestDriversRejectOverlap(t *testing.T) {
 	}
 	pl := must(Compile(e, mpsim.WorldGroup(n), Spec{Op: OpAllReduce, BlockLen: 8, Reduce: ReduceOptions{Kernel: kernel}}))
 	mem := must(pl.Alloc())
-	drivers := []func(in, out slab) (*Result, error){pl.runRounds, pl.runEngine}
+	drivers := []func(Memory) (*Result, error){pl.runRounds, pl.runEngine}
 
 	started, hold, done := make(chan struct{}), make(chan struct{}), make(chan error)
 	go func() {
@@ -186,7 +186,7 @@ func TestDriversRejectOverlap(t *testing.T) {
 	}()
 	<-started
 	for i, run := range drivers {
-		if _, err := run(mem.side[regIn], mem.side[regOut]); err == nil || err.Error() != want {
+		if _, err := run(mem); err == nil || err.Error() != want {
 			t.Errorf("driver %d during a run: error %v, want %q", i, err, want)
 		}
 	}
@@ -197,7 +197,7 @@ func TestDriversRejectOverlap(t *testing.T) {
 
 	for i, run := range drivers {
 		inner, once = nil, new(sync.Once)
-		if _, err := run(mem.side[regIn], mem.side[regOut]); err != nil {
+		if _, err := run(mem); err != nil {
 			t.Fatalf("driver %d: %v", i, err)
 		}
 		if inner == nil || inner.Error() != want {
@@ -218,7 +218,7 @@ func TestRoundMajorAtScale(t *testing.T) {
 		}
 		mem := must(pl.Alloc())
 		pl.Fill(mem, Labels)
-		res, err := pl.runRounds(mem.side[regIn], mem.side[regOut])
+		res, err := pl.runRounds(mem)
 		if err != nil {
 			t.Fatalf("%v: %v", s.Op, err)
 		}
@@ -281,16 +281,16 @@ func BenchmarkDrivers(b *testing.B) {
 		pl.Fill(mem, Labels)
 		for _, driver := range []struct {
 			name string
-			run  func(in, out slab) (*Result, error)
+			run  func(Memory) (*Result, error)
 		}{{"engine", pl.runEngine}, {"rounds", pl.runRounds}} {
 			b.Run(fmt.Sprintf("b=%d/%s", blockLen, driver.name), func(b *testing.B) {
-				if _, err := driver.run(mem.side[regIn], mem.side[regOut]); err != nil {
+				if _, err := driver.run(mem); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := driver.run(mem.side[regIn], mem.side[regOut]); err != nil {
+					if _, err := driver.run(mem); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,7 +15,7 @@ func runFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, s Spec) 
 	if err != nil {
 		return nil, err
 	}
-	return pl.Execute(in, out)
+	return pl.Run(pl.Memory(in, out))
 }
 
 func runRagged(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Ragged, s Spec) (*Result, error) {
@@ -24,7 +24,7 @@ func runRagged(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Ragged, s Spec)
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteV(in, out)
+	return pl.Run(pl.Memory(in, out))
 }
 
 func runSlices(e *mpsim.Engine, g *mpsim.Group, fin *buffers.Buffers, err error, s Spec) ([][][]byte, *Result, error) {
@@ -66,13 +66,17 @@ func mixedSpec(blockLen int, radices []int) Spec {
 	return Spec{Op: OpIndex, BlockLen: blockLen, Radices: radices}
 }
 
-// runRooted compiles a one-to-all primitive uncached and runs it once.
+// runRooted compiles a one-to-all primitive uncached and runs it once:
+// ranks holds one block per rank, at is the root's side.
 func runRooted(e *mpsim.Engine, g *mpsim.Group, op Op, root, blockLen int, ranks *buffers.Buffers, at []byte) (*Result, error) {
 	pl, err := Compile(e, g, Spec{Op: op, BlockLen: blockLen, Root: root})
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteRooted(ranks, at)
+	if op == OpGather {
+		return pl.Run(pl.Memory(ranks, at))
+	}
+	return pl.Run(pl.Memory(at, ranks))
 }
 
 func broadcastInto(e *mpsim.Engine, g *mpsim.Group, root int, data []byte, out *buffers.Buffers) (*Result, error) {

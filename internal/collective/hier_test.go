@@ -103,9 +103,9 @@ func runHierIndex(t *testing.T, e *mpsim.Engine, n, b int, topo *costmodel.Topol
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pl.Execute(fin, fout)
+	res, err := pl.Run(pl.Memory(fin, fout))
 	if err != nil {
-		t.Fatalf("%s: Execute: %v", tag, err)
+		t.Fatalf("%s: Run: %v", tag, err)
 	}
 	checkTranspose(t, in, fout.ToMatrix(), tag)
 	if res.C1 != pl.Rounds() || res.C2 != pl.PredictedC2() {
@@ -163,9 +163,9 @@ func runHierConcat(t *testing.T, e *mpsim.Engine, n, b int, topo *costmodel.Topo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pl.Execute(fin, fout)
+	res, err := pl.Run(pl.Memory(fin, fout))
 	if err != nil {
-		t.Fatalf("%s: Execute: %v", tag, err)
+		t.Fatalf("%s: Run: %v", tag, err)
 	}
 	out := fout.ToMatrix()
 	for i := 0; i < n; i++ {
@@ -240,9 +240,9 @@ func runHierAllReduce(t *testing.T, e *mpsim.Engine, n int, topo *costmodel.Topo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pl.Execute(fin, fout)
+	res, err := pl.Run(pl.Memory(fin, fout))
 	if err != nil {
-		t.Fatalf("%s: Execute: %v", tag, err)
+		t.Fatalf("%s: Run: %v", tag, err)
 	}
 	out := fout.ToMatrix()
 	for i := 0; i < n; i++ {

@@ -118,24 +118,24 @@ func TestExerciseCatchesAStaleCount(t *testing.T) {
 }
 
 // TestMemoryOfAnotherShapeIsRejected: a plan runs on memory of its own
-// shape only.
+// shape only — not on another operation's, nor on the root side of a
+// primitive rooted elsewhere.
 func TestMemoryOfAnotherShapeIsRejected(t *testing.T) {
 	e, g := mpsim.MustNew(4), mpsim.WorldGroup(4)
-	index, err := Compile(e, g, Spec{Op: OpIndex, BlockLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	concat, err := Compile(e, g, Spec{Op: OpConcat, BlockLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := concat.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "collective: memory was not allocated for the shape of this index plan"
-	if _, err := index.Run(m); err == nil || err.Error() != want {
-		t.Errorf("Run = %v, want %q", err, want)
+	compile := func(s Spec) *Plan { return must(Compile(e, g, s)) }
+	index, concat := compile(Spec{Op: OpIndex, BlockLen: 4}), compile(Spec{Op: OpConcat, BlockLen: 4})
+	gather0, gather1 := compile(Spec{Op: OpGather, BlockLen: 4}), compile(Spec{Op: OpGather, BlockLen: 4, Root: 1})
+	for _, c := range []struct {
+		pl, from *Plan
+		want     string
+	}{
+		{index, concat, "collective: index plan input is 4x1 blocks of 4 bytes, want 4x4 of 4"},
+		{gather1, gather0, "collective: memory was not allocated for the shape of this gather plan"},
+		{gather0, index, "collective: gather buffer is 4x4 blocks of 4 bytes, want 4x1 of 4"},
+	} {
+		if _, err := c.pl.Run(must(c.from.Alloc())); err == nil || err.Error() != c.want {
+			t.Errorf("%v plan on %v memory: Run = %v, want %q", c.pl.op, c.from.op, err, c.want)
+		}
 	}
 }
 

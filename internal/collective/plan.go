@@ -18,9 +18,11 @@ import (
 // A Plan is immutable after compilation and remains valid for the
 // lifetime of its engine, across any number of runs and across the
 // engine's post-deadlock fencing (each execution picks up the engine's
-// current transport and pools). Execute runs the plan alone;
-// ExecutePlans runs several plans with pairwise disjoint groups
-// concurrently inside a single engine run.
+// current transport and pools). It holds no caller bytes: every
+// execution names its own Memory, so one cached Plan serves any number
+// of callers. Run executes the plan alone on one Memory; ExecutePlans
+// runs several plans with pairwise disjoint groups, each on its own
+// Memory, concurrently inside a single engine run.
 type Plan struct {
 	engine   *mpsim.Engine
 	group    *mpsim.Group
@@ -32,12 +34,6 @@ type Plan struct {
 	// prog is the schedule; everything below it is derived from it at
 	// compile time (program.finish) or is a bound of package lowerbound.
 	prog *program
-
-	// in/out are the buffers bound by Bind for ExecutePlans; Execute
-	// takes explicit buffers and ignores them. vin/vout are the ragged
-	// buffers bound by BindV.
-	in, out   *buffers.Buffers
-	vin, vout *buffers.Ragged
 
 	// Layout plans (IndexV / ConcatV): the input layout the plan was
 	// compiled for and the shape of its result; blockLen is then the
@@ -222,56 +218,17 @@ func (pl *Plan) blocks(reg regID, me int) int {
 	}[pl.op][reg]
 }
 
-// checkFlat validates one flat buffer against the plan: n processor
-// regions of the given number of blocks of the plan's block size.
-func (pl *Plan) checkFlat(what string, b *buffers.Buffers, blocks int) error {
-	if n := pl.group.Size(); b.Procs() != n || b.Blocks() != blocks || b.BlockLen() != pl.blockLen {
-		return fmt.Errorf("collective: %s %s is %dx%d blocks of %d bytes, want %dx%d of %d",
-			pl.op, what, b.Procs(), b.Blocks(), b.BlockLen(), n, blocks, pl.blockLen)
-	}
-	return nil
-}
+// The two methods below exist only because the frozen benchmark/
+// package calls them. Delete them in a benchmark-only PR.
 
-// checkBuffers validates an (in, out) pair against the plan's shape:
-// index plans need two index-shaped buffers, concat plans a
-// concat-shaped input and an index-shaped output.
-func (pl *Plan) checkBuffers(in, out *buffers.Buffers) error {
-	switch {
-	case pl.layout != nil:
-		return fmt.Errorf("collective: %s layout plan takes ragged buffers (use ExecuteV/BindV)", pl.op)
-	case pl.op.rooted():
-		return fmt.Errorf("collective: %s plan takes one flat buffer and the root's slice (use ExecuteRooted)", pl.op)
-	case in == nil || out == nil:
-		return fmt.Errorf("collective: nil flat buffer")
-	case in == out:
-		return fmt.Errorf("collective: flat output must not alias the input")
-	}
-	if err := pl.checkFlat("plan input", in, pl.blocks(regIn, 0)); err != nil {
-		return err
-	}
-	return pl.checkFlat("plan output", out, pl.blocks(regOut, 0))
-}
-
-// Bind validates and attaches an (in, out) buffer pair to the plan for
-// use by ExecutePlans. Binding may be repeated to retarget the plan;
-// Execute ignores the binding.
-func (pl *Plan) Bind(in, out *buffers.Buffers) error {
-	if err := pl.checkBuffers(in, out); err != nil {
-		return err
-	}
-	pl.in, pl.out = in, out
-	return nil
-}
-
-// Execute runs the compiled schedule on its engine with the given
-// buffers: for index plans out.Block(i, j) ends up equal to
-// in.Block(j, i), for concat plans out.Block(i, j) equals
-// in.Block(j, 0).
+// Execute is Run on flat buffers; delete in a benchmark-only PR.
 func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
-	if err := pl.checkBuffers(in, out); err != nil {
-		return nil, err
-	}
-	return pl.run(in, out)
+	return pl.Run(pl.Memory(in, out))
+}
+
+// ExecuteV is Run on ragged buffers; delete in a benchmark-only PR.
+func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
+	return pl.Run(pl.Memory(in, out))
 }
 
 // roundMajorBytes is the most bytes a plan may copy per execution — the
@@ -293,46 +250,29 @@ func (pl *Plan) roundMajor() bool {
 	return pl.prog.copied <= roundMajorBytes && pl.engine.Plain()
 }
 
-// run executes the plan alone on its engine, round-major where
+// run executes the plan alone on memory that fits it, round-major where
 // roundMajor says so.
-func (pl *Plan) run(in, out slab) (*Result, error) {
+func (pl *Plan) run(m Memory) (*Result, error) {
 	if pl.roundMajor() {
-		return pl.runRounds(in, out)
+		return pl.runRounds(m)
 	}
-	return pl.runEngine(in, out)
+	return pl.runEngine(m)
 }
 
 // runEngine executes the plan alone on the engine driver. The result is
 // built from the metrics the run returns: once it is over,
 // Engine.Metrics may already be another caller's.
-func (pl *Plan) runEngine(in, out slab) (*Result, error) {
-	ms, err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(in, out)}})
+func (pl *Plan) runEngine(m Memory) (*Result, error) {
+	ms, err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(m)}})
 	if err != nil {
 		return nil, err
 	}
 	return pl.result(ms[0]), nil
 }
 
-// slab is one caller side of an execution: Proc(me) is group rank me's
-// memory, whose shape the plan knows. Flat and ragged buffers are slabs.
-type slab interface{ Proc(me int) []byte }
-
-// rootOnly is the side of a one-to-all primitive only the root has.
-type rootOnly struct {
-	root int
-	data []byte
-}
-
-func (r rootOnly) Proc(me int) []byte {
-	if me == r.root {
-		return r.data
-	}
-	return nil
-}
-
 // body is the per-processor program of one execution: bind the rank's
 // input and output regions, run its role.
-func (pl *Plan) body(in, out slab) func(*mpsim.Proc) error {
+func (pl *Plan) body(m Memory) func(*mpsim.Proc) error {
 	return func(p *mpsim.Proc) error {
 		me := pl.group.Rank(p.Rank())
 		if me < 0 {
@@ -340,8 +280,7 @@ func (pl *Plan) body(in, out slab) func(*mpsim.Proc) error {
 		}
 		f := framePool.Get().(*frame).start(p, pl, pl.prog, nil, me)
 		f.p = p
-		f.reg[regIn] = region{pl.prog.shapeOf(regIn, me), in.Proc(me)}
-		f.reg[regOut] = region{pl.prog.shapeOf(regOut, me), out.Proc(me)}
+		m.bind(f, me)
 		err := f.run()
 		framePool.Put(f)
 		return rankErr(me, err)
@@ -356,106 +295,34 @@ func rankErr(me int, err error) error {
 	return nil
 }
 
-// ExecuteRooted runs a compiled one-to-all primitive. ranks holds one
-// block per group rank: the broadcast's and the scatter's output, the
-// gather's input. root is the side only the root has and no other rank
-// touches: the broadcast's data, or the n blocks in group-rank order a
-// gather delivers and a scatter distributes.
-func (pl *Plan) ExecuteRooted(ranks *buffers.Buffers, root []byte) (*Result, error) {
-	switch {
-	case !pl.op.rooted():
-		return nil, fmt.Errorf("collective: %s plan is not a one-to-all primitive (use Execute)", pl.op)
-	case ranks == nil:
-		return nil, fmt.Errorf("collective: nil flat buffer")
-	}
-	if err := pl.checkFlat("buffer", ranks, 1); err != nil {
-		return nil, err
-	}
-	switch want := pl.group.Size() * pl.blockLen; {
-	case pl.op == OpBroadcast && len(root) != pl.blockLen:
-		return nil, fmt.Errorf("collective: broadcast data is %d bytes, want %d", len(root), pl.blockLen)
-	case pl.op == OpGather && len(root) != want:
-		return nil, fmt.Errorf("collective: gather output is %d bytes, want n*b = %d", len(root), want)
-	case pl.op == OpScatter && len(root) != want:
-		return nil, fmt.Errorf("collective: scatter input is %d bytes, want n*b = %d", len(root), want)
-	}
-	if pl.op == OpGather {
-		return pl.run(ranks, rootOnly{pl.root, root})
-	}
-	return pl.run(rootOnly{pl.root, root}, ranks)
-}
-
-// checkRagged validates an (in, out) ragged pair against a layout
-// plan's input and output layouts.
-func (pl *Plan) checkRagged(in, out *buffers.Ragged) error {
-	if pl.layout == nil {
-		return fmt.Errorf("collective: %s fixed-size plan takes flat buffers (use Execute/Bind)", pl.op)
-	}
-	if in == nil || out == nil {
-		return fmt.Errorf("collective: nil ragged buffer")
-	}
-	if in == out {
-		return fmt.Errorf("collective: ragged output must not alias the input")
-	}
-	if !in.Layout().Equal(pl.layout) {
-		return fmt.Errorf("collective: %s plan input layout is %dx%d, want the plan's compiled layout (%dx%d)",
-			pl.op, in.Layout().Rows(), in.Layout().Cols(), pl.layout.Rows(), pl.layout.Cols())
-	}
-	if !out.Layout().Equal(pl.outLayout) {
-		return fmt.Errorf("collective: %s plan output layout does not match the plan's output shape (want %dx%d, the input's %s)",
-			pl.op, pl.outLayout.Rows(), pl.outLayout.Cols(),
-			map[Op]string{OpIndexV: "transpose", OpConcatV: "concatenation"}[pl.op])
-	}
-	return nil
-}
-
-// ExecuteV runs a compiled layout plan: for index plans out.Block(i, j)
-// ends up equal to in.Block(j, i) (at its true, possibly zero, length),
-// for concat plans out.Block(i, j) equals in.Block(j, 0). On a uniform
-// layout the schedule — and therefore the Result — is byte-identical to
-// the corresponding fixed-size plan's.
-func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
-	if err := pl.checkRagged(in, out); err != nil {
-		return nil, err
-	}
-	return pl.run(in, out)
-}
-
-// BindV validates and attaches a ragged (in, out) pair to a layout plan
-// for use by ExecutePlans, the ragged counterpart of Bind.
-func (pl *Plan) BindV(in, out *buffers.Ragged) error {
-	if err := pl.checkRagged(in, out); err != nil {
-		return err
-	}
-	pl.vin, pl.vout = in, out
-	return nil
+// A Job is a plan and the memory one execution of it runs on.
+type Job struct {
+	Plan *Plan
+	Mem  Memory
 }
 
 // ExecutePlans runs several compiled plans concurrently inside one
-// engine run. The plans must all belong to engine e, have pairwise
-// disjoint groups, and carry buffers attached with Bind. Each plan
-// keeps its own metrics; the returned Results are in plan order. The
-// k-port constraint is enforced per processor as always, and schedule
-// validation applies per plan group.
-func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
-	if len(plans) == 0 {
+// engine run, each on its job's memory. The plans must all belong to
+// engine e and have pairwise disjoint groups, and each memory must fit
+// its plan (Run's check). Each plan keeps its own metrics; the returned
+// Results are in job order. The k-port constraint is enforced per
+// processor as always, and schedule validation applies per plan group.
+func ExecutePlans(e *mpsim.Engine, jobs []Job) ([]*Result, error) {
+	if len(jobs) == 0 {
 		return nil, fmt.Errorf("collective: no plans to execute")
 	}
 	seen := make(map[int]int, e.N())
-	progs := make([]mpsim.Program, len(plans))
-	for i, pl := range plans {
+	progs := make([]mpsim.Program, len(jobs))
+	for i, j := range jobs {
+		pl := j.Plan
 		if pl == nil {
 			return nil, fmt.Errorf("collective: plan %d is nil", i)
 		}
 		if pl.engine != e {
 			return nil, fmt.Errorf("collective: plan %d was compiled for a different engine", i)
 		}
-		if pl.layout != nil {
-			if pl.vin == nil || pl.vout == nil {
-				return nil, fmt.Errorf("collective: layout plan %d has no bound ragged buffers (call BindV)", i)
-			}
-		} else if pl.in == nil || pl.out == nil {
-			return nil, fmt.Errorf("collective: plan %d has no bound buffers (call Bind)", i)
+		if err := pl.fits(j.Mem); err != nil {
+			return nil, fmt.Errorf("%w (plan %d)", err, i)
 		}
 		for _, id := range pl.group.IDs() {
 			if prev, dup := seen[id]; dup {
@@ -463,10 +330,7 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 			}
 			seen[id] = i
 		}
-		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(pl.in, pl.out)}
-		if pl.layout != nil {
-			progs[i].Body = pl.body(pl.vin, pl.vout)
-		}
+		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(j.Mem)}
 	}
 	metrics, err := e.RunPrograms(progs)
 	if err != nil {
@@ -474,7 +338,7 @@ func ExecutePlans(e *mpsim.Engine, plans []*Plan) ([]*Result, error) {
 	}
 	results := make([]*Result, len(metrics))
 	for i, m := range metrics {
-		results[i] = plans[i].result(m)
+		results[i] = jobs[i].Plan.result(m)
 	}
 	return results, nil
 }

@@ -71,7 +71,7 @@ type payload struct {
 
 // runRounds executes the plan alone on the round-major driver its engine
 // keeps, under the engine's run claim.
-func (pl *Plan) runRounds(in, out slab) (*Result, error) {
+func (pl *Plan) runRounds(m Memory) (*Result, error) {
 	var res *Result
 	err := pl.engine.Inline(func(state *any) error {
 		d, _ := (*state).(*rounds)
@@ -80,7 +80,7 @@ func (pl *Plan) runRounds(in, out slab) (*Result, error) {
 			*state = d
 		}
 		var err error
-		res, err = d.run(pl, in, out)
+		res, err = d.run(pl, m)
 		return err
 	})
 	if err != nil {
@@ -89,8 +89,8 @@ func (pl *Plan) runRounds(in, out slab) (*Result, error) {
 	return res, nil
 }
 
-// run executes pl on (in, out) and returns the Result it counted.
-func (d *rounds) run(pl *Plan, in, out slab) (res *Result, err error) {
+// run executes pl on m and returns the Result it counted.
+func (d *rounds) run(pl *Plan, m Memory) (res *Result, err error) {
 	n := pl.group.Size()
 	d.pl, d.validate, d.live = pl, pl.engine.Validating(), n
 	if cap(d.ranks) < n {
@@ -111,8 +111,7 @@ func (d *rounds) run(pl *Plan, in, out slab) (res *Result, err error) {
 	for me := range d.ranks {
 		rk := &d.ranks[me]
 		f := rk.top.start(d, pl, pl.prog, nil, me)
-		f.reg[regIn] = region{pl.prog.shapeOf(regIn, me), in.Proc(me)}
-		f.reg[regOut] = region{pl.prog.shapeOf(regOut, me), out.Proc(me)}
+		m.bind(f, me)
 		rk.c, rk.want = cursor{f: f}, -1
 		d.advance(me)
 	}

@@ -133,7 +133,7 @@ var kernelKeys = [3][4]string{
 // compileReduce compiles the reduction s.Op at block size s.BlockLen:
 // the reduce-scatter schedule chosen by the algorithm, plus — for
 // OpAllReduce — the circulant concatenation of the combined chunks, one
-// program run inside one engine run per execution. The plan's Execute
+// program run inside one engine run per execution. The plan's Memory
 // takes an index-shaped input (block (i, j) = rank i's contribution to
 // chunk j) and a concat-shaped output for the reduce-scatter or an
 // index-shaped output for the allreduce.

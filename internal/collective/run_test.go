@@ -61,7 +61,7 @@ func TestPayloadLengthMismatchIsAnError(t *testing.T) {
 			// ends the run: which ranks got that far varies.
 			want := regexp.MustCompile(fmt.Sprintf(`group rank \d+: collective: received %d bytes from p\d+ into extents of %d bytes`,
 				pl.prog.measure(x.send, 0), pl.prog.measure(x.recv, 0)))
-			_, err = pl.Execute(fin, fout)
+			_, err = pl.Run(pl.Memory(fin, fout))
 			switch {
 			case err == nil:
 				t.Errorf("%s: a payload of the wrong length was accepted", tag)
@@ -145,7 +145,7 @@ func TestExactExtentFamiliesSendExactSizes(t *testing.T) {
 				vin, _ := buffers.NewRagged(l)
 				vout, _ := buffers.NewRagged(pl.OutLayout())
 				fillRagged(vin)
-				res, err := pl.ExecuteV(vin, vout)
+				res, err := pl.Run(pl.Memory(vin, vout))
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}

@@ -26,9 +26,9 @@ func shouldBeError(err error, want string) string {
 }
 
 // TestSpecRejections pins the exact text of every rejection a Spec can
-// draw, through Compile and through a cache alike — and, for the
-// one-to-all primitives, of every rejection their buffers can draw from
-// the plan the spec compiles to (run).
+// draw, through Compile and through a cache alike — and of every
+// rejection Run draws from memory (Plan.Memory) of another shape than
+// the plan the spec compiles to.
 func TestSpecRejections(t *testing.T) {
 	const n = 6 // not a power of two
 	e := mpsim.MustNew(n)
@@ -50,10 +50,19 @@ func TestSpecRejections(t *testing.T) {
 		}
 		return b
 	}
-	rooted := func(op Op) Spec { return Spec{Op: op, BlockLen: 4, Root: 2} }
-	run := func(ranks *buffers.Buffers, rootLen int) func(*Plan) error {
-		return func(pl *Plan) error { _, err := pl.ExecuteRooted(ranks, make([]byte, rootLen)); return err }
+	ragged := func(l *blocks.Layout) *buffers.Ragged {
+		r, err := buffers.NewRagged(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
+	rooted := func(op Op) Spec { return Spec{Op: op, BlockLen: 4, Root: 2} }
+	raw := func(n int) []byte { return make([]byte, n) }
+	sq6, _ := blocks.Uniform(n, n, 2)
+	wide6, _ := blocks.Uniform(n, n, 3)
+	layoutPlan := Spec{Op: OpIndexV, Layout: sq6}
+	flatSide, raggedSide := flat(n, n, 4), ragged(sq6)
 	cases := []struct {
 		name string
 		g    *mpsim.Group
@@ -124,26 +133,36 @@ func TestSpecRejections(t *testing.T) {
 		})
 	}
 	executions := []struct {
-		name string
-		spec Spec
-		run  func(*Plan) error
-		want string
+		name    string
+		spec    Spec
+		in, out any
+		want    string
 	}{
-		{"rooted nil buffer", rooted(OpBroadcast), run(nil, 4), "collective: nil flat buffer"},
-		{"broadcast buffer of another block size", rooted(OpBroadcast), run(flat(n, 1, 5), 4),
+		{"rooted nil buffer", rooted(OpBroadcast), raw(4), (*buffers.Buffers)(nil), "collective: nil flat buffer"},
+		{"broadcast buffer of another block size", rooted(OpBroadcast), raw(4), flat(n, 1, 5),
 			"collective: broadcast buffer is 6x1 blocks of 5 bytes, want 6x1 of 4"},
-		{"gather buffer of another group size", rooted(OpGather), run(flat(n+1, 1, 4), n*4),
+		{"gather buffer of another group size", rooted(OpGather), flat(n+1, 1, 4), raw(n * 4),
 			"collective: gather buffer is 7x1 blocks of 4 bytes, want 6x1 of 4"},
-		{"scatter buffer of two blocks", rooted(OpScatter), run(flat(n, 2, 4), n*4),
+		{"scatter buffer of two blocks", rooted(OpScatter), raw(n * 4), flat(n, 2, 4),
 			"collective: scatter buffer is 6x2 blocks of 4 bytes, want 6x1 of 4"},
-		{"gather output short", rooted(OpGather), run(flat(n, 1, 4), n*4-1), "collective: gather output is 23 bytes, want n*b = 24"},
-		{"scatter input long", rooted(OpScatter), run(flat(n, 1, 4), n*4+1), "collective: scatter input is 25 bytes, want n*b = 24"},
-		{"broadcast data of another size", rooted(OpBroadcast), run(flat(n, 1, 4), 3), "collective: broadcast data is 3 bytes, want 4"},
-		{"rooted plan through Execute", rooted(OpGather),
-			func(pl *Plan) error { _, err := pl.Execute(flat(n, 1, 4), flat(n, n, 4)); return err },
-			"collective: gather plan takes one flat buffer and the root's slice (use ExecuteRooted)"},
-		{"index plan through ExecuteRooted", Spec{BlockLen: 4}, run(flat(n, 1, 4), 4),
-			"collective: index plan is not a one-to-all primitive (use Execute)"},
+		{"gather output short", rooted(OpGather), flat(n, 1, 4), raw(n*4 - 1), "collective: gather output is 23 bytes, want n*b = 24"},
+		{"scatter input long", rooted(OpScatter), raw(n*4 + 1), flat(n, 1, 4), "collective: scatter input is 25 bytes, want n*b = 24"},
+		{"broadcast data of another size", rooted(OpBroadcast), raw(3), flat(n, 1, 4), "collective: broadcast data is 3 bytes, want 4"},
+		{"gather output of index shape", rooted(OpGather), flat(n, 1, 4), flat(n, n, 4),
+			"collective: gather output is 144 bytes, want n*b = 24"},
+		{"index input of a rooted shape", Spec{BlockLen: 4}, flat(n, 1, 4), raw(4),
+			"collective: index plan input is 6x1 blocks of 4 bytes, want 6x6 of 4"},
+		{"index output as bare bytes", Spec{BlockLen: 4}, flatSide, raw(n * n * 4), "collective: nil flat buffer"},
+		{"index output aliasing the input", Spec{BlockLen: 4}, flatSide, flatSide, "collective: flat output must not alias the input"},
+		{"layout plan on flat buffers", layoutPlan, flat(n, n, 2), flat(n, n, 2), "collective: index layout plan takes ragged buffers"},
+		{"fixed-size plan on ragged buffers", Spec{BlockLen: 2}, raggedSide, ragged(sq6), "collective: index fixed-size plan takes flat buffers"},
+		{"layout plan nil buffer", layoutPlan, (*buffers.Ragged)(nil), raggedSide, "collective: nil ragged buffer"},
+		{"layout plan input missing", layoutPlan, nil, raggedSide, "collective: nil ragged buffer"},
+		{"layout plan input of another layout", layoutPlan, ragged(wide6), raggedSide,
+			"collective: index plan input layout is 6x6, want the plan's compiled layout (6x6)"},
+		{"layout plan output of another layout", layoutPlan, raggedSide, ragged(wide6),
+			"collective: index plan output layout does not match the plan's output shape (want 6x6, the input's transpose)"},
+		{"ragged output aliasing the input", layoutPlan, raggedSide, raggedSide, "collective: ragged output must not alias the input"},
 	}
 	for _, tc := range executions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,7 +170,8 @@ func TestSpecRejections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msg := shouldBeError(tc.run(pl), tc.want); msg != "" {
+			_, err = pl.Run(pl.Memory(tc.in, tc.out))
+			if msg := shouldBeError(err, tc.want); msg != "" {
 				t.Error(msg)
 			}
 		})

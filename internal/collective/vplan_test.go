@@ -230,7 +230,7 @@ func TestIndexVRaggedMatchesReference(t *testing.T) {
 					vin, _ := buffers.NewRagged(l)
 					vout, _ := buffers.NewRagged(pl.OutLayout())
 					fillRagged(vin)
-					res, err := pl.ExecuteV(vin, vout)
+					res, err := pl.Run(pl.Memory(vin, vout))
 					if err != nil {
 						t.Fatalf("%s: execute: %v", tag, err)
 					}
@@ -269,7 +269,7 @@ func TestIndexVMixedRadixRagged(t *testing.T) {
 	vin, _ := buffers.NewRagged(l)
 	vout, _ := buffers.NewRagged(pl.OutLayout())
 	fillRagged(vin)
-	res, err := pl.ExecuteV(vin, vout)
+	res, err := pl.Run(pl.Memory(vin, vout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestConcatVRaggedMatchesReference(t *testing.T) {
 					vin, _ := buffers.NewRagged(l)
 					vout, _ := buffers.NewRagged(pl.OutLayout())
 					fillRagged(vin)
-					res, err := pl.ExecuteV(vin, vout)
+					res, err := pl.Run(pl.Memory(vin, vout))
 					if err != nil {
 						t.Fatalf("%s: execute: %v", tag, err)
 					}
@@ -508,7 +508,7 @@ func TestIndexVPlanCacheLayoutKeys(t *testing.T) {
 	// V plans reject fixed-size buffers and vice versa.
 	fin, _ := buffers.New(n, n, l1.Max())
 	fout, _ := buffers.New(n, n, l1.Max())
-	if _, err := p1.Execute(fin, fout); err == nil {
+	if _, err := p1.Run(p1.Memory(fin, fout)); err == nil {
 		t.Errorf("layout plan accepted fixed-size buffers")
 	}
 	fixed, err := cache.IndexPlan(e, g, 8, IndexOptions{})
@@ -517,7 +517,7 @@ func TestIndexVPlanCacheLayoutKeys(t *testing.T) {
 	}
 	vin, _ := buffers.NewRagged(l1)
 	vout, _ := buffers.NewRagged(l1.Transpose())
-	if _, err := fixed.ExecuteV(vin, vout); err == nil {
+	if _, err := fixed.Run(fixed.Memory(vin, vout)); err == nil {
 		t.Errorf("fixed-size plan accepted ragged buffers")
 	}
 }
@@ -560,9 +560,6 @@ func TestExecutePlansMixedUniformRagged(t *testing.T) {
 		for x, data := 0, fin.Bytes(); x < len(data); x++ {
 			data[x] = byte(x*3 + 1)
 		}
-		if err := uni.Bind(fin, fout); err != nil {
-			t.Fatal(err)
-		}
 
 		counts := []int{0, 7, 3, 12, 5}
 		l, _ := blocks.RaggedVector(counts)
@@ -573,11 +570,8 @@ func TestExecutePlansMixedUniformRagged(t *testing.T) {
 		vin, _ := buffers.NewRagged(l)
 		vout, _ := buffers.NewRagged(rag.OutLayout())
 		fillRagged(vin)
-		if err := rag.BindV(vin, vout); err != nil {
-			t.Fatal(err)
-		}
 
-		results, err := ExecutePlans(e, []*Plan{uni, rag})
+		results, err := ExecutePlans(e, []Job{{uni, uni.Memory(fin, fout)}, {rag, rag.Memory(vin, vout)}})
 		if err != nil {
 			t.Fatalf("%v: ExecutePlans: %v", backend, err)
 		}
