@@ -10,7 +10,7 @@
 // them and the one-to-all primitives on a simulated multiport fully
 // connected machine: one goroutine per processor, the k-port constraint
 // enforced per round, C1 (rounds) and C2 (sum over rounds of the
-// largest message) recorded from the actual schedule and priced by
+// largest message) derived from the compiled schedule and priced by
 // Report.Time under a profile such as SP1. A compiled Plan also prices
 // itself with per-processor clocks (Plan.CriticalPath, CriticalPathTopo),
 // on the walk Plan.Check proves it with: one walk over the program, two

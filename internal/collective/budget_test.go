@@ -112,22 +112,22 @@ func budgetRows() []budgetRow {
 		{"indexv/ragged-bruck", indexV, planReuse, 2, 4, 4096, 10730},
 		{"indexv/ragged-auto", indexVAuto, planReuse, 2, 6, 3072, 8682},
 		{"concatv/ragged-circulant", concatV, planReuse, 2, 4, 1815, 4671},
-		{"runplans/concurrent-2x8", halves, concurrent, 20, 3, 1536, 1600},
+		{"runplans/concurrent-2x8", halves, concurrent, 15, 3, 1536, 1600},
 		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 2, 15, 1920, 2176},
 		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 2, 4, 1920, 6016},
 		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 2, 4, 4096, 10240},
 		{"allreduce/auto", auto, planReuse, 2, 8, 3840, 9856},
-		{"allreduce/ring-16k", ring16k, planReuse, 6, 19, 491520, 770048},
-		{"index/mono", sized(index, 0), planReuse, 6, 4, 2097152, 4259840},
-		{"index/s4", sized(index, 4), planReuse, 6, 7, 917504, 4259840},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 6, 8, 3080192, 7208960},
-		{"allreduce/s4", sized(allreduce, 4), planReuse, 6, 11, 1900544, 7208960},
+		{"allreduce/ring-16k", ring16k, planReuse, 3, 19, 491520, 770048},
+		{"index/mono", sized(index, 0), planReuse, 3, 4, 2097152, 4259840},
+		{"index/s4", sized(index, 4), planReuse, 3, 7, 917504, 4259840},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 3, 8, 3080192, 7208960},
+		{"allreduce/s4", sized(allreduce, 4), planReuse, 3, 11, 1900544, 7208960},
 		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 8320},
 		{"concat/flat-4x4", on(concat, false), planReuse, 2, 4, 1920, 3968},
 		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 14080},
-		{"index/hier-4x4", on(index, true), planReuse, 5, 10, 17920, 31872},
-		{"concat/hier-4x4", on(concat, true), planReuse, 5, 7, 6528, 12672},
-		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 5, 12, 24576, 26624},
+		{"index/hier-4x4", on(index, true), planReuse, 4, 10, 17920, 31872},
+		{"concat/hier-4x4", on(concat, true), planReuse, 4, 7, 6528, 12672},
+		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 4, 12, 24576, 26624},
 	}
 }
 
@@ -269,7 +269,9 @@ func TestBudget(t *testing.T) {
 // them has run on each driver, through Run and through ExecutePlans, and
 // been served from a cache hit, it still equals the twin nothing
 // touched, still holds the engine, group and kernel it was compiled
-// with, and still passes Check.
+// with, and still passes Check. Every Result a run returns is the plan's
+// own, and the caller's to write: each one, scribbled on after the
+// check, must leave the plan and the next Result as they were.
 func TestPlanImmutableAfterCompile(t *testing.T) {
 	twins := budgetRows()
 	code := func(f buffers.CombineFunc) uintptr { return reflect.ValueOf(f).Pointer() }
@@ -312,15 +314,31 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl.Fill(mem, row.fill())
-			for _, run := range []func(Memory) (*Result, error){pl.runRounds, pl.runEngine, pl.Run} {
-				if _, err = run(mem); err != nil {
-					t.Fatal(err)
+			// scribble checks a Result against the twin's, then writes to
+			// every part of it a shared template would expose.
+			scribble := func(res *Result) {
+				t.Helper()
+				if !reflect.DeepEqual(*res, twin.res) {
+					t.Fatalf("a run returned %+v, the plan's Result is %+v", res, twin.res)
+				}
+				res.RoundSizes[0]++
+				if res.Intra != nil {
+					res.Intra.C1++
 				}
 			}
+			for _, run := range []func(Memory) (*Result, error){pl.runRounds, pl.runEngine, pl.Run} {
+				res, err := run(mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scribble(res)
+			}
 			same("after a run on each driver and a Run,")
-			if _, err = ExecutePlans(e, []Job{{pl, mem}}); err != nil {
+			results, err := ExecutePlans(e, []Job{{pl, mem}})
+			if err != nil {
 				t.Fatal(err)
 			}
+			scribble(results[0])
 			same("after ExecutePlans,")
 			if hit, err := c.Get(e, g, row.spec); hit != pl || err != nil {
 				t.Fatalf("a second Get returned another plan (%v)", err)

@@ -15,8 +15,10 @@ package collective
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions);
 //   - C1/C2 that differ from the plan's stored predictions, or fall
-//     below the paper's lower bounds, and a phase table that does not
-//     tile the rounds or misstates a phase's C2.
+//     below the paper's lower bounds, a phase table that does not tile
+//     the rounds or misstates a phase's C2, and a stored Result whose
+//     round sizes, message count, bytes or per-level split differ from
+//     what the program sends.
 //
 // Labels are runs of bytes, so the cost is in blocks and extents, not
 // in bytes: checking a whole corpus takes milliseconds — cheap enough
@@ -356,29 +358,48 @@ func (pl *Plan) Check() []string {
 		add("degenerate configuration n=%d k=%d blockLen=%d", n, k, pl.blockLen)
 		return v
 	}
-	if pl.c1 < pl.c1lb {
-		add("c1=%d below the paper's lower bound %d", pl.c1, pl.c1lb)
+	res := &pl.res
+	if pl.c1 < res.C1LowerBound {
+		add("c1=%d below the paper's lower bound %d", pl.c1, res.C1LowerBound)
 	}
-	if pl.c2 < pl.c2lb {
-		add("c2=%d below the paper's lower bound %d", pl.c2, pl.c2lb)
+	if res.C2 < res.C2LowerBound {
+		add("c2=%d below the paper's lower bound %d", res.C2, res.C2LowerBound)
 	}
-	s := newSim(pl, add, nil)
+	// The walk prices every message: count them, and the rounds that
+	// send one (busy), as they go.
+	var msgs, total int64
+	t, last, busy := 0, -1, 0
+	s := newSim(pl, add, func(_, _, bytes int) float64 {
+		if last < t {
+			last, busy = t, busy+1
+		}
+		msgs, total = msgs+1, total+int64(bytes)
+		return 0
+	})
 	c1, c2 := s.rounds, 0
 	maxes, tags := make([]int, c1), make([]string, c1)
-	s.run(func(t, roundMax int, phase string) {
-		maxes[t], tags[t] = roundMax, phase
+	s.run(func(round, roundMax int, phase string) {
+		maxes[round], tags[round] = roundMax, phase
 		c2 += roundMax
+		t = round + 1
 	})
 	if c1 != pl.c1 {
 		add("c1=%d but the program runs %d rounds", pl.c1, c1)
 	}
-	if c2 != pl.c2 {
-		add("c2=%d but the program's round maxima sum to %d bytes", pl.c2, c2)
+	if c2 != res.C2 {
+		add("c2=%d but the program's round maxima sum to %d bytes", res.C2, c2)
+	}
+	if busy != res.C1 || !slices.Equal(res.RoundSizes, maxes[:last+1]) {
+		add("the Result has C1=%d and round sizes %v, the program sends in %d rounds with maxima %v", res.C1, res.RoundSizes, busy, maxes[:last+1])
+	}
+	if msgs != res.Messages || total != res.TotalBytes {
+		add("the Result has %d messages of %d bytes, the program sends %d of %d", res.Messages, res.TotalBytes, msgs, total)
 	}
 	s.verify()
 	// finish derived the phase table assuming each phase is one run of
-	// rounds tagged with its name; re-derive it from the rounds that ran.
-	first := 0
+	// rounds tagged with its name; re-derive it from the rounds that ran,
+	// and the per-level split from it.
+	first, levels := 0, [mpsim.NumLinkClasses]LevelStats{}
 	for _, ph := range pl.phases {
 		want := PlanPhase{Name: ph.Name, Class: ph.Class, First: first}
 		for t := first; t < c1 && tags[t] == ph.Name; t++ {
@@ -390,9 +411,16 @@ func (pl *Plan) Check() []string {
 				ph.Name, ph.First, ph.First+ph.Rounds, ph.C2, want.First, want.First+want.Rounds, want.C2)
 		}
 		first += want.Rounds
+		levels[ph.Class].C1 += want.Rounds
+		levels[ph.Class].C2 += want.C2
 	}
 	if pl.phases != nil && first != c1 {
 		add("phases tile %d rounds, the program runs %d", first, c1)
+	}
+	for c, got := range []*LevelStats{mpsim.ClassIntra: res.Intra, mpsim.ClassInter: res.Inter} {
+		if (got == nil) != (pl.phases == nil) || got != nil && (got.C1 != levels[c].C1 || got.C2 != levels[c].C2) {
+			add("the Result's %v split is %+v, the phases give C1=%d C2=%d", costmodel.LinkClass(c), got, levels[c].C1, levels[c].C2)
+		}
 	}
 	return v
 }

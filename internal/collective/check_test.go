@@ -234,15 +234,20 @@ func TestCheckPerturbations(t *testing.T) {
 		{
 			name:    "index wrong c2",
 			base:    bruck,
-			mutate:  func(pl *Plan) { pl.c2++ },
+			mutate:  func(pl *Plan) { pl.res.C2++ },
 			wantSub: "c2",
 		},
 		{
 			name:    "index c1 below lower bound",
 			base:    bruck,
-			mutate:  func(pl *Plan) { pl.c1lb = pl.c1 + 1 },
+			mutate:  func(pl *Plan) { pl.res.C1LowerBound = pl.c1 + 1 },
 			wantSub: "lower bound",
 		},
+		// The Result every execution copies, one count off by one each.
+		{name: "index stored message count", base: bruck, mutate: func(pl *Plan) { pl.res.Messages++ }, wantSub: "messages of"},
+		{name: "index stored total bytes", base: bruck, mutate: func(pl *Plan) { pl.res.TotalBytes-- }, wantSub: "messages of"},
+		{name: "index stored round size", base: bruck, mutate: func(pl *Plan) { pl.res.RoundSizes[1]++ }, wantSub: "round sizes"},
+		{name: "index stored c1", base: bruck, mutate: func(pl *Plan) { pl.res.C1-- }, wantSub: "round sizes"},
 		{
 			name:    "index self-send offset",
 			base:    bruck,
@@ -369,6 +374,8 @@ func TestCheckPerturbations(t *testing.T) {
 		// The phase table finish derives, re-read against the rounds.
 		{"hier index phase table gap", configs["hier-index-4-4-3"], func(pl *Plan) { pl.phases[1].First++ }, "tile"},
 		{"hier allreduce phase c2 drift", configs["hier-allreduce-4x4"], func(pl *Plan) { pl.phases[0].C2++ }, "c2"},
+		{"hier index stored intra c1", configs["hier-index-4-4-3"], func(pl *Plan) { pl.res.Intra.C1++ }, "intra split"},
+		{"hier concat stored inter c2", configs["hier-concat-4-4-3"], func(pl *Plan) { pl.res.Inter.C2-- }, "inter split"},
 	}
 	// Every family, one more: a receive re-pointed at a rank that sends
 	// this one nothing. No round-synchronous driver could wait for it

@@ -76,15 +76,15 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	pr.inLay, pr.outLay = pl.layout, pl.outLayout
 	if lay == nil {
-		pl.c2lb = lowerbound.ConcatVolume(n, blockLen, k)
+		pl.res.C2LowerBound = lowerbound.ConcatVolume(n, blockLen, k)
 	} else {
-		pl.c2lb = lowerbound.ConcatVVolume(lay.CountsVector(), k)
+		pl.res.C2LowerBound = lowerbound.ConcatVVolume(lay.CountsVector(), k)
 	}
 	if blockLen > 0 && (lay == nil || lay.Uniform()) {
 		// The dissemination bound assumes there is data to disseminate;
 		// a zero-byte concatenation compiles without its last rounds and
 		// legitimately finishes in fewer.
-		pl.c1lb = lowerbound.ConcatRounds(n, k)
+		pl.res.C1LowerBound = lowerbound.ConcatRounds(n, k)
 	}
 	return pr, nil
 }

@@ -305,8 +305,8 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s n=%d k=%d: %v", f.name, n, k, err)
 				}
-				if c1, c2 := f.want(n, k); pl.c1 != c1 || pl.c2 != c2 {
-					t.Errorf("%s n=%d k=%d: program counts (%d, %d), closed form (%d, %d)", f.name, n, k, pl.c1, pl.c2, c1, c2)
+				if c1, c2 := f.want(n, k); pl.c1 != c1 || pl.res.C2 != c2 {
+					t.Errorf("%s n=%d k=%d: program counts (%d, %d), closed form (%d, %d)", f.name, n, k, pl.c1, pl.res.C2, c1, c2)
 				}
 			}
 			// Uniform two-level topologies G x m of this n: the intra and
@@ -330,8 +330,8 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 					}
 					got := split{pl.PredictedClassC1(mpsim.ClassIntra), pl.PredictedClassC2(mpsim.ClassIntra),
 						pl.PredictedClassC1(mpsim.ClassInter), pl.PredictedClassC2(mpsim.ClassInter)}
-					if got != want || pl.c1 != want.intraC1+want.interC1 || pl.c2 != want.intraC2+want.interC2 {
-						t.Errorf("%s %dx%d k=%d: program counts %+v (total %d, %d), closed forms %+v", name, G, m, k, got, pl.c1, pl.c2, want)
+					if got != want || pl.c1 != want.intraC1+want.interC1 || pl.res.C2 != want.intraC2+want.interC2 {
+						t.Errorf("%s %dx%d k=%d: program counts %+v (total %d, %d), closed forms %+v", name, G, m, k, got, pl.c1, pl.res.C2, want)
 					}
 				}
 				a1, a2 := IndexCost(m, b, radix(k+1, m), k)

@@ -105,17 +105,18 @@
 // embedded sub-program as a sub-frame, a skip as a round offset. Two
 // drivers run that loop. The round-major driver (rounds.go) runs every
 // rank's role on the caller's goroutine, round by round: each rank posts
-// its sends and lands its receives as soon as its senders have posted,
-// and it counts every message into the Result as it goes. The engine
-// driver (frame.run) runs each rank's role on the rank's mpsim worker,
-// one ExchangeOwned per exchange, and builds the Result from the
-// engine's Metrics. Plan.run picks the round-major driver for a plan
+// its sends and lands its receives as soon as its senders have posted.
+// The engine driver (frame.run) runs each rank's role on the rank's
+// mpsim worker, one ExchangeOwned per exchange. Neither counts: the
+// Result is a copy of the one program.finish derives (Plan.result).
+// Plan.run picks the round-major driver for a plan
 // that copies at most roundMajorBytes per execution (program.finish
 // sums program.moved over the ranks) on a plain engine — chan or slot,
 // no recording (mpsim.Engine.Plain) — and the engine driver otherwise:
 // larger plans, whose copies two cores share, chaos and recording
-// engines, and ExecutePlans. Both drivers land the same bytes and count
-// the same Result (TestDriversAgree).
+// engines, and ExecutePlans. Both drivers land the same bytes
+// (TestDriversAgree), and a recorded run sends exactly Plan.Messages
+// (TestMessagesMatchEvents).
 //
 // Deadlock freedom. A plan Check accepts cannot wait forever in a
 // round-synchronous driver: Check's walk (sim.round) matches every
@@ -177,21 +178,22 @@
 // region (role.swaps), copies nothing: the buffers themselves change hands.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
-// (C2), the pool hint and a hierarchical plan's phase table from the
-// program; Plan.Listing prints the program as the text the golden
+// (C2), the messages and bytes a run sends, the pool hint and a
+// hierarchical plan's phase table from the program, and the plan keeps
+// them as the Result every execution copies; Plan.Listing prints the program as the text the golden
 // corpus pins, and Plan.Messages the messages a run sends; Plan.Check
 // (check.go) runs the program of all n ranks on symbolic bytes and
 // proves delivery for every family against Plan.goal, the one statement
-// of what each operation computes. That one walk carries two domains:
+// of what each operation computes, and the stored Result against the
+// messages it walks. That one walk carries two domains:
 // the byte labels (Check's proof, and the paper's figures drawn by
 // Plan.Snapshots) and per-rank virtual clocks (Plan.CriticalPath and
 // CriticalPathTopo: each message priced on its link, the k ports in
 // parallel). The oracle (oracle.go: Alloc, Fill,
 // Run, Verify — Exercise in a row) holds the bytes of a real run
-// against the same definition, on memory of the plan's own shape, and
-// the run's C1/C2 against the compiled ones; it is how every tool runs
-// a collective, and why a tool that only wants the measures reads
-// Rounds and PredictedC2. The closed forms of cost.go are
+// against the same definition, on memory of the plan's own shape; it
+// is how every tool runs a collective, and a tool that only wants the
+// measures reads Rounds and PredictedC2 instead. The closed forms of cost.go are
 // held against the counter by one table test.
 //
 // Adding a family is one compiler function and one arm of
@@ -297,8 +299,8 @@
 //     plan shared by two callers runs each caller's own bytes.
 //   - ExecutePlans runs several plans with pairwise disjoint groups
 //     concurrently inside one engine run (one mpsim.Program per plan),
-//     with per-plan metrics. Plans of overlapping groups, memory that
-//     does not fit its plan, and plans of a different engine are
+//     returning each plan's Result. Plans of overlapping groups, memory
+//     that does not fit its plan, and plans of a different engine are
 //     rejected up front.
 //   - Like the engine itself, plans and caches are not safe for
 //     concurrent use from multiple goroutines; the concurrency model
@@ -408,11 +410,11 @@
 //     explicit buffers, fencing survival). The compilers do not
 //     require it, but an engine created with mpsim.WithTopology (the
 //     group-assignment form bruck.WithTopology arranges) tags every
-//     recorded event with its link class, so measured per-class
-//     metrics can be checked against the compiled phase table.
+//     recorded event with its link class, so a recorded run's per-class
+//     split can be checked against the compiled phase table.
 //
 // The closed-form complexity functions in cost.go predict C1 and C2 for
-// every algorithm; the tests assert that the schedules executed on the
-// simulator match the closed forms exactly, and that both respect the
-// lower bounds of package lowerbound.
+// every algorithm; the tests assert that the compiled programs match
+// the closed forms exactly, that Check proves every program's counts,
+// and that both respect the lower bounds of package lowerbound.
 package collective

@@ -3,7 +3,6 @@ package collective
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -19,9 +18,9 @@ import (
 // TestDriversAgree runs every family of TestMessagesMatchEvents' grid on
 // both drivers, called directly: n 1..12 and k 1..3 on a flat engine —
 // and, for a hierarchical plan, on one tagging its groups of three — then
-// n = 16 on a 4x4 topology. The output bytes are identical, the Results
-// equal, and the round-major count is Plan.Messages' count, bytes and
-// per-round maxima.
+// n = 16 on a 4x4 topology. The output bytes are identical, and each
+// driver's Result holds Plan.Messages' count, bytes and per-round
+// maxima.
 func TestDriversAgree(t *testing.T) {
 	topo := must(costmodel.ParseTopology("4x4"))
 	for _, f := range families() {
@@ -75,9 +74,6 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 	if err := pl.Verify(mem[1]); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
-	if !reflect.DeepEqual(res[0], res[1]) {
-		t.Fatalf("%s: the engine counted %+v, the round-major driver %+v", where, res[0], res[1])
-	}
 	var sizes []int
 	var total int64
 	msgs := pl.Messages()
@@ -88,9 +84,11 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 		sizes[m.Round] = max(sizes[m.Round], m.Size)
 		total += int64(m.Size)
 	}
-	if got := res[1]; got.Messages != int64(len(msgs)) || got.TotalBytes != total || !slices.Equal(got.RoundSizes, sizes) {
-		t.Fatalf("%s: counted %d messages of %d bytes, round maxima %v; the program sends %d of %d, maxima %v",
-			where, got.Messages, got.TotalBytes, got.RoundSizes, len(msgs), total, sizes)
+	for _, got := range res {
+		if got.Messages != int64(len(msgs)) || got.TotalBytes != total || !slices.Equal(got.RoundSizes, sizes) {
+			t.Fatalf("%s: the Result has %d messages of %d bytes, round maxima %v; the program sends %d of %d, maxima %v",
+				where, got.Messages, got.TotalBytes, got.RoundSizes, len(msgs), total, sizes)
+		}
 	}
 }
 

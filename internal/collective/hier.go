@@ -28,8 +28,8 @@ import (
 //
 // All phases are strictly ordered on the shared round counter: at the
 // end of each phase every group member skips to the phase's global
-// round count, so the engine's uniformity check holds and the measured
-// per-class metrics match the compiled phase table exactly — every
+// round count, so the engine's uniformity check holds and the per-class
+// split of the messages sent matches the compiled phase table — every
 // phase round carries at least one message (some largest group is
 // active), so a phase's round count is exactly its C1 contribution.
 //
@@ -122,6 +122,8 @@ func compileHier(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	h.fan = intmath.CeilDiv(h.maxSize-1, k)
 	h.cross = intmath.CeilDiv(len(h.sizes)-1, k)
+	pl.res.Intra = &LevelStats{C1LowerBound: lowerbound.HierIntraRounds(h.sizes, k)}
+	pl.res.Inter = &LevelStats{C1LowerBound: lowerbound.HierInterRounds(len(h.sizes), k)}
 	var phases []PlanPhase
 	var fill roleFunc
 	var err error
@@ -145,8 +147,6 @@ func compileHier(pl *Plan, n, k int, s Spec) (*program, error) {
 			pr.roles[h.start[a]+j] = role{steps: b.steps, scratch: work}
 		}
 	}
-	pl.intraC1LB = lowerbound.HierIntraRounds(h.sizes, k)
-	pl.interC1LB = lowerbound.HierInterRounds(len(h.sizes), k)
 	return pr, nil
 }
 
@@ -222,9 +222,9 @@ func compileHierIndex(pl *Plan, h *levels, opt HierOptions) ([]PlanPhase, roleFu
 	phases := []PlanPhase{{Name: "intra-alltoall", Class: mpsim.ClassIntra}, {Name: "gather", Class: mpsim.ClassIntra},
 		{Name: "inter-alltoall", Class: mpsim.ClassInter}, {Name: "scatter", Class: mpsim.ClassIntra}}
 	G, bl := len(h.sizes), h.b
-	pl.c2lb, pl.c1lb = lowerbound.IndexVolume(h.n, bl, h.k), lowerbound.IndexRounds(h.n, h.k)
-	pl.intraC2LB = lowerbound.HierIndexIntraVolume(h.sizes, bl, h.k)
-	pl.interC2LB = lowerbound.HierIndexInterVolume(h.sizes, h.n, bl, h.k)
+	pl.res.C2LowerBound, pl.res.C1LowerBound = lowerbound.IndexVolume(h.n, bl, h.k), lowerbound.IndexRounds(h.n, h.k)
+	pl.res.Intra.C2LowerBound = lowerbound.HierIndexIntraVolume(h.sizes, bl, h.k)
+	pl.res.Inter.C2LowerBound = lowerbound.HierIndexInterVolume(h.sizes, h.n, bl, h.k)
 	// The bundle group a sends to group c holds one block per (member
 	// of a, member of c) pair; padding every bundle to maxSize^2
 	// blocks keeps the leader-level schedule uniform.
@@ -295,13 +295,13 @@ func compileHierConcat(pl *Plan, h *levels) ([]PlanPhase, roleFunc, error) {
 	phases := []PlanPhase{{Name: "intra-allgather", Class: mpsim.ClassIntra},
 		{Name: "inter-allgather", Class: mpsim.ClassInter}, {Name: "broadcast", Class: mpsim.ClassIntra}}
 	G, bl := len(h.sizes), h.b
-	pl.c2lb = lowerbound.ConcatVolume(h.n, bl, h.k)
+	pl.res.C2LowerBound = lowerbound.ConcatVolume(h.n, bl, h.k)
 	if bl > 0 {
 		// As in compileConcat: no dissemination bound on zero-byte data.
-		pl.c1lb = lowerbound.ConcatRounds(h.n, h.k)
+		pl.res.C1LowerBound = lowerbound.ConcatRounds(h.n, h.k)
 	}
-	pl.intraC2LB = lowerbound.HierConcatIntraVolume(h.sizes, bl, h.k)
-	pl.interC2LB = lowerbound.HierConcatInterVolume(h.sizes, h.n, bl, h.k)
+	pl.res.Intra.C2LowerBound = lowerbound.HierConcatIntraVolume(h.sizes, bl, h.k)
+	pl.res.Inter.C2LowerBound = lowerbound.HierConcatInterVolume(h.sizes, h.n, bl, h.k)
 	B := h.maxSize * bl
 	intra, intraRounds, err := subPrograms(h.sizes, func(m int) (*program, error) {
 		return circulantProgram(m, h.k, bl, partition.PreferOptimal, false)
@@ -363,9 +363,9 @@ func compileHierConcat(pl *Plan, h *levels) ([]PlanPhase, roleFunc, error) {
 func compileHierAllReduce(pl *Plan, h *levels) ([]PlanPhase, roleFunc) {
 	phases := []PlanPhase{{Name: "reduce", Class: mpsim.ClassIntra}, {Name: "inter-reduce", Class: mpsim.ClassInter},
 		{Name: "inter-broadcast", Class: mpsim.ClassInter}, {Name: "broadcast", Class: mpsim.ClassIntra}}
-	pl.c2lb, pl.c1lb = lowerbound.AllReduceVolume(h.n, h.b, h.k), lowerbound.AllReduceRounds(h.n, h.k)
-	pl.intraC2LB = lowerbound.HierAllReduceIntraVolume(h.sizes, h.n, h.b, h.k)
-	pl.interC2LB = lowerbound.HierAllReduceInterVolume(len(h.sizes), h.n, h.b, h.k)
+	pl.res.C2LowerBound, pl.res.C1LowerBound = lowerbound.AllReduceVolume(h.n, h.b, h.k), lowerbound.AllReduceRounds(h.n, h.k)
+	pl.res.Intra.C2LowerBound = lowerbound.HierAllReduceIntraVolume(h.sizes, h.n, h.b, h.k)
+	pl.res.Inter.C2LowerBound = lowerbound.HierAllReduceInterVolume(len(h.sizes), h.n, h.b, h.k)
 	return phases, func(a, j int, b *builder) []scratch {
 		G, m, start := len(h.sizes), h.sizes[a], h.start[a]
 		mine, acc := b.ext(blocksAt(regIn, fixed(0), h.n)), b.ext(blocksAt(regOut, fixed(0), h.n))
@@ -442,7 +442,7 @@ func (pl *Plan) PredictedClassC2(class int) int {
 // topology-aware auto dispatcher minimizes. t must be non-nil.
 func (pl *Plan) TimeTopo(t *costmodel.Topology) float64 {
 	if pl.topo == nil {
-		return t.FlatTime(pl.c1, pl.c2)
+		return t.FlatTime(pl.c1, pl.res.C2)
 	}
 	total := 0.0
 	for _, ph := range pl.phases {

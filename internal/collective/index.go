@@ -102,19 +102,19 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	pr.inLay, pr.outLay = pl.layout, pl.outLayout
 	if lay == nil {
-		pl.c2lb = lowerbound.IndexVolume(n, blockLen, k)
+		pl.res.C2LowerBound = lowerbound.IndexVolume(n, blockLen, k)
 	} else {
-		pl.c2lb = lowerbound.IndexVVolume(lay.CountsMatrix(), k)
+		pl.res.C2LowerBound = lowerbound.IndexVVolume(lay.CountsMatrix(), k)
 	}
 	if lay == nil || lay.Uniform() {
-		pl.c1lb = lowerbound.IndexRounds(n, k)
+		pl.res.C1LowerBound = lowerbound.IndexRounds(n, k)
 	}
 	if pl.segments > 1 {
 		// A pipelined schedule multiplexes up to `segments` compiled
 		// rounds per port in one merged round, so the one-round-per-port
 		// volume bound scales down by the segment count:
 		// (n-1)*b <= segments * k * sum of per-step maxima.
-		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+		pl.res.C2LowerBound = intmath.CeilDiv(pl.res.C2LowerBound, pl.segments)
 	}
 	return pr, nil
 }

@@ -51,7 +51,7 @@ func ValidateRadices(n int, radices []int) error {
 
 // IndexMixedSchedule returns the per-round largest message size, in
 // blocks, of the mixed-radix index algorithm — the closed form the
-// simulator-measured schedule must match. It panics when k < 1.
+// compiled schedule must match. It panics when k < 1.
 func IndexMixedSchedule(n int, radices []int, k int) []int {
 	if k < 1 {
 		panic(fmt.Sprintf("collective: IndexMixedSchedule(%d, %v, %d) out of domain: k < 1", n, radices, k))

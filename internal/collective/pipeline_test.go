@@ -56,9 +56,9 @@ func TestPipelinedIndexEquivalenceGrid(t *testing.T) {
 				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
 				for _, s := range []int{1, 2, 4, 7} {
 					res, _, pl := runSegmentedIndex(t, e, n, blockLen, 2, s)
-					if res.C1 != pl.c1 || res.C2 != pl.c2 {
+					if res.C1 != pl.c1 || res.C2 != pl.res.C2 {
 						t.Errorf("%v n=%d k=%d s=%d: report (%d, %d), plan predicts (%d, %d)",
-							backend, n, k, s, res.C1, res.C2, pl.c1, pl.c2)
+							backend, n, k, s, res.C1, res.C2, pl.c1, pl.res.C2)
 					}
 					if pl.segments > 1 {
 						mono, _ := IndexCost(n, blockLen, 2, k)
@@ -186,9 +186,9 @@ func TestSegmentedIndexCostMatchesPlan(t *testing.T) {
 							t.Fatal(err)
 						}
 						c1, c2 := SegmentedIndexCost(n, b, r, k, s)
-						if pl.c1 != c1 || pl.c2 != c2 {
+						if pl.c1 != c1 || pl.res.C2 != c2 {
 							t.Errorf("n=%d r=%d k=%d b=%d s=%d: plan (%d, %d), SegmentedIndexCost (%d, %d)",
-								n, r, k, b, s, pl.c1, pl.c2, c1, c2)
+								n, r, k, b, s, pl.c1, pl.res.C2, c1, c2)
 						}
 					}
 				}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
@@ -35,6 +36,11 @@ type Plan struct {
 	// compile time (program.finish) or is a bound of package lowerbound.
 	prog *program
 
+	// res is the Result of every execution, which gets a copy (result):
+	// the program's measures and the bounds of package lowerbound, and
+	// for a hierarchical plan the per-level split of its phase table.
+	res Result
+
 	// Layout plans (IndexV / ConcatV): the input layout the plan was
 	// compiled for and the shape of its result; blockLen is then the
 	// padded slot size (layout.Max()) the fixed-size schedules run on.
@@ -51,29 +57,14 @@ type Plan struct {
 	combine buffers.CombineFunc
 
 	// topo marks a hierarchical (two-level) plan; phases is its phase
-	// table and the four bounds its per-level lower bounds, carried into
-	// every Result's LevelStats.
-	topo                 *costmodel.Topology
-	phases               []PlanPhase
-	intraC1LB, intraC2LB int
-	interC1LB, interC2LB int
+	// table.
+	topo   *costmodel.Topology
+	phases []PlanPhase
 
 	// poolHint is the largest pool buffer any execution acquires.
 	poolHint int
 	// c1 is the number of communication rounds the schedule performs.
 	c1 int
-	// c2 is the schedule's predicted data volume (sum over rounds of the
-	// round's largest message, in bytes) — the quantity the auto
-	// dispatcher evaluates the linear cost model on. The simulator's
-	// measured C2 matches it exactly.
-	c2 int
-	// c2lb is the layout's data-volume lower bound (package lowerbound),
-	// carried into every Result this plan produces.
-	c2lb int
-	// c1lb is the round-count lower bound, carried the same way. Zero
-	// for ragged layouts, where the dissemination bound need not apply
-	// (a zero row removes dependencies).
-	c1lb int
 }
 
 // Op returns "index", "concat", "reduce-scatter", "allreduce",
@@ -109,19 +100,20 @@ func (pl *Plan) MaxMessageBytes() int { return pl.poolHint }
 
 // PredictedC2 returns the schedule's data volume in bytes (the paper's
 // C2, sum over rounds of the round's largest message), known exactly at
-// compile time. Executions measure the same value.
-func (pl *Plan) PredictedC2() int { return pl.c2 }
+// compile time — the quantity the auto dispatcher evaluates the linear
+// cost model on. Every Result the plan produces carries it.
+func (pl *Plan) PredictedC2() int { return pl.res.C2 }
 
 // C2LowerBound returns the layout's data-volume lower bound (package
 // lowerbound; the non-uniform generalization of Propositions 2.2/2.4
 // for layout plans). Every Result the plan produces carries it.
-func (pl *Plan) C2LowerBound() int { return pl.c2lb }
+func (pl *Plan) C2LowerBound() int { return pl.res.C2LowerBound }
 
 // Time returns the linear-model estimate C1*Beta + C2*Tau of one
 // execution of the plan — the quantity the auto dispatcher minimizes
 // over candidate plans.
 func (pl *Plan) Time(p costmodel.Profile) float64 {
-	return p.Time(pl.c1, pl.c2)
+	return p.Time(pl.c1, pl.res.C2)
 }
 
 // Layout returns the input layout of a layout plan (OpIndexV /
@@ -133,47 +125,22 @@ func (pl *Plan) Layout() *blocks.Layout { return pl.layout }
 // nil for a classic plan.
 func (pl *Plan) OutLayout() *blocks.Layout { return pl.outLayout }
 
-// result builds the Result of one engine execution of this plan from
-// the metrics it recorded.
-func (pl *Plan) result(m *mpsim.Metrics) *Result {
-	res := &Result{C1: m.Rounds(), C2: m.DataVolume(), RoundSizes: m.RoundSizes(), TotalBytes: m.TotalBytes(), Messages: m.Messages()}
-	if pl.topo == nil || m.ClassRoundSizes(mpsim.ClassIntra) == nil {
-		return pl.complete(res, nil)
+// result returns a copy of the plan's Result, deep enough that the
+// caller may write to any part of it.
+func (pl *Plan) result() *Result {
+	res := pl.res
+	res.RoundSizes = slices.Clone(res.RoundSizes)
+	if res.Intra != nil {
+		intra, inter := *res.Intra, *res.Inter
+		res.Intra, res.Inter = &intra, &inter
 	}
-	var levels [mpsim.NumLinkClasses]LevelStats
-	for c := range levels {
-		levels[c].C1, levels[c].C2 = m.ClassRounds(c), m.ClassVolume(c)
-	}
-	return pl.complete(res, &levels)
-}
-
-// complete adds the plan's bounds to the Result an execution counted and,
-// for a hierarchical plan, the per-level split: levels as counted on an
-// engine that tags link classes, or without one (levels nil) the
-// compiled per-phase split, which the phase-ordered schedule realizes
-// exactly.
-func (pl *Plan) complete(res *Result, levels *[mpsim.NumLinkClasses]LevelStats) *Result {
-	res.C2LowerBound = pl.c2lb
-	res.C1LowerBound = pl.c1lb
-	if pl.topo != nil {
-		intra := &LevelStats{C1LowerBound: pl.intraC1LB, C2LowerBound: pl.intraC2LB}
-		inter := &LevelStats{C1LowerBound: pl.interC1LB, C2LowerBound: pl.interC2LB}
-		if levels != nil {
-			intra.C1, intra.C2 = levels[mpsim.ClassIntra].C1, levels[mpsim.ClassIntra].C2
-			inter.C1, inter.C2 = levels[mpsim.ClassInter].C1, levels[mpsim.ClassInter].C2
-		} else {
-			intra.C1, intra.C2 = pl.PredictedClassC1(mpsim.ClassIntra), pl.PredictedClassC2(mpsim.ClassIntra)
-			inter.C1, inter.C2 = pl.PredictedClassC1(mpsim.ClassInter), pl.PredictedClassC2(mpsim.ClassInter)
-		}
-		res.Intra, res.Inter = intra, inter
-	}
-	return res
+	return &res
 }
 
 // compile is the single entry to the compilers: it lowers a canonical
 // (validated) spec into a step program — the family's compiler also sets
-// the plan's family-specific fields — and derives the plan's rounds,
-// volume and pool hint from that program.
+// the plan's family-specific fields and bounds — and derives the plan's
+// rounds, Result and pool hint from that program.
 func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
 	n, k := g.Size(), e.Ports()
@@ -199,9 +166,21 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr.finish()
-	pl.prog, pl.c1, pl.c2, pl.poolHint, pl.phases = pr, pr.c1, pr.c2, pr.hint, pr.phases
+	pl.derive(pr)
 	return pl, nil
+}
+
+// derive finishes pr and takes the plan's rounds, pool hint, phase table
+// and Result from it.
+func (pl *Plan) derive(pr *program) {
+	pr.finish()
+	pl.prog, pl.c1, pl.poolHint, pl.phases = pr, pr.c1, pr.hint, pr.phases
+	res := &pl.res
+	res.C1, res.C2, res.RoundSizes, res.Messages, res.TotalBytes = pr.busy, pr.c2, pr.sizes, pr.msgs, pr.bytes
+	if res.Intra != nil {
+		res.Intra.C1, res.Intra.C2 = pl.PredictedClassC1(mpsim.ClassIntra), pl.PredictedClassC2(mpsim.ClassIntra)
+		res.Inter.C1, res.Inter.C2 = pl.PredictedClassC1(mpsim.ClassInter), pl.PredictedClassC2(mpsim.ClassInter)
+	}
 }
 
 // blocks returns the block count of the caller's input (reg regIn) or
@@ -259,15 +238,12 @@ func (pl *Plan) run(m Memory) (*Result, error) {
 	return pl.runEngine(m)
 }
 
-// runEngine executes the plan alone on the engine driver. The result is
-// built from the metrics the run returns: once it is over,
-// Engine.Metrics may already be another caller's.
+// runEngine executes the plan alone on the engine driver.
 func (pl *Plan) runEngine(m Memory) (*Result, error) {
-	ms, err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(m)}})
-	if err != nil {
+	if err := pl.engine.RunPrograms([]mpsim.Program{{Body: pl.body(m)}}); err != nil {
 		return nil, err
 	}
-	return pl.result(ms[0]), nil
+	return pl.result(), nil
 }
 
 // body is the per-processor program of one execution: bind the rank's
@@ -304,9 +280,9 @@ type Job struct {
 // ExecutePlans runs several compiled plans concurrently inside one
 // engine run, each on its job's memory. The plans must all belong to
 // engine e and have pairwise disjoint groups, and each memory must fit
-// its plan (Run's check). Each plan keeps its own metrics; the returned
-// Results are in job order. The k-port constraint is enforced per
-// processor as always, and schedule validation applies per plan group.
+// its plan (Run's check). The returned Results are in job order. The
+// k-port constraint is enforced per processor as always, and schedule
+// validation applies per plan group.
 func ExecutePlans(e *mpsim.Engine, jobs []Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("collective: no plans to execute")
@@ -332,13 +308,12 @@ func ExecutePlans(e *mpsim.Engine, jobs []Job) ([]*Result, error) {
 		}
 		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(j.Mem)}
 	}
-	metrics, err := e.RunPrograms(progs)
-	if err != nil {
+	if err := e.RunPrograms(progs); err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(metrics))
-	for i, m := range metrics {
-		results[i] = jobs[i].Plan.result(m)
+	results := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		results[i] = j.Plan.result()
 	}
 	return results, nil
 }

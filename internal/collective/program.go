@@ -214,6 +214,13 @@ type program struct {
 
 	c1, c2, hint, width int
 	copied              int // bytes all ranks together copy per run: the sum of moved
+
+	// What one run sends: the largest message of each round up to the
+	// last that sends one, the number of rounds that send one (a
+	// zero-length message counts), and all messages and their bytes.
+	sizes       []int
+	busy        int
+	msgs, bytes int64
 }
 
 func (pr *program) role(me int) *role {
@@ -244,21 +251,25 @@ func (pr *program) measure(exts []extent, me int) int {
 	return total
 }
 
-// tally is the counter's state: the largest message and the phase of
-// every global round, and the largest pool acquisition.
+// tally is the counter's state: the largest message of every global
+// round (-1 for a round without one), its phase, the messages and bytes
+// sent, and the largest pool acquisition.
 type tally struct {
-	max   []int
-	phase []string
-	hint  int
+	max         []int
+	phase       []string
+	msgs, bytes int64
+	hint        int
 }
 
 func (ts *tally) note(t, bytes int, phase string) {
 	for len(ts.max) <= t {
-		ts.max = append(ts.max, 0)
+		ts.max = append(ts.max, -1)
 	}
 	if bytes > ts.max[t] {
 		ts.max[t] = bytes
 	}
+	ts.msgs++
+	ts.bytes += int64(bytes)
 	if ts.phase != nil { // only a program with declared phases reads them back
 		for len(ts.phase) <= t {
 			ts.phase = append(ts.phase, "")
@@ -317,11 +328,11 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 
 // finish derives what a plan reports from the program itself: rounds
 // (C1), volume (C2: the sum over rounds of the round's largest
-// message), the largest pool acquisition, the widest round, the bytes
-// all ranks copy per run, and the per-phase split of a hierarchical
-// schedule. A shared role on flat regions sizes every rank alike, so one
-// walk counts it; per-rank roles and layout extents are walked rank by
-// rank.
+// message), what one run sends, the largest pool acquisition, the
+// widest round, the bytes all ranks copy per run, and the per-phase
+// split of a hierarchical schedule. A shared role on flat regions sizes
+// every rank alike, so one walk counts it and the sums scale by n;
+// per-rank roles and layout extents are walked rank by rank.
 func (pr *program) finish() {
 	ranks := 1
 	if len(pr.roles) > 1 || pr.inLay != nil {
@@ -341,12 +352,18 @@ func (pr *program) finish() {
 		pr.copied += pr.moved(me)
 	}
 	pr.copied *= pr.n / ranks
+	pr.msgs, pr.bytes = ts.msgs*int64(pr.n/ranks), ts.bytes*int64(pr.n/ranks)
 	pr.hint = ts.hint
 	if pr.hint < pr.bl {
 		pr.hint = pr.bl
 	}
-	pr.c2 = 0
-	for _, m := range ts.max {
+	pr.c2, pr.busy, pr.sizes = 0, 0, ts.max
+	for t, m := range ts.max {
+		if m < 0 {
+			ts.max[t] = 0
+			continue
+		}
+		pr.busy++
 		pr.c2 += m
 	}
 	first := 0
@@ -409,7 +426,7 @@ func (pr *program) moved(me int) (bytes int) {
 func (pl *Plan) Listing() string {
 	w := &strings.Builder{}
 	fmt.Fprintf(w, "%s %s n=%d k=%d blockLen=%d segments=%d c1=%d c2=%d\n",
-		pl.op, pl.alg, pl.group.Size(), pl.engine.Ports(), pl.blockLen, pl.segments, pl.c1, pl.c2)
+		pl.op, pl.alg, pl.group.Size(), pl.engine.Ports(), pl.blockLen, pl.segments, pl.c1, pl.res.C2)
 	if pl.layout != nil {
 		fmt.Fprintf(w, "layout %016x\n", pl.layout.Digest())
 	}

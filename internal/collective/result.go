@@ -7,7 +7,9 @@ import (
 )
 
 // Result summarizes the communication schedule an operation executed,
-// in the paper's complexity measures.
+// in the paper's complexity measures. The schedule is a fixed function
+// of the plan, so the plan derives its Result once, at compile time;
+// every execution returns a copy of it, the caller's to keep or change.
 type Result struct {
 	// C1 is the number of communication rounds.
 	C1 int
@@ -36,9 +38,9 @@ type Result struct {
 	C1LowerBound int
 	// Intra and Inter split the run's C1/C2 by link class for
 	// hierarchical plans, with the per-level Section 2 bounds (package
-	// lowerbound's Hier* functions) alongside. On an engine with a
-	// topology the split is measured; without one it is the compiled
-	// per-phase split, which the simulator reproduces exactly. Nil for
+	// lowerbound's Hier* functions) alongside: the compiled per-phase
+	// split, which Plan.Check proves and which equals the split by link
+	// class of the messages a run sends on the plan's topology. Nil for
 	// flat plans.
 	Intra, Inter *LevelStats
 }

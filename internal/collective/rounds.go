@@ -18,8 +18,6 @@ package collective
 import (
 	"fmt"
 	"math/bits"
-
-	"bruck/internal/mpsim"
 )
 
 // The texts a faulty round is reported with, by Plan.Check and by the
@@ -42,14 +40,6 @@ type rounds struct {
 	ranks    []rankRun
 	live     int // ranks whose role has not ended
 	at       int // the rank whose steps are running, for a panic's report
-	res      *Result
-
-	// Link-class counting, for a hierarchical plan on an engine that tags
-	// classes: groupOf is the engine's, nil otherwise.
-	groupOf []int
-	levels  [mpsim.NumLinkClasses]LevelStats
-	sent    [mpsim.NumLinkClasses]bool // the current round has a message of the class
-	most    [mpsim.NumLinkClasses]int  // its largest one
 
 	free [bits.UintSize][][]byte // free[c]: buffers of capacity 1<<c
 }
@@ -72,36 +62,28 @@ type payload struct {
 // runRounds executes the plan alone on the round-major driver its engine
 // keeps, under the engine's run claim.
 func (pl *Plan) runRounds(m Memory) (*Result, error) {
-	var res *Result
 	err := pl.engine.Inline(func(state *any) error {
 		d, _ := (*state).(*rounds)
 		if d == nil {
 			d = new(rounds)
 			*state = d
 		}
-		var err error
-		res, err = d.run(pl, m)
-		return err
+		return d.run(pl, m)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return pl.result(), nil
 }
 
-// run executes pl on m and returns the Result it counted.
-func (d *rounds) run(pl *Plan, m Memory) (res *Result, err error) {
+// run executes pl on m.
+func (d *rounds) run(pl *Plan, m Memory) (err error) {
 	n := pl.group.Size()
 	d.pl, d.validate, d.live = pl, pl.engine.Validating(), n
 	if cap(d.ranks) < n {
 		d.ranks = make([]rankRun, n)
 	}
 	d.ranks = d.ranks[:n]
-	d.res = &Result{RoundSizes: make([]int, 0, pl.c1)}
-	d.groupOf, d.levels = nil, [mpsim.NumLinkClasses]LevelStats{}
-	if pl.topo != nil {
-		d.groupOf = pl.engine.GroupAssignment()
-	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("collective: group rank %d panicked: %v", d.at, v)
@@ -117,17 +99,10 @@ func (d *rounds) run(pl *Plan, m Memory) (res *Result, err error) {
 	}
 	for t := 0; d.live > 0; t++ {
 		if err := d.round(t); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := d.aligned(); err != nil {
-		return nil, err
-	}
-	var levels *[mpsim.NumLinkClasses]LevelStats
-	if d.groupOf != nil {
-		levels = &d.levels
-	}
-	return pl.complete(d.res, levels), nil
+	return d.aligned()
 }
 
 // advance runs rank me's local steps up to its next exchange.
@@ -164,7 +139,6 @@ func (d *rounds) round(t int) error {
 			return fmt.Errorf("collective: "+errUnreceived, t, rk.box[0].src, me)
 		}
 	}
-	d.tally(t)
 	return nil
 }
 
@@ -193,7 +167,6 @@ func (d *rounds) post(me, t int) error {
 			return fmt.Errorf("collective: "+errAddress, t, me, q)
 		}
 		data := f.outgoing(x)
-		d.count(t, me, q, len(data))
 		dst := &d.ranks[q]
 		dst.box = append(dst.box, payload{me, data})
 		if err := d.eager(q, t); err != nil {
@@ -325,41 +298,6 @@ func (d *rounds) aligned() error {
 	return nil
 }
 
-// count adds one message of round t to the Result, and to its link
-// class's share on an engine that tags classes.
-func (d *rounds) count(t, src, dst, size int) {
-	res := d.res
-	for len(res.RoundSizes) <= t {
-		res.RoundSizes = append(res.RoundSizes, 0)
-	}
-	res.RoundSizes[t] = max(res.RoundSizes[t], size)
-	res.TotalBytes += int64(size)
-	res.Messages++
-	if d.groupOf != nil {
-		class := mpsim.ClassIntra
-		if d.groupOf[d.pl.group.ID(src)] != d.groupOf[d.pl.group.ID(dst)] {
-			class = mpsim.ClassInter
-		}
-		d.sent[class], d.most[class] = true, max(d.most[class], size)
-	}
-}
-
-// tally closes round t's counts: C1 counts a round with any message, C2
-// its largest one, per link class likewise.
-func (d *rounds) tally(t int) {
-	if res := d.res; len(res.RoundSizes) > t {
-		res.C1++
-		res.C2 += res.RoundSizes[t]
-	}
-	for c := range d.levels {
-		if d.sent[c] {
-			d.levels[c].C1++
-			d.levels[c].C2 += d.most[c]
-		}
-		d.sent[c], d.most[c] = false, 0
-	}
-}
-
 // close ends every rank's frames and takes back the payloads a failed
 // run left in flight, leaving no reference to the plan or the caller's
 // memory behind.
@@ -374,7 +312,7 @@ func (d *rounds) close() {
 		rk.box = rk.box[:0]
 		rk.s = nil
 	}
-	d.pl, d.res, d.groupOf = nil, nil, nil
+	d.pl = nil
 }
 
 // AcquireBuf returns a length-n buffer from the driver's free list, one

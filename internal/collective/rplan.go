@@ -152,8 +152,8 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 	pl.segments = segments
 	switch {
 	case !all:
-		pl.c2lb = lowerbound.ReduceScatterVolume(n, blockLen, k)
-		pl.c1lb = lowerbound.ReduceScatterRounds(n, k)
+		pl.res.C2LowerBound = lowerbound.ReduceScatterVolume(n, blockLen, k)
+		pl.res.C1LowerBound = lowerbound.ReduceScatterRounds(n, k)
 	case k >= n-1:
 		b.trivial(n, chunk)
 	default:
@@ -162,15 +162,15 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 		}
 	}
 	if all {
-		pl.c2lb = lowerbound.AllReduceVolume(n, blockLen, k)
-		pl.c1lb = lowerbound.AllReduceRounds(n, k)
+		pl.res.C2LowerBound = lowerbound.AllReduceVolume(n, blockLen, k)
+		pl.res.C1LowerBound = lowerbound.AllReduceRounds(n, k)
 	}
 	if pl.segments > 1 {
 		// A merged pipelined round multiplexes up to segments compiled
 		// rounds over the ports, so the per-round-maximum C2 measure can
 		// dip below the monolithic volume bound by up to that factor; see
 		// the matching scaling in compileIndex.
-		pl.c2lb = intmath.CeilDiv(pl.c2lb, pl.segments)
+		pl.res.C2LowerBound = intmath.CeilDiv(pl.res.C2LowerBound, pl.segments)
 	}
 	return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
 }

@@ -90,13 +90,13 @@ func folkloreProgram(n, k, bl int) *program {
 // pooled scratch, in tree order from its own block on.
 func compileRooted(pl *Plan, n, k int, s Spec) *program {
 	pl.root = s.Root
-	pl.c1lb = lowerbound.ConcatRounds(n, k)
+	pl.res.C1LowerBound = lowerbound.ConcatRounds(n, k)
 	// The port argument of Proposition 2.2: the root of a gather or a
 	// scatter moves the other n-1 blocks through its k ports, a receiver
 	// of a broadcast the one block (the two-processor case).
-	pl.c2lb = lowerbound.ConcatVolume(n, s.BlockLen, k)
+	pl.res.C2LowerBound = lowerbound.ConcatVolume(n, s.BlockLen, k)
 	if s.Op == OpBroadcast {
-		pl.c2lb = lowerbound.ConcatVolume(intmath.Min(n, 2), s.BlockLen, k)
+		pl.res.C2LowerBound = lowerbound.ConcatVolume(intmath.Min(n, 2), s.BlockLen, k)
 	}
 	pr := &program{n: n, k: k, bl: s.BlockLen, roles: make([]role, n)}
 	d := intmath.CeilLog(k+1, n)

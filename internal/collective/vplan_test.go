@@ -183,9 +183,9 @@ func TestUniformVCompilesIdenticalRounds(t *testing.T) {
 				if !reflect.DeepEqual(v.prog.roles, fixed.prog.roles) {
 					t.Errorf("n=%d k=%d r=%d: V program %+v != fixed program %+v", n, k, r, v.prog.roles, fixed.prog.roles)
 				}
-				if v.c1 != fixed.c1 || v.c2 != fixed.c2 || v.c2lb != fixed.c2lb {
+				if v.c1 != fixed.c1 || v.res.C2 != fixed.res.C2 || v.res.C2LowerBound != fixed.res.C2LowerBound {
 					t.Errorf("n=%d k=%d r=%d: V (c1=%d c2=%d lb=%d) != fixed (c1=%d c2=%d lb=%d)",
-						n, k, r, v.c1, v.c2, v.c2lb, fixed.c1, fixed.c2, fixed.c2lb)
+						n, k, r, v.c1, v.res.C2, v.res.C2LowerBound, fixed.c1, fixed.res.C2, fixed.res.C2LowerBound)
 				}
 			}
 		}

@@ -197,26 +197,30 @@ func ring(members []int, size int) func(p *mpsim.Proc) error {
 }
 
 // TestCriticalPathMergedRunPrograms drives a real two-program
-// RunPrograms pass with recording on and checks that the appended
-// per-program streams cost the worst program's time: disjoint-group
-// programs never couple.
+// RunPrograms pass with recording on and checks that the run's stream
+// costs the worst program's time: disjoint-group programs never couple.
 func TestCriticalPathMergedRunPrograms(t *testing.T) {
 	const n = 6
 	e := mpsim.MustNew(n, mpsim.Record(true))
-	metrics, err := e.RunPrograms([]mpsim.Program{
+	if err := e.RunPrograms([]mpsim.Program{
 		{Members: []int{0, 1, 2, 3}, Body: ring([]int{0, 1, 2, 3}, 40)},
 		{Members: []int{4, 5}, Body: ring([]int{4, 5}, 24)},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	events := e.Metrics().Events()
+	merged, err := criticalPath(n, events, flat(costmodel.SP1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := criticalPath(n, append(metrics[0].Events(), metrics[1].Events()...), flat(costmodel.SP1))
-	if err != nil {
-		t.Fatal(err)
+	var programs [2][]mpsim.Event
+	for _, ev := range events {
+		p := ev.Src / 4 // ranks 0-3 run the first program, 4-5 the second
+		programs[p] = append(programs[p], ev)
 	}
 	worst := 0.0
-	for _, m := range metrics {
-		cp, err := criticalPath(n, m.Events(), flat(costmodel.SP1))
+	for _, evs := range programs {
+		cp, err := criticalPath(n, evs, flat(costmodel.SP1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,19 +233,30 @@ func TestCriticalPathMergedRunPrograms(t *testing.T) {
 
 // TestCriticalPathNeverExceedsLinearOnRealSchedules: a ring run on the
 // engine is symmetric, so its recorded critical path is exactly the
-// linear estimate of its measured C1 and C2.
+// linear estimate of the C1 and C2 of its recorded messages.
 func TestCriticalPathNeverExceedsLinearOnRealSchedules(t *testing.T) {
 	const n = 5
 	e := mpsim.MustNew(n, mpsim.Record(true))
 	if err := e.Run(ring([]int{0, 1, 2, 3, 4}, 16)); err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	cp, err := criticalPath(n, m.Events(), flat(costmodel.SP1))
+	events := e.Metrics().Events()
+	cp, err := criticalPath(n, events, flat(costmodel.SP1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if linear := costmodel.SP1.Time(m.Rounds(), m.DataVolume()); math.Abs(cp-linear) > 1e-12 {
+	var sizes []int // the largest message of each round
+	for _, ev := range events {
+		for len(sizes) <= ev.Round {
+			sizes = append(sizes, 0)
+		}
+		sizes[ev.Round] = max(sizes[ev.Round], ev.Size)
+	}
+	c2 := 0
+	for _, s := range sizes {
+		c2 += s
+	}
+	if linear := costmodel.SP1.Time(len(sizes), c2); math.Abs(cp-linear) > 1e-12 {
 		t.Errorf("ring schedule is symmetric; critical path %g should equal linear %g", cp, linear)
 	}
 }

@@ -10,7 +10,7 @@ package mpsim
 // jitter scrambles the interleaving of same-round messages across
 // links, and designated straggler processors simulate the slow node
 // every real cluster has. Only simulator wall-clock changes; payloads,
-// rounds, partners, Metrics and recorded events must not.
+// rounds, partners and recorded events must not.
 //
 // Per-pair FIFO order is part of the Transport contract (receivers
 // match messages to rounds, and a swapped pair would trip the

@@ -14,18 +14,15 @@
 // started on the first run that claims the rank and parked between runs.
 // Algorithms are written in SPMD style: Engine.Run invokes the same body
 // on every Proc, and the i-th communication call issued by a processor
-// belongs to communication round i. The engine enforces the k-port constraint per round, checks
-// that matching sends and receives agree on the round number (when
-// validation is enabled), and records the two complexity measures used
-// throughout the paper:
-//
-//   - C1, the number of communication rounds, and
-//   - C2, the sum over rounds of the largest message (over all ports of
-//     all processors) sent in that round.
-//
-// Estimated communication time in the paper's linear model is
-// T = C1*beta + C2*tau; package costmodel evaluates recorded Metrics
-// under machine profiles.
+// belongs to communication round i. The engine enforces the k-port
+// constraint per round and checks that matching sends and receives
+// agree on the round number (when validation is enabled). It counts
+// nothing: the paper's two complexity measures — C1, the number of
+// communication rounds, and C2, the sum over rounds of the largest
+// message — are properties of the schedule, which package collective
+// derives when it compiles a plan. Under Record the engine logs every
+// message as an Event, so a live run can be held to the schedule it
+// was meant to run.
 //
 // # Transports
 //
@@ -79,9 +76,8 @@
 //
 // Engine.RunPrograms executes several independent SPMD programs in one
 // run: each Program names its member ranks and its body, member sets
-// must be pairwise disjoint, unclaimed ranks' workers stay parked, and
-// every program records into its own Metrics (returned in program
-// order). The k-port constraint remains per processor; the
+// must be pairwise disjoint, and unclaimed ranks' workers stay parked.
+// The k-port constraint remains per processor; the
 // round-uniformity check applies per program, so programs with
 // different round counts can share a run as long as no message crosses
 // a program boundary (a crossing surfaces as a round-alignment or
@@ -98,9 +94,11 @@
 // function runs on the caller's goroutine under the same in-flight
 // claim, touching no transport, pool or worker — package collective
 // runs small plans round-major through it — and a chan or slot
-// transport is built only by the first run that needs one. Each Proc records its sends into a metrics shard of its own,
-// without a lock; when every body has returned, the shards of each
-// program merge into that program's Metrics, which nothing writes again.
+// transport is built only by the first run that needs one. Each Proc
+// counts its sends and receives, and under Record logs its sends, on
+// its own, without a lock; when every body has returned, the engine
+// compares the counts (see below) and gathers the logs into the run's
+// Metrics, which nothing writes again.
 //
 // Every Run gets a generation number, stamped on each Proc and each
 // message; receivers reject messages from another generation. A run

@@ -95,6 +95,7 @@ type engine struct {
 	// running is set for the length of a run, which owns everything above.
 	running atomic.Bool
 
+	// metrics is the event log of the last run, nil unless it recorded.
 	metrics *Metrics
 }
 
@@ -114,7 +115,6 @@ func newRun(e *engine) *run {
 	for i := range r.procs {
 		p := &r.procs[i]
 		p.engine, p.run, p.rank = e, r, i
-		p.shard.groupOf, p.shard.record = e.groupOf, e.record
 	}
 	return r
 }
@@ -171,9 +171,8 @@ func WithChaos(cfg ChaosConfig) Option {
 // WithTopology installs a two-level topology on the engine: groupOf
 // maps each rank to its node-group, and every recorded send is tagged
 // with the link class of its (src, dst) pair — ClassIntra when both
-// ends share a group, ClassInter otherwise. The tags flow into
-// Event.Class and the Metrics.ClassRounds/ClassVolume splits of C1 and
-// C2; connectivity and scheduling are unaffected. groupOf is copied;
+// ends share a group, ClassInter otherwise — in Event.Class;
+// connectivity and scheduling are unaffected. groupOf is copied;
 // it must cover exactly n ranks with non-negative group numbers. A nil
 // or empty groupOf leaves the engine flat.
 func WithTopology(groupOf []int) Option {
@@ -263,7 +262,7 @@ func (e *Engine) Transport() Backend { return e.backend }
 
 // Plain reports whether the engine's runs are plain ones: a chan or slot
 // transport and no event recording, so nothing about a run is observable
-// beyond its outcome and its Metrics.
+// beyond its outcome.
 func (e *Engine) Plain() bool {
 	return (e.backend == BackendChan || e.backend == BackendSlot) && !e.record
 }
@@ -279,7 +278,7 @@ var errOverlap = errors.New("mpsim: a run is already in flight on this engine (r
 // the engine's run claim while fn runs, so a call made during a run is
 // rejected exactly as an overlapping run is, and a run or Inline call
 // made during fn is too. fn touches no transport, pool or worker of the
-// engine, and counts its own messages: Metrics reports nil afterwards.
+// engine and records no event: Metrics reports nil afterwards.
 // state points at a value the engine keeps for its Inline callers from
 // one call to the next, as it keeps its pools from run to run; the claim
 // orders the calls, so it needs no lock. Like the pools, it must not
@@ -307,15 +306,14 @@ func (e *Engine) ChaosStats() (ChaosStats, bool) {
 // Run executes body concurrently on all n processors and waits for every
 // processor to return. It returns the joined errors of all processors,
 // or a deadlock error naming the stuck processors if the watchdog fires.
-// The recorded Metrics for the run are available from Metrics afterwards.
+// Under Record, the run's events are available from Metrics afterwards.
 //
 // An Engine remains usable after any failed run: a processor's error or
 // panic ends the run at once, without its peers' consequent errors, and
 // a deadlocked run is fenced; either way the next run proceeds on a
 // fresh transport (see "Run lifecycle" in the package documentation).
 func (e *Engine) Run(body func(p *Proc) error) error {
-	_, err := e.RunPrograms([]Program{{Body: body}})
-	return err
+	return e.RunPrograms([]Program{{Body: body}})
 }
 
 // Program is one SPMD body of a partitioned run together with the
@@ -331,8 +329,7 @@ type Program struct {
 
 // RunPrograms executes several independent SPMD programs concurrently
 // inside one engine run: each program's body runs on its member ranks,
-// ranks claimed by no program sit the run out entirely, and every
-// program records into its own Metrics, returned in program order. The
+// and ranks claimed by no program sit the run out entirely. The
 // k-port constraint is still enforced per processor, and under
 // validation the round-uniformity check applies per program, so
 // programs of different round counts may share a run as long as they
@@ -340,19 +337,18 @@ type Program struct {
 // message is caught by the round-alignment check as a misaligned
 // schedule).
 //
-// A single program with nil Members is exactly Run. After a run with
-// one program Metrics returns that program's metrics; after a
-// multi-program run it returns nil — use the returned slice instead.
+// A single program with nil Members is exactly Run. Under Record,
+// Metrics afterwards holds the events of every program of the run.
 // Error and deadlock recovery behave as in Run: the whole run shares
 // one transport and one watchdog, so a failure or a deadlock anywhere
 // ends every program of the run. A call made while another run is in
 // flight is rejected without touching it.
-func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
+func (e *Engine) RunPrograms(progs []Program) error {
 	if len(progs) == 0 {
-		return nil, fmt.Errorf("mpsim: RunPrograms with no programs")
+		return fmt.Errorf("mpsim: RunPrograms with no programs")
 	}
 	if !e.running.CompareAndSwap(false, true) {
-		return nil, errOverlap
+		return errOverlap
 	}
 	defer e.running.Store(false)
 	r := e.cur
@@ -362,11 +358,11 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 	spawn := 0
 	for pi := range progs {
 		if progs[pi].Body == nil {
-			return nil, fmt.Errorf("mpsim: program %d has no body", pi)
+			return fmt.Errorf("mpsim: program %d has no body", pi)
 		}
 		if progs[pi].Members == nil {
 			if len(progs) > 1 {
-				return nil, fmt.Errorf("mpsim: program %d claims all ranks (nil Members) in a %d-program run", pi, len(progs))
+				return fmt.Errorf("mpsim: program %d claims all ranks (nil Members) in a %d-program run", pi, len(progs))
 			}
 			for i := range r.procs {
 				r.procs[i].prog = pi
@@ -375,14 +371,14 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 			continue
 		}
 		if len(progs[pi].Members) == 0 {
-			return nil, fmt.Errorf("mpsim: program %d has no members", pi)
+			return fmt.Errorf("mpsim: program %d has no members", pi)
 		}
 		for _, rank := range progs[pi].Members {
 			if rank < 0 || rank >= e.n {
-				return nil, fmt.Errorf("mpsim: program %d member %d out of range [0,%d)", pi, rank, e.n)
+				return fmt.Errorf("mpsim: program %d member %d out of range [0,%d)", pi, rank, e.n)
 			}
 			if prev := r.procs[rank].prog; prev != -1 {
-				return nil, fmt.Errorf("mpsim: rank %d belongs to programs %d and %d; programs must be disjoint", rank, prev, pi)
+				return fmt.Errorf("mpsim: rank %d belongs to programs %d and %d; programs must be disjoint", rank, prev, pi)
 			}
 			r.procs[rank].prog = pi
 			spawn++
@@ -405,8 +401,7 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		p.tr, p.pool, p.gen, p.body = e.tr, e.pools[i], e.gen, progs[p.prog].Body
 		p.round.Store(0)
 		p.done.Store(false)
-		p.recvs = 0
-		p.shard.reset()
+		p.sent, p.recvs, p.events = 0, 0, p.events[:0]
 		if e.workers[i] == nil {
 			e.workers[i] = make(chan *Proc, 1)
 			go work(e.workers[i])
@@ -430,13 +425,13 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		case <-e.timer.C:
 			err := e.deadlockError(r)
 			e.fence()
-			return nil, err
+			return err
 		}
 	} else {
 		<-r.done
 	}
 
-	metrics := e.collect(r, len(progs))
+	e.collect(r)
 	if errors.Join(r.errs...) != nil {
 		// The failing ranks abandoned the transport; every worker has
 		// returned, so the workers and pools stay. What woken peers report
@@ -450,19 +445,19 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 		}
 		err := errors.Join(r.errs...)
 		clear(r.errs)
-		return nil, err
+		return err
 	}
 	if e.validate {
 		for pi := range progs {
 			if err := r.uniformityError(pi); err != nil {
 				if len(progs) > 1 {
-					return nil, fmt.Errorf("mpsim: program %d: %w", pi, err)
+					return fmt.Errorf("mpsim: program %d: %w", pi, err)
 				}
-				return nil, err
+				return err
 			}
 		}
 	}
-	return metrics, nil
+	return nil
 }
 
 // work is a rank's worker: it runs each Proc it is handed, then parks
@@ -499,30 +494,25 @@ func (p *Proc) exec() {
 	r.errs[p.rank] = p.body(p)
 }
 
-// collect merges the shards of a run whose bodies have all returned into
-// one Metrics per program, and notes whether the run left messages in
-// the transport.
-func (e *Engine) collect(r *run, programs int) []*Metrics {
-	metrics := make([]*Metrics, programs)
+// collect notes whether a run whose bodies have all returned left
+// messages in the transport and, under Record, gathers its events.
+func (e *Engine) collect(r *run) {
 	var sent, received int64
+	e.metrics = nil
+	if e.record {
+		e.metrics = new(Metrics)
+	}
 	for i := range r.procs {
 		p := &r.procs[i]
 		if p.prog == -1 {
 			continue
 		}
-		if metrics[p.prog] == nil {
-			metrics[p.prog] = &Metrics{groupOf: e.groupOf}
+		sent, received = sent+p.sent, received+p.recvs
+		if e.metrics != nil {
+			e.metrics.events = append(e.metrics.events, p.events...)
 		}
-		metrics[p.prog].merge(&p.shard)
-		sent += p.shard.messageCount
-		received += p.recvs
 	}
 	e.residue = sent != received
-	e.metrics = nil
-	if programs == 1 {
-		e.metrics = metrics[0]
-	}
-	return metrics
 }
 
 // uniformityError reports an error if the participating processors of
@@ -550,11 +540,9 @@ func (r *run) uniformityError(prog int) error {
 	return nil
 }
 
-// Metrics returns the metrics recorded by the most recent Run (or
-// single-program RunPrograms), or nil if Run has not been called, the
-// most recent run deadlocked or it executed multiple programs —
-// per-program metrics are returned by RunPrograms itself — or an Inline
-// call came after it.
+// Metrics returns the event log of the most recent run, or nil unless
+// the engine records (Record), or if no run has returned, the most
+// recent one deadlocked or an Inline call came after it.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // fence isolates the engine from the goroutines of a deadlocked run.

@@ -48,10 +48,10 @@ func TestMustNewPanics(t *testing.T) {
 }
 
 // TestRingShift sends each rank's payload one step around a ring and
-// checks contents, C1 and C2.
+// checks contents and the recorded messages.
 func TestRingShift(t *testing.T) {
 	const n = 8
-	e := MustNew(n)
+	e := MustNew(n, Record(true))
 	got := make([][]byte, n)
 	err := e.Run(func(p *Proc) error {
 		me := p.Rank()
@@ -72,16 +72,14 @@ func TestRingShift(t *testing.T) {
 			t.Errorf("p%d received %q, want %q", i, got[i], want)
 		}
 	}
-	m := e.Metrics()
-	if c1 := m.Rounds(); c1 != 1 {
-		t.Errorf("C1 = %d, want 1", c1)
+	events := e.Metrics().Events()
+	if len(events) != n {
+		t.Fatalf("%d events, want %d", len(events), n)
 	}
-	wantC2 := len("payload-from-0")
-	if c2 := m.DataVolume(); c2 != wantC2 {
-		t.Errorf("C2 = %d, want %d", c2, wantC2)
-	}
-	if msgs := m.Messages(); msgs != n {
-		t.Errorf("messages = %d, want %d", msgs, n)
+	for i, ev := range events {
+		if want := (Event{Round: 0, Src: i, Dst: (i + 1) % n, Size: len("payload-from-0")}); ev != want {
+			t.Errorf("event %d = %+v, want %+v", i, ev, want)
+		}
 	}
 }
 
@@ -140,9 +138,6 @@ func TestExchangeMultiPort(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if c1 := e.Metrics().Rounds(); c1 != 1 {
-		t.Errorf("C1 = %d, want 1", c1)
 	}
 }
 
@@ -330,9 +325,9 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 }
 
 // TestEngineReuse runs twice on one engine, including after a failed
-// run, and checks metrics are reset.
+// run, and checks the event log is reset.
 func TestEngineReuse(t *testing.T) {
-	e := MustNew(2, Watchdog(200*time.Millisecond))
+	e := MustNew(2, Watchdog(200*time.Millisecond), Record(true))
 	// First run deadlocks and leaves a message in a mailbox.
 	_ = e.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
@@ -358,8 +353,8 @@ func TestEngineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
-	if c1 := e.Metrics().Rounds(); c1 != 1 {
-		t.Errorf("C1 after reuse = %d, want 1 (metrics must reset)", c1)
+	if events := e.Metrics().Events(); len(events) != 2 || events[0].Round != 0 || events[1].Round != 0 {
+		t.Errorf("events after reuse = %+v, want the second run's two round-0 messages (the log must reset)", events)
 	}
 }
 
@@ -395,12 +390,12 @@ func TestOverlappingRunRejected(t *testing.T) {
 // TestInlineHoldsTheClaim: a function run Inline holds the engine's
 // claim — a run it starts is rejected with the overlap text — an Inline
 // call during a run is rejected the same way, the function's error is
-// Inline's, the state it keeps is the next call's, and Metrics reports
-// nil afterwards. A chan or slot engine
-// builds its transport only for its first run.
+// Inline's, the state it keeps is the next call's, and a recording
+// engine's Metrics reports nil afterwards. A chan or slot engine builds
+// its transport only for its first run.
 func TestInlineHoldsTheClaim(t *testing.T) {
 	const want = "mpsim: a run is already in flight on this engine (runs must not overlap)"
-	e := MustNew(2)
+	e := MustNew(2, Record(true))
 	if err := e.Run(func(p *Proc) error { return nil }); err != nil || e.Metrics() == nil {
 		t.Fatalf("Run: %v, metrics %v", err, e.Metrics())
 	}
@@ -586,45 +581,12 @@ func TestUnreachableEngineStopsWorkers(t *testing.T) {
 	}
 }
 
-func TestMetricsC2PerRoundMax(t *testing.T) {
-	// Round 0: largest message 10 bytes; round 1: largest 3 bytes.
-	// C2 must be 13 regardless of smaller concurrent messages.
-	e := MustNew(4)
-	err := e.Run(func(p *Proc) error {
-		me := p.Rank()
-		size0 := 2
-		if me == 0 {
-			size0 = 10
-		}
-		if _, err := p.SendRecv((me+1)%4, make([]byte, size0), (me+3)%4); err != nil {
-			return err
-		}
-		size1 := 1
-		if me == 2 {
-			size1 = 3
-		}
-		_, err := p.SendRecv((me+1)%4, make([]byte, size1), (me+3)%4)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	m := e.Metrics()
-	if c2 := m.DataVolume(); c2 != 13 {
-		t.Errorf("C2 = %d, want 13", c2)
-	}
-	if got := m.RoundSizes(); len(got) != 2 || got[0] != 10 || got[1] != 3 {
-		t.Errorf("RoundSizes = %v, want [10 3]", got)
-	}
-	if c1 := m.Rounds(); c1 != 2 {
-		t.Errorf("C1 = %d, want 2", c1)
-	}
-}
-
-// TestSkippedRoundsDoNotCount: rounds where nobody sends are not part
-// of C1.
+// TestSkippedRoundsDoNotCount: a skipped round advances the round
+// counter and sends nothing, so the one exchange is logged in round 1.
+// (That C1 leaves such rounds out is TestResultTemplateSemantics' in
+// package collective.)
 func TestSkippedRoundsDoNotCount(t *testing.T) {
-	e := MustNew(2)
+	e := MustNew(2, Record(true))
 	err := e.Run(func(p *Proc) error {
 		p.Skip()
 		other := 1 - p.Rank()
@@ -638,13 +600,18 @@ func TestSkippedRoundsDoNotCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c1 := e.Metrics().Rounds(); c1 != 1 {
-		t.Errorf("C1 = %d, want 1 (skipped rounds must not count)", c1)
+	for _, ev := range e.Metrics().Events() {
+		if ev.Round != 1 {
+			t.Errorf("event %+v, want round 1 (skipped rounds send nothing)", ev)
+		}
+	}
+	if got := len(e.Metrics().Events()); got != 2 {
+		t.Errorf("%d events, want 2", got)
 	}
 }
 
 func TestSingleProcessorRunIsTrivial(t *testing.T) {
-	e := MustNew(1)
+	e := MustNew(1, Record(true))
 	ran := false
 	if err := e.Run(func(p *Proc) error { ran = true; return nil }); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -652,11 +619,8 @@ func TestSingleProcessorRunIsTrivial(t *testing.T) {
 	if !ran {
 		t.Fatal("body did not run")
 	}
-	if c1 := e.Metrics().Rounds(); c1 != 0 {
-		t.Errorf("C1 = %d, want 0", c1)
-	}
-	if c2 := e.Metrics().DataVolume(); c2 != 0 {
-		t.Errorf("C2 = %d, want 0", c2)
+	if events := e.Metrics().Events(); events != nil {
+		t.Errorf("events = %v, want none", events)
 	}
 }
 
@@ -710,8 +674,10 @@ func TestReceiveOnlyRankPoolIsBounded(t *testing.T) {
 	}
 }
 
+// TestEmptyMessage: a zero-length message is delivered and logged like
+// any other.
 func TestEmptyMessage(t *testing.T) {
-	e := MustNew(2)
+	e := MustNew(2, Record(true))
 	err := e.Run(func(p *Proc) error {
 		other := 1 - p.Rank()
 		in, err := p.SendRecv(other, nil, other)
@@ -726,7 +692,8 @@ func TestEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c2 := e.Metrics().DataVolume(); c2 != 0 {
-		t.Errorf("C2 = %d, want 0 for empty messages", c2)
+	want := []Event{{Round: 0, Src: 0, Dst: 1}, {Round: 0, Src: 1, Dst: 0}}
+	if got := e.Metrics().Events(); !slices.Equal(got, want) {
+		t.Errorf("events = %+v, want %+v", got, want)
 	}
 }

@@ -1,6 +1,9 @@
 package mpsim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Link classes of a two-level topology (WithTopology). Engines without
 // a topology tag every event ClassIntra.
@@ -30,18 +33,20 @@ func Record(on bool) Option {
 	return func(e *Engine) { e.record = on }
 }
 
+// Metrics is the event log of one recorded run. The engine counts
+// nothing else: the paper's measures are properties of the schedule,
+// which package collective derives when it compiles a plan. The log
+// stays for the frozen benchmark's replay probe and for the tests that
+// hold a live run to its program.
+type Metrics struct{ events []Event }
+
 // Events returns the recorded messages of the run sorted by (round,
 // src, dst), or nil if recording was not enabled.
 func (m *Metrics) Events() []Event {
-	out := append([]Event(nil), m.events...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	if m == nil || len(m.events) == 0 {
+		return nil
+	}
+	out := slices.Clone(m.events)
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Or(a.Round-b.Round, a.Src-b.Src, a.Dst-b.Dst) })
 	return out
 }

@@ -31,9 +31,6 @@ func TestEventsRecorded(t *testing.T) {
 			t.Errorf("event %d size = %d, want %d", i, ev.Size, i+1)
 		}
 	}
-	if got := e.Metrics().TotalBytes(); got != n*(n+1)/2 {
-		t.Errorf("TotalBytes = %d, want %d", got, n*(n+1)/2)
-	}
 }
 
 func TestEventsOffByDefault(t *testing.T) {

@@ -29,8 +29,8 @@ type Proc struct {
 	round  atomic.Int64
 	done   atomic.Bool
 
-	shard Metrics // this rank's sends in that Run, merged into its Metrics at join
-	recvs int64   // messages this rank received in that Run
+	sent, recvs int64   // messages this rank sent and received in that Run
+	events      []Event // its sends in that Run, under Record only
 }
 
 // Rank returns the processor id, 0 <= rank < n.
@@ -153,7 +153,10 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			payload = p.AcquireBuf(len(s.Data))
 			copy(payload, s.Data)
 		}
-		p.shard.recordSend(p.rank, s.To, round, len(payload))
+		p.sent++
+		if e.record {
+			p.log(round, s.To, len(payload))
+		}
 		if err := p.tr.Send(p.rank, s.To, message{round: round, gen: p.gen, data: payload}); err != nil {
 			return fmt.Errorf("mpsim: p%d round %d: send to p%d: %w", p.rank, round, s.To, err)
 		}
@@ -192,6 +195,15 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 		}
 	}
 	return nil
+}
+
+// log appends the event of one send of round round to rank dst.
+func (p *Proc) log(round, dst, size int) {
+	ev := Event{Round: round, Src: p.rank, Dst: dst, Size: size}
+	if g := p.engine.groupOf; g != nil && g[p.rank] != g[dst] {
+		ev.Class = ClassInter
+	}
+	p.events = append(p.events, ev)
 }
 
 // AcquireBuf returns a length-n scratch buffer from the processor-local

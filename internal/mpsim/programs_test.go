@@ -2,17 +2,19 @@ package mpsim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRunProgramsDisjointMetrics runs two independent programs with
-// different round counts in one engine run and checks each records into
-// its own Metrics, including that the per-program uniformity check does
-// not confuse the two round structures.
+// different round counts in one engine run and checks the run's event
+// log holds each program's messages in its own rounds, including that
+// the per-program uniformity check does not confuse the two round
+// structures.
 func TestRunProgramsDisjointMetrics(t *testing.T) {
-	e := MustNew(4, Watchdog(5*time.Second))
+	e := MustNew(4, Watchdog(5*time.Second), Record(true))
 	// Program A (ranks 0,1): one exchange round.
 	// Program B (ranks 2,3): two exchange rounds.
 	pair := func(a, b int, rounds, size int) Program {
@@ -29,30 +31,16 @@ func TestRunProgramsDisjointMetrics(t *testing.T) {
 			},
 		}
 	}
-	ms, err := e.RunPrograms([]Program{pair(0, 1, 1, 8), pair(2, 3, 2, 3)})
-	if err != nil {
+	if err := e.RunPrograms([]Program{pair(0, 1, 1, 8), pair(2, 3, 2, 3)}); err != nil {
 		t.Fatalf("RunPrograms: %v", err)
 	}
-	if len(ms) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(ms))
+	want := []Event{
+		{Round: 0, Src: 0, Dst: 1, Size: 8}, {Round: 0, Src: 1, Dst: 0, Size: 8},
+		{Round: 0, Src: 2, Dst: 3, Size: 3}, {Round: 0, Src: 3, Dst: 2, Size: 3},
+		{Round: 1, Src: 2, Dst: 3, Size: 3}, {Round: 1, Src: 3, Dst: 2, Size: 3},
 	}
-	if c1 := ms[0].Rounds(); c1 != 1 {
-		t.Errorf("program 0 C1 = %d, want 1", c1)
-	}
-	if c1 := ms[1].Rounds(); c1 != 2 {
-		t.Errorf("program 1 C1 = %d, want 2", c1)
-	}
-	if c2 := ms[0].DataVolume(); c2 != 8 {
-		t.Errorf("program 0 C2 = %d, want 8", c2)
-	}
-	if c2 := ms[1].DataVolume(); c2 != 6 {
-		t.Errorf("program 1 C2 = %d, want 6", c2)
-	}
-	if got := ms[0].Messages(); got != 2 {
-		t.Errorf("program 0 messages = %d, want 2", got)
-	}
-	if e.Metrics() != nil {
-		t.Error("Engine.Metrics() after a multi-program run must be nil")
+	if got := e.Metrics().Events(); !slices.Equal(got, want) {
+		t.Errorf("events = %+v, want %+v", got, want)
 	}
 }
 
@@ -72,7 +60,7 @@ func TestRunProgramsValidation(t *testing.T) {
 			{Members: []int{3}, Body: noop},
 		},
 	} {
-		if _, err := e.RunPrograms(progs); err == nil {
+		if err := e.RunPrograms(progs); err == nil {
 			t.Errorf("%s: RunPrograms accepted invalid programs", name)
 		}
 	}
@@ -85,8 +73,8 @@ func TestRunProgramsValidation(t *testing.T) {
 // TestRunProgramsIdleRanks leaves ranks unclaimed: they run no body and
 // the run still completes and validates.
 func TestRunProgramsIdleRanks(t *testing.T) {
-	e := MustNew(6, Watchdog(5*time.Second))
-	ms, err := e.RunPrograms([]Program{{
+	e := MustNew(6, Watchdog(5*time.Second), Record(true))
+	err := e.RunPrograms([]Program{{
 		Members: []int{1, 4},
 		Body: func(p *Proc) error {
 			other := 5 - p.Rank()
@@ -97,11 +85,8 @@ func TestRunProgramsIdleRanks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunPrograms: %v", err)
 	}
-	if c1 := ms[0].Rounds(); c1 != 1 {
-		t.Errorf("C1 = %d, want 1", c1)
-	}
-	if e.Metrics() != ms[0] {
-		t.Error("Engine.Metrics() after a single-program run must return that program's metrics")
+	if got := len(e.Metrics().Events()); got != 2 {
+		t.Errorf("%d events, want the two members' messages", got)
 	}
 }
 
@@ -110,7 +95,7 @@ func TestRunProgramsIdleRanks(t *testing.T) {
 // the next run.
 func TestRunProgramsDeadlockFencesAll(t *testing.T) {
 	e := MustNew(4, Watchdog(150*time.Millisecond))
-	_, err := e.RunPrograms([]Program{
+	err := e.RunPrograms([]Program{
 		{Members: []int{0, 1}, Body: func(p *Proc) error {
 			other := 1 - p.Rank()
 			_, err := p.SendRecv(other, []byte{1}, other)
@@ -127,7 +112,7 @@ func TestRunProgramsDeadlockFencesAll(t *testing.T) {
 	if !strings.Contains(err.Error(), "p2") {
 		t.Errorf("deadlock error %q does not name the stuck processor p2", err)
 	}
-	ms, err := e.RunPrograms([]Program{{Members: []int{0, 1}, Body: func(p *Proc) error {
+	err = e.RunPrograms([]Program{{Members: []int{0, 1}, Body: func(p *Proc) error {
 		other := 1 - p.Rank()
 		in, err := p.SendRecv(other, []byte{byte(10 + p.Rank())}, other)
 		if err != nil {
@@ -141,9 +126,6 @@ func TestRunProgramsDeadlockFencesAll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunPrograms after deadlock: %v", err)
 	}
-	if c1 := ms[0].Rounds(); c1 != 1 {
-		t.Errorf("C1 after fence = %d, want 1", c1)
-	}
 }
 
 // TestRunProgramsFailureEndsAll: a rank error in one program ends the
@@ -155,7 +137,7 @@ func TestRunProgramsFailureEndsAll(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		e := MustNew(4, WithTransport(b))
 		start := time.Now()
-		_, err := e.RunPrograms([]Program{
+		err := e.RunPrograms([]Program{
 			{Members: []int{0, 1}, Body: func(p *Proc) error { return boom }},
 			{Members: []int{2}, Body: func(p *Proc) error {
 				_, err := p.Exchange(nil, []int{3}) // rank 3 idles: never satisfied
@@ -168,7 +150,7 @@ func TestRunProgramsFailureEndsAll(t *testing.T) {
 		if !errors.Is(err, boom) || strings.Contains(err.Error(), "abandoned") {
 			t.Errorf("err = %v, want boom alone", err)
 		}
-		if _, err := e.RunPrograms([]Program{{Members: []int{2, 3}, Body: func(p *Proc) error {
+		if err := e.RunPrograms([]Program{{Members: []int{2, 3}, Body: func(p *Proc) error {
 			_, err := p.SendRecv(5-p.Rank(), []byte{1}, 5-p.Rank())
 			return err
 		}}}); err != nil {
@@ -181,7 +163,7 @@ func TestRunProgramsFailureEndsAll(t *testing.T) {
 // program is reported and attributed to that program.
 func TestRunProgramsPerProgramUniformity(t *testing.T) {
 	e := MustNew(4, Watchdog(2*time.Second))
-	_, err := e.RunPrograms([]Program{
+	err := e.RunPrograms([]Program{
 		{Members: []int{0, 1}, Body: func(p *Proc) error { p.Skip(); return nil }},
 		{Members: []int{2, 3}, Body: func(p *Proc) error {
 			if p.Rank() == 2 {

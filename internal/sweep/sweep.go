@@ -3,9 +3,9 @@
 // (Figures 4, 5 and 6) and the optimality tables of Sections 2 and 4.
 //
 // Schedule measures are read from the compiled plan (Plan.Rounds,
-// Plan.PredictedC2): the oracle, collective.Exercise, asserts measured =
-// compiled wherever a schedule runs, so nothing here executes one to
-// count. Both measures scale linearly in the block size b, so times for
+// Plan.PredictedC2): every execution's Result is a copy of the plan's,
+// which Plan.Check proves from the program, so nothing here executes a
+// schedule to count. Both measures scale linearly in the block size b, so times for
 // any b follow from the unit-block plan under the linear model
 // T = C1*beta + C2*tau. The studies return their results as cli tables
 // (tables.go); rendering is the CLI's.
