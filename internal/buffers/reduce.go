@@ -6,9 +6,12 @@ package buffers
 // CombineFunc where a plain collective would copy. The built-in kernels
 // cover sum/min/max over the four fixed-width element types, encoded
 // little-endian: a kernel reduces aligned slabs on a little-endian host
-// in place as native elements and any other slab a byte at a time, with
-// identical results on every host; arbitrary user reductions plug in as
-// a raw CombineFunc over whole blocks.
+// in place as native elements and any other slab a byte at a time. On
+// amd64 with AVX2 (kernels_amd64.go), outside -race, the four sum
+// kernels add whole 32-byte vectors in assembly at any alignment and
+// leave the tail to those loops. The results are identical on every
+// host and path. Arbitrary user reductions plug in as a raw CombineFunc
+// over whole blocks.
 //
 // Kernel-safety rules (see also package collective's plan lifecycle
 // documentation; TestBuiltinKernelsContract holds the twelve built-in
@@ -158,6 +161,11 @@ var kernels = [3][4]CombineFunc{
 	Min: {combineMin[int32], combineMin[int64], combineMin[float32], combineMin[float64]},
 	Max: {combineMax[int32], combineMax[int64], combineMax[float32], combineMax[float64]},
 }
+
+// vectorSum holds this host's vector Sum kernels by element type, or
+// none: on amd64 with AVX2, outside -race, an init in kernels_amd64.go
+// fills it and installs it as kernels[Sum].
+var vectorSum [4]CombineFunc
 
 type element interface {
 	int32 | int64 | float32 | float64

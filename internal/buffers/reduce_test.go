@@ -242,17 +242,21 @@ func TestBuiltinKernelsContract(t *testing.T) {
 	}
 }
 
-// TestBuiltinKernelsDifferential runs the twelve kernels down both of
-// their paths against one reference. Slabs of 0 to 67 elements start at
-// an aligned address or one byte past it, dst and src independently: on
-// a little-endian host the aligned pair takes the native loop and the
-// other three the byte-wise one (asserted through views, so neither path
-// can go unexecuted), and both must produce, bit for bit, the fold of
-// the decoded elements (Get and Put) under the language's own +, min
-// and max. The eight
-// special values meet in all 64 pairs: integer sums wrap, and over floats
-// a NaN on either side propagates and -0 orders below +0 — a min or max
-// written as a comparison and an assignment fails here.
+// TestBuiltinKernelsDifferential runs the twelve kernels down every
+// one of their paths against one reference. Slabs of 0 to 67, 255 to
+// 257 and 1023 to 1025 elements (every tail shorter than a 32-byte
+// vector, after zero, one and several unrolled iterations of the vector
+// loops) start at an aligned address or one byte past it, dst and src
+// independently: on a little-endian host the aligned pair takes the
+// native loop and the other three the byte-wise one (asserted through
+// views, so neither path can go unexecuted). Each Sum kernel also runs
+// twice: as Kernel returns it (the host's vector kernel where it has
+// one) and as its portable Go loop. Every path must produce, bit
+// for bit, the fold of the decoded elements (Get and Put) under the
+// language's own +, min and max, and write no byte outside dst. The
+// eight special values meet in all 64 pairs: integer sums wrap, and
+// over floats a NaN on either side propagates and -0 orders below +0 —
+// a min or max written as a comparison and an assignment fails here.
 func TestBuiltinKernelsDifferential(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -269,8 +273,22 @@ func differential[T element](t *testing.T, op ReduceOp, typ DataType, specials [
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, m := typ.Size(), len(specials)
+	names, paths := []string{"Kernel"}, []CombineFunc{kernel}
+	if op == Sum {
+		// Where the host has a vector Sum, Kernel must hand it out; the
+		// portable Go loop then runs beside it.
+		if vec := vectorSum[typ]; vec != nil && reflect.ValueOf(kernel).Pointer() != reflect.ValueOf(vec).Pointer() {
+			t.Errorf("sum over %v: Kernel does not return the host's vector kernel", typ)
+		}
+		names, paths = append(names, "go loop"), append(paths, combineSum[T])
+	}
+	var counts []int
 	for n := 0; n <= 67; n++ {
+		counts = append(counts, n)
+	}
+	counts = append(counts, 255, 256, 257, 1023, 1024, 1025)
+	size, m := typ.Size(), len(specials)
+	for _, n := range counts {
 		a, b := make([]T, n), make([]T, n)
 		for i := range a {
 			a[i], b[i] = specials[i%m], specials[i/m%m]
@@ -289,22 +307,67 @@ func differential[T element](t *testing.T, op ReduceOp, typ DataType, specials [
 		}
 		Put(want, fold)
 		for _, at := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
-			tag := fmt.Sprintf("%v over %v, %d elements, dst at +%d, src at +%d", op, typ, n, at[0], at[1])
-			// A 16-byte-or-larger allocation is at least 8-byte aligned.
-			dst, src := make([]byte, n*size+16)[at[0]:][:n*size], make([]byte, n*size+16)[at[1]:][:n*size]
-			Put(dst, a)
-			Put(src, b)
-			if _, _, native := views[T](dst, src); native != (littleEndian && at == [2]int{0, 0}) {
-				t.Fatalf("%s: native views taken = %v", tag, native)
-			}
-			before := bytes.Clone(src)
-			kernel(dst, src)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s:\n got %v\nwant %v", tag, Get[T](dst), fold)
-			}
-			if !bytes.Equal(src, before) {
-				t.Errorf("%s: the kernel writes src", tag)
+			for p, path := range paths {
+				tag := fmt.Sprintf("%v over %v (%s), %d elements, dst at +%d, src at +%d", op, typ, names[p], n, at[0], at[1])
+				// A 16-byte-or-larger allocation is at least 8-byte
+				// aligned; the bytes around each slab are a canary.
+				dstMem, srcMem := bytes.Repeat([]byte{0xa5}, n*size+16), bytes.Repeat([]byte{0x5a}, n*size+16)
+				dst, src := dstMem[at[0]:][:n*size], srcMem[at[1]:][:n*size]
+				Put(dst, a)
+				Put(src, b)
+				if _, _, native := views[T](dst, src); native != (littleEndian && at == [2]int{0, 0}) {
+					t.Fatalf("%s: native views taken = %v", tag, native)
+				}
+				dstBefore, srcBefore := bytes.Clone(dstMem), bytes.Clone(srcMem)
+				path(dst, src)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s:\n got %v\nwant %v", tag, Get[T](dst), fold)
+				}
+				copy(dstBefore[at[0]:], want)
+				if !bytes.Equal(dstMem, dstBefore) {
+					t.Errorf("%s: the kernel writes outside dst", tag)
+				}
+				if !bytes.Equal(srcMem, srcBefore) {
+					t.Errorf("%s: the kernel writes src", tag)
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkKernels times the twelve built-in kernels on aligned slabs of
+// 128 B and 16 KiB, and each Sum kernel's portable Go loop next to it
+// (the "-go" rows; the same function as the kernel where the host has
+// no vector Sum). SetBytes is the slab: one combine of dst and src.
+// src starts 256 bytes into its allocation, so the two streams do not
+// share their offsets within a 4 KiB page, which stalls the scalar
+// loops on false store-to-load dependencies.
+func BenchmarkKernels(b *testing.B) {
+	for op := Sum; op <= Max; op++ {
+		for typ := Int32; typ <= Float64; typ++ {
+			kernel, err := Kernel(op, typ)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := op.String() + ":" + typ.String()
+			benchKernel(b, name, kernel, typ)
+			if op == Sum {
+				benchKernel(b, name+"-go", [4]CombineFunc{combineSum[int32], combineSum[int64], combineSum[float32], combineSum[float64]}[typ], typ)
+			}
+		}
+	}
+}
+
+func benchKernel(b *testing.B, name string, kernel CombineFunc, typ DataType) {
+	for _, size := range []int{128, 16 << 10} {
+		b.Run(fmt.Sprintf("%s/%dB", name, size), func(b *testing.B) {
+			dst, src := make([]byte, size), make([]byte, size+512)[256:][:size]
+			typ.Fill(dst, 1, 0)
+			typ.Fill(src, 2, 0)
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				kernel(dst, src)
+			}
+		})
 	}
 }

@@ -337,7 +337,8 @@ func compileHierConcat(pl *Plan, h *levels) ([]PlanPhase, roleFunc, error) {
 				b.exts = append(b.exts, spanAt(regWork+1, fixed(c), 0, mc*bl))
 			}
 		}
-		b.local(stepCopy, h.flank(b, regOut, a), b.exts[lo:len(b.exts):len(b.exts)])
+		others := b.exts[lo:len(b.exts):len(b.exts)]
+		b.local(stepCopy, h.flank(b, regOut, a), others)
 		row := b.ext(blocksAt(regWork+2, fixed(0), 1))
 		b.local(stepCopy, row, h.flank(b, regOut, a))
 		b.star("broadcast", h.fan, h.k, m, 0, func(i int) xfer { return xfer{to: fixed(start + i), send: row} }, xfer{})

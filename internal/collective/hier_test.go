@@ -416,3 +416,46 @@ func FuzzHierPartition(f *testing.F) {
 		runHierIndex(t, e, n, 2, topo, fmt.Sprintf("fuzz groups=%v k=%d", groups, k))
 	})
 }
+
+// TestHierCopyStepsMoveEqualLengths: on every rank of every fixed-size
+// hierarchical plan, a local copy step addresses as many bytes on its
+// source side as on its destination side — a copy cut to the shorter
+// side hides a source list that names bytes it never moves (hier
+// concat's leader once listed the flank's own output extents among its
+// sources).
+func TestHierCopyStepsMoveEqualLengths(t *testing.T) {
+	const b = 8
+	sum, err := KernelOptions(buffers.Sum, buffers.Int32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 12; n++ {
+		for k := 1; k <= 2 && k <= max(1, n-1); k++ {
+			for _, groups := range hierShapes(n) {
+				topo := hierTopo(t, groups)
+				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()))
+				for _, op := range []Op{OpIndex, OpConcat, OpAllReduce} {
+					spec := Spec{Op: op, BlockLen: b, Hierarchical: true, Topology: topo}
+					if op == OpAllReduce {
+						spec.Reduce = sum
+					}
+					pl, err := Compile(e, mpsim.WorldGroup(n), spec)
+					if err != nil {
+						t.Fatalf("%v n=%d k=%d groups=%v: %v", op, n, k, groups, err)
+					}
+					pr := pl.prog
+					for me := 0; me < n; me++ {
+						for i, s := range pr.role(me).steps {
+							if s.kind != stepCopy {
+								continue
+							}
+							if from, to := pr.measure(s.xfers[0].send, me), pr.measure(s.xfers[0].recv, me); from != to {
+								t.Errorf("%v n=%d k=%d groups=%v: rank %d step %d copies %d source bytes to %d", op, n, k, groups, me, i, from, to)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Go lines per package: non-test, then _test.go. `scripts/loc.sh >
-# LOC.txt` snapshots them; `scripts/loc.sh -check` fails when a package
-# is new, its non-test lines have grown past its line in LOC.txt, or
-# LOC.txt still lists a package that is gone ("least code" as a tracked
-# trajectory; test lines are tracked, not gated).
+# Go lines per package: non-test (its .s assembly included), then
+# _test.go. `scripts/loc.sh > LOC.txt` snapshots them; `scripts/loc.sh
+# -check` fails when a package is new, its non-test lines have grown
+# past its line in LOC.txt, or LOC.txt still lists a package that is
+# gone ("least code" as a tracked trajectory; test lines are tracked,
+# not gated).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-lines() { find "$1" -maxdepth 1 -name '*.go' "${@:2}" -exec cat {} + | wc -l; }
+lines() { find "$1" -maxdepth 1 \( -name '*.go' -o -name '*.s' \) "${@:2}" -exec cat {} + | wc -l; }
 count() {
 	find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -printf '%h\n' | sort -u |
 		while read -r dir; do
