@@ -62,11 +62,10 @@ type Machine struct {
 type MachineOption func(*machineConfig)
 
 type machineConfig struct {
-	ports    int
-	validate bool
-	backend  Backend
-	chaos    ChaosConfig
-	topo     *costmodel.Topology
+	ports   int
+	backend Backend
+	chaos   ChaosConfig
+	topo    *costmodel.Topology
 }
 
 // Backend names a simulator message-transport implementation. The
@@ -103,13 +102,6 @@ func Ports(k int) MachineOption {
 	return func(c *machineConfig) { c.ports = k }
 }
 
-// Validate enables (default) or disables runtime schedule validation:
-// the k-port constraint, round alignment of matching sends and
-// receives, and schedule uniformity.
-func Validate(on bool) MachineOption {
-	return func(c *machineConfig) { c.validate = on }
-}
-
 // WithTransport selects the simulator's message transport backend:
 // BackendChan (default), BackendSlot, or BackendChaos with its zero
 // configuration (use WithChaos to configure it).
@@ -129,11 +121,11 @@ func WithChaos(cfg ChaosConfig) MachineOption {
 
 // NewMachine creates a simulated machine with n processors.
 func NewMachine(n int, opts ...MachineOption) (*Machine, error) {
-	cfg := machineConfig{ports: 1, validate: true, backend: BackendChan}
+	cfg := machineConfig{ports: 1, backend: BackendChan}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	eopts := []mpsim.Option{mpsim.Ports(cfg.ports), mpsim.Validate(cfg.validate), mpsim.WithTransport(cfg.backend)}
+	eopts := []mpsim.Option{mpsim.Ports(cfg.ports), mpsim.WithTransport(cfg.backend)}
 	if cfg.backend == BackendChaos {
 		eopts = append(eopts, mpsim.WithChaos(cfg.chaos))
 	}

@@ -2,15 +2,16 @@ package collective
 
 // Static plan verification: Plan.Check proves a compiled plan correct
 // from its step program alone, without executing it on the engine. It
-// runs the program of all n ranks symbolically — every byte of every
-// region carries the label of the input bytes it was made from — under
-// the interpreter's rules, and reports:
+// runs the round-major driver's walk (rounds.go) on the label medium —
+// every byte of every region carries the label of the input bytes it was
+// made from — so what it proves is the walk that executes, and reports:
 //
-//   - k-port violations: more than k (times lanes) sends or receives in
-//     a round, a repeated partner, a self-send;
-//   - misaligned rounds: a send nobody receives, a receive nobody
-//     feeds, sizes that disagree, extents outside their block or
-//     region, phase tags, link classes or a swap flag that disagree;
+//   - the walk's faults: more than k (times lanes) sends or receives in
+//     a round, a repeated partner, a self-send or a peer out of range, a
+//     send nobody receives, a receive nobody feeds, sizes that disagree,
+//     ranks that end in different rounds;
+//   - what only labels show: extents outside their block or region,
+//     phase tags, link classes or a swap flag that disagree;
 //   - delivery violations: any output byte that does not end up holding
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions);
@@ -21,13 +22,11 @@ package collective
 //     what the program sends.
 //
 // Labels are runs of bytes, so the cost is in blocks and extents, not
-// in bytes: checking a whole corpus takes milliseconds — cheap enough
-// for `bruckctl vet` to gate CI on it.
-//
-// The same walk carries a second domain, virtual time: under a price per
-// message every rank keeps a clock, which Plan.CriticalPath and
-// CriticalPathTopo read. Plan.Snapshots draws the labels after each
-// round as the paper's figures, and Plan.Messages lists what is sent.
+// in bytes: checking a whole corpus takes milliseconds, cheap enough for
+// `bruckctl vet` to gate CI on it. The walk also lists what is sent
+// (Plan.Messages), which CriticalPath and CriticalPathTopo price with
+// per-processor clocks, and Snapshots draws the labels after each round
+// as the paper's figures.
 
 import (
 	"cmp"
@@ -125,106 +124,178 @@ func merge(a, b []lab) (out []lab, ok bool) {
 	return out, len(a) == 0 && len(b) == 0
 }
 
-// simView places one region of a frame in a rank's symbolic memories.
-type simView struct {
-	shape
-	mem, base int
+// labels is the label medium: each rank's memories as runs of labels —
+// its input and output regions, then every scratch region a frame of it
+// acquires — and their sizes. add sees each violation; msgs are the
+// messages sent, streams their labels, and tags each round's phase.
+type labels struct {
+	pl      *Plan
+	mems    [][][]lab
+	size    [][]int
+	phase   []string // each rank's pending exchange's
+	entered []int    // each rank's last round entered, plus one
+	add     func(string, ...any)
+	msgs    []mpsim.Event
+	streams [][]lab
+	tags    map[int]string
 }
 
-// simFrame is the symbolic counterpart of the interpreter's frame.
-type simFrame struct {
-	pr      *program
-	me      int
-	members []int
-	reg     [maxRegs]simView
-}
-
-func (fr *simFrame) rank(a rel) int {
-	r := a.of(fr.me, fr.pr.n, 0)
-	if fr.members != nil && r >= 0 && r < len(fr.members) {
-		r = fr.members[r]
-	}
-	return r
-}
-
-// simOp is one step of a rank's flattened program: embedded
-// sub-programs are inlined, exchanges carry their global round.
-type simOp struct {
-	s     *step
-	fr    *simFrame
-	round int
-	phase string
-}
-
-// simRank is the symbolic state of one rank; clock is its virtual time.
-type simRank struct {
-	mems  [][]lab
-	size  []int
-	ops   []simOp
-	pc    int
-	clock float64
-}
-
-type sim struct {
-	pl     *Plan
-	n      int
-	ranks  []simRank
-	rounds int
-	add    func(string, ...any)
-	// price is the time of one message of bytes bytes from processor src
-	// to processor dst.
-	price func(src, dst, bytes int) float64
-}
-
-// newSim starts a walk of pl's program (sim.start) that reports
-// violations to add and charges the clocks by price; a nil add drops
-// violations, a nil price leaves every clock at zero.
-func newSim(pl *Plan, add func(string, ...any), price func(src, dst, bytes int) float64) *sim {
+// walkLabels runs the round-major driver's walk of pl on the label
+// medium, every rank's input labelled as its own: add (nil: nothing)
+// sees each violation, each (if set) every round completed (rounds.run).
+// It returns the medium and the round the walk ends in; the medium
+// records every fault, so the walk always ends.
+func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done int)) (*labels, int) {
 	if add == nil {
 		add = func(string, ...any) {}
 	}
-	if price == nil {
-		price = func(int, int, int) float64 { return 0 }
+	n := pl.group.Size()
+	lm := &labels{pl: pl, mems: make([][][]lab, n), size: make([][]int, n), phase: make([]string, n), entered: make([]int, n), add: add, tags: map[int]string{}}
+	for r := range n {
+		inSize, outSize := pl.sizes(r)
+		lm.mems[r] = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
+		lm.size[r] = []int{inSize, outSize}
 	}
-	s := &sim{pl: pl, n: pl.group.Size(), ranks: make([]simRank, pl.group.Size()), add: add, price: price}
-	s.rounds = s.start()
-	return s
+	var d rounds
+	var done func(int)
+	if each != nil {
+		done = func(t int) { each(lm, t) }
+	}
+	d.run(pl, lm, lm.bind, done)
+	return lm, d.end
 }
 
-// run simulates every round under the engine's k ports and hands each
-// round's largest message and phase tag to each (nil: nobody).
-func (s *sim) run(each func(t, roundMax int, phase string)) {
-	for t := 0; t < s.rounds; t++ {
-		roundMax, phase := s.round(t, s.pl.engine.Ports())
-		if each != nil {
-			each(t, roundMax, phase)
+// bind places group rank me's input and output regions on its first two
+// memories.
+func (lm *labels) bind(f *frame, me int) {
+	f.reg[regIn] = region{shape: lm.pl.prog.shapeOf(regIn, me), mem: 0}
+	f.reg[regOut] = region{shape: lm.pl.prog.shapeOf(regOut, me), mem: 1}
+}
+
+func (lm *labels) acquire(f *frame, reg regID, bytes int) {
+	r := f.rank(fixed(f.me))
+	f.reg[reg].mem = len(lm.mems[r])
+	lm.mems[r], lm.size[r] = append(lm.mems[r], nil), append(lm.size[r], bytes)
+}
+
+func (*labels) release(*frame, regID) {}
+
+func (lm *labels) local(f *frame, s *step) {
+	r, x := f.rank(fixed(f.me)), &s.xfers[0]
+	dst, src := lm.pieces(f, x.recv), lm.pieces(f, x.send)
+	switch s.kind {
+	case stepCopy:
+		stream, total := lm.read(r, src)
+		for i, avail := 0, total; i < len(dst); i++ { // the streams end together
+			if dst[i].n > avail {
+				dst[i].n = avail
+			}
+			avail -= dst[i].n
+		}
+		lm.write(r, dst, stream, x.combine)
+	case stepSpread:
+		for i := range dst {
+			if i < len(src) {
+				if src[i].n < dst[i].n {
+					dst[i].n = src[i].n
+				}
+				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n}})
+				lm.write(r, dst[i:i+1], stream, false)
+			}
 		}
 	}
+}
+
+func (lm *labels) embed(sub, f *frame, s *step) {
+	for reg, exts := range [][]extent{regIn: s.xfers[0].send, regOut: s.xfers[0].recv} {
+		if ps := lm.pieces(f, exts); len(ps) > 0 {
+			sub.reg[reg].mem, sub.reg[reg].base = ps[0].mem, ps[0].off
+		}
+	}
+}
+
+// enter opens rank me's exchange of round t at its first send or
+// receive: it holds the exchange's phase to the round's and each
+// transfer's swap flag to its extents. The exchange is the step before
+// f.at (cursor.next).
+func (lm *labels) enter(f *frame, me, t int) {
+	if lm.entered[me] == t+1 {
+		return
+	}
+	lm.entered[me] = t + 1
+	s := &f.pr.role(f.me).steps[f.at-1]
+	lm.phase[me] = f.phaseOf(s)
+	if lm.tags[t] == "" {
+		lm.tags[t] = lm.phase[me]
+	} else if lm.phase[me] != lm.tags[t] {
+		lm.add("round %d: rank %d runs phase %q while others run %q", t, me, lm.phase[me], lm.tags[t])
+	}
+	for i := range s.xfers {
+		x := &s.xfers[i]
+		if derived := f.pr.role(f.me).swaps(s, x); x.swap != derived {
+			lm.add("round %d: rank %d: transfer has swap = %v, its extents say %v (one whole scratch region sent and received)", t, me, x.swap, derived)
+		}
+	}
+}
+
+// outgoing reads the send extents' labels and lists the message; a
+// hierarchical plan's phase moves over one link class.
+func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
+	lm.enter(f, me, t)
+	stream, n := lm.read(me, lm.pieces(f, x.send))
+	lm.msgs = append(lm.msgs, mpsim.Event{Round: t, Src: lm.pl.group.ID(me), Dst: lm.pl.group.ID(to), Size: n})
+	lm.streams = append(lm.streams, stream)
+	if topo, phase := lm.pl.topo, lm.phase[me]; topo != nil {
+		for _, ph := range lm.pl.phases {
+			if ph.Name == phase && costmodel.LinkClass(ph.Class) != topo.LinkClass(me, to) {
+				lm.add("round %d: phase %q is %v but rank %d -> %d is an %v link", t, phase, costmodel.LinkClass(ph.Class), me, to, topo.LinkClass(me, to))
+			}
+		}
+	}
+	p.msg = int32(len(lm.msgs) - 1)
+}
+
+// land writes or combines the payload's labels into the recv extents if
+// it is exactly their size.
+func (lm *labels) land(f *frame, x *xfer, p *payload, me, t int) error {
+	lm.enter(f, me, t)
+	ps, want := lm.pieces(f, x.recv), 0
+	for _, q := range ps {
+		want += q.n
+	}
+	if m := lm.msgs[p.msg]; m.Size != want {
+		lm.add("group rank %d: "+errSize, me, m.Size, m.Src, want, t)
+		return nil
+	}
+	lm.write(me, ps, lm.streams[p.msg], x.combine)
+	return nil
+}
+
+func (lm *labels) fault(format string, args ...any) error {
+	lm.add(format, args...)
+	return nil
 }
 
 // piece is a byte range of one symbolic memory.
 type piece struct{ mem, off, n int }
 
-// pieces resolves an extent list of rank r's frame fr, reporting
-// extents that leave their block or region.
-func (s *sim) pieces(r int, fr *simFrame, exts []extent) []piece {
+// pieces resolves an extent list of frame f, reporting extents that
+// leave their block or region.
+func (lm *labels) pieces(f *frame, exts []extent) []piece {
 	var out []piece
+	r := f.rank(fixed(f.me))
 	for i := range exts {
 		e := &exts[i]
-		v := fr.reg[e.reg]
+		v := &f.reg[e.reg]
 		for b := 0; b < int(e.n); b++ {
-			step := b
-			if e.rev {
-				step = -b
-			}
-			j, room := e.at.of(fr.me, fr.pr.n, step), s.ranks[r].size[v.mem]-v.base
+			j, room := e.block(f.me, f.pr.n, b), lm.size[r][v.mem]-v.base
 			if j < 0 || (v.lay == nil && (j+1)*v.stride > room) || (v.lay != nil && j >= v.lay.Cols()) {
-				s.add("rank %d: block %d outside region of %d bytes", r, j, room)
+				lm.add("rank %d: block %d outside region of %d bytes", r, j, room)
 				continue
 			}
-			off, ln := e.bytes(v.shape, fr.me, fr.pr.n, b)
+			off, ln := e.bytes(v.shape, f.me, f.pr.n, b)
 			if _, bn := v.span(j); ln < 0 || int(e.off)+ln > bn {
-				s.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
+				lm.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
 				continue
 			}
 			out = append(out, piece{v.mem, v.base + off, ln})
@@ -233,12 +304,13 @@ func (s *sim) pieces(r int, fr *simFrame, exts []extent) []piece {
 	return out
 }
 
-// read gathers the labels of pieces as one stream and returns its size.
-func (s *sim) read(r int, ps []piece) ([]lab, int) {
+// read gathers the labels of rank r's pieces as one stream and returns
+// its size.
+func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 	var out []lab
 	total := 0
 	for _, p := range ps {
-		for _, l := range clip(s.ranks[r].mems[p.mem], p.off, p.n) {
+		for _, l := range clip(lm.mems[r][p.mem], p.off, p.n) {
 			l.off += total
 			out = append(out, l)
 		}
@@ -247,96 +319,22 @@ func (s *sim) read(r int, ps []piece) ([]lab, int) {
 	return out, total
 }
 
-// write scatters a label stream over pieces, combining when asked.
-func (s *sim) write(r int, ps []piece, stream []lab, combine bool) {
+// write scatters a label stream over rank r's pieces, combining when
+// asked.
+func (lm *labels) write(r int, ps []piece, stream []lab, combine bool) {
 	pos := 0
 	for _, p := range ps {
 		rs := clip(stream, pos, p.n)
-		mem := &s.ranks[r].mems[p.mem]
+		mem := &lm.mems[r][p.mem]
 		if combine {
 			var ok bool
 			if rs, ok = merge(clip(*mem, p.off, p.n), rs); !ok {
-				s.add("delivery: rank %d combines bytes of different origin or extent", r)
+				lm.add("delivery: rank %d combines bytes of different origin or extent", r)
 			}
 		}
 		*mem = put(*mem, p.off, p.n, rs)
 		pos += p.n
 	}
-}
-
-// flatten inlines rank r's role of fr.pr from global round t on and
-// returns the round it ends in. Scratch regions become fresh memories.
-func (s *sim) flatten(r int, fr *simFrame, t int, phase string) int {
-	rk := &s.ranks[r]
-	ro := fr.pr.role(fr.me)
-	for i, sc := range ro.scratch {
-		fr.reg[int(regWork)+i] = simView{shape{stride: sc.stride}, len(rk.mems), 0}
-		rk.mems, rk.size = append(rk.mems, nil), append(rk.size, sc.bytes)
-	}
-	for i := range ro.steps {
-		st := &ro.steps[i]
-		ph := phase
-		if ph == "" {
-			ph = st.phase
-		}
-		switch st.kind {
-		case stepExchange:
-			rk.ops = append(rk.ops, simOp{st, fr, t, ph})
-			t++
-		case stepSkip:
-			t += st.n
-		case stepEmbed:
-			sub := &simFrame{pr: st.em.sub, me: st.em.me, members: st.em.members}
-			for reg, exts := range [][]extent{regIn: st.xfers[0].send, regOut: st.xfers[0].recv} {
-				if ps := s.pieces(r, fr, exts); len(ps) > 0 {
-					sub.reg[reg] = simView{shape{stride: sub.pr.bl}, ps[0].mem, ps[0].off}
-				}
-			}
-			t = s.flatten(r, sub, t, ph) + st.n
-		default:
-			rk.ops = append(rk.ops, simOp{st, fr, -1, ph})
-		}
-	}
-	return t
-}
-
-// local runs rank r's local steps up to its next exchange.
-func (s *sim) local(r int) {
-	rk := &s.ranks[r]
-	for ; rk.pc < len(rk.ops) && rk.ops[rk.pc].round < 0; rk.pc++ {
-		op := rk.ops[rk.pc]
-		x := &op.s.xfers[0]
-		dst, src := s.pieces(r, op.fr, x.recv), s.pieces(r, op.fr, x.send)
-		switch op.s.kind {
-		case stepCopy:
-			stream, total := s.read(r, src)
-			for i, avail := 0, total; i < len(dst); i++ { // the streams end together
-				if dst[i].n > avail {
-					dst[i].n = avail
-				}
-				avail -= dst[i].n
-			}
-			s.write(r, dst, stream, x.combine)
-		case stepSpread:
-			for i := range dst {
-				if i < len(src) {
-					if src[i].n < dst[i].n {
-						dst[i].n = src[i].n
-					}
-					stream, _ := s.read(r, []piece{{src[i].mem, src[i].off, dst[i].n}})
-					s.write(r, dst[i:i+1], stream, false)
-				}
-			}
-		}
-	}
-}
-
-// post is a message in flight within one simulated round, arriving at
-// virtual time at.
-type post struct {
-	src, bytes int
-	stream     []lab
-	at         float64
 }
 
 // Check statically verifies the compiled plan and returns all
@@ -365,24 +363,20 @@ func (pl *Plan) Check() []string {
 	if res.C2 < res.C2LowerBound {
 		add("c2=%d below the paper's lower bound %d", res.C2, res.C2LowerBound)
 	}
-	// The walk prices every message: count them, and the rounds that
-	// send one (busy), as they go.
-	var msgs, total int64
-	t, last, busy := 0, -1, 0
-	s := newSim(pl, add, func(_, _, bytes int) float64 {
-		if last < t {
-			last, busy = t, busy+1
+	lm, c1 := pl.walkLabels(add, nil)
+	// Count what the walk sent: messages, bytes, each round's largest
+	// and the rounds that send one (busy), up to the last.
+	maxes, tags, c2, total, busy, last := make([]int, c1), lm.tags, 0, int64(0), 0, -1
+	for _, m := range lm.msgs {
+		if m.Round > last {
+			last, busy = m.Round, busy+1
 		}
-		msgs, total = msgs+1, total+int64(bytes)
-		return 0
-	})
-	c1, c2 := s.rounds, 0
-	maxes, tags := make([]int, c1), make([]string, c1)
-	s.run(func(round, roundMax int, phase string) {
-		maxes[round], tags[round] = roundMax, phase
-		c2 += roundMax
-		t = round + 1
-	})
+		maxes[m.Round] = max(maxes[m.Round], m.Size)
+		total += int64(m.Size)
+	}
+	for _, m := range maxes {
+		c2 += m
+	}
 	if c1 != pl.c1 {
 		add("c1=%d but the program runs %d rounds", pl.c1, c1)
 	}
@@ -392,10 +386,10 @@ func (pl *Plan) Check() []string {
 	if busy != res.C1 || !slices.Equal(res.RoundSizes, maxes[:last+1]) {
 		add("the Result has C1=%d and round sizes %v, the program sends in %d rounds with maxima %v", res.C1, res.RoundSizes, busy, maxes[:last+1])
 	}
-	if msgs != res.Messages || total != res.TotalBytes {
+	if msgs := int64(len(lm.msgs)); msgs != res.Messages || total != res.TotalBytes {
 		add("the Result has %d messages of %d bytes, the program sends %d of %d", res.Messages, res.TotalBytes, msgs, total)
 	}
-	s.verify()
+	lm.verify()
 	// finish derived the phase table assuming each phase is one run of
 	// rounds tagged with its name; re-derive it from the rounds that ran,
 	// and the per-level split from it.
@@ -433,22 +427,25 @@ func (pl *Plan) Snapshots() ([]trace.Step, error) {
 	if v := pl.Check(); len(v) > 0 {
 		return nil, fmt.Errorf("collective: %s plan fails Check: %s", pl.op, strings.Join(v, "; "))
 	}
-	s := newSim(pl, nil, nil)
-	steps := []trace.Step{s.snapshot("before round 0")}
-	s.run(func(t, _ int, _ string) {
-		steps = append(steps, s.snapshot(fmt.Sprintf("after round %d", t)))
+	var steps []trace.Step
+	pl.walkLabels(nil, func(lm *labels, done int) {
+		caption := "before round 0"
+		if done > 0 {
+			caption = fmt.Sprintf("after round %d", done-1)
+		}
+		steps = append(steps, lm.snapshot(caption))
 	})
 	return steps, nil
 }
 
 // CriticalPath prices one execution under p with per-processor clocks,
-// the accounting Section 1.2 contrasts with Time's C1*Beta + C2*Tau, on
-// the walk Check proves the plan with. In a round a sender pays
-// MessageTime of its largest send (its ports run in parallel), a message
-// arrives at its sender's round start plus its own MessageTime, and a
-// rank leaves the round at the later of the two; the result is the
-// latest clock. It equals Time on the paper's symmetric schedules and is
-// below it on skewed ones such as folklore.
+// the accounting Section 1.2 contrasts with Time's C1*Beta + C2*Tau,
+// over the messages of the walk Check proves the plan with. In a round a
+// sender pays MessageTime of its largest send (its ports run in
+// parallel), a message arrives at its sender's round start plus its own
+// MessageTime, and a processor leaves the round at the later of the two;
+// the result is the latest clock. It equals Time on the paper's
+// symmetric schedules and is below it on skewed ones such as folklore.
 func (pl *Plan) CriticalPath(p costmodel.Profile) float64 {
 	return pl.criticalPath(func(_, _, bytes int) float64 { return p.MessageTime(bytes) })
 }
@@ -468,16 +465,19 @@ func (pl *Plan) CriticalPathTopo(t *costmodel.Topology) (float64, error) {
 	}), nil
 }
 
-// criticalPath walks the plan with clocks charged by price and returns
-// the latest.
+// criticalPath runs the clocks over Messages, each message priced by
+// price, and returns the latest.
 func (pl *Plan) criticalPath(price func(src, dst, bytes int) float64) float64 {
-	s := newSim(pl, nil, price)
-	s.run(nil)
-	latest := 0.0
-	for _, rk := range s.ranks {
-		latest = max(latest, rk.clock)
+	msgs := pl.Messages()
+	start, clock := make([]float64, pl.engine.N()), make([]float64, pl.engine.N())
+	for i, m := range msgs {
+		if i > 0 && m.Round != msgs[i-1].Round {
+			copy(start, clock)
+		}
+		at := start[m.Src] + price(m.Src, m.Dst, m.Size)
+		clock[m.Src], clock[m.Dst] = max(clock[m.Src], at), max(clock[m.Dst], at)
 	}
-	return latest
+	return slices.Max(clock)
 }
 
 // Messages returns every message one execution sends as the engine
@@ -486,25 +486,22 @@ func (pl *Plan) criticalPath(price func(src, dst, bytes int) float64) float64 {
 // source and destination — read off the walk Check proves the plan
 // with, so a live run records exactly these.
 func (pl *Plan) Messages() []mpsim.Event {
-	var msgs []mpsim.Event
-	t, groupOf := 0, pl.engine.GroupAssignment()
-	s := newSim(pl, nil, func(src, dst, bytes int) float64 {
-		ev := mpsim.Event{Round: t, Src: src, Dst: dst, Size: bytes}
-		if groupOf != nil && groupOf[src] != groupOf[dst] {
-			ev.Class = mpsim.ClassInter
+	lm, _ := pl.walkLabels(nil, nil)
+	if groupOf := pl.engine.GroupAssignment(); groupOf != nil {
+		for i, m := range lm.msgs {
+			if groupOf[m.Src] != groupOf[m.Dst] {
+				lm.msgs[i].Class = mpsim.ClassInter
+			}
 		}
-		msgs = append(msgs, ev)
-		return 0
-	})
-	s.run(func(round, _ int, _ string) { t = round + 1 })
-	slices.SortFunc(msgs, func(a, b mpsim.Event) int { return cmp.Or(a.Round-b.Round, a.Src-b.Src, a.Dst-b.Dst) })
-	return msgs
+	}
+	slices.SortFunc(lm.msgs, func(a, b mpsim.Event) int { return cmp.Or(a.Round-b.Round, a.Src-b.Src, a.Dst-b.Dst) })
+	return lm.msgs
 }
 
-// snapshot runs every rank's local steps up to its next exchange and
-// draws its regions, each as deep as its most blocks on any rank.
-func (s *sim) snapshot(caption string) trace.Step {
-	pl, n := s.pl, s.n
+// snapshot draws every rank's regions, each as deep as its most blocks
+// on any rank.
+func (lm *labels) snapshot(caption string) trace.Step {
+	pl, n := lm.pl, len(lm.mems)
 	owner, nscratch := make(map[uint64]int, n), 0
 	for r := 0; r < n; r++ {
 		owner[rankHash(r)] = r
@@ -512,12 +509,11 @@ func (s *sim) snapshot(caption string) trace.Step {
 	}
 	cells, depth, names := make([][][]trace.Label, n), make([]int, nscratch+2), make([]string, nscratch+2)
 	for r := range cells {
-		s.local(r)
 		cells[r] = make([][]trace.Label, len(depth))
 		draw := func(g int, name string, sh shape, mem, blocks int) {
 			for j := 0; j < blocks; j++ {
 				off, ln := sh.span(j)
-				cells[r][g] = append(cells[r][g], s.cell(clip(s.ranks[r].mems[mem], off, ln), ln, owner))
+				cells[r][g] = append(cells[r][g], lm.cell(clip(lm.mems[r][mem], off, ln), ln, owner))
 			}
 			depth[g], names[g] = max(depth[g], blocks), name
 		}
@@ -545,13 +541,13 @@ func (s *sim) snapshot(caption string) trace.Step {
 
 // cell draws ln bytes holding the runs got: one whole input block of one
 // rank is its label, nothing trace.Empty, anything else trace.Mixed.
-func (s *sim) cell(got []lab, ln int, owner map[uint64]int) trace.Label {
+func (lm *labels) cell(got []lab, ln int, owner map[uint64]int) trace.Label {
 	if len(got) == 0 {
 		return trace.Empty
 	}
 	l := got[0]
 	if from, ok := owner[l.who]; ok && len(got) == 1 && l.off == 0 && l.n == ln && l.cnt == 1 {
-		in, blocks := s.pl.prog.shapeOf(regIn, from), s.pl.blocks(regIn, from)
+		in, blocks := lm.pl.prog.shapeOf(regIn, from), lm.pl.blocks(regIn, from)
 		j := sort.Search(blocks, func(j int) bool { off, n := in.span(j); return off+n > l.src })
 		if off, n := in.span(j); off == l.src && n == ln {
 			return trace.Label{Proc: from, Block: j}
@@ -560,153 +556,16 @@ func (s *sim) cell(got []lab, ln int, owner map[uint64]int) trace.Label {
 	return trace.Mixed
 }
 
-// start labels every rank's input region as its own, flattens every
-// rank's role and returns the round the longest one ends in.
-func (s *sim) start() (rounds int) {
-	pl := s.pl
-	for r := range s.ranks {
-		fr := &simFrame{pr: pl.prog, me: r}
-		fr.reg[regIn] = simView{pl.prog.shapeOf(regIn, r), 0, 0}
-		fr.reg[regOut] = simView{pl.prog.shapeOf(regOut, r), 1, 0}
-		inSize, outSize := pl.sizes(r)
-		s.ranks[r].mems = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
-		s.ranks[r].size = []int{inSize, outSize}
-		if t := s.flatten(r, fr, 0, ""); t > rounds {
-			rounds = t
-		}
-	}
-	return rounds
-}
-
-// exchanging returns rank r's exchange of global round t, after running
-// the local steps before it; nil when the rank sits the round out.
-func (s *sim) exchanging(r, t int) *simOp {
-	s.local(r)
-	if rk := &s.ranks[r]; rk.pc < len(rk.ops) && rk.ops[rk.pc].round == t {
-		return &rk.ops[rk.pc]
-	}
-	return nil
-}
-
-// round simulates global round t under k ports and returns its largest
-// message and its phase tag: first every rank posts its sends, read
-// from the state before the round, then every rank lands its receives.
-// A rank's clock leaves the round at the later of its costliest send
-// and its last arrival, each timed from the sender's round start.
-func (s *sim) round(t, k int) (roundMax int, phase string) {
-	add, n := s.add, s.n
-	inbox := make([][]post, n)
-	for r := range s.ranks {
-		op := s.exchanging(r, t)
-		if op == nil {
-			continue
-		}
-		if phase == "" {
-			phase = op.phase
-		} else if op.phase != phase {
-			add("round %d: rank %d runs phase %q while others run %q", t, r, op.phase, phase)
-		}
-		ports := k
-		if op.s.n > 1 {
-			ports *= op.s.n
-		}
-		var to, from []int
-		sent := s.ranks[r].clock
-		for i := range op.s.xfers {
-			x := &op.s.xfers[i]
-			if derived := op.fr.pr.role(op.fr.me).swaps(op.s, x); x.swap != derived {
-				add("round %d: rank %d: transfer has swap = %v, its extents say %v (one whole scratch region sent and received)", t, r, x.swap, derived)
-			}
-			if x.to.mode != addrNone {
-				peer := op.fr.rank(x.to)
-				to = append(to, peer)
-				stream, bytes := s.read(r, s.pieces(r, op.fr, x.send))
-				if peer >= 0 && peer < n {
-					m := post{r, bytes, stream, s.ranks[r].clock + s.price(s.pl.group.ID(r), s.pl.group.ID(peer), bytes)}
-					inbox[peer] = append(inbox[peer], m)
-					sent = max(sent, m.at)
-				}
-				if bytes > roundMax {
-					roundMax = bytes
-				}
-				s.pl.checkClass(op.phase, r, peer, t, add)
-			}
-			if x.from.mode != addrNone {
-				from = append(from, op.fr.rank(x.from))
-			}
-		}
-		s.ranks[r].clock = sent // only now: every send leaves at the round's start
-		for _, peers := range [][]int{to, from} {
-			if len(peers) > ports {
-				add(errPorts, t, r, len(peers), ports)
-			}
-			for i, p := range peers {
-				if p == r || p < 0 || p >= n {
-					add(errAddress, t, r, p)
-				}
-				for _, q := range peers[:i] {
-					if p == q {
-						add(errTwice, t, r, p)
-					}
-				}
-			}
-		}
-	}
-	for r := range s.ranks {
-		op := s.exchanging(r, t)
-		if op == nil {
-			continue
-		}
-		s.ranks[r].pc++
-		for i := range op.s.xfers {
-			x := &op.s.xfers[i]
-			if x.from.mode == addrNone {
-				continue
-			}
-			src, ps := op.fr.rank(x.from), s.pieces(r, op.fr, x.recv)
-			want := 0
-			for _, p := range ps {
-				want += p.n
-			}
-			found := false
-			for j, m := range inbox[r] {
-				if m.src != src {
-					continue
-				}
-				found = true
-				s.ranks[r].clock = max(s.ranks[r].clock, m.at)
-				if m.bytes != want {
-					add("delivery: round %d: rank %d sends %d bytes to rank %d, which expects %d bytes", t, src, m.bytes, r, want)
-				} else {
-					s.write(r, ps, m.stream, x.combine)
-				}
-				inbox[r] = append(inbox[r][:j], inbox[r][j+1:]...)
-				break
-			}
-			if !found {
-				add(errUnfed, t, r, src)
-			}
-		}
-	}
-	for r, left := range inbox {
-		for _, m := range left {
-			add(errUnreceived, t, m.src, r)
-		}
-	}
-	return roundMax, phase
-}
-
 // verify checks that every output block holds exactly what the
 // operation defines (Plan.goal).
-func (s *sim) verify() {
-	pl, n := s.pl, s.n
+func (lm *labels) verify() {
+	pl, n := lm.pl, len(lm.mems)
 	all := uint64(0)
 	for r := 0; r < n; r++ {
 		all += rankHash(r)
 	}
 	bad := 0
 	for r := 0; r < n && bad < 3; r++ {
-		s.local(r)
 		out := pl.prog.shapeOf(regOut, r)
 		for j := 0; j < pl.blocks(regOut, r) && bad < 3; j++ {
 			from, blk, cnt := pl.goal(r, j)
@@ -716,7 +575,7 @@ func (s *sim) verify() {
 			}
 			off, ln := out.span(j)
 			srcOff, _ := pl.prog.shapeOf(regIn, from).span(blk)
-			got := clip(s.ranks[r].mems[1], off, ln)
+			got := clip(lm.mems[r][1], off, ln)
 			ok := ln == 0 || (len(got) > 0 && got[0].off == 0)
 			for i, l := range got {
 				ok = ok && l.src-l.off == srcOff && l.cnt == cnt && l.who == who
@@ -727,24 +586,9 @@ func (s *sim) verify() {
 				}
 			}
 			if !ok {
-				s.add("delivery: rank %d output block %d does not hold its %d bytes of %s", r, j, ln, pl.op)
+				lm.add("delivery: rank %d output block %d does not hold its %d bytes of %s", r, j, ln, pl.op)
 				bad++
 			}
-		}
-	}
-}
-
-// checkClass enforces the level discipline of a hierarchical plan: a
-// message of an intra phase stays inside a group, one of an inter phase
-// crosses groups.
-func (pl *Plan) checkClass(phase string, src, dst, round int, add func(string, ...any)) {
-	if pl.topo == nil || dst < 0 || dst >= pl.topo.N() {
-		return
-	}
-	for _, ph := range pl.phases {
-		if ph.Name == phase && costmodel.LinkClass(ph.Class) != pl.topo.LinkClass(src, dst) {
-			add("round %d: phase %q is %v but rank %d -> %d is an %v link", round, phase,
-				costmodel.LinkClass(ph.Class), src, dst, pl.topo.LinkClass(src, dst))
 		}
 	}
 }

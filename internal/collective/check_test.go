@@ -197,6 +197,7 @@ func TestCheckPerturbations(t *testing.T) {
 	// memberStep returns an exchange step of rank 1, a non-leader member
 	// of the first group of a hierarchical plan.
 	memberStep := func(pl *Plan) *step { return exchanges(pl.prog, 1)[0] }
+	hierConcat := configs["hier-concat-4-4-3"]
 	cases := []struct {
 		name    string
 		base    checkConfig
@@ -359,6 +360,9 @@ func TestCheckPerturbations(t *testing.T) {
 			x := &memberStep(pl).xfers[0]
 			x.recv = x.recv[:len(x.recv)-1]
 		}, "delivery"},
+		// The intra sub-program's frame has four ranks: its peer 7 is
+		// outside the frame, not group rank 7.
+		{"hier concat sub-program peer outside its frame", hierConcat, outOfFrame, outOfFrameText},
 		{"hier allreduce member bypasses the leader", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 2 }, "delivery"},
 		{"hier allreduce phase tag", configs["hier-allreduce-4x4"], func(pl *Plan) { memberStep(pl).phase = "broadcast" }, "phase"},
 		{"hier index gather crosses groups", configs["hier-index-4-4-3"], func(pl *Plan) { memberStep(pl).xfers[0].to.c = 4 }, "link"},
@@ -415,5 +419,29 @@ func TestCheckPerturbations(t *testing.T) {
 				t.Fatalf("Snapshots() drew the perturbed plan")
 			}
 		})
+	}
+	// The round-major driver walks the same frames: the out-of-frame peer
+	// is the same fault, not a panic.
+	pl := compileCheckPlan(t, hierConcat)
+	outOfFrame(pl)
+	mem := must(pl.Alloc())
+	if _, err := pl.runRounds(mem); err == nil || err.Error() != "collective: "+outOfFrameText {
+		t.Errorf("round-major driver on the out-of-frame peer: error %v, want %q", err, "collective: "+outOfFrameText)
+	}
+}
+
+// outOfFrameText is the fault of outOfFrame, on Check and the round-major
+// driver alike.
+const outOfFrameText = "round 0: rank 0 addresses rank -1 (self-send or out of range; k-port)"
+
+// outOfFrame re-points the first send of the sub-program rank 0 embeds
+// at frame rank 7.
+func outOfFrame(pl *Plan) {
+	ro := pl.prog.role(0)
+	for i := range ro.steps {
+		if em := ro.steps[i].em; em != nil {
+			exchanges(em.sub, em.me)[0].xfers[0].to = fixed(7)
+			return
+		}
 	}
 }

@@ -99,33 +99,34 @@
 //
 // # The step program
 //
-// There is exactly one schedule representation and one interpreter
-// (run.go): every execution binds each rank's two regions of its Memory and
-// steps the rank through its role with one step loop (cursor.next), an
-// embedded sub-program as a sub-frame, a skip as a round offset. Two
-// drivers run that loop. The round-major driver (rounds.go) runs every
-// rank's role on the caller's goroutine, round by round: each rank posts
-// its sends and lands its receives as soon as its senders have posted.
-// The engine driver (frame.run) runs each rank's role on the rank's
-// mpsim worker, one ExchangeOwned per exchange. Neither counts: the
+// There is exactly one schedule representation and one walk of it
+// (run.go, rounds.go): a rank steps through its role with one step loop
+// (cursor.next), an embedded sub-program as a sub-frame, a skip as a
+// round offset, and the round-major driver runs every rank's exchanges
+// round by round — each rank posts its sends and lands its receives as
+// soon as its senders have posted. The walk runs on one of two media:
+// bytes, to execute a plan on a Memory, and labels, to prove it
+// (Plan.Check) and to read its figures, clocks and messages. The engine
+// driver (frame.run) steps the same cursor on bytes on each rank's mpsim
+// worker, one ExchangeOwned per exchange. Neither driver counts: the
 // Result is a copy of the one program.finish derives (Plan.result).
-// Plan.run picks the round-major driver for a plan
-// that copies at most roundMajorBytes per execution (program.finish
-// sums program.moved over the ranks) on a plain engine — chan or slot,
-// no recording (mpsim.Engine.Plain) — and the engine driver otherwise:
-// larger plans, whose copies two cores share, chaos and recording
-// engines, and ExecutePlans. Both drivers land the same bytes
-// (TestDriversAgree), and a recorded run sends exactly Plan.Messages
-// (TestMessagesMatchEvents).
+// Plan.run picks the round-major driver for a plan that copies at most
+// roundMajorBytes per execution (program.finish sums program.moved over
+// the ranks) on a plain engine — chan or slot, no recording
+// (mpsim.Engine.Plain) — and the engine driver otherwise: larger plans,
+// whose copies two cores share, chaos and recording engines, and
+// ExecutePlans. Both drivers land the same bytes (TestDriversAgree), and
+// a recorded run sends exactly Plan.Messages (TestMessagesMatchEvents).
 //
-// Deadlock freedom. A plan Check accepts cannot wait forever in a
-// round-synchronous driver: Check's walk (sim.round) matches every
-// receive of a round to a send of that round and every send to a
-// receive, so every rank that takes part in a round finishes it. The
-// round-major driver is one, and reports a program that breaks the
-// matching in the round it breaks it ("waits for rank ...", "does not
-// receive it"); only the engine driver, whose ranks block on their
-// transport, needs its watchdog for a program Check would reject.
+// Deadlock freedom. The round-major driver is the walk Check proves:
+// one round loop, one peer resolution, one set of k-port and delivery
+// rules, faults reported in the round they happen in ("waits for rank
+// ...", "does not receive it") — on bytes the first stops the run, on
+// labels each is a violation. So a plan Check accepts matches every
+// receive of every round to a send and every send to a receive, and
+// every rank finishes every round; only the engine driver, whose ranks
+// block on their transport, needs its watchdog for a plan Check would
+// reject.
 //
 // Step semantics. A program is a list of steps per role:
 //
@@ -162,39 +163,26 @@
 // and nothing is reordered; a non-root keeps its subtree's blocks in
 // pooled scratch.
 //
-// Scratch and pool discipline. A role declares its scratch regions;
-// the interpreter acquires them from the frame's pool — the rank's
-// processor-local pool under the engine, the driver's free list
-// round-major — when the role starts and releases them when it ends.
-// Every payload takes one path, pack -> own -> land (frame.outgoing,
-// frame.unpack): the sender packs the send extents into one buffer of
-// its pool, of exactly their size on this rank (a layout family sends
-// true block lengths), and hands it over for good; the receiver checks
-// that the payload is exactly the bytes its recv extents address (else
-// an error naming rank, peer and round, before a byte is written), lands
-// it — copy or combine — and releases it to its own pool; an engine
-// pool's free list is bounded, so a receive-heavy rank cannot hoard.
-// The one exception, a transfer that sends and overwrites one whole scratch
-// region (role.swaps), copies nothing: the buffers themselves change hands.
+// Scratch and pool discipline, and the one path every payload takes
+// (pack -> own -> land, or a swap), are run.go's header.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the messages and bytes a run sends, the pool hint and a
 // hierarchical plan's phase table from the program, and the plan keeps
-// them as the Result every execution copies; Plan.Listing prints the program as the text the golden
-// corpus pins, and Plan.Messages the messages a run sends; Plan.Check
-// (check.go) runs the program of all n ranks on symbolic bytes and
-// proves delivery for every family against Plan.goal, the one statement
-// of what each operation computes, and the stored Result against the
-// messages it walks. That one walk carries two domains:
-// the byte labels (Check's proof, and the paper's figures drawn by
-// Plan.Snapshots) and per-rank virtual clocks (Plan.CriticalPath and
-// CriticalPathTopo: each message priced on its link, the k ports in
-// parallel). The oracle (oracle.go: Alloc, Fill,
-// Run, Verify — Exercise in a row) holds the bytes of a real run
-// against the same definition, on memory of the plan's own shape; it
-// is how every tool runs a collective, and a tool that only wants the
-// measures reads Rounds and PredictedC2 instead. The closed forms of cost.go are
-// held against the counter by one table test.
+// them as the Result every execution copies; Plan.Listing prints the
+// program as the text the golden corpus pins. Plan.Check runs the
+// executing walk on labels and proves delivery for every family against
+// Plan.goal, the one statement of what each operation computes, and the
+// stored Result against the messages it walks. The same label walk draws
+// the paper's figures (Plan.Snapshots), keeps per-rank virtual clocks
+// (Plan.CriticalPath and CriticalPathTopo: each message priced on its
+// link, the k ports in parallel) and lists the messages a run sends
+// (Plan.Messages). The oracle (oracle.go: Alloc, Fill, Run, Verify —
+// Exercise in a row) holds the bytes of a real run against the same
+// definition, on memory of the plan's own shape; it is how every tool
+// runs a collective, and a tool that only wants the measures reads
+// Rounds and PredictedC2 instead. The closed forms of cost.go are held
+// against the counter by one table test.
 //
 // Adding a family is one compiler function and one arm of
 // Spec.canonicalize: build its steps with the builder, return the

@@ -97,7 +97,9 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 // The round-major driver fails in the faulty round, naming it and the
 // ranks, where the engine fails as its transport lets it: at once, after
 // the watchdog, or — a payload nobody receives stays in the transport —
-// not at all. Both engines then run the unmutated plan correctly.
+// not at all. Check, which walks the same rounds on labels, reports the
+// round-major driver's text without its package prefix. Both engines
+// then run the unmutated plan correctly.
 func TestDriversRejectFaults(t *testing.T) {
 	const n, k = 8, 2
 	spec := Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}} // one transfer a round: a spare port
@@ -128,6 +130,9 @@ func TestDriversRejectFaults(t *testing.T) {
 		clean := must(Compile(e, mpsim.WorldGroup(n), spec))
 		mutant := must(Compile(e, mpsim.WorldGroup(n), spec))
 		c.mutate(mutant)
+		if v, want := mutant.Check(), strings.Replace(c.rounds, "collective: ", "", 1); !mentions(v, want) {
+			t.Errorf("%s: Check reports %q, want a violation containing %q", c.name, v, want)
+		}
 		for _, d := range []struct {
 			name string
 			run  func(*Plan, Memory) (*Result, error)

@@ -120,8 +120,8 @@ func (pl *Plan) Alloc() (Memory, error) {
 // bind binds group rank me's input and output regions of the memory to
 // its frame.
 func (m Memory) bind(f *frame, me int) {
-	f.reg[regIn] = region{f.pr.shapeOf(regIn, me), m.side[regIn].Proc(me)}
-	f.reg[regOut] = region{f.pr.shapeOf(regOut, me), m.side[regOut].Proc(me)}
+	f.reg[regIn] = region{shape: f.pr.shapeOf(regIn, me), data: m.side[regIn].Proc(me)}
+	f.reg[regOut] = region{shape: f.pr.shapeOf(regOut, me), data: m.side[regOut].Proc(me)}
 }
 
 // block returns block j of rank r's side reg of the memory.

@@ -254,7 +254,7 @@ func (pl *Plan) body(m Memory) func(*mpsim.Proc) error {
 		if me < 0 {
 			return nil
 		}
-		f := framePool.Get().(*frame).start(p, pl, pl.prog, nil, me)
+		f := framePool.Get().(*frame).start(bytesMedium{}, p, pl, pl.prog, nil, me)
 		f.p = p
 		m.bind(f, me)
 		err := f.run()

@@ -1,9 +1,9 @@
 package collective
 
 // The step program: the one representation every schedule family
-// compiles to and everything else is derived from. The interpreter
-// (run.go) executes it on the engine, Plan.Check (check.go) simulates
-// it symbolically, finish below counts it and Listing prints it.
+// compiles to and everything else is derived from. One walk (run.go,
+// rounds.go) executes it on bytes and proves it on labels (Plan.Check),
+// finish below counts it and Listing prints it.
 //
 // A program is a list of steps per role. A translation-invariant
 // family has one role shared by all n ranks, because peers and block
@@ -41,23 +41,22 @@ func xor(c int) rel   { return rel{int32(c), addrXor} }
 
 // of resolves the address for rank me of n, moved i places along a run.
 func (a rel) of(me, n, i int) int {
+	v := int(a.c) + i
 	switch a.mode {
 	case addrAdd:
 		// |c| and |i| stay below n, so the sum is at most two wraps
 		// away: cheaper than a division on the interpreter's hot path.
-		v := me + int(a.c) + i
+		v += me
 		for v >= n {
 			v -= n
 		}
 		for v < 0 {
 			v += n
 		}
-		return v
 	case addrXor:
-		return me ^ (int(a.c) + i)
-	default:
-		return int(a.c) + i
+		v ^= me
 	}
+	return v
 }
 
 // regID names one memory of a running rank: the caller's input and
@@ -104,13 +103,18 @@ func spanAt(reg regID, at rel, off, ln int) extent {
 	return extent{reg: reg, at: at, n: 1, off: int32(off), len: int32(ln)}
 }
 
-// bytes returns the byte range of the extent's block i in a region of
-// shape s, for rank me of n.
-func (e *extent) bytes(s shape, me, n, i int) (off, ln int) {
+// block returns the index of the extent's block i, for rank me of n.
+func (e *extent) block(me, n, i int) int {
 	if e.rev {
 		i = -i
 	}
-	bo, bn := s.span(e.at.of(me, n, i))
+	return e.at.of(me, n, i)
+}
+
+// bytes returns the byte range of the extent's block i in a region of
+// shape s, for rank me of n.
+func (e *extent) bytes(s shape, me, n, i int) (off, ln int) {
+	bo, bn := s.span(e.block(me, n, i))
 	if e.len < 0 {
 		return bo + int(e.off), bn - int(e.off)
 	}

@@ -1,62 +1,54 @@
 package collective
 
-// The round-major driver: every rank's role of one plan runs on the
-// caller's goroutine, round by round, with no Proc, transport, worker or
-// watchdog. The paper's machine is round-synchronous, and so is this
-// driver: in round t each rank whose next exchange falls in t posts its
-// sends — packed from its state before the round, or a swapped region —
-// and a rank lands its receives as soon as it and every sender it
-// expects have posted, while the payloads are still in cache. Landing
-// runs the rank's local steps up to its next exchange (cursor.next).
-//
-// A receive nobody feeds, a send nobody receives, a size that disagrees
-// and, under the engine's validation, a k-port violation or a misaligned
-// end fail the run in the round they happen in, naming the round and the
-// ranks with Plan.Check's texts: no round-synchronous driver can wait
-// forever, so there is nothing to time out.
+// The round-major driver, the one round-synchronous walk: every rank's
+// role runs on the caller's goroutine, round by round, with no Proc,
+// transport, worker or watchdog. In round t each rank whose next
+// exchange falls in t posts its sends — packed from its state before the
+// round, or a swapped region — and lands its receives as soon as it and
+// every sender it expects have posted, while the payloads are still in
+// cache; landing runs its local steps up to its next exchange
+// (cursor.next). The walk runs on a medium (run.go): bytes to execute a
+// plan, labels to prove it (Plan.Check) and read its figures and
+// messages. A k-port violation, a receive nobody feeds, a send nobody
+// receives, a size that disagrees or a misaligned end is a fault of its
+// round, named with the round and the ranks: bytes stop at the first,
+// labels record each and walk on. Nothing waits, so nothing times out.
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// The texts a faulty round is reported with, by Plan.Check and by the
-// round-major driver alike; ranks are group ranks.
+// The texts a faulty round is reported with, on either medium; ranks are
+// group ranks. errSize is also the engine driver's.
 const (
 	errPorts      = "round %d: rank %d uses %d ports, k-port allows %d"
 	errAddress    = "round %d: rank %d addresses rank %d (self-send or out of range; k-port)"
 	errTwice      = "round %d: rank %d addresses rank %d twice (duplicate partner; k-port)"
 	errUnreceived = "delivery: round %d: rank %d sends to rank %d, which does not receive it"
 	errUnfed      = "delivery: round %d: rank %d waits for rank %d, which sends it nothing"
+	errSize       = "received %d bytes from p%d into extents of %d bytes in round %d"
 )
 
-// rounds is the state of one round-major execution. Its engine keeps it
-// between executions (mpsim.Engine.Inline) with its frames and free list,
-// so a steady state of one plan allocates no frame, payload or scratch
-// buffer; between executions it holds nothing else.
+// rounds is the state of one walk. On the byte medium its engine keeps
+// it between executions (mpsim.Engine.Inline) with its frames and free
+// list, so a steady state of one plan allocates no frame, payload or
+// scratch buffer; between executions it holds nothing else.
 type rounds struct {
-	pl       *Plan
-	validate bool
-	ranks    []rankRun
-	live     int // ranks whose role has not ended
-	at       int // the rank whose steps are running, for a panic's report
+	pl    *Plan
+	md    medium
+	ranks []rankRun
+	live  int // ranks whose role has not ended
+	end   int // the latest round an ended role ends in
+	at    int // the rank whose steps are running, for a panic's report
 
 	free [bits.UintSize][][]byte // free[c]: buffers of capacity 1<<c
 }
 
-// rankRun is one rank of a round-major execution.
+// rankRun is one rank of a walk.
 type rankRun struct {
 	top  frame     // the role's frame
 	c    cursor    // c.f runs the pending exchange
 	s    *step     // the pending exchange; nil once the role has ended
 	want int       // receives of the pending exchange once it has posted, -1 before
 	box  []payload // payloads posted to the rank in the current round
-}
-
-// payload is a message in flight from group rank src.
-type payload struct {
-	src  int
-	data []byte
 }
 
 // runRounds executes the plan alone on the round-major driver its engine
@@ -68,7 +60,7 @@ func (pl *Plan) runRounds(m Memory) (*Result, error) {
 			d = new(rounds)
 			*state = d
 		}
-		return d.run(pl, m)
+		return d.run(pl, bytesMedium{}, m.bind, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -76,30 +68,38 @@ func (pl *Plan) runRounds(m Memory) (*Result, error) {
 	return pl.result(), nil
 }
 
-// run executes pl on m.
-func (d *rounds) run(pl *Plan, m Memory) (err error) {
+// run walks pl on medium md: bind places each rank's input and output
+// regions, and each, if set, sees every round the walk completes — 0
+// before round 0, t+1 after round t.
+func (d *rounds) run(pl *Plan, md medium, bind func(f *frame, me int), each func(done int)) (err error) {
 	n := pl.group.Size()
-	d.pl, d.validate, d.live = pl, pl.engine.Validating(), n
+	d.pl, d.md, d.live, d.end = pl, md, n, 0
 	if cap(d.ranks) < n {
 		d.ranks = make([]rankRun, n)
 	}
 	d.ranks = d.ranks[:n]
 	defer func() {
 		if v := recover(); v != nil {
-			err = fmt.Errorf("collective: group rank %d panicked: %v", d.at, v)
+			err = md.fault("group rank %d panicked: %v", d.at, v)
 		}
 		d.close()
 	}()
 	for me := range d.ranks {
 		rk := &d.ranks[me]
-		f := rk.top.start(d, pl, pl.prog, nil, me)
-		m.bind(f, me)
+		f := rk.top.start(md, d, pl, pl.prog, nil, me)
+		bind(f, me)
 		rk.c, rk.want = cursor{f: f}, -1
 		d.advance(me)
 	}
-	for t := 0; d.live > 0; t++ {
+	if each != nil {
+		each(0)
+	}
+	for t := 0; d.live > 0 || t < d.end; t++ {
 		if err := d.round(t); err != nil {
 			return err
+		}
+		if each != nil {
+			each(t + 1)
 		}
 	}
 	return d.aligned()
@@ -111,12 +111,13 @@ func (d *rounds) advance(me int) {
 	d.at = me
 	if rk.s = rk.c.next(); rk.s == nil {
 		d.live--
+		d.end = max(d.end, rk.c.round)
 	}
 }
 
 // round runs global round t: every rank whose next exchange falls in it
 // posts, and lands once its senders have; a rank left waiting or a
-// payload left unreceived then fails the run.
+// payload left unreceived is then a fault.
 func (d *rounds) round(t int) error {
 	for me := range d.ranks {
 		if rk := &d.ranks[me]; rk.s != nil && rk.c.round == t {
@@ -128,16 +129,16 @@ func (d *rounds) round(t int) error {
 	for me := range d.ranks {
 		rk := &d.ranks[me]
 		if rk.want >= 0 { // more payloads than receives, or a sender missing
-			if src, gap := d.missing(me); gap {
-				return fmt.Errorf("collective: "+errUnfed, t, me, src)
-			}
 			if err := d.land(me, t); err != nil {
 				return err
 			}
 		}
-		if len(rk.box) > 0 {
-			return fmt.Errorf("collective: "+errUnreceived, t, rk.box[0].src, me)
+		for _, p := range rk.box {
+			if err := d.md.fault(errUnreceived, t, p.src, me); err != nil {
+				return err
+			}
 		}
+		rk.box = rk.box[:0]
 	}
 	return nil
 }
@@ -148,10 +149,8 @@ func (d *rounds) post(me, t int) error {
 	rk := &d.ranks[me]
 	f, s := rk.c.f, rk.s
 	d.at = me
-	if d.validate {
-		if err := d.ports(me, t, f, s); err != nil {
-			return err
-		}
+	if err := d.ports(me, t, f, s); err != nil {
+		return err
 	}
 	want := 0
 	for i := range s.xfers {
@@ -163,12 +162,12 @@ func (d *rounds) post(me, t int) error {
 			continue
 		}
 		q := f.rank(x.to)
-		if q < 0 || q >= len(d.ranks) {
-			return fmt.Errorf("collective: "+errAddress, t, me, q)
+		if q < 0 || q >= len(d.ranks) { // a fault ports reported: the label medium walks on without it
+			continue
 		}
-		data := f.outgoing(x)
 		dst := &d.ranks[q]
-		dst.box = append(dst.box, payload{me, data})
+		dst.box = append(dst.box, payload{src: int32(me)})
+		d.md.outgoing(f, x, &dst.box[len(dst.box)-1], me, q, t)
 		if err := d.eager(q, t); err != nil {
 			return err
 		}
@@ -181,40 +180,31 @@ func (d *rounds) post(me, t int) error {
 // eager lands rank me in round t if it has posted and every sender it
 // expects has.
 func (d *rounds) eager(me, t int) error {
-	if rk := &d.ranks[me]; rk.want == len(rk.box) {
-		if _, gap := d.missing(me); !gap {
-			return d.land(me, t)
-		}
-	}
-	return nil
-}
-
-// missing returns a sender rank me's pending exchange expects that has
-// not posted to it, if there is one.
-func (d *rounds) missing(me int) (src int, gap bool) {
 	rk := &d.ranks[me]
+	if rk.want != len(rk.box) {
+		return nil
+	}
 	for i := range rk.s.xfers {
-		if x := &rk.s.xfers[i]; x.from.mode != addrNone {
-			if src = rk.c.f.rank(x.from); find(rk.box, src) < 0 {
-				return src, true
-			}
+		if x := &rk.s.xfers[i]; x.from.mode != addrNone && find(rk.box, rk.c.f.rank(x.from)) < 0 {
+			return nil
 		}
 	}
-	return 0, false
+	return d.land(me, t)
 }
 
 // find returns the index of src's payload in box, or -1.
 func find(box []payload, src int) int {
 	for j := range box {
-		if box[j].src == src {
+		if int(box[j].src) == src {
 			return j
 		}
 	}
 	return -1
 }
 
-// land lands rank me's receives of round t from its box, every sender
-// having posted, and runs its local steps up to its next exchange.
+// land lands rank me's receives of round t from its box — a sender that
+// has not posted is a fault — and runs its local steps up to its next
+// exchange.
 func (d *rounds) land(me, t int) error {
 	rk := &d.ranks[me]
 	f, s := rk.c.f, rk.s
@@ -226,13 +216,18 @@ func (d *rounds) land(me, t int) error {
 		}
 		src := f.rank(x.from)
 		j := find(rk.box, src)
-		if j < 0 { // a partner named twice, with validation off
-			return fmt.Errorf("collective: "+errUnfed, t, me, src)
+		if j < 0 {
+			if err := d.md.fault(errUnfed, t, me, src); err != nil {
+				return err
+			}
+			continue
 		}
-		buf, last := rk.box[j].data, len(rk.box)-1
-		rk.box[j], rk.box[last] = rk.box[last], payload{}
+		err := d.md.land(f, x, &rk.box[j], me, t)
+		last := len(rk.box) - 1 // landed or not, the payload leaves the box
+		rk.box[j] = rk.box[last]
+		rk.box[last] = payload{}
 		rk.box = rk.box[:last]
-		if err := f.unpack(x, buf, t); err != nil {
+		if err != nil {
 			return rankErr(me, err)
 		}
 	}
@@ -242,9 +237,9 @@ func (d *rounds) land(me, t int) error {
 	return nil
 }
 
-// ports enforces the k-port model on rank me's exchange s of round t as
-// the engine's validation does: at most k times lanes partners each way,
-// none of them me, out of range or repeated.
+// ports enforces the k-port model on rank me's exchange s of round t: at
+// most k times lanes partners each way, none of them me, out of range or
+// repeated.
 func (d *rounds) ports(me, t int, f *frame, s *step) error {
 	budget := d.pl.engine.Ports() * max(s.n, 1)
 	for _, recv := range [2]bool{false, true} {
@@ -263,27 +258,31 @@ func (d *rounds) ports(me, t int, f *frame, s *step) error {
 			used++
 			p := f.rank(a)
 			if p == me || p < 0 || p >= len(d.ranks) {
-				return fmt.Errorf("collective: "+errAddress, t, me, p)
+				if err := d.md.fault(errAddress, t, me, p); err != nil {
+					return err
+				}
 			}
 			for j := 0; j < i; j++ {
 				if b := peer(&s.xfers[j]); b.mode != addrNone && f.rank(b) == p {
-					return fmt.Errorf("collective: "+errTwice, t, me, p)
+					if err := d.md.fault(errTwice, t, me, p); err != nil {
+						return err
+					}
+					break
 				}
 			}
 		}
 		if used > budget {
-			return fmt.Errorf("collective: "+errPorts, t, me, used, budget)
+			if err := d.md.fault(errPorts, t, me, used, budget); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// aligned holds, under validation, every rank that took part to end in
-// the same round, as the engine's uniformity check does.
+// aligned holds every rank that took part to end in the same round, as
+// the engine's uniformity check does.
 func (d *rounds) aligned() error {
-	if !d.validate {
-		return nil
-	}
 	first := -1
 	for me := range d.ranks {
 		switch end := d.ranks[me].c.round; {
@@ -291,7 +290,7 @@ func (d *rounds) aligned() error {
 		case first < 0:
 			first = me
 		case end != d.ranks[first].c.round:
-			return fmt.Errorf("collective: misaligned schedule: rank %d ends in round %d, rank %d in round %d",
+			return d.md.fault("misaligned schedule: rank %d ends in round %d, rank %d in round %d",
 				first, d.ranks[first].c.round, me, end)
 		}
 	}
@@ -312,7 +311,7 @@ func (d *rounds) close() {
 		rk.box = rk.box[:0]
 		rk.s = nil
 	}
-	d.pl = nil
+	d.pl, d.md = nil, nil
 }
 
 // AcquireBuf returns a length-n buffer from the driver's free list, one

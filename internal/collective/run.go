@@ -1,17 +1,19 @@
 package collective
 
-// The interpreter: one step loop over the compiled program, cursor.next,
-// and two drivers of it. The engine driver (frame.run) runs each rank's
-// role on the rank's mpsim worker, one ExchangeOwned per exchange; the
-// round-major driver (rounds.go) runs every rank's role on the caller's
-// goroutine, round by round. Plan.run picks one (plan.go).
+// The interpreter: cursor.next steps a rank's role — local steps, skips,
+// embedded sub-programs — up to its next exchange, on a medium: bytes
+// (bytesMedium) or labels (check.go). The round-major driver (rounds.go)
+// runs every rank's exchanges round by round on either; the engine
+// driver (frame.run) runs each rank's on its mpsim worker, on bytes.
 //
 // Scratch and pool discipline: a frame's scratch regions are acquired
 // from its pool — the rank's processor-local pool under the engine, the
 // driver's free list round-major — when the frame starts, in
 // declaration order, and released when it ends. Every payload takes one
-// path, pack -> own -> land: packed into a pool buffer, handed over for
-// good, landed — copy or combine — by the receiver and released to the
+// path, pack -> own -> land: packed into a pool buffer of exactly its
+// extents' bytes on this rank (a layout family sends true block
+// lengths), handed over for good, held to the receiver's extents before
+// a byte is written, landed — copy or combine — and released to the
 // receiver's pool: two copies per byte per hop. The one exception is a
 // swap (role.swaps): its payload is the scratch region's own buffer and
 // the payload it receives becomes the region, no copy either way. After
@@ -25,17 +27,46 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// region is one memory of a running rank.
+// region is one memory of a running rank: the shape of its blocks, and
+// what holds them — data in the byte medium, the label medium's memory
+// mem from offset base.
 type region struct {
 	shape
-	data []byte
+	data      []byte
+	mem, base int
 }
 
-// pool is where a frame's buffers come from and go back to: the
+// pool is where the byte medium's buffers come from and go back to: the
 // engine's Proc, or the round-major driver.
 type pool interface {
 	AcquireBuf(n int) []byte
 	ReleaseBuf(b []byte)
+}
+
+// medium owns the contents of a frame's regions — the walker owns their
+// addresses — and moves them: scratch acquired at a frame's start and
+// released at its end, local steps, an embedded frame's regions, and a
+// round's sends and receives of group rank me in round t, each filling
+// or landing a payload in its receiver's box. fault reports
+// a faulty round: the byte medium returns it, stopping the run; the
+// label medium records it and returns nil, and the walk goes on without
+// the faulty delivery.
+type medium interface {
+	acquire(f *frame, reg regID, bytes int)
+	release(f *frame, reg regID)
+	local(f *frame, s *step)
+	embed(sub, f *frame, s *step)
+	outgoing(f *frame, x *xfer, p *payload, me, to, t int)
+	land(f *frame, x *xfer, p *payload, me, t int) error
+	fault(format string, args ...any) error
+}
+
+// payload is a message in flight from group rank src: data on bytes; on
+// labels, msg indexes the medium's list of what is sent. (32 bytes: the
+// walker copies it in and out of boxes on every hop.)
+type payload struct {
+	src, msg int32
+	data     []byte
 }
 
 // frame is the state of one rank running one program: the top-level
@@ -45,12 +76,14 @@ type pool interface {
 // and a few hundred bytes more on the path down to the engine round
 // cost a small collective half its time in stack growth.
 type frame struct {
-	pool    pool
+	md      medium
+	pool    pool        // the byte medium's buffers
 	p       *mpsim.Proc // the engine driver's; nil round-major
 	pl      *Plan
 	pr      *program
 	members []int  // sub-frame: group rank of each frame rank; nil at the top
 	up      *frame // sub-frame: the frame it is embedded in; nil at the top
+	phase   string // sub-frame: the phase of the step it runs in
 	me      int
 	at      int // the next step of the role
 	reg     [maxRegs]region
@@ -64,12 +97,14 @@ type frame struct {
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
-// start readies the frame for rank me's role of pr and acquires the
-// role's scratch regions from pool.
-func (f *frame) start(pool pool, pl *Plan, pr *program, members []int, me int) *frame {
-	f.pool, f.pl, f.pr, f.members, f.me = pool, pl, pr, members, me
+// start readies the frame for rank me's role of pr on medium md and
+// acquires the role's scratch regions.
+func (f *frame) start(md medium, pool pool, pl *Plan, pr *program, members []int, me int) *frame {
+	f.md, f.pool, f.pl, f.pr, f.members, f.me = md, pool, pl, pr, members, me
 	for i, sc := range pr.role(me).scratch {
-		f.reg[int(regWork)+i] = region{shape{stride: sc.stride}, pool.AcquireBuf(sc.bytes)}
+		reg := regWork + regID(i)
+		f.reg[reg].shape = shape{stride: sc.stride}
+		md.acquire(f, reg, sc.bytes)
 	}
 	return f
 }
@@ -78,11 +113,11 @@ func (f *frame) start(pool pool, pl *Plan, pr *program, members []int, me int) *
 // the caller's memory behind in it.
 func (f *frame) end() {
 	for i := range f.pr.role(f.me).scratch {
-		f.pool.ReleaseBuf(f.reg[int(regWork)+i].data)
+		f.md.release(f, regWork+regID(i))
 	}
 	clear(f.sends[:cap(f.sends)])
 	clear(f.recvd[:cap(f.recvd)])
-	f.pool, f.p, f.pl, f.pr, f.members, f.up, f.at = nil, nil, nil, nil, nil, nil, 0
+	f.md, f.pool, f.p, f.pl, f.pr, f.members, f.up, f.phase, f.at = nil, nil, nil, nil, nil, nil, nil, "", 0
 	f.reg = [maxRegs]region{}
 }
 
@@ -127,7 +162,7 @@ func (c *cursor) next() *step {
 			f = f.embed(s)
 			c.f = f
 		default:
-			f.local(s)
+			f.md.local(f, s)
 			f.at++
 		}
 	}
@@ -170,20 +205,34 @@ func (f *frame) run() error {
 // extents are its input region, the recv extents its output region; the
 // rest of the phase is sat out when it ends (cursor.next).
 func (f *frame) embed(s *step) *frame {
-	sub := framePool.Get().(*frame).start(f.pool, f.pl, s.em.sub, s.em.members, s.em.me)
-	sub.p, sub.up = f.p, f
-	sub.reg[regIn] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].send)}
-	sub.reg[regOut] = region{shape{stride: sub.pr.bl}, f.view(s.xfers[0].recv)}
+	sub := framePool.Get().(*frame).start(f.md, f.pool, f.pl, s.em.sub, s.em.members, s.em.me)
+	sub.p, sub.up, sub.phase = f.p, f, f.phaseOf(s)
+	sub.reg[regIn].shape = shape{stride: sub.pr.bl}
+	sub.reg[regOut].shape = shape{stride: sub.pr.bl}
+	f.md.embed(sub, f, s)
 	return sub
 }
 
-// rank resolves a peer address to its group rank.
+// phaseOf returns the phase step s runs in: the sub-frame's, or the
+// step's own tag.
+func (f *frame) phaseOf(s *step) string {
+	if f.phase != "" {
+		return f.phase
+	}
+	return s.phase
+}
+
+// rank resolves a peer address to its group rank; a sub-frame's peer
+// outside its members is -1, out of range.
 func (f *frame) rank(a rel) int {
 	r := a.of(f.me, f.pr.n, 0)
-	if f.members != nil {
-		r = f.members[r]
+	if f.members == nil {
+		return r
 	}
-	return r
+	if uint(r) < uint(len(f.members)) {
+		return f.members[r]
+	}
+	return -1
 }
 
 // id resolves a peer address to its engine rank.
@@ -288,15 +337,6 @@ func (f *frame) piece(e *extent, b int) ([]byte, int) {
 	return r.data[off : off+ln], 1
 }
 
-// view returns the single piece an embed step's extent list addresses.
-func (f *frame) view(ext []extent) []byte {
-	if len(ext) == 0 {
-		return nil
-	}
-	p, _ := f.piece(&ext[0], 0)
-	return p
-}
-
 // size returns the bytes the extents address on this rank (xfer.bytes is
 // the largest over ranks).
 func (f *frame) size(ext []extent) int {
@@ -325,7 +365,7 @@ func (f *frame) unpack(x *xfer, buf []byte, round int) error {
 	ext := x.recv
 	if want := f.size(ext); len(buf) != want {
 		f.pool.ReleaseBuf(buf)
-		return fmt.Errorf("collective: received %d bytes from p%d into extents of %d bytes in round %d", len(buf), f.id(x.from), want, round)
+		return fmt.Errorf("collective: "+errSize, len(buf), f.id(x.from), want, round)
 	}
 	if x.swap {
 		f.reg[ext[0].reg].data = buf
@@ -378,4 +418,28 @@ func (f *frame) zip(dst, src []extent, combine bool) {
 		f.land(db[:n], sb[:n], combine)
 		db, sb = db[n:], sb[n:]
 	}
+}
+
+// bytesMedium is the medium of an execution: a frame's regions are the
+// caller's memory and its pool's buffers.
+type bytesMedium struct{}
+
+func (bytesMedium) acquire(f *frame, r regID, n int) { f.reg[r].data = f.pool.AcquireBuf(n) }
+func (bytesMedium) release(f *frame, r regID)        { f.pool.ReleaseBuf(f.reg[r].data) }
+func (bytesMedium) local(f *frame, s *step)          { f.local(s) }
+
+func (bytesMedium) embed(sub, f *frame, s *step) {
+	for reg, ext := range [][]extent{regIn: s.xfers[0].send, regOut: s.xfers[0].recv} {
+		if len(ext) > 0 {
+			sub.reg[reg].data, _ = f.piece(&ext[0], 0)
+		}
+	}
+}
+
+func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, _, _, _ int) { p.data = f.outgoing(x) }
+
+func (bytesMedium) land(f *frame, x *xfer, p *payload, _, t int) error { return f.unpack(x, p.data, t) }
+
+func (bytesMedium) fault(format string, args ...any) error {
+	return fmt.Errorf("collective: "+format, args...)
 }

@@ -16,7 +16,8 @@
 // on every Proc, and the i-th communication call issued by a processor
 // belongs to communication round i. The engine enforces the k-port
 // constraint per round and checks that matching sends and receives
-// agree on the round number (when validation is enabled). It counts
+// agree on the round number, always: there is no switch to turn the
+// rules off. It counts
 // nothing: the paper's two complexity measures — C1, the number of
 // communication rounds, and C2, the sum over rounds of the largest
 // message — are properties of the schedule, which package collective
@@ -81,7 +82,7 @@
 // round-uniformity check applies per program, so programs with
 // different round counts can share a run as long as no message crosses
 // a program boundary (a crossing surfaces as a round-alignment or
-// misaligned-schedule error under validation). Run is the
+// misaligned-schedule error). Run is the
 // single-program special case. Package collective builds concurrent
 // disjoint-group collectives (ExecutePlans / bruck.Machine.RunPlans)
 // on this primitive.

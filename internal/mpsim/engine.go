@@ -36,7 +36,6 @@ type Engine struct{ *engine }
 type engine struct {
 	n        int
 	k        int
-	validate bool
 	record   bool
 	watchdog time.Duration
 	backend  Backend
@@ -138,13 +137,6 @@ func Ports(k int) Option {
 	return func(e *Engine) { e.k = k }
 }
 
-// Validate enables (default) or disables schedule validation: the k-port
-// constraint per round, round agreement between matched sends and
-// receives, and self-send detection.
-func Validate(on bool) Option {
-	return func(e *Engine) { e.validate = on }
-}
-
 // Watchdog sets how long Run waits for completion before reporting a
 // deadlock. Zero or negative disables the watchdog.
 func Watchdog(d time.Duration) Option {
@@ -203,7 +195,6 @@ func New(n int, opts ...Option) (*Engine, error) {
 	e := &Engine{&engine{
 		n:        n,
 		k:        DefaultPorts,
-		validate: true,
 		watchdog: DefaultWatchdog,
 		backend:  BackendChan,
 	}}
@@ -266,9 +257,6 @@ func (e *Engine) Transport() Backend { return e.backend }
 func (e *Engine) Plain() bool {
 	return (e.backend == BackendChan || e.backend == BackendSlot) && !e.record
 }
-
-// Validating reports whether the engine validates schedules (Validate).
-func (e *Engine) Validating() bool { return e.validate }
 
 // errOverlap rejects a run, or an Inline call, made while another is in
 // flight.
@@ -447,14 +435,12 @@ func (e *Engine) RunPrograms(progs []Program) error {
 		clear(r.errs)
 		return err
 	}
-	if e.validate {
-		for pi := range progs {
-			if err := r.uniformityError(pi); err != nil {
-				if len(progs) > 1 {
-					return fmt.Errorf("mpsim: program %d: %w", pi, err)
-				}
-				return err
+	for pi := range progs {
+		if err := r.uniformityError(pi); err != nil {
+			if len(progs) > 1 {
+				return fmt.Errorf("mpsim: program %d: %w", pi, err)
 			}
+			return err
 		}
 	}
 	return nil

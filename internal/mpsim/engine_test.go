@@ -292,19 +292,6 @@ func TestNonParticipantsExemptFromUniformity(t *testing.T) {
 	}
 }
 
-func TestValidateOffAllowsNonUniform(t *testing.T) {
-	e := MustNew(3, Validate(false), Watchdog(5*time.Second))
-	err := e.Run(func(p *Proc) error {
-		if p.Rank() != 0 {
-			p.Skip()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run with Validate(false): %v", err)
-	}
-}
-
 func TestWatchdogDetectsDeadlock(t *testing.T) {
 	e := MustNew(2, Watchdog(100*time.Millisecond))
 	err := e.Run(func(p *Proc) error {
@@ -457,16 +444,13 @@ func TestPlainEngines(t *testing.T) {
 		plain bool
 	}{
 		{nil, true},
-		{[]Option{WithTransport(BackendSlot), Validate(false)}, true},
+		{[]Option{WithTransport(BackendSlot)}, true},
 		{[]Option{WithChaos(ChaosConfig{Seed: 1})}, false},
 		{[]Option{Record(true)}, false},
 	} {
 		e := MustNew(4, c.opts...)
 		if e.Plain() != c.plain {
 			t.Errorf("%v engine (recording %v): Plain() = %v", e.Transport(), e.record, e.Plain())
-		}
-		if e.Validating() != e.validate {
-			t.Errorf("Validating() = %v", e.Validating())
 		}
 	}
 }

@@ -138,10 +138,8 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 	e := p.engine
 	round := int(p.round.Add(1) - 1)
 
-	if e.validate {
-		if err := p.validateRound(round, sends, from, lanes); err != nil {
-			return err
-		}
+	if err := p.validateRound(round, sends, from, lanes); err != nil {
+		return err
 	}
 
 	for _, s := range sends {
@@ -179,7 +177,7 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			return fmt.Errorf("mpsim: p%d round %d: received message from p%d of run generation %d (current %d): stale message leaked across runs",
 				p.rank, round, src, msg.gen, p.gen)
 		}
-		if e.validate && msg.round != round {
+		if msg.round != round {
 			return fmt.Errorf("mpsim: p%d round %d: received message sent by p%d in round %d (misaligned schedule)",
 				p.rank, round, src, msg.round)
 		}
