@@ -739,9 +739,11 @@ type PlanRun struct {
 }
 
 // RunPlans executes several compiled plans of this machine, on pairwise
-// disjoint groups and each on its own sides, concurrently inside one
-// engine run. Every plan keeps its own Report; results are
-// byte-identical to running the plans one after another.
+// disjoint groups and each on its own sides, in one call: dealt over
+// the machine's cores once they copy enough to pay for it, or
+// concurrently inside one engine run on a chaos or recording machine. Every plan keeps its
+// own Report; results are byte-identical to running the plans one after
+// another.
 func (m *Machine) RunPlans(runs []PlanRun) ([]*Report, error) {
 	if err := m.claim(); err != nil {
 		return nil, err

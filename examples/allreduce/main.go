@@ -11,7 +11,7 @@
 // ONCE into a Plan — tenant 0 with the cost-model auto dispatcher over
 // the candidate reduce-scatter schedules, tenant 1 pinned to the Bruck
 // index schedule at radix 2 — and every training step executes both
-// plans concurrently in a single engine pass with RunPlans, each on its
+// plans in a single RunPlans call, each on its
 // job's standing buffers. Workers
 // then divide the summed gradient by the group size locally, which
 // turns the sum into the average. Every step is verified against a

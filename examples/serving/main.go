@@ -7,7 +7,7 @@
 // into a Plan (the schedule is a fixed function of (n, k, r) — or, for
 // ragged layouts, of the layout — so no per-request schedule work
 // remains), and every request wave executes all three plans
-// concurrently in a single engine pass with RunPlans, each on its
+// in a single RunPlans call, each on its
 // tenant's standing buffers — per-tenant reports included. Tenants 0 and 1 serve uniform all-to-all
 // personalized traffic (index); tenant 2 serves all-to-all broadcast
 // with a ragged per-member payload layout (ConcatV, the

@@ -141,8 +141,9 @@ type labels struct {
 }
 
 // walkLabels runs the round-major driver's walk of pl on the label
-// medium, every rank's input labelled as its own: add (nil: nothing)
-// sees each violation, each (if set) every round completed (rounds.run).
+// medium, on one worker, every rank's input labelled as its own: add
+// (nil: nothing) sees each violation, each (if set) every round
+// completed (rounds.run).
 // It returns the medium and the round the walk ends in; the medium
 // records every fault, so the walk always ends.
 func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done int)) (*labels, int) {
@@ -161,7 +162,7 @@ func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done 
 	if each != nil {
 		done = func(t int) { each(lm, t) }
 	}
-	d.run(pl, lm, lm.bind, done)
+	d.run(pl, lm, 1, done, nil)
 	return lm, d.end
 }
 

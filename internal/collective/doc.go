@@ -104,19 +104,21 @@
 // (cursor.next), an embedded sub-program as a sub-frame, a skip as a
 // round offset, and the round-major driver runs every rank's exchanges
 // round by round — each rank posts its sends and lands its receives as
-// soon as its senders have posted. The walk runs on one of two media:
-// bytes, to execute a plan on a Memory, and labels, to prove it
-// (Plan.Check) and to read its figures, clocks and messages. The engine
-// driver (frame.run) steps the same cursor on bytes on each rank's mpsim
-// worker, one ExchangeOwned per exchange. Neither driver counts: the
-// Result is a copy of the one program.finish derives (Plan.result).
-// Plan.run picks the round-major driver for a plan that copies at most
-// roundMajorBytes per execution (program.finish sums program.moved over
-// the ranks) on a plain engine — chan or slot, no recording
-// (mpsim.Engine.Plain) — and the engine driver otherwise: larger plans,
-// whose copies two cores share, chaos and recording engines, and
-// ExecutePlans. Both drivers land the same bytes (TestDriversAgree), and
-// a recorded run sends exactly Plan.Messages (TestMessagesMatchEvents).
+// soon as its senders have posted — split over min(GOMAXPROCS, n)
+// workers, or one below walkParallelBytes copied per execution; the
+// jobs of an ExecutePlans are dealt whole over the workers instead. The
+// walk runs on one of two media: bytes, to execute a plan on a Memory,
+// and labels (on one worker) to prove it (Plan.Check) and to read its
+// figures, clocks and messages. The engine driver (frame.run) steps the
+// same cursor on bytes on each rank's mpsim worker, one ExchangeOwned
+// per exchange. Neither driver counts: the Result is a copy of the one
+// program.finish derives (Plan.result). Plan.run and ExecutePlans pick
+// the round-major driver for every plan on a plain engine — chan or
+// slot, no recording (mpsim.Engine.Plain) — and the engine driver for
+// chaos and recording engines. Both drivers land the same bytes
+// (TestDriversAgree), the walk the same on any number of workers
+// (TestWalkWorkersAgree), and a recorded run sends exactly
+// Plan.Messages (TestMessagesMatchEvents).
 //
 // Deadlock freedom. The round-major driver is the walk Check proves:
 // one round loop, one peer resolution, one set of k-port and delivery
@@ -124,9 +126,11 @@
 // ...", "does not receive it") — on bytes the first stops the run, on
 // labels each is a violation. So a plan Check accepts matches every
 // receive of every round to a send and every send to a receive, and
-// every rank finishes every round; only the engine driver, whose ranks
-// block on their transport, needs its watchdog for a plan Check would
-// reject.
+// every rank finishes every round. Split over workers the walk waits
+// only at the round's barrier, which every worker reaches whatever its
+// ranks did: a fault or panic is kept for it. Only the engine driver,
+// whose ranks block on their transport, needs its watchdog for a plan
+// Check would reject.
 //
 // Step semantics. A program is a list of steps per role:
 //
@@ -285,9 +289,11 @@
 //     execution names its Memory — Run takes one, ExecutePlans one per
 //     Job — and a Plan has no field that could hold one, so a cached
 //     plan shared by two callers runs each caller's own bytes.
-//   - ExecutePlans runs several plans with pairwise disjoint groups
-//     concurrently inside one engine run (one mpsim.Program per plan),
-//     returning each plan's Result. Plans of overlapping groups, memory
+//   - ExecutePlans runs several plans with pairwise disjoint groups,
+//     returning each plan's Result: on a plain engine as one walk after
+//     another under one claim of the engine, each on its own workers;
+//     otherwise concurrently inside one engine run (one mpsim.Program
+//     per plan). Plans of overlapping groups, memory
 //     that does not fit its plan, and plans of a different engine are
 //     rejected up front.
 //   - Like the engine itself, plans and caches are not safe for
@@ -298,9 +304,9 @@
 //     claim rejects a run that starts while another is in flight
 //     (bruck.Machine decides it earlier, at submission).
 //   - A plan keeps no execution state: both drivers keep theirs on the
-//     engine — the round-major driver's frames and free list through
-//     mpsim.Engine.Inline, the engine driver's pools and workers in
-//     mpsim — so one cached plan serves every caller.
+//     engine — the round-major driver's frames, workers and free lists
+//     through mpsim.Engine.Inline, the engine driver's pools and workers
+//     in mpsim — so one cached plan serves every caller.
 //
 // # Reduction plans
 //
@@ -333,7 +339,8 @@
 //   - Determinism: each compiled plan applies its combines in a fixed
 //     order (the ring in ring order, halving along its binary tree, the
 //     Bruck variant in descending source order at the destination), so
-//     repeated executions of one plan are bit-identical. Different
+//     repeated executions of one plan are bit-identical, at any number
+//     of workers. Different
 //     algorithms associate differently; reductions must be associative
 //     and commutative for the result to be schedule-independent, which
 //     floating-point summation satisfies only up to the last ulp.

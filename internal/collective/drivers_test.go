@@ -3,6 +3,8 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -93,13 +95,15 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 }
 
 // TestDriversRejectFaults runs one mutant per rule of the engine's
-// validation through both drivers on an engine with a short watchdog.
-// The round-major driver fails in the faulty round, naming it and the
-// ranks, where the engine fails as its transport lets it: at once, after
-// the watchdog, or — a payload nobody receives stays in the transport —
-// not at all. Check, which walks the same rounds on labels, reports the
-// round-major driver's text without its package prefix. Both engines
-// then run the unmutated plan correctly.
+// validation through both drivers — the round-major one at one and at
+// two workers — on an engine with a short watchdog. The round-major
+// driver fails in the faulty round, naming it and the ranks, with the
+// same text at either worker count, where the engine fails as its
+// transport lets it: at once, after the watchdog, or — a payload nobody
+// receives stays in the transport — not at all. Check, which walks the
+// same rounds on labels, reports the round-major driver's text without
+// its package prefix. Every driver then runs the unmutated plan
+// correctly.
 func TestDriversRejectFaults(t *testing.T) {
 	const n, k = 8, 2
 	spec := Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}} // one transfer a round: a spare port
@@ -137,7 +141,11 @@ func TestDriversRejectFaults(t *testing.T) {
 			name string
 			run  func(*Plan, Memory) (*Result, error)
 			want string
-		}{{"round-major", (*Plan).runRounds, c.rounds}, {"engine", (*Plan).runEngine, c.engine}} {
+		}{
+			{"round-major", (*Plan).runRounds, c.rounds},
+			{"round-major W=2", func(pl *Plan, m Memory) (*Result, error) { return pl.walkAt(2)(m) }, c.rounds},
+			{"engine", (*Plan).runEngine, c.engine},
+		} {
 			mem := must(mutant.Alloc())
 			mutant.Fill(mem, Labels)
 			_, err := d.run(mutant, mem)
@@ -159,14 +167,57 @@ func TestDriversRejectFaults(t *testing.T) {
 	}
 }
 
+// TestWalkDealtJobsFault: several jobs dealt over two workers stop at a
+// faulty plan's round with its text, whichever worker walks it, while a
+// sound job dealt to the other worker runs; the next execution of sound
+// plans succeeds.
+func TestWalkDealtJobsFault(t *testing.T) {
+	const n = 8
+	spec := Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}}
+	const want = "collective: delivery: round 0: rank 0 waits for rank 6, which sends it nothing"
+	e := mpsim.MustNew(2 * n)
+	ids := mpsim.WorldGroup(2 * n).IDs()
+	lo, hi := must(mpsim.NewGroup(ids[:n], 2*n)), must(mpsim.NewGroup(ids[n:], 2*n))
+	mutant := must(Compile(e, hi, spec))
+	exchangeSteps(mutant)[0].xfers[0].from.c--
+	sound, other := must(Compile(e, lo, spec)), must(Compile(e, hi, spec))
+	job := func(pl *Plan) Job {
+		mem := must(pl.Alloc())
+		pl.Fill(mem, Labels)
+		return Job{pl, mem}
+	}
+	for _, jobs := range [][]Job{{job(sound), job(mutant)}, {job(mutant), job(sound)}} {
+		if err := walkJobs(e, jobs, 2); err == nil || err.Error() != want {
+			t.Errorf("error %v, want %q", err, want)
+		}
+		for _, j := range jobs {
+			if j.Plan == sound {
+				if err := sound.Verify(j.Mem); err != nil {
+					t.Errorf("the sound job beside the faulty one: %v", err)
+				}
+			}
+		}
+		clean := []Job{job(sound), job(other)}
+		if err := walkJobs(e, clean, 2); err != nil {
+			t.Fatalf("sound jobs after the faulty one: %v", err)
+		}
+		for _, j := range clean {
+			if err := j.Plan.Verify(j.Mem); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 // TestDriversRejectOverlap: a plan executed while its engine runs
-// another is rejected with the engine's text on either driver, and a run
-// started while a plan executes — here by its reduction kernel — is too.
+// another is rejected with the engine's text on either driver — the
+// round-major one at one and at two workers — and a run started while a
+// plan executes, here by its reduction kernel, is too.
 func TestDriversRejectOverlap(t *testing.T) {
 	const n, want = 4, "mpsim: a run is already in flight on this engine (runs must not overlap)"
 	e := mpsim.MustNew(n)
 	var inner error
-	once := new(sync.Once) // the engine driver's kernel runs on every rank's worker
+	once := new(sync.Once) // the kernel runs on every worker of the driver
 	kernel := func(dst, src []byte) {
 		once.Do(func() { inner = e.Run(func(*mpsim.Proc) error { return nil }) })
 		for i := range dst {
@@ -175,7 +226,7 @@ func TestDriversRejectOverlap(t *testing.T) {
 	}
 	pl := must(Compile(e, mpsim.WorldGroup(n), Spec{Op: OpAllReduce, BlockLen: 8, Reduce: ReduceOptions{Kernel: kernel}}))
 	mem := must(pl.Alloc())
-	drivers := []func(Memory) (*Result, error){pl.runRounds, pl.runEngine}
+	drivers := []func(Memory) (*Result, error){pl.runRounds, pl.walkAt(2), pl.runEngine}
 
 	started, hold, done := make(chan struct{}), make(chan struct{}), make(chan error)
 	go func() {
@@ -209,6 +260,64 @@ func TestDriversRejectOverlap(t *testing.T) {
 	}
 }
 
+// TestWalkWorkersAgree holds the walk at two, three and four workers to
+// the walk at one on every ledger row (the golden corpus's rows are
+// TestWalkWorkersAgreeGolden's, in package collective_test).
+func TestWalkWorkersAgree(t *testing.T) {
+	for _, row := range budgetRows() {
+		t.Run(row.name, func(t *testing.T) {
+			e := must(row.engine(mpsim.BackendChan))
+			groups := []*mpsim.Group{mpsim.WorldGroup(budgetN)}
+			if row.mode == concurrent {
+				ids := groups[0].IDs()
+				groups = []*mpsim.Group{must(mpsim.NewGroup(ids[:budgetN/2], budgetN)), must(mpsim.NewGroup(ids[budgetN/2:], budgetN))}
+			}
+			plans := make([]*Plan, len(groups))
+			for i, g := range groups {
+				plans[i] = must(Compile(e, g, row.spec))
+			}
+			WalkersAgree(t, plans, row.fill())
+		})
+	}
+}
+
+// WalkersAgree runs the plans — of one engine, on disjoint groups — on
+// the walk (walkJobs) at one to four workers, each on its own memory
+// filled by fill, and holds every output byte and Result at two to four
+// workers to those at one; every run must pass Verify. It is exported
+// for TestWalkWorkersAgreeGolden, whose package may import the golden
+// corpus.
+func WalkersAgree(t *testing.T, plans []*Plan, fill func(blk []byte, rank, block int)) {
+	t.Helper()
+	var first []Job
+	for w := 1; w <= 4; w++ {
+		jobs := make([]Job, len(plans))
+		for i, pl := range plans {
+			jobs[i] = Job{pl, must(pl.Alloc())}
+			pl.Fill(jobs[i].Mem, fill)
+		}
+		if err := walkJobs(plans[0].engine, jobs, w); err != nil {
+			t.Fatalf("W=%d: %v", w, err)
+		}
+		if w == 1 {
+			first = jobs
+		}
+		for i, j := range jobs {
+			if err := j.Plan.Verify(j.Mem); err != nil {
+				t.Errorf("W=%d, plan %d: %v", w, i, err)
+			}
+			if !reflect.DeepEqual(j.Plan.result(), first[i].Plan.result()) {
+				t.Errorf("W=%d, plan %d: Result %+v, at one worker %+v", w, i, j.Plan.result(), first[i].Plan.result())
+			}
+			for r := 0; r < j.Plan.group.Size(); r++ {
+				if !bytes.Equal(j.Mem.side[regOut].Proc(r), first[i].Mem.side[regOut].Proc(r)) {
+					t.Errorf("W=%d, plan %d: rank %d's output differs from the walk at one worker", w, i, r)
+				}
+			}
+		}
+	}
+}
+
 // TestRoundMajorAtScale: an index and a concatenation at n = 1024 run
 // on the round-major driver and deliver every block.
 func TestRoundMajorAtScale(t *testing.T) {
@@ -234,14 +343,11 @@ func TestRoundMajorAtScale(t *testing.T) {
 	}
 }
 
-// TestDriverSelection pins the rule Plan.run picks a driver by, on plan
-// and engine properties: a plan copying at most roundMajorBytes per
-// execution on a plain engine runs round-major, anything else on the
-// engine.
+// TestDriverSelection pins the rule Plan.run picks a driver by, on
+// engine properties only: any plan on a plain engine runs round-major,
+// whatever it copies, and on a chaos or recording engine on the engine.
 func TestDriverSelection(t *testing.T) {
 	index := func(b int) Spec { return Spec{Op: OpIndex, BlockLen: b, Index: IndexOptions{Radix: 2}} }
-	ring := Spec{Op: OpAllReduce, BlockLen: 16 << 10, Reduce: must(KernelOptions(buffers.Sum, buffers.Float32))}
-	ring.Reduce.Algorithm = ReduceRing
 	for _, c := range []struct {
 		name   string
 		spec   Spec
@@ -250,8 +356,8 @@ func TestDriverSelection(t *testing.T) {
 	}{
 		{"index b=128 chan", index(128), mpsim.WithTransport(mpsim.BackendChan), true},
 		{"index b=128 slot", index(128), mpsim.WithTransport(mpsim.BackendSlot), true},
-		{"index b=64KiB", index(64 << 10), mpsim.WithTransport(mpsim.BackendChan), false},
-		{"ring allreduce b=16KiB", ring, mpsim.WithTransport(mpsim.BackendChan), false},
+		{"index b=64KiB", index(64 << 10), mpsim.WithTransport(mpsim.BackendChan), true},
+		{"ring allreduce b=16KiB", ringAllReduce(16 << 10), mpsim.WithTransport(mpsim.BackendChan), true},
 		{"index b=128 chaos", index(128), mpsim.WithChaos(mpsim.ChaosConfig{Seed: 1}), false},
 		{"index b=128 recording", index(128), mpsim.Record(true), false},
 	} {
@@ -260,20 +366,44 @@ func TestDriverSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := pl.roundMajor(); got != c.rounds {
-			t.Errorf("%s: copies %d bytes, round-major %v, want %v", c.name, pl.prog.copied, got, c.rounds)
+			t.Errorf("%s: round-major %v, want %v", c.name, got, c.rounds)
 		}
 	}
 }
 
-// BenchmarkDrivers is the sweep roundMajorBytes is read from: the radix-2
-// index at n = 16 over block sizes 128 B .. 64 KiB, each plan executed
-// by both drivers. Run it at one and two Ps:
+// ringAllReduce is the benchmark's allreduce-large schedule at block
+// size b: the ring allreduce summing float32s.
+func ringAllReduce(b int) Spec {
+	s := Spec{Op: OpAllReduce, BlockLen: b, Reduce: must(KernelOptions(buffers.Sum, buffers.Float32))}
+	s.Reduce.Algorithm = ReduceRing
+	return s
+}
+
+// walkAt is the walk at w workers as a driver of pl, the test-only entry
+// that fixes W.
+func (pl *Plan) walkAt(w int) func(Memory) (*Result, error) {
+	return func(m Memory) (*Result, error) {
+		if err := walkJobs(pl.engine, []Job{{pl, m}}, w); err != nil {
+			return nil, err
+		}
+		return pl.result(), nil
+	}
+}
+
+// BenchmarkDrivers is the sweep walkParallelBytes is read from: the
+// radix-2 index at n = 16 over block sizes 128 B .. 64 KiB and the ring
+// allreduce at 16 KiB, each plan executed by the engine driver and by
+// the walk at one worker and at GOMAXPROCS. Run it at one and two Ps:
 //
 //	go test -run xxx -bench Drivers -cpu 1,2 ./internal/collective
 func BenchmarkDrivers(b *testing.B) {
+	specs := []Spec{ringAllReduce(16 << 10)}
 	for _, blockLen := range []int{128, 512, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+		specs = append(specs, Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Radix: 2}})
+	}
+	for _, spec := range specs {
 		e := mpsim.MustNew(budgetN)
-		pl, err := Compile(e, mpsim.WorldGroup(budgetN), Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Radix: 2}})
+		pl, err := Compile(e, mpsim.WorldGroup(budgetN), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,19 +411,23 @@ func BenchmarkDrivers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl.Fill(mem, Labels)
-		for _, driver := range []struct {
-			name string
-			run  func(Memory) (*Result, error)
-		}{{"engine", pl.runEngine}, {"rounds", pl.runRounds}} {
-			b.Run(fmt.Sprintf("b=%d/%s", blockLen, driver.name), func(b *testing.B) {
-				if _, err := driver.run(mem); err != nil {
+		pl.Fill(mem, buffers.Float32.Fill)
+		for _, driver := range []string{"engine", "walk-1", "walk-P"} {
+			b.Run(fmt.Sprintf("%v/%s/b=%d/%s", spec.Op, pl.Algorithm(), spec.BlockLen, driver), func(b *testing.B) {
+				run := pl.runEngine
+				switch driver {
+				case "walk-1":
+					run = pl.walkAt(1)
+				case "walk-P": // GOMAXPROCS is -cpu's only inside b.Run
+					run = pl.walkAt(runtime.GOMAXPROCS(0))
+				}
+				if _, err := run(mem); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := driver.run(mem); err != nil {
+					if _, err := run(mem); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -23,7 +23,7 @@ import (
 // execution names its own Memory, so one cached Plan serves any number
 // of callers. Run executes the plan alone on one Memory; ExecutePlans
 // runs several plans with pairwise disjoint groups, each on its own
-// Memory, concurrently inside a single engine run.
+// Memory, concurrently under one claim of the engine.
 type Plan struct {
 	engine   *mpsim.Engine
 	group    *mpsim.Group
@@ -210,24 +210,11 @@ func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	return pl.Run(pl.Memory(in, out))
 }
 
-// roundMajorBytes is the most bytes a plan may copy per execution — the
-// sum over its ranks of program.moved — and still run on the round-major
-// driver. One goroutine then copies every rank's bytes, which wins while
-// the engine's fixed cost dominates and loses once two cores copying in
-// parallel do. BenchmarkDrivers sweeps the index at n = 16 over block
-// sizes on both drivers. On a 2-vCPU host at one P the round-major
-// driver never loses; at two Ps it still wins at b = 4 KiB (4.3 MB
-// copied) and loses from b = 16 KiB (17 MB) on. The bound keeps a margin
-// under that crossover.
-const roundMajorBytes = 2 << 20
-
 // roundMajor reports whether Plan.run executes the plan on the
-// round-major driver: a plan that copies at most roundMajorBytes on an
-// engine whose runs are plain (mpsim.Engine.Plain), so that nothing —
-// recorded events, injected delays — would tell the drivers apart.
-func (pl *Plan) roundMajor() bool {
-	return pl.prog.copied <= roundMajorBytes && pl.engine.Plain()
-}
+// round-major driver: on an engine whose runs are plain
+// (mpsim.Engine.Plain), so that nothing — recorded events, injected
+// delays — would tell the drivers apart.
+func (pl *Plan) roundMajor() bool { return pl.engine.Plain() }
 
 // run executes the plan alone on memory that fits it, round-major where
 // roundMajor says so.
@@ -249,14 +236,15 @@ func (pl *Plan) runEngine(m Memory) (*Result, error) {
 // body is the per-processor program of one execution: bind the rank's
 // input and output regions, run its role.
 func (pl *Plan) body(m Memory) func(*mpsim.Proc) error {
+	md := &bytesMedium{m}
 	return func(p *mpsim.Proc) error {
 		me := pl.group.Rank(p.Rank())
 		if me < 0 {
 			return nil
 		}
-		f := framePool.Get().(*frame).start(bytesMedium{}, p, pl, pl.prog, nil, me)
+		f := framePool.Get().(*frame).start(md, p, pl, pl.prog, nil, me)
 		f.p = p
-		m.bind(f, me)
+		md.bind(f, me)
 		err := f.run()
 		framePool.Put(f)
 		return rankErr(me, err)
@@ -277,18 +265,18 @@ type Job struct {
 	Mem  Memory
 }
 
-// ExecutePlans runs several compiled plans concurrently inside one
-// engine run, each on its job's memory. The plans must all belong to
-// engine e and have pairwise disjoint groups, and each memory must fit
-// its plan (Run's check). The returned Results are in job order. The
-// k-port constraint is enforced per processor as always, and schedule
-// validation applies per plan group.
+// ExecutePlans runs several compiled plans, each on its job's memory:
+// on a plain engine as walks dealt over its workers under one claim of
+// the engine (walkJobs); otherwise concurrently inside one engine run. The plans must all belong to engine e and have pairwise
+// disjoint groups, and each memory must fit its plan (Run's check). The
+// returned Results are in job order. The k-port constraint is enforced
+// per processor as always, and schedule validation applies per plan
+// group.
 func ExecutePlans(e *mpsim.Engine, jobs []Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("collective: no plans to execute")
 	}
 	seen := make(map[int]int, e.N())
-	progs := make([]mpsim.Program, len(jobs))
 	for i, j := range jobs {
 		pl := j.Plan
 		if pl == nil {
@@ -306,9 +294,18 @@ func ExecutePlans(e *mpsim.Engine, jobs []Job) ([]*Result, error) {
 			}
 			seen[id] = i
 		}
-		progs[i] = mpsim.Program{Members: pl.group.IDs(), Body: pl.body(j.Mem)}
 	}
-	if err := e.RunPrograms(progs); err != nil {
+	var err error
+	if e.Plain() {
+		err = walkJobs(e, jobs, 0)
+	} else {
+		progs := make([]mpsim.Program, len(jobs))
+		for i, j := range jobs {
+			progs[i] = mpsim.Program{Members: j.Plan.group.IDs(), Body: j.Plan.body(j.Mem)}
+		}
+		err = e.RunPrograms(progs)
+	}
+	if err != nil {
 		return nil, err
 	}
 	results := make([]*Result, len(jobs))

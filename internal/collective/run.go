@@ -3,22 +3,24 @@ package collective
 // The interpreter: cursor.next steps a rank's role — local steps, skips,
 // embedded sub-programs — up to its next exchange, on a medium: bytes
 // (bytesMedium) or labels (check.go). The round-major driver (rounds.go)
-// runs every rank's exchanges round by round on either; the engine
-// driver (frame.run) runs each rank's on its mpsim worker, on bytes.
+// runs every rank's exchanges round by round on either, its ranks split
+// over workers on bytes; the engine driver (frame.run) runs each rank's
+// on its mpsim worker, on bytes.
 //
 // Scratch and pool discipline: a frame's scratch regions are acquired
-// from its pool — the rank's processor-local pool under the engine, the
-// driver's free list round-major — when the frame starts, in
+// from its pool — the rank's processor-local pool under the engine, its
+// worker's free list round-major — when the frame starts, in
 // declaration order, and released when it ends. Every payload takes one
 // path, pack -> own -> land: packed into a pool buffer of exactly its
 // extents' bytes on this rank (a layout family sends true block
 // lengths), handed over for good, held to the receiver's extents before
 // a byte is written, landed — copy or combine — and released to the
-// receiver's pool: two copies per byte per hop. The one exception is a
-// swap (role.swaps): its payload is the scratch region's own buffer and
-// the payload it receives becomes the region, no copy either way. After
-// a failed round the region holds no buffer: the one it gave away may
-// already sit in a peer's pool.
+// receiver's pool, where its next pack finds it in cache; round-major a
+// worker that keeps another's payload pays it back a buffer when the
+// walk ends (rounds.close). Two copies per byte per hop. The one exception is a swap (role.swaps): its payload is the
+// scratch region's own buffer and the payload it receives becomes the
+// region, no copy either way. After a failed round the region holds no
+// buffer: the one it gave away may already sit in a peer's pool.
 
 import (
 	"fmt"
@@ -37,14 +39,15 @@ type region struct {
 }
 
 // pool is where the byte medium's buffers come from and go back to: the
-// engine's Proc, or the round-major driver.
+// engine's Proc, or a worker of the round-major driver.
 type pool interface {
 	AcquireBuf(n int) []byte
 	ReleaseBuf(b []byte)
 }
 
 // medium owns the contents of a frame's regions — the walker owns their
-// addresses — and moves them: scratch acquired at a frame's start and
+// addresses — and moves them: a rank's input and output regions bound at
+// the start of the walk, scratch acquired at a frame's start and
 // released at its end, local steps, an embedded frame's regions, and a
 // round's sends and receives of group rank me in round t, each filling
 // or landing a payload in its receiver's box. fault reports
@@ -52,6 +55,7 @@ type pool interface {
 // label medium records it and returns nil, and the walk goes on without
 // the faulty delivery.
 type medium interface {
+	bind(f *frame, me int)
 	acquire(f *frame, reg regID, bytes int)
 	release(f *frame, reg regID)
 	local(f *frame, s *step)
@@ -421,9 +425,10 @@ func (f *frame) zip(dst, src []extent, combine bool) {
 }
 
 // bytesMedium is the medium of an execution: a frame's regions are the
-// caller's memory and its pool's buffers.
-type bytesMedium struct{}
+// caller's memory m and its pool's buffers.
+type bytesMedium struct{ m Memory }
 
+func (b bytesMedium) bind(f *frame, me int)          { b.m.bind(f, me) }
 func (bytesMedium) acquire(f *frame, r regID, n int) { f.reg[r].data = f.pool.AcquireBuf(n) }
 func (bytesMedium) release(f *frame, r regID)        { f.pool.ReleaseBuf(f.reg[r].data) }
 func (bytesMedium) local(f *frame, s *step)          { f.local(s) }

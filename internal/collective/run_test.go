@@ -170,16 +170,22 @@ func TestExactExtentFamiliesSendExactSizes(t *testing.T) {
 // buffers of its own in its peers' hands and theirs in its own. A user
 // kernel panics once, on one rank, a few rounds into a ring AllReduce;
 // the run reports that panic, and the same engine then runs the plan a
-// hundred times correctly on every transport. Were a buffer left in two
-// pools, two ranks would sooner or later reduce in the same memory: a
-// wrong block here, and a data race under -race.
+// hundred times correctly on every transport, and on the walk at two
+// workers, whose buffers also cross between the workers' free lists.
+// Were a buffer left in two pools, two ranks would sooner or later
+// reduce in the same memory: a wrong block here, and a data race under
+// -race.
 func TestRingSwapAfterAFailedRound(t *testing.T) {
 	const n, blockLen, runs = 8, 64, 100
 	sum := must(buffers.Kernel(buffers.Sum, buffers.Int32))
-	for _, transport := range []mpsim.Option{
-		mpsim.WithTransport(mpsim.BackendChan), mpsim.WithTransport(mpsim.BackendSlot), mpsim.WithChaos(mpsim.ChaosConfig{Seed: 5}),
+	for _, c := range []struct {
+		transport mpsim.Option
+		workers   int // the walk's, 0 for Run's choice
+	}{
+		{mpsim.WithTransport(mpsim.BackendChan), 0}, {mpsim.WithTransport(mpsim.BackendChan), 2},
+		{mpsim.WithTransport(mpsim.BackendSlot), 0}, {mpsim.WithChaos(mpsim.ChaosConfig{Seed: 5}), 0},
 	} {
-		e := mpsim.MustNew(n, transport)
+		e := mpsim.MustNew(n, c.transport)
 		var countdown atomic.Int32
 		kernel := func(dst, src []byte) {
 			if countdown.Add(-1) == 0 {
@@ -194,13 +200,25 @@ func TestRingSwapAfterAFailedRound(t *testing.T) {
 		if x := exchangeSteps(pl)[0].xfers[0]; !x.swap {
 			t.Fatalf("%v: the ring's rounds are not swaps", e.Transport())
 		}
+		exercise := func() error {
+			mem := must(pl.Alloc())
+			pl.Fill(mem, buffers.Int32.Fill)
+			run := pl.Run
+			if c.workers > 0 {
+				run = pl.walkAt(c.workers)
+			}
+			if _, err := run(mem); err != nil {
+				return err
+			}
+			return pl.Verify(mem)
+		}
 		countdown.Store(3 * n) // the ring combines n*(n-1) times
-		if _, err := Exercise(pl, buffers.Int32.Fill); err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") {
-			t.Fatalf("%v: error %v, want the kernel's panic", e.Transport(), err)
+		if err := exercise(); err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") {
+			t.Fatalf("%v W=%d: error %v, want the kernel's panic", e.Transport(), c.workers, err)
 		}
 		for run := 0; run < runs; run++ {
-			if _, err := Exercise(pl, buffers.Int32.Fill); err != nil {
-				t.Fatalf("%v: run %d after the failure: %v", e.Transport(), run, err)
+			if err := exercise(); err != nil {
+				t.Fatalf("%v W=%d: run %d after the failure: %v", e.Transport(), c.workers, run, err)
 			}
 		}
 	}

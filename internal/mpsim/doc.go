@@ -85,7 +85,7 @@
 // misaligned-schedule error). Run is the
 // single-program special case. Package collective builds concurrent
 // disjoint-group collectives (ExecutePlans / bruck.Machine.RunPlans)
-// on this primitive.
+// on this primitive for chaos and recording engines.
 //
 // # Run lifecycle
 //
@@ -94,7 +94,10 @@
 // return. Engine.Inline is the other way to hold the engine: its
 // function runs on the caller's goroutine under the same in-flight
 // claim, touching no transport, pool or worker — package collective
-// runs small plans round-major through it — and a chan or slot
+// runs every plan of a plain engine round-major through it — and may
+// spread its work over the engine's Team: helper goroutines, started
+// by the first Run that asks for them, that poll for the next Run a
+// while and then park like the rank workers, and stop with them. A chan or slot
 // transport is built only by the first run that needs one. Each Proc
 // counts its sends and receives, and under Record logs its sends, on
 // its own, without a lock; when every body has returned, the engine

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -90,6 +91,9 @@ type engine struct {
 
 	// inline is what Inline's callers keep on the engine between calls.
 	inline any
+
+	// team is the helpers an Inline function may spread its work over.
+	team Team
 
 	// running is set for the length of a run, which owns everything above.
 	running atomic.Bool
@@ -266,18 +270,163 @@ var errOverlap = errors.New("mpsim: a run is already in flight on this engine (r
 // the engine's run claim while fn runs, so a call made during a run is
 // rejected exactly as an overlapping run is, and a run or Inline call
 // made during fn is too. fn touches no transport, pool or worker of the
-// engine and records no event: Metrics reports nil afterwards.
+// engine and records no event: Metrics reports nil afterwards; it may
+// spread its work over the engine's helpers with team.
 // state points at a value the engine keeps for its Inline callers from
 // one call to the next, as it keeps its pools from run to run; the claim
 // orders the calls, so it needs no lock. Like the pools, it must not
 // reach the Engine handle between calls.
-func (e *Engine) Inline(fn func(state *any) error) error {
+func (e *Engine) Inline(fn func(state *any, team *Team) error) error {
 	if !e.running.CompareAndSwap(false, true) {
 		return errOverlap
 	}
 	defer e.running.Store(false)
 	e.metrics = nil
-	return fn(&e.inline)
+	return fn(&e.inline, &e.team)
+}
+
+// A Team is the goroutines an Inline function may spread its work over:
+// its own and the engine's helpers, which poll a while after a call and
+// then park like the rank workers of a run, and stop with them. Only the
+// function Inline hands it to may use it, and only while that call
+// lasts.
+type Team struct {
+	body    func(worker int)
+	jobs    chan int // the worker a helper runs next
+	helpers int
+	raised  []any // raised[i]: what worker i's body panicked with
+
+	// The barrier of the Run in progress (Wait) among its w workers.
+	w        int32
+	arrived  atomic.Int32
+	gen      atomic.Uint32
+	sleepers atomic.Int32
+	mu       sync.Mutex
+	cond     sync.Cond
+}
+
+// helperSpins is how often an idle helper polls for the next Run before
+// it parks, and waitSpins how often a worker polls the barrier before it
+// sleeps: some tens of microseconds each.
+const (
+	helperSpins = 1 << 12
+	waitSpins   = 1 << 16
+)
+
+// teamJobs is the room jobs has: a Run on up to 65 workers hands its
+// helpers their jobs without waiting for one to take its own.
+const teamJobs = 64
+
+// Run calls body(0) on the caller's goroutine and body(1), ...,
+// body(w-1), w >= 1, on helpers, starting those it does not have yet, and
+// returns once every call has returned; a helper's panic is raised again
+// on the caller. The calls run concurrently: what they share they must
+// synchronize themselves.
+func (t *Team) Run(w int, body func(worker int)) {
+	if t.jobs == nil {
+		t.jobs = make(chan int, teamJobs)
+	}
+	for ; t.helpers < w-1; t.helpers++ {
+		go t.help(t.jobs)
+	}
+	if len(t.raised) < w {
+		t.raised = make([]any, w)
+	}
+	if t.cond.L == nil {
+		t.cond.L = &t.mu
+	}
+	t.body, t.w = body, int32(w)
+	for i := 1; i < w; i++ {
+		t.jobs <- i
+	}
+	defer t.join(w)
+	body(0)
+}
+
+// Wait is the barrier of a Run: it holds the calling worker until all w
+// workers have called it, then lets the last to arrive call last alone
+// before it releases the others. A worker spins first — a worker has a
+// core of its own, and the stretches between barriers end close
+// together — then sleeps.
+func (t *Team) Wait(last func()) {
+	g, w := t.gen.Load(), t.w // once it arrives, the next Run may set t.w
+	if t.arrived.Add(1) == w {
+		t.arrived.Store(0)
+		last()
+		t.gen.Add(1)
+		if t.sleepers.Load() > 0 {
+			t.mu.Lock()
+			t.cond.Broadcast()
+			t.mu.Unlock()
+		}
+		return
+	}
+	for i := 0; i < waitSpins; i++ {
+		if t.gen.Load() != g {
+			return
+		}
+		if i%64 == 63 {
+			runtime.Gosched()
+		}
+	}
+	t.mu.Lock()
+	t.sleepers.Add(1)
+	for t.gen.Load() == g {
+		t.cond.Wait()
+	}
+	t.sleepers.Add(-1)
+	t.mu.Unlock()
+}
+
+// join is a Run's last barrier, which each worker reaches once its body
+// has returned. Past it the caller drops the body — it may reach the
+// Engine handle — and raises the first helper panic again.
+func (t *Team) join(w int) {
+	t.Wait(func() {})
+	t.body = nil
+	var first any
+	for i, v := range t.raised[1:w] {
+		t.raised[i+1] = nil
+		if first == nil {
+			first = v
+		}
+	}
+	if first != nil {
+		panic(first)
+	}
+}
+
+// help is a helper: it runs the body of each worker it is handed, then
+// polls jobs a while — a Run that follows at once then reaches it
+// without a scheduler round trip — and parks on it, until the engine
+// closes it. It reaches the engine only through the Team, never the
+// Engine handle.
+func (t *Team) help(jobs <-chan int) {
+	for {
+		i, ok := -1, true
+		for spin := 0; i < 0 && ok && spin < helperSpins; spin++ {
+			select {
+			case i, ok = <-jobs:
+			default:
+			}
+		}
+		if i < 0 && ok {
+			i, ok = <-jobs
+		}
+		if !ok {
+			return
+		}
+		t.do(i)
+	}
+}
+
+// do runs the body of worker i, keeps its panic for join and joins.
+func (t *Team) do(i int) {
+	defer func() {
+		t.raised[i] = recover()
+		t.Wait(func() {})
+	}()
+	t.body(i)
 }
 
 // ChaosStats returns the chaos transport's cumulative injected-delay
@@ -548,14 +697,18 @@ func (e *Engine) fence() {
 	e.metrics = nil
 }
 
-// stop closes every worker's job channel: a parked worker exits at once,
-// one still running a body when the body returns.
+// stop closes every worker's and helper's job channel: a parked one
+// exits at once, one still running a body when the body returns.
 func (e *engine) stop() {
 	for i, w := range e.workers {
 		if w != nil {
 			close(w)
 			e.workers[i] = nil
 		}
+	}
+	if e.team.jobs != nil {
+		close(e.team.jobs)
+		e.team.jobs, e.team.helpers = nil, 0
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -387,14 +388,14 @@ func TestInlineHoldsTheClaim(t *testing.T) {
 		t.Fatalf("Run: %v, metrics %v", err, e.Metrics())
 	}
 	var inner error
-	if err := e.Inline(func(state *any) error {
+	if err := e.Inline(func(state *any, _ *Team) error {
 		*state = 7
 		inner = e.Run(func(p *Proc) error { return nil })
 		return errors.New("fn's own")
 	}); err == nil || err.Error() != "fn's own" {
 		t.Errorf("Inline returned %v, want fn's error", err)
 	}
-	if err := e.Inline(func(state *any) error {
+	if err := e.Inline(func(state *any, _ *Team) error {
 		if *state != 7 {
 			return fmt.Errorf("state %v, want the 7 the last call kept", *state)
 		}
@@ -419,7 +420,7 @@ func TestInlineHoldsTheClaim(t *testing.T) {
 		})
 	}()
 	<-entered
-	if err := e.Inline(func(*any) error { return nil }); err == nil || err.Error() != want {
+	if err := e.Inline(func(*any, *Team) error { return nil }); err == nil || err.Error() != want {
 		t.Errorf("Inline during a run: %v, want %q", err, want)
 	}
 	close(release)
@@ -428,7 +429,7 @@ func TestInlineHoldsTheClaim(t *testing.T) {
 	}
 
 	fresh := MustNew(3, WithTransport(BackendSlot))
-	if fresh.Inline(func(*any) error { return nil }) != nil || fresh.tr != nil {
+	if fresh.Inline(func(*any, *Team) error { return nil }) != nil || fresh.tr != nil {
 		t.Errorf("a slot engine built its transport before its first run")
 	}
 	if fresh.Run(func(p *Proc) error { return nil }) != nil || fresh.tr == nil {
@@ -537,10 +538,80 @@ func settledGoroutines() int {
 	return n
 }
 
+// TestTeamRun: a Team runs every worker's body once, the caller's as
+// worker 0, reuses its parked helpers from one Run to the next, and
+// raises a helper's panic again on the caller, after which it still
+// runs. Its barrier releases no worker before all have arrived, and the
+// last to arrive runs the barrier's function alone, every round.
+func TestTeamRun(t *testing.T) {
+	e := MustNew(4)
+	var ran [4]atomic.Int32
+	run := func(w int, body func(int)) {
+		if err := e.Inline(func(_ *any, team *Team) error { team.Run(w, body); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(i int) { ran[i].Add(1) }
+	run(4, count)
+	started := runtime.NumGoroutine()
+	run(3, count)
+	run(4, count)
+	if got := runtime.NumGoroutine(); got > started {
+		t.Errorf("%d goroutines after two more Runs, %d after the first", got, started)
+	}
+	for i, want := range []int32{3, 3, 3, 2} {
+		if got := ran[i].Load(); got != want {
+			t.Errorf("worker %d ran %d times, want %d", i, got, want)
+		}
+	}
+	func() {
+		defer func() {
+			if v := recover(); v != "boom" {
+				t.Errorf("the caller recovered %v, want the helper's panic", v)
+			}
+		}()
+		run(2, func(i int) {
+			if i == 1 {
+				panic("boom")
+			}
+		})
+	}()
+	run(4, count)
+	if got := ran[3].Load(); got != 3 {
+		t.Errorf("after the panic worker 3 ran %d times, want 3", got)
+	}
+
+	const w, rounds = 3, 200
+	var arrived atomic.Int32
+	lasts := 0
+	if err := e.Inline(func(_ *any, team *Team) error {
+		team.Run(w, func(int) {
+			for r := 1; r <= rounds; r++ {
+				arrived.Add(1)
+				team.Wait(func() {
+					if got := arrived.Load(); got != w*int32(r) {
+						t.Errorf("round %d: the barrier's function ran with %d arrivals, want %d", r, got, w*r)
+					}
+					lasts++
+				})
+				if got := arrived.Load(); got < w*int32(r) {
+					t.Errorf("round %d: released with %d arrivals, want %d", r, got, w*r)
+				}
+			}
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if lasts != rounds {
+		t.Errorf("the barrier's function ran %d times in %d rounds", lasts, rounds)
+	}
+}
+
 // TestUnreachableEngineStopsWorkers: the parked workers of an Engine
 // nothing references any more exit once the collector finalizes it,
 // also when the last run's body referenced the Engine, as a plan's does,
-// and after an Inline call.
+// and so do the helpers of an Inline call whose Team body did.
 func TestUnreachableEngineStopsWorkers(t *testing.T) {
 	const n = 8
 	base := settledGoroutines()
@@ -549,11 +620,15 @@ func TestUnreachableEngineStopsWorkers(t *testing.T) {
 		if err := e.Run(func(p *Proc) error { _ = e.N(); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Inline(func(state *any) error { *state = e.N(); return nil }); err != nil {
+		if err := e.Inline(func(state *any, team *Team) error {
+			*state = e.N()
+			team.Run(3, func(int) { _ = e.N() })
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := runtime.NumGoroutine(); got < base+n {
-			t.Fatalf("%d goroutines after a run, want the %d before and %d parked workers", got, base, n)
+		if got := runtime.NumGoroutine(); got < base+n+2 {
+			t.Fatalf("%d goroutines after a run, want the %d before, %d parked workers and 2 helpers", got, base, n)
 		}
 	}()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
