@@ -8,10 +8,11 @@
 // and Concat (MPI_Allgather: the circulant-graph algorithm, folklore,
 // ring and recursive-doubling baselines) — the reductions built from
 // them and the one-to-all primitives on a simulated multiport fully
-// connected machine: one goroutine per processor, the k-port constraint
-// enforced per round, C1 (rounds) and C2 (sum over rounds of the
-// largest message) derived from the compiled schedule and priced by
-// Report.Time under a profile such as SP1. A compiled Plan also prices
+// connected machine: the compiled schedule runs as one round-synchronous
+// walk over the ranks, the k-port constraint enforced per round, C1
+// (rounds) and C2 (sum over rounds of the largest message) derived from
+// the compiled schedule and priced by Report.Time under a profile such
+// as SP1. A compiled Plan also prices
 // itself with per-processor clocks (Plan.CriticalPath, CriticalPathTopo),
 // on the walk Plan.Check proves it with: one walk over the program, two
 // domains, symbolic byte labels and virtual time.
@@ -62,38 +63,15 @@ type Machine struct {
 type MachineOption func(*machineConfig)
 
 type machineConfig struct {
-	ports   int
-	backend Backend
-	chaos   ChaosConfig
-	topo    *costmodel.Topology
+	ports int
+	chaos *ChaosConfig
+	topo  *costmodel.Topology
 }
 
-// Backend names a simulator message-transport implementation. The
-// paper's schedules are transport-agnostic, so every backend produces
-// byte-identical results on identical schedules; backends trade
-// simulator wall-clock speed against blocking behaviour.
-type Backend = mpsim.Backend
-
-const (
-	// BackendChan (default) delivers messages over per-pair buffered Go
-	// channels; blocked processors park for free.
-	BackendChan = mpsim.BackendChan
-	// BackendSlot delivers messages through lock-free shared-memory slot
-	// rings, the fast backend on machines that fit the host's cores.
-	BackendSlot = mpsim.BackendSlot
-	// BackendChaos wraps chan or slot with seeded adversarial timing
-	// (jitter, reordering, stragglers); configure it with WithChaos.
-	BackendChaos = mpsim.BackendChaos
-)
-
-// ChaosConfig configures the chaos transport: the wrapped inner
-// backend, the jitter seed and ceiling, and the straggler set. The zero
-// value wraps BackendChan with default jitter. See mpsim.ChaosConfig.
+// ChaosConfig configures the chaos transport: the jitter seed and
+// ceiling, and the straggler set. The zero value gives seed 1 and the
+// default jitter. See mpsim.ChaosConfig.
 type ChaosConfig = mpsim.ChaosConfig
-
-// ParseBackend converts a command-line string ("chan", "slot",
-// "chaos") into a Backend.
-func ParseBackend(s string) (Backend, error) { return mpsim.ParseBackend(s) }
 
 // Ports sets the number of communication ports k per processor: in each
 // round a processor can send k messages and receive k messages
@@ -102,32 +80,24 @@ func Ports(k int) MachineOption {
 	return func(c *machineConfig) { c.ports = k }
 }
 
-// WithTransport selects the simulator's message transport backend:
-// BackendChan (default), BackendSlot, or BackendChaos with its zero
-// configuration (use WithChaos to configure it).
-func WithTransport(b Backend) MachineOption {
-	return func(c *machineConfig) { c.backend = b }
-}
-
-// WithChaos selects the chaos transport: the machine runs on cfg.Inner
-// with seeded adversarial timing on every link. Results and Reports are
-// byte-identical to the plain backends'.
+// WithChaos runs the machine on the chaos transport: seeded adversarial
+// timing (jitter, reordering, stragglers) on every link. It is the one
+// transport option — a plain machine runs every plan as a round-major
+// walk and moves no message through a transport. Results and Reports
+// are byte-identical to a plain machine's.
 func WithChaos(cfg ChaosConfig) MachineOption {
-	return func(c *machineConfig) {
-		c.backend = BackendChaos
-		c.chaos = cfg
-	}
+	return func(c *machineConfig) { c.chaos = &cfg }
 }
 
 // NewMachine creates a simulated machine with n processors.
 func NewMachine(n int, opts ...MachineOption) (*Machine, error) {
-	cfg := machineConfig{ports: 1, backend: BackendChan}
+	cfg := machineConfig{ports: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	eopts := []mpsim.Option{mpsim.Ports(cfg.ports), mpsim.WithTransport(cfg.backend)}
-	if cfg.backend == BackendChaos {
-		eopts = append(eopts, mpsim.WithChaos(cfg.chaos))
+	eopts := []mpsim.Option{mpsim.Ports(cfg.ports)}
+	if cfg.chaos != nil {
+		eopts = append(eopts, mpsim.WithChaos(*cfg.chaos))
 	}
 	if cfg.topo != nil {
 		if err := cfg.topo.Validate(); err != nil {
@@ -150,9 +120,6 @@ func (m *Machine) N() int { return m.engine.N() }
 
 // Ports returns the port count k.
 func (m *Machine) Ports() int { return m.engine.Ports() }
-
-// Transport returns the machine's transport backend.
-func (m *Machine) Transport() Backend { return m.engine.Transport() }
 
 // Topology returns the machine's topology, nil for a flat machine.
 func (m *Machine) Topology() *Topology { return m.topo }

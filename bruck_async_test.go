@@ -1,7 +1,7 @@
 package bruck
 
 // Tests for the non-blocking verb: Start must produce byte-identical
-// results to Run on every transport (including chaos with stragglers),
+// results to Run on a plain machine and under chaos with stragglers,
 // the Handle lifecycle (Wait/Test/Report, error delivery, idempotent
 // Wait) must hold, a second submission while one is in flight is
 // rejected, and an asynchronous operation after a watchdog fence runs
@@ -18,15 +18,14 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// asyncMachines builds one machine per transport, chaos configured with
+// asyncMachines builds a plain machine and a chaos one, configured with
 // stragglers so async completion order is adversarial.
 func asyncMachines(t *testing.T, n, k int) map[string]*Machine {
 	t.Helper()
 	return map[string]*Machine{
-		"chan": MustNewMachine(n, Ports(k)),
-		"slot": MustNewMachine(n, Ports(k), WithTransport(BackendSlot)),
+		"plain": MustNewMachine(n, Ports(k)),
 		"chaos": MustNewMachine(n, Ports(k), WithChaos(ChaosConfig{
-			Inner: BackendSlot, Seed: 11, Stragglers: []int{0, n / 2}, StragglerFactor: 4,
+			Seed: 11, Stragglers: []int{0, n / 2}, StragglerFactor: 4,
 		})),
 	}
 }
@@ -44,7 +43,7 @@ func mustStart(t *testing.T, m *Machine, op Op, in, out any, opts ...CollectiveO
 	return h
 }
 
-// TestIndexAsyncMatchesBlocking: for each transport, Start(Index) (both
+// TestIndexAsyncMatchesBlocking: plain and under chaos, Start(Index) (both
 // monolithic and segmented) produces the same bytes and the same
 // (C1, C2) report as Run.
 func TestIndexAsyncMatchesBlocking(t *testing.T) {
@@ -102,7 +101,8 @@ func TestConcatAsyncMatchesBlocking(t *testing.T) {
 }
 
 // TestAllReduceAsyncMatchesBlocking: async allreduce, monolithic and
-// segmented, is bit-identical to the blocking path on every transport.
+// segmented, is bit-identical to the blocking path, plain and under
+// chaos.
 func TestAllReduceAsyncMatchesBlocking(t *testing.T) {
 	const n, k, b = 8, 1, 12
 	for name, m := range asyncMachines(t, n, k) {

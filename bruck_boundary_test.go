@@ -151,6 +151,9 @@ func TestFacadeErrorTexts(t *testing.T) {
 	runPlans := func(m *Machine, runs ...PlanRun) func() error {
 		return func() error { _, err := m.RunPlans(runs); return err }
 	}
+	newMachine := func(n int, opts ...MachineOption) func() error {
+		return func() error { _, err := NewMachine(n, opts...); return err }
+	}
 	run := func(m *Machine, op Op, in, out any, opts ...CollectiveOption) func() error {
 		return func() error { _, err := m.Run(op, in, out, opts...); return err }
 	}
@@ -176,6 +179,13 @@ func TestFacadeErrorTexts(t *testing.T) {
 	}{
 		{"NewMachine/topology size", func() error { _, err := NewMachine(6, WithTopology(topo)); return err },
 			"bruck: topology covers 4 processors, machine has 6"},
+		{"NewMachine/no processors", newMachine(0), "mpsim: processor count n = 0, want n >= 1"},
+		{"NewMachine/no ports", newMachine(n, Ports(0)), "mpsim: port count k = 0, want 1 <= k <= 3 for n = 4"},
+		{"NewMachine/n ports", newMachine(n, Ports(n)), "mpsim: port count k = 4, want 1 <= k <= 3 for n = 4"},
+		{"NewMachine/straggler out of range", newMachine(n, WithChaos(ChaosConfig{Stragglers: []int{7}})),
+			"mpsim: chaos straggler rank 7 out of range [0,4)"},
+		{"NewMachine/negative straggler factor", newMachine(n, WithChaos(ChaosConfig{StragglerFactor: -2})),
+			"mpsim: chaos straggler factor -2, want >= 0"},
 		{"Plan.CriticalPathTopo/nil topology", critical(nil), "costmodel: nil topology"},
 		{"Plan.CriticalPathTopo/another machine's topology", critical(wide),
 			"collective: topology covers 6 processors, the plan's machine has 4"},

@@ -1,10 +1,10 @@
 package bruck
 
-// Cross-backend chaos equivalence: the chaos transport perturbs only
-// timing, so every collective — across all five schedule families —
-// must produce byte-identical results and identical (C1, C2) under
-// chaos(chan) and chaos(slot) as on the plain chan backend, for every
-// shape and seed. This is the acceptance test of the chaos wrapper.
+// Chaos equivalence: the chaos transport perturbs only timing, so every
+// collective — across all five schedule families — must produce
+// byte-identical results and identical (C1, C2) under chaos as on a
+// plain machine, for every shape and seed. This is the acceptance test
+// of the chaos wrapper.
 
 import (
 	"bytes"
@@ -16,8 +16,8 @@ import (
 )
 
 // chaosSweepConfigs returns the chaos configurations the equivalence
-// sweep runs against the chan baseline: both inner backends, distinct
-// seeds, stragglers at rank 0 and the middle rank. MaxDelay is kept
+// sweep runs against the plain baseline: two seeds, stragglers at rank
+// 0 and the middle rank. MaxDelay is kept
 // small so the full sweep stays fast; the jitter path is identical at
 // any ceiling.
 func chaosSweepConfigs(n int) []ChaosConfig {
@@ -26,8 +26,8 @@ func chaosSweepConfigs(n int) []ChaosConfig {
 		stragglers = []int{0, n / 2}
 	}
 	return []ChaosConfig{
-		{Inner: BackendChan, Seed: 1, MaxDelay: 20 * time.Microsecond, Stragglers: stragglers},
-		{Inner: BackendSlot, Seed: 0xbad5eed, MaxDelay: 20 * time.Microsecond, Stragglers: stragglers},
+		{Seed: 1, MaxDelay: 20 * time.Microsecond, Stragglers: stragglers},
+		{Seed: 0xbad5eed, MaxDelay: 20 * time.Microsecond, Stragglers: stragglers},
 	}
 }
 
@@ -90,8 +90,8 @@ var chaosOps = []struct {
 }
 
 // TestChaosEquivalenceSweep: every schedule family, n = 1..16,
-// k = 1..3, both chaos inners — byte-identical outputs and identical
-// (C1, C2) against the plain chan baseline.
+// k = 1..3, two chaos seeds — byte-identical outputs and identical
+// (C1, C2) against the plain baseline.
 func TestChaosEquivalenceSweep(t *testing.T) {
 	for _, op := range chaosOps {
 		op := op
@@ -106,17 +106,17 @@ func TestChaosEquivalenceSweep(t *testing.T) {
 						for _, cfg := range chaosSweepConfigs(n) {
 							got, gotRep := op.run(t, MustNewMachine(n, Ports(k), WithChaos(cfg)))
 							if gotRep.C1 != baseRep.C1 || gotRep.C2 != baseRep.C2 {
-								t.Fatalf("chaos(%s): (C1=%d, C2=%d), chan (C1=%d, C2=%d)",
-									cfg.Inner, gotRep.C1, gotRep.C2, baseRep.C1, baseRep.C2)
+								t.Fatalf("chaos(seed %d): (C1=%d, C2=%d), plain (C1=%d, C2=%d)",
+									cfg.Seed, gotRep.C1, gotRep.C2, baseRep.C1, baseRep.C2)
 							}
 							if len(got) != len(base) {
-								t.Fatalf("chaos(%s): %d procs, chan %d", cfg.Inner, len(got), len(base))
+								t.Fatalf("chaos(seed %d): %d procs, plain %d", cfg.Seed, len(got), len(base))
 							}
 							for i := range base {
 								for j := range base[i] {
 									if !bytes.Equal(got[i][j], base[i][j]) {
-										t.Fatalf("chaos(%s): out[%d][%d] = %v, chan %v",
-											cfg.Inner, i, j, got[i][j], base[i][j])
+										t.Fatalf("chaos(seed %d): out[%d][%d] = %v, plain %v",
+											cfg.Seed, i, j, got[i][j], base[i][j])
 									}
 								}
 							}
@@ -128,19 +128,11 @@ func TestChaosEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// TestChaosMachineBasics: the public surface — ParseBackend accepts
-// "chaos", Transport reports it, WithTransport selects the defaults,
+// TestChaosMachineBasics: the zero ChaosConfig selects the defaults,
 // and a chaos machine's repeated operations stay correct (plan cache
 // and transport reuse under jitter).
 func TestChaosMachineBasics(t *testing.T) {
-	b, err := ParseBackend("chaos")
-	if err != nil || b != BackendChaos {
-		t.Fatalf("ParseBackend(chaos) = %v, %v", b, err)
-	}
-	m := MustNewMachine(6, Ports(2), WithTransport(BackendChaos))
-	if m.Transport() != BackendChaos {
-		t.Fatalf("Transport() = %q", m.Transport())
-	}
+	m := MustNewMachine(6, Ports(2), WithChaos(ChaosConfig{}))
 	in, want := input(t, 6, 6, 3, 0), mustBuffers(t, 6, 6, 3)
 	mustRun(t, m, Index, in, want)
 	for rep := 0; rep < 3; rep++ {
@@ -149,16 +141,5 @@ func TestChaosMachineBasics(t *testing.T) {
 		if !out.Equal(want) {
 			t.Fatalf("rep %d: repeated chaos execution changed the result", rep)
 		}
-	}
-}
-
-// TestChaosMachineRejectsBadConfig: configuration validation surfaces
-// through NewMachine.
-func TestChaosMachineRejectsBadConfig(t *testing.T) {
-	if _, err := NewMachine(4, WithChaos(ChaosConfig{Inner: BackendChaos})); err == nil {
-		t.Error("chaos-in-chaos accepted")
-	}
-	if _, err := NewMachine(4, WithChaos(ChaosConfig{Stragglers: []int{7}})); err == nil {
-		t.Error("out-of-range straggler accepted")
 	}
 }

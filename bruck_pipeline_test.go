@@ -10,7 +10,7 @@ package bruck
 import "testing"
 
 // TestMachineSegmentedIndexMatchesMonolithic drives WithSegments
-// through Run on every transport and checks the segmented output
+// through Run, plain and under chaos, and checks the segmented output
 // against the monolithic one.
 func TestMachineSegmentedIndexMatchesMonolithic(t *testing.T) {
 	const n, k, b = 12, 2, 9

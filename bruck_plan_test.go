@@ -2,7 +2,7 @@ package bruck
 
 // Tests for the compiled-plan API: cache identity across option
 // changes, byte-equivalence of Plan.Run and RunPlans with Run and
-// with compiling per call on both transports, and per-plan reports from
+// with compiling per call, and per-plan reports from
 // concurrent disjoint-group execution.
 
 import (
@@ -98,44 +98,42 @@ func TestFlatEntryPointsHitPlanCache(t *testing.T) {
 }
 
 // TestPlanExecuteMatchesFlat: a reused plan produces byte-identical
-// results and identical reports to compiling per call, on both
-// transports, across the full (n, k) sweep.
+// results and identical reports to compiling per call, across the
+// full (n, k) sweep.
 func TestPlanExecuteMatchesFlat(t *testing.T) {
 	const b = 3
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for _, k := range []int{1, 2, 3} {
-			for n := 1; n <= 16; n++ {
-				if k > intmath.Max(1, n-1) {
-					continue
-				}
-				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				e, err := mpsim.New(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range []struct {
-					op   Op
-					in   *Buffers
-					runs int // reuse matters: run the index twice
-				}{
-					{Index, input(t, n, n, b, n*k), 2},
-					{Concat, input(t, n, 1, b, n+k), 1},
-				} {
-					pl := mustCompile(t, m, c.op, c.in)
-					for r := 0; r < c.runs; r++ {
-						got, want := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-						gotRep, err := pl.Run(pl.Memory(c.in, got))
-						if err != nil {
-							t.Fatalf("%v plan Run(n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
-						}
-						wantRep, err := compileAndRun(e, mpsim.WorldGroup(n), collective.Spec{Op: c.op}, c.in, want)
-						if err != nil {
-							t.Fatalf("%v compile per call (n=%d, k=%d, %s): %v", c.op, n, k, backend, err)
-						}
-						if !got.Equal(want) || gotRep.C1 != wantRep.C1 || gotRep.C2 != wantRep.C2 {
-							t.Fatalf("%v n=%d k=%d %s: plan (%d, %d) differs from compiling per call (%d, %d)",
-								c.op, n, k, backend, gotRep.C1, gotRep.C2, wantRep.C1, wantRep.C2)
-						}
+	for _, k := range []int{1, 2, 3} {
+		for n := 1; n <= 16; n++ {
+			if k > intmath.Max(1, n-1) {
+				continue
+			}
+			m := MustNewMachine(n, Ports(k))
+			e, err := mpsim.New(n, mpsim.Ports(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				op   Op
+				in   *Buffers
+				runs int // reuse matters: run the index twice
+			}{
+				{Index, input(t, n, n, b, n*k), 2},
+				{Concat, input(t, n, 1, b, n+k), 1},
+			} {
+				pl := mustCompile(t, m, c.op, c.in)
+				for r := 0; r < c.runs; r++ {
+					got, want := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+					gotRep, err := pl.Run(pl.Memory(c.in, got))
+					if err != nil {
+						t.Fatalf("%v plan Run(n=%d, k=%d): %v", c.op, n, k, err)
+					}
+					wantRep, err := compileAndRun(e, mpsim.WorldGroup(n), collective.Spec{Op: c.op}, c.in, want)
+					if err != nil {
+						t.Fatalf("%v compile per call (n=%d, k=%d): %v", c.op, n, k, err)
+					}
+					if !got.Equal(want) || gotRep.C1 != wantRep.C1 || gotRep.C2 != wantRep.C2 {
+						t.Fatalf("%v n=%d k=%d: plan (%d, %d) differs from compiling per call (%d, %d)",
+							c.op, n, k, gotRep.C1, gotRep.C2, wantRep.C1, wantRep.C2)
 					}
 				}
 			}
@@ -146,60 +144,58 @@ func TestPlanExecuteMatchesFlat(t *testing.T) {
 // TestRunPlansMatchesSequential: an index plan and a concat plan on
 // disjoint halves of one machine, executed concurrently by RunPlans,
 // produce exactly the bytes and reports of sequential execution — for
-// n = 1..16 group members, k = 1..3 ports, on both transports.
+// n = 1..16 group members, k = 1..3 ports.
 func TestRunPlansMatchesSequential(t *testing.T) {
 	const b = 3
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for _, k := range []int{1, 2, 3} {
-			for n := 1; n <= 16; n++ {
-				total := 2 * n
-				if k > intmath.Max(1, total-1) {
-					continue
-				}
-				m := MustNewMachine(total, Ports(k), WithTransport(backend))
-				lo, hi := make([]int, n), make([]int, n)
-				for i := 0; i < n; i++ {
-					lo[i], hi[i] = i, n+i
-				}
-				gLo, err := m.NewGroup(lo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gHi, err := m.NewGroup(hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				iin, cin := input(t, n, n, b, 3*n+k), input(t, n, 1, b, 5*n+k)
-				ipl := mustCompile(t, m, Index, iin, OnGroup(gLo))
-				cpl := mustCompile(t, m, Concat, cin, OnGroup(gHi))
+	for _, k := range []int{1, 2, 3} {
+		for n := 1; n <= 16; n++ {
+			total := 2 * n
+			if k > intmath.Max(1, total-1) {
+				continue
+			}
+			m := MustNewMachine(total, Ports(k))
+			lo, hi := make([]int, n), make([]int, n)
+			for i := 0; i < n; i++ {
+				lo[i], hi[i] = i, n+i
+			}
+			gLo, err := m.NewGroup(lo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gHi, err := m.NewGroup(hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iin, cin := input(t, n, n, b, 3*n+k), input(t, n, 1, b, 5*n+k)
+			ipl := mustCompile(t, m, Index, iin, OnGroup(gLo))
+			cpl := mustCompile(t, m, Concat, cin, OnGroup(gHi))
 
-				// Sequential reference.
-				iWant, cWant := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-				iRepWant, err := ipl.Run(ipl.Memory(iin, iWant))
-				if err != nil {
-					t.Fatalf("sequential index (n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				cRepWant, err := cpl.Run(cpl.Memory(cin, cWant))
-				if err != nil {
-					t.Fatalf("sequential concat (n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
+			// Sequential reference.
+			iWant, cWant := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+			iRepWant, err := ipl.Run(ipl.Memory(iin, iWant))
+			if err != nil {
+				t.Fatalf("sequential index (n=%d, k=%d): %v", n, k, err)
+			}
+			cRepWant, err := cpl.Run(cpl.Memory(cin, cWant))
+			if err != nil {
+				t.Fatalf("sequential concat (n=%d, k=%d): %v", n, k, err)
+			}
 
-				// Concurrent run.
-				iGot, cGot := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
-				reps, err := m.RunPlans([]PlanRun{{ipl, iin, iGot}, {cpl, cin, cGot}})
-				if err != nil {
-					t.Fatalf("RunPlans(n=%d, k=%d, %s): %v", n, k, backend, err)
-				}
-				if len(reps) != 2 {
-					t.Fatalf("RunPlans returned %d reports, want 2", len(reps))
-				}
-				if !iGot.Equal(iWant) || !cGot.Equal(cWant) {
-					t.Fatalf("n=%d k=%d %s: concurrent bytes differ from sequential", n, k, backend)
-				}
-				if reps[0].C1 != iRepWant.C1 || reps[0].C2 != iRepWant.C2 || reps[1].C1 != cRepWant.C1 || reps[1].C2 != cRepWant.C2 {
-					t.Fatalf("n=%d k=%d %s: concurrent reports %+v differ from sequential (%+v, %+v)",
-						n, k, backend, reps, iRepWant, cRepWant)
-				}
+			// Concurrent run.
+			iGot, cGot := mustBuffers(t, n, n, b), mustBuffers(t, n, n, b)
+			reps, err := m.RunPlans([]PlanRun{{ipl, iin, iGot}, {cpl, cin, cGot}})
+			if err != nil {
+				t.Fatalf("RunPlans(n=%d, k=%d): %v", n, k, err)
+			}
+			if len(reps) != 2 {
+				t.Fatalf("RunPlans returned %d reports, want 2", len(reps))
+			}
+			if !iGot.Equal(iWant) || !cGot.Equal(cWant) {
+				t.Fatalf("n=%d k=%d: concurrent bytes differ from sequential", n, k)
+			}
+			if reps[0].C1 != iRepWant.C1 || reps[0].C2 != iRepWant.C2 || reps[1].C1 != cRepWant.C1 || reps[1].C2 != cRepWant.C2 {
+				t.Fatalf("n=%d k=%d: concurrent reports %+v differ from sequential (%+v, %+v)",
+					n, k, reps, iRepWant, cRepWant)
 			}
 		}
 	}
@@ -339,14 +335,8 @@ func TestRunPlansManyGroups(t *testing.T) {
 func TestPlanSurvivesFencedRun(t *testing.T) {
 	// Machine-level plans cannot force a deadlock, so drive the engine
 	// directly: compile, deadlock the engine, execute the plan again.
-	testPlanSurvivesFence(t, mpsim.BackendChan)
-	testPlanSurvivesFence(t, mpsim.BackendSlot)
-}
-
-func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
-	t.Helper()
 	const n, b = 4, 8
-	e, err := mpsim.New(n, mpsim.WithTransport(backend), mpsim.Watchdog(200*time.Millisecond))
+	e, err := mpsim.New(n, mpsim.Watchdog(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +346,7 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 	}
 	in, out1 := input(t, n, n, b, 0), mustBuffers(t, n, n, b)
 	if _, err := pl.Run(pl.Memory(in, out1)); err != nil {
-		t.Fatalf("%s: first execute: %v", backend, err)
+		t.Fatalf("first execute: %v", err)
 	}
 	// Deadlock: rank 0 waits for a message nobody sends.
 	err = e.Run(func(p *mpsim.Proc) error {
@@ -368,15 +358,15 @@ func testPlanSurvivesFence(t *testing.T, backend mpsim.Backend) {
 		return nil
 	})
 	if err == nil {
-		t.Fatalf("%s: deadlock run unexpectedly succeeded", backend)
+		t.Fatal("deadlock run unexpectedly succeeded")
 	}
 	// The plan must keep working on the fenced engine's fresh transport.
 	out2, _ := buffers.New(n, n, b)
 	if _, err := pl.Run(pl.Memory(in, out2)); err != nil {
-		t.Fatalf("%s: execute after fence: %v", backend, err)
+		t.Fatalf("execute after fence: %v", err)
 	}
 	if !out2.Equal(out1) {
-		t.Fatalf("%s: post-fence execution produced different bytes", backend)
+		t.Fatal("post-fence execution produced different bytes")
 	}
 }
 

@@ -79,41 +79,39 @@ func portsOK(n, k int) bool {
 
 // TestAllReduceEquivalence is the acceptance suite: AllReduce matches a
 // direct reference reduce byte-for-byte for n = 1..16, k = 1..3, every
-// built-in kernel, on both transports.
+// built-in kernel.
 func TestAllReduceEquivalence(t *testing.T) {
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for k := 1; k <= 3; k++ {
-			for n := 1; n <= 16; n++ {
-				if !portsOK(n, k) {
-					continue
+	for k := 1; k <= 3; k++ {
+		for n := 1; n <= 16; n++ {
+			if !portsOK(n, k) {
+				continue
+			}
+			m := MustNewMachine(n, Ports(k))
+			for _, ker := range allKernels {
+				in, out := mustBuffers(t, n, n, reduceTestBlockLen), mustBuffers(t, n, n, reduceTestBlockLen)
+				fillReduceInput(in, ker.typ, n*31+k*7)
+				rep, err := m.Run(AllReduce, in, out, WithKernel(ker.op, ker.typ))
+				if err != nil {
+					t.Fatalf("n=%d k=%d %v/%v: %v", n, k, ker.op, ker.typ, err)
 				}
-				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				for _, ker := range allKernels {
-					in, out := mustBuffers(t, n, n, reduceTestBlockLen), mustBuffers(t, n, n, reduceTestBlockLen)
-					fillReduceInput(in, ker.typ, n*31+k*7)
-					rep, err := m.Run(AllReduce, in, out, WithKernel(ker.op, ker.typ))
-					if err != nil {
-						t.Fatalf("%v n=%d k=%d %v/%v: %v", backend, n, k, ker.op, ker.typ, err)
-					}
-					fn, err := buffers.Kernel(ker.op, ker.typ)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := 0; j < n; j++ {
-						want := refReduce(in, j, fn)
-						for i := 0; i < n; i++ {
-							if !bytes.Equal(out.Block(i, j), want) {
-								t.Fatalf("%v n=%d k=%d %v/%v: out[%d][%d] = %v, want %v",
-									backend, n, k, ker.op, ker.typ, i, j, out.Block(i, j), want)
-							}
+				fn, err := buffers.Kernel(ker.op, ker.typ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					want := refReduce(in, j, fn)
+					for i := 0; i < n; i++ {
+						if !bytes.Equal(out.Block(i, j), want) {
+							t.Fatalf("n=%d k=%d %v/%v: out[%d][%d] = %v, want %v",
+								n, k, ker.op, ker.typ, i, j, out.Block(i, j), want)
 						}
 					}
-					if rep.C1 < rep.C1LowerBound {
-						t.Errorf("%v n=%d k=%d: C1 = %d below bound %d", backend, n, k, rep.C1, rep.C1LowerBound)
-					}
-					if rep.C2 < rep.C2LowerBound {
-						t.Errorf("%v n=%d k=%d: C2 = %d below bound %d", backend, n, k, rep.C2, rep.C2LowerBound)
-					}
+				}
+				if rep.C1 < rep.C1LowerBound {
+					t.Errorf("n=%d k=%d: C1 = %d below bound %d", n, k, rep.C1, rep.C1LowerBound)
+				}
+				if rep.C2 < rep.C2LowerBound {
+					t.Errorf("n=%d k=%d: C2 = %d below bound %d", n, k, rep.C2, rep.C2LowerBound)
 				}
 			}
 		}
@@ -129,62 +127,60 @@ func TestReduceScatterAlgorithmsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for k := 1; k <= 3; k++ {
-			for n := 1; n <= 16; n++ {
-				if !portsOK(n, k) {
-					continue
-				}
-				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				algs := []struct {
+	for k := 1; k <= 3; k++ {
+		for n := 1; n <= 16; n++ {
+			if !portsOK(n, k) {
+				continue
+			}
+			m := MustNewMachine(n, Ports(k))
+			algs := []struct {
+				name string
+				opts []CollectiveOption
+			}{
+				{"ring", []CollectiveOption{WithReduceAlgorithm(ReduceRing)}},
+				{"bruck r=2", []CollectiveOption{WithReduceAlgorithm(ReduceBruck), WithRadix(2)}},
+				{"bruck r=n", []CollectiveOption{WithReduceAlgorithm(ReduceBruck), WithRadix(n)}},
+			}
+			if n&(n-1) == 0 && n > 1 {
+				algs = append(algs, struct {
 					name string
 					opts []CollectiveOption
-				}{
-					{"ring", []CollectiveOption{WithReduceAlgorithm(ReduceRing)}},
-					{"bruck r=2", []CollectiveOption{WithReduceAlgorithm(ReduceBruck), WithRadix(2)}},
-					{"bruck r=n", []CollectiveOption{WithReduceAlgorithm(ReduceBruck), WithRadix(n)}},
+				}{"halving", []CollectiveOption{WithReduceAlgorithm(ReduceHalving)}})
+			}
+			in := mustBuffers(t, n, n, reduceTestBlockLen)
+			fillReduceInput(in, Int32, n*13+k)
+			want := make([][]byte, n)
+			for j := 0; j < n; j++ {
+				want[j] = refReduce(in, j, fn)
+			}
+			for _, alg := range algs {
+				if n == 1 && alg.name == "bruck r=2" {
+					continue // radix 2 > n is rejected for n = 1
 				}
-				if n&(n-1) == 0 && n > 1 {
-					algs = append(algs, struct {
-						name string
-						opts []CollectiveOption
-					}{"halving", []CollectiveOption{WithReduceAlgorithm(ReduceHalving)}})
+				out := mustBuffers(t, n, 1, reduceTestBlockLen)
+				opts := append([]CollectiveOption{WithKernel(ReduceSum, Int32)}, alg.opts...)
+				rep, err := m.Run(ReduceScatter, in, out, opts...)
+				if err != nil {
+					t.Fatalf("n=%d k=%d %s: %v", n, k, alg.name, err)
 				}
-				in := mustBuffers(t, n, n, reduceTestBlockLen)
-				fillReduceInput(in, Int32, n*13+k)
-				want := make([][]byte, n)
-				for j := 0; j < n; j++ {
-					want[j] = refReduce(in, j, fn)
+				for i := 0; i < n; i++ {
+					if !bytes.Equal(out.Block(i, 0), want[i]) {
+						t.Fatalf("n=%d k=%d %s: chunk %d = %v, want %v",
+							n, k, alg.name, i, out.Block(i, 0), want[i])
+					}
 				}
-				for _, alg := range algs {
-					if n == 1 && alg.name == "bruck r=2" {
-						continue // radix 2 > n is rejected for n = 1
-					}
-					out := mustBuffers(t, n, 1, reduceTestBlockLen)
-					opts := append([]CollectiveOption{WithKernel(ReduceSum, Int32)}, alg.opts...)
-					rep, err := m.Run(ReduceScatter, in, out, opts...)
-					if err != nil {
-						t.Fatalf("%v n=%d k=%d %s: %v", backend, n, k, alg.name, err)
-					}
-					for i := 0; i < n; i++ {
-						if !bytes.Equal(out.Block(i, 0), want[i]) {
-							t.Fatalf("%v n=%d k=%d %s: chunk %d = %v, want %v",
-								backend, n, k, alg.name, i, out.Block(i, 0), want[i])
-						}
-					}
-					// Compile without a kernel must fail; with one it must
-					// predict the measured schedule exactly.
-					if _, err := m.Compile(ReduceScatter, in, alg.opts...); err == nil {
-						t.Fatalf("%v n=%d k=%d %s: Compile without kernel accepted", backend, n, k, alg.name)
-					}
-					pl := mustCompile(t, m, ReduceScatter, in, opts...)
-					if rep.C1 != pl.Rounds() || rep.C2 != pl.PredictedC2() {
-						t.Errorf("%v n=%d k=%d %s: measured (C1, C2) = (%d, %d), compiled predicts (%d, %d)",
-							backend, n, k, alg.name, rep.C1, rep.C2, pl.Rounds(), pl.PredictedC2())
-					}
-					if rep.C2 < lowerbound.ReduceScatterVolume(n, reduceTestBlockLen, k) {
-						t.Errorf("%v n=%d k=%d %s: C2 = %d below the send-side bound", backend, n, k, alg.name, rep.C2)
-					}
+				// Compile without a kernel must fail; with one it must
+				// predict the measured schedule exactly.
+				if _, err := m.Compile(ReduceScatter, in, alg.opts...); err == nil {
+					t.Fatalf("n=%d k=%d %s: Compile without kernel accepted", n, k, alg.name)
+				}
+				pl := mustCompile(t, m, ReduceScatter, in, opts...)
+				if rep.C1 != pl.Rounds() || rep.C2 != pl.PredictedC2() {
+					t.Errorf("n=%d k=%d %s: measured (C1, C2) = (%d, %d), compiled predicts (%d, %d)",
+						n, k, alg.name, rep.C1, rep.C2, pl.Rounds(), pl.PredictedC2())
+				}
+				if rep.C2 < lowerbound.ReduceScatterVolume(n, reduceTestBlockLen, k) {
+					t.Errorf("n=%d k=%d %s: C2 = %d below the send-side bound", n, k, alg.name, rep.C2)
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func mustRagged(t testing.TB, m *Machine, op Op, in [][][]byte, opts ...Collecti
 // TestIndexVUniformIdenticalToIndex is the public half of the uniform
 // equivalence acceptance: an equal-length block matrix run as ragged
 // slabs must produce the same bytes and the same Report as on Buffers,
-// on both transports, across the (n, k) acceptance grid.
+// across the (n, k) acceptance grid.
 func TestIndexVUniformIdenticalToIndex(t *testing.T) {
 	testUniformRaggedIdentical(t, Index, 8)
 }
@@ -79,31 +79,29 @@ func TestConcatVUniformIdenticalToConcat(t *testing.T) {
 }
 
 func testUniformRaggedIdentical(t *testing.T, op Op, blockLen int) {
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for n := 1; n <= 16; n++ {
-			for k := 1; k <= 3 && (k == 1 || k <= n-1); k++ {
-				m := MustNewMachine(n, Ports(k), WithTransport(backend))
-				blocks := n
-				if op == Concat {
-					blocks = 1
+	for n := 1; n <= 16; n++ {
+		for k := 1; k <= 3 && (k == 1 || k <= n-1); k++ {
+			m := MustNewMachine(n, Ports(k))
+			blocks := n
+			if op == Concat {
+				blocks = 1
+			}
+			in, out := input(t, n, blocks, blockLen, n), mustBuffers(t, n, n, blockLen)
+			rep1 := mustRun(t, m, op, in, out)
+			mat := in.ToMatrix()
+			if op == Concat {
+				vec, err := in.ToVector()
+				if err != nil {
+					t.Fatal(err)
 				}
-				in, out := input(t, n, blocks, blockLen, n), mustBuffers(t, n, n, blockLen)
-				rep1 := mustRun(t, m, op, in, out)
-				mat := in.ToMatrix()
-				if op == Concat {
-					vec, err := in.ToVector()
-					if err != nil {
-						t.Fatal(err)
-					}
-					mat = [][][]byte{vec}
-				}
-				_, rout, rep2 := mustRagged(t, m, op, mat)
-				if !reflect.DeepEqual(out.ToMatrix(), rout.ToMatrix()) {
-					t.Fatalf("%v n=%d k=%d: ragged %v bytes differ from the fixed-size ones", backend, n, k, op)
-				}
-				if !reflect.DeepEqual(rep1, rep2) {
-					t.Fatalf("%v n=%d k=%d: ragged %v report %+v differs from the fixed-size %+v", backend, n, k, op, rep2, rep1)
-				}
+				mat = [][][]byte{vec}
+			}
+			_, rout, rep2 := mustRagged(t, m, op, mat)
+			if !reflect.DeepEqual(out.ToMatrix(), rout.ToMatrix()) {
+				t.Fatalf("n=%d k=%d: ragged %v bytes differ from the fixed-size ones", n, k, op)
+			}
+			if !reflect.DeepEqual(rep1, rep2) {
+				t.Fatalf("n=%d k=%d: ragged %v report %+v differs from the fixed-size %+v", n, k, op, rep2, rep1)
 			}
 		}
 	}
@@ -113,34 +111,32 @@ func testUniformRaggedIdentical(t *testing.T, op Op, blockLen int) {
 // radix, direct, auto dispatch — against the defining permutation, with
 // zero-length blocks in the mix.
 func TestIndexVRagged(t *testing.T) {
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for _, n := range []int{2, 8, 13} {
-			in := raggedIndexInput(n)
-			for _, tc := range []struct {
-				name string
-				opts []CollectiveOption
-			}{
-				{"default", nil},
-				{"radix-n", []CollectiveOption{WithRadix(n)}},
-				{"direct", []CollectiveOption{WithIndexAlgorithm(IndexDirect)}},
-				{"auto", []CollectiveOption{WithAuto(SP1)}},
-			} {
-				m := MustNewMachine(n, WithTransport(backend))
-				rin, rout, rep := mustRagged(t, m, Index, in, tc.opts...)
-				checkIndex(t, n, rin, rout)
-				counts := make([][]int, n)
-				for i := range counts {
-					counts[i] = make([]int, n)
-					for j := range counts[i] {
-						counts[i][j] = len(in[i][j])
-					}
+	for _, n := range []int{2, 8, 13} {
+		in := raggedIndexInput(n)
+		for _, tc := range []struct {
+			name string
+			opts []CollectiveOption
+		}{
+			{"default", nil},
+			{"radix-n", []CollectiveOption{WithRadix(n)}},
+			{"direct", []CollectiveOption{WithIndexAlgorithm(IndexDirect)}},
+			{"auto", []CollectiveOption{WithAuto(SP1)}},
+		} {
+			m := MustNewMachine(n)
+			rin, rout, rep := mustRagged(t, m, Index, in, tc.opts...)
+			checkIndex(t, n, rin, rout)
+			counts := make([][]int, n)
+			for i := range counts {
+				counts[i] = make([]int, n)
+				for j := range counts[i] {
+					counts[i][j] = len(in[i][j])
 				}
-				if want := lowerbound.IndexVVolume(counts, 1); rep.C2LowerBound != want {
-					t.Errorf("%v n=%d %s: report lower bound %d, want %d", backend, n, tc.name, rep.C2LowerBound, want)
-				}
-				if rep.C2 < rep.C2LowerBound {
-					t.Errorf("%v n=%d %s: C2 = %d below its lower bound %d", backend, n, tc.name, rep.C2, rep.C2LowerBound)
-				}
+			}
+			if want := lowerbound.IndexVVolume(counts, 1); rep.C2LowerBound != want {
+				t.Errorf("n=%d %s: report lower bound %d, want %d", n, tc.name, rep.C2LowerBound, want)
+			}
+			if rep.C2 < rep.C2LowerBound {
+				t.Errorf("n=%d %s: C2 = %d below its lower bound %d", n, tc.name, rep.C2, rep.C2LowerBound)
 			}
 		}
 	}
@@ -156,33 +152,31 @@ func TestIndexVMixedRadices(t *testing.T) {
 // TestConcatVRagged drives the public ragged concatenation, including
 // the ring algorithm, auto dispatch and a zero-length contribution.
 func TestConcatVRagged(t *testing.T) {
-	for _, backend := range []Backend{BackendChan, BackendSlot} {
-		for _, n := range []int{2, 9, 16} {
-			in := make([][]byte, n)
-			for i := range in {
-				in[i] = make([]byte, (i*5)%23)
-				for x := range in[i] {
-					in[i][x] = byte(i*61 + x*13)
-				}
+	for _, n := range []int{2, 9, 16} {
+		in := make([][]byte, n)
+		for i := range in {
+			in[i] = make([]byte, (i*5)%23)
+			for x := range in[i] {
+				in[i][x] = byte(i*61 + x*13)
 			}
-			for _, tc := range []struct {
-				name string
-				opts []CollectiveOption
-			}{
-				{"circulant", nil},
-				{"ring", []CollectiveOption{WithConcatAlgorithm(ConcatRing)}},
-				{"auto", []CollectiveOption{WithAuto(SP1)}},
-			} {
-				m := MustNewMachine(n, WithTransport(backend))
-				rin, rout, rep := mustRagged(t, m, Concat, [][][]byte{in}, tc.opts...)
-				checkConcat(t, n, rin, rout)
-				counts := make([]int, n)
-				for i := range counts {
-					counts[i] = len(in[i])
-				}
-				if want := lowerbound.ConcatVVolume(counts, 1); rep.C2LowerBound != want {
-					t.Errorf("%v n=%d %s: report lower bound %d, want %d", backend, n, tc.name, rep.C2LowerBound, want)
-				}
+		}
+		for _, tc := range []struct {
+			name string
+			opts []CollectiveOption
+		}{
+			{"circulant", nil},
+			{"ring", []CollectiveOption{WithConcatAlgorithm(ConcatRing)}},
+			{"auto", []CollectiveOption{WithAuto(SP1)}},
+		} {
+			m := MustNewMachine(n)
+			rin, rout, rep := mustRagged(t, m, Concat, [][][]byte{in}, tc.opts...)
+			checkConcat(t, n, rin, rout)
+			counts := make([]int, n)
+			for i := range counts {
+				counts[i] = len(in[i])
+			}
+			if want := lowerbound.ConcatVVolume(counts, 1); rep.C2LowerBound != want {
+				t.Errorf("n=%d %s: report lower bound %d, want %d", n, tc.name, rep.C2LowerBound, want)
 			}
 		}
 	}

@@ -5,7 +5,6 @@
 // example of Table 1 (the grid and its areas).
 //
 //	bruckctl figures -fig 1|2|3|7|8|9 [-n N] [-radix R]
-//	bruckctl figures -fig 9 -transport slot   # run the plan on the slot backend
 //	bruckctl figures -table 1
 //	bruckctl figures -all
 //
@@ -13,8 +12,8 @@
 // Plan.Snapshots walks its step program (the walk Plan.Check proves it
 // with) and draws every rank's in, scratch and out regions before round
 // 0 and after each round, one table per snapshot, columns processors,
-// rows blocks. The plan also runs once on the selected -transport
-// through the oracle (the figure's verified_transport row).
+// rows blocks. The plan also runs once through the oracle, which
+// compares every output block with the operation's definition.
 package main
 
 import (
@@ -36,7 +35,6 @@ type figuresParams struct {
 	all        bool
 	n          int
 	r          int
-	transport  string
 	reportJSON bool
 }
 
@@ -49,7 +47,6 @@ func newFiguresCmd() *command {
 	fs.IntVar(&p.n, cli.FlagN, 5, "number of processors for figures 1-3 and 9")
 	fs.IntVar(&p.r, cli.FlagRadix, 2, "radix for figure 3")
 	fs.IntVar(&p.r, cli.FlagRadixAlias, 2, "alias for -radix")
-	fs.StringVar(&p.transport, cli.FlagTransport, "chan", "simulator transport backend the figure's plan runs on: chan or slot")
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "figures", summary: "structural figures 1-3/7-9 and Table 1, byte-verified", fs: fs}
 	c.exec = func(_ []string, w io.Writer) error {
@@ -59,10 +56,6 @@ func newFiguresCmd() *command {
 }
 
 func runFiguresStudy(w io.Writer, p figuresParams) error {
-	backend, err := mpsim.ParseBackend(p.transport)
-	if err != nil {
-		return err
-	}
 	rp := reporter{w, false, p.reportJSON}
 	switch {
 	case p.n < 1:
@@ -70,7 +63,7 @@ func runFiguresStudy(w io.Writer, p figuresParams) error {
 	case p.all:
 		var all []*cli.Table
 		for _, f := range []int{1, 2, 3, 7, 8, 9} {
-			tables, err := figTables(f, p.n, p.r, backend)
+			tables, err := figTables(f, p.n, p.r)
 			if err != nil {
 				return err
 			}
@@ -85,20 +78,20 @@ func runFiguresStudy(w io.Writer, p figuresParams) error {
 	case p.fig == 0:
 		return fmt.Errorf("pick one of -fig 1|2|3|7|8|9, -table 1 or -all")
 	}
-	return rp.flush(figTables(p.fig, p.n, p.r, backend))
+	return rp.flush(figTables(p.fig, p.n, p.r))
 }
 
 // figTables draws one figure: a key/value table of its parameters, then
 // its snapshots or edges.
-func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
+func figTables(fig, n, r int) ([]*cli.Table, error) {
 	name := fmt.Sprintf("figure-%d", fig)
 	kv := cli.KV(name)
 	kv.Add("n", n)
 	tables := []*cli.Table{kv}
-	// snapshots compiles the plan the figure depicts, runs it on the
-	// selected transport and returns the configurations it passes through.
+	// snapshots compiles the plan the figure depicts, runs it once
+	// through the oracle and returns the configurations it passes through.
 	snapshots := func(s collective.Spec) ([]trace.Step, error) {
-		e, err := mpsim.New(n, mpsim.WithTransport(backend))
+		e, err := mpsim.New(n)
 		if err != nil {
 			return nil, err
 		}
@@ -106,10 +99,9 @@ func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyOnBackend(pl, backend); err != nil {
-			return nil, err
+		if _, err := collective.Exercise(pl, collective.Labels); err != nil {
+			return nil, fmt.Errorf("verifying: %w", err)
 		}
-		kv.Add("verified_transport", backend)
 		return pl.Snapshots()
 	}
 	draw := func(steps []trace.Step, err error) ([]*cli.Table, error) {
@@ -169,16 +161,6 @@ func figTables(fig, n, r int, backend mpsim.Backend) ([]*cli.Table, error) {
 		return draw(snapshots(collective.Spec{Op: collective.OpConcat, BlockLen: 1}))
 	}
 	return nil, fmt.Errorf("unknown figure %d (have 1, 2, 3, 7, 8, 9)", fig)
-}
-
-// verifyOnBackend runs the plan the figure depicts once on its engine,
-// built with the selected transport, through the oracle: every output
-// block against the operation's definition.
-func verifyOnBackend(pl *collective.Plan, backend mpsim.Backend) error {
-	if _, err := collective.Exercise(pl, collective.Labels); err != nil {
-		return fmt.Errorf("verifying on %s transport: %w", backend, err)
-	}
-	return nil
 }
 
 // table1Tables draws Table 1, the table partitioning for n1 = 3, n2 = 7,

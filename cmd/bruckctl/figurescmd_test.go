@@ -6,20 +6,19 @@ import (
 	"testing"
 
 	"bruck/internal/cli"
-	"bruck/internal/mpsim"
 )
 
-func render(t *testing.T, fig int, backend mpsim.Backend) []*cli.Table {
+func render(t *testing.T, fig int) []*cli.Table {
 	t.Helper()
-	tables, err := figTables(fig, 5, 2, backend)
+	tables, err := figTables(fig, 5, 2)
 	if err != nil {
-		t.Fatalf("figTables(%d, 5, 2, %s): %v", fig, backend, err)
+		t.Fatalf("figTables(%d, 5, 2): %v", fig, err)
 	}
 	return tables
 }
 
 func TestRenderFig1(t *testing.T) {
-	tables := render(t, 1, mpsim.BackendChan)
+	tables := render(t, 1)
 	before, after := find(t, tables, "figure-1 before"), find(t, tables, "figure-1 after")
 	if got := strings.Join(column(t, before, "p4"), " "); got != "40 41 42 43 44" {
 		t.Errorf("before: p4 holds %q", got)
@@ -34,11 +33,11 @@ func TestRenderFig1(t *testing.T) {
 // transpose.
 func TestRenderFig2And3(t *testing.T) {
 	// The figure itself used to be missing from the JSON report.
-	fig2 := render(t, 2, mpsim.BackendChan)
+	fig2 := render(t, 2)
 	if got := strings.Join(column(t, find(t, fig2, "figure-2 after round 3 (in 0-4, out 5-9)"), "p1"), " "); got != "10 11 12 13 14 01 11 21 31 41" {
 		t.Errorf("figure 2 ends with p1 holding %q", got)
 	}
-	fig3 := render(t, 3, mpsim.BackendChan)
+	fig3 := render(t, 3)
 	if got := value(t, fig3, "figure-3", "radix"); got != "2" {
 		t.Errorf("figure 3 radix = %q", got)
 	}
@@ -60,7 +59,7 @@ func TestRenderFig7And8(t *testing.T) {
 		}
 		return out
 	}
-	fig7 := render(t, 7, mpsim.BackendChan)
+	fig7 := render(t, 7)
 	if got := value(t, fig7, "figure-7", "root"); got != "0" {
 		t.Errorf("figure 7 root = %q", got)
 	}
@@ -69,7 +68,7 @@ func TestRenderFig7And8(t *testing.T) {
 			t.Errorf("figure 7 lacks edge %q", want)
 		}
 	}
-	fig8 := render(t, 8, mpsim.BackendChan)
+	fig8 := render(t, 8)
 	if got := value(t, fig8, "figure-8", "root"); got != "1" {
 		t.Errorf("figure 8 root = %q", got)
 	}
@@ -81,7 +80,7 @@ func TestRenderFig7And8(t *testing.T) {
 }
 
 func TestRenderFig9(t *testing.T) {
-	tables := render(t, 9, mpsim.BackendChan)
+	tables := render(t, 9)
 	// The doubling rounds gather into the output in rank order: after
 	// round 0 p3 holds its own block and p4's.
 	if got := strings.Join(column(t, find(t, tables, "figure-9 after round 0 (in 0-0, out 1-5)"), "p3"), " "); got != "30 -- -- -- 30 40" {
@@ -98,7 +97,7 @@ func TestRenderFig9(t *testing.T) {
 // (1, 10) and block (11, 0) both printed "110".
 func TestFig1LabelsDistinct(t *testing.T) {
 	const n = 12
-	tables, err := figTables(1, n, 2, mpsim.BackendChan)
+	tables, err := figTables(1, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,35 +137,8 @@ func TestFiguresRejectsBadSizes(t *testing.T) {
 }
 
 func TestRenderUnknownFigure(t *testing.T) {
-	if _, err := figTables(42, 5, 2, mpsim.BackendChan); err == nil {
+	if _, err := figTables(42, 5, 2); err == nil {
 		t.Error("unknown figure accepted")
-	}
-}
-
-// TestTransportFlagParity: figures accepts the same -transport values
-// as the other commands, verifies algorithm figures on the selected
-// backend, and rejects unknown backends at the flag boundary.
-func TestTransportFlagParity(t *testing.T) {
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for _, fig := range []int{2, 3, 9} {
-			tables := render(t, fig, backend)
-			if got := value(t, tables, tables[0].Name, "verified_transport"); got != string(backend) {
-				t.Errorf("figure %d on %s: verified_transport = %q", fig, backend, got)
-			}
-		}
-		// Structural figures accept the flag without claiming verification.
-		for _, row := range render(t, 7, backend)[0].Rows {
-			if row[0] == "verified_transport" {
-				t.Errorf("figure 7 claims byte-level verification but draws pure structure")
-			}
-		}
-	}
-	if _, err := mpsim.ParseBackend("bogus"); err == nil {
-		t.Error("ParseBackend accepted an unknown transport")
-	}
-	// An unknown backend smuggled past the flag parser still fails.
-	if _, err := figTables(9, 5, 2, mpsim.Backend("bogus")); err == nil {
-		t.Error("figTables verified on an unknown transport")
 	}
 }
 

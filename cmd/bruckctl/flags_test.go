@@ -13,15 +13,14 @@ import (
 // must update this table deliberately.
 func TestCanonicalFlagVocabulary(t *testing.T) {
 	want := map[string][]string{
-		"run": {"alg", "b", "chaos-inner", "chaos-seed", "crossover-segments", "crossover-topology",
+		"run": {"alg", "b", "chaos-seed", "crossover-segments", "crossover-topology",
 			"k", "kernel", "n", "op", "r", "radix", "ragged", "report-json",
-			"segments", "stragglers", "topology", "transport"},
+			"segments", "stragglers", "topology"},
 		"index":   {"csv", "fig", "k", "n", "report-json", "tune"},
 		"concat":  {"b", "baselines", "bounds", "optimality", "report-json"},
-		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table", "transport"},
-		"trace": {"case", "chaos-inner", "chaos-seed", "dir", "report-json",
-			"stragglers", "transport"},
-		"vet": {"case", "report-json"},
+		"figures": {"all", "fig", "n", "r", "radix", "report-json", "table"},
+		"trace":   {"case", "chaos-seed", "dir", "report-json", "stragglers"},
+		"vet":     {"case", "report-json"},
 	}
 	cmds := newCommands()
 	if len(cmds) != len(want) {

@@ -76,7 +76,7 @@ func TestReportFormatsAgree(t *testing.T) {
 		{"run", "-op", "allreduce", "-n", "8", "-b", "64"},
 		{"run", "-op", "allreduce", "-n", "8", "-b", "64", "-alg", "auto"},
 		{"run", "-op", "broadcast", "-n", "9", "-k", "2"},
-		{"run", "-op", "index", "-n", "16", "-b", "4096", "-radix", "auto", "-segments", "4", "-transport", "slot"},
+		{"run", "-op", "index", "-n", "16", "-b", "4096", "-radix", "auto", "-segments", "4", "-chaos-seed", "3"},
 		{"run", "-op", "index", "-n", "12", "-b", "48", "-ragged", "1.2"},
 		{"run", "-op", "concat", "-n", "11", "-b", "40", "-ragged", "1.5"},
 		{"run", "-op", "index", "-topology", "2x2"},
@@ -92,7 +92,7 @@ func TestReportFormatsAgree(t *testing.T) {
 		{"concat", "-optimality"},
 		{"concat", "-baselines"},
 		{"figures", "-all"},
-		{"figures", "-fig", "9", "-n", "6", "-transport", "slot"},
+		{"figures", "-fig", "9", "-n", "6"},
 		{"trace", "verify", "-dir", dir},
 		{"vet"},
 	} {

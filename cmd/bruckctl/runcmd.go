@@ -5,8 +5,7 @@
 //	bruckctl run -op index  -n 64 -b 128 -radix 8 -k 1
 //	bruckctl run -op concat -n 17 -b 64 -k 2
 //	bruckctl run -op index  -n 64 -b 128 -radix auto      # tuned radix
-//	bruckctl run -op index  -n 64 -b 128 -transport slot  # shared-memory slot transport
-//	bruckctl run -op index  -n 64 -b 128 -transport chaos -chaos-seed 7 -stragglers 0,3
+//	bruckctl run -op index  -n 64 -b 128 -chaos-seed 7 -stragglers 0,3  # chaos transport
 //	bruckctl run -op index  -n 32 -b 256 -ragged 1.2      # skewed-size ragged study
 //	bruckctl run -op index  -n 16 -b 65536 -segments 4    # segment-pipelined schedule
 //	bruckctl run -op index  -n 16 -k 1 -crossover-segments # segmented-vs-monolithic sweep
@@ -53,8 +52,6 @@ type params struct {
 	b          int
 	radix      string
 	alg        string
-	transport  string
-	chaosInner string
 	chaosSeed  uint64
 	stragglers string
 	ragged     float64
@@ -94,7 +91,7 @@ func newRunCmd() *command {
 	fs.BoolVar(&p.reportJSON, cli.FlagReportJSON, false, "emit the JSON report instead of text")
 	c := &command{name: "run", summary: "run one collective and report schedule measures vs bounds", fs: fs}
 	c.exec = func(_ []string, w io.Writer) error {
-		p.transport, p.chaosInner, p.chaosSeed, p.stragglers = tf.Transport, tf.ChaosInner, tf.ChaosSeed, tf.Stragglers
+		p.chaosSeed, p.stragglers = tf.ChaosSeed, tf.Stragglers
 		return runOp(w, p)
 	}
 	return c
@@ -117,9 +114,9 @@ type runMode struct {
 var runModes = []runMode{
 	{"crossover-segments", "the segment crossover study", "index", "n b radix segments", runSegmentCrossover},
 	{"crossover-topology", "the topology crossover study", "index concat", "", runTopoCrossover},
-	{"topology", "the hierarchical schedule", "index concat allreduce", "b kernel transport", runTopology},
-	{"ragged", "the ragged study", "index concat", "n b transport", runRagged},
-	{"", "", "", "n b radix alg segments kernel transport", runPlain},
+	{"topology", "the hierarchical schedule", "index concat allreduce", "b kernel chaos-seed stragglers", runTopology},
+	{"ragged", "the ragged study", "index concat", "n b chaos-seed stragglers", runRagged},
+	{"", "", "", "n b radix alg segments kernel chaos-seed stragglers", runPlain},
 }
 
 // flagState is one optional flag and whether it is set to a value other
@@ -130,8 +127,7 @@ type flagState struct {
 }
 
 // optional lists the flags some mode does not read. (-op, -k and
-// -report-json are read by every mode; the chaos flags go with
-// -transport.)
+// -report-json are read by every mode.)
 func (p *params) optional() []flagState {
 	return []flagState{
 		{"n", p.n != 0 && p.n != defaultN},
@@ -140,7 +136,8 @@ func (p *params) optional() []flagState {
 		{"alg", p.alg != ""},
 		{"segments", p.segments != ""},
 		{"kernel", p.kernel != "" && p.kernel != defaultKernel},
-		{"transport", p.transport != "" && p.transport != "chan"},
+		{"chaos-seed", p.chaosSeed != 0},
+		{"stragglers", p.stragglers != ""},
 		{"ragged", p.ragged > 0},
 		{"topology", p.topology != ""},
 		{"crossover-segments", p.crossover},
@@ -175,13 +172,7 @@ func runTables(p params) ([]*cli.Table, error) {
 
 // engine builds the n-processor engine the transport flags describe.
 func (p *params) engine(n int, extra ...mpsim.Option) (*mpsim.Engine, error) {
-	tfl := cli.TransportFlags{Transport: p.transport, ChaosInner: p.chaosInner, ChaosSeed: p.chaosSeed, Stragglers: p.stragglers}
-	if tfl.Transport == "" {
-		tfl.Transport = "chan"
-	}
-	if tfl.ChaosInner == "" {
-		tfl.ChaosInner = "chan"
-	}
+	tfl := cli.TransportFlags{ChaosSeed: p.chaosSeed, Stragglers: p.stragglers}
 	topts, err := tfl.EngineOptions()
 	if err != nil {
 		return nil, err
@@ -300,7 +291,7 @@ func runPlain(p params) ([]*cli.Table, error) {
 	if reduction {
 		kv.Add("kernel", p.kernel)
 	}
-	kv.Add("transport", e.Transport())
+	kv.Add("chaos_seed", p.chaosSeed)
 	kv.Add("c1", res.C1)
 	kv.Add("c1_lower_bound", res.C1LowerBound)
 	kv.Add("c2", res.C2)
@@ -366,7 +357,7 @@ func runRagged(p params) ([]*cli.Table, error) {
 	kv.Add("k", p.k)
 	kv.Add("b", p.b)
 	kv.Add("skew", fmt.Sprintf("%.2f", p.ragged))
-	kv.Add("transport", e.Transport())
+	kv.Add("chaos_seed", p.chaosSeed)
 	// The candidate schedules; the cost-model dispatch goes last.
 	names := []string{"bruck r=k+1", fmt.Sprintf("bruck r=%d", p.n), "direct", "auto (SP-1)"}
 	specs := make([]collective.Spec, 4)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestRunAlgorithmVariants(t *testing.T) {
 		{op: "concat", n: 8, k: 1, b: 8, alg: "folklore"},
 		{op: "concat", n: 8, k: 1, b: 8, alg: "ring"},
 		{op: "concat", n: 8, k: 1, b: 8, alg: "recdbl"},
-		{op: "index", n: 16, k: 1, b: 4096, segments: "4", transport: "slot"},
+		{op: "index", n: 16, k: 1, b: 4096, segments: "4"},
 	} {
 		if got := value(t, runOK(t, p), "run", "verified_direct_reference"); got != "true" {
 			t.Errorf("%+v: output not verified", p)
@@ -93,31 +94,33 @@ func TestRunErrors(t *testing.T) {
 	if err := runOp(&sb, params{op: "index", n: 0, k: 1, b: 8}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if err := runOp(&sb, params{op: "index", n: 4, k: 1, b: 8, transport: "pigeon"}); err == nil {
-		t.Error("unknown transport accepted")
+	if err := runOp(&sb, params{op: "index", n: 4, k: 1, b: 8, stragglers: "1"}); err == nil || err.Error() != "-stragglers requires -chaos-seed" {
+		t.Errorf("stragglers without a chaos seed: %v", err)
 	}
 }
 
-func TestRunSlotTransport(t *testing.T) {
+// TestRunChaosSeed: a run names the chaos seed it ran under, 0 on a
+// plain machine, which has no transport to name.
+func TestRunChaosSeed(t *testing.T) {
 	for _, p := range []params{
-		{op: "index", n: 8, k: 1, b: 16, transport: "slot"},
-		{op: "concat", n: 9, k: 2, b: 16, transport: "slot"},
+		{op: "index", n: 8, k: 1, b: 16},
+		{op: "concat", n: 9, k: 2, b: 16, chaosSeed: 7, stragglers: "0,4"},
 	} {
-		if got := value(t, runOK(t, p), "run", "transport"); got != "slot" {
-			t.Errorf("%+v: transport = %q, want slot", p, got)
+		if got := value(t, runOK(t, p), "run", "chaos_seed"); got != fmt.Sprint(p.chaosSeed) {
+			t.Errorf("%+v: chaos_seed = %q, want %d", p, got, p.chaosSeed)
 		}
 	}
 }
 
 // TestRunRaggedStudy: the skewed-size study runs all candidate
 // schedules, verifies them against the local reference, and reports the
-// auto dispatch's pick, for both operations and transports.
+// auto dispatch's pick, for both operations, plain and under chaos.
 func TestRunRaggedStudy(t *testing.T) {
 	for _, p := range []params{
 		{op: "index", n: 12, k: 1, b: 48, ragged: 1.2},
-		{op: "index", n: 9, k: 2, b: 32, ragged: 2.0, transport: "slot"},
+		{op: "index", n: 9, k: 2, b: 32, ragged: 2.0, chaosSeed: 3},
 		{op: "concat", n: 11, k: 1, b: 40, ragged: 1.5},
-		{op: "concat", n: 8, k: 3, b: 24, ragged: 0.7, transport: "slot"},
+		{op: "concat", n: 8, k: 3, b: 24, ragged: 0.7},
 	} {
 		tables := runOK(t, p)
 		if value(t, tables, "ragged-study", "c2_lower_bound") == "" || value(t, tables, "ragged-study", "byte_identical") != "true" {
@@ -143,15 +146,15 @@ func TestRunRaggedHeavySkewZeroBlocks(t *testing.T) {
 }
 
 // TestRunReduceOps: both reduction operations across algorithms,
-// kernels and transports, each verified against the serial reference
+// kernels and engines, each verified against the serial reference
 // inside run.
 func TestRunReduceOps(t *testing.T) {
 	for _, p := range []params{
 		{op: "reducescatter", n: 8, k: 1, b: 16, kernel: "sum:int32"},
 		{op: "reducescatter", n: 8, k: 1, b: 16, alg: "halving", kernel: "min:float64"},
-		{op: "reducescatter", n: 9, k: 2, b: 16, alg: "bruck", radix: "3", kernel: "max:int64", transport: "slot"},
+		{op: "reducescatter", n: 9, k: 2, b: 16, alg: "bruck", radix: "3", kernel: "max:int64", chaosSeed: 5},
 		{op: "allreduce", n: 8, k: 1, b: 16, kernel: "sum:float32"},
-		{op: "allreduce", n: 12, k: 2, b: 24, alg: "auto", kernel: "sum:int32", transport: "slot"},
+		{op: "allreduce", n: 12, k: 2, b: 24, alg: "auto", kernel: "sum:int32"},
 		{op: "allreduce", n: 8, k: 1, b: 256, alg: "bruck", radix: "2", segments: "auto", kernel: "sum:int32"},
 	} {
 		tables := runOK(t, p)

@@ -92,7 +92,7 @@ func runTopology(p params) ([]*cli.Table, error) {
 	kv.Add("topology", topo.Spec())
 	kv.Add("intra_profile", topo.Intra.Name)
 	kv.Add("inter_profile", topo.Inter.Name)
-	kv.Add("transport", e.Transport())
+	kv.Add("chaos_seed", p.chaosSeed)
 	kv.Add("c1", res.C1)
 	kv.Add("c2", res.C2)
 	if res.Intra != nil && res.Inter != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,15 +43,15 @@ func TestRunTopologyCustomProfiles(t *testing.T) {
 	}
 }
 
-// TestRunTopologyTransports: the hierarchical run works on every
-// transport, including chaos with stragglers.
+// TestRunTopologyTransports: the hierarchical run works on a plain
+// machine and under chaos with stragglers, and names the seed it ran.
 func TestRunTopologyTransports(t *testing.T) {
 	for _, p := range []params{
-		{op: "index", k: 1, b: 8, topology: "4x2", transport: "slot"},
-		{op: "index", k: 1, b: 8, topology: "4x2", transport: "chaos", chaosSeed: 7, stragglers: "2,3"},
+		{op: "index", k: 1, b: 8, topology: "4x2"},
+		{op: "index", k: 1, b: 8, topology: "4x2", chaosSeed: 7, stragglers: "2,3"},
 	} {
-		if got := value(t, runOK(t, p), "topology-run", "transport"); got != p.transport {
-			t.Errorf("%+v: transport = %q", p, got)
+		if got := value(t, runOK(t, p), "topology-run", "chaos_seed"); got != fmt.Sprint(p.chaosSeed) {
+			t.Errorf("%+v: chaos_seed = %q", p, got)
 		}
 	}
 }

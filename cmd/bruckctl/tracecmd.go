@@ -2,15 +2,15 @@
 // (internal/golden): the program listing of every representative
 // collective schedule.
 //
-//	bruckctl trace record  [-dir d] [-case substr] [-transport b]
-//	bruckctl trace verify  [-dir d] [-case substr] [-transport b] [-chaos-seed s] [-chaos-inner b] [-stragglers 0,3]
+//	bruckctl trace record  [-dir d] [-case substr] [-chaos-seed s] [-stragglers 0,3]
+//	bruckctl trace verify  [-dir d] [-case substr] [-chaos-seed s] [-stragglers 0,3]
 //
 // Both run each case live and require the run to send exactly the
 // messages its program predicts; record then (re)writes the case's
 // listing, verify compares it with the committed one and names the
 // first lines that differ, exiting nonzero on any drift. Under
-// -transport chaos, verify proves the committed programs survive
-// adversarial timing.
+// -chaos-seed, verify proves the committed programs survive adversarial
+// timing.
 package main
 
 import (

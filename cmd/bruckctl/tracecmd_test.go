@@ -30,8 +30,7 @@ func TestRecordVerifyRoundTrip(t *testing.T) {
 
 	for _, args := range [][]string{
 		{"verify", "-dir", dir},
-		{"verify", "-dir", dir, "-transport", "slot"},
-		{"verify", "-dir", dir, "-transport", "chaos", "-chaos-inner", "slot", "-chaos-seed", "7", "-stragglers", "0,2"},
+		{"verify", "-dir", dir, "-chaos-seed", "7", "-stragglers", "0,2"},
 	} {
 		out.Reset()
 		if err := traceRun(args, &out); err != nil {
@@ -85,9 +84,8 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"frobnicate"},
-		{"verify", "-transport", "bogus"},
-		{"verify", "-transport", "chan", "-stragglers", "1"},
-		{"verify", "-transport", "chaos", "-chaos-inner", "chaos"},
+		{"verify", "-stragglers", "1"},
+		{"verify", "-chaos-seed", "7", "-stragglers", "x"},
 		{"verify", "-case", "no-such-case-name"},
 	} {
 		if err := traceRun(args, &out); err == nil {

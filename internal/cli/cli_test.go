@@ -118,60 +118,43 @@ func TestRenderTablesMultipleText(t *testing.T) {
 	}
 }
 
+// TestTransportFlagsEngineOptions: no flag builds a plain engine,
+// -chaos-seed a chaos one, and -stragglers needs -chaos-seed.
 func TestTransportFlagsEngineOptions(t *testing.T) {
-	mk := func(args ...string) (*TransportFlags, error) {
+	engine := func(args ...string) (*mpsim.Engine, error) {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
 		tf := RegisterTransportFlags(fs)
-		return tf, fs.Parse(args)
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		opts, err := tf.EngineOptions()
+		if err != nil {
+			return nil, err
+		}
+		return mpsim.New(4, opts...)
 	}
-
-	tf, err := mk()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		args  []string
+		plain bool
+	}{
+		{nil, true},
+		{[]string{"-chaos-seed", "7", "-stragglers", "0, 3"}, false},
+	} {
+		if e, err := engine(c.args...); err != nil || e.Plain() != c.plain {
+			t.Errorf("%q: engine %v, want plain %v", c.args, err, c.plain)
+		}
 	}
-	if opts, err := tf.EngineOptions(); err != nil || len(opts) != 1 {
-		t.Fatalf("default chan: opts=%v err=%v", opts, err)
-	}
-
-	tf, err = mk("-transport", "slot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tf.Backend()
-	if err != nil || b != mpsim.BackendSlot {
-		t.Fatalf("slot backend: %v %v", b, err)
-	}
-
-	tf, err = mk("-transport", "chaos", "-chaos-inner", "slot", "-chaos-seed", "7", "-stragglers", "0, 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts, err := tf.EngineOptions(); err != nil || len(opts) != 1 {
-		t.Fatalf("chaos opts: %v %v", opts, err)
-	}
-
-	tf, err = mk("-stragglers", "0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tf.EngineOptions(); err == nil {
-		t.Fatal("-stragglers without chaos accepted")
-	}
-
-	tf, err = mk("-transport", "bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tf.EngineOptions(); err == nil {
-		t.Fatal("bogus transport accepted")
-	}
-
-	tf, err = mk("-transport", "chaos", "-chaos-inner", "bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tf.EngineOptions(); err == nil {
-		t.Fatal("bogus chaos inner accepted")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stragglers", "0"}, "-stragglers requires -chaos-seed"},
+		{[]string{"-chaos-seed", "7", "-stragglers", "9"}, "mpsim: chaos straggler rank 9 out of range [0,4)"},
+	} {
+		if _, err := engine(c.args...); err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %q", c.args, err, c.want)
+		}
 	}
 }
 

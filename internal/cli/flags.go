@@ -23,18 +23,16 @@ const (
 	FlagCase       = "case"        // substring case filter
 	FlagCSV        = "csv"         // emit CSV instead of the text table
 	FlagReportJSON = "report-json" // emit the JSON report form
-	FlagTransport  = "transport"   // engine backend: chan, slot or chaos
-	FlagChaosInner = "chaos-inner" // inner backend wrapped by chaos
-	FlagChaosSeed  = "chaos-seed"  // chaos jitter seed
-	FlagStragglers = "stragglers"  // comma-separated straggler ranks
+	FlagChaosSeed  = "chaos-seed"  // chaos jitter seed; >= 1 selects the chaos transport
+	FlagStragglers = "stragglers"  // comma-separated straggler ranks (chaos only)
 )
 
-// TransportFlags is the canonical -transport/-chaos-* flag block. Every
-// subcommand that constructs a simulated machine registers it, so the
-// chaos vocabulary cannot drift between tools again.
+// TransportFlags is the canonical -chaos-seed/-stragglers flag block.
+// A plain machine has no transport to pick, so the one choice is chaos
+// or not. Every subcommand that constructs a simulated machine
+// registers it, so the chaos vocabulary cannot drift between tools
+// again.
 type TransportFlags struct {
-	Transport  string
-	ChaosInner string
 	ChaosSeed  uint64
 	Stragglers string
 }
@@ -43,44 +41,26 @@ type TransportFlags struct {
 // on fs and returns the bound value struct.
 func RegisterTransportFlags(fs *flag.FlagSet) *TransportFlags {
 	tf := &TransportFlags{}
-	fs.StringVar(&tf.Transport, FlagTransport, "chan", "engine backend: chan, slot or chaos")
-	fs.StringVar(&tf.ChaosInner, FlagChaosInner, "chan", "inner backend wrapped by the chaos transport")
-	fs.Uint64Var(&tf.ChaosSeed, FlagChaosSeed, 1, "chaos jitter seed")
-	fs.StringVar(&tf.Stragglers, FlagStragglers, "", "comma-separated straggler ranks for the chaos transport")
+	fs.Uint64Var(&tf.ChaosSeed, FlagChaosSeed, 0, "run on the chaos transport with this jitter seed (>= 1; 0 runs plain)")
+	fs.StringVar(&tf.Stragglers, FlagStragglers, "", "comma-separated straggler ranks for the chaos transport (needs -"+FlagChaosSeed+")")
 	return tf
 }
 
-// Backend parses the -transport value alone (no chaos wiring), for
-// paths that only need the backend identity.
-func (tf *TransportFlags) Backend() (mpsim.Backend, error) {
-	return mpsim.ParseBackend(tf.Transport)
-}
-
-// EngineOptions translates the flag block into engine options:
-// WithTransport for plain backends, WithChaos (inner backend, seed,
-// stragglers) when -transport chaos. -stragglers without chaos is an
-// error rather than a silent no-op.
+// EngineOptions translates the flag block into engine options: none
+// for a plain machine, WithChaos (seed, stragglers) when -chaos-seed is
+// set. -stragglers without it is an error rather than a silent no-op.
 func (tf *TransportFlags) EngineOptions() ([]mpsim.Option, error) {
-	b, err := tf.Backend()
-	if err != nil {
-		return nil, err
-	}
-	if b != mpsim.BackendChaos {
+	if tf.ChaosSeed == 0 {
 		if tf.Stragglers != "" {
-			return nil, fmt.Errorf("-%s requires -%s chaos", FlagStragglers, FlagTransport)
+			return nil, fmt.Errorf("-%s requires -%s", FlagStragglers, FlagChaosSeed)
 		}
-		return []mpsim.Option{mpsim.WithTransport(b)}, nil
+		return nil, nil
 	}
-	inner, err := mpsim.ParseBackend(tf.ChaosInner)
+	stragglers, err := ParseStragglers(tf.Stragglers)
 	if err != nil {
 		return nil, err
 	}
-	cfg := mpsim.ChaosConfig{Inner: inner, Seed: tf.ChaosSeed}
-	cfg.Stragglers, err = ParseStragglers(tf.Stragglers)
-	if err != nil {
-		return nil, err
-	}
-	return []mpsim.Option{mpsim.WithChaos(cfg)}, nil
+	return []mpsim.Option{mpsim.WithChaos(mpsim.ChaosConfig{Seed: tf.ChaosSeed, Stragglers: stragglers})}, nil
 }
 
 // ParseStragglers parses the comma-separated rank list of -stragglers.

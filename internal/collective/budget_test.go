@@ -136,9 +136,9 @@ func budgetRows() []budgetRow {
 	}
 }
 
-// engine returns the row's machine on one transport.
-func (row budgetRow) engine(backend mpsim.Backend) (*mpsim.Engine, error) {
-	opts := []mpsim.Option{mpsim.WithTransport(backend)}
+// engine returns the row's machine.
+func (row budgetRow) engine() (*mpsim.Engine, error) {
+	var opts []mpsim.Option
 	if t := row.spec.Topology; t != nil {
 		opts = append(opts, mpsim.WithTopology(t.GroupAssignment()))
 	}
@@ -154,11 +154,11 @@ func (row budgetRow) fill() func(blk []byte, rank, block int) {
 	return Labels
 }
 
-// setup builds the row's steady state on one transport: the operation
+// setup builds the row's steady state: the operation
 // and a model callback reporting the C1/C2 of its last run and the bytes
 // its busiest rank moved.
-func (row budgetRow) setup(backend mpsim.Backend) (op func() error, model func() (c1, c2, moved int), err error) {
-	e, err := row.engine(backend)
+func (row budgetRow) setup() (op func() error, model func() (c1, c2, moved int), err error) {
+	e, err := row.engine()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,53 +226,51 @@ func (row budgetRow) compare(allocs, c1, c2, moved int) (diffs []string) {
 	return diffs
 }
 
-// TestBudget measures every row on both plain transports — allocations
-// and C1/C2 do not depend on the transport, nor on how many workers the
-// walk splits a row over (CI runs it at -cpu 1,2,4) — and asserts the
+// TestBudget measures every row on a plain engine — allocations and
+// C1/C2 do not depend on how many workers the walk splits a row over
+// (CI runs it at -cpu 1,2,4) — and asserts the
 // ledger exactly. Allocation counts are not asserted under -race, where
 // sync.Pool drops items at random.
 func TestBudget(t *testing.T) {
 	for _, row := range budgetRows() {
-		for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-			t.Run(row.name+"/"+string(backend), func(t *testing.T) {
-				op, model, err := row.setup(backend)
-				if err != nil {
+		t.Run(row.name, func(t *testing.T) {
+			op, model, err := row.setup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if err := op(); err != nil {
 					t.Fatal(err)
 				}
-				run := func() {
-					if err := op(); err != nil {
-						t.Fatal(err)
+			}
+			// The rank-local pools of a one-directional phase take up to
+			// eight operations to stop growing (concat/hier-4x4). The 64 KiB
+			// rows, 100 ms an operation under the float32 kernel, are
+			// steady after two.
+			warm, runs := 10, 5
+			if row.spec.BlockLen > 128 {
+				warm, runs = 2, 2
+			}
+			for i := 0; i < warm; i++ {
+				run()
+			}
+			allocs := row.allocs
+			if !raceDetector {
+				allocs = int(testing.AllocsPerRun(runs, run))
+				// AllocsPerRun sets GOMAXPROCS to 1, and so the walk to one
+				// worker; split over the test's, it allocates the same. Its
+				// 20 runs average out what the runtime draws now and then.
+				if p := runtime.GOMAXPROCS(0); p > 1 {
+					if split := allocsPerRun(20, run); split != allocs {
+						t.Errorf("%d allocs at GOMAXPROCS %d, %d at 1", split, p, allocs)
 					}
 				}
-				// The rank-local pools of a one-directional phase take up to
-				// eight operations to stop growing (concat/hier-4x4). The 64 KiB
-				// rows, 100 ms an operation under the float32 kernel, are
-				// steady after two.
-				warm, runs := 10, 5
-				if row.spec.BlockLen > 128 {
-					warm, runs = 2, 2
-				}
-				for i := 0; i < warm; i++ {
-					run()
-				}
-				allocs := row.allocs
-				if !raceDetector {
-					allocs = int(testing.AllocsPerRun(runs, run))
-					// AllocsPerRun sets GOMAXPROCS to 1, and so the walk to one
-					// worker; split over the test's, it allocates the same. Its
-					// 20 runs average out what the runtime draws now and then.
-					if p := runtime.GOMAXPROCS(0); p > 1 {
-						if split := allocsPerRun(20, run); split != allocs {
-							t.Errorf("%d allocs at GOMAXPROCS %d, %d at 1", split, p, allocs)
-						}
-					}
-				}
-				c1, c2, moved := model()
-				for _, d := range row.compare(allocs, c1, c2, moved) {
-					t.Error(d)
-				}
-			})
-		}
+			}
+			c1, c2, moved := model()
+			for _, d := range row.compare(allocs, c1, c2, moved) {
+				t.Error(d)
+			}
+		})
 	}
 }
 
@@ -339,7 +337,7 @@ func TestPlanImmutableAfterCompile(t *testing.T) {
 	}
 	for i, row := range budgetRows() {
 		t.Run(row.name, func(t *testing.T) {
-			e, err := row.engine(mpsim.BackendChan)
+			e, err := row.engine()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,27 +430,25 @@ func TestBudgetCompare(t *testing.T) {
 // local timing; nothing snapshots it.
 func BenchmarkBudget(b *testing.B) {
 	for _, row := range budgetRows() {
-		for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-			b.Run(row.name+"/"+string(backend), func(b *testing.B) {
-				op, model, err := row.setup(backend)
-				if err != nil {
-					b.Fatal(err)
-				}
+		b.Run(row.name, func(b *testing.B) {
+			op, model, err := row.setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := op(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := op(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				c1, c2, moved := model()
-				b.ReportMetric(float64(c1), "C1")
-				b.ReportMetric(float64(c2), "C2/bytes")
-				b.ReportMetric(float64(moved), "moved/bytes")
-			})
-		}
+			}
+			c1, c2, moved := model()
+			b.ReportMetric(float64(c1), "C1")
+			b.ReportMetric(float64(c2), "C2/bytes")
+			b.ReportMetric(float64(moved), "moved/bytes")
+		})
 	}
 }

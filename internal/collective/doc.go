@@ -113,9 +113,9 @@
 // same cursor on bytes on each rank's mpsim worker, one ExchangeOwned
 // per exchange. Neither driver counts: the Result is a copy of the one
 // program.finish derives (Plan.result). Plan.run and ExecutePlans pick
-// the round-major driver for every plan on a plain engine — chan or
-// slot, no recording (mpsim.Engine.Plain) — and the engine driver for
-// chaos and recording engines. Both drivers land the same bytes
+// the round-major driver for every plan on a plain engine — no chaos,
+// no recording (mpsim.Engine.Plain) — and the engine driver for chaos
+// and recording engines, so a plain engine never builds a transport. Both drivers land the same bytes
 // (TestDriversAgree), the walk the same on any number of workers
 // (TestWalkWorkersAgree), and a recorded run sends exactly
 // Plan.Messages (TestMessagesMatchEvents).

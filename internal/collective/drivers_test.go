@@ -266,7 +266,7 @@ func TestDriversRejectOverlap(t *testing.T) {
 func TestWalkWorkersAgree(t *testing.T) {
 	for _, row := range budgetRows() {
 		t.Run(row.name, func(t *testing.T) {
-			e := must(row.engine(mpsim.BackendChan))
+			e := must(row.engine())
 			groups := []*mpsim.Group{mpsim.WorldGroup(budgetN)}
 			if row.mode == concurrent {
 				ids := groups[0].IDs()
@@ -351,17 +351,16 @@ func TestDriverSelection(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		spec   Spec
-		engine mpsim.Option
+		engine []mpsim.Option
 		rounds bool
 	}{
-		{"index b=128 chan", index(128), mpsim.WithTransport(mpsim.BackendChan), true},
-		{"index b=128 slot", index(128), mpsim.WithTransport(mpsim.BackendSlot), true},
-		{"index b=64KiB", index(64 << 10), mpsim.WithTransport(mpsim.BackendChan), true},
-		{"ring allreduce b=16KiB", ringAllReduce(16 << 10), mpsim.WithTransport(mpsim.BackendChan), true},
-		{"index b=128 chaos", index(128), mpsim.WithChaos(mpsim.ChaosConfig{Seed: 1}), false},
-		{"index b=128 recording", index(128), mpsim.Record(true), false},
+		{"index b=128", index(128), nil, true},
+		{"index b=64KiB", index(64 << 10), nil, true},
+		{"ring allreduce b=16KiB", ringAllReduce(16 << 10), nil, true},
+		{"index b=128 chaos", index(128), []mpsim.Option{mpsim.WithChaos(mpsim.ChaosConfig{Seed: 1})}, false},
+		{"index b=128 recording", index(128), []mpsim.Option{mpsim.Record(true)}, false},
 	} {
-		pl, err := Compile(mpsim.MustNew(budgetN, c.engine), mpsim.WorldGroup(budgetN), c.spec)
+		pl, err := Compile(mpsim.MustNew(budgetN, c.engine...), mpsim.WorldGroup(budgetN), c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}

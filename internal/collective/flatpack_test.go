@@ -205,7 +205,7 @@ func places(pr *program, exts []extent, me int) []place {
 // landed in the output on its last receive with scratch only in between,
 // no scratch at all for a single subphase, the r = n member transfer for
 // transfer the direct exchange — and each such plan proved by Plan.Check
-// and run through the oracle on both transports.
+// and run through the oracle.
 func TestIndexAddressesSlotsInPlace(t *testing.T) {
 	const bl = 4
 	type variant struct {
@@ -234,32 +234,24 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 			}
 		}
 		for k := 1; k <= 3 && k <= max(1, n-1); k++ {
-			engines := []*mpsim.Engine{
-				mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(mpsim.BackendChan)),
-				mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(mpsim.BackendSlot)),
-			}
+			e := mpsim.MustNew(n, mpsim.Ports(k))
 			g := mpsim.WorldGroup(n)
-			direct := must(Compile(engines[0], g, Spec{Op: OpIndex, BlockLen: bl, Index: IndexOptions{Algorithm: IndexDirect}})).prog
+			direct := must(Compile(e, g, Spec{Op: OpIndex, BlockLen: bl, Index: IndexOptions{Algorithm: IndexDirect}})).prog
 			for _, v := range variants {
 				t.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, v.name), func(t *testing.T) {
-					for _, e := range engines {
-						pl, err := Compile(e, g, v.spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := Exercise(pl, Labels); err != nil {
-							t.Fatal(err)
-						}
-						if e != engines[0] {
-							continue // the program does not depend on the transport
-						}
-						if viol := pl.Check(); len(viol) != 0 {
-							t.Fatalf("Check: %q", viol)
-						}
-						checkSlotsInPlace(t, pl.prog, v.r)
-						if n > 1 && v.r(0) >= n && pl.segments == 0 && !v.spec.Index.NoPack {
-							checkSameTransfers(t, pl.prog, direct)
-						}
+					pl, err := Compile(e, g, v.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := Exercise(pl, Labels); err != nil {
+						t.Fatal(err)
+					}
+					if viol := pl.Check(); len(viol) != 0 {
+						t.Fatalf("Check: %q", viol)
+					}
+					checkSlotsInPlace(t, pl.prog, v.r)
+					if n > 1 && v.r(0) >= n && pl.segments == 0 && !v.spec.Index.NoPack {
+						checkSameTransfers(t, pl.prog, direct)
 					}
 				})
 			}

@@ -276,20 +276,17 @@ func TestHierAllReduceMatchesFlat(t *testing.T) {
 }
 
 // TestHierTransports: the hierarchical schedules are correct and keep
-// their compiled per-level split on the slot transport and under the
-// chaos transport with stragglers, on both inner backends.
+// their compiled per-level split on a plain engine and under the chaos
+// transport with stragglers, at two seeds.
 func TestHierTransports(t *testing.T) {
 	const n, k = 12, 2
 	topo := hierTopo(t, []int{4, 4, 4})
 	engines := map[string]*mpsim.Engine{
-		"chan": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
-			mpsim.WithTransport(mpsim.BackendChan)),
-		"slot": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
-			mpsim.WithTransport(mpsim.BackendSlot)),
-		"chaos-chan": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
-			mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendChan, Seed: 7, Stragglers: []int{0, 5}})),
-		"chaos-slot": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
-			mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendSlot, Seed: 11, Stragglers: []int{3}})),
+		"plain": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment())),
+		"chaos-7": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
+			mpsim.WithChaos(mpsim.ChaosConfig{Seed: 7, Stragglers: []int{0, 5}})),
+		"chaos-11": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()),
+			mpsim.WithChaos(mpsim.ChaosConfig{Seed: 11, Stragglers: []int{3}})),
 	}
 	for name, e := range engines {
 		runHierIndex(t, e, n, 4, topo, "index/"+name)

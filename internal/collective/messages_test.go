@@ -119,14 +119,13 @@ func families() []family {
 // TestMessagesMatchEvents holds the program walk to the engine: for
 // every schedule family at n 1..12 and k 1..3, one run through the
 // oracle records exactly the messages Plan.Messages predicts — round,
-// endpoints, size and link class — on chan, slot and chaos(slot) with
-// stragglers. Hierarchical plans run on an engine that tags link
+// endpoints, size and link class — on the engine over chan, and under
+// chaos with stragglers. Hierarchical plans run on an engine that tags link
 // classes.
 func TestMessagesMatchEvents(t *testing.T) {
-	transports := []mpsim.Option{
-		mpsim.WithTransport(mpsim.BackendChan),
-		mpsim.WithTransport(mpsim.BackendSlot),
-		mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendSlot, Seed: 3, Stragglers: []int{0}}),
+	engines := [][]mpsim.Option{
+		nil,
+		{mpsim.WithChaos(mpsim.ChaosConfig{Seed: 3, Stragglers: []int{0}})},
 	}
 	for _, f := range families() {
 		t.Run(f.name, func(t *testing.T) {
@@ -136,13 +135,13 @@ func TestMessagesMatchEvents(t *testing.T) {
 				}
 				for k := 1; k <= min(3, max(1, n-1)); k++ {
 					s := f.spec(n)
-					for i, transport := range transports {
-						opts := []mpsim.Option{mpsim.Ports(k), mpsim.Record(true), transport}
+					for i, engine := range engines {
+						opts := append([]mpsim.Option{mpsim.Ports(k), mpsim.Record(true)}, engine...)
 						if s.Hierarchical {
 							opts = append(opts, mpsim.WithTopology(s.Topology.GroupAssignment()))
 						}
 						e := mpsim.MustNew(n, opts...)
-						where := fmt.Sprintf("n=%d k=%d transport %d", n, k, i)
+						where := fmt.Sprintf("n=%d k=%d engine %d", n, k, i)
 						pl, err := Compile(e, mpsim.WorldGroup(n), s)
 						if err != nil {
 							t.Fatalf("%s: %v", where, err)
@@ -336,7 +335,7 @@ func TestScheduleExportRingReduce(t *testing.T) {
 func TestScheduleTransportIndependent(t *testing.T) {
 	plainPl, plain := recordedIndex(t, 9, 2, 4, IndexOptions{Radix: 3})
 	chaosPl, chaos := recordedIndex(t, 9, 2, 4, IndexOptions{Radix: 3},
-		mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendSlot, Seed: 11, Stragglers: []int{0, 4}}))
+		mpsim.WithChaos(mpsim.ChaosConfig{Seed: 11, Stragglers: []int{0, 4}}))
 	if !slices.Equal(chaos, plain) {
 		t.Fatalf("chaos run diverges from chan run:\n  %v\n  %v", chaos, plain)
 	}

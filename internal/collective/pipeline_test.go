@@ -1,8 +1,8 @@
 package collective
 
 // Tests for segment-pipelined plans: byte-equivalence of the pipelined
-// executor with the monolithic one over the (n, k, r, segments) grid on
-// every transport, the compiler's clamping rules, the closed-form cost
+// executor with the monolithic one over the (n, k, r, segments) grid,
+// plain and under chaos, the compiler's clamping rules, the closed-form cost
 // agreement (SegmentedIndexCost must equal the compiled measures
 // exactly), static Check acceptance, and segment-boundary fuzzing.
 
@@ -16,8 +16,8 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// runSegmentedIndex executes one segmented index configuration on the
-// given transport and verifies the transpose; it returns the result and
+// runSegmentedIndex executes one segmented index configuration on e
+// and verifies the transpose; it returns the result and
 // the compiled plan.
 func runSegmentedIndex(t *testing.T, e *mpsim.Engine, n, blockLen, r, s int) (*Result, [][][]byte, *Plan) {
 	t.Helper()
@@ -37,34 +37,32 @@ func runSegmentedIndex(t *testing.T, e *mpsim.Engine, n, blockLen, r, s int) (*R
 }
 
 // TestPipelinedIndexEquivalenceGrid: for every (n, k, segments) cell of
-// the grid, on both plain transports, the pipelined execution must
+// the grid, the pipelined execution must
 // produce byte-identical output to the monolithic one (both are the
 // transpose, so equivalence reduces to both passing checkTranspose) and
 // the Report must match the compiled pipelined measures.
 func TestPipelinedIndexEquivalenceGrid(t *testing.T) {
 	const blockLen = 9 // 9 % {2, 4, 7} != 0: uneven spans on every cell
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for n := 1; n <= 16; n++ {
-			kmax := 3
-			if kmax > n-1 {
-				kmax = n - 1
-			}
-			if kmax < 1 {
-				kmax = 1
-			}
-			for k := 1; k <= kmax; k++ {
-				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-				for _, s := range []int{1, 2, 4, 7} {
-					res, _, pl := runSegmentedIndex(t, e, n, blockLen, 2, s)
-					if res.C1 != pl.c1 || res.C2 != pl.res.C2 {
-						t.Errorf("%v n=%d k=%d s=%d: report (%d, %d), plan predicts (%d, %d)",
-							backend, n, k, s, res.C1, res.C2, pl.c1, pl.res.C2)
-					}
-					if pl.segments > 1 {
-						mono, _ := IndexCost(n, blockLen, 2, k)
-						if want := costmodel.PipelinedC1(mono, pl.segments); res.C1 != want {
-							t.Errorf("%v n=%d k=%d s=%d: c1=%d, want pipelined %d", backend, n, k, s, res.C1, want)
-						}
+	for n := 1; n <= 16; n++ {
+		kmax := 3
+		if kmax > n-1 {
+			kmax = n - 1
+		}
+		if kmax < 1 {
+			kmax = 1
+		}
+		for k := 1; k <= kmax; k++ {
+			e := mpsim.MustNew(n, mpsim.Ports(k))
+			for _, s := range []int{1, 2, 4, 7} {
+				res, _, pl := runSegmentedIndex(t, e, n, blockLen, 2, s)
+				if res.C1 != pl.c1 || res.C2 != pl.res.C2 {
+					t.Errorf("n=%d k=%d s=%d: report (%d, %d), plan predicts (%d, %d)",
+						n, k, s, res.C1, res.C2, pl.c1, pl.res.C2)
+				}
+				if pl.segments > 1 {
+					mono, _ := IndexCost(n, blockLen, 2, k)
+					if want := costmodel.PipelinedC1(mono, pl.segments); res.C1 != want {
+						t.Errorf("n=%d k=%d s=%d: c1=%d, want pipelined %d", n, k, s, res.C1, want)
 					}
 				}
 			}
@@ -76,43 +74,39 @@ func TestPipelinedIndexEquivalenceGrid(t *testing.T) {
 // under adversarial timing with stragglers — ownership-transfer rounds
 // tolerate reordering and slow nodes exactly like the copying rounds.
 func TestPipelinedIndexUnderChaos(t *testing.T) {
-	for _, inner := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for _, tc := range []struct{ n, k, s int }{{8, 1, 4}, {16, 2, 4}, {7, 1, 2}, {12, 3, 7}} {
-			e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k),
-				mpsim.WithChaos(mpsim.ChaosConfig{Inner: inner, Seed: 42, Stragglers: []int{0, tc.n / 2}}))
-			runSegmentedIndex(t, e, tc.n, 9, 2, tc.s)
-		}
+	for _, tc := range []struct{ n, k, s int }{{8, 1, 4}, {16, 2, 4}, {7, 1, 2}, {12, 3, 7}} {
+		e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k),
+			mpsim.WithChaos(mpsim.ChaosConfig{Seed: 42, Stragglers: []int{0, tc.n / 2}}))
+		runSegmentedIndex(t, e, tc.n, 9, 2, tc.s)
 	}
 }
 
 // TestPipelinedReduceEquivalence: segmented ReduceBruck reduce-scatter
 // and allreduce produce bit-identical bytes to their monolithic
 // counterparts (the combine order is unchanged: all spans arrive before
-// the fold), across segment counts and both plain transports.
+// the fold), across segment counts.
 func TestPipelinedReduceEquivalence(t *testing.T) {
 	const blockLen = 12 // 3 int32 elements
 	kern, err := buffers.Kernel(buffers.Sum, buffers.Int32)
 	if err != nil {
 		t.Fatalf("buffers.Kernel: %v", err)
 	}
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for _, tc := range []struct{ n, k int }{{4, 1}, {7, 1}, {8, 2}, {16, 1}, {16, 3}} {
-			e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k), mpsim.WithTransport(backend))
-			g := mpsim.WorldGroup(tc.n)
-			var base []byte
-			for _, s := range []int{0, 2, 4, 7} {
-				opt := ReduceOptions{Algorithm: ReduceBruck, Radix: 2, Kernel: kern,
-					ElemSize: 4, KernelKey: "sum/int32", Segments: s}
-				in, _ := buffers.FromMatrix(genIndexInput(tc.n, blockLen))
-				out, _ := buffers.New(tc.n, tc.n, blockLen)
-				if _, err := runFlat(e, g, in, out, Spec{Op: OpAllReduce, Reduce: opt}); err != nil {
-					t.Fatalf("%v n=%d k=%d s=%d: %v", backend, tc.n, tc.k, s, err)
-				}
-				if base == nil {
-					base = append([]byte(nil), out.Bytes()...)
-				} else if !bytes.Equal(base, out.Bytes()) {
-					t.Errorf("%v n=%d k=%d s=%d: allreduce bytes differ from monolithic", backend, tc.n, tc.k, s)
-				}
+	for _, tc := range []struct{ n, k int }{{4, 1}, {7, 1}, {8, 2}, {16, 1}, {16, 3}} {
+		e := mpsim.MustNew(tc.n, mpsim.Ports(tc.k))
+		g := mpsim.WorldGroup(tc.n)
+		var base []byte
+		for _, s := range []int{0, 2, 4, 7} {
+			opt := ReduceOptions{Algorithm: ReduceBruck, Radix: 2, Kernel: kern,
+				ElemSize: 4, KernelKey: "sum/int32", Segments: s}
+			in, _ := buffers.FromMatrix(genIndexInput(tc.n, blockLen))
+			out, _ := buffers.New(tc.n, tc.n, blockLen)
+			if _, err := runFlat(e, g, in, out, Spec{Op: OpAllReduce, Reduce: opt}); err != nil {
+				t.Fatalf("n=%d k=%d s=%d: %v", tc.n, tc.k, s, err)
+			}
+			if base == nil {
+				base = append([]byte(nil), out.Bytes()...)
+			} else if !bytes.Equal(base, out.Bytes()) {
+				t.Errorf("n=%d k=%d s=%d: allreduce bytes differ from monolithic", tc.n, tc.k, s)
 			}
 		}
 	}

@@ -177,18 +177,17 @@ func TestBroadcastMeetsRoundLowerBound(t *testing.T) {
 	}
 }
 
-// sweepEngines returns one engine per transport the sweeps cover: chan,
-// slot, and chaos over slot with a straggling root.
+// sweepEngines returns the engines the sweeps cover: a plain one, and
+// chaos with a straggling root.
 func sweepEngines(n, k int) map[string]*mpsim.Engine {
 	return map[string]*mpsim.Engine{
-		"chan": mpsim.MustNew(n, mpsim.Ports(k)),
-		"slot": mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(mpsim.BackendSlot)),
-		"chaos(slot)": mpsim.MustNew(n, mpsim.Ports(k),
-			mpsim.WithChaos(mpsim.ChaosConfig{Inner: mpsim.BackendSlot, Seed: 11, Stragglers: []int{0}})),
+		"plain": mpsim.MustNew(n, mpsim.Ports(k)),
+		"chaos": mpsim.MustNew(n, mpsim.Ports(k),
+			mpsim.WithChaos(mpsim.ChaosConfig{Seed: 11, Stragglers: []int{0}})),
 	}
 }
 
-// TestPrimitiveIntoSweep: across sizes, ports, roots and transports the
+// TestPrimitiveIntoSweep: across sizes, ports, roots and engines the
 // compiled primitives deliver the direct reference (out[i] = in[root];
 // out[root][j] = in[j]; out[j] = in[root][j]), measure exactly the C1
 // and C2 the closed forms predict, and carry the Section 2 bounds.

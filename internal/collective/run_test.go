@@ -170,8 +170,8 @@ func TestExactExtentFamiliesSendExactSizes(t *testing.T) {
 // buffers of its own in its peers' hands and theirs in its own. A user
 // kernel panics once, on one rank, a few rounds into a ring AllReduce;
 // the run reports that panic, and the same engine then runs the plan a
-// hundred times correctly on every transport, and on the walk at two
-// workers, whose buffers also cross between the workers' free lists.
+// hundred times correctly, plain and under chaos, and on the walk at
+// two workers, whose buffers also cross between the workers' free lists.
 // Were a buffer left in two pools, two ranks would sooner or later
 // reduce in the same memory: a wrong block here, and a data race under
 // -race.
@@ -179,13 +179,14 @@ func TestRingSwapAfterAFailedRound(t *testing.T) {
 	const n, blockLen, runs = 8, 64, 100
 	sum := must(buffers.Kernel(buffers.Sum, buffers.Int32))
 	for _, c := range []struct {
-		transport mpsim.Option
-		workers   int // the walk's, 0 for Run's choice
+		name    string
+		engine  []mpsim.Option
+		workers int // the walk's, 0 for Run's choice
 	}{
-		{mpsim.WithTransport(mpsim.BackendChan), 0}, {mpsim.WithTransport(mpsim.BackendChan), 2},
-		{mpsim.WithTransport(mpsim.BackendSlot), 0}, {mpsim.WithChaos(mpsim.ChaosConfig{Seed: 5}), 0},
+		{"plain", nil, 0}, {"plain", nil, 2},
+		{"chaos", []mpsim.Option{mpsim.WithChaos(mpsim.ChaosConfig{Seed: 5})}, 0},
 	} {
-		e := mpsim.MustNew(n, c.transport)
+		e := mpsim.MustNew(n, c.engine...)
 		var countdown atomic.Int32
 		kernel := func(dst, src []byte) {
 			if countdown.Add(-1) == 0 {
@@ -198,7 +199,7 @@ func TestRingSwapAfterAFailedRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if x := exchangeSteps(pl)[0].xfers[0]; !x.swap {
-			t.Fatalf("%v: the ring's rounds are not swaps", e.Transport())
+			t.Fatalf("%s: the ring's rounds are not swaps", c.name)
 		}
 		exercise := func() error {
 			mem := must(pl.Alloc())
@@ -214,11 +215,11 @@ func TestRingSwapAfterAFailedRound(t *testing.T) {
 		}
 		countdown.Store(3 * n) // the ring combines n*(n-1) times
 		if err := exercise(); err == nil || !strings.Contains(err.Error(), "panicked: bad kernel") {
-			t.Fatalf("%v W=%d: error %v, want the kernel's panic", e.Transport(), c.workers, err)
+			t.Fatalf("%s W=%d: error %v, want the kernel's panic", c.name, c.workers, err)
 		}
 		for run := 0; run < runs; run++ {
 			if err := exercise(); err != nil {
-				t.Fatalf("%v W=%d: run %d after the failure: %v", e.Transport(), c.workers, run, err)
+				t.Fatalf("%s W=%d: run %d after the failure: %v", c.name, c.workers, run, err)
 			}
 		}
 	}

@@ -63,44 +63,42 @@ func checkIndexVResult(t *testing.T, in, out *buffers.Ragged, tag string) {
 
 // TestIndexVUniformMatchesFlat is the core equivalence guarantee: on a
 // uniform layout IndexV must be byte- and Report-identical to IndexFlat
-// for every (n, k) in the acceptance grid, on both transports.
+// for every (n, k) in the acceptance grid.
 func TestIndexVUniformMatchesFlat(t *testing.T) {
 	const blockLen = 12
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for n := 1; n <= 16; n++ {
-			for k := 1; k <= 3 && k <= intmath.Max(1, n-1); k++ {
-				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-				g := mpsim.WorldGroup(n)
-				tag := fmt.Sprintf("%v n=%d k=%d", backend, n, k)
+	for n := 1; n <= 16; n++ {
+		for k := 1; k <= 3 && k <= intmath.Max(1, n-1); k++ {
+			e := mpsim.MustNew(n, mpsim.Ports(k))
+			g := mpsim.WorldGroup(n)
+			tag := fmt.Sprintf("n=%d k=%d", n, k)
 
-				fin, _ := buffers.New(n, n, blockLen)
-				fout, _ := buffers.New(n, n, blockLen)
-				for x, data := 0, fin.Bytes(); x < len(data); x++ {
-					data[x] = byte(x*11 + 3)
-				}
-				flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpIndex})
-				if err != nil {
-					t.Fatalf("%s: IndexFlat: %v", tag, err)
-				}
+			fin, _ := buffers.New(n, n, blockLen)
+			fout, _ := buffers.New(n, n, blockLen)
+			for x, data := 0, fin.Bytes(); x < len(data); x++ {
+				data[x] = byte(x*11 + 3)
+			}
+			flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpIndex})
+			if err != nil {
+				t.Fatalf("%s: IndexFlat: %v", tag, err)
+			}
 
-				l, err := blocks.Uniform(n, n, blockLen)
-				if err != nil {
-					t.Fatalf("%s: layout: %v", tag, err)
-				}
-				vin, _ := buffers.NewRagged(l)
-				vout, _ := buffers.NewRagged(l.Transpose())
-				copy(vin.Bytes(), fin.Bytes())
-				vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpIndexV})
-				if err != nil {
-					t.Fatalf("%s: IndexVFlat: %v", tag, err)
-				}
+			l, err := blocks.Uniform(n, n, blockLen)
+			if err != nil {
+				t.Fatalf("%s: layout: %v", tag, err)
+			}
+			vin, _ := buffers.NewRagged(l)
+			vout, _ := buffers.NewRagged(l.Transpose())
+			copy(vin.Bytes(), fin.Bytes())
+			vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpIndexV})
+			if err != nil {
+				t.Fatalf("%s: IndexVFlat: %v", tag, err)
+			}
 
-				if !bytes.Equal(vout.Bytes(), fout.Bytes()) {
-					t.Fatalf("%s: IndexV bytes diverge from IndexFlat", tag)
-				}
-				if !reflect.DeepEqual(vRes, flatRes) {
-					t.Fatalf("%s: IndexV report %+v != IndexFlat report %+v", tag, vRes, flatRes)
-				}
+			if !bytes.Equal(vout.Bytes(), fout.Bytes()) {
+				t.Fatalf("%s: IndexV bytes diverge from IndexFlat", tag)
+			}
+			if !reflect.DeepEqual(vRes, flatRes) {
+				t.Fatalf("%s: IndexV report %+v != IndexFlat report %+v", tag, vRes, flatRes)
 			}
 		}
 	}
@@ -110,45 +108,43 @@ func TestIndexVUniformMatchesFlat(t *testing.T) {
 // uniform equivalence guarantee.
 func TestConcatVUniformMatchesFlat(t *testing.T) {
 	const blockLen = 9
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for n := 1; n <= 16; n++ {
-			for k := 1; k <= 3 && k <= intmath.Max(1, n-1); k++ {
-				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-				g := mpsim.WorldGroup(n)
-				tag := fmt.Sprintf("%v n=%d k=%d", backend, n, k)
+	for n := 1; n <= 16; n++ {
+		for k := 1; k <= 3 && k <= intmath.Max(1, n-1); k++ {
+			e := mpsim.MustNew(n, mpsim.Ports(k))
+			g := mpsim.WorldGroup(n)
+			tag := fmt.Sprintf("n=%d k=%d", n, k)
 
-				fin, _ := buffers.New(n, 1, blockLen)
-				fout, _ := buffers.New(n, n, blockLen)
-				for x, data := 0, fin.Bytes(); x < len(data); x++ {
-					data[x] = byte(x*13 + 5)
-				}
-				flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpConcat})
-				if err != nil {
-					t.Fatalf("%s: ConcatFlat: %v", tag, err)
-				}
+			fin, _ := buffers.New(n, 1, blockLen)
+			fout, _ := buffers.New(n, n, blockLen)
+			for x, data := 0, fin.Bytes(); x < len(data); x++ {
+				data[x] = byte(x*13 + 5)
+			}
+			flatRes, err := runFlat(e, g, fin, fout, Spec{Op: OpConcat})
+			if err != nil {
+				t.Fatalf("%s: ConcatFlat: %v", tag, err)
+			}
 
-				l, err := blocks.Uniform(n, 1, blockLen)
-				if err != nil {
-					t.Fatalf("%s: layout: %v", tag, err)
-				}
-				outL, err := l.ConcatOut()
-				if err != nil {
-					t.Fatalf("%s: ConcatOut: %v", tag, err)
-				}
-				vin, _ := buffers.NewRagged(l)
-				vout, _ := buffers.NewRagged(outL)
-				copy(vin.Bytes(), fin.Bytes())
-				vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpConcatV})
-				if err != nil {
-					t.Fatalf("%s: ConcatVFlat: %v", tag, err)
-				}
+			l, err := blocks.Uniform(n, 1, blockLen)
+			if err != nil {
+				t.Fatalf("%s: layout: %v", tag, err)
+			}
+			outL, err := l.ConcatOut()
+			if err != nil {
+				t.Fatalf("%s: ConcatOut: %v", tag, err)
+			}
+			vin, _ := buffers.NewRagged(l)
+			vout, _ := buffers.NewRagged(outL)
+			copy(vin.Bytes(), fin.Bytes())
+			vRes, err := runRagged(e, g, vin, vout, Spec{Op: OpConcatV})
+			if err != nil {
+				t.Fatalf("%s: ConcatVFlat: %v", tag, err)
+			}
 
-				if !bytes.Equal(vout.Bytes(), fout.Bytes()) {
-					t.Fatalf("%s: ConcatV bytes diverge from ConcatFlat", tag)
-				}
-				if !reflect.DeepEqual(vRes, flatRes) {
-					t.Fatalf("%s: ConcatV report %+v != ConcatFlat report %+v", tag, vRes, flatRes)
-				}
+			if !bytes.Equal(vout.Bytes(), fout.Bytes()) {
+				t.Fatalf("%s: ConcatV bytes diverge from ConcatFlat", tag)
+			}
+			if !reflect.DeepEqual(vRes, flatRes) {
+				t.Fatalf("%s: ConcatV report %+v != ConcatFlat report %+v", tag, vRes, flatRes)
 			}
 		}
 	}
@@ -197,54 +193,52 @@ func TestUniformVCompilesIdenticalRounds(t *testing.T) {
 // defining permutation (the direct per-pair reference) plus the
 // compile-time C2 prediction and the lower bound.
 func TestIndexVRaggedMatchesReference(t *testing.T) {
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for _, n := range []int{2, 5, 8, 13, 16} {
-			for _, k := range []int{1, 2, 3} {
-				if k > n-1 {
-					continue
-				}
-				counts := genRaggedCounts(n, 17)
-				l, err := blocks.Ragged(counts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				algs := []IndexOptions{
-					{Algorithm: IndexBruck},
-					{Algorithm: IndexBruck, Radix: 2},
-					{Algorithm: IndexBruck, Radix: n},
-					{Algorithm: IndexBruck, NoPack: true},
-					{Algorithm: IndexDirect},
-				}
-				if intmath.IsPow(2, n) {
-					algs = append(algs, IndexOptions{Algorithm: IndexPairwiseXOR})
-				}
-				for _, opt := range algs {
-					e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-					g := mpsim.WorldGroup(n)
-					tag := fmt.Sprintf("%v n=%d k=%d alg=%v r=%d nopack=%v", backend, n, k, opt.Algorithm, opt.Radix, opt.NoPack)
+	for _, n := range []int{2, 5, 8, 13, 16} {
+		for _, k := range []int{1, 2, 3} {
+			if k > n-1 {
+				continue
+			}
+			counts := genRaggedCounts(n, 17)
+			l, err := blocks.Ragged(counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algs := []IndexOptions{
+				{Algorithm: IndexBruck},
+				{Algorithm: IndexBruck, Radix: 2},
+				{Algorithm: IndexBruck, Radix: n},
+				{Algorithm: IndexBruck, NoPack: true},
+				{Algorithm: IndexDirect},
+			}
+			if intmath.IsPow(2, n) {
+				algs = append(algs, IndexOptions{Algorithm: IndexPairwiseXOR})
+			}
+			for _, opt := range algs {
+				e := mpsim.MustNew(n, mpsim.Ports(k))
+				g := mpsim.WorldGroup(n)
+				tag := fmt.Sprintf("n=%d k=%d alg=%v r=%d nopack=%v", n, k, opt.Algorithm, opt.Radix, opt.NoPack)
 
-					pl, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Index: opt})
-					if err != nil {
-						t.Fatalf("%s: compile: %v", tag, err)
-					}
-					vin, _ := buffers.NewRagged(l)
-					vout, _ := buffers.NewRagged(pl.OutLayout())
-					fillRagged(vin)
-					res, err := pl.Run(pl.Memory(vin, vout))
-					if err != nil {
-						t.Fatalf("%s: execute: %v", tag, err)
-					}
-					checkIndexVResult(t, vin, vout, tag)
-					if res.C2 != pl.PredictedC2() {
-						t.Errorf("%s: measured C2 = %d, plan predicted %d", tag, res.C2, pl.PredictedC2())
-					}
-					wantLB := lowerbound.IndexVVolume(counts, k)
-					if res.C2LowerBound != wantLB {
-						t.Errorf("%s: report lower bound %d, want %d", tag, res.C2LowerBound, wantLB)
-					}
-					if res.C2 < wantLB {
-						t.Errorf("%s: C2 = %d below lower bound %d", tag, res.C2, wantLB)
-					}
+				pl, err := Compile(e, g, Spec{Op: OpIndexV, Layout: l, Index: opt})
+				if err != nil {
+					t.Fatalf("%s: compile: %v", tag, err)
+				}
+				vin, _ := buffers.NewRagged(l)
+				vout, _ := buffers.NewRagged(pl.OutLayout())
+				fillRagged(vin)
+				res, err := pl.Run(pl.Memory(vin, vout))
+				if err != nil {
+					t.Fatalf("%s: execute: %v", tag, err)
+				}
+				checkIndexVResult(t, vin, vout, tag)
+				if res.C2 != pl.PredictedC2() {
+					t.Errorf("%s: measured C2 = %d, plan predicted %d", tag, res.C2, pl.PredictedC2())
+				}
+				wantLB := lowerbound.IndexVVolume(counts, k)
+				if res.C2LowerBound != wantLB {
+					t.Errorf("%s: report lower bound %d, want %d", tag, res.C2LowerBound, wantLB)
+				}
+				if res.C2 < wantLB {
+					t.Errorf("%s: C2 = %d below lower bound %d", tag, res.C2, wantLB)
 				}
 			}
 		}
@@ -282,53 +276,51 @@ func TestIndexVMixedRadixRagged(t *testing.T) {
 // TestConcatVRaggedMatchesReference runs both ragged-capable
 // concatenation algorithms on skewed contribution vectors.
 func TestConcatVRaggedMatchesReference(t *testing.T) {
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		for _, n := range []int{2, 5, 9, 16} {
-			for _, k := range []int{1, 2, 3} {
-				if k > n-1 {
-					continue
-				}
-				counts := make([]int, n)
-				for i := range counts {
-					counts[i] = (i * 5) % 23 // includes a zero contribution
-				}
-				l, err := blocks.RaggedVector(counts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, opt := range []ConcatOptions{
-					{Algorithm: ConcatCirculant},
-					{Algorithm: ConcatRing},
-				} {
-					e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTransport(backend))
-					g := mpsim.WorldGroup(n)
-					tag := fmt.Sprintf("%v n=%d k=%d alg=%v", backend, n, k, opt.Algorithm)
+	for _, n := range []int{2, 5, 9, 16} {
+		for _, k := range []int{1, 2, 3} {
+			if k > n-1 {
+				continue
+			}
+			counts := make([]int, n)
+			for i := range counts {
+				counts[i] = (i * 5) % 23 // includes a zero contribution
+			}
+			l, err := blocks.RaggedVector(counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range []ConcatOptions{
+				{Algorithm: ConcatCirculant},
+				{Algorithm: ConcatRing},
+			} {
+				e := mpsim.MustNew(n, mpsim.Ports(k))
+				g := mpsim.WorldGroup(n)
+				tag := fmt.Sprintf("n=%d k=%d alg=%v", n, k, opt.Algorithm)
 
-					pl, err := Compile(e, g, Spec{Op: OpConcatV, Layout: l, Concat: opt})
-					if err != nil {
-						t.Fatalf("%s: compile: %v", tag, err)
-					}
-					vin, _ := buffers.NewRagged(l)
-					vout, _ := buffers.NewRagged(pl.OutLayout())
-					fillRagged(vin)
-					res, err := pl.Run(pl.Memory(vin, vout))
-					if err != nil {
-						t.Fatalf("%s: execute: %v", tag, err)
-					}
-					for i := 0; i < n; i++ {
-						for j := 0; j < n; j++ {
-							if !bytes.Equal(vout.Block(i, j), vin.Block(j, 0)) {
-								t.Fatalf("%s: out.Block(%d,%d) != in.Block(%d,0)", tag, i, j, j)
-							}
+				pl, err := Compile(e, g, Spec{Op: OpConcatV, Layout: l, Concat: opt})
+				if err != nil {
+					t.Fatalf("%s: compile: %v", tag, err)
+				}
+				vin, _ := buffers.NewRagged(l)
+				vout, _ := buffers.NewRagged(pl.OutLayout())
+				fillRagged(vin)
+				res, err := pl.Run(pl.Memory(vin, vout))
+				if err != nil {
+					t.Fatalf("%s: execute: %v", tag, err)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if !bytes.Equal(vout.Block(i, j), vin.Block(j, 0)) {
+							t.Fatalf("%s: out.Block(%d,%d) != in.Block(%d,0)", tag, i, j, j)
 						}
 					}
-					if res.C2 != pl.PredictedC2() {
-						t.Errorf("%s: measured C2 = %d, predicted %d", tag, res.C2, pl.PredictedC2())
-					}
-					wantLB := lowerbound.ConcatVVolume(counts, k)
-					if res.C2LowerBound != wantLB {
-						t.Errorf("%s: report lower bound %d, want %d", tag, res.C2LowerBound, wantLB)
-					}
+				}
+				if res.C2 != pl.PredictedC2() {
+					t.Errorf("%s: measured C2 = %d, predicted %d", tag, res.C2, pl.PredictedC2())
+				}
+				wantLB := lowerbound.ConcatVVolume(counts, k)
+				if res.C2LowerBound != wantLB {
+					t.Errorf("%s: report lower bound %d, want %d", tag, res.C2LowerBound, wantLB)
 				}
 			}
 		}
@@ -540,59 +532,57 @@ func TestConcatVRejectsBaselinesWithoutVVariant(t *testing.T) {
 // ragged concat plan concurrently on disjoint groups in one engine
 // pass.
 func TestExecutePlansMixedUniformRagged(t *testing.T) {
-	for _, backend := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-		e := mpsim.MustNew(9, mpsim.WithTransport(backend))
-		gA, err := mpsim.NewGroup([]int{0, 1, 2, 3}, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gB, err := mpsim.NewGroup([]int{4, 5, 6, 7, 8}, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+	e := mpsim.MustNew(9)
+	gA, err := mpsim.NewGroup([]int{0, 1, 2, 3}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gB, err := mpsim.NewGroup([]int{4, 5, 6, 7, 8}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		uni, err := CompileIndex(e, gA, 16, IndexOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fin, _ := buffers.New(4, 4, 16)
-		fout, _ := buffers.New(4, 4, 16)
-		for x, data := 0, fin.Bytes(); x < len(data); x++ {
-			data[x] = byte(x*3 + 1)
-		}
+	uni, err := CompileIndex(e, gA, 16, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, _ := buffers.New(4, 4, 16)
+	fout, _ := buffers.New(4, 4, 16)
+	for x, data := 0, fin.Bytes(); x < len(data); x++ {
+		data[x] = byte(x*3 + 1)
+	}
 
-		counts := []int{0, 7, 3, 12, 5}
-		l, _ := blocks.RaggedVector(counts)
-		rag, err := Compile(e, gB, Spec{Op: OpConcatV, Layout: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vin, _ := buffers.NewRagged(l)
-		vout, _ := buffers.NewRagged(rag.OutLayout())
-		fillRagged(vin)
+	counts := []int{0, 7, 3, 12, 5}
+	l, _ := blocks.RaggedVector(counts)
+	rag, err := Compile(e, gB, Spec{Op: OpConcatV, Layout: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vin, _ := buffers.NewRagged(l)
+	vout, _ := buffers.NewRagged(rag.OutLayout())
+	fillRagged(vin)
 
-		results, err := ExecutePlans(e, []Job{{uni, uni.Memory(fin, fout)}, {rag, rag.Memory(vin, vout)}})
-		if err != nil {
-			t.Fatalf("%v: ExecutePlans: %v", backend, err)
-		}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if !bytes.Equal(fout.Block(i, j), fin.Block(j, i)) {
-					t.Fatalf("%v: uniform plan out.Block(%d,%d) wrong", backend, i, j)
-				}
+	results, err := ExecutePlans(e, []Job{{uni, uni.Memory(fin, fout)}, {rag, rag.Memory(vin, vout)}})
+	if err != nil {
+		t.Fatalf("ExecutePlans: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if !bytes.Equal(fout.Block(i, j), fin.Block(j, i)) {
+				t.Fatalf("uniform plan out.Block(%d,%d) wrong", i, j)
 			}
 		}
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 5; j++ {
-				if !bytes.Equal(vout.Block(i, j), vin.Block(j, 0)) {
-					t.Fatalf("%v: ragged plan out.Block(%d,%d) wrong", backend, i, j)
-				}
+	}
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			if !bytes.Equal(vout.Block(i, j), vin.Block(j, 0)) {
+				t.Fatalf("ragged plan out.Block(%d,%d) wrong", i, j)
 			}
 		}
-		if results[1].C2LowerBound != lowerbound.ConcatVVolume(counts, 1) {
-			t.Errorf("%v: ragged report lower bound %d, want %d", backend,
-				results[1].C2LowerBound, lowerbound.ConcatVVolume(counts, 1))
-		}
+	}
+	if results[1].C2LowerBound != lowerbound.ConcatVVolume(counts, 1) {
+		t.Errorf("ragged report lower bound %d, want %d",
+			results[1].C2LowerBound, lowerbound.ConcatVVolume(counts, 1))
 	}
 }
 

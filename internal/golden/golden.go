@@ -10,7 +10,7 @@
 // Every capture runs the plan through the oracle (collective.Exercise),
 // which compares every output block with the operation's definition,
 // and requires the run to send exactly the messages the program
-// predicts (Plan.Messages) — under any transport backend. A Case
+// predicts (Plan.Messages) — plain or under chaos. A Case
 // becomes a plan in one step, Case.spec.
 package golden
 
@@ -144,7 +144,7 @@ func Verify(dir string, c Case, listing string) ([]string, error) {
 }
 
 // Capture compiles the case's plan on a fresh engine (with the given
-// options — e.g. mpsim.WithTransport or mpsim.WithChaos — on top of
+// options — e.g. mpsim.WithChaos — on top of
 // Ports(c.K) and Record(true)), runs it once through the oracle
 // (collective.Exercise), requires the run to have sent exactly the
 // messages the program predicts (Plan.Messages), and returns the

@@ -19,8 +19,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden program listings from a live run")
 
 // TestGoldenTraces is the corpus gate: every case's run must send
-// exactly the messages its program predicts — on the chan backend and
-// under the chaos transport wrapping both real backends — and the
+// exactly the messages its program predicts — on the engine over chan
+// and under the chaos transport — and the
 // program's listing must byte-match its committed artifact. With
 // -update the chan capture rewrites the artifacts instead.
 func TestGoldenTraces(t *testing.T) {
@@ -44,12 +44,8 @@ func TestGoldenTraces(t *testing.T) {
 			if len(diffs) != 0 {
 				t.Fatalf("program drifted from golden:\n  %s", strings.Join(diffs, "\n  "))
 			}
-			for _, inner := range []mpsim.Backend{mpsim.BackendChan, mpsim.BackendSlot} {
-				if _, err := Capture(c, mpsim.WithChaos(mpsim.ChaosConfig{
-					Inner: inner, Seed: 1, Stragglers: []int{0},
-				})); err != nil {
-					t.Fatalf("capture under chaos(%s): %v", inner, err)
-				}
+			if _, err := Capture(c, mpsim.WithChaos(mpsim.ChaosConfig{Seed: 1, Stragglers: []int{0}})); err != nil {
+				t.Fatalf("capture under chaos: %v", err)
 			}
 		})
 	}
@@ -155,9 +151,6 @@ func fuzzCase(opSel, nRaw, kRaw, radixRaw uint8, seed uint64, stragglerMask uint
 	}
 	c.Name = fmt.Sprintf("fuzz-%s-%s-n%d-k%d-r%d", c.Op, c.Alg, n, k, c.Radix)
 	cfg := mpsim.ChaosConfig{Seed: seed}
-	if seed%2 == 1 {
-		cfg.Inner = mpsim.BackendSlot
-	}
 	for rank := 0; rank < n && rank < 16; rank++ {
 		if stragglerMask&(1<<rank) != 0 {
 			cfg.Stragglers = append(cfg.Stragglers, rank)

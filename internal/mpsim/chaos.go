@@ -1,8 +1,8 @@
 package mpsim
 
-// The chaos transport is the adversarial-timing backend: it wraps one
-// of the real transports (chan or slot) and perturbs *when* messages
-// move without ever touching *what* moves. The paper's correctness
+// The chaos transport is the adversarial-timing backend: it wraps the
+// channel transport and perturbs *when* messages move without ever
+// touching *what* moves. The paper's correctness
 // claims are about schedules — which block reaches which partner in
 // which round — and those schedules are transport-agnostic, so every
 // collective must stay byte-identical under arbitrary timing. The
@@ -37,13 +37,9 @@ const (
 )
 
 // ChaosConfig configures the chaos transport installed by WithChaos.
-// The zero value is valid: chan inner transport, seed 1, the default
-// delay cap, no stragglers.
+// The zero value is valid: seed 1, the default delay cap, no
+// stragglers.
 type ChaosConfig struct {
-	// Inner is the wrapped backend that actually moves messages:
-	// BackendChan (default) or BackendSlot.
-	Inner Backend
-
 	// Seed drives the deterministic jitter generator. The injected
 	// delay of the i-th message on each directed link is a pure
 	// function of (Seed, link, i), so two runs of the same schedule
@@ -62,15 +58,14 @@ type ChaosConfig struct {
 	Stragglers []int
 
 	// StragglerFactor multiplies straggler delays; zero selects
-	// DefaultStragglerFactor.
+	// DefaultStragglerFactor. A negative factor is rejected: it would
+	// make every straggler delay negative, so the "slow" ranks would be
+	// the only undelayed ones.
 	StragglerFactor int
 }
 
 // normalize fills in the defaults.
 func (c ChaosConfig) normalize() ChaosConfig {
-	if c.Inner == "" {
-		c.Inner = BackendChan
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -85,12 +80,8 @@ func (c ChaosConfig) normalize() ChaosConfig {
 
 // validate checks the configuration against an n-processor engine.
 func (c ChaosConfig) validate(n int) error {
-	switch c.Inner {
-	case BackendChan, BackendSlot:
-	case BackendChaos:
-		return fmt.Errorf("mpsim: chaos transport cannot wrap itself")
-	default:
-		return fmt.Errorf("mpsim: unknown chaos inner backend %q", c.Inner)
+	if c.StragglerFactor < 0 {
+		return fmt.Errorf("mpsim: chaos straggler factor %d, want >= 0", c.StragglerFactor)
 	}
 	for _, r := range c.Stragglers {
 		if r < 0 || r >= n {
@@ -133,9 +124,9 @@ const (
 	chaosRecvStream = 0x5eed_0002
 )
 
-// chaosTransport wraps an inner transport and injects seeded latency.
+// chaosTransport wraps a channel transport and injects seeded latency.
 type chaosTransport struct {
-	inner     Transport
+	inner     *chanTransport
 	n         int
 	seed      uint64
 	maxDelay  int64 // ns; <= 0 disables jitter
@@ -159,12 +150,8 @@ func newChaosTransport(n int, cfg ChaosConfig) (*chaosTransport, error) {
 	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}
-	inner, err := newTransport(cfg.Inner, n, ChaosConfig{})
-	if err != nil {
-		return nil, err
-	}
 	t := &chaosTransport{
-		inner:     inner,
+		inner:     newChanTransport(n),
 		n:         n,
 		seed:      cfg.Seed,
 		maxDelay:  int64(cfg.MaxDelay),
@@ -179,11 +166,6 @@ func newChaosTransport(n int, cfg ChaosConfig) (*chaosTransport, error) {
 	}
 	return t, nil
 }
-
-func (t *chaosTransport) Backend() Backend { return BackendChaos }
-
-// Inner returns the wrapped backend's identifier.
-func (t *chaosTransport) Inner() Backend { return t.inner.Backend() }
 
 // splitmix64 is the SplitMix64 output function: a fast, well-mixed
 // 64-bit hash used to derive each message's delay from (seed, stream,

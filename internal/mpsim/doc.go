@@ -27,31 +27,34 @@
 //
 // # Transports
 //
-// Message delivery is pluggable behind the Transport interface, chosen
-// with WithTransport. Exactly one goroutine sends on a given (src, dst)
-// pair and exactly one receives on it, so a backend only needs
-// single-writer single-reader ordering per ordered pair. Two backends
-// ship:
+// A plain engine (Engine.Plain) moves no message through a transport:
+// package collective runs every plan on it as the round-major walk
+// (Inline). The engine's own driver reaches a transport only under
+// chaos or Record, and builds it on the first run that needs one.
+// Exactly one goroutine sends on a given (src, dst) pair and exactly
+// one receives on it, so a transport only needs single-writer
+// single-reader ordering per ordered pair. The one transport option is
+// WithChaos:
 //
-//   - BackendChan (default): one buffered Go channel per ordered pair.
-//     Blocked processors park in the runtime for free; best for
-//     debugging schedules and for machines much wider than the host.
-//   - BackendSlot: one lock-free single-writer slot ring per ordered
-//     pair, synchronized with two atomic counters; waiting escalates
-//     spin -> yield -> sleep. The fast backend for throughput work.
-//   - BackendChaos: the adversarial-timing wrapper around chan or slot
-//     (WithChaos selects and configures it). It injects seeded
-//     per-link latency jitter, cross-link reordering of same-round
-//     messages, and straggler processors — perturbing only *when*
-//     messages move, never what moves — so tests can prove schedules
-//     byte-correct under arbitrary timing.
+//   - the channel transport (BackendChan) carries the engine's runs:
+//     one buffered Go channel per ordered pair; blocked processors
+//     park in the runtime for free.
+//   - the chaos transport (WithChaos) wraps it with adversarial
+//     timing. It injects seeded per-link latency jitter, cross-link
+//     reordering of same-round messages, and straggler processors —
+//     perturbing only *when* messages move, never what moves — so tests
+//     can prove schedules byte-correct under arbitrary timing.
 //
-// Both real backends give a pair two messages of slack — exactly what a round-aligned
+// The slot transport (BackendSlot, slot.go: a lock-free slot ring per
+// pair) and WithTransport stay only for the benchmark's
+// mpsim.msg_*.slot probes.
+//
+// A pair has two messages of slack — exactly what a round-aligned
 // schedule needs, since a sender runs at most one round ahead of the
 // matching receiver per pair — so schedule bugs surface as deadlocks
 // rather than hide in deep buffers. The paper's schedules are
-// transport-agnostic: every backend produces byte-identical results on
-// identical schedules.
+// transport-agnostic: every transport produces byte-identical results
+// on identical schedules.
 //
 // # Buffer ownership
 //
@@ -133,15 +136,15 @@
 //
 // # Chaos lifecycle rules
 //
-// The chaos transport follows the same lifecycle contract as the real
-// backends, with three additional rules:
+// The chaos transport follows the same lifecycle contract as the channel
+// transport it wraps, with three additional rules:
 //
 //   - Determinism: the delay of the i-th message on each directed link
 //     is a pure function of (seed, link, i) — there is no shared
 //     generator — so two runs of one schedule with one seed inject
 //     identical delays and report identical ChaosStats, regardless of
 //     goroutine interleaving. Results are always byte-identical to the
-//     wrapped backend's; only Time-like quantities may change.
+//     wrapped transport's; only Time-like quantities may change.
 //   - Ordering: per-pair FIFO delivery is preserved (receivers match
 //     messages to rounds, so reordering within a pair would be a real
 //     schedule violation, not chaos). Reordering happens across links,

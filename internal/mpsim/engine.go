@@ -147,15 +147,17 @@ func Watchdog(d time.Duration) Option {
 	return func(e *Engine) { e.watchdog = d }
 }
 
-// WithTransport selects the message transport backend, BackendChan
-// (default), BackendSlot, or BackendChaos with default configuration.
-// See the Backend constants for the trade-off.
+// WithTransport selects the message transport backend. It stays only
+// because the benchmark's mpsim.msg_*.slot probes select BackendSlot
+// with it: a plain engine builds no transport, and WithChaos is the one
+// transport option, so no other caller passes it. It goes with those
+// probes.
 func WithTransport(b Backend) Option {
 	return func(e *Engine) { e.backend = b }
 }
 
 // WithChaos selects the chaos transport with the given configuration:
-// the engine wraps cfg.Inner (chan or slot) and injects seeded latency
+// the engine wraps the channel transport and injects seeded latency
 // jitter and straggler delays on every link. See ChaosConfig.
 func WithChaos(cfg ChaosConfig) Option {
 	return func(e *Engine) {
@@ -251,9 +253,6 @@ func (e *Engine) N() int { return e.n }
 
 // Ports returns the port count k.
 func (e *Engine) Ports() int { return e.k }
-
-// Transport returns the backend the engine was created with.
-func (e *Engine) Transport() Backend { return e.backend }
 
 // Plain reports whether the engine's runs are plain ones: a chan or slot
 // transport and no event recording, so nothing about a run is observable

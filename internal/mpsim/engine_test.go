@@ -28,6 +28,7 @@ func TestNewValidation(t *testing.T) {
 		{"kZero", 8, []Option{Ports(0)}, false},
 		{"kNegative", 8, []Option{Ports(-1)}, false},
 		{"singleProcAnyK", 1, []Option{Ports(1)}, true},
+		{"unknownBackend", 4, []Option{WithTransport(Backend("bogus"))}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -451,7 +452,7 @@ func TestPlainEngines(t *testing.T) {
 	} {
 		e := MustNew(4, c.opts...)
 		if e.Plain() != c.plain {
-			t.Errorf("%v engine (recording %v): Plain() = %v", e.Transport(), e.record, e.Plain())
+			t.Errorf("%v engine (recording %v): Plain() = %v", e.backend, e.record, e.Plain())
 		}
 	}
 }

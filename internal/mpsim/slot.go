@@ -9,10 +9,10 @@ import (
 
 // slotTransport is the shared-memory backend: one single-writer
 // single-reader slot ring per ordered processor pair, synchronized with
-// two atomic counters and no locks or channels. It exists because the
-// channel backend pays a scheduler round trip per message; on hot
-// benchmark loops the slot ring keeps matched sender/receiver pairs in
-// user space almost all of the time.
+// two atomic counters and no locks or channels. It stays only because
+// the benchmark's mpsim.msg_*.slot probes select it (WithTransport): no
+// plain run reaches a transport, and chaos wraps chan, so nothing else
+// builds one. It goes with those probes.
 //
 // Pair (src, dst) is written only by processor src's goroutine and read
 // only by processor dst's goroutine, so each ring needs no mutual
@@ -55,8 +55,6 @@ type slotTransport struct {
 func newSlotTransport(n int) *slotTransport {
 	return &slotTransport{n: n, pairs: make([]slotPair, n*n)}
 }
-
-func (t *slotTransport) Backend() Backend { return BackendSlot }
 
 func (t *slotTransport) pair(dst, src int) *slotPair { return &t.pairs[dst*t.n+src] }
 

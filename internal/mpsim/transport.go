@@ -8,46 +8,30 @@ import (
 
 // Backend names a message-transport implementation of the engine.
 // The paper's schedules are transport-agnostic — C1 and C2 depend only
-// on the round structure — so any backend yields byte-identical results
-// on identical schedules; backends differ only in simulator wall-clock
-// cost and blocking behaviour.
+// on the round structure — and a plain engine (Engine.Plain) runs every
+// plan on the round-major walk without building a transport at all, so
+// the one choice callers make is WithChaos. The engine's own driver
+// reaches a transport only under chaos or Record, and those wrap chan.
 type Backend string
 
 const (
 	// BackendChan is the channel transport: one buffered Go channel per
 	// ordered processor pair. Blocked processors park in the runtime and
-	// consume no CPU, which makes it the right choice for debugging
-	// schedules (deadlocks are cheap to sit in until the watchdog fires)
-	// and for machines much wider than the host's core count. Default.
+	// consume no CPU, so a deadlocked schedule sits cheaply until the
+	// watchdog fires. Default, and the one chaos wraps.
 	BackendChan Backend = "chan"
 
-	// BackendSlot is the shared-memory slot transport: a single-writer
-	// single-reader slot ring per ordered processor pair, synchronized
-	// with two atomic counters and no locks or channels on the hot path.
-	// It is the fast backend for throughput work (benchmarks, sweeps) on
-	// machines that fit the host's cores; waiting processors spin
-	// briefly, then yield, then sleep, so a deadlocked run burns some
-	// CPU until the watchdog fires.
+	// BackendSlot is the shared-memory slot transport (slot.go). It
+	// stays only because the benchmark's mpsim.msg_*.slot probes select
+	// it through WithTransport; no other caller does.
 	BackendSlot Backend = "slot"
 
-	// BackendChaos is the adversarial-timing transport: it wraps chan or
-	// slot (ChaosConfig.Inner) and injects seeded per-link latency
+	// BackendChaos is the adversarial-timing transport WithChaos
+	// installs: it wraps chan and injects seeded per-link latency
 	// jitter, cross-link message reordering, and straggler processors.
-	// Payloads, rounds and partners are untouched — only timing changes
-	// — so it is the backend for proving schedules byte-correct under
-	// timing perturbation. Configure it with WithChaos; selecting it via
-	// WithTransport uses the zero ChaosConfig defaults.
+	// Payloads, rounds and partners are untouched — only timing changes.
 	BackendChaos Backend = "chaos"
 )
-
-// ParseBackend converts a command-line string into a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case BackendChan, BackendSlot, BackendChaos:
-		return Backend(s), nil
-	}
-	return "", fmt.Errorf("mpsim: unknown transport %q (want %q, %q or %q)", s, BackendChan, BackendSlot, BackendChaos)
-}
 
 // errAbandoned is returned by transport operations that were fenced out:
 // this transport instance was abandoned when a processor of its run
@@ -64,9 +48,6 @@ var errAbandoned = errors.New("mpsim: run abandoned")
 // that left messages behind); Abandon may be called during one, by
 // the engine or by a failing processor.
 type Transport interface {
-	// Backend returns the identifier of this implementation.
-	Backend() Backend
-
 	// Send delivers m from src to dst, blocking while the pair is at
 	// capacity (a sender may run at most one round ahead of the matching
 	// receiver, so two in-flight messages per pair always suffice for
@@ -141,8 +122,6 @@ func newChanTransport(n int) *chanTransport {
 	}
 	return t
 }
-
-func (t *chanTransport) Backend() Backend { return BackendChan }
 
 // Send and Recv try the mailbox alone first, which skips locking both
 // channels of the two-case select: in a round-aligned schedule most find

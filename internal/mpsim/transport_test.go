@@ -16,10 +16,10 @@ import (
 	"time"
 )
 
-// backends lists every selectable transport; BackendChaos runs with
-// its default configuration (chan inner, seed 1), so each lifecycle
-// test here — watchdog, deadlock fencing, drain recycling — also
-// exercises the chaos wrapper. chaos_test.go covers the slot inner.
+// backends lists every transport the engine's driver can reach;
+// BackendChaos runs with its default configuration (seed 1), so each
+// lifecycle test here — watchdog, deadlock fencing, drain recycling —
+// also exercises the chaos wrapper.
 var backends = []Backend{BackendChan, BackendSlot, BackendChaos}
 
 func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
@@ -28,28 +28,13 @@ func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for _, b := range backends {
-		got, err := ParseBackend(string(b))
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%q) = %v, %v", b, got, err)
-		}
-	}
-	if _, err := ParseBackend("carrier-pigeon"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
-	}
-	if _, err := New(4, WithTransport(Backend("bogus"))); err == nil {
-		t.Error("New accepted an unknown backend")
-	}
-}
-
 // TestBackendRingShift is TestRingShift on every backend.
 func TestBackendRingShift(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		const n = 8
 		e := MustNew(n, WithTransport(b))
-		if e.Transport() != b {
-			t.Fatalf("Transport() = %q, want %q", e.Transport(), b)
+		if e.backend != b {
+			t.Fatalf("backend = %q, want %q", e.backend, b)
 		}
 		got := make([][]byte, n)
 		err := e.Run(func(p *Proc) error {
