@@ -86,15 +86,3 @@ func TestBackendEquivalenceConcatFlat(t *testing.T) {
 		}
 	}
 }
-
-// TestMachineReusedAcrossShapes runs many consecutive operations of
-// varying shapes on one machine: the walk's free lists and the plan
-// cache get exercised across run boundaries.
-func TestMachineReusedAcrossShapes(t *testing.T) {
-	const n = 9
-	m := MustNewMachine(n, Ports(2))
-	for _, blockLen := range []int{32, 1, 128, 8} {
-		checkRun(t, m, Index, input(t, n, n, blockLen, 0), WithRadix(3))
-		checkRun(t, m, Concat, input(t, n, 1, blockLen, 0))
-	}
-}

@@ -124,6 +124,18 @@ func TestMachineSubgroup(t *testing.T) {
 	checkIndex(t, 4, in, out)
 }
 
+// TestMachineReusedAcrossShapes runs many consecutive operations of
+// varying shapes on one machine: the walk's free lists and the plan
+// cache get exercised across run boundaries.
+func TestMachineReusedAcrossShapes(t *testing.T) {
+	const n = 9
+	m := MustNewMachine(n, Ports(2))
+	for _, blockLen := range []int{32, 1, 128, 8} {
+		checkRun(t, m, Index, input(t, n, n, blockLen, 0), WithRadix(3))
+		checkRun(t, m, Concat, input(t, n, 1, blockLen, 0))
+	}
+}
+
 // TestMachinePrimitives: each one-to-all primitive takes its root's
 // side as a one-processor Buffers and the members' side as n x 1.
 func TestMachinePrimitives(t *testing.T) {

@@ -15,41 +15,10 @@ import (
 	"fmt"
 
 	"bruck/internal/cli"
-	"bruck/internal/collective"
 	"bruck/internal/costmodel"
 	"bruck/internal/mpsim"
 	"bruck/internal/sweep"
 )
-
-// topoFlatBest compiles the best flat arm of the spec's operation under
-// the topology clock: the Bruck index over the power-of-two radices plus
-// k+1 and n for the index, the circulant schedule for the
-// concatenation, and ring against Bruck for the allreduce.
-func topoFlatBest(e *mpsim.Engine, s collective.Spec, topo *costmodel.Topology) (*collective.Plan, error) {
-	arms := []collective.Spec{s}
-	switch s.Op {
-	case collective.OpIndex:
-		arms = nil
-		for _, r := range sweep.RadixArms(e.N(), e.Ports()) {
-			s.Index.Radix = r
-			arms = append(arms, s)
-		}
-	case collective.OpAllReduce:
-		s.Reduce.Algorithm = collective.ReduceBruck
-		arms = append(arms, s)
-	}
-	var best *collective.Plan
-	for _, arm := range arms {
-		pl, err := collective.Compile(e, mpsim.WorldGroup(e.N()), arm)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || pl.TimeTopo(topo) < best.TimeTopo(topo) {
-			best = pl
-		}
-	}
-	return best, nil
-}
 
 // runTopology executes one collective hierarchically on the machine
 // the -topology spec describes, through the oracle, and reports the
@@ -74,7 +43,7 @@ func runTopology(p params) ([]*cli.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := topoFlatBest(e, flatSpec, topo)
+	flat, _, err := sweep.FlatBest(e, flatSpec, topo)
 	if err != nil {
 		return nil, err
 	}

@@ -115,10 +115,11 @@
 // program.finish derives (Plan.result). Plan.run and ExecutePlans pick
 // the round-major driver for every plan on a plain engine — no chaos,
 // no recording (mpsim.Engine.Plain) — and the engine driver for chaos
-// and recording engines, so a plain engine never builds a transport. Both drivers land the same bytes
-// (TestDriversAgree), the walk the same on any number of workers
-// (TestWalkWorkersAgree), and a recorded run sends exactly
-// Plan.Messages (TestMessagesMatchEvents).
+// and recording engines, so a plain engine never builds a transport.
+// One grid of families, n and k holds every path to one reference: the
+// walk at one to four workers (TestDriversAgree), the engine driver and
+// chaos (TestMessagesMatchEvents) each land the operation's definition,
+// and a recorded run sends exactly Plan.Messages.
 //
 // Deadlock freedom. The round-major driver is the walk Check proves:
 // one round loop, one peer resolution, one set of k-port and delivery
@@ -171,8 +172,8 @@
 // (pack -> own -> land, or a swap), are run.go's header.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
-// (C2), the messages and bytes a run sends, the pool hint and a
-// hierarchical plan's phase table from the program, and the plan keeps
+// (C2), the messages and bytes a run sends and a hierarchical plan's
+// phase table from the program, and the plan keeps
 // them as the Result every execution copies; Plan.Listing prints the
 // program as the text the golden corpus pins. Plan.Check runs the
 // executing walk on labels and proves delivery for every family against

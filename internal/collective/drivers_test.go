@@ -1,9 +1,7 @@
 package collective
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -17,65 +15,136 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// TestDriversAgree runs every family of TestMessagesMatchEvents' grid on
-// both drivers, called directly: n 1..12 and k 1..3 on a flat engine —
-// and, for a hierarchical plan, on one tagging its groups of three — then
-// n = 16 on a 4x4 topology. The output bytes are identical, and each
-// driver's Result holds Plan.Messages' count, bytes and per-round
-// maxima.
+// TestDriversAgree and TestMessagesMatchEvents are the two columns of
+// the one deterministic grid every execution path is held to the oracle
+// on (gridCells). TestDriversAgree is the walk's column: each cell's
+// spec compiles on a plain engine and runs on the walk at one to four
+// workers; per family, one more cell of two jobs on the halves of a
+// 16-rank engine is dealt over the workers. Every run passes Verify and
+// every Result holds Plan.Messages' count, bytes and per-round maxima.
 func TestDriversAgree(t *testing.T) {
-	topo := must(costmodel.ParseTopology("4x4"))
 	for _, f := range families() {
 		t.Run(f.name, func(t *testing.T) {
-			for n := 1; n <= 12; n++ {
-				if f.pow2 && !intmath.IsPow(2, n) {
-					continue
+			t.Parallel()
+			gridCells(f, func(where string, n, k int, groupOf []int, s Spec) {
+				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(groupOf))
+				pl, err := Compile(e, mpsim.WorldGroup(n), s)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
-				for k := 1; k <= min(3, max(1, n-1)); k++ {
-					s := f.spec(n)
-					driversAgree(t, fmt.Sprintf("n=%d k=%d flat", n, k), n, s, mpsim.Ports(k))
-					if s.Hierarchical {
-						driversAgree(t, fmt.Sprintf("n=%d k=%d tagged", n, k), n, s, mpsim.Ports(k), mpsim.WithTopology(s.Topology.GroupAssignment()))
-					}
+				for w := 1; w <= 4; w++ {
+					walked(t, fmt.Sprintf("%s W=%d", where, w), w, Labels, pl)
 				}
-			}
-			s := f.spec(16)
-			if s.Hierarchical {
-				s.Topology = topo
-			}
-			for k := 1; k <= 3; k++ {
-				driversAgree(t, fmt.Sprintf("n=16 k=%d 4x4", k), 16, s, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()))
+			})
+			e, ids := mpsim.MustNew(16, mpsim.Ports(2)), mpsim.WorldGroup(16).IDs()
+			half := func(ids []int) *Plan { return must(Compile(e, must(mpsim.NewGroup(ids, 16)), f.spec(8))) }
+			halves := []*Plan{half(ids[:8]), half(ids[8:])}
+			for w := 1; w <= 4; w++ {
+				walked(t, fmt.Sprintf("two jobs of n=8 W=%d", w), w, Labels, halves...)
 			}
 		})
 	}
 }
 
-// driversAgree compiles s for n ranks on an engine built from opts and
-// holds the two drivers to each other and to the program
-// (TestDriversAgree).
-func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Option) {
+// TestMessagesMatchEvents is the engine driver's column of the grid:
+// each cell's spec compiles on a recording engine and on a recording
+// chaos engine with a straggler, and each run passes Verify, returns a
+// Result holding Plan.Messages, and records exactly Plan.Messages —
+// round, endpoints, size and link class.
+func TestMessagesMatchEvents(t *testing.T) {
+	// A 20 µs jitter cap keeps the chaos runs short; reordering and the
+	// straggler take the same path at any cap.
+	chaos := mpsim.ChaosConfig{Seed: 3, MaxDelay: 20 * time.Microsecond, Stragglers: []int{0}}
+	engines := []struct {
+		name string
+		opts []mpsim.Option
+	}{
+		{"engine", []mpsim.Option{mpsim.Record(true)}},
+		{"chaos", []mpsim.Option{mpsim.Record(true), mpsim.WithChaos(chaos)}},
+	}
+	for _, f := range families() {
+		t.Run(f.name, func(t *testing.T) {
+			t.Parallel() // the chaos runs mostly sleep
+			gridCells(f, func(where string, n, k int, groupOf []int, s Spec) {
+				for _, d := range engines {
+					e := mpsim.MustNew(n, append([]mpsim.Option{mpsim.Ports(k), mpsim.WithTopology(groupOf)}, d.opts...)...)
+					pl, err := Compile(e, mpsim.WorldGroup(n), s)
+					if err != nil {
+						t.Fatalf("%s %s: %v", where, d.name, err)
+					}
+					res, err := Exercise(pl, Labels)
+					if err != nil {
+						t.Fatalf("%s %s: %v", where, d.name, err)
+					}
+					msgs := sendsMessages(t, where+" "+d.name, pl, res)
+					if got := e.Metrics().Events(); !slices.Equal(got, msgs) {
+						t.Fatalf("%s %s: the run recorded\n  %v\nthe program predicts\n  %v", where, d.name, got, msgs)
+					}
+				}
+			})
+		})
+	}
+}
+
+// gridCells calls cell for every cell of family f's rows of the grid:
+// n 1..12 — n 13..16 too for the wide families — at k 1..3, then n = 16
+// on a 4x4 topology (a hierarchical family on that topology) at k 1..3.
+// groupOf is the node-groups the cell's engines tag: a hierarchical
+// spec's groups, nil for a flat cell.
+func gridCells(f family, cell func(where string, n, k int, groupOf []int, s Spec)) {
+	last := 12
+	if f.wide {
+		last = 16
+	}
+	for n := 1; n <= last; n++ {
+		if f.pow2 && !intmath.IsPow(2, n) {
+			continue
+		}
+		for k := 1; k <= min(3, max(1, n-1)); k++ {
+			s := f.spec(n)
+			var groupOf []int
+			if s.Hierarchical {
+				groupOf = s.Topology.GroupAssignment()
+			}
+			cell(fmt.Sprintf("n=%d k=%d", n, k), n, k, groupOf, s)
+		}
+	}
+	topo := must(costmodel.ParseTopology("4x4"))
+	s := f.spec(16)
+	if s.Hierarchical {
+		s.Topology = topo
+	}
+	for k := 1; k <= 3; k++ {
+		cell(fmt.Sprintf("n=16 k=%d 4x4", k), 16, k, topo.GroupAssignment(), s)
+	}
+}
+
+// walked runs the plans — of one engine, on disjoint groups — on the
+// walk (walkJobs) at w workers, each on its own memory filled by fill,
+// and holds every run to the oracle and its Result to the plan's
+// messages.
+func walked(t *testing.T, where string, w int, fill func(blk []byte, rank, block int), plans ...*Plan) {
 	t.Helper()
-	pl, err := Compile(mpsim.MustNew(n, opts...), mpsim.WorldGroup(n), s)
-	if err != nil {
+	jobs := make([]Job, len(plans))
+	for i, pl := range plans {
+		jobs[i] = Job{pl, must(pl.Alloc())}
+		pl.Fill(jobs[i].Mem, fill)
+	}
+	if err := walkJobs(plans[0].engine, jobs, w); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
-	var mem [2]Memory
-	var res [2]*Result
-	for i, run := range []func(Memory) (*Result, error){pl.runEngine, pl.runRounds} {
-		mem[i] = must(pl.Alloc())
-		pl.Fill(mem[i], Labels)
-		if res[i], err = run(mem[i]); err != nil {
-			t.Fatalf("%s: driver %d: %v", where, i, err)
+	for _, j := range jobs {
+		if err := j.Plan.Verify(j.Mem); err != nil {
+			t.Fatalf("%s: %v", where, err)
 		}
+		sendsMessages(t, where, j.Plan, j.Plan.result())
 	}
-	for r := 0; r < n; r++ {
-		if !bytes.Equal(mem[0].side[regOut].Proc(r), mem[1].side[regOut].Proc(r)) {
-			t.Fatalf("%s: rank %d's output differs between the drivers", where, r)
-		}
-	}
-	if err := pl.Verify(mem[1]); err != nil {
-		t.Fatalf("%s: %v", where, err)
-	}
+}
+
+// sendsMessages holds res to the messages pl sends — their count,
+// bytes and per-round maxima — and returns them.
+func sendsMessages(t *testing.T, where string, pl *Plan, res *Result) []mpsim.Event {
+	t.Helper()
 	var sizes []int
 	var total int64
 	msgs := pl.Messages()
@@ -86,12 +155,11 @@ func driversAgree(t *testing.T, where string, n int, s Spec, opts ...mpsim.Optio
 		sizes[m.Round] = max(sizes[m.Round], m.Size)
 		total += int64(m.Size)
 	}
-	for _, got := range res {
-		if got.Messages != int64(len(msgs)) || got.TotalBytes != total || !slices.Equal(got.RoundSizes, sizes) {
-			t.Fatalf("%s: the Result has %d messages of %d bytes, round maxima %v; the program sends %d of %d, maxima %v",
-				where, got.Messages, got.TotalBytes, got.RoundSizes, len(msgs), total, sizes)
-		}
+	if res.Messages != int64(len(msgs)) || res.TotalBytes != total || !slices.Equal(res.RoundSizes, sizes) {
+		t.Fatalf("%s: the Result has %d messages of %d bytes, round maxima %v; the program sends %d of %d, maxima %v",
+			where, res.Messages, res.TotalBytes, res.RoundSizes, len(msgs), total, sizes)
 	}
+	return msgs
 }
 
 // TestDriversRejectFaults runs one mutant per rule of the engine's
@@ -260,8 +328,8 @@ func TestDriversRejectOverlap(t *testing.T) {
 	}
 }
 
-// TestWalkWorkersAgree holds the walk at two, three and four workers to
-// the walk at one on every ledger row (the golden corpus's rows are
+// TestWalkWorkersAgree runs every ledger row on the walk at one to four
+// workers (WalkersAgree; the golden corpus's rows are
 // TestWalkWorkersAgreeGolden's, in package collective_test).
 func TestWalkWorkersAgree(t *testing.T) {
 	for _, row := range budgetRows() {
@@ -282,39 +350,14 @@ func TestWalkWorkersAgree(t *testing.T) {
 }
 
 // WalkersAgree runs the plans — of one engine, on disjoint groups — on
-// the walk (walkJobs) at one to four workers, each on its own memory
-// filled by fill, and holds every output byte and Result at two to four
-// workers to those at one; every run must pass Verify. It is exported
-// for TestWalkWorkersAgreeGolden, whose package may import the golden
+// the walk at one to four workers, each on its own memory filled by
+// fill, and holds every run to the oracle (walked). It is exported for
+// TestWalkWorkersAgreeGolden, whose package may import the golden
 // corpus.
 func WalkersAgree(t *testing.T, plans []*Plan, fill func(blk []byte, rank, block int)) {
 	t.Helper()
-	var first []Job
 	for w := 1; w <= 4; w++ {
-		jobs := make([]Job, len(plans))
-		for i, pl := range plans {
-			jobs[i] = Job{pl, must(pl.Alloc())}
-			pl.Fill(jobs[i].Mem, fill)
-		}
-		if err := walkJobs(plans[0].engine, jobs, w); err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		if w == 1 {
-			first = jobs
-		}
-		for i, j := range jobs {
-			if err := j.Plan.Verify(j.Mem); err != nil {
-				t.Errorf("W=%d, plan %d: %v", w, i, err)
-			}
-			if !reflect.DeepEqual(j.Plan.result(), first[i].Plan.result()) {
-				t.Errorf("W=%d, plan %d: Result %+v, at one worker %+v", w, i, j.Plan.result(), first[i].Plan.result())
-			}
-			for r := 0; r < j.Plan.group.Size(); r++ {
-				if !bytes.Equal(j.Mem.side[regOut].Proc(r), first[i].Mem.side[regOut].Proc(r)) {
-					t.Errorf("W=%d, plan %d: rank %d's output differs from the walk at one worker", w, i, r)
-				}
-			}
-		}
+		walked(t, fmt.Sprintf("W=%d", w), w, fill, plans...)
 	}
 }
 
@@ -364,7 +407,7 @@ func TestDriverSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pl.roundMajor(); got != c.rounds {
+		if got := pl.engine.Plain(); got != c.rounds {
 			t.Errorf("%s: round-major %v, want %v", c.name, got, c.rounds)
 		}
 	}

@@ -157,7 +157,7 @@ func TestCompiledNoPackRounds(t *testing.T) {
 }
 
 // TestPlanReportsShape: compiled plans expose the schedule's round
-// count and largest pooled buffer.
+// count and their identity.
 func TestPlanReportsShape(t *testing.T) {
 	e := mpsim.MustNew(16)
 	g := mpsim.WorldGroup(16)
@@ -171,9 +171,6 @@ func TestPlanReportsShape(t *testing.T) {
 	}
 	if pl.Op() != "index" || pl.BlockLen() != 8 || pl.Group() != g {
 		t.Errorf("plan identity accessors wrong: %s %d", pl.Op(), pl.BlockLen())
-	}
-	if pl.MaxMessageBytes() != 16*8 {
-		t.Errorf("pool hint = %d, want %d (working region)", pl.MaxMessageBytes(), 16*8)
 	}
 }
 

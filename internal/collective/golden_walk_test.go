@@ -8,8 +8,8 @@ import (
 )
 
 // TestWalkWorkersAgreeGolden is TestWalkWorkersAgree over the golden
-// corpus: every case on the walk at one to four workers, with the same
-// output bytes and Result at each.
+// corpus: every case on the walk at one to four workers, each run held
+// to the oracle.
 func TestWalkWorkersAgreeGolden(t *testing.T) {
 	for _, c := range golden.Corpus() {
 		t.Run(c.Name, func(t *testing.T) {

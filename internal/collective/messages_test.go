@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -11,19 +10,23 @@ import (
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
+	"bruck/internal/partition"
 )
 
-// family is one schedule family of the driver-level tests, as a spec for
-// each group size n.
+// family is one schedule family of the driver grid (gridCells),
+// as a spec for each group size n.
 type family struct {
 	name string
 	pow2 bool // the family needs a power-of-two n
+	wide bool // the grid runs the family at n 13..16 too
 	spec func(n int) Spec
 }
 
 // families lists every schedule family — ragged ones with zero-length
 // blocks and zero rows, segmented, hierarchical (on groups of three) and
-// rooted ones included.
+// rooted ones included. The wide ones are the index and concatenation
+// families at every radix and last-round policy, the ragged ones and
+// both allreduces.
 func families() []family {
 	kernel := must(KernelOptions(buffers.Sum, buffers.Int32))
 	reduce := func(op Op, alg ReduceAlgorithm, segments int) func(int) Spec {
@@ -36,8 +39,8 @@ func families() []family {
 	index := func(o IndexOptions) func(int) Spec {
 		return func(int) Spec { return Spec{Op: OpIndex, BlockLen: 4, Index: o} }
 	}
-	concat := func(a ConcatAlgorithm) func(int) Spec {
-		return func(int) Spec { return Spec{Op: OpConcat, BlockLen: 5, Concat: ConcatOptions{Algorithm: a}} }
+	concat := func(o ConcatOptions) func(int) Spec {
+		return func(int) Spec { return Spec{Op: OpConcat, BlockLen: 5, Concat: o} }
 	}
 	hier := func(op Op) func(int) Spec {
 		return func(n int) Spec {
@@ -53,25 +56,30 @@ func families() []family {
 		return func(n int) Spec { return Spec{Op: op, BlockLen: 4, Root: n - 1} }
 	}
 	return []family{
-		{"bruck", false, index(IndexOptions{})},
-		{"bruck-r2", false, index(IndexOptions{Radix: 2})},
-		{"mixed", false, func(n int) Spec {
+		{"bruck", false, true, index(IndexOptions{})},
+		{"bruck-r2", false, true, index(IndexOptions{Radix: 2})},
+		{"bruck-rn", false, true, func(n int) Spec {
+			return Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: max(2, n)}}
+		}},
+		{"mixed", false, false, func(n int) Spec {
 			radices := []int{}
 			for w := 1; w < n; w *= radices[len(radices)-1] {
 				radices = append(radices, 2+len(radices)%2)
 			}
 			return mixedSpec(4, radices)
 		}},
-		{"direct", false, index(IndexOptions{Algorithm: IndexDirect})},
-		{"xor", true, index(IndexOptions{Algorithm: IndexPairwiseXOR})},
-		{"segmented", false, func(int) Spec {
+		{"direct", false, true, index(IndexOptions{Algorithm: IndexDirect})},
+		{"xor", true, true, index(IndexOptions{Algorithm: IndexPairwiseXOR})},
+		{"segmented", false, false, func(int) Spec {
 			return Spec{Op: OpIndex, BlockLen: 7, Index: IndexOptions{Segments: 3}}
 		}},
-		{"circulant", false, concat(ConcatCirculant)}, // trivial where k >= n-1
-		{"folklore", false, concat(ConcatFolklore)},
-		{"ring", false, concat(ConcatRing)},
-		{"recdbl", true, concat(ConcatRecursiveDoubling)},
-		{"indexv", false, func(n int) Spec {
+		{"circulant", false, true, concat(ConcatOptions{})}, // trivial where k >= n-1
+		{"circulant-min-rounds", false, true, concat(ConcatOptions{LastRound: partition.MinRounds})},
+		{"circulant-min-volume", false, true, concat(ConcatOptions{LastRound: partition.MinVolume})},
+		{"folklore", false, false, concat(ConcatOptions{Algorithm: ConcatFolklore})},
+		{"ring", false, false, concat(ConcatOptions{Algorithm: ConcatRing})},
+		{"recdbl", true, false, concat(ConcatOptions{Algorithm: ConcatRecursiveDoubling})},
+		{"indexv", false, true, func(n int) Spec {
 			counts := make([][]int, n)
 			for i := range counts {
 				counts[i] = make([]int, n)
@@ -82,7 +90,7 @@ func families() []family {
 			l, _ := blocks.Ragged(counts)
 			return Spec{Op: OpIndexV, Layout: l}
 		}},
-		{"indexv-zero-rows", false, func(n int) Spec {
+		{"indexv-zero-rows", false, false, func(n int) Spec {
 			counts := make([][]int, n)
 			for i := range counts {
 				counts[i] = make([]int, n)
@@ -95,7 +103,7 @@ func families() []family {
 			l, _ := blocks.Ragged(counts)
 			return Spec{Op: OpIndexV, Layout: l}
 		}},
-		{"concatv", false, func(n int) Spec {
+		{"concatv", false, true, func(n int) Spec {
 			counts := make([]int, n)
 			for i := range counts {
 				counts[i] = (i*7 + 3) % 6
@@ -103,59 +111,17 @@ func families() []family {
 			l, _ := blocks.RaggedVector(counts)
 			return Spec{Op: OpConcatV, Layout: l}
 		}},
-		{"reducescatter-ring", false, reduce(OpReduceScatter, ReduceRing, 0)},
-		{"reducescatter-halving", true, reduce(OpReduceScatter, ReduceHalving, 0)},
-		{"reducescatter-bruck", false, reduce(OpReduceScatter, ReduceBruck, 0)},
-		{"allreduce", false, reduce(OpAllReduce, ReduceBruck, 2)},
-		{"hier-index", false, hier(OpIndex)},
-		{"hier-concat", false, hier(OpConcat)},
-		{"hier-allreduce", false, hier(OpAllReduce)},
-		{"broadcast", false, rooted(OpBroadcast)},
-		{"gather", false, rooted(OpGather)},
-		{"scatter", false, rooted(OpScatter)},
-	}
-}
-
-// TestMessagesMatchEvents holds the program walk to the engine: for
-// every schedule family at n 1..12 and k 1..3, one run through the
-// oracle records exactly the messages Plan.Messages predicts — round,
-// endpoints, size and link class — on the engine over chan, and under
-// chaos with stragglers. Hierarchical plans run on an engine that tags link
-// classes.
-func TestMessagesMatchEvents(t *testing.T) {
-	engines := [][]mpsim.Option{
-		nil,
-		{mpsim.WithChaos(mpsim.ChaosConfig{Seed: 3, Stragglers: []int{0}})},
-	}
-	for _, f := range families() {
-		t.Run(f.name, func(t *testing.T) {
-			for n := 1; n <= 12; n++ {
-				if f.pow2 && !intmath.IsPow(2, n) {
-					continue
-				}
-				for k := 1; k <= min(3, max(1, n-1)); k++ {
-					s := f.spec(n)
-					for i, engine := range engines {
-						opts := append([]mpsim.Option{mpsim.Ports(k), mpsim.Record(true)}, engine...)
-						if s.Hierarchical {
-							opts = append(opts, mpsim.WithTopology(s.Topology.GroupAssignment()))
-						}
-						e := mpsim.MustNew(n, opts...)
-						where := fmt.Sprintf("n=%d k=%d engine %d", n, k, i)
-						pl, err := Compile(e, mpsim.WorldGroup(n), s)
-						if err != nil {
-							t.Fatalf("%s: %v", where, err)
-						}
-						if _, err := Exercise(pl, Labels); err != nil {
-							t.Fatalf("%s: %v", where, err)
-						}
-						if got, want := e.Metrics().Events(), pl.Messages(); !slices.Equal(got, want) {
-							t.Fatalf("%s: the run recorded\n  %v\nthe program predicts\n  %v", where, got, want)
-						}
-					}
-				}
-			}
-		})
+		{"reducescatter-ring", false, false, reduce(OpReduceScatter, ReduceRing, 0)},
+		{"reducescatter-halving", true, false, reduce(OpReduceScatter, ReduceHalving, 0)},
+		{"reducescatter-bruck", false, false, reduce(OpReduceScatter, ReduceBruck, 0)},
+		{"allreduce", false, true, reduce(OpAllReduce, ReduceBruck, 2)},
+		{"allreduce-ring", false, true, reduce(OpAllReduce, ReduceRing, 0)},
+		{"hier-index", false, false, hier(OpIndex)},
+		{"hier-concat", false, false, hier(OpConcat)},
+		{"hier-allreduce", false, false, hier(OpAllReduce)},
+		{"broadcast", false, false, rooted(OpBroadcast)},
+		{"gather", false, false, rooted(OpGather)},
+		{"scatter", false, false, rooted(OpScatter)},
 	}
 }
 

@@ -258,7 +258,7 @@ func FuzzSegmentBoundaries(f *testing.F) {
 	f.Add(4, 1, 2)
 	f.Add(9, 16, 1)
 	f.Fuzz(func(t *testing.T, n, blockLen, s int) {
-		if n < 1 || n > 12 || blockLen < 0 || blockLen > 64 || s < -1 || s > 256 {
+		if n < 1 || n > 16 || blockLen < 0 || blockLen > 64 || s < -1 || s > 256 {
 			t.Skip()
 		}
 		e := mpsim.MustNew(n)

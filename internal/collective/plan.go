@@ -61,8 +61,6 @@ type Plan struct {
 	topo   *costmodel.Topology
 	phases []PlanPhase
 
-	// poolHint is the largest pool buffer any execution acquires.
-	poolHint int
 	// c1 is the number of communication rounds the schedule performs.
 	c1 int
 }
@@ -93,10 +91,6 @@ func (pl *Plan) Rounds() int { return pl.c1 }
 // monolithic one. (1 never occurs: a one-segment request compiles to
 // the monolithic schedule.)
 func (pl *Plan) Segments() int { return pl.segments }
-
-// MaxMessageBytes returns the largest pooled buffer an execution
-// acquires — the pre-sizing hint handed to the processor-local pools.
-func (pl *Plan) MaxMessageBytes() int { return pl.poolHint }
 
 // PredictedC2 returns the schedule's data volume in bytes (the paper's
 // C2, sum over rounds of the round's largest message), known exactly at
@@ -140,7 +134,7 @@ func (pl *Plan) result() *Result {
 // compile is the single entry to the compilers: it lowers a canonical
 // (validated) spec into a step program — the family's compiler also sets
 // the plan's family-specific fields and bounds — and derives the plan's
-// rounds, Result and pool hint from that program.
+// rounds and Result from that program.
 func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
 	n, k := g.Size(), e.Ports()
@@ -170,11 +164,11 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	return pl, nil
 }
 
-// derive finishes pr and takes the plan's rounds, pool hint, phase table
-// and Result from it.
+// derive finishes pr and takes the plan's rounds, phase table and
+// Result from it.
 func (pl *Plan) derive(pr *program) {
 	pr.finish()
-	pl.prog, pl.c1, pl.poolHint, pl.phases = pr, pr.c1, pr.hint, pr.phases
+	pl.prog, pl.c1, pl.phases = pr, pr.c1, pr.phases
 	res := &pl.res
 	res.C1, res.C2, res.RoundSizes, res.Messages, res.TotalBytes = pr.busy, pr.c2, pr.sizes, pr.msgs, pr.bytes
 	if res.Intra != nil {
@@ -210,16 +204,12 @@ func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	return pl.Run(pl.Memory(in, out))
 }
 
-// roundMajor reports whether Plan.run executes the plan on the
-// round-major driver: on an engine whose runs are plain
-// (mpsim.Engine.Plain), so that nothing — recorded events, injected
-// delays — would tell the drivers apart.
-func (pl *Plan) roundMajor() bool { return pl.engine.Plain() }
-
-// run executes the plan alone on memory that fits it, round-major where
-// roundMajor says so.
+// run executes the plan alone on memory that fits it: round-major on an
+// engine whose runs are plain (mpsim.Engine.Plain), so that nothing —
+// recorded events, injected delays — would tell the drivers apart, and
+// on the engine driver otherwise.
 func (pl *Plan) run(m Memory) (*Result, error) {
-	if pl.roundMajor() {
+	if pl.engine.Plain() {
 		return pl.runRounds(m)
 	}
 	return pl.runEngine(m)

@@ -216,8 +216,8 @@ type program struct {
 	inLay, outLay *blocks.Layout // layout plans: the shapes of the caller regions
 	phases        []PlanPhase    // hierarchical plans: the declared phase order
 
-	c1, c2, hint, width int
-	copied              int // bytes all ranks together copy per run: the sum of moved
+	c1, c2, width int
+	copied        int // bytes all ranks together copy per run: the sum of moved
 
 	// What one run sends: the largest message of each round up to the
 	// last that sends one, the number of rounds that send one (a
@@ -256,13 +256,12 @@ func (pr *program) measure(exts []extent, me int) int {
 }
 
 // tally is the counter's state: the largest message of every global
-// round (-1 for a round without one), its phase, the messages and bytes
-// sent, and the largest pool acquisition.
+// round (-1 for a round without one), its phase, and the messages and
+// bytes sent.
 type tally struct {
 	max         []int
 	phase       []string
 	msgs, bytes int64
-	hint        int
 }
 
 func (ts *tally) note(t, bytes int, phase string) {
@@ -280,20 +279,12 @@ func (ts *tally) note(t, bytes int, phase string) {
 		}
 		ts.phase[t] = phase
 	}
-	if bytes > ts.hint {
-		ts.hint = bytes
-	}
 }
 
 // walk counts rank me's role from global round t on and returns the
 // round it ends in. It also fixes each transfer's size and swap flag.
 func (pr *program) walk(me, t int, phase string, ts *tally) int {
 	ro := pr.role(me)
-	for _, sc := range ro.scratch {
-		if sc.bytes > ts.hint {
-			ts.hint = sc.bytes
-		}
-	}
 	for i := range ro.steps {
 		s := &ro.steps[i]
 		ph := phase
@@ -357,10 +348,6 @@ func (pr *program) finish() {
 	}
 	pr.copied *= pr.n / ranks
 	pr.msgs, pr.bytes = ts.msgs*int64(pr.n/ranks), ts.bytes*int64(pr.n/ranks)
-	pr.hint = ts.hint
-	if pr.hint < pr.bl {
-		pr.hint = pr.bl
-	}
 	pr.c2, pr.busy, pr.sizes = 0, 0, ts.max
 	for t, m := range ts.max {
 		if m < 0 {

@@ -177,23 +177,32 @@ func FuzzChaosSchedule(f *testing.F) {
 	})
 }
 
-// FuzzCase is the differential target over the whole Case space: a case
-// that compiles must pass the symbolic proof and the byte oracle (which
-// also holds the measured C1/C2 to the compiled ones); a case that does not
-// must have been rejected by name parsing, the topology parser, the
-// engine or Spec.canonicalize — never by a panic or a failed check.
+// FuzzCase is the differential target over the whole Case space plus a
+// chaos seed and straggler mask: a case that compiles must pass
+// the symbolic proof, then the byte oracle (which also holds the
+// measured C1/C2 to the compiled ones) — at seed 0 on a plain engine,
+// at any other seed under chaos through Capture (rank r < 16 straggles
+// when bit r of stragglers is set), where the run must also record
+// exactly the messages the program predicts. A case that does not
+// compile must have been rejected by name parsing, the topology parser,
+// the engine or Spec.canonicalize — never by a panic or a failed check.
 func FuzzCase(f *testing.F) {
-	seeds := Corpus()
-	for _, op := range []string{"broadcast", "gather", "scatter"} {
-		seeds = append(seeds, Case{Op: op, Alg: "tree", N: 7, K: 2, B: 4, Root: 3})
+	add := func(c Case, seed uint64, stragglers uint16) {
+		f.Add(c.Op, c.Alg, c.N, c.K, c.B, c.Radix, c.Segments, c.Ragged, c.Topology, c.Root, seed, stragglers)
 	}
-	for _, c := range seeds {
-		f.Add(c.Op, c.Alg, c.N, c.K, c.B, c.Radix, c.Segments, c.Ragged, c.Topology, c.Root)
+	for _, c := range Corpus() {
+		add(c, 0, 0)
+	}
+	for _, op := range []string{"broadcast", "gather", "scatter"} {
+		add(Case{Op: op, Alg: "tree", N: 7, K: 2, B: 4, Root: 3}, 0, 0)
 	}
 	// Found by this target: an all-zero ragged concat undercuts the round bound.
-	f.Add("concat", "", 42, 1, 0, 0, 0, true, "", 0)
-	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int) {
-		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 9,
+	add(Case{Op: "concat", N: 42, K: 1, Ragged: true}, 0, 0)
+	// A hierarchical index on uneven groups under chaos, beyond the flat
+	// families FuzzChaosSchedule draws.
+	add(Case{Op: "index", Alg: "hier", N: 6, K: 2, B: 2, Topology: "3,2,1"}, 7, 5)
+	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int, seed uint64, stragglers uint16) {
+		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 257,
 			Ragged: ragged, Topology: topology, Root: root}
 		if c.N < 0 || c.B < 0 || len(topology) > 16 {
 			t.Skip("outside the drawn ranges")
@@ -210,8 +219,20 @@ func FuzzCase(f *testing.F) {
 		if v := pl.Check(); v != nil {
 			t.Fatalf("%+v: Check: %v", c, v)
 		}
-		if _, err := collective.Exercise(pl, collective.Labels); err != nil {
-			t.Fatalf("%+v: Exercise: %v", c, err)
+		if seed == 0 {
+			if _, err := collective.Exercise(pl, collective.Labels); err != nil {
+				t.Fatalf("%+v: Exercise: %v", c, err)
+			}
+			return
+		}
+		cfg := mpsim.ChaosConfig{Seed: seed}
+		for rank := 0; rank < min(c.N, 16); rank++ {
+			if stragglers&(1<<rank) != 0 {
+				cfg.Stragglers = append(cfg.Stragglers, rank)
+			}
+		}
+		if _, err := Capture(c, mpsim.WithChaos(cfg)); err != nil {
+			t.Fatalf("%+v: chaos capture (%+v): %v", c, cfg, err)
 		}
 	})
 }

@@ -3,7 +3,7 @@ package mpsim
 // Tests for the chaos transport: configuration validation, seed
 // determinism of the jitter injector and straggler accounting. The
 // deadlock-fencing lifecycle runs in the backend-parametrized tests of
-// transport_test.go, whose backends list includes chaos.
+// transport_test.go, whose backends list selects chaos by WithChaos.
 
 import (
 	"bytes"

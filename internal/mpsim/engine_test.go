@@ -478,9 +478,9 @@ func TestProcPanicIsReported(t *testing.T) {
 // failing rank's worker survives its body's error or panic.
 func TestRankFailureIsPrompt(t *testing.T) {
 	boom := errors.New("boom")
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
 		const n = 4
-		e := MustNew(n, WithTransport(b))
+		e := MustNew(n, opts...)
 		for _, fail := range []struct {
 			name string
 			rank func() error

@@ -134,8 +134,8 @@ func TestRunProgramsDeadlockFencesAll(t *testing.T) {
 // watchdog.
 func TestRunProgramsFailureEndsAll(t *testing.T) {
 	boom := errors.New("boom")
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e := MustNew(4, WithTransport(b))
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
+		e := MustNew(4, opts...)
 		start := time.Now()
 		err := e.RunPrograms([]Program{
 			{Members: []int{0, 1}, Body: func(p *Proc) error { return boom }},

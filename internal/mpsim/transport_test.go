@@ -16,26 +16,37 @@ import (
 	"time"
 )
 
-// backends lists every transport the engine's driver can reach;
-// BackendChaos runs with its default configuration (seed 1), so each
-// lifecycle test here — watchdog, deadlock fencing, drain recycling —
-// also exercises the chaos wrapper.
-var backends = []Backend{BackendChan, BackendSlot, BackendChaos}
+// backends lists every transport the engine's driver can reach, by the
+// options that select it; chaos runs with its default configuration
+// (seed 1), so each lifecycle test here — watchdog, deadlock fencing,
+// drain recycling — also exercises the chaos wrapper.
+var backends = []struct {
+	name Backend
+	opts []Option
+}{
+	{BackendChan, nil},
+	{BackendSlot, []Option{WithTransport(BackendSlot)}},
+	{BackendChaos, []Option{WithChaos(ChaosConfig{})}},
+}
 
-func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
+// forEachBackend runs f on every backend, with the options that select
+// it.
+func forEachBackend(t *testing.T, f func(t *testing.T, opts ...Option)) {
 	for _, b := range backends {
-		t.Run(string(b), func(t *testing.T) { f(t, b) })
+		t.Run(string(b.name), func(t *testing.T) {
+			if e := MustNew(2, b.opts...); e.backend != b.name {
+				t.Fatalf("the options select backend %q", e.backend)
+			}
+			f(t, b.opts...)
+		})
 	}
 }
 
 // TestBackendRingShift is TestRingShift on every backend.
 func TestBackendRingShift(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
 		const n = 8
-		e := MustNew(n, WithTransport(b))
-		if e.backend != b {
-			t.Fatalf("backend = %q, want %q", e.backend, b)
-		}
+		e := MustNew(n, opts...)
 		got := make([][]byte, n)
 		err := e.Run(func(p *Proc) error {
 			me := p.Rank()
@@ -63,9 +74,9 @@ func TestBackendRingShift(t *testing.T) {
 // on every backend and checks contents, giving the slot ring's
 // synchronization a workout across many concurrent pairs.
 func TestBackendMultiPortSweep(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
 		const n, k, rounds = 7, 3, 25
-		e := MustNew(n, Ports(k), WithTransport(b))
+		e := MustNew(n, append([]Option{Ports(k)}, opts...)...)
 		err := e.Run(func(p *Proc) error {
 			me := p.Rank()
 			for r := 0; r < rounds; r++ {
@@ -98,8 +109,8 @@ func TestBackendMultiPortSweep(t *testing.T) {
 // slot backend's waiters must observe the deadline too, not spin the
 // run forever).
 func TestBackendWatchdog(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e := MustNew(2, WithTransport(b), Watchdog(100*time.Millisecond))
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
+		e := MustNew(2, append([]Option{Watchdog(100 * time.Millisecond)}, opts...)...)
 		err := e.Run(func(p *Proc) error {
 			if p.Rank() == 0 {
 				_, err := p.Exchange(nil, []int{1})
@@ -123,9 +134,9 @@ func TestBackendWatchdog(t *testing.T) {
 // zombie could steal the new run's message and the pool was shared
 // with the zombie unsynchronized.
 func TestDeadlockReuseFenced(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
 		const n = 4
-		e := MustNew(n, WithTransport(b), Watchdog(100*time.Millisecond))
+		e := MustNew(n, append([]Option{Watchdog(100 * time.Millisecond)}, opts...)...)
 		deadlocks := []func(p *Proc) error{
 			// Zombies blocked in Recv: every rank > 0 waits for a message
 			// rank 0 never sends.
@@ -207,8 +218,8 @@ func TestDeadlockReuseFenced(t *testing.T) {
 // error (all goroutines exit, but undelivered messages remain in the
 // transport) must not poison later runs, on every backend.
 func TestReuseAfterValidationError(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e := MustNew(2, WithTransport(b), Watchdog(5*time.Second))
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
+		e := MustNew(2, append([]Option{Watchdog(5 * time.Second)}, opts...)...)
 		// p0 skips a round and then sends, so p1's round-0 receive gets a
 		// round-1 message: validation fails on p1, p0's message to the
 		// *next* round... both exit, mailbox p1<-p0 may hold residue.
@@ -252,9 +263,9 @@ func TestReuseAfterValidationError(t *testing.T) {
 // That Run leaves the residue's pair alone, so only the run after it
 // would receive a message the drain missed.
 func TestDrainRecyclesResidue(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, opts ...Option) {
 		const n = 3
-		e := MustNew(n, WithTransport(b), Watchdog(5*time.Second))
+		e := MustNew(n, append([]Option{Watchdog(5 * time.Second)}, opts...)...)
 		// p0 sends one 64-byte message p1 never receives; the others skip
 		// to stay round-aligned, so the run *succeeds* with residue.
 		err := e.Run(func(p *Proc) error {

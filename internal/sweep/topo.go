@@ -12,11 +12,9 @@ package sweep
 
 import (
 	"fmt"
-	"slices"
 
 	"bruck/internal/collective"
 	"bruck/internal/costmodel"
-	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
 )
 
@@ -62,12 +60,10 @@ func BalancedGroups(n int) []int {
 	return groups
 }
 
-// TopoCrossoverTable compiles the flat and hierarchical schedules of
-// one operation ("index" or "concat") over every (n, b, ratio)
-// combination on k ports: groups are BalancedGroups(n), intra links
-// run at the given profile and inter links at profile*ratio. The flat
-// arm of the index is the best Bruck radix under the topology clock;
-// the concatenation's flat arm is the circulant schedule.
+// TopoCrossoverTable compiles the flat (FlatBest) and hierarchical
+// schedules of one operation ("index" or "concat") over every (n, b,
+// ratio) combination on k ports: groups are BalancedGroups(n), intra
+// links run at the given profile and inter links at profile*ratio.
 func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, intra costmodel.Profile) ([]TopoRow, error) {
 	named, err := collective.ParseSpec(op, "")
 	if err != nil || (named.Op != collective.OpIndex && named.Op != collective.OpConcat) {
@@ -82,7 +78,6 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 		if err != nil {
 			return nil, err
 		}
-		g := mpsim.WorldGroup(n)
 		groups := BalancedGroups(n)
 		for _, ratio := range ratios {
 			topo, err := costmodel.NewTopology(groups, intra, costmodel.Scaled(intra, ratio))
@@ -90,34 +85,20 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 				return nil, err
 			}
 			for _, b := range sizes {
-				row := TopoRow{Op: op, N: n, K: k, B: b, Shape: topo.Spec(), Ratio: ratio}
 				spec := named
 				spec.BlockLen = b
-				// The flat arm: the concatenation's is the circulant schedule,
-				// the index's the best Bruck radix under the topology clock.
-				arms := []int{0}
-				if spec.Op == collective.OpIndex {
-					arms = RadixArms(n, k)
-				}
-				var flat *collective.Plan
-				for _, r := range arms {
-					spec.Index.Radix = r
-					pl, err := collective.Compile(e, g, spec)
-					if err != nil {
-						return nil, err
-					}
-					if flat == nil || pl.TimeTopo(topo) < flat.TimeTopo(topo) {
-						flat, row.FlatR = pl, r
-					}
-				}
-				spec.Index.Radix, spec.Hierarchical, spec.Topology = 0, true, topo
-				hier, err := collective.Compile(e, g, spec)
+				flat, r, err := FlatBest(e, spec, topo)
 				if err != nil {
 					return nil, err
 				}
-				row.FlatC1, row.FlatC2 = flat.Rounds(), flat.PredictedC2()
-				row.HierC1, row.HierC2 = hier.Rounds(), hier.PredictedC2()
-				row.FlatSec, row.HierSec = flat.TimeTopo(topo), hier.TimeTopo(topo)
+				spec.Hierarchical, spec.Topology = true, topo
+				hier, err := collective.Compile(e, mpsim.WorldGroup(n), spec)
+				if err != nil {
+					return nil, err
+				}
+				row := TopoRow{Op: op, N: n, K: k, B: b, Shape: topo.Spec(), Ratio: ratio, FlatR: r,
+					FlatC1: flat.Rounds(), FlatC2: flat.PredictedC2(), HierC1: hier.Rounds(), HierC2: hier.PredictedC2(),
+					FlatSec: flat.TimeTopo(topo), HierSec: hier.TimeTopo(topo)}
 				row.HierWins = row.HierSec < row.FlatSec
 				rows = append(rows, row)
 			}
@@ -126,16 +107,34 @@ func TopoCrossoverTable(op string, ns, sizes []int, ratios []float64, k int, int
 	return rows, nil
 }
 
-// RadixArms is the flat index arm's radix candidate set: the powers of
-// two, the round-minimal k+1 and the volume-minimal n.
-func RadixArms(n, k int) []int {
-	var out []int
-	for _, r := range append(PowersOfTwoUpTo(n), k+1, n) {
-		if r = intmath.Min(intmath.Max(r, 2), n); !slices.Contains(out, r) {
-			out = append(out, r)
+// FlatBest compiles the flat arms of s's operation on e's world group —
+// the Bruck index at the powers of two, the round-minimal k+1 and the
+// volume-minimal n; the allreduce's ring and Bruck; s itself otherwise —
+// and returns the fastest under the topology clock with its radix
+// (Spec.Index.Radix).
+func FlatBest(e *mpsim.Engine, s collective.Spec, topo *costmodel.Topology) (best *collective.Plan, radix int, err error) {
+	n, arms := e.N(), []collective.Spec{s}
+	switch s.Op {
+	case collective.OpIndex:
+		arms = nil
+		for _, r := range append(PowersOfTwoUpTo(n), e.Ports()+1, n) {
+			s.Index.Radix = min(max(r, 2), n)
+			arms = append(arms, s)
+		}
+	case collective.OpAllReduce:
+		s.Reduce.Algorithm = collective.ReduceBruck
+		arms = append(arms, s)
+	}
+	for _, arm := range arms {
+		pl, err := collective.Compile(e, mpsim.WorldGroup(n), arm)
+		if err != nil {
+			return nil, 0, err
+		}
+		if best == nil || pl.TimeTopo(topo) < best.TimeTopo(topo) {
+			best, radix = pl, arm.Index.Radix
 		}
 	}
-	return out
+	return best, radix, nil
 }
 
 // TopoCrossover summarizes one (n, ratio) pair of the study.
