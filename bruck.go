@@ -68,9 +68,9 @@ type machineConfig struct {
 	topo  *costmodel.Topology
 }
 
-// ChaosConfig configures the chaos transport: the jitter seed and
-// ceiling, and the straggler set. The zero value gives seed 1 and the
-// default jitter. See mpsim.ChaosConfig.
+// ChaosConfig configures chaos, the seeded delay on the channel
+// transport: the jitter seed and ceiling, and the straggler set. The
+// zero value gives seed 1 and the default jitter. See mpsim.ChaosConfig.
 type ChaosConfig = mpsim.ChaosConfig
 
 // Ports sets the number of communication ports k per processor: in each
@@ -80,11 +80,11 @@ func Ports(k int) MachineOption {
 	return func(c *machineConfig) { c.ports = k }
 }
 
-// WithChaos runs the machine on the chaos transport: seeded adversarial
-// timing (jitter, reordering, stragglers) on every link. It is the one
-// transport option — a plain machine runs every plan as a round-major
-// walk and moves no message through a transport. Results and Reports
-// are byte-identical to a plain machine's.
+// WithChaos runs the machine's plans on the engine, over the channel
+// transport with a seeded delay before every send and receive (jitter,
+// reordering across links, stragglers): the one transport option, as a
+// plain machine walks its plans and moves no message. Results and
+// Reports are byte-identical to a plain machine's.
 func WithChaos(cfg ChaosConfig) MachineOption {
 	return func(c *machineConfig) { c.chaos = &cfg }
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -339,6 +340,9 @@ func TestCheckPerturbations(t *testing.T) {
 		// Rank 4 is virtual rank 1 of the tree rooted at 3, a child of the
 		// root: re-point it at rank 5.
 		{"gather child re-pointed", configs["gather-n7-k2-root3"], func(pl *Plan) { exchanges(pl.prog, 4)[0].xfers[0].to.c = 5 }, "delivery"},
+		// A rank of a per-rank role sits out one round fewer, so it sends
+		// a round early, to a parent that receives from it a round later.
+		{"gather rank posts a round early", configs["gather-n7-k2-root3"], postEarly, "which does not receive it"},
 		{"recdbl short run", configs["concat-recdbl-n8-k1"], func(pl *Plan) { exchangeSteps(pl)[2].xfers[0].send[0].n-- }, "delivery"},
 		{"ring-reduce wrong peer", configs["reducescatter-ring-n6-k1"], wrongPeer, "delivery"},
 		{"halving dropped extent", configs["reducescatter-halving-n8-k1"], dropExtent, "delivery"},
@@ -428,6 +432,22 @@ func TestCheckPerturbations(t *testing.T) {
 	if _, err := pl.runRounds(mem); err == nil || err.Error() != "collective: "+outOfFrameText {
 		t.Errorf("round-major driver on the out-of-frame peer: error %v, want %q", err, "collective: "+outOfFrameText)
 	}
+}
+
+// postEarly takes one round off the first skip that precedes an
+// exchange in some rank's role: that rank posts the exchange a round
+// early.
+func postEarly(pl *Plan) {
+	for r := 0; r < pl.group.Size(); r++ {
+		ro := pl.prog.role(r)
+		for i := range ro.steps {
+			if s := &ro.steps[i]; s.kind == stepSkip && slices.ContainsFunc(ro.steps[i:], func(s step) bool { return s.kind == stepExchange }) {
+				s.n--
+				return
+			}
+		}
+	}
+	panic("no rank skips before an exchange")
 }
 
 // outOfFrameText is the fault of outOfFrame, on Check and the round-major

@@ -118,8 +118,8 @@
 // and recording engines, so a plain engine never builds a transport.
 // One grid of families, n and k holds every path to one reference: the
 // walk at one to four workers (TestDriversAgree), the engine driver and
-// chaos (TestMessagesMatchEvents) each land the operation's definition,
-// and a recorded run sends exactly Plan.Messages.
+// one cell a family under chaos (TestMessagesMatchEvents) each land the
+// operation's definition, and a recorded run sends exactly Plan.Messages.
 //
 // Deadlock freedom. The round-major driver is the walk Check proves:
 // one round loop, one peer resolution, one set of k-port and delivery
@@ -130,8 +130,8 @@
 // every rank finishes every round. Split over workers the walk waits
 // only at the round's barrier, which every worker reaches whatever its
 // ranks did: a fault or panic is kept for it. Only the engine driver,
-// whose ranks block on their transport, needs its watchdog for a plan
-// Check would reject.
+// whose ranks block on their transport, needs a watchdog, and only for
+// a plan Check would reject (package mpsim argues why).
 //
 // Step semantics. A program is a list of steps per role:
 //

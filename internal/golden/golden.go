@@ -1,7 +1,7 @@
 // Package golden maintains the golden corpus: one representative case
 // per schedule family, whose compiled program's listing
 // (collective.Plan.Listing) is committed under testdata/golden/ and
-// verified by the package tests, the chaos fuzzer and `bruckctl trace`.
+// verified by the package tests, the whole-Case fuzzer and `bruckctl trace`.
 // A mismatch means the program — rounds, partners, extents, message
 // sizes — drifted from what was reviewed and committed; regenerate
 // deliberately with `go test ./internal/golden -update` (or

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -119,62 +120,116 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
-// fuzzCase clamps raw fuzz inputs into a valid corpus-style case plus a
-// chaos configuration. opSel picks the schedule family among those
-// valid for arbitrary n.
-func fuzzCase(opSel, nRaw, kRaw, radixRaw uint8, seed uint64, stragglerMask uint16) (Case, mpsim.ChaosConfig) {
-	n := 1 + int(nRaw)%12
-	kMax := n - 1 // the engine requires 1 <= k <= n-1
-	if kMax < 1 {
-		kMax = 1
-	}
-	if kMax > 3 {
-		kMax = 3
-	}
-	k := 1 + int(kRaw)%kMax
-	c := Case{N: n, K: k, B: 4}
-	switch opSel % 4 {
-	case 0:
-		c.Op, c.Alg = "index", "bruck"
-		if n > 1 {
-			c.Radix = 2 + int(radixRaw)%(n-1)
-		}
-	case 1:
-		c.Op, c.Alg = "concat", "circulant"
-	case 2:
-		c.Op, c.Alg = "concat", "ring"
-	case 3:
-		c.Op, c.Alg = "reduce-scatter", "bruck"
-		if n > 1 {
-			c.Radix = 2 + int(radixRaw)%(n-1)
-		}
-	}
-	c.Name = fmt.Sprintf("fuzz-%s-%s-n%d-k%d-r%d", c.Op, c.Alg, n, k, c.Radix)
-	cfg := mpsim.ChaosConfig{Seed: seed}
-	for rank := 0; rank < n && rank < 16; rank++ {
-		if stragglerMask&(1<<rank) != 0 {
-			cfg.Stragglers = append(cfg.Stragglers, rank)
-		}
-	}
-	return c, cfg
+// rejections lists every validator message a Case can reach, one
+// pattern each — over the text after "golden: case <name>: " — with a
+// case that draws it and that case's exact text. TestCaseRejections
+// holds each case to its text, and FuzzCase accepts a rejection only
+// when one of the patterns matches it: a changed text, or a validator
+// that starts rejecting a case the others accept, fails the target.
+var rejections = []rejection{
+	// The engine.
+	{`mpsim: processor count n = 0, want n >= 1`,
+		Case{Op: "index", N: 0, K: 1, B: 4}, `mpsim: processor count n = 0, want n >= 1`},
+	{`mpsim: port count k = -?\d+, want 1 <= k <= \d+ for n = \d+`,
+		Case{Op: "index", N: 4, K: 4, B: 4}, `mpsim: port count k = 4, want 1 <= k <= 3 for n = 4`},
+	// Names.
+	{`collective: unknown operation ".*"`,
+		Case{Op: "sort", N: 4, K: 1, B: 4}, `collective: unknown operation "sort"`},
+	{`collective: unknown [a-z-]+ algorithm ".*"`,
+		Case{Op: "index", Alg: "quick", N: 4, K: 1, B: 4}, `collective: unknown index algorithm "quick"`},
+	// The topology parser.
+	{`costmodel: empty topology spec`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: ":1,2/3,4"}, `costmodel: empty topology spec`},
+	{`costmodel: bad topology group count ".*": strconv.Atoi: parsing ".*": (invalid syntax|value out of range)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "ax4"},
+		`costmodel: bad topology group count "a": strconv.Atoi: parsing "a": invalid syntax`},
+	{`costmodel: bad topology group size ".*": strconv.Atoi: parsing ".*": (invalid syntax|value out of range)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2,b"},
+		`costmodel: bad topology group size "b": strconv.Atoi: parsing "b": invalid syntax`},
+	{`costmodel: topology ".*" needs positive dimensions`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "0x4"}, `costmodel: topology "0x4" needs positive dimensions`},
+	{`costmodel: topology group \d+ has size -?\d+ \(empty groups are invalid\)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "4,0"},
+		`costmodel: topology group 1 has size 0 (empty groups are invalid)`},
+	{`costmodel: topology profiles ".*": want intra/inter as beta,tau/beta,tau`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:1,2"},
+		`costmodel: topology profiles "1,2": want intra/inter as beta,tau/beta,tau`},
+	{`costmodel: topology (intra|inter) profile ".*": want beta,tau`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:1/2,3"}, `costmodel: topology intra profile "1": want beta,tau`},
+	{`costmodel: topology (intra|inter) (beta|tau) ".*": strconv.ParseFloat: parsing ".*": (invalid syntax|value out of range)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:1,1/1,t"},
+		`costmodel: topology inter tau "t": strconv.ParseFloat: parsing "t": invalid syntax`},
+	{`costmodel: (intra|inter) profile: costmodel: profile "(intra|inter)" has negative parameters \(beta=\S+, tau=\S+\)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:-1,0/1,1"},
+		`costmodel: intra profile: costmodel: profile "intra" has negative parameters (beta=-1, tau=0)`},
+	{`costmodel: (intra|inter) profile: costmodel: profile "(intra|inter)" is degenerate \(beta=tau=0\)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:1,1/0,0"},
+		`costmodel: inter profile: costmodel: profile "inter" is degenerate (beta=tau=0)`},
+	// The spec.
+	{`collective: (broadcast|gather|scatter) root -?\d+ out of range \[0,\d+\)`,
+		Case{Op: "broadcast", N: 4, K: 1, B: 4, Root: 4}, `collective: broadcast root 4 out of range [0,4)`},
+	{`collective: hierarchical schedule requires a topology \(a machine created with WithTopology\)`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4},
+		`collective: hierarchical schedule requires a topology (a machine created with WithTopology)`},
+	{`collective: hierarchical reduction supports AllReduceKind only, got reduce-scatter`,
+		Case{Op: "reduce-scatter", Alg: "hier", N: 4, K: 1, B: 8, Topology: "2x2"},
+		`collective: hierarchical reduction supports AllReduceKind only, got reduce-scatter`},
+	{`collective: segment count -?\d+ out of range \(0 or 1 is monolithic, AutoSegments is -1\)`,
+		Case{Op: "index", N: 4, K: 1, B: 4, Segments: -2},
+		`collective: segment count -2 out of range (0 or 1 is monolithic, AutoSegments is -1)`},
+	{`collective: index radix -?\d+ out of range \[2, \d+\]`,
+		Case{Op: "index", N: 4, K: 1, B: 4, Radix: 5}, `collective: index radix 5 out of range [2, 4]`},
+	{`collective: pairwise-xor index requires a power-of-two group size, got \d+`,
+		Case{Op: "index", Alg: "xor", N: 6, K: 1, B: 4}, `collective: pairwise-xor index requires a power-of-two group size, got 6`},
+	{`collective: [a-z-]+ has no V variant \(ConcatV supports circulant and ring\)`,
+		Case{Op: "concat", Alg: "folklore", N: 4, K: 1, B: 4, Ragged: true},
+		`collective: folklore has no V variant (ConcatV supports circulant and ring)`},
+	{`collective: recursive doubling requires a power-of-two group size, got \d+`,
+		Case{Op: "concat", Alg: "recdbl", N: 6, K: 1, B: 4}, `collective: recursive doubling requires a power-of-two group size, got 6`},
+	{`collective: block size \d+ is not a multiple of the kernel's 4-byte elements`,
+		Case{Op: "allreduce", N: 4, K: 1, B: 6}, `collective: block size 6 is not a multiple of the kernel's 4-byte elements`},
+	{`collective: reduce radix -?\d+ out of range \[2, \d+\]`,
+		Case{Op: "reduce-scatter", Alg: "bruck", N: 4, K: 1, B: 8, Radix: 9}, `collective: reduce radix 9 out of range [2, 4]`},
+	{`collective: recursive halving requires a power-of-two group size, got \d+`,
+		Case{Op: "reduce-scatter", Alg: "halving", N: 6, K: 1, B: 8},
+		`collective: recursive halving requires a power-of-two group size, got 6`},
+	{`collective: topology covers \d+ processors but the group has \d+`,
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x3"}, `collective: topology covers 6 processors but the group has 4`},
 }
 
-// FuzzChaosSchedule drives random (operation, n, k, radix, seed,
-// straggler set) configurations through a chaos run and asserts the
-// tentpole invariant: the run byte-verifies against the independent
-// reference and records exactly the messages the program predicts (both
-// inside Capture).
-func FuzzChaosSchedule(f *testing.F) {
-	f.Add(uint8(0), uint8(7), uint8(0), uint8(0), uint64(1), uint16(1))
-	f.Add(uint8(1), uint8(10), uint8(1), uint8(2), uint64(42), uint16(5))
-	f.Add(uint8(2), uint8(4), uint8(2), uint8(0), uint64(7), uint16(0))
-	f.Add(uint8(3), uint8(8), uint8(1), uint8(3), uint64(99), uint16(0x102))
-	f.Fuzz(func(t *testing.T, opSel, nRaw, kRaw, radixRaw uint8, seed uint64, stragglerMask uint16) {
-		c, cfg := fuzzCase(opSel, nRaw, kRaw, radixRaw, seed, stragglerMask)
-		if _, err := Capture(c, mpsim.WithChaos(cfg)); err != nil {
-			t.Fatalf("%s: chaos capture (cfg %+v): %v", c.Name, cfg, err)
+type rejection struct {
+	pattern string
+	c       Case
+	text    string
+}
+
+func (r rejection) matches(text string) bool {
+	return regexp.MustCompile("^(?:" + r.pattern + ")$").MatchString(text)
+}
+
+// rejected reports whether err, a Case's compile error, is one of the
+// validator messages in rejections.
+func rejected(c Case, err error) bool {
+	text, ok := strings.CutPrefix(err.Error(), "golden: case "+c.Name+": ")
+	return ok && slices.ContainsFunc(rejections, func(r rejection) bool { return r.matches(text) })
+}
+
+// TestCaseRejections pins every entry of rejections to an exact text:
+// its case draws that text, its pattern matches it, and no other
+// entry's pattern does.
+func TestCaseRejections(t *testing.T) {
+	for i, r := range rejections {
+		r.c.Name = "fuzz"
+		want := "golden: case fuzz: " + r.text
+		if _, _, err := r.c.compile(); err == nil || err.Error() != want {
+			t.Errorf("error message did not match\nexpected: %s\n  actual: %v", want, err)
 		}
-	})
+		for j, other := range rejections {
+			if matched := other.matches(r.text); matched != (i == j) {
+				t.Errorf("pattern %d (%s) matches %v the text of entry %d: %s", j, other.pattern, matched, i, r.text)
+			}
+		}
+	}
 }
 
 // FuzzCase is the differential target over the whole Case space plus a
@@ -184,8 +239,8 @@ func FuzzChaosSchedule(f *testing.F) {
 // at any other seed under chaos through Capture (rank r < 16 straggles
 // when bit r of stragglers is set), where the run must also record
 // exactly the messages the program predicts. A case that does not
-// compile must have been rejected by name parsing, the topology parser,
-// the engine or Spec.canonicalize — never by a panic or a failed check.
+// compile must have been rejected with one of the validator messages in
+// rejections — never by a panic, a failed check or a new text.
 func FuzzCase(f *testing.F) {
 	add := func(c Case, seed uint64, stragglers uint16) {
 		f.Add(c.Op, c.Alg, c.N, c.K, c.B, c.Radix, c.Segments, c.Ragged, c.Topology, c.Root, seed, stragglers)
@@ -198,9 +253,13 @@ func FuzzCase(f *testing.F) {
 	}
 	// Found by this target: an all-zero ragged concat undercuts the round bound.
 	add(Case{Op: "concat", N: 42, K: 1, Ragged: true}, 0, 0)
-	// A hierarchical index on uneven groups under chaos, beyond the flat
-	// families FuzzChaosSchedule draws.
+	// A hierarchical index on uneven groups under chaos.
 	add(Case{Op: "index", Alg: "hier", N: 6, K: 2, B: 2, Topology: "3,2,1"}, 7, 5)
+	// Flat families under chaos, with and without stragglers.
+	add(Case{Op: "index", Alg: "bruck", N: 8, K: 1, B: 4, Radix: 2}, 1, 1)
+	add(Case{Op: "concat", Alg: "circulant", N: 11, K: 2, B: 4}, 42, 5)
+	add(Case{Op: "concat", Alg: "ring", N: 5, K: 3, B: 4}, 7, 0)
+	add(Case{Op: "reduce-scatter", Alg: "bruck", N: 9, K: 2, B: 4, Radix: 5}, 99, 0x102)
 	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int, seed uint64, stragglers uint16) {
 		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 257,
 			Ragged: ragged, Topology: topology, Root: root}
@@ -209,12 +268,10 @@ func FuzzCase(f *testing.F) {
 		}
 		_, pl, err := c.compile()
 		if err != nil {
-			for _, origin := range []string{"collective: ", "costmodel: ", "mpsim: "} {
-				if strings.HasPrefix(err.Error(), "golden: case fuzz: "+origin) {
-					return
-				}
+			if !rejected(c, err) {
+				t.Fatalf("%+v: rejected by no validator message in rejections: %v", c, err)
 			}
-			t.Fatalf("%+v: rejected outside the validators: %v", c, err)
+			return
 		}
 		if v := pl.Check(); v != nil {
 			t.Fatalf("%+v: Check: %v", c, v)

@@ -27,23 +27,26 @@
 //
 // # Transports
 //
-// A plain engine (Engine.Plain) moves no message through a transport:
-// package collective runs every plan on it as the round-major walk
-// (Inline). The engine's own driver reaches a transport only under
-// chaos or Record, and builds it on the first run that needs one.
-// Exactly one goroutine sends on a given (src, dst) pair and exactly
-// one receives on it, so a transport only needs single-writer
-// single-reader ordering per ordered pair. The one transport option is
-// WithChaos:
+// A plain engine (Engine.Plain: no chaos, no Record) moves no message
+// through a transport: package collective runs every plan on it as the
+// round-major walk (Inline). The engine's own driver reaches a
+// transport only under chaos or Record, and builds it on the first run
+// that needs one: the channel transport (BackendChan), one buffered Go
+// channel per ordered pair, on which blocked processors park in the
+// runtime for free. Exactly one goroutine sends on a given (src, dst)
+// pair and exactly one receives on it, so a transport only needs
+// single-writer single-reader ordering per ordered pair.
 //
-//   - the channel transport (BackendChan) carries the engine's runs:
-//     one buffered Go channel per ordered pair; blocked processors
-//     park in the runtime for free.
-//   - the chaos transport (WithChaos) wraps it with adversarial
-//     timing. It injects seeded per-link latency jitter, cross-link
-//     reordering of same-round messages, and straggler processors —
-//     perturbing only *when* messages move, never what moves — so tests
-//     can prove schedules byte-correct under arbitrary timing.
+// Chaos, the one transport option (WithChaos), is a seeded delay on
+// that transport. Every Send and Recv first pauses for a delay that is
+// a pure function of (seed, side, link, message index) — uniform below
+// ChaosConfig.MaxDelay, StragglerFactor times longer on a straggler's
+// side — so two runs of one schedule with one seed pause alike,
+// whatever the goroutines' interleaving. A link side draws its delays
+// in message order and pauses before its mailbox operation, so per-pair
+// FIFO holds; only the interleaving across links changes. A pause wakes
+// on Abandon like a mailbox wait, and the fresh transport a failed or
+// fenced run leaves behind counts its messages afresh.
 //
 // The slot transport (BackendSlot, slot.go: a lock-free slot ring per
 // pair) and WithTransport stay only for the benchmark's
@@ -52,9 +55,7 @@
 // A pair has two messages of slack — exactly what a round-aligned
 // schedule needs, since a sender runs at most one round ahead of the
 // matching receiver per pair — so schedule bugs surface as deadlocks
-// rather than hide in deep buffers. The paper's schedules are
-// transport-agnostic: every transport produces byte-identical results
-// on identical schedules.
+// rather than hide in deep buffers.
 //
 // # Buffer ownership
 //
@@ -100,7 +101,7 @@
 // runs every plan of a plain engine round-major through it — and may
 // spread its work over the engine's Team: helper goroutines, started
 // by the first Run that asks for them, that poll for the next Run a
-// while and then park like the rank workers, and stop with them. A chan or slot
+// while and then park like the rank workers, and stop with them. A
 // transport is built only by the first run that needs one. Each Proc
 // counts its sends and receives, and under Record logs its sends, on
 // its own, without a lock; when every body has returned, the engine
@@ -134,25 +135,45 @@
 // when its body returns. The workers outlive runs but not the Engine:
 // once its handle is unreachable, a finalizer stops them.
 //
-// # Chaos lifecycle rules
+// # Why timing cannot change the bytes
 //
-// The chaos transport follows the same lifecycle contract as the channel
-// transport it wraps, with three additional rules:
+// On the engine driver a compiled program is a Kahn process network
+// (G. Kahn, "The semantics of a simple language for parallel
+// programming", IFIP 1974): each rank is a sequential process, and the
+// processes talk only over FIFO channels with one writer and one
+// reader each. As long as every receive blocks on a channel its process
+// names, such a network computes the same channel histories, and so the
+// same outputs, under every interleaving of its processes. Four
+// premises carry that over to the engine, each pinned by a test:
 //
-//   - Determinism: the delay of the i-th message on each directed link
-//     is a pure function of (seed, link, i) — there is no shared
-//     generator — so two runs of one schedule with one seed inject
-//     identical delays and report identical ChaosStats, regardless of
-//     goroutine interleaving. Results are always byte-identical to the
-//     wrapped transport's; only Time-like quantities may change.
-//   - Ordering: per-pair FIFO delivery is preserved (receivers match
-//     messages to rounds, so reordering within a pair would be a real
-//     schedule violation, not chaos). Reordering happens across links,
-//     by delaying each link independently.
-//   - Abandonment: Abandon interrupts injected delays in flight as
-//     well as inner-transport waits, so a watchdog fence wakes
-//     processors asleep in a pause exactly like ones blocked in a
-//     mailbox. Drain delegates to the inner transport — the wrapper
-//     itself never holds a message — and a failed or fenced run
-//     installs a fresh wrapper, resetting ChaosStats.
+//  1. Named sources. Every receive names its source:
+//     Transport.Recv(dst, src), and Proc's receiving methods take their
+//     sources (Proc.exchange's from list). There is no probe and no
+//     any-source receive (TestReceivesNameTheirSource pins both method
+//     sets).
+//  2. Per-pair FIFO. A pair's messages arrive in the order they were
+//     sent; a receive handed another round's message fails as a
+//     misaligned schedule (TestRoundMisalignmentDetected), and under
+//     chaos a link side draws its delays in message order
+//     (TestChaosDelaysInMessageOrder).
+//  3. Every receive is fed. Plan.Check, which walks a program's rounds
+//     as the round-major driver does, proves that every receive of
+//     round t is fed by a send of round t, that every send is received
+//     and that all ranks end aligned (TestCheckPerturbations'
+//     re-pointed receive rows, and its row where a gather rank posts a
+//     round early). Every compiled family is Check-clean
+//     (TestCheckCleanPlans, FuzzCase).
+//  4. Depth 2 suffices. A round-aligned sender runs at most one round
+//     ahead of the matching receiver on a pair, so mailboxDepth = 2
+//     never blocks a send its run needs; every golden case completes
+//     under chaos with a straggler (TestGoldenTraces).
+//
+// By 1 and 2 what a receive returns depends on the sends alone, not on
+// when they happen; by 3 each receive is fed by the send the round-major
+// walk pairs it with; by 4 no send waits on a receive that waits on it.
+// So a Check-clean plan cannot deadlock on the engine, and no delay can
+// change its bytes from the walk's. Chaos therefore tests the engine —
+// pools, abandon and fencing under timing a plain run never sees — not
+// the schedules: the lifecycle tests of this package run under it, and
+// package collective's grid runs one cell per family under it.
 package mpsim

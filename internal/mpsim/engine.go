@@ -40,7 +40,12 @@ type engine struct {
 	record   bool
 	watchdog time.Duration
 	backend  Backend
-	chaos    ChaosConfig // read only when backend == BackendChaos
+
+	// chaosConfig is WithChaos's configuration, its Stragglers copied;
+	// New builds chaos from it once, the delay every transport of the
+	// engine pauses its Sends and Recvs for. Both are nil without chaos.
+	chaosConfig *ChaosConfig
+	chaos       *chaos
 
 	// groupOf[rank] is the node-group of each processor under the
 	// engine's two-level topology (WithTopology), nil on flat engines.
@@ -52,8 +57,8 @@ type engine struct {
 
 	// tr carries messages between processors. A failed run abandons the
 	// instance, to wake its blocked goroutines, and the engine installs a
-	// fresh one. A chan or slot transport is built by the first run: an
-	// engine whose schedules all run Inline never pays for its n*n pairs.
+	// fresh one. The first run builds it: an engine whose schedules all
+	// run Inline never pays for its n*n pairs.
 	tr Transport
 
 	// residue is set when the last run left messages in tr (it sent more
@@ -147,23 +152,21 @@ func Watchdog(d time.Duration) Option {
 	return func(e *Engine) { e.watchdog = d }
 }
 
-// WithTransport selects the message transport backend. It stays only
-// because the benchmark's mpsim.msg_*.slot probes select BackendSlot
-// with it: a plain engine builds no transport, and WithChaos is the one
-// transport option, so no other caller passes it. It goes with those
-// probes.
+// WithTransport selects the message transport backend, without chaos.
+// It stays only because the benchmark's mpsim.msg_*.slot probes select
+// BackendSlot with it: a plain engine builds no transport, and WithChaos
+// is the one transport option, so no other caller passes it. It goes
+// with those probes.
 func WithTransport(b Backend) Option {
-	return func(e *Engine) { e.backend = b }
+	return func(e *Engine) { e.backend, e.chaosConfig = b, nil }
 }
 
-// WithChaos selects the chaos transport with the given configuration:
-// the engine wraps the channel transport and injects seeded latency
-// jitter and straggler delays on every link. See ChaosConfig.
+// WithChaos runs the engine on the channel transport with a seeded
+// delay before every send and receive: latency jitter on every link and
+// straggler ranks. See ChaosConfig. cfg.Stragglers is copied.
 func WithChaos(cfg ChaosConfig) Option {
-	return func(e *Engine) {
-		e.backend = BackendChaos
-		e.chaos = cfg
-	}
+	cfg.Stragglers = append([]int(nil), cfg.Stragglers...)
+	return func(e *Engine) { e.backend, e.chaosConfig = BackendChan, &cfg }
 }
 
 // WithTopology installs a two-level topology on the engine: groupOf
@@ -225,11 +228,14 @@ func New(n int, opts ...Option) (*Engine, error) {
 		}
 	}
 	if e.backend != BackendChan && e.backend != BackendSlot {
-		tr, err := newTransport(e.backend, n, e.chaos)
+		return nil, fmt.Errorf("mpsim: unknown transport backend %q", e.backend)
+	}
+	if e.chaosConfig != nil {
+		c, err := newChaos(n, *e.chaosConfig)
 		if err != nil {
 			return nil, err
 		}
-		e.tr = tr
+		e.chaos = c
 	}
 	e.pools = newPools(n)
 	e.workers = make([]chan *Proc, n)
@@ -254,11 +260,11 @@ func (e *Engine) N() int { return e.n }
 // Ports returns the port count k.
 func (e *Engine) Ports() int { return e.k }
 
-// Plain reports whether the engine's runs are plain ones: a chan or slot
-// transport and no event recording, so nothing about a run is observable
-// beyond its outcome.
+// Plain reports whether the engine's runs are plain ones: no chaos and
+// no event recording, so nothing about a run is observable beyond its
+// outcome.
 func (e *Engine) Plain() bool {
-	return (e.backend == BackendChan || e.backend == BackendSlot) && !e.record
+	return e.chaos == nil && !e.record
 }
 
 // errOverlap rejects a run, or an Inline call, made while another is in
@@ -426,17 +432,6 @@ func (t *Team) do(i int) {
 		t.Wait(func() {})
 	}()
 	t.body(i)
-}
-
-// ChaosStats returns the chaos transport's cumulative injected-delay
-// statistics and true, or a zero value and false when the engine does
-// not use the chaos backend. Only call between runs; a failed or
-// deadlocked run installs a fresh transport and resets the stats.
-func (e *Engine) ChaosStats() (ChaosStats, bool) {
-	if ct, ok := e.tr.(*chaosTransport); ok {
-		return ct.Stats(), true
-	}
-	return ChaosStats{}, false
 }
 
 // Run executes body concurrently on all n processors and waits for every
@@ -711,14 +706,13 @@ func (e *engine) stop() {
 	}
 }
 
-// newTransport builds a fresh instance of the engine's backend.
+// newTransport builds a fresh instance of the engine's backend: slot,
+// or chan with the engine's chaos, if any.
 func (e *Engine) newTransport() Transport {
-	tr, err := newTransport(e.backend, e.n, e.chaos)
-	if err != nil {
-		// The backend was validated in New; a failure here is impossible.
-		panic(err)
+	if e.backend == BackendSlot {
+		return newSlotTransport(e.n)
 	}
-	return tr
+	return newChanTransport(e.n, e.chaos)
 }
 
 // deadlockError reports which processors had not finished when the

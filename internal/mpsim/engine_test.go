@@ -380,8 +380,8 @@ func TestOverlappingRunRejected(t *testing.T) {
 // claim — a run it starts is rejected with the overlap text — an Inline
 // call during a run is rejected the same way, the function's error is
 // Inline's, the state it keeps is the next call's, and a recording
-// engine's Metrics reports nil afterwards. A chan or slot engine builds
-// its transport only for its first run.
+// engine's Metrics reports nil afterwards. An engine builds its
+// transport only for its first run, a chaos engine's too.
 func TestInlineHoldsTheClaim(t *testing.T) {
 	const want = "mpsim: a run is already in flight on this engine (runs must not overlap)"
 	e := MustNew(2, Record(true))
@@ -429,30 +429,36 @@ func TestInlineHoldsTheClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := MustNew(3, WithTransport(BackendSlot))
-	if fresh.Inline(func(*any, *Team) error { return nil }) != nil || fresh.tr != nil {
-		t.Errorf("a slot engine built its transport before its first run")
-	}
-	if fresh.Run(func(p *Proc) error { return nil }) != nil || fresh.tr == nil {
-		t.Errorf("the first run found no transport")
+	for name, opt := range map[string]Option{"slot": WithTransport(BackendSlot), "chaos": WithChaos(ChaosConfig{})} {
+		fresh := MustNew(3, opt)
+		if fresh.Inline(func(*any, *Team) error { return nil }) != nil || fresh.tr != nil {
+			t.Errorf("a %s engine built its transport before its first run", name)
+		}
+		if fresh.Run(func(p *Proc) error { return nil }) != nil || fresh.tr == nil {
+			t.Errorf("the first run of a %s engine found no transport", name)
+		}
 	}
 }
 
-// TestPlainEngines: only chan and slot engines without recording are
-// plain.
+// TestPlainEngines: an engine is plain when it has no chaos and does
+// not record, whichever backend it names; chaos without jitter is still
+// chaos.
 func TestPlainEngines(t *testing.T) {
 	for _, c := range []struct {
+		name  string
 		opts  []Option
 		plain bool
 	}{
-		{nil, true},
-		{[]Option{WithTransport(BackendSlot)}, true},
-		{[]Option{WithChaos(ChaosConfig{Seed: 1})}, false},
-		{[]Option{Record(true)}, false},
+		{"default", nil, true},
+		{"slot", []Option{WithTransport(BackendSlot)}, true},
+		{"chaos", []Option{WithChaos(ChaosConfig{Seed: 1})}, false},
+		{"chaos without jitter", []Option{WithChaos(ChaosConfig{MaxDelay: -1})}, false},
+		{"chaos then slot", []Option{WithChaos(ChaosConfig{}), WithTransport(BackendSlot)}, true},
+		{"recording", []Option{Record(true)}, false},
+		{"recording slot", []Option{Record(true), WithTransport(BackendSlot)}, false},
 	} {
-		e := MustNew(4, c.opts...)
-		if e.Plain() != c.plain {
-			t.Errorf("%v engine (recording %v): Plain() = %v", e.backend, e.record, e.Plain())
+		if e := MustNew(4, c.opts...); e.Plain() != c.plain {
+			t.Errorf("%s engine: Plain() = %v, want %v", c.name, e.Plain(), c.plain)
 		}
 	}
 }

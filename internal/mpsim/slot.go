@@ -11,7 +11,7 @@ import (
 // single-reader slot ring per ordered processor pair, synchronized with
 // two atomic counters and no locks or channels. It stays only because
 // the benchmark's mpsim.msg_*.slot probes select it (WithTransport): no
-// plain run reaches a transport, and chaos wraps chan, so nothing else
+// plain run reaches a transport, and chaos delays chan, so nothing else
 // builds one. It goes with those probes.
 //
 // Pair (src, dst) is written only by processor src's goroutine and read

@@ -2,8 +2,8 @@ package mpsim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
+	"time"
 )
 
 // Backend names a message-transport implementation of the engine.
@@ -11,26 +11,20 @@ import (
 // on the round structure — and a plain engine (Engine.Plain) runs every
 // plan on the round-major walk without building a transport at all, so
 // the one choice callers make is WithChaos. The engine's own driver
-// reaches a transport only under chaos or Record, and those wrap chan.
+// reaches a transport only under chaos or Record, and both run on chan.
 type Backend string
 
 const (
 	// BackendChan is the channel transport: one buffered Go channel per
 	// ordered processor pair. Blocked processors park in the runtime and
 	// consume no CPU, so a deadlocked schedule sits cheaply until the
-	// watchdog fires. Default, and the one chaos wraps.
+	// watchdog fires. Default, and the one chaos delays.
 	BackendChan Backend = "chan"
 
 	// BackendSlot is the shared-memory slot transport (slot.go). It
 	// stays only because the benchmark's mpsim.msg_*.slot probes select
 	// it through WithTransport; no other caller does.
 	BackendSlot Backend = "slot"
-
-	// BackendChaos is the adversarial-timing transport WithChaos
-	// installs: it wraps chan and injects seeded per-link latency
-	// jitter, cross-link message reordering, and straggler processors.
-	// Payloads, rounds and partners are untouched — only timing changes.
-	BackendChaos Backend = "chaos"
 )
 
 // errAbandoned is returned by transport operations that were fenced out:
@@ -75,20 +69,6 @@ type Transport interface {
 	Abandon()
 }
 
-// newTransport builds the backend for an n-processor engine; chaos is
-// the only backend that reads the config.
-func newTransport(b Backend, n int, chaos ChaosConfig) (Transport, error) {
-	switch b {
-	case BackendChan:
-		return newChanTransport(n), nil
-	case BackendSlot:
-		return newSlotTransport(n), nil
-	case BackendChaos:
-		return newChaosTransport(n, chaos)
-	}
-	return nil, fmt.Errorf("mpsim: unknown transport backend %q", b)
-}
-
 // mailboxDepth is the per-(src,dst) channel buffer. Two slots are
 // enough for any round-aligned schedule (a sender may run at most one
 // round ahead of the matching receiver per pair); extra capacity only
@@ -104,15 +84,26 @@ type chanTransport struct {
 	mailbox [][]chan message
 
 	// abandoned is closed by Abandon so that senders and receivers
-	// blocked on a mailbox wake up and fail instead of leaking.
+	// blocked on a mailbox, or paused by chaos, wake up and fail instead
+	// of leaking.
 	abandoned chan struct{}
 	abandon   sync.Once
+
+	// chaos, nil without WithChaos, pauses every Send and Recv before
+	// its mailbox operation. sent[src*n+dst] counts the messages src has
+	// sent to dst, recvd[dst*n+src] those dst has received from src:
+	// each link side has one goroutine, so plain counters suffice.
+	chaos       *chaos
+	sent, recvd []uint64
 }
 
-func newChanTransport(n int) *chanTransport {
+func newChanTransport(n int, c *chaos) *chanTransport {
 	t := &chanTransport{
 		mailbox:   make([][]chan message, n),
 		abandoned: make(chan struct{}),
+	}
+	if c != nil {
+		t.chaos, t.sent, t.recvd = c, make([]uint64, n*n), make([]uint64, n*n)
 	}
 	for dst := range t.mailbox {
 		t.mailbox[dst] = make([]chan message, n)
@@ -126,7 +117,13 @@ func newChanTransport(n int) *chanTransport {
 // Send and Recv try the mailbox alone first, which skips locking both
 // channels of the two-case select: in a round-aligned schedule most find
 // room or a message waiting. Only one that must block waits on abandoned.
+// Under chaos each first pauses for its message's delay.
 func (t *chanTransport) Send(src, dst int, m message) error {
+	if t.chaos != nil {
+		if err := t.pause(chaosSendStream, src, dst, &t.sent[src*len(t.mailbox)+dst]); err != nil {
+			return err
+		}
+	}
 	select {
 	case t.mailbox[dst][src] <- m:
 		return nil
@@ -141,6 +138,11 @@ func (t *chanTransport) Send(src, dst int, m message) error {
 }
 
 func (t *chanTransport) Recv(dst, src int) (message, error) {
+	if t.chaos != nil {
+		if err := t.pause(chaosRecvStream, dst, src, &t.recvd[dst*len(t.mailbox)+src]); err != nil {
+			return message{}, err
+		}
+	}
 	select {
 	case m := <-t.mailbox[dst][src]:
 		return m, nil
@@ -151,6 +153,26 @@ func (t *chanTransport) Recv(dst, src int) (message, error) {
 		return m, nil
 	case <-t.abandoned:
 		return message{}, errAbandoned
+	}
+}
+
+// pause sleeps for the delay of the next message, the count-th, on
+// rank a's side of link (a, b), waking early with errAbandoned if the
+// transport is abandoned: a processor dozing in a delay must exit as
+// promptly as one blocked on a mailbox.
+func (t *chanTransport) pause(stream uint64, a, b int, count *uint64) error {
+	d := t.chaos.delay(stream, a, b, *count)
+	*count++
+	if d <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-t.abandoned:
+		return errAbandoned
 	}
 }
 

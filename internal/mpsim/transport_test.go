@@ -17,25 +17,27 @@ import (
 )
 
 // backends lists every transport the engine's driver can reach, by the
-// options that select it; chaos runs with its default configuration
-// (seed 1), so each lifecycle test here — watchdog, deadlock fencing,
-// drain recycling — also exercises the chaos wrapper.
+// options that select it; chaos is chan with its default delay (seed
+// 1), so each lifecycle test here — watchdog, deadlock fencing, drain
+// recycling — also runs with every Send and Recv paused.
 var backends = []struct {
-	name Backend
-	opts []Option
+	name    string
+	backend Backend
+	chaos   bool
+	opts    []Option
 }{
-	{BackendChan, nil},
-	{BackendSlot, []Option{WithTransport(BackendSlot)}},
-	{BackendChaos, []Option{WithChaos(ChaosConfig{})}},
+	{"chan", BackendChan, false, nil},
+	{"slot", BackendSlot, false, []Option{WithTransport(BackendSlot)}},
+	{"chaos", BackendChan, true, []Option{WithChaos(ChaosConfig{})}},
 }
 
 // forEachBackend runs f on every backend, with the options that select
 // it.
 func forEachBackend(t *testing.T, f func(t *testing.T, opts ...Option)) {
 	for _, b := range backends {
-		t.Run(string(b.name), func(t *testing.T) {
-			if e := MustNew(2, b.opts...); e.backend != b.name {
-				t.Fatalf("the options select backend %q", e.backend)
+		t.Run(b.name, func(t *testing.T) {
+			if e := MustNew(2, b.opts...); e.backend != b.backend || (e.chaos != nil) != b.chaos {
+				t.Fatalf("the options select backend %q, chaos %v", e.backend, e.chaos != nil)
 			}
 			f(t, b.opts...)
 		})
@@ -322,7 +324,7 @@ func TestDrainRecyclesResidue(t *testing.T) {
 // that would block — a send to a full mailbox, a receive from an empty
 // one — with errAbandoned.
 func TestChanAbandonedFailsBlockingOps(t *testing.T) {
-	tr := newChanTransport(2)
+	tr := newChanTransport(2, nil)
 	for i := 0; i < mailboxDepth; i++ {
 		if err := tr.Send(0, 1, message{}); err != nil {
 			t.Fatal(err)
