@@ -257,19 +257,19 @@ const (
 type CollectiveOption func(*callConfig)
 
 type callConfig struct {
-	group     *Group
-	root      int
-	indexOpt  collective.IndexOptions
-	radices   []int
-	concatOpt collective.ConcatOptions
-	reduceAlg collective.ReduceAlgorithm
-	kernelOp  ReduceOp
-	kernelTyp DataType
-	kernelSet bool
-	combine   CombineFunc
-	auto      *Profile
-	hier      bool
-	hierOpt   collective.HierOptions
+	group          *Group
+	root, segments int
+	indexOpt       collective.IndexOptions
+	radices        []int
+	concatOpt      collective.ConcatOptions
+	reduceAlg      collective.ReduceAlgorithm
+	kernelOp       ReduceOp
+	kernelTyp      DataType
+	kernelSet      bool
+	combine        CombineFunc
+	auto           *Profile
+	hier           bool
+	hierOpt        collective.HierOptions
 }
 
 // OnGroup restricts the operation to an ordered subset of processors;
@@ -328,7 +328,7 @@ const AutoSegments = collective.AutoSegments
 // Bruck schedules pipeline; everything else runs monolithic, and the
 // compiler clamps s to the block size and the round count.
 func WithSegments(s int) CollectiveOption {
-	return func(c *callConfig) { c.indexOpt.Segments = s }
+	return func(c *callConfig) { c.segments = s }
 }
 
 // WithConcatAlgorithm selects the concatenation schedule
@@ -468,7 +468,7 @@ func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s.Root, s.Index, s.Radices, s.Concat = cfg.root, cfg.indexOpt, cfg.radices, cfg.concatOpt
+	s.Root, s.Index, s.Radices, s.Concat, s.Segments = cfg.root, cfg.indexOpt, cfg.radices, cfg.concatOpt, cfg.segments
 	s.Hierarchical, s.Hier, s.Topology, s.Auto = cfg.hier, cfg.hierOpt, m.topo, cfg.auto
 	if s.Op == collective.OpReduceScatter || s.Op == collective.OpAllReduce {
 		// The built-in kernel named by WithKernel (with its element size
@@ -480,7 +480,7 @@ func (m *Machine) plan(s collective.Spec, opts []CollectiveOption) (*Plan, error
 				return nil, err
 			}
 		}
-		s.Reduce.Algorithm, s.Reduce.Radix, s.Reduce.Segments = cfg.reduceAlg, cfg.indexOpt.Radix, cfg.indexOpt.Segments
+		s.Reduce.Algorithm, s.Reduce.Radix = cfg.reduceAlg, cfg.indexOpt.Radix
 		s.Reduce.LastRound = cfg.concatOpt.LastRound
 	}
 	return m.plans.Get(m.engine, cfg.group, s)

@@ -236,10 +236,10 @@ func (p *params) spec(n int) (s collective.Spec, fill func(blk []byte, rank, blo
 			return s, nil, fmt.Errorf("bad radix %q: %v", p.radix, err)
 		}
 	}
-	if s.Index.Segments, err = parseSegments(p.segments); err != nil {
+	if s.Segments, err = parseSegments(p.segments); err != nil {
 		return s, nil, err
 	}
-	s.Reduce.Radix, s.Reduce.Segments = s.Index.Radix, s.Index.Segments
+	s.Reduce.Radix = s.Index.Radix
 	return s, fill, nil
 }
 

@@ -94,7 +94,7 @@ func budgetRows() []budgetRow {
 	// Segment pipelining against the monolithic schedule at a
 	// bandwidth-bound block size.
 	sized := func(s Spec, segments int) Spec {
-		s.BlockLen, s.Index.Segments, s.Reduce.Segments = big, segments, segments
+		s.BlockLen, s.Segments = big, segments
 		return s
 	}
 	// The two-level compositions against their flat counterparts, both on

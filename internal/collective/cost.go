@@ -163,38 +163,22 @@ func RecursiveDoublingConcatCost(n, b int) (c1, c2 int) { return TreeGatherCost(
 // split into s spans (SplitSpans) and span i streams through the round
 // structure starting at merged round i, so C1 = rounds + s - 1 and C2
 // sums, over merged rounds, the largest message among the segments live
-// in that round. The clamps mirror the plan compiler (finishSegments):
-// fewer than two rounds, b < 2, or s <= 1 degenerate to IndexCost, and
-// s is capped at the block size and the round count. The result equals
-// the compiled pipelined plan's measures exactly, which the tests
-// assert.
+// in that round. The clamps are the pipeline pass's: s is capped at the
+// block size and the round count, and 1 or under is IndexCost. The
+// result equals the compiled pipelined plan's measures exactly, which
+// the tests assert.
 func SegmentedIndexCost(n, b, r, k, s int) (c1, c2 int) {
 	sched := IndexSchedule(n, r, k)
 	rounds := len(sched)
-	if s > b {
-		s = b
-	}
-	if s > rounds {
-		s = rounds
-	}
-	if s <= 1 || rounds < 2 || b < 2 {
+	if s = min(s, b, rounds); s <= 1 {
 		return IndexCost(n, b, r, k)
 	}
 	spans := buffers.SplitSpans(b, s)
 	c1 = costmodel.PipelinedC1(rounds, s)
 	for t := 0; t < c1; t++ {
-		lo, hi := t-rounds+1, t
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s-1 {
-			hi = s - 1
-		}
 		stepMax := 0
-		for seg := lo; seg <= hi; seg++ {
-			if m := sched[t-seg] * spans[seg].Len; m > stepMax {
-				stepMax = m
-			}
+		for seg := max(0, t-rounds+1); seg <= min(t, s-1); seg++ {
+			stepMax = max(stepMax, sched[t-seg]*spans[seg].Len)
 		}
 		c2 += stepMax
 	}

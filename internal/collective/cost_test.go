@@ -273,7 +273,10 @@ func TestProgramCounterMatchesClosedForms(t *testing.T) {
 			func(n, k int) (int, int) { return IndexCost(n, b, radix(k+1, n), k) }},
 		{"IndexCost r=n", always, index(func(n, k int) IndexOptions { return IndexOptions{Radix: radix(n, n)} }),
 			func(n, k int) (int, int) { return IndexCost(n, b, radix(n, n), k) }},
-		{"SegmentedIndexCost s=3", always, index(func(n, k int) IndexOptions { return IndexOptions{Radix: radix(2, n), Segments: 3} }),
+		{"SegmentedIndexCost s=3", always,
+			func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {
+				return Compile(e, g, Spec{Op: OpIndex, BlockLen: b, Index: IndexOptions{Radix: radix(2, n)}, Segments: 3})
+			},
 			func(n, k int) (int, int) { return SegmentedIndexCost(n, b, 2, k, 3) }},
 		{"IndexMixedCost", always,
 			func(e *mpsim.Engine, g *mpsim.Group, n, k int) (*Plan, error) {

@@ -43,9 +43,9 @@
 //     mismatch; the text of each is pinned by TestSpecRejections), so
 //     every route to a plan rejects the same input with the same
 //     error, and it zeroes every field the selected family ignores —
-//     radix, NoPack and segments off the Bruck schedules, segments on
-//     layout and mixed-radix plans and a segment count of 1, the
-//     last-round policy where no circulant phase runs, the hier radices
+//     radix and NoPack off the Bruck schedules, Segments everywhere
+//     but a packed uniform Bruck index or ReduceBruck and a segment
+//     count of 1, the last-round policy where no circulant phase runs, the hier radices
 //     off the hierarchical index, everything a dispatcher or the
 //     two-level compiler overrides, every option on a one-to-all
 //     primitive and the root off one — so equal schedules are equal
@@ -197,40 +197,36 @@
 //
 // # Pipelined (segmented) plans
 //
-// IndexOptions.Segments and ReduceOptions.Segments pipeline the packed
-// uniform Bruck schedules (the radix-r index and the ReduceBruck
-// reduce-scatter phase): every block is split into S spans
-// (buffers.SplitSpans) and span i streams through the round structure
-// one merged round behind span i-1, so the schedule runs rounds + S - 1
-// merged rounds (costmodel.PipelinedC1) while each merged round moves
-// only a span-sized fraction of every message. The trade is the paper's
-// C1/C2 tension in miniature: S - 1 extra start-ups buy an up-to-S-fold
-// cut in the bandwidth term, so pipelining loses on latency-bound small
-// blocks and wins on bandwidth-bound large ones — `bruckctl run
-// -crossover-segments` tabulates the crossover. Within one merged round
-// the live segments' sends share the engine's k ports as lanes of one
-// ExchangeOwned call — the pipeline is a transform of the monolithic
-// round steps into merged ones — and the payload slabs come from the
+// Spec.Segments pipelines the packed uniform Bruck schedules (the
+// radix-r index and the ReduceBruck reduce-scatter phase): every block
+// splits into S spans (buffers.SplitSpans) and span i streams through
+// the rounds one merged round behind span i-1, so the schedule runs
+// rounds + S - 1 merged rounds (costmodel.PipelinedC1), each moving a
+// span-sized fraction of every message. S - 1 extra start-ups buy an
+// up-to-S-fold cut in the bandwidth term — the paper's C1/C2 tension in
+// miniature, a loss on small blocks and a win on large ones (`bruckctl
+// run -crossover-segments` tabulates the crossover). The live spans
+// share the k ports as lanes of one exchange, their slabs from the
 // engine pool, so the segmented steady state allocates like the
 // monolithic one.
 //
-// Segmented-plan rules:
+// No compiler knows about segments: compile applies one pass,
+// pipeline (passes.go), to the compiled program and scales the C2
+// bound by the segment count. The rules:
 //
-//   - Segments = 0 (or 1) is the monolithic schedule; AutoSegments
-//     defers to the cost model (OptimalSegments) at compile time.
-//   - The compiler clamps the requested count to the block size and the
-//     schedule's round count, and quietly falls back to monolithic
-//     where pipelining does not apply: non-Bruck algorithms, unpacked
-//     tables, single-round schedules, blocks under two bytes, and every
-//     V/layout plan. The option is inert there, never an error, so
-//     callers can set it unconditionally.
-//   - Segmentation never changes bytes: a segmented plan's output is
-//     byte-identical to the monolithic plan's, only the round structure
-//     and the Report's (C1, C2) differ (SegmentedIndexCost is the
-//     closed form; Plan.Check proves the segment spans tile each
-//     block).
-//   - Segments is part of the plan cache key like every other option
-//     a schedule reads.
+//   - 0 or 1 is monolithic; compile resolves AutoSegments through the
+//     cost model (OptimalSegments), once per compile, so a cache hit
+//     stays free. Spec.canonicalize zeroes the count where it does not
+//     apply — non-Bruck algorithms, unpacked tables, mixed radices,
+//     V/layout plans, hierarchical and auto specs — and the pass clamps
+//     it to the block size and the round count. The option is inert,
+//     never an error, where it does not apply, so callers can set it
+//     unconditionally.
+//   - Segmentation never changes bytes, only the round structure and
+//     the Report's (C1, C2) (SegmentedIndexCost is the closed form;
+//     Plan.Check proves the spans tile each block).
+//   - Segments is part of the plan cache key like every option a
+//     schedule reads.
 //
 // # Asynchronous execution (the bruck.Machine front door)
 //

@@ -19,7 +19,7 @@ import (
 // bruckTable compiles the Bruck program and returns its Phase 2 rounds:
 // the exchange steps, sized by the counter.
 func bruckTable(n, k, b int, radixAt func(int) int, noPack bool) []*step {
-	pr, _ := bruckProgram(n, k, b, radixAt, noPack, 0, false)
+	pr := bruckProgram(n, k, b, radixAt, noPack, false)
 	pr.finish()
 	return exchanges(pr, 0)
 }
@@ -220,7 +220,7 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 			uniform := func(int) int { return r }
 			for _, seg := range []int{0, 2, 4} {
 				variants = append(variants, variant{fmt.Sprintf("r=%d/s=%d", r, seg),
-					Spec{Op: OpIndex, BlockLen: bl, Index: IndexOptions{Radix: r, Segments: seg}}, uniform})
+					Spec{Op: OpIndex, BlockLen: bl, Index: IndexOptions{Radix: r}, Segments: seg}, uniform})
 			}
 			variants = append(variants, variant{fmt.Sprintf("r=%d/nopack", r),
 				Spec{Op: OpIndex, BlockLen: bl, Index: IndexOptions{Radix: r, NoPack: true}}, uniform})

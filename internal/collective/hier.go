@@ -231,10 +231,9 @@ func compileHierIndex(pl *Plan, h *levels, opt HierOptions) ([]PlanPhase, roleFu
 	B := h.maxSize * h.maxSize * bl
 	radix := func(r, n int) func(int) int { return func(int) int { return hierRadix(r, n, h.k) } }
 	intra, intraRounds, _ := subPrograms(h.sizes, func(m int) (*program, error) {
-		sub, _ := bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, 0, false)
-		return sub, nil
+		return bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, false), nil
 	})
-	inter, _ := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, 0, false)
+	inter := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, false)
 	inter.finish()
 	return phases, func(a, j int, b *builder) []scratch {
 		m, start := h.sizes[a], h.start[a]

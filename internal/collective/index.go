@@ -1,8 +1,6 @@
 package collective
 
 import (
-	"bruck/internal/buffers"
-	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 )
@@ -42,21 +40,12 @@ type IndexOptions struct {
 	// travels in its own round. This exists only as an ablation of the
 	// packing design decision; it multiplies C1 and never helps.
 	NoPack bool
-	// Segments pipelines the schedule: each block is split into this
-	// many byte spans and the spans stream through the round structure
-	// one merged round apart, trading C1 = rounds + Segments - 1 merged
-	// rounds for per-segment message sizes. 0 and 1 run the monolithic
-	// schedule; AutoSegments lets the SP-1 cost model pick. Only the
-	// packed uniform Bruck schedule pipelines — the baselines, noPack
-	// ablation, mixed-radix and layout (V) plans clamp to monolithic —
-	// and the compiler further clamps to the block size.
-	Segments int
 }
 
-// AutoSegments requests cost-model segment selection: the compiler
-// picks the segment count minimizing the SP-1 linear-model time over
-// candidate pipelines; see OptimalSegments for explicit per-profile
-// tuning.
+// AutoSegments, as Spec.Segments, requests cost-model segment
+// selection: compile picks the segment count minimizing the SP-1
+// linear-model time over candidate pipelines; see OptimalSegments for
+// explicit per-profile tuning.
 const AutoSegments = -1
 
 // compileIndex is the one index compiler behind the fixed-size, mixed-
@@ -80,7 +69,7 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	var pr *program
 	if opt.Algorithm == IndexBruck {
-		pr, pl.segments = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, opt.Segments, lay != nil && !lay.Uniform())
+		pr = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, lay != nil && !lay.Uniform())
 	} else {
 		// Block B[me, dst] goes straight to dst and B[src, me] lands
 		// straight in the output, ports filled k partners at a time.
@@ -109,13 +98,6 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	if lay == nil || lay.Uniform() {
 		pl.res.C1LowerBound = lowerbound.IndexRounds(n, k)
 	}
-	if pl.segments > 1 {
-		// A pipelined schedule multiplexes up to `segments` compiled
-		// rounds per port in one merged round, so the one-round-per-port
-		// volume bound scales down by the segment count:
-		// (n-1)*b <= segments * k * sum of per-step maxima.
-		pl.res.C2LowerBound = intmath.CeilDiv(pl.res.C2LowerBound, pl.segments)
-	}
 	return pr, nil
 }
 
@@ -128,7 +110,7 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 // the r = n member is IndexDirect's transfers. padded (a layout plan of
 // unequal blocks) runs the rounds on scratch slots packed at true lengths
 // and unpacked in rank order: two-phase packing, not a rotation.
-func bruckProgram(n, k, bl int, radixAt func(int) int, noPack bool, segments int, padded bool) (*program, int) {
+func bruckProgram(n, k, bl int, radixAt func(int) int, noPack, padded bool) *program {
 	b := newBuilder(bruckSizes(n, k, radixAt, padded))
 	var work []scratch
 	if padded || (n > 1 && radixAt(0) < n) {
@@ -137,13 +119,13 @@ func bruckProgram(n, k, bl int, radixAt func(int) int, noPack bool, segments int
 	if padded {
 		all := b.ext(slots(regWork, 0, n))
 		b.local(stepSpread, all, b.ext(slots(regIn, 0, n)))
-		segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments, regWork, regWork)
+		b.bruckRounds(n, k, radixAt, noPack, regWork, regWork)
 		b.local(stepSpread, b.ext(slots(regOut, 0, n)), all)
 	} else {
 		b.local(stepCopy, b.ext(slots(regOut, 0, 1)), b.ext(slots(regIn, 0, 1)))
-		segments = b.bruckRounds(n, k, bl, radixAt, noPack, segments, regIn, regOut)
+		b.bruckRounds(n, k, radixAt, noPack, regIn, regOut)
 	}
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: work}}}, segments
+	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: work}}}
 }
 
 // slots addresses slots [q, q+cnt) of the rotated order as region reg
@@ -191,17 +173,9 @@ func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, ext
 // (higher digits zero) lands for good in region out, and the rest sit in
 // scratch. Packed mode groups k digit values into one round; noPack
 // emits one single-block round per slot (the paper's packing ablation).
-//
-// segments > 1 asks for the pipelined form: the blocks split into byte
-// spans and merged round t carries span seg of round t-seg for every
-// live segment, sharing the ports as lanes of one exchange. The request
-// (AutoSegments: the SP-1 cost model's pick) is clamped to one span per
-// block byte and one round per segment, and stays monolithic (returning
-// 0) when that leaves 1 or under noPack; the offsets z*weight are
-// distinct across the table (each stays below the next weight), so no
-// merged round addresses a partner twice.
-func (b *builder) bruckRounds(n, k, bl int, radixAt func(int) int, noPack bool, segments int, in, out regID) int {
-	first := len(b.steps)
+// The offsets z*weight are distinct across the table (each stays below
+// the next weight), so the rounds may share ports as lanes (pipeline).
+func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, out regID) {
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
@@ -242,31 +216,4 @@ func (b *builder) bruckRounds(n, k, bl int, radixAt func(int) int, noPack bool, 
 		}
 		weight *= r
 	}
-	rounds := b.steps[first:]
-	if segments == AutoSegments && len(rounds) > 0 {
-		segments = OptimalSegments(costmodel.SP1, n, bl, radixAt(0), k)
-	}
-	if segments = intmath.Min(segments, intmath.Min(bl, len(rounds))); segments <= 1 || noPack {
-		return 0
-	}
-	rounds = append([]step(nil), rounds...)
-	b.steps = b.steps[:first]
-	spans := buffers.SplitSpans(bl, segments)
-	cut := func(es []extent, span buffers.Span) []extent {
-		es = b.ext(es...)
-		for i := range es {
-			es[i].off, es[i].len = int32(span.Off), int32(span.Len)
-		}
-		return es
-	}
-	for t := 0; t < costmodel.PipelinedC1(len(rounds), segments); t++ {
-		lo, hi := intmath.Max(0, t-len(rounds)+1), intmath.Min(t, segments-1)
-		for seg := lo; seg <= hi; seg++ {
-			for _, x := range rounds[t-seg].xfers {
-				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, send: cut(x.send, spans[seg]), recv: cut(x.recv, spans[seg])})
-			}
-		}
-		b.exchange("bruck", hi-lo+1)
-	}
-	return segments
 }

@@ -32,8 +32,8 @@ func families() []family {
 	reduce := func(op Op, alg ReduceAlgorithm, segments int) func(int) Spec {
 		return func(int) Spec {
 			o := kernel
-			o.Algorithm, o.Segments = alg, segments
-			return Spec{Op: op, BlockLen: 8, Reduce: o}
+			o.Algorithm = alg
+			return Spec{Op: op, BlockLen: 8, Reduce: o, Segments: segments}
 		}
 	}
 	index := func(o IndexOptions) func(int) Spec {
@@ -71,7 +71,7 @@ func families() []family {
 		{"direct", false, true, index(IndexOptions{Algorithm: IndexDirect})},
 		{"xor", true, true, index(IndexOptions{Algorithm: IndexPairwiseXOR})},
 		{"segmented", false, false, func(int) Spec {
-			return Spec{Op: OpIndex, BlockLen: 7, Index: IndexOptions{Segments: 3}}
+			return Spec{Op: OpIndex, BlockLen: 7, Segments: 3}
 		}},
 		{"circulant", false, true, concat(ConcatOptions{})}, // trivial where k >= n-1
 		{"circulant-min-rounds", false, true, concat(ConcatOptions{LastRound: partition.MinRounds})},
@@ -114,6 +114,7 @@ func families() []family {
 		{"reducescatter-ring", false, false, reduce(OpReduceScatter, ReduceRing, 0)},
 		{"reducescatter-halving", true, false, reduce(OpReduceScatter, ReduceHalving, 0)},
 		{"reducescatter-bruck", false, false, reduce(OpReduceScatter, ReduceBruck, 0)},
+		{"reducescatter-bruck-s3", false, false, reduce(OpReduceScatter, ReduceBruck, 3)},
 		{"allreduce", false, true, reduce(OpAllReduce, ReduceBruck, 2)},
 		{"allreduce-ring", false, true, reduce(OpAllReduce, ReduceRing, 0)},
 		{"hier-index", false, false, hier(OpIndex)},

@@ -58,7 +58,7 @@ func TestExerciseEveryOp(t *testing.T) {
 				specs := []Spec{
 					{Op: OpIndex, BlockLen: 6},
 					{Op: OpIndex, BlockLen: 6, Index: IndexOptions{Algorithm: IndexDirect}},
-					{Op: OpIndex, BlockLen: 7, Index: IndexOptions{Radix: 2, Segments: 3}},
+					{Op: OpIndex, BlockLen: 7, Index: IndexOptions{Radix: 2}, Segments: 3},
 					{Op: OpConcat, BlockLen: 5},
 					{Op: OpConcat, BlockLen: 5, Concat: ConcatOptions{Algorithm: ConcatRing}},
 					{Op: OpIndexV, Layout: matrix},

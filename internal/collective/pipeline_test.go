@@ -4,7 +4,8 @@ package collective
 // executor with the monolithic one over the (n, k, r, segments) grid,
 // plain and under chaos, the compiler's clamping rules, the closed-form cost
 // agreement (SegmentedIndexCost must equal the compiled measures
-// exactly), static Check acceptance, and segment-boundary fuzzing.
+// exactly) and static Check acceptance. The segment boundaries are
+// FuzzCase seeds (package golden).
 
 import (
 	"bytes"
@@ -22,13 +23,14 @@ import (
 func runSegmentedIndex(t *testing.T, e *mpsim.Engine, n, blockLen, r, s int) (*Result, [][][]byte, *Plan) {
 	t.Helper()
 	g := mpsim.WorldGroup(n)
-	opt := IndexOptions{Algorithm: IndexBruck, Radix: r, Segments: s}
-	pl, err := CompileIndex(e, g, blockLen, opt)
+	spec := Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Algorithm: IndexBruck, Radix: r}, Segments: s}
+	pl, err := Compile(e, g, spec)
 	if err != nil {
-		t.Fatalf("CompileIndex(n=%d b=%d r=%d s=%d): %v", n, blockLen, r, s, err)
+		t.Fatalf("Compile(n=%d b=%d r=%d s=%d): %v", n, blockLen, r, s, err)
 	}
 	in := genIndexInput(n, blockLen)
-	out, res, err := indexSlices(e, g, in, opt)
+	fin, err := buffers.FromMatrix(in)
+	out, res, err := runSlices(e, g, fin, err, spec)
 	if err != nil {
 		t.Fatalf("Index(n=%d b=%d r=%d s=%d): %v", n, blockLen, r, s, err)
 	}
@@ -97,10 +99,10 @@ func TestPipelinedReduceEquivalence(t *testing.T) {
 		var base []byte
 		for _, s := range []int{0, 2, 4, 7} {
 			opt := ReduceOptions{Algorithm: ReduceBruck, Radix: 2, Kernel: kern,
-				ElemSize: 4, KernelKey: "sum/int32", Segments: s}
+				ElemSize: 4, KernelKey: "sum/int32"}
 			in, _ := buffers.FromMatrix(genIndexInput(tc.n, blockLen))
 			out, _ := buffers.New(tc.n, tc.n, blockLen)
-			if _, err := runFlat(e, g, in, out, Spec{Op: OpAllReduce, Reduce: opt}); err != nil {
+			if _, err := runFlat(e, g, in, out, Spec{Op: OpAllReduce, Reduce: opt, Segments: s}); err != nil {
 				t.Fatalf("n=%d k=%d s=%d: %v", tc.n, tc.k, s, err)
 			}
 			if base == nil {
@@ -112,49 +114,79 @@ func TestPipelinedReduceEquivalence(t *testing.T) {
 	}
 }
 
-// TestFinishSegmentsClamps pins the compiler's clamping rules: the
-// configurations that cannot pipeline — baselines, noPack, single-round
-// schedules, blocks too small to split — compile monolithic, and a
-// segment request past the block size clamps to it.
+// TestFinishSegmentsClamps pins the segment clamps of canonicalize and
+// the pipeline pass: the configurations that cannot pipeline —
+// baselines, noPack, single-round schedules, blocks too small to split
+// — compile monolithic, and a segment request past the block size or
+// the round count clamps to it.
 func TestFinishSegmentsClamps(t *testing.T) {
 	e := mpsim.MustNew(8)
 	g := mpsim.WorldGroup(8)
-	compile := func(blockLen int, opt IndexOptions) *Plan {
+	compile := func(blockLen int, s Spec) *Plan {
 		t.Helper()
-		pl, err := CompileIndex(e, g, blockLen, opt)
+		s.Op, s.BlockLen = OpIndex, blockLen
+		pl, err := Compile(e, g, s)
 		if err != nil {
-			t.Fatalf("CompileIndex(b=%d, %+v): %v", blockLen, opt, err)
+			t.Fatalf("Compile(b=%d, %+v): %v", blockLen, s, err)
 		}
 		return pl
 	}
 	for _, tc := range []struct {
 		name string
 		bl   int
-		opt  IndexOptions
+		spec Spec
 		want int
 	}{
-		{"plain", 8, IndexOptions{Radix: 2, Segments: 3}, 3},
-		{"monolithic-0", 8, IndexOptions{Radix: 2}, 0},
-		{"monolithic-1", 8, IndexOptions{Radix: 2, Segments: 1}, 0},
-		{"direct", 8, IndexOptions{Algorithm: IndexDirect, Segments: 4}, 0},
-		{"nopack", 8, IndexOptions{Radix: 2, NoPack: true, Segments: 4}, 0},
-		{"tiny-block", 1, IndexOptions{Radix: 2, Segments: 4}, 0},
-		{"clamp-to-block", 2, IndexOptions{Radix: 2, Segments: 7}, 2},
-		{"clamp-to-rounds", 64, IndexOptions{Radix: 2, Segments: 64}, 3},
+		{"plain", 8, Spec{Index: IndexOptions{Radix: 2}, Segments: 3}, 3},
+		{"monolithic-0", 8, Spec{Index: IndexOptions{Radix: 2}}, 0},
+		{"monolithic-1", 8, Spec{Index: IndexOptions{Radix: 2}, Segments: 1}, 0},
+		{"direct", 8, Spec{Index: IndexOptions{Algorithm: IndexDirect}, Segments: 4}, 0},
+		{"nopack", 8, Spec{Index: IndexOptions{Radix: 2, NoPack: true}, Segments: 4}, 0},
+		{"tiny-block", 1, Spec{Index: IndexOptions{Radix: 2}, Segments: 4}, 0},
+		{"clamp-to-block", 2, Spec{Index: IndexOptions{Radix: 2}, Segments: 7}, 2},
+		{"clamp-to-rounds", 64, Spec{Index: IndexOptions{Radix: 2}, Segments: 64}, 3},
 	} {
-		if got := compile(tc.bl, tc.opt).Segments(); got != tc.want {
+		if got := compile(tc.bl, tc.spec).Segments(); got != tc.want {
 			t.Errorf("%s: Segments() = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 
 	// A single-round schedule (n = 2: one offset) cannot pipeline.
 	e2 := mpsim.MustNew(2)
-	pl, err := CompileIndex(e2, mpsim.WorldGroup(2), 8, IndexOptions{Radix: 2, Segments: 4})
+	pl, err := Compile(e2, mpsim.WorldGroup(2), Spec{Op: OpIndex, BlockLen: 8, Index: IndexOptions{Radix: 2}, Segments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := pl.Segments(); got != 0 {
 		t.Errorf("single-round: Segments() = %d, want 0", got)
+	}
+}
+
+// TestPipelineLeavesMonolithic: where the clamped segment count is 1
+// or under — no request, one segment, a one-byte block, a one-round
+// schedule, a program with a role per rank — the pass returns its
+// program as it is and allocates nothing, so a monolithic compile costs
+// what it did before the pass existed.
+func TestPipelineLeavesMonolithic(t *testing.T) {
+	two := func(int) int { return 2 }
+	for _, tc := range []struct {
+		name string
+		pr   *program
+		s    int
+	}{
+		{"s=0", bruckProgram(8, 1, 8, two, false, false), 0},
+		{"s=1", bruckProgram(8, 1, 8, two, false, false), 1},
+		{"one-byte block", bruckProgram(8, 1, 1, two, false, false), 4},
+		{"one round", bruckProgram(2, 1, 8, two, false, false), 4},
+		{"role per rank", &program{n: 2, bl: 8, roles: make([]role, 2)}, 4},
+	} {
+		var got *program
+		var segments int
+		allocs := testing.AllocsPerRun(10, func() { got, segments = pipeline(tc.pr, tc.s) })
+		if got != tc.pr || segments != 0 || allocs != 0 {
+			t.Errorf("%s: pipeline returned a new program %v, %d segments, %v allocs; want the input, 0, 0",
+				tc.name, got != tc.pr, segments, allocs)
+		}
 	}
 }
 
@@ -175,7 +207,7 @@ func TestSegmentedIndexCostMatchesPlan(t *testing.T) {
 				g := mpsim.WorldGroup(n)
 				for _, b := range []int{1, 2, 9, 64} {
 					for _, s := range []int{1, 2, 4, 7, 100} {
-						pl, err := CompileIndex(e, g, b, IndexOptions{Algorithm: IndexBruck, Radix: r, Segments: s})
+						pl, err := Compile(e, g, Spec{Op: OpIndex, BlockLen: b, Index: IndexOptions{Algorithm: IndexBruck, Radix: r}, Segments: s})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -196,7 +228,7 @@ func TestSegmentedIndexCostMatchesPlan(t *testing.T) {
 func TestSegmentedPlanCheck(t *testing.T) {
 	e := mpsim.MustNew(16)
 	g := mpsim.WorldGroup(16)
-	pl, err := CompileIndex(e, g, 9, IndexOptions{Algorithm: IndexBruck, Radix: 2, Segments: 4})
+	pl, err := Compile(e, g, Spec{Op: OpIndex, BlockLen: 9, Index: IndexOptions{Algorithm: IndexBruck, Radix: 2}, Segments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +244,7 @@ func TestSegmentedPlanCheck(t *testing.T) {
 	}
 	// Two segments in flight towards one partner break the k-port
 	// distinctness the offset-gap clamp guarantees.
-	pl, err = CompileIndex(e, g, 9, IndexOptions{Algorithm: IndexBruck, Radix: 2, Segments: 4})
+	pl, err = Compile(e, g, Spec{Op: OpIndex, BlockLen: 9, Index: IndexOptions{Algorithm: IndexBruck, Radix: 2}, Segments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +262,7 @@ func TestAutoSegmentsResolution(t *testing.T) {
 	const n, k, b = 16, 1, 65536
 	e := mpsim.MustNew(n, mpsim.Ports(k))
 	g := mpsim.WorldGroup(n)
-	auto, err := CompileIndex(e, g, b, IndexOptions{Algorithm: IndexBruck, Radix: 2, Segments: AutoSegments})
+	auto, err := Compile(e, g, Spec{Op: OpIndex, BlockLen: b, Index: IndexOptions{Algorithm: IndexBruck, Radix: 2}, Segments: AutoSegments})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,37 +277,4 @@ func TestAutoSegmentsResolution(t *testing.T) {
 	if s := OptimalSegments(costmodel.SP1, n, 1, 2, k); s != 1 {
 		t.Errorf("OptimalSegments(b=1) = %d, want monolithic", s)
 	}
-}
-
-// FuzzSegmentBoundaries: arbitrary (n, blockLen, segments) must compile
-// to a plan whose execution is still the exact transpose — in
-// particular blockLen % segments != 0, segments > blockLen, segments
-// greater than the round count, and segments = 1.
-func FuzzSegmentBoundaries(f *testing.F) {
-	f.Add(8, 9, 4)
-	f.Add(16, 7, 7)
-	f.Add(5, 3, 100)
-	f.Add(4, 1, 2)
-	f.Add(9, 16, 1)
-	f.Fuzz(func(t *testing.T, n, blockLen, s int) {
-		if n < 1 || n > 16 || blockLen < 0 || blockLen > 64 || s < -1 || s > 256 {
-			t.Skip()
-		}
-		e := mpsim.MustNew(n)
-		g := mpsim.WorldGroup(n)
-		opt := IndexOptions{Algorithm: IndexBruck, Radix: 2, Segments: s}
-		pl, err := CompileIndex(e, g, blockLen, opt)
-		if err != nil {
-			t.Fatalf("CompileIndex(n=%d b=%d s=%d): %v", n, blockLen, s, err)
-		}
-		if v := pl.Check(); v != nil {
-			t.Fatalf("n=%d b=%d s=%d: Check: %v", n, blockLen, s, v)
-		}
-		in := genIndexInput(n, blockLen)
-		out, _, err := indexSlices(e, g, in, opt)
-		if err != nil {
-			t.Fatalf("Index(n=%d b=%d s=%d): %v", n, blockLen, s, err)
-		}
-		checkTranspose(t, in, out, fmt.Sprintf("fuzz n=%d b=%d s=%d", n, blockLen, s))
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
+	"bruck/internal/intmath"
 	"bruck/internal/mpsim"
 )
 
@@ -133,8 +134,8 @@ func (pl *Plan) result() *Result {
 
 // compile is the single entry to the compilers: it lowers a canonical
 // (validated) spec into a step program — the family's compiler also sets
-// the plan's family-specific fields and bounds — and derives the plan's
-// rounds and Result from that program.
+// the plan's family-specific fields and bounds — applies the program
+// passes (passes.go) and derives the plan's rounds and Result from it.
 func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
 	n, k := g.Size(), e.Ports()
@@ -159,6 +160,18 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if s.Segments == AutoSegments { // resolved per compile, not per lookup: a cache hit stays free
+		radix := s.Index.Radix
+		if s.Op.reduction() {
+			radix = s.Reduce.Radix
+		}
+		s.Segments = OptimalSegments(costmodel.SP1, n, s.BlockLen, defaultRadix(radix, n, k), k)
+	}
+	if pr, pl.segments = pipeline(pr, s.Segments); pl.segments > 1 {
+		// A merged round multiplexes up to `segments` rounds over the
+		// ports: C2 can dip below the volume bound by up to that factor.
+		pl.res.C2LowerBound = intmath.CeilDiv(pl.res.C2LowerBound, pl.segments)
 	}
 	pl.derive(pr)
 	return pl, nil

@@ -37,7 +37,6 @@ package collective
 
 import (
 	"bruck/internal/buffers"
-	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 	"bruck/internal/partition"
 )
@@ -104,13 +103,6 @@ type ReduceOptions struct {
 	// LastRound is the circulant concatenation's special-range policy
 	// for the AllReduce concatenation phase.
 	LastRound partition.Policy
-	// Segments pipelines the ReduceBruck reduce-scatter phase exactly as
-	// IndexOptions.Segments pipelines the index schedule: the blocks
-	// split into this many byte spans streaming one merged round apart.
-	// 0 and 1 run the monolithic schedule; AutoSegments lets the SP-1
-	// cost model pick. Ignored by the ring and halving schedules and by
-	// the concatenation phase of AllReduce, which always run monolithic.
-	Segments int
 }
 
 // KernelOptions returns the ReduceOptions naming a built-in kernel: the
@@ -148,8 +140,7 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 	if all {
 		chunk = b.ext(blocksAt(regOut, plus(0), 1))
 	}
-	work, segments := b.reduceScatter(n, k, blockLen, opt, chunk)
-	pl.segments = segments
+	work := b.reduceScatter(n, k, blockLen, opt, chunk)
 	switch {
 	case !all:
 		pl.res.C2LowerBound = lowerbound.ReduceScatterVolume(n, blockLen, k)
@@ -165,23 +156,15 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 		pl.res.C2LowerBound = lowerbound.AllReduceVolume(n, blockLen, k)
 		pl.res.C1LowerBound = lowerbound.AllReduceRounds(n, k)
 	}
-	if pl.segments > 1 {
-		// A merged pipelined round multiplexes up to segments compiled
-		// rounds over the ports, so the per-round-maximum C2 measure can
-		// dip below the monolithic volume bound by up to that factor; see
-		// the matching scaling in compileIndex.
-		pl.res.C2LowerBound = intmath.CeilDiv(pl.res.C2LowerBound, pl.segments)
-	}
 	return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
 }
 
 // reduceScatter appends the reduce-scatter schedule selected by opt:
 // the rank's n contribution blocks are its input region, and its
 // combined chunk me ends in the extent chunk. It returns the scratch
-// the schedule works in and the segment count of a pipelined Bruck
-// phase. Every schedule applies its combines in a fixed order, so
-// repeated executions are bit-identical.
-func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent) (work []scratch, segments int) {
+// the schedule works in. Every schedule applies its combines in a fixed
+// order, so repeated executions are bit-identical.
+func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent) []scratch {
 	slot0 := b.ext(blocksAt(regWork, fixed(0), 1))
 	switch {
 	case opt.Algorithm == ReduceBruck:
@@ -191,17 +174,17 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 		// combines instead of permuting: slot q then holds rank (me-q)'s
 		// contribution to chunk me, so the slots fold into the chunk: the
 		// rank's own contribution first, then sources me-1, me-2, ...
-		segments = b.bruckRounds(n, k, bl, func(int) int { return r }, false, opt.Segments, regIn, regWork)
+		b.bruckRounds(n, k, func(int) int { return r }, false, regIn, regWork)
 		b.local(stepCopy, chunk, b.ext(slots(regIn, 0, 1)))
 		lo := len(b.exts)
 		for q := 1; q < n; q++ {
 			b.exts = append(b.exts, chunk[0])
 		}
 		b.combine(b.exts[lo:len(b.exts):len(b.exts)], b.ext(blocksAt(regWork, fixed(1), n-1)))
-		return []scratch{{n * bl, bl}}, segments
+		return []scratch{{n * bl, bl}}
 	case n == 1:
 		b.local(stepCopy, chunk, b.ext(blocksAt(regIn, plus(0), 1)))
-		return nil, 0
+		return nil
 	case opt.Algorithm == ReduceRing:
 		// The partial for chunk c starts at rank c+1 with that rank's own
 		// contribution and travels the ring once, each rank combining its
@@ -214,7 +197,7 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 			b.combine(slot0, b.ext(blocksAt(regIn, plus(-t-1), 1)))
 		}
 		b.local(stepCopy, chunk, slot0)
-		return []scratch{{bl, bl}}, 0
+		return []scratch{{bl, bl}}
 	default:
 		// Recursive vector halving in xor order: slot q of the working
 		// row holds the partial for chunk me xor q, so every round sends
@@ -228,6 +211,6 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 			b.exchange("", 0)
 		}
 		b.local(stepCopy, chunk, slot0)
-		return []scratch{{n * bl, bl}}, 0
+		return []scratch{{n * bl, bl}}
 	}
 }

@@ -38,7 +38,7 @@ func TestPayloadLengthMismatchIsAnError(t *testing.T) {
 	for _, segments := range []int{0, 4} {
 		for _, delta := range []int32{-1, +1} {
 			tag := fmt.Sprintf("segments=%d delta=%+d", segments, delta)
-			spec := Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Radix: 2, Segments: segments}}
+			spec := Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Radix: 2}, Segments: segments}
 			pl, err := Compile(e, g, spec)
 			if err != nil {
 				t.Fatal(err)

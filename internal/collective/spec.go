@@ -122,6 +122,10 @@ type Spec struct {
 	// Concat configures the concatenations, Reduce the reductions.
 	Concat ConcatOptions
 	Reduce ReduceOptions
+	// Segments pipelines a packed uniform Bruck index or ReduceBruck
+	// over that many byte spans of every block (pipeline): 0 and 1 are
+	// monolithic, AutoSegments lets the SP-1 cost model pick.
+	Segments int
 	// Hierarchical selects the two-level schedule under Topology; Hier
 	// sets its per-level radices (index only).
 	Hierarchical bool
@@ -194,6 +198,9 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 	if !s.Hierarchical || s.Op != OpIndex {
 		s.Hier = HierOptions{}
 	}
+	if s.Segments < AutoSegments && s.Op != OpConcat && s.Op != OpConcatV {
+		return fmt.Errorf("collective: segment count %d out of range (0 or 1 is monolithic, AutoSegments is -1)", s.Segments)
+	}
 	// Hierarchical and auto specs name the family, not one algorithm:
 	// what the dispatcher or the two-level compiler overrides is zeroed.
 	single := !s.Hierarchical && s.Auto == nil
@@ -202,19 +209,16 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 		s.Concat, s.Reduce = ConcatOptions{}, ReduceOptions{}
 		o := &s.Index
 		switch {
-		case o.Segments < AutoSegments:
-			return fmt.Errorf("collective: segment count %d out of range (0 or 1 is monolithic, AutoSegments is -1)", o.Segments)
 		case !single:
 			*o, s.Radices = IndexOptions{}, nil
 		case s.Radices != nil:
 			*o = IndexOptions{}
-			return ValidateRadices(n, s.Radices)
+			if err := ValidateRadices(n, s.Radices); err != nil {
+				return err
+			}
 		case o.Algorithm == IndexBruck:
 			if r := defaultRadix(o.Radix, n, k); n > 1 && (r < 2 || r > n) {
 				return fmt.Errorf("collective: index radix %d out of range [2, %d]", r, n)
-			}
-			if s.Layout != nil || o.Segments == 1 {
-				o.Segments = 0
 			}
 		case o.Algorithm == IndexPairwiseXOR && !intmath.IsPow(2, n):
 			return fmt.Errorf("collective: pairwise-xor index requires a power-of-two group size, got %d", n)
@@ -254,24 +258,25 @@ func (s *Spec) canonicalize(e *mpsim.Engine, g *mpsim.Group) error {
 			o.LastRound = 0 // no concatenation phase
 		}
 		switch {
-		case o.Segments < AutoSegments:
-			return fmt.Errorf("collective: segment count %d out of range (0 or 1 is monolithic, AutoSegments is -1)", o.Segments)
 		case !single:
-			o.Algorithm, o.Radix, o.Segments = ReduceRing, 0, 0
+			o.Algorithm, o.Radix = ReduceRing, 0
 		case o.Algorithm == ReduceBruck:
 			if r := defaultRadix(o.Radix, n, k); n > 1 && (r < 2 || r > n) {
 				return fmt.Errorf("collective: reduce radix %d out of range [2, %d]", r, n)
-			}
-			if o.Segments == 1 {
-				o.Segments = 0
 			}
 		case o.Algorithm < ReduceRing || o.Algorithm > ReduceBruck:
 			return fmt.Errorf("collective: unknown reduce algorithm %v", o.Algorithm)
 		case o.Algorithm == ReduceHalving && !intmath.IsPow(2, n):
 			return fmt.Errorf("collective: recursive halving requires a power-of-two group size, got %d", n)
 		default:
-			o.Radix, o.Segments = 0, 0
+			o.Radix = 0
 		}
+	}
+	// Only a single packed uniform Bruck schedule pipelines (pipeline).
+	bruck := s.Op == OpIndex && s.Radices == nil && s.Index.Algorithm == IndexBruck && !s.Index.NoPack ||
+		s.Op.reduction() && s.Reduce.Algorithm == ReduceBruck
+	if !single || !bruck || s.Segments == 1 {
+		s.Segments = 0
 	}
 	return nil
 }
@@ -315,7 +320,7 @@ type planKey struct {
 	index                 IndexOptions
 	concat                ConcatOptions
 	ralg                  ReduceAlgorithm
-	rradix, rsegments     int
+	rradix, segments      int
 	rpolicy               partition.Policy
 	kernel                string
 	elemSize              int
@@ -329,7 +334,7 @@ type planKey struct {
 func keyOf(e *mpsim.Engine, g *mpsim.Group, s *Spec) planKey {
 	key := planKey{
 		e: e, g: g, op: s.Op, blockLen: s.BlockLen, root: s.Root, index: s.Index, concat: s.Concat,
-		ralg: s.Reduce.Algorithm, rradix: s.Reduce.Radix, rsegments: s.Reduce.Segments,
+		ralg: s.Reduce.Algorithm, rradix: s.Reduce.Radix, segments: s.Segments,
 		rpolicy: s.Reduce.LastRound, kernel: s.Reduce.KernelKey, elemSize: s.Reduce.ElemSize,
 		hier: s.Hierarchical, hierOpt: s.Hier, auto: s.Auto != nil,
 	}

@@ -110,9 +110,9 @@ func TestSpecRejections(t *testing.T) {
 			"collective: recursive halving requires a power-of-two group size, got 6"},
 		{"reduce radix out of range", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: ReduceBruck, Radix: 9}},
 			"collective: reduce radix 9 out of range [2, 6]"},
-		{"negative segments", world, Spec{Index: IndexOptions{Segments: -5}},
+		{"negative segments", world, Spec{Segments: -5},
 			"collective: segment count -5 out of range (0 or 1 is monolithic, AutoSegments is -1)"},
-		{"negative reduce segments", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: ReduceBruck, Segments: -7}},
+		{"negative reduce segments", world, Spec{Op: OpAllReduce, Reduce: ReduceOptions{Algorithm: ReduceBruck}, Segments: -7},
 			"collective: segment count -7 out of range (0 or 1 is monolithic, AutoSegments is -1)"},
 		{"invalid auto profile", world, Spec{Op: OpAllReduce, BlockLen: 4, Reduce: int32s, Auto: &negated},
 			`collective: auto dispatch: costmodel: profile "negated" has negative parameters (beta=-1, tau=-2)`},
@@ -216,13 +216,13 @@ func TestCanonicalSpecsShareOneEntry(t *testing.T) {
 	}{
 		{"radix, NoPack and segments off Bruck",
 			Spec{Index: IndexOptions{Algorithm: IndexDirect}},
-			Spec{Index: IndexOptions{Algorithm: IndexDirect, Radix: 4, NoPack: true, Segments: 3}}},
+			Spec{Index: IndexOptions{Algorithm: IndexDirect, Radix: 4, NoPack: true}, Segments: 3}},
 		{"segments on a layout plan",
-			Spec{Op: OpIndexV, Layout: l}, Spec{Op: OpIndexV, Layout: l, Index: IndexOptions{Segments: 4}}},
+			Spec{Op: OpIndexV, Layout: l}, Spec{Op: OpIndexV, Layout: l, Segments: 4}},
 		{"segments and index options on a mixed-radix plan",
-			Spec{Radices: []int{2, 4}}, Spec{Radices: []int{2, 4}, Index: IndexOptions{Algorithm: IndexDirect, Segments: 4}}},
+			Spec{Radices: []int{2, 4}}, Spec{Radices: []int{2, 4}, Index: IndexOptions{Algorithm: IndexDirect}, Segments: 4}},
 		{"segments 1 is monolithic",
-			Spec{BlockLen: 8}, Spec{BlockLen: 8, Index: IndexOptions{Segments: 1}}},
+			Spec{BlockLen: 8}, Spec{BlockLen: 8, Segments: 1}},
 		{"last-round policy off the circulant schedule",
 			Spec{Op: OpConcat, Concat: ConcatOptions{Algorithm: ConcatRing}},
 			Spec{Op: OpConcat, Concat: ConcatOptions{Algorithm: ConcatRing, LastRound: partition.MinVolume}}},
@@ -231,7 +231,7 @@ func TestCanonicalSpecsShareOneEntry(t *testing.T) {
 			Spec{Op: OpReduceScatter, BlockLen: 4, Reduce: with(int32s, func(o *ReduceOptions) { o.LastRound = partition.MinRounds })}},
 		{"radix and segments off the Bruck reduce-scatter",
 			Spec{Op: OpAllReduce, BlockLen: 4, Reduce: int32s},
-			Spec{Op: OpAllReduce, BlockLen: 4, Reduce: with(int32s, func(o *ReduceOptions) { o.Radix, o.Segments = 4, 2 })}},
+			Spec{Op: OpAllReduce, BlockLen: 4, Reduce: with(int32s, func(o *ReduceOptions) { o.Radix = 4 }), Segments: 2}},
 		{"hier radices on the concatenation",
 			Spec{Op: OpConcat, Hierarchical: true, Topology: topo},
 			Spec{Op: OpConcat, Hierarchical: true, Topology: topo, Hier: HierOptions{IntraRadix: 2, InterRadix: 2}}},
@@ -335,6 +335,7 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 		spec Spec
 	}{
 		{"fixed", Spec{BlockLen: 64, Index: IndexOptions{Radix: 2}}},
+		{"auto segments", Spec{BlockLen: 64 << 10, Index: IndexOptions{Radix: 2}, Segments: AutoSegments}},
 		{"mixed-radix", Spec{BlockLen: 64, Radices: []int{2, 2, 4}}},
 		{"layout", Spec{Op: OpIndexV, Layout: l}},
 		{"hierarchical index", Spec{BlockLen: 64, Hierarchical: true, Topology: topo}},

@@ -222,12 +222,12 @@ func (c Case) spec() (collective.Spec, error) {
 	if s.BlockLen, s.Root = c.B, c.Root; mixed {
 		s.Radices = c.Radices
 	}
-	s.Index.Radix, s.Index.Segments = c.Radix, c.Segments
+	s.Index.Radix, s.Segments = c.Radix, c.Segments
 	kernel, err := collective.KernelOptions(buffers.Sum, buffers.Int32)
 	if err != nil {
 		return s, err
 	}
-	kernel.Algorithm, kernel.Radix, kernel.Segments = s.Reduce.Algorithm, c.Radix, c.Segments
+	kernel.Algorithm, kernel.Radix = s.Reduce.Algorithm, c.Radix
 	s.Reduce = kernel
 	if c.Topology != "" {
 		if s.Topology, err = costmodel.ParseTopology(c.Topology); err != nil {

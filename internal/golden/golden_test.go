@@ -260,6 +260,11 @@ func FuzzCase(f *testing.F) {
 	add(Case{Op: "concat", Alg: "circulant", N: 11, K: 2, B: 4}, 42, 5)
 	add(Case{Op: "concat", Alg: "ring", N: 5, K: 3, B: 4}, 7, 0)
 	add(Case{Op: "reduce-scatter", Alg: "bruck", N: 9, K: 2, B: 4, Radix: 5}, 99, 0x102)
+	// Segment boundaries: uneven spans, more segments than bytes or
+	// rounds, one byte, one segment.
+	for _, nbs := range [][3]int{{8, 9, 4}, {16, 7, 7}, {5, 3, 100}, {4, 1, 2}, {9, 16, 1}} {
+		add(Case{Op: "index", Alg: "bruck", N: nbs[0], K: 1, B: nbs[1], Radix: 2, Segments: nbs[2]}, 0, 0)
+	}
 	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int, seed uint64, stragglers uint16) {
 		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 257,
 			Ragged: ragged, Topology: topology, Root: root}

@@ -102,8 +102,8 @@ func newChaos(n int, cfg ChaosConfig) (*chaos, error) {
 	return c, nil
 }
 
-// Jitter streams: send-side and recv-side delays are drawn from
-// disjoint substreams so delaying one side never shifts the other.
+// Jitter streams: delay mixes each alone before the link and index, so
+// send-side and recv-side delays come from disjoint substreams.
 const (
 	chaosSendStream = 0x5eed_0001
 	chaosRecvStream = 0x5eed_0002
@@ -129,7 +129,7 @@ func (c *chaos) delay(stream uint64, a, b int, i uint64) time.Duration {
 	if c.maxDelay <= 0 {
 		return 0
 	}
-	h := splitmix64(c.seed ^ splitmix64(stream^uint64(a)<<40^uint64(b)<<20^i))
+	h := splitmix64(c.seed ^ splitmix64(splitmix64(stream)^uint64(a)<<40^uint64(b)<<20^i))
 	d := int64(h % uint64(c.maxDelay))
 	if c.slow[a] {
 		d *= c.factor

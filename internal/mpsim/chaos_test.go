@@ -78,10 +78,10 @@ func TestChaosSeedDeterminism(t *testing.T) {
 		a, b   int
 		want   [4]time.Duration
 	}{
-		{chaosSendStream, 0, 1, [4]time.Duration{94684, 57288, 23543, 96710}},
-		{chaosSendStream, 2, 3, [4]time.Duration{212880, 800, 113360, 415552}},
-		{chaosRecvStream, 0, 1, [4]time.Duration{96710, 23543, 57288, 94684}},
-		{chaosRecvStream, 2, 3, [4]time.Duration{415552, 113360, 800, 212880}},
+		{chaosSendStream, 0, 1, [4]time.Duration{49963, 78608, 55925, 27297}},
+		{chaosSendStream, 2, 3, [4]time.Duration{574456, 209928, 744592, 721584}},
+		{chaosRecvStream, 0, 1, [4]time.Duration{52351, 11305, 14263, 66911}},
+		{chaosRecvStream, 2, 3, [4]time.Duration{505440, 158608, 494040, 730984}},
 	} {
 		for i, want := range row.want {
 			if got := c.delay(row.stream, row.a, row.b, uint64(i)); got != want {
@@ -98,6 +98,28 @@ func TestChaosSeedDeterminism(t *testing.T) {
 	}
 	if ev1, ev2 := chaosExchange(t, ChaosConfig{Seed: 42, Stragglers: []int{1, 4}}), chaosExchange(t, ChaosConfig{Seed: 42, Stragglers: []int{1, 4}}); !slices.Equal(ev1, ev2) {
 		t.Errorf("same seed, different events:\n  %v\n  %v", ev1, ev2)
+	}
+}
+
+// TestChaosStreamsDisjoint: the two streams of a link side are
+// disjoint substreams. Two stream constants that differ in low bits
+// only would cancel against the message index: the receive side would
+// draw the send side's delays, message i getting the delay of message
+// i^3, within each aligned block of four.
+func TestChaosStreamsDisjoint(t *testing.T) {
+	c := must(newChaos(4, ChaosConfig{Seed: 42}))
+	const msgs = 64
+	links := [][2]int{{0, 1}, {2, 3}}
+	for _, s := range links {
+		for _, r := range links {
+			same := true
+			for i := uint64(0); i < msgs && same; i++ {
+				same = c.delay(chaosRecvStream, r[0], r[1], i) == c.delay(chaosSendStream, s[0], s[1], i^3)
+			}
+			if same {
+				t.Errorf("receive side of link %v draws the send side of link %v under i^3", r, s)
+			}
+		}
 	}
 }
 

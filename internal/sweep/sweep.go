@@ -101,7 +101,7 @@ func (h *Harness) point(n, r, k, b int) (Point, error) {
 // to the monolithic schedule as collective.SegmentedIndexCost does.
 func (h *Harness) SegmentedPoint(n, r, k, b, s int) (Point, error) {
 	pl, err := compile(n, k, collective.Spec{Op: collective.OpIndex, BlockLen: b,
-		Index: collective.IndexOptions{Radix: r, Segments: s}})
+		Index: collective.IndexOptions{Radix: r}, Segments: s})
 	if err != nil {
 		return Point{}, fmt.Errorf("sweep: compiling n=%d r=%d k=%d b=%d s=%d: %w", n, r, k, b, s, err)
 	}
