@@ -106,30 +106,30 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 10, 4, 4096, 8320},
-		{"concat/flat", concat, compilePerCall, 18, 4, 1920, 3968},
-		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 8320},
-		{"index/compile-only", index, compileOnly, 8, 4, 4096, 8320},
-		{"concat/plan-reuse", concat, planReuse, 2, 4, 1920, 3968},
+		{"index/flat", index, compilePerCall, 10, 4, 4096, 4224},
+		{"concat/flat", concat, compilePerCall, 18, 4, 1920, 2048},
+		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 4224},
+		{"index/compile-only", index, compileOnly, 8, 4, 4096, 4224},
+		{"concat/plan-reuse", concat, planReuse, 2, 4, 1920, 2048},
 		{"indexv/ragged-bruck", indexV, planReuse, 2, 4, 4096, 10730},
 		{"indexv/ragged-auto", indexVAuto, planReuse, 2, 6, 3072, 8682},
 		{"concatv/ragged-circulant", concatV, planReuse, 2, 4, 1815, 4671},
-		{"runplans/concurrent-2x8", halves, concurrent, 10, 3, 1536, 1600},
+		{"runplans/concurrent-2x8", halves, concurrent, 10, 3, 1536, 832},
 		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 2, 15, 1920, 2176},
-		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 2, 4, 1920, 6016},
+		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 2, 4, 1920, 4096},
 		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 2, 4, 4096, 10240},
-		{"allreduce/auto", auto, planReuse, 2, 8, 3840, 9856},
-		{"allreduce/ring-16k", ring16k, planReuse, 2, 19, 491520, 770048},
-		{"index/mono", sized(index, 0), planReuse, 2, 4, 2097152, 4259840},
-		{"index/s4", sized(index, 4), planReuse, 2, 7, 917504, 4259840},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 2, 8, 3080192, 7208960},
-		{"allreduce/s4", sized(allreduce, 4), planReuse, 2, 11, 1900544, 7208960},
+		{"allreduce/auto", auto, planReuse, 2, 8, 3840, 6016},
+		{"allreduce/ring-16k", ring16k, planReuse, 2, 19, 491520, 524288},
+		{"index/mono", sized(index, 0), planReuse, 2, 4, 2097152, 2162688},
+		{"index/s4", sized(index, 4), planReuse, 2, 7, 917504, 2162688},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 2, 8, 3080192, 6225920},
+		{"allreduce/s4", sized(allreduce, 4), planReuse, 2, 11, 1900544, 6225920},
 		// One-directional at 64 KiB: split over workers, the lower ranks
 		// keep every payload of the upper ones.
 		{"gather/64k", Spec{Op: OpGather, BlockLen: big}, planReuse, 2, 4, 983040, 1048576},
-		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 8320},
-		{"concat/flat-4x4", on(concat, false), planReuse, 2, 4, 1920, 3968},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 14080},
+		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 4224},
+		{"concat/flat-4x4", on(concat, false), planReuse, 2, 4, 1920, 2048},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 12160},
 		{"index/hier-4x4", on(index, true), planReuse, 4, 10, 17920, 31872},
 		{"concat/hier-4x4", on(concat, true), planReuse, 4, 7, 6528, 12672},
 		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 4, 12, 24576, 26624},

@@ -11,7 +11,9 @@ package collective
 //     send nobody receives, a receive nobody feeds, sizes that disagree,
 //     ranks that end in different rounds;
 //   - what only labels show: extents outside their block or region,
-//     phase tags, link classes or a swap flag that disagree;
+//     phase tags, link classes or a swap flag that disagree, and a rank
+//     that writes a byte it sent by reference before every receiver may
+//     have landed it (errRefWrite);
 //   - delivery violations: any output byte that does not end up holding
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions);
@@ -42,6 +44,16 @@ import (
 
 // maxCheckViolations bounds a Check report.
 const maxCheckViolations = 20
+
+// errRefWrite is the hazard of a by-reference send. A receiver on another
+// worker lands what rank r sent by reference in round t after the
+// barrier that ends stretch t (rounds.go), while r may already land
+// round t+1 and run the local steps that follow it. So the sent bytes
+// are pinned from the post of round t until r's first exchange after
+// round t+1, and any write to them — a landing, a local step, a swap —
+// is this violation. Phrased in rounds, it holds at every worker count
+// although the label walk runs at one.
+const errRefWrite = "round %d: rank %d writes bytes it sent by reference in round %d, before every receiver may have landed them"
 
 // lab is a run of n symbolic bytes at off: byte i holds the combination
 // of byte src+i of the input regions of cnt contributing ranks, whose
@@ -127,7 +139,10 @@ func merge(a, b []lab) (out []lab, ok bool) {
 // labels is the label medium: each rank's memories as runs of labels —
 // its input and output regions, then every scratch region a frame of it
 // acquires — and their sizes. add sees each violation; msgs are the
-// messages sent, streams their labels, and tags each round's phase.
+// messages sent, streams their labels — read at the post, or for a
+// by-reference send at the land from the pieces refs holds — and tags
+// each round's phase. pins are, per rank and round, the pieces it sent
+// by reference and may not write yet (errRefWrite).
 type labels struct {
 	pl      *Plan
 	mems    [][][]lab
@@ -137,7 +152,44 @@ type labels struct {
 	add     func(string, ...any)
 	msgs    []mpsim.Event
 	streams [][]lab
+	refs    [][]piece
+	pins    [][]pins
 	tags    map[int]string
+}
+
+// pins are the non-empty pieces a rank sent by reference in round t,
+// sorted by memory and offset and merged where they touch before a
+// write is first held to them; told is the last round whose writes to
+// them were reported, plus one, so a round is reported once.
+type pins struct {
+	t, told int
+	ps      []piece
+	sorted  bool
+}
+
+// hit reports whether the piece p overlaps a pinned one.
+func (pn *pins) hit(p piece) bool {
+	if !pn.sorted {
+		slices.SortFunc(pn.ps, func(a, b piece) int { return cmp.Or(a.mem-b.mem, a.off-b.off) })
+		merged := pn.ps[:0]
+		for _, q := range pn.ps {
+			if l := len(merged) - 1; l >= 0 && merged[l].mem == q.mem && q.off <= merged[l].off+merged[l].n {
+				merged[l].n = max(merged[l].n, q.off+q.n-merged[l].off)
+				continue
+			}
+			merged = append(merged, q)
+		}
+		pn.ps, pn.sorted = merged, true
+	}
+	lo, hi := 0, len(pn.ps) // the first pinned piece that ends after p starts
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); pn.ps[m].mem < p.mem || pn.ps[m].mem == p.mem && pn.ps[m].off+pn.ps[m].n <= p.off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(pn.ps) && pn.ps[lo].mem == p.mem && pn.ps[lo].off < p.off+p.n
 }
 
 // walkLabels runs the round-major driver's walk of pl on the label
@@ -151,7 +203,8 @@ func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done 
 		add = func(string, ...any) {}
 	}
 	n := pl.group.Size()
-	lm := &labels{pl: pl, mems: make([][][]lab, n), size: make([][]int, n), phase: make([]string, n), entered: make([]int, n), add: add, tags: map[int]string{}}
+	lm := &labels{pl: pl, mems: make([][][]lab, n), size: make([][]int, n), phase: make([]string, n), entered: make([]int, n), add: add,
+		pins: make([][]pins, n), tags: map[int]string{}}
 	for r := range n {
 		inSize, outSize := pl.sizes(r)
 		lm.mems[r] = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
@@ -216,7 +269,8 @@ func (lm *labels) embed(sub, f *frame, s *step) {
 }
 
 // enter opens rank me's exchange of round t at its first send or
-// receive: it holds the exchange's phase to the round's and each
+// receive: it frees the pieces the rank sent by reference before round
+// t-1, and holds the exchange's phase to the round's and each
 // transfer's swap flag to its extents. The exchange is the step before
 // f.at (cursor.next).
 func (lm *labels) enter(f *frame, me, t int) {
@@ -224,6 +278,7 @@ func (lm *labels) enter(f *frame, me, t int) {
 		return
 	}
 	lm.entered[me] = t + 1
+	lm.pins[me] = slices.DeleteFunc(lm.pins[me], func(pn pins) bool { return pn.t < t-1 })
 	s := &f.pr.role(f.me).steps[f.at-1]
 	lm.phase[me] = f.phaseOf(s)
 	if lm.tags[t] == "" {
@@ -239,13 +294,31 @@ func (lm *labels) enter(f *frame, me, t int) {
 	}
 }
 
-// outgoing reads the send extents' labels and lists the message; a
+// outgoing reads the send extents' labels — by reference, it pins their
+// pieces instead, for the land to read — and lists the message; a
 // hierarchical plan's phase moves over one link class.
 func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
 	lm.enter(f, me, t)
-	stream, n := lm.read(me, lm.pieces(f, x.send))
+	ps := lm.pieces(f, x.send)
+	var stream []lab
+	var ref []piece
+	n := 0
+	if f.byRef(x) {
+		p.x, ref = x, ps
+		if last := len(lm.pins[me]) - 1; last < 0 || lm.pins[me][last].t != t {
+			lm.pins[me] = append(lm.pins[me], pins{t: t})
+		}
+		pn := &lm.pins[me][len(lm.pins[me])-1]
+		for _, q := range ps {
+			if n += q.n; q.n > 0 {
+				pn.ps, pn.sorted = append(pn.ps, q), false
+			}
+		}
+	} else {
+		stream, n = lm.read(me, ps)
+	}
 	lm.msgs = append(lm.msgs, mpsim.Event{Round: t, Src: lm.pl.group.ID(me), Dst: lm.pl.group.ID(to), Size: n})
-	lm.streams = append(lm.streams, stream)
+	lm.streams, lm.refs = append(lm.streams, stream), append(lm.refs, ref)
 	if topo, phase := lm.pl.topo, lm.phase[me]; topo != nil {
 		for _, ph := range lm.pl.phases {
 			if ph.Name == phase && costmodel.LinkClass(ph.Class) != topo.LinkClass(me, to) {
@@ -268,7 +341,11 @@ func (lm *labels) land(f *frame, x *xfer, p *payload, me, t int) error {
 		lm.add("group rank %d: "+errSize, me, m.Size, m.Src, want, t)
 		return nil
 	}
-	lm.write(me, ps, lm.streams[p.msg], x.combine)
+	stream := lm.streams[p.msg]
+	if p.x != nil {
+		stream, _ = lm.read(int(p.src), lm.refs[p.msg])
+	}
+	lm.write(me, ps, stream, x.combine)
 	return nil
 }
 
@@ -321,10 +398,19 @@ func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 }
 
 // write scatters a label stream over rank r's pieces, combining when
-// asked.
+// asked; a piece the rank may not write yet is a violation.
 func (lm *labels) write(r int, ps []piece, stream []lab, combine bool) {
 	pos := 0
 	for _, p := range ps {
+		for i := range lm.pins[r] {
+			if pn := &lm.pins[r][i]; p.n > 0 && pn.hit(p) {
+				if now := lm.entered[r]; pn.told != now {
+					lm.add(errRefWrite, now-1, r, pn.t)
+					pn.told = now
+				}
+				break
+			}
+		}
 		rs := clip(stream, pos, p.n)
 		mem := &lm.mems[r][p.mem]
 		if combine {

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -384,6 +385,10 @@ func TestCheckPerturbations(t *testing.T) {
 		{"hier allreduce phase c2 drift", configs["hier-allreduce-4x4"], func(pl *Plan) { pl.phases[0].C2++ }, "c2"},
 		{"hier index stored intra c1", configs["hier-index-4-4-3"], func(pl *Plan) { pl.res.Intra.C1++ }, "intra split"},
 		{"hier concat stored inter c2", configs["hier-concat-4-4-3"], func(pl *Plan) { pl.res.Inter.C2-- }, "inter split"},
+		// By-reference sends whose bytes are written too soon: at one
+		// worker every receiver has landed them, at two it may not have.
+		{"bruck index on two places", checkConfig{"", 16, 1, 4, compileIndexT(IndexOptions{Radix: 2})}, twoPlaces, fmt.Sprintf(errRefWrite, 2, 0, 1)},
+		{"ring reduce-scatter swaps a region sent by reference", configs["reducescatter-ring-n6-k1"], refBeforeSwap, fmt.Sprintf(errRefWrite, 1, 0, 0)},
 	}
 	// Every family, one more: a receive re-pointed at a rank that sends
 	// this one nothing. No round-synchronous driver could wait for it
@@ -432,6 +437,56 @@ func TestCheckPerturbations(t *testing.T) {
 	if _, err := pl.runRounds(mem); err == nil || err.Error() != "collective: "+outOfFrameText {
 		t.Errorf("round-major driver on the out-of-frame peer: error %v, want %q", err, "collective: "+outOfFrameText)
 	}
+}
+
+// twoPlaces re-places the slots of a Bruck index program between their
+// output and scratch blocks alone, alternating back from the output:
+// homes without its third place. At n = 16, r = 2, slot 15 then lands in
+// round 2 in the scratch block it was sent from in round 1.
+func twoPlaces(pl *Plan) {
+	pr := pl.prog
+	ids := carried(pr)
+	hops, done := map[int]int{}, map[int]int{}
+	for _, round := range ids {
+		for _, qs := range round {
+			for _, q := range qs {
+				hops[q]++
+			}
+		}
+	}
+	for r, s := range exchanges(pr, 0) {
+		for i := range s.xfers {
+			x := &s.xfers[i]
+			x.send, x.recv = nil, nil
+			for _, q := range ids[r][i] {
+				place := func(j int) extent {
+					switch {
+					case j == 0:
+						return slots(regIn, q, 1)
+					case (hops[q]-j)%2 == 0:
+						return slots(regOut, q, 1)
+					}
+					return slots(regWork, q, 1)
+				}
+				x.send = append(x.send, place(done[q]))
+				done[q]++
+				x.recv = append(x.recv, place(done[q]))
+			}
+		}
+	}
+	pr.roles[0].scratch = pr.roles[0].scratch[:1]
+}
+
+// refBeforeSwap puts a round before the ring reduce-scatter's first: it
+// sends the scratch region by reference and lands in a second one, so
+// the next round's swap replaces the region it sent.
+func refBeforeSwap(pl *Plan) {
+	ro := &pl.prog.roles[0]
+	one := []extent{blocksAt(regWork, fixed(0), 1)}
+	ro.scratch = append(ro.scratch, ro.scratch[0])
+	ro.steps = slices.Insert(ro.steps, 1, step{kind: stepExchange, xfers: []xfer{{to: plus(1), from: plus(-1), ref: true,
+		send: one, recv: []extent{blocksAt(regWork+1, fixed(0), 1)}}}})
+	pl.derive(pl.prog)
 }
 
 // postEarly takes one round off the first skip that precedes an

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/partition"
@@ -48,18 +47,25 @@ func IndexSchedule(n, r, k int) []int {
 	if n <= 1 {
 		return nil
 	}
-	var rounds []int
 	w := intmath.CeilLog(r, n)
-	dist := 1
-	for pos := 0; pos < w; pos++ {
-		h := r
+	// digits is the digit values at position pos: r, but at the top
+	// position only those below n.
+	digits := func(pos, dist int) int {
 		if pos == w-1 {
-			h = intmath.CeilDiv(n, dist)
+			return intmath.CeilDiv(n, dist)
 		}
+		return r
+	}
+	c1 := 0
+	for pos, dist := 0, 1; pos < w; pos, dist = pos+1, dist*r {
+		c1 += intmath.CeilDiv(digits(pos, dist)-1, k)
+	}
+	rounds := make([]int, 0, c1)
+	for pos, dist := 0, 1; pos < w; pos, dist = pos+1, dist*r {
+		h := digits(pos, dist)
 		for start := 1; start < h; start += k {
 			rounds = append(rounds, roundBlocks(n, r, dist, start, k, h))
 		}
-		dist *= r
 	}
 	return rounds
 }
@@ -168,17 +174,29 @@ func RecursiveDoublingConcatCost(n, b int) (c1, c2 int) { return TreeGatherCost(
 // result equals the compiled pipelined plan's measures exactly, which
 // the tests assert.
 func SegmentedIndexCost(n, b, r, k, s int) (c1, c2 int) {
-	sched := IndexSchedule(n, r, k)
+	return segmented(IndexSchedule(n, r, k), b, s)
+}
+
+// segmented returns the (C1, C2) of the schedule sched (IndexSchedule) at
+// block size b pipelined over s segments, span i of a block being
+// SplitSpans(b, s)[i], b/s bytes and one more for the first b%s spans.
+func segmented(sched []int, b, s int) (c1, c2 int) {
 	rounds := len(sched)
 	if s = min(s, b, rounds); s <= 1 {
-		return IndexCost(n, b, r, k)
+		for _, blocks := range sched {
+			c2 += blocks * b
+		}
+		return rounds, c2
 	}
-	spans := buffers.SplitSpans(b, s)
 	c1 = costmodel.PipelinedC1(rounds, s)
 	for t := 0; t < c1; t++ {
 		stepMax := 0
 		for seg := max(0, t-rounds+1); seg <= min(t, s-1); seg++ {
-			stepMax = max(stepMax, sched[t-seg]*spans[seg].Len)
+			span := b / s
+			if seg < b%s {
+				span++
+			}
+			stepMax = max(stepMax, sched[t-seg]*span)
 		}
 		c2 += stepMax
 	}
@@ -191,10 +209,13 @@ func SegmentedIndexCost(n, b, r, k, s int) (c1, c2 int) {
 // power-of-two candidates {1, 2, 4, 8, 16}; larger counts only stretch
 // the pipeline (C1 grows linearly in s while the per-round saving has
 // already flattened). Returning 1 means the monolithic schedule wins.
+// The schedule is computed once for all candidates: a call allocates it
+// alone.
 func OptimalSegments(p costmodel.Profile, n, b, r, k int) int {
+	sched := IndexSchedule(n, r, k)
 	best, bestTime := 1, 0.0
-	for _, s := range []int{1, 2, 4, 8, 16} {
-		c1, c2 := SegmentedIndexCost(n, b, r, k, s)
+	for _, s := range [...]int{1, 2, 4, 8, 16} {
+		c1, c2 := segmented(sched, b, s)
 		t := p.Time(c1, c2)
 		if s == 1 || t < bestTime {
 			best, bestTime = s, t

@@ -82,14 +82,20 @@
 // Plan.Alloc and run by Plan.Run or ExecutePlans. A side is a
 // buffers.Buffers slab, under a layout a buffers.Ragged slab, and on a
 // one-to-all primitive the root's side is the root's bytes alone; one
-// check (Plan.fits) holds every side to the plan's shape. A payload is
-// packed into a pool-recycled
-// buffer, handed over and landed in caller-owned memory by its
-// receiver, and nothing is rotated: the concatenations accumulate in
-// the output slab, each slot addressed as the block it ends up as, and
-// an index slot's first send packs from the input, its last receive
-// lands in the output. On a reused engine an execution performs no
-// per-block or per-message allocations — except on the one-to-all
+// check (Plan.fits) holds every side to the plan's shape. On the walk a
+// payload marked ref is landed by its receiver straight from the
+// sender's extents, one copy per byte per hop; any other is packed into
+// a pool-recycled buffer, handed over and landed in caller-owned memory.
+// Nothing is rotated: the concatenations accumulate in the output slab,
+// each slot addressed as the block it ends up as, and an index slot's
+// first send reads the input, its last receive lands in the output. The
+// compilers mark ref where it is safe by structure — the direct and
+// xor index and the concatenations on the output (allreduce's allgather
+// included) send bytes nothing writes again, recursive halving a half
+// it never writes again, and the Bruck index moves each slot between
+// places no later round writes too soon (homes, index.go); swaps, padded
+// layout plans and embedded sub-programs pack. On a reused engine an
+// execution performs no per-block or per-message allocations — except on the one-to-all
 // primitives on the engine driver: a one-directional tree drains its senders' pools into its
 // receivers', whose free lists are bounded, so senders allocate
 // transport buffers anew (0.5-2.1 MB per call at n = 16, b = 64 KiB).
@@ -136,10 +142,11 @@
 // Step semantics. A program is a list of steps per role:
 //
 //   - an exchange is one k-port round of transfers {to, from, send
-//     extents, recv extents, copy | combine} under a phase tag. All
+//     extents, recv extents, copy | combine, ref} under a phase tag. All
 //     sends of the step read the state before it, then the engine round
 //     runs, then received bytes land (or combine). A transfer with no
-//     `to` or no `from` is one-sided.
+//     `to` or no `from` is one-sided; one marked ref may be read by its
+//     receiver after the round, which Check holds the sender to.
 //   - a local step moves extents to extents on the rank itself: a copy
 //     or combine of byte streams, or a spread (block i to block i, cut
 //     to the shorter: the pack and unpack of a padded layout plan).
@@ -168,8 +175,8 @@
 // and nothing is reordered; a non-root keeps its subtree's blocks in
 // pooled scratch.
 //
-// Scratch and pool discipline, and the one path every payload takes
-// (pack -> own -> land, or a swap), are run.go's header.
+// Scratch and pool discipline, and the paths a payload takes (pack ->
+// own -> land, by reference, or a swap), are run.go's header.
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the messages and bytes a run sends and a hierarchical plan's
@@ -178,8 +185,15 @@
 // program as the text the golden corpus pins. Plan.Check runs the
 // executing walk on labels and proves delivery for every family against
 // Plan.goal, the one statement of what each operation computes, and the
-// stored Result against the messages it walks. The same label walk draws
-// the paper's figures (Plan.Snapshots), keeps per-rank virtual clocks
+// stored Result against the messages it walks. A by-reference payload's
+// labels are read where the bytes are, at the land, and the bytes it
+// sent in round t are pinned on the sender until its first exchange
+// after round t+1: a write to them is a violation. A reader on another
+// worker reads them after the barrier that ends round t, while the
+// sender may already land round t+1, so the rule, phrased in rounds,
+// proves every worker order from the walk on one; the race detector
+// (CI's -race sweep over ByRef) is its runtime half. The same label walk
+// draws the paper's figures (Plan.Snapshots), keeps per-rank virtual clocks
 // (Plan.CriticalPath and CriticalPathTopo: each message priced on its
 // link, the k ports in parallel) and lists the messages a run sends
 // (Plan.Messages). The oracle (oracle.go: Alloc, Fill, Run, Verify —

@@ -366,6 +366,50 @@ func WalkersAgree(t *testing.T, plans []*Plan, fill func(blk []byte, rank, block
 	}
 }
 
+// TestByRefForced forces every non-swap transfer of each grid cell's
+// top-level program to send by reference (ByRefForced).
+func TestByRefForced(t *testing.T) {
+	for _, f := range families() {
+		t.Run(f.name, func(t *testing.T) {
+			t.Parallel()
+			gridCells(f, func(where string, n, k int, groupOf []int, s Spec) {
+				e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(groupOf))
+				ByRefForced(t, where, must(Compile(e, mpsim.WorldGroup(n), s)))
+			})
+		})
+	}
+}
+
+// ByRefForced marks every non-swap transfer of the plan's top-level
+// program ref — the plan, compiled for the caller, is the caller's alone
+// — and holds it to the by-reference proof: Check reports the hazard
+// (errRefWrite), or it reports nothing and the walk at one to four
+// workers passes Verify. Check may never pass a program the walk
+// corrupts; under -race, the race detector sees every cross-worker read
+// the proof clears. It is exported for TestByRefForcedGolden.
+func ByRefForced(t *testing.T, where string, pl *Plan) {
+	t.Helper()
+	for r := range pl.prog.roles {
+		for i := range pl.prog.roles[r].steps {
+			for j := range pl.prog.roles[r].steps[i].xfers {
+				if x := &pl.prog.roles[r].steps[i].xfers[j]; !x.swap {
+					x.ref = true
+				}
+			}
+		}
+	}
+	v := pl.Check()
+	if mentions(v, "before every receiver may have landed them") {
+		return
+	}
+	if len(v) > 0 {
+		t.Fatalf("%s: by reference, Check reports %q", where, v)
+	}
+	for w := 1; w <= 4; w++ {
+		walked(t, fmt.Sprintf("%s by reference W=%d", where, w), w, Labels, pl)
+	}
+}
+
 // TestRoundMajorAtScale: an index and a concatenation at n = 1024 run
 // on the round-major driver and deliver every block.
 func TestRoundMajorAtScale(t *testing.T) {
@@ -418,7 +462,7 @@ func (pl *Plan) walkAt(w int) func(Memory) (*Result, error) {
 //	go test -run xxx -bench Drivers -cpu 1,2 ./internal/collective
 func BenchmarkDrivers(b *testing.B) {
 	specs := []Spec{ringAllReduce(16 << 10)}
-	for _, blockLen := range []int{128, 512, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+	for _, blockLen := range []int{128, 512, 1 << 10, 2 << 10, 4 << 10, 16 << 10, 64 << 10} {
 		specs = append(specs, Spec{Op: OpIndex, BlockLen: blockLen, Index: IndexOptions{Radix: 2}})
 	}
 	for _, spec := range specs {

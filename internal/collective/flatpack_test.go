@@ -16,12 +16,13 @@ import (
 	"bruck/internal/mpsim"
 )
 
-// bruckTable compiles the Bruck program and returns its Phase 2 rounds:
-// the exchange steps, sized by the counter.
-func bruckTable(n, k, b int, radixAt func(int) int, noPack bool) []*step {
+// bruckTable compiles the Bruck program and returns its Phase 2 rounds,
+// the exchange steps, sized by the counter, and the slots each transfer
+// carries (carried).
+func bruckTable(n, k, b int, radixAt func(int) int, noPack bool) ([]*step, [][][]int) {
 	pr := bruckProgram(n, k, b, radixAt, noPack, false)
 	pr.finish()
-	return exchanges(pr, 0)
+	return exchanges(pr, 0), carried(pr)
 }
 
 // exchanges returns the exchange steps of one role of a program.
@@ -36,16 +37,36 @@ func exchanges(pr *program, me int) []*step {
 	return out
 }
 
-// xferBlocks expands a transfer's send extents into the working-region
-// block ids it carries.
-func xferBlocks(x xfer) []int {
-	var ids []int
-	for _, e := range x.send {
-		for i := 0; i < int(e.n); i++ {
-			ids = append(ids, int(e.at.c)+i)
+// carried follows the slots of a Bruck index program's rotated order
+// through rank 0's exchanges — slot q (span by span) starts in input
+// block q, and the i-th place a transfer sends from and the i-th it
+// lands in hold the same slot — and returns the slots each transfer of
+// each exchange carries, in order; nil if a transfer sends from a place
+// no slot has reached.
+func carried(pr *program) [][][]int {
+	at := map[place]int{}
+	var out [][][]int
+	for _, s := range exchanges(pr, 0) {
+		var round [][]int
+		for _, x := range s.xfers {
+			send, recv := places(pr, x.send, 0), places(pr, x.recv, 0)
+			var ids []int
+			for i, p := range send {
+				q, ok := at[p]
+				if p.reg == regIn {
+					q, ok = p.blk, true
+				}
+				if !ok || i >= len(recv) {
+					return nil
+				}
+				ids = append(ids, q)
+				at[recv[i]] = q
+			}
+			round = append(round, ids)
 		}
+		out = append(out, round)
 	}
-	return ids
+	return out
 }
 
 // TestCompiledRoundsMatchSelectDigit cross-validates the uniform-radix
@@ -60,7 +81,7 @@ func TestCompiledRoundsMatchSelectDigit(t *testing.T) {
 			r = n
 		}
 		b := int(bRaw)%8 + 1
-		rounds := bruckTable(n, 1, b, func(int) int { return r }, false)
+		rounds, slots := bruckTable(n, 1, b, func(int) int { return r }, false)
 		w := blocks.NumDigits(n, r)
 		dist := 1
 		ri := 0
@@ -72,7 +93,7 @@ func TestCompiledRoundsMatchSelectDigit(t *testing.T) {
 				}
 				x := rounds[ri].xfers[0]
 				ids := blocks.SelectDigit(n, r, pos, z)
-				if x.to != plus(z*dist) || x.from != plus(-z*dist) || x.bytes != len(ids)*b || !reflect.DeepEqual(xferBlocks(x), ids) {
+				if x.to != plus(z*dist) || x.from != plus(-z*dist) || x.bytes != len(ids)*b || !reflect.DeepEqual(slots[ri][0], ids) {
 					return false
 				}
 				ri++
@@ -93,7 +114,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 	for _, tc := range []struct{ n, k, r int }{
 		{16, 2, 4}, {16, 3, 4}, {27, 2, 3}, {10, 3, 10}, {64, 3, 8},
 	} {
-		rounds := bruckTable(tc.n, tc.k, 1, func(int) int { return tc.r }, false)
+		rounds, _ := bruckTable(tc.n, tc.k, 1, func(int) int { return tc.r }, false)
 		total := 0
 		for _, rd := range rounds {
 			if len(rd.xfers) == 0 || len(rd.xfers) > tc.k {
@@ -101,7 +122,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 			}
 			total += len(rd.xfers)
 		}
-		one := bruckTable(tc.n, 1, 1, func(int) int { return tc.r }, false)
+		one, _ := bruckTable(tc.n, 1, 1, func(int) int { return tc.r }, false)
 		if total != len(one) {
 			t.Errorf("n=%d k=%d r=%d: %d transfers, one-port schedule has %d", tc.n, tc.k, tc.r, total, len(one))
 		}
@@ -113,7 +134,7 @@ func TestCompiledRoundsKPortGrouping(t *testing.T) {
 func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 	n := 24
 	radices := []int{2, 3, 4} // product 24
-	rounds := bruckTable(n, 1, 1, func(i int) int { return radices[i] }, false)
+	rounds, slots := bruckTable(n, 1, 1, func(i int) int { return radices[i] }, false)
 	ri := 0
 	weight := 1
 	for _, r := range radices {
@@ -121,9 +142,9 @@ func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 		for z := 1; z < h; z++ {
 			ids := blocks.SelectAt(n, weight, r, z)
 			x := rounds[ri].xfers[0]
-			if x.to != plus(z*weight) || !reflect.DeepEqual(xferBlocks(x), ids) {
+			if x.to != plus(z*weight) || !reflect.DeepEqual(slots[ri][0], ids) {
 				t.Fatalf("round %d: to %+v blocks %v, want offset %d blocks %v",
-					ri, x.to, xferBlocks(x), z*weight, ids)
+					ri, x.to, slots[ri][0], z*weight, ids)
 			}
 			ri++
 		}
@@ -139,14 +160,14 @@ func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 // packed schedule.
 func TestCompiledNoPackRounds(t *testing.T) {
 	n, r, b := 9, 3, 4
-	packed := bruckTable(n, 1, b, func(int) int { return r }, false)
-	unpacked := bruckTable(n, 1, b, func(int) int { return r }, true)
+	_, packed := bruckTable(n, 1, b, func(int) int { return r }, false)
+	unpacked, one := bruckTable(n, 1, b, func(int) int { return r }, true)
 	var wantBlocks, gotBlocks int
 	for _, rd := range packed {
-		wantBlocks += len(xferBlocks(rd.xfers[0]))
+		wantBlocks += len(rd[0])
 	}
-	for _, rd := range unpacked {
-		if len(rd.xfers) != 1 || len(xferBlocks(rd.xfers[0])) != 1 || rd.xfers[0].bytes != b {
+	for i, rd := range unpacked {
+		if len(rd.xfers) != 1 || len(one[i][0]) != 1 || rd.xfers[0].bytes != b {
 			t.Fatalf("noPack round %+v is not a single-block round", rd)
 		}
 		gotBlocks++
@@ -198,11 +219,11 @@ func places(pr *program, exts []extent, me int) []place {
 
 // TestIndexAddressesSlotsInPlace pins the shape of the Bruck index
 // program over the whole small grid: no rotation pass (one local step, of
-// one block), every slot packed from the input on its first send and
-// landed in the output on its last receive with scratch only in between,
-// no scratch at all for a single subphase, the r = n member transfer for
-// transfer the direct exchange — and each such plan proved by Plan.Check
-// and run through the oracle.
+// one block), every slot sent from the input on its first hop and landed
+// in the output on its last, in places of its own in between, no scratch
+// at all for a single subphase, the r = n member transfer for transfer
+// the direct exchange — and each such plan proved by Plan.Check and run
+// through the oracle.
 func TestIndexAddressesSlotsInPlace(t *testing.T) {
 	const bl = 4
 	type variant struct {
@@ -246,7 +267,7 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 					if viol := pl.Check(); len(viol) != 0 {
 						t.Fatalf("Check: %q", viol)
 					}
-					checkSlotsInPlace(t, pl.prog, v.r)
+					checkSlotsInPlace(t, pl.prog, v.r, v.spec.Index.NoPack)
 					if n > 1 && v.r(0) >= n && pl.segments == 0 && !v.spec.Index.NoPack {
 						checkSameTransfers(t, pl.prog, direct)
 					}
@@ -257,11 +278,15 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 }
 
 // checkSlotsInPlace asserts the in-place addressing of one compiled
-// Bruck index program whose subphase i has radix radixAt(i).
-func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
+// Bruck index program whose subphase i has radix radixAt(i): each slot
+// (span by span) hops once per non-zero digit, from its input block to
+// its output block, no place holding two slots. Packed, every hop lands
+// in a place other than the one it left, the output block or one of up
+// to two scratch regions (homes); under noPack the slot stays in its
+// scratch block between hops.
+func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int, noPack bool) {
 	t.Helper()
 	n, ro := pr.n, pr.role(0)
-	// A slot hops once per non-zero digit, and once per span of it.
 	hops := make([]int, n)
 	subphases := 0
 	for weight := 1; weight < n; subphases++ {
@@ -273,28 +298,42 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 		}
 		weight *= r
 	}
-	if want := subphases > 1; (len(ro.scratch) == 1) != want || len(ro.scratch) > 1 {
+	if regions := len(ro.scratch); (regions > 0) != (subphases > 1) || regions > 2 || noPack && regions > 1 {
 		t.Errorf("%d subphases but scratch %v", subphases, ro.scratch)
 	}
 	type key struct {
 		slot int
 		off  int32
 	}
-	sends, recvs := map[key][]regID{}, map[key][]regID{}
+	holds := map[place]int{} // the slot rank 0 keeps in a place
+	moves := map[key][]place{}
 	locals := 0
 	for i := range ro.steps {
 		switch s := &ro.steps[i]; s.kind {
 		case stepExchange:
 			for _, x := range s.xfers {
-				for _, p := range places(pr, x.send, 0) {
-					sends[key{p.blk, p.off}] = append(sends[key{p.blk, p.off}], p.reg) // rank 0's input block and scratch slot q are both q
+				send, recv := places(pr, x.send, 0), places(pr, x.recv, 0)
+				if len(send) != len(recv) {
+					t.Fatalf("step %d sends %d places and lands %d", i, len(send), len(recv))
 				}
-				for _, p := range places(pr, x.recv, 0) {
-					q := p.blk
-					if p.reg == regOut {
-						q = (n - p.blk) % n // rank 0's output block -q
+				for j, p := range send {
+					q, ok := holds[p]
+					if p.reg == regIn {
+						q, ok = p.blk, true // rank 0's input block q is slot q
 					}
-					recvs[key{q, p.off}] = append(recvs[key{q, p.off}], p.reg)
+					if !ok {
+						t.Fatalf("step %d sends %+v, which holds no slot", i, p)
+					}
+					if o, taken := holds[recv[j]]; taken && o != q || recv[j] == p && !noPack {
+						t.Fatalf("step %d lands slot %d in %+v, which it leaves or slot %d holds", i, q, recv[j], o)
+					}
+					delete(holds, p)
+					holds[recv[j]] = q
+					k := key{q, p.off}
+					if len(moves[k]) == 0 {
+						moves[k] = append(moves[k], p)
+					}
+					moves[k] = append(moves[k], recv[j])
 				}
 			}
 		case stepCopy:
@@ -309,25 +348,20 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 	if locals != 1 {
 		t.Errorf("%d local steps, want 1", locals)
 	}
-	spans := len(sends) / max(1, n-1)
-	if len(sends) != spans*(n-1) || len(recvs) != len(sends) {
-		t.Fatalf("%d sent and %d received (slot, span) pairs for %d slots", len(sends), len(recvs), n-1)
+	spans := len(moves) / max(1, n-1)
+	if len(moves) != spans*(n-1) {
+		t.Fatalf("%d moved (slot, span) pairs for %d slots", len(moves), n-1)
 	}
-	for k, regs := range sends {
-		back := recvs[k]
-		if k.slot == 0 || len(regs) != hops[k.slot] || len(back) != hops[k.slot] {
-			t.Fatalf("slot %d span %d: %d sends, %d receives, want %d each", k.slot, k.off, len(regs), len(back), hops[k.slot])
+	for k, path := range moves {
+		if k.slot == 0 || len(path) != hops[k.slot]+1 {
+			t.Fatalf("slot %d span %d: %d hops, want %d", k.slot, k.off, len(path)-1, hops[k.slot])
 		}
-		for i := range regs {
-			wantSend, wantRecv := regWork, regWork
-			if i == 0 {
-				wantSend = regIn
-			}
-			if i == len(regs)-1 {
-				wantRecv = regOut
-			}
-			if regs[i] != wantSend || back[i] != wantRecv {
-				t.Errorf("slot %d span %d hop %d: packed from region %d, landed in region %d, want %d and %d", k.slot, k.off, i, regs[i], back[i], wantSend, wantRecv)
+		if first, last := path[0], path[len(path)-1]; first.reg != regIn || last.reg != regOut || last.blk != (n-k.slot)%n {
+			t.Errorf("slot %d span %d goes from %+v to %+v, want input block %d to output block %d", k.slot, k.off, first, last, k.slot, (n-k.slot)%n)
+		}
+		for _, p := range path[1 : len(path)-1] {
+			if noPack && p.reg != regWork || p.reg == regIn {
+				t.Errorf("slot %d span %d passes through %+v", k.slot, k.off, p)
 			}
 		}
 	}

@@ -21,3 +21,16 @@ func TestWalkWorkersAgreeGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestByRefForcedGolden is TestByRefForced over the golden corpus.
+func TestByRefForcedGolden(t *testing.T) {
+	for _, c := range golden.Corpus() {
+		t.Run(c.Name, func(t *testing.T) {
+			pl, err := golden.Compile(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collective.ByRefForced(t, c.Name, pl)
+		})
+	}
+}

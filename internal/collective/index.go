@@ -71,8 +71,9 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	if opt.Algorithm == IndexBruck {
 		pr = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, lay != nil && !lay.Uniform())
 	} else {
-		// Block B[me, dst] goes straight to dst and B[src, me] lands
-		// straight in the output, ports filled k partners at a time.
+		// Block B[me, dst] goes straight to dst, by reference (nothing
+		// writes the input), and B[src, me] lands straight in the output,
+		// ports filled k partners at a time.
 		b := newBuilder(n, n, 2*n)
 		peer, back := plus, -1
 		if opt.Algorithm == IndexPairwiseXOR {
@@ -81,7 +82,7 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 		b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, plus(0), 1)))
 		for z := 1; z < n; z++ {
 			to, from := peer(z), peer(back*z)
-			b.xfers = append(b.xfers, xfer{to: to, from: from,
+			b.xfers = append(b.xfers, xfer{to: to, from: from, ref: true,
 				send: b.ext(blocksAt(regIn, to, 1)), recv: b.ext(blocksAt(regOut, from, 1))})
 			if z%k == 0 || z == n-1 {
 				b.exchange("", 0)
@@ -105,15 +106,24 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 // paper's rotate-up, rounds and permute phases are one: slot q of the
 // rotated order is input block me+q until its first send and output
 // block me-q after its last receive, bruckRounds addresses it there, and
-// the only local step is slot 0's, which never travels. Scratch holds
-// slots between hops, so only a table with a second subphase has any:
-// the r = n member is IndexDirect's transfers. padded (a layout plan of
-// unequal blocks) runs the rounds on scratch slots packed at true lengths
-// and unpacked in rank order: two-phase packing, not a rotation.
+// the only local step is slot 0's, which never travels. Between hops a
+// slot sits in output block me-q or in scratch (homes), so only a table
+// with a second subphase has any: the r = n member is IndexDirect's
+// transfers. padded (a layout plan of unequal blocks) runs the rounds on
+// scratch slots packed at true lengths and unpacked in rank order:
+// two-phase packing, not a rotation.
 func bruckProgram(n, k, bl int, radixAt func(int) int, noPack, padded bool) *program {
-	b := newBuilder(bruckSizes(n, k, radixAt, padded))
+	b := newBuilder(bruckSizes(n, k, radixAt, noPack, padded))
+	thirds := 0
+	if !noPack && !padded {
+		h := homes{n: n, k: k, radixAt: radixAt}
+		thirds = h.thirds(n)
+	}
 	var work []scratch
-	if padded || (n > 1 && radixAt(0) < n) {
+	switch {
+	case thirds > 0:
+		work = []scratch{{n * bl, bl}, {thirds * bl, bl}}
+	case padded || (n > 1 && radixAt(0) < n):
 		work = []scratch{{n * bl, bl}}
 	}
 	if padded {
@@ -140,16 +150,21 @@ func slots(reg regID, q, cnt int) extent {
 	return blocksAt(reg, fixed(q), cnt)
 }
 
-// bruckSizes sizes the slabs of a packed Bruck program exactly, so the
-// builder allocates each once. Every slot but 0 heads one run, at its
-// lowest non-zero digit, so a table has n-1 runs: recv lists each, send
-// its head and, past subphase 0, the rest of it.
-func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, exts int) {
+// bruckSizes sizes the slabs of a Bruck program, so the builder
+// allocates each once. With slots kept in place between hops (padded,
+// noPack), every slot but 0 heads one run, at its lowest non-zero digit,
+// so a table has n-1 runs: recv lists each, send its head and, past
+// subphase 0, the rest of it. Placed by homes, a hop — a slot's
+// non-zero digit — adds at most one extent to each side.
+func bruckSizes(n, k int, radixAt func(int) int, noPack, padded bool) (steps, xfers, exts int) {
 	steps, xfers, exts = 1, 1, 2*n
 	if padded {
 		steps, xfers, exts = 2, 2, 2*n+1
 	}
-	if n > 1 {
+	homed := !noPack && !padded
+	if homed {
+		exts = 2
+	} else if n > 1 {
 		exts += intmath.CeilDiv(n, radixAt(0)) - 1
 	}
 	for sub, weight := 0, 1; weight < n; sub++ {
@@ -157,9 +172,88 @@ func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, ext
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
 		steps += intmath.CeilDiv(h-1, k)
 		xfers += h - 1
+		if homed {
+			exts += 2 * (n - digitCount(n, r, 0, weight))
+		}
 		weight *= r
 	}
 	return steps, xfers, exts
+}
+
+// homes places the slots of a packed table that lands in the output so
+// that every transfer may send by reference. Slot q hops once per
+// non-zero digit, in -> L1 -> ... -> LH = output block me-q, and a rank
+// may not write a byte it sent in round t before its first exchange
+// after round t+1 (errRefWrite): so Lj != Lj-1, and Lj != Lj-2 when hops
+// j-1 and j fall in consecutive rounds. Counted back from LH, a slot
+// alternates between output block me-q, which nothing else writes before
+// its last hop, and scratch block q; a slot with hops j-1 and j >= 3 in
+// consecutive rounds cycles through a third place, its block of the
+// compact region regWork+1, as well. (At radix 2 those are slots 7, 13,
+// 14 and 15 of 16.)
+type homes struct {
+	n, k    int
+	radixAt func(int) int
+	q, c    int // c of the slots below q need a third place
+}
+
+// path returns slot q's hop in subphase sub, counted from 1 (0: it does
+// not hop there), its number of hops, and whether it needs a third
+// place.
+func (h *homes) path(q, sub int) (j, hops int, third bool) {
+	last := -2 // the round of the previous hop
+	for s, weight, round := 0, 1, 0; weight < h.n; s++ {
+		r := h.radixAt(s)
+		if z := q / weight % r; z > 0 {
+			hops++
+			at := round + (z-1)/h.k
+			third = third || hops >= 3 && at == last+1
+			last = at
+			if s == sub {
+				j = hops
+			}
+		}
+		round += intmath.CeilDiv(intmath.Min(r, intmath.CeilDiv(h.n, weight))-1, h.k)
+		weight *= r
+	}
+	return j, hops, third
+}
+
+// at returns the block slot q sits in before its hop in subphase sub, or
+// after it (recv).
+func (h *homes) at(q, sub int, recv bool) extent {
+	j, hops, third := h.path(q, sub)
+	if !recv {
+		j--
+	}
+	if j == 0 {
+		return slots(regIn, q, 1)
+	}
+	cycle := 2
+	if third {
+		cycle = 3
+	}
+	switch (hops - j) % cycle {
+	case 0:
+		return slots(regOut, q, 1)
+	case 1:
+		return slots(regWork, q, 1)
+	}
+	return blocksAt(regWork+1, fixed(h.thirds(q)), 1)
+}
+
+// thirds returns how many slots below q need a third place: q's block of
+// the compact region. Calls with rising q resume the count.
+func (h *homes) thirds(q int) int {
+	if q < h.q {
+		h.q, h.c = 0, 0
+	}
+	for ; h.q < q; h.q++ {
+		if _, _, third := h.path(h.q, -1); third {
+			h.c++
+		}
+	}
+	return h.c
 }
 
 // bruckRounds appends the rounds of the Bruck-family index algorithm on
@@ -169,26 +263,37 @@ func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, ext
 // weight equals z — runs of `weight` slots every weight*r — to rank
 // me+z*weight, and receives the same slots from me-z*weight. A slot
 // travels exactly where its digit is non-zero, so the head of a run
-// (lower digits zero) is still in region in, the first run of a transfer
-// (higher digits zero) lands for good in region out, and the rest sit in
-// scratch. Packed mode groups k digit values into one round; noPack
-// emits one single-block round per slot (the paper's packing ablation).
-// The offsets z*weight are distinct across the table (each stays below
-// the next weight), so the rounds may share ports as lanes (pipeline).
+// (lower digits zero) is still in region in and the first run of a
+// transfer (higher digits zero) lands for good in region out. Packed
+// into out, the slots move between the places homes gives them and
+// every transfer sends by reference; otherwise the rest sit in scratch
+// in place and every transfer packs. Packed mode groups k digit values
+// into one round; noPack emits one single-block round per slot (the
+// paper's packing ablation). The offsets z*weight are distinct across
+// the table (each stays below the next weight), so the rounds may share
+// ports as lanes (pipeline).
 func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, out regID) {
+	var h *homes
+	if out == regOut && !noPack {
+		h = &homes{n: n, k: k, radixAt: radixAt}
+	}
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
-		h := intmath.Min(r, intmath.CeilDiv(n, weight))
+		hi := intmath.Min(r, intmath.CeilDiv(n, weight))
 		grain := weight // slots an extent may span: a whole run, or one under noPack
 		if noPack {
 			grain = 1
 		}
-		for z := 1; z < h; z++ {
+		for z := 1; z < hi; z++ {
 			list := func(recv bool) []extent {
 				lo := len(b.exts)
 				for base := z * weight; base < n; base += weight * r {
 					for q := base; q < intmath.Min(base+weight, n); q += grain {
 						switch cnt := intmath.Min(grain, n-q); {
+						case h != nil:
+							for i := q; i < q+cnt; i++ {
+								b.join(lo, h.at(i, sub, recv))
+							}
 						case recv && base < weight*r:
 							b.ext(slots(out, q, cnt))
 						case !recv && q == base:
@@ -203,8 +308,8 @@ func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, 
 			send, recv := list(false), list(true)
 			to, from := plus(z*weight), plus(-z*weight)
 			if !noPack {
-				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send, recv: recv})
-				if (z-1)%k == k-1 || z == h-1 {
+				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send, recv: recv, ref: h != nil})
+				if (z-1)%k == k-1 || z == hi-1 {
 					b.exchange("bruck", 0)
 				}
 				continue

@@ -54,7 +54,7 @@ func pipeline(pr *program, s int) (*program, int) {
 		lo, hi := max(0, t-len(rounds)+1), min(t, s-1)
 		for seg := lo; seg <= hi; seg++ {
 			for _, x := range rounds[t-seg].xfers {
-				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, combine: x.combine,
+				b.xfers = append(b.xfers, xfer{to: x.to, from: x.from, combine: x.combine, ref: x.ref,
 					send: cut(x.send, spans[seg]), recv: cut(x.recv, spans[seg])})
 			}
 		}

@@ -278,3 +278,45 @@ func TestAutoSegmentsResolution(t *testing.T) {
 		t.Errorf("OptimalSegments(b=1) = %d, want monolithic", s)
 	}
 }
+
+// TestOptimalSegmentsAllocs pins OptimalSegments' cost — one schedule
+// per call, the span lengths computed — and its answers to the search it
+// replaced, which built a schedule and a SplitSpans slice per candidate.
+func TestOptimalSegmentsAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { OptimalSegments(costmodel.SP1, 16, 64<<10, 2, 1) }); a > 2 {
+		t.Errorf("OptimalSegments allocates %v times a call, want at most 2", a)
+	}
+	before := func(n, b, r, k int) int {
+		best, bestTime := 1, 0.0
+		for _, s := range []int{1, 2, 4, 8, 16} {
+			sched := IndexSchedule(n, r, k)
+			c1, c2 := IndexCost(n, b, r, k)
+			if s := min(s, b, len(sched)); s > 1 {
+				spans := buffers.SplitSpans(b, s)
+				c1, c2 = costmodel.PipelinedC1(len(sched), s), 0
+				for t := 0; t < c1; t++ {
+					most := 0
+					for seg := max(0, t-len(sched)+1); seg <= min(t, s-1); seg++ {
+						most = max(most, sched[t-seg]*spans[seg].Len)
+					}
+					c2 += most
+				}
+			}
+			if tm := costmodel.SP1.Time(c1, c2); s == 1 || tm < bestTime {
+				best, bestTime = s, tm
+			}
+		}
+		return best
+	}
+	for n := 2; n <= 64; n++ {
+		for _, b := range []int{1, 7, 4096, 65536} {
+			for _, r := range []int{2, 4, n} {
+				for k := 1; k <= 3; k++ {
+					if got, want := OptimalSegments(costmodel.SP1, n, b, r, k), before(n, b, r, k); got != want {
+						t.Errorf("n=%d b=%d r=%d k=%d: %d segments, the per-candidate search says %d", n, b, r, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}

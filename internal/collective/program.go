@@ -185,6 +185,7 @@ type xfer struct {
 	send, recv []extent
 	combine    bool // received bytes combine into recv instead of overwriting
 	swap       bool // role.swaps of it, fixed by finish: the region's buffer itself travels
+	ref        bool // the payload may refer to the send extents: on the walk the receiver lands straight from them (run.go)
 	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
 }
 
@@ -306,7 +307,9 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 				if b > x.bytes {
 					x.bytes = b
 				}
-				x.swap = ro.swaps(s, x)
+				if x.swap = ro.swaps(s, x); x.swap {
+					x.ref = false // the region's buffer travels already
+				}
 				if x.to.mode != addrNone {
 					ts.note(t, b, ph)
 				}
@@ -371,10 +374,25 @@ func (pr *program) finish() {
 	}
 }
 
+// finishEmbedded finishes a program that runs embedded in another, with
+// every transfer packed: a sub-frame ends, and goes back to framePool,
+// while a by-reference reader may still hold it (frame.byRef).
+func (pr *program) finishEmbedded() {
+	for r := range pr.roles {
+		for i := range pr.roles[r].steps {
+			for j := range pr.roles[r].steps[i].xfers {
+				pr.roles[r].steps[i].xfers[j].ref = false
+			}
+		}
+	}
+	pr.finish()
+}
+
 // moved returns the bytes rank me copies in one run of the program — its
-// local steps, and every exchange's packs and lands — walked from the
-// program like C1/C2: the copies a data-path change removes show here
-// exactly, whatever the clock says.
+// local steps, and every exchange's packs and lands (a by-reference
+// transfer packs nothing) — walked from the program like C1/C2: the
+// copies a data-path change removes show here exactly, whatever the
+// clock says.
 func (pr *program) moved(me int) (bytes int) {
 	ro := pr.role(me)
 	for i := range ro.steps {
@@ -384,7 +402,7 @@ func (pr *program) moved(me int) (bytes int) {
 				if x.swap {
 					continue // the region's buffer travels: nothing is packed, nothing landed
 				}
-				if x.to.mode != addrNone {
+				if x.to.mode != addrNone && !x.ref {
 					bytes += pr.measure(x.send, me)
 				}
 				if x.from.mode != addrNone {
@@ -451,8 +469,8 @@ func (pr *program) list(w *strings.Builder, ind string) {
 				fmt.Fprintf(w, " me=%d members=%v", s.em.me, s.em.members)
 			}
 			for _, x := range s.xfers {
-				fmt.Fprintf(w, "\n%s    to %v from %v send %s recv %s bytes=%d%s%s", ind, x.to, x.from, extents(x.send), extents(x.recv),
-					x.bytes, map[bool]string{true: " combine"}[x.combine], map[bool]string{true: " swap"}[x.swap])
+				fmt.Fprintf(w, "\n%s    to %v from %v send %s recv %s bytes=%d%s%s%s", ind, x.to, x.from, extents(x.send), extents(x.recv),
+					x.bytes, map[bool]string{true: " combine"}[x.combine], map[bool]string{true: " swap"}[x.swap], map[bool]string{true: " ref"}[x.ref])
 			}
 			w.WriteString("\n")
 			if s.em != nil {
@@ -514,6 +532,23 @@ func (b *builder) ext(es ...extent) []extent {
 		}
 	}
 	return b.exts[lo:len(b.exts):len(b.exts)]
+}
+
+// join appends the extent e, a single block, to the list that starts at
+// lo, growing the list's last extent instead where e is its next block.
+func (b *builder) join(lo int, e extent) {
+	if i := len(b.exts) - 1; i >= lo {
+		l := &b.exts[i]
+		next := l.at
+		if next.c += l.n; l.rev {
+			next.c -= 2 * l.n
+		}
+		if l.reg == e.reg && l.rev == e.rev && l.off == e.off && l.len == e.len && next == e.at {
+			l.n++
+			return
+		}
+	}
+	b.exts = append(b.exts, e)
 }
 
 // local appends a copy or spread step moving src to dst.

@@ -12,7 +12,9 @@ package collective
 // in an outbox until a barrier has ended every worker's posts of round
 // t; each worker then lands its ranks left waiting and posts round t+1,
 // so a round costs one barrier. A rank reads only its own state and what
-// its senders packed in the round, so the bytes are the same at every W.
+// its senders sent in the round — packed, or by reference from bytes
+// Plan.Check proves they leave alone until the barrier that ends the
+// round — so the bytes are the same at every W.
 // Several plans on disjoint groups (ExecutePlans) are dealt whole to the
 // workers instead, each walked at W = 1 on its worker's own state.
 // The walk runs on a medium (run.go): bytes to execute a plan, labels —
@@ -49,11 +51,13 @@ var errPanicked = errors.New("collective: the walk stopped at a panic")
 // walkParallelBytes is the fewest bytes the plans of an execution copy
 // — the sum over their ranks of program.moved — for which the walk
 // spreads them over GOMAXPROCS workers; below it one worker walks them
-// all. BenchmarkDrivers sweeps the index at n = 16 over block sizes, at
-// one worker and at GOMAXPROCS: on a 2-vCPU host at two Ps the split
-// loses or ties up to b = 1 KiB (1.1 MB copied), where the barriers cost
-// what the second core saves, and wins from b = 4 KiB (4.3 MB) on.
-const walkParallelBytes = 2 << 20
+// all. BenchmarkDrivers sweeps the radix-2 index at n = 16 over block
+// sizes, at one worker and at GOMAXPROCS: on a 2-vCPU host at two Ps,
+// landing by reference, the split loses up to b = 2 KiB (1.1 MB
+// copied: 80 against 70 µs), where the barriers cost what the second
+// core saves, and wins from b = 4 KiB (2.2 MB: 117 against 171 µs) on.
+// The threshold sits between the two.
+const walkParallelBytes = 3 << 19
 
 // workers is the number of workers the walk spreads the jobs over.
 func workers(jobs []Job) int {

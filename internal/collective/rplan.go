@@ -203,10 +203,11 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 		// row holds the partial for chunk me xor q, so every round sends
 		// the upper half of what remains to partner me xor half and
 		// combines the partner's upper half into the lower; slot 0 ends
-		// as the fully combined chunk me.
+		// as the fully combined chunk me. A sent half is never written
+		// again, so it goes by reference.
 		b.local(stepSpread, b.ext(blocksAt(regWork, fixed(0), n)), b.ext(blocksAt(regIn, xor(0), n)))
 		for half := n / 2; half >= 1; half /= 2 {
-			b.xfers = append(b.xfers, xfer{to: xor(half), from: xor(half), combine: true,
+			b.xfers = append(b.xfers, xfer{to: xor(half), from: xor(half), combine: true, ref: true,
 				send: b.ext(blocksAt(regWork, fixed(half), half)), recv: b.ext(blocksAt(regWork, fixed(0), half))})
 			b.exchange("", 0)
 		}

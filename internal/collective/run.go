@@ -10,17 +10,26 @@ package collective
 // Scratch and pool discipline: a frame's scratch regions are acquired
 // from its pool — the rank's processor-local pool under the engine, its
 // worker's free list round-major — when the frame starts, in
-// declaration order, and released when it ends. Every payload takes one
-// path, pack -> own -> land: packed into a pool buffer of exactly its
-// extents' bytes on this rank (a layout family sends true block
-// lengths), handed over for good, held to the receiver's extents before
-// a byte is written, landed — copy or combine — and released to the
-// receiver's pool, where its next pack finds it in cache; round-major a
-// worker that keeps another's payload pays it back a buffer when the
-// walk ends (rounds.close). Two copies per byte per hop. The one exception is a swap (role.swaps): its payload is the
-// scratch region's own buffer and the payload it receives becomes the
-// region, no copy either way. After a failed round the region holds no
-// buffer: the one it gave away may already sit in a peer's pool.
+// declaration order, and released when it ends. A payload takes one of
+// three paths. Packed, it goes pack -> own -> land: packed into a pool
+// buffer of exactly its extents' bytes on this rank (a layout family
+// sends true block lengths), handed over for good, held to the
+// receiver's extents before a byte is written, landed — copy or combine
+// — and released to the receiver's pool, where its next pack finds it in
+// cache; round-major a worker that keeps another's payload pays it back
+// a buffer when the walk ends (rounds.close). That is two copies per
+// byte per hop. A transfer marked ref goes by reference on the walk: the
+// payload names the sender's top frame and transfer, and the receiver's
+// land copies or combines once, straight from the sender's extents,
+// after the same size check. The engine driver packs it like any other.
+// Plan.Check proves that no rank writes a byte it sent by reference
+// before every receiver may have landed it (check.go); a sub-frame's
+// transfers always pack, because a sub-frame ends, and goes back to
+// framePool, while a reader may still hold it. A swap (role.swaps)
+// copies nothing either way: its payload is the scratch region's own
+// buffer and the payload it receives becomes the region. After a failed
+// round the region holds no buffer: the one it gave away may already sit
+// in a peer's pool.
 
 import (
 	"fmt"
@@ -65,12 +74,16 @@ type medium interface {
 	fault(format string, args ...any) error
 }
 
-// payload is a message in flight from group rank src: data on bytes; on
-// labels, msg indexes the medium's list of what is sent. (32 bytes: the
-// walker copies it in and out of boxes on every hop.)
+// payload is a message in flight from group rank src: data on bytes, or
+// — sent by reference — the sender's frame and transfer, whose send
+// extents the land reads; on labels, msg indexes the medium's list of
+// what is sent. (48 bytes: the walker copies it in and out of boxes on
+// every hop.)
 type payload struct {
 	src, msg int32
 	data     []byte
+	from     *frame
+	x        *xfer
 }
 
 // frame is the state of one rank running one program: the top-level
@@ -239,6 +252,11 @@ func (f *frame) rank(a rel) int {
 	return -1
 }
 
+// byRef reports whether the frame sends x by reference on the walk: x is
+// marked ref and the frame is a role's top frame, which lives as long as
+// the walk.
+func (f *frame) byRef(x *xfer) bool { return x.ref && f.up == nil }
+
 // id resolves a peer address to its engine rank.
 func (f *frame) id(a rel) int { return f.pl.group.ID(f.rank(a)) }
 
@@ -402,7 +420,11 @@ func (f *frame) land(dst, src []byte, combine bool) {
 // zip moves src to dst as byte streams, piece boundaries on either side
 // notwithstanding, until one of them ends.
 func (f *frame) zip(dst, src []extent, combine bool) {
-	d, s := reader{f: f, ext: dst}, reader{f: f, ext: src}
+	f.stream(reader{f: f, ext: dst}, reader{f: f, ext: src}, combine)
+}
+
+// stream moves what s reads to what d reads, until one of them ends.
+func (f *frame) stream(d, s reader, combine bool) {
 	var db, sb []byte
 	for ok := true; ; {
 		if len(db) == 0 {
@@ -441,9 +463,27 @@ func (bytesMedium) embed(sub, f *frame, s *step) {
 	}
 }
 
-func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, _, _, _ int) { p.data = f.outgoing(x) }
+// outgoing packs the payload, or refers it to the frame's transfer.
+func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, _, _, _ int) {
+	if f.byRef(x) {
+		p.from, p.x = f, x
+		return
+	}
+	p.data = f.outgoing(x)
+}
 
-func (bytesMedium) land(f *frame, x *xfer, p *payload, _, t int) error { return f.unpack(x, p.data, t) }
+// land unpacks the payload, or lands it straight from the sender's send
+// extents once they are exactly the bytes the recv extents address.
+func (bytesMedium) land(f *frame, x *xfer, p *payload, _, t int) error {
+	if p.x == nil {
+		return f.unpack(x, p.data, t)
+	}
+	if got, want := p.from.size(p.x.send), f.size(x.recv); got != want {
+		return fmt.Errorf("collective: "+errSize, got, f.id(x.from), want, t)
+	}
+	f.stream(reader{f: f, ext: x.recv}, reader{f: p.from, ext: p.x.send}, x.combine)
+	return nil
+}
 
 func (bytesMedium) fault(format string, args ...any) error {
 	return fmt.Errorf("collective: "+format, args...)
