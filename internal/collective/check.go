@@ -57,10 +57,14 @@ const errRefWrite = "round %d: rank %d writes bytes it sent by reference in roun
 
 // lab is a run of n symbolic bytes at off: byte i holds the combination
 // of byte src+i of the input regions of cnt contributing ranks, whose
-// identities sum (hashed) to who.
+// identities sum (hashed) to who; cnt 0 is bytes never written. pin is
+// the last round the rank sent the bytes by reference in, plus one (0:
+// never): they may not be written before its first exchange after the
+// round that follows (errRefWrite).
 type lab struct {
-	off, n, src, cnt int
-	who              uint64
+	off, n, src int
+	cnt, pin    int32
+	who         uint64
 }
 
 // rankHash spreads rank identities so that sums of distinct rank sets
@@ -79,37 +83,45 @@ func after(m []lab, off int) int {
 }
 
 // clip returns the runs of m inside [off, off+n), rebased to start at 0.
-func clip(m []lab, off, n int) []lab {
-	var out []lab
-	for i := after(m, off); i < len(m) && m[i].off < off+n; i++ {
-		l := m[i]
-		lo, hi := max(l.off, off), min(l.off+l.n, off+n)
-		out = append(out, lab{lo - off, hi - lo, l.src + lo - l.off, l.cnt, l.who})
+func clip(m []lab, off, n int) []lab { return appendClip(nil, m, after(m, off), off, n, 0) }
+
+// appendClip appends to out the runs of m inside [off, off+n), moved to
+// start at at, searching m from run i: no later than the first run
+// ending after off.
+func appendClip(out, m []lab, i, off, n, at int) []lab {
+	for ; i < len(m) && m[i].off < off+n; i++ {
+		if l := m[i]; l.off+l.n > off {
+			lo, hi := max(l.off, off), min(l.off+l.n, off+n)
+			l.off, l.n, l.src = lo-off+at, hi-lo, l.src+lo-l.off
+			out = append(out, l)
+		}
 	}
 	return out
 }
 
-// put replaces [off, off+n) of m by the runs rs (based at 0), in place:
-// the runs it overlaps give way to the part of the first before off, rs,
-// and the part of the last after off+n.
-func put(m []lab, off, n int, rs []lab) []lab {
-	i, j := after(m, off), after(m, off+n)
-	repl := make([]lab, 0, len(rs)+2)
+// put replaces [off, off+n) of m by the runs of rs in [from, from+n), in
+// place: the runs of m it overlaps, from run i = after(m, off) on, give
+// way to the part of the first before off, those of rs, and the part of
+// the last after off+n. rs is searched from run at on.
+func (lm *labels) put(m []lab, i, off, n int, rs []lab, at, from int) []lab {
+	j := i
+	for j < len(m) && m[j].off+m[j].n <= off+n {
+		j++
+	}
+	repl := lm.repl[:0]
 	if i < len(m) && m[i].off < off {
 		head := m[i]
 		head.n = off - head.off
 		repl = append(repl, head)
 	}
-	for _, l := range rs {
-		l.off += off
-		repl = append(repl, l)
-	}
+	repl = appendClip(repl, rs, at, from, n, off)
 	if j < len(m) && m[j].off < off+n {
 		tail, cut := m[j], off+n-m[j].off
 		tail.off, tail.n, tail.src = off+n, tail.n-cut, tail.src+cut
 		repl = append(repl, tail)
 		j++
 	}
+	lm.repl = repl
 	return slices.Replace(m, i, j, repl...)
 }
 
@@ -125,12 +137,12 @@ func merge(a, b []lab) (out []lab, ok bool) {
 		if y.n < n {
 			n = y.n
 		}
-		out = append(out, lab{x.off, n, x.src, x.cnt + y.cnt, x.who + y.who})
+		out = append(out, lab{off: x.off, n: n, src: x.src, cnt: x.cnt + y.cnt, who: x.who + y.who})
 		if a = a[1:]; x.n > n {
-			a = append([]lab{{x.off + n, x.n - n, x.src + n, x.cnt, x.who}}, a...)
+			a = append([]lab{{off: x.off + n, n: x.n - n, src: x.src + n, cnt: x.cnt, who: x.who}}, a...)
 		}
 		if b = b[1:]; y.n > n {
-			b = append([]lab{{y.off + n, y.n - n, y.src + n, y.cnt, y.who}}, b...)
+			b = append([]lab{{off: y.off + n, n: y.n - n, src: y.src + n, cnt: y.cnt, who: y.who}}, b...)
 		}
 	}
 	return out, len(a) == 0 && len(b) == 0
@@ -141,8 +153,9 @@ func merge(a, b []lab) (out []lab, ok bool) {
 // acquires — and their sizes. add sees each violation; msgs are the
 // messages sent, streams their labels — read at the post, or for a
 // by-reference send at the land from the pieces refs holds — and tags
-// each round's phase. pins are, per rank and round, the pieces it sent
-// by reference and may not write yet (errRefWrite).
+// each round's phase. A by-reference send pins its bytes in their runs
+// (lab.pin); told holds the (rank, round sent, round written) of each
+// errRefWrite reported, so each is reported once.
 type labels struct {
 	pl      *Plan
 	mems    [][][]lab
@@ -153,43 +166,32 @@ type labels struct {
 	msgs    []mpsim.Event
 	streams [][]lab
 	refs    [][]piece
-	pins    [][]pins
 	tags    map[int]string
+	told    map[[3]int]bool
+	repl    []lab    // put's
+	hint    [][8]int // find's: the run each memory of each rank's last search found
 }
 
-// pins are the non-empty pieces a rank sent by reference in round t,
-// sorted by memory and offset and merged where they touch before a
-// write is first held to them; told is the last round whose writes to
-// them were reported, plus one, so a round is reported once.
-type pins struct {
-	t, told int
-	ps      []piece
-	sorted  bool
-}
-
-// hit reports whether the piece p overlaps a pinned one.
-func (pn *pins) hit(p piece) bool {
-	if !pn.sorted {
-		slices.SortFunc(pn.ps, func(a, b piece) int { return cmp.Or(a.mem-b.mem, a.off-b.off) })
-		merged := pn.ps[:0]
-		for _, q := range pn.ps {
-			if l := len(merged) - 1; l >= 0 && merged[l].mem == q.mem && q.off <= merged[l].off+merged[l].n {
-				merged[l].n = max(merged[l].n, q.off+q.n-merged[l].off)
-				continue
-			}
-			merged = append(merged, q)
+// find returns after(m, off) for memory mem of rank r, trying first the
+// runs around the one its last search found: pieces come in order, up
+// or down.
+func (lm *labels) find(r, mem, off int) int {
+	m, h := lm.mems[r][mem], &lm.hint[r][mem%len(lm.hint[r])] // a guess: memories may share one
+	ends := func(j int) bool { return m[j].off+m[j].n > off }
+	lo, hi, step := 0, len(m), 1 // after(m, off) is in [lo, hi]
+	if i := min(*h, len(m)); i < len(m) && !ends(i) {
+		for lo = i + 1; lo+step-1 < hi && !ends(lo+step-1); step *= 2 {
+			lo += step
 		}
-		pn.ps, pn.sorted = merged, true
-	}
-	lo, hi := 0, len(pn.ps) // the first pinned piece that ends after p starts
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); pn.ps[m].mem < p.mem || pn.ps[m].mem == p.mem && pn.ps[m].off+pn.ps[m].n <= p.off {
-			lo = m + 1
-		} else {
-			hi = m
+		hi = min(hi, lo+step-1)
+	} else {
+		for hi = i; hi-step >= 0 && ends(hi-step); step *= 2 {
+			hi -= step
 		}
+		lo = max(0, hi-step+1)
 	}
-	return lo < len(pn.ps) && pn.ps[lo].mem == p.mem && pn.ps[lo].off < p.off+p.n
+	*h = lo + after(m[lo:hi], off)
+	return *h
 }
 
 // walkLabels runs the round-major driver's walk of pl on the label
@@ -204,10 +206,10 @@ func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done 
 	}
 	n := pl.group.Size()
 	lm := &labels{pl: pl, mems: make([][][]lab, n), size: make([][]int, n), phase: make([]string, n), entered: make([]int, n), add: add,
-		pins: make([][]pins, n), tags: map[int]string{}}
+		tags: map[int]string{}, told: map[[3]int]bool{}, hint: make([][8]int, n)}
 	for r := range n {
 		inSize, outSize := pl.sizes(r)
-		lm.mems[r] = [][]lab{{{0, inSize, 0, 1, rankHash(r)}}, nil}
+		lm.mems[r] = [][]lab{{{n: inSize, cnt: 1, who: rankHash(r)}}, nil}
 		lm.size[r] = []int{inSize, outSize}
 	}
 	var d rounds
@@ -269,7 +271,7 @@ func (lm *labels) embed(sub, f *frame, s *step) {
 }
 
 // enter opens rank me's exchange of round t at its first send or
-// receive: it frees the pieces the rank sent by reference before round
+// receive, which frees the bytes the rank sent by reference before round
 // t-1, and holds the exchange's phase to the round's and each
 // transfer's swap flag to its extents. The exchange is the step before
 // f.at (cursor.next).
@@ -278,7 +280,6 @@ func (lm *labels) enter(f *frame, me, t int) {
 		return
 	}
 	lm.entered[me] = t + 1
-	lm.pins[me] = slices.DeleteFunc(lm.pins[me], func(pn pins) bool { return pn.t < t-1 })
 	s := &f.pr.role(f.me).steps[f.at-1]
 	lm.phase[me] = f.phaseOf(s)
 	if lm.tags[t] == "" {
@@ -295,7 +296,7 @@ func (lm *labels) enter(f *frame, me, t int) {
 }
 
 // outgoing reads the send extents' labels — by reference, it pins their
-// pieces instead, for the land to read — and lists the message; a
+// bytes instead, for the land to read — and lists the message; a
 // hierarchical plan's phase moves over one link class.
 func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
 	lm.enter(f, me, t)
@@ -303,15 +304,11 @@ func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
 	var stream []lab
 	var ref []piece
 	n := 0
-	if f.byRef(x) {
+	if x.ref {
 		p.x, ref = x, ps
-		if last := len(lm.pins[me]) - 1; last < 0 || lm.pins[me][last].t != t {
-			lm.pins[me] = append(lm.pins[me], pins{t: t})
-		}
-		pn := &lm.pins[me][len(lm.pins[me])-1]
 		for _, q := range ps {
 			if n += q.n; q.n > 0 {
-				pn.ps, pn.sorted = append(pn.ps, q), false
+				lm.pin(me, q, t)
 			}
 		}
 	} else {
@@ -382,16 +379,44 @@ func (lm *labels) pieces(f *frame, exts []extent) []piece {
 	return out
 }
 
-// read gathers the labels of rank r's pieces as one stream and returns
-// its size.
+// pin marks the bytes of rank r's piece p sent by reference in round t,
+// an unwritten gap among them by an empty run.
+func (lm *labels) pin(r int, p piece, t int) {
+	m := lm.mems[r][p.mem]
+	i := lm.find(r, p.mem, p.off)
+	if i < len(m) && m[i].off == p.off && m[i].n == p.n {
+		m[i].pin = int32(t + 1)
+		return
+	}
+	var rs []lab
+	at := 0
+	for _, l := range append(appendClip(nil, m, i, p.off, p.n, 0), lab{off: p.n}) { // the last gap ends at p.n
+		if l.off > at {
+			rs = append(rs, lab{off: at, n: l.off - at, pin: int32(t + 1)})
+		}
+		if at = l.off + l.n; l.n > 0 {
+			l.pin = int32(t + 1)
+			rs = append(rs, l)
+		}
+	}
+	lm.mems[r][p.mem] = lm.put(m, i, p.off, p.n, rs, 0, 0)
+}
+
+// read gathers the labels of rank r's pieces as one stream, unpinned and
+// without unwritten runs, and returns its size.
 func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 	var out []lab
 	total := 0
 	for _, p := range ps {
-		for _, l := range clip(lm.mems[r][p.mem], p.off, p.n) {
-			l.off += total
-			out = append(out, l)
+		lo := len(out)
+		out = appendClip(out, lm.mems[r][p.mem], lm.find(r, p.mem, p.off), p.off, p.n, total)
+		for _, l := range out[lo:] {
+			if l.cnt > 0 {
+				l.pin, out[lo] = 0, l
+				lo++
+			}
 		}
+		out = out[:lo]
 		total += p.n
 	}
 	return out, total
@@ -400,26 +425,31 @@ func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 // write scatters a label stream over rank r's pieces, combining when
 // asked; a piece the rank may not write yet is a violation.
 func (lm *labels) write(r int, ps []piece, stream []lab, combine bool) {
-	pos := 0
+	pos, at := 0, 0 // at: the first stream run that may hold pos
 	for _, p := range ps {
-		for i := range lm.pins[r] {
-			if pn := &lm.pins[r][i]; p.n > 0 && pn.hit(p) {
-				if now := lm.entered[r]; pn.told != now {
-					lm.add(errRefWrite, now-1, r, pn.t)
-					pn.told = now
-				}
+		mem, now := &lm.mems[r][p.mem], lm.entered[r]
+		m := *mem
+		i := lm.find(r, p.mem, p.off)
+		for j := i; p.n > 0 && j < len(m) && m[j].off < p.off+p.n; j++ {
+			if sent := int(m[j].pin) - 1; sent >= 0 && now-1 <= sent+1 && !lm.told[[3]int{r, sent, now}] {
+				lm.add(errRefWrite, now-1, r, sent)
+				lm.told[[3]int{r, sent, now}] = true
 				break
 			}
 		}
-		rs := clip(stream, pos, p.n)
-		mem := &lm.mems[r][p.mem]
+		for at < len(stream) && stream[at].off+stream[at].n <= pos {
+			at++
+		}
 		if combine {
-			var ok bool
-			if rs, ok = merge(clip(*mem, p.off, p.n), rs); !ok {
+			old := slices.DeleteFunc(appendClip(nil, m, i, p.off, p.n, 0), func(l lab) bool { return l.cnt == 0 })
+			rs, ok := merge(old, appendClip(nil, stream, at, pos, p.n, 0))
+			if !ok {
 				lm.add("delivery: rank %d combines bytes of different origin or extent", r)
 			}
+			*mem = lm.put(m, i, p.off, p.n, rs, 0, 0)
+		} else {
+			*mem = lm.put(m, i, p.off, p.n, stream, at, pos)
 		}
-		*mem = put(*mem, p.off, p.n, rs)
 		pos += p.n
 	}
 }
@@ -665,7 +695,7 @@ func (lm *labels) verify() {
 			got := clip(lm.mems[r][1], off, ln)
 			ok := ln == 0 || (len(got) > 0 && got[0].off == 0)
 			for i, l := range got {
-				ok = ok && l.src-l.off == srcOff && l.cnt == cnt && l.who == who
+				ok = ok && l.src-l.off == srcOff && int(l.cnt) == cnt && l.who == who
 				if i+1 < len(got) {
 					ok = ok && l.off+l.n == got[i+1].off
 				} else {

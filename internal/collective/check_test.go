@@ -284,7 +284,7 @@ func TestCheckPerturbations(t *testing.T) {
 				// me-3..me-5; scratch is released with them still in it.
 				steps := exchangeSteps(pl)
 				x := &steps[len(steps)-1].xfers[0]
-				x.recv = []extent{slots(regWork, 3, 3)}
+				x.recv = []extent{slots(regWork, 0, 3)}
 			},
 			wantSub: "rank 0 output block 3 does not hold its 4 bytes",
 		},
@@ -439,12 +439,13 @@ func TestCheckPerturbations(t *testing.T) {
 	}
 }
 
-// twoPlaces re-places the slots of a Bruck index program between their
-// output and scratch blocks alone, alternating back from the output:
-// homes without its third place. At n = 16, r = 2, slot 15 then lands in
-// round 2 in the scratch block it was sent from in round 1.
+// twoPlaces re-places the slots of the plain Bruck index program at
+// n = 16, r = 2 between their output blocks and scratch blocks of a
+// region of n alone, alternating back from the output, and sends every
+// transfer by reference: place without its third colour. Slot 15 then
+// lands in round 2 in the scratch block it was sent from in round 1.
 func twoPlaces(pl *Plan) {
-	pr := pl.prog
+	pr := bruckProgram(16, 1, pl.blockLen, func(int) int { return 2 }, false, false)
 	ids := carried(pr)
 	hops, done := map[int]int{}, map[int]int{}
 	for _, round := range ids {
@@ -457,7 +458,7 @@ func twoPlaces(pl *Plan) {
 	for r, s := range exchanges(pr, 0) {
 		for i := range s.xfers {
 			x := &s.xfers[i]
-			x.send, x.recv = nil, nil
+			x.send, x.recv, x.ref = nil, nil, true
 			for _, q := range ids[r][i] {
 				place := func(j int) extent {
 					switch {
@@ -474,7 +475,8 @@ func twoPlaces(pl *Plan) {
 			}
 		}
 	}
-	pr.roles[0].scratch = pr.roles[0].scratch[:1]
+	pr.roles[0].scratch = []scratch{{16 * pl.blockLen, pl.blockLen}}
+	pl.derive(pr)
 }
 
 // refBeforeSwap puts a round before the ring reduce-scatter's first: it

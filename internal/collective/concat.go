@@ -94,9 +94,8 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 // its output block; otherwise the doubling and last rounds on an
 // accumulation region whose slot q gathers the block of rank me+q. On
 // fixed-size blocks that region is the output itself, slot q being its
-// block me+q, so the rounds finish it, and since every block of the
-// output is written once, every transfer sends by reference; padded
-// (layout plans) it is a pooled region of slots — the two-phase packing:
+// block me+q, so the rounds finish it; padded (layout plans) it is a
+// pooled region of slots — the two-phase packing:
 // the same rounds run on padded slots and the unpack at true lengths
 // puts them in rank order.
 func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*program, error) {
@@ -121,13 +120,12 @@ func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*prog
 
 // ringProgram compiles the ring baseline: round q forwards the block
 // received in round q-1 to the predecessor and receives the next one
-// from the successor, each straight out of and into its output block,
-// which is written once: it goes by reference.
+// from the successor, each straight out of and into its output block.
 func ringProgram(n, k, bl int) *program {
 	b := newBuilder(n, n, 2*n)
 	b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
 	for q := 1; q < n; q++ {
-		b.xfers = append(b.xfers, xfer{to: plus(-1), from: plus(1), ref: true,
+		b.xfers = append(b.xfers, xfer{to: plus(-1), from: plus(1),
 			send: b.ext(blocksAt(regOut, plus(q-1), 1)), recv: b.ext(blocksAt(regOut, plus(q), 1))})
 		b.exchange("", 0)
 	}
@@ -137,13 +135,12 @@ func ringProgram(n, k, bl int) *program {
 // recursiveDoublingProgram compiles the hypercube exchange for
 // power-of-two n as the doubling phase in xor order, accumulated in the
 // output like the circulant's: block me xor q is slot q, so round i sends
-// slots [0, 2^i) to partner me xor 2^i and receives its [2^i, 2^(i+1)),
-// by reference: no slot is written twice.
+// slots [0, 2^i) to partner me xor 2^i and receives its [2^i, 2^(i+1)).
 func recursiveDoublingProgram(n, k, bl int) *program {
 	b := newBuilder(n, n, 2*n)
 	b.local(stepCopy, b.ext(blocksAt(regOut, xor(0), 1)), b.ext(blocksAt(regIn, fixed(0), 1)))
 	for bit := 1; bit < n; bit <<= 1 {
-		b.xfers = append(b.xfers, xfer{to: xor(bit), from: xor(bit), ref: true,
+		b.xfers = append(b.xfers, xfer{to: xor(bit), from: xor(bit),
 			send: b.ext(blocksAt(regOut, xor(0), bit)), recv: b.ext(blocksAt(regOut, xor(bit), bit))})
 		b.exchange("", 0)
 	}
@@ -151,12 +148,11 @@ func recursiveDoublingProgram(n, k, bl int) *program {
 }
 
 // trivial appends the single all-pairs round of a concatenation with
-// k >= n-1 ports: own goes to every other rank, by reference (nothing
-// writes it again), and rank me+q's block lands straight in output block
-// me+q.
+// k >= n-1 ports: own goes to every other rank, and rank me+q's block
+// lands straight in output block me+q.
 func (b *builder) trivial(n int, own []extent) {
 	for q := 1; q < n; q++ {
-		b.xfers = append(b.xfers, xfer{to: plus(-q), from: plus(q), send: own, recv: b.ext(blocksAt(regOut, plus(q), 1)), ref: true})
+		b.xfers = append(b.xfers, xfer{to: plus(-q), from: plus(q), send: own, recv: b.ext(blocksAt(regOut, plus(q), 1))})
 	}
 	if n > 1 {
 		b.exchange("trivial", 0)
@@ -170,8 +166,7 @@ func (b *builder) trivial(n int, own []extent) {
 // and receive the same shapes into slots t*count onward; the
 // byte-granular last rounds move the areas of the solved table
 // partition, each at a distinct communication offset o (a cell of slot
-// n1+col travels from the sender's slot n1+col-o). On the output, whose
-// every byte is written once, the transfers send by reference.
+// n1+col travels from the sender's slot n1+col-o).
 func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) error {
 	if n == 1 {
 		return nil
@@ -182,7 +177,7 @@ func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) er
 	}
 	for round := 1; round < intmath.CeilLog(k+1, n); round++ {
 		for t := 1; t <= k; t++ {
-			b.xfers = append(b.xfers, xfer{to: plus(-t * count), from: plus(t * count), ref: acc == regOut,
+			b.xfers = append(b.xfers, xfer{to: plus(-t * count), from: plus(t * count),
 				send: b.ext(blocksAt(acc, slot(0), count)), recv: b.ext(blocksAt(acc, slot(t*count), count))})
 		}
 		b.exchange("doubling", 0)
@@ -210,7 +205,7 @@ func (b *builder) circulant(n, k, bl int, acc regID, policy partition.Policy) er
 				return b.exts[lo:len(b.exts):len(b.exts)]
 			}
 			o := offsets[ai]
-			b.xfers = append(b.xfers, xfer{to: plus(-o), from: plus(o), send: cells(o), recv: cells(0), ref: acc == regOut})
+			b.xfers = append(b.xfers, xfer{to: plus(-o), from: plus(o), send: cells(o), recv: cells(0)})
 		}
 		b.exchange("last", 0)
 	}

@@ -88,13 +88,12 @@
 // a pool-recycled buffer, handed over and landed in caller-owned memory.
 // Nothing is rotated: the concatenations accumulate in the output slab,
 // each slot addressed as the block it ends up as, and an index slot's
-// first send reads the input, its last receive lands in the output. The
-// compilers mark ref where it is safe by structure — the direct and
-// xor index and the concatenations on the output (allreduce's allgather
-// included) send bytes nothing writes again, recursive halving a half
-// it never writes again, and the Bruck index moves each slot between
-// places no later round writes too soon (homes, index.go); swaps, padded
-// layout plans and embedded sub-programs pack. On a reused engine an
+// first send reads the input, its last receive lands in the output.
+// Compilers emit plain programs, every transfer packed; one pass, place
+// (passes.go), moves the values a by-reference send would still need to
+// compact scratch and marks ref on every top-level transfer whose sent
+// bytes nothing writes inside the window Check proves (errRefWrite);
+// swaps and embedded sub-programs pack. On a reused engine an
 // execution performs no per-block or per-message allocations — except on the one-to-all
 // primitives on the engine driver: a one-directional tree drains its senders' pools into its
 // receivers', whose free lists are bounded, so senders allocate

@@ -44,7 +44,7 @@ func exchanges(pr *program, me int) []*step {
 // each exchange carries, in order; nil if a transfer sends from a place
 // no slot has reached.
 func carried(pr *program) [][][]int {
-	at := map[place]int{}
+	at := map[spot]int{}
 	var out [][][]int
 	for _, s := range exchanges(pr, 0) {
 		var round [][]int
@@ -195,23 +195,23 @@ func TestPlanReportsShape(t *testing.T) {
 	}
 }
 
-// place is one block an extent addresses on one rank.
-type place struct {
+// spot is one block an extent addresses on one rank.
+type spot struct {
 	reg      regID
 	blk      int
 	off, len int32
 }
 
 // places resolves an extent list block by block for rank me.
-func places(pr *program, exts []extent, me int) []place {
-	var out []place
+func places(pr *program, exts []extent, me int) []spot {
+	var out []spot
 	for _, e := range exts {
 		for i := 0; i < int(e.n); i++ {
 			step := i
 			if e.rev {
 				step = -i
 			}
-			out = append(out, place{e.reg, e.at.of(me, pr.n, step), e.off, e.len})
+			out = append(out, spot{e.reg, e.at.of(me, pr.n, step), e.off, e.len})
 		}
 	}
 	return out
@@ -267,7 +267,7 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 					if viol := pl.Check(); len(viol) != 0 {
 						t.Fatalf("Check: %q", viol)
 					}
-					checkSlotsInPlace(t, pl.prog, v.r, v.spec.Index.NoPack)
+					checkSlotsInPlace(t, pl.prog, v.r)
 					if n > 1 && v.r(0) >= n && pl.segments == 0 && !v.spec.Index.NoPack {
 						checkSameTransfers(t, pl.prog, direct)
 					}
@@ -280,11 +280,10 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 // checkSlotsInPlace asserts the in-place addressing of one compiled
 // Bruck index program whose subphase i has radix radixAt(i): each slot
 // (span by span) hops once per non-zero digit, from its input block to
-// its output block, no place holding two slots. Packed, every hop lands
-// in a place other than the one it left, the output block or one of up
-// to two scratch regions (homes); under noPack the slot stays in its
-// scratch block between hops.
-func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int, noPack bool) {
+// its output block, no place holding two slots, every hop landing in a
+// place other than the one it left: the output block or one of up to two
+// compact scratch regions (place).
+func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 	t.Helper()
 	n, ro := pr.n, pr.role(0)
 	hops := make([]int, n)
@@ -298,15 +297,15 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int, noPack 
 		}
 		weight *= r
 	}
-	if regions := len(ro.scratch); (regions > 0) != (subphases > 1) || regions > 2 || noPack && regions > 1 {
+	if regions := len(ro.scratch); regions > 0 && subphases < 2 || regions > 2 {
 		t.Errorf("%d subphases but scratch %v", subphases, ro.scratch)
 	}
 	type key struct {
 		slot int
 		off  int32
 	}
-	holds := map[place]int{} // the slot rank 0 keeps in a place
-	moves := map[key][]place{}
+	holds := map[spot]int{} // the slot rank 0 keeps in a place
+	moves := map[key][]spot{}
 	locals := 0
 	for i := range ro.steps {
 		switch s := &ro.steps[i]; s.kind {
@@ -324,7 +323,7 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int, noPack 
 					if !ok {
 						t.Fatalf("step %d sends %+v, which holds no slot", i, p)
 					}
-					if o, taken := holds[recv[j]]; taken && o != q || recv[j] == p && !noPack {
+					if o, taken := holds[recv[j]]; taken && o != q || recv[j] == p {
 						t.Fatalf("step %d lands slot %d in %+v, which it leaves or slot %d holds", i, q, recv[j], o)
 					}
 					delete(holds, p)
@@ -360,7 +359,7 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int, noPack 
 			t.Errorf("slot %d span %d goes from %+v to %+v, want input block %d to output block %d", k.slot, k.off, first, last, k.slot, (n-k.slot)%n)
 		}
 		for _, p := range path[1 : len(path)-1] {
-			if noPack && p.reg != regWork || p.reg == regIn {
+			if p.reg == regIn || p.reg > regWork+1 {
 				t.Errorf("slot %d span %d passes through %+v", k.slot, k.off, p)
 			}
 		}

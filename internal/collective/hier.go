@@ -167,7 +167,7 @@ func subPrograms(sizes []int, compile func(m int) (*program, error)) (subs map[i
 			if subs[m], err = compile(m); err != nil {
 				return nil, 0, err
 			}
-			subs[m].finishEmbedded()
+			subs[m].finish()
 			rounds = intmath.Max(rounds, subs[m].c1)
 		}
 	}
@@ -234,7 +234,7 @@ func compileHierIndex(pl *Plan, h *levels, opt HierOptions) ([]PlanPhase, roleFu
 		return bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, false), nil
 	})
 	inter := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, false)
-	inter.finishEmbedded()
+	inter.finish()
 	return phases, func(a, j int, b *builder) []scratch {
 		m, start := h.sizes[a], h.start[a]
 		run := func(reg regID) []extent { return b.ext(blocksAt(reg, fixed(start), m)) }
@@ -312,7 +312,7 @@ func compileHierConcat(pl *Plan, h *levels) ([]PlanPhase, roleFunc, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("collective: leader-level schedule: %w", err)
 	}
-	inter.finishEmbedded()
+	inter.finish()
 	return phases, func(a, j int, b *builder) []scratch {
 		m, start := h.sizes[a], h.start[a]
 		run := b.ext(blocksAt(regOut, fixed(start), m))

@@ -367,53 +367,6 @@ func TestHierRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// FuzzHierPartition fuzzes the group-partition builder: arbitrary size
-// vectors either fail topology validation (zero or negative groups,
-// sizes not summing to n) or compile into a schedule that executes the
-// exact transpose — single-member groups degenerating to pure
-// leader-level traffic included.
-func FuzzHierPartition(f *testing.F) {
-	f.Add([]byte{4, 4}, uint8(1))
-	f.Add([]byte{1, 1, 1, 1}, uint8(2))
-	f.Add([]byte{3, 2, 1}, uint8(1))
-	f.Add([]byte{0, 4}, uint8(1)) // empty group: must be rejected
-	f.Add([]byte{5}, uint8(3))    // single group: degenerates to flat
-	f.Add([]byte{2, 2, 2}, uint8(2))
-	f.Fuzz(func(t *testing.T, raw []byte, kRaw uint8) {
-		if len(raw) == 0 || len(raw) > 6 {
-			return
-		}
-		groups := make([]int, len(raw))
-		n := 0
-		for i, v := range raw {
-			groups[i] = int(v % 5)
-			n += groups[i]
-		}
-		if n == 0 || n > 14 {
-			return
-		}
-		k := 1 + int(kRaw%3)
-		topo, err := costmodel.NewTopology(groups, costmodel.SP1, costmodel.Scaled(costmodel.SP1, 10))
-		hasEmpty := false
-		for _, m := range groups {
-			if m < 1 {
-				hasEmpty = true
-			}
-		}
-		if hasEmpty {
-			if err == nil {
-				t.Fatalf("NewTopology(%v) accepted an empty group", groups)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("NewTopology(%v): %v", groups, err)
-		}
-		e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.WithTopology(topo.GroupAssignment()))
-		runHierIndex(t, e, n, 2, topo, fmt.Sprintf("fuzz groups=%v k=%d", groups, k))
-	})
-}
-
 // TestHierCopyStepsMoveEqualLengths: on every rank of every fixed-size
 // hierarchical plan, a local copy step addresses as many bytes on its
 // source side as on its destination side — a copy cut to the shorter

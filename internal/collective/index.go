@@ -71,18 +71,17 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	if opt.Algorithm == IndexBruck {
 		pr = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, lay != nil && !lay.Uniform())
 	} else {
-		// Block B[me, dst] goes straight to dst, by reference (nothing
-		// writes the input), and B[src, me] lands straight in the output,
-		// ports filled k partners at a time.
+		// Block B[me, dst] goes straight to dst and B[src, me] lands
+		// straight in the output, ports filled k partners at a time.
 		b := newBuilder(n, n, 2*n)
 		peer, back := plus, -1
 		if opt.Algorithm == IndexPairwiseXOR {
 			peer, back = xor, 1 // the xor partner is its own inverse
 		}
-		b.local(stepCopy, b.ext(blocksAt(regOut, plus(0), 1)), b.ext(blocksAt(regIn, plus(0), 1)))
+		b.local(stepCopy, b.ext(blocksAt(regOut, peer(0), 1)), b.ext(blocksAt(regIn, peer(0), 1)))
 		for z := 1; z < n; z++ {
 			to, from := peer(z), peer(back*z)
-			b.xfers = append(b.xfers, xfer{to: to, from: from, ref: true,
+			b.xfers = append(b.xfers, xfer{to: to, from: from,
 				send: b.ext(blocksAt(regIn, to, 1)), recv: b.ext(blocksAt(regOut, from, 1))})
 			if z%k == 0 || z == n-1 {
 				b.exchange("", 0)
@@ -105,32 +104,23 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 // bruckProgram compiles the Bruck-family index schedule for n ranks. The
 // paper's rotate-up, rounds and permute phases are one: slot q of the
 // rotated order is input block me+q until its first send and output
-// block me-q after its last receive, bruckRounds addresses it there, and
-// the only local step is slot 0's, which never travels. Between hops a
-// slot sits in output block me-q or in scratch (homes), so only a table
-// with a second subphase has any: the r = n member is IndexDirect's
-// transfers. padded (a layout plan of unequal blocks) runs the rounds on
-// scratch slots packed at true lengths and unpacked in rank order:
-// two-phase packing, not a rotation.
+// block me-q from its first receive on, bruckRounds addresses it there,
+// and the only local step is slot 0's, which never travels. Every hop
+// lands in the slot's final place, which holds because every transfer
+// packs; place then moves the hops that must rest elsewhere for their
+// transfers to go by reference. padded (a layout plan of unequal blocks)
+// runs the rounds on scratch slots packed at true lengths and unpacked in
+// rank order: two-phase packing, not a rotation.
 func bruckProgram(n, k, bl int, radixAt func(int) int, noPack, padded bool) *program {
-	b := newBuilder(bruckSizes(n, k, radixAt, noPack, padded))
-	thirds := 0
-	if !noPack && !padded {
-		h := homes{n: n, k: k, radixAt: radixAt}
-		thirds = h.thirds(n)
-	}
+	b := newBuilder(bruckSizes(n, k, radixAt, padded))
 	var work []scratch
-	switch {
-	case thirds > 0:
-		work = []scratch{{n * bl, bl}, {thirds * bl, bl}}
-	case padded || (n > 1 && radixAt(0) < n):
-		work = []scratch{{n * bl, bl}}
-	}
 	if padded {
-		all := b.ext(slots(regWork, 0, n))
-		b.local(stepSpread, all, b.ext(slots(regIn, 0, n)))
+		work = []scratch{{n * bl, bl}}
+		for q := range n { // slot by slot: place may move what each spread writes
+			b.local(stepSpread, b.ext(slots(regWork, q, 1)), b.ext(slots(regIn, q, 1)))
+		}
 		b.bruckRounds(n, k, radixAt, noPack, regWork, regWork)
-		b.local(stepSpread, b.ext(slots(regOut, 0, n)), all)
+		b.local(stepSpread, b.ext(slots(regOut, 0, n)), b.ext(slots(regWork, 0, n)))
 	} else {
 		b.local(stepCopy, b.ext(slots(regOut, 0, 1)), b.ext(slots(regIn, 0, 1)))
 		b.bruckRounds(n, k, radixAt, noPack, regIn, regOut)
@@ -151,109 +141,22 @@ func slots(reg regID, q, cnt int) extent {
 }
 
 // bruckSizes sizes the slabs of a Bruck program, so the builder
-// allocates each once. With slots kept in place between hops (padded,
-// noPack), every slot but 0 heads one run, at its lowest non-zero digit,
-// so a table has n-1 runs: recv lists each, send its head and, past
-// subphase 0, the rest of it. Placed by homes, a hop — a slot's
-// non-zero digit — adds at most one extent to each side.
-func bruckSizes(n, k int, radixAt func(int) int, noPack, padded bool) (steps, xfers, exts int) {
-	steps, xfers, exts = 1, 1, 2*n
+// allocates each once: a hop — a slot's non-zero digit — adds one
+// extent to each side of its transfer.
+func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, exts int) {
+	steps, xfers, exts = 1, 1, 2
 	if padded {
-		steps, xfers, exts = 2, 2, 2*n+1
-	}
-	homed := !noPack && !padded
-	if homed {
-		exts = 2
-	} else if n > 1 {
-		exts += intmath.CeilDiv(n, radixAt(0)) - 1
+		steps, xfers, exts = n+1, n+1, 2*n+2
 	}
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
 		steps += intmath.CeilDiv(h-1, k)
 		xfers += h - 1
-		if homed {
-			exts += 2 * (n - digitCount(n, r, 0, weight))
-		}
+		exts += 2 * (n - digitCount(n, r, 0, weight))
 		weight *= r
 	}
 	return steps, xfers, exts
-}
-
-// homes places the slots of a packed table that lands in the output so
-// that every transfer may send by reference. Slot q hops once per
-// non-zero digit, in -> L1 -> ... -> LH = output block me-q, and a rank
-// may not write a byte it sent in round t before its first exchange
-// after round t+1 (errRefWrite): so Lj != Lj-1, and Lj != Lj-2 when hops
-// j-1 and j fall in consecutive rounds. Counted back from LH, a slot
-// alternates between output block me-q, which nothing else writes before
-// its last hop, and scratch block q; a slot with hops j-1 and j >= 3 in
-// consecutive rounds cycles through a third place, its block of the
-// compact region regWork+1, as well. (At radix 2 those are slots 7, 13,
-// 14 and 15 of 16.)
-type homes struct {
-	n, k    int
-	radixAt func(int) int
-	q, c    int // c of the slots below q need a third place
-}
-
-// path returns slot q's hop in subphase sub, counted from 1 (0: it does
-// not hop there), its number of hops, and whether it needs a third
-// place.
-func (h *homes) path(q, sub int) (j, hops int, third bool) {
-	last := -2 // the round of the previous hop
-	for s, weight, round := 0, 1, 0; weight < h.n; s++ {
-		r := h.radixAt(s)
-		if z := q / weight % r; z > 0 {
-			hops++
-			at := round + (z-1)/h.k
-			third = third || hops >= 3 && at == last+1
-			last = at
-			if s == sub {
-				j = hops
-			}
-		}
-		round += intmath.CeilDiv(intmath.Min(r, intmath.CeilDiv(h.n, weight))-1, h.k)
-		weight *= r
-	}
-	return j, hops, third
-}
-
-// at returns the block slot q sits in before its hop in subphase sub, or
-// after it (recv).
-func (h *homes) at(q, sub int, recv bool) extent {
-	j, hops, third := h.path(q, sub)
-	if !recv {
-		j--
-	}
-	if j == 0 {
-		return slots(regIn, q, 1)
-	}
-	cycle := 2
-	if third {
-		cycle = 3
-	}
-	switch (hops - j) % cycle {
-	case 0:
-		return slots(regOut, q, 1)
-	case 1:
-		return slots(regWork, q, 1)
-	}
-	return blocksAt(regWork+1, fixed(h.thirds(q)), 1)
-}
-
-// thirds returns how many slots below q need a third place: q's block of
-// the compact region. Calls with rising q resume the count.
-func (h *homes) thirds(q int) int {
-	if q < h.q {
-		h.q, h.c = 0, 0
-	}
-	for ; h.q < q; h.q++ {
-		if _, _, third := h.path(h.q, -1); third {
-			h.c++
-		}
-	}
-	return h.c
 }
 
 // bruckRounds appends the rounds of the Bruck-family index algorithm on
@@ -262,45 +165,27 @@ func (h *homes) thirds(q int) int {
 // every digit value z in 1..h-1, the slots whose digit at the subphase's
 // weight equals z — runs of `weight` slots every weight*r — to rank
 // me+z*weight, and receives the same slots from me-z*weight. A slot
-// travels exactly where its digit is non-zero, so the head of a run
-// (lower digits zero) is still in region in and the first run of a
-// transfer (higher digits zero) lands for good in region out. Packed
-// into out, the slots move between the places homes gives them and
-// every transfer sends by reference; otherwise the rest sit in scratch
-// in place and every transfer packs. Packed mode groups k digit values
-// into one round; noPack emits one single-block round per slot (the
-// paper's packing ablation). The offsets z*weight are distinct across
-// the table (each stays below the next weight), so the rounds may share
-// ports as lanes (pipeline).
+// travels exactly where its digit is non-zero: it is sent from region in
+// on its first hop (the head of a run, lower digits zero) and from
+// region out after, and every hop lands in region out, one extent per
+// slot. Packed mode groups k digit values into one round; noPack emits
+// one single-block round per slot (the paper's packing ablation). The
+// offsets z*weight are distinct across the table (each stays below the
+// next weight), so the rounds may share ports as lanes (pipeline).
 func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, out regID) {
-	var h *homes
-	if out == regOut && !noPack {
-		h = &homes{n: n, k: k, radixAt: radixAt}
-	}
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		hi := intmath.Min(r, intmath.CeilDiv(n, weight))
-		grain := weight // slots an extent may span: a whole run, or one under noPack
-		if noPack {
-			grain = 1
-		}
 		for z := 1; z < hi; z++ {
 			list := func(recv bool) []extent {
 				lo := len(b.exts)
 				for base := z * weight; base < n; base += weight * r {
-					for q := base; q < intmath.Min(base+weight, n); q += grain {
-						switch cnt := intmath.Min(grain, n-q); {
-						case h != nil:
-							for i := q; i < q+cnt; i++ {
-								b.join(lo, h.at(i, sub, recv))
-							}
-						case recv && base < weight*r:
-							b.ext(slots(out, q, cnt))
-						case !recv && q == base:
-							b.ext(slots(in, q, 1), slots(regWork, q+1, cnt-1))
-						default:
-							b.ext(slots(regWork, q, cnt))
+					for q := base; q < intmath.Min(base+weight, n); q++ {
+						from := out
+						if !recv && q == base {
+							from = in
 						}
+						b.exts = append(b.exts, slots(from, q, 1))
 					}
 				}
 				return b.exts[lo:len(b.exts):len(b.exts)]
@@ -308,7 +193,7 @@ func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, 
 			send, recv := list(false), list(true)
 			to, from := plus(z*weight), plus(-z*weight)
 			if !noPack {
-				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send, recv: recv, ref: h != nil})
+				b.xfers = append(b.xfers, xfer{to: to, from: from, send: send, recv: recv})
 				if (z-1)%k == k-1 || z == hi-1 {
 					b.exchange("bruck", 0)
 				}

@@ -58,6 +58,7 @@ func families() []family {
 	return []family{
 		{"bruck", false, true, index(IndexOptions{})},
 		{"bruck-r2", false, true, index(IndexOptions{Radix: 2})},
+		{"bruck-nopack", false, false, index(IndexOptions{Radix: 2, NoPack: true})},
 		{"bruck-rn", false, true, func(n int) Spec {
 			return Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: max(2, n)}}
 		}},

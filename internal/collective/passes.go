@@ -7,6 +7,9 @@ package collective
 // it.
 
 import (
+	"math"
+	"slices"
+
 	"bruck/internal/buffers"
 	"bruck/internal/costmodel"
 )
@@ -63,4 +66,258 @@ func pipeline(pr *program, s int) (*program, int) {
 	out := *pr
 	out.roles = []role{{steps: append(b.steps, steps[last:]...), scratch: pr.roles[0].scratch}}
 	return &out, s
+}
+
+// place lays out the top-level roles of a plain program — its
+// transfers all pack, every hop lands in its final place — and marks
+// the transfers that may send by reference. compile runs it before
+// pipeline, which shifts every span's rounds by one lane offset and so
+// opens no conflict. Embedded programs stay as they are, every transfer
+// packed: a sub-frame ends, and goes back to framePool, while a reader
+// may still hold it.
+//
+// A line is a whole block at one rank-relative address. A new value of
+// it starts at each land of the whole block without combine and lives
+// to its last use, a send that may go by reference to the end of its
+// pin window: the rank's first exchange after the next round, the rule
+// Check proves as errRefWrite. Coloured from the last back, each value
+// takes the lowest colour no later value landing inside its window uses
+// (left-edge interval colouring). Colour 0 is the line's own place,
+// which the last value keeps and so does the caller's data in an input
+// or output block; colour c >= 1 is a block of a compact scratch region
+// holding one per line that uses it, in line order, so runs still join.
+// A line stays in place if it is in a layout region or an embed's or a
+// swap's extents, is reached twice through one extent, or needs more
+// colours than there are scratch regions left; a role that addresses a
+// region in two modes is left plain. Then each non-swap transfer with a
+// peer goes by reference unless a write touches its send bytes inside
+// its pin window. A list with a block that moves is rewritten and
+// re-joined in place.
+func place(pr *program) {
+	for me := range pr.roles {
+		pr.placeRole(me)
+	}
+}
+
+// use is one block of an extent list e as place sees it: when (2i for
+// the sends of step i and an embed's extents, 2i+1 for its lands and a
+// local step's extents), how, where the pin window of a send ends, and
+// its colour.
+type use struct {
+	t, end   int32
+	how, col uint8
+	e        *extent
+	x        *xfer
+}
+
+const (
+	useWrite = 1 << iota // keeps the line's value
+	useLand              // the whole block without combine: a new value
+	useSend              // may go by reference
+	useStay              // the line may not move
+)
+
+// placeRole places rank me's role (place). A use's key is its line
+// (region, block) over its order in the walk of the role, which visits
+// the sends of an exchange before its lands: within a line, time order.
+func (pr *program) placeRole(me int) {
+	ro := &pr.roles[me]
+	var ubuf [128]use
+	var kbuf [128]uint64
+	var modes [maxRegs]addrMode // each region's address mode, plus one
+	var up [maxRegs]bool        // whether an extent runs up a region
+	uses, keys, mixed := ubuf[:0], kbuf[:0], false
+	note := func(es []extent, t, end int, how uint8, x *xfer) {
+		for i := range es {
+			e, h := &es[i], how
+			if e.off != 0 || e.len >= 0 {
+				h = how&^useLand | how>>1&useWrite // part of the block: a land keeps the value
+			}
+			mixed, modes[e.reg], up[e.reg] = mixed || modes[e.reg] != 0 && modes[e.reg] != e.at.mode+1, e.at.mode+1, up[e.reg] || !e.rev
+			for b := 0; b < int(e.n); b++ {
+				keys = append(keys, uint64(e.reg)<<56|uint64(e.block(me, pr.n, b))&(1<<24-1)<<32|uint64(len(keys)))
+				uses = append(uses, use{t: int32(t), end: int32(end), how: h, e: e, x: x})
+			}
+		}
+	}
+	for i, round := 0, 0; i < len(ro.steps); i, round = i+1, round+ro.steps[i].rounds() {
+		switch s := &ro.steps[i]; s.kind {
+		case stepEmbed:
+			note(s.xfers[0].send, 2*i, 0, useWrite|useStay, nil)
+			note(s.xfers[0].recv, 2*i, 0, useWrite|useStay, nil)
+		case stepExchange:
+			end := pinEnd(ro.steps, i, round)
+			for j := range s.xfers {
+				if x := &s.xfers[j]; ro.swaps(s, x) {
+					note(x.send, 2*i, 0, useStay, x)
+				} else {
+					note(x.send, 2*i, end, useSend, x)
+				}
+			}
+			for j := range s.xfers {
+				how, x := uint8(useLand), &s.xfers[j]
+				if x.combine {
+					how = useWrite
+				}
+				if ro.swaps(s, x) {
+					how |= useStay
+				}
+				note(x.recv, 2*i+1, 0, how, x)
+			}
+		case stepCopy, stepSpread:
+			note(s.xfers[0].send, 2*i+1, 0, 0, nil)
+			note(s.xfers[0].recv, 2*i+1, 0, useWrite, nil)
+		}
+	}
+	if mixed {
+		return
+	}
+	for i, u := range uses {
+		if u.how&useSend != 0 {
+			u.x.ref = true
+		}
+		if !up[u.e.reg] { // lines in the order the extents run, so the compact blocks run up
+			keys[i] ^= (1<<24 - 1) << 32
+		}
+	}
+	slices.Sort(keys)
+	var count [4]int32 // the lines using each colour
+	stride := -1
+	for g, h := 0, 0; g < len(keys); g = h {
+		for h = g + 1; h < len(keys) && keys[h]>>32 == keys[g]>>32; h++ {
+		}
+		if h == g+1 {
+			continue // one use: nothing to colour, nothing to hold it to
+		}
+		line := keys[g:h]
+		pr.colour(ro, line, uses, &count, &stride)
+		for i, k := range line {
+			u := &uses[uint32(k)]
+			for j := i + 1; u.how&useSend != 0 && u.x.ref && j < len(line) && uses[uint32(line[j])].t < u.end; j++ {
+				v := &uses[uint32(line[j])]
+				u.x.ref = v.how&(useWrite|useLand) == 0 || v.t == u.t || v.col != u.col || v.e.off >= u.e.upto() || u.e.off >= v.e.upto()
+			}
+		}
+	}
+	if count[1] > 0 { // one allocation for the colour regions
+		ro.scratch = slices.Grow(ro.scratch[:len(ro.scratch):len(ro.scratch)], len(count)-1)
+	}
+	for c := 1; c < len(count) && count[c] > 0; c++ {
+		ro.scratch = append(ro.scratch, scratch{int(count[c]) * stride, stride})
+	}
+	for i := range ro.steps {
+		for j := range ro.steps[i].xfers {
+			x := &ro.steps[i].xfers[j]
+			x.send, x.recv = rejoin(x.send), rejoin(x.recv)
+		}
+	}
+}
+
+// rejoin joins the runs of an extent list in place. A list another
+// transfer shares keeps its length there: its tail turns empty.
+func rejoin(es []extent) []extent {
+	out := es[:0]
+	for _, e := range es {
+		if e.n > 0 {
+			out = join(out, e)
+		}
+	}
+	for i := len(out); i < len(es); i++ {
+		es[i].n = 0
+	}
+	return out
+}
+
+// colour cuts a line — its uses' keys in order — into values and colours
+// them (place) unless it must stay, and moves every single-block extent
+// of a value coloured c >= 1 to the line's block of the region of c.
+func (pr *program) colour(ro *role, line []uint64, uses []use, count *[4]int32, stride *int) {
+	type value struct {
+		first      int // its first use
+		start, end int32
+		col        uint8
+	}
+	var vbuf [8]value
+	vals := vbuf[:0]
+	for i, k := range line {
+		u, end := &uses[uint32(k)], uses[uint32(k)].t
+		if u.how&useLand != 0 || i == 0 {
+			vals = append(vals, value{i, -1, 0, 0})
+			if u.how&useLand != 0 {
+				vals[len(vals)-1].start = u.t
+			}
+		}
+		if u.how&useSend != 0 {
+			end = u.end
+		}
+		vals[len(vals)-1].end = max(vals[len(vals)-1].end, end)
+	}
+	if len(vals) < 2 {
+		return
+	}
+	reg := regID(line[0] >> 56)
+	w, st := int(reg)-int(regWork), pr.bl
+	move := reg == regIn && (pr.inLay == nil || pr.inLay.Uniform()) || reg == regOut && (pr.outLay == nil || pr.outLay.Uniform())
+	if w >= 0 && w < len(ro.scratch) {
+		st, move = ro.scratch[w].stride, true
+	}
+	for i := 0; move && i < len(line); i++ {
+		for j := 0; move && j <= i; j++ {
+			move = uses[uint32(line[i])].how&useStay == 0 && (j == i || uses[uint32(line[j])].e != uses[uint32(line[i])].e)
+		}
+	}
+	used, free := uint8(1), int(maxRegs-regWork)-len(ro.scratch)
+	for i := len(vals) - 1; move && i >= 0; i-- {
+		taken, c := uint8(0), uint8(0)
+		for j := i + 1; j < len(vals) && vals[j].start < vals[i].end; j++ {
+			taken |= 1 << vals[j].col
+		}
+		for ; i < len(vals)-1 && (vals[i].start >= 0 || w >= 0) && taken>>c&1 != 0; c++ {
+		}
+		vals[i].col, used, move = c, used|1<<c, taken>>c&1 == 0 && int(c) <= free
+	}
+	for v := range vals {
+		for i := vals[v].first; move && i < len(line) && (v+1 == len(vals) || i < vals[v+1].first); i++ {
+			move = vals[v].col == 0 || uses[uint32(line[i])].e.n == 1
+		}
+	}
+	if *stride < 0 && move && used > 1 {
+		*stride = st
+	}
+	if !move || used == 1 || *stride != st {
+		return
+	}
+	var pos [4]int32
+	for c := 1; c < len(pos); c++ {
+		if used>>c&1 != 0 {
+			pos[c], count[c] = count[c], count[c]+1
+		}
+	}
+	for v := range vals {
+		for i := vals[v].first; i < len(line) && (v+1 == len(vals) || i < vals[v+1].first); i++ {
+			if u, c := &uses[uint32(line[i])], vals[v].col; c != 0 {
+				u.col, u.e.reg, u.e.at, u.e.rev = c, regWork+regID(len(ro.scratch))+regID(c-1), fixed(int(pos[c])), false
+			}
+		}
+	}
+}
+
+// upto returns where the extent's bytes end in a block: past its end if
+// they run to it.
+func (e *extent) upto() int32 {
+	if e.len < 0 {
+		return math.MaxInt32
+	}
+	return e.off + e.len
+}
+
+// pinEnd returns the time at which the pin window of a send in step i,
+// round t, of steps ends: the rank's first exchange after round t+1.
+func pinEnd(steps []step, i, t int) int {
+	for r := t + 1; i+1 < len(steps); r += steps[i].rounds() {
+		if i++; steps[i].kind == stepExchange && r >= t+2 {
+			return 2 * i
+		}
+	}
+	return math.MaxInt32
 }

@@ -136,7 +136,9 @@ func (pl *Plan) result() *Result {
 // (validated) spec into a step program — the family's compiler also sets
 // the plan's family-specific fields and bounds — applies the program
 // passes (passes.go) and derives the plan's rounds and Result from it.
-func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
+// Unplaced, the program is left as its compiler built it: every transfer
+// packs (TestPlace compares the two).
+func compile(e *mpsim.Engine, g *mpsim.Group, s Spec, placed bool) (*Plan, error) {
 	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
 	n, k := g.Size(), e.Ports()
 	var pr *program
@@ -167,6 +169,9 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) {
 			radix = s.Reduce.Radix
 		}
 		s.Segments = OptimalSegments(costmodel.SP1, n, s.BlockLen, defaultRadix(radix, n, k), k)
+	}
+	if placed {
+		place(pr)
 	}
 	if pr, pl.segments = pipeline(pr, s.Segments); pl.segments > 1 {
 		// A merged round multiplexes up to `segments` rounds over the

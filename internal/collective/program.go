@@ -185,8 +185,21 @@ type xfer struct {
 	send, recv []extent
 	combine    bool // received bytes combine into recv instead of overwriting
 	swap       bool // role.swaps of it, fixed by finish: the region's buffer itself travels
-	ref        bool // the payload may refer to the send extents: on the walk the receiver lands straight from them (run.go)
+	ref        bool // set by place: the payload may refer to the send extents, on the walk the receiver lands straight from them (run.go)
 	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
+}
+
+// rounds returns the rounds the step takes on its rank's clock.
+func (s *step) rounds() int {
+	switch s.kind {
+	case stepExchange:
+		return 1
+	case stepSkip:
+		return s.n
+	case stepEmbed:
+		return s.em.sub.c1 + s.n
+	}
+	return 0
 }
 
 type scratch struct{ bytes, stride int }
@@ -307,9 +320,7 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 				if b > x.bytes {
 					x.bytes = b
 				}
-				if x.swap = ro.swaps(s, x); x.swap {
-					x.ref = false // the region's buffer travels already
-				}
+				x.swap = ro.swaps(s, x)
 				if x.to.mode != addrNone {
 					ts.note(t, b, ph)
 				}
@@ -372,20 +383,6 @@ func (pr *program) finish() {
 		}
 		first += ph.Rounds
 	}
-}
-
-// finishEmbedded finishes a program that runs embedded in another, with
-// every transfer packed: a sub-frame ends, and goes back to framePool,
-// while a by-reference reader may still hold it (frame.byRef).
-func (pr *program) finishEmbedded() {
-	for r := range pr.roles {
-		for i := range pr.roles[r].steps {
-			for j := range pr.roles[r].steps[i].xfers {
-				pr.roles[r].steps[i].xfers[j].ref = false
-			}
-		}
-	}
-	pr.finish()
 }
 
 // moved returns the bytes rank me copies in one run of the program — its
@@ -534,21 +531,21 @@ func (b *builder) ext(es ...extent) []extent {
 	return b.exts[lo:len(b.exts):len(b.exts)]
 }
 
-// join appends the extent e, a single block, to the list that starts at
-// lo, growing the list's last extent instead where e is its next block.
-func (b *builder) join(lo int, e extent) {
-	if i := len(b.exts) - 1; i >= lo {
-		l := &b.exts[i]
+// join appends the extent e to the list es, growing its last extent
+// instead where e runs on from it.
+func join(es []extent, e extent) []extent {
+	if i := len(es) - 1; i >= 0 {
+		l := &es[i]
 		next := l.at
 		if next.c += l.n; l.rev {
 			next.c -= 2 * l.n
 		}
 		if l.reg == e.reg && l.rev == e.rev && l.off == e.off && l.len == e.len && next == e.at {
-			l.n++
-			return
+			l.n += e.n
+			return es
 		}
 	}
-	b.exts = append(b.exts, e)
+	return append(es, e)
 }
 
 // local appends a copy or spread step moving src to dst.

@@ -37,6 +37,7 @@ package collective
 
 import (
 	"bruck/internal/buffers"
+	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 	"bruck/internal/partition"
 )
@@ -132,7 +133,7 @@ var kernelKeys = [3][4]string{
 func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 	opt, blockLen, all := s.Reduce, s.BlockLen, s.Op == OpAllReduce
 	pl.combine = opt.Kernel
-	b := newBuilder(2*n+2, n+k, 3*n+4)
+	b := newBuilder(2*n+2, n+k, 3*n+4+2*n*intmath.CeilLog(2, n)) // a Bruck hop is an extent each side
 	// The combined chunk me lands in the reduce-scatter's only output
 	// block, or in block me of the allreduce's: slot 0 of the
 	// concatenation's accumulation region.
@@ -203,11 +204,10 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 		// row holds the partial for chunk me xor q, so every round sends
 		// the upper half of what remains to partner me xor half and
 		// combines the partner's upper half into the lower; slot 0 ends
-		// as the fully combined chunk me. A sent half is never written
-		// again, so it goes by reference.
+		// as the fully combined chunk me.
 		b.local(stepSpread, b.ext(blocksAt(regWork, fixed(0), n)), b.ext(blocksAt(regIn, xor(0), n)))
 		for half := n / 2; half >= 1; half /= 2 {
-			b.xfers = append(b.xfers, xfer{to: xor(half), from: xor(half), combine: true, ref: true,
+			b.xfers = append(b.xfers, xfer{to: xor(half), from: xor(half), combine: true,
 				send: b.ext(blocksAt(regWork, fixed(half), half)), recv: b.ext(blocksAt(regWork, fixed(0), half))})
 			b.exchange("", 0)
 		}

@@ -18,14 +18,14 @@ package collective
 // — and released to the receiver's pool, where its next pack finds it in
 // cache; round-major a worker that keeps another's payload pays it back
 // a buffer when the walk ends (rounds.close). That is two copies per
-// byte per hop. A transfer marked ref goes by reference on the walk: the
-// payload names the sender's top frame and transfer, and the receiver's
-// land copies or combines once, straight from the sender's extents,
-// after the same size check. The engine driver packs it like any other.
-// Plan.Check proves that no rank writes a byte it sent by reference
-// before every receiver may have landed it (check.go); a sub-frame's
-// transfers always pack, because a sub-frame ends, and goes back to
-// framePool, while a reader may still hold it. A swap (role.swaps)
+// byte per hop. A transfer place (passes.go) marks ref goes by reference
+// on the walk: the payload names the sender's top frame and transfer,
+// and the receiver's land copies or combines once, straight from the
+// sender's extents, after the same size check. The engine driver packs
+// it like any other. Plan.Check proves that no rank writes a byte it
+// sent by reference before every receiver may have landed it
+// (check.go); place marks no sub-program, whose frame ends, and goes
+// back to framePool, while a reader may still hold it. A swap (role.swaps)
 // copies nothing either way: its payload is the scratch region's own
 // buffer and the payload it receives becomes the region. After a failed
 // round the region holds no buffer: the one it gave away may already sit
@@ -252,11 +252,6 @@ func (f *frame) rank(a rel) int {
 	return -1
 }
 
-// byRef reports whether the frame sends x by reference on the walk: x is
-// marked ref and the frame is a role's top frame, which lives as long as
-// the walk.
-func (f *frame) byRef(x *xfer) bool { return x.ref && f.up == nil }
-
 // id resolves a peer address to its engine rank.
 func (f *frame) id(a rel) int { return f.pl.group.ID(f.rank(a)) }
 
@@ -465,7 +460,7 @@ func (bytesMedium) embed(sub, f *frame, s *step) {
 
 // outgoing packs the payload, or refers it to the frame's transfer.
 func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, _, _, _ int) {
-	if f.byRef(x) {
+	if x.ref {
 		p.from, p.x = f, x
 		return
 	}

@@ -436,7 +436,7 @@ func (c *PlanCache) Get(e *mpsim.Engine, g *mpsim.Group, s Spec) (*Plan, error) 
 	var pl *Plan
 	var err error
 	if s.Auto == nil {
-		pl, err = compile(e, g, s)
+		pl, err = compile(e, g, s, true)
 	} else {
 		pl, err = c.dispatch(e, g, &s)
 	}

@@ -194,7 +194,7 @@ func (c Case) compile(opts ...mpsim.Option) (*mpsim.Engine, *collective.Plan, er
 	if err != nil {
 		return fail(err)
 	}
-	s, err := c.spec()
+	s, err := c.Spec()
 	if err != nil {
 		return fail(err)
 	}
@@ -205,12 +205,12 @@ func (c Case) compile(opts ...mpsim.Option) (*mpsim.Engine, *collective.Plan, er
 	return e, pl, nil
 }
 
-// spec is the one translation of a case into the Spec it compiles. The
+// Spec is the one translation of a case into the Spec it compiles. The
 // names go through collective.ParseSpec ("mixed" is the Bruck index
 // under Radices), reductions use the sum:int32 kernel — a wrap-around
 // sum, so the oracle's serial fold is exact on any bytes — and a
 // topology makes the case hierarchical.
-func (c Case) spec() (collective.Spec, error) {
+func (c Case) Spec() (collective.Spec, error) {
 	alg, mixed := c.Alg, c.Alg == "mixed"
 	if mixed {
 		alg = "bruck"

@@ -149,8 +149,8 @@ var rejections = []rejection{
 	{`costmodel: topology ".*" needs positive dimensions`,
 		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "0x4"}, `costmodel: topology "0x4" needs positive dimensions`},
 	{`costmodel: topology group \d+ has size -?\d+ \(empty groups are invalid\)`,
-		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "4,0"},
-		`costmodel: topology group 1 has size 0 (empty groups are invalid)`},
+		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 2, Topology: "0,4"},
+		`costmodel: topology group 0 has size 0 (empty groups are invalid)`},
 	{`costmodel: topology profiles ".*": want intra/inter as beta,tau/beta,tau`,
 		Case{Op: "index", Alg: "hier", N: 4, K: 1, B: 4, Topology: "2x2:1,2"},
 		`costmodel: topology profiles "1,2": want intra/inter as beta,tau/beta,tau`},
@@ -264,6 +264,14 @@ func FuzzCase(f *testing.F) {
 	// rounds, one byte, one segment.
 	for _, nbs := range [][3]int{{8, 9, 4}, {16, 7, 7}, {5, 3, 100}, {4, 1, 2}, {9, 16, 1}} {
 		add(Case{Op: "index", Alg: "bruck", N: nbs[0], K: 1, B: nbs[1], Radix: 2, Segments: nbs[2]}, 0, 0)
+	}
+	// Hierarchical partitions: two groups, single members, uneven, an
+	// empty group (rejected), one group (flat), three groups.
+	for _, tk := range []struct {
+		topology string
+		n, k     int
+	}{{"4,4", 8, 1}, {"1,1,1,1", 4, 2}, {"3,2,1", 6, 1}, {"0,4", 4, 1}, {"5", 5, 3}, {"2,2,2", 6, 2}} {
+		add(Case{Op: "index", Alg: "hier", N: tk.n, K: tk.k, B: 2, Topology: tk.topology}, 0, 0)
 	}
 	f.Fuzz(func(t *testing.T, op, alg string, n, k, b, radix, segments int, ragged bool, topology string, root int, seed uint64, stragglers uint16) {
 		c := Case{Name: "fuzz", Op: op, Alg: alg, N: n % 25, K: k, B: b % 65, Radix: radix, Segments: segments % 257,
