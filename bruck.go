@@ -30,6 +30,7 @@ package bruck
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"bruck/internal/blocks"
@@ -574,10 +575,9 @@ func (m *Machine) Start(op Op, in, out any, opts ...CollectiveOption) (*Handle, 
 	if err != nil {
 		return nil, err
 	}
-	h := &Handle{done: make(chan struct{})}
+	h := &Handle{done: make(chan struct{}), m: m}
 	go func() {
 		h.rep, h.err = pl.Run(pl.Memory(in, out))
-		m.inflight.Store(false)
 		close(h.done)
 	}()
 	return h, nil
@@ -603,6 +603,8 @@ func (m *Machine) Compile(op Op, in any, opts ...CollectiveOption) (*Plan, error
 // fencing included, surface on Wait.
 type Handle struct {
 	done chan struct{}
+	m    *Machine
+	free sync.Once // the first Wait frees the Machine
 	rep  *Report
 	err  error
 }
@@ -612,6 +614,7 @@ type Handle struct {
 // Machine and the buffers.
 func (h *Handle) Wait() (*Report, error) {
 	<-h.done
+	h.free.Do(func() { h.m.inflight.Store(false) })
 	return h.rep, h.err
 }
 
@@ -621,6 +624,7 @@ func (h *Handle) Wait() (*Report, error) {
 func (h *Handle) Test() bool {
 	select {
 	case <-h.done:
+		h.Wait()
 		return true
 	default:
 		return false

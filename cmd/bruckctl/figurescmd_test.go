@@ -42,12 +42,12 @@ func TestRenderFig2And3(t *testing.T) {
 		t.Errorf("figure 3 radix = %q", got)
 	}
 	// Round 0 lands p0's block 1 in p1's output and parks p0's block 3,
-	// bound for p3 in two hops, in p1's one-block scratch.
+	// bound for p3 in two hops, as a descriptor in p1's output block 3.
 	for _, step := range []string{"before round 0", "after round 0", "after round 1", "after round 2"} {
-		find(t, fig3, "figure-3 "+step+" (in 0-4, scratch 5-5, out 6-10)")
+		find(t, fig3, "figure-3 "+step+" (in 0-4, out 5-9)")
 	}
-	if got := strings.Join(column(t, find(t, fig3, "figure-3 after round 0 (in 0-4, scratch 5-5, out 6-10)"), "p1")[5:], " "); got != "03 01 11 -- -- --" {
-		t.Errorf("figure 3 after round 0: p1 scratch and out hold %q", got)
+	if got := strings.Join(column(t, find(t, fig3, "figure-3 after round 0 (in 0-4, out 5-9)"), "p1")[5:], " "); got != "01 11 -- 03 --" {
+		t.Errorf("figure 3 after round 0: p1 out holds %q", got)
 	}
 }
 

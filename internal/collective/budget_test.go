@@ -106,30 +106,30 @@ func budgetRows() []budgetRow {
 	}
 
 	return []budgetRow{
-		{"index/flat", index, compilePerCall, 10, 4, 4096, 4224},
+		{"index/flat", index, compilePerCall, 9, 4, 4096, 2048},
 		{"concat/flat", concat, compilePerCall, 18, 4, 1920, 2048},
-		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 4224},
-		{"index/compile-only", index, compileOnly, 8, 4, 4096, 4224},
+		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 2048},
+		{"index/compile-only", index, compileOnly, 7, 4, 4096, 2048},
 		{"concat/plan-reuse", concat, planReuse, 2, 4, 1920, 2048},
 		{"indexv/ragged-bruck", indexV, planReuse, 2, 4, 4096, 6634},
 		{"indexv/ragged-auto", indexVAuto, planReuse, 2, 6, 3072, 5610},
 		{"concatv/ragged-circulant", concatV, planReuse, 2, 4, 1815, 2856},
-		{"runplans/concurrent-2x8", halves, concurrent, 10, 3, 1536, 832},
+		{"runplans/concurrent-2x8", halves, concurrent, 10, 3, 1536, 512},
 		{"reducescatter/ring", reduce(OpReduceScatter, ReduceRing, 0), planReuse, 2, 15, 1920, 2176},
 		{"reducescatter/halving", reduce(OpReduceScatter, ReduceHalving, 0), planReuse, 2, 4, 1920, 4096},
-		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 2, 4, 4096, 6144},
+		{"reducescatter/bruck-r2", reduce(OpReduceScatter, ReduceBruck, 2), planReuse, 2, 4, 4096, 2048},
 		{"allreduce/auto", auto, planReuse, 2, 8, 3840, 6016},
 		{"allreduce/ring-16k", ring16k, planReuse, 2, 19, 491520, 524288},
-		{"index/mono", sized(index, 0), planReuse, 2, 4, 2097152, 2162688},
+		{"index/mono", sized(index, 0), planReuse, 2, 4, 2097152, 1048576},
 		{"index/s4", sized(index, 4), planReuse, 2, 7, 917504, 2162688},
-		{"allreduce/mono", sized(allreduce, 0), planReuse, 2, 8, 3080192, 4128768},
+		{"allreduce/mono", sized(allreduce, 0), planReuse, 2, 8, 3080192, 2031616},
 		{"allreduce/s4", sized(allreduce, 4), planReuse, 2, 11, 1900544, 4128768},
 		// One-directional at 64 KiB: split over workers, the lower ranks
 		// keep every payload of the upper ones.
 		{"gather/64k", Spec{Op: OpGather, BlockLen: big}, planReuse, 2, 4, 983040, 1048576},
-		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 4224},
+		{"index/flat-4x4", on(index, false), planReuse, 2, 4, 4096, 2048},
 		{"concat/flat-4x4", on(concat, false), planReuse, 2, 4, 1920, 2048},
-		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 8064},
+		{"allreduce/flat-4x4", on(allreduce, false), planReuse, 2, 8, 6016, 3968},
 		{"index/hier-4x4", on(index, true), planReuse, 4, 10, 17920, 27264},
 		{"concat/hier-4x4", on(concat, true), planReuse, 4, 7, 6528, 8064},
 		{"allreduce/hier-4x4", on(allreduce, true), planReuse, 4, 12, 24576, 14336},

@@ -11,12 +11,14 @@ package collective
 //     send nobody receives, a receive nobody feeds, sizes that disagree,
 //     ranks that end in different rounds;
 //   - what only labels show: extents outside their block or region,
-//     phase tags, link classes or a swap flag that disagree, and a rank
+//     phase tags, link classes or a swap flag that disagree, a rank
 //     that writes a byte it sent by reference before every receiver may
-//     have landed it (errRefWrite);
+//     have landed it (errRefWrite), and a top-level step that writes the
+//     input, which descriptors read in place (errInWrite);
 //   - delivery violations: any output byte that does not end up holding
 //     exactly what the operation defines (the transposed block, the
-//     concatenated block, the combination of all n contributions);
+//     concatenated block, the combination of all n contributions), or
+//     holds it only as a descriptor (errDescOut);
 //   - C1/C2 that differ from the plan's stored predictions, or fall
 //     below the paper's lower bounds, a phase table that does not tile
 //     the rounds or misstates a phase's C2, and a stored Result whose
@@ -55,15 +57,28 @@ const maxCheckViolations = 20
 // although the label walk runs at one.
 const errRefWrite = "round %d: rank %d writes bytes it sent by reference in round %d, before every receiver may have landed them"
 
+// errInWrite and errDescOut are the rules of descriptors (run.go). A
+// descriptor reads its origin's input in place, long after it was
+// formed, so no step of a top-level program writes its input region (an
+// embedded program's input is a view of its parent's extents); and a
+// block that holds one has no bytes of its own, so none ends the walk in
+// an output block.
+const (
+	errInWrite = "rank %d writes its input region, which descriptors read in place"
+	errDescOut = "delivery: rank %d output block %d ends the walk held as a descriptor"
+)
+
 // lab is a run of n symbolic bytes at off: byte i holds the combination
 // of byte src+i of the input regions of cnt contributing ranks, whose
 // identities sum (hashed) to who; cnt 0 is bytes never written. pin is
 // the last round the rank sent the bytes by reference in, plus one (0:
 // never): they may not be written before its first exchange after the
-// round that follows (errRefWrite).
+// round that follows (errRefWrite). desc: the bytes are held as a
+// descriptor.
 type lab struct {
 	off, n, src int
 	cnt, pin    int32
+	desc        bool
 	who         uint64
 }
 
@@ -150,12 +165,15 @@ func merge(a, b []lab) (out []lab, ok bool) {
 
 // labels is the label medium: each rank's memories as runs of labels —
 // its input and output regions, then every scratch region a frame of it
-// acquires — and their sizes. add sees each violation; msgs are the
-// messages sent, streams their labels — read at the post, or for a
-// by-reference send at the land from the pieces refs holds — and tags
-// each round's phase. A by-reference send pins its bytes in their runs
-// (lab.pin); told holds the (rank, round sent, round written) of each
-// errRefWrite reported, so each is reported once.
+// acquires, each block an empty run until written (a write replaces
+// runs, not inserts them) — and their sizes. add sees each violation;
+// msgs are the messages sent, streams their labels — read at the post,
+// or for a by-reference send at the land from the pieces refs holds —
+// and tags each round's phase. A by-reference send pins its bytes in
+// their runs (lab.pin); told holds the (rank, round sent, round
+// written) of each errRefWrite reported, so each is reported once, and
+// (rank, -1, -1) and (rank, -2, -2) of an errInWrite and an errDescSend,
+// once a rank. A descriptor land marks the runs it writes desc.
 type labels struct {
 	pl      *Plan
 	mems    [][][]lab
@@ -169,6 +187,7 @@ type labels struct {
 	tags    map[int]string
 	told    map[[3]int]bool
 	repl    []lab    // put's
+	dbuf    []lab    // write's, for descriptor lands
 	hint    [][8]int // find's: the run each memory of each rank's last search found
 }
 
@@ -209,7 +228,7 @@ func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done 
 		tags: map[int]string{}, told: map[[3]int]bool{}, hint: make([][8]int, n)}
 	for r := range n {
 		inSize, outSize := pl.sizes(r)
-		lm.mems[r] = [][]lab{{{n: inSize, cnt: 1, who: rankHash(r)}}, nil}
+		lm.mems[r] = [][]lab{{{n: inSize, cnt: 1, who: rankHash(r)}}, blank(pl.prog.shapeOf(regOut, r), pl.blocks(regOut, r))}
 		lm.size[r] = []int{inSize, outSize}
 	}
 	var d rounds
@@ -229,9 +248,21 @@ func (lm *labels) bind(f *frame, me int) {
 }
 
 func (lm *labels) acquire(f *frame, reg regID, bytes int) {
-	r := f.rank(fixed(f.me))
+	r, m := f.rank(fixed(f.me)), blank(f.reg[reg].shape, bytes/max(f.reg[reg].stride, 1))
 	f.reg[reg].mem = len(lm.mems[r])
-	lm.mems[r], lm.size[r] = append(lm.mems[r], nil), append(lm.size[r], bytes)
+	lm.mems[r], lm.size[r] = append(lm.mems[r], m), append(lm.size[r], bytes)
+}
+
+// blank returns a memory of blocks of shape sh never written: an empty
+// run each.
+func blank(sh shape, blocks int) []lab {
+	m := make([]lab, 0, blocks)
+	for j := range blocks {
+		if off, ln := sh.span(j); ln > 0 {
+			m = append(m, lab{off: off, n: ln})
+		}
+	}
+	return m
 }
 
 func (*labels) release(*frame, regID) {}
@@ -239,6 +270,7 @@ func (*labels) release(*frame, regID) {}
 func (lm *labels) local(f *frame, s *step) {
 	r, x := f.rank(fixed(f.me)), &s.xfers[0]
 	dst, src := lm.pieces(f, x.recv), lm.pieces(f, x.send)
+	lm.guardIn(f, r, dst)
 	switch s.kind {
 	case stepCopy:
 		stream, total := lm.read(r, src)
@@ -248,15 +280,15 @@ func (lm *labels) local(f *frame, s *step) {
 			}
 			avail -= dst[i].n
 		}
-		lm.write(r, dst, stream, x.combine)
+		lm.write(r, dst, stream, x.combine, false)
 	case stepSpread:
 		for i := range dst {
 			if i < len(src) {
 				if src[i].n < dst[i].n {
 					dst[i].n = src[i].n
 				}
-				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n}})
-				lm.write(r, dst[i:i+1], stream, false)
+				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n, false}})
+				lm.write(r, dst[i:i+1], stream, false, false)
 			}
 		}
 	}
@@ -296,15 +328,25 @@ func (lm *labels) enter(f *frame, me, t int) {
 }
 
 // outgoing reads the send extents' labels — by reference, it pins their
-// bytes instead, for the land to read — and lists the message; a
+// bytes instead, for the land to read; as descriptors, each must be the
+// top frame's input or held as one — and lists the message; a
 // hierarchical plan's phase moves over one link class.
-func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
+func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) error {
 	lm.enter(f, me, t)
 	ps := lm.pieces(f, x.send)
 	var stream []lab
 	var ref []piece
 	n := 0
-	if x.ref {
+	if x.desc {
+		for _, q := range ps {
+			if !(f.up == nil && q.mem == 0 || lm.held(me, q)) && !lm.told[[3]int{me, -2, -2}] {
+				lm.add(errDescSend, t, me)
+				lm.told[[3]int{me, -2, -2}] = true
+			}
+		}
+		p.x = x
+	}
+	if x.ref && !x.desc {
 		p.x, ref = x, ps
 		for _, q := range ps {
 			if n += q.n; q.n > 0 {
@@ -324,6 +366,32 @@ func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) {
 		}
 	}
 	p.msg = int32(len(lm.msgs) - 1)
+	return nil
+}
+
+// held reports whether every byte of rank r's piece q is held as a
+// descriptor.
+func (lm *labels) held(r int, q piece) bool {
+	m := lm.mems[r][q.mem]
+	at := q.off
+	for i := lm.find(r, q.mem, q.off); i < len(m) && at < q.off+q.n; i++ {
+		if !m[i].desc || m[i].off > at {
+			return false
+		}
+		at = m[i].off + m[i].n
+	}
+	return at >= q.off+q.n
+}
+
+// guardIn reports a top-level step of rank r that writes its input
+// region, once a rank (errInWrite).
+func (lm *labels) guardIn(f *frame, r int, ps []piece) {
+	for _, q := range ps {
+		if f.up == nil && q.mem == 0 && q.n > 0 && !lm.told[[3]int{r, -1, -1}] {
+			lm.add(errInWrite, r)
+			lm.told[[3]int{r, -1, -1}] = true
+		}
+	}
 }
 
 // land writes or combines the payload's labels into the recv extents if
@@ -338,11 +406,12 @@ func (lm *labels) land(f *frame, x *xfer, p *payload, me, t int) error {
 		lm.add("group rank %d: "+errSize, me, m.Size, m.Src, want, t)
 		return nil
 	}
-	stream := lm.streams[p.msg]
-	if p.x != nil {
+	lm.guardIn(f, me, ps)
+	stream, desc := lm.streams[p.msg], p.x != nil && p.x.desc
+	if p.x != nil && !desc {
 		stream, _ = lm.read(int(p.src), lm.refs[p.msg])
 	}
-	lm.write(me, ps, stream, x.combine)
+	lm.write(me, ps, stream, x.combine, desc)
 	return nil
 }
 
@@ -351,8 +420,12 @@ func (lm *labels) fault(format string, args ...any) error {
 	return nil
 }
 
-// piece is a byte range of one symbolic memory.
-type piece struct{ mem, off, n int }
+// piece is a byte range of one symbolic memory; desc: a whole block of
+// an extent marked desc.
+type piece struct {
+	mem, off, n int
+	desc        bool
+}
 
 // pieces resolves an extent list of frame f, reporting extents that
 // leave their block or region.
@@ -373,7 +446,7 @@ func (lm *labels) pieces(f *frame, exts []extent) []piece {
 				lm.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
 				continue
 			}
-			out = append(out, piece{v.mem, v.base + off, ln})
+			out = append(out, piece{v.mem, v.base + off, ln, e.desc && e.off == 0 && e.len < 0})
 		}
 	}
 	return out
@@ -412,7 +485,8 @@ func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 		out = appendClip(out, lm.mems[r][p.mem], lm.find(r, p.mem, p.off), p.off, p.n, total)
 		for _, l := range out[lo:] {
 			if l.cnt > 0 {
-				l.pin, out[lo] = 0, l
+				l.pin, l.desc = 0, false
+				out[lo] = l
 				lo++
 			}
 		}
@@ -423,8 +497,9 @@ func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 }
 
 // write scatters a label stream over rank r's pieces, combining when
-// asked; a piece the rank may not write yet is a violation.
-func (lm *labels) write(r int, ps []piece, stream []lab, combine bool) {
+// asked; a piece the rank may not write yet is a violation. If the
+// stream arrives as descriptors, a piece marked desc holds it as one.
+func (lm *labels) write(r int, ps []piece, stream []lab, combine, desc bool) {
 	pos, at := 0, 0 // at: the first stream run that may hold pos
 	for _, p := range ps {
 		mem, now := &lm.mems[r][p.mem], lm.entered[r]
@@ -446,6 +521,13 @@ func (lm *labels) write(r int, ps []piece, stream []lab, combine bool) {
 			if !ok {
 				lm.add("delivery: rank %d combines bytes of different origin or extent", r)
 			}
+			*mem = lm.put(m, i, p.off, p.n, rs, 0, 0)
+		} else if desc && p.desc {
+			rs := appendClip(lm.dbuf[:0], stream, at, pos, p.n, 0)
+			for k := range rs {
+				rs[k].desc = true
+			}
+			lm.dbuf = rs
 			*mem = lm.put(m, i, p.off, p.n, rs, 0, 0)
 		} else {
 			*mem = lm.put(m, i, p.off, p.n, stream, at, pos)
@@ -659,7 +741,7 @@ func (lm *labels) snapshot(caption string) trace.Step {
 // cell draws ln bytes holding the runs got: one whole input block of one
 // rank is its label, nothing trace.Empty, anything else trace.Mixed.
 func (lm *labels) cell(got []lab, ln int, owner map[uint64]int) trace.Label {
-	if len(got) == 0 {
+	if got = slices.DeleteFunc(got, func(l lab) bool { return l.cnt == 0 }); len(got) == 0 {
 		return trace.Empty
 	}
 	l := got[0]
@@ -695,6 +777,11 @@ func (lm *labels) verify() {
 			got := clip(lm.mems[r][1], off, ln)
 			ok := ln == 0 || (len(got) > 0 && got[0].off == 0)
 			for i, l := range got {
+				if l.desc {
+					lm.add(errDescOut, r, j)
+					bad++
+					break
+				}
 				ok = ok && l.src-l.off == srcOff && int(l.cnt) == cnt && l.who == who
 				if i+1 < len(got) {
 					ok = ok && l.off+l.n == got[i+1].off

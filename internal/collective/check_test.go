@@ -281,12 +281,50 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				// Slots 3..5 of the final round belong in output blocks
-				// me-3..me-5; scratch is released with them still in it.
+				// me-3..me-5; scratch is released with them still in it,
+				// and the descriptors of their earlier hops stay behind.
 				steps := exchangeSteps(pl)
 				x := &steps[len(steps)-1].xfers[0]
 				x.recv = []extent{slots(regWork, 0, 3)}
+				pl.prog.roles[0].scratch = []scratch{{3 * pl.blockLen, pl.blockLen}}
 			},
-			wantSub: "rank 0 output block 3 does not hold its 4 bytes",
+			wantSub: "rank 0 output block 5 does not hold its 4 bytes",
+		},
+		// The rules of descriptors: the last land of a block is its
+		// bytes, a descriptor is formed from input or a descriptor
+		// only, and nothing writes the input descriptors read.
+		{
+			name: "index final lands kept as descriptors",
+			base: bruck,
+			mutate: func(pl *Plan) {
+				steps := exchangeSteps(pl)
+				for _, x := range steps[len(steps)-1].xfers {
+					for i := range x.recv {
+						x.recv[i].desc = true
+					}
+				}
+			},
+			wantSub: "ends the walk held as a descriptor",
+		},
+		{
+			name: "index sends landed bytes as a descriptor",
+			base: bruck,
+			mutate: func(pl *Plan) {
+				for i := range first(pl).recv {
+					first(pl).recv[i].desc = false
+				}
+			},
+			wantSub: fmt.Sprintf(errDescSend, 1, 0),
+		},
+		{
+			name: "index writes its input",
+			base: bruck,
+			mutate: func(pl *Plan) {
+				b := builder{}
+				b.local(stepCopy, []extent{slots(regIn, 0, 1)}, []extent{slots(regOut, 0, 1)})
+				pl.prog.roles[0].steps = append(pl.prog.roles[0].steps, b.steps...)
+			},
+			wantSub: fmt.Sprintf(errInWrite, 0),
 		},
 		{
 			name:    "concat wrong c1",

@@ -220,8 +220,9 @@ func places(pr *program, exts []extent, me int) []spot {
 // TestIndexAddressesSlotsInPlace pins the shape of the Bruck index
 // program over the whole small grid: no rotation pass (one local step, of
 // one block), every slot sent from the input on its first hop and landed
-// in the output on its last, in places of its own in between, no scratch
-// at all for a single subphase, the r = n member transfer for transfer
+// in the output on its last, in between held as a descriptor in its
+// output block or, pipelined, in places of its own, no scratch at all
+// for a single subphase or with descriptors, the r = n member transfer for transfer
 // the direct exchange — and each such plan proved by Plan.Check and run
 // through the oracle.
 func TestIndexAddressesSlotsInPlace(t *testing.T) {
@@ -280,8 +281,10 @@ func TestIndexAddressesSlotsInPlace(t *testing.T) {
 // checkSlotsInPlace asserts the in-place addressing of one compiled
 // Bruck index program whose subphase i has radix radixAt(i): each slot
 // (span by span) hops once per non-zero digit, from its input block to
-// its output block, no place holding two slots, every hop landing in a
-// place other than the one it left: the output block or one of up to two
+// its output block, no place holding two slots. A program with
+// descriptors lands every hop in the output block, all but the last as
+// a descriptor, and has no scratch; any other lands every hop in a place
+// other than the one it left: the output block or one of up to two
 // compact scratch regions (place).
 func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 	t.Helper()
@@ -297,8 +300,14 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 		}
 		weight *= r
 	}
-	if regions := len(ro.scratch); regions > 0 && subphases < 2 || regions > 2 {
-		t.Errorf("%d subphases but scratch %v", subphases, ro.scratch)
+	descs := false
+	for _, s := range ro.steps {
+		for _, x := range s.xfers {
+			descs = descs || x.desc
+		}
+	}
+	if regions := len(ro.scratch); regions > 0 && (subphases < 2 || descs) || regions > 2 {
+		t.Errorf("%d subphases, descriptors %v, but scratch %v", subphases, descs, ro.scratch)
 	}
 	type key struct {
 		slot int
@@ -311,7 +320,12 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 		switch s := &ro.steps[i]; s.kind {
 		case stepExchange:
 			for _, x := range s.xfers {
-				send, recv := places(pr, x.send, 0), places(pr, x.recv, 0)
+				send, recv, held := places(pr, x.send, 0), places(pr, x.recv, 0), []bool(nil)
+				for _, e := range x.recv {
+					for range e.n {
+						held = append(held, x.desc && e.desc)
+					}
+				}
 				if len(send) != len(recv) {
 					t.Fatalf("step %d sends %d places and lands %d", i, len(send), len(recv))
 				}
@@ -323,7 +337,7 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 					if !ok {
 						t.Fatalf("step %d sends %+v, which holds no slot", i, p)
 					}
-					if o, taken := holds[recv[j]]; taken && o != q || recv[j] == p {
+					if o, taken := holds[recv[j]]; taken && o != q || recv[j] == p && !x.desc {
 						t.Fatalf("step %d lands slot %d in %+v, which it leaves or slot %d holds", i, q, recv[j], o)
 					}
 					delete(holds, p)
@@ -333,6 +347,9 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 						moves[k] = append(moves[k], p)
 					}
 					moves[k] = append(moves[k], recv[j])
+					if descs && held[j] != (len(moves[k]) <= hops[q]) {
+						t.Errorf("step %d lands hop %d of %d of slot %d as a descriptor: %v", i, len(moves[k])-1, hops[q], q, held[j])
+					}
 				}
 			}
 		case stepCopy:
@@ -359,7 +376,7 @@ func checkSlotsInPlace(t *testing.T, pr *program, radixAt func(int) int) {
 			t.Errorf("slot %d span %d goes from %+v to %+v, want input block %d to output block %d", k.slot, k.off, first, last, k.slot, (n-k.slot)%n)
 		}
 		for _, p := range path[1 : len(path)-1] {
-			if p.reg == regIn || p.reg > regWork+1 {
+			if p.reg == regIn || p.reg > regWork+1 || descs && p != path[len(path)-1] {
 				t.Errorf("slot %d span %d passes through %+v", k.slot, k.off, p)
 			}
 		}

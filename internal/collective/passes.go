@@ -30,14 +30,7 @@ func pipeline(pr *program, s int) (*program, int) {
 		return pr, 0
 	}
 	steps := pr.roles[0].steps
-	first := 0
-	for first < len(steps) && steps[first].kind != stepExchange {
-		first++
-	}
-	last := first
-	for last < len(steps) && steps[last].kind == stepExchange {
-		last++
-	}
+	first, last := exchangeRun(steps)
 	rounds := steps[first:last]
 	if s = min(s, pr.bl, len(rounds)); s <= 1 {
 		return pr, 0
@@ -68,34 +61,52 @@ func pipeline(pr *program, s int) (*program, int) {
 	return &out, s
 }
 
+// exchangeRun returns the first run of exchange steps, the rounds
+// pipeline splits.
+func exchangeRun(steps []step) (first, last int) {
+	for first < len(steps) && steps[first].kind != stepExchange {
+		first++
+	}
+	for last = first; last < len(steps) && steps[last].kind == stepExchange; last++ {
+	}
+	return first, last
+}
+
 // place lays out the top-level roles of a plain program — its
 // transfers all pack, every hop lands in its final place — and marks
-// the transfers that may send by reference. compile runs it before
-// pipeline, which shifts every span's rounds by one lane offset and so
-// opens no conflict. Embedded programs stay as they are, every transfer
-// packed: a sub-frame ends, and goes back to framePool, while a reader
-// may still hold it.
+// the transfers that may send descriptors or by reference. compile runs
+// it before pipeline, which shifts every span's rounds by one lane
+// offset and so opens no conflict; a program pipeline splits gets no
+// descriptors, whose spans would each need their own. Embedded programs
+// stay as they are, every transfer packed: a sub-frame ends, and goes
+// back to framePool, while a reader may still hold it.
 //
 // A line is a whole block at one rank-relative address. A new value of
-// it starts at each land of the whole block without combine and lives
-// to its last use, a send that may go by reference to the end of its
-// pin window: the rank's first exchange after the next round, the rule
-// Check proves as errRefWrite. Coloured from the last back, each value
-// takes the lowest colour no later value landing inside its window uses
-// (left-edge interval colouring). Colour 0 is the line's own place,
-// which the last value keeps and so does the caller's data in an input
-// or output block; colour c >= 1 is a block of a compact scratch region
-// holding one per line that uses it, in line order, so runs still join.
-// A line stays in place if it is in a layout region or an embed's or a
-// swap's extents, is reached twice through one extent, or needs more
-// colours than there are scratch regions left; a role that addresses a
-// region in two modes is left plain. Then each non-swap transfer with a
-// peer goes by reference unless a write touches its send bytes inside
-// its pin window. A list with a block that moves is rewritten and
-// re-joined in place.
-func place(pr *program) {
+// it starts at each land of the whole block without combine. A
+// descriptor value (describe) is only read, and its sends pin nothing.
+// Every other value lives to its last use, a send that may go by
+// reference to the end of its pin window: the rank's first exchange
+// after the next round, the rule Check proves as errRefWrite. Coloured
+// from the last back, each value takes the lowest colour no later value
+// landing inside its window uses (left-edge interval colouring). Colour
+// 0 is the line's own place, which the last value keeps and so does the
+// caller's data in an input or output block; colour c >= 1 is a block
+// of a compact scratch region holding one per line that uses it, in
+// line order, so runs still join. A line stays in place if it is in a
+// layout region or an embed's or a swap's extents, is reached twice
+// through one extent, or needs more colours than there are scratch
+// regions left; a role that addresses a region in two modes is left
+// plain. Then each other non-swap transfer with a peer goes by
+// reference unless a write touches its send bytes inside its pin
+// window; without one, nothing is coloured. A list with a block that
+// moves is rewritten and re-joined in place.
+func place(pr *program, segments int) {
+	descs := len(pr.roles) == 1 && pr.bl > 0 && (pr.inLay == nil || pr.inLay.Uniform()) && (pr.outLay == nil || pr.outLay.Uniform())
+	if first, last := exchangeRun(pr.roles[0].steps); min(segments, pr.bl, last-first) > 1 {
+		descs = false
+	}
 	for me := range pr.roles {
-		pr.placeRole(me)
+		pr.placeRole(me, descs)
 	}
 }
 
@@ -117,10 +128,11 @@ const (
 	useStay              // the line may not move
 )
 
-// placeRole places rank me's role (place). A use's key is its line
-// (region, block) over its order in the walk of the role, which visits
-// the sends of an exchange before its lands: within a line, time order.
-func (pr *program) placeRole(me int) {
+// placeRole places rank me's role (place), with descriptors if descs. A
+// use's key is its line (region, block) over its order in the walk of
+// the role, which visits the sends of an exchange before its lands:
+// within a line, time order.
+func (pr *program) placeRole(me int, descs bool) {
 	ro := &pr.roles[me]
 	var ubuf [128]use
 	var kbuf [128]uint64
@@ -172,17 +184,30 @@ func (pr *program) placeRole(me int) {
 	if mixed {
 		return
 	}
-	for i, u := range uses {
+	if descs {
+		pr.describe(ro, uses, keys)
+	}
+	refs := false
+	for i := range uses {
+		u := &uses[i]
 		if u.how&useSend != 0 {
-			u.x.ref = true
+			if u.x.desc {
+				u.how &^= useSend // a descriptor is sent by value
+			} else {
+				u.x.ref, refs = true, true
+			}
 		}
 		if !up[u.e.reg] { // lines in the order the extents run, so the compact blocks run up
 			keys[i] ^= (1<<24 - 1) << 32
 		}
 	}
-	slices.Sort(keys)
 	var count [4]int32 // the lines using each colour
 	stride := -1
+	if refs {
+		slices.Sort(keys)
+	} else {
+		keys = nil // no pin window: nothing to colour, nothing to hold a send to
+	}
 	for g, h := 0, 0; g < len(keys); g = h {
 		for h = g + 1; h < len(keys) && keys[h]>>32 == keys[g]>>32; h++ {
 		}
@@ -209,6 +234,70 @@ func (pr *program) placeRole(me int) {
 		for j := range ro.steps[i].xfers {
 			x := &ro.steps[i].xfers[j]
 			x.send, x.recv = rejoin(x.send), rejoin(x.recv)
+		}
+	}
+}
+
+// describe marks the descriptor transfers and lands of a one-role
+// program, its uses in walk order, each with its key. A transfer x to a
+// peer that sends back to it through x (so x's payload lands in x's
+// recv extents) sends descriptors (x.desc) if every block it sends is,
+// at the send, input never written or a descriptor value: one landed
+// whole, without combine, by such a transfer, that nothing writes before
+// the line's next land and that is not the output's last — no output
+// byte ends the walk as a descriptor, and the input, which descriptors
+// read in place, is never written (Check proves both). An extent lands
+// descriptors (extent.desc) if every block of it does.
+func (pr *program) describe(ro *role, uses []use, keys []uint64) {
+	nb := pr.n // the blocks of the largest region
+	for _, sc := range ro.scratch {
+		nb = max(nb, sc.bytes/max(sc.stride, 1))
+	}
+	for _, k := range keys {
+		if int(k>>32&(1<<24-1)) >= nb {
+			return // a block outside its region: Check reports it
+		}
+	}
+	var sbuf [256]int32
+	st := sbuf[:min(len(sbuf), int(maxRegs)*nb)]
+	if int(maxRegs)*nb > len(sbuf) {
+		st = make([]int32, int(maxRegs)*nb)
+	}
+	line := func(i int) (int, regID) {
+		return int(keys[i]>>56)*nb + int(keys[i]>>32&(1<<24-1)), regID(keys[i] >> 56)
+	}
+	// Back from the end: which extents may land descriptors.
+	const later, dirty = 1, 2
+	for i := len(uses) - 1; i >= 0; i-- {
+		u := &uses[i]
+		l, reg := line(i)
+		switch {
+		case u.how&useLand != 0:
+			ok := st[l]&dirty == 0 && (st[l]&later != 0 || reg != regOut) && reg != regIn
+			u.e.desc = ok && (i+1 == len(uses) || uses[i+1].e != u.e || u.e.desc) // its blocks are consecutive uses
+			st[l] = later
+		case u.how&(useWrite|useStay) != 0:
+			st[l] |= dirty
+		}
+	}
+	// Forward: which transfers send descriptors. st holds each line's
+	// value: 1 plus the use that landed it, or 0 for the region's own
+	// bytes, -1 once written otherwise.
+	clear(st)
+	for i := range uses {
+		u := &uses[i]
+		l, reg := line(i)
+		switch v := st[l] - 1; {
+		case u.how&useSend != 0:
+			if i == 0 || uses[i-1].x != u.x { // its first block
+				u.x.desc = u.x.to.inverts(u.x.from, pr.n)
+			}
+			u.x.desc = u.x.desc && (v == -1 && reg == regIn || v >= 0 && uses[v].e.desc)
+		case u.how&useLand != 0:
+			u.e.desc = u.e.desc && u.x.desc
+			st[l] = int32(i) + 1
+		case u.how&(useWrite|useStay) != 0:
+			st[l] = -1
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"bruck/internal/buffers"
 	"bruck/internal/mpsim"
 )
 
@@ -27,7 +28,9 @@ func TestPlace(t *testing.T) {
 // Check, to send what the plain one sends (C1, C2, Messages), to copy no
 // more on any rank (moved), and to be maximal: forcing ref on any
 // top-level transfer place left packed makes Check report errRefWrite.
-// It is exported for TestPlaceGolden.
+// A plan with descriptors must walk to Verify at W = 1..4, and marking
+// any output land of a descriptor transfer desc must make Check report
+// errDescOut. It is exported for TestPlaceGolden.
 func PlaceHolds(t *testing.T, where string, e *mpsim.Engine, g *mpsim.Group, s Spec) {
 	t.Helper()
 	if err := s.canonicalize(e, g); err != nil {
@@ -49,11 +52,22 @@ func PlaceHolds(t *testing.T, where string, e *mpsim.Engine, g *mpsim.Group, s S
 			t.Errorf("%s: rank %d moves %d bytes placed, %d plain", where, me, got, was)
 		}
 	}
+	descs := false
 	for r := range placed.prog.roles {
 		for i := range placed.prog.roles[r].steps {
 			for j := range placed.prog.roles[r].steps[i].xfers {
 				x := &placed.prog.roles[r].steps[i].xfers[j]
-				if placed.prog.roles[r].steps[i].kind != stepExchange || x.to.mode == addrNone || x.swap || x.ref {
+				descs = descs || x.desc
+				for e := range x.recv {
+					if x.desc && !x.recv[e].desc && x.recv[e].reg == regOut {
+						x.recv[e].desc = true
+						if v := placed.Check(); !mentions(v, "ends the walk held as a descriptor") {
+							t.Errorf("%s: role %d step %d transfer %d lands %s as descriptors, but Check reports %q", where, r, i, j, extents(x.recv[e:e+1]), v)
+						}
+						x.recv[e].desc = false
+					}
+				}
+				if placed.prog.roles[r].steps[i].kind != stepExchange || x.to.mode == addrNone || x.swap || x.ref || x.desc {
 					continue
 				}
 				x.ref = true
@@ -64,14 +78,18 @@ func PlaceHolds(t *testing.T, where string, e *mpsim.Engine, g *mpsim.Group, s S
 			}
 		}
 	}
+	for w := 1; descs && w <= 4; w++ {
+		walked(t, fmt.Sprintf("%s placed W=%d", where, w), w, Labels, placed)
+	}
 }
 
 // TestPlaceExtents pins what placement costs the flat radix-2 index in
-// scratch blocks and extents: the compact regions of place against the
-// n-block region and bound of the placement it replaced (20 blocks and
-// 39 extents at n = 16, 1,816 and 2,744 at n = 1,024).
+// scratch blocks and extents: descriptors need no scratch, where the
+// compact regions of by-reference hops took 15 blocks at n = 16 and
+// 1,805 at n = 1,024 (in 38 and 2,546 extents); a descriptor land joins
+// no byte land, so there are a few more extents.
 func TestPlaceExtents(t *testing.T) {
-	for _, tc := range []struct{ n, blocks, exts int }{{16, 15, 38}, {1024, 1805, 2546}} {
+	for _, tc := range []struct{ n, blocks, exts int }{{16, 0, 39}, {1024, 0, 2559}} {
 		pl := must(Compile(mpsim.MustNew(tc.n), mpsim.WorldGroup(tc.n), Spec{Op: OpIndex, BlockLen: 1, Index: IndexOptions{Radix: 2}}))
 		ro, blocks, exts := pl.prog.roles[0], 0, 0
 		for _, sc := range ro.scratch {
@@ -85,5 +103,59 @@ func TestPlaceExtents(t *testing.T) {
 		if got := fmt.Sprint(blocks, exts); got != fmt.Sprint(tc.blocks, tc.exts) {
 			t.Errorf("n=%d: %s scratch blocks and extents, want %d %d", tc.n, got, tc.blocks, tc.exts)
 		}
+	}
+}
+
+// descs counts the descriptor transfers of a plan's top-level roles.
+func descs(pl *Plan) int {
+	count := 0
+	for _, ro := range pl.prog.roles {
+		for _, s := range ro.steps {
+			for _, x := range s.xfers {
+				if x.desc {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
+// TestDescriptorsSkipPipelines pins place's choice for a program that
+// pipeline splits: no descriptor, by-reference hops through compact
+// scratch instead, where each span would need a descriptor of its own.
+func TestDescriptorsSkipPipelines(t *testing.T) {
+	e := mpsim.MustNew(8)
+	for _, seg := range []int{0, 2, 4} {
+		pl := must(Compile(e, mpsim.WorldGroup(8), Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}, Segments: seg}))
+		if got := descs(pl); (got > 0) == (pl.segments > 1) {
+			t.Errorf("segments=%d: %d descriptor transfers", pl.segments, got)
+		}
+	}
+}
+
+// TestDescriptorsNeedUnaliasedMemory: a descriptor reads its origin's
+// input long after it was formed, so an output that aliases the input
+// would let a land overwrite what a descriptor still reads. fits rejects
+// such a Memory before any walk starts, so no descriptor is ever formed
+// on it: the engine keeps no walk state.
+func TestDescriptorsNeedUnaliasedMemory(t *testing.T) {
+	e := mpsim.MustNew(8)
+	pl := must(Compile(e, mpsim.WorldGroup(8), Spec{Op: OpIndex, BlockLen: 4, Index: IndexOptions{Radix: 2}}))
+	if descs(pl) == 0 {
+		t.Fatal("the radix-2 index sends no descriptors")
+	}
+	side := must(buffers.New(8, 8, 4))
+	const want = "collective: flat output must not alias the input"
+	if _, err := pl.Run(pl.Memory(side, side)); err == nil || err.Error() != want {
+		t.Errorf("Run: %v, want %q", err, want)
+	}
+	if _, err := ExecutePlans(e, []Job{{pl, pl.Memory(side, side)}}); err == nil || err.Error() != want+" (plan 0)" {
+		t.Errorf("ExecutePlans: %v, want %q", err, want+" (plan 0)")
+	}
+	var state any
+	e.Inline(func(s *any, _ *mpsim.Team) error { state = *s; return nil })
+	if state != nil {
+		t.Errorf("a walk ran on the aliased memory: %T", state)
 	}
 }

@@ -171,7 +171,7 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec, placed bool) (*Plan, error
 		s.Segments = OptimalSegments(costmodel.SP1, n, s.BlockLen, defaultRadix(radix, n, k), k)
 	}
 	if placed {
-		place(pr)
+		place(pr, s.Segments)
 	}
 	if pr, pl.segments = pipeline(pr, s.Segments); pl.segments > 1 {
 		// A merged round multiplexes up to `segments` rounds over the

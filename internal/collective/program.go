@@ -59,6 +59,18 @@ func (a rel) of(me, n, i int) int {
 	return v
 }
 
+// inverts reports whether b leads every rank of n back to the rank that
+// reached it through a.
+func (a rel) inverts(b rel, n int) bool {
+	switch a.mode {
+	case addrAdd:
+		return b.mode == addrAdd && (int(a.c)+int(b.c))%n == 0
+	case addrXor:
+		return b == a
+	}
+	return false
+}
+
 // regID names one memory of a running rank: the caller's input and
 // output regions, then the role's pooled scratch regions in order.
 type regID uint8
@@ -95,6 +107,7 @@ type extent struct {
 	off, len int32
 	reg      regID
 	rev      bool // the run descends: block i is at moved by -i
+	desc     bool // recv only, set by place: each block keeps a descriptor of its bytes on the walk (run.go)
 }
 
 func blocksAt(reg regID, at rel, n int) extent { return extent{reg: reg, at: at, n: int32(n), len: -1} }
@@ -186,6 +199,7 @@ type xfer struct {
 	combine    bool // received bytes combine into recv instead of overwriting
 	swap       bool // role.swaps of it, fixed by finish: the region's buffer itself travels
 	ref        bool // set by place: the payload may refer to the send extents, on the walk the receiver lands straight from them (run.go)
+	desc       bool // set by place: on the walk the payload is descriptors of the send blocks' input bytes (run.go)
 	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
 }
 
@@ -386,10 +400,10 @@ func (pr *program) finish() {
 }
 
 // moved returns the bytes rank me copies in one run of the program — its
-// local steps, and every exchange's packs and lands (a by-reference
-// transfer packs nothing) — walked from the program like C1/C2: the
-// copies a data-path change removes show here exactly, whatever the
-// clock says.
+// local steps, and every exchange's packs and lands (a by-reference or
+// descriptor transfer packs nothing, a descriptor land copies nothing) —
+// walked from the program like C1/C2: the copies a data-path change
+// removes show here exactly, whatever the clock says.
 func (pr *program) moved(me int) (bytes int) {
 	ro := pr.role(me)
 	for i := range ro.steps {
@@ -399,11 +413,13 @@ func (pr *program) moved(me int) (bytes int) {
 				if x.swap {
 					continue // the region's buffer travels: nothing is packed, nothing landed
 				}
-				if x.to.mode != addrNone && !x.ref {
+				if x.to.mode != addrNone && !x.ref && !x.desc {
 					bytes += pr.measure(x.send, me)
 				}
-				if x.from.mode != addrNone {
-					bytes += pr.measure(x.recv, me)
+				for _, e := range x.recv {
+					if x.from.mode != addrNone && !(x.desc && e.desc) {
+						bytes += e.size(pr.shapeOf(e.reg, me), me, pr.n)
+					}
 				}
 			}
 		case stepCopy:
@@ -467,7 +483,7 @@ func (pr *program) list(w *strings.Builder, ind string) {
 			}
 			for _, x := range s.xfers {
 				fmt.Fprintf(w, "\n%s    to %v from %v send %s recv %s bytes=%d%s%s%s", ind, x.to, x.from, extents(x.send), extents(x.recv),
-					x.bytes, map[bool]string{true: " combine"}[x.combine], map[bool]string{true: " swap"}[x.swap], map[bool]string{true: " ref"}[x.ref])
+					x.bytes, map[bool]string{true: " combine"}[x.combine], map[bool]string{true: " swap"}[x.swap], map[bool]string{true: " ref"}[x.ref]+map[bool]string{true: " desc"}[x.desc])
 			}
 			w.WriteString("\n")
 			if s.em != nil {
@@ -489,7 +505,8 @@ func (a rel) String() string {
 
 // extents writes an extent list: region@address*blocks, then the byte
 // range inside each block ([off:] runs to its end, the whole block
-// shows none) and "rev" for a descending run; "-" when empty.
+// shows none), "rev" for a descending run and ":desc" for descriptor
+// lands; "-" when empty.
 func extents(es []extent) string {
 	parts := []string{"-"}
 	for i, e := range es {
@@ -501,6 +518,9 @@ func extents(es []extent) string {
 		}
 		if e.rev {
 			p += "rev"
+		}
+		if e.desc {
+			p += ":desc"
 		}
 		parts = append(parts[:i], p)
 	}
@@ -540,7 +560,7 @@ func join(es []extent, e extent) []extent {
 		if next.c += l.n; l.rev {
 			next.c -= 2 * l.n
 		}
-		if l.reg == e.reg && l.rev == e.rev && l.off == e.off && l.len == e.len && next == e.at {
+		if l.reg == e.reg && l.rev == e.rev && l.desc == e.desc && l.off == e.off && l.len == e.len && next == e.at {
 			l.n += e.n
 			return es
 		}

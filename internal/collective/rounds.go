@@ -12,15 +12,18 @@ package collective
 // in an outbox until a barrier has ended every worker's posts of round
 // t; each worker then lands its ranks left waiting and posts round t+1,
 // so a round costs one barrier. A rank reads only its own state and what
-// its senders sent in the round — packed, or by reference from bytes
-// Plan.Check proves they leave alone until the barrier that ends the
-// round — so the bytes are the same at every W.
+// its senders sent in the round — packed, as descriptors of input that
+// Plan.Check proves nothing writes, or by reference from bytes it proves
+// they leave alone until the barrier that ends the round — so the bytes
+// are the same at every W. A descriptor a rank keeps reads another
+// rank's input, on whichever worker, at any later round.
 // Several plans on disjoint groups (ExecutePlans) are dealt whole to the
 // workers instead, each walked at W = 1 on its worker's own state.
 // The walk runs on a medium (run.go): bytes to execute a plan, labels —
 // at W = 1 — to prove it (Plan.Check) and read its figures and messages.
 // A k-port violation, a receive nobody feeds, a send nobody receives, a
-// size that disagrees or a misaligned end is a fault of its round, named
+// size that disagrees, a descriptor sent of a block that is neither
+// input nor holds one, or a misaligned end is a fault of its round, named
 // with the round and the ranks: bytes stop at the next barrier with the
 // lowest worker's fault (a lone fault has the text it has at W = 1),
 // labels record each and walk on.
@@ -30,6 +33,7 @@ import (
 	"errors"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"bruck/internal/mpsim"
 )
@@ -43,6 +47,7 @@ const (
 	errUnreceived = "delivery: round %d: rank %d sends to rank %d, which does not receive it"
 	errUnfed      = "delivery: round %d: rank %d waits for rank %d, which sends it nothing"
 	errSize       = "received %d bytes from p%d into extents of %d bytes in round %d"
+	errDescSend   = "round %d: rank %d sends as a descriptor a block that is neither its input nor holds one"
 )
 
 // errPanicked stops a label walk at a panic the medium has listed.
@@ -53,11 +58,11 @@ var errPanicked = errors.New("collective: the walk stopped at a panic")
 // spreads them over GOMAXPROCS workers; below it one worker walks them
 // all. BenchmarkDrivers sweeps the radix-2 index at n = 16 over block
 // sizes, at one worker and at GOMAXPROCS: on a 2-vCPU host at two Ps,
-// landing by reference, the split loses up to b = 2 KiB (1.1 MB
-// copied: 80 against 70 µs), where the barriers cost what the second
-// core saves, and wins from b = 4 KiB (2.2 MB: 117 against 171 µs) on.
-// The threshold sits between the two.
-const walkParallelBytes = 3 << 19
+// its hops forwarding descriptors, the split loses up to b = 1 KiB
+// (262 KB copied: medians of six, 55 against 53 µs), where the barriers
+// cost what the second core saves, and wins from b = 2 KiB (524 KB: 52
+// against 70 µs) on. The threshold sits between the two.
+const walkParallelBytes = 3 << 17
 
 // workers is the number of workers the walk spreads the jobs over.
 func workers(jobs []Job) int {
@@ -190,6 +195,11 @@ type walker struct {
 	net [bits.UintSize]int // per capacity class, kept less lost: close's to settle
 
 	free [bits.UintSize][][]byte // free[c]: buffers of capacity 1<<c
+
+	// The descriptors its ranks send and the tables of those its ranks'
+	// regions hold (run.go), appended through a run and cleared by close:
+	// its capacity outlives the run.
+	slab [][]byte
 }
 
 // post is a payload posted to rank to of another worker.
@@ -413,12 +423,16 @@ func (w *walker) post(me, t int) error {
 		if v := d.ranks[q].w; v != w.id {
 			out := &w.out[t%2][v]
 			*out = append(*out, post{to: q, p: payload{src: int32(me)}})
-			d.md.outgoing(f, x, &(*out)[len(*out)-1].p, me, q, t)
+			if err := d.md.outgoing(f, x, &(*out)[len(*out)-1].p, me, q, t); err != nil {
+				return err
+			}
 			continue
 		}
 		dst := &d.ranks[q]
 		dst.box = append(dst.box, payload{src: int32(me)})
-		d.md.outgoing(f, x, &dst.box[len(dst.box)-1], me, q, t)
+		if err := d.md.outgoing(f, x, &dst.box[len(dst.box)-1], me, q, t); err != nil {
+			return err
+		}
 		if err := w.eager(q, t); err != nil {
 			return err
 		}
@@ -585,6 +599,8 @@ func (d *rounds) close() {
 			}
 			v.owe[u] = owe[:0]
 		}
+		clear(v.slab)
+		v.slab = v.slab[:0]
 	}
 	for _, v := range d.ws { // a surplus has its buffers in v's list
 		for c := range v.net {
@@ -613,6 +629,13 @@ func (w *walker) AcquireBuf(n int) []byte {
 		return b[:n]
 	}
 	return make([]byte, n, 1<<c)
+}
+
+// table returns n empty descriptor slots from the worker's slab.
+func (w *walker) table(n int) [][]byte {
+	lo := len(w.slab)
+	w.slab = slices.Grow(w.slab, n)[:lo+n]
+	return w.slab[lo : lo+n : lo+n]
 }
 
 // ReleaseBuf returns a buffer to the free list, noting what it owes if

@@ -11,25 +11,34 @@ package collective
 // from its pool — the rank's processor-local pool under the engine, its
 // worker's free list round-major — when the frame starts, in
 // declaration order, and released when it ends. A payload takes one of
-// three paths. Packed, it goes pack -> own -> land: packed into a pool
+// four paths. Packed, it goes pack -> own -> land: packed into a pool
 // buffer of exactly its extents' bytes on this rank (a layout family
 // sends true block lengths), handed over for good, held to the
 // receiver's extents before a byte is written, landed — copy or combine
 // — and released to the receiver's pool, where its next pack finds it in
 // cache; round-major a worker that keeps another's payload pays it back
 // a buffer when the walk ends (rounds.close). That is two copies per
-// byte per hop. A transfer place (passes.go) marks ref goes by reference
-// on the walk: the payload names the sender's top frame and transfer,
-// and the receiver's land copies or combines once, straight from the
-// sender's extents, after the same size check. The engine driver packs
-// it like any other. Plan.Check proves that no rank writes a byte it
-// sent by reference before every receiver may have landed it
+// byte per hop. A transfer place (passes.go) marks desc sends, on the
+// walk, the input bytes each block it sends refers to (frame.origins,
+// from the worker's slab); the receiver keeps them in place of the
+// bytes of each whole block of a recv extent marked desc (region.desc)
+// and copies every other block straight from the input: one copy per
+// block, on its last land. A block holding a descriptor reads as the
+// input it refers to; a write drops it (frame.block), and a swap or an
+// embed of its region copies its bytes in first (frame.settle). A
+// transfer place marks ref goes by reference on the walk: the payload
+// names the sender's top frame and transfer, and the receiver's land
+// copies or combines once, straight from the sender's extents, after
+// the same size check. The engine driver packs both like any other.
+// Plan.Check proves that nothing writes the input a descriptor reads,
+// that no output block ends holding one, and that no rank writes a
+// byte it sent by reference before every receiver may have landed it
 // (check.go); place marks no sub-program, whose frame ends, and goes
-// back to framePool, while a reader may still hold it. A swap (role.swaps)
-// copies nothing either way: its payload is the scratch region's own
-// buffer and the payload it receives becomes the region. After a failed
-// round the region holds no buffer: the one it gave away may already sit
-// in a peer's pool.
+// back to framePool, while a reader may still hold it. A swap
+// (role.swaps) copies nothing either way: its payload is the scratch
+// region's own buffer and the payload it receives becomes the region.
+// After a failed round the region holds no buffer: the one it gave away
+// may already sit in a peer's pool.
 
 import (
 	"fmt"
@@ -40,10 +49,12 @@ import (
 
 // region is one memory of a running rank: the shape of its blocks, and
 // what holds them — data in the byte medium, the label medium's memory
-// mem from offset base.
+// mem from offset base. On the walk, desc[j], if set, is the descriptor
+// block j holds in place of its bytes: the input bytes it refers to.
 type region struct {
 	shape
 	data      []byte
+	desc      [][]byte
 	mem, base int
 }
 
@@ -69,19 +80,21 @@ type medium interface {
 	release(f *frame, reg regID)
 	local(f *frame, s *step)
 	embed(sub, f *frame, s *step)
-	outgoing(f *frame, x *xfer, p *payload, me, to, t int)
+	outgoing(f *frame, x *xfer, p *payload, me, to, t int) error
 	land(f *frame, x *xfer, p *payload, me, t int) error
 	fault(format string, args ...any) error
 }
 
-// payload is a message in flight from group rank src: data on bytes, or
-// — sent by reference — the sender's frame and transfer, whose send
-// extents the land reads; on labels, msg indexes the medium's list of
-// what is sent. (48 bytes: the walker copies it in and out of boxes on
-// every hop.)
+// payload is a message in flight from group rank src: data on bytes;
+// sent by reference, the sender's frame and transfer, whose send extents
+// the land reads; sent as descriptors, the transfer and descs, the input
+// bytes of each block it sends. On labels, msg indexes the medium's list
+// of what is sent. (72 bytes: the walker copies it in and out of boxes
+// on every hop.)
 type payload struct {
 	src, msg int32
 	data     []byte
+	descs    [][]byte
 	from     *frame
 	x        *xfer
 }
@@ -263,11 +276,8 @@ func (f *frame) local(s *step) {
 		return
 	}
 	d, c := &x.recv[0], &x.send[0]
-	dr, cr := &f.reg[d.reg], &f.reg[c.reg]
 	for i := 0; i < int(d.n); i++ {
-		do, dn := d.bytes(dr.shape, f.me, f.pr.n, i)
-		co, cn := c.bytes(cr.shape, f.me, f.pr.n, i)
-		copy(dr.data[do:do+dn], cr.data[co:co+cn])
+		copy(f.block(d, i, true, true), f.block(c, i, false, false))
 	}
 }
 
@@ -310,6 +320,7 @@ func (f *frame) exchange(s *step, round int) error {
 // or — a swap — the scratch region's own buffer.
 func (f *frame) outgoing(x *xfer) []byte {
 	if x.swap {
+		f.settle(x.send[0].reg)
 		r := &f.reg[x.send[0].reg]
 		data := r.data
 		r.data = nil
@@ -321,11 +332,12 @@ func (f *frame) outgoing(x *xfer) []byte {
 }
 
 // reader walks the memory an extent list addresses, one piece at a
-// time.
+// time, to read it, or to write it (frame.block).
 type reader struct {
-	f      *frame
-	ext    []extent
-	i, blk int
+	f           *frame
+	ext         []extent
+	i, blk      int
+	write, keep bool
 }
 
 // next returns the next piece of the walk.
@@ -336,22 +348,87 @@ func (c *reader) next() ([]byte, bool) {
 	if c.i == len(c.ext) {
 		return nil, false
 	}
-	p, blocks := c.f.piece(&c.ext[c.i], c.blk)
+	p, blocks := c.f.piece(&c.ext[c.i], c.blk, c.write, c.keep)
 	c.blk += blocks
 	return p, true
 }
 
-// piece returns the memory of an extent from its block b on, and the
-// number of blocks that is: a contiguous extent — whole ascending blocks
-// at a fixed place in a flat region — at once, any other block by block.
-func (f *frame) piece(e *extent, b int) ([]byte, int) {
+// piece returns the memory of an extent from its block b on, as block
+// does, and the number of blocks that is: a contiguous extent — whole
+// ascending blocks at a fixed place in a flat region that holds no
+// descriptor — at once, any other block by block.
+func (f *frame) piece(e *extent, b int, write, keep bool) ([]byte, int) {
 	r := &f.reg[e.reg]
-	if e.n > 1 && b == 0 && e.contiguous(r.lay == nil) {
+	if r.desc == nil && e.n > 1 && b == 0 && e.contiguous(r.lay == nil) {
 		lo := int(e.at.c) * r.stride
 		return r.data[lo : lo+int(e.n)*r.stride], int(e.n)
 	}
-	off, ln := e.bytes(r.shape, f.me, f.pr.n, b)
-	return r.data[off : off+ln], 1
+	return f.block(e, b, write, keep), 1
+}
+
+// block returns the memory of block b of an extent. If the block holds a
+// descriptor, a read reads the input bytes it refers to; a write drops
+// it, first copying them in if it keeps (combines into) the block or
+// writes only part of it.
+func (f *frame) block(e *extent, b int, write, keep bool) []byte {
+	r, j, off, ln := f.spot(e, b)
+	if r.desc != nil && r.desc[j] != nil {
+		d := r.desc[j]
+		if !write {
+			return d[e.off : int(e.off)+ln]
+		}
+		if keep || e.off != 0 || ln != len(d) {
+			copy(r.data[off-int(e.off):], d)
+		}
+		r.desc[j] = nil
+	}
+	return r.data[off : off+ln]
+}
+
+// spot locates block b of an extent: its region, its index j there, and
+// the bytes [off, off+ln) of the region the extent addresses in it.
+func (f *frame) spot(e *extent, b int) (r *region, j, off, ln int) {
+	r, j = &f.reg[e.reg], e.block(f.me, f.pr.n, b)
+	if off, ln = j*r.stride, r.stride; r.lay != nil {
+		off, ln = r.span(j)
+	}
+	if e.len >= 0 {
+		ln = int(e.len) + int(e.off)
+	}
+	return r, j, off + int(e.off), ln - int(e.off)
+}
+
+// origins appends to ds the input bytes each block of the extents reads
+// — the top frame's input, or what a descriptor the block holds refers
+// to — and reports whether every block has some.
+func (f *frame) origins(ds [][]byte, ext []extent) ([][]byte, bool) {
+	for i := range ext {
+		e := &ext[i]
+		for b := 0; b < int(e.n); b++ {
+			if r, j, off, ln := f.spot(e, b); r.desc != nil && r.desc[j] != nil {
+				ds = append(ds, r.desc[j][e.off:int(e.off)+ln])
+			} else if e.reg == regIn && f.up == nil {
+				ds = append(ds, r.data[off:off+ln])
+			} else {
+				return ds, false
+			}
+		}
+	}
+	return ds, true
+}
+
+// settle copies the bytes of every descriptor region reg holds into it
+// and drops them: a step that takes the region whole — a swap, an
+// embedded frame — sees its bytes.
+func (f *frame) settle(reg regID) {
+	r := &f.reg[reg]
+	for j, d := range r.desc {
+		if d != nil {
+			bo, _ := r.span(j)
+			copy(r.data[bo:bo+len(d)], d)
+		}
+	}
+	r.desc = nil
 }
 
 // size returns the bytes the extents address on this rank (xfer.bytes is
@@ -367,7 +444,7 @@ func (f *frame) size(ext []extent) int {
 func (f *frame) pack(buf []byte, ext []extent) {
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
-			p, blocks := f.piece(e, b)
+			p, blocks := f.piece(e, b, false, false)
 			buf = buf[copy(buf, p):]
 			b += blocks
 		}
@@ -385,13 +462,13 @@ func (f *frame) unpack(x *xfer, buf []byte, round int) error {
 		return fmt.Errorf("collective: "+errSize, len(buf), f.id(x.from), want, round)
 	}
 	if x.swap {
-		f.reg[ext[0].reg].data = buf
+		f.reg[ext[0].reg].data, f.reg[ext[0].reg].desc = buf, nil
 		return nil
 	}
 	src := buf
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
-			p, blocks := f.piece(e, b)
+			p, blocks := f.piece(e, b, true, x.combine)
 			f.land(p, buf[:len(p)], x.combine)
 			buf = buf[len(p):]
 			b += blocks
@@ -415,7 +492,7 @@ func (f *frame) land(dst, src []byte, combine bool) {
 // zip moves src to dst as byte streams, piece boundaries on either side
 // notwithstanding, until one of them ends.
 func (f *frame) zip(dst, src []extent, combine bool) {
-	f.stream(reader{f: f, ext: dst}, reader{f: f, ext: src}, combine)
+	f.stream(reader{f: f, ext: dst, write: true, keep: combine}, reader{f: f, ext: src}, combine)
 }
 
 // stream moves what s reads to what d reads, until one of them ends.
@@ -453,30 +530,88 @@ func (bytesMedium) local(f *frame, s *step)          { f.local(s) }
 func (bytesMedium) embed(sub, f *frame, s *step) {
 	for reg, ext := range [][]extent{regIn: s.xfers[0].send, regOut: s.xfers[0].recv} {
 		if len(ext) > 0 {
-			sub.reg[reg].data, _ = f.piece(&ext[0], 0)
+			f.settle(ext[0].reg)
+			sub.reg[reg].data, _ = f.piece(&ext[0], 0, false, false)
 		}
 	}
 }
 
-// outgoing packs the payload, or refers it to the frame's transfer.
-func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, _, _, _ int) {
-	if x.ref {
+// outgoing lists the input bytes of each block the transfer sends as
+// descriptors, from the worker's slab — a block with none is a fault —
+// refers the payload to the frame's transfer, or packs it.
+func (bytesMedium) outgoing(f *frame, x *xfer, p *payload, me, _, t int) error {
+	switch {
+	case x.desc:
+		w := f.pool.(*walker)
+		lo, ok := len(w.slab), false
+		if w.slab, ok = f.origins(w.slab, x.send); !ok {
+			return fmt.Errorf("collective: "+errDescSend, t, me)
+		}
+		p.x, p.descs = x, w.slab[lo:len(w.slab):len(w.slab)]
+	case x.ref:
 		p.from, p.x = f, x
-		return
+	default:
+		p.data = f.outgoing(x)
 	}
-	p.data = f.outgoing(x)
+	return nil
 }
 
-// land unpacks the payload, or lands it straight from the sender's send
-// extents once they are exactly the bytes the recv extents address.
+// land unpacks the payload, lands its descriptors, or lands it straight
+// from the sender's send extents, once they are exactly the bytes the
+// recv extents address.
 func (bytesMedium) land(f *frame, x *xfer, p *payload, _, t int) error {
-	if p.x == nil {
+	switch {
+	case p.x == nil:
 		return f.unpack(x, p.data, t)
+	case p.x.desc:
+		return f.landDescs(x, p.descs, t)
 	}
 	if got, want := p.from.size(p.x.send), f.size(x.recv); got != want {
 		return fmt.Errorf("collective: "+errSize, got, f.id(x.from), want, t)
 	}
-	f.stream(reader{f: f, ext: x.recv}, reader{f: p.from, ext: p.x.send}, x.combine)
+	f.stream(reader{f: f, ext: x.recv, write: true, keep: x.combine}, reader{f: p.from, ext: p.x.send}, x.combine)
+	return nil
+}
+
+// landDescs lands a payload of descriptors in the recv extents: a whole
+// block of an extent marked desc keeps a descriptor of its bytes where
+// they lie in one, from the worker's slab, and every other byte is
+// copied or combined in from the input the descriptors refer to.
+func (f *frame) landDescs(x *xfer, ds [][]byte, t int) error {
+	got := 0
+	for _, d := range ds {
+		got += len(d)
+	}
+	if want := f.size(x.recv); got != want {
+		return fmt.Errorf("collective: "+errSize, got, f.id(x.from), want, t)
+	}
+	var src []byte
+	for i := range x.recv {
+		e := &x.recv[i]
+		keep := e.desc && !x.combine && e.off == 0 && e.len < 0
+		for b := 0; b < int(e.n); b++ {
+			for len(src) == 0 && len(ds) > 0 {
+				src, ds = ds[0], ds[1:]
+			}
+			if keep {
+				if r, j, _, ln := f.spot(e, b); ln <= len(src) {
+					if r.desc == nil {
+						r.desc = f.pool.(*walker).table(len(r.data) / max(r.stride, 1))
+					}
+					r.desc[j], src = src[:ln:ln], src[ln:]
+					continue
+				}
+			}
+			for dst := f.block(e, b, true, x.combine); len(dst) > 0; {
+				for len(src) == 0 {
+					src, ds = ds[0], ds[1:]
+				}
+				n := min(len(dst), len(src))
+				f.land(dst[:n], src[:n], x.combine)
+				dst, src = dst[n:], src[n:]
+			}
+		}
+	}
 	return nil
 }
 

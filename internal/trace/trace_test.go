@@ -76,19 +76,20 @@ func TestFig2PhasesN5R5(t *testing.T) {
 }
 
 // TestFig3Radix2N5: the r = 2 index of Figure 3 (n = 5) runs one round
-// per digit (distances 1, 2, 4) through a one-block scratch region: slot
-// 3 alone hops twice, in back-to-back rounds.
+// per digit (distances 1, 2, 4) with no scratch: slot 3 alone hops
+// twice, in back-to-back rounds, held in between as a descriptor in the
+// output block the slot's last hop lands in.
 func TestFig3Radix2N5(t *testing.T) {
 	steps := snapshots(t, 5, index(2))
 	if got := len(steps); got != 4 {
 		t.Fatalf("%d snapshots, want 4", got)
 	}
 	for i, want := range []string{"before round 0", "after round 0", "after round 1", "after round 2"} {
-		if got := steps[i].Caption; got != want+" (in 0-4, scratch 5-5, out 6-10)" {
+		if got := steps[i].Caption; got != want+" (in 0-4, out 5-9)" {
 			t.Errorf("snapshot %d caption %q", i, got)
 		}
 	}
-	if got := rows(steps[3].Config, 4)[18:]; got != "04 14 24 34 44" {
+	if got := rows(steps[3].Config, 4)[15:]; got != "04 14 24 34 44" {
 		t.Errorf("final p4 output = %q", got)
 	}
 }
