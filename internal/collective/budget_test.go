@@ -107,7 +107,7 @@ func budgetRows() []budgetRow {
 
 	return []budgetRow{
 		{"index/flat", index, compilePerCall, 9, 4, 4096, 2048},
-		{"concat/flat", concat, compilePerCall, 18, 4, 1920, 2048},
+		{"concat/flat", concat, compilePerCall, 17, 4, 1920, 2048},
 		{"index/plan-reuse", index, planReuse, 2, 4, 4096, 2048},
 		{"index/compile-only", index, compileOnly, 7, 4, 4096, 2048},
 		{"concat/plan-reuse", concat, planReuse, 2, 4, 1920, 2048},

@@ -13,8 +13,9 @@ package collective
 //   - what only labels show: extents outside their block or region,
 //     phase tags, link classes or a swap flag that disagree, a rank
 //     that writes a byte it sent by reference before every receiver may
-//     have landed it (errRefWrite), and a top-level step that writes the
-//     input, which descriptors read in place (errInWrite);
+//     have landed it (errRefWrite), a top-level step that writes the
+//     input, which descriptors read in place (errInWrite), and a read
+//     from an origin that does not hold the block's bytes (errOrigin);
 //   - delivery violations: any output byte that does not end up holding
 //     exactly what the operation defines (the transposed block, the
 //     concatenated block, the combination of all n contributions), or
@@ -44,8 +45,9 @@ import (
 	"bruck/internal/trace"
 )
 
-// maxCheckViolations bounds a Check report.
-const maxCheckViolations = 20
+// maxCheckViolations bounds a Check report: room for three rules
+// reported once a rank of an 8-rank plan, and the delivery lines after.
+const maxCheckViolations = 32
 
 // errRefWrite is the hazard of a by-reference send. A receiver on another
 // worker lands what rank r sent by reference in round t after the
@@ -57,15 +59,17 @@ const maxCheckViolations = 20
 // although the label walk runs at one.
 const errRefWrite = "round %d: rank %d writes bytes it sent by reference in round %d, before every receiver may have landed them"
 
-// errInWrite and errDescOut are the rules of descriptors (run.go). A
-// descriptor reads its origin's input in place, long after it was
-// formed, so no step of a top-level program writes its input region (an
-// embedded program's input is a view of its parent's extents); and a
-// block that holds one has no bytes of its own, so none ends the walk in
-// an output block.
+// errInWrite, errDescOut and errOrigin are the rules of descriptors
+// (run.go). A block that holds one has no bytes of its own (a read of
+// it reads nothing): the walk reads them, long after the descriptor was
+// formed, from the input block its program names as its origin. So no
+// step of a top-level program writes its input region (an embedded
+// program's input is a view of its parent's extents), none ends the walk
+// in an output block, and each named origin holds the same bytes.
 const (
 	errInWrite = "rank %d writes its input region, which descriptors read in place"
 	errDescOut = "delivery: rank %d output block %d ends the walk held as a descriptor"
+	errOrigin  = "rank %d reads a block from an origin that does not hold its bytes"
 )
 
 // lab is a run of n symbolic bytes at off: byte i holds the combination
@@ -140,24 +144,23 @@ func (lm *labels) put(m []lab, i, off, n int, rs []lab, at, from int) []lab {
 	return slices.Replace(m, i, j, repl...)
 }
 
-// merge combines two run lists over the same range bytewise; ok is
-// false when they do not cover the same bytes from the same offsets.
+// merge combines two run lists over the same range bytewise, consuming
+// them; ok is false when they do not cover the same bytes from the same
+// offsets.
 func merge(a, b []lab) (out []lab, ok bool) {
 	for len(a) > 0 && len(b) > 0 {
-		x, y := a[0], b[0]
+		x, y := &a[0], &b[0]
 		if x.off != y.off || x.src != y.src {
 			return nil, false
 		}
-		n := x.n
-		if y.n < n {
-			n = y.n
-		}
+		n := min(x.n, y.n)
 		out = append(out, lab{off: x.off, n: n, src: x.src, cnt: x.cnt + y.cnt, who: x.who + y.who})
-		if a = a[1:]; x.n > n {
-			a = append([]lab{{off: x.off + n, n: x.n - n, src: x.src + n, cnt: x.cnt, who: x.who}}, a...)
+		x.off, x.n, x.src, y.off, y.n, y.src = x.off+n, x.n-n, x.src+n, y.off+n, y.n-n, y.src+n
+		if x.n == 0 {
+			a = a[1:]
 		}
-		if b = b[1:]; y.n > n {
-			b = append([]lab{{off: y.off + n, n: y.n - n, src: y.src + n, cnt: y.cnt, who: y.who}}, b...)
+		if y.n == 0 {
+			b = b[1:]
 		}
 	}
 	return out, len(a) == 0 && len(b) == 0
@@ -172,8 +175,9 @@ func merge(a, b []lab) (out []lab, ok bool) {
 // and tags each round's phase. A by-reference send pins its bytes in
 // their runs (lab.pin); told holds the (rank, round sent, round
 // written) of each errRefWrite reported, so each is reported once, and
-// (rank, -1, -1) and (rank, -2, -2) of an errInWrite and an errDescSend,
-// once a rank. A descriptor land marks the runs it writes desc.
+// (rank, -1, -1), (rank, -2, -2) and (rank, -3, -3) of an errInWrite, an
+// errDescSend and an errOrigin, once a rank. A descriptor land marks the
+// runs it writes desc.
 type labels struct {
 	pl      *Plan
 	mems    [][][]lab
@@ -271,6 +275,12 @@ func (lm *labels) local(f *frame, s *step) {
 	r, x := f.rank(fixed(f.me)), &s.xfers[0]
 	dst, src := lm.pieces(f, x.recv), lm.pieces(f, x.send)
 	lm.guardIn(f, r, dst)
+	for i := range src { // what the walk reads from its origin
+		if i < len(x.origins) && x.origins[i].peer.mode != addrNone {
+			lm.named(f, r, src[i], x.origins[i], clip(lm.mems[r][src[i].mem], src[i].off, src[i].n))
+			src[i].desc = true
+		}
+	}
 	switch s.kind {
 	case stepCopy:
 		stream, total := lm.read(r, src)
@@ -287,7 +297,7 @@ func (lm *labels) local(f *frame, s *step) {
 				if src[i].n < dst[i].n {
 					dst[i].n = src[i].n
 				}
-				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n, false}})
+				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n, src[i].desc, src[i].e}})
 				lm.write(r, dst[i:i+1], stream, false, false)
 			}
 		}
@@ -328,8 +338,7 @@ func (lm *labels) enter(f *frame, me, t int) {
 }
 
 // outgoing reads the send extents' labels — by reference, it pins their
-// bytes instead, for the land to read; as descriptors, each must be the
-// top frame's input or held as one — and lists the message; a
+// bytes instead, for the land to read — and lists the message; a
 // hierarchical plan's phase moves over one link class.
 func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) error {
 	lm.enter(f, me, t)
@@ -338,11 +347,8 @@ func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) error {
 	var ref []piece
 	n := 0
 	if x.desc {
-		for _, q := range ps {
-			if !(f.up == nil && q.mem == 0 || lm.held(me, q)) && !lm.told[[3]int{me, -2, -2}] {
-				lm.add(errDescSend, t, me)
-				lm.told[[3]int{me, -2, -2}] = true
-			}
+		for i := range ps {
+			ps[i].desc = true
 		}
 		p.x = x
 	}
@@ -369,27 +375,36 @@ func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) error {
 	return nil
 }
 
-// held reports whether every byte of rank r's piece q is held as a
-// descriptor.
-func (lm *labels) held(r int, q piece) bool {
-	m := lm.mems[r][q.mem]
-	at := q.off
-	for i := lm.find(r, q.mem, q.off); i < len(m) && at < q.off+q.n; i++ {
-		if !m[i].desc || m[i].off > at {
-			return false
-		}
-		at = m[i].off + m[i].n
+// named reports origin og, read for rank r's piece q whose labels are
+// ls, unless ls are exactly the same bytes of the input block og names
+// (errOrigin).
+func (lm *labels) named(f *frame, r int, q piece, og origin, ls []lab) {
+	o := f.rank(og.peer)
+	j, ok := og.blk.of(o, f.pr.n, 0), og.peer.mode != addrNone && o >= 0 && o < len(lm.mems) && len(ls) == 1
+	if ok = ok && j >= 0 && j < lm.pl.blocks(regIn, o); ok {
+		bo, bn := lm.pl.prog.shapeOf(regIn, o).span(j)
+		l := ls[0]
+		ok = l.off == 0 && l.n == q.n && l.cnt == 1 && l.who == rankHash(o) && l.src == bo+int(q.e.off) && int(q.e.off)+q.n <= bn
 	}
-	return at >= q.off+q.n
+	if !ok {
+		lm.once(r, -3, errOrigin, r)
+	}
+}
+
+// once reports a rule of rank r, told apart by key, once a rank.
+func (lm *labels) once(r, key int, format string, args ...any) {
+	if !lm.told[[3]int{r, key, key}] {
+		lm.add(format, args...)
+		lm.told[[3]int{r, key, key}] = true
+	}
 }
 
 // guardIn reports a top-level step of rank r that writes its input
 // region, once a rank (errInWrite).
 func (lm *labels) guardIn(f *frame, r int, ps []piece) {
 	for _, q := range ps {
-		if f.up == nil && q.mem == 0 && q.n > 0 && !lm.told[[3]int{r, -1, -1}] {
-			lm.add(errInWrite, r)
-			lm.told[[3]int{r, -1, -1}] = true
+		if f.up == nil && q.mem == 0 && q.n > 0 {
+			lm.once(r, -1, errInWrite, r)
 		}
 	}
 }
@@ -411,6 +426,17 @@ func (lm *labels) land(f *frame, x *xfer, p *payload, me, t int) error {
 	if p.x != nil && !desc {
 		stream, _ = lm.read(int(p.src), lm.refs[p.msg])
 	}
+	org, at := x.origins, 0
+	for _, q := range ps { // what lands as bytes, the walk reads from its origin
+		if at += q.n; desc && !(q.desc && !x.combine) {
+			if len(org) == 0 { // as on bytes, a fault of the sender's
+				lm.once(int(p.src), -2, errDescSend, t, p.src)
+				break
+			}
+			lm.named(f, me, q, org[0], clip(stream, at-q.n, q.n))
+			org = org[1:]
+		}
+	}
 	lm.write(me, ps, stream, x.combine, desc)
 	return nil
 }
@@ -420,11 +446,13 @@ func (lm *labels) fault(format string, args ...any) error {
 	return nil
 }
 
-// piece is a byte range of one symbolic memory; desc: a whole block of
-// an extent marked desc.
+// piece is a byte range of one symbolic memory, addressed by extent e;
+// desc: a whole block of an extent marked desc, or — read — read as a
+// descriptor or through its origin.
 type piece struct {
 	mem, off, n int
 	desc        bool
+	e           *extent
 }
 
 // pieces resolves an extent list of frame f, reporting extents that
@@ -446,7 +474,7 @@ func (lm *labels) pieces(f *frame, exts []extent) []piece {
 				lm.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
 				continue
 			}
-			out = append(out, piece{v.mem, v.base + off, ln, e.desc && e.off == 0 && e.len < 0})
+			out = append(out, piece{v.mem, v.base + off, ln, e.desc && e.off == 0 && e.len < 0, e})
 		}
 	}
 	return out
@@ -475,8 +503,9 @@ func (lm *labels) pin(r int, p piece, t int) {
 	lm.mems[r][p.mem] = lm.put(m, i, p.off, p.n, rs, 0, 0)
 }
 
-// read gathers the labels of rank r's pieces as one stream, unpinned and
-// without unwritten runs, and returns its size.
+// read gathers the labels of rank r's pieces as one stream, unpinned,
+// without unwritten runs or, but for a piece read as a descriptor, ones
+// held as a descriptor, and returns its size.
 func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 	var out []lab
 	total := 0
@@ -484,7 +513,7 @@ func (lm *labels) read(r int, ps []piece) ([]lab, int) {
 		lo := len(out)
 		out = appendClip(out, lm.mems[r][p.mem], lm.find(r, p.mem, p.off), p.off, p.n, total)
 		for _, l := range out[lo:] {
-			if l.cnt > 0 {
+			if l.cnt > 0 && (!l.desc || p.desc) {
 				l.pin, l.desc = 0, false
 				out[lo] = l
 				lo++
@@ -515,8 +544,8 @@ func (lm *labels) write(r int, ps []piece, stream []lab, combine, desc bool) {
 		for at < len(stream) && stream[at].off+stream[at].n <= pos {
 			at++
 		}
-		if combine {
-			old := slices.DeleteFunc(appendClip(nil, m, i, p.off, p.n, 0), func(l lab) bool { return l.cnt == 0 })
+		if combine { // it reads what it writes: a descriptor is nothing
+			old := slices.DeleteFunc(appendClip(nil, m, i, p.off, p.n, 0), func(l lab) bool { return l.cnt == 0 || l.desc })
 			rs, ok := merge(old, appendClip(nil, stream, at, pos, p.n, 0))
 			if !ok {
 				lm.add("delivery: rank %d combines bytes of different origin or extent", r)

@@ -154,6 +154,22 @@ func compileCheckPlan(t *testing.T, c checkConfig) *Plan {
 // exchangeSteps returns the exchange steps of group rank 0's role.
 func exchangeSteps(pl *Plan) []*step { return exchanges(pl.prog, 0) }
 
+// forceDesc strips place's descriptors from a one-role plan, every
+// transfer packed, and forces desc on the first transfer of round 1,
+// which sends blocks round 0 landed as bytes and names no origin.
+func forceDesc(pl *Plan) {
+	for _, s := range exchangeSteps(pl) {
+		for i := range s.xfers {
+			x := &s.xfers[i]
+			x.desc, x.origins = false, nil
+			for j := range x.recv {
+				x.recv[j].desc = false
+			}
+		}
+	}
+	exchangeSteps(pl)[1].xfers[0].desc = true
+}
+
 // mentions reports whether any violation contains sub.
 func mentions(v []string, sub string) bool {
 	for _, msg := range v {
@@ -307,14 +323,23 @@ func TestCheckPerturbations(t *testing.T) {
 			wantSub: "ends the walk held as a descriptor",
 		},
 		{
-			name: "index sends landed bytes as a descriptor",
+			name:    "index sends landed bytes as a descriptor",
+			base:    bruck,
+			mutate:  forceDesc,
+			wantSub: fmt.Sprintf(errDescSend, 1, 0),
+		},
+		{
+			name: "index origin shifted by one rank",
 			base: bruck,
 			mutate: func(pl *Plan) {
-				for i := range first(pl).recv {
-					first(pl).recv[i].desc = false
+				for _, s := range exchangeSteps(pl) {
+					if x := &s.xfers[0]; len(x.origins) > 0 {
+						x.origins[0].peer.c++
+						return
+					}
 				}
 			},
-			wantSub: fmt.Sprintf(errDescSend, 1, 0),
+			wantSub: fmt.Sprintf(errOrigin, 0),
 		},
 		{
 			name: "index writes its input",
@@ -451,6 +476,9 @@ func TestCheckPerturbations(t *testing.T) {
 			wantSub string
 		}{c.name + " re-pointed receive", c, repoint, "waits for rank"})
 	}
+	// A break the byte walk trusts rather than detects: the walk runs the
+	// plan to its end at W = 1..4, and its output must fail Verify.
+	trusted := map[string]bool{"index origin shifted by one rank": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := compileCheckPlan(t, tc.base)
@@ -464,6 +492,16 @@ func TestCheckPerturbations(t *testing.T) {
 			}
 			if _, err := pl.Snapshots(); err == nil {
 				t.Fatalf("Snapshots() drew the perturbed plan")
+			}
+			for w := 1; trusted[tc.name] && w <= 4; w++ {
+				mem := must(pl.Alloc())
+				pl.Fill(mem, Labels)
+				if err := walkJobs(pl.engine, []Job{{pl, mem}}, w); err != nil {
+					t.Fatalf("W=%d: %v", w, err)
+				}
+				if err := pl.Verify(mem); err == nil {
+					t.Fatalf("W=%d: the walk ran the perturbed plan to a verified output", w)
+				}
 			}
 		})
 	}
@@ -483,7 +521,7 @@ func TestCheckPerturbations(t *testing.T) {
 // transfer by reference: place without its third colour. Slot 15 then
 // lands in round 2 in the scratch block it was sent from in round 1.
 func twoPlaces(pl *Plan) {
-	pr := bruckProgram(16, 1, pl.blockLen, func(int) int { return 2 }, false, false)
+	pr := bruckProgram(16, 1, pl.blockLen, func(int) int { return 2 }, false, false, false)
 	ids := carried(pr)
 	hops, done := map[int]int{}, map[int]int{}
 	for _, round := range ids {

@@ -115,7 +115,7 @@ func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*prog
 		b.local(stepSpread, b.ext(blocksAt(regOut, plus(0), n)), b.ext(blocksAt(regWork, fixed(0), n)))
 	}
 	ro.steps = b.steps
-	return &program{n: n, k: k, bl: bl, roles: []role{ro}}, nil
+	return shared(n, k, bl, ro), nil
 }
 
 // ringProgram compiles the ring baseline: round q forwards the block
@@ -129,7 +129,7 @@ func ringProgram(n, k, bl int) *program {
 			send: b.ext(blocksAt(regOut, plus(q-1), 1)), recv: b.ext(blocksAt(regOut, plus(q), 1))})
 		b.exchange("", 0)
 	}
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}
+	return shared(n, k, bl, role{steps: b.steps})
 }
 
 // recursiveDoublingProgram compiles the hypercube exchange for
@@ -144,7 +144,7 @@ func recursiveDoublingProgram(n, k, bl int) *program {
 			send: b.ext(blocksAt(regOut, xor(0), bit)), recv: b.ext(blocksAt(regOut, xor(bit), bit))})
 		b.exchange("", 0)
 	}
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps}}}
+	return shared(n, k, bl, role{steps: b.steps})
 }
 
 // trivial appends the single all-pairs round of a concatenation with

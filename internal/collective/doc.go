@@ -83,25 +83,26 @@
 // buffers.Buffers slab, under a layout a buffers.Ragged slab, and on a
 // one-to-all primitive the root's side is the root's bytes alone; one
 // check (Plan.fits) holds every side to the plan's shape. On the walk a
-// payload marked desc lists the input bytes each block it sends refers
-// to, which an intermediate hop keeps in place of the bytes and the
-// block's last land copies: one copy per block, however many hops; a
-// payload marked ref is landed by its receiver straight from the
-// sender's extents, one copy per byte per hop; any other is packed into
-// a pool-recycled buffer, handed over and landed in caller-owned memory.
+// payload marked desc is empty: an intermediate hop lands nothing, and a
+// block's last land copies it from the input block its program names as
+// its origin, one copy per block however many hops; a payload marked ref
+// is landed straight from the sender's extents, one copy per byte per
+// hop; any other is packed into a pool-recycled buffer, handed over and
+// landed in caller-owned memory.
 // Nothing is rotated: the concatenations accumulate in the output slab,
 // each slot addressed as the block it ends up as, and an index slot's
 // first send reads the input, its last receive lands in the output.
 // Compilers emit plain programs, every transfer packed; one pass, place
 // (passes.go), marks desc where a one-role program sends only input or
-// descriptors, moves the values a by-reference send would still need to
-// compact scratch and marks ref on every other top-level transfer whose
-// sent bytes nothing writes inside the window Check proves
-// (errRefWrite); swaps, embedded sub-programs and the engine driver
-// pack. On a reused engine an
-// execution performs no per-block or per-message allocations — except on the one-to-all
-// primitives on the engine driver: a one-directional tree drains its senders' pools into its
-// receivers', whose free lists are bounded, so senders allocate
+// descriptors, naming each origin, moves the values a by-reference send
+// would still need to compact scratch and marks ref on every other
+// top-level transfer whose sent bytes nothing writes inside the window
+// Check proves (errRefWrite); swaps, embedded sub-programs and the
+// engine driver pack. On a reused engine an execution performs no
+// per-block or per-message allocations — except on the one-to-all
+// primitives on the engine driver: a one-directional tree drains its
+// senders' pools into its receivers', whose free lists are bounded, so
+// senders allocate
 // transport buffers anew (0.5-2.1 MB per call at n = 16, b = 64 KiB).
 // The [][][]byte and [][]byte shapes exist only at the public boundary,
 // as two adapters in the root package — one copy in, one copy out around
@@ -151,7 +152,8 @@
 //     engine round runs, then received bytes land (or combine). A
 //     transfer with no `to` or no `from` is one-sided; one marked ref may
 //     be read by its receiver after the round, which Check holds the
-//     sender to; one marked desc sends descriptors of input bytes.
+//     sender to; one marked desc moves descriptors, their bytes read
+//     from the origins the program names.
 //   - a local step moves extents to extents on the rank itself: a copy
 //     or combine of byte streams, or a spread (block i to block i, cut
 //     to the shorter: the pack and unpack of a padded layout plan).
@@ -199,12 +201,14 @@
 // sender may already land round t+1, so the rule, phrased in rounds,
 // proves every worker order from the walk on one; the race detector
 // (CI's -race sweep over ByRef) is its runtime half. A descriptor
-// payload's labels are read at the post, like a packed one's, and two
-// rules make descriptors sound: no top-level step writes the input they
-// read in place (errInWrite), and no output byte ends the walk held as
-// one (errDescOut). On the walk a Bruck block no longer passes through
-// the bytes of its intermediate places; the label walk and the engine
-// driver still move it through them. The same label walk draws the
+// payload's labels are read at the post, like a packed one's, and three
+// rules make descriptors sound: each origin the program names holds the
+// labels of the block it stands for when the walk reads it (errOrigin),
+// no top-level step writes the input origins name (errInWrite), and no
+// output byte ends the walk held as a descriptor (errDescOut). On the
+// walk a Bruck block no longer passes through the bytes of its
+// intermediate places; the label walk and the engine driver still move
+// it through them. The same label walk draws the
 // paper's figures (Plan.Snapshots), keeps per-rank virtual clocks
 // (Plan.CriticalPath and CriticalPathTopo: each message priced on its
 // link, the k ports in parallel) and lists the messages a run sends

@@ -202,11 +202,8 @@ func TestDriversRejectFaults(t *testing.T) {
 			x := first(pl)
 			x.recv = []extent{spanAt(x.recv[0].reg, fixed(0), 0, 1)}
 		}, "group rank 1: collective: received 16 bytes from p0 into extents of 1 bytes in round 0", "into extents of 1 bytes in round 0"},
-		{"a landed block sent as a descriptor", func(pl *Plan) { // the engine driver packs: it runs
-			for i := range first(pl).recv {
-				first(pl).recv[i].desc = false
-			}
-		}, "collective: round 1: rank 0 sends as a descriptor a block that is neither its input nor holds one", ""},
+		{"a landed block sent as a descriptor", forceDesc, // the engine driver packs: it runs
+			"collective: round 1: rank 0 sends as a descriptor a block that is neither its input nor holds one", ""},
 	} {
 		e := mpsim.MustNew(n, mpsim.Ports(k), mpsim.Watchdog(200*time.Millisecond))
 		clean := must(Compile(e, mpsim.WorldGroup(n), spec))

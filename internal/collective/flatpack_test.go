@@ -20,7 +20,7 @@ import (
 // the exchange steps, sized by the counter, and the slots each transfer
 // carries (carried).
 func bruckTable(n, k, b int, radixAt func(int) int, noPack bool) ([]*step, [][][]int) {
-	pr := bruckProgram(n, k, b, radixAt, noPack, false)
+	pr := bruckProgram(n, k, b, radixAt, noPack, false, false)
 	pr.finish()
 	return exchanges(pr, 0), carried(pr)
 }

@@ -231,9 +231,9 @@ func compileHierIndex(pl *Plan, h *levels, opt HierOptions) ([]PlanPhase, roleFu
 	B := h.maxSize * h.maxSize * bl
 	radix := func(r, n int) func(int) int { return func(int) int { return hierRadix(r, n, h.k) } }
 	intra, intraRounds, _ := subPrograms(h.sizes, func(m int) (*program, error) {
-		return bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, false), nil
+		return bruckProgram(m, h.k, bl, radix(opt.IntraRadix, m), false, false, false), nil
 	})
-	inter := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, false)
+	inter := bruckProgram(G, h.k, B, radix(opt.InterRadix, G), false, false, false)
 	inter.finish()
 	return phases, func(a, j int, b *builder) []scratch {
 		m, start := h.sizes[a], h.start[a]

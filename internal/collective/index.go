@@ -69,7 +69,8 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 	}
 	var pr *program
 	if opt.Algorithm == IndexBruck {
-		pr = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, lay != nil && !lay.Uniform())
+		padded := lay != nil && !lay.Uniform()
+		pr = bruckProgram(n, k, blockLen, radixAt, opt.NoPack, padded, !opt.NoPack && !padded && min(s.Segments, blockLen) <= 1)
 	} else {
 		// Block B[me, dst] goes straight to dst and B[src, me] lands
 		// straight in the output, ports filled k partners at a time.
@@ -87,7 +88,7 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 				b.exchange("", 0)
 			}
 		}
-		pr = &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps}}}
+		pr = shared(n, k, blockLen, role{steps: b.steps})
 	}
 	pr.inLay, pr.outLay = pl.layout, pl.outLayout
 	if lay == nil {
@@ -110,22 +111,24 @@ func compileIndex(pl *Plan, n, k int, s Spec) (*program, error) {
 // packs; place then moves the hops that must rest elsewhere for their
 // transfers to go by reference. padded (a layout plan of unequal blocks)
 // runs the rounds on scratch slots packed at true lengths and unpacked in
-// rank order: two-phase packing, not a rotation.
-func bruckProgram(n, k, bl int, radixAt func(int) int, noPack, padded bool) *program {
-	b := newBuilder(bruckSizes(n, k, radixAt, padded))
+// rank order: two-phase packing, not a rotation. runs addresses each run
+// of slots a transfer moves as one extent a side (bruckRounds), for a
+// program no hop of which place will move: one pipeline does not split.
+func bruckProgram(n, k, bl int, radixAt func(int) int, noPack, padded, runs bool) *program {
+	b := newBuilder(bruckSizes(n, k, radixAt, padded, runs))
 	var work []scratch
 	if padded {
 		work = []scratch{{n * bl, bl}}
 		for q := range n { // slot by slot: place may move what each spread writes
 			b.local(stepSpread, b.ext(slots(regWork, q, 1)), b.ext(slots(regIn, q, 1)))
 		}
-		b.bruckRounds(n, k, radixAt, noPack, regWork, regWork)
+		b.bruckRounds(n, k, radixAt, noPack, false, regWork, regWork)
 		b.local(stepSpread, b.ext(slots(regOut, 0, n)), b.ext(slots(regWork, 0, n)))
 	} else {
 		b.local(stepCopy, b.ext(slots(regOut, 0, 1)), b.ext(slots(regIn, 0, 1)))
-		b.bruckRounds(n, k, radixAt, noPack, regIn, regOut)
+		b.bruckRounds(n, k, radixAt, noPack, runs, regIn, regOut)
 	}
-	return &program{n: n, k: k, bl: bl, roles: []role{{steps: b.steps, scratch: work}}}
+	return shared(n, k, bl, role{steps: b.steps, scratch: work})
 }
 
 // slots addresses slots [q, q+cnt) of the rotated order as region reg
@@ -142,8 +145,10 @@ func slots(reg regID, q, cnt int) extent {
 
 // bruckSizes sizes the slabs of a Bruck program, so the builder
 // allocates each once: a hop — a slot's non-zero digit — adds one
-// extent to each side of its transfer.
-func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, exts int) {
+// extent to each side of its transfer, or, in runs, a run of slots adds
+// one to the recv side and one or two — its head from the input, the
+// rest — to the send side.
+func bruckSizes(n, k int, radixAt func(int) int, padded, runs bool) (steps, xfers, exts int) {
 	steps, xfers, exts = 1, 1, 2
 	if padded {
 		steps, xfers, exts = n+1, n+1, 2*n+2
@@ -153,7 +158,14 @@ func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, ext
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
 		steps += intmath.CeilDiv(h-1, k)
 		xfers += h - 1
-		exts += 2 * (n - digitCount(n, r, 0, weight))
+		if !runs {
+			exts += 2 * (n - digitCount(n, r, 0, weight))
+		}
+		for base := weight; runs && base < n; base += weight {
+			if base/weight%r != 0 { // a run of slots with a non-zero digit
+				exts += 2 + min(1, n-base-1, weight-1)
+			}
+		}
 		weight *= r
 	}
 	return steps, xfers, exts
@@ -168,26 +180,34 @@ func bruckSizes(n, k int, radixAt func(int) int, padded bool) (steps, xfers, ext
 // travels exactly where its digit is non-zero: it is sent from region in
 // on its first hop (the head of a run, lower digits zero) and from
 // region out after, and every hop lands in region out, one extent per
-// slot. Packed mode groups k digit values into one round; noPack emits
-// one single-block round per slot (the paper's packing ablation). The
-// offsets z*weight are distinct across the table (each stays below the
-// next weight), so the rounds may share ports as lanes (pipeline).
-func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack bool, in, out regID) {
+// slot, or in runs one per run of slots a side — on the send side the
+// run's head and its rest apart. Packed mode groups k digit values
+// into one round; noPack emits one single-block round per slot (the
+// paper's packing ablation). The offsets z*weight are distinct across
+// the table (each stays below the next weight), so the rounds may share
+// ports as lanes (pipeline).
+func (b *builder) bruckRounds(n, k int, radixAt func(int) int, noPack, runs bool, in, out regID) {
 	for sub, weight := 0, 1; weight < n; sub++ {
 		r := radixAt(sub)
 		hi := intmath.Min(r, intmath.CeilDiv(n, weight))
 		for z := 1; z < hi; z++ {
 			list := func(recv bool) []extent {
-				lo := len(b.exts)
+				es := b.exts[len(b.exts):] // in runs, each slot joins the extent before it if it can
 				for base := z * weight; base < n; base += weight * r {
 					for q := base; q < intmath.Min(base+weight, n); q++ {
 						from := out
 						if !recv && q == base {
 							from = in
 						}
-						b.exts = append(b.exts, slots(from, q, 1))
+						if e := slots(from, q, 1); runs {
+							es = join(es, e)
+						} else {
+							es = append(es, e)
+						}
 					}
 				}
+				lo := len(b.exts)
+				b.exts = append(b.exts, es...)
 				return b.exts[lo:len(b.exts):len(b.exts)]
 			}
 			send, recv := list(false), list(true)

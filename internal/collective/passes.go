@@ -57,7 +57,8 @@ func pipeline(pr *program, s int) (*program, int) {
 		b.exchange(rounds[t-lo].phase, hi-lo+1)
 	}
 	out := *pr
-	out.roles = []role{{steps: append(b.steps, steps[last:]...), scratch: pr.roles[0].scratch}}
+	out.own[0] = role{steps: append(b.steps, steps[last:]...), scratch: pr.roles[0].scratch}
+	out.roles = out.own[:]
 	return &out, s
 }
 
@@ -110,15 +111,18 @@ func place(pr *program, segments int) {
 	}
 }
 
-// use is one block of an extent list e as place sees it: when (2i for
-// the sends of step i and an embed's extents, 2i+1 for its lands and a
-// local step's extents), how, where the pin window of a send ends, and
-// its colour.
+// use is one block of an extent list e as place sees it:
+// when (2i for the sends of step i and an embed's extents, 2i+1 for its
+// lands and a local step's extents), how, where the pin window of a send
+// ends, and its colour; describe adds the value it reads or lands (1
+// plus the use that landed it, 0 for none) and that value's origin.
 type use struct {
 	t, end   int32
+	val      int32
 	how, col uint8
 	e        *extent
 	x        *xfer
+	org      origin
 }
 
 const (
@@ -126,6 +130,7 @@ const (
 	useLand              // the whole block without combine: a new value
 	useSend              // may go by reference
 	useStay              // the line may not move
+	useRecv              // an exchange's land
 )
 
 // placeRole places rank me's role (place), with descriptors if descs. A
@@ -167,9 +172,9 @@ func (pr *program) placeRole(me int, descs bool) {
 				}
 			}
 			for j := range s.xfers {
-				how, x := uint8(useLand), &s.xfers[j]
+				how, x := uint8(useLand|useRecv), &s.xfers[j]
 				if x.combine {
-					how = useWrite
+					how = useWrite | useRecv
 				}
 				if ro.swaps(s, x) {
 					how |= useStay
@@ -177,7 +182,7 @@ func (pr *program) placeRole(me int, descs bool) {
 				note(x.recv, 2*i+1, 0, how, x)
 			}
 		case stepCopy, stepSpread:
-			note(s.xfers[0].send, 2*i+1, 0, 0, nil)
+			note(s.xfers[0].send, 2*i+1, 0, 0, &s.xfers[0])
 			note(s.xfers[0].recv, 2*i+1, 0, useWrite, nil)
 		}
 	}
@@ -239,15 +244,18 @@ func (pr *program) placeRole(me int, descs bool) {
 }
 
 // describe marks the descriptor transfers and lands of a one-role
-// program, its uses in walk order, each with its key. A transfer x to a
-// peer that sends back to it through x (so x's payload lands in x's
-// recv extents) sends descriptors (x.desc) if every block it sends is,
-// at the send, input never written or a descriptor value: one landed
-// whole, without combine, by such a transfer, that nothing writes before
-// the line's next land and that is not the output's last — no output
-// byte ends the walk as a descriptor, and the input, which descriptors
-// read in place, is never written (Check proves both). An extent lands
-// descriptors (extent.desc) if every block of it does.
+// program and names their origins, its uses in walk order, each with its
+// key. A transfer x on whole blocks of the program's size, to a peer
+// that sends back to it through x, sends descriptors (x.desc) if every
+// block it sends is input never written or a descriptor value: one
+// landed whole, without combine, by such a transfer, that nothing writes
+// before the line's next land, no packed transfer sends and is not the
+// output's last (Check proves no output byte ends as a descriptor and
+// nothing writes the input). An extent lands descriptors (extent.desc)
+// if every block of it does. A value's origin is the input block it
+// began as, on the rank the hops' from addresses compose to (rel.then):
+// x.origins names it for each block x lands as bytes, and a local step's
+// for each block it reads if one is a descriptor value.
 func (pr *program) describe(ro *role, uses []use, keys []uint64) {
 	nb := pr.n // the blocks of the largest region
 	for _, sc := range ro.scratch {
@@ -280,26 +288,108 @@ func (pr *program) describe(ro *role, uses []use, keys []uint64) {
 			st[l] |= dirty
 		}
 	}
-	// Forward: which transfers send descriptors. st holds each line's
-	// value: 1 plus the use that landed it, or 0 for the region's own
-	// bytes, -1 once written otherwise.
-	clear(st)
-	for i := range uses {
-		u := &uses[i]
-		l, reg := line(i)
-		switch v := st[l] - 1; {
-		case u.how&useSend != 0:
-			if i == 0 || uses[i-1].x != u.x { // its first block
-				u.x.desc = u.x.to.inverts(u.x.from, pr.n)
+	// Forward, again while a packed transfer sends a descriptor value,
+	// whose land then lands bytes: which transfers send descriptors, and
+	// each value's origin. st holds each line's value: 1 plus the use
+	// that landed it, or 0 for the region's own bytes, -1 once written
+	// otherwise. A land pairs with the send of the same block of its
+	// transfer.
+	held := func(u *use) bool { return u.val > 0 && uses[u.val-1].e.desc }
+	for again := true; again; {
+		clear(st)
+		first := 0 // the send of the block landing
+		for i := range uses {
+			u := &uses[i]
+			l, reg := line(i)
+			u.val, u.org = st[l], origin{}
+			switch {
+			case u.how&useRecv != 0:
+				if u.e.desc = u.e.desc && u.x.desc; u.x.desc {
+					if uses[i-1].x != u.x || uses[i-1].how&useRecv == 0 { // its first land: back to its first send
+						for first = i - 1; uses[first].x != u.x || uses[first].how&useRecv != 0; first-- {
+						}
+						for ; first > 0 && uses[first-1].x == u.x; first-- {
+						}
+					}
+					s := &uses[first]
+					u.org.peer, _ = u.x.from.then(s.org.peer, pr.n)
+					u.org.blk, first = s.org.blk, first+1
+				}
+				st[l] = -1
+				if u.how&useLand != 0 {
+					st[l] = int32(i) + 1
+				}
+				continue
+			case held(u):
+				u.org = uses[u.val-1].org
+			case u.val == 0 && reg == regIn: // its block at rank 0 is its address
+				u.org = origin{plus(0), rel{int32(l - int(reg)*nb), u.e.at.mode}}
 			}
-			u.x.desc = u.x.desc && (v == -1 && reg == regIn || v >= 0 && uses[v].e.desc)
-		case u.how&useLand != 0:
-			u.e.desc = u.e.desc && u.x.desc
-			st[l] = int32(i) + 1
-		case u.how&(useWrite|useStay) != 0:
-			st[l] = -1
+			switch {
+			case u.how&useSend != 0:
+				if i == 0 || uses[i-1].x != u.x { // its first block
+					u.x.desc = u.x.to.inverts(u.x.from, pr.n) && pr.whole(ro, u.x.send) && pr.whole(ro, u.x.recv)
+				}
+				_, ok := u.x.from.then(u.org.peer, pr.n)
+				u.x.desc = u.x.desc && ok && u.org.peer.mode != addrNone
+			case u.how&(useWrite|useStay) != 0:
+				st[l] = -1
+			}
+		}
+		again = false
+		for i := range uses {
+			if u := &uses[i]; u.how&useSend != 0 && !u.x.desc && held(u) {
+				uses[u.val-1].e.desc, again = false, true
+			}
 		}
 	}
+	// The origin tables, in one allocation.
+	for i := range uses { // a local step that reads a descriptor value reads every block through one
+		if u := &uses[i]; u.how == 0 && u.x != nil && held(u) {
+			u.x.origins = []origin{}
+		}
+	}
+	var tab []origin
+	for fill := false; ; fill = true {
+		count := 0
+		for i := range uses {
+			u := &uses[i]
+			org := u.org
+			switch {
+			case u.how&useRecv != 0 && u.x.desc && !u.e.held(u.x.combine):
+			case u.how == 0 && u.x != nil && u.x.origins != nil:
+				if !held(u) {
+					org = origin{} // its own bytes
+				}
+			default:
+				continue
+			}
+			if count++; fill {
+				if cap(u.x.origins) == 0 {
+					u.x.origins = tab[len(tab):len(tab)]
+				}
+				u.x.origins = append(u.x.origins, org)
+				tab = tab[:len(tab)+1]
+			}
+		}
+		if fill || count == 0 {
+			return
+		}
+		tab = make([]origin, 0, count)
+	}
+}
+
+// whole reports whether the extents address whole blocks of the
+// program's size: a transfer's send and recv blocks then pair up one to
+// one, in order.
+func (pr *program) whole(ro *role, es []extent) bool {
+	for _, e := range es {
+		w := int(e.reg) - int(regWork)
+		if e.off != 0 || e.len >= 0 || w >= 0 && (w >= len(ro.scratch) || ro.scratch[w].stride != pr.bl) {
+			return false
+		}
+	}
+	return true
 }
 
 // rejoin joins the runs of an extent list in place. A list another

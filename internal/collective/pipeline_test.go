@@ -174,10 +174,10 @@ func TestPipelineLeavesMonolithic(t *testing.T) {
 		pr   *program
 		s    int
 	}{
-		{"s=0", bruckProgram(8, 1, 8, two, false, false), 0},
-		{"s=1", bruckProgram(8, 1, 8, two, false, false), 1},
-		{"one-byte block", bruckProgram(8, 1, 1, two, false, false), 4},
-		{"one round", bruckProgram(2, 1, 8, two, false, false), 4},
+		{"s=0", bruckProgram(8, 1, 8, two, false, false, false), 0},
+		{"s=1", bruckProgram(8, 1, 8, two, false, false, false), 1},
+		{"one-byte block", bruckProgram(8, 1, 1, two, false, false, false), 4},
+		{"one round", bruckProgram(2, 1, 8, two, false, false, false), 4},
 		{"role per rank", &program{n: 2, bl: 8, roles: make([]role, 2)}, 4},
 	} {
 		var got *program

@@ -28,9 +28,10 @@ func TestPlace(t *testing.T) {
 // Check, to send what the plain one sends (C1, C2, Messages), to copy no
 // more on any rank (moved), and to be maximal: forcing ref on any
 // top-level transfer place left packed makes Check report errRefWrite.
-// A plan with descriptors must walk to Verify at W = 1..4, and marking
-// any output land of a descriptor transfer desc must make Check report
-// errDescOut. It is exported for TestPlaceGolden.
+// A plan with descriptors must walk to Verify at W = 1..4, name only
+// origins that hold what the label walk gives each block (originsHold),
+// and marking any output land of a descriptor transfer desc must make
+// Check report errDescOut. It is exported for TestPlaceGolden.
 func PlaceHolds(t *testing.T, where string, e *mpsim.Engine, g *mpsim.Group, s Spec) {
 	t.Helper()
 	if err := s.canonicalize(e, g); err != nil {
@@ -81,27 +82,106 @@ func PlaceHolds(t *testing.T, where string, e *mpsim.Engine, g *mpsim.Group, s S
 	for w := 1; descs && w <= 4; w++ {
 		walked(t, fmt.Sprintf("%s placed W=%d", where, w), w, Labels, placed)
 	}
+	if descs {
+		originsHold(t, where, placed)
+	}
+}
+
+// originsHold requires each origin a one-role plan names to be exactly
+// the label the label walk gives the block it stands for, on every rank,
+// when the byte walk reads it: after the round of a descriptor transfer
+// that lands the block as bytes, or at the local step that reads it.
+func originsHold(t *testing.T, where string, pl *Plan) {
+	t.Helper()
+	pr, n := pl.prog, pl.group.Size()
+	type read struct {
+		done int // the rounds the walk has completed at the read
+		x    *xfer
+		recv bool
+	}
+	var reads []read
+	for i, round := 0, 0; i < len(pr.roles[0].steps); i++ {
+		switch s := &pr.roles[0].steps[i]; {
+		case s.kind == stepExchange:
+			for j := range s.xfers {
+				if x := &s.xfers[j]; x.desc {
+					reads = append(reads, read{round + 1, x, true})
+				}
+			}
+		case s.xfers != nil && s.xfers[0].origins != nil:
+			reads = append(reads, read{round, &s.xfers[0], false})
+		}
+		round += pr.roles[0].steps[i].rounds()
+	}
+	named := 0
+	pl.walkLabels(nil, func(lm *labels, done int) {
+		for _, rd := range reads {
+			ext := rd.x.send
+			if rd.recv {
+				ext = rd.x.recv
+			}
+			for me := 0; rd.done == done && me < n; me++ {
+				org := rd.x.origins
+				for _, e := range ext {
+					for b := 0; b < int(e.n); b++ {
+						if rd.recv && e.held(rd.x.combine) {
+							continue
+						}
+						if len(org) == 0 {
+							t.Fatalf("%s: %s names too few origins", where, extents(ext))
+						}
+						og := org[0]
+						if org = org[1:]; og.peer.mode == addrNone {
+							continue
+						}
+						off, ln := e.bytes(pr.shapeOf(e.reg, me), me, n, b)
+						got := clip(lm.mems[me][int(e.reg)], off, ln)
+						o := og.peer.of(me, n, 0)
+						src, _ := pr.shapeOf(regIn, o).span(og.blk.of(o, n, 0))
+						if named++; len(got) != 1 || got[0].n != ln || got[0].cnt != 1 || got[0].who != rankHash(o) || got[0].src != src+int(e.off) {
+							t.Fatalf("%s: rank %d reads block %d of %s from rank %d's input block %d, but it holds %+v",
+								where, me, b, extents([]extent{e}), o, og.blk.of(o, n, 0), got)
+						}
+					}
+				}
+				if len(org) > 0 {
+					t.Fatalf("%s: %s names %d origins too many", where, extents(ext), len(org))
+				}
+			}
+		}
+	})
+	if named == 0 {
+		t.Fatalf("%s: descriptors, but no origin named", where)
+	}
 }
 
 // TestPlaceExtents pins what placement costs the flat radix-2 index in
 // scratch blocks and extents: descriptors need no scratch, where the
 // compact regions of by-reference hops took 15 blocks at n = 16 and
 // 1,805 at n = 1,024 (in 38 and 2,546 extents); a descriptor land joins
-// no byte land, so there are a few more extents.
+// no byte land, so there are a few more extents. The builder's slabs
+// (bruckSizes) hold exactly the steps, transfers and extents the
+// program keeps: bruckRounds appends each run of slots as one extent a
+// side, the run's head apart on the send side, and place joins none.
 func TestPlaceExtents(t *testing.T) {
 	for _, tc := range []struct{ n, blocks, exts int }{{16, 0, 39}, {1024, 0, 2559}} {
 		pl := must(Compile(mpsim.MustNew(tc.n), mpsim.WorldGroup(tc.n), Spec{Op: OpIndex, BlockLen: 1, Index: IndexOptions{Radix: 2}}))
-		ro, blocks, exts := pl.prog.roles[0], 0, 0
+		ro, blocks, xfers, exts := pl.prog.roles[0], 0, 0, 0
 		for _, sc := range ro.scratch {
 			blocks += sc.bytes / sc.stride
 		}
 		for _, s := range ro.steps {
+			xfers += len(s.xfers)
 			for _, x := range s.xfers {
 				exts += len(x.send) + len(x.recv)
 			}
 		}
 		if got := fmt.Sprint(blocks, exts); got != fmt.Sprint(tc.blocks, tc.exts) {
 			t.Errorf("n=%d: %s scratch blocks and extents, want %d %d", tc.n, got, tc.blocks, tc.exts)
+		}
+		steps, xs, es := bruckSizes(tc.n, 1, func(int) int { return 2 }, false, true)
+		if got, want := fmt.Sprint(len(ro.steps), xfers, exts), fmt.Sprint(steps, xs, es); got != want {
+			t.Errorf("n=%d: the program keeps %s steps, transfers and extents, its slabs hold %s", tc.n, got, want)
 		}
 	}
 }

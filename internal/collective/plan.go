@@ -141,6 +141,13 @@ func (pl *Plan) result() *Result {
 func compile(e *mpsim.Engine, g *mpsim.Group, s Spec, placed bool) (*Plan, error) {
 	pl := &Plan{engine: e, group: g, op: s.Op, blockLen: s.BlockLen}
 	n, k := g.Size(), e.Ports()
+	if s.Segments == AutoSegments { // resolved per compile, not per lookup: a cache hit stays free
+		radix := s.Index.Radix
+		if s.Op.reduction() {
+			radix = s.Reduce.Radix
+		}
+		s.Segments = OptimalSegments(costmodel.SP1, n, s.BlockLen, defaultRadix(radix, n, k), k)
+	}
 	var pr *program
 	var err error
 	switch {
@@ -162,13 +169,6 @@ func compile(e *mpsim.Engine, g *mpsim.Group, s Spec, placed bool) (*Plan, error
 	}
 	if err != nil {
 		return nil, err
-	}
-	if s.Segments == AutoSegments { // resolved per compile, not per lookup: a cache hit stays free
-		radix := s.Index.Radix
-		if s.Op.reduction() {
-			radix = s.Reduce.Radix
-		}
-		s.Segments = OptimalSegments(costmodel.SP1, n, s.BlockLen, defaultRadix(radix, n, k), k)
 	}
 	if placed {
 		place(pr, s.Segments)

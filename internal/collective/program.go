@@ -59,6 +59,27 @@ func (a rel) of(me, n, i int) int {
 	return v
 }
 
+// then returns the address, if one of a's or b's mode serves every rank
+// of n, of the rank b leads to from the rank a leads to: how an origin
+// composes along a hop (place). plus(0) is the rank itself.
+func (a rel) then(b rel, n int) (rel, bool) {
+	switch {
+	case b == plus(0):
+		return a, true
+	case a.mode == addrAdd && b.mode == addrAdd:
+		return plus((int(a.c) + int(b.c)) % n), true
+	case a.mode == addrXor && b.mode == addrXor:
+		return xor(int(a.c ^ b.c)), true
+	}
+	return rel{}, false
+}
+
+// origin is where the bytes of a block a descriptor stands for lie: the
+// input block blk (resolved at the origin) of the group rank peer leads
+// to from the rank that reads them. A peer of mode addrNone names the
+// reader's own memory.
+type origin struct{ peer, blk rel }
+
 // inverts reports whether b leads every rank of n back to the rank that
 // reached it through a.
 func (a rel) inverts(b rel, n int) bool {
@@ -107,7 +128,7 @@ type extent struct {
 	off, len int32
 	reg      regID
 	rev      bool // the run descends: block i is at moved by -i
-	desc     bool // recv only, set by place: each block keeps a descriptor of its bytes on the walk (run.go)
+	desc     bool // recv only, set by place: each block holds a descriptor on the walk, its bytes left at their origin (run.go)
 }
 
 func blocksAt(reg regID, at rel, n int) extent { return extent{reg: reg, at: at, n: int32(n), len: -1} }
@@ -123,6 +144,10 @@ func (e *extent) block(me, n, i int) int {
 	}
 	return e.at.of(me, n, i)
 }
+
+// held reports whether a land through the extent, combining if combine,
+// leaves descriptors in its blocks: whole blocks overwritten, desc.
+func (e *extent) held(combine bool) bool { return e.desc && !combine && e.off == 0 && e.len < 0 }
 
 // bytes returns the byte range of the extent's block i in a region of
 // shape s, for rank me of n.
@@ -150,13 +175,6 @@ func (e *extent) size(s shape, me, n int) int {
 		total += ln
 	}
 	return total
-}
-
-// contiguous reports whether the extent is one piece of memory: a
-// single block, or whole ascending blocks at a fixed place in a flat
-// region.
-func (e *extent) contiguous(flat bool) bool {
-	return e.n == 1 || (flat && e.at.mode == addrAbs && !e.rev && e.off == 0 && e.len < 0)
 }
 
 type stepKind uint8
@@ -196,11 +214,12 @@ type embed struct {
 type xfer struct {
 	to, from   rel
 	send, recv []extent
-	combine    bool // received bytes combine into recv instead of overwriting
-	swap       bool // role.swaps of it, fixed by finish: the region's buffer itself travels
-	ref        bool // set by place: the payload may refer to the send extents, on the walk the receiver lands straight from them (run.go)
-	desc       bool // set by place: on the walk the payload is descriptors of the send blocks' input bytes (run.go)
-	bytes      int  // payload size, fixed by finish; on layout extents the largest over ranks
+	combine    bool     // received bytes combine into recv instead of overwriting
+	swap       bool     // role.swaps of it, fixed by finish: the region's buffer itself travels
+	ref        bool     // set by place: the payload may refer to the send extents, on the walk the receiver lands straight from them (run.go)
+	desc       bool     // set by place: on the walk the payload is empty, and the receiver reads each block from its origin (run.go)
+	origins    []origin // set by place: of a desc transfer, one per recv block it lands as bytes; of a local step that reads a descriptor, one per send block
+	bytes      int      // payload size, fixed by finish; on layout extents the largest over ranks
 }
 
 // rounds returns the rounds the step takes on its rank's clock.
@@ -240,7 +259,8 @@ func (ro *role) swaps(s *step, x *xfer) bool {
 // bl bytes. finish fills the derived fields.
 type program struct {
 	n, k, bl      int
-	roles         []role         // one shared by all ranks, or one per rank
+	roles         []role         // one shared by all ranks (own), or one per rank
+	own           [1]role        // the shared role, in the program's allocation
 	inLay, outLay *blocks.Layout // layout plans: the shapes of the caller regions
 	phases        []PlanPhase    // hierarchical plans: the declared phase order
 
@@ -253,6 +273,14 @@ type program struct {
 	sizes       []int
 	busy        int
 	msgs, bytes int64
+}
+
+// shared returns a program whose ranks all share one role.
+func shared(n, k, bl int, ro role) *program {
+	pr := &program{n: n, k: k, bl: bl}
+	pr.own[0] = ro
+	pr.roles = pr.own[:]
+	return pr
 }
 
 func (pr *program) role(me int) *role {

@@ -11,19 +11,20 @@ package collective
 // next exchange (cursor.next). A payload for another worker's rank waits
 // in an outbox until a barrier has ended every worker's posts of round
 // t; each worker then lands its ranks left waiting and posts round t+1,
-// so a round costs one barrier. A rank reads only its own state and what
-// its senders sent in the round — packed, as descriptors of input that
-// Plan.Check proves nothing writes, or by reference from bytes it proves
-// they leave alone until the barrier that ends the round — so the bytes
-// are the same at every W. A descriptor a rank keeps reads another
-// rank's input, on whichever worker, at any later round.
+// so a round costs one barrier. A rank reads only its own state, what
+// its senders sent in the round — packed, or by reference from bytes
+// Plan.Check proves they leave alone until the barrier that ends the
+// round — and the input blocks its program names as origins, on any
+// worker at any later round, which Check proves nothing writes: so the
+// bytes are the same at every W.
 // Several plans on disjoint groups (ExecutePlans) are dealt whole to the
 // workers instead, each walked at W = 1 on its worker's own state.
 // The walk runs on a medium (run.go): bytes to execute a plan, labels —
 // at W = 1 — to prove it (Plan.Check) and read its figures and messages.
 // A k-port violation, a receive nobody feeds, a send nobody receives, a
 // size that disagrees, a descriptor sent of a block that is neither
-// input nor holds one, or a misaligned end is a fault of its round, named
+// input nor holds one (on bytes: a descriptor land short of origins), or
+// a misaligned end is a fault of its round, named
 // with the round and the ranks: bytes stop at the next barrier with the
 // lowest worker's fault (a lone fault has the text it has at W = 1),
 // labels record each and walk on.
@@ -33,7 +34,6 @@ import (
 	"errors"
 	"math/bits"
 	"runtime"
-	"slices"
 
 	"bruck/internal/mpsim"
 )
@@ -58,11 +58,11 @@ var errPanicked = errors.New("collective: the walk stopped at a panic")
 // spreads them over GOMAXPROCS workers; below it one worker walks them
 // all. BenchmarkDrivers sweeps the radix-2 index at n = 16 over block
 // sizes, at one worker and at GOMAXPROCS: on a 2-vCPU host at two Ps,
-// its hops forwarding descriptors, the split loses up to b = 1 KiB
-// (262 KB copied: medians of six, 55 against 53 µs), where the barriers
-// cost what the second core saves, and wins from b = 2 KiB (524 KB: 52
-// against 70 µs) on. The threshold sits between the two.
-const walkParallelBytes = 3 << 17
+// its forwarding hops costing nothing, the split loses up to b = 2 KiB
+// (524 KB copied: medians of six, 28.9 against 25.8 µs), where the
+// barriers cost what the second core saves, and wins from b = 4 KiB
+// (1 MB: 34 against 64 µs) on. The threshold sits between the two.
+const walkParallelBytes = 3 << 18
 
 // workers is the number of workers the walk spreads the jobs over.
 func workers(jobs []Job) int {
@@ -195,11 +195,6 @@ type walker struct {
 	net [bits.UintSize]int // per capacity class, kept less lost: close's to settle
 
 	free [bits.UintSize][][]byte // free[c]: buffers of capacity 1<<c
-
-	// The descriptors its ranks send and the tables of those its ranks'
-	// regions hold (run.go), appended through a run and cleared by close:
-	// its capacity outlives the run.
-	slab [][]byte
 }
 
 // post is a payload posted to rank to of another worker.
@@ -599,8 +594,6 @@ func (d *rounds) close() {
 			}
 			v.owe[u] = owe[:0]
 		}
-		clear(v.slab)
-		v.slab = v.slab[:0]
 	}
 	for _, v := range d.ws { // a surplus has its buffers in v's list
 		for c := range v.net {
@@ -629,13 +622,6 @@ func (w *walker) AcquireBuf(n int) []byte {
 		return b[:n]
 	}
 	return make([]byte, n, 1<<c)
-}
-
-// table returns n empty descriptor slots from the worker's slab.
-func (w *walker) table(n int) [][]byte {
-	lo := len(w.slab)
-	w.slab = slices.Grow(w.slab, n)[:lo+n]
-	return w.slab[lo : lo+n : lo+n]
 }
 
 // ReleaseBuf returns a buffer to the free list, noting what it owes if

@@ -157,7 +157,7 @@ func compileReduce(pl *Plan, n, k int, s Spec) (*program, error) {
 		pl.res.C2LowerBound = lowerbound.AllReduceVolume(n, blockLen, k)
 		pl.res.C1LowerBound = lowerbound.AllReduceRounds(n, k)
 	}
-	return &program{n: n, k: k, bl: blockLen, roles: []role{{steps: b.steps, scratch: work}}}, nil
+	return shared(n, k, blockLen, role{steps: b.steps, scratch: work}), nil
 }
 
 // reduceScatter appends the reduce-scatter schedule selected by opt:
@@ -175,7 +175,7 @@ func (b *builder) reduceScatter(n, k, bl int, opt ReduceOptions, chunk []extent)
 		// combines instead of permuting: slot q then holds rank (me-q)'s
 		// contribution to chunk me, so the slots fold into the chunk: the
 		// rank's own contribution first, then sources me-1, me-2, ...
-		b.bruckRounds(n, k, func(int) int { return r }, false, regIn, regWork)
+		b.bruckRounds(n, k, func(int) int { return r }, false, false, regIn, regWork)
 		b.local(stepCopy, chunk, b.ext(slots(regIn, 0, 1)))
 		lo := len(b.exts)
 		for q := 1; q < n; q++ {
