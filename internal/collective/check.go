@@ -45,8 +45,8 @@ import (
 	"bruck/internal/trace"
 )
 
-// maxCheckViolations bounds a Check report: room for three rules
-// reported once a rank of an 8-rank plan, and the delivery lines after.
+// maxCheckViolations bounds a Check report: room for three rules once a
+// rank of an 8-rank plan, and the delivery lines after.
 const maxCheckViolations = 32
 
 // errRefWrite is the hazard of a by-reference send. A receiver on another
@@ -60,12 +60,11 @@ const maxCheckViolations = 32
 const errRefWrite = "round %d: rank %d writes bytes it sent by reference in round %d, before every receiver may have landed them"
 
 // errInWrite, errDescOut and errOrigin are the rules of descriptors
-// (run.go). A block that holds one has no bytes of its own (a read of
-// it reads nothing): the walk reads them, long after the descriptor was
-// formed, from the input block its program names as its origin. So no
-// step of a top-level program writes its input region (an embedded
-// program's input is a view of its parent's extents), none ends the walk
-// in an output block, and each named origin holds the same bytes.
+// (run.go). A block that holds one has no bytes of its own: the walk
+// reads them, rounds later, from the input block its program names as
+// its origin. So no step of a top-level program writes its input region
+// (an embedded program's input is a view of its parent's extents), none
+// ends the walk in an output block, and each named origin holds them.
 const (
 	errInWrite = "rank %d writes its input region, which descriptors read in place"
 	errDescOut = "delivery: rank %d output block %d ends the walk held as a descriptor"
@@ -173,11 +172,10 @@ func merge(a, b []lab) (out []lab, ok bool) {
 // msgs are the messages sent, streams their labels — read at the post,
 // or for a by-reference send at the land from the pieces refs holds —
 // and tags each round's phase. A by-reference send pins its bytes in
-// their runs (lab.pin); told holds the (rank, round sent, round
-// written) of each errRefWrite reported, so each is reported once, and
-// (rank, -1, -1), (rank, -2, -2) and (rank, -3, -3) of an errInWrite, an
-// errDescSend and an errOrigin, once a rank. A descriptor land marks the
-// runs it writes desc.
+// their runs (lab.pin); told holds what was reported, so each is
+// reported once: the (rank, round sent, round written) of an
+// errRefWrite, and the keys of once. A descriptor land marks the runs
+// it writes desc.
 type labels struct {
 	pl      *Plan
 	mems    [][][]lab
@@ -220,9 +218,8 @@ func (lm *labels) find(r, mem, off int) int {
 // walkLabels runs the round-major driver's walk of pl on the label
 // medium, on one worker, every rank's input labelled as its own: add
 // (nil: nothing) sees each violation, each (if set) every round
-// completed (rounds.run).
-// It returns the medium and the round the walk ends in; the medium
-// records every fault, so the walk always ends.
+// completed (rounds.run). It returns the medium and the round the walk
+// ends in; the medium records every fault, so the walk always ends.
 func (pl *Plan) walkLabels(add func(string, ...any), each func(lm *labels, done int)) (*labels, int) {
 	if add == nil {
 		add = func(string, ...any) {}
@@ -277,7 +274,7 @@ func (lm *labels) local(f *frame, s *step) {
 	lm.guardIn(f, r, dst)
 	for i := range src { // what the walk reads from its origin
 		if i < len(x.origins) && x.origins[i].peer.mode != addrNone {
-			lm.named(f, r, src[i], x.origins[i], clip(lm.mems[r][src[i].mem], src[i].off, src[i].n))
+			lm.named(f, r, src[i], x.origins[i], lm.mems[r][src[i].mem], lm.find(r, src[i].mem, src[i].off), src[i].off)
 			src[i].desc = true
 		}
 	}
@@ -285,19 +282,15 @@ func (lm *labels) local(f *frame, s *step) {
 	case stepCopy:
 		stream, total := lm.read(r, src)
 		for i, avail := 0, total; i < len(dst); i++ { // the streams end together
-			if dst[i].n > avail {
-				dst[i].n = avail
-			}
+			dst[i].n = min(dst[i].n, avail)
 			avail -= dst[i].n
 		}
 		lm.write(r, dst, stream, x.combine, false)
 	case stepSpread:
 		for i := range dst {
 			if i < len(src) {
-				if src[i].n < dst[i].n {
-					dst[i].n = src[i].n
-				}
-				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n, src[i].desc, src[i].e}})
+				dst[i].n = min(dst[i].n, src[i].n)
+				stream, _ := lm.read(r, []piece{{src[i].mem, src[i].off, dst[i].n, src[i].eoff, src[i].desc}})
 				lm.write(r, dst[i:i+1], stream, false, false)
 			}
 		}
@@ -375,23 +368,24 @@ func (lm *labels) outgoing(f *frame, x *xfer, p *payload, me, to, t int) error {
 	return nil
 }
 
-// named reports origin og, read for rank r's piece q whose labels are
-// ls, unless ls are exactly the same bytes of the input block og names
-// (errOrigin).
-func (lm *labels) named(f *frame, r int, q piece, og origin, ls []lab) {
+// named reports origin og, read for rank r's piece q, bytes [off,
+// off+q.n) of the runs ls, unless run i = after(ls, off) holds them all,
+// the same bytes of the input block og names (errOrigin).
+func (lm *labels) named(f *frame, r int, q piece, og origin, ls []lab, i, off int) {
 	o := f.rank(og.peer)
-	j, ok := og.blk.of(o, f.pr.n, 0), og.peer.mode != addrNone && o >= 0 && o < len(lm.mems) && len(ls) == 1
+	j, ok := og.blk.of(o, f.pr.n, 0), og.peer.mode != addrNone && o >= 0 && o < len(lm.mems) && i < len(ls)
 	if ok = ok && j >= 0 && j < lm.pl.blocks(regIn, o); ok {
 		bo, bn := lm.pl.prog.shapeOf(regIn, o).span(j)
-		l := ls[0]
-		ok = l.off == 0 && l.n == q.n && l.cnt == 1 && l.who == rankHash(o) && l.src == bo+int(q.e.off) && int(q.e.off)+q.n <= bn
+		l := ls[i]
+		ok = l.off <= off && l.off+l.n >= off+q.n && l.cnt == 1 && l.who == rankHash(o) && l.src+off-l.off == bo+int(q.eoff) && int(q.eoff)+q.n <= bn
 	}
 	if !ok {
 		lm.once(r, -3, errOrigin, r)
 	}
 }
 
-// once reports a rule of rank r, told apart by key, once a rank.
+// once reports a rule of rank r once a rank, told by (r, key, key): -1
+// errInWrite, -2 errDescSend, -3 errOrigin.
 func (lm *labels) once(r, key int, format string, args ...any) {
 	if !lm.told[[3]int{r, key, key}] {
 		lm.add(format, args...)
@@ -433,7 +427,7 @@ func (lm *labels) land(f *frame, x *xfer, p *payload, me, t int) error {
 				lm.once(int(p.src), -2, errDescSend, t, p.src)
 				break
 			}
-			lm.named(f, me, q, org[0], clip(stream, at-q.n, q.n))
+			lm.named(f, me, q, org[0], stream, after(stream, at-q.n), at-q.n)
 			org = org[1:]
 		}
 	}
@@ -446,13 +440,14 @@ func (lm *labels) fault(format string, args ...any) error {
 	return nil
 }
 
-// piece is a byte range of one symbolic memory, addressed by extent e;
-// desc: a whole block of an extent marked desc, or — read — read as a
-// descriptor or through its origin.
+// piece is a byte range of one symbolic memory, at eoff in its block
+// (no pointer: the walk appends thousands); desc: a whole block of an
+// extent marked desc, or — read — read as a descriptor or through its
+// origin.
 type piece struct {
 	mem, off, n int
+	eoff        int32
 	desc        bool
-	e           *extent
 }
 
 // pieces resolves an extent list of frame f, reporting extents that
@@ -474,7 +469,7 @@ func (lm *labels) pieces(f *frame, exts []extent) []piece {
 				lm.add("rank %d: extent [%d, %d) outside block of %d bytes", r, e.off, int(e.off)+ln, bn)
 				continue
 			}
-			out = append(out, piece{v.mem, v.base + off, ln, e.desc && e.off == 0 && e.len < 0, e})
+			out = append(out, piece{v.mem, v.base + off, ln, e.off, e.desc && e.off == 0 && e.len < 0})
 		}
 	}
 	return out

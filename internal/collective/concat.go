@@ -95,9 +95,8 @@ func compileConcat(pl *Plan, n, k int, s Spec) (*program, error) {
 // accumulation region whose slot q gathers the block of rank me+q. On
 // fixed-size blocks that region is the output itself, slot q being its
 // block me+q, so the rounds finish it; padded (layout plans) it is a
-// pooled region of slots — the two-phase packing:
-// the same rounds run on padded slots and the unpack at true lengths
-// puts them in rank order.
+// pooled region of slots — the two-phase packing: the same rounds run
+// on padded slots and the unpack at true lengths puts them in rank order.
 func circulantProgram(n, k, bl int, policy partition.Policy, padded bool) (*program, error) {
 	b := newBuilder(n+2, n+k, 2*n+4)
 	own := b.ext(blocksAt(regIn, fixed(0), 1))

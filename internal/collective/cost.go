@@ -18,14 +18,7 @@ import (
 func digitCount(n, r, z, dist int) int {
 	period := dist * r
 	full := (n / period) * dist
-	rem := n%period - z*dist
-	if rem < 0 {
-		rem = 0
-	}
-	if rem > dist {
-		rem = dist
-	}
-	return full + rem
+	return full + min(max(n%period-z*dist, 0), dist)
 }
 
 // roundBlocks returns the blocks a round moves on its busiest port: the
@@ -72,13 +65,7 @@ func IndexSchedule(n, r, k int) []int {
 
 // IndexCost returns the closed-form (C1, C2) of the radix-r Bruck index
 // algorithm for block size b bytes.
-func IndexCost(n, b, r, k int) (c1, c2 int) {
-	sched := IndexSchedule(n, r, k)
-	for _, blocks := range sched {
-		c2 += blocks * b
-	}
-	return len(sched), c2
-}
+func IndexCost(n, b, r, k int) (c1, c2 int) { return segmented(IndexSchedule(n, r, k), b, 1) }
 
 // IndexCostEnvelope returns the paper's Section 3.2/3.4 upper-bound
 // envelope: C1 <= ceil((r-1)/k)*ceil(log_r n) and

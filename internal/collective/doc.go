@@ -36,20 +36,19 @@
 //   - Spec.canonicalize is the one place a spec is judged: it makes
 //     every rejection that needs only the spec (empty group, member
 //     outside the engine, negative block size, nil or misshapen layout,
-//     a root outside the group, radix and radices ranges,
-//     power-of-two algorithms on other group
-//     sizes, algorithms with no layout variant, hierarchical without a
-//     topology or for a reduce-scatter, missing kernel, element-size
-//     mismatch; the text of each is pinned by TestSpecRejections), so
-//     every route to a plan rejects the same input with the same
-//     error, and it zeroes every field the selected family ignores —
-//     radix and NoPack off the Bruck schedules, Segments everywhere
-//     but a packed uniform Bruck index or ReduceBruck and a segment
-//     count of 1, the last-round policy where no circulant phase runs, the hier radices
-//     off the hierarchical index, everything a dispatcher or the
-//     two-level compiler overrides, every option on a one-to-all
-//     primitive and the root off one — so equal schedules are equal
-//     specs.
+//     a root outside the group, radix and radices ranges, power-of-two
+//     algorithms on other group sizes, algorithms with no layout
+//     variant, hierarchical without a topology or for a reduce-scatter,
+//     missing kernel, element-size mismatch; the text of each is pinned
+//     by TestSpecRejections), so every route to a plan rejects the same
+//     input with the same error, and it zeroes every field the selected
+//     family ignores — radix and NoPack off the Bruck schedules,
+//     Segments everywhere but a packed uniform Bruck index or ReduceBruck
+//     and a segment count of 1, the last-round policy where no circulant
+//     phase runs, the hier radices off the hierarchical index,
+//     everything a dispatcher or the two-level compiler overrides, every
+//     option on a one-to-all primitive and the root off one — so equal
+//     schedules are equal specs.
 //   - ParseSpec(op, alg) is the inverse of the name tables the String
 //     methods print from: the one place a tool's operation and
 //     algorithm names become a Spec.
@@ -82,27 +81,19 @@
 // Plan.Alloc and run by Plan.Run or ExecutePlans. A side is a
 // buffers.Buffers slab, under a layout a buffers.Ragged slab, and on a
 // one-to-all primitive the root's side is the root's bytes alone; one
-// check (Plan.fits) holds every side to the plan's shape. On the walk a
-// payload marked desc is empty: an intermediate hop lands nothing, and a
-// block's last land copies it from the input block its program names as
-// its origin, one copy per block however many hops; a payload marked ref
-// is landed straight from the sender's extents, one copy per byte per
-// hop; any other is packed into a pool-recycled buffer, handed over and
-// landed in caller-owned memory.
-// Nothing is rotated: the concatenations accumulate in the output slab,
-// each slot addressed as the block it ends up as, and an index slot's
-// first send reads the input, its last receive lands in the output.
-// Compilers emit plain programs, every transfer packed; one pass, place
-// (passes.go), marks desc where a one-role program sends only input or
-// descriptors, naming each origin, moves the values a by-reference send
-// would still need to compact scratch and marks ref on every other
-// top-level transfer whose sent bytes nothing writes inside the window
-// Check proves (errRefWrite); swaps, embedded sub-programs and the
-// engine driver pack. On a reused engine an execution performs no
-// per-block or per-message allocations — except on the one-to-all
-// primitives on the engine driver: a one-directional tree drains its
-// senders' pools into its receivers', whose free lists are bounded, so
-// senders allocate
+// check (Plan.fits) holds every side to the plan's shape. Nothing is
+// rotated: the concatenations accumulate in the output slab, each slot
+// addressed as the block it ends up as, and an index slot's first send
+// reads the input, its last receive lands in the output. Compilers emit
+// plain programs, every transfer packed; one pass, place (passes.go),
+// marks the transfers the walk moves as descriptors (desc: a block's
+// last land copies it from the input its program names, one copy per
+// block however many hops) or by reference (ref: one copy per byte per
+// hop), and run.go's header gives every path a payload takes. On a
+// reused engine an execution performs no per-block or per-message
+// allocations — except on the one-to-all primitives on the engine
+// driver: a one-directional tree drains its senders' pools into its
+// receivers', whose free lists are bounded, so senders allocate
 // transport buffers anew (0.5-2.1 MB per call at n = 16, b = 64 KiB).
 // The [][][]byte and [][]byte shapes exist only at the public boundary,
 // as two adapters in the root package — one copy in, one copy out around
@@ -188,36 +179,26 @@
 //
 // Derived, not re-derived. program.finish counts rounds (C1), volume
 // (C2), the messages and bytes a run sends and a hierarchical plan's
-// phase table from the program, and the plan keeps
-// them as the Result every execution copies; Plan.Listing prints the
-// program as the text the golden corpus pins. Plan.Check runs the
-// executing walk on labels and proves delivery for every family against
-// Plan.goal, the one statement of what each operation computes, and the
-// stored Result against the messages it walks. A by-reference payload's
-// labels are read where the bytes are, at the land, and the bytes it
-// sent in round t are pinned on the sender until its first exchange
-// after round t+1: a write to them is a violation. A reader on another
-// worker reads them after the barrier that ends round t, while the
-// sender may already land round t+1, so the rule, phrased in rounds,
-// proves every worker order from the walk on one; the race detector
-// (CI's -race sweep over ByRef) is its runtime half. A descriptor
-// payload's labels are read at the post, like a packed one's, and three
-// rules make descriptors sound: each origin the program names holds the
-// labels of the block it stands for when the walk reads it (errOrigin),
-// no top-level step writes the input origins name (errInWrite), and no
-// output byte ends the walk held as a descriptor (errDescOut). On the
-// walk a Bruck block no longer passes through the bytes of its
-// intermediate places; the label walk and the engine driver still move
-// it through them. The same label walk draws the
-// paper's figures (Plan.Snapshots), keeps per-rank virtual clocks
-// (Plan.CriticalPath and CriticalPathTopo: each message priced on its
-// link, the k ports in parallel) and lists the messages a run sends
-// (Plan.Messages). The oracle (oracle.go: Alloc, Fill, Run, Verify —
-// Exercise in a row) holds the bytes of a real run against the same
-// definition, on memory of the plan's own shape; it is how every tool
-// runs a collective, and a tool that only wants the measures reads
-// Rounds and PredictedC2 instead. The closed forms of cost.go are held
-// against the counter by one table test.
+// phase table from the program, and the plan keeps them as the Result
+// every execution copies; Plan.Listing prints the program as the text
+// the golden corpus pins. Plan.Check runs the executing walk on labels
+// and proves delivery for every family against Plan.goal, the one
+// statement of what each operation computes, the stored Result against
+// the messages it walks, and the rules that make by-reference and
+// descriptor payloads sound at every worker count (check.go; the race
+// detector, CI's -race sweep, is their runtime half). On the walk a
+// Bruck block does not pass through the bytes of its intermediate
+// places; the label walk and the engine driver still move it through
+// them. The same label walk draws the paper's figures (Plan.Snapshots),
+// keeps per-rank virtual clocks (Plan.CriticalPath and
+// CriticalPathTopo: each message priced on its link, the k ports in
+// parallel) and lists the messages a run sends (Plan.Messages). The
+// oracle (oracle.go: Alloc, Fill, Run, Verify — Exercise in a row)
+// holds the bytes of a real run against the same definition, on memory
+// of the plan's own shape; it is how every tool runs a collective, and
+// a tool that only wants the measures reads Rounds and PredictedC2
+// instead. The closed forms of cost.go are held against the counter by
+// one table test.
 //
 // Adding a family is one compiler function and one arm of
 // Spec.canonicalize: build its steps with the builder, return the
@@ -270,7 +251,7 @@
 //
 // # Ragged layouts
 //
-// IndexV and ConcatV (vplan.go) generalize both operations to
+// IndexV and ConcatV (index.go, concat.go) generalize both operations to
 // variable block sizes, the MPI_Alltoallv/MPI_Allgatherv shapes. A
 // blocks.Layout carries the per-(src, dst) count and displacement
 // tables; a Spec with Op OpIndexV or OpConcatV compiles it into the
@@ -381,23 +362,22 @@
 //
 // A Spec with Hierarchical set compiles (hier.go) the two-level
 // schedule of its operation for a machine partitioned into node-groups
-// (Spec.Topology): the
-// paper's flat schedules run concurrently inside each group, one
-// leader-level schedule crosses groups, and gather/scatter fan phases
-// funnel remote data through the leaders. In program terms every rank
-// gets its own role — a composition of embedded flat sub-programs and
-// star phases of one-sided transfers, padded with skips so all ranks
-// share one round counter. The result is one ordinary Plan —
-// byte-identical output to the flat operation — whose round structure
-// is a strictly ordered sequence of phases, each moving data over
-// exactly one link class. That single-class-per-phase discipline
-// is the load-bearing invariant: it makes the per-class (C1, C2) split
-// an exact compile-time fact (Result.Intra/Result.Inter, each carrying
-// its own lower bounds), lets Plan.TimeTopo price each phase at its
-// class profile, and gives the listing a phase table that Plan.Check
-// proves against the program (phases tile the rounds, per-phase C2
-// sums the rounds' maxima, intra phases never cross groups, inter
-// phases never stay inside one).
+// (Spec.Topology): the paper's flat schedules run concurrently inside
+// each group, one leader-level schedule crosses groups, and
+// gather/scatter fan phases funnel remote data through the leaders. In
+// program terms every rank gets its own role — a composition of
+// embedded flat sub-programs and star phases of one-sided transfers,
+// padded with skips so all ranks share one round counter. The result is
+// one ordinary Plan — byte-identical output to the flat operation —
+// whose round structure is a strictly ordered sequence of phases, each
+// moving data over exactly one link class. That single-class-per-phase
+// discipline is the load-bearing invariant: it makes the per-class C1/C2
+// split an exact compile-time fact (Result.Intra/Result.Inter, each
+// carrying its own lower bounds), lets Plan.TimeTopo price each phase
+// at its class profile, and gives the listing a phase table that
+// Plan.Check proves against the program (phases tile the rounds,
+// per-phase C2 sums the rounds' maxima, intra phases never cross
+// groups, inter phases never stay inside one).
 //
 // Hierarchical-plan lifecycle rules, in addition to the plan rules
 // above:

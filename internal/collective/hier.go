@@ -56,15 +56,9 @@ func hierRadix(r, n, k int) int {
 		return 0
 	}
 	if r == 0 {
-		return intmath.Min(k+1, n)
+		return min(k+1, n)
 	}
-	if r < 2 {
-		r = 2
-	}
-	if r > n {
-		r = n
-	}
-	return r
+	return min(max(r, 2), n)
 }
 
 // levels is the two-level structure the three hierarchical compilers

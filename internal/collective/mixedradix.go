@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
@@ -76,11 +77,7 @@ func IndexMixedSchedule(n int, radices []int, k int) []int {
 
 // IndexMixedCost returns the closed-form (C1, C2) for block size b.
 func IndexMixedCost(n, b int, radices []int, k int) (c1, c2 int) {
-	sched := IndexMixedSchedule(n, radices, k)
-	for _, blk := range sched {
-		c2 += blk * b
-	}
-	return len(sched), c2
+	return segmented(IndexMixedSchedule(n, radices, k), b, 1)
 }
 
 // OptimalRadixSchedule returns the mixed-radix vector minimizing the
@@ -115,10 +112,9 @@ func OptimalRadixSchedule(p costmodel.Profile, n, b, k int) []int {
 		}
 		maxR := intmath.CeilDiv(n, w) // larger radices are equivalent to this one
 		for r := 2; r <= maxR; r++ {
-			h := intmath.Min(r, intmath.CeilDiv(n, w))
 			cost := s.cost
-			for start := 1; start < h; start += k {
-				cost += p.Time(1, roundBlocks(n, r, w, start, k, h)*b)
+			for start := 1; start < r; start += k { // r <= maxR: all r digit values occur
+				cost += p.Time(1, roundBlocks(n, r, w, start, k, r)*b)
 			}
 			nw := w * r
 			if nw >= n {
@@ -133,15 +129,10 @@ func OptimalRadixSchedule(p costmodel.Profile, n, b, k int) []int {
 		}
 	}
 	// Reconstruct the vector from the terminal state.
-	var rev []int
-	cur := done
-	for cur.radix != 0 {
-		rev = append(rev, cur.radix)
-		cur = best[cur.prev]
+	var radices []int
+	for cur := done; cur.radix != 0; cur = best[cur.prev] {
+		radices = append(radices, cur.radix)
 	}
-	radices := make([]int, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		radices = append(radices, rev[i])
-	}
+	slices.Reverse(radices)
 	return radices
 }

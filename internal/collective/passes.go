@@ -111,11 +111,11 @@ func place(pr *program, segments int) {
 	}
 }
 
-// use is one block of an extent list e as place sees it:
-// when (2i for the sends of step i and an embed's extents, 2i+1 for its
-// lands and a local step's extents), how, where the pin window of a send
-// ends, and its colour; describe adds the value it reads or lands (1
-// plus the use that landed it, 0 for none) and that value's origin.
+// use is one block of an extent list e as place sees it: when (2i for
+// the sends of step i and an embed's extents, 2i+1 for its lands and a
+// local step's extents), how, where the pin window of a send ends, its
+// colour, and (describe) the value it reads or lands — 1 plus the use
+// that landed it, 0 for none — and that value's origin.
 type use struct {
 	t, end   int32
 	val      int32
@@ -250,12 +250,11 @@ func (pr *program) placeRole(me int, descs bool) {
 // block it sends is input never written or a descriptor value: one
 // landed whole, without combine, by such a transfer, that nothing writes
 // before the line's next land, no packed transfer sends and is not the
-// output's last (Check proves no output byte ends as a descriptor and
-// nothing writes the input). An extent lands descriptors (extent.desc)
-// if every block of it does. A value's origin is the input block it
-// began as, on the rank the hops' from addresses compose to (rel.then):
-// x.origins names it for each block x lands as bytes, and a local step's
-// for each block it reads if one is a descriptor value.
+// output's last. An extent lands descriptors (extent.desc) if every
+// block of it does. A value's origin is the input block it began as, on
+// the rank the hops' from addresses compose to (rel.then): x.origins
+// names it for each block x lands as bytes, and a local step's for each
+// block it reads if one is a descriptor value. Check proves all of it.
 func (pr *program) describe(ro *role, uses []use, keys []uint64) {
 	nb := pr.n // the blocks of the largest region
 	for _, sc := range ro.scratch {
@@ -343,39 +342,33 @@ func (pr *program) describe(ro *role, uses []use, keys []uint64) {
 			}
 		}
 	}
-	// The origin tables, in one allocation.
-	for i := range uses { // a local step that reads a descriptor value reads every block through one
+	// The origin tables, in one allocation. A local step that reads a
+	// descriptor value reads every block through one, its own naming none.
+	for i := range uses {
 		if u := &uses[i]; u.how == 0 && u.x != nil && held(u) {
 			u.x.origins = []origin{}
 		}
 	}
-	var tab []origin
-	for fill := false; ; fill = true {
-		count := 0
-		for i := range uses {
-			u := &uses[i]
-			org := u.org
-			switch {
-			case u.how&useRecv != 0 && u.x.desc && !u.e.held(u.x.combine):
-			case u.how == 0 && u.x != nil && u.x.origins != nil:
-				if !held(u) {
-					org = origin{} // its own bytes
-				}
-			default:
-				continue
-			}
-			if count++; fill {
-				if cap(u.x.origins) == 0 {
-					u.x.origins = tab[len(tab):len(tab)]
-				}
-				u.x.origins = append(u.x.origins, org)
-				tab = tab[:len(tab)+1]
-			}
+	named := func(u *use) bool {
+		return u.how&useRecv != 0 && u.x.desc && !u.e.held(u.x.combine) || u.how == 0 && u.x != nil && u.x.origins != nil
+	}
+	count := 0
+	for i := range uses {
+		if named(&uses[i]) {
+			count++
 		}
-		if fill || count == 0 {
-			return
+	}
+	tab := make([]origin, 0, count)
+	for i := range uses {
+		if u := &uses[i]; named(u) {
+			if cap(u.x.origins) == 0 {
+				u.x.origins = tab[len(tab):len(tab)]
+			}
+			if u.how == 0 && !held(u) {
+				u.org = origin{}
+			}
+			u.x.origins, tab = append(u.x.origins, u.org), tab[:len(tab)+1]
 		}
-		tab = make([]origin, 0, count)
 	}
 }
 

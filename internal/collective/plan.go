@@ -209,15 +209,13 @@ func (pl *Plan) blocks(reg regID, me int) int {
 	}[pl.op][reg]
 }
 
-// The two methods below exist only because the frozen benchmark/
-// package calls them. Delete them in a benchmark-only PR.
-
-// Execute is Run on flat buffers; delete in a benchmark-only PR.
+// Execute is Run on flat buffers. It and ExecuteV exist only because the
+// frozen benchmark/ package calls them; delete them in a benchmark-only PR.
 func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	return pl.Run(pl.Memory(in, out))
 }
 
-// ExecuteV is Run on ragged buffers; delete in a benchmark-only PR.
+// ExecuteV is Run on ragged buffers.
 func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	return pl.Run(pl.Memory(in, out))
 }

@@ -59,9 +59,9 @@ func (a rel) of(me, n, i int) int {
 	return v
 }
 
-// then returns the address, if one of a's or b's mode serves every rank
-// of n, of the rank b leads to from the rank a leads to: how an origin
-// composes along a hop (place). plus(0) is the rank itself.
+// then returns the address of the rank b leads to from the rank a leads
+// to, if one of their modes serves every rank of n: how an origin
+// composes along a hop (place).
 func (a rel) then(b rel, n int) (rel, bool) {
 	switch {
 	case b == plus(0):
@@ -74,22 +74,16 @@ func (a rel) then(b rel, n int) (rel, bool) {
 	return rel{}, false
 }
 
-// origin is where the bytes of a block a descriptor stands for lie: the
-// input block blk (resolved at the origin) of the group rank peer leads
-// to from the rank that reads them. A peer of mode addrNone names the
-// reader's own memory.
+// origin is where the bytes a descriptor stands for lie: input block
+// blk (resolved there) of the group rank peer leads to from the reader;
+// a peer of mode addrNone names the reader's own memory.
 type origin struct{ peer, blk rel }
 
 // inverts reports whether b leads every rank of n back to the rank that
 // reached it through a.
 func (a rel) inverts(b rel, n int) bool {
-	switch a.mode {
-	case addrAdd:
-		return b.mode == addrAdd && (int(a.c)+int(b.c))%n == 0
-	case addrXor:
-		return b == a
-	}
-	return false
+	c, ok := a.then(b, n)
+	return ok && (c == plus(0) || c == xor(0))
 }
 
 // regID names one memory of a running rank: the caller's input and
@@ -324,9 +318,7 @@ func (ts *tally) note(t, bytes int, phase string) {
 	for len(ts.max) <= t {
 		ts.max = append(ts.max, -1)
 	}
-	if bytes > ts.max[t] {
-		ts.max[t] = bytes
-	}
+	ts.max[t] = max(ts.max[t], bytes)
 	ts.msgs++
 	ts.bytes += int64(bytes)
 	if ts.phase != nil { // only a program with declared phases reads them back
@@ -349,9 +341,7 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 		}
 		switch s.kind {
 		case stepExchange:
-			if len(s.xfers) > pr.width {
-				pr.width = len(s.xfers)
-			}
+			pr.width = max(pr.width, len(s.xfers))
 			for j := range s.xfers {
 				x := &s.xfers[j]
 				exts := x.send
@@ -359,9 +349,7 @@ func (pr *program) walk(me, t int, phase string, ts *tally) int {
 					exts = x.recv
 				}
 				b := pr.measure(exts, me)
-				if b > x.bytes {
-					x.bytes = b
-				}
+				x.bytes = max(x.bytes, b)
 				x.swap = ro.swaps(s, x)
 				if x.to.mode != addrNone {
 					ts.note(t, b, ph)
@@ -394,9 +382,7 @@ func (pr *program) finish() {
 		ts.phase = make([]string, 0, len(pr.roles[0].steps))
 	}
 	for me := 0; me < ranks; me++ {
-		if t := pr.walk(me, 0, "", &ts); t > pr.c1 {
-			pr.c1 = t
-		}
+		pr.c1 = max(pr.c1, pr.walk(me, 0, "", &ts))
 	}
 	pr.copied = 0
 	for me := 0; me < ranks; me++ {

@@ -16,19 +16,18 @@ package collective
 // Plan.Check proves they leave alone until the barrier that ends the
 // round — and the input blocks its program names as origins, on any
 // worker at any later round, which Check proves nothing writes: so the
-// bytes are the same at every W.
-// Several plans on disjoint groups (ExecutePlans) are dealt whole to the
-// workers instead, each walked at W = 1 on its worker's own state.
-// The walk runs on a medium (run.go): bytes to execute a plan, labels —
-// at W = 1 — to prove it (Plan.Check) and read its figures and messages.
-// A k-port violation, a receive nobody feeds, a send nobody receives, a
-// size that disagrees, a descriptor sent of a block that is neither
-// input nor holds one (on bytes: a descriptor land short of origins), or
-// a misaligned end is a fault of its round, named
-// with the round and the ranks: bytes stop at the next barrier with the
-// lowest worker's fault (a lone fault has the text it has at W = 1),
-// labels record each and walk on.
-// Nothing waits for a rank that never posts, so nothing times out.
+// bytes are the same at every W. Several plans on disjoint groups
+// (ExecutePlans) are dealt whole to the workers instead, each walked at
+// W = 1 on its worker's own state. The walk runs on a medium (run.go):
+// bytes to execute a plan, labels — at W = 1 — to prove it (Plan.Check)
+// and read its figures and messages. A k-port violation, a receive
+// nobody feeds, a send nobody receives, a size that disagrees, a
+// descriptor sent of a block that is neither input nor holds one (on
+// bytes: a descriptor land short of origins), or a misaligned end is a
+// fault of its round, named with the round and the ranks: bytes stop at
+// the next barrier with the lowest worker's fault (a lone fault has the
+// text it has at W = 1), labels record each and walk on. Nothing waits
+// for a rank that never posts, so nothing times out.
 
 import (
 	"errors"
@@ -105,7 +104,7 @@ func walkJobs(e *mpsim.Engine, jobs []Job, w int) error {
 		}
 		s.w = min(ws, len(jobs))
 		for len(s.ds) < s.w {
-			s.ds = append(s.ds, newRounds())
+			s.ds = append(s.ds, new(rounds))
 		}
 		if len(jobs) == 1 {
 			d := s.ds[0]
@@ -155,7 +154,7 @@ type rounds struct {
 	ws    []*walker        // ws[:w] walk this run; the rest keep their free lists
 	w     int              // the workers of this run
 	team  *mpsim.Team      // the workers of a run with w > 1
-	work  func(worker int) // d.walk, bound once: a run hands it to the team
+	work  func(worker int) // d.walk, bound once: a split run hands it to the team
 	bm    bytesMedium      // the byte medium of an execution, md's target
 
 	// What the last worker to reach a barrier tallies off all of them for
@@ -203,13 +202,6 @@ type post struct {
 	p  payload
 }
 
-// newRounds returns the state of a byte walk, which its engine keeps.
-func newRounds() *rounds {
-	d := new(rounds)
-	d.work = d.walk
-	return d
-}
-
 // runRounds executes the plan alone on the round-major driver its engine
 // keeps, under the engine's run claim.
 func (pl *Plan) runRounds(m Memory) (*Result, error) {
@@ -250,6 +242,9 @@ func (d *rounds) run(pl *Plan, md medium, w int, each func(done int), team *mpsi
 	if w == 1 {
 		d.walk(0)
 	} else {
+		if d.work == nil {
+			d.work = d.walk
+		}
 		team.Run(w, d.work)
 	}
 	if d.err != nil {

@@ -17,22 +17,17 @@ package collective
 // receiver's extents before a byte is written, landed — copy or combine
 // — and released to the receiver's pool, where its next pack finds it in
 // cache; round-major a worker that keeps another's payload pays it back
-// a buffer when the walk ends (rounds.close). That is two copies per
-// byte per hop. On the walk, a transfer place (passes.go) marks desc
-// moves origins the program names: its payload is empty, a whole block
-// of a recv extent marked desc lands nothing (it holds a descriptor),
-// and every other block — as every block a local step with origins
-// reads — is copied straight from the input block its origin
-// (xfer.origins) names: one copy per block, on its last land. One
-// marked ref goes by reference: the payload names the sender's top
-// frame and transfer, and the land copies or combines once, straight
-// from the sender's extents, after the same size check. The engine
-// driver packs both and lands every byte. Plan.Check proves each named
-// origin, that nothing writes the input origins name, that no output
-// block ends holding a descriptor, and that no rank writes a byte it
-// sent by reference before every receiver may have landed it
-// (check.go); place marks no sub-program, whose frame ends, and goes
-// back to framePool, while a reader may still hold it. A swap
+// a buffer when the walk ends (rounds.close): two copies per byte per
+// hop. On the walk, a transfer place (passes.go) marks desc moves
+// origins the program names: its payload is empty, a whole block of a
+// recv extent marked desc lands nothing (it holds a descriptor), and
+// every other block — as every block a local step with origins reads —
+// is copied straight from the input block its origin (xfer.origins)
+// names: one copy per block. One marked ref goes by reference: the land
+// copies or combines once, straight from the sender's extents, after
+// the same size check. The engine driver packs both. Plan.Check proves
+// what both trust (check.go); place marks no sub-program, whose frame
+// goes back to framePool while a reader may still hold it. A swap
 // (role.swaps) copies nothing either way: its payload is the scratch
 // region's own buffer and the payload it receives becomes the region.
 // After a failed round the region holds no buffer: the one it gave away
@@ -328,7 +323,7 @@ func (f *frame) outgoing(x *xfer) []byte {
 		r.data = nil
 		return data
 	}
-	data := f.pool.AcquireBuf(f.size(x.send))
+	data := f.pool.AcquireBuf(f.pr.measure(x.send, f.me))
 	f.pack(data, x.send)
 	return data
 }
@@ -407,16 +402,6 @@ func (f *frame) origin(e *extent, b int, og *origin) []byte {
 	return in.data[off+int(e.off) : off+ln]
 }
 
-// size returns the bytes the extents address on this rank (xfer.bytes is
-// the largest over ranks).
-func (f *frame) size(ext []extent) int {
-	n := 0
-	for i := range ext {
-		n += ext[i].size(f.reg[ext[i].reg].shape, f.me, f.pr.n)
-	}
-	return n
-}
-
 func (f *frame) pack(buf []byte, ext []extent) {
 	for i := range ext {
 		for b, e := 0, &ext[i]; b < int(e.n); {
@@ -433,7 +418,7 @@ func (f *frame) pack(buf []byte, ext []extent) {
 // they address.
 func (f *frame) unpack(x *xfer, buf []byte, round int) error {
 	ext := x.recv
-	if want := f.size(ext); len(buf) != want {
+	if want := f.pr.measure(ext, f.me); len(buf) != want {
 		f.pool.ReleaseBuf(buf)
 		return fmt.Errorf("collective: "+errSize, len(buf), f.id(x.from), want, round)
 	}
@@ -480,10 +465,7 @@ func (f *frame) stream(d, s reader, combine bool) {
 				return
 			}
 		}
-		n := len(db)
-		if len(sb) < n {
-			n = len(sb)
-		}
+		n := min(len(db), len(sb))
 		f.land(db[:n], sb[:n], combine)
 		db, sb = db[n:], sb[n:]
 	}
@@ -524,7 +506,7 @@ func (bytesMedium) land(f *frame, x *xfer, p *payload, _, t int) error {
 	if p.x == nil {
 		return f.unpack(x, p.data, t)
 	}
-	if got, want := p.from.size(p.x.send), f.size(x.recv); got != want {
+	if got, want := p.from.pr.measure(p.x.send, p.from.me), f.pr.measure(x.recv, f.me); got != want {
 		return fmt.Errorf("collective: "+errSize, got, f.id(x.from), want, t)
 	}
 	if !p.x.desc {
